@@ -38,22 +38,6 @@ fn bench_encode(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     records.extend(g.finish());
 }
 
-/// The retained per-coordinate scalar reference (`encode_scalar`), recorded
-/// alongside the fused kernels so CI can assert the vectorized path never
-/// regresses below the baseline it replaced.
-fn bench_encode_scalar(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
-    let n = 1 << 15;
-    let data = row(n, 1);
-    let mut g = Group::new("encode_row_32k_scalar");
-    opts.configure(&mut g);
-    g.throughput(Throughput::Elements(n as u64));
-    for id in SchemeId::ALL {
-        let scheme = scheme_for(id);
-        g.bench(id.name(), || scheme.encode_scalar(black_box(&data), 42));
-    }
-    records.extend(g.finish());
-}
-
 fn bench_decode_full(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     let n = 1 << 15;
     let data = row(n, 2);
@@ -112,17 +96,6 @@ fn bench_row_pipeline(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     records.extend(g.finish());
 }
 
-/// Parses `--assert-<name> <pct>` from the raw args (ignored by [`BenchOpts`]).
-fn assert_flag_limit(name: &str) -> Option<f64> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-    }
-    None
-}
-
 fn best_ns(records: &[BenchRecord], group: &str, label: &str) -> f64 {
     records
         .iter()
@@ -140,32 +113,16 @@ fn pool_over_serial_pct(records: &[BenchRecord]) -> f64 {
     (threads4 / serial - 1.0) * 100.0
 }
 
-/// Worst-scheme percent by which the fused vectorized encode is slower than
-/// the retained scalar baseline (negative = faster, the expected state).
-fn vectorized_over_scalar_pct(records: &[BenchRecord]) -> (f64, &'static str) {
-    let mut worst = (f64::NEG_INFINITY, "none");
-    for id in SchemeId::ALL {
-        let fused = best_ns(records, "encode_row_32k", id.name());
-        let scalar = best_ns(records, "encode_row_32k_scalar", id.name());
-        let pct = (fused / scalar - 1.0) * 100.0;
-        if pct > worst.0 {
-            worst = (pct, id.name());
-        }
-    }
-    worst
-}
-
 fn main() {
     let opts = BenchOpts::from_args();
     let mut records = Vec::new();
     bench_encode(&opts, &mut records);
-    bench_encode_scalar(&opts, &mut records);
     bench_decode_full(&opts, &mut records);
     bench_decode_trimmed(&opts, &mut records);
     bench_row_pipeline(&opts, &mut records);
     opts.write("encode_decode", &records);
 
-    if let Some(limit) = assert_flag_limit("--assert-encode-pool-not-slower") {
+    if let Some(limit) = BenchOpts::limit("--assert-encode-pool-not-slower") {
         // Best-of-batch timing still jitters on loaded CI machines; give the
         // check a few independent attempts before declaring a regression.
         let mut pct = pool_over_serial_pct(&records);
@@ -187,37 +144,6 @@ fn main() {
         if !ok {
             // trimlint: allow(no-panic) -- the whole point of the flag is to fail CI
             panic!("pooled encode is {worst:.2}% slower than serial (limit +{limit}%)");
-        }
-    }
-
-    if let Some(limit) = assert_flag_limit("--assert-encode-vectorized-not-slower") {
-        let (mut pct, mut scheme) = vectorized_over_scalar_pct(&records);
-        let mut worst = (f64::NEG_INFINITY, "none");
-        let mut ok = false;
-        for attempt in 1..=3 {
-            println!(
-                "vectorized vs scalar encode ({scheme}), attempt {attempt}: {pct:+.2}% (limit +{limit}%)"
-            );
-            if pct <= limit {
-                ok = true;
-                break;
-            }
-            if pct > worst.0 {
-                worst = (pct, scheme);
-            }
-            if attempt < 3 {
-                let mut scratch = Vec::new();
-                bench_encode(&opts, &mut scratch);
-                bench_encode_scalar(&opts, &mut scratch);
-                (pct, scheme) = vectorized_over_scalar_pct(&scratch);
-            }
-        }
-        if !ok {
-            // trimlint: allow(no-panic) -- the whole point of the flag is to fail CI
-            panic!(
-                "vectorized {} encode is {:.2}% slower than the scalar baseline (limit +{limit}%)",
-                worst.1, worst.0
-            );
         }
     }
 }

@@ -3,18 +3,11 @@
 //! (64 → 4096 incast hosts), plus a micro-benchmark of the [`EventQueue`]
 //! itself under a chaotic push/pop mix.
 //!
-//! The `event_queue` group times the calendar queue against the retained
-//! [`HeapEventQueue`] on the identical op sequence:
-//! `crates/netsim/tests/event_queue_oracle.rs` pins the ordering semantics,
-//! this bench (recorded to `BENCH_netsim.json` by CI's bench smoke job) pins
-//! the cost, and `--assert-calendar-not-slower <pct>` turns the comparison
-//! into a CI gate.
-//!
-//! The `scale` group applies the same discipline to the data plane: each
-//! fat-tree size runs on the dense port table and on the retained
-//! `BTreePortMap` oracle (`_btree` labels),
-//! `tests/port_map_differential.rs` pins behavioral equality, and
-//! `--assert-dense-ports-not-slower <pct>` gates the 4096-host comparison.
+//! `crates/netsim/tests/event_queue_oracle.rs` pins the queue's ordering
+//! semantics and `tests/port_map_differential.rs` the data plane's observable
+//! behaviour; this bench (recorded to `BENCH_netsim.json` by CI's bench smoke
+//! job) records their cost. Regressions are gated end to end by
+//! `benchmark/run.sh` (`round_ms` on `netsim_storm`), parent against change.
 //! The `arena_high_water_4096_hosts` record is not a timing — it carries
 //! the peak live boxed-packet count, a proxy for peak data-plane memory.
 //!
@@ -24,12 +17,10 @@
 //! into a CI gate.
 //!
 //! [`EventQueue`]: trimgrad::netsim::event::EventQueue
-//! [`HeapEventQueue`]: trimgrad::netsim::event::HeapEventQueue
 
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::netsim::crosstraffic::install_incast;
-use trimgrad::netsim::event::{EventKind, EventQueue, HeapEventQueue};
-use trimgrad::netsim::ports::{BTreePortMap, DensePortTable, PortMap};
+use trimgrad::netsim::event::{EventKind, EventQueue};
 use trimgrad::netsim::sim::Simulator;
 use trimgrad::netsim::switch::QueuePolicy;
 use trimgrad::netsim::time::{gbps, SimTime};
@@ -56,54 +47,39 @@ fn run_incast(policy: QueuePolicy) -> u64 {
     sim.stats().delivered_packets() + sim.stats().dropped_total()
 }
 
-/// A seeded chaos mix over an event queue: bursts of schedules at random
+/// A seeded chaos mix over the event queue: bursts of schedules at random
 /// times interleaved with pops, ending with a full drain. This is the access
 /// pattern the simulator's hot loop produces (queue depth oscillates instead
-/// of growing monotonically), so it is the number a replacement priority
-/// queue must beat. Generic over the queue so the calendar queue and the
-/// retained heap reference run the identical op sequence.
-macro_rules! event_queue_chaos {
-    ($queue:expr, $ops:expr, $seed:expr) => {{
-        let mut rng = Xoshiro256StarStar::new($seed);
-        let mut q = $queue;
-        for i in 0..$ops {
-            // ~60% schedule, ~40% pop: the queue stays non-trivially full.
-            if rng.next_u64() % 5 < 3 {
-                let at = SimTime(rng.next_u64() % 1_000_000);
-                q.schedule(
-                    at,
-                    EventKind::AppTimer {
-                        node: NodeId(i % 64),
-                        token: i as u64,
-                    },
-                );
-            } else {
-                let _ = q.pop();
-            }
+/// of growing monotonically).
+fn event_queue_chaos(ops: usize, seed: u64) -> u64 {
+    let mut rng = Xoshiro256StarStar::new(seed);
+    let mut q = EventQueue::new();
+    for i in 0..ops {
+        // ~60% schedule, ~40% pop: the queue stays non-trivially full.
+        if rng.next_u64() % 5 < 3 {
+            let at = SimTime(rng.next_u64() % 1_000_000);
+            q.schedule(
+                at,
+                EventKind::AppTimer {
+                    node: NodeId(i % 64),
+                    token: i as u64,
+                },
+            );
+        } else {
+            let _ = q.pop();
         }
-        while q.pop().is_some() {}
-        q.total_fired()
-    }};
+    }
+    while q.pop().is_some() {}
+    q.total_fired()
 }
 
-/// Times calendar vs heap on the chaos mix, appending both records. Returns
-/// how much slower the calendar queue was than the heap, in percent
-/// (negative = calendar faster).
-fn bench_event_queue(opts: &BenchOpts, records: &mut Vec<BenchRecord>) -> f64 {
+fn bench_event_queue(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     let ops = 10_000;
     let mut g = Group::new("event_queue");
     opts.configure(&mut g);
     g.throughput(Throughput::Elements(ops as u64));
-    g.bench("chaos_push_pop_10k", || {
-        event_queue_chaos!(EventQueue::new(), ops, 0xE7E7)
-    });
-    g.bench("chaos_push_pop_10k_heap", || {
-        event_queue_chaos!(HeapEventQueue::new(), ops, 0xE7E7)
-    });
-    let rec = g.finish();
-    let pct = (rec[0].best_ns - rec[1].best_ns) / rec[1].best_ns * 100.0;
-    records.extend(rec);
-    pct
+    g.bench("chaos_push_pop_10k", || event_queue_chaos(ops, 0xE7E7));
+    records.extend(g.finish());
 }
 
 fn bench_incast(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
@@ -119,18 +95,23 @@ fn bench_incast(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     records.extend(g.finish());
 }
 
-/// One seeded incast storm on a prebuilt fat-tree, generic over the port
-/// map so the dense table and the retained `BTreeMap` oracle replay the
-/// identical schedule: `fan_in` senders, two MTU-sized packets each, all
-/// released at t = 0. Returns (events dispatched, arena high-water mark) —
-/// both deterministic for a given topology/schedule/seed.
-fn run_fat_tree_incast<P: PortMap>(
+/// One seeded incast storm on a prebuilt fat-tree: `fan_in` senders, two
+/// MTU-sized packets each, all released at t = 0, optionally with the
+/// telemetry time-series sampler enabled (every 50 µs of sim time the
+/// simulator snapshots its registry into the bounded ring — the instrumented
+/// configuration the fleet scenario runs with). Returns (events dispatched,
+/// arena high-water mark) — both deterministic for a given
+/// topology/schedule/seed.
+fn run_fat_tree_incast(
     topo: &Topology,
     routes: &Routes,
     sched: &FlowSchedule,
-    seed: u64,
+    sampled: bool,
 ) -> (u64, u64) {
-    let mut sim = Simulator::<P>::with_routes_in(topo.clone(), routes.clone(), seed);
+    let mut sim = Simulator::with_routes(topo.clone(), routes.clone(), 0xA5);
+    if sampled {
+        sim.enable_time_series(SimTime::from_micros(50), 256);
+    }
     sched.install(&mut sim);
     sim.run_until(SimTime::from_secs(1));
     (sim.events_fired(), sim.arena().high_water())
@@ -150,16 +131,13 @@ fn fat_tree_scale_case(k: usize, fan_in: usize) -> (Topology, Routes, FlowSchedu
 }
 
 /// Events/s at datacenter scale: k-ary fat-trees sized so 64, 512, and 4096
-/// hosts storm one receiver, each size timed on the dense port table (what
-/// the simulator ships) and on the `BTreeMap` oracle (`_btree` labels, the
-/// pre-dense data plane). Topology and routes (built only toward the
+/// hosts storm one receiver. Topology and routes (built only toward the
 /// workload's destinations — the full table is quadratic in fabric size) are
 /// constructed once outside the timed loop; each iteration clones them,
 /// replays the schedule, and counts dispatched events. Also records the
 /// 4096-host arena high-water mark (live boxed packets, a peak-memory
-/// proxy). Returns how much slower the dense plane was than the oracle at
-/// 4096 hosts, in percent (negative = dense faster).
-fn bench_scale(opts: &BenchOpts, records: &mut Vec<BenchRecord>) -> f64 {
+/// proxy).
+fn bench_scale(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     let mut g = Group::new("scale");
     opts.configure(&mut g);
     g.quick();
@@ -168,22 +146,16 @@ fn bench_scale(opts: &BenchOpts, records: &mut Vec<BenchRecord>) -> f64 {
         let (topo, routes, sched) = fat_tree_scale_case(k, fan_in);
         // A pilot run pins the deterministic event count for the rate (and
         // the arena's high-water mark, identical across repetitions).
-        let (events, high_water) =
-            run_fat_tree_incast::<DensePortTable>(&topo, &routes, &sched, 0xA5);
+        let (events, high_water) = run_fat_tree_incast(&topo, &routes, &sched, false);
         if fan_in == 4096 {
             high_water_4096 = high_water;
         }
         g.throughput(Throughput::Elements(events));
         g.bench(&format!("events_per_s_{fan_in}_hosts"), || {
-            run_fat_tree_incast::<DensePortTable>(&topo, &routes, &sched, 0xA5)
-        });
-        g.bench(&format!("events_per_s_{fan_in}_hosts_btree"), || {
-            run_fat_tree_incast::<BTreePortMap>(&topo, &routes, &sched, 0xA5)
+            run_fat_tree_incast(&topo, &routes, &sched, false)
         });
     }
-    let rec = g.finish();
-    let pct = dense_over_btree_pct(&rec, 4096);
-    records.extend(rec);
+    records.extend(g.finish());
     // Not a timing: the record carries the peak count of live boxed packets
     // at 4096 hosts, the arena's proxy for peak data-plane memory.
     records.push(BenchRecord {
@@ -193,41 +165,6 @@ fn bench_scale(opts: &BenchOpts, records: &mut Vec<BenchRecord>) -> f64 {
         mean_ns: high_water_4096 as f64,
         rate: Some((high_water_4096 as f64, "live packets peak")),
     });
-    pct
-}
-
-/// Dense-over-oracle slowdown in percent at `fan_in` hosts, from a finished
-/// scale group's records.
-fn dense_over_btree_pct(rec: &[BenchRecord], fan_in: usize) -> f64 {
-    let best = |label: String| {
-        rec.iter()
-            .find(|r| r.label == label)
-            .map(|r| r.best_ns)
-            .unwrap_or(f64::NAN)
-    };
-    let dense = best(format!("events_per_s_{fan_in}_hosts"));
-    let btree = best(format!("events_per_s_{fan_in}_hosts_btree"));
-    (dense - btree) / btree * 100.0
-}
-
-/// Re-times only the 4096-host dense-vs-oracle pair (for gate retries, so a
-/// loaded CI machine gets fresh numbers without re-running the full sweep).
-/// Like [`run_fat_tree_incast`] with the telemetry time-series sampler
-/// enabled: every 50 µs of sim time the simulator snapshots its registry
-/// into the bounded ring. This is the instrumented configuration the fleet
-/// scenario runs with; `--assert-sampling-overhead` gates its cost against
-/// the unsampled run.
-fn run_fat_tree_incast_sampled<P: PortMap>(
-    topo: &Topology,
-    routes: &Routes,
-    sched: &FlowSchedule,
-    seed: u64,
-) -> (u64, u64) {
-    let mut sim = Simulator::<P>::with_routes_in(topo.clone(), routes.clone(), seed);
-    sim.enable_time_series(SimTime::from_micros(50), 256);
-    sched.install(&mut sim);
-    sim.run_until(SimTime::from_secs(1));
-    (sim.events_fired(), sim.arena().high_water())
 }
 
 /// Times the 4096-host storm with and without time-series sampling.
@@ -238,13 +175,13 @@ fn bench_sampling_overhead(opts: &BenchOpts, group: &str, records: &mut Vec<Benc
     let mut g = Group::new(group);
     opts.configure(&mut g);
     g.quick();
-    let (events, _) = run_fat_tree_incast::<DensePortTable>(&topo, &routes, &sched, 0xA5);
+    let (events, _) = run_fat_tree_incast(&topo, &routes, &sched, false);
     g.throughput(Throughput::Elements(events));
     g.bench("events_per_s_4096_hosts_unsampled", || {
-        run_fat_tree_incast::<DensePortTable>(&topo, &routes, &sched, 0xA5)
+        run_fat_tree_incast(&topo, &routes, &sched, false)
     });
     g.bench("events_per_s_4096_hosts_sampled", || {
-        run_fat_tree_incast_sampled::<DensePortTable>(&topo, &routes, &sched, 0xA5)
+        run_fat_tree_incast(&topo, &routes, &sched, true)
     });
     let rec = g.finish();
     let best = |suffix: &str| {
@@ -258,40 +195,15 @@ fn bench_sampling_overhead(opts: &BenchOpts, group: &str, records: &mut Vec<Benc
     pct
 }
 
-fn bench_scale_4096_retry(opts: &BenchOpts) -> f64 {
-    let (topo, routes, sched) = fat_tree_scale_case(26, 4096);
-    let mut g = Group::new("scale_retry");
-    opts.configure(&mut g);
-    g.quick();
-    g.bench("events_per_s_4096_hosts", || {
-        run_fat_tree_incast::<DensePortTable>(&topo, &routes, &sched, 0xA5)
-    });
-    g.bench("events_per_s_4096_hosts_btree", || {
-        run_fat_tree_incast::<BTreePortMap>(&topo, &routes, &sched, 0xA5)
-    });
-    dense_over_btree_pct(&g.finish(), 4096)
-}
-
-/// Parses `--assert-<which>-not-slower <pct>` (ignored by [`BenchOpts`]).
-fn not_slower_limit(flag: &str) -> Option<f64> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-    }
-    None
-}
-
 fn main() {
     let opts = BenchOpts::from_args();
     let mut records = Vec::new();
-    let mut calendar_over_heap_pct = bench_event_queue(&opts, &mut records);
+    bench_event_queue(&opts, &mut records);
     bench_incast(&opts, &mut records);
-    let mut dense_over_btree = bench_scale(&opts, &mut records);
+    bench_scale(&opts, &mut records);
     let mut sampling_pct = bench_sampling_overhead(&opts, "sampling", &mut records);
     opts.write("netsim", &records);
-    if let Some(limit) = not_slower_limit("--assert-sampling-overhead") {
+    if let Some(limit) = BenchOpts::limit("--assert-sampling-overhead") {
         // Sub-percent deltas are at the mercy of CI noise; re-time before
         // declaring that the sampler regressed the hot loop.
         let mut scratch = Vec::new();
@@ -315,51 +227,5 @@ fn main() {
             // trimlint: allow(no-panic) -- the whole point of the flag is to fail CI
             panic!("time-series sampling costs {worst:.2}% at 4096 hosts (limit +{limit}%)");
         }
-    }
-    if let Some(limit) = not_slower_limit("--assert-dense-ports-not-slower") {
-        // Same retry discipline as the calendar gate: best-of-batch timing
-        // jitters on loaded CI machines, so re-time before failing.
-        let mut worst = f64::NEG_INFINITY;
-        let mut ok = false;
-        for attempt in 1..=3 {
-            println!(
-                "dense ports vs btree oracle (4096 hosts), attempt {attempt}: \
-                 {dense_over_btree:+.2}% (limit +{limit}%)"
-            );
-            if dense_over_btree <= limit {
-                ok = true;
-                break;
-            }
-            worst = worst.max(dense_over_btree);
-            if attempt < 3 {
-                dense_over_btree = bench_scale_4096_retry(&opts);
-            }
-        }
-        if !ok {
-            // trimlint: allow(no-panic) -- the whole point of the flag is to fail CI
-            panic!(
-                "dense port table is {worst:.2}% slower than the BTreeMap oracle (limit +{limit}%)"
-            );
-        }
-    }
-    if let Some(limit) = not_slower_limit("--assert-calendar-not-slower") {
-        // Best-of-batch timing still jitters on loaded CI machines; give the
-        // check a few independent attempts before declaring a regression.
-        let mut scratch = Vec::new();
-        let mut worst = f64::NEG_INFINITY;
-        for attempt in 1..=3 {
-            println!(
-                "calendar vs heap, attempt {attempt}: {calendar_over_heap_pct:+.2}% (limit +{limit}%)"
-            );
-            if calendar_over_heap_pct <= limit {
-                return;
-            }
-            worst = worst.max(calendar_over_heap_pct);
-            if attempt < 3 {
-                calendar_over_heap_pct = bench_event_queue(&opts, &mut scratch);
-            }
-        }
-        // trimlint: allow(no-panic) -- the whole point of the flag is to fail CI
-        panic!("calendar queue is {worst:.2}% slower than the heap (limit +{limit}%)");
     }
 }

@@ -1,24 +1,14 @@
 //! Micro-benchmarks for the wire layer: packetizing a row, the in-switch
 //! trim operation (the hot path of a trimming ASIC model), and receiver-side
-//! parse + reassembly.
-//!
-//! `packetize_row_32k` builds each frame with the single-allocation
-//! `GradPacket::build_with` path; `packetize_row_32k_pooled` additionally
-//! recycles frames through a [`FramePool`], so its steady state performs no
-//! allocation at all. Both land in `BENCH_wire.json` under CI's bench smoke
-//! job.
-//!
-//! [`FramePool`]: trimgrad::wire::pool::FramePool
+//! parse + reassembly. All three land in `BENCH_wire.json` under CI's bench
+//! smoke job.
 
 use std::hint::black_box;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::quant::rht1bit::RhtOneBit;
 use trimgrad::quant::TrimmableScheme;
 use trimgrad::wire::packet::NetAddrs;
-use trimgrad::wire::packetize::{
-    packetize_row, packetize_row_pooled, packetize_row_traced, PacketizeConfig,
-};
-use trimgrad::wire::pool::FramePool;
+use trimgrad::wire::packetize::{packetize_row, PacketizeConfig};
 use trimgrad::wire::reassemble::RowAssembler;
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
 
@@ -48,62 +38,7 @@ fn bench_packetize(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     g.bench("packetize_row_32k", || {
         packetize_row(black_box(&enc), &cfg())
     });
-    // Steady-state pooled path: every frame buffer comes back out of the
-    // freelist, so iterations after the first allocate nothing.
-    let mut pool = FramePool::new();
-    g.bench("packetize_row_32k_pooled", || {
-        let pr = packetize_row_pooled(black_box(&enc), &cfg(), &mut pool);
-        let n = pr.packets.len();
-        pool.recycle_row(pr);
-        n
-    });
-    // The tracing wrapper with the recorder off: the acceptance bar is that
-    // this costs within noise of the pooled path (one branch, no allocation).
-    let tracer = trimgrad_trace::Tracer::disabled();
-    let mut pool2 = FramePool::new();
-    g.bench("packetize_row_32k_traced_off", || {
-        let pr = packetize_row_traced(black_box(&enc), &cfg(), &mut pool2, &tracer, 0);
-        let n = pr.packets.len();
-        pool2.recycle_row(pr);
-        n
-    });
     records.extend(g.finish());
-}
-
-/// Times the pooled path against the traced-off wrapper back to back and
-/// returns the wrapper's overhead in percent (negative = faster, i.e. noise).
-fn trace_off_overhead_pct(opts: &BenchOpts) -> f64 {
-    let enc = encoded_row();
-    let mut g = Group::new("wire-trace-off-check");
-    opts.configure(&mut g);
-    let mut pool = FramePool::new();
-    g.bench("plain_pooled", || {
-        let pr = packetize_row_pooled(black_box(&enc), &cfg(), &mut pool);
-        let n = pr.packets.len();
-        pool.recycle_row(pr);
-        n
-    });
-    let tracer = trimgrad_trace::Tracer::disabled();
-    let mut pool2 = FramePool::new();
-    g.bench("traced_off", || {
-        let pr = packetize_row_traced(black_box(&enc), &cfg(), &mut pool2, &tracer, 0);
-        let n = pr.packets.len();
-        pool2.recycle_row(pr);
-        n
-    });
-    let rec = g.finish();
-    (rec[1].best_ns - rec[0].best_ns) / rec[0].best_ns * 100.0
-}
-
-/// Parses `--assert-trace-off-overhead <pct>` (ignored by [`BenchOpts`]).
-fn trace_off_overhead_limit() -> Option<f64> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--assert-trace-off-overhead" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-    }
-    None
 }
 
 fn bench_trim_op(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
@@ -145,23 +80,4 @@ fn main() {
     bench_trim_op(&opts, &mut records);
     bench_parse_and_reassemble(&opts, &mut records);
     opts.write("wire", &records);
-    if let Some(limit) = trace_off_overhead_limit() {
-        // Best-of-batch timing still jitters on loaded CI machines; give the
-        // check a few independent attempts before declaring a regression.
-        let mut worst = f64::NEG_INFINITY;
-        let mut pass = false;
-        for attempt in 1..=3 {
-            let pct = trace_off_overhead_pct(&opts);
-            println!("trace-off overhead, attempt {attempt}: {pct:+.2}% (limit {limit}%)");
-            worst = worst.max(pct);
-            if pct <= limit {
-                pass = true;
-                break;
-            }
-        }
-        assert!(
-            pass,
-            "tracing-off packetize overhead {worst:.2}% exceeds the {limit}% budget"
-        );
-    }
 }

@@ -65,6 +65,20 @@ impl BenchOpts {
         opts
     }
 
+    /// The numeric value following `flag` on the command line, if present —
+    /// how bench binaries read their `--assert-<what> <pct>` CI limits
+    /// (which [`BenchOpts::from_args`] itself ignores).
+    #[must_use]
+    pub fn limit(flag: &str) -> Option<f64> {
+        let mut args = std::env::args().skip(1);
+        while let Some(a) = args.next() {
+            if a == flag {
+                return args.next().and_then(|v| v.parse().ok());
+            }
+        }
+        None
+    }
+
     /// Applies window options to a group.
     pub fn configure(&self, g: &mut Group) {
         if self.quick {

@@ -88,6 +88,15 @@ impl MessageCodec {
         len.div_ceil(self.row_len)
     }
 
+    /// Coordinate range of row `row_id` in a blob of `len` coordinates
+    /// (`blob.chunks(row_len)` semantics: only the last row may be short).
+    /// Sender and receiver both size rows with this.
+    #[must_use]
+    pub fn row_range(&self, len: usize, row_id: usize) -> core::ops::Range<usize> {
+        let start = row_id * self.row_len;
+        start..len.min(start + self.row_len)
+    }
+
     /// The shared seed for one row of one message.
     #[must_use]
     pub fn row_seed(&self, epoch: u32, msg_id: u32, row_id: u32) -> u64 {
@@ -107,6 +116,11 @@ impl MessageCodec {
 
     /// [`encode_message`](Self::encode_message) with an explicit pool (the
     /// global pool is a convenience over this).
+    ///
+    /// Each worker takes one contiguous stripe of whole rows and encodes
+    /// them back to back, so it stays on consecutive memory and pays one
+    /// spawn/join per worker total. Row seeds depend only on the row index,
+    /// so output is bit-identical for every pool width.
     #[must_use]
     pub fn encode_message_pooled(
         &self,
@@ -115,37 +129,11 @@ impl MessageCodec {
         msg_id: u32,
         pool: &WorkerPool,
     ) -> Vec<EncodedRow> {
-        self.encode_rows_pooled(blob, epoch, msg_id, pool)
-    }
-
-    /// Batched multi-row encode: each worker takes one contiguous stripe of
-    /// whole rows and encodes them back to back.
-    ///
-    /// This replaces the previous per-row work distribution (round-robin row
-    /// indices merged through a channel), whose per-row send/recv and
-    /// re-splitting overhead made the pooled path *slower* than serial when
-    /// spawning bought no real parallelism — the `row_encode_pipeline`
-    /// threads4 regression. Striping whole rows keeps each worker on
-    /// consecutive memory and pays one spawn/join per worker total. Row seeds
-    /// depend only on the row index, so output is bit-identical for every
-    /// pool width.
-    #[must_use]
-    pub fn encode_rows_pooled(
-        &self,
-        blob: &[f32],
-        epoch: u32,
-        msg_id: u32,
-        pool: &WorkerPool,
-    ) -> Vec<EncodedRow> {
-        if blob.is_empty() {
-            return Vec::new();
-        }
-        let n_rows = self.rows_for(blob.len());
-        pool.map_striped(n_rows, |row_id| {
-            let start = row_id * self.row_len;
-            let row = &blob[start..blob.len().min(start + self.row_len)];
-            self.scheme
-                .encode(row, self.row_seed(epoch, msg_id, row_id as u32))
+        pool.map_striped(self.rows_for(blob.len()), |row_id| {
+            self.scheme.encode(
+                &blob[self.row_range(blob.len(), row_id)],
+                self.row_seed(epoch, msg_id, row_id as u32),
+            )
         })
     }
 
@@ -262,9 +250,9 @@ mod tests {
     fn striped_encode_matches_serial_at_every_width() {
         let c = MessageCodec::with_row_len(SchemeId::RhtOneBit, 11, 64);
         let b = blob(500, 9); // 8 rows, last one partial
-        let serial = c.encode_rows_pooled(&b, 2, 3, &WorkerPool::serial());
+        let serial = c.encode_message_pooled(&b, 2, 3, &WorkerPool::serial());
         for threads in [2, 3, 4, 8] {
-            let pooled = c.encode_rows_pooled(&b, 2, 3, &WorkerPool::new(threads));
+            let pooled = c.encode_message_pooled(&b, 2, 3, &WorkerPool::new(threads));
             assert_eq!(pooled, serial, "threads={threads}");
         }
     }

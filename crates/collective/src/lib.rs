@@ -14,9 +14,8 @@
 //! * [`channel`] — the [`channel::GradChannel`] abstraction: a lossless
 //!   channel, a trimming channel (encode → inject → decode), and byte
 //!   accounting for the round-time model.
-//! * [`ring`] / [`halving`] — ring all-reduce and recursive
-//!   halving-doubling all-reduce over any channel, plus
-//!   [`reducescatter`]/[`allgather`] primitives.
+//! * [`ring`] — ring all-reduce over any channel, plus the
+//!   [`reducescatter`]/[`allgather`] primitives it is built from.
 //! * [`hooks`] — DDP-style gradient aggregation hooks used by the trainer.
 //! * [`ring_netsim`] — the full-fidelity path: ring all-reduce executed as
 //!   host apps inside `trimgrad-netsim`, moving real TrimGrad frames through
@@ -28,7 +27,6 @@
 pub mod allgather;
 pub mod channel;
 pub mod chunk;
-pub mod halving;
 pub mod hooks;
 pub mod reducescatter;
 pub mod ring;

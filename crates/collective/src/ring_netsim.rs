@@ -93,19 +93,16 @@ struct MsgAssembly {
 }
 
 impl MsgAssembly {
-    fn new(cfg: &RingNetConfig, msg_id: u32, seg_len: usize) -> Self {
-        let n_rows = seg_len.div_ceil(cfg.row_len).max(usize::from(seg_len == 0));
-        let rows = (0..n_rows.max(1))
-            .take(if seg_len == 0 { 0 } else { n_rows })
+    /// Assembly for a `seg_len`-coordinate segment, with exactly the rows
+    /// (and row lengths) `codec` produces when encoding it. An empty segment
+    /// has no rows and is complete from the start.
+    fn new(codec: &MessageCodec, msg_id: u32, seg_len: usize) -> Self {
+        let rows: Vec<RowAssembler> = (0..codec.rows_for(seg_len))
             .map(|r| {
-                let row_len = if r == n_rows - 1 && !seg_len.is_multiple_of(cfg.row_len) {
-                    seg_len % cfg.row_len
-                } else {
-                    cfg.row_len
-                };
-                RowAssembler::new(cfg.scheme, msg_id, r as u32, row_len)
+                let row_len = codec.row_range(seg_len, r).len();
+                RowAssembler::new(codec.scheme_id(), msg_id, r as u32, row_len)
             })
-            .collect::<Vec<_>>();
+            .collect();
         let n = rows.len();
         Self {
             rows,
@@ -380,17 +377,18 @@ impl RingWorkerApp {
     /// assembled. A fast predecessor can deliver step `t+1` completely while
     /// this worker is still waiting on step `t`; when `t` finally lands, the
     /// buffered `t+1` must be applied immediately — no further packet will
-    /// arrive to trigger it.
+    /// arrive to trigger it. Likewise an empty inbound segment
+    /// (`blob_len < workers`) is complete without any packet ever arriving,
+    /// which is why this also runs right after the first send.
     fn drain_ready(&mut self, api: &mut HostApi) {
         while !self.done {
             let t = self.step;
+            if !self.ensure_assembly(t as u32).is_complete() {
+                break;
+            }
             let Some(asm) = self.inbox.remove(&(t as u32)) else {
                 break;
             };
-            if !asm.is_complete() {
-                self.inbox.insert(t as u32, asm);
-                break;
-            }
             self.apply_step(t, &asm, api);
         }
     }
@@ -399,10 +397,10 @@ impl RingWorkerApp {
         let sender = (self.rank + self.cfg.workers() - 1) % self.cfg.workers();
         let seg = self.cfg.send_segment(sender, msg_id as usize);
         let seg_len = segment_range(self.cfg.blob_len, self.cfg.workers(), seg).len();
-        let cfg = &self.cfg;
+        let codec = &self.codec;
         self.inbox
             .entry(msg_id)
-            .or_insert_with(|| MsgAssembly::new(cfg, msg_id, seg_len))
+            .or_insert_with(|| MsgAssembly::new(codec, msg_id, seg_len))
     }
 }
 
@@ -417,6 +415,7 @@ impl App for RingWorkerApp {
 
     fn on_start(&mut self, api: &mut HostApi) {
         self.send_step(0, api);
+        self.drain_ready(api);
     }
 
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
@@ -528,31 +527,6 @@ pub fn run_ring_allreduce(
         trimmed as f64 / total as f64
     };
     (out, frac)
-}
-
-/// Same as [`run_ring_allreduce`] but with a deterministic [`FaultPlan`]
-/// installed on the fabric before the first packet is sent.
-///
-/// This is the collective-layer injection hook for chaos testing: every
-/// fault comes from the plan's seeded RNG, so a failing run is replayed
-/// exactly by re-running with `FaultPlan::new(plan.seed())` and the same
-/// policies.
-///
-/// # Panics
-///
-/// As [`run_ring_allreduce`]; additionally if the simulation already
-/// started (fault plans must be installed before the first event).
-///
-/// [`FaultPlan`]: trimgrad_netsim::fault::FaultPlan
-pub fn run_ring_allreduce_faulted(
-    sim: &mut trimgrad_netsim::sim::Simulator,
-    cfg: &RingNetConfig,
-    blobs: Vec<Vec<f32>>,
-    time_limit: trimgrad_netsim::time::SimTime,
-    plan: trimgrad_netsim::fault::FaultPlan,
-) -> (Vec<Vec<f32>>, f64) {
-    sim.install_fault_plan(plan);
-    run_ring_allreduce(sim, cfg, blobs, time_limit)
 }
 
 #[cfg(test)]
@@ -752,12 +726,10 @@ mod tests {
             let (topo, hosts) = star_topology(w, QueuePolicy::trim_default(), 100.0);
             let mut sim = Simulator::new(topo);
             let c = cfg(SchemeId::RhtOneBit, hosts, len);
-            let out = match plan {
-                Some(p) => {
-                    run_ring_allreduce_faulted(&mut sim, &c, b.clone(), SimTime::from_secs(5), p).0
-                }
-                None => run_ring_allreduce(&mut sim, &c, b.clone(), SimTime::from_secs(5)).0,
-            };
+            if let Some(p) = plan {
+                sim.install_fault_plan(p);
+            }
+            let (out, _) = run_ring_allreduce(&mut sim, &c, b.clone(), SimTime::from_secs(5));
             (out, sim.telemetry_snapshot())
         };
         let (clean, _) = run(None);
@@ -870,6 +842,27 @@ mod tests {
         // Same seed, same trace — byte for byte.
         let (again, _) = run();
         assert_eq!(trace.to_binary(), again.to_binary());
+    }
+
+    #[test]
+    fn blob_shorter_than_the_ring_sums_exactly() {
+        // With blob_len < workers some segments are empty: no packet ever
+        // announces them, so the worker must advance past them on its own.
+        let w = 4;
+        for len in [1usize, 2, 3, 5] {
+            let (topo, hosts) = star_topology(w, QueuePolicy::trim_default(), 100.0);
+            let mut sim = Simulator::new(topo);
+            let b = blobs(w, len, 13);
+            let expect = expected_sum(&b);
+            let c = cfg(SchemeId::SignMagnitude, hosts, len);
+            let (out, _) = run_ring_allreduce(&mut sim, &c, b, SimTime::from_secs(5));
+            assert!(sim.conservation_holds(), "len {len}");
+            for worker in &out {
+                for (a, e) in worker.iter().zip(&expect) {
+                    assert!((a - e).abs() < 1e-4, "len {len}: {a} vs {e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Thread-width golden tests: `encode_rows_pooled` at pool widths 1 and 4
+//! Thread-width golden tests: `encode_message_pooled` at pool widths 1 and 4
 //! must match the scalar reference (`encode_scalar`, the retained
 //! per-coordinate loops) byte-for-byte, for every scheme and the row lengths
 //! the quant-level golden tests pin ({1, 64, 4095, 32768}).
@@ -58,11 +58,9 @@ fn scalar_reference(
     epoch: u32,
     msg_id: u32,
 ) -> Vec<EncodedRow> {
-    let row_len = codec.row_len();
-    (0..codec.rows_for(blob.len()))
-        .map(|row_id| {
-            let start = row_id * row_len;
-            let row = &blob[start..blob.len().min(start + row_len)];
+    blob.chunks(codec.row_len())
+        .enumerate()
+        .map(|(row_id, row)| {
             codec
                 .scheme()
                 .encode_scalar(row, codec.row_seed(epoch, msg_id, row_id as u32))
@@ -81,7 +79,7 @@ fn pooled_encode_matches_scalar_reference_at_widths_1_and_4() {
             let b = blob(blob_len, 77);
             let reference = scalar_reference(&codec, &b, 3, 9);
             for width in [1usize, 4] {
-                let pooled = codec.encode_rows_pooled(&b, 3, 9, &WorkerPool::new(width));
+                let pooled = codec.encode_message_pooled(&b, 3, 9, &WorkerPool::new(width));
                 assert_rows_identical(
                     &pooled,
                     &reference,
@@ -100,7 +98,7 @@ fn pooled_encode_matches_scalar_reference_at_paper_row_len() {
     let b = blob((1 << 15) + 1000, 21);
     let reference = scalar_reference(&codec, &b, 0, 0);
     for width in [1usize, 4] {
-        let pooled = codec.encode_rows_pooled(&b, 0, 0, &WorkerPool::new(width));
+        let pooled = codec.encode_message_pooled(&b, 0, 0, &WorkerPool::new(width));
         assert_rows_identical(&pooled, &reference, &format!("rht 32768 width={width}"));
     }
 }

@@ -9,7 +9,7 @@
 //! all — it runs as `cargo run -p trimgrad-lint -- check .` in CI and as a
 //! `#[test]` so it rides tier-1.
 //!
-//! There are no dependencies. A small hand-rolled lexer ([`lex`]) feeds a
+//! There are no dependencies. A small hand-rolled lexer ([`mod@lex`]) feeds a
 //! token-level rule engine ([`rules`]), a wire-format consistency pass
 //! ([`wirecheck`]), and — since PR 7 — an interprocedural layer: an
 //! item-level parser ([`parse`]) recovers every function, a workspace-wide

@@ -1,10 +1,10 @@
-//! A forgiving item-level parser on top of [`crate::lex`].
+//! A forgiving item-level parser on top of [`mod@crate::lex`].
 //!
 //! It recovers the subset of Rust structure the interprocedural analyses
 //! need: every `fn` item with its name, enclosing `impl` type, body token
 //! range, source line, test-mask, and `// trimlint: hot-path` annotation.
 //! Everything else — expressions, types, generics — stays a token soup; the
-//! call-graph layer ([`crate::callgraph`]) works directly on body ranges.
+//! call-graph layer (`crate::callgraph`) works directly on body ranges.
 //!
 //! The parser never guesses on broken input: an unclosed delimiter in an
 //! item signature or body is reported as a parse error (distinct CLI exit

@@ -1,6 +1,6 @@
 //! Token-level lint rules.
 //!
-//! Every rule walks the token stream produced by [`crate::lex`] with the
+//! Every rule walks the token stream produced by [`mod@crate::lex`] with the
 //! test-code mask applied, and emits `(line, message)` pairs; the caller
 //! attaches the rule id and file path. See `DESIGN.md` §7 for the rationale
 //! behind each rule; per-crate scoping lives in [`crate::lint_source`].

@@ -52,8 +52,6 @@ const SINKS: &[&str] = &[
     "build_with",
     "build_frame",
     "packetize_row",
-    "packetize_row_pooled",
-    "packetize_row_traced",
     "emit",
     "span",
     "span_at",

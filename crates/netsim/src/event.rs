@@ -6,15 +6,13 @@
 //!
 //! [`EventQueue`] is a calendar queue (timing wheel): near-future events land
 //! in per-window `Vec` buckets with O(1) insertion and are only heap-ordered
-//! one window at a time, which is why it beats the plain binary heap on the
-//! bursty near-monotone schedules a packet simulation produces. Events beyond
-//! the wheel horizon go to an overflow heap; scheduling behind the active
-//! window re-anchors the wheel backward. Both stores order by the same
-//! `(time, seq)` key, so pop order — and therefore every simulation byte — is
-//! identical to the retained [`HeapEventQueue`] reference implementation. The
-//! differential harness in `tests/event_queue_oracle.rs` pins that
-//! equivalence against a sorted-`Vec` oracle; DESIGN.md §11 has the proof
-//! sketch.
+//! one window at a time, which suits the bursty near-monotone schedules a
+//! packet simulation produces. Events beyond the wheel horizon go to an
+//! overflow heap; scheduling behind the active window re-anchors the wheel
+//! backward. Both stores order by the same `(time, seq)` key, so pop order —
+//! and therefore every simulation byte — is that of a single priority queue.
+//! The differential harness in `tests/event_queue_oracle.rs` pins that
+//! against a sorted-`Vec` oracle; DESIGN.md §11 has the proof sketch.
 
 use crate::time::SimTime;
 use crate::NodeId;
@@ -98,9 +96,9 @@ const DEFAULT_N_BUCKETS: usize = 256;
 
 /// A deterministic calendar queue of events.
 ///
-/// Pop order is exactly ascending `(time, insertion-sequence)`, the same
-/// total order as [`HeapEventQueue`]. Internally events live in one of
-/// three places, classified by the window index `w = time >> bucket_shift`:
+/// Pop order is exactly ascending `(time, insertion-sequence)`. Internally
+/// events live in one of three places, classified by the window index
+/// `w = time >> bucket_shift`:
 ///
 /// * `active` — a heap of events in the current window `cur_window`;
 /// * `buckets` — unsorted `Vec`s for windows in `(cur_window, cur_window + n)`
@@ -409,75 +407,6 @@ impl EventQueue {
     }
 }
 
-/// The retained binary-heap reference implementation.
-///
-/// This was the production queue before the calendar swap; it stays as the
-/// baseline for the `event_queue` bench group (calendar-vs-heap) and as a
-/// second implementation for the differential harness. Same API, same
-/// `(time, seq)` pop order.
-#[derive(Debug, Default)]
-pub struct HeapEventQueue {
-    heap: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
-    scheduled: u64,
-    fired: u64,
-}
-
-impl HeapEventQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `kind` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled += 1;
-        self.heap.push(Reverse(Event { at, seq, kind }));
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        let e = self.heap.pop().map(|Reverse(e)| e);
-        if e.is_some() {
-            self.fired += 1;
-        }
-        e
-    }
-
-    /// The firing time of the earliest event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events scheduled over the queue's lifetime.
-    #[must_use]
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Total events fired over the queue's lifetime.
-    #[must_use]
-    pub fn total_fired(&self) -> u64 {
-        self.fired
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,24 +518,5 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![0, 1]);
-    }
-
-    #[test]
-    fn matches_heap_reference_on_a_fixed_script() {
-        let times = [5u64, 5, 3, 900, 17, 0, 64, 64, 4096, 12, 5, 7];
-        let mut cal = EventQueue::with_geometry(4, 4);
-        let mut heap = HeapEventQueue::new();
-        for (token, &t) in times.iter().enumerate() {
-            cal.schedule(SimTime(t), timer(0, token as u64));
-            heap.schedule(SimTime(t), timer(0, token as u64));
-        }
-        loop {
-            let a = cal.pop().map(|e| (e.at, e.seq));
-            let b = heap.pop().map(|e| (e.at, e.seq));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

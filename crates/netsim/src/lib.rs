@@ -20,10 +20,10 @@
 //!   replay, replayable from the plan's seed.
 //! * [`host`] — the [`host::App`] trait: endpoint logic (transports,
 //!   collectives, traffic generators) runs as apps installed on hosts.
-//! * [`ports`] — dense per-directed-link port table ([`ports::PortMap`]):
-//!   build-time `PortId` assignment from the CSR adjacency, O(1) indexed
-//!   `PortState` storage, cached link params, and an allocation-free
-//!   queue-depth mirror (plus the retained `BTreeMap` oracle).
+//! * [`ports`] — dense per-directed-link port table
+//!   ([`ports::DensePortTable`]): build-time `PortId` assignment from the
+//!   CSR adjacency, O(1) indexed `PortState` storage, cached link params,
+//!   and an allocation-free queue-depth mirror.
 //! * [`sim`] — the event loop.
 //! * [`transport`] — message-level services on top of packets: a reliable
 //!   retransmitting transport (the "NCCL baseline") and the trimming

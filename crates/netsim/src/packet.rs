@@ -242,7 +242,7 @@ impl Packet {
 }
 
 /// A freelist recycler for the `Box<Packet>` allocations that ride the
-/// event queue (shaped like `trimgrad_wire::pool::FramePool`).
+/// event queue.
 ///
 /// The simulator boxes every packet once at send time and the same box
 /// travels hop to hop inside `Arrive` events; historically the box was

@@ -10,14 +10,13 @@
 //! dense queue-depth mirror), packet boxes are recycled through a
 //! [`PacketArena`] instead of being allocated once per packet lifetime, and
 //! conservation is tracked incrementally so [`Simulator::conservation_holds`]
-//! is O(1). The simulator is generic over [`PortMap`] so the retained
-//! [`crate::ports::BTreePortMap`] oracle can replay identical runs.
+//! is O(1).
 
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::host::{App, HostApi, SinkApp};
 use crate::packet::{Packet, PacketArena, PacketSpec};
-use crate::ports::{DensePortTable, PortMap};
+use crate::ports::{DensePortTable, PortId};
 use crate::stats::{ConservationViolation, Stats};
 use crate::switch::{EnqueueOutcome, PortCounters, QueuePolicy};
 use crate::time::SimTime;
@@ -40,16 +39,10 @@ fn host_nic_policy() -> QueuePolicy {
 }
 
 /// The discrete-event network simulator.
-///
-/// Generic over the egress-port storage `P` (see [`crate::ports`]): the
-/// default [`DensePortTable`] is the production data plane; the retained
-/// [`crate::ports::BTreePortMap`] oracle replays bit-identical runs for
-/// differential testing. Construct oracle-backed simulators with
-/// [`Simulator::with_seed_in`] / [`Simulator::with_routes_in`].
-pub struct Simulator<P: PortMap = DensePortTable> {
+pub struct Simulator {
     topo: Topology,
     routes: Routes,
-    ports: P,
+    ports: DensePortTable,
     /// Running roll-up of every port's counters, updated at each enqueue
     /// and dequeue so the conservation check never re-scans the table.
     port_totals: PortCounters,
@@ -94,7 +87,8 @@ impl Simulator {
     /// Builds with an explicit seed for the random-loss generator.
     #[must_use]
     pub fn with_seed(topo: Topology, seed: u64) -> Self {
-        Self::with_seed_in(topo, seed)
+        let routes = topo.build_routes();
+        Self::with_routes(topo, routes, seed)
     }
 
     /// Builds with a caller-supplied routing table. Datacenter-scale runs
@@ -103,22 +97,6 @@ impl Simulator {
     /// fabric size.
     #[must_use]
     pub fn with_routes(topo: Topology, routes: Routes, seed: u64) -> Self {
-        Self::with_routes_in(topo, routes, seed)
-    }
-}
-
-impl<P: PortMap> Simulator<P> {
-    /// [`Simulator::with_seed`] for an explicit port storage `P` — how the
-    /// differential tests build [`crate::ports::BTreePortMap`] oracles.
-    #[must_use]
-    pub fn with_seed_in(topo: Topology, seed: u64) -> Self {
-        let routes = topo.build_routes();
-        Self::with_routes_in(topo, routes, seed)
-    }
-
-    /// [`Simulator::with_routes`] for an explicit port storage `P`.
-    #[must_use]
-    pub fn with_routes_in(topo: Topology, routes: Routes, seed: u64) -> Self {
         let n = topo.len();
         let mut apps: Vec<Option<Box<dyn App>>> = Vec::with_capacity(n);
         for i in 0..n {
@@ -132,7 +110,7 @@ impl<P: PortMap> Simulator<P> {
         // event ring across simulations, but each simulator's handle
         // aggregates span counters into its own registry.
         let tracer = Tracer::global().clone().with_registry(registry.clone());
-        let ports = P::new(&topo);
+        let ports = DensePortTable::new(&topo);
         Self {
             topo,
             routes,
@@ -522,10 +500,11 @@ impl<P: PortMap> Simulator<P> {
                 self.with_app(node, |app, api| app.on_timer(token, api));
             }
             EventKind::StatsSample => {
-                // Allocation-free: walk the dense depth mirror (or the
-                // oracle's map) instead of collecting a scratch Vec.
-                let stats = &mut self.stats;
-                self.ports.sample_depths(&mut |d| stats.observe_queue(d));
+                // Allocation-free: walk the dense depth mirror instead of
+                // collecting a scratch Vec.
+                for &d in self.ports.depths() {
+                    self.stats.observe_queue(d);
+                }
                 if let Some(interval) = self.queue_sample_interval {
                     if !self.queue.is_empty() {
                         self.queue
@@ -705,7 +684,7 @@ impl<P: PortMap> Simulator<P> {
     }
 
     // trimlint: hot-path -- egress serializer start (dequeue + schedule)
-    fn port_try_start(&mut self, node: NodeId, to: NodeId, key: P::Key) {
+    fn port_try_start(&mut self, node: NodeId, to: NodeId, key: PortId) {
         // Consult the dense busy/queued mirrors first so the common
         // "port already serializing" / "nothing queued" cases never pull a
         // scattered PortState line into cache.
@@ -878,7 +857,7 @@ impl<P: PortMap> Simulator<P> {
     }
 }
 
-impl<P: PortMap> core::fmt::Debug for Simulator<P> {
+impl core::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)

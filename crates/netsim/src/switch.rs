@@ -180,11 +180,6 @@ pub struct PortState {
     /// so the caller can recycle its allocation (see
     /// [`PortState::take_rejected`]).
     rejected: Option<Box<Packet>>,
-    /// Whether the serializer is transmitting. Owned by the port map: the
-    /// BTree oracle stores the live flag here, while the dense table keeps
-    /// it in a compact mirror and leaves this field untouched (see
-    /// `PortMap::is_busy`/`set_busy`).
-    pub busy: bool,
     /// Deepest data-queue occupancy seen (bytes).
     pub max_low_bytes: u32,
     /// Monotone event tallies for this port.

@@ -277,7 +277,7 @@ impl FlowSchedule {
     ///
     /// Panics if the simulation already started (see
     /// [`Simulator::install_app`]).
-    pub fn install<P: crate::ports::PortMap>(&self, sim: &mut Simulator<P>) {
+    pub fn install(&self, sim: &mut Simulator) {
         let mut by_src: std::collections::BTreeMap<NodeId, Vec<FlowSpec>> =
             std::collections::BTreeMap::new();
         for f in &self.flows {

@@ -2,68 +2,26 @@
 //!
 //! The simulator's bit-determinism rests on its event queue firing events in
 //! exact `(time, insertion-sequence)` order under *any* interleaving of
-//! schedules and pops. This harness pins that contract for **every**
-//! implementation — the calendar [`EventQueue`] at its default and at
-//! deliberately tiny wheel geometries, and the retained [`HeapEventQueue`]
-//! reference — by replaying identical seeded op scripts against a naive
-//! sorted-`Vec` oracle and asserting every pop, peek, and length agrees.
+//! schedules and pops. This harness pins that contract for the calendar
+//! [`EventQueue`] at its default and at deliberately tiny wheel geometries,
+//! by replaying identical seeded op scripts against a naive sorted-`Vec`
+//! oracle and asserting every pop, peek, and length agrees.
 //!
 //! The script families are chosen adversarially for a calendar queue:
 //! equal-timestamp bursts (tie-break stress), far-future outliers beyond any
 //! wheel horizon (overflow heap), interleaved schedule-during-pop (refill
 //! churn), and rewinds that schedule behind the active window (backward
-//! re-anchor). DESIGN.md §11 sketches why the calendar reproduces the heap's
-//! total order; this harness is the executable version of that argument.
+//! re-anchor). DESIGN.md §11 sketches why the calendar reproduces a single
+//! priority queue's total order; this harness is the executable version of
+//! that argument.
 //!
 //! [`EventQueue`]: trimgrad_netsim::event::EventQueue
-//! [`HeapEventQueue`]: trimgrad_netsim::event::HeapEventQueue
 
 use proptest::prelude::*;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
-use trimgrad_netsim::event::{Event, EventKind, EventQueue, HeapEventQueue};
+use trimgrad_netsim::event::{EventKind, EventQueue};
 use trimgrad_netsim::time::SimTime;
 use trimgrad_netsim::NodeId;
-
-/// The common scheduler surface the simulator relies on. Both production
-/// implementations satisfy it with identical semantics; the harness is
-/// generic over it so each script runs byte-for-byte the same against every
-/// implementation.
-trait Scheduler {
-    fn schedule(&mut self, at: SimTime, kind: EventKind);
-    fn pop(&mut self) -> Option<Event>;
-    fn peek_time(&self) -> Option<SimTime>;
-    fn len(&self) -> usize;
-    fn total_scheduled(&self) -> u64;
-    fn total_fired(&self) -> u64;
-}
-
-macro_rules! impl_scheduler {
-    ($ty:ty) => {
-        impl Scheduler for $ty {
-            fn schedule(&mut self, at: SimTime, kind: EventKind) {
-                <$ty>::schedule(self, at, kind);
-            }
-            fn pop(&mut self) -> Option<Event> {
-                <$ty>::pop(self)
-            }
-            fn peek_time(&self) -> Option<SimTime> {
-                <$ty>::peek_time(self)
-            }
-            fn len(&self) -> usize {
-                <$ty>::len(self)
-            }
-            fn total_scheduled(&self) -> u64 {
-                <$ty>::total_scheduled(self)
-            }
-            fn total_fired(&self) -> u64 {
-                <$ty>::total_fired(self)
-            }
-        }
-    };
-}
-
-impl_scheduler!(EventQueue);
-impl_scheduler!(HeapEventQueue);
 
 /// The naive oracle: every scheduled event as `(time, seq, token)`, popped
 /// by scanning for the minimum `(time, seq)` — O(n) per pop, obviously
@@ -92,7 +50,7 @@ impl OracleQueue {
     }
 }
 
-/// One step of a pre-generated script, so every implementation replays the
+/// One step of a pre-generated script, so every wheel geometry replays the
 /// exact same operation sequence.
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -109,7 +67,7 @@ fn token_of(kind: &EventKind) -> u64 {
 
 /// Replays `script` on `q`, checking every pop, peek, and length against the
 /// oracle, then drains both and checks the lifetime counters.
-fn assert_matches_oracle<Q: Scheduler>(mut q: Q, script: &[Op], label: &str) {
+fn assert_matches_oracle(mut q: EventQueue, script: &[Op], label: &str) {
     let mut oracle = OracleQueue::default();
     let mut token = 0u64;
     for op in script {
@@ -148,10 +106,10 @@ fn assert_matches_oracle<Q: Scheduler>(mut q: Q, script: &[Op], label: &str) {
     assert_eq!(q.total_fired(), q.total_scheduled(), "counters ({label})");
 }
 
-/// Runs one script against every implementation: the calendar at its default
-/// geometry, two tiny wheels whose horizons the script crosses constantly
-/// (4 × 16 ns and 8 × 4 ns), and the heap reference.
-fn assert_all_impls_match_oracle(script: &[Op], label: &str) {
+/// Runs one script against the calendar at its default geometry and at two
+/// tiny wheels whose horizons the script crosses constantly (4 × 16 ns and
+/// 8 × 4 ns).
+fn assert_all_geometries_match_oracle(script: &[Op], label: &str) {
     assert_matches_oracle(EventQueue::new(), script, &format!("{label}/default"));
     assert_matches_oracle(
         EventQueue::with_geometry(4, 4),
@@ -163,7 +121,6 @@ fn assert_all_impls_match_oracle(script: &[Op], label: &str) {
         script,
         &format!("{label}/tiny_8x4ns"),
     );
-    assert_matches_oracle(HeapEventQueue::new(), script, &format!("{label}/heap"));
 }
 
 /// The baseline chaos mix: ~60% schedules at uniform times in
@@ -239,7 +196,7 @@ fn rewind_script(ops: usize, seed: u64) -> Vec<Op> {
 fn chaos_mix_matches_sorted_vec_oracle() {
     for seed in 0..8u64 {
         let script = chaos_script(2_000, 0x0E7E_0000 + seed, 500);
-        assert_all_impls_match_oracle(&script, &format!("chaos seed {seed}"));
+        assert_all_geometries_match_oracle(&script, &format!("chaos seed {seed}"));
     }
 }
 
@@ -247,14 +204,14 @@ fn chaos_mix_matches_sorted_vec_oracle() {
 fn all_ties_fire_in_insertion_order() {
     // Degenerate case: every event at the same instant.
     let script = chaos_script(1_000, 7, 1);
-    assert_all_impls_match_oracle(&script, "all-ties");
+    assert_all_geometries_match_oracle(&script, "all-ties");
 }
 
 #[test]
 fn equal_timestamp_bursts_match_oracle() {
     for seed in 0..4u64 {
         let script = burst_script(400, 0xB0B0 + seed);
-        assert_all_impls_match_oracle(&script, &format!("burst seed {seed}"));
+        assert_all_geometries_match_oracle(&script, &format!("burst seed {seed}"));
     }
 }
 
@@ -262,7 +219,7 @@ fn equal_timestamp_bursts_match_oracle() {
 fn far_future_outliers_match_oracle() {
     for seed in 0..4u64 {
         let script = outlier_script(1_500, 0xFAFA + seed);
-        assert_all_impls_match_oracle(&script, &format!("outlier seed {seed}"));
+        assert_all_geometries_match_oracle(&script, &format!("outlier seed {seed}"));
     }
 }
 
@@ -270,7 +227,7 @@ fn far_future_outliers_match_oracle() {
 fn backward_re_anchor_matches_oracle() {
     for seed in 0..4u64 {
         let script = rewind_script(1_500, 0x0EEE + seed);
-        assert_all_impls_match_oracle(&script, &format!("rewind seed {seed}"));
+        assert_all_geometries_match_oracle(&script, &format!("rewind seed {seed}"));
     }
 }
 
@@ -282,7 +239,7 @@ proptest! {
         max_time in 1u64..10_000
     ) {
         let script = chaos_script(ops, seed, max_time);
-        assert_all_impls_match_oracle(&script, "proptest chaos");
+        assert_all_geometries_match_oracle(&script, "proptest chaos");
     }
 
     #[test]
@@ -291,6 +248,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let script = outlier_script(ops, seed);
-        assert_all_impls_match_oracle(&script, "proptest outlier");
+        assert_all_geometries_match_oracle(&script, "proptest outlier");
     }
 }

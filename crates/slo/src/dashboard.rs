@@ -1,6 +1,6 @@
 //! Dependency-free HTML + inline-SVG fleet dashboard.
 //!
-//! [`render_dashboard`] turns a [`FleetReport`](crate::FleetReport) into a
+//! [`render_dashboard`] turns a [`FleetReport`] into a
 //! single self-contained HTML page: one sparkline row per tenant (p99 step
 //! time, goodput, trim fraction), a fabric queue-depth heatmap strip, and
 //! the SLO verdict table with a ready-to-paste `trimgrad-trace query`

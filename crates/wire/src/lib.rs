@@ -40,7 +40,6 @@ pub mod narrow;
 pub mod packet;
 pub mod packetize;
 pub mod payload;
-pub mod pool;
 pub mod reassemble;
 pub mod trimhdr;
 pub mod udp;

@@ -8,7 +8,6 @@
 use crate::meta::RowMetaPacket;
 use crate::packet::{GradPacket, NetAddrs};
 use crate::payload::{max_coords_for_budget, PayloadLayout};
-use crate::pool::FramePool;
 use crate::trimhdr::{TrimGradFields, FLAG_LAST_CHUNK};
 use crate::{ethernet, ipv4, narrow, trimhdr, udp};
 use trimgrad_quant::EncodedRow;
@@ -49,22 +48,9 @@ pub struct PacketizedRow {
 
 /// Splits `enc` into MTU-sized packets plus one metadata packet.
 ///
-/// # Panics
-///
-/// Panics if the MTU is too small to fit even one coordinate — a static
-/// misconfiguration.
-#[must_use]
-pub fn packetize_row(enc: &EncodedRow, cfg: &PacketizeConfig) -> PacketizedRow {
-    let mut pool = FramePool::new();
-    packetize_row_pooled(enc, cfg, &mut pool)
-}
-
-/// [`packetize_row`] writing into recycled buffers from `pool`.
-///
-/// Section bits are copied straight from the row's bit buffers into the
+/// Section bits are copied straight from the row's bit buffers into each
 /// frame (`BitBuf::copy_bits_to`) — no intermediate per-section or
-/// per-layer allocation — so a warm pool packetizes a steady stream of rows
-/// allocation-free. Output frames are byte-identical to [`packetize_row`]'s.
+/// per-layer allocation, one buffer per packet.
 ///
 /// # Panics
 ///
@@ -72,11 +58,7 @@ pub fn packetize_row(enc: &EncodedRow, cfg: &PacketizeConfig) -> PacketizedRow {
 /// misconfiguration.
 // trimlint: hot-path -- per-row frame build on the send path
 #[must_use]
-pub fn packetize_row_pooled(
-    enc: &EncodedRow,
-    cfg: &PacketizeConfig,
-    pool: &mut FramePool,
-) -> PacketizedRow {
+pub fn packetize_row(enc: &EncodedRow, cfg: &PacketizeConfig) -> PacketizedRow {
     let meta = RowMetaPacket {
         scheme: enc.scheme,
         msg_id: cfg.msg_id,
@@ -97,7 +79,7 @@ pub fn packetize_row_pooled(
         .unwrap_or_else(|| panic!("MTU {} cannot fit one coordinate", cfg.mtu));
     let n_parts = narrow::to_u8(part_bits.len(), "part count");
     let n_chunks = enc.n.div_ceil(per_packet);
-    // trimlint: allow(hot-path-alloc) -- one row-level Vec of packet handles per call; the frames themselves come from the pool
+    // trimlint: allow(hot-path-alloc) -- one row-level Vec of packet handles per call
     let mut packets = Vec::with_capacity(n_chunks);
     for chunk_id in 0..n_chunks {
         let start = chunk_id * per_packet;
@@ -119,8 +101,7 @@ pub fn packetize_row_pooled(
             epoch: cfg.epoch,
         };
         let layout = PayloadLayout::new(part_bits, count);
-        let frame = pool.take();
-        packets.push(GradPacket::build_with(&cfg.net, fields, frame, |body| {
+        packets.push(GradPacket::build_with(&cfg.net, fields, |body| {
             for (j, (buf, &w)) in enc.parts.iter().zip(part_bits).enumerate() {
                 buf.copy_bits_to(
                     start * w as usize,
@@ -138,33 +119,6 @@ pub fn packetize_row_pooled(
 #[must_use]
 pub fn wire_bytes(row: &PacketizedRow, net: &NetAddrs) -> usize {
     row.packets.iter().map(GradPacket::wire_len).sum::<usize>() + row.meta.build_frame(net).len()
-}
-
-/// [`packetize_row_pooled`] that also records a
-/// [`trimgrad_trace::TraceEvent::RowEncoded`] for the flight recorder.
-/// Output frames are byte-identical to the untraced variants; with a
-/// disabled tracer the extra cost is one branch.
-///
-/// # Panics
-///
-/// Panics if the MTU is too small to fit even one coordinate — a static
-/// misconfiguration.
-#[must_use]
-pub fn packetize_row_traced(
-    enc: &EncodedRow,
-    cfg: &PacketizeConfig,
-    pool: &mut FramePool,
-    tracer: &trimgrad_trace::Tracer,
-    at: u64,
-) -> PacketizedRow {
-    let row = packetize_row_pooled(enc, cfg, pool);
-    tracer.emit(at, || trimgrad_trace::TraceEvent::RowEncoded {
-        msg: cfg.msg_id,
-        row: cfg.row_id,
-        packets: trimgrad_trace::sat32(row.packets.len()),
-        bytes: trimgrad_trace::sat64(row.packets.iter().map(GradPacket::wire_len).sum::<usize>()),
-    });
-    row
 }
 
 /// Protocol efficiency report for §2's in-text numbers: how an MTU-sized
@@ -235,40 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_packetize_is_byte_identical_and_emits_row_encoded() {
-        let row: Vec<f32> = (0..1000).map(|i| (i as f32).sin()).collect();
-        let enc = SignMagnitude.encode(&row, 0);
-        let plain = packetize_row(&enc, &cfg());
-        let tracer = trimgrad_trace::Tracer::enabled(64);
-        let mut pool = FramePool::new();
-        let traced = packetize_row_traced(&enc, &cfg(), &mut pool, &tracer, 42);
-        assert_eq!(traced.packets, plain.packets);
-        assert_eq!(traced.meta, plain.meta);
-        let trace = tracer.snapshot();
-        assert_eq!(trace.records.len(), 1);
-        assert_eq!(trace.records[0].at, 42);
-        match trace.records[0].event {
-            trimgrad_trace::TraceEvent::RowEncoded {
-                msg,
-                row,
-                packets,
-                bytes,
-            } => {
-                assert_eq!((msg, row), (5, 2));
-                assert_eq!(packets as usize, plain.packets.len());
-                let wire: usize = plain.packets.iter().map(GradPacket::wire_len).sum();
-                assert_eq!(bytes as usize, wire);
-            }
-            ref other => panic!("unexpected event {other:?}"),
-        }
-        // Disabled tracer: same output, nothing recorded.
-        let off = trimgrad_trace::Tracer::disabled();
-        let silent = packetize_row_traced(&enc, &cfg(), &mut pool, &off, 0);
-        assert_eq!(silent.packets, plain.packets);
-        assert_eq!(off.events_emitted(), 0);
-    }
-
-    #[test]
     fn multi_packet_row_covers_all_coordinates() {
         let row: Vec<f32> = (0..1000).map(|i| (i as f32).sin()).collect();
         let enc = RhtOneBit.encode(&row, 3); // pads to 1024
@@ -335,10 +255,9 @@ mod tests {
 
     #[test]
     fn zero_copy_path_is_byte_identical_to_section_slicing() {
-        // Regression for the allocation-lean rewrite: build each packet the
-        // legacy way (slice each section into an owned Vec, hand slices to
-        // GradPacket::build) and require the pooled zero-copy frames to
-        // match byte-for-byte. Odd row length exercises the final short
+        // Build each packet from owned section slices via
+        // GradPacket::build and require the zero-copy frames to match
+        // byte-for-byte. Odd row length exercises the final short
         // chunk; SignMagnitude keeps coordinates unpadded so section offsets
         // land on non-trivial bit boundaries across chunks.
         let row: Vec<f32> = (0..777).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
@@ -364,27 +283,6 @@ mod tests {
             let legacy = GradPacket::build(&c.net, f, &section_refs);
             assert_eq!(pkt.as_bytes(), legacy.as_bytes(), "chunk {}", f.chunk_id);
         }
-    }
-
-    #[test]
-    fn pooled_packetize_reuses_buffers_and_matches() {
-        let row: Vec<f32> = (0..1000).map(|i| (i as f32).cos()).collect();
-        let enc = RhtOneBit.encode(&row, 9);
-        let c = cfg();
-        let fresh = packetize_row(&enc, &c);
-        let mut pool = FramePool::new();
-        // Warm the pool with one row's worth of frames, then repacketize.
-        let warmup = packetize_row_pooled(&enc, &c, &mut pool);
-        pool.recycle_row(warmup);
-        let warm_free = pool.free_buffers();
-        assert_eq!(warm_free, fresh.packets.len());
-        let reused = packetize_row_pooled(&enc, &c, &mut pool);
-        assert!(pool.is_empty(), "warm buffers were taken, not reallocated");
-        assert_eq!(reused.packets.len(), fresh.packets.len());
-        for (a, b) in reused.packets.iter().zip(&fresh.packets) {
-            assert_eq!(a.as_bytes(), b.as_bytes());
-        }
-        assert_eq!(reused.meta, fresh.meta);
     }
 
     #[test]

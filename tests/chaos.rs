@@ -14,9 +14,7 @@
 //! * packet counters conserve (`sent + injected == delivered + dropped`);
 //! * the run is deterministic — same seed, same telemetry snapshot.
 
-use trimgrad::collective::ring_netsim::{
-    run_ring_allreduce, run_ring_allreduce_faulted, RingNetConfig,
-};
+use trimgrad::collective::ring_netsim::{run_ring_allreduce, RingNetConfig};
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::netsim::fault::{FaultPlan, FaultPolicy};
 use trimgrad::netsim::host::{App, HostApi};
@@ -222,14 +220,9 @@ fn ring_pipeline_with_nonlossy_faults_matches_clean_run() {
         );
         let (t, hosts) = topo();
         let mut sim = Simulator::new(t);
-        let faulted = run_ring_allreduce_faulted(
-            &mut sim,
-            &ring_cfg(hosts),
-            blobs(9),
-            SimTime::from_secs(5),
-            plan,
-        )
-        .0;
+        sim.install_fault_plan(plan);
+        let faulted =
+            run_ring_allreduce(&mut sim, &ring_cfg(hosts), blobs(9), SimTime::from_secs(5)).0;
         assert_eq!(
             clean, faulted,
             "seed {seed:#x}: non-lossy faults changed the all-reduce result"
@@ -456,8 +449,8 @@ fn faulted_ring_is_bit_deterministic_across_runs() {
                 .with_replay(0.1),
         );
         let mut sim = Simulator::new(t);
-        let (out, _) =
-            run_ring_allreduce_faulted(&mut sim, &cfg, blobs, SimTime::from_secs(5), plan);
+        sim.install_fault_plan(plan);
+        let (out, _) = run_ring_allreduce(&mut sim, &cfg, blobs, SimTime::from_secs(5));
         let bits: Vec<Vec<u32>> = out
             .iter()
             .map(|b| b.iter().map(|v| v.to_bits()).collect())
