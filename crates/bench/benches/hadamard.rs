@@ -1,8 +1,6 @@
-//! Micro-benchmarks for the FWHT substrate: raw butterfly, seeded RHT
-//! (forward + inverse), and the row-blocked transform over a 4 MB blob.
+//! Micro-benchmarks for the FWHT substrate: raw butterfly and seeded RHT
+//! (forward + inverse).
 
-use std::hint::black_box;
-use trimgrad::hadamard::block::BlockRht;
 use trimgrad::hadamard::fwht::fwht_orthonormal;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::hadamard::rht::RandomizedHadamard;
@@ -47,20 +45,7 @@ fn bench_rht_roundtrip() {
     });
 }
 
-fn bench_block_rht_blob() {
-    // A 1M-coordinate blob (4 MB) in 2^15 rows — the paper's blocking.
-    let blob = data(1 << 20, 3);
-    let block = BlockRht::with_default_rows(7);
-    let mut g = Group::new("block_rht_4mb_blob");
-    g.throughput(Throughput::Elements(blob.len() as u64));
-    g.quick();
-    g.bench("forward", || block.forward(black_box(&blob)));
-    let rotated = block.forward(&blob);
-    g.bench("inverse", || block.inverse(black_box(&rotated), blob.len()));
-}
-
 fn main() {
     bench_fwht_sizes();
     bench_rht_roundtrip();
-    bench_block_rht_blob();
 }

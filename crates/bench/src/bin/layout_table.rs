@@ -14,15 +14,16 @@
 //! Run: `cargo run --release -p trimgrad-bench --bin layout_table`
 
 use trimgrad::quant::SchemeId;
-use trimgrad::wire::packetize::layout_report;
+use trimgrad::wire::packetize::{layout_report, DEFAULT_MTU};
 use trimgrad::wire::payload::{max_coords_for_budget, PayloadLayout};
+use trimgrad::wire::{ipv4, udp};
 use trimgrad_bench::print_row;
 
 fn main() {
     println!("# S2 packet-layout numbers (MTU 1500)");
 
     // --- The paper's accounting: 42 B of Ethernet+IP+UDP, no app header. ---
-    let paper_budget = 1500 - 20 - 8; // payload under the IP MTU
+    let paper_budget = DEFAULT_MTU - ipv4::HEADER_LEN - udp::HEADER_LEN; // payload under the IP MTU
     let n = max_coords_for_budget(&[1, 31], paper_budget).unwrap();
     let layout = PayloadLayout::new(&[1, 31], n);
     let trimmed_frame = 42 + layout.trim_point(1);
@@ -54,7 +55,7 @@ fn main() {
         &widths,
     );
     for scheme in SchemeId::ALL {
-        let r = layout_report(scheme.part_bits(), 1500).expect("MTU fits coordinates");
+        let r = layout_report(scheme.part_bits(), DEFAULT_MTU).expect("MTU fits coordinates");
         let layout = PayloadLayout::new(scheme.part_bits(), r.coords_per_packet);
         let levels: Vec<String> = layout
             .trim_points()

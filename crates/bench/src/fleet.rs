@@ -158,14 +158,6 @@ impl TenantRankApp {
 }
 
 impl App for TenantRankApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut HostApi) {
         // The whole arrival/departure schedule is fixed up front: round k
         // of this tenant starts at `arrive + k·period` on every rank, so

@@ -6,7 +6,7 @@
 //! segment.
 
 use crate::channel::GradChannel;
-use crate::reducescatter::segment_range;
+use crate::ring::run_phase;
 
 /// Runs ring all-gather in place: worker `w`'s segment `w` is propagated to
 /// all workers. `channels[w]` is the link from worker `w` to `(w+1) % W`.
@@ -20,39 +20,15 @@ pub fn ring_all_gather<C: GradChannel>(
     epoch: u32,
     base_msg_id: u32,
 ) {
-    let w = workers.len();
-    assert_eq!(channels.len(), w, "one channel per ring edge");
-    if w <= 1 {
-        return;
-    }
-    let len = workers[0].len();
-    assert!(
-        workers.iter().all(|g| g.len() == len),
-        "worker blobs must agree in length"
-    );
-    for step in 0..w - 1 {
-        // Worker i forwards segment (i − step) mod w; the receiver
-        // overwrites its copy. Segment s starts at its owner s and reaches
-        // every other worker after w − 1 steps.
-        let mut incoming: Vec<(usize, usize, Vec<f32>)> = Vec::with_capacity(w);
-        for (i, chan) in channels.iter_mut().enumerate() {
-            let seg = (i + w - step % w) % w;
-            let range = segment_range(len, w, seg);
-            let msg_id = base_msg_id + (step * w + i) as u32;
-            let payload = chan.transfer(&workers[i][range], epoch, msg_id);
-            incoming.push(((i + 1) % w, seg, payload));
-        }
-        for (dst, seg, payload) in incoming {
-            let range = segment_range(len, w, seg);
-            workers[dst][range].copy_from_slice(&payload);
-        }
-    }
+    let first_step = workers.len().saturating_sub(1);
+    run_phase(workers, channels, epoch, base_msg_id, first_step);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::LosslessChannel;
+    use crate::reducescatter::segment_range;
 
     fn lossless(n: usize) -> Vec<Box<dyn GradChannel>> {
         (0..n)

@@ -12,10 +12,11 @@
 //!   are small — that is the whole point).
 
 use crate::chunk::MessageCodec;
-use crate::trim_inject::{InjectStats, TrimInjector};
+use crate::trim_inject::{packet_chunks, InjectStats, TrimInjector};
 use trimgrad_telemetry::{Counter, Registry};
 use trimgrad_wire::packet::STACK_OVERHEAD;
-use trimgrad_wire::payload::{max_coords_for_budget, PayloadLayout};
+use trimgrad_wire::packetize::{frame_len, DEFAULT_MTU};
+use trimgrad_wire::{ipv4, meta, trimhdr, udp};
 
 /// A point-to-point gradient transfer.
 pub trait GradChannel {
@@ -52,13 +53,11 @@ impl LosslessChannel {
 
 impl GradChannel for LosslessChannel {
     fn transfer(&mut self, data: &[f32], _epoch: u32, _msg_id: u32) -> Vec<f32> {
-        // Raw f32 payload in MTU packets: 4 B/coordinate plus header stack.
-        let per_packet = (1500 - 20 - 8) / 4;
-        let packets = data
-            .len()
-            .div_ceil(per_packet)
-            .max(usize::from(!data.is_empty()));
-        self.bytes += (data.len() * 4 + packets * (STACK_OVERHEAD - 28)) as u64;
+        // Raw f32 payload in MTU packets: 4 B/coordinate plus the header
+        // stack without the TrimGrad header.
+        let per_packet = (DEFAULT_MTU - ipv4::HEADER_LEN - udp::HEADER_LEN) / 4;
+        let packets = data.len().div_ceil(per_packet);
+        self.bytes += (data.len() * 4 + packets * (STACK_OVERHEAD - trimhdr::HEADER_LEN)) as u64;
         data.to_vec()
     }
 
@@ -125,18 +124,6 @@ impl TrimmingChannel {
     pub fn codec(&self) -> &MessageCodec {
         &self.codec
     }
-
-    /// Wire bytes for one packet-chunk of `coords` coordinates at `depth`.
-    fn chunk_wire_bytes(&self, coords: usize, depth: usize) -> u64 {
-        let part_bits = self.codec.scheme_id().part_bits();
-        let layout = PayloadLayout::new(part_bits, coords);
-        let payload = if depth == 0 {
-            return 0; // dropped before the last hop; approximate as zero
-        } else {
-            layout.trim_point(depth.min(part_bits.len()))
-        };
-        (STACK_OVERHEAD + payload) as u64
-    }
 }
 
 impl GradChannel for TrimmingChannel {
@@ -148,24 +135,25 @@ impl GradChannel for TrimmingChannel {
         let stats_before = self.stats;
         let mut out = Vec::with_capacity(data.len());
         let part_bits = self.codec.scheme_id().part_bits();
-        let budget = 1500 - 20 - 8 - 28;
-        let per_packet = max_coords_for_budget(part_bits, budget).unwrap_or(1);
-        for (row_id, row) in data.chunks(self.codec.row_len()).enumerate() {
-            let seed = self.codec.row_seed(epoch, msg_id, row_id as u32);
-            let enc = self.codec.scheme().encode(row, seed);
-            let (depths, stats) = self.injector.draw_depths(&enc);
+        // One row at a time, so each row is decoded while still in cache.
+        for row_id in 0..self.codec.rows_for(data.len()) {
+            let enc = &self.codec.encode_row(data, epoch, msg_id, row_id);
+            let (depths, stats) = self.injector.draw_depths(enc);
             self.stats.merge(stats);
-            // Wire accounting per packet-chunk.
-            for chunk in depths.chunks(per_packet) {
-                self.bytes += self.chunk_wire_bytes(chunk.len(), chunk[0]);
+            // Wire accounting: the frame each packet-chunk left the fabric
+            // as (a dropped one counts as zero), plus the reliable metadata
+            // frame.
+            for chunk in packet_chunks(enc) {
+                let depth = depths[chunk.start];
+                if depth > 0 {
+                    self.bytes += frame_len(part_bits, chunk.len(), depth) as u64;
+                }
             }
-            // Metadata packet (reliable).
-            self.bytes += (STACK_OVERHEAD - 28 + trimgrad_wire::meta::PAYLOAD_LEN) as u64;
+            self.bytes += meta::FRAME_LEN as u64;
             let view = enc.view_with_depths(&depths);
             let dec = self
                 .codec
-                .scheme()
-                .decode(&view, &enc.meta, seed)
+                .decode_row(&view, &enc.meta, epoch, msg_id, row_id as u32)
                 // trimlint: allow(no-panic) -- the view was built from this encoder's own parts and depths; a decode failure is a codec geometry bug, not a runtime condition
                 .expect("injected view is structurally valid");
             out.extend(dec);

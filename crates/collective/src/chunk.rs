@@ -1,16 +1,23 @@
-//! Blob ↔ row chunking and per-row seed derivation.
+//! The message path: blob ↔ rows ↔ frames, with per-row seed derivation.
 //!
 //! A collective message (a gradient bucket, e.g. PyTorch DDP's 25 MB default)
 //! is split into rows of `row_len` coordinates (2¹⁵ by default, per §3.2 of
 //! the paper); each row is encoded independently with a seed derived from
 //! `(base_seed, epoch, msg_id, row_id)`, so both sides regenerate identical
 //! randomness without communicating it and trimming damage stays independent
-//! across rows.
+//! across rows. [`MessageCodec::packetize_message`] and
+//! [`MessageCodec::decode_assembled`] are the send and receive halves every
+//! frame-level caller (the pipeline, the ring workers) goes through.
 
 use trimgrad_hadamard::prng::derive_seed;
 use trimgrad_par::WorkerPool;
-use trimgrad_quant::scheme::{EncodedRow, PartialRow, RowMeta};
+use trimgrad_quant::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta};
 use trimgrad_quant::{scheme_for, SchemeId, TrimmableScheme};
+use trimgrad_trace::{sat32, sat64, TraceEvent, Tracer};
+use trimgrad_wire::packet::GradPacket;
+use trimgrad_wire::packetize::{packetize_row, PacketizeConfig, PacketizedRow};
+use trimgrad_wire::reassemble::RowAssembler;
+use trimgrad_wire::WireError;
 
 /// Default row length: 2¹⁵ coordinates (the paper's GPU-L1-sized rows).
 pub const DEFAULT_ROW_LEN: usize = 1 << 15;
@@ -130,18 +137,73 @@ impl MessageCodec {
         pool: &WorkerPool,
     ) -> Vec<EncodedRow> {
         pool.map_striped(self.rows_for(blob.len()), |row_id| {
-            self.scheme.encode(
-                &blob[self.row_range(blob.len(), row_id)],
-                self.row_seed(epoch, msg_id, row_id as u32),
-            )
+            self.encode_row(blob, epoch, msg_id, row_id)
         })
+    }
+
+    /// Encodes row `row_id` of `blob` under its derived seed.
+    pub(crate) fn encode_row(
+        &self,
+        blob: &[f32],
+        epoch: u32,
+        msg_id: u32,
+        row_id: usize,
+    ) -> EncodedRow {
+        self.scheme.encode(
+            &blob[self.row_range(blob.len(), row_id)],
+            self.row_seed(epoch, msg_id, row_id as u32),
+        )
+    }
+
+    /// The send path, blob → rows → frames: encodes every row of `blob`, cuts
+    /// it into MTU-sized packets and hands the packetized rows to `sink` in
+    /// row order. `cfg` supplies the message-wide fields (MTU, addresses,
+    /// message id, epoch); its `row_id` is replaced by each row's index.
+    ///
+    /// Rows fan out over the process-wide [`WorkerPool`]; a row's frames
+    /// depend only on its index, so the output is byte-identical for every
+    /// pool width. Each row's `row.encoded` event is emitted at `at` just
+    /// before `sink` receives it.
+    pub fn packetize_message(
+        &self,
+        blob: &[f32],
+        cfg: &PacketizeConfig,
+        tracer: &Tracer,
+        at: u64,
+        mut sink: impl FnMut(PacketizedRow),
+    ) {
+        let encoded = self.encode_message(blob, cfg.epoch, cfg.msg_id);
+        let rows = WorkerPool::global().map_striped(encoded.len(), |row_id| {
+            packetize_row(
+                &encoded[row_id],
+                &PacketizeConfig {
+                    row_id: row_id as u32,
+                    ..*cfg
+                },
+            )
+        });
+        for (row_id, pr) in rows.into_iter().enumerate() {
+            tracer.emit(at, || TraceEvent::RowEncoded {
+                msg: cfg.msg_id,
+                row: row_id as u32,
+                packets: sat32(pr.packets.len()),
+                bytes: sat64(pr.packets.iter().map(GradPacket::wire_len).sum::<usize>()),
+            });
+            sink(pr);
+        }
+        // The encoded rows are freed only here, as one block, after the caller
+        // has collected every frame. Freed before that (or row by row, in a
+        // fused encode + packetize pass) the caller's allocations split the
+        // block, and the receive side then pays 1 100–2 400 extra page faults
+        // per 4 × 1M-coordinate loopback round (measured: +2–3% round time).
+        drop(encoded);
     }
 
     /// Decodes one row view back into coordinates.
     ///
     /// # Errors
     ///
-    /// Propagates [`trimgrad_quant::scheme::DecodeError`].
+    /// Propagates [`DecodeError`].
     pub fn decode_row(
         &self,
         row: &PartialRow<'_>,
@@ -149,9 +211,51 @@ impl MessageCodec {
         epoch: u32,
         msg_id: u32,
         row_id: u32,
-    ) -> Result<Vec<f32>, trimgrad_quant::scheme::DecodeError> {
+    ) -> Result<Vec<f32>, DecodeError> {
         self.scheme
             .decode(row, meta, self.row_seed(epoch, msg_id, row_id))
+    }
+
+    /// The receive path, assembled rows → coordinates: decodes whatever each
+    /// row's assembler holds (row-parallel on the process-wide
+    /// [`WorkerPool`]) and concatenates the rows in row order. One
+    /// `row.decoded` event per row is emitted at `at`, in row order, up to
+    /// the first row that fails.
+    ///
+    /// # Errors
+    ///
+    /// The first failing row, in row order: `BadField("meta")` if its
+    /// metadata never arrived, `BadField("row decode")` if the scheme rejects
+    /// the assembled view.
+    pub fn decode_assembled(
+        &self,
+        rows: &[RowAssembler],
+        epoch: u32,
+        msg_id: u32,
+        tracer: &Tracer,
+        at: u64,
+    ) -> Result<Vec<f32>, WireError> {
+        let decoded = WorkerPool::global().map_striped(rows.len(), |row_id| {
+            let asm = &rows[row_id];
+            let meta = asm.meta().ok_or(WireError::BadField("meta"))?;
+            self.decode_row(&asm.partial_row(), meta, epoch, msg_id, row_id as u32)
+                .map_err(|_| WireError::BadField("row decode"))
+        });
+        let metas = rows.iter().filter_map(RowAssembler::meta);
+        let mut out = Vec::with_capacity(metas.map(|m| m.original_len).sum());
+        for (row_id, (asm, dec)) in rows.iter().zip(decoded).enumerate() {
+            out.extend(dec?);
+            tracer.emit(at, || {
+                let coords = asm.coords_received();
+                TraceEvent::RowDecoded {
+                    msg: msg_id,
+                    row: row_id as u32,
+                    coords: sat32(coords),
+                    lost: sat32(asm.n().saturating_sub(coords)),
+                }
+            });
+        }
+        Ok(out)
     }
 
     /// Decodes a full (untrimmed) message: the lossless inverse of
@@ -159,13 +263,13 @@ impl MessageCodec {
     ///
     /// # Errors
     ///
-    /// Propagates [`trimgrad_quant::scheme::DecodeError`].
+    /// Propagates [`DecodeError`].
     pub fn decode_message_full(
         &self,
         rows: &[EncodedRow],
         epoch: u32,
         msg_id: u32,
-    ) -> Result<Vec<f32>, trimgrad_quant::scheme::DecodeError> {
+    ) -> Result<Vec<f32>, DecodeError> {
         let mut out = Vec::new();
         for (row_id, enc) in rows.iter().enumerate() {
             out.extend(self.decode_row(

@@ -152,13 +152,11 @@ impl AggregateHook for TrimmableHook {
 /// paper's design encodes each gradient once — per-hop requantization
 /// compounds the error across the `2(W−1)` transfers (the motivation behind
 /// homomorphic-compression designs like THC).
-pub struct RingTrimmableHook {
-    scheme: SchemeId,
-    channels: Vec<TrimmingChannel>,
-}
+pub struct RingTrimmableHook(TrimmableHook);
 
 impl RingTrimmableHook {
-    /// Creates the per-hop ring hook (same parameters as [`TrimmableHook`]).
+    /// Creates the per-hop ring hook (same parameters, and the same per-edge
+    /// channels, as [`TrimmableHook::new`]).
     #[must_use]
     pub fn new(
         scheme: SchemeId,
@@ -168,31 +166,25 @@ impl RingTrimmableHook {
         row_len: usize,
         seed: u64,
     ) -> Self {
-        let channels = (0..workers)
-            .map(|i| {
-                let codec = MessageCodec::with_row_len(scheme, seed, row_len);
-                let injector = TrimInjector::new(trim_prob, seed ^ (i as u64).wrapping_mul(0x9E37))
-                    .with_drop_prob(drop_prob);
-                TrimmingChannel::new(codec, injector)
-            })
-            .collect();
-        Self { scheme, channels }
+        Self(TrimmableHook::new(
+            scheme, workers, trim_prob, drop_prob, row_len, seed,
+        ))
     }
 }
 
 impl AggregateHook for RingTrimmableHook {
     fn aggregate(&mut self, grads: &[Vec<f32>], epoch: u32, round: u32) -> Vec<Vec<f32>> {
         let mut workers = grads.to_vec();
-        ring_all_reduce_mean(&mut workers, &mut self.channels, epoch, round * 1024);
+        ring_all_reduce_mean(&mut workers, &mut self.0.channels, epoch, round * 1024);
         workers
     }
 
     fn bytes_sent(&self) -> u64 {
-        self.channels.iter().map(|c| c.bytes_sent()).sum()
+        self.0.bytes_sent()
     }
 
     fn name(&self) -> String {
-        format!("{}-ring", self.scheme.name())
+        format!("{}-ring", self.0.name())
     }
 }
 

@@ -5,8 +5,10 @@
 //! the exchange exactly where the paper's PyTorch-DDP communication hook
 //! sits.
 //!
-//! * [`chunk`] — [`chunk::MessageCodec`]: blob ↔ rows of 2¹⁵ coordinates,
-//!   per-row shared seeds derived from (base seed, epoch, message id, row).
+//! * [`chunk`] — [`chunk::MessageCodec`], the one message path: blob ↔ rows
+//!   of 2¹⁵ coordinates (per-row shared seeds derived from base seed, epoch,
+//!   message id, row) ↔ MTU frames ([`chunk::MessageCodec::packetize_message`]
+//!   out, [`chunk::MessageCodec::decode_assembled`] in).
 //! * [`trim_inject`] — the paper's evaluation harness (§4): probabilistic
 //!   per-packet trimming/drop injection, applied at packet granularity to
 //!   encoded rows (the authors likewise injected trimming in software because
@@ -14,8 +16,9 @@
 //! * [`channel`] — the [`channel::GradChannel`] abstraction: a lossless
 //!   channel, a trimming channel (encode → inject → decode), and byte
 //!   accounting for the round-time model.
-//! * [`ring`] — ring all-reduce over any channel, plus the
-//!   [`reducescatter`]/[`allgather`] primitives it is built from.
+//! * [`ring`] — ring all-reduce over any channel: the step → segment
+//!   schedule and the phase loop, run as [`reducescatter`] then
+//!   [`allgather`] (the two phases, also entry points of their own).
 //! * [`hooks`] — DDP-style gradient aggregation hooks used by the trainer.
 //! * [`ring_netsim`] — the full-fidelity path: ring all-reduce executed as
 //!   host apps inside `trimgrad-netsim`, moving real TrimGrad frames through

@@ -5,6 +5,7 @@
 //! garbage. This is the first phase of ring all-reduce.
 
 use crate::channel::GradChannel;
+use crate::ring::run_phase;
 
 /// The half-open coordinate range of segment `s` when a blob of `len`
 /// coordinates is split into `parts` segments (remainder spread over the
@@ -34,37 +35,7 @@ pub fn ring_reduce_scatter<C: GradChannel>(
     epoch: u32,
     base_msg_id: u32,
 ) {
-    let w = workers.len();
-    assert_eq!(channels.len(), w, "one channel per ring edge");
-    if w <= 1 {
-        return;
-    }
-    let len = workers[0].len();
-    assert!(
-        workers.iter().all(|g| g.len() == len),
-        "worker blobs must agree in length"
-    );
-    for step in 0..w - 1 {
-        // Worker i sends segment (i − 1 − step) mod w to worker (i+1) mod w,
-        // which accumulates it; segment s thus starts at worker s+1, visits
-        // every worker once, and finishes (fully summed) at worker s. All
-        // sends of a step happen "simultaneously": gather payloads first,
-        // then apply.
-        let mut incoming: Vec<(usize, usize, Vec<f32>)> = Vec::with_capacity(w);
-        for (i, chan) in channels.iter_mut().enumerate() {
-            let seg = (i + 2 * w - 1 - step) % w;
-            let range = segment_range(len, w, seg);
-            let msg_id = base_msg_id + (step * w + i) as u32;
-            let payload = chan.transfer(&workers[i][range], epoch, msg_id);
-            incoming.push(((i + 1) % w, seg, payload));
-        }
-        for (dst, seg, payload) in incoming {
-            let range = segment_range(len, w, seg);
-            for (acc, v) in workers[dst][range].iter_mut().zip(&payload) {
-                *acc += v;
-            }
-        }
-    }
+    run_phase(workers, channels, epoch, base_msg_id, 0);
 }
 
 #[cfg(test)]

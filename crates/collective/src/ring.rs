@@ -7,7 +7,77 @@
 
 use crate::allgather::ring_all_gather;
 use crate::channel::GradChannel;
-use crate::reducescatter::ring_reduce_scatter;
+use crate::reducescatter::{ring_reduce_scatter, segment_range};
+
+/// Protocol steps of a `workers`-wide ring all-reduce: `W − 1`
+/// reduce-scatter steps, then `W − 1` all-gather steps.
+pub(crate) fn total_steps(workers: usize) -> usize {
+    2 * (workers - 1)
+}
+
+/// Whether protocol step `t` accumulates (reduce-scatter) rather than
+/// overwrites (all-gather).
+pub(crate) fn is_reduce_step(workers: usize, t: usize) -> bool {
+    t < workers - 1
+}
+
+/// The segment `rank` sends to `(rank + 1) % W` at protocol step `t`
+/// (`0 ≤ t < total_steps`). In reduce-scatter, segment `s` starts at worker
+/// `s + 1`, visits every worker once, and finishes fully summed at worker
+/// `s`; in all-gather it starts at its owner `s` and reaches every other
+/// worker after `W − 1` steps.
+pub(crate) fn send_segment(workers: usize, rank: usize, t: usize) -> usize {
+    let w = workers;
+    if is_reduce_step(w, t) {
+        (rank + 2 * w - 1 - t) % w
+    } else {
+        (rank + w - (t - (w - 1)) % w) % w
+    }
+}
+
+/// Runs the `W − 1` protocol steps starting at `first_step` in place: the
+/// reduce-scatter phase from step 0, the all-gather phase from step `W − 1`.
+/// `channels[i]` is the link from worker `i` to `(i+1) % W`; worker `i`'s
+/// transfer at the phase's `k`-th step uses message id `base_msg_id + k·W + i`.
+pub(crate) fn run_phase<C: GradChannel>(
+    workers: &mut [Vec<f32>],
+    channels: &mut [C],
+    epoch: u32,
+    base_msg_id: u32,
+    first_step: usize,
+) {
+    let w = workers.len();
+    assert_eq!(channels.len(), w, "one channel per ring edge");
+    if w <= 1 {
+        return;
+    }
+    let len = workers[0].len();
+    assert!(
+        workers.iter().all(|g| g.len() == len),
+        "worker blobs must agree in length"
+    );
+    for k in 0..w - 1 {
+        let t = first_step + k;
+        // All sends of a step happen "simultaneously": gather payloads
+        // first, then apply.
+        let mut incoming = Vec::with_capacity(w);
+        for (i, chan) in channels.iter_mut().enumerate() {
+            let range = segment_range(len, w, send_segment(w, i, t));
+            let msg_id = base_msg_id + (k * w + i) as u32;
+            let payload = chan.transfer(&workers[i][range.clone()], epoch, msg_id);
+            incoming.push(((i + 1) % w, range, payload));
+        }
+        for (dst, range, payload) in incoming {
+            if is_reduce_step(w, t) {
+                for (acc, v) in workers[dst][range].iter_mut().zip(&payload) {
+                    *acc += v;
+                }
+            } else {
+                workers[dst][range].copy_from_slice(&payload);
+            }
+        }
+    }
+}
 
 /// Runs ring all-reduce (sum) in place. `channels[w]` is the directed link
 /// from worker `w` to `(w+1) % W`; each of the `2(W−1)` transfer steps uses
@@ -83,6 +153,26 @@ mod tests {
         (0..w)
             .map(|_| (0..len).map(|_| rng.next_f32_range(-1.0, 1.0)).collect())
             .collect()
+    }
+
+    #[test]
+    fn segment_schedule_is_consistent() {
+        let w = 3;
+        for t in 0..total_steps(w) {
+            for r in 0..w {
+                assert!(send_segment(w, r, t) < w);
+            }
+        }
+        // Reduce-scatter ends with rank r owning segment r: the segment it
+        // receives from its predecessor at the last reduce step t = w−2 is r.
+        for r in 0..w {
+            let sender = (r + w - 1) % w;
+            assert_eq!(send_segment(w, sender, w - 2), r);
+        }
+        // All-gather starts with rank r sending its own segment.
+        for r in 0..w {
+            assert_eq!(send_segment(w, r, w - 1), r);
+        }
     }
 
     #[test]

@@ -17,16 +17,16 @@
 
 use crate::chunk::MessageCodec;
 use crate::reducescatter::segment_range;
+use crate::ring::{is_reduce_step, send_segment, total_steps};
 use std::collections::BTreeMap;
 use trimgrad_netsim::host::{App, HostApi};
 use trimgrad_netsim::packet::{Packet, PacketBody, PacketSpec};
 use trimgrad_netsim::{FlowId, NodeId};
-use trimgrad_par::WorkerPool;
 use trimgrad_quant::SchemeId;
 use trimgrad_telemetry::{Counter, Histogram, Registry};
-use trimgrad_trace::{sat32, sat64, TraceEvent};
+use trimgrad_trace::{sat32, TraceEvent};
 use trimgrad_wire::packet::NetAddrs;
-use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
+use trimgrad_wire::packetize::PacketizeConfig;
 use trimgrad_wire::reassemble::RowAssembler;
 
 /// Static configuration shared by every ring worker.
@@ -61,28 +61,6 @@ impl RingNetConfig {
 
     fn workers(&self) -> usize {
         self.hosts.len()
-    }
-
-    /// The segment index rank `r` *sends* at protocol step `t`
-    /// (`0 ≤ t < 2(W−1)`; the first `W−1` steps are reduce-scatter).
-    fn send_segment(&self, rank: usize, t: usize) -> usize {
-        let w = self.workers();
-        if t < w - 1 {
-            (rank + 2 * w - 1 - t) % w
-        } else {
-            let t2 = t - (w - 1);
-            (rank + w - t2 % w) % w
-        }
-    }
-
-    /// Whether step `t` is an accumulate (reduce-scatter) step.
-    fn is_reduce_step(&self, t: usize) -> bool {
-        t < self.workers() - 1
-    }
-
-    /// Total protocol steps.
-    fn total_steps(&self) -> usize {
-        2 * (self.workers() - 1)
     }
 }
 
@@ -246,60 +224,43 @@ impl RingWorkerApp {
         api.tracer().emit(at, || TraceEvent::StepStarted {
             rank: sat32(rank),
             step: sat32(t),
-            reduce: self.cfg.is_reduce_step(t),
+            reduce: is_reduce_step(self.cfg.workers(), t),
         });
         self.step_sent_at = at;
         let m = self.metrics(api);
-        let seg = self.cfg.send_segment(self.rank, t);
+        let seg = send_segment(self.cfg.workers(), self.rank, t);
         let range = segment_range(self.cfg.blob_len, self.cfg.workers(), seg);
-        let data = &self.blob[range];
         let msg_id = t as u32;
-        let pool = WorkerPool::global();
-        let rows = self
-            .codec
-            .encode_message_pooled(data, self.cfg.epoch, msg_id, &pool);
-        let dst = self.next_host();
-        let net = NetAddrs::between_hosts(api.node().0 as u32, dst.0 as u32);
-        // Packetize rows in parallel; the send loop below stays serial so
-        // frames enter the fabric in the same (row, chunk) order as before.
-        let packetized = pool.map_indexed(rows.len(), |row_id| {
-            packetize_row(
-                &rows[row_id],
-                &PacketizeConfig {
-                    mtu: self.cfg.mtu,
-                    net,
-                    msg_id,
-                    row_id: row_id as u32,
-                    epoch: self.cfg.epoch,
-                },
-            )
-        });
+        let (src, dst) = (api.node(), self.next_host());
+        let (flow, tracer) = (self.flow(), api.tracer().clone());
         let mut seq = 0u64;
-        for (row_id, pr) in packetized.into_iter().enumerate() {
-            api.tracer().emit(at, || TraceEvent::RowEncoded {
-                msg: msg_id,
-                row: row_id as u32,
-                packets: sat32(pr.packets.len()),
-                bytes: sat64(
-                    pr.packets
-                        .iter()
-                        .map(trimgrad_wire::packet::GradPacket::wire_len)
-                        .sum::<usize>(),
-                ),
-            });
-            for frame in pr.packets {
-                let spec = PacketSpec::grad_data(dst, self.flow(), seq, frame);
-                m.packets_sent.inc();
-                m.bytes_sent.add(u64::from(spec.size));
-                api.send(spec);
-                seq += 1;
-            }
-            let spec = PacketSpec::grad_meta(dst, self.flow(), seq, pr.meta);
+        let mut send = |spec: PacketSpec| {
             m.packets_sent.inc();
             m.bytes_sent.add(u64::from(spec.size));
             api.send(spec);
-            seq += 1;
-        }
+        };
+        self.codec.packetize_message(
+            &self.blob[range],
+            &PacketizeConfig {
+                mtu: self.cfg.mtu,
+                net: NetAddrs::between_hosts(src.0 as u32, dst.0 as u32),
+                msg_id,
+                row_id: 0, // message-wide template: each row gets its own index
+                epoch: self.cfg.epoch,
+            },
+            &tracer,
+            at,
+            // The sink runs serially, so frames enter the fabric in (row,
+            // chunk) order for every pool width.
+            |pr| {
+                for frame in pr.packets {
+                    send(PacketSpec::grad_data(dst, flow, seq, frame));
+                    seq += 1;
+                }
+                send(PacketSpec::grad_meta(dst, flow, seq, pr.meta));
+                seq += 1;
+            },
+        );
     }
 
     /// Applies the fully-assembled step-`t` message and advances the
@@ -311,45 +272,15 @@ impl RingWorkerApp {
         let msg_id = t as u32;
         // The inbound segment is the one our *predecessor* sent at step t.
         let sender = (self.rank + self.cfg.workers() - 1) % self.cfg.workers();
-        let seg = self.cfg.send_segment(sender, t);
+        let seg = send_segment(self.cfg.workers(), sender, t);
         let range = segment_range(self.cfg.blob_len, self.cfg.workers(), seg);
-        // Decode rows in parallel; each row is a pure function of its
-        // assembled bytes and index, and concatenation in row order matches
-        // the serial loop exactly.
-        let codec = &self.codec;
-        let epoch = self.cfg.epoch;
-        let rows_dec = WorkerPool::global().map_indexed(asm.rows.len(), |row_id| {
-            let row_asm = &asm.rows[row_id];
-            codec
-                .decode_row(
-                    &row_asm.partial_row(),
-                    // trimlint: allow(no-panic) -- is_complete() verified meta_seen for every row before the assembly left the inbox
-                    row_asm.meta().expect("meta ingested"),
-                    epoch,
-                    msg_id,
-                    row_id as u32,
-                )
-                // trimlint: allow(no-panic) -- every packet of the row passed ingest; a decode failure here is a codec geometry bug, not a runtime condition
-                .expect("assembled row is structurally valid")
-        });
-        let mut decoded = Vec::with_capacity(range.len());
-        // The extend loop is serial, so per-row decode events land in row
-        // order regardless of how the pool scheduled the decodes above.
-        for (row_id, dec) in rows_dec.into_iter().enumerate() {
-            api.tracer().emit(at, || {
-                let row_asm = &asm.rows[row_id];
-                let coords = row_asm.coords_received();
-                TraceEvent::RowDecoded {
-                    msg: msg_id,
-                    row: row_id as u32,
-                    coords: sat32(coords),
-                    lost: sat32(row_asm.n().saturating_sub(coords)),
-                }
-            });
-            decoded.extend(dec);
-        }
+        let decoded = self
+            .codec
+            .decode_assembled(&asm.rows, self.cfg.epoch, msg_id, api.tracer(), at)
+            // trimlint: allow(no-panic) -- is_complete() verified meta_seen for every row before the assembly left the inbox, and every packet of every row passed ingest, so a failure here is a codec geometry bug, not a runtime condition
+            .expect("complete assembly is structurally valid");
         debug_assert_eq!(decoded.len(), range.len());
-        if self.cfg.is_reduce_step(t) {
+        if is_reduce_step(self.cfg.workers(), t) {
             for (acc, v) in self.blob[range].iter_mut().zip(&decoded) {
                 *acc += v;
             }
@@ -365,7 +296,7 @@ impl RingWorkerApp {
             step: sat32(t),
         });
         self.step = t + 1;
-        if self.step < self.cfg.total_steps() {
+        if self.step < total_steps(self.cfg.workers()) {
             self.send_step(self.step, api);
         } else {
             self.done = true;
@@ -395,7 +326,7 @@ impl RingWorkerApp {
 
     fn ensure_assembly(&mut self, msg_id: u32) -> &mut MsgAssembly {
         let sender = (self.rank + self.cfg.workers() - 1) % self.cfg.workers();
-        let seg = self.cfg.send_segment(sender, msg_id as usize);
+        let seg = send_segment(self.cfg.workers(), sender, msg_id as usize);
         let seg_len = segment_range(self.cfg.blob_len, self.cfg.workers(), seg).len();
         let codec = &self.codec;
         self.inbox
@@ -405,14 +336,6 @@ impl RingWorkerApp {
 }
 
 impl App for RingWorkerApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut HostApi) {
         self.send_step(0, api);
         self.drain_ready(api);
@@ -515,7 +438,7 @@ pub fn run_ring_allreduce(
             app.is_done(),
             "worker {rank} did not finish (step {} of {})",
             app.step,
-            cfg.total_steps()
+            total_steps(cfg.workers())
         );
         trimmed += app.trimmed_received;
         total += app.packets_received;
@@ -600,34 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_schedule_is_consistent() {
-        let c = cfg(
-            SchemeId::RhtOneBit,
-            vec![NodeId(0), NodeId(1), NodeId(2)],
-            30,
-        );
-        let w = 3;
-        // At every step, what rank r sends is what rank r+1 expects from its
-        // predecessor (by construction both call send_segment(sender, t)).
-        for t in 0..c.total_steps() {
-            for r in 0..w {
-                let seg = c.send_segment(r, t);
-                assert!(seg < w);
-            }
-        }
-        // Reduce-scatter ends with rank r owning segment r:
-        // the segment received at the last reduce step t = w−2 must be r.
-        for r in 0..w {
-            let sender = (r + w - 1) % w;
-            assert_eq!(c.send_segment(sender, w - 2), r);
-        }
-        // All-gather starts with rank r sending its own segment.
-        for r in 0..w {
-            assert_eq!(c.send_segment(r, w - 1), r);
-        }
-    }
-
-    #[test]
     fn congested_ring_trims_but_still_converges_approximately() {
         // A ring through a single switch is one-to-one and never congests
         // itself; add bursty cross-traffic into two workers' downlinks so
@@ -696,7 +591,7 @@ mod tests {
                 snap.counter(&name("trimmed_received")),
                 app.trimmed_received
             );
-            assert_eq!(snap.counter(&name("steps_applied")), c.total_steps() as u64);
+            assert_eq!(snap.counter(&name("steps_applied")), total_steps(w) as u64);
             assert!(snap.counter(&name("bytes_sent")) > 0);
         }
         // The workers are the only senders, so their send tally is exactly
@@ -759,12 +654,6 @@ mod tests {
             dst: NodeId,
         }
         impl App for GarbageApp {
-            fn as_any(&self) -> &dyn core::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-                self
-            }
             fn on_start(&mut self, api: &mut HostApi) {
                 // A frame of zeros: fails header validation at the receiver.
                 let frame = trimgrad_wire::packet::GradPacket::from_frame(vec![0u8; 80]);

@@ -3,19 +3,20 @@
 //! The paper's prototype "simulates the effect of congestion using pre-set
 //! random probabilistic dropping/trimming" (§4) because NCCL's wire format is
 //! closed. This module reproduces that harness: an encoded row is divided
-//! into packet-sized coordinate chunks (matching the MTU layout of
-//! `trimgrad-wire`), and each chunk is independently
+//! into the coordinate chunks the wire packetizer would put in each packet
+//! ([`packet_chunks`]), and each chunk is independently
 //!
-//! * trimmed to a configurable depth with probability `trim_prob`, or
+//! * trimmed to its heads with probability `trim_prob`, or
 //! * dropped entirely with probability `drop_prob` (heads lost too), or
 //! * left intact.
 //!
 //! The injector also records what a transcript-based replay needs (§5.4):
 //! the exact chunk fates, reproducible from the seed.
 
+use core::ops::Range;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_quant::scheme::EncodedRow;
-use trimgrad_wire::payload::max_coords_for_budget;
+use trimgrad_wire::packetize::{chunk_ranges, coords_per_packet, DEFAULT_MTU};
 
 /// Outcome counters of one injection pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,6 +67,16 @@ impl InjectStats {
     }
 }
 
+/// The coordinate ranges of the packets the wire packetizer cuts `enc` into
+/// at [`DEFAULT_MTU`], in chunk-id order: the granularity at which the
+/// in-memory harness draws, records, replays and accounts packet fates.
+pub fn packet_chunks(enc: &EncodedRow) -> impl Iterator<Item = Range<usize>> {
+    let per_packet = coords_per_packet(enc.scheme.part_bits(), DEFAULT_MTU)
+        // trimlint: allow(no-panic) -- every scheme's single coordinate (at most 33 bits) fits the 1444-byte payload of DEFAULT_MTU
+        .expect("one coordinate fits the default MTU");
+    chunk_ranges(enc.n, per_packet)
+}
+
 /// Per-packet random trim/drop injector.
 #[derive(Debug, Clone)]
 pub struct TrimInjector {
@@ -73,25 +84,18 @@ pub struct TrimInjector {
     pub trim_prob: f64,
     /// Probability a packet is dropped outright.
     pub drop_prob: f64,
-    /// Depth surviving a trim (1 = heads only).
-    pub trim_depth: usize,
-    /// Coordinates per simulated packet (None = derive from the scheme's
-    /// MTU layout like the wire packetizer does).
-    pub chunk_coords: Option<usize>,
     rng: Xoshiro256StarStar,
 }
 
 impl TrimInjector {
-    /// Creates an injector trimming with probability `trim_prob` (heads-only
-    /// depth, MTU-derived chunking, no outright drops).
+    /// Creates an injector trimming with probability `trim_prob` (no outright
+    /// drops).
     #[must_use]
     pub fn new(trim_prob: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&trim_prob), "trim_prob out of range");
         Self {
             trim_prob,
             drop_prob: 0.0,
-            trim_depth: 1,
-            chunk_coords: None,
             rng: Xoshiro256StarStar::new(seed),
         }
     }
@@ -123,100 +127,58 @@ impl TrimInjector {
         self
     }
 
-    /// Overrides the surviving depth for trimmed packets.
-    #[must_use]
-    pub fn with_trim_depth(mut self, depth: usize) -> Self {
-        assert!(depth >= 1, "depth 0 would be a drop");
-        self.trim_depth = depth;
-        self
-    }
-
-    /// Overrides the coordinates-per-packet chunking.
-    #[must_use]
-    pub fn with_chunk_coords(mut self, coords: usize) -> Self {
-        assert!(coords >= 1, "empty chunks");
-        self.chunk_coords = Some(coords);
-        self
-    }
-
-    fn coords_per_packet(&self, enc: &EncodedRow) -> usize {
-        self.chunk_coords.unwrap_or_else(|| {
-            let budget = 1500 - 20 - 8 - 28; // MTU minus IP/UDP/TrimGrad headers
-            max_coords_for_budget(enc.scheme.part_bits(), budget).unwrap_or(1)
-        })
-    }
-
     /// Draws per-coordinate availability depths for one encoded row and
-    /// returns them with the chunk fates.
+    /// returns them with the chunk fates: every coordinate of a
+    /// [`packet_chunks`] chunk shares one depth, and a trimmed chunk keeps its
+    /// heads (depth 1), as in the paper.
     pub fn draw_depths(&mut self, enc: &EncodedRow) -> (Vec<usize>, InjectStats) {
         let n_parts = enc.parts.len();
-        let per_packet = self.coords_per_packet(enc);
         let mut depths = Vec::with_capacity(enc.n);
         let mut stats = InjectStats::default();
-        let mut start = 0;
-        while start < enc.n {
-            let count = per_packet.min(enc.n - start);
+        for chunk in packet_chunks(enc) {
             let u = f64::from(self.rng.next_f32());
             let depth = if u < self.drop_prob {
                 stats.dropped += 1;
                 0
             } else if u < self.drop_prob + self.trim_prob {
                 stats.trimmed += 1;
-                self.trim_depth.min(n_parts)
+                1
             } else {
                 stats.intact += 1;
                 n_parts
             };
-            depths.extend(std::iter::repeat_n(depth, count));
-            start += count;
+            depths.extend(std::iter::repeat_n(depth, chunk.len()));
         }
         (depths, stats)
-    }
-
-    /// Encodes, injects, and decodes one row in place of a real network pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if decoding fails, which would indicate an internal geometry
-    /// bug rather than a runtime condition.
-    pub fn roundtrip_row(
-        &mut self,
-        scheme: &dyn trimgrad_quant::TrimmableScheme,
-        row: &[f32],
-        seed: u64,
-    ) -> (Vec<f32>, InjectStats) {
-        let enc = scheme.encode(row, seed);
-        if enc.n == 0 {
-            return (Vec::new(), InjectStats::default());
-        }
-        let (depths, stats) = self.draw_depths(&enc);
-        let view = enc.view_with_depths(&depths);
-        let dec = scheme
-            .decode(&view, &enc.meta, seed)
-            // trimlint: allow(no-panic) -- documented # Panics contract: the view was built from this encoder's own parts and depths, so a decode failure is a codec geometry bug
-            .expect("injected view is structurally valid");
-        (dec, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{GradChannel, TrimmingChannel};
+    use crate::chunk::MessageCodec;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
-    use trimgrad_quant::rht1bit::RhtOneBit;
     use trimgrad_quant::signmag::SignMagnitude;
-    use trimgrad_quant::TrimmableScheme;
+    use trimgrad_quant::{SchemeId, TrimmableScheme};
 
     fn row(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = Xoshiro256StarStar::new(seed);
         (0..n).map(|_| rng.next_f32_range(-1.0, 1.0)).collect()
     }
 
+    /// One row through encode → `inj` → decode: a [`TrimmingChannel`] whose
+    /// rows are at least as long as `r`.
+    fn roundtrip_row(inj: TrimInjector, scheme: SchemeId, r: &[f32]) -> (Vec<f32>, InjectStats) {
+        let mut ch = TrimmingChannel::new(MessageCodec::with_row_len(scheme, 42, r.len()), inj);
+        let dec = ch.transfer(r, 0, 0);
+        (dec, ch.inject_stats())
+    }
+
     #[test]
     fn zero_probability_is_lossless() {
-        let mut inj = TrimInjector::new(0.0, 1);
         let r = row(1000, 2);
-        let (dec, stats) = inj.roundtrip_row(&SignMagnitude, &r, 42);
+        let (dec, stats) = roundtrip_row(TrimInjector::new(0.0, 1), SchemeId::SignMagnitude, &r);
         assert_eq!(stats.trimmed, 0);
         assert_eq!(stats.dropped, 0);
         assert!(stats.intact > 0);
@@ -227,9 +189,8 @@ mod tests {
 
     #[test]
     fn full_probability_trims_everything() {
-        let mut inj = TrimInjector::new(1.0, 1);
         let r = row(1024, 3);
-        let (dec, stats) = inj.roundtrip_row(&RhtOneBit, &r, 7);
+        let (dec, stats) = roundtrip_row(TrimInjector::new(1.0, 1), SchemeId::RhtOneBit, &r);
         assert_eq!(stats.intact, 0);
         assert_eq!(stats.dropped, 0);
         assert!(stats.trim_fraction() == 1.0);
@@ -241,14 +202,17 @@ mod tests {
 
     #[test]
     fn trim_fraction_matches_probability() {
-        let mut inj = TrimInjector::new(0.3, 9).with_chunk_coords(8);
-        let mut stats = InjectStats::default();
-        let r = row(4096, 4);
+        let mut ch = TrimmingChannel::new(
+            MessageCodec::with_row_len(SchemeId::SignMagnitude, 42, 4096),
+            TrimInjector::new(0.3, 9),
+        );
+        let r = row(40 * 4096, 4);
         for i in 0..40 {
-            let (_, s) = inj.roundtrip_row(&SignMagnitude, &r, i);
-            stats.merge(s);
+            let _ = ch.transfer(&r, 0, i);
         }
-        // 40 × 512 chunks; SE ≈ sqrt(0.3·0.7/20480) ≈ 0.0032.
+        let stats = ch.inject_stats();
+        // 40 × 40 rows × 12 chunks; SE ≈ sqrt(0.3·0.7/19200) ≈ 0.0033.
+        assert_eq!(stats.total(), 40 * 40 * 12);
         assert!(
             (stats.trim_fraction() - 0.3).abs() < 0.02,
             "trim fraction {}",
@@ -258,11 +222,9 @@ mod tests {
 
     #[test]
     fn drops_zero_out_coordinates() {
-        let mut inj = TrimInjector::new(0.0, 5)
-            .with_drop_prob(1.0)
-            .with_chunk_coords(16);
-        let r = row(64, 6);
-        let (dec, stats) = inj.roundtrip_row(&SignMagnitude, &r, 1);
+        let inj = TrimInjector::new(0.0, 5).with_drop_prob(1.0);
+        let r = row(1200, 6);
+        let (dec, stats) = roundtrip_row(inj, SchemeId::SignMagnitude, &r);
         assert_eq!(stats.dropped as usize, 4);
         assert!(dec.iter().all(|&d| d == 0.0));
     }
@@ -271,11 +233,9 @@ mod tests {
     fn channel_bound_injector_matches_netsim_seed_derivation() {
         use trimgrad_netsim::link::channel_seed;
         use trimgrad_netsim::NodeId;
-        let draw = |inj: TrimInjector| {
-            inj.with_chunk_coords(4)
-                .draw_depths(&SignMagnitude.encode(&row(64, 1), 0))
-                .0
-        };
+        // 16 packet-chunks of 360 coordinates.
+        let draw =
+            |mut inj: TrimInjector| inj.draw_depths(&SignMagnitude.encode(&row(5760, 1), 0)).0;
         let bound = TrimInjector::for_channel(0.5, 42, NodeId(3), NodeId(7));
         let manual = TrimInjector::new(0.5, channel_seed(42, NodeId(3), NodeId(7)));
         assert_eq!(draw(bound), draw(manual));
@@ -288,8 +248,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
-            let mut inj = TrimInjector::new(0.5, seed).with_chunk_coords(4);
-            inj.roundtrip_row(&RhtOneBit, &row(256, 1), 3).0
+            let inj = TrimInjector::new(0.5, seed);
+            roundtrip_row(inj, SchemeId::RhtOneBit, &row(1 << 14, 1)).0
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
@@ -297,14 +257,15 @@ mod tests {
 
     #[test]
     fn chunking_respects_packet_boundaries() {
-        // With chunk 8, coordinates within a chunk share their fate.
-        let mut inj = TrimInjector::new(0.5, 2).with_chunk_coords(8);
-        let r = row(64, 9);
+        // Coordinates that would share a packet share their fate.
+        let mut inj = TrimInjector::new(0.5, 2);
+        let r = row(5000, 9);
         let enc = SignMagnitude.encode(&r, 0);
         let (depths, _) = inj.draw_depths(&enc);
-        for chunk in depths.chunks(8) {
+        for chunk in depths.chunks(360) {
             assert!(chunk.iter().all(|&d| d == chunk[0]), "chunk fate differs");
         }
+        assert!(depths.contains(&1) && depths.contains(&2));
     }
 
     #[test]

@@ -17,13 +17,15 @@
 //! | The trimmable encodings (sign-magnitude, SQ, SD, RHT, multi-level) | [`trimgrad_quant`] |
 //! | Wire formats + the in-switch trim operation | [`trimgrad_wire`] |
 //! | Discrete-event DC fabric with trimming switches | [`trimgrad_netsim`] |
-//! | Collectives (ring, recursive doubling) + DDP hooks | [`trimgrad_collective`] |
+//! | The message codec (blob ↔ rows ↔ frames), ring collectives + DDP hooks | [`trimgrad_collective`] |
 //! | Data-parallel training + round-time model | [`trimgrad_mltrain`] |
 //!
 //! This crate ties them together behind one API:
 //!
 //! * [`pipeline::TrimmablePipeline`] — blob → rows → packets, and back from
-//!   any mix of trimmed/untrimmed/lost packets;
+//!   any mix of trimmed/untrimmed/lost packets (the message path itself is
+//!   [`trimgrad_collective::chunk::MessageCodec`], shared with the ring
+//!   workers that run inside the simulator);
 //! * [`transcript`] — §5.4 reproducibility: record which packets were
 //!   trimmed, replay the exact run later;
 //! * [`adaptive`] — §4.2's observation turned into code: pick the encoding

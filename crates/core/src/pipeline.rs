@@ -1,15 +1,14 @@
 //! The end-to-end trimmable-gradient pipeline: blob ↔ packets.
 
 use trimgrad_collective::chunk::MessageCodec;
-use trimgrad_par::WorkerPool;
 use trimgrad_quant::SchemeId;
 use trimgrad_telemetry::Registry;
-use trimgrad_trace::{sat32, TraceEvent, Tracer};
+use trimgrad_trace::Tracer;
 use trimgrad_wire::meta::RowMetaPacket;
 use trimgrad_wire::packet::{GradPacket, NetAddrs};
-use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
-use trimgrad_wire::reassemble::RowAssembler;
-use trimgrad_wire::WireError;
+use trimgrad_wire::packetize::{chunk_ranges, coords_per_packet, frame_len, PacketizeConfig};
+use trimgrad_wire::reassemble::{encoded_n, RowAssembler};
+use trimgrad_wire::{ethernet, WireError};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy)]
@@ -92,20 +91,12 @@ impl PipelineConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on a zero row length or an MTU too small for headers. Use
-    /// [`try_build`](Self::try_build) when the values come from untrusted
-    /// configuration.
+    /// Panics on any configuration [`try_build`](Self::try_build) rejects.
+    /// Use `try_build` when the values come from untrusted configuration.
     #[must_use]
     pub fn build(self) -> PipelineConfig {
-        match self.try_build() {
-            Ok(cfg) => cfg,
-            // trimlint: allow(no-panic) -- documented panicking wrapper over try_build
-            Err(PipelineConfigError::ZeroRowLen) => panic!("zero row length"),
-            Err(PipelineConfigError::MtuTooSmall { .. }) => {
-                // trimlint: allow(no-panic) -- documented panicking wrapper over try_build
-                panic!("MTU too small for the header stack")
-            }
-        }
+        // trimlint: allow(no-panic) -- documented panicking wrapper over try_build
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`build`](Self::build): returns a typed error instead of
@@ -115,14 +106,32 @@ impl PipelineConfigBuilder {
     /// # Errors
     ///
     /// [`PipelineConfigError::ZeroRowLen`] for a zero row length,
-    /// [`PipelineConfigError::MtuTooSmall`] when the MTU cannot fit the
-    /// header stack.
+    /// [`PipelineConfigError::MtuTooSmall`] when not even one coordinate fits
+    /// a packet, [`PipelineConfigError::PacketTooLarge`] when a row's fullest
+    /// packet overflows the 16-bit coordinate-count or IPv4 length field,
+    /// [`PipelineConfigError::RowTooLong`] when a row overflows the 32-bit
+    /// row-length field or needs more than 2¹⁶ packets.
     pub fn try_build(self) -> Result<PipelineConfig, PipelineConfigError> {
-        if self.row_len == 0 {
+        let (mtu, row_len) = (self.mtu, self.row_len);
+        if row_len == 0 {
             return Err(PipelineConfigError::ZeroRowLen);
         }
-        if self.mtu <= 100 {
-            return Err(PipelineConfigError::MtuTooSmall { mtu: self.mtu });
+        if u32::try_from(row_len).is_err() {
+            return Err(PipelineConfigError::RowTooLong { row_len });
+        }
+        // The packetizer's own geometry: what `encode` will narrow into wire
+        // fields for a full row (shorter last rows only need less).
+        let part_bits = self.scheme.part_bits();
+        let per_packet =
+            coords_per_packet(part_bits, mtu).ok_or(PipelineConfigError::MtuTooSmall { mtu })?;
+        let n = encoded_n(self.scheme, row_len);
+        let fullest = per_packet.min(n);
+        let ip_len = frame_len(part_bits, fullest, part_bits.len()) - ethernet::HEADER_LEN;
+        if u16::try_from(fullest).is_err() || u16::try_from(ip_len).is_err() {
+            return Err(PipelineConfigError::PacketTooLarge { mtu });
+        }
+        if u16::try_from(chunk_ranges(n, per_packet).len() - 1).is_err() {
+            return Err(PipelineConfigError::RowTooLong { row_len });
         }
         Ok(PipelineConfig {
             scheme: self.scheme,
@@ -138,19 +147,34 @@ impl PipelineConfigBuilder {
 pub enum PipelineConfigError {
     /// The configured row length is zero.
     ZeroRowLen,
-    /// The configured MTU cannot fit the Ethernet/IP/UDP/TrimGrad headers.
+    /// The configured MTU cannot fit the IP/UDP/TrimGrad headers plus one
+    /// coordinate.
     MtuTooSmall {
         /// The offending MTU.
         mtu: usize,
+    },
+    /// A row's fullest packet under the configured MTU overflows the 16-bit
+    /// coordinate-count or IPv4 total-length wire field.
+    PacketTooLarge {
+        /// The offending MTU.
+        mtu: usize,
+    },
+    /// A row overflows the 32-bit row-length wire field, or needs more
+    /// packets under the configured MTU than the 16-bit chunk id can number.
+    RowTooLong {
+        /// The offending row length.
+        row_len: usize,
     },
 }
 
 impl core::fmt::Display for PipelineConfigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            PipelineConfigError::ZeroRowLen => f.write_str("row length must be non-zero"),
-            PipelineConfigError::MtuTooSmall { mtu } => {
-                write!(f, "MTU {mtu} too small for the header stack")
+        match *self {
+            Self::ZeroRowLen => f.write_str("row length must be non-zero"),
+            Self::MtuTooSmall { mtu } => write!(f, "MTU {mtu} too small for one coordinate"),
+            Self::PacketTooLarge { mtu } => write!(f, "MTU {mtu} overflows a 16-bit packet field"),
+            Self::RowTooLong { row_len } => {
+                write!(f, "row length {row_len} overflows a wire field")
             }
         }
     }
@@ -175,8 +199,7 @@ impl TxMessage {
     #[must_use]
     pub fn wire_bytes(&self) -> usize {
         let data: usize = self.packets.iter().map(GradPacket::wire_len).sum();
-        // Metadata frame: Ethernet+IP+UDP + 24-byte payload.
-        data + self.metas.len() * (14 + 20 + 8 + trimgrad_wire::meta::PAYLOAD_LEN)
+        data + self.metas.len() * trimgrad_wire::meta::FRAME_LEN
     }
 }
 
@@ -233,10 +256,8 @@ impl TrimmablePipeline {
 
     /// Encodes and packetizes one gradient blob.
     ///
-    /// Row encode and packetize both fan out over the process-wide
-    /// [`WorkerPool`]; per-row work depends only on the row index, and the
-    /// results merge in row order, so the output is byte-identical for every
-    /// pool width.
+    /// The work is [`MessageCodec::packetize_message`]; the output is
+    /// byte-identical for every worker-pool width.
     #[must_use]
     pub fn encode(
         &self,
@@ -247,38 +268,27 @@ impl TrimmablePipeline {
         dst_host: u32,
     ) -> TxMessage {
         let _span = self.tracer.span_at("core.pipeline.encode", 0);
-        let pool = WorkerPool::global();
         let codec = self.codec();
-        let rows = codec.encode_message_pooled(blob, epoch, msg_id, &pool);
-        let net = NetAddrs::between_hosts(src_host, dst_host);
-        let packetized = pool.map_striped(rows.len(), |row_id| {
-            packetize_row(
-                &rows[row_id],
-                &PacketizeConfig {
-                    mtu: self.cfg.mtu,
-                    net,
-                    msg_id,
-                    row_id: row_id as u32,
-                    epoch,
-                },
-            )
-        });
         let mut packets = Vec::new();
-        let mut metas = Vec::with_capacity(rows.len());
-        // The merge loop is serial, so per-row events land in row order for
-        // every pool width.
-        for (row_id, pr) in packetized.into_iter().enumerate() {
-            self.tracer.emit(0, || TraceEvent::RowEncoded {
-                msg: msg_id,
-                row: row_id as u32,
-                packets: sat32(pr.packets.len()),
-                bytes: trimgrad_trace::sat64(
-                    pr.packets.iter().map(GradPacket::wire_len).sum::<usize>(),
-                ),
-            });
-            packets.extend(pr.packets);
-            metas.push(pr.meta);
-        }
+        // Not pre-sized: even this small block, allocated ahead of the encoded
+        // rows, costs `decode` ~1 000 page faults a round (see `packetize_message`).
+        let mut metas = Vec::new();
+        codec.packetize_message(
+            blob,
+            &PacketizeConfig {
+                mtu: self.cfg.mtu,
+                net: NetAddrs::between_hosts(src_host, dst_host),
+                msg_id,
+                row_id: 0, // message-wide template: each row gets its own index
+                epoch,
+            },
+            &self.tracer,
+            0,
+            |pr| {
+                packets.extend(pr.packets);
+                metas.push(pr.meta);
+            },
+        );
         let tx = TxMessage {
             packets,
             metas,
@@ -286,7 +296,7 @@ impl TrimmablePipeline {
         };
         if let Some(reg) = &self.telemetry {
             reg.counter("core.pipeline.rows_encoded")
-                .add(rows.len() as u64);
+                .add(tx.metas.len() as u64);
             reg.counter("core.pipeline.packets_out")
                 .add(tx.packets.len() as u64);
             reg.counter("core.pipeline.metas_out")
@@ -348,30 +358,7 @@ impl TrimmablePipeline {
             }
             assemblers[row].ingest(pkt)?;
         }
-        // Decode rows in parallel; merging results (and picking the first
-        // error) in row-index order matches the serial early-return.
-        let decoded = WorkerPool::global().map_indexed(assemblers.len(), |row_id| {
-            let asm = &assemblers[row_id];
-            let meta = asm.meta().ok_or(WireError::BadField("meta"))?;
-            codec
-                .decode_row(&asm.partial_row(), meta, epoch, msg_id, row_id as u32)
-                .map_err(|_| WireError::BadField("row decode"))
-        });
-        let mut out = Vec::new();
-        for (row_id, dec) in decoded.into_iter().enumerate() {
-            let vals = dec?;
-            self.tracer.emit(0, || {
-                let asm = &assemblers[row_id];
-                let coords = asm.coords_received();
-                TraceEvent::RowDecoded {
-                    msg: msg_id,
-                    row: row_id as u32,
-                    coords: sat32(coords),
-                    lost: sat32(asm.n().saturating_sub(coords)),
-                }
-            });
-            out.extend(vals);
-        }
+        let out = codec.decode_assembled(&assemblers, epoch, msg_id, &self.tracer, 0)?;
         if let Some(reg) = &self.telemetry {
             reg.counter("core.pipeline.rows_decoded")
                 .add(assemblers.len() as u64);
@@ -415,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MTU too small")]
+    #[should_panic(expected = "MTU 50 too small")]
     fn builder_rejects_tiny_mtu() {
         let _ = PipelineConfig::builder().mtu(50).build();
     }
@@ -430,11 +417,32 @@ mod tests {
             PipelineConfigError::ZeroRowLen
         );
         assert_eq!(
-            PipelineConfig::builder().mtu(100).try_build().unwrap_err(),
-            PipelineConfigError::MtuTooSmall { mtu: 100 }
+            PipelineConfig::builder().mtu(60).try_build().unwrap_err(),
+            PipelineConfigError::MtuTooSmall { mtu: 60 }
         );
         let cfg = PipelineConfig::builder().try_build().unwrap();
         assert_eq!(cfg.row_len, 32_768);
+        // Geometry that would overflow a wire field inside `encode` is
+        // rejected up front...
+        use PipelineConfigError::{PacketTooLarge, RowTooLong};
+        for (mtu, row_len, err) in [
+            (1_000_000, 1 << 20, PacketTooLarge { mtu: 1_000_000 }),
+            (70_000, 1 << 16, PacketTooLarge { mtu: 70_000 }),
+            (101, 1 << 22, RowTooLong { row_len: 1 << 22 }),
+            (1500, 1 << 25, RowTooLong { row_len: 1 << 25 }),
+        ] {
+            let built = PipelineConfig::builder().mtu(mtu).row_len(row_len);
+            assert_eq!(built.try_build().unwrap_err(), err);
+        }
+        // ...and whatever is accepted round-trips a full row.
+        for mtu in [1500, 9000, 101] {
+            let cfg = PipelineConfig::builder().mtu(mtu).try_build().unwrap();
+            let p = TrimmablePipeline::new(cfg);
+            let b = blob(cfg.row_len, mtu as u64);
+            let tx = p.encode(&b, 0, 0, 1, 2);
+            let dec = p.decode(&tx.packets, &tx.metas, 0, 0).unwrap();
+            assert!(trimgrad_quant::error::nmse(&dec, &b) < 1e-6, "mtu {mtu}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! for archival ([`TrimTranscript::to_bytes`]).
 
 use std::collections::BTreeMap;
+use trimgrad_collective::trim_inject::packet_chunks;
 use trimgrad_quant::scheme::EncodedRow;
-use trimgrad_wire::payload::max_coords_for_budget;
 
 /// Identity of one data packet within a training run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -68,10 +68,9 @@ impl TrimTranscript {
     }
 
     /// Replays this transcript against one encoded row: produces the exact
-    /// per-coordinate availability depths the original run saw.
-    ///
-    /// `mtu_budget` must match the original packetization (default wire
-    /// budget: `1500 − 20 − 8 − 28`).
+    /// per-coordinate availability depths the original run saw. Chunk ids
+    /// number the row's [`packet_chunks`], as [`RecordingInjector`] recorded
+    /// them.
     #[must_use]
     pub fn replay_depths(
         &self,
@@ -79,28 +78,21 @@ impl TrimTranscript {
         epoch: u32,
         msg_id: u32,
         row_id: u32,
-        mtu_budget: usize,
     ) -> Vec<usize> {
         let n_parts = enc.parts.len();
-        let per_packet = max_coords_for_budget(enc.scheme.part_bits(), mtu_budget).unwrap_or(1);
         let mut depths = Vec::with_capacity(enc.n);
-        let mut chunk_id: u16 = 0;
-        let mut start = 0;
-        while start < enc.n {
-            let count = per_packet.min(enc.n - start);
+        for (chunk_id, chunk) in packet_chunks(enc).enumerate() {
             let key = PacketKey {
                 epoch,
                 msg_id,
                 row_id,
-                chunk_id,
+                chunk_id: trimgrad_wire::narrow::to_u16(chunk_id, "chunk id"),
             };
             let depth = match self.depth_of(&key) {
                 Some(d) => usize::from(d).min(n_parts),
                 None => n_parts,
             };
-            depths.extend(std::iter::repeat_n(depth, count));
-            start += count;
-            chunk_id += 1;
+            depths.extend(std::iter::repeat_n(depth, chunk.len()));
         }
         depths
     }
@@ -182,13 +174,10 @@ impl RecordingInjector {
         row_id: u32,
     ) -> Vec<usize> {
         let (depths, _) = self.inner.draw_depths(enc);
-        // Re-derive chunk fates from the depth vector.
-        let per_packet = self.inner.chunk_coords.unwrap_or_else(|| {
-            max_coords_for_budget(enc.scheme.part_bits(), 1500 - 20 - 8 - 28).unwrap_or(1)
-        });
         let n_parts = enc.parts.len();
-        for (chunk_id, chunk) in depths.chunks(per_packet).enumerate() {
-            if chunk[0] < n_parts {
+        for (chunk_id, chunk) in packet_chunks(enc).enumerate() {
+            let depth = depths[chunk.start];
+            if depth < n_parts {
                 self.transcript.record(
                     PacketKey {
                         epoch,
@@ -196,7 +185,7 @@ impl RecordingInjector {
                         row_id,
                         chunk_id: trimgrad_wire::narrow::to_u16(chunk_id, "chunk id"),
                     },
-                    trimgrad_wire::narrow::to_u8(chunk[0], "trim depth"),
+                    trimgrad_wire::narrow::to_u8(depth, "trim depth"),
                 );
             }
         }
@@ -292,7 +281,7 @@ mod tests {
         // Replay: same depths from the transcript alone (via serialization,
         // as a future run would).
         let restored = TrimTranscript::from_bytes(&transcript.to_bytes()).unwrap();
-        let replay_depths = restored.replay_depths(&enc, 1, 2, 3, 1500 - 20 - 8 - 28);
+        let replay_depths = restored.replay_depths(&enc, 1, 2, 3);
         assert_eq!(replay_depths, depths);
         let replayed = scheme
             .decode(&enc.view_with_depths(&replay_depths), &enc.meta, seed)
@@ -306,7 +295,7 @@ mod tests {
         let r = row(1000, 8);
         let enc = scheme.encode(&r, 0);
         let t = TrimTranscript::new();
-        let depths = t.replay_depths(&enc, 0, 0, 0, 1500 - 20 - 8 - 28);
+        let depths = t.replay_depths(&enc, 0, 0, 0);
         assert!(depths.iter().all(|&d| d == 2));
     }
 
@@ -325,10 +314,10 @@ mod tests {
         let scheme = scheme_for(trimgrad_quant::SchemeId::SignMagnitude);
         let enc = scheme.encode(&row(500, 9), 0);
         // Row 1 has no events → untrimmed.
-        let depths = t.replay_depths(&enc, 0, 0, 1, 1500 - 20 - 8 - 28);
+        let depths = t.replay_depths(&enc, 0, 0, 1);
         assert!(depths.iter().all(|&d| d == 2));
         // Row 0's first chunk is trimmed.
-        let depths = t.replay_depths(&enc, 0, 0, 0, 1500 - 20 - 8 - 28);
+        let depths = t.replay_depths(&enc, 0, 0, 0);
         assert!(depths[..360].iter().all(|&d| d == 1));
         assert!(depths[360..].iter().all(|&d| d == 2));
     }

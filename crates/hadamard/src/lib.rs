@@ -10,11 +10,8 @@
 //! * [`rademacher`] — seeded ±1 diagonal generation, the "randomized" part of
 //!   the Randomized Hadamard Transform,
 //! * [`rht`] — the seeded Randomized Hadamard Transform `R_s(V) = 1/√n · H·D_s·V`
-//!   and its exact inverse,
-//! * [`block`] — row-blocked application of the RHT to large gradient blobs
-//!   (the paper splits each collective-communication message into rows of
-//!   2¹⁵ = 32 768 entries so each row fits in a GPU's L1 shared memory; here
-//!   the same blocking doubles as cache blocking),
+//!   and its exact inverse (one row at a time; splitting a gradient blob
+//!   into rows with per-row seeds is `trimgrad_collective::chunk`'s job),
 //! * [`prng`] — small, *portable* deterministic pseudo-random generators
 //!   (SplitMix64, xoshiro256**). Sender and receiver must generate identical
 //!   randomness from a shared seed; `rand`'s `StdRng` makes no cross-version
@@ -43,13 +40,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod fwht;
 pub mod prng;
 pub mod rademacher;
 pub mod rht;
 
-pub use block::BlockRht;
 pub use rht::RandomizedHadamard;
 
 /// Errors produced by transform routines.

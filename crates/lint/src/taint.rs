@@ -52,6 +52,7 @@ const SINKS: &[&str] = &[
     "build_with",
     "build_frame",
     "packetize_row",
+    "packetize_message",
     "emit",
     "span",
     "span_at",

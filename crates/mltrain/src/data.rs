@@ -122,28 +122,6 @@ pub fn gaussian_mixture(
     Dataset { x, y, classes }
 }
 
-/// Rescales feature `d` by a geometric factor from 1 up to `max_factor`
-/// (feature `dim−1` gets the full factor). This gives first-layer gradient
-/// rows a large *within-row dynamic range* — the regime of real deep
-/// networks, where a single per-row scale (like sign-magnitude's σ) grossly
-/// misrepresents most coordinates. Models can still learn the task (the
-/// first layer simply absorbs the scaling).
-pub fn scale_features(ds: &mut Dataset, max_factor: f32) {
-    assert!(max_factor >= 1.0, "factor must be ≥ 1");
-    let dim = ds.dim();
-    if dim <= 1 {
-        return;
-    }
-    let factors: Vec<f32> = (0..dim)
-        .map(|d| max_factor.powf(d as f32 / (dim - 1) as f32))
-        .collect();
-    for r in 0..ds.len() {
-        for (v, &f) in ds.x.row_mut(r).iter_mut().zip(&factors) {
-            *v *= f;
-        }
-    }
-}
-
 /// A sparse high-dimensional "token" task that produces **heavy-tailed
 /// gradients**, the regime where the paper's sign-magnitude scheme falls
 /// apart: each class is defined by a small signature set of tokens; each

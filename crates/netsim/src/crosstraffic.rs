@@ -43,14 +43,6 @@ impl BulkSenderApp {
 }
 
 impl App for BulkSenderApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut HostApi) {
         let n = self.packet_count();
         let mut remaining = self.total_bytes;
@@ -139,14 +131,6 @@ impl OnOffApp {
 }
 
 impl App for OnOffApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut HostApi) {
         // Random initial phase avoids synchronizing every on/off source.
         let gap = self.next_gap();

@@ -83,15 +83,9 @@ impl HostApi {
     }
 }
 
-/// Endpoint logic installed on a host.
-pub trait App: Send {
-    /// Upcast for result extraction after a run
-    /// ([`crate::sim::Simulator::app_ref`]).
-    fn as_any(&self) -> &dyn core::any::Any;
-
-    /// Mutable upcast.
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any;
-
+/// Endpoint logic installed on a host. `Any` lets
+/// [`crate::sim::Simulator::app_ref`] hand the concrete app back after a run.
+pub trait App: core::any::Any + Send {
     /// Called once when the simulation starts.
     fn on_start(&mut self, api: &mut HostApi) {
         let _ = api;
@@ -125,14 +119,6 @@ pub struct SinkApp {
 }
 
 impl App for SinkApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
         self.received += 1;
         self.bytes += u64::from(pkt.size);

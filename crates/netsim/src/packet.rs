@@ -170,9 +170,8 @@ impl PacketSpec {
         Self {
             dst,
             flow,
-            // Frame length of a metadata packet: full header stack + 24 B.
-            size: (trimgrad_wire::packet::STACK_OVERHEAD - trimgrad_wire::trimhdr::HEADER_LEN
-                + trimgrad_wire::meta::PAYLOAD_LEN) as u32,
+            // trimlint: allow(lossy-cast) -- a compile-time constant (66 bytes)
+            size: trimgrad_wire::meta::FRAME_LEN as u32,
             priority: true,
             reliable: true,
             seq,
@@ -260,6 +259,9 @@ impl Packet {
 /// arena's resident-set proxy reported by the scale bench.
 #[derive(Debug, Default)]
 pub struct PacketArena {
+    // The boxes themselves are what gets recycled, so the free list holds
+    // them boxed.
+    #[allow(clippy::vec_box)]
     pool: Vec<Box<Packet>>,
     fresh: u64,
     recycled: u64,

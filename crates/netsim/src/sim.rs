@@ -352,15 +352,7 @@ impl Simulator {
     pub fn app_ref<T: 'static>(&self, node: NodeId) -> Option<&T> {
         self.apps[node.0]
             .as_deref()
-            .and_then(|a| a.as_any().downcast_ref::<T>())
-    }
-
-    /// Mutably borrows an installed app, downcast to its concrete type.
-    #[must_use]
-    pub fn app_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.apps[node.0]
-            .as_deref_mut()
-            .and_then(|a| a.as_any_mut().downcast_mut::<T>())
+            .and_then(|a| (a as &dyn core::any::Any).downcast_ref::<T>())
     }
 
     /// Runs until the event queue drains or `t_end` is reached, whichever is
@@ -395,13 +387,6 @@ impl Simulator {
         if self.queue.peek_time().is_none() && self.now < t_end {
             self.now = t_end;
         }
-        self.now
-    }
-
-    /// Runs until no events remain (bounded by `limit` as a safety stop).
-    /// Returns the time of the last event.
-    pub fn run_to_quiescence(&mut self, limit: SimTime) -> SimTime {
-        self.run_until(limit);
         self.now
     }
 
@@ -1023,12 +1008,6 @@ mod tests {
             fired: Vec<u64>,
         }
         impl App for TimerApp {
-            fn as_any(&self) -> &dyn core::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-                self
-            }
             fn on_start(&mut self, api: &mut HostApi) {
                 api.timer_in(SimTime::from_micros(30), 3);
                 api.timer_in(SimTime::from_micros(10), 1);

@@ -148,14 +148,6 @@ impl ReliableSenderApp {
 }
 
 impl App for ReliableSenderApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut HostApi) {
         self.fill_window(api);
         self.base_at_timer = self.base;
@@ -233,14 +225,6 @@ impl ReliableReceiverApp {
 }
 
 impl App for ReliableReceiverApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
         if !matches!(pkt.body, PacketBody::Synthetic) {
             return;
@@ -349,14 +333,6 @@ impl TrimmingSenderApp {
 }
 
 impl App for TrimmingSenderApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut HostApi) {
         for seq in 0..self.total {
             api.send(self.data_spec(seq));
@@ -495,14 +471,6 @@ impl TrimmingReceiverApp {
 }
 
 impl App for TrimmingReceiverApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
         if pkt.flow != self.flow || !matches!(pkt.body, PacketBody::Synthetic) {
             return;

@@ -313,14 +313,6 @@ impl ScheduledSenderApp {
 }
 
 impl App for ScheduledSenderApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut HostApi) {
         for (i, f) in self.flows.iter().enumerate() {
             api.timer_in(f.start, i as u64);

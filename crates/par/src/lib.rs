@@ -1,18 +1,15 @@
 //! Deterministic scoped worker pool for the trimgrad workspace.
 //!
 //! crates.io is unreachable in the build environment, so this is a
-//! dependency-free, hand-rolled pool built on `std::thread::scope` and
-//! `std::sync::mpsc` channels. Determinism is the design center, not an
-//! afterthought:
+//! dependency-free, hand-rolled pool built on `std::thread::scope`.
+//! Determinism is the design center, not an afterthought:
 //!
-//! * Work is split by **fixed chunk index**: chunk `i` always receives the
-//!   same slice of the input, no matter how many workers exist or how the
-//!   OS schedules them. Worker `w` processes the strided set
-//!   `{i | i % workers == w}`.
-//! * Results are **merged in index order**: workers send `(index, result)`
-//!   pairs over a channel and the collector places each result into its
-//!   index slot, so the output `Vec` is identical to what a serial loop
-//!   would produce.
+//! * Work is split by **fixed index**: item `i` always receives the same
+//!   slice of the input, no matter how many workers exist or how the OS
+//!   schedules them.
+//! * Results land **in index order**: each worker writes result `i` into
+//!   slot `i` of the output, so the output `Vec` is identical to what a
+//!   serial loop would produce.
 //!
 //! As long as the per-chunk closure is a pure function of the chunk index
 //! and its input (all trimgrad kernels are — per-row seeds are derived from
@@ -29,7 +26,6 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::sync::mpsc;
 use std::sync::OnceLock;
 
 /// Environment variable that pins the worker count (see [`WorkerPool::global`]).
@@ -136,15 +132,13 @@ impl WorkerPool {
     }
 
     /// Maps each index in `0..n` through `f`, returning results in index
-    /// order — bit-identical to `(0..n).map(f).collect()`, like
-    /// [`map_indexed`](Self::map_indexed), but each worker evaluates one
-    /// **contiguous** stripe of indices and writes results straight into its
-    /// stripe of the output (no per-item channel send, no merge loop).
+    /// order — bit-identical to `(0..n).map(f).collect()`. With
+    /// `threads <= 1` or `n <= 1` the map runs inline.
     ///
-    /// Prefer this over `map_indexed` when per-item results are large (e.g.
-    /// encoded gradient rows) or items are numerous: the only synchronization
-    /// is thread join, and contiguous stripes keep each worker's reads inside
-    /// one span of the input instead of striding across all of it.
+    /// Each worker evaluates one **contiguous** stripe of indices and writes
+    /// results straight into its stripe of the output: the only
+    /// synchronization is thread join, and contiguous stripes keep each
+    /// worker's reads inside one span of the input.
     pub fn map_striped<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -183,49 +177,6 @@ impl WorkerPool {
         slots
             .into_iter()
             .map(|r| r.expect("every index in 0..n lies in exactly one stripe"))
-            .collect()
-    }
-
-    /// Maps each index in `0..n` through `f`, returning results in index
-    /// order — bit-identical to `(0..n).map(f).collect()`.
-    ///
-    /// Worker `w` evaluates the strided indices `{i | i % workers == w}`;
-    /// results are merged into their index slots. With `threads <= 1` or
-    /// `n <= 1` the map runs inline.
-    pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = self.spawn_width(n);
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::channel::<(usize, R)>();
-            let f = &f;
-            for w in 0..workers {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    IN_WORKER.with(|flag| flag.set(true));
-                    let mut i = w;
-                    while i < n {
-                        // The receiver outlives the scope, so send cannot fail.
-                        let _ = tx.send((i, f(i)));
-                        i += workers;
-                    }
-                });
-            }
-            drop(tx);
-            for (i, r) in rx {
-                slots[i] = Some(r);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every index in 0..n is assigned to exactly one worker"))
             .collect()
     }
 
@@ -281,24 +232,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_indexed_matches_serial_for_every_width() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64);
-        for n in [0usize, 1, 2, 3, 7, 8, 64, 257] {
-            let serial: Vec<u64> = (0..n).map(f).collect();
-            for threads in 1..=8 {
-                let pool = WorkerPool::new(threads);
-                assert_eq!(pool.map_indexed(n, f), serial, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn map_indexed_preserves_index_order_not_completion_order() {
-        // Later indices finish first if workers raced; order must still hold.
+    fn map_striped_preserves_index_order_not_completion_order() {
+        // Later stripes finish first if workers raced; order must still hold.
         let pool = WorkerPool::new(4);
-        let out = pool.map_indexed(100, |i| {
-            if i % 4 == 0 {
-                // Make stride-0 workers slower without wall clocks: burn work.
+        let out = pool.map_striped(100, |i| {
+            if i < 25 {
+                // Make the first stripe slower without wall clocks: burn work.
                 let mut acc = 0u64;
                 for k in 0..20_000u64 {
                     acc = acc.wrapping_add(k ^ i as u64);
@@ -337,13 +276,24 @@ mod tests {
     fn zero_threads_clamps_to_serial() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.map_indexed(4, |i| i), vec![0, 1, 2, 3]);
+        assert_eq!(pool.map_striped(4, |i| i), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn map_striped_matches_serial_for_every_width() {
+        let f = |i: usize| (i as u64).wrapping_mul(0xD134_2543_DE82_EF95) ^ !(i as u64);
+        for n in [0usize, 1, 2, 3, 7, 8, 64, 257] {
+            let serial: Vec<u64> = (0..n).map(f).collect();
+            for threads in 1..=8 {
+                let pool = WorkerPool::new(threads);
+                assert_eq!(pool.map_striped(n, f), serial, "n={n} threads={threads}");
+            }
+        }
     }
 
     #[test]
     fn nested_regions_degrade_to_serial_inside_workers() {
-        let pool = WorkerPool::new(4);
-        let widths = pool.map_indexed(8, |_| WorkerPool::global().threads());
+        let widths = WorkerPool::new(4).map_striped(8, |_| WorkerPool::global().threads());
         if hardware_threads() > 1 {
             assert!(
                 widths.iter().all(|&w| w == 1),
@@ -360,31 +310,6 @@ mod tests {
         }
         // Outside a worker the global pool keeps its configured width.
         assert!(WorkerPool::global().threads() >= 1);
-    }
-
-    #[test]
-    fn map_striped_matches_serial_for_every_width() {
-        let f = |i: usize| (i as u64).wrapping_mul(0xD134_2543_DE82_EF95) ^ !(i as u64);
-        for n in [0usize, 1, 2, 3, 7, 8, 64, 257] {
-            let serial: Vec<u64> = (0..n).map(f).collect();
-            for threads in 1..=8 {
-                let pool = WorkerPool::new(threads);
-                assert_eq!(pool.map_striped(n, f), serial, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn map_striped_sets_worker_flag_when_spawning() {
-        // Whenever map_striped does spawn, nested global() must degrade;
-        // when the clamp keeps it inline, the outer width shows through.
-        let widths = WorkerPool::new(4).map_striped(8, |_| WorkerPool::global().threads());
-        if hardware_threads() > 1 {
-            assert!(widths.iter().all(|&w| w == 1), "got {widths:?}");
-        } else {
-            let outer = WorkerPool::global().threads();
-            assert!(widths.iter().all(|&w| w == outer), "got {widths:?}");
-        }
     }
 
     #[test]

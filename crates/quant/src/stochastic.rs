@@ -67,7 +67,11 @@ impl TrimmableScheme for StochasticQuantization {
                 0.5
             };
             // Head bit 1 encodes −L (mirroring the IEEE "1 = negative" convention).
-            !(draw < p_plus)
+            // Written as a negation so a NaN probability (a NaN coordinate)
+            // yields 1, which `draw >= p_plus` would not.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let head = !(draw < p_plus);
+            head
         });
         let tails = crate::kernels::pack_f32_tails(row);
         EncodedRow {

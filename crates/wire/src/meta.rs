@@ -21,6 +21,11 @@ pub const MAGIC: u16 = 0x544D;
 /// Metadata payload length in bytes.
 pub const PAYLOAD_LEN: usize = 24;
 
+/// Length of a whole metadata frame ([`RowMetaPacket::build_frame`]):
+/// Ethernet + IPv4 + UDP headers and the payload.
+pub const FRAME_LEN: usize =
+    ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + PAYLOAD_LEN;
+
 /// The contents of one metadata packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowMetaPacket {
@@ -165,6 +170,7 @@ mod tests {
         let frame = m.build_frame(&net);
         assert_eq!(RowMetaPacket::parse_frame(&frame).unwrap(), m);
         // Metadata frames are tiny (well under any trim threshold).
+        assert_eq!(frame.len(), FRAME_LEN);
         assert!(frame.len() < 100, "metadata frame {} bytes", frame.len());
     }
 

@@ -6,11 +6,52 @@
 //! travels in one reliable [`crate::meta::RowMetaPacket`].
 
 use crate::meta::RowMetaPacket;
-use crate::packet::{GradPacket, NetAddrs};
+use crate::packet::{GradPacket, NetAddrs, STACK_OVERHEAD};
 use crate::payload::{max_coords_for_budget, PayloadLayout};
 use crate::trimhdr::{TrimGradFields, FLAG_LAST_CHUNK};
-use crate::{ethernet, ipv4, narrow, trimhdr, udp};
+use crate::{ipv4, narrow, trimhdr, udp};
+use core::ops::Range;
 use trimgrad_quant::EncodedRow;
+
+/// The classic Ethernet IP MTU. The in-memory harnesses (trim injector,
+/// transcript replay) cut rows at this MTU, like the paper's prototype.
+pub const DEFAULT_MTU: usize = 1500;
+
+/// How many coordinates of a scheme with the given part widths ride in one
+/// packet under IP MTU `mtu` (IPv4, UDP and TrimGrad headers count against
+/// the MTU; Ethernet framing is extra), or `None` if not even one fits.
+///
+/// With [`chunk_ranges`] this is the packet geometry: everything that needs
+/// to know which coordinates share a packet — the packetizer, the trim
+/// injector, transcript replay, byte accounting — asks these two.
+#[must_use]
+pub fn coords_per_packet(part_bits: &[u32], mtu: usize) -> Option<usize> {
+    let budget = mtu.saturating_sub(ipv4::HEADER_LEN + udp::HEADER_LEN + trimhdr::HEADER_LEN);
+    max_coords_for_budget(part_bits, budget)
+}
+
+/// The coordinate ranges of the packets an `n`-coordinate row is cut into at
+/// `per_packet` coordinates each, in chunk-id order (only the last may be
+/// short; none for an empty row).
+///
+/// # Panics
+///
+/// Panics if `per_packet` is zero.
+pub fn chunk_ranges(n: usize, per_packet: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    assert!(per_packet > 0, "empty packets");
+    (0..n.div_ceil(per_packet)).map(move |c| c * per_packet..n.min((c + 1) * per_packet))
+}
+
+/// Wire length (Ethernet included) of a data frame carrying `coords`
+/// coordinates with its first `depth` parts surviving.
+///
+/// # Panics
+///
+/// Panics if `coords` is zero or `depth` is outside `1..=part_bits.len()`.
+#[must_use]
+pub fn frame_len(part_bits: &[u32], coords: usize, depth: usize) -> usize {
+    STACK_OVERHEAD + PayloadLayout::new(part_bits, coords).trim_point(depth)
+}
 
 /// Configuration for packetizing one row.
 #[derive(Debug, Clone, Copy)]
@@ -26,15 +67,6 @@ pub struct PacketizeConfig {
     pub row_id: u32,
     /// Training epoch (seed context).
     pub epoch: u32,
-}
-
-impl PacketizeConfig {
-    /// The payload byte budget per packet under this MTU.
-    #[must_use]
-    pub fn payload_budget(&self) -> usize {
-        self.mtu
-            .saturating_sub(ipv4::HEADER_LEN + udp::HEADER_LEN + trimhdr::HEADER_LEN)
-    }
 }
 
 /// The packetized form of one row.
@@ -74,16 +106,16 @@ pub fn packetize_row(enc: &EncodedRow, cfg: &PacketizeConfig) -> PacketizedRow {
         };
     }
     let part_bits = enc.scheme.part_bits();
-    let per_packet = max_coords_for_budget(part_bits, cfg.payload_budget())
+    let per_packet = coords_per_packet(part_bits, cfg.mtu)
         // trimlint: allow(no-panic) -- documented # Panics contract: an MTU too small for one coordinate is a static misconfiguration
         .unwrap_or_else(|| panic!("MTU {} cannot fit one coordinate", cfg.mtu));
     let n_parts = narrow::to_u8(part_bits.len(), "part count");
-    let n_chunks = enc.n.div_ceil(per_packet);
+    let chunks = chunk_ranges(enc.n, per_packet);
+    let n_chunks = chunks.len();
     // trimlint: allow(hot-path-alloc) -- one row-level Vec of packet handles per call
     let mut packets = Vec::with_capacity(n_chunks);
-    for chunk_id in 0..n_chunks {
-        let start = chunk_id * per_packet;
-        let count = per_packet.min(enc.n - start);
+    for (chunk_id, chunk) in chunks.enumerate() {
+        let (start, count) = (chunk.start, chunk.len());
         let fields = TrimGradFields {
             scheme: enc.scheme,
             n_parts,
@@ -138,12 +170,9 @@ pub struct LayoutReport {
 /// Computes the §2 layout numbers for `scheme` geometry at a given MTU.
 #[must_use]
 pub fn layout_report(part_bits: &[u32], mtu: usize) -> Option<LayoutReport> {
-    let budget = mtu.saturating_sub(ipv4::HEADER_LEN + udp::HEADER_LEN + trimhdr::HEADER_LEN);
-    let coords = max_coords_for_budget(part_bits, budget)?;
-    let layout = PayloadLayout::new(part_bits, coords);
-    let overhead = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + trimhdr::HEADER_LEN;
-    let full = overhead + layout.total_len();
-    let trimmed = overhead + layout.trim_point(1);
+    let coords = coords_per_packet(part_bits, mtu)?;
+    let full = frame_len(part_bits, coords, part_bits.len());
+    let trimmed = frame_len(part_bits, coords, 1);
     Some(LayoutReport {
         coords_per_packet: coords,
         full_frame_len: full,
@@ -170,8 +199,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_accounts_for_all_headers() {
-        assert_eq!(cfg().payload_budget(), 1500 - 20 - 8 - 28);
+    fn geometry_accounts_for_all_headers() {
+        let budget = 1500 - 20 - 8 - 28;
+        assert_eq!(
+            coords_per_packet(&[1, 31], DEFAULT_MTU),
+            max_coords_for_budget(&[1, 31], budget)
+        );
+        assert_eq!(coords_per_packet(&[1, 31], 60), None);
+        assert_eq!(frame_len(&[1, 31], 360, 1), 14 + 20 + 8 + 28 + 45);
+        let chunks: Vec<_> = chunk_ranges(1000, 360).collect();
+        assert_eq!(chunks, [0..360, 360..720, 720..1000]);
+        assert_eq!(chunk_ranges(0, 360).count(), 0);
     }
 
     #[test]
@@ -295,7 +333,7 @@ mod tests {
         assert!(pr_small.packets.len() > pr_big.packets.len());
         // Every packet respects its MTU (plus Ethernet framing).
         for p in &pr_small.packets {
-            assert!(p.wire_len() <= 256 + ethernet::HEADER_LEN);
+            assert!(p.wire_len() <= 256 + crate::ethernet::HEADER_LEN);
         }
     }
 }

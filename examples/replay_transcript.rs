@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example replay_transcript`
 
-use trimgrad::collective::TrimInjector;
+use trimgrad::collective::trim_inject::{packet_chunks, TrimInjector};
 use trimgrad::quant::scheme_for;
 use trimgrad::transcript::{RecordingInjector, TrimTranscript};
 use trimgrad::Scheme;
@@ -26,7 +26,7 @@ fn main() {
     println!(
         "original run: {} of {} packet-chunks trimmed or lost",
         transcript.len(),
-        depths.chunks(360).count()
+        packet_chunks(&enc).count()
     );
 
     // --- Archive the transcript (any byte store works). ---
@@ -35,7 +35,7 @@ fn main() {
 
     // --- Much later: replay. The transcript IS the network now. ---
     let restored = TrimTranscript::from_bytes(&archived).expect("well-formed transcript");
-    let replay_depths = restored.replay_depths(&enc, epoch, msg_id, row_id, 1500 - 20 - 8 - 28);
+    let replay_depths = restored.replay_depths(&enc, epoch, msg_id, row_id);
     let replayed = scheme
         .decode(&enc.view_with_depths(&replay_depths), &enc.meta, seed)
         .expect("valid view");

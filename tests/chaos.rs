@@ -244,12 +244,6 @@ struct RowSenderApp {
 }
 
 impl App for RowSenderApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
     fn on_start(&mut self, api: &mut HostApi) {
         let meta = self.meta.take().expect("meta set");
         api.send(PacketSpec::grad_meta(self.dst, FlowId(1), 0, meta));
@@ -287,12 +281,6 @@ fn availability(asm: &RowAssembler) -> usize {
 }
 
 impl App for RowCollectorApp {
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
     fn on_packet(&mut self, pkt: Packet, _api: &mut HostApi) {
         match &pkt.body {
             PacketBody::GradData(frame) => {

@@ -144,7 +144,7 @@ fn training_and_transcript_reproducibility() {
     let bytes = rec.into_transcript().to_bytes();
     let replayed_depths = TrimTranscript::from_bytes(&bytes)
         .expect("well-formed")
-        .replay_depths(&enc, 0, 1, 2, 1500 - 20 - 8 - 28);
+        .replay_depths(&enc, 0, 1, 2);
     let replayed = scheme
         .decode(&enc.view_with_depths(&replayed_depths), &enc.meta, 77)
         .expect("valid");
@@ -212,4 +212,34 @@ fn adaptive_and_sparsify_compose() {
     let dec = pipe.decode(&packets, &tx.metas, 0, 0).expect("decodable");
     // Sparsified + fully trimmed: still directionally informative.
     assert!(cosine_similarity(&dec, &sparse) > 0.5);
+}
+
+/// The in-memory harness (Fig 3/4) counts exactly the bytes the real frames
+/// (fabric path) occupy: `TrimmingChannel::bytes_sent` equals the pipeline's
+/// frames for the same blob, untrimmed and with every packet cut to heads.
+#[test]
+fn in_memory_byte_accounting_equals_real_frames() {
+    use trimgrad::collective::{GradChannel, MessageCodec, TrimInjector, TrimmingChannel};
+    for scheme in Scheme::ALL {
+        for coords in [1usize, 3_000, 100_000] {
+            let g = blob(coords, coords as u64);
+            let pipe = TrimmablePipeline::new(PipelineConfig::builder().scheme(scheme).build());
+            for trim_prob in [0.0, 1.0] {
+                let mut frames = pipe.encode(&g, 0, 0, 1, 2);
+                if trim_prob == 1.0 {
+                    for p in &mut frames.packets {
+                        p.trim_to_depth(1).expect("data packets trim");
+                    }
+                }
+                let codec = MessageCodec::new(scheme, 0);
+                let mut ch = TrimmingChannel::new(codec, TrimInjector::new(trim_prob, 1));
+                let _ = ch.transfer(&g, 0, 0);
+                assert_eq!(
+                    ch.bytes_sent(),
+                    frames.wire_bytes() as u64,
+                    "{scheme}, {coords} coordinates, trim_prob {trim_prob}"
+                );
+            }
+        }
+    }
 }
