@@ -403,6 +403,35 @@ mod tests {
     }
 
     #[test]
+    fn assembled_row_without_metadata_is_refused() {
+        // A row whose every data packet arrived but whose reliable metadata
+        // never did has no scale: decoding it would silently produce ±0.
+        let c = MessageCodec::with_row_len(SchemeId::RhtOneBit, 11, 1024);
+        let b = blob(1024, 6);
+        let cfg = PacketizeConfig {
+            mtu: 1500,
+            net: trimgrad_wire::packet::NetAddrs::between_hosts(1, 2),
+            msg_id: 9,
+            row_id: 0,
+            epoch: 5,
+        };
+        let mut rows = Vec::new();
+        c.packetize_message(&b, &cfg, &Tracer::disabled(), 0, |pr| rows.push(pr));
+        let mut asm = RowAssembler::new(c.scheme_id(), 9, 0, b.len());
+        for pkt in &rows[0].packets {
+            asm.ingest(pkt).unwrap();
+        }
+        assert!(asm.is_complete());
+        assert!(asm.meta().is_none());
+        let decode = |asm: &RowAssembler| {
+            c.decode_assembled(std::slice::from_ref(asm), 5, 9, &Tracer::disabled(), 0)
+        };
+        assert_eq!(decode(&asm), Err(WireError::BadField("meta")));
+        asm.ingest_meta(&rows[0].meta).unwrap();
+        assert_eq!(decode(&asm).unwrap().len(), b.len());
+    }
+
+    #[test]
     fn empty_blob() {
         let c = MessageCodec::new(SchemeId::SubtractiveDither, 0);
         let rows = c.encode_message(&[], 0, 0);

@@ -67,13 +67,21 @@ impl RingNetConfig {
 /// Assembly state of one inbound message (one step's segment).
 struct MsgAssembly {
     rows: Vec<RowAssembler>,
-    meta_seen: Vec<bool>,
+    /// Rows not yet [`row_ready`]; the message applies when it reaches zero.
+    incomplete: usize,
+}
+
+/// A row can be decoded once every coordinate's head arrived (possibly
+/// trimmed deeper) and so did its reliable metadata. Both are O(1).
+fn row_ready(row: &RowAssembler) -> bool {
+    row.heads_complete() && row.meta().is_some()
 }
 
 impl MsgAssembly {
     /// Assembly for a `seg_len`-coordinate segment, with exactly the rows
     /// (and row lengths) `codec` produces when encoding it. An empty segment
     /// has no rows and is complete from the start.
+    // trimlint: allow(hot-path-alloc) -- once per inbound message, on its first packet: the row buffers every later packet is copied into
     fn new(codec: &MessageCodec, msg_id: u32, seg_len: usize) -> Self {
         let rows: Vec<RowAssembler> = (0..codec.rows_for(seg_len))
             .map(|r| {
@@ -81,18 +89,33 @@ impl MsgAssembly {
                 RowAssembler::new(codec.scheme_id(), msg_id, r as u32, row_len)
             })
             .collect();
-        let n = rows.len();
-        Self {
-            rows,
-            meta_seen: vec![false; n],
-        }
+        let incomplete = rows.len();
+        Self { rows, incomplete }
     }
 
     fn is_complete(&self) -> bool {
-        self.rows
-            .iter()
-            .zip(&self.meta_seen)
-            .all(|(r, &m)| m && r.heads_complete())
+        self.incomplete == 0
+    }
+
+    /// Feeds row `row_id` one frame or metadata packet through `ingest` and
+    /// keeps the incomplete-row count in step. `false` if there is no such
+    /// row or `ingest` refused (a refused packet changes nothing).
+    fn ingest_into(
+        &mut self,
+        row_id: usize,
+        ingest: impl FnOnce(&mut RowAssembler) -> bool,
+    ) -> bool {
+        let Some(row) = self.rows.get_mut(row_id) else {
+            return false;
+        };
+        let was_ready = row_ready(row);
+        if !ingest(row) {
+            return false;
+        }
+        if !was_ready && row_ready(row) {
+            self.incomplete -= 1;
+        }
+        true
     }
 }
 
@@ -117,6 +140,7 @@ struct RankMetrics {
 }
 
 impl RankMetrics {
+    // trimlint: allow(hot-path-alloc, hot-path-panic) -- once per rank, on its first callback; every later packet clones the registered handles
     fn register(registry: &Registry, rank: usize) -> Self {
         let name = |field: &str| format!("collective.rank.{rank}.{field}");
         Self {
@@ -266,6 +290,7 @@ impl RingWorkerApp {
     /// Applies the fully-assembled step-`t` message and advances the
     /// protocol. The caller ([`drain_ready`](Self::drain_ready)) has already
     /// removed the assembly from the inbox and verified it is complete.
+    // trimlint: allow(hot-path-alloc, hot-path-panic) -- once per protocol step, on the packet that completes its message: decoding the rows and encoding the next segment allocate per row by design
     fn apply_step(&mut self, t: usize, asm: &MsgAssembly, api: &mut HostApi) {
         let at = api.now().as_nanos();
         let _span = api.tracer().span_at("ring.apply_step", at);
@@ -277,7 +302,7 @@ impl RingWorkerApp {
         let decoded = self
             .codec
             .decode_assembled(&asm.rows, self.cfg.epoch, msg_id, api.tracer(), at)
-            // trimlint: allow(no-panic) -- is_complete() verified meta_seen for every row before the assembly left the inbox, and every packet of every row passed ingest, so a failure here is a codec geometry bug, not a runtime condition
+            // trimlint: allow(no-panic) -- is_complete() verified every row has its metadata before the assembly left the inbox, and every packet of every row passed ingest, so a failure here is a codec geometry bug, not a runtime condition
             .expect("complete assembly is structurally valid");
         debug_assert_eq!(decoded.len(), range.len());
         if is_reduce_step(self.cfg.workers(), t) {
@@ -341,6 +366,7 @@ impl App for RingWorkerApp {
         self.drain_ready(api);
     }
 
+    // trimlint: hot-path -- runs once per delivered frame of the ring
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
         match &pkt.body {
             PacketBody::GradData(frame) => {
@@ -368,13 +394,10 @@ impl App for RingWorkerApp {
                 let row_id = fields.row_id as usize;
                 let at = api.now().as_nanos();
                 let tracer = api.tracer().clone();
-                let asm = self.ensure_assembly(msg_id);
-                let Some(row) = asm.rows.get_mut(row_id) else {
-                    self.rejected_frames += 1;
-                    m.rejected_frames.inc();
-                    return;
-                };
-                if row.ingest_traced(frame, &tracer, at).is_err() {
+                let accepted = self
+                    .ensure_assembly(msg_id)
+                    .ingest_into(row_id, |row| row.ingest_traced(frame, &tracer, at).is_ok());
+                if !accepted {
                     self.rejected_frames += 1;
                     m.rejected_frames.inc();
                     return;
@@ -387,16 +410,13 @@ impl App for RingWorkerApp {
                 m.bytes_received.add(u64::from(pkt.size));
                 let msg_id = meta.msg_id;
                 let row_id = meta.row_id as usize;
-                let asm = self.ensure_assembly(msg_id);
-                let Some(row) = asm.rows.get_mut(row_id) else {
-                    m.rejected_meta.inc();
-                    return;
-                };
-                if row.ingest_meta(meta).is_err() {
+                let accepted = self
+                    .ensure_assembly(msg_id)
+                    .ingest_into(row_id, |row| row.ingest_meta(meta).is_ok());
+                if !accepted {
                     m.rejected_meta.inc();
                     return;
                 }
-                asm.meta_seen[row_id] = true;
                 self.drain_ready(api);
             }
             _ => {}

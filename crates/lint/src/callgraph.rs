@@ -20,6 +20,12 @@
 //! `unchecked-len-index`/`hot-path-panic` (indexing), or `hot-path-alloc`
 //! (allocations); the exemption marks that suppression as used for the
 //! suppression audit.
+//!
+//! The same allow standing directly above a `fn` exempts the whole function:
+//! the search neither descends into it nor reports its own sources. That is
+//! how a per-packet root says where per-packet work ends — the step it
+//! completes, the assembly it creates once per message — without an allow on
+//! every allocation the amortized work goes on to make.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -224,6 +230,8 @@ struct Node {
     f: usize,
     calls: Vec<CallKind>,
     sources: Vec<SourceHit>,
+    /// A hot-path allow on the `fn` line: reachability stops here.
+    exempt: bool,
 }
 
 /// Runs the interprocedural panic/alloc reachability analysis.
@@ -240,6 +248,12 @@ pub(crate) fn analyze(files: &[FileCtx], used: &mut [UsedSet]) -> Vec<Diagnostic
                 f: gi,
                 calls: Vec::new(),
                 sources: Vec::new(),
+                exempt: exempt(
+                    ctx,
+                    &mut used[fi],
+                    f.line,
+                    &["hot-path-alloc", "hot-path-panic"],
+                ),
             };
             if let Some((lo, hi)) = f.body {
                 extract(
@@ -345,7 +359,7 @@ pub(crate) fn analyze(files: &[FileCtx], used: &mut [UsedSet]) -> Vec<Diagnostic
                 diags.push(source_diag(files, &nodes, &parent, root, ni, src));
             }
             for &next in &edges[ni] {
-                if seen.insert(next) {
+                if !nodes[next].exempt && seen.insert(next) {
                     parent.insert(next, ni);
                     queue.push_back(next);
                 }

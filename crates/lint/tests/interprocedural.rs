@@ -177,6 +177,41 @@ fn suppressed_source_does_not_poison_reachability() {
 }
 
 #[test]
+fn allow_on_the_fn_line_stops_reachability_at_that_function() {
+    // `flush` is amortized work the per-packet root triggers: the allow above
+    // it exempts its own allocation and everything it calls, but not what
+    // the root reaches another way.
+    let src = |allow: &str| {
+        format!(
+            "// trimlint: hot-path\n\
+             pub fn on_packet(x: usize) {{ if x == 0 {{ flush(x) }} else {{ tally(x) }} }}\n\
+             {allow}\
+             fn flush(x: usize) {{ let _: Vec<u8> = Vec::with_capacity(x); rebuild(x); }}\n\
+             fn rebuild(x: usize) {{ let _ = vec![0u8; x]; }}\n\
+             fn tally(x: usize) {{ let _ = vec![1u8; x]; }}\n"
+        )
+    };
+    let allocs = |diags: &[Diagnostic]| -> Vec<u32> {
+        let mut lines: Vec<u32> = diags
+            .iter()
+            .filter(|d| d.rule == "hot-path-alloc")
+            .map(|d| d.line)
+            .collect();
+        lines.sort_unstable();
+        lines
+    };
+    assert_eq!(allocs(&quant(&src(""))), [3, 4, 5]);
+    let diags = quant(&src(
+        "// trimlint: allow(hot-path-alloc) -- once per flush, fixture\n",
+    ));
+    assert_eq!(allocs(&diags), [6], "diags: {diags:?}");
+    assert!(
+        !diags.iter().any(|d| d.rule == "stale-suppression"),
+        "diags: {diags:?}"
+    );
+}
+
+#[test]
 fn test_functions_are_not_roots_and_not_sources() {
     let diags = netsim(
         "// trimlint: hot-path\n\

@@ -5,6 +5,16 @@
 //! `w`-bit part occupies bits `[i·w, (i+1)·w)`. Bits are addressed LSB-first
 //! within each byte, so the layouts produced here are identical on every
 //! platform and can be mem-mapped straight into packet payloads.
+//!
+//! Both directions are word-at-a-time. Writers go through [`BitPacker`]'s
+//! `u64` accumulator; readers go through one primitive, `window`: an
+//! unaligned little-endian 8-byte load at the field's byte, shifted down to
+//! its first bit. [`BitBuf::get_bits`] is that load plus a mask, and the
+//! inverse kernels in [`crate::kernels`] call it once per field or once per
+//! 56 sign bits. [`BitMask`] — one presence bit per coordinate — is backed by
+//! `u64` words directly: filling a range is a masked word fill, counting is a
+//! popcount, and the receive path's run scan
+//! ([`crate::scheme::PartialRow::for_each_run`]) reads it a word at a time.
 
 /// A growable, bit-addressed buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -131,19 +141,20 @@ impl BitBuf {
             offset + width as usize,
             self.len
         );
-        let mut out: u64 = 0;
-        let mut got: u32 = 0;
-        let mut pos = offset;
-        while got < width {
-            let byte = self.bytes[pos / 8];
-            let bit_in_byte = pos % 8;
-            let take = (8 - bit_in_byte as u32).min(width - got);
-            let chunk = (u64::from(byte) >> bit_in_byte) & ((1u64 << take) - 1);
-            out |= chunk << got;
-            got += take;
-            pos += take as usize;
+        let low = window(&self.bytes, offset);
+        // The window holds the 64 - offset % 8 bits from `offset` on; a
+        // wider field ends in a ninth byte (in range: the field is).
+        let have = 64 - (offset % 8) as u32;
+        let value = if width > have {
+            low | u64::from(self.bytes[offset / 8 + 8]) << have
+        } else {
+            low
+        };
+        if width == 64 {
+            value
+        } else {
+            value & ((1u64 << width) - 1)
         }
-        out
     }
 
     /// Reads a single bit.
@@ -338,7 +349,8 @@ impl BitBuf {
         let mut pos = 0;
         while pos < len {
             let take = (len - pos).min(64);
-            let v = read_bits_from_bytes(src, pos, take as u32);
+            // `pos` stays a multiple of 64, so the window is a whole word.
+            let v = window(src, pos) & (u64::MAX >> (64 - take));
             self.set_bits(offset + pos, v, take as u32);
             pos += take;
         }
@@ -369,22 +381,24 @@ impl BitBuf {
     }
 }
 
-/// Reads `width <= 64` bits starting at bit `offset` of LSB-first packed
-/// bytes (same addressing as [`BitBuf::get_bits`], but over a raw slice).
-fn read_bits_from_bytes(src: &[u8], offset: usize, width: u32) -> u64 {
-    let mut out: u64 = 0;
-    let mut got: u32 = 0;
-    let mut pos = offset;
-    while got < width {
-        let byte = src[pos / 8];
-        let bit_in_byte = pos % 8;
-        let take = (8 - bit_in_byte as u32).min(width - got);
-        let chunk = (u64::from(byte) >> bit_in_byte) & ((1u64 << take) - 1);
-        out |= chunk << got;
-        got += take;
-        pos += take as usize;
-    }
-    out
+/// The 64 bits of LSB-first packed `bytes` that start at the byte holding bit
+/// `bit`, shifted down so bit `bit` is bit 0: one unaligned little-endian
+/// load. The low `64 - bit % 8` bits of the result — at least 57 — are the
+/// stream's; the rest are zero, as is anything past the end of `bytes`, so
+/// the load never reads out of range.
+#[inline]
+#[must_use]
+pub(crate) fn window(bytes: &[u8], bit: usize) -> u64 {
+    let tail = bytes.get(bit / 8..).unwrap_or(&[]);
+    let word = match tail.first_chunk::<8>() {
+        Some(word) => u64::from_le_bytes(*word),
+        None => {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    };
+    word >> (bit % 8)
 }
 
 /// A word-at-a-time bitstream writer producing the same LSB-first layout as
@@ -483,10 +497,15 @@ pub fn pack_signs(values: &[f32]) -> BitBuf {
     out.finish()
 }
 
-/// A fixed-size, bit-addressed presence mask (one bit per coordinate).
+/// A fixed-size presence mask (one bit per coordinate), backed by `u64`
+/// words: entry `i` is bit `i % 64` of word `i / 64`.
+///
+/// Invariant: the slack bits of the last word (entries at or above `len`)
+/// are zero, so counting, comparing and the run scan never mask them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMask {
-    buf: BitBuf,
+    words: Vec<u64>,
+    len: usize,
 }
 
 impl BitMask {
@@ -494,54 +513,96 @@ impl BitMask {
     #[must_use]
     pub fn absent(n: usize) -> Self {
         Self {
-            buf: BitBuf::zeroed(n),
+            words: vec![0; n.div_ceil(64)],
+            len: n,
         }
     }
 
     /// Creates a mask of `n` entries, all present (`true`).
     #[must_use]
     pub fn present(n: usize) -> Self {
-        let mut m = Self::absent(n);
-        for i in 0..n {
-            m.set(i, true);
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if let (Some(last), false) = (words.last_mut(), n.is_multiple_of(64)) {
+            *last = (1u64 << (n % 64)) - 1;
         }
-        m
+        Self { words, len: n }
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// Whether the mask has zero entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Returns entry `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     #[must_use]
     pub fn get(&self, i: usize) -> bool {
-        self.buf.get_bit(i)
+        assert!(i < self.len, "entry {i} out of range (len {})", self.len);
+        self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Sets entry `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, present: bool) {
-        self.buf.set_bits(i, u64::from(present), 1);
+        self.set_range(i, i + 1, present);
     }
 
-    /// Marks the half-open range `[start, end)` as `present`.
-    pub fn set_range(&mut self, start: usize, end: usize, present: bool) {
-        for i in start..end {
-            self.set(i, present);
+    /// Marks the half-open range `[start, end)` as `present` — a masked fill
+    /// of the words it touches — and returns how many entries that changed,
+    /// so a caller keeping a running count adds exactly the new ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty range ends past the mask.
+    pub fn set_range(&mut self, start: usize, end: usize, present: bool) -> usize {
+        if start >= end {
+            return 0;
         }
+        assert!(
+            end <= self.len,
+            "range [{start}, {end}) out of range (len {})",
+            self.len
+        );
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let mut changed = 0;
+        for (w, word) in self.words[first..=last].iter_mut().enumerate() {
+            let lo = if w == 0 { start % 64 } else { 0 };
+            let hi = if first + w == last {
+                (end - 1) % 64 + 1
+            } else {
+                64
+            };
+            let fill = (u64::MAX >> (64 - (hi - lo))) << lo;
+            let old = *word;
+            *word = if present { old | fill } else { old & !fill };
+            changed += (old ^ *word).count_ones() as usize;
+        }
+        changed
     }
 
-    /// Number of present entries.
+    /// Number of present entries (a popcount over the words).
     #[must_use]
     pub fn count_present(&self) -> usize {
-        (0..self.len()).filter(|&i| self.get(i)).count()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Entries `[64·w, 64·w + 64)` as one word (slack bits zero).
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w]
     }
 }
 

@@ -25,8 +25,9 @@
 //! carries the full 32-bit float (1 bit/coordinate overhead when untrimmed).
 
 use crate::bitpack::BitBuf;
+use crate::kernels;
 use crate::scheme::{
-    bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
+    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
 use crate::stats::std_dev;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
@@ -79,8 +80,8 @@ impl TrimmableScheme for SubtractiveDithering {
             dithers.push(rng.next_f32_range(-l, l));
         }
         // Head bit 1 encodes the −L level.
-        let heads = crate::kernels::pack_bits_zip(row, &dithers, |v, eps| v + eps < 0.0);
-        let tails = crate::kernels::pack_f32_tails(row);
+        let heads = kernels::pack_bits_zip(row, &dithers, |v, eps| v + eps < 0.0);
+        let tails = kernels::pack_f32_tails(row);
         EncodedRow {
             scheme: self.id(),
             n: row.len(),
@@ -119,26 +120,35 @@ impl TrimmableScheme for SubtractiveDithering {
         meta: &RowMeta,
         seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
+        let l = meta.scale;
+        // One dither per coordinate, in coordinate order, as the encoder drew
+        // them — but only heads-only coordinates use theirs, so the stream
+        // is advanced lazily, up to the end of the last run that needs it.
+        let mut rng = Self::dither_stream(seed);
+        let mut drawn = 0;
+        let mut out = vec![0.0; row.n];
+        row.for_each_run(&PART_BITS, |run, depth| {
+            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+            let (start, end, dst) = (run.start, run.end, &mut out[run]);
+            match depth {
+                0 => {}
+                1 => {
+                    for _ in drawn..start {
+                        let _ = rng.next_f32_range(-l, l);
+                    }
+                    drawn = end;
+                    kernels::decode_signs_scaled(signs, start, l, dst);
+                    for q in dst {
+                        *q -= rng.next_f32_range(-l, l);
+                    }
+                }
+                _ => kernels::unpack_f32_tails(tails, start, dst),
+            }
+        })?;
         if meta.original_len != row.n {
             return Err(DecodeError::BadOriginalLen {
                 n: row.n,
                 original_len: meta.original_len,
-            });
-        }
-        let l = meta.scale;
-        let mut rng = Self::dither_stream(seed);
-        let mut out = Vec::with_capacity(row.n);
-        for i in 0..row.n {
-            // Draw unconditionally to stay aligned with the encoder's stream.
-            let eps = rng.next_f32_range(-l, l);
-            out.push(match row.avail_depth(i) {
-                0 => 0.0,
-                1 => {
-                    let q = if row.parts[0].get(i, 1) == 1 { -l } else { l };
-                    q - eps
-                }
-                _ => bits_f32(row.parts[1].get(i, 32) as u32),
             });
         }
         Ok(out)

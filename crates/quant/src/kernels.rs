@@ -1,4 +1,7 @@
-//! Fused quantize+bitpack encode kernels (bit-parallel fast paths).
+//! Fused quantize+bitpack encode kernels and their inverses (bit-parallel
+//! fast paths in both directions).
+//!
+//! # Encode
 //!
 //! Each scheme's `encode` used to emit one `BitBuf::push_bits` call per
 //! coordinate per part — a per-byte read-modify-write loop that dominated
@@ -14,8 +17,103 @@
 //! LSB-first bitstream field by field, only the store granularity differs.
 //! The golden tests in `crates/quant/tests/encode_golden.rs` pin this
 //! byte-for-byte for every scheme.
+//!
+//! # Decode
+//!
+//! The inverse kernels mirror the encode ones part for part. Each fills
+//! `out` — one **run of constant depth**, as
+//! [`PartialRow::for_each_run`](crate::scheme::PartialRow::for_each_run)
+//! reports it — from the packed bytes of the parts that run has, starting at
+//! coordinate `start` of the row. Sign planes are read 56 bits at a
+//! time with one `bitpack::window` load and turned into IEEE sign bits without a
+//! branch (a sign bit is as random as a coin, so `if sign { -x } else { x }`
+//! mispredicts every other coordinate); 31- and 23-bit fields are one window
+//! load, shift and mask each, fused with the sign; byte-aligned fields (the
+//! 8-bit exponents, the 32-bit SQ/SD tails) are indexed or copied directly.
+//! `crates/quant/tests/decode_golden.rs` pins every scheme's output bit for
+//! bit against a per-coordinate reference decoder.
 
-use crate::bitpack::{pack_signs, BitBuf, BitPacker};
+use crate::bitpack::{pack_signs, window, BitBuf, BitPacker};
+
+/// Coordinates decoded per sign-plane load: a [`window`] holds at least 57
+/// stream bits at any bit offset, so 56 signs always come from one load.
+const SIGN_BLOCK: usize = 56;
+
+/// Fills `out` — coordinates `start..` of the row — with
+/// `sign ^ rest(coordinate)`: the coordinate's bit of the sign plane
+/// (1 = negative) as an IEEE-754 sign bit, over whatever the other parts
+/// contribute. One [`window`] load per [`SIGN_BLOCK`] coordinates, no branch
+/// on the sign.
+#[inline]
+fn fill_signed(signs: &[u8], start: usize, out: &mut [f32], rest: impl Fn(usize) -> u32) {
+    for (block, chunk) in out.chunks_mut(SIGN_BLOCK).enumerate() {
+        let first = start + block * SIGN_BLOCK;
+        let word = window(signs, first);
+        for (j, o) in chunk.iter_mut().enumerate() {
+            let sign = ((word >> j & 1) as u32) << 31;
+            *o = f32::from_bits(sign ^ rest(first + j));
+        }
+    }
+}
+
+/// Heads-only run of every scheme: `±scale` by the coordinate's sign bit,
+/// as `scale.to_bits() ^ (sign << 31)`.
+// trimlint: hot-path -- per-run inverse kernel on the decode path
+pub fn decode_signs_scaled(signs: &[u8], start: usize, scale: f32, out: &mut [f32]) {
+    let magnitude = scale.to_bits();
+    fill_signed(signs, start, out, |_| magnitude);
+}
+
+/// Full-depth run of the sign-magnitude and RHT 1-bit layout: the inverse of
+/// [`encode_sign31_parts`].
+// trimlint: hot-path -- per-run inverse kernel on the decode path
+pub fn decode_sign31(signs: &[u8], tails: &[u8], start: usize, out: &mut [f32]) {
+    fill_signed(signs, start, out, |i| {
+        window(tails, i * 31) as u32 & 0x7FFF_FFFF
+    });
+}
+
+/// Sign + exponent run of the multi-level layout: every coordinate takes
+/// the mantissa `mantissa_fill`, except that a zero exponent (the zero /
+/// subnormal binade) decodes as signed zero.
+// trimlint: hot-path -- per-run inverse kernel on the decode path
+pub fn decode_sign_exp(
+    signs: &[u8],
+    exps: &[u8],
+    start: usize,
+    mantissa_fill: u32,
+    out: &mut [f32],
+) {
+    fill_signed(signs, start, out, |i| match exps[i] {
+        0 => 0,
+        exp => u32::from(exp) << 23 | mantissa_fill,
+    });
+}
+
+/// Full-depth run of the multi-level layout: the inverse of
+/// [`encode_sign_exp_mant_parts`].
+// trimlint: hot-path -- per-run inverse kernel on the decode path
+pub fn decode_sign_exp_mant(
+    signs: &[u8],
+    exps: &[u8],
+    mants: &[u8],
+    start: usize,
+    out: &mut [f32],
+) {
+    fill_signed(signs, start, out, |i| {
+        u32::from(exps[i]) << 23 | (window(mants, i * 23) as u32 & 0x7F_FFFF)
+    });
+}
+
+/// Full-depth run of the SQ/SD layout: the inverse of [`pack_f32_tails`], a
+/// flat little-endian copy.
+// trimlint: hot-path -- per-run inverse kernel on the decode path
+pub fn unpack_f32_tails(tails: &[u8], start: usize, out: &mut [f32]) {
+    let tails = &tails[start * 4..(start + out.len()) * 4];
+    for (o, bytes) in out.iter_mut().zip(tails.chunks_exact(4)) {
+        *o = f32::from_bits(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]));
+    }
+}
 
 /// Splits IEEE-754 floats into a 1-bit sign plane and 31-bit
 /// exponent+mantissa tails — the sign-magnitude and RHT 1-bit layout.

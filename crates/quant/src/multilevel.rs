@@ -21,11 +21,11 @@
 //! depending on queue pressure — close to the paper's 3% / 25% example.
 
 use crate::bitpack::BitBuf;
+use crate::kernels;
 use crate::scheme::{
-    bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
+    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
 use crate::stats::drive_scale;
-use trimgrad_hadamard::next_pow2;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 
 /// The three-part (1/8/23-bit) prefix-decodable RHT scheme.
@@ -62,7 +62,7 @@ impl TrimmableScheme for MultiLevelRht {
         let rotated = rht.forward_padded(row);
         let f = drive_scale(&rotated);
         let n = rotated.len();
-        let (signs, exps, mants) = crate::kernels::encode_sign_exp_mant_parts(&rotated);
+        let (signs, exps, mants) = kernels::encode_sign_exp_mant_parts(&rotated);
         EncodedRow {
             scheme: self.id(),
             n,
@@ -108,54 +108,18 @@ impl TrimmableScheme for MultiLevelRht {
         meta: &RowMeta,
         seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
-        if row.n == 0 {
-            return if meta.original_len == 0 {
-                Ok(Vec::new())
-            } else {
-                Err(DecodeError::BadOriginalLen {
-                    n: 0,
-                    original_len: meta.original_len,
-                })
-            };
-        }
-        if next_pow2(meta.original_len) != row.n || meta.original_len == 0 {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
-        }
-        let f = meta.scale;
-        let mut rotated = Vec::with_capacity(row.n);
-        for i in 0..row.n {
-            rotated.push(match row.avail_depth(i) {
-                0 => 0.0,
-                1 => {
-                    if row.parts[0].get(i, 1) == 1 {
-                        -f
-                    } else {
-                        f
-                    }
-                }
-                2 => {
-                    let sign = row.parts[0].get(i, 1) as u32;
-                    let exp = row.parts[1].get(i, 8) as u32;
-                    if exp == 0 {
-                        // Zero / subnormal binade: the midpoint of [0, 2^-126)
-                        // is negligible for gradients; decode as signed zero.
-                        bits_f32(sign << 31)
-                    } else {
-                        bits_f32((sign << 31) | (exp << 23) | MANTISSA_MIDPOINT)
-                    }
-                }
-                _ => {
-                    let sign = row.parts[0].get(i, 1) as u32;
-                    let exp = row.parts[1].get(i, 8) as u32;
-                    let mant = row.parts[2].get(i, 23) as u32;
-                    bits_f32((sign << 31) | (exp << 23) | mant)
-                }
-            });
-        }
+        let mut rotated = vec![0.0; row.n];
+        row.for_each_run(&PART_BITS, |run, depth| {
+            let [signs, exps, mants] = [0, 1, 2].map(|k| row.parts[k].bytes());
+            let (start, dst) = (run.start, &mut rotated[run]);
+            match depth {
+                0 => {}
+                1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
+                2 => kernels::decode_sign_exp(signs, exps, start, MANTISSA_MIDPOINT, dst),
+                _ => kernels::decode_sign_exp_mant(signs, exps, mants, start, dst),
+            }
+        })?;
+        crate::rht1bit::check_padded_len(row.n, meta.original_len)?;
         let rht = RandomizedHadamard::new(seed);
         Ok(rht.inverse_padded(&rotated, meta.original_len))
     }

@@ -14,8 +14,9 @@
 //! the mixed exact/estimated rotated row back to the original basis.
 
 use crate::bitpack::BitBuf;
+use crate::kernels;
 use crate::scheme::{
-    bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
+    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
 use crate::stats::drive_scale;
 use trimgrad_hadamard::next_pow2;
@@ -53,7 +54,7 @@ impl TrimmableScheme for RhtOneBit {
         let rotated = rht.forward_padded(row);
         let f = drive_scale(&rotated);
         let n = rotated.len();
-        let (heads, tails) = crate::kernels::encode_sign31_parts(&rotated);
+        let (heads, tails) = kernels::encode_sign31_parts(&rotated);
         EncodedRow {
             scheme: self.id(),
             n,
@@ -97,44 +98,34 @@ impl TrimmableScheme for RhtOneBit {
         meta: &RowMeta,
         seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
-        if row.n == 0 {
-            return if meta.original_len == 0 {
-                Ok(Vec::new())
-            } else {
-                Err(DecodeError::BadOriginalLen {
-                    n: 0,
-                    original_len: meta.original_len,
-                })
-            };
-        }
-        if next_pow2(meta.original_len) != row.n || meta.original_len == 0 {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
-        }
-        let f = meta.scale;
-        let mut rotated = Vec::with_capacity(row.n);
-        for i in 0..row.n {
-            rotated.push(match row.avail_depth(i) {
-                0 => 0.0,
-                1 => {
-                    if row.parts[0].get(i, 1) == 1 {
-                        -f
-                    } else {
-                        f
-                    }
-                }
-                _ => {
-                    let sign = row.parts[0].get(i, 1) as u32;
-                    let rest = row.parts[1].get(i, 31) as u32;
-                    bits_f32((sign << 31) | rest)
-                }
-            });
-        }
+        let mut rotated = vec![0.0; row.n];
+        row.for_each_run(&PART_BITS, |run, depth| {
+            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+            let (start, dst) = (run.start, &mut rotated[run]);
+            match depth {
+                0 => {}
+                1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
+                _ => kernels::decode_sign31(signs, tails, start, dst),
+            }
+        })?;
+        check_padded_len(row.n, meta.original_len)?;
         let rht = RandomizedHadamard::new(seed);
         Ok(rht.inverse_padded(&rotated, meta.original_len))
+    }
+}
+
+/// `original_len` must pad to exactly the encoded length `n` of an RHT row
+/// (an empty row only ever encodes an empty one).
+pub(crate) fn check_padded_len(n: usize, original_len: usize) -> Result<(), DecodeError> {
+    let consistent = if n == 0 {
+        original_len == 0
+    } else {
+        original_len != 0 && next_pow2(original_len) == n
+    };
+    if consistent {
+        Ok(())
+    } else {
+        Err(DecodeError::BadOriginalLen { n, original_len })
     }
 }
 

@@ -15,8 +15,16 @@
 //!   coordinate cannot have part `k` without parts `0..k`.
 //! * [`TrimmableScheme`] — encode/decode plus the part geometry that the wire
 //!   layer uses to lay heads before tails in each packet.
+//!
+//! Decoders do not ask "what is coordinate `i`'s depth?" `n` times. Trimming
+//! happens per packet, so availability is constant over long stretches of a
+//! row; [`PartialRow::for_each_run`] scans the presence masks a `u64` word at
+//! a time, checks prefix closure on the way, and hands the decoder maximal
+//! **runs of constant depth** — one call into a bit-parallel kernel of
+//! [`crate::kernels`] per run.
 
 use crate::bitpack::{BitBuf, BitMask};
+use core::ops::Range;
 
 /// Identifies a trimmable encoding on the wire (1 byte in the TrimGrad header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -172,27 +180,25 @@ impl EncodedRow {
             depths.iter().all(|&d| d <= k),
             "depth exceeds part count {k}"
         );
+        // Depths arrive in packet-sized runs: one masked word fill per run
+        // and part, not one bit write per coordinate and part.
+        let mut masks = vec![BitMask::absent(self.n); k];
+        let mut start = 0;
+        for run in depths.chunk_by(|a, b| a == b) {
+            let end = start + run.len();
+            for mask in &mut masks[..run[0]] {
+                mask.set_range(start, end, true);
+            }
+            start = end;
+        }
         let parts = self
             .parts
             .iter()
-            .enumerate()
-            .map(|(level, buf)| {
-                let mut present = BitMask::absent(self.n);
-                let mut any = false;
-                let mut all = true;
-                for (i, &d) in depths.iter().enumerate() {
-                    let p = d > level;
-                    present.set(i, p);
-                    any |= p;
-                    all &= p;
-                }
-                if all {
-                    PartView::Full(buf)
-                } else if any {
-                    PartView::Masked { buf, present }
-                } else {
-                    PartView::Absent
-                }
+            .zip(masks)
+            .map(|(buf, present)| match present.count_present() {
+                c if c == self.n => PartView::Full(buf),
+                0 => PartView::Absent,
+                _ => PartView::Masked { buf, present },
             })
             .collect();
         PartialRow { n: self.n, parts }
@@ -251,6 +257,27 @@ impl PartView<'_> {
             PartView::Absent => panic!("coordinate {i} read from absent part"),
         }
     }
+
+    /// The part's packed field bytes (empty when the part is absent): what
+    /// the kernels of [`crate::kernels`] unpack a run from.
+    #[must_use]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self {
+            PartView::Full(buf) | PartView::Masked { buf, .. } => buf.as_bytes(),
+            PartView::Absent => &[],
+        }
+    }
+
+    /// Presence of coordinates `[64·w, 64·w + 64)` as one word; `valid` has
+    /// a bit for each of them that is below the row length.
+    #[inline]
+    fn presence_word(&self, w: usize, valid: u64) -> u64 {
+        match self {
+            PartView::Full(_) => valid,
+            PartView::Masked { present, .. } => present.word(w),
+            PartView::Absent => 0,
+        }
+    }
 }
 
 /// What the receiver reassembled for one row: per-part availability.
@@ -279,6 +306,12 @@ impl PartialRow<'_> {
     ///
     /// Returns the specific [`DecodeError`] violated.
     pub fn validate(&self, part_bits: &[u32]) -> Result<(), DecodeError> {
+        self.for_each_run(part_bits, |_, _| {})
+    }
+
+    /// Part count matches the scheme and every buffer and mask is long
+    /// enough for `n` coordinates.
+    fn check_geometry(&self, part_bits: &[u32]) -> Result<(), DecodeError> {
         if self.parts.len() != part_bits.len() {
             return Err(DecodeError::PartCountMismatch {
                 expected: part_bits.len(),
@@ -288,7 +321,7 @@ impl PartialRow<'_> {
         for (k, (view, &w)) in self.parts.iter().zip(part_bits).enumerate() {
             let need = self.n * w as usize;
             let have = match view {
-                PartView::Full(b) => Some(b.len()),
+                PartView::Full(b) => b.len(),
                 PartView::Masked { buf, present } => {
                     if present.len() != self.n {
                         return Err(DecodeError::LengthMismatch {
@@ -297,32 +330,101 @@ impl PartialRow<'_> {
                             got: present.len(),
                         });
                     }
-                    Some(buf.len())
+                    buf.len()
                 }
-                PartView::Absent => None,
+                PartView::Absent => continue,
             };
-            if let Some(have) = have {
-                if have < need {
-                    return Err(DecodeError::LengthMismatch {
-                        part: k,
-                        expected: need,
-                        got: have,
-                    });
-                }
+            if have < need {
+                return Err(DecodeError::LengthMismatch {
+                    part: k,
+                    expected: need,
+                    got: have,
+                });
             }
         }
-        // Prefix closure: no coordinate may have part k without part k-1.
-        for i in 0..self.n {
-            let mut seen_gap = false;
-            for (k, view) in self.parts.iter().enumerate() {
-                if view.has(i) {
-                    if seen_gap {
-                        return Err(DecodeError::PrefixViolation { coord: i, part: k });
-                    }
-                } else {
-                    seen_gap = true;
-                }
+        Ok(())
+    }
+
+    /// Validates the view like [`validate`](Self::validate) and calls
+    /// `on_run(range, depth)` for each maximal range of consecutive coordinates
+    /// that share one [`avail_depth`](Self::avail_depth), in coordinate
+    /// order; the ranges tile `0..n`. A packet is trimmed as a whole, so on
+    /// real traffic a run is at least a packet's worth of coordinates, and a
+    /// decoder does its per-coordinate work inside one kernel call per run.
+    /// `on_run` is first called after the part count and buffer lengths have
+    /// been checked against `part_bits`, so it — and not its caller, before
+    /// the scan — may index `parts` by the scheme's part count.
+    ///
+    /// The scan reads the presence masks 64 coordinates at a time. With
+    /// `m[k]` the presence word of part `k`: a coordinate breaks prefix
+    /// closure iff its bit is set in some `m[k] & !m[k-1]`; a run ends where
+    /// a bit of some `m[k]` differs from its predecessor; and inside a valid
+    /// word a coordinate's depth is the number of parts that have it. A word
+    /// without a boundary — nearly all of them — costs a few operations per
+    /// part, whatever the row holds.
+    ///
+    /// # Errors
+    ///
+    /// Returns the specific [`DecodeError`] violated; runs before the first
+    /// offending mask word have already been reported by then.
+    // trimlint: hot-path -- the receive path's one pass over the presence masks
+    pub fn for_each_run(
+        &self,
+        part_bits: &[u32],
+        mut on_run: impl FnMut(Range<usize>, usize),
+    ) -> Result<(), DecodeError> {
+        self.check_geometry(part_bits)?;
+        let n = self.n;
+        // The open run: coordinates before the row count as depth 0.
+        let (mut start, mut depth) = (0usize, 0usize);
+        for w in 0..n.div_ceil(64) {
+            let valid = if n - w * 64 >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << (n % 64)) - 1
+            };
+            let (mut offenders, mut boundaries, mut below) = (0u64, 0u64, u64::MAX);
+            for view in &self.parts {
+                let m = view.presence_word(w, valid);
+                offenders |= m & !below;
+                below = m;
+                // Presence of the coordinate just before this word.
+                let before = match w {
+                    0 => 0,
+                    _ => view.presence_word(w - 1, u64::MAX) >> 63,
+                };
+                boundaries |= m ^ (m << 1 | before);
             }
+            if offenders != 0 {
+                let bit = offenders.trailing_zeros();
+                let has = |view: &PartView<'_>| view.presence_word(w, valid) >> bit & 1 == 1;
+                // The first part present above a gap; it has a predecessor.
+                let part = (1..self.parts.len())
+                    .find(|&k| has(&self.parts[k]) && !has(&self.parts[k - 1]))
+                    .unwrap_or(0);
+                return Err(DecodeError::PrefixViolation {
+                    coord: w * 64 + bit as usize,
+                    part,
+                });
+            }
+            boundaries &= valid;
+            while boundaries != 0 {
+                let bit = boundaries.trailing_zeros();
+                boundaries &= boundaries - 1;
+                let at = w * 64 + bit as usize;
+                if at > start {
+                    on_run(start..at, depth);
+                }
+                start = at;
+                depth = self
+                    .parts
+                    .iter()
+                    .filter(|view| view.presence_word(w, valid) >> bit & 1 == 1)
+                    .count();
+            }
+        }
+        if n > start {
+            on_run(start..n, depth);
         }
         Ok(())
     }

@@ -12,8 +12,9 @@
 //! the scheme is included as the paper's cautionary baseline.
 
 use crate::bitpack::BitBuf;
+use crate::kernels;
 use crate::scheme::{
-    bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
+    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
 use crate::stats::std_dev;
 
@@ -34,7 +35,7 @@ impl TrimmableScheme for SignMagnitude {
     }
 
     fn encode(&self, row: &[f32], _seed: u64) -> EncodedRow {
-        let (heads, tails) = crate::kernels::encode_sign31_parts(row);
+        let (heads, tails) = kernels::encode_sign31_parts(row);
         EncodedRow {
             scheme: self.id(),
             n: row.len(),
@@ -71,30 +72,20 @@ impl TrimmableScheme for SignMagnitude {
         meta: &RowMeta,
         _seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
+        let mut out = vec![0.0; row.n];
+        row.for_each_run(&PART_BITS, |run, depth| {
+            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+            let (start, dst) = (run.start, &mut out[run]);
+            match depth {
+                0 => {}
+                1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
+                _ => kernels::decode_sign31(signs, tails, start, dst),
+            }
+        })?;
         if meta.original_len != row.n {
             return Err(DecodeError::BadOriginalLen {
                 n: row.n,
                 original_len: meta.original_len,
-            });
-        }
-        let sigma = meta.scale;
-        let mut out = Vec::with_capacity(row.n);
-        for i in 0..row.n {
-            out.push(match row.avail_depth(i) {
-                0 => 0.0,
-                1 => {
-                    if row.parts[0].get(i, 1) == 1 {
-                        -sigma
-                    } else {
-                        sigma
-                    }
-                }
-                _ => {
-                    let sign = row.parts[0].get(i, 1) as u32;
-                    let rest = row.parts[1].get(i, 31) as u32;
-                    bits_f32((sign << 31) | rest)
-                }
             });
         }
         Ok(out)

@@ -14,8 +14,9 @@
 //! reproducible (§5.4), but decoding needs no randomness at all.
 
 use crate::bitpack::BitBuf;
+use crate::kernels;
 use crate::scheme::{
-    bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
+    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
 use crate::stats::{clip, std_dev};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
@@ -58,7 +59,7 @@ impl TrimmableScheme for StochasticQuantization {
         for _ in 0..row.len() {
             draws.push(rng.next_f32());
         }
-        let heads = crate::kernels::pack_bits_zip(row, &draws, |v, draw| {
+        let heads = kernels::pack_bits_zip(row, &draws, |v, draw| {
             // p₊ = (L + clip(v)) / 2L; a zero range (constant row) degenerates
             // to a fair coin, which decodes to ±0 = 0 anyway.
             let p_plus = if l > 0.0 {
@@ -73,7 +74,7 @@ impl TrimmableScheme for StochasticQuantization {
             let head = !(draw < p_plus);
             head
         });
-        let tails = crate::kernels::pack_f32_tails(row);
+        let tails = kernels::pack_f32_tails(row);
         EncodedRow {
             scheme: self.id(),
             n: row.len(),
@@ -117,26 +118,20 @@ impl TrimmableScheme for StochasticQuantization {
         meta: &RowMeta,
         _seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
+        let mut out = vec![0.0; row.n];
+        row.for_each_run(&PART_BITS, |run, depth| {
+            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+            let (start, dst) = (run.start, &mut out[run]);
+            match depth {
+                0 => {}
+                1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
+                _ => kernels::unpack_f32_tails(tails, start, dst),
+            }
+        })?;
         if meta.original_len != row.n {
             return Err(DecodeError::BadOriginalLen {
                 n: row.n,
                 original_len: meta.original_len,
-            });
-        }
-        let l = meta.scale;
-        let mut out = Vec::with_capacity(row.n);
-        for i in 0..row.n {
-            out.push(match row.avail_depth(i) {
-                0 => 0.0,
-                1 => {
-                    if row.parts[0].get(i, 1) == 1 {
-                        -l
-                    } else {
-                        l
-                    }
-                }
-                _ => bits_f32(row.parts[1].get(i, 32) as u32),
             });
         }
         Ok(out)

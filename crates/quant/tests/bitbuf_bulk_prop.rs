@@ -15,6 +15,44 @@ fn buf_from_bits(bits: &[bool]) -> BitBuf {
     b
 }
 
+/// `get_bits` is one unaligned 8-byte window load plus, for a field that
+/// spans nine bytes, its last byte. Every (offset, width) of a 17-byte
+/// buffer against the bit model: that covers fields spanning 9 bytes
+/// (`offset % 8 + width > 64`), windows that would run past the end of the
+/// buffer (fewer than 8 bytes left), and the very last bits.
+#[test]
+fn get_bits_window_load_matches_bit_model_at_every_offset() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let bits: Vec<bool> = (0..17 * 8)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 63 == 1
+        })
+        .collect();
+    let buf = buf_from_bits(&bits);
+    assert_eq!(buf.as_bytes().len(), 17);
+    for offset in 0..=bits.len() {
+        for width in 0..=64.min(bits.len() - offset) {
+            let want = bits[offset..offset + width]
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (j, &b)| acc | u64::from(b) << j);
+            assert_eq!(
+                buf.get_bits(offset, width as u32),
+                want,
+                "offset {offset} width {width}"
+            );
+        }
+    }
+    // A buffer whose bit length is not a whole byte: its last field ends in
+    // the slack-free part of the final byte.
+    let short = buf.prefix(131);
+    assert_eq!(short.get_bits(131 - 64, 64), buf.get_bits(131 - 64, 64));
+    assert_eq!(short.get_bits(128, 3), buf.get_bits(128, 3));
+}
+
 proptest! {
     /// `BitPacker` must be a drop-in replacement for sequential `push_bits`:
     /// same bytes, same length, for any field sequence (including 64-bit

@@ -5,6 +5,17 @@
 //! and exposes the availability-aware [`PartialRow`] view the quant layer
 //! decodes. Coordinates whose packets never arrive simply stay absent —
 //! exactly the semantics of a lossy trimming fabric.
+//!
+//! Per packet the assembler does work proportional to the packet, never to
+//! the row: section bytes are copied into the row parts, the coordinate
+//! range is filled into each part's word-backed presence mask, and a running
+//! present-count per part grows by exactly the mask bits that fill flipped
+//! (so duplicates and less-trimmed re-deliveries are not counted twice).
+//! Every completeness question — [`RowAssembler::coords_received`],
+//! [`heads_complete`](RowAssembler::heads_complete),
+//! [`is_complete`](RowAssembler::is_complete), the Full / Masked / Absent
+//! choice of [`partial_row`](RowAssembler::partial_row) — reads those
+//! counters and never rescans a mask.
 
 use crate::meta::RowMetaPacket;
 use crate::packet::GradPacket;
@@ -38,6 +49,8 @@ pub struct RowAssembler {
     n: usize,
     parts: Vec<BitBuf>,
     masks: Vec<BitMask>,
+    /// `present[k] == masks[k].count_present()`, kept up to date by `ingest`.
+    present: Vec<usize>,
     meta: Option<RowMeta>,
     epoch: Option<u32>,
 }
@@ -58,10 +71,8 @@ impl RowAssembler {
                 .map(|&w| BitBuf::zeroed(n * w as usize))
                 .collect(),
             masks: part_bits.iter().map(|_| BitMask::absent(n)).collect(),
-            meta: Some(RowMeta {
-                original_len,
-                scale: 0.0,
-            }),
+            present: vec![0; part_bits.len()],
+            meta: None,
             epoch: None,
         }
     }
@@ -98,7 +109,9 @@ impl RowAssembler {
         self.epoch
     }
 
-    /// Row metadata (scale is 0 until [`ingest_meta`](Self::ingest_meta)).
+    /// Row metadata: `None` until [`ingest_meta`](Self::ingest_meta) (or
+    /// [`from_meta`](Self::from_meta)) supplied it — a row cannot be decoded
+    /// without its scale.
     #[must_use]
     pub fn meta(&self) -> Option<&RowMeta> {
         self.meta.as_ref()
@@ -169,7 +182,7 @@ impl RowAssembler {
             // Zero-copy: section bytes land straight in the row part's
             // backing store, no intermediate BitBuf per packet.
             self.parts[k].write_bits_from_bytes(start * w, section, count * w);
-            self.masks[k].set_range(start, start + count, true);
+            self.present[k] += self.masks[k].set_range(start, start + count, true);
         }
         Ok(())
     }
@@ -191,9 +204,9 @@ impl RowAssembler {
         if !tracer.is_enabled() {
             return self.ingest(pkt);
         }
-        let had_heads = self.heads_complete();
+        let missing_heads = self.n - self.coords_received();
         self.ingest(pkt)?;
-        if !had_heads && self.heads_complete() {
+        if missing_heads > 0 && self.heads_complete() {
             tracer.emit(at, || trimgrad_trace::TraceEvent::RowAssembled {
                 msg: self.msg_id,
                 row: self.row_id,
@@ -206,16 +219,13 @@ impl RowAssembler {
     /// Number of coordinates whose head (part 0) has arrived.
     #[must_use]
     pub fn coords_received(&self) -> usize {
-        if self.masks.is_empty() {
-            return 0;
-        }
-        self.masks[0].count_present()
+        self.present.first().copied().unwrap_or(0)
     }
 
     /// Whether every coordinate arrived at full depth.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.masks.iter().all(|m| m.count_present() == self.n)
+        self.present.iter().all(|&count| count == self.n)
     }
 
     /// Whether every coordinate's head arrived (possibly trimmed deeper).
@@ -230,9 +240,8 @@ impl RowAssembler {
         let parts = self
             .parts
             .iter()
-            .zip(&self.masks)
-            .map(|(buf, mask)| {
-                let present = mask.count_present();
+            .zip(self.masks.iter().zip(&self.present))
+            .map(|(buf, (mask, &present))| {
                 if present == self.n {
                     PartView::Full(buf)
                 } else if present == 0 {
@@ -495,6 +504,21 @@ mod tests {
             asm.ingest(&p2.packets[0]).unwrap_err(),
             WireError::BadField("epoch")
         );
+    }
+
+    #[test]
+    fn metadata_is_absent_until_it_arrives() {
+        let row: Vec<f32> = (0..10).map(|i| i as f32).collect();
+        let enc = SignMagnitude.encode(&row, 0);
+        let c = cfg();
+        let pr = packetize_row(&enc, &c);
+        let mut asm = assembler_for(&enc, &c);
+        asm.ingest(&pr.packets[0]).unwrap();
+        assert!(asm.is_complete());
+        assert!(asm.meta().is_none(), "no fabricated scale");
+        asm.ingest_meta(&pr.meta).unwrap();
+        assert_eq!(asm.meta(), Some(&enc.meta));
+        assert_eq!(RowAssembler::from_meta(&pr.meta).meta(), Some(&enc.meta));
     }
 
     #[test]

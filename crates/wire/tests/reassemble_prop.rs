@@ -4,6 +4,11 @@
 //! final decode must be bit-identical to the decode of the best copy of
 //! each packet — duplicates and hostile packets can neither improve nor
 //! degrade the assembled row.
+//!
+//! The assembler answers its completeness questions from running counters,
+//! not from its masks, so after *every* ingest the counters are checked
+//! against a recount: a per-part `Vec<bool>` model filled from the packets
+//! the assembler accepted.
 
 use proptest::prelude::*;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
@@ -41,6 +46,51 @@ fn availability(asm: &RowAssembler) -> usize {
         .sum()
 }
 
+/// Per-part presence as the test recounts it: `model[k][i]` is whether an
+/// accepted packet delivered part `k` of coordinate `i`.
+type Model = Vec<Vec<bool>>;
+
+/// Marks what an accepted packet delivered.
+fn record(model: &mut Model, pkt: &GradPacket) {
+    let parsed = pkt.parse().expect("the assembler accepted it");
+    let f = &parsed.fields;
+    let (start, count) = (f.coord_start as usize, f.coord_count as usize);
+    for part in &mut model[..parsed.sections.len()] {
+        part[start..start + count].fill(true);
+    }
+}
+
+/// Every O(1) answer of the assembler equals a recount of the model, and
+/// the view it hands the decoder has the model's shape and mask bits.
+fn assert_counters_match(asm: &RowAssembler, model: &Model) -> Result<(), TestCaseError> {
+    let n = asm.n();
+    let counts: Vec<usize> = model
+        .iter()
+        .map(|part| part.iter().filter(|&&p| p).count())
+        .collect();
+    prop_assert_eq!(asm.coords_received(), counts[0]);
+    prop_assert_eq!(asm.heads_complete(), counts[0] == n);
+    prop_assert_eq!(asm.is_complete(), counts.iter().all(|&c| c == n));
+    let view = asm.partial_row();
+    prop_assert_eq!(view.n, n);
+    prop_assert_eq!(view.parts.len(), model.len());
+    for (k, (part, bits)) in view.parts.iter().zip(model).enumerate() {
+        match part {
+            PartView::Full(_) => prop_assert_eq!(counts[k], n, "part {} is not full", k),
+            PartView::Absent => prop_assert_eq!(counts[k], 0, "part {} is not absent", k),
+            PartView::Masked { present, .. } => {
+                prop_assert!(counts[k] > 0 && counts[k] < n, "part {} is not mixed", k);
+                prop_assert_eq!(present.len(), n);
+                prop_assert_eq!(present.count_present(), counts[k]);
+                for (i, &bit) in bits.iter().enumerate() {
+                    prop_assert_eq!(present.get(i), bit, "part {} coordinate {}", k, i);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -50,6 +100,10 @@ proptest! {
     ///
     /// * no ingest call panics (hostile ones return `Err`);
     /// * availability is monotone non-decreasing after every event;
+    /// * after every event `coords_received`, `heads_complete`, `is_complete`
+    ///   and the Full / Masked / Absent shape of `partial_row` equal a recount
+    ///   of what was accepted — so a rejected frame changes none of them, and
+    ///   duplicates and re-deliveries at other depths are not counted twice;
     /// * the final decode equals, bit for bit, the decode of an assembler
     ///   fed only the least-trimmed surviving copy of each packet.
     #[test]
@@ -113,9 +167,15 @@ proptest! {
 
         let mut asm = RowAssembler::new(scheme_id, c.msg_id, c.row_id, len);
         asm.ingest_meta(&pr.meta).expect("meta matches");
+        let mut model: Model = vec![vec![false; asm.n()]; n_parts];
+        assert_counters_match(&asm, &model)?;
         let mut prev = availability(&asm);
         for ev in &events {
-            let _ = asm.ingest(ev); // hostile events return Err; none may panic
+            // Hostile events return Err; none may panic.
+            if asm.ingest(ev).is_ok() {
+                record(&mut model, ev);
+            }
+            assert_counters_match(&asm, &model)?;
             let now = availability(&asm);
             prop_assert!(now >= prev, "availability shrank: {now} < {prev}");
             prev = now;
