@@ -193,16 +193,17 @@ mod tests {
             NodeId(0),
             trimgrad_telemetry::Registry::new(),
             trimgrad_trace::Tracer::disabled(),
+            Default::default(),
         );
         let mut app = app;
         app.on_start(&mut api);
-        assert_eq!(api.outbox.len(), 67);
-        let total: u64 = api.outbox.iter().map(|s| u64::from(s.size)).sum();
+        assert_eq!(api.actions.outbox.len(), 67);
+        let total: u64 = api.actions.outbox.iter().map(|s| u64::from(s.size)).sum();
         assert_eq!(total, 100_000);
         // Last packet is short (100000 − 66×1500 = 1000) and fin-marked.
-        assert_eq!(api.outbox.last().unwrap().size, 1000);
-        assert!(api.outbox.last().unwrap().fin);
-        assert!(!api.outbox[0].fin);
+        assert_eq!(api.actions.outbox.last().unwrap().size, 1000);
+        assert!(api.actions.outbox.last().unwrap().fin);
+        assert!(!api.actions.outbox[0].fin);
     }
 
     #[test]

@@ -1,0 +1,461 @@
+//! The per-packet data plane: host send, switch arrival, port enqueue and
+//! serializer start, and the per-flow port paths packets follow.
+//!
+//! A flow's route is resolved once, when it first sends: [`FlowPaths`] walks
+//! the routing table from source to destination and records the egress
+//! [`PortId`] of every hop in one flat table. A packet in flight carries a
+//! cursor into that table ([`InFlight::cursor`]), so a switch arrival is a
+//! load and an increment instead of an ECMP-set lookup, a flow hash and a
+//! neighbor search; events likewise name the port they concern.
+
+use crate::event::EventKind;
+use crate::packet::{InFlight, Packet, PacketSpec};
+use crate::ports::{DensePortTable, PortId};
+use crate::sim::Simulator;
+use crate::switch::{EnqueueOutcome, FullAction, QueuePolicy};
+use crate::time::SimTime;
+use crate::topology::{NodeKind, Routes};
+use crate::{FlowId, NodeId};
+use std::collections::BTreeMap;
+use trimgrad_trace::{sat32, DropReason, TraceEvent};
+
+/// The host NIC queue policy: deep FIFO, no trimming (the sending host can
+/// hold its own backlog; congestion logic lives in the fabric's switches).
+fn host_nic_policy() -> QueuePolicy {
+    QueuePolicy {
+        data_capacity: 1 << 30,
+        prio_capacity: 1 << 30,
+        ecn_threshold: None,
+        action: FullAction::DropTail,
+    }
+}
+
+/// The path-table entry that ends every path: there is no onward port at
+/// the node reached. At the destination host it is never read; anywhere else
+/// it is where the packet is dropped for want of a route.
+const NO_ROUTE: u32 = u32::MAX;
+
+/// What identifies a route: ECMP hashes the flow id, so two flows that share
+/// an id but not endpoints take different paths.
+type FlowKey = (NodeId, NodeId, FlowId);
+
+/// Every flow's path through the fabric, resolved on first use.
+#[derive(Debug, Default)]
+pub(crate) struct FlowPaths {
+    /// Concatenated paths: the egress `PortId` of each hop from source to
+    /// destination, then [`NO_ROUTE`].
+    hops: Vec<u32>,
+    /// Where each flow's path starts in `hops`.
+    starts: BTreeMap<FlowKey, u32>,
+    /// The last answer: hosts send in per-flow bursts.
+    last: Option<(FlowKey, u32)>,
+}
+
+impl FlowPaths {
+    /// Index in `hops` of the first port of `key`'s path.
+    // trimlint: hot-path -- once per send; a burst of one flow hits the memo
+    fn start(&mut self, routes: &Routes, ports: &DensePortTable, key: FlowKey) -> u32 {
+        if let Some((last, start)) = self.last {
+            if last == key {
+                return start;
+            }
+        }
+        let start = match self.starts.get(&key) {
+            Some(&start) => start,
+            None => {
+                let start = self.resolve(routes, ports, key);
+                self.starts.insert(key, start);
+                start
+            }
+        };
+        self.last = Some((key, start));
+        start
+    }
+
+    /// Appends the path of `(src, dst, flow)`: the same hop-by-hop
+    /// `Routes::next_hop` walk a packet would make, so it ends — with
+    /// [`NO_ROUTE`] — exactly where that walk finds no next hop.
+    fn resolve(&mut self, routes: &Routes, ports: &DensePortTable, key: FlowKey) -> u32 {
+        let (src, dst, flow) = key;
+        // trimlint: allow(lossy-cast) -- in-flight packets index the table with a u32 cursor
+        let start = self.hops.len() as u32;
+        let mut node = src;
+        // Shortest-path next hops strictly approach `dst`, so the walk ends.
+        while let Some(next) = routes.next_hop(node, dst, flow) {
+            self.hops.push(ports.key(node, next).0);
+            node = next;
+        }
+        self.hops.push(NO_ROUTE);
+        start
+    }
+}
+
+impl Simulator {
+    pub(crate) fn send_from_host(&mut self, node: NodeId, spec: PacketSpec) {
+        let start = self
+            .paths
+            .start(&self.routes, &self.ports, (node, spec.dst, spec.flow));
+        let first = self.paths.hops[start as usize];
+        let flow_slot = self.stats.on_sent(spec.flow, self.now);
+        if first == NO_ROUTE {
+            // No route: the send is silently dropped before entering the
+            // network (counted so conservation still holds). No packet id
+            // was ever assigned, hence the u64::MAX sentinel.
+            self.stats.on_dropped_data_full();
+            self.tracer
+                .emit(self.now.as_nanos(), || TraceEvent::PktDropped {
+                    node: sat32(node.0),
+                    to: sat32(node.0),
+                    flow: spec.flow.0,
+                    pseq: spec.seq,
+                    pkt: u64::MAX,
+                    reason: DropReason::NoRoute,
+                });
+            return;
+        }
+        let packet = self.arena.alloc(
+            Packet {
+                id: self.next_pkt_id,
+                flow: spec.flow,
+                src: node,
+                dst: spec.dst,
+                size: spec.size,
+                priority: spec.priority,
+                reliable: spec.reliable,
+                trimmed: false,
+                ecn: false,
+                seq: spec.seq,
+                fin: spec.fin,
+                sent_at: self.now,
+                body: spec.body,
+            },
+            start + 1,
+            flow_slot,
+        );
+        self.next_pkt_id += 1;
+        self.in_flight += 1;
+        self.tracer
+            .emit(self.now.as_nanos(), || TraceEvent::PktSent {
+                node: sat32(node.0),
+                flow: packet.flow.0,
+                pseq: packet.seq,
+                pkt: packet.id,
+                size: packet.size,
+            });
+        self.enqueue_on_port(PortId(first), packet, &host_nic_policy());
+    }
+
+    // Delivery hands packets to app code via `with_app`, so this is not a
+    // lint hot-path root; the spine calls it makes are annotated.
+    pub(crate) fn handle_arrive(&mut self, port: PortId, mut packet: Box<InFlight>) {
+        let node = self.ports.to(port);
+        match self.topo.kind(node) {
+            NodeKind::Host => {
+                assert_eq!(packet.dst, node, "misrouted packet reached a host");
+                self.in_flight -= 1;
+                self.stats
+                    .on_delivered(packet.flow_slot, packet.size, packet.trimmed);
+                self.tracer
+                    .emit(self.now.as_nanos(), || TraceEvent::PktDelivered {
+                        node: sat32(node.0),
+                        flow: packet.flow.0,
+                        pseq: packet.seq,
+                        pkt: packet.id,
+                        size: packet.size,
+                        trimmed: packet.trimmed,
+                    });
+                // Move the payload out and recycle the box: the `App` trait
+                // keeps taking packets by value, while the allocation that
+                // rode the event queue returns to the arena for the next
+                // send.
+                let inner = packet.take_packet();
+                self.arena.free(packet);
+                self.with_app(node, |app, api| app.on_packet(inner, api));
+            }
+            NodeKind::Switch(policy) => {
+                self.stats.on_forwarded();
+                let next = self.paths.hops[packet.cursor as usize];
+                if next == NO_ROUTE {
+                    // Unreachable destination: count as a drop.
+                    self.in_flight -= 1;
+                    self.stats.on_dropped_data_full();
+                    self.tracer
+                        .emit(self.now.as_nanos(), || TraceEvent::PktDropped {
+                            node: sat32(node.0),
+                            to: sat32(node.0),
+                            flow: packet.flow.0,
+                            pseq: packet.seq,
+                            pkt: packet.id,
+                            reason: DropReason::NoRoute,
+                        });
+                    self.arena.free(packet);
+                    return;
+                }
+                packet.cursor += 1;
+                self.enqueue_on_port(PortId(next), packet, &policy);
+            }
+        }
+    }
+
+    // trimlint: hot-path -- switch enqueue + trim/drop accounting
+    fn enqueue_on_port(&mut self, key: PortId, packet: Box<InFlight>, policy: &QueuePolicy) {
+        let (flow, pseq, pkt, size) = (packet.flow.0, packet.seq, packet.id, packet.size);
+        let port = self.ports.get_mut(key);
+        let marks = port.counters.ecn_marked;
+        let outcome = port.enqueue(packet, policy);
+        // The port decides what gets marked; the fabric-wide tally follows it.
+        let marked = port.counters.ecn_marked != marks;
+        let rejected = port.take_rejected();
+        // After a trim, the surviving remnant sits at the back of the
+        // priority queue; read its size before the port borrow ends.
+        let trimmed_size = port.high_back_size();
+        let low = port.low_bytes();
+        let queued = u32::try_from(port.queued_packets()).unwrap_or(u32::MAX);
+        self.ports.record_depth(key, low, queued);
+        // Incremental conservation: mirror the port's own tally so the
+        // whole-run check never re-scans the table.
+        self.port_totals.arrived += 1;
+        match outcome {
+            EnqueueOutcome::Data => self.port_totals.queued_data += 1,
+            EnqueueOutcome::Priority => self.port_totals.queued_prio += 1,
+            EnqueueOutcome::Trimmed => self.port_totals.trimmed += 1,
+            EnqueueOutcome::DroppedDataFull => self.port_totals.dropped_data_full += 1,
+            EnqueueOutcome::DroppedPrioFull => self.port_totals.dropped_prio_full += 1,
+        }
+        if let Some(slot) = rejected {
+            self.arena.free(slot);
+        }
+        self.stats.observe_queue(low);
+        if marked {
+            self.stats.on_ecn_marked();
+        }
+        let at = self.now.as_nanos();
+        // The link's two ends, for trace events only (a search, not a load).
+        let ports = &self.ports;
+        let ends = || (sat32(ports.from(key).0), sat32(ports.to(key).0));
+        match outcome {
+            EnqueueOutcome::Data | EnqueueOutcome::Priority => {
+                self.tracer.emit(at, || {
+                    let (node, to) = ends();
+                    TraceEvent::PktEnqueued {
+                        node,
+                        to,
+                        flow,
+                        pseq,
+                        pkt,
+                        size,
+                        prio: outcome == EnqueueOutcome::Priority,
+                    }
+                });
+            }
+            EnqueueOutcome::Trimmed => {
+                self.stats.on_trimmed();
+                if !self.flow_scopes.is_empty() {
+                    if let Some(t) = self.flow_scopes.get(&(flow >> 32)) {
+                        t.trimmed.inc();
+                        t.trim_bytes
+                            .add(u64::from(size.saturating_sub(trimmed_size.unwrap_or(0))));
+                    }
+                }
+                self.tracer.emit(at, || {
+                    let (node, to) = ends();
+                    TraceEvent::PktTrimmed {
+                        node,
+                        to,
+                        flow,
+                        pseq,
+                        pkt,
+                        old_size: size,
+                        new_size: trimmed_size.unwrap_or(0),
+                    }
+                });
+            }
+            EnqueueOutcome::DroppedDataFull | EnqueueOutcome::DroppedPrioFull => {
+                self.in_flight -= 1;
+                let reason = if outcome == EnqueueOutcome::DroppedDataFull {
+                    self.stats.on_dropped_data_full();
+                    DropReason::DataFull
+                } else {
+                    self.stats.on_dropped_prio_full();
+                    DropReason::PrioFull
+                };
+                self.tracer.emit(at, || {
+                    let (node, to) = ends();
+                    TraceEvent::PktDropped {
+                        node,
+                        to,
+                        flow,
+                        pseq,
+                        pkt,
+                        reason,
+                    }
+                });
+                return;
+            }
+        }
+        self.port_try_start(key);
+    }
+
+    // trimlint: hot-path -- egress serializer start (dequeue + schedule)
+    pub(crate) fn port_try_start(&mut self, key: PortId) {
+        // Consult the dense busy/queued mirrors first so the common
+        // "port already serializing" / "nothing queued" cases never pull a
+        // scattered PortState line into cache.
+        if self.ports.is_busy(key) || !self.ports.has_backlog(key) {
+            return;
+        }
+        let port = self.ports.get_mut(key);
+        let Some(mut packet) = port.dequeue() else {
+            return;
+        };
+        let low = port.low_bytes();
+        let queued = u32::try_from(port.queued_packets()).unwrap_or(u32::MAX);
+        self.ports.set_busy(key, true);
+        self.ports.record_depth(key, low, queued);
+        self.port_totals.dequeued += 1;
+        // Link params come from the port table's build-time cache, not a
+        // linear adjacency scan per packet.
+        let params = self.ports.params(key);
+        let ser = params.rate.serialize_time(packet.size as usize);
+        self.queue
+            .schedule(self.now + ser, EventKind::PortFree { port: key });
+        let ports = &self.ports;
+        let dropped = |packet: &InFlight, reason| TraceEvent::PktDropped {
+            node: sat32(ports.from(key).0),
+            to: sat32(ports.to(key).0),
+            flow: packet.flow.0,
+            pseq: packet.seq,
+            pkt: packet.id,
+            reason,
+        };
+        // Random in-flight loss.
+        if params.drop_prob > 0.0 && f64::from(self.rng.next_f32()) < params.drop_prob {
+            self.in_flight -= 1;
+            self.stats.on_dropped_random();
+            self.tracer
+                .emit(self.now.as_nanos(), || dropped(&packet, DropReason::Random));
+            self.arena.free(packet);
+            return;
+        }
+        // Fault injection: the installed plan draws this packet's fate on
+        // the channel, possibly mutating it (corruption/truncation),
+        // destroying it, delaying it, or materializing extra clones.
+        let mut extra_delay = SimTime::ZERO;
+        if let Some(plan) = &mut self.fault_plan {
+            let (node, to) = (ports.from(key), ports.to(key));
+            let outcome = plan.apply(node, to, &mut packet);
+            if outcome.drop {
+                self.in_flight -= 1;
+                self.stats.on_dropped_fault();
+                self.tracer
+                    .emit(self.now.as_nanos(), || dropped(&packet, DropReason::Fault));
+                self.arena.free(packet);
+                return;
+            }
+            extra_delay = outcome.extra_delay;
+            for (clone, jitter) in outcome.injected {
+                self.in_flight += 1;
+                self.stats.on_injected();
+                self.tracer
+                    .emit(self.now.as_nanos(), || TraceEvent::FaultInjected {
+                        node: sat32(node.0),
+                        to: sat32(to.0),
+                        flow: clone.flow.0,
+                        pseq: clone.seq,
+                        pkt: clone.id,
+                    });
+                let (cursor, flow_slot) = self.clone_route(key, &clone);
+                self.queue.schedule(
+                    self.now + ser + params.delay + jitter,
+                    EventKind::Arrive {
+                        port: key,
+                        packet: self.arena.alloc(clone, cursor, flow_slot),
+                    },
+                );
+            }
+        }
+        self.queue.schedule(
+            self.now + ser + params.delay + extra_delay,
+            EventKind::Arrive { port: key, packet },
+        );
+    }
+
+    /// The path cursor and flow slot of a fault-plan clone about to arrive
+    /// over `key`. A duplicate shares the original's; a stale replay is some
+    /// earlier packet of this channel and may belong to another flow, so
+    /// both are found from the clone's own path: it crossed `key`, and its
+    /// next port is the one after.
+    fn clone_route(&mut self, key: PortId, clone: &Packet) -> (u32, u32) {
+        let start = self.paths.start(
+            &self.routes,
+            &self.ports,
+            (clone.src, clone.dst, clone.flow),
+        );
+        let mut cursor = start;
+        loop {
+            let hop = self.paths.hops[cursor as usize];
+            if hop == NO_ROUTE {
+                break;
+            }
+            cursor += 1;
+            if hop == key.0 {
+                break;
+            }
+        }
+        (cursor, self.stats.flow_slot(clone.flow))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::switch::QueuePolicy;
+    use crate::time::gbps;
+    use crate::topology::Topology;
+
+    #[test]
+    fn paths_are_resolved_once_and_shared_ids_stay_apart() {
+        // a - s1 - b and c - s1: flow 7 from a and flow 7 from c both go to
+        // b, over different first ports.
+        let mut t = Topology::new();
+        let a = t.add_host();
+        let b = t.add_host();
+        let c = t.add_host();
+        let s = t.add_switch(QueuePolicy::trim_default());
+        for h in [a, b, c] {
+            t.link(h, s, gbps(10.0), SimTime::from_micros(1));
+        }
+        let routes = t.build_routes();
+        let ports = DensePortTable::new(&t);
+        let mut paths = FlowPaths::default();
+        let from_a = paths.start(&routes, &ports, (a, b, FlowId(7)));
+        let from_c = paths.start(&routes, &ports, (c, b, FlowId(7)));
+        assert_ne!(from_a, from_c);
+        let path = |start: u32| paths.hops[start as usize..start as usize + 3].to_vec();
+        assert_eq!(
+            path(from_a),
+            vec![ports.key(a, s).0, ports.key(s, b).0, NO_ROUTE]
+        );
+        assert_eq!(
+            path(from_c),
+            vec![ports.key(c, s).0, ports.key(s, b).0, NO_ROUTE]
+        );
+        // Asking again (memo hit, then index hit) appends nothing.
+        let len = paths.hops.len();
+        assert_eq!(paths.start(&routes, &ports, (c, b, FlowId(7))), from_c);
+        assert_eq!(paths.start(&routes, &ports, (a, b, FlowId(7))), from_a);
+        assert_eq!(paths.hops.len(), len);
+    }
+
+    #[test]
+    fn an_unreachable_destination_is_a_path_of_one_sentinel() {
+        let mut t = Topology::new();
+        let a = t.add_host();
+        let b = t.add_host();
+        let routes = t.build_routes();
+        let ports = DensePortTable::new(&t);
+        let mut paths = FlowPaths::default();
+        let start = paths.start(&routes, &ports, (a, b, FlowId(1)));
+        assert_eq!(paths.hops[start as usize..], [NO_ROUTE]);
+    }
+}

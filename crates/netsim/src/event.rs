@@ -5,15 +5,17 @@
 //! are bit-reproducible regardless of hash seeds or allocator behavior.
 //!
 //! [`EventQueue`] is a calendar queue (timing wheel): near-future events land
-//! in per-window `Vec` buckets with O(1) insertion and are only heap-ordered
-//! one window at a time, which suits the bursty near-monotone schedules a
-//! packet simulation produces. Events beyond the wheel horizon go to an
+//! in per-window `Vec` buckets with O(1) insertion, and the one window being
+//! drained lives in a [`Lane`] — fine time slots, each a FIFO threaded
+//! through one node slab — so popping is "first occupied slot, unlink its
+//! head" with no comparisons. Events beyond the wheel horizon go to an
 //! overflow heap; scheduling behind the active window re-anchors the wheel
-//! backward. Both stores order by the same `(time, seq)` key, so pop order —
+//! backward. Every store orders by the same `(time, seq)` key, so pop order —
 //! and therefore every simulation byte — is that of a single priority queue.
 //! The differential harness in `tests/event_queue_oracle.rs` pins that
 //! against a sorted-`Vec` oracle; DESIGN.md §11 has the proof sketch.
 
+use crate::ports::PortId;
 use crate::time::SimTime;
 use crate::NodeId;
 use std::cmp::Reverse;
@@ -22,25 +24,21 @@ use std::collections::BinaryHeap;
 /// What happens when an event fires.
 #[derive(Debug)]
 pub enum EventKind {
-    /// A packet finishes propagating and arrives at `node` via the link from
-    /// `from`.
+    /// A packet finishes propagating over the link behind `port` and arrives
+    /// at the node that port faces.
     Arrive {
-        /// Receiving node.
-        node: NodeId,
-        /// Sending neighbor (identifies the ingress link).
-        from: NodeId,
-        /// The packet, boxed so the variant stays pointer-sized: a packet is
-        /// allocated once when it leaves its source host and the same box is
-        /// moved through every port queue and arrival event on its path.
-        packet: Box<crate::packet::Packet>,
+        /// The egress port (directed link) the packet was serialized on.
+        port: PortId,
+        /// The packet, boxed so the variant stays small: a packet is boxed
+        /// once when it leaves its source host and the same box is moved
+        /// through every port queue and arrival event on its path.
+        packet: Box<crate::packet::InFlight>,
     },
-    /// An egress port of `node` toward `to` finishes serializing its current
-    /// packet and may start the next one.
+    /// An egress port finishes serializing its current packet and may start
+    /// the next one.
     PortFree {
-        /// The node owning the port.
-        node: NodeId,
-        /// The neighbor the port faces.
-        to: NodeId,
+        /// The port whose serializer frees up.
+        port: PortId,
     },
     /// An application timer on `node` fires with an app-chosen token.
     AppTimer {
@@ -66,9 +64,15 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+impl Event {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for Event {}
@@ -79,7 +83,7 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -94,41 +98,210 @@ const DEFAULT_BUCKET_SHIFT: u32 = 13;
 /// ever holds coarse timers (stats samples, app timers).
 const DEFAULT_N_BUCKETS: usize = 256;
 
+/// The lane never has more than `1 << 13` slots: at the default bucket width
+/// that is one slot per nanosecond, and wider windows get wider slots.
+const MAX_LANE_SLOTS_SHIFT: u32 = 13;
+
+/// "No node" in the lane's intrusive lists.
+const NIL: u32 = u32::MAX;
+
+/// One slab cell: an event linked into a slot (`kind` is `Some`), or a spent
+/// cell on the free list. `next` threads whichever list the cell is on.
+#[derive(Debug)]
+struct LaneNode {
+    at: SimTime,
+    seq: u64,
+    kind: Option<EventKind>,
+    next: u32,
+}
+
+/// The active window, pre-sorted by construction.
+///
+/// The window is cut into `slots` equal time slices in time order; each slot
+/// is a singly linked FIFO through `nodes`, kept sorted by `(time, seq)`.
+/// Slots partition the window in time order and each list is sorted, so
+/// walking occupied slots upward and each list head to tail visits the
+/// window's events in exactly `(time, seq)` order.
+///
+/// Invariant: no slot below `cursor` is occupied, and while the lane is
+/// non-empty `cursor` *is* the first occupied slot — so peeking is one load
+/// and popping never compares keys.
+#[derive(Debug)]
+struct Lane {
+    /// Slot width is `1 << slot_shift` nanoseconds.
+    slot_shift: u32,
+    /// `slots.len() - 1`; the slot of time `t` is `(t >> slot_shift) & slot_mask`.
+    slot_mask: u64,
+    /// `[head, tail]` node of each slot's list (`NIL` when empty).
+    slots: Vec<[u32; 2]>,
+    /// One bit per slot: set iff the slot's list is non-empty.
+    occupied: Vec<u64>,
+    cursor: usize,
+    nodes: Vec<LaneNode>,
+    /// Head of the free list threaded through spent nodes' `next`.
+    free: u32,
+    len: usize,
+}
+
+impl Lane {
+    fn new(window_shift: u32) -> Self {
+        let slots_shift = window_shift.min(MAX_LANE_SLOTS_SHIFT);
+        let n_slots = 1usize << slots_shift;
+        Self {
+            slot_shift: window_shift - slots_shift,
+            slot_mask: n_slots as u64 - 1,
+            slots: vec![[NIL; 2]; n_slots],
+            occupied: vec![0u64; n_slots.div_ceil(64)],
+            cursor: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            len: 0,
+        }
+    }
+
+    fn key_of(&self, node: u32) -> (SimTime, u64) {
+        let node = &self.nodes[node as usize];
+        (node.at, node.seq)
+    }
+
+    /// Links `event` into its slot, after every event already there with a
+    /// key `<=` its own. Events arrive in key order within a slot whenever
+    /// the slot is 1 ns wide and is fed in schedule order or from a coarse
+    /// bucket in push order — then this is a tail append; any other history
+    /// (wider slots, a parked-and-refilled window) takes the sorted walk, so
+    /// order never depends on slot width or on how the events got here.
+    // trimlint: hot-path -- every event of the active window is linked in here
+    fn push(&mut self, event: Event) {
+        let s = ((event.at.0 >> self.slot_shift) & self.slot_mask) as usize;
+        let key = event.key();
+        let cell = LaneNode {
+            at: event.at,
+            seq: event.seq,
+            kind: Some(event.kind),
+            next: NIL,
+        };
+        let n = if self.free == NIL {
+            // trimlint: allow(lossy-cast) -- the slab holds one window's events; u32 links bound it at 4 G nodes
+            let n = self.nodes.len() as u32;
+            self.nodes.push(cell);
+            n
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = cell;
+            n
+        };
+        let [head, tail] = self.slots[s];
+        if tail == NIL {
+            self.slots[s] = [n, n];
+            self.occupied[s / 64] |= 1u64 << (s % 64);
+            if self.len == 0 || s < self.cursor {
+                self.cursor = s;
+            }
+        } else if self.key_of(tail) <= key {
+            self.nodes[tail as usize].next = n;
+            self.slots[s][1] = n;
+        } else if key < self.key_of(head) {
+            self.nodes[n as usize].next = head;
+            self.slots[s][0] = n;
+        } else {
+            // head <= key < tail: insert after the last node that is <= key.
+            let mut prev = head;
+            loop {
+                let next = self.nodes[prev as usize].next;
+                if key < self.key_of(next) {
+                    break;
+                }
+                prev = next;
+            }
+            self.nodes[n as usize].next = self.nodes[prev as usize].next;
+            self.nodes[prev as usize].next = n;
+        }
+        self.len += 1;
+    }
+
+    /// Unlinks and returns the earliest event.
+    // trimlint: hot-path -- the simulator's main-loop drain
+    fn pop(&mut self) -> Option<Event> {
+        if self.len == 0 {
+            return None;
+        }
+        let s = self.cursor;
+        let n = self.slots[s][0];
+        let node = &mut self.nodes[n as usize];
+        let (at, seq, kind) = (node.at, node.seq, node.kind.take()?);
+        let next = node.next;
+        node.next = self.free;
+        self.free = n;
+        self.len -= 1;
+        if next == NIL {
+            self.slots[s] = [NIL; 2];
+            self.occupied[s / 64] &= !(1u64 << (s % 64));
+            self.cursor = if self.len == 0 {
+                0
+            } else {
+                self.first_occupied_after(s)
+            };
+        } else {
+            self.slots[s][0] = next;
+        }
+        debug_assert!(
+            self.occupied[..self.cursor / 64].iter().all(|&w| w == 0)
+                && self.occupied[self.cursor / 64] & !(!0u64 << (self.cursor % 64)) == 0,
+            "occupied slot below the cursor"
+        );
+        Some(Event { at, seq, kind })
+    }
+
+    /// The first occupied slot above `s`. Caller guarantees one exists.
+    fn first_occupied_after(&self, s: usize) -> usize {
+        let mut wi = s / 64;
+        // Bits strictly above `s` in its own word; the shift is split so
+        // `s % 64 == 63` shifts everything out instead of overflowing.
+        let mut word = self.occupied[wi] & ((!0u64 << (s % 64)) << 1);
+        while word == 0 {
+            wi += 1;
+            word = self.occupied[wi];
+        }
+        wi * 64 + word.trailing_zeros() as usize
+    }
+
+    /// The `(time, seq)` key of the earliest event, if any.
+    fn peek(&self) -> Option<(SimTime, u64)> {
+        (self.len > 0).then(|| self.key_of(self.slots[self.cursor][0]))
+    }
+}
+
 /// A deterministic calendar queue of events.
 ///
 /// Pop order is exactly ascending `(time, insertion-sequence)`. Internally
 /// events live in one of three places, classified by the window index
 /// `w = time >> bucket_shift`:
 ///
-/// * `active` — a heap of events in the current window `cur_window`;
+/// * `lane` — the events of the current window `cur_window`, already in pop
+///   order (see [`Lane`]);
 /// * `buckets` — unsorted `Vec`s for windows in `(cur_window, cur_window + n)`
 ///   (O(1) insertion, the hot path); a bucket holds exactly one window at a
 ///   time, recorded in `bucket_window`;
 /// * `overflow` — a heap for events at or beyond the wheel horizon.
 ///
-/// Events are stored inline — an [`Event`] is 48 bytes now that `Arrive`
-/// boxes its packet, so moving whole events costs less than indirecting
-/// every pop through a payload slab.
-///
 /// Scheduling behind the active window (impossible in a forward-running
 /// simulation, but required of a drop-in priority queue and exercised hard
-/// by the differential harness) re-anchors the wheel backward: the active
-/// set is parked back onto the wheel, buckets beyond the shrunken horizon
-/// are evicted to `overflow`, and the earlier event starts a new active
-/// window.
+/// by the differential harness) re-anchors the wheel backward: the lane is
+/// drained back onto the wheel, buckets beyond the shrunken horizon are
+/// evicted to `overflow`, and the earlier event starts a new active window.
 ///
-/// Invariant after every mutation: if any bucket is occupied, `active` is
-/// non-empty — so `peek_time` is a constant-time min over two heap peeks.
+/// Invariant after every mutation: if any bucket is occupied, the lane is
+/// non-empty — so `peek_time` is a constant-time min over the lane's first
+/// slot and the overflow heap's top.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Bucket width is `1 << bucket_shift` nanoseconds.
     bucket_shift: u32,
     /// `buckets.len() - 1`; bucket for window `w` is `w & bucket_mask`.
     bucket_mask: u64,
-    /// Unsorted per-window event lists; stored pre-`Reverse`d so a refill can
-    /// move a whole bucket into `active` by O(k) heapify with zero copies
-    /// (the bucket's allocation and the heap's swap back and forth).
-    buckets: Vec<Vec<Reverse<Event>>>,
+    /// Unsorted per-window event lists, in push order.
+    buckets: Vec<Vec<Event>>,
     /// The window whose events bucket `i` currently holds (meaningful only
     /// while the bucket is non-empty). Every resident window `w` satisfies
     /// `cur_window < w < cur_window + n`, so distinct resident windows map to
@@ -137,7 +310,7 @@ pub struct EventQueue {
     /// Occupancy bitmap over `buckets`, one bit per bucket, so a refill scan
     /// skips empty buckets a word at a time.
     occupied: Vec<u64>,
-    /// Events in `buckets` (not counting `active`/`overflow`).
+    /// Events in `buckets` (not counting the lane or `overflow`).
     wheel_len: usize,
     /// High-watermark of windows ever parked on the wheel since it was last
     /// empty; lets a backward re-anchor skip the far-bucket eviction scan
@@ -145,8 +318,8 @@ pub struct EventQueue {
     max_window: u64,
     /// Window index of the active window.
     cur_window: u64,
-    /// Heap of events whose window is `cur_window`.
-    active: BinaryHeap<Reverse<Event>>,
+    /// The events whose window is `cur_window`.
+    lane: Lane,
     /// Heap of events at or beyond the wheel horizon.
     overflow: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
@@ -169,7 +342,8 @@ impl EventQueue {
 
     /// Creates an empty queue with `n_buckets` buckets of `1 << bucket_shift`
     /// nanoseconds each. Exposed so tests can force tiny wheels whose horizon
-    /// is crossed constantly; simulations use [`EventQueue::new`].
+    /// is crossed constantly and wide windows whose lane slots span many
+    /// nanoseconds; simulations use [`EventQueue::new`].
     ///
     /// # Panics
     ///
@@ -193,7 +367,7 @@ impl EventQueue {
             wheel_len: 0,
             max_window: 0,
             cur_window: 0,
-            active: BinaryHeap::new(),
+            lane: Lane::new(bucket_shift),
             overflow: BinaryHeap::new(),
             next_seq: 0,
             scheduled: 0,
@@ -203,6 +377,16 @@ impl EventQueue {
 
     fn window_of(&self, at: SimTime) -> u64 {
         at.0 >> self.bucket_shift
+    }
+
+    /// Links `event` into the lane; its window must be the active one.
+    fn push_active(&mut self, event: Event) {
+        debug_assert_eq!(
+            self.window_of(event.at),
+            self.cur_window,
+            "lane holds only the active window"
+        );
+        self.lane.push(event);
     }
 
     /// Schedules `kind` to fire at `at`.
@@ -217,14 +401,14 @@ impl EventQueue {
         // re-anchor forward for free; this keeps a drained-then-refilled
         // queue (or one that jumped far ahead) on the fast bucket path
         // instead of pushing everything to `overflow` against a stale anchor.
-        if w > self.cur_window && self.wheel_len == 0 && self.active.is_empty() {
+        if w > self.cur_window && self.wheel_len == 0 && self.lane.len == 0 {
             self.cur_window = w;
         }
         if w < self.cur_window {
             self.re_anchor_back(w);
-            self.active.push(Reverse(event));
+            self.push_active(event);
         } else if w == self.cur_window {
-            self.active.push(Reverse(event));
+            self.push_active(event);
         } else if w - self.cur_window <= self.bucket_mask {
             let b = (w & self.bucket_mask) as usize;
             if self.buckets[b].is_empty() {
@@ -235,10 +419,10 @@ impl EventQueue {
             // to `b` can only be `w` itself (they would be congruent mod n
             // and less than n apart).
             debug_assert_eq!(self.bucket_window[b], w);
-            self.buckets[b].push(Reverse(event));
+            self.buckets[b].push(event);
             self.wheel_len += 1;
             self.max_window = self.max_window.max(w);
-            if self.active.is_empty() {
+            if self.lane.len == 0 {
                 self.refill();
             }
         } else {
@@ -246,11 +430,11 @@ impl EventQueue {
         }
     }
 
-    /// Re-anchors the wheel at window `w < cur_window`: the active set goes
-    /// back onto the wheel (or to `overflow` if the backward jump exceeds
-    /// the horizon), and any bucket now beyond the horizon is evicted to
-    /// `overflow`. Never happens in a forward-running simulation; the cost —
-    /// `O(|active| + occupied buckets)` worst case — only matters to
+    /// Re-anchors the wheel at window `w < cur_window`: the lane is drained,
+    /// in order, back onto the wheel (or to `overflow` if the backward jump
+    /// exceeds the horizon), and any bucket now beyond the horizon is evicted
+    /// to `overflow`. Never happens in a forward-running simulation; the cost
+    /// — `O(|lane| + occupied buckets)` worst case — only matters to
     /// adversarial schedules like the differential harness.
     fn re_anchor_back(&mut self, w: u64) {
         let w_old = self.cur_window;
@@ -265,7 +449,7 @@ impl EventQueue {
                     if self.bucket_window[b] > w + self.bucket_mask {
                         self.wheel_len -= self.buckets[b].len();
                         self.occupied[b / 64] &= !(1u64 << (b % 64));
-                        self.overflow.extend(self.buckets[b].drain(..));
+                        self.overflow.extend(self.buckets[b].drain(..).map(Reverse));
                     }
                 }
             }
@@ -276,28 +460,28 @@ impl EventQueue {
                 w + self.bucket_mask
             };
         }
-        if !self.active.is_empty() {
+        if self.lane.len > 0 {
             if w_old - w <= self.bucket_mask {
                 let b = (w_old & self.bucket_mask) as usize;
                 debug_assert!(self.buckets[b].is_empty());
                 self.bucket_window[b] = w_old;
                 self.occupied[b / 64] |= 1u64 << (b % 64);
-                self.wheel_len += self.active.len();
+                self.wheel_len += self.lane.len;
                 self.max_window = self.max_window.max(w_old);
-                // Park the whole active set by swapping allocations.
-                let parked = std::mem::take(&mut self.active).into_vec();
-                let spare = std::mem::replace(&mut self.buckets[b], parked);
-                self.active = BinaryHeap::from(spare);
-                debug_assert!(self.active.is_empty());
+                while let Some(event) = self.lane.pop() {
+                    self.buckets[b].push(event);
+                }
             } else {
-                self.overflow.extend(self.active.drain());
+                while let Some(event) = self.lane.pop() {
+                    self.overflow.push(Reverse(event));
+                }
             }
         }
     }
 
-    /// Moves the earliest occupied bucket into `active` and advances
-    /// `cur_window` to its window. Caller guarantees `wheel_len > 0` and
-    /// `active` is empty.
+    /// Streams the earliest occupied bucket into the lane and advances
+    /// `cur_window` to its window. Caller guarantees `wheel_len > 0` and the
+    /// lane is empty.
     fn refill(&mut self) {
         let n = (self.bucket_mask + 1) as usize;
         // Every occupied bucket holds exactly one window in
@@ -335,35 +519,35 @@ impl EventQueue {
         self.cur_window += i as u64;
         self.occupied[b / 64] &= !(1u64 << (b % 64));
         self.wheel_len -= self.buckets[b].len();
-        // Steal the bucket's allocation: O(k) in-place heapify, and the
-        // heap's spent Vec becomes the bucket's next allocation.
-        debug_assert!(self.active.is_empty());
-        let spare = std::mem::take(&mut self.active).into_vec();
-        let bucket = std::mem::replace(&mut self.buckets[b], spare);
-        self.active = BinaryHeap::from(bucket);
+        debug_assert_eq!(self.lane.len, 0);
+        // The bucket keeps its allocation for the next window that maps here.
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        for event in bucket.drain(..) {
+            self.push_active(event);
+        }
+        self.buckets[b] = bucket;
     }
 
     /// Removes and returns the earliest event.
     // trimlint: hot-path -- the simulator's main-loop drain
     pub fn pop(&mut self) -> Option<Event> {
         // The refill invariant keeps the wheel's minimum visible through
-        // `active`, so the global minimum is in `active` or `overflow`.
+        // the lane, so the global minimum is in the lane or `overflow`.
         // Their windows can coincide (evicted or horizon-straddling events),
         // so compare the full (time, seq) key.
-        let from_overflow = match (self.active.peek(), self.overflow.peek()) {
+        let from_overflow = match (self.lane.peek(), self.overflow.peek()) {
             (None, None) => return None,
             (Some(_), None) => false,
             (None, Some(_)) => true,
-            (Some(Reverse(a)), Some(Reverse(o))) => o < a,
+            (Some(a), Some(Reverse(o))) => o.key() < a,
         };
         let event = if from_overflow {
-            self.overflow.pop()
+            self.overflow.pop().map(|Reverse(e)| e)
         } else {
-            self.active.pop()
-        }
-        .map(|Reverse(e)| e)?;
+            self.lane.pop()
+        }?;
         self.fired += 1;
-        if self.active.is_empty() && self.wheel_len > 0 {
+        if self.lane.len == 0 && self.wheel_len > 0 {
             self.refill();
         }
         Some(event)
@@ -372,11 +556,11 @@ impl EventQueue {
     /// The firing time of the earliest event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The refill invariant (buckets occupied ⇒ active non-empty) makes
-        // the wheel's minimum visible through `active`.
-        debug_assert!(self.wheel_len == 0 || !self.active.is_empty());
-        let t = |h: &BinaryHeap<Reverse<Event>>| h.peek().map(|Reverse(e)| e.at);
-        match (t(&self.active), t(&self.overflow)) {
+        // The refill invariant (buckets occupied ⇒ lane non-empty) makes
+        // the wheel's minimum visible through the lane.
+        debug_assert!(self.wheel_len == 0 || self.lane.len > 0);
+        let overflow = self.overflow.peek().map(|Reverse(e)| e.at);
+        match (self.lane.peek().map(|(at, _)| at), overflow) {
             (Some(a), Some(o)) => Some(a.min(o)),
             (a, o) => a.or(o),
         }
@@ -385,7 +569,7 @@ impl EventQueue {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.wheel_len + self.active.len() + self.overflow.len()
+        self.wheel_len + self.lane.len + self.overflow.len()
     }
 
     /// Whether no events are pending.
@@ -415,6 +599,76 @@ mod tests {
         EventKind::AppTimer {
             node: NodeId(node),
             token,
+        }
+    }
+
+    /// A lane event: only `at` and `seq` matter to the lane; the token
+    /// echoes `seq` so pops can be identified.
+    fn lane_event(at: u64, seq: u64) -> Event {
+        Event {
+            at: SimTime(at),
+            seq,
+            kind: timer(0, seq),
+        }
+    }
+
+    fn drain_keys(lane: &mut Lane) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| lane.pop())
+            .map(|e| (e.at.0, e.seq))
+            .collect()
+    }
+
+    #[test]
+    fn lane_slot_stays_sorted_whatever_the_insert_order() {
+        // A 2^16 ns window has 8 ns slots, so all of these share slot 0.
+        let mut lane = Lane::new(16);
+        assert_eq!(lane.slot_shift, 3);
+        lane.push(lane_event(3, 0)); // first in the slot
+        lane.push(lane_event(5, 1)); // tail append
+        lane.push(lane_event(4, 2)); // between head and tail: sorted walk
+        lane.push(lane_event(1, 3)); // before the head
+        lane.push(lane_event(5, 4)); // ties the tail: appended after it
+        lane.push(lane_event(4, 5)); // ties a middle node: lands after it
+        assert_eq!(lane.len, 6);
+        assert_eq!(lane.peek(), Some((SimTime(1), 3)));
+        assert_eq!(
+            drain_keys(&mut lane),
+            vec![(1, 3), (3, 0), (4, 2), (4, 5), (5, 1), (5, 4)]
+        );
+        assert!(lane.occupied.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn lane_cursor_rewinds_for_an_earlier_insert() {
+        let mut lane = Lane::new(13); // 1 ns slots
+        lane.push(lane_event(100, 0));
+        lane.push(lane_event(4000, 1));
+        assert_eq!(lane.pop().map(|e| e.at.0), Some(100));
+        assert_eq!(lane.cursor, 4000, "cursor rests on the first occupied slot");
+        // Earlier than the cursor (and than the event just popped).
+        lane.push(lane_event(50, 2));
+        assert_eq!(lane.cursor, 50);
+        lane.push(lane_event(8191, 3));
+        assert_eq!(
+            drain_keys(&mut lane),
+            vec![(50, 2), (4000, 1), (8191, 3)],
+            "last slot of the last bitmap word included"
+        );
+    }
+
+    #[test]
+    fn lane_reuses_slab_nodes_after_a_drain() {
+        let mut lane = Lane::new(13);
+        for round in 0..3u64 {
+            for i in 0..64u64 {
+                lane.push(lane_event((i * 97) % 8192, round * 64 + i));
+            }
+            assert_eq!(lane.nodes.len(), 64, "round {round} grew the slab");
+            let keys = drain_keys(&mut lane);
+            assert_eq!(keys.len(), 64);
+            assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(lane.len, 0);
+            assert_eq!(lane.pop().map(|e| e.seq), None);
         }
     }
 

@@ -13,6 +13,17 @@ use crate::NodeId;
 use trimgrad_telemetry::Registry;
 use trimgrad_trace::Tracer;
 
+/// What an app asked for during one callback: sends, timers and flow
+/// completions, applied by the simulator when the callback returns. The
+/// simulator owns one set and lends it to every [`HostApi`] in turn, so the
+/// vectors keep their capacity instead of being regrown per delivery.
+#[derive(Debug, Default)]
+pub(crate) struct HostActions {
+    pub(crate) outbox: Vec<PacketSpec>,
+    pub(crate) timers: Vec<(SimTime, u64)>,
+    pub(crate) completed_flows: Vec<crate::FlowId>,
+}
+
 /// The per-callback interface an app uses to act on the network.
 #[derive(Debug)]
 pub struct HostApi {
@@ -20,22 +31,30 @@ pub struct HostApi {
     node: NodeId,
     registry: Registry,
     tracer: Tracer,
-    pub(crate) outbox: Vec<PacketSpec>,
-    pub(crate) timers: Vec<(SimTime, u64)>,
-    pub(crate) completed_flows: Vec<crate::FlowId>,
+    pub(crate) actions: HostActions,
 }
 
 impl HostApi {
-    pub(crate) fn new(now: SimTime, node: NodeId, registry: Registry, tracer: Tracer) -> Self {
+    /// `actions` must be empty; the caller takes it back (drained) with
+    /// [`HostApi::into_actions`].
+    pub(crate) fn new(
+        now: SimTime,
+        node: NodeId,
+        registry: Registry,
+        tracer: Tracer,
+        actions: HostActions,
+    ) -> Self {
         Self {
             now,
             node,
             registry,
             tracer,
-            outbox: Vec::new(),
-            timers: Vec::new(),
-            completed_flows: Vec::new(),
+            actions,
         }
+    }
+
+    pub(crate) fn into_actions(self) -> HostActions {
+        self.actions
     }
 
     /// Current simulated time.
@@ -69,17 +88,17 @@ impl HostApi {
     /// Hands a packet to the NIC (enqueued on the egress port when the
     /// callback returns).
     pub fn send(&mut self, spec: PacketSpec) {
-        self.outbox.push(spec);
+        self.actions.outbox.push(spec);
     }
 
     /// Schedules [`App::on_timer`] to fire `delay` from now with `token`.
     pub fn timer_in(&mut self, delay: SimTime, token: u64) {
-        self.timers.push((self.now + delay, token));
+        self.actions.timers.push((self.now + delay, token));
     }
 
     /// Records a flow/message as complete (for FCT statistics).
     pub fn complete_flow(&mut self, flow: crate::FlowId) {
-        self.completed_flows.push(flow);
+        self.actions.completed_flows.push(flow);
     }
 }
 
@@ -149,15 +168,17 @@ mod tests {
             NodeId(3),
             Registry::new(),
             Tracer::disabled(),
+            HostActions::default(),
         );
         assert_eq!(api.now(), SimTime::from_micros(5));
         assert_eq!(api.node(), NodeId(3));
         api.send(PacketSpec::synthetic(NodeId(1), FlowId(2), 100, 0));
         api.timer_in(SimTime::from_micros(10), 42);
         api.complete_flow(FlowId(2));
-        assert_eq!(api.outbox.len(), 1);
-        assert_eq!(api.timers, vec![(SimTime::from_micros(15), 42)]);
-        assert_eq!(api.completed_flows, vec![FlowId(2)]);
+        let actions = api.into_actions();
+        assert_eq!(actions.outbox.len(), 1);
+        assert_eq!(actions.timers, vec![(SimTime::from_micros(15), 42)]);
+        assert_eq!(actions.completed_flows, vec![FlowId(2)]);
     }
 
     #[test]
@@ -168,6 +189,7 @@ mod tests {
             NodeId(0),
             Registry::new(),
             Tracer::disabled(),
+            HostActions::default(),
         );
         let mut pkt = crate::packet::Packet {
             id: 1,

@@ -24,7 +24,10 @@
 //!   ([`ports::DensePortTable`]): build-time `PortId` assignment from the
 //!   CSR adjacency, O(1) indexed `PortState` storage, cached link params,
 //!   and an allocation-free queue-depth mirror.
-//! * [`sim`] — the event loop.
+//! * [`sim`] — the event loop: construction, `run_until`, event dispatch,
+//!   host-app callbacks and the samplers; the per-packet data plane it
+//!   drives (host send, switch arrival, port enqueue, serializer start, the
+//!   per-flow port paths) is the crate-private `dataplane` module.
 //! * [`transport`] — message-level services on top of packets: a reliable
 //!   retransmitting transport (the "NCCL baseline") and the trimming
 //!   transport (no payload retransmission; trimmed heads are final).
@@ -59,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod crosstraffic;
+mod dataplane;
 pub mod event;
 pub mod fault;
 pub mod host;

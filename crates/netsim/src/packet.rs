@@ -240,7 +240,55 @@ impl Packet {
     }
 }
 
-/// A freelist recycler for the `Box<Packet>` allocations that ride the
+/// A packet inside the fabric: the app-facing [`Packet`] plus the two
+/// indices the data plane resolved for it when it was sent, so no hop has to
+/// look them up again. Only [`PacketArena::alloc`] makes one; it derefs to
+/// the packet it carries.
+#[derive(Debug)]
+pub struct InFlight {
+    pkt: Packet,
+    /// Index into the simulator's flat path table of the next egress port
+    /// this packet takes (see `dataplane::FlowPaths`); each switch arrival
+    /// reads it and advances it by one.
+    pub(crate) cursor: u32,
+    /// Slot of the packet's flow record in [`crate::stats::Stats`].
+    pub(crate) flow_slot: u32,
+}
+
+impl InFlight {
+    /// Path-table index of the packet's next egress port.
+    #[must_use]
+    pub fn cursor(&self) -> u32 {
+        self.cursor
+    }
+
+    /// Slot of the packet's flow record.
+    #[must_use]
+    pub fn flow_slot(&self) -> u32 {
+        self.flow_slot
+    }
+
+    /// Moves the packet out for delivery, leaving an inert
+    /// [`Packet::stub`] behind so the box can go back to the arena.
+    pub(crate) fn take_packet(&mut self) -> Packet {
+        core::mem::replace(&mut self.pkt, Packet::stub())
+    }
+}
+
+impl core::ops::Deref for InFlight {
+    type Target = Packet;
+    fn deref(&self) -> &Packet {
+        &self.pkt
+    }
+}
+
+impl core::ops::DerefMut for InFlight {
+    fn deref_mut(&mut self) -> &mut Packet {
+        &mut self.pkt
+    }
+}
+
+/// A freelist recycler for the `Box<InFlight>` allocations that ride the
 /// event queue.
 ///
 /// The simulator boxes every packet once at send time and the same box
@@ -249,9 +297,10 @@ impl Packet {
 /// the next send — one allocator round-trip per packet lifetime, which at
 /// datacenter scale dominates the data plane. The arena keeps retired
 /// boxes on a LIFO freelist instead: [`PacketArena::alloc`] overwrites
-/// every field of a recycled box with the new packet (so no stale
-/// payload/flow/seq can leak across reuses — `tests/arena_prop.rs` proves
-/// it), and [`PacketArena::free`] returns a box to the list.
+/// every field of a recycled box with the new packet and its routing state
+/// (so no stale payload/flow/seq/cursor can leak across reuses —
+/// `tests/arena_prop.rs` proves it), and [`PacketArena::free`] returns a
+/// box to the list.
 ///
 /// The counters double as a memory probe and a conservation cross-check:
 /// `live` equals the simulator's in-flight count at all times, and
@@ -262,7 +311,7 @@ pub struct PacketArena {
     // The boxes themselves are what gets recycled, so the free list holds
     // them boxed.
     #[allow(clippy::vec_box)]
-    pool: Vec<Box<Packet>>,
+    pool: Vec<Box<InFlight>>,
     fresh: u64,
     recycled: u64,
     freed: u64,
@@ -277,28 +326,34 @@ impl PacketArena {
         Self::default()
     }
 
-    /// Boxes `packet`, reusing a pooled allocation when one is available.
-    /// Every field of a recycled box is overwritten.
+    /// Boxes `packet` with its path cursor and flow slot, reusing a pooled
+    /// allocation when one is available. Every field of a recycled box is
+    /// overwritten.
     // trimlint: hot-path -- per-send/per-injection packet boxing
-    pub fn alloc(&mut self, packet: Packet) -> Box<Packet> {
+    pub fn alloc(&mut self, packet: Packet, cursor: u32, flow_slot: u32) -> Box<InFlight> {
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
         }
+        let in_flight = InFlight {
+            pkt: packet,
+            cursor,
+            flow_slot,
+        };
         if let Some(mut slot) = self.pool.pop() {
             self.recycled += 1;
-            *slot = packet;
+            *slot = in_flight;
             slot
         } else {
             self.fresh += 1;
             // trimlint: allow(hot-path-alloc) -- pool-miss slow path; steady state recycles from the freelist
-            Box::new(packet)
+            Box::new(in_flight)
         }
     }
 
     /// Returns a box to the freelist for reuse.
     // trimlint: hot-path -- per-delivery/per-drop packet retirement
-    pub fn free(&mut self, slot: Box<Packet>) {
+    pub fn free(&mut self, slot: Box<InFlight>) {
         self.live -= 1;
         self.freed += 1;
         self.pool.push(slot);
@@ -457,8 +512,16 @@ mod tests {
     #[test]
     fn arena_recycles_and_counts() {
         let mut arena = PacketArena::new();
-        let a = arena.alloc(pkt(PacketSpec::synthetic(NodeId(1), FlowId(1), 1500, 0)));
-        let b = arena.alloc(pkt(PacketSpec::synthetic(NodeId(1), FlowId(2), 1500, 1)));
+        let a = arena.alloc(
+            pkt(PacketSpec::synthetic(NodeId(1), FlowId(1), 1500, 0)),
+            5,
+            1,
+        );
+        let b = arena.alloc(
+            pkt(PacketSpec::synthetic(NodeId(1), FlowId(2), 1500, 1)),
+            9,
+            2,
+        );
         assert_eq!(arena.live(), 2);
         assert_eq!(arena.high_water(), 2);
         assert_eq!(arena.fresh_allocations(), 2);
@@ -466,7 +529,11 @@ mod tests {
         arena.free(b);
         assert_eq!(arena.live(), 0);
         assert_eq!(arena.pooled(), 2);
-        let c = arena.alloc(pkt(PacketSpec::synthetic(NodeId(2), FlowId(3), 640, 7)));
+        let c = arena.alloc(
+            pkt(PacketSpec::synthetic(NodeId(2), FlowId(3), 640, 7)),
+            0,
+            3,
+        );
         assert_eq!(arena.recycled_allocations(), 1);
         assert_eq!(arena.fresh_allocations(), 2);
         assert_eq!(arena.high_water(), 2, "high water does not regress");
@@ -475,6 +542,7 @@ mod tests {
         assert_eq!(c.seq, 7);
         assert_eq!(c.size, 640);
         assert_eq!(c.dst, NodeId(2));
+        assert_eq!((c.cursor(), c.flow_slot()), (0, 3));
         assert_eq!(arena.total_allocations(), 3);
         assert_eq!(arena.freed(), 2);
     }

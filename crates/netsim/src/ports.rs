@@ -1,16 +1,16 @@
 //! Egress-port storage: the simulator's dense data plane.
 //!
 //! Every directed link in the topology owns one egress port
-//! ([`crate::switch::PortState`]). The simulator resolves `(from, to)` to a
-//! port on every enqueue, dequeue, and `PortFree` event, so the storage
-//! layout *is* the data plane's hot path.
+//! ([`crate::switch::PortState`]). Packets and events name ports by
+//! [`PortId`], so the storage layout *is* the data plane's hot path.
 //!
 //! [`DensePortTable`] assigns dense [`PortId`]s at construction time in
 //! `(from, to)` lexicographic order (node-major, per-node neighbors sorted
 //! by id), which is also the order telemetry export and conservation
-//! reporting walk the ports in. Lookup is a binary search over the node's
-//! sorted neighbor row — O(log degree), with fabric degrees in the tens —
-//! and everything else is O(1) array indexing: port state, per-port
+//! reporting walk the ports in. Resolving `(from, to)` is a binary search
+//! over the node's sorted neighbor row — done once per hop when a flow's
+//! path is first resolved, never per packet — and everything else is O(1)
+//! array indexing: port state, the node a port faces, per-port
 //! [`LinkParams`] (no linear adjacency scan per dequeue), and dense
 //! busy/queue-depth mirrors for allocation-free sampling.
 //! `tests/port_map_differential.rs` pins the whole plane's observable
@@ -109,22 +109,15 @@ impl DensePortTable {
         self.nbrs.is_empty()
     }
 
-    /// The source node owning `key` (inverse of the CSR row bracketing).
-    fn source_node(&self, key: PortId) -> usize {
-        // partition_point returns the first row whose offset exceeds key,
-        // i.e. one past the owning node.
-        self.row_off.partition_point(|&off| off <= key.0) - 1
-    }
-
     /// Resolves the egress port of `from → to`. The simulator does this once
-    /// per event and uses the [`PortId`] for all follow-up accesses.
+    /// per hop of a flow's path, when the flow first sends, and every packet
+    /// and event afterwards carries the [`PortId`].
     ///
     /// # Panics
     ///
     /// Panics if no such directed link exists: the simulator only routes
     /// over links taken from the same adjacency the table indexes, so a
     /// missing link is a topology-construction bug.
-    // trimlint: hot-path -- per-packet (from, to) → PortId resolution
     #[must_use]
     pub fn key(&self, from: NodeId, to: NodeId) -> PortId {
         self.try_key(from, to).unwrap_or_else(|| {
@@ -134,7 +127,6 @@ impl DensePortTable {
     }
 
     /// Resolves `from → to`; `None` when the link does not exist.
-    // trimlint: hot-path -- binary search over the node's sorted neighbor row
     #[must_use]
     pub fn try_key(&self, from: NodeId, to: NodeId) -> Option<PortId> {
         let lo = *self.row_off.get(from.0)? as usize;
@@ -144,6 +136,24 @@ impl DensePortTable {
         row.binary_search(&want)
             .ok()
             .map(|i| PortId((lo + i) as u32))
+    }
+
+    /// The node the port behind `key` faces (the receiving end of its link).
+    // trimlint: hot-path -- one load from the neighbor row
+    #[must_use]
+    pub fn to(&self, key: PortId) -> NodeId {
+        NodeId(self.nbrs[key.0 as usize] as usize)
+    }
+
+    /// The node owning the port behind `key` (the transmitting end; the
+    /// inverse of the CSR row bracketing). A binary search over the row
+    /// offsets: for traces, exports and fault plans, not for the per-packet
+    /// path.
+    #[must_use]
+    pub fn from(&self, key: PortId) -> NodeId {
+        // partition_point returns the first row whose offset exceeds key,
+        // i.e. one past the owning node.
+        NodeId(self.row_off.partition_point(|&off| off <= key.0) - 1)
     }
 
     /// The port behind `key`.
@@ -218,7 +228,7 @@ impl DensePortTable {
             .map(|(i, p)| {
                 // trimlint: allow(no-panic) -- index came out of a Vec built with u32 offsets, so it fits
                 let key = PortId(u32::try_from(i).expect("port index fits u32"));
-                ((self.source_node(key), self.nbrs[i] as usize), p)
+                ((self.from(key).0, self.to(key).0), p)
             })
     }
 }
@@ -258,11 +268,9 @@ mod tests {
             }
         }
         for (i, &(from, to)) in expect.iter().enumerate() {
-            assert_eq!(
-                table.key(NodeId(from), NodeId(to)),
-                PortId(i as u32),
-                "({from}, {to})"
-            );
+            let key = PortId(i as u32);
+            assert_eq!(table.key(NodeId(from), NodeId(to)), key, "({from}, {to})");
+            assert_eq!((table.from(key), table.to(key)), (NodeId(from), NodeId(to)));
         }
     }
 
@@ -312,10 +320,14 @@ mod tests {
         let t = diamond();
         let mut dense = DensePortTable::new(&t);
         let policy = QueuePolicy::trim_default();
-        let pkt = Box::new(crate::packet::Packet {
-            size: 100,
-            ..crate::packet::Packet::stub()
-        });
+        let pkt = crate::packet::PacketArena::new().alloc(
+            crate::packet::Packet {
+                size: 100,
+                ..crate::packet::Packet::stub()
+            },
+            0,
+            0,
+        );
         let dk = dense.key(NodeId(0), NodeId(2));
         dense.get_mut(dk).enqueue(pkt, &policy);
         let d: Vec<_> = dense

@@ -5,56 +5,55 @@
 //! monotonically through the deterministic [`crate::event::EventQueue`];
 //! identical inputs (topology, apps, seed) produce bit-identical runs.
 //!
-//! The data plane is flat: port state lives in a [`DensePortTable`] (O(1)
-//! indexing by precomputed [`crate::ports::PortId`], cached link params, a
-//! dense queue-depth mirror), packet boxes are recycled through a
-//! [`PacketArena`] instead of being allocated once per packet lifetime, and
-//! conservation is tracked incrementally so [`Simulator::conservation_holds`]
-//! is O(1).
+//! This file is construction, [`Simulator::run_until`] with its event
+//! dispatch, host-app callbacks and the two samplers. What happens to a
+//! packet — host send, switch arrival, port enqueue, serializer start — is
+//! the `impl Simulator` block in `dataplane.rs`. The data plane is flat:
+//! port state lives in a [`DensePortTable`] (O(1) indexing by precomputed
+//! [`crate::ports::PortId`], cached link params, a dense queue-depth
+//! mirror), each flow's port path is resolved once, packet boxes are
+//! recycled through a [`PacketArena`] instead of being allocated once per
+//! packet lifetime, and conservation is tracked incrementally so
+//! [`Simulator::conservation_holds`] is O(1).
 
+use crate::dataplane::FlowPaths;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::host::{App, HostApi, SinkApp};
-use crate::packet::{Packet, PacketArena, PacketSpec};
-use crate::ports::{DensePortTable, PortId};
+use crate::host::{App, HostActions, HostApi, SinkApp};
+use crate::packet::PacketArena;
+use crate::ports::DensePortTable;
 use crate::stats::{ConservationViolation, Stats};
-use crate::switch::{EnqueueOutcome, PortCounters, QueuePolicy};
+use crate::switch::PortCounters;
 use crate::time::SimTime;
 use crate::topology::{NodeKind, Routes, Topology};
 use crate::NodeId;
 use std::collections::BTreeMap;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_telemetry::{Counter, Registry, Snapshot, TimeSeries};
-use trimgrad_trace::{sat32, DropReason, TraceEvent, Tracer};
-
-/// The host NIC queue policy: deep FIFO, no trimming (the sending host can
-/// hold its own backlog; congestion logic lives in the fabric's switches).
-fn host_nic_policy() -> QueuePolicy {
-    QueuePolicy {
-        data_capacity: 1 << 30,
-        prio_capacity: 1 << 30,
-        ecn_threshold: None,
-        action: crate::switch::FullAction::DropTail,
-    }
-}
+use trimgrad_trace::Tracer;
 
 /// The discrete-event network simulator.
 pub struct Simulator {
-    topo: Topology,
-    routes: Routes,
-    ports: DensePortTable,
+    pub(crate) topo: Topology,
+    pub(crate) routes: Routes,
+    pub(crate) ports: DensePortTable,
+    /// Every flow's port path, resolved from `routes` when it first sends.
+    pub(crate) paths: FlowPaths,
     /// Running roll-up of every port's counters, updated at each enqueue
     /// and dequeue so the conservation check never re-scans the table.
-    port_totals: PortCounters,
-    arena: PacketArena,
+    pub(crate) port_totals: PortCounters,
+    pub(crate) arena: PacketArena,
     apps: Vec<Option<Box<dyn App>>>,
+    /// The action buffers lent to each app callback's [`HostApi`] and taken
+    /// back drained, so they are grown once per run, not once per delivery.
+    host_actions: HostActions,
     started: bool,
-    queue: EventQueue,
-    now: SimTime,
-    stats: Stats,
-    next_pkt_id: u64,
-    in_flight: u64,
-    rng: Xoshiro256StarStar,
+    pub(crate) queue: EventQueue,
+    pub(crate) now: SimTime,
+    pub(crate) stats: Stats,
+    pub(crate) next_pkt_id: u64,
+    pub(crate) in_flight: u64,
+    pub(crate) rng: Xoshiro256StarStar,
     queue_sample_interval: Option<SimTime>,
     registry: Registry,
     /// Per-host scoped registries (see [`Simulator::set_node_scope`]); hosts
@@ -62,18 +61,18 @@ pub struct Simulator {
     node_scopes: BTreeMap<usize, Registry>,
     /// Per-tenant trim attribution (see [`Simulator::set_flow_scope`]),
     /// keyed by `flow.0 >> 32`.
-    flow_scopes: BTreeMap<u64, TenantTrim>,
+    pub(crate) flow_scopes: BTreeMap<u64, TenantTrim>,
     time_series_interval: Option<SimTime>,
     time_series: Option<TimeSeries>,
-    fault_plan: Option<FaultPlan>,
-    tracer: Tracer,
+    pub(crate) fault_plan: Option<FaultPlan>,
+    pub(crate) tracer: Tracer,
 }
 
 /// Per-tenant fabric-side trim counters, bumped as the switch trims packets
 /// belonging to that tenant's flows.
-struct TenantTrim {
-    trimmed: Counter,
-    trim_bytes: Counter,
+pub(crate) struct TenantTrim {
+    pub(crate) trimmed: Counter,
+    pub(crate) trim_bytes: Counter,
 }
 
 impl Simulator {
@@ -115,9 +114,11 @@ impl Simulator {
             topo,
             routes,
             ports,
+            paths: FlowPaths::default(),
             port_totals: PortCounters::default(),
             arena: PacketArena::new(),
             apps,
+            host_actions: HostActions::default(),
             started: false,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
@@ -308,8 +309,10 @@ impl Simulator {
     }
 
     /// The simulation-wide telemetry registry. The fabric's `netsim.*`
-    /// counters live here, and every installed [`App`] sees the same registry
-    /// through [`HostApi::telemetry`].
+    /// counters live here — brought up to date whenever
+    /// [`Simulator::run_until`] returns, see [`Stats::publish`] — and every
+    /// installed [`App`] sees the same registry through
+    /// [`HostApi::telemetry`].
     #[must_use]
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -324,6 +327,7 @@ impl Simulator {
     /// repeated snapshots never double-count.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Snapshot {
+        self.stats.publish();
         let scratch = Registry::new();
         for ((from, to), port) in self.ports.ports_touched() {
             let label = crate::link::channel_label(NodeId(from), NodeId(to));
@@ -387,6 +391,7 @@ impl Simulator {
         if self.queue.peek_time().is_none() && self.now < t_end {
             self.now = t_end;
         }
+        self.stats.publish();
         self.now
     }
 
@@ -469,16 +474,14 @@ impl Simulator {
     // table, the arena) carries the hot-path annotations instead.
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Arrive { node, from, packet } => self.handle_arrive(node, from, packet),
-            EventKind::PortFree { node, to } => {
-                if let Some(key) = self.ports.try_key(node, to) {
-                    // Dense fast path: clear the busy flag and bail on an
-                    // empty backlog without ever touching the (cold, ~150B)
-                    // PortState — only the small busy/queued mirrors.
-                    self.ports.set_busy(key, false);
-                    if self.ports.has_backlog(key) {
-                        self.port_try_start(node, to, key);
-                    }
+            EventKind::Arrive { port, packet } => self.handle_arrive(port, packet),
+            EventKind::PortFree { port } => {
+                // Dense fast path: clear the busy flag and bail on an empty
+                // backlog without ever touching the (cold, ~150B) PortState
+                // — only the small busy/queued mirrors.
+                self.ports.set_busy(port, false);
+                if self.ports.has_backlog(port) {
+                    self.port_try_start(port);
                 }
             }
             EventKind::AppTimer { node, token } => {
@@ -501,6 +504,7 @@ impl Simulator {
                 // Registry-only snapshot: the per-port export in
                 // `telemetry_snapshot` formats thousands of names per call
                 // at datacenter scale, far too hot for a periodic sampler.
+                self.stats.publish();
                 let snap = self.registry.snapshot();
                 if let Some(ts) = &mut self.time_series {
                     ts.sample(self.now.as_nanos(), &snap);
@@ -515,254 +519,9 @@ impl Simulator {
         }
     }
 
-    // Delivery hands packets to app code via `with_app`, so this is not a
-    // lint hot-path root either; the spine calls it makes are annotated.
-    fn handle_arrive(&mut self, node: NodeId, _from: NodeId, mut packet: Box<Packet>) {
-        match self.topo.kind(node) {
-            NodeKind::Host => {
-                assert_eq!(packet.dst, node, "misrouted packet reached a host");
-                self.in_flight -= 1;
-                self.stats
-                    .on_delivered(packet.flow, packet.size, packet.trimmed);
-                self.tracer
-                    .emit(self.now.as_nanos(), || TraceEvent::PktDelivered {
-                        node: sat32(node.0),
-                        flow: packet.flow.0,
-                        pseq: packet.seq,
-                        pkt: packet.id,
-                        size: packet.size,
-                        trimmed: packet.trimmed,
-                    });
-                // Move the payload out and recycle the box: the `App` trait
-                // keeps taking packets by value, while the allocation that
-                // rode the event queue returns to the arena for the next
-                // send.
-                let inner = core::mem::replace(&mut *packet, Packet::stub());
-                self.arena.free(packet);
-                self.with_app(node, |app, api| app.on_packet(inner, api));
-            }
-            NodeKind::Switch(policy) => {
-                self.stats.on_forwarded();
-                let Some(next) = self.routes.next_hop(node, packet.dst, packet.flow) else {
-                    // Unreachable destination: count as a drop.
-                    self.in_flight -= 1;
-                    self.stats.on_dropped_data_full();
-                    self.tracer
-                        .emit(self.now.as_nanos(), || TraceEvent::PktDropped {
-                            node: sat32(node.0),
-                            to: sat32(node.0),
-                            flow: packet.flow.0,
-                            pseq: packet.seq,
-                            pkt: packet.id,
-                            reason: DropReason::NoRoute,
-                        });
-                    self.arena.free(packet);
-                    return;
-                };
-                self.enqueue_on_port(node, next, packet, &policy);
-            }
-        }
-    }
-
-    // trimlint: hot-path -- switch enqueue + trim/drop accounting
-    fn enqueue_on_port(
-        &mut self,
-        node: NodeId,
-        to: NodeId,
-        packet: Box<Packet>,
-        policy: &QueuePolicy,
-    ) {
-        let was_ecn = packet.ecn;
-        let (flow, pseq, pkt, size) = (packet.flow.0, packet.seq, packet.id, packet.size);
-        let key = self.ports.key(node, to);
-        let port = self.ports.get_mut(key);
-        let outcome = port.enqueue(packet, policy);
-        let rejected = port.take_rejected();
-        // After a trim, the surviving remnant sits at the back of the
-        // priority queue; read its size before the port borrow ends.
-        let trimmed_size = port.high_back_size();
-        let low = port.low_bytes();
-        let queued = u32::try_from(port.queued_packets()).unwrap_or(u32::MAX);
-        self.ports.record_depth(key, low, queued);
-        // Incremental conservation: mirror the port's own tally so the
-        // whole-run check never re-scans the table.
-        self.port_totals.arrived += 1;
-        match outcome {
-            EnqueueOutcome::Data => self.port_totals.queued_data += 1,
-            EnqueueOutcome::Priority => self.port_totals.queued_prio += 1,
-            EnqueueOutcome::Trimmed => self.port_totals.trimmed += 1,
-            EnqueueOutcome::DroppedDataFull => self.port_totals.dropped_data_full += 1,
-            EnqueueOutcome::DroppedPrioFull => self.port_totals.dropped_prio_full += 1,
-        }
-        if let Some(slot) = rejected {
-            self.arena.free(slot);
-        }
-        self.stats.observe_queue(low);
-        let at = self.now.as_nanos();
-        match outcome {
-            EnqueueOutcome::Data | EnqueueOutcome::Priority => {
-                self.tracer.emit(at, || TraceEvent::PktEnqueued {
-                    node: sat32(node.0),
-                    to: sat32(to.0),
-                    flow,
-                    pseq,
-                    pkt,
-                    size,
-                    prio: outcome == EnqueueOutcome::Priority,
-                });
-            }
-            EnqueueOutcome::Trimmed => {
-                self.stats.on_trimmed();
-                if !self.flow_scopes.is_empty() {
-                    if let Some(t) = self.flow_scopes.get(&(flow >> 32)) {
-                        t.trimmed.inc();
-                        t.trim_bytes
-                            .add(u64::from(size.saturating_sub(trimmed_size.unwrap_or(0))));
-                    }
-                }
-                self.tracer.emit(at, || TraceEvent::PktTrimmed {
-                    node: sat32(node.0),
-                    to: sat32(to.0),
-                    flow,
-                    pseq,
-                    pkt,
-                    old_size: size,
-                    new_size: trimmed_size.unwrap_or(0),
-                });
-            }
-            EnqueueOutcome::DroppedDataFull => {
-                self.in_flight -= 1;
-                self.stats.on_dropped_data_full();
-                self.tracer.emit(at, || TraceEvent::PktDropped {
-                    node: sat32(node.0),
-                    to: sat32(to.0),
-                    flow,
-                    pseq,
-                    pkt,
-                    reason: DropReason::DataFull,
-                });
-                return;
-            }
-            EnqueueOutcome::DroppedPrioFull => {
-                self.in_flight -= 1;
-                self.stats.on_dropped_prio_full();
-                self.tracer.emit(at, || TraceEvent::PktDropped {
-                    node: sat32(node.0),
-                    to: sat32(to.0),
-                    flow,
-                    pseq,
-                    pkt,
-                    reason: DropReason::PrioFull,
-                });
-                return;
-            }
-        }
-        // ECN accounting: count fresh marks only.
-        if !was_ecn {
-            if let Some(thresh) = policy.ecn_threshold {
-                if low > thresh {
-                    self.stats.on_ecn_marked();
-                }
-            }
-        }
-        self.port_try_start(node, to, key);
-    }
-
-    // trimlint: hot-path -- egress serializer start (dequeue + schedule)
-    fn port_try_start(&mut self, node: NodeId, to: NodeId, key: PortId) {
-        // Consult the dense busy/queued mirrors first so the common
-        // "port already serializing" / "nothing queued" cases never pull a
-        // scattered PortState line into cache.
-        if self.ports.is_busy(key) || !self.ports.has_backlog(key) {
-            return;
-        }
-        let port = self.ports.get_mut(key);
-        let Some(mut packet) = port.dequeue() else {
-            return;
-        };
-        let low = port.low_bytes();
-        let queued = u32::try_from(port.queued_packets()).unwrap_or(u32::MAX);
-        self.ports.set_busy(key, true);
-        self.ports.record_depth(key, low, queued);
-        self.port_totals.dequeued += 1;
-        // Link params come from the port table's build-time cache, not a
-        // linear adjacency scan per packet.
-        let params = self.ports.params(key);
-        let ser = params.rate.serialize_time(packet.size as usize);
-        self.queue
-            .schedule(self.now + ser, EventKind::PortFree { node, to });
-        // Random in-flight loss.
-        if params.drop_prob > 0.0 && f64::from(self.rng.next_f32()) < params.drop_prob {
-            self.in_flight -= 1;
-            self.stats.on_dropped_random();
-            self.tracer
-                .emit(self.now.as_nanos(), || TraceEvent::PktDropped {
-                    node: sat32(node.0),
-                    to: sat32(to.0),
-                    flow: packet.flow.0,
-                    pseq: packet.seq,
-                    pkt: packet.id,
-                    reason: DropReason::Random,
-                });
-            self.arena.free(packet);
-            return;
-        }
-        // Fault injection: the installed plan draws this packet's fate on
-        // the channel, possibly mutating it (corruption/truncation),
-        // destroying it, delaying it, or materializing extra clones.
-        let mut extra_delay = SimTime::ZERO;
-        if let Some(plan) = &mut self.fault_plan {
-            let outcome = plan.apply(node, to, &mut packet);
-            if outcome.drop {
-                self.in_flight -= 1;
-                self.stats.on_dropped_fault();
-                self.tracer
-                    .emit(self.now.as_nanos(), || TraceEvent::PktDropped {
-                        node: sat32(node.0),
-                        to: sat32(to.0),
-                        flow: packet.flow.0,
-                        pseq: packet.seq,
-                        pkt: packet.id,
-                        reason: DropReason::Fault,
-                    });
-                self.arena.free(packet);
-                return;
-            }
-            extra_delay = outcome.extra_delay;
-            for (clone, jitter) in outcome.injected {
-                self.in_flight += 1;
-                self.stats.on_injected();
-                self.tracer
-                    .emit(self.now.as_nanos(), || TraceEvent::FaultInjected {
-                        node: sat32(node.0),
-                        to: sat32(to.0),
-                        flow: clone.flow.0,
-                        pseq: clone.seq,
-                        pkt: clone.id,
-                    });
-                self.queue.schedule(
-                    self.now + ser + params.delay + jitter,
-                    EventKind::Arrive {
-                        node: to,
-                        from: node,
-                        packet: self.arena.alloc(clone),
-                    },
-                );
-            }
-        }
-        self.queue.schedule(
-            self.now + ser + params.delay + extra_delay,
-            EventKind::Arrive {
-                node: to,
-                from: node,
-                packet,
-            },
-        );
-    }
-
     /// Runs `f` on the app installed at `node`, then applies the buffered
     /// API actions (sends, timers, completions).
-    fn with_app<F: FnOnce(&mut dyn App, &mut HostApi)>(&mut self, node: NodeId, f: F) {
+    pub(crate) fn with_app<F: FnOnce(&mut dyn App, &mut HostApi)>(&mut self, node: NodeId, f: F) {
         let Some(mut app) = self.apps[node.0].take() else {
             return;
         };
@@ -773,72 +532,21 @@ impl Simulator {
             .get(&node.0)
             .unwrap_or(&self.registry)
             .clone();
-        let mut api = HostApi::new(self.now, node, registry, self.tracer.clone());
+        let actions = core::mem::take(&mut self.host_actions);
+        let mut api = HostApi::new(self.now, node, registry, self.tracer.clone(), actions);
         f(app.as_mut(), &mut api);
         self.apps[node.0] = Some(app);
-        let HostApi {
-            outbox,
-            timers,
-            completed_flows,
-            ..
-        } = api;
-        for (at, token) in timers {
+        let mut actions = api.into_actions();
+        for (at, token) in actions.timers.drain(..) {
             self.queue.schedule(at, EventKind::AppTimer { node, token });
         }
-        for flow in completed_flows {
+        for flow in actions.completed_flows.drain(..) {
             self.stats.on_flow_complete(flow, self.now);
         }
-        for spec in outbox {
+        for spec in actions.outbox.drain(..) {
             self.send_from_host(node, spec);
         }
-    }
-
-    fn send_from_host(&mut self, node: NodeId, spec: PacketSpec) {
-        let Some(next) = self.routes.next_hop(node, spec.dst, spec.flow) else {
-            // No route: the send is silently dropped before entering the
-            // network (counted so conservation still holds). No packet id
-            // was ever assigned, hence the u64::MAX sentinel.
-            self.stats.on_sent(spec.flow, self.now);
-            self.stats.on_dropped_data_full();
-            self.tracer
-                .emit(self.now.as_nanos(), || TraceEvent::PktDropped {
-                    node: sat32(node.0),
-                    to: sat32(node.0),
-                    flow: spec.flow.0,
-                    pseq: spec.seq,
-                    pkt: u64::MAX,
-                    reason: DropReason::NoRoute,
-                });
-            return;
-        };
-        let packet = self.arena.alloc(Packet {
-            id: self.next_pkt_id,
-            flow: spec.flow,
-            src: node,
-            dst: spec.dst,
-            size: spec.size,
-            priority: spec.priority,
-            reliable: spec.reliable,
-            trimmed: false,
-            ecn: false,
-            seq: spec.seq,
-            fin: spec.fin,
-            sent_at: self.now,
-            body: spec.body,
-        });
-        self.next_pkt_id += 1;
-        self.stats.on_sent(packet.flow, self.now);
-        self.in_flight += 1;
-        self.tracer
-            .emit(self.now.as_nanos(), || TraceEvent::PktSent {
-                node: sat32(node.0),
-                flow: packet.flow.0,
-                pseq: packet.seq,
-                pkt: packet.id,
-                size: packet.size,
-            });
-        let policy = host_nic_policy();
-        self.enqueue_on_port(node, next, packet, &policy);
+        self.host_actions = actions;
     }
 }
 
@@ -856,7 +564,8 @@ impl core::fmt::Debug for Simulator {
 mod tests {
     use super::*;
     use crate::crosstraffic::BulkSenderApp;
-    use crate::switch::FullAction;
+    use crate::packet::Packet;
+    use crate::switch::{FullAction, QueuePolicy};
     use crate::time::gbps;
     use crate::FlowId;
 
@@ -1002,6 +711,59 @@ mod tests {
         assert!(sim.conservation_holds());
     }
 
+    /// Sum of `netsim.port.*.<field>` over every port in a snapshot.
+    fn port_sum(snap: &Snapshot, field: &str) -> u64 {
+        snap.iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("netsim.port.") && name.ends_with(field))
+            .map(|name| snap.counter(name))
+            .sum()
+    }
+
+    #[test]
+    fn ecn_tally_counts_only_what_ports_marked() {
+        // One bulk flow into a 1 G bottleneck holds the data queue above the
+        // ECN threshold while control packets keep landing in the priority
+        // queue of the same port. Ports never mark priority traffic, so the
+        // fabric-wide tally must not count those arrivals either.
+        struct ControlSender {
+            dst: NodeId,
+        }
+        impl App for ControlSender {
+            fn on_start(&mut self, api: &mut HostApi) {
+                for i in 0..50 {
+                    api.timer_in(SimTime::from_micros(10 * i), i);
+                }
+            }
+            fn on_packet(&mut self, _pkt: Packet, _api: &mut HostApi) {}
+            fn on_timer(&mut self, token: u64, api: &mut HostApi) {
+                use crate::packet::{ControlMsg, PacketSpec};
+                let msg = ControlMsg::Ack { seq: token };
+                api.send(PacketSpec::control(self.dst, FlowId(2), msg));
+            }
+        }
+        let mut t = Topology::new();
+        let recv = t.add_host();
+        let s = t.add_switch(QueuePolicy::ecn_default());
+        t.link(recv, s, gbps(1.0), SimTime::from_micros(1));
+        let h1 = t.add_host();
+        let h2 = t.add_host();
+        t.link(h1, s, gbps(10.0), SimTime::from_micros(1));
+        t.link(h2, s, gbps(10.0), SimTime::from_micros(1));
+        let mut sim = Simulator::new(t);
+        sim.install_app(h1, Box::new(BulkSenderApp::new(recv, 120_000, 1500, 1)));
+        sim.install_app(h2, Box::new(ControlSender { dst: recv }));
+        sim.run_until(SimTime::from_millis(100));
+        assert_eq!(sim.stats().delivered_packets(), 80 + 50);
+        let marked = sim.stats().ecn_marked();
+        assert!(marked > 0, "queue must cross threshold");
+        assert_eq!(
+            marked,
+            port_sum(&sim.telemetry_snapshot(), ".ecn_marked"),
+            "fabric-wide ECN tally disagrees with the ports that did the marking"
+        );
+    }
+
     #[test]
     fn timers_fire_in_order() {
         struct TimerApp {
@@ -1078,13 +840,7 @@ mod tests {
         );
         // The per-port trim tally aggregates to the fabric-wide counter: only
         // the switch's egress port toward `b` trims.
-        let mut trim_sum = 0;
-        for (name, _) in snap.iter() {
-            if name.starts_with("netsim.port.") && name.ends_with(".trimmed") {
-                trim_sum += snap.counter(name);
-            }
-        }
-        assert_eq!(trim_sum, sim.stats().trimmed_packets());
+        assert_eq!(port_sum(&snap, ".trimmed"), sim.stats().trimmed_packets());
         // Conservation straight off the snapshot (everything drained).
         assert_eq!(
             snap.counter("netsim.sent"),
@@ -1245,6 +1001,85 @@ mod tests {
         let delivered: f64 = ts.series("netsim.delivered").iter().map(|p| p.1).sum();
         assert_eq!(delivered as u64, 100);
         assert_eq!(ts.digest(), run().digest());
+    }
+
+    #[test]
+    fn registry_mirrors_stats_at_every_run_boundary_and_sample() {
+        // Every `netsim.*` counter and the queue watermark, registry against
+        // getters.
+        let mirrors = |sim: &Simulator, when: &str| {
+            let (snap, s) = (sim.registry().snapshot(), sim.stats());
+            let pairs = [
+                ("netsim.sent", s.sent_packets()),
+                ("netsim.delivered", s.delivered_packets()),
+                ("netsim.delivered_trimmed", s.delivered_trimmed_packets()),
+                ("netsim.forwarded", s.forwarded_packets()),
+                ("netsim.trimmed", s.trimmed_packets()),
+                ("netsim.dropped.data_full", s.dropped_data_full()),
+                ("netsim.dropped.prio_full", s.dropped_prio_full()),
+                ("netsim.dropped.random", s.dropped_random()),
+                ("netsim.dropped.fault", s.dropped_fault()),
+                ("netsim.injected", s.injected_packets()),
+                ("netsim.ecn_marked", s.ecn_marked()),
+            ];
+            for (name, want) in pairs {
+                assert_eq!(snap.counter(name), want, "{name} {when}");
+            }
+            assert_eq!(
+                snap.gauge("netsim.queue.max_bytes"),
+                u64::from(s.max_queue_bytes()),
+                "watermark {when}"
+            );
+            // One depth observation per enqueue (no queue sampler here).
+            let (observed, ..) = snap.histogram("netsim.queue.depth_bytes").unwrap();
+            assert_eq!(observed, sim.port_totals().arrived, "depth count {when}");
+        };
+        // Fast ingress, slow lossy egress: trims, drops and deliveries all
+        // tick. Every packet event here falls on a multiple of 8 ns and the
+        // k-th sample (k < 8) on an instant ≡ k mod 8 — so when `run_until`
+        // stops at a sample instant nothing else happened at it, and the
+        // getters read exactly what that sample saw.
+        let mut t = Topology::new();
+        let a = t.add_host();
+        let b = t.add_host();
+        let s = t.add_switch(QueuePolicy {
+            data_capacity: 4500,
+            prio_capacity: 64_000,
+            ecn_threshold: Some(2000),
+            action: FullAction::Trim { grad_depth: 1 },
+        });
+        t.link(a, s, gbps(10.0), SimTime::from_micros(1));
+        let lossy =
+            crate::link::LinkParams::new(gbps(1.0), SimTime::from_micros(1)).with_drop_prob(0.2);
+        t.link_with(s, b, lossy);
+        let mut sim = Simulator::with_seed(t, 5);
+        let interval = SimTime::from_nanos(30_001);
+        sim.enable_time_series(interval, 256);
+        sim.install_app(a, Box::new(BulkSenderApp::new(b, 600_000, 1500, 1)));
+        mirrors(&sim, "before the run");
+        let mut delivered_so_far = 0.0;
+        for k in 1..8u64 {
+            sim.run_until(interval * k);
+            mirrors(&sim, &format!("after run_until #{k}"));
+            let delivered = sim.time_series().unwrap().series("netsim.delivered");
+            let (at, delta) = delivered[k as usize - 1];
+            assert_eq!(at, interval.as_nanos() * k, "sampler must still be running");
+            delivered_so_far += delta;
+            assert_eq!(
+                delivered_so_far as u64,
+                sim.stats().delivered_packets(),
+                "sample #{k} saw a stale registry"
+            );
+        }
+        assert!(sim.stats().delivered_packets() > 0 && sim.in_flight() > 0);
+        sim.run_until(SimTime::from_millis(50));
+        mirrors(&sim, "after the drain");
+        let s = sim.stats();
+        assert!(s.trimmed_packets() > 0 && s.dropped_random() > 0 && s.ecn_marked() > 0);
+        // Snapshotting (which publishes again) changes nothing.
+        let before = sim.registry().snapshot();
+        let _ = sim.telemetry_snapshot();
+        assert_eq!(before, sim.registry().snapshot());
     }
 
     #[test]

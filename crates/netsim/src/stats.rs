@@ -18,8 +18,9 @@
 
 use crate::time::SimTime;
 use crate::FlowId;
+use core::cell::Cell;
 use std::collections::BTreeMap;
-use trimgrad_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
+use trimgrad_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot, HISTOGRAM_BUCKETS};
 
 /// Per-flow record.
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,30 +51,73 @@ impl FlowRecord {
     }
 }
 
+/// The fabric-wide tallies, indexing [`Stats::tally`] and [`TALLY_NAMES`].
+#[derive(Debug, Clone, Copy)]
+enum Tally {
+    Sent,
+    Delivered,
+    DeliveredTrimmed,
+    Forwarded,
+    Trimmed,
+    DroppedDataFull,
+    DroppedPrioFull,
+    DroppedRandom,
+    DroppedFault,
+    Injected,
+    EcnMarked,
+}
+
+/// Registry name of each [`Tally`], in declaration order.
+const TALLY_NAMES: [&str; 11] = [
+    "netsim.sent",
+    "netsim.delivered",
+    "netsim.delivered_trimmed",
+    "netsim.forwarded",
+    "netsim.trimmed",
+    "netsim.dropped.data_full",
+    "netsim.dropped.prio_full",
+    "netsim.dropped.random",
+    "netsim.dropped.fault",
+    "netsim.injected",
+    "netsim.ecn_marked",
+];
+
+/// The data-queue depth distribution, log2-bucketed exactly like
+/// [`trimgrad_telemetry::Histogram`].
+#[derive(Debug, Clone, Copy)]
+struct DepthHistogram {
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    sum: u64,
+}
+
 /// Global and per-flow counters.
 ///
-/// The global counters are backed by a [`trimgrad_telemetry::Registry`] so
-/// that every number the simulator reports is also available in a
-/// [`Snapshot`] under the `netsim.*` namespace. Per-flow records stay plain
-/// data: flow identities are unbounded and belong in [`Stats::fct_summary`],
-/// not the metric namespace.
+/// The data plane counts in plain integers; [`Stats::publish`] forwards what
+/// has accumulated since the last call to the `netsim.*` metrics of a
+/// [`trimgrad_telemetry::Registry`], so every number the simulator reports
+/// is also available in a [`Snapshot`]. The simulator publishes whenever
+/// `run_until` returns and before each time-series sample, and both
+/// snapshot methods publish first — so the registry is current at every
+/// point it can be read from outside an app callback. Per-flow records stay
+/// plain data: flow identities are unbounded and belong in
+/// [`Stats::fct_summary`], not the metric namespace.
 #[derive(Debug)]
 pub struct Stats {
     registry: Registry,
-    sent: Counter,
-    delivered: Counter,
-    delivered_trimmed: Counter,
-    forwarded: Counter,
-    trimmed: Counter,
-    dropped_data_full: Counter,
-    dropped_prio_full: Counter,
-    dropped_random: Counter,
-    dropped_fault: Counter,
-    injected: Counter,
-    ecn_marked: Counter,
-    max_queue_bytes: Gauge,
-    queue_depth: Histogram,
-    flows: BTreeMap<FlowId, FlowRecord>,
+    counters: [Counter; TALLY_NAMES.len()],
+    max_queue_gauge: Gauge,
+    depth_histogram: Histogram,
+    tally: [u64; TALLY_NAMES.len()],
+    max_queue_bytes: u32,
+    depth: DepthHistogram,
+    /// The tallies and depth distribution as of the last publish.
+    published: Cell<([u64; TALLY_NAMES.len()], DepthHistogram)>,
+    /// Flow records, indexed by the slot `on_sent` hands back.
+    flows: Vec<FlowRecord>,
+    /// `FlowId` → slot in `flows`; only consulted when a flow is named.
+    flow_index: BTreeMap<FlowId, u32>,
+    /// The last `flow_slot` answer: sends arrive in per-flow bursts.
+    last_flow: Option<(FlowId, u32)>,
 }
 
 impl Default for Stats {
@@ -92,171 +136,209 @@ impl Stats {
     /// Fresh statistics registering their counters in `registry`.
     #[must_use]
     pub fn with_registry(registry: Registry) -> Self {
-        let sent = registry.counter("netsim.sent");
-        let delivered = registry.counter("netsim.delivered");
-        let delivered_trimmed = registry.counter("netsim.delivered_trimmed");
-        let forwarded = registry.counter("netsim.forwarded");
-        let trimmed = registry.counter("netsim.trimmed");
-        let dropped_data_full = registry.counter("netsim.dropped.data_full");
-        let dropped_prio_full = registry.counter("netsim.dropped.prio_full");
-        let dropped_random = registry.counter("netsim.dropped.random");
-        let dropped_fault = registry.counter("netsim.dropped.fault");
-        let injected = registry.counter("netsim.injected");
-        let ecn_marked = registry.counter("netsim.ecn_marked");
-        let max_queue_bytes = registry.gauge("netsim.queue.max_bytes");
-        let queue_depth = registry.histogram("netsim.queue.depth_bytes");
+        let zero = DepthHistogram {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            sum: 0,
+        };
         Self {
+            counters: TALLY_NAMES.map(|name| registry.counter(name)),
+            max_queue_gauge: registry.gauge("netsim.queue.max_bytes"),
+            depth_histogram: registry.histogram("netsim.queue.depth_bytes"),
             registry,
-            sent,
-            delivered,
-            delivered_trimmed,
-            forwarded,
-            trimmed,
-            dropped_data_full,
-            dropped_prio_full,
-            dropped_random,
-            dropped_fault,
-            injected,
-            ecn_marked,
-            max_queue_bytes,
-            queue_depth,
-            flows: BTreeMap::new(),
+            tally: [0; TALLY_NAMES.len()],
+            max_queue_bytes: 0,
+            depth: zero,
+            published: Cell::new(([0; TALLY_NAMES.len()], zero)),
+            flows: Vec::new(),
+            flow_index: BTreeMap::new(),
+            last_flow: None,
         }
     }
 
-    /// The registry holding the global counters.
+    /// The registry holding the global counters (current as of the last
+    /// [`Stats::publish`]).
     #[must_use]
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
+    /// Forwards everything counted since the last call to the registry.
+    /// Idempotent: a second call with nothing new adds nothing.
+    pub fn publish(&self) {
+        let (sent, depth) = self.published.get();
+        for ((counter, &now), &before) in self.counters.iter().zip(&self.tally).zip(&sent) {
+            counter.add(now - before);
+        }
+        self.max_queue_gauge
+            .set_max(u64::from(self.max_queue_bytes));
+        let mut fresh = self.depth.buckets;
+        for (b, &before) in fresh.iter_mut().zip(&depth.buckets) {
+            *b -= before;
+        }
+        self.depth_histogram
+            .record_bucketed(&fresh, self.depth.sum - depth.sum);
+        self.published.set((self.tally, self.depth));
+    }
+
     /// A point-in-time snapshot of the global counters.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
+        self.publish();
         self.registry.snapshot()
     }
 
-    pub(crate) fn on_sent(&mut self, flow: FlowId, now: SimTime) {
-        self.sent.inc();
-        let rec = self.flows.entry(flow).or_default();
-        rec.sent += 1;
-        rec.first_sent.get_or_insert(now);
+    fn bump(&mut self, what: Tally) {
+        self.tally[what as usize] += 1;
     }
 
-    pub(crate) fn on_delivered(&mut self, flow: FlowId, bytes: u32, trimmed: bool) {
-        self.delivered.inc();
-        let rec = self.flows.entry(flow).or_default();
+    fn get(&self, what: Tally) -> u64 {
+        self.tally[what as usize]
+    }
+
+    /// The slot of `flow`'s record, created on first mention.
+    pub(crate) fn flow_slot(&mut self, flow: FlowId) -> u32 {
+        if let Some((last, slot)) = self.last_flow {
+            if last == flow {
+                return slot;
+            }
+        }
+        // trimlint: allow(lossy-cast) -- one slot per flow; in-flight packets carry it as u32
+        let next = self.flows.len() as u32;
+        let slot = *self.flow_index.entry(flow).or_insert(next);
+        if slot == next {
+            self.flows.push(FlowRecord::default());
+        }
+        self.last_flow = Some((flow, slot));
+        slot
+    }
+
+    /// Counts a send on `flow` and returns the flow's slot, which the packet
+    /// carries so its delivery finds the record without a lookup.
+    pub(crate) fn on_sent(&mut self, flow: FlowId, now: SimTime) -> u32 {
+        self.bump(Tally::Sent);
+        let slot = self.flow_slot(flow);
+        let rec = &mut self.flows[slot as usize];
+        rec.sent += 1;
+        rec.first_sent.get_or_insert(now);
+        slot
+    }
+
+    pub(crate) fn on_delivered(&mut self, flow_slot: u32, bytes: u32, trimmed: bool) {
+        self.bump(Tally::Delivered);
+        if trimmed {
+            self.bump(Tally::DeliveredTrimmed);
+        }
+        let rec = &mut self.flows[flow_slot as usize];
         rec.delivered += 1;
         rec.bytes_delivered += u64::from(bytes);
-        if trimmed {
-            self.delivered_trimmed.inc();
-            rec.delivered_trimmed += 1;
-        }
+        rec.delivered_trimmed += u64::from(trimmed);
     }
 
     pub(crate) fn on_forwarded(&mut self) {
-        self.forwarded.inc();
+        self.bump(Tally::Forwarded);
     }
 
     pub(crate) fn on_trimmed(&mut self) {
-        self.trimmed.inc();
+        self.bump(Tally::Trimmed);
     }
 
     pub(crate) fn on_dropped_data_full(&mut self) {
-        self.dropped_data_full.inc();
+        self.bump(Tally::DroppedDataFull);
     }
 
     pub(crate) fn on_dropped_prio_full(&mut self) {
-        self.dropped_prio_full.inc();
+        self.bump(Tally::DroppedPrioFull);
     }
 
     pub(crate) fn on_dropped_random(&mut self) {
-        self.dropped_random.inc();
+        self.bump(Tally::DroppedRandom);
     }
 
     pub(crate) fn on_dropped_fault(&mut self) {
-        self.dropped_fault.inc();
+        self.bump(Tally::DroppedFault);
     }
 
     pub(crate) fn on_injected(&mut self) {
-        self.injected.inc();
+        self.bump(Tally::Injected);
     }
 
     pub(crate) fn on_ecn_marked(&mut self) {
-        self.ecn_marked.inc();
+        self.bump(Tally::EcnMarked);
     }
 
     pub(crate) fn on_flow_complete(&mut self, flow: FlowId, now: SimTime) {
-        let rec = self.flows.entry(flow).or_default();
-        rec.completed_at.get_or_insert(now);
+        let slot = self.flow_slot(flow);
+        self.flows[slot as usize].completed_at.get_or_insert(now);
     }
 
+    /// Records one data-queue depth observation: the watermark and the log2
+    /// distribution behind windowed depth percentiles (the dashboard
+    /// heatmap).
     pub(crate) fn observe_queue(&mut self, bytes: u32) {
-        self.max_queue_bytes.set_max(u64::from(bytes));
-        // The log2 distribution behind windowed depth percentiles (the
-        // dashboard heatmap); three relaxed atomics on the enqueue path.
-        self.queue_depth.record(u64::from(bytes));
+        self.max_queue_bytes = self.max_queue_bytes.max(bytes);
+        self.depth.buckets[Histogram::bucket_of(u64::from(bytes))] += 1;
+        self.depth.sum += u64::from(bytes);
     }
 
     /// Packets handed to NICs by apps.
     #[must_use]
     pub fn sent_packets(&self) -> u64 {
-        self.sent.get()
+        self.get(Tally::Sent)
     }
 
     /// Packets delivered to destination hosts.
     #[must_use]
     pub fn delivered_packets(&self) -> u64 {
-        self.delivered.get()
+        self.get(Tally::Delivered)
     }
 
     /// Delivered packets that arrived trimmed.
     #[must_use]
     pub fn delivered_trimmed_packets(&self) -> u64 {
-        self.delivered_trimmed.get()
+        self.get(Tally::DeliveredTrimmed)
     }
 
     /// Switch forwarding operations.
     #[must_use]
     pub fn forwarded_packets(&self) -> u64 {
-        self.forwarded.get()
+        self.get(Tally::Forwarded)
     }
 
     /// Packets trimmed by switches.
     #[must_use]
     pub fn trimmed_packets(&self) -> u64 {
-        self.trimmed.get()
+        self.get(Tally::Trimmed)
     }
 
     /// Packets dropped at full data queues.
     #[must_use]
     pub fn dropped_data_full(&self) -> u64 {
-        self.dropped_data_full.get()
+        self.get(Tally::DroppedDataFull)
     }
 
     /// Packets dropped at full priority queues.
     #[must_use]
     pub fn dropped_prio_full(&self) -> u64 {
-        self.dropped_prio_full.get()
+        self.get(Tally::DroppedPrioFull)
     }
 
     /// Packets dropped by random link loss.
     #[must_use]
     pub fn dropped_random(&self) -> u64 {
-        self.dropped_random.get()
+        self.get(Tally::DroppedRandom)
     }
 
     /// Packets destroyed by an installed [`crate::fault::FaultPlan`].
     #[must_use]
     pub fn dropped_fault(&self) -> u64 {
-        self.dropped_fault.get()
+        self.get(Tally::DroppedFault)
     }
 
     /// Extra packets a [`crate::fault::FaultPlan`] injected (duplicates and
     /// stale replays the sender never sent).
     #[must_use]
     pub fn injected_packets(&self) -> u64 {
-        self.injected.get()
+        self.get(Tally::Injected)
     }
 
     /// Total drops of all causes.
@@ -271,43 +353,47 @@ impl Stats {
     /// ECN marks applied.
     #[must_use]
     pub fn ecn_marked(&self) -> u64 {
-        self.ecn_marked.get()
+        self.get(Tally::EcnMarked)
     }
 
     /// The deepest data-queue occupancy observed anywhere, in bytes.
     #[must_use]
     pub fn max_queue_bytes(&self) -> u32 {
-        u32::try_from(self.max_queue_bytes.get()).unwrap_or(u32::MAX)
+        self.max_queue_bytes
     }
 
     /// Fraction of delivered packets that arrived trimmed (0 when nothing
     /// was delivered).
     #[must_use]
     pub fn trim_fraction(&self) -> f64 {
-        let delivered = self.delivered.get();
+        let delivered = self.delivered_packets();
         if delivered == 0 {
             0.0
         } else {
-            self.delivered_trimmed.get() as f64 / delivered as f64
+            self.delivered_trimmed_packets() as f64 / delivered as f64
         }
     }
 
     /// Record for one flow, if any packet was sent on it.
     #[must_use]
     pub fn flow(&self, flow: FlowId) -> Option<&FlowRecord> {
-        self.flows.get(&flow)
+        self.flow_index
+            .get(&flow)
+            .map(|&slot| &self.flows[slot as usize])
     }
 
-    /// All flows with records.
+    /// All flows with records, in `FlowId` order.
     pub fn flows(&self) -> impl Iterator<Item = (&FlowId, &FlowRecord)> {
-        self.flows.iter()
+        self.flow_index
+            .iter()
+            .map(|(flow, &slot)| (flow, &self.flows[slot as usize]))
     }
 
     /// The slowest declared flow completion time, if any flow completed —
     /// the tail latency that gates a synchronous training round.
     #[must_use]
     pub fn max_fct(&self) -> Option<SimTime> {
-        self.flows.values().filter_map(FlowRecord::fct).max()
+        self.flows.iter().filter_map(FlowRecord::fct).max()
     }
 
     /// Verifies packet conservation given the number of packets still inside
@@ -328,8 +414,8 @@ impl Stats {
     ///
     /// The violation, when the identity does not hold.
     pub fn conservation_report(&self, in_flight: u64) -> Result<(), ConservationViolation> {
-        let supply = self.sent.get() + self.injected.get();
-        let accounted = self.delivered.get() + self.dropped_total() + in_flight;
+        let supply = self.sent_packets() + self.injected_packets();
+        let accounted = self.delivered_packets() + self.dropped_total() + in_flight;
         if supply == accounted {
             return Ok(());
         }
@@ -343,9 +429,9 @@ impl Stats {
             detail: format!(
                 "sent={} injected={} delivered={} dropped_data_full={} dropped_prio_full={} \
                  dropped_random={} dropped_fault={} in_flight={in_flight}",
-                self.sent.get(),
-                self.injected.get(),
-                self.delivered.get(),
+                self.sent_packets(),
+                self.injected_packets(),
+                self.delivered_packets(),
                 self.dropped_data_full(),
                 self.dropped_prio_full(),
                 self.dropped_random(),
@@ -360,7 +446,9 @@ impl Stats {
     /// training). Returns `None` when no flow completed.
     #[must_use]
     pub fn fct_summary(&self) -> Option<FctSummary> {
-        let mut fcts: Vec<SimTime> = self.flows.values().filter_map(FlowRecord::fct).collect();
+        // Slot order is first-send order, not `FlowId` order; the sort below
+        // makes every statistic (the `f64` mean included) independent of it.
+        let mut fcts: Vec<SimTime> = self.flows.iter().filter_map(FlowRecord::fct).collect();
         if fcts.is_empty() {
             return None;
         }
@@ -436,9 +524,9 @@ mod tests {
         let mut s = Stats::new();
         let f = FlowId(1);
         s.on_sent(f, SimTime::from_micros(1));
-        s.on_sent(f, SimTime::from_micros(2));
-        s.on_delivered(f, 1500, false);
-        s.on_delivered(f, 64, true);
+        let slot = s.on_sent(f, SimTime::from_micros(2));
+        s.on_delivered(slot, 1500, false);
+        s.on_delivered(slot, 64, true);
         s.on_trimmed();
         s.on_forwarded();
         s.on_ecn_marked();
@@ -473,8 +561,9 @@ mod tests {
         for i in 0..10 {
             s.on_sent(FlowId(i % 2), SimTime(i));
         }
+        let slot = s.flow_slot(FlowId(0));
         for _ in 0..6 {
-            s.on_delivered(FlowId(0), 100, false);
+            s.on_delivered(slot, 100, false);
         }
         s.on_dropped_data_full();
         s.on_dropped_random();
@@ -496,8 +585,9 @@ mod tests {
         for _ in 0..4 {
             s.on_dropped_fault();
         }
+        let slot = s.flow_slot(FlowId(0));
         for _ in 0..8 {
-            s.on_delivered(FlowId(0), 100, false);
+            s.on_delivered(slot, 100, false);
         }
         // 10 + 3 = 8 + 4 + 1 in flight.
         assert!(s.conservation_holds(1));
@@ -515,8 +605,8 @@ mod tests {
     fn conservation_report_names_the_offending_counters() {
         let mut s = Stats::new();
         s.on_sent(FlowId(1), SimTime::ZERO);
-        s.on_sent(FlowId(1), SimTime::ZERO);
-        s.on_delivered(FlowId(1), 100, false);
+        let slot = s.on_sent(FlowId(1), SimTime::ZERO);
+        s.on_delivered(slot, 100, false);
         assert!(s.conservation_report(1).is_ok());
         let v = s.conservation_report(0).unwrap_err();
         assert_eq!(v.scope, "global");
@@ -574,8 +664,8 @@ mod tests {
         let mut s = Stats::new();
         let f = FlowId(3);
         s.on_sent(f, SimTime::ZERO);
-        s.on_sent(f, SimTime::from_micros(1));
-        s.on_delivered(f, 64, true);
+        let slot = s.on_sent(f, SimTime::from_micros(1));
+        s.on_delivered(slot, 64, true);
         s.on_trimmed();
         s.on_dropped_random();
         s.observe_queue(4096);
@@ -587,6 +677,33 @@ mod tests {
         assert_eq!(snap.counter("netsim.dropped.random"), 1);
         assert_eq!(snap.counter_sum("netsim.dropped."), s.dropped_total());
         assert_eq!(snap.gauge("netsim.queue.max_bytes"), 4096);
+        let (count, sum, buckets) = snap.histogram("netsim.queue.depth_bytes").unwrap();
+        assert_eq!((count, sum, buckets[12]), (1, 4096, 1));
+    }
+
+    #[test]
+    fn publishing_is_idempotent_and_delta_exact() {
+        let mut s = Stats::new();
+        s.on_sent(FlowId(1), SimTime::ZERO);
+        s.observe_queue(100);
+        assert_eq!(s.registry().snapshot().counter("netsim.sent"), 0);
+        s.publish();
+        let first = s.registry().snapshot();
+        assert_eq!(first.counter("netsim.sent"), 1);
+        s.publish();
+        assert_eq!(s.snapshot(), first, "republishing nothing adds nothing");
+        // Only what happened since the last publish is forwarded.
+        s.on_sent(FlowId(1), SimTime::ZERO);
+        s.on_dropped_fault();
+        s.observe_queue(100);
+        s.observe_queue(9000);
+        let snap = s.snapshot();
+        assert_eq!(snap.counter("netsim.sent"), 2);
+        assert_eq!(snap.counter("netsim.dropped.fault"), 1);
+        assert_eq!(snap.gauge("netsim.queue.max_bytes"), 9000);
+        let (count, sum, buckets) = snap.histogram("netsim.queue.depth_bytes").unwrap();
+        assert_eq!((count, sum), (3, 9200));
+        assert_eq!((buckets[6], buckets[13]), (2, 1)); // 100 twice, 9000 once
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! An optional ECN threshold marks packets when the data queue is deep,
 //! independent of the full-queue action.
 
-use crate::packet::Packet;
+use crate::packet::InFlight;
 use std::collections::VecDeque;
 use trimgrad_telemetry::Registry;
 
@@ -172,14 +172,14 @@ impl PortCounters {
 /// The queues and serializer state of one egress port.
 #[derive(Debug, Default)]
 pub struct PortState {
-    high: VecDeque<Box<Packet>>,
-    low: VecDeque<Box<Packet>>,
+    high: VecDeque<Box<InFlight>>,
+    low: VecDeque<Box<InFlight>>,
     high_bytes: u32,
     low_bytes: u32,
     /// The packet the most recent [`PortState::enqueue`] rejected, parked
     /// so the caller can recycle its allocation (see
     /// [`PortState::take_rejected`]).
-    rejected: Option<Box<Packet>>,
+    rejected: Option<Box<InFlight>>,
     /// Deepest data-queue occupancy seen (bytes).
     pub max_low_bytes: u32,
     /// Monotone event tallies for this port.
@@ -223,7 +223,7 @@ impl PortState {
     /// rejected box is parked for [`PortState::take_rejected`] so its
     /// allocation can be recycled instead of falling to the allocator.
     // trimlint: hot-path -- switch forward path (trim/drop decision)
-    pub fn enqueue(&mut self, pkt: Box<Packet>, policy: &QueuePolicy) -> EnqueueOutcome {
+    pub fn enqueue(&mut self, pkt: Box<InFlight>, policy: &QueuePolicy) -> EnqueueOutcome {
         let (outcome, rejected) = self.enqueue_inner(pkt, policy);
         self.rejected = rejected;
         self.counters.arrived += 1;
@@ -242,15 +242,15 @@ impl PortState {
     /// The simulator returns it to the packet arena; callers that ignore it
     /// simply let the next enqueue (or the port's drop) release the box.
     // trimlint: hot-path -- drop-site recycling handoff
-    pub fn take_rejected(&mut self) -> Option<Box<Packet>> {
+    pub fn take_rejected(&mut self) -> Option<Box<InFlight>> {
         self.rejected.take()
     }
 
     fn enqueue_inner(
         &mut self,
-        mut pkt: Box<Packet>,
+        mut pkt: Box<InFlight>,
         policy: &QueuePolicy,
-    ) -> (EnqueueOutcome, Option<Box<Packet>>) {
+    ) -> (EnqueueOutcome, Option<Box<InFlight>>) {
         if pkt.priority {
             return match self.enqueue_high(pkt, policy) {
                 Ok(()) => (EnqueueOutcome::Priority, None),
@@ -285,7 +285,11 @@ impl PortState {
     }
 
     /// Queues `pkt` high-priority, or hands it back when the queue is full.
-    fn enqueue_high(&mut self, pkt: Box<Packet>, policy: &QueuePolicy) -> Result<(), Box<Packet>> {
+    fn enqueue_high(
+        &mut self,
+        pkt: Box<InFlight>,
+        policy: &QueuePolicy,
+    ) -> Result<(), Box<InFlight>> {
         if self.high_bytes + pkt.size <= policy.prio_capacity {
             self.high_bytes += pkt.size;
             self.high.push_back(pkt);
@@ -307,7 +311,7 @@ impl PortState {
     /// Dequeues the next packet to serialize: strict priority, FIFO within
     /// each class.
     // trimlint: hot-path -- switch forward path (egress serialize)
-    pub fn dequeue(&mut self) -> Option<Box<Packet>> {
+    pub fn dequeue(&mut self) -> Option<Box<InFlight>> {
         if let Some(p) = self.high.pop_front() {
             self.high_bytes -= p.size;
             self.counters.dequeued += 1;
@@ -325,12 +329,12 @@ impl PortState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{PacketBody, SYNTHETIC_TRIM_STUB};
+    use crate::packet::{Packet, PacketArena, PacketBody, SYNTHETIC_TRIM_STUB};
     use crate::time::SimTime;
     use crate::{FlowId, NodeId};
 
-    fn data_pkt(id: u64, size: u32) -> Box<Packet> {
-        Box::new(Packet {
+    fn data_pkt(id: u64, size: u32) -> Box<InFlight> {
+        let pkt = Packet {
             id,
             flow: FlowId(1),
             src: NodeId(0),
@@ -344,10 +348,11 @@ mod tests {
             fin: false,
             sent_at: SimTime::ZERO,
             body: PacketBody::Synthetic,
-        })
+        };
+        PacketArena::new().alloc(pkt, 0, 0)
     }
 
-    fn prio_pkt(id: u64, size: u32) -> Box<Packet> {
+    fn prio_pkt(id: u64, size: u32) -> Box<InFlight> {
         let mut pkt = data_pkt(id, size);
         pkt.priority = true;
         pkt.reliable = true;

@@ -161,16 +161,18 @@ impl Topology {
     #[must_use]
     pub fn build_routes_towards(&self, dsts: &[NodeId]) -> Routes {
         let n = self.len();
-        let mut dst_slot = vec![usize::MAX; n];
+        // trimlint: allow(no-panic) -- build-time conversion; the table is u32-indexed by design, like `DensePortTable`
+        let narrow = |v: usize| u32::try_from(v).expect("routing table index fits u32");
+        let mut dst_slot = vec![NO_SLOT; n];
         let mut offsets = Vec::with_capacity(dsts.len() * n + 1);
         offsets.push(0u32);
-        let mut hops = Vec::new();
+        let mut hops: Vec<u32> = Vec::new();
         let mut dist = vec![u32::MAX; n];
         let mut frontier = std::collections::VecDeque::new();
         let mut set = Vec::new();
         for (slot, &dst) in dsts.iter().enumerate() {
-            assert!(dst_slot[dst.0] == usize::MAX, "duplicate destination {dst}");
-            dst_slot[dst.0] = slot;
+            assert!(dst_slot[dst.0] == NO_SLOT, "duplicate destination {dst}");
+            dst_slot[dst.0] = narrow(slot);
             // BFS from the destination over the undirected graph.
             dist.fill(u32::MAX);
             dist[dst.0] = 0;
@@ -190,13 +192,13 @@ impl Topology {
                         self.adj[node]
                             .iter()
                             .filter(|(v, _)| dist[v.0] + 1 == dist[node])
-                            .map(|(v, _)| *v),
+                            .map(|(v, _)| narrow(v.0)),
                     );
                     // Deterministic ECMP order.
                     set.sort_unstable();
                     hops.append(&mut set);
                 }
-                offsets.push(u32::try_from(hops.len()).unwrap_or(u32::MAX));
+                offsets.push(narrow(hops.len()));
             }
         }
         Routes {
@@ -315,44 +317,74 @@ impl Topology {
     }
 }
 
+/// `dst_slot` entry of a destination the table has no column for.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Precomputed shortest-path routing with deterministic ECMP.
 ///
 /// Stored in compressed-sparse-row form: all next-hop sets live in one flat
 /// `hops` arena, bracketed by `offsets[slot * n + node]` where `slot` is the
 /// destination's dense column index. A table built by
 /// [`Topology::build_routes_towards`] only has columns for the requested
-/// destinations, which is what makes thousand-host fabrics affordable.
+/// destinations, which is what makes thousand-host fabrics affordable; ids
+/// are stored as `u32` (narrowed once, at build time) because the table is
+/// the largest thing a big simulation keeps resident.
 #[derive(Debug, Clone)]
 pub struct Routes {
     /// Node count of the topology the table was built over.
     n: usize,
-    /// `dst_slot[dst]` = dense column index, `usize::MAX` if no column.
-    dst_slot: Vec<usize>,
+    /// `dst_slot[dst]` = dense column index, [`NO_SLOT`] if no column.
+    dst_slot: Vec<u32>,
     /// CSR row offsets into `hops`, length `columns * n + 1`.
     offsets: Vec<u32>,
     /// Concatenated ECMP sets, each sorted by node id.
-    hops: Vec<NodeId>,
+    hops: Vec<u32>,
+}
+
+/// One ECMP set of a [`Routes`] table: the equal-cost next hops at a node
+/// toward a destination, in ascending node-id order.
+#[derive(Debug, Clone, Copy)]
+pub struct EcmpSet<'a>(&'a [u32]);
+
+impl EcmpSet<'_> {
+    /// Number of equal-cost next hops.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there is no next hop (unreachable, or no column for the
+    /// destination).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The next hops, ascending by node id.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.0.iter().map(|&v| NodeId(v as usize))
+    }
 }
 
 impl Routes {
     /// The ECMP set at `node` toward `dst` (empty when unreachable or when
     /// the table was not built toward `dst`).
     #[must_use]
-    pub fn ecmp_set(&self, node: NodeId, dst: NodeId) -> &[NodeId] {
+    pub fn ecmp_set(&self, node: NodeId, dst: NodeId) -> EcmpSet<'_> {
         let slot = self.dst_slot[dst.0];
-        if slot == usize::MAX {
-            return &[];
+        if slot == NO_SLOT {
+            return EcmpSet(&[]);
         }
-        let row = slot * self.n + node.0;
+        let row = slot as usize * self.n + node.0;
         let (lo, hi) = (self.offsets[row] as usize, self.offsets[row + 1] as usize);
-        &self.hops[lo..hi]
+        EcmpSet(&self.hops[lo..hi])
     }
 
     /// The next hop for a packet of `flow` at `node` heading to `dst`, or
     /// `None` if unreachable.
     #[must_use]
     pub fn next_hop(&self, node: NodeId, dst: NodeId, flow: FlowId) -> Option<NodeId> {
-        let set = self.ecmp_set(node, dst);
+        let set = self.ecmp_set(node, dst).0;
         if set.is_empty() {
             return None;
         }
@@ -361,7 +393,7 @@ impl Routes {
         h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         h ^= h >> 31;
-        Some(set[(h % set.len() as u64) as usize])
+        Some(NodeId(set[(h % set.len() as u64) as usize] as usize))
     }
 }
 
@@ -460,6 +492,7 @@ mod tests {
         let leaf = routes.next_hop(src, dst, FlowId(0)).unwrap();
         let set = routes.ecmp_set(leaf, dst);
         assert_eq!(set.len(), 2, "two spines expected, got {set:?}");
+        assert!(set.iter().all(|sp| t.switches().contains(&sp)));
         // Different flows hit different spines (with 64 flows, both appear).
         let mut seen = std::collections::HashSet::new();
         for f in 0..64 {

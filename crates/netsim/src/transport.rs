@@ -813,6 +813,7 @@ mod tests {
             NodeId(1),
             reg.clone(),
             trimgrad_trace::Tracer::disabled(),
+            Default::default(),
         );
         rx.on_packet(mk(0, true), &mut api);
         assert_eq!(rx.trimmed_arrivals, 1);
@@ -883,9 +884,10 @@ mod tests {
                 NodeId(0),
                 reg.clone(),
                 trimgrad_trace::Tracer::disabled(),
+                Default::default(),
             );
             tx.on_timer(0, &mut api);
-            let (at, _) = api.timers[0];
+            let (at, _) = api.actions.timers[0];
             delays.push(at);
         }
         // 0.5ms, 1ms, 2ms, ... capped at 64 × RTO = 32ms.
@@ -899,10 +901,11 @@ mod tests {
             NodeId(0),
             reg.clone(),
             trimgrad_trace::Tracer::disabled(),
+            Default::default(),
         );
         tx.on_timer(0, &mut api);
         assert!(tx.is_failed());
-        assert!(api.timers.is_empty() && api.outbox.is_empty());
+        assert!(api.actions.timers.is_empty() && api.actions.outbox.is_empty());
         // Signs of life reset the budget and the backoff.
         tx.failed = false;
         tx.note_receiver_alive();
@@ -911,9 +914,10 @@ mod tests {
             NodeId(0),
             reg.clone(),
             trimgrad_trace::Tracer::disabled(),
+            Default::default(),
         );
         tx.on_timer(0, &mut api);
-        assert_eq!(api.timers[0].0, cfg.rto);
+        assert_eq!(api.actions.timers[0].0, cfg.rto);
     }
 
     #[test]

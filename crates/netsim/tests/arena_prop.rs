@@ -1,11 +1,12 @@
 //! Property tests for the packet arena: recycled boxes never leak stale
-//! payload/flow/seq fields across reuse, the freelist counters are
+//! payload/flow/seq fields — or the previous occupant's path cursor and flow
+//! slot — across reuse, the freelist counters are
 //! self-consistent under arbitrary alloc/free interleavings, and — driven
 //! through a real congested simulation — the arena's lifecycle totals
 //! reconcile exactly with [`Stats`] send/deliver/drop accounting.
 
 use proptest::prelude::*;
-use trimgrad_netsim::packet::{Packet, PacketArena, PacketBody};
+use trimgrad_netsim::packet::{InFlight, Packet, PacketArena, PacketBody};
 use trimgrad_netsim::sim::Simulator;
 use trimgrad_netsim::switch::{FullAction, QueuePolicy};
 use trimgrad_netsim::time::{gbps, SimTime};
@@ -37,9 +38,24 @@ fn tagged_packet(tag: u64) -> Packet {
     }
 }
 
-/// Asserts `got` is exactly the packet [`tagged_packet`] builds for `tag` —
-/// i.e. nothing survived from whatever previously occupied the slot.
-fn assert_is_tagged(got: &Packet, tag: u64) {
+/// The routing state boxed alongside [`tagged_packet`]`(tag)`: a path cursor
+/// and a flow slot, both functions of the tag and distinct from each other.
+fn tagged_route(tag: u64) -> (u32, u32) {
+    (
+        (tag as u32).wrapping_mul(7) | 1,
+        (tag as u32).wrapping_mul(11) & !1,
+    )
+}
+
+/// Asserts `got` is exactly the box [`tagged_packet`] and [`tagged_route`]
+/// build for `tag` — i.e. nothing survived from whatever previously
+/// occupied the slot.
+fn assert_is_tagged(got: &InFlight, tag: u64) {
+    assert_eq!(
+        (got.cursor(), got.flow_slot()),
+        tagged_route(tag),
+        "path cursor / flow slot leaked across reuse"
+    );
     let want = tagged_packet(tag);
     assert_eq!(got.id, want.id);
     assert_eq!(got.flow, want.flow);
@@ -73,13 +89,14 @@ proptest! {
     #[test]
     fn recycled_boxes_never_leak_fields(ops in proptest::collection::vec(any::<bool>(), 1..300)) {
         let mut arena = PacketArena::new();
-        let mut held: Vec<(Box<Packet>, u64)> = Vec::new();
+        let mut held: Vec<(Box<InFlight>, u64)> = Vec::new();
         let mut tag = 0u64;
         let mut max_live = 0u64;
         for alloc in ops {
             if alloc || held.is_empty() {
                 tag += 1;
-                let boxed = arena.alloc(tagged_packet(tag));
+                let (cursor, flow_slot) = tagged_route(tag);
+                let boxed = arena.alloc(tagged_packet(tag), cursor, flow_slot);
                 assert_is_tagged(&boxed, tag);
                 held.push((boxed, tag));
             } else {

@@ -3,15 +3,17 @@
 //! The simulator's bit-determinism rests on its event queue firing events in
 //! exact `(time, insertion-sequence)` order under *any* interleaving of
 //! schedules and pops. This harness pins that contract for the calendar
-//! [`EventQueue`] at its default and at deliberately tiny wheel geometries,
-//! by replaying identical seeded op scripts against a naive sorted-`Vec`
-//! oracle and asserting every pop, peek, and length agrees.
+//! [`EventQueue`] at its default geometry, at deliberately tiny wheels, and
+//! at wide windows whose lane slots span many nanoseconds, by replaying
+//! identical seeded op scripts against a naive sorted-`Vec` oracle and
+//! asserting every pop, peek, and length agrees.
 //!
 //! The script families are chosen adversarially for a calendar queue:
 //! equal-timestamp bursts (tie-break stress), far-future outliers beyond any
 //! wheel horizon (overflow heap), interleaved schedule-during-pop (refill
-//! churn), and rewinds that schedule behind the active window (backward
-//! re-anchor). DESIGN.md §11 sketches why the calendar reproduces a single
+//! churn), rewinds that schedule behind the active window (backward
+//! re-anchor), and the simulator's own shape (every pop schedules a little
+//! ahead of the clock, never behind it). DESIGN.md §11 sketches why the calendar reproduces a single
 //! priority queue's total order; this harness is the executable version of
 //! that argument.
 //!
@@ -106,27 +108,31 @@ fn assert_matches_oracle(mut q: EventQueue, script: &[Op], label: &str) {
     assert_eq!(q.total_fired(), q.total_scheduled(), "counters ({label})");
 }
 
-/// Runs one script against the calendar at its default geometry and at two
+/// Runs one script against the calendar at its default geometry, at two
 /// tiny wheels whose horizons the script crosses constantly (4 × 16 ns and
-/// 8 × 4 ns).
+/// 8 × 4 ns), and at two wide windows (4 × 65 µs and 2 × 1 ms) whose lane
+/// slots are 8 ns and 128 ns wide — so events of different times share a
+/// slot and the lane's sorted insert, which 1 ns slots never need, runs.
 fn assert_all_geometries_match_oracle(script: &[Op], label: &str) {
     assert_matches_oracle(EventQueue::new(), script, &format!("{label}/default"));
-    assert_matches_oracle(
-        EventQueue::with_geometry(4, 4),
-        script,
-        &format!("{label}/tiny_4x16ns"),
-    );
-    assert_matches_oracle(
-        EventQueue::with_geometry(2, 8),
-        script,
-        &format!("{label}/tiny_8x4ns"),
-    );
+    for (shift, buckets, name) in [
+        (4, 4, "tiny_4x16ns"),
+        (2, 8, "tiny_8x4ns"),
+        (16, 4, "wide_4x65us"),
+        (20, 2, "wide_2x1ms"),
+    ] {
+        assert_matches_oracle(
+            EventQueue::with_geometry(shift, buckets),
+            script,
+            &format!("{label}/{name}"),
+        );
+    }
 }
 
 /// The baseline chaos mix: ~60% schedules at uniform times in
-/// `[0, max_time)`, ~40% pops — the access pattern the simulator's hot loop
-/// produces. Pops advance the calendar's window, so later small-time
-/// schedules also exercise the backward re-anchor.
+/// `[0, max_time)`, ~40% pops. Pops advance the calendar's window, so later
+/// small-time schedules land behind the clock and exercise the backward
+/// re-anchor — something a simulation never does (see [`forward_script`]).
 fn chaos_script(ops: usize, seed: u64, max_time: u64) -> Vec<Op> {
     let mut rng = Xoshiro256StarStar::new(seed);
     (0..ops)
@@ -190,6 +196,41 @@ fn rewind_script(ops: usize, seed: u64) -> Vec<Op> {
             _ => Op::Schedule(SimTime(rng.next_u64() % 16)),
         })
         .collect()
+}
+
+/// The simulator's shape: a few seed events, then every pop schedules one
+/// or two events 12 ns to 2.2 µs after the popped time (a serialization or a
+/// propagation ahead) and nothing is ever scheduled behind the clock. The
+/// popped times come from the oracle, so the script is fixed before any
+/// geometry replays it.
+fn forward_script(ops: usize, seed: u64) -> Vec<Op> {
+    let mut rng = Xoshiro256StarStar::new(seed);
+    let mut oracle = OracleQueue::default();
+    let mut script = Vec::new();
+    let schedule = |script: &mut Vec<Op>, oracle: &mut OracleQueue, at: u64| {
+        script.push(Op::Schedule(SimTime(at)));
+        oracle.schedule(SimTime(at), 0);
+    };
+    for _ in 0..16 {
+        schedule(&mut script, &mut oracle, rng.next_u64() % 1_000);
+    }
+    while script.len() < ops {
+        let Some((now, _)) = oracle.pop() else { break };
+        script.push(Op::Pop);
+        for _ in 0..1 + rng.next_u64() % 2 {
+            let ahead = 12 + rng.next_u64() % 2_189;
+            schedule(&mut script, &mut oracle, now.0 + ahead);
+        }
+    }
+    script
+}
+
+#[test]
+fn simulator_shaped_forward_schedule_matches_oracle() {
+    for seed in 0..4u64 {
+        let script = forward_script(3_000, 0xF0F0 + seed);
+        assert_all_geometries_match_oracle(&script, &format!("forward seed {seed}"));
+    }
 }
 
 #[test]

@@ -4,14 +4,14 @@
 //! actually happened to the packets.
 
 use proptest::prelude::*;
-use trimgrad_netsim::packet::{Packet, PacketBody, SYNTHETIC_TRIM_STUB};
+use trimgrad_netsim::packet::{InFlight, Packet, PacketArena, PacketBody, SYNTHETIC_TRIM_STUB};
 use trimgrad_netsim::switch::{EnqueueOutcome, FullAction, PortState, QueuePolicy};
 use trimgrad_netsim::time::SimTime;
 use trimgrad_netsim::{FlowId, NodeId};
 use trimgrad_telemetry::Registry;
 
-fn pkt(id: u64, size: u32, priority: bool) -> Box<Packet> {
-    Box::new(Packet {
+fn pkt(id: u64, size: u32, priority: bool) -> Box<InFlight> {
+    let pkt = Packet {
         id,
         flow: FlowId(1),
         src: NodeId(0),
@@ -25,7 +25,8 @@ fn pkt(id: u64, size: u32, priority: bool) -> Box<Packet> {
         fin: false,
         sent_at: SimTime::ZERO,
         body: PacketBody::Synthetic,
-    })
+    };
+    PacketArena::new().alloc(pkt, 0, 0)
 }
 
 proptest! {

@@ -41,7 +41,7 @@ fn path_stats(
     assert!(!set.is_empty(), "no route {node} → {dst}");
     let mut hops = None;
     let mut paths = 0u64;
-    for &next in set {
+    for next in set.iter() {
         let (h, p) = path_stats(routes, next, dst, memo);
         match hops {
             None => hops = Some(h + 1),

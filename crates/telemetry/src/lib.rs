@@ -159,16 +159,36 @@ impl Histogram {
         Self::default()
     }
 
-    /// Records one observation.
-    pub fn record(&self, v: u64) {
-        let idx = if v <= 1 {
+    /// The bucket an observation of `v` lands in.
+    #[must_use]
+    pub fn bucket_of(v: u64) -> usize {
+        if v <= 1 {
             0
         } else {
             63 - v.leading_zeros() as usize
-        };
-        self.inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one observation.
+    pub fn record(&self, v: u64) {
+        self.inner.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
         self.inner.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Records a batch of observations a caller already bucketed with
+    /// [`Histogram::bucket_of`]: `counts[i]` observations in bucket `i`,
+    /// summing to `sum`. For hot loops that count locally and publish later.
+    pub fn record_bucketed(&self, counts: &[u64; HISTOGRAM_BUCKETS], sum: u64) {
+        let mut total = 0;
+        for (bucket, &n) in self.inner.buckets.iter().zip(counts) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+                total += n;
+            }
+        }
+        self.inner.count.fetch_add(total, Ordering::Relaxed);
+        self.inner.sum.fetch_add(sum, Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -925,6 +945,22 @@ mod tests {
         assert_eq!(buckets[1], 2); // 2 and 3
         assert_eq!(buckets[2], 1); // 4
         assert_eq!(buckets[10], 1); // 1024
+    }
+
+    #[test]
+    fn record_bucketed_equals_recording_one_by_one() {
+        let values = [0u64, 1, 2, 3, 4, 1024, 1500, u64::from(u32::MAX)];
+        let one_by_one = Histogram::new();
+        let mut counts = [0u64; HISTOGRAM_BUCKETS];
+        for v in values {
+            one_by_one.record(v);
+            counts[Histogram::bucket_of(v)] += 1;
+        }
+        let batched = Histogram::new();
+        batched.record_bucketed(&counts, values.iter().sum());
+        assert_eq!(batched.count(), one_by_one.count());
+        assert_eq!(batched.sum(), one_by_one.sum());
+        assert_eq!(batched.bucket_counts(), one_by_one.bucket_counts());
     }
 
     #[test]

@@ -42,7 +42,7 @@ echo "=== microbenches ==="
 # Absolute paths: cargo runs bench binaries with cwd = crates/bench.
 cargo bench -p trimgrad-bench --bench encode_decode -- --json "$PWD/results/BENCH_encode.json" --assert-encode-pool-not-slower 10
 cargo bench -p trimgrad-bench --bench wire          -- --json "$PWD/results/BENCH_wire.json"
-cargo bench -p trimgrad-bench --bench netsim        -- --json "$PWD/results/BENCH_netsim.json" --assert-sampling-overhead 2
+cargo bench -p trimgrad-bench --bench netsim        -- --json "$PWD/results/BENCH_netsim.json"
 
 # Human-readable digest of the flight-recorder run above; `trimgrad-trace
 # query results/trace_smoke.bin --follow FLOW:SEQ` replays any packet in it.
