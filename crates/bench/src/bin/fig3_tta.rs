@@ -70,9 +70,4 @@ fn main() {
         ),
         Err(e) => eprintln!("fig3_tta: done (snapshot write failed: {e})"),
     }
-    match trimgrad_trace::Tracer::global().dump(std::path::Path::new("results"), "fig3_tta_trace") {
-        Ok(Some((bin, _))) => eprintln!("fig3_tta: trace written to {}", bin.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("fig3_tta: trace dump failed: {e}"),
-    }
 }

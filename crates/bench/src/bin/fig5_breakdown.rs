@@ -164,11 +164,4 @@ fn main() {
         Ok(path) => eprintln!("fig5_breakdown: done (snapshot -> {})", path.display()),
         Err(e) => eprintln!("fig5_breakdown: done (snapshot write failed: {e})"),
     }
-    match trimgrad_trace::Tracer::global()
-        .dump(std::path::Path::new("results"), "fig5_breakdown_trace")
-    {
-        Ok(Some((bin, _))) => eprintln!("fig5_breakdown: trace written to {}", bin.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("fig5_breakdown: trace dump failed: {e}"),
-    }
 }

@@ -22,11 +22,17 @@ use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::NodeId;
 use trimgrad::quant::SchemeId;
 use trimgrad_bench::print_row;
+use trimgrad_trace::Tracer;
 
 const WORKERS: usize = 4;
 const BLOB_LEN: usize = 16_384;
 
-fn run_one(cross_bytes: u64, grad_depth: u8, scheme: SchemeId) -> (f64, f64, f64, u32) {
+fn run_one(
+    cross_bytes: u64,
+    grad_depth: u8,
+    scheme: SchemeId,
+    tracer: &Tracer,
+) -> (f64, f64, f64, u32) {
     let policy = QueuePolicy {
         data_capacity: 15_000,
         prio_capacity: 1 << 20,
@@ -51,6 +57,7 @@ fn run_one(cross_bytes: u64, grad_depth: u8, scheme: SchemeId) -> (f64, f64, f64
         })
         .collect();
     let mut sim = Simulator::new(topo);
+    sim.set_tracer(tracer.clone());
     if cross_bytes > 0 {
         for (i, &c) in cross.iter().enumerate() {
             sim.install_app(
@@ -102,6 +109,9 @@ fn main() {
     println!("# S5.1 closed-loop queueing study: ring all-reduce of real frames");
     println!("# under incast cross-traffic, for two switch trim depths");
     let widths = [12usize, 10, 10, 12, 10, 12];
+    // One TRIMGRAD_TRACE-gated ring for the whole sweep: every cell records
+    // into it, and its tail annotates the run below.
+    let tracer = Tracer::from_env();
     print_row(
         &[
             "cross(B)".into(),
@@ -121,7 +131,7 @@ fn main() {
             (SchemeId::MultiLevelRht, 1),
             (SchemeId::MultiLevelRht, 2),
         ] {
-            let (trim_frac, fct, nmse, _wm) = run_one(cross, depth, scheme);
+            let (trim_frac, fct, nmse, _wm) = run_one(cross, depth, scheme, &tracer);
             print_row(
                 &[
                     format!("{cross}"),
@@ -137,11 +147,7 @@ fn main() {
     }
     println!("# depth 1 = trim to 1-bit heads (~3% of payload);");
     println!("# depth 2 (rht-ml) = trim to sign+exponent (~28%), the paper's 'trim to 25%'.");
-    // With TRIMGRAD_TRACE set, every sweep cell above recorded into the
-    // process-wide flight recorder; annotate the run with the tail of it.
-    match trimgrad_trace::Tracer::global()
-        .dump(std::path::Path::new("results"), "queue_closedloop_trace")
-    {
+    match tracer.dump(std::path::Path::new("results"), "queue_closedloop_trace") {
         Ok(Some((bin, _))) => eprintln!("queue_closedloop: trace written to {}", bin.display()),
         Ok(None) => {}
         Err(e) => eprintln!("queue_closedloop: trace dump failed: {e}"),

@@ -65,20 +65,6 @@ impl BenchOpts {
         opts
     }
 
-    /// The numeric value following `flag` on the command line, if present —
-    /// how bench binaries read their `--assert-<what> <pct>` CI limits
-    /// (which [`BenchOpts::from_args`] itself ignores).
-    #[must_use]
-    pub fn limit(flag: &str) -> Option<f64> {
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == flag {
-                return args.next().and_then(|v| v.parse().ok());
-            }
-        }
-        None
-    }
-
     /// Applies window options to a group.
     pub fn configure(&self, g: &mut Group) {
         if self.quick {
@@ -111,21 +97,17 @@ impl BenchOpts {
 }
 
 /// Renders the report as a hand-rolled JSON document (no serde offline).
-/// Besides the records it stamps the pool width and the flight-recorder
-/// state (`trace_enabled`, `trace_events`) so a result file taken with
-/// tracing on is never mistaken for a clean-timing run.
+/// Besides the records it stamps the pool width and whether the flight
+/// recorder is armed (`trace_enabled`) so a result file taken with tracing
+/// on is never mistaken for a clean-timing run.
 fn render_json(bench_name: &str, records: &[BenchRecord]) -> String {
     let threads = trimgrad_par::WorkerPool::global().threads();
-    let tracer = trimgrad_trace::Tracer::global();
+    let trace_enabled = trimgrad_trace::Tracer::from_env().is_enabled();
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"bench\": \"{}\",\n", escape(bench_name)));
     s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!("  \"trace_enabled\": {},\n", tracer.is_enabled()));
-    s.push_str(&format!(
-        "  \"trace_events\": {},\n",
-        tracer.events_emitted()
-    ));
+    s.push_str(&format!("  \"trace_enabled\": {trace_enabled},\n"));
     s.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         s.push_str("    {");
@@ -327,7 +309,6 @@ mod tests {
         assert!(json.contains("\"bench\": \"encode\""));
         assert!(json.contains("\"threads\": "));
         assert!(json.contains("\"trace_enabled\": "));
-        assert!(json.contains("\"trace_events\": "));
         assert!(json.contains("\"best_ns\": 12.3"));
         assert!(json.contains("\"rate_unit\": \"elem/s\""));
         assert!(json.contains("b\\\"q\\\""), "quotes escaped: {json}");

@@ -113,30 +113,14 @@ impl MessageCodec {
 
     /// Encodes a blob into rows.
     ///
-    /// Rows encode in parallel on the process-wide [`WorkerPool`]; each
-    /// row's seed is derived from its index, so the result is bit-identical
-    /// for every pool width (and to the serial encoding).
+    /// Rows fan out over the process-wide [`WorkerPool`]: each worker takes
+    /// one contiguous stripe of whole rows and encodes them back to back, so
+    /// it stays on consecutive memory and pays one spawn/join per worker
+    /// total. Row seeds depend only on the row index, so the result is
+    /// bit-identical for every pool width (and to the serial encoding).
     #[must_use]
     pub fn encode_message(&self, blob: &[f32], epoch: u32, msg_id: u32) -> Vec<EncodedRow> {
-        self.encode_message_pooled(blob, epoch, msg_id, &WorkerPool::global())
-    }
-
-    /// [`encode_message`](Self::encode_message) with an explicit pool (the
-    /// global pool is a convenience over this).
-    ///
-    /// Each worker takes one contiguous stripe of whole rows and encodes
-    /// them back to back, so it stays on consecutive memory and pays one
-    /// spawn/join per worker total. Row seeds depend only on the row index,
-    /// so output is bit-identical for every pool width.
-    #[must_use]
-    pub fn encode_message_pooled(
-        &self,
-        blob: &[f32],
-        epoch: u32,
-        msg_id: u32,
-        pool: &WorkerPool,
-    ) -> Vec<EncodedRow> {
-        pool.map_striped(self.rows_for(blob.len()), |row_id| {
+        WorkerPool::global().map_striped(self.rows_for(blob.len()), |row_id| {
             self.encode_row(blob, epoch, msg_id, row_id)
         })
     }
@@ -348,17 +332,6 @@ mod tests {
                 .row_len(),
             64
         );
-    }
-
-    #[test]
-    fn striped_encode_matches_serial_at_every_width() {
-        let c = MessageCodec::with_row_len(SchemeId::RhtOneBit, 11, 64);
-        let b = blob(500, 9); // 8 rows, last one partial
-        let serial = c.encode_message_pooled(&b, 2, 3, &WorkerPool::serial());
-        for threads in [2, 3, 4, 8] {
-            let pooled = c.encode_message_pooled(&b, 2, 3, &WorkerPool::new(threads));
-            assert_eq!(pooled, serial, "threads={threads}");
-        }
     }
 
     #[test]

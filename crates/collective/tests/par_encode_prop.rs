@@ -1,14 +1,19 @@
-//! Bit-identity of the parallel row-encode fan-out against the serial path.
+//! Bit-identity of the row fan-out against the serial row-by-row encoding.
 //!
-//! [`MessageCodec::encode_message_pooled`] splits a blob into rows by fixed
-//! index and derives each row's seed from `(epoch, msg_id, row_id)`, never
-//! from execution order — so for every pool width the encoded rows must be
-//! *byte-identical* to the 1-thread encoding. This is the collective-layer
-//! half of the guarantee `crates/hadamard/tests/par_prop.rs` pins for the
-//! transforms, and what keeps the seeded ring transcript byte-identical
-//! between `TRIMGRAD_THREADS=1` and `=4`.
+//! [`MessageCodec::encode_message`] splits a blob into rows by fixed index
+//! and derives each row's seed from `(epoch, msg_id, row_id)`, never from
+//! execution order — so at every pool width the encoded rows must be
+//! *byte-identical* to encoding the rows one after another. Two things are
+//! checked against that serial reference, which is built from the public
+//! `row_range` / `row_seed` / `scheme().encode` only:
 //!
-//! [`MessageCodec::encode_message_pooled`]: trimgrad_collective::chunk::MessageCodec::encode_message_pooled
+//! * `encode_message` itself, at the process's width — CI runs the suite at
+//!   `TRIMGRAD_THREADS` 1 and 4, which covers the global-pool path;
+//! * the same public row closure through `WorkerPool::new(w).map_striped`
+//!   for `w ∈ 1..=8`, so every explicit width is covered in one test run.
+//!
+//! That the per-row `encode` matches the per-coordinate reference encoder is
+//! `crates/quant/tests/encode_golden.rs`'s half of the contract.
 
 use proptest::prelude::*;
 use trimgrad_collective::chunk::MessageCodec;
@@ -19,7 +24,15 @@ use trimgrad_quant::SchemeId;
 
 fn blob(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::new(seed);
-    (0..n).map(|_| rng.next_f32_range(-1.0, 1.0)).collect()
+    (0..n)
+        .map(|i| {
+            if i % 11 == 0 {
+                0.0
+            } else {
+                rng.next_f32_range(-1.0, 1.0)
+            }
+        })
+        .collect()
 }
 
 /// Flattens an encoding to raw part bytes + meta bits for exact comparison.
@@ -28,46 +41,74 @@ fn fingerprint(rows: &[EncodedRow]) -> Vec<Vec<u8>> {
         .map(|r| {
             let mut bytes = Vec::new();
             for part in &r.parts {
+                bytes.extend_from_slice(&(part.len() as u64).to_le_bytes());
                 bytes.extend_from_slice(part.as_bytes());
             }
             bytes.extend_from_slice(&r.meta.scale.to_bits().to_le_bytes());
             bytes.extend_from_slice(&(r.meta.original_len as u64).to_le_bytes());
+            bytes.extend_from_slice(&(r.n as u64).to_le_bytes());
             bytes
         })
         .collect()
 }
 
-#[test]
-fn pooled_encode_is_bit_identical_for_threads_1_to_8() {
-    for scheme in SchemeId::ALL {
-        let codec = MessageCodec::with_row_len(scheme, 11, 256);
-        // 9.5 rows: exercises the ragged final row under every width.
-        let b = blob(256 * 9 + 128, 0xC0DE);
-        let serial = codec.encode_message_pooled(&b, 3, 7, &WorkerPool::serial());
-        for threads in 1..=8 {
-            let par = codec.encode_message_pooled(&b, 3, 7, &WorkerPool::new(threads));
-            assert_eq!(par.len(), serial.len());
-            assert_eq!(
-                fingerprint(&par),
-                fingerprint(&serial),
-                "{scheme}: threads={threads} diverged"
-            );
+/// `Err(what diverged)` unless `encode_message` and the row closure at every
+/// explicit width reproduce the serial row-by-row encoding.
+fn check_fan_out(codec: &MessageCodec, b: &[f32], epoch: u32, msg_id: u32) -> Result<(), String> {
+    let encode_row = |row_id: usize| {
+        codec.scheme().encode(
+            &b[codec.row_range(b.len(), row_id)],
+            codec.row_seed(epoch, msg_id, row_id as u32),
+        )
+    };
+    let rows = codec.rows_for(b.len());
+    let reference = fingerprint(&(0..rows).map(encode_row).collect::<Vec<_>>());
+    if fingerprint(&codec.encode_message(b, epoch, msg_id)) != reference {
+        return Err(format!(
+            "encode_message diverged at the process's width {}",
+            WorkerPool::global().threads()
+        ));
+    }
+    for width in 1..=8 {
+        if fingerprint(&WorkerPool::new(width).map_striped(rows, encode_row)) != reference {
+            return Err(format!("map_striped diverged at width {width}"));
         }
     }
+    Ok(())
+}
+
+#[test]
+fn fan_out_matches_serial_rows_on_the_pinned_geometries() {
+    // (row_len, blob_len): 64+1 → rows of 64 and 1; 2·4096−1 → rows of 4096
+    // and 4095; 9.5 rows of 256 → a ragged final row under every width.
+    let geometries = [
+        (64usize, 65usize),
+        (4096, 2 * 4096 - 1),
+        (256, 256 * 9 + 128),
+    ];
+    for scheme in SchemeId::ALL {
+        for (row_len, blob_len) in geometries {
+            let codec = MessageCodec::with_row_len(scheme, 0xC0DEC, row_len);
+            check_fan_out(&codec, &blob(blob_len, 77), 3, 9)
+                .unwrap_or_else(|e| panic!("{scheme} row_len={row_len}: {e}"));
+        }
+    }
+    // One paper-sized 32768 row plus a ragged tail, rht only (the slowest
+    // scheme; the small geometries above cover all of them).
+    let codec = MessageCodec::new(SchemeId::RhtOneBit, 5);
+    check_fan_out(&codec, &blob((1 << 15) + 1000, 21), 0, 0)
+        .unwrap_or_else(|e| panic!("rht 32768: {e}"));
 }
 
 proptest! {
     #[test]
-    fn pooled_encode_matches_serial_for_random_shapes(
+    fn fan_out_matches_serial_rows_for_random_shapes(
+        scheme in proptest::sample::select(SchemeId::ALL.to_vec()),
         len in 0usize..3000,
         row_len in 1usize..600,
-        threads in 1usize..=8,
         seed in any::<u64>()
     ) {
-        let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, seed, row_len);
-        let b = blob(len, seed ^ 0x5EED);
-        let serial = codec.encode_message_pooled(&b, 1, 2, &WorkerPool::serial());
-        let par = codec.encode_message_pooled(&b, 1, 2, &WorkerPool::new(threads));
-        prop_assert_eq!(fingerprint(&par), fingerprint(&serial));
+        let codec = MessageCodec::with_row_len(scheme, seed, row_len);
+        prop_assert_eq!(check_fan_out(&codec, &blob(len, seed ^ 0x5EED), 1, 2), Ok(()));
     }
 }

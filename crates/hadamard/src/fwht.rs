@@ -15,7 +15,6 @@
 //!   inverse. This is the normalization the RHT layer builds on.
 
 use crate::{Error, Result};
-use trimgrad_par::{WorkerPool, PAR_MIN_LEN};
 
 /// Validates that `data.len()` is a non-zero power of two.
 fn check_pow2(data: &[f32]) -> Result<()> {
@@ -95,15 +94,23 @@ fn butterflies_local(data: &mut [f32]) {
     }
 }
 
-/// All stages of the transform, without length validation.
+/// All stages of the transform, without length validation: `data.len()`
+/// must be a power of two or zero (empty and length-1 slices are no-ops).
+/// Lets callers that construct power-of-two buffers themselves (the padded
+/// RHT paths) stay panic-free end to end.
 ///
 /// Cache-blocked: every [`BLOCK`]-sized block runs all of its local stages
 /// while L1-resident (stages with butterfly width ≤ `BLOCK` touch only one
 /// block, so per-block execution performs exactly those stages of the global
 /// transform), then the remaining cross-block stages sweep the whole slice,
 /// still radix-4 fused. Bit-identical to the one-stage-per-pass reference
-/// ([`butterflies_reference`]) for every length.
-fn butterflies(data: &mut [f32]) {
+/// (`butterflies_reference`) for every length.
+///
+/// Single-threaded by design: a row is sized to stay in the fastest memory,
+/// so the parallel axis is rows (`trimgrad_collective::chunk`), never the
+/// inside of one.
+// trimlint: hot-path -- per-row transform on the encode and decode paths
+pub(crate) fn butterflies(data: &mut [f32]) {
     let n = data.len();
     if n <= BLOCK {
         butterflies_local(data);
@@ -148,66 +155,6 @@ pub fn fwht_inplace(data: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
-/// Largest power of two not exceeding `x` (`x >= 1`).
-fn prev_pow2(x: usize) -> usize {
-    debug_assert!(x >= 1);
-    1 << (usize::BITS - 1 - x.leading_zeros())
-}
-
-/// [`fwht_inplace`] with the early stages block-parallel across `pool`.
-///
-/// The slice is split into `w` equal power-of-two segments (`w` = the
-/// largest power of two ≤ the pool width). Every stage whose butterfly
-/// blocks fit inside one segment touches only that segment, so each worker
-/// runs those stages serially on its own segment; the remaining `log2(w)`
-/// cross-segment stages run on the calling thread. Each element pair sees
-/// exactly the same additions in the same order as the serial transform, so
-/// the result is **bit-identical** to [`fwht_inplace`] for every pool width.
-///
-/// Inputs shorter than [`PAR_MIN_LEN`] (or a serial pool) take the serial
-/// path directly.
-///
-/// # Errors
-///
-/// Same conditions as [`fwht_inplace`].
-// trimlint: hot-path -- per-row transform on the encode path
-pub fn fwht_inplace_pooled(data: &mut [f32], pool: &WorkerPool) -> Result<()> {
-    check_pow2(data)?;
-    butterflies_pooled(data, pool);
-    Ok(())
-}
-
-/// The pooled butterfly network without length validation: `data.len()` must
-/// be a power of two or zero (empty and length-1 slices are no-ops). Lets
-/// callers that construct power-of-two buffers themselves (the padded RHT
-/// paths) stay panic-free end to end.
-pub(crate) fn butterflies_pooled(data: &mut [f32], pool: &WorkerPool) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let workers = prev_pow2(pool.threads().min(n));
-    if workers <= 1 || n < PAR_MIN_LEN {
-        butterflies(data);
-        return;
-    }
-    let seg = n / workers;
-    // Stages with block width ≤ seg are fully contained in one segment;
-    // running the full serial transform on a segment performs exactly those
-    // stages of the global transform restricted to it.
-    pool.for_each_chunk_mut(data, seg, |_, segment| butterflies(segment));
-    // Cross-segment tail: log2(workers) stages over the whole slice, radix-4
-    // fused like the serial path (same stages, same operand order).
-    let mut h = seg;
-    while 4 * h <= n {
-        butterfly_stage2(data, h);
-        h *= 4;
-    }
-    if h < n {
-        butterfly_stage(data, h);
-    }
-}
-
 /// Applies the orthonormal Walsh–Hadamard transform `(1/√n)·H_n` in place.
 ///
 /// This version preserves the ℓ₂ norm and is an involution: applying it twice
@@ -222,57 +169,11 @@ pub fn fwht_orthonormal(data: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
-/// [`fwht_orthonormal`] with the butterfly stages running on `pool` — see
-/// [`fwht_inplace_pooled`] for the chunking rule and the bit-identity
-/// guarantee (the `1/√n` scale is the same per-element multiply either way).
-///
-/// # Errors
-///
-/// Same conditions as [`fwht_inplace`].
-pub fn fwht_orthonormal_pooled(data: &mut [f32], pool: &WorkerPool) -> Result<()> {
-    fwht_inplace_pooled(data, pool)?;
-    scale_by_inv_sqrt_n(data);
-    Ok(())
-}
-
 pub(crate) fn scale_by_inv_sqrt_n(data: &mut [f32]) {
     let scale = 1.0 / (data.len() as f32).sqrt();
     for v in data.iter_mut() {
         *v *= scale;
     }
-}
-
-/// Computes one entry of the Hadamard matrix, `H_n[row, col] ∈ {+1, -1}`,
-/// via the parity of `row & col` (Sylvester construction).
-///
-/// Useful for testing the fast transform against the naive definition and for
-/// documentation; O(1) per entry.
-#[must_use]
-pub fn hadamard_entry(row: usize, col: usize) -> f32 {
-    if (row & col).count_ones().is_multiple_of(2) {
-        1.0
-    } else {
-        -1.0
-    }
-}
-
-/// Naive O(n²) Walsh–Hadamard transform, used as a test oracle.
-///
-/// # Errors
-///
-/// Same conditions as [`fwht_inplace`].
-pub fn wht_naive(data: &[f32]) -> Result<Vec<f32>> {
-    check_pow2(data)?;
-    let n = data.len();
-    let mut out = vec![0.0f32; n];
-    for (r, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0f64;
-        for (c, &v) in data.iter().enumerate() {
-            acc += f64::from(hadamard_entry(r, c)) * f64::from(v);
-        }
-        *o = acc as f32;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -287,11 +188,31 @@ mod tests {
             .sqrt()
     }
 
+    /// `H_n[row, col] ∈ {+1, -1}` via the parity of `row & col` (Sylvester
+    /// construction).
+    fn hadamard_entry(row: usize, col: usize) -> f32 {
+        if (row & col).count_ones().is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        }
+    }
+
+    /// Naive O(n²) Walsh–Hadamard transform: the definition, as an oracle.
+    fn wht_naive(data: &[f32]) -> Vec<f32> {
+        (0..data.len())
+            .map(|r| {
+                let row = data.iter().enumerate();
+                row.map(|(c, &v)| f64::from(hadamard_entry(r, c)) * f64::from(v))
+                    .sum::<f64>() as f32
+            })
+            .collect()
+    }
+
     #[test]
     fn rejects_empty() {
         assert_eq!(fwht_inplace(&mut []), Err(Error::Empty));
         assert_eq!(fwht_orthonormal(&mut []), Err(Error::Empty));
-        assert_eq!(wht_naive(&[]).unwrap_err(), Error::Empty);
     }
 
     #[test]
@@ -364,7 +285,7 @@ mod tests {
     #[test]
     fn matches_naive_oracle() {
         let data: Vec<f32> = (0..64).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
-        let expect = wht_naive(&data).unwrap();
+        let expect = wht_naive(&data);
         let mut got = data.clone();
         fwht_inplace(&mut got).unwrap();
         for (g, e) in got.iter().zip(&expect) {

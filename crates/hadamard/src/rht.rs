@@ -12,10 +12,9 @@
 //! (for non-adversarial inputs), which is exactly what makes 1-bit sign
 //! quantization of the rotated vector accurate (DRIVE, NeurIPS '21).
 
-use crate::fwht::fwht_orthonormal_pooled;
+use crate::fwht::{butterflies, fwht_orthonormal, scale_by_inv_sqrt_n};
 use crate::rademacher::RademacherDiagonal;
 use crate::Result;
-use trimgrad_par::WorkerPool;
 
 /// A Randomized Hadamard Transform bound to a seed.
 ///
@@ -42,30 +41,16 @@ impl RandomizedHadamard {
 
     /// Applies the forward RHT in place: `data ← (1/√n)·H·D_s·data`.
     ///
-    /// Large inputs run their butterfly stages on the process-wide
-    /// [`WorkerPool`]; the result is bit-identical for every pool width
-    /// (see [`crate::fwht::fwht_inplace_pooled`]).
-    ///
     /// # Errors
     ///
     /// Fails when `data.len()` is empty or not a power of two; use
     /// [`forward_padded`](Self::forward_padded) for arbitrary lengths.
     pub fn forward(&self, data: &mut [f32]) -> Result<()> {
-        self.forward_pooled(data, &WorkerPool::global())
-    }
-
-    /// [`forward`](Self::forward) with an explicit pool (the global pool is
-    /// a convenience over this).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`forward`](Self::forward).
-    pub fn forward_pooled(&self, data: &mut [f32], pool: &WorkerPool) -> Result<()> {
         let mut diag = RademacherDiagonal::new(self.seed);
         diag.apply(data);
         // If the butterfly rejects the length we must undo the diagonal so a
         // failed call leaves the caller's buffer untouched.
-        if let Err(e) = fwht_orthonormal_pooled(data, pool) {
+        if let Err(e) = fwht_orthonormal(data) {
             RademacherDiagonal::new(self.seed).apply(data);
             return Err(e);
         }
@@ -78,16 +63,7 @@ impl RandomizedHadamard {
     ///
     /// Fails when `data.len()` is empty or not a power of two.
     pub fn inverse(&self, data: &mut [f32]) -> Result<()> {
-        self.inverse_pooled(data, &WorkerPool::global())
-    }
-
-    /// [`inverse`](Self::inverse) with an explicit pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`inverse`](Self::inverse).
-    pub fn inverse_pooled(&self, data: &mut [f32], pool: &WorkerPool) -> Result<()> {
-        fwht_orthonormal_pooled(data, pool)?;
+        fwht_orthonormal(data)?;
         RademacherDiagonal::new(self.seed).apply(data);
         Ok(())
     }
@@ -115,8 +91,8 @@ impl RandomizedHadamard {
         buf.resize(n, 0.0);
         let mut diag = RademacherDiagonal::new(self.seed);
         diag.apply(&mut buf);
-        crate::fwht::butterflies_pooled(&mut buf, &WorkerPool::global());
-        crate::fwht::scale_by_inv_sqrt_n(&mut buf);
+        butterflies(&mut buf);
+        scale_by_inv_sqrt_n(&mut buf);
         buf
     }
 
@@ -137,8 +113,8 @@ impl RandomizedHadamard {
             rotated.len()
         );
         let mut buf = rotated.to_vec();
-        crate::fwht::butterflies_pooled(&mut buf, &WorkerPool::global());
-        crate::fwht::scale_by_inv_sqrt_n(&mut buf);
+        butterflies(&mut buf);
+        scale_by_inv_sqrt_n(&mut buf);
         RademacherDiagonal::new(self.seed).apply(&mut buf);
         buf.truncate(original_len);
         buf

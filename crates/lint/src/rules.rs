@@ -300,9 +300,9 @@ pub fn unchecked_len_index(out: &LexOut, mask: &[bool]) -> Vec<Finding> {
 /// built-in event kind (`pkt.trimmed`, `step.applied`, …) and metric
 /// (`netsim.trim_bytes`, `collective.rank.0.steps_applied`, …) follows,
 /// and what keeps span counters, scoped tenant prefixes, and trace/series
-/// queries greppable. Matches the `span!` macro plus `.span(…)` /
-/// `.span_at(…)` / `.mark(…)` method calls whose name argument is a string
-/// literal anywhere in the call, and `.counter(…)` / `.gauge(…)` /
+/// queries greppable. Matches `.span(…)` / `.span_at(…)` / `.mark(…)`
+/// method calls whose name argument is a string literal anywhere in the
+/// call, and `.counter(…)` / `.gauge(…)` /
 /// `.float_gauge(…)` / `.histogram(…)` / `.scoped(…)` calls whose *first*
 /// argument (past a leading `&`) is a string literal — the telemetry
 /// accessors routinely take `&format!(…)` names whose literal fragments
@@ -324,16 +324,11 @@ pub fn trace_event_naming(out: &LexOut, mask: &[bool]) -> Vec<Finding> {
                 name,
                 "counter" | "gauge" | "float_gauge" | "histogram" | "scoped"
             );
-        let open = if name == "span" && i + 1 < toks.len() && toks[i + 1].is_punct("!") {
-            (i + 2 < toks.len() && toks[i + 2].is_punct("(")).then_some(i + 2)
-        } else if (is_method && matches!(name, "span" | "span_at" | "mark")) || telemetry {
-            Some(i + 1)
-        } else {
-            None
-        };
-        let Some(open) = open else {
+        let recorder = is_method && matches!(name, "span" | "span_at" | "mark");
+        if !(recorder || telemetry) {
             continue;
-        };
+        }
+        let open = i + 1;
         let Some(close) = matching(toks, open, "(", ")") else {
             continue;
         };

@@ -122,59 +122,6 @@ pub fn gaussian_mixture(
     Dataset { x, y, classes }
 }
 
-/// A sparse high-dimensional "token" task that produces **heavy-tailed
-/// gradients**, the regime where the paper's sign-magnitude scheme falls
-/// apart: each class is defined by a small signature set of tokens; each
-/// sample activates a random subset of its class signature plus a few noise
-/// tokens. Because only the active columns of the first layer receive
-/// gradient, the per-row gradient magnitude distribution is extremely
-/// spiky — like a convnet's, unlike a dense Gaussian task's.
-#[must_use]
-pub fn sparse_tokens(
-    classes: usize,
-    dim: usize,
-    signature: usize,
-    active: usize,
-    per_class: usize,
-    seed: u64,
-) -> Dataset {
-    assert!(classes >= 2 && signature >= 1 && active >= 1);
-    assert!(signature * classes <= dim, "signatures must fit in dim");
-    assert!(
-        active <= signature,
-        "cannot activate more than the signature"
-    );
-    let mut rng = Xoshiro256StarStar::new(seed);
-    // Disjoint signature token sets per class.
-    let sig_tokens: Vec<Vec<usize>> = (0..classes)
-        .map(|c| (c * signature..(c + 1) * signature).collect())
-        .collect();
-    let n = classes * per_class;
-    let mut x = Matrix::zeros(n, dim);
-    let mut y = Vec::with_capacity(n);
-    for (c, tokens) in sig_tokens.iter().enumerate() {
-        for p in 0..per_class {
-            let r = c * per_class + p;
-            // Activate `active` of the signature tokens…
-            let mut sig = tokens.clone();
-            for i in (1..sig.len()).rev() {
-                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                sig.swap(i, j);
-            }
-            for &t in sig.iter().take(active) {
-                x.set(r, t, 1.0 + 0.25 * gauss(&mut rng));
-            }
-            // …plus a couple of uniformly random noise tokens.
-            for _ in 0..2 {
-                let t = (rng.next_u64() % dim as u64) as usize;
-                x.set(r, t, 1.0 + 0.25 * gauss(&mut rng));
-            }
-            y.push(c);
-        }
-    }
-    Dataset { x, y, classes }
-}
-
 /// The two-spirals task embedded in `dim` dimensions (the first two carry
 /// the spirals, the rest are noise), `per_class` points per arm.
 #[must_use]
@@ -268,41 +215,6 @@ mod tests {
             correct += usize::from(best == ds.y[i]);
         }
         assert!(correct as f64 / ds.len() as f64 > 0.95);
-    }
-
-    #[test]
-    fn sparse_tokens_shape_and_sparsity() {
-        let ds = sparse_tokens(10, 256, 12, 6, 20, 3);
-        assert_eq!(ds.len(), 200);
-        assert_eq!(ds.dim(), 256);
-        assert_eq!(ds.classes, 10);
-        // Each row has at most active + 2 noise non-zeros.
-        for i in 0..ds.len() {
-            let nz = ds.x.row(i).iter().filter(|&&v| v != 0.0).count();
-            assert!((4..=8).contains(&nz), "row {i} has {nz} non-zeros");
-        }
-        // Signature tokens of the right class dominate.
-        for i in 0..ds.len() {
-            let c = ds.y[i];
-            let in_sig = ds.x.row(i)[c * 12..(c + 1) * 12]
-                .iter()
-                .filter(|&&v| v != 0.0)
-                .count();
-            assert!(in_sig >= 5, "row {i}: only {in_sig} signature tokens");
-        }
-    }
-
-    #[test]
-    fn sparse_tokens_deterministic() {
-        let a = sparse_tokens(4, 64, 8, 4, 10, 1);
-        let b = sparse_tokens(4, 64, 8, 4, 10, 1);
-        assert_eq!(a.x.as_slice(), b.x.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "signatures must fit")]
-    fn sparse_tokens_rejects_overfull_signatures() {
-        let _ = sparse_tokens(10, 50, 12, 6, 5, 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! [`EventQueue`] is a calendar queue (timing wheel): near-future events land
 //! in per-window `Vec` buckets with O(1) insertion, and the one window being
-//! drained lives in a [`Lane`] — fine time slots, each a FIFO threaded
+//! drained lives in a `Lane` — fine time slots, each a FIFO threaded
 //! through one node slab — so popping is "first occupied slot, unlink its
 //! head" with no comparisons. Events beyond the wheel horizon go to an
 //! overflow heap; scheduling behind the active window re-anchors the wheel
@@ -279,7 +279,7 @@ impl Lane {
 /// `w = time >> bucket_shift`:
 ///
 /// * `lane` — the events of the current window `cur_window`, already in pop
-///   order (see [`Lane`]);
+///   order (see `Lane`);
 /// * `buckets` — unsorted `Vec`s for windows in `(cur_window, cur_window + n)`
 ///   (O(1) insertion, the hot path); a bucket holds exactly one window at a
 ///   time, recorded in `bucket_window`;

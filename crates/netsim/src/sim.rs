@@ -30,7 +30,7 @@ use crate::NodeId;
 use std::collections::BTreeMap;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_telemetry::{Counter, Registry, Snapshot, TimeSeries};
-use trimgrad_trace::Tracer;
+use trimgrad_trace::{PanicDump, Tracer};
 
 /// The discrete-event network simulator.
 pub struct Simulator {
@@ -66,6 +66,10 @@ pub struct Simulator {
     time_series: Option<TimeSeries>,
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) tracer: Tracer,
+    /// Writes `tracer`'s ring to `trace_panic.*` if a panic drops this
+    /// simulation. A field, not `impl Drop for Simulator`, so the simulator
+    /// stays destructurable.
+    black_box: PanicDump,
 }
 
 /// Per-tenant fabric-side trim counters, bumped as the switch trims packets
@@ -105,10 +109,10 @@ impl Simulator {
             });
         }
         let registry = Registry::new();
-        // The process-global tracer (gated by TRIMGRAD_TRACE) shares one
-        // event ring across simulations, but each simulator's handle
-        // aggregates span counters into its own registry.
-        let tracer = Tracer::global().clone().with_registry(registry.clone());
+        // This simulation's own ring (gated by TRIMGRAD_TRACE): spans count
+        // its events only, whatever else the process is simulating.
+        let tracer = Tracer::from_env().with_registry(registry.clone());
+        let black_box = tracer.dump_on_panic();
         let ports = DensePortTable::new(&topo);
         Self {
             topo,
@@ -134,15 +138,18 @@ impl Simulator {
             time_series: None,
             fault_plan: None,
             tracer,
+            black_box,
         }
     }
 
-    /// Replaces the flight recorder (by default the process-global,
-    /// `TRIMGRAD_TRACE`-gated one). Tests hand each simulation its own
-    /// enabled [`Tracer`] so rings never interleave across concurrent tests.
-    /// The handle is re-bound to this simulation's registry.
+    /// Replaces the flight recorder (by default this simulation's own
+    /// `TRIMGRAD_TRACE`-gated ring, see [`Tracer::from_env`]): with an
+    /// enabled [`Tracer`] to record whatever the environment says, or with a
+    /// clone of one ring to collect several simulations in one trace. The
+    /// handle is re-bound to this simulation's registry.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.with_registry(self.registry.clone());
+        self.black_box = self.tracer.dump_on_panic();
     }
 
     /// The flight recorder this simulation emits into.
@@ -446,8 +453,9 @@ impl Simulator {
 
     /// Panics on a conservation violation, with the first offending
     /// port/counter pair in the message. The violation is recorded in the
-    /// trace first, so when the global tracer is enabled the panic hook dumps
-    /// a flight record that ends with the `conservation.violation` mark.
+    /// trace first, so when tracing is enabled the `trace_panic` black box
+    /// this simulation leaves behind ends with the `conservation.violation`
+    /// mark.
     ///
     /// # Panics
     ///

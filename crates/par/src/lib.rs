@@ -20,32 +20,18 @@
 //!
 //! The pool is a cheap `Copy` config struct; parallel regions spawn scoped
 //! threads on entry and join them on exit, so there is no long-lived state,
-//! no work stealing, and no unsafe code.
+//! no work stealing, and no unsafe code. Regions do not nest: the one
+//! parallel axis in the workspace is the rows of a message
+//! (`trimgrad_collective::chunk`), and what runs inside a row is
+//! single-threaded.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Environment variable that pins the worker count (see [`WorkerPool::global`]).
 pub const THREADS_ENV: &str = "TRIMGRAD_THREADS";
-
-/// Kernels below this element count are not worth spawning threads for.
-///
-/// Callers with per-element costs far from a FWHT butterfly should gate on
-/// their own thresholds; this is a sane default for transform-sized work.
-pub const PAR_MIN_LEN: usize = 1 << 12;
-
-thread_local! {
-    /// True inside a pool worker thread. Used to keep nested parallel
-    /// regions (e.g. a per-row transform inside a per-row fan-out) from
-    /// oversubscribing the machine: [`WorkerPool::global`] degrades to the
-    /// serial pool when called from a worker. Since parallel and serial
-    /// output are bit-identical, this is purely a scheduling decision and
-    /// cannot change results.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
 
 fn resolved_global_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
@@ -65,7 +51,7 @@ fn resolved_global_threads() -> usize {
 ///
 /// Parallel regions never spawn more workers than this: on a single-core
 /// machine a 4-wide pool would pay thread spawn and merge overhead with zero
-/// concurrency in return (the `row_encode_pipeline` threads4 regression).
+/// concurrency in return.
 /// The clamp is a pure scheduling decision — chunk↔index assignment and merge
 /// order are unchanged, so results stay bit-identical at every width.
 #[must_use]
@@ -105,14 +91,9 @@ impl WorkerPool {
     ///
     /// The worker count is resolved once per process: `TRIMGRAD_THREADS`
     /// if set to a positive integer, otherwise
-    /// [`std::thread::available_parallelism`]. Calls made from inside a
-    /// pool worker return the serial pool so nested regions do not
-    /// oversubscribe (results are unaffected — see module docs).
+    /// [`std::thread::available_parallelism`].
     #[must_use]
     pub fn global() -> Self {
-        if IN_WORKER.with(Cell::get) {
-            return Self::serial();
-        }
         Self {
             threads: resolved_global_threads(),
         }
@@ -166,7 +147,6 @@ impl WorkerPool {
                 let (stripe, tail) = rest.split_at_mut(len);
                 rest = tail;
                 s.spawn(move || {
-                    IN_WORKER.with(|flag| flag.set(true));
                     for (off, slot) in stripe.iter_mut().enumerate() {
                         *slot = Some(f(start + off));
                     }
@@ -178,52 +158,6 @@ impl WorkerPool {
             .into_iter()
             .map(|r| r.expect("every index in 0..n lies in exactly one stripe"))
             .collect()
-    }
-
-    /// Applies `f(chunk_index, chunk)` to each `chunk_len`-sized chunk of
-    /// `data` in place — same effect as
-    /// `data.chunks_mut(chunk_len).enumerate().for_each(...)`.
-    ///
-    /// Chunks are distributed round-robin (chunk `i` goes to worker
-    /// `i % workers`), so the chunk↔worker assignment is a pure function of
-    /// the index. Chunks are disjoint `&mut` slices, so workers never alias.
-    pub fn for_each_chunk_mut<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        let n_chunks = data.len().div_ceil(chunk_len);
-        let workers = self.spawn_width(n_chunks);
-        if workers <= 1 {
-            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                f(i, chunk);
-            }
-            return;
-        }
-        // trimlint: allow(hot-path-alloc) -- bounded by thread count and amortized over the whole slice, not per packet
-        let mut stripes: Vec<Vec<(usize, &mut [T])>> = Vec::with_capacity(workers);
-        stripes.resize_with(workers, Vec::new);
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            stripes[i % workers].push((i, chunk));
-        }
-        std::thread::scope(|s| {
-            let f = &f;
-            for stripe in stripes {
-                s.spawn(move || {
-                    IN_WORKER.with(|flag| flag.set(true));
-                    for (i, chunk) in stripe {
-                        f(i, chunk);
-                    }
-                });
-            }
-        });
-    }
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        Self::global()
     }
 }
 
@@ -250,29 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_mut_matches_serial() {
-        for len in [0usize, 1, 5, 16, 100, 1023] {
-            for chunk_len in [1usize, 3, 8, 64] {
-                let mut serial: Vec<u32> = (0..len as u32).collect();
-                for (i, c) in serial.chunks_mut(chunk_len).enumerate() {
-                    for v in c.iter_mut() {
-                        *v = v.wrapping_mul(31).wrapping_add(i as u32);
-                    }
-                }
-                for threads in 1..=6 {
-                    let mut par: Vec<u32> = (0..len as u32).collect();
-                    WorkerPool::new(threads).for_each_chunk_mut(&mut par, chunk_len, |i, c| {
-                        for v in c.iter_mut() {
-                            *v = v.wrapping_mul(31).wrapping_add(i as u32);
-                        }
-                    });
-                    assert_eq!(par, serial, "len={len} chunk={chunk_len} t={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn zero_threads_clamps_to_serial() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
@@ -289,27 +200,6 @@ mod tests {
                 assert_eq!(pool.map_striped(n, f), serial, "n={n} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn nested_regions_degrade_to_serial_inside_workers() {
-        let widths = WorkerPool::new(4).map_striped(8, |_| WorkerPool::global().threads());
-        if hardware_threads() > 1 {
-            assert!(
-                widths.iter().all(|&w| w == 1),
-                "global() inside a worker must be serial, got {widths:?}"
-            );
-        } else {
-            // Single-core host: the hardware clamp keeps the region inline,
-            // so no worker flag is ever set and global() keeps its width.
-            let outer = WorkerPool::global().threads();
-            assert!(
-                widths.iter().all(|&w| w == outer),
-                "inline region must see the outer global width {outer}, got {widths:?}"
-            );
-        }
-        // Outside a worker the global pool keeps its configured width.
-        assert!(WorkerPool::global().threads() >= 1);
     }
 
     #[test]

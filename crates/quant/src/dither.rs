@@ -24,11 +24,8 @@
 //! Like SQ, the head is not a bit of the IEEE representation, so the tail
 //! carries the full 32-bit float (1 bit/coordinate overhead when untrimmed).
 
-use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{
-    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
-};
+use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
 use crate::stats::std_dev;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
@@ -72,8 +69,9 @@ impl TrimmableScheme for SubtractiveDithering {
         // One dither draw per coordinate, in order, buffered up front: the
         // generator's state update is a serial chain, so running it tight
         // and letting the add/compare work pipeline over the buffer beats
-        // interleaving them. The draw sequence is identical to the scalar
-        // path (and to decode) because the draws don't depend on the data.
+        // interleaving them. The draw sequence is identical to a
+        // draw-per-coordinate loop (and to decode) because the draws don't
+        // depend on the data.
         // trimlint: allow(hot-path-alloc) -- one dither buffer per row, amortized
         let mut dithers = Vec::with_capacity(row.len());
         for _ in 0..row.len() {
@@ -82,27 +80,6 @@ impl TrimmableScheme for SubtractiveDithering {
         // Head bit 1 encodes the −L level.
         let heads = kernels::pack_bits_zip(row, &dithers, |v, eps| v + eps < 0.0);
         let tails = kernels::pack_f32_tails(row);
-        EncodedRow {
-            scheme: self.id(),
-            n: row.len(),
-            parts: vec![heads, tails],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: l,
-            },
-        }
-    }
-
-    fn encode_scalar(&self, row: &[f32], seed: u64) -> EncodedRow {
-        let l = self.multiplier * std_dev(row);
-        let mut rng = Self::dither_stream(seed);
-        let mut heads = BitBuf::with_capacity(row.len());
-        let mut tails = BitBuf::with_capacity(row.len() * 32);
-        for &v in row {
-            let eps = rng.next_f32_range(-l, l);
-            heads.push_bits(u64::from(v + eps < 0.0), 1);
-            tails.push_bits(u64::from(f32_bits(v)), 32);
-        }
         EncodedRow {
             scheme: self.id(),
             n: row.len(),

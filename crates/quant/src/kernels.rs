@@ -12,11 +12,11 @@
 //! 64 bits. All loops are branch-light over contiguous slices, so the
 //! compiler can vectorize the gathers.
 //!
-//! Output is bit-identical to the scalar reference
-//! ([`crate::scheme::TrimmableScheme::encode_scalar`]): both produce the same
-//! LSB-first bitstream field by field, only the store granularity differs.
-//! The golden tests in `crates/quant/tests/encode_golden.rs` pin this
-//! byte-for-byte for every scheme.
+//! Output is bit-identical to one `push_bits` per coordinate per part: both
+//! produce the same LSB-first bitstream field by field, only the store
+//! granularity differs. `crates/quant/tests/encode_golden.rs` pins this
+//! byte-for-byte for every scheme against a per-coordinate reference encoder
+//! and recorded digests.
 //!
 //! # Decode
 //!
@@ -163,34 +163,6 @@ pub fn pack_f32_tails(values: &[f32]) -> BitBuf {
     BitBuf::from_bytes(bytes, values.len() * 32)
 }
 
-/// Packs `n` predicate bits produced in coordinate order, gathering 64 into
-/// each `u64` word. `bit(i)` is called exactly once per coordinate, strictly
-/// in increasing `i` order — the SQ/SD encoders rely on this because their
-/// per-coordinate PRNG draws are part of the wire contract.
-// trimlint: hot-path -- head-plane packing for the stochastic encoders
-#[must_use]
-pub fn pack_bits_ordered(n: usize, mut bit: impl FnMut(usize) -> bool) -> BitBuf {
-    // trimlint: allow(hot-path-alloc) -- one head buffer per row, amortized
-    let mut out = BitPacker::with_capacity(n);
-    let mut i = 0;
-    while i + 64 <= n {
-        let mut word = 0u64;
-        for j in 0..64 {
-            word |= u64::from(bit(i + j)) << j;
-        }
-        out.push(word, 64);
-        i += 64;
-    }
-    if i < n {
-        let mut word = 0u64;
-        for j in 0..n - i {
-            word |= u64::from(bit(i + j)) << j;
-        }
-        out.push(word, (n - i) as u32);
-    }
-    out.finish()
-}
-
 /// Packs `a.len()` predicate bits of `f(a[i], b[i])`, gathering 64 per
 /// `u64` word. Iterates both slices by `chunks_exact` + `zip` so the inner
 /// loop carries no bounds checks — the closure is evaluated strictly in
@@ -298,22 +270,6 @@ mod tests {
                 reference,
                 "n={n}"
             );
-        }
-    }
-
-    #[test]
-    fn ordered_bits_visit_every_index_once_in_order() {
-        for n in [0usize, 1, 63, 64, 65, 129] {
-            let mut visited = Vec::new();
-            let buf = pack_bits_ordered(n, |i| {
-                visited.push(i);
-                i % 3 == 1
-            });
-            assert_eq!(visited, (0..n).collect::<Vec<_>>(), "n={n}");
-            assert_eq!(buf.len(), n);
-            for i in 0..n {
-                assert_eq!(buf.get_bit(i), i % 3 == 1, "n={n} i={i}");
-            }
         }
     }
 }

@@ -22,9 +22,7 @@
 
 use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{
-    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
-};
+use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
 use crate::stats::drive_scale;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 
@@ -63,34 +61,6 @@ impl TrimmableScheme for MultiLevelRht {
         let f = drive_scale(&rotated);
         let n = rotated.len();
         let (signs, exps, mants) = kernels::encode_sign_exp_mant_parts(&rotated);
-        EncodedRow {
-            scheme: self.id(),
-            n,
-            parts: vec![signs, exps, mants],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: f,
-            },
-        }
-    }
-
-    fn encode_scalar(&self, row: &[f32], seed: u64) -> EncodedRow {
-        if row.is_empty() {
-            return self.encode(row, seed);
-        }
-        let rht = RandomizedHadamard::new(seed);
-        let rotated = rht.forward_padded(row);
-        let f = drive_scale(&rotated);
-        let n = rotated.len();
-        let mut signs = BitBuf::with_capacity(n);
-        let mut exps = BitBuf::with_capacity(n * 8);
-        let mut mants = BitBuf::with_capacity(n * 23);
-        for &r in &rotated {
-            let bits = f32_bits(r);
-            signs.push_bits(u64::from(bits >> 31), 1);
-            exps.push_bits(u64::from((bits >> 23) & 0xFF), 8);
-            mants.push_bits(u64::from(bits & 0x7F_FFFF), 23);
-        }
         EncodedRow {
             scheme: self.id(),
             n,

@@ -15,9 +15,7 @@
 
 use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{
-    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
-};
+use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
 use crate::stats::drive_scale;
 use trimgrad_hadamard::next_pow2;
 use trimgrad_hadamard::rht::RandomizedHadamard;
@@ -55,32 +53,6 @@ impl TrimmableScheme for RhtOneBit {
         let f = drive_scale(&rotated);
         let n = rotated.len();
         let (heads, tails) = kernels::encode_sign31_parts(&rotated);
-        EncodedRow {
-            scheme: self.id(),
-            n,
-            parts: vec![heads, tails],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: f,
-            },
-        }
-    }
-
-    fn encode_scalar(&self, row: &[f32], seed: u64) -> EncodedRow {
-        if row.is_empty() {
-            return self.encode(row, seed);
-        }
-        let rht = RandomizedHadamard::new(seed);
-        let rotated = rht.forward_padded(row);
-        let f = drive_scale(&rotated);
-        let n = rotated.len();
-        let mut heads = BitBuf::with_capacity(n);
-        let mut tails = BitBuf::with_capacity(n * 31);
-        for &r in &rotated {
-            let bits = f32_bits(r);
-            heads.push_bits(u64::from(bits >> 31), 1);
-            tails.push_bits(u64::from(bits & 0x7FFF_FFFF), 31);
-        }
         EncodedRow {
             scheme: self.id(),
             n,

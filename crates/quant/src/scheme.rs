@@ -522,18 +522,6 @@ pub trait TrimmableScheme: Send + Sync {
     /// Encodes one gradient row with the shared `seed`.
     fn encode(&self, row: &[f32], seed: u64) -> EncodedRow;
 
-    /// Encodes via the retained scalar per-coordinate reference path.
-    ///
-    /// Bit-identical to [`encode`](Self::encode) by contract: the fused
-    /// word-at-a-time kernels in [`crate::kernels`] emit the same LSB-first
-    /// bitstream field by field, only the store granularity differs. Kept as
-    /// the differential baseline for the golden tests and benchmarks; the
-    /// default delegates to `encode` for schemes without a separate fast
-    /// path.
-    fn encode_scalar(&self, row: &[f32], seed: u64) -> EncodedRow {
-        self.encode(row, seed)
-    }
-
     /// Decodes a (possibly trimmed) row back into `meta.original_len`
     /// coordinates. Coordinates whose head was lost entirely decode to `0.0`
     /// (the neutral element of gradient averaging).
@@ -557,18 +545,6 @@ pub trait TrimmableScheme: Send + Sync {
     fn bits_per_coord(&self) -> u32 {
         self.part_bits().iter().sum()
     }
-}
-
-/// Reinterprets an `f32` as its IEEE-754 bit pattern.
-#[must_use]
-pub fn f32_bits(v: f32) -> u32 {
-    v.to_bits()
-}
-
-/// Reinterprets an IEEE-754 bit pattern as `f32`.
-#[must_use]
-pub fn bits_f32(bits: u32) -> f32 {
-    f32::from_bits(bits)
 }
 
 #[cfg(test)]
@@ -709,13 +685,6 @@ mod tests {
             present,
         };
         let _ = view.get(2, 1);
-    }
-
-    #[test]
-    fn f32_bit_helpers_roundtrip() {
-        for v in [0.0f32, -0.0, 1.5, -3.25e-7, f32::MAX, f32::MIN_POSITIVE] {
-            assert_eq!(bits_f32(f32_bits(v)).to_bits(), v.to_bits());
-        }
     }
 
     #[test]

@@ -11,11 +11,8 @@
 //! training with it diverges once ≳2% of packets are trimmed (paper Fig 3) —
 //! the scheme is included as the paper's cautionary baseline.
 
-use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{
-    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
-};
+use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
 use crate::stats::std_dev;
 
 /// The sign-magnitude trimmable scheme. Stateless; `Default` is the paper's
@@ -36,25 +33,6 @@ impl TrimmableScheme for SignMagnitude {
 
     fn encode(&self, row: &[f32], _seed: u64) -> EncodedRow {
         let (heads, tails) = kernels::encode_sign31_parts(row);
-        EncodedRow {
-            scheme: self.id(),
-            n: row.len(),
-            parts: vec![heads, tails],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: std_dev(row),
-            },
-        }
-    }
-
-    fn encode_scalar(&self, row: &[f32], _seed: u64) -> EncodedRow {
-        let mut heads = BitBuf::with_capacity(row.len());
-        let mut tails = BitBuf::with_capacity(row.len() * 31);
-        for &v in row {
-            let bits = f32_bits(v);
-            heads.push_bits(u64::from(bits >> 31), 1);
-            tails.push_bits(u64::from(bits & 0x7FFF_FFFF), 31);
-        }
         EncodedRow {
             scheme: self.id(),
             n: row.len(),

@@ -17,7 +17,8 @@ const SUM_LANES: usize = 8;
 /// The lane-then-tail combination order is fixed, so the result is still
 /// fully deterministic — it is simply a *different* (and permanent) order
 /// than a plain left fold. Every scale the encoders derive goes through
-/// here on both the fused and scalar paths, so the two stay bit-identical.
+/// here — as does the test-side reference encoder's, so the two agree bit
+/// for bit.
 // trimlint: hot-path -- row-scale reduction on every encode
 fn lane_sum(xs: &[f32], mut f: impl FnMut(f32) -> f64) -> f64 {
     let mut acc = [0.0f64; SUM_LANES];

@@ -13,11 +13,8 @@
 //! (33 vs 32). The randomness is drawn from the shared seed so encoding is
 //! reproducible (§5.4), but decoding needs no randomness at all.
 
-use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{
-    f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
-};
+use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
 use crate::stats::{clip, std_dev};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
@@ -52,8 +49,9 @@ impl TrimmableScheme for StochasticQuantization {
         // generator's state update is a serial dependency chain, so running
         // it tight and letting the clip/divide/compare work pipeline over
         // the buffer is much faster than interleaving them. The draw
-        // sequence (and thus the head stream) is identical to the scalar
-        // path because the draws don't depend on the data.
+        // sequence (and thus the head stream) is identical to a
+        // draw-per-coordinate loop because the draws don't depend on the
+        // data.
         // trimlint: allow(hot-path-alloc) -- one draw buffer per row, amortized
         let mut draws = Vec::with_capacity(row.len());
         for _ in 0..row.len() {
@@ -75,32 +73,6 @@ impl TrimmableScheme for StochasticQuantization {
             head
         });
         let tails = kernels::pack_f32_tails(row);
-        EncodedRow {
-            scheme: self.id(),
-            n: row.len(),
-            parts: vec![heads, tails],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: l,
-            },
-        }
-    }
-
-    fn encode_scalar(&self, row: &[f32], seed: u64) -> EncodedRow {
-        let l = self.multiplier * std_dev(row);
-        let mut rng = Xoshiro256StarStar::new(seed);
-        let mut heads = BitBuf::with_capacity(row.len());
-        let mut tails = BitBuf::with_capacity(row.len() * 32);
-        for &v in row {
-            let p_plus = if l > 0.0 {
-                (l + clip(v, l)) / (2.0 * l)
-            } else {
-                0.5
-            };
-            let plus = rng.next_f32() < p_plus;
-            heads.push_bits(u64::from(!plus), 1);
-            tails.push_bits(u64::from(f32_bits(v)), 32);
-        }
         EncodedRow {
             scheme: self.id(),
             n: row.len(),

@@ -20,11 +20,15 @@
 //!    maps), so the trace of a seeded run is byte-identical across runs and
 //!    across `TRIMGRAD_THREADS` widths. Spans aggregate deterministic
 //!    call/event *counts* into the telemetry [`Registry`] — never wall-clock
-//!    durations, which the lint bans and determinism forbids.
-//! 3. **Failures leave artifacts.** When the global tracer is enabled a
-//!    panic hook dumps the ring to `trace_panic.bin`/`.jsonl` (in
-//!    `TRIMGRAD_TRACE_DIR`, default `.`), so a failed chaos run is
-//!    replayable instead of a counter diff.
+//!    durations, which the lint bans and determinism forbids. There is **no
+//!    process-wide ring**: every simulation starts from its own
+//!    [`Tracer::from_env`] ring, so a span counts that simulation's events
+//!    only, however many others run beside it (concurrent tests, a sweep).
+//! 3. **Failures leave artifacts.** Each simulation holds a [`PanicDump`]
+//!    on its ring: when it is dropped by a panic unwinding its thread, the
+//!    ring — that one run's events — is written to
+//!    `trace_panic.bin`/`.jsonl` (in `TRIMGRAD_TRACE_DIR`, default `.`), so
+//!    a failed chaos run is replayable instead of a counter diff.
 //!
 //! ```
 //! use trimgrad_trace::{TraceEvent, Tracer};
@@ -50,8 +54,9 @@ pub use sink::{Record, Trace, MAGIC};
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use trimgrad_telemetry::Registry;
 
 /// Default ring-buffer capacity in events (override with
@@ -69,7 +74,7 @@ struct Inner {
     cap: usize,
 }
 
-/// Poison-tolerant lock: the panic hook must still be able to dump the ring
+/// Poison-tolerant lock: a [`PanicDump`] must still be able to dump the ring
 /// after a panic that happened while a guard was held.
 fn lock(m: &Mutex<RingState>) -> MutexGuard<'_, RingState> {
     match m.lock() {
@@ -81,9 +86,8 @@ fn lock(m: &Mutex<RingState>) -> MutexGuard<'_, RingState> {
 /// A cloneable handle to a flight recorder (or to nothing, when disabled).
 ///
 /// Clones share the event ring; the attached telemetry [`Registry`] lives on
-/// the *handle*, so two simulations sharing the global ring still aggregate
-/// their span counters into their own registries (see
-/// [`Tracer::with_registry`]).
+/// the *handle*, so two holders of one ring still aggregate their span
+/// counters into their own registries (see [`Tracer::with_registry`]).
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
@@ -143,18 +147,6 @@ impl Tracer {
             }
             _ => Self::disabled(),
         }
-    }
-
-    /// The process-wide tracer, built once from the environment. When it is
-    /// enabled, the dump-on-panic hook is installed on first access.
-    #[must_use]
-    pub fn global() -> &'static Self {
-        static GLOBAL: OnceLock<Tracer> = OnceLock::new();
-        let t = GLOBAL.get_or_init(Self::from_env);
-        if t.is_enabled() {
-            install_panic_hook(t.clone());
-        }
-        t
     }
 
     /// Returns this handle with `registry` attached; span counters aggregate
@@ -290,6 +282,43 @@ impl Tracer {
             .map_err(|e| format!("write {}: {e}", jsonl.display()))?;
         Ok(Some((bin, jsonl)))
     }
+
+    /// A guard on this ring that writes the `trace_panic` black box if a
+    /// panic drops it; see [`PanicDump`].
+    #[must_use = "the black box is written when the guard drops during a panic"]
+    pub fn dump_on_panic(&self) -> PanicDump {
+        PanicDump(self.clone())
+    }
+}
+
+/// The black box. Dropped normally it does nothing; dropped while its thread
+/// unwinds from a panic it writes the ring to `trace_panic.bin`/`.jsonl`
+/// under `TRIMGRAD_TRACE_DIR` (default `.`) and says so on stderr. Whoever
+/// owns a ring for the length of a run (a `Simulator`) keeps one beside it,
+/// so the file holds the events of the run that was alive when the thread
+/// died. Several guards unwinding together each overwrite the file, in drop
+/// order. A disabled tracer writes nothing.
+pub struct PanicDump(Tracer);
+
+impl Drop for PanicDump {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let dir = std::env::var("TRIMGRAD_TRACE_DIR").unwrap_or_else(|_| ".".to_string());
+        // `Drop` must not panic (a second panic while unwinding aborts), so
+        // stderr write failures are ignored rather than `eprintln!`ed.
+        let mut err = std::io::stderr();
+        let _ = match self.0.dump(Path::new(&dir), "trace_panic") {
+            Ok(Some((bin, _))) => writeln!(
+                err,
+                "trimgrad-trace: dumped flight record to {}",
+                bin.display()
+            ),
+            Ok(None) => Ok(()),
+            Err(e) => writeln!(err, "trimgrad-trace: panic dump failed: {e}"),
+        };
+    }
 }
 
 /// RAII guard returned by [`Tracer::span_at`]; see there for drop semantics.
@@ -321,37 +350,6 @@ impl Drop for SpanGuard {
                 .add(events);
         }
     }
-}
-
-/// Opens a span on a tracer expression: `span!(tracer, "ring.send_step")`,
-/// or on the process-global tracer: `span!("ring.send_step")`. Binds the
-/// guard to `_span` unless you assign it yourself.
-#[macro_export]
-macro_rules! span {
-    ($tracer:expr, $name:literal) => {
-        $tracer.span($name)
-    };
-    ($name:literal) => {
-        $crate::Tracer::global().span($name)
-    };
-}
-
-fn install_panic_hook(tracer: Tracer) {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(move || {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let dir = std::env::var("TRIMGRAD_TRACE_DIR").unwrap_or_else(|_| ".".to_string());
-            match tracer.dump(Path::new(&dir), "trace_panic") {
-                Ok(Some((bin, _))) => {
-                    eprintln!("trimgrad-trace: dumped flight record to {}", bin.display());
-                }
-                Ok(None) => {}
-                Err(e) => eprintln!("trimgrad-trace: panic dump failed: {e}"),
-            }
-            prev(info);
-        }));
-    });
 }
 
 /// Whether `name` follows the telemetry-key convention: dot-separated,
@@ -462,15 +460,6 @@ mod tests {
                 "span.exit"
             ]
         );
-    }
-
-    #[test]
-    fn span_macro_accepts_handle_form() {
-        let t = Tracer::enabled(16);
-        {
-            let _g = span!(t, "macro.scope");
-        }
-        assert_eq!(t.events_emitted(), 2);
     }
 
     #[test]

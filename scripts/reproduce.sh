@@ -40,7 +40,7 @@ run fleet              # fleet SLO scenario + dashboard (seconds)
 # "Parallel speedup" is built from these files.
 echo "=== microbenches ==="
 # Absolute paths: cargo runs bench binaries with cwd = crates/bench.
-cargo bench -p trimgrad-bench --bench encode_decode -- --json "$PWD/results/BENCH_encode.json" --assert-encode-pool-not-slower 10
+cargo bench -p trimgrad-bench --bench encode_decode -- --json "$PWD/results/BENCH_encode.json"
 cargo bench -p trimgrad-bench --bench wire          -- --json "$PWD/results/BENCH_wire.json"
 cargo bench -p trimgrad-bench --bench netsim        -- --json "$PWD/results/BENCH_netsim.json"
 
