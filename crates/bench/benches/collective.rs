@@ -1,6 +1,7 @@
 //! Macro-benchmarks for the collective layer: in-memory ring all-reduce
 //! over lossless vs trimming channels, and one full aggregation round
-//! through the DDP-style hook.
+//! through the DDP-style hook. Lands in `BENCH_collective.json` under CI's
+//! bench smoke job.
 
 use trimgrad::collective::channel::{GradChannel, LosslessChannel, TrimmingChannel};
 use trimgrad::collective::chunk::MessageCodec;
@@ -9,7 +10,7 @@ use trimgrad::collective::ring::ring_all_reduce;
 use trimgrad::collective::TrimInjector;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::Scheme;
-use trimgrad_bench::microbench::{Group, Throughput};
+use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
 
 const WORKERS: usize = 4;
 const LEN: usize = 1 << 14;
@@ -21,7 +22,7 @@ fn grads(seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn bench_ring() {
+fn bench_ring(records: &mut Vec<BenchRecord>) {
     let input = grads(1);
     let mut g = Group::new("ring_allreduce_16k_x4");
     g.throughput(Throughput::Elements((LEN * WORKERS) as u64));
@@ -47,9 +48,10 @@ fn bench_ring() {
         let _bytes: u64 = chans.iter().map(GradChannel::bytes_sent).sum();
         w
     });
+    records.extend(g.finish());
 }
 
-fn bench_hook_round() {
+fn bench_hook_round(records: &mut Vec<BenchRecord>) {
     let input = grads(2);
     let mut g = Group::new("ddp_hook_aggregate_16k_x4");
     g.throughput(Throughput::Elements((LEN * WORKERS) as u64));
@@ -62,9 +64,13 @@ fn bench_hook_round() {
             hook.aggregate(&input, 0, round)
         });
     }
+    records.extend(g.finish());
 }
 
 fn main() {
-    bench_ring();
-    bench_hook_round();
+    let opts = BenchOpts::from_args();
+    let mut records = Vec::new();
+    bench_ring(&mut records);
+    bench_hook_round(&mut records);
+    opts.write("collective", &records);
 }

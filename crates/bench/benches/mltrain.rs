@@ -1,0 +1,73 @@
+//! Micro-benchmarks for the compute stage of a round at the two shapes
+//! `BENCHMARK.json` pins (`train_fabric`, `train_inject`; batch 32): the
+//! forward pass alone, forward + backward into the flat gradient, and the
+//! mean the in-memory hook takes over four workers' gradients. Lands in
+//! `BENCH_mltrain.json` under CI's bench smoke job.
+
+use std::hint::black_box;
+use trimgrad::collective::hooks::mean_views;
+use trimgrad::hadamard::prng::Xoshiro256StarStar;
+use trimgrad::mltrain::data::{gaussian_mixture, sample_indices};
+use trimgrad::mltrain::{Matrix, Mlp};
+use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
+
+const SHAPES: [(&str, &[usize]); 2] = [
+    ("128x512x384x10", &[128, 512, 384, 10]),
+    ("256x512x512x100", &[256, 512, 512, 100]),
+];
+const BATCH: usize = 32;
+
+/// A model one plain-SGD step past its initialisation (so biases are
+/// non-zero) and a batch of the benchmark's task.
+fn model_and_batch(dims: &[usize]) -> (Mlp, Matrix, Vec<usize>) {
+    let classes = dims[dims.len() - 1];
+    let data = gaussian_mixture(classes, dims[0], 4000 / classes, 0.25, 1.0, 11);
+    let mut rng = Xoshiro256StarStar::new(11);
+    let (bx, by) = data.batch(&sample_indices(data.len(), BATCH, &mut rng));
+    let mut model = Mlp::new(dims, 11);
+    let (_, grad) = model.loss_and_grad(&bx, &by);
+    let mut params = model.params_flat();
+    for (p, g) in params.iter_mut().zip(&grad) {
+        *p -= 0.05 * g;
+    }
+    model.set_params_flat(&params);
+    (model, bx, by)
+}
+
+fn bench_compute(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    for (name, dims) in SHAPES {
+        let (model, bx, by) = model_and_batch(dims);
+        let mut g = Group::new("mltrain");
+        opts.configure(&mut g);
+        g.throughput(Throughput::Elements(model.param_count() as u64));
+        g.bench(&format!("forward_{name}"), || model.forward(black_box(&bx)));
+        g.bench(&format!("loss_and_grad_{name}"), || {
+            model.loss_and_grad(black_box(&bx), &by)
+        });
+        records.extend(g.finish());
+    }
+}
+
+fn bench_hook_mean(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    const WORKERS: usize = 4;
+    const LEN: usize = 445_540; // train_inject's parameter count
+    let mut rng = Xoshiro256StarStar::new(3);
+    let mut draw = |_| -> Vec<f32> { (0..LEN).map(|_| rng.next_f32_range(-1.0, 1.0)).collect() };
+    let own: Vec<Vec<f32>> = (0..WORKERS).map(&mut draw).collect();
+    let decoded: Vec<Vec<f32>> = (0..WORKERS).map(&mut draw).collect();
+    let mut g = Group::new("mltrain");
+    opts.configure(&mut g);
+    g.throughput(Throughput::Elements((WORKERS * LEN) as u64));
+    g.bench("hook_mean_4x445k", || {
+        mean_views(black_box(&own), black_box(&decoded))
+    });
+    records.extend(g.finish());
+}
+
+fn main() {
+    let opts = BenchOpts::from_args();
+    let mut records = Vec::new();
+    bench_compute(&opts, &mut records);
+    bench_hook_mean(&opts, &mut records);
+    opts.write("mltrain", &records);
+}

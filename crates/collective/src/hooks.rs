@@ -114,6 +114,10 @@ impl AggregateHook for TrimmableHook {
     /// essential — re-encoding partial sums at every ring hop compounds the
     /// quantization error multiplicatively (see [`RingTrimmableHook`], kept
     /// as an ablation).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one gradient per channel, all of one length.
     fn aggregate(&mut self, grads: &[Vec<f32>], epoch: u32, round: u32) -> Vec<Vec<f32>> {
         let w = grads.len();
         assert_eq!(w, self.channels.len(), "one channel per worker");
@@ -123,19 +127,7 @@ impl AggregateHook for TrimmableHook {
             .enumerate()
             .map(|(i, (g, ch))| ch.transfer(g, epoch, round * w as u32 + i as u32))
             .collect();
-        (0..w)
-            .map(|v| {
-                (0..grads[0].len())
-                    .map(|j| {
-                        let mut acc = 0.0f32;
-                        for (u, dec) in decoded.iter().enumerate() {
-                            acc += if u == v { grads[v][j] } else { dec[j] };
-                        }
-                        acc / w as f32
-                    })
-                    .collect()
-            })
-            .collect()
+        mean_views(grads, &decoded)
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -145,6 +137,50 @@ impl AggregateHook for TrimmableHook {
     fn name(&self) -> String {
         self.scheme.name().into()
     }
+}
+
+/// Each worker's view of the mean gradient after a broadcast exchange:
+/// view `v` averages worker `v`'s own exact gradient `own[v]` with the
+/// `decoded[u]` it received from every other worker `u`. Per coordinate the
+/// sum runs from `+0.0` over `u` ascending and is then divided by the worker
+/// count, whatever that is; the walk goes block by block so that the inner
+/// loop is a slice add into a block that stays in cache across the `u`.
+///
+/// # Panics
+///
+/// Panics if `own` is empty, if `decoded` has a different worker count, or
+/// if the gradients are not all of one length.
+#[must_use]
+pub fn mean_views(own: &[Vec<f32>], decoded: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    /// Coordinates per block: 16 KiB of output beside one 16 KiB source
+    /// block fill a 32 KiB L1.
+    const BLOCK: usize = 4096;
+    let w = own.len();
+    assert!(w > 0, "no gradients to aggregate");
+    assert_eq!(decoded.len(), w, "one decoded gradient per worker");
+    let len = own[0].len();
+    assert!(
+        own.iter().chain(decoded).all(|g| g.len() == len),
+        "gradients differ in length"
+    );
+    (0..w)
+        .map(|v| {
+            let mut view = vec![0.0f32; len];
+            for (b, out) in view.chunks_mut(BLOCK).enumerate() {
+                let (at, n) = (b * BLOCK, out.len());
+                for (u, dec) in decoded.iter().enumerate() {
+                    let src = if u == v { &own[v] } else { dec };
+                    for (o, &x) in out.iter_mut().zip(&src[at..at + n]) {
+                        *o += x;
+                    }
+                }
+                for o in out {
+                    *o /= w as f32;
+                }
+            }
+            view
+        })
+        .collect()
 }
 
 /// Ablation variant: trimmable encoding applied at **every ring hop**, so
@@ -296,6 +332,20 @@ mod tests {
             "encode-once ({e_once}) must beat per-hop ({e_hop})"
         );
         assert_eq!(per_hop.name(), "rht-ring");
+    }
+
+    #[test]
+    #[should_panic(expected = "no gradients to aggregate")]
+    fn aggregating_nothing_panics_with_a_message() {
+        let mut hook = TrimmableHook::new(SchemeId::RhtOneBit, 0, 0.0, 0.0, 512, 1);
+        let _ = hook.aggregate(&[], 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gradients differ in length")]
+    fn ragged_gradients_panic_with_a_message() {
+        let mut hook = TrimmableHook::new(SchemeId::RhtOneBit, 2, 0.0, 0.0, 512, 1);
+        let _ = hook.aggregate(&[vec![0.5; 600], vec![0.5; 599]], 0, 0);
     }
 
     #[test]

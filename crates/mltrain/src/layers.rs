@@ -36,14 +36,27 @@ impl Linear {
         y
     }
 
-    /// Backward pass. Given upstream `dy (batch × out)` and the cached input
-    /// `x`, returns `(dw, db, dx)`.
+    /// Parameter gradients. Given upstream `dy (batch × out)` and the cached
+    /// input `x`, adds `dw` (row-major, `out × in`) followed by `db` to
+    /// `grad` — this layer's `param_count()`-long stretch of a flat gradient,
+    /// in the order [`Mlp::params_flat`](crate::model::Mlp::params_flat) lays
+    /// parameters out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != param_count()`.
+    pub fn param_grad_acc(&self, x: &Matrix, dy: &Matrix, grad: &mut [f32]) {
+        assert_eq!(grad.len(), self.param_count(), "gradient slice length");
+        let (dw, db) = grad.split_at_mut(self.w.rows() * self.w.cols());
+        dy.t_matmul_acc(x, dw);
+        dy.col_sums_acc(db);
+    }
+
+    /// Input gradient `dx = dy·W`, `(batch × in)` — what the layer below
+    /// back-propagates; the first layer has no use for it.
     #[must_use]
-    pub fn backward(&self, x: &Matrix, dy: &Matrix) -> (Matrix, Vec<f32>, Matrix) {
-        let dw = dy.t_matmul(x); // (out × in)
-        let db = dy.col_sums();
-        let dx = dy.matmul(&self.w); // (batch × in)
-        (dw, db, dx)
+    pub fn input_grad(&self, dy: &Matrix) -> Matrix {
+        dy.matmul(&self.w)
     }
 
     /// Parameter count (weights + bias).
@@ -53,28 +66,25 @@ impl Linear {
     }
 }
 
-/// ReLU forward (in place on a copy): returns activations.
-#[must_use]
-pub fn relu(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    for v in y.as_mut_slice() {
+/// ReLU forward, in place.
+pub fn relu(x: &mut Matrix) {
+    for v in x.as_mut_slice() {
         if *v < 0.0 {
             *v = 0.0;
         }
     }
-    y
 }
 
-/// ReLU backward: zeroes `dy` wherever the *pre-activation* input was ≤ 0.
-#[must_use]
-pub fn relu_backward(pre: &Matrix, dy: &Matrix) -> Matrix {
-    let mut dx = dy.clone();
-    for (d, &p) in dx.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-        if p <= 0.0 {
+/// ReLU backward, in place: zeroes `dy` wherever the ReLU's input was ≤ 0.
+/// `act` is the ReLU's *output*, which is ≤ 0 exactly where its input was
+/// (negatives became `0.0`; `-0.0` and NaN pass through [`relu`] unchanged),
+/// so the pre-activations need not be kept.
+pub fn relu_backward(act: &Matrix, dy: &mut Matrix) {
+    for (d, &a) in dy.as_mut_slice().iter_mut().zip(act.as_slice()) {
+        if a <= 0.0 {
             *d = 0.0;
         }
     }
-    dx
 }
 
 /// Numerically-stable row-wise softmax.
@@ -110,9 +120,11 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
     let mut loss = 0.0f64;
     for (r, &label) in labels.iter().enumerate() {
         assert!(label < logits.cols(), "label {label} out of range");
-        let p = probs.get(r, label).max(1e-12);
-        loss -= f64::from(p.ln());
-        let v = probs.get(r, label) - 1.0;
+        // A floor, but not `f32::max`, which returns its other operand for a
+        // NaN: a diverged model must report a non-finite loss, not ln(1e-12).
+        let p = probs.get(r, label);
+        loss -= f64::from(if p < 1e-12 { 1e-12 } else { p }.ln());
+        let v = p - 1.0;
         probs.set(r, label, v);
     }
     for v in probs.as_mut_slice() {
@@ -147,12 +159,16 @@ mod tests {
 
     #[test]
     fn relu_and_its_gradient() {
-        let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
-        let y = relu(&x);
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
-        let dy = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let dx = relu_backward(&x, &dy);
-        assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
+        let x = Matrix::from_vec(1, 5, vec![-1.0, 0.0, 2.0, -0.0, f32::NAN]);
+        let mut y = x.clone();
+        relu(&mut y);
+        assert_eq!(y.as_slice()[..4], [0.0, 0.0, 2.0, 0.0]);
+        // The mask taken from the output equals the one the input gives.
+        for mask in [&x, &y] {
+            let mut d = Matrix::from_vec(1, 5, vec![1.0; 5]);
+            relu_backward(mask, &mut d);
+            assert_eq!(d.as_slice(), &[0.0, 0.0, 1.0, 0.0, 1.0]);
+        }
     }
 
     #[test]
@@ -175,6 +191,17 @@ mod tests {
         assert!(loss < 1e-3, "loss {loss}");
         let (loss_bad, _) = softmax_cross_entropy(&x, &[2]);
         assert!(loss_bad > 5.0, "loss {loss_bad}");
+    }
+
+    #[test]
+    fn cross_entropy_of_nan_logits_is_nan() {
+        let x = Matrix::from_vec(2, 2, vec![0.0, f32::NAN, 1.0, 2.0]);
+        let (loss, _) = softmax_cross_entropy(&x, &[0, 1]);
+        assert!(loss.is_nan(), "loss {loss}");
+        // The floor itself still holds for a vanishing probability.
+        let x = Matrix::from_vec(1, 2, vec![0.0, 200.0]);
+        let (loss, _) = softmax_cross_entropy(&x, &[0]);
+        assert_eq!(loss, -(1e-12f32.ln()));
     }
 
     #[test]
@@ -212,7 +239,10 @@ mod tests {
         };
         let y = l.forward(&x);
         let (_, dy) = softmax_cross_entropy(&y, &labels);
-        let (dw, db, _) = l.backward(&x, &dy);
+        let mut grad = vec![0.0; l.param_count()];
+        l.param_grad_acc(&x, &dy, &mut grad);
+        let (dw, db) = grad.split_at(6);
+        let dw = Matrix::from_vec(2, 3, dw.to_vec());
         let eps = 1e-3f32;
         // Check a few weight entries.
         for (r, c) in [(0, 0), (1, 2), (0, 1)] {

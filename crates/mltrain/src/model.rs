@@ -48,50 +48,44 @@ impl Mlp {
     /// Forward pass to logits.
     #[must_use]
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
+        let mut acts = self.activations(x);
+        acts.pop().expect("an MLP has at least one layer")
+    }
+
+    /// Every layer's output for the batch `x`: post-ReLU activations for the
+    /// hidden layers, logits last. Layer `i + 1`'s input is entry `i`.
+    fn activations(&self, x: &Matrix) -> Vec<Matrix> {
+        let last = self.layers.len() - 1;
+        let mut acts: Vec<Matrix> = Vec::with_capacity(self.layers.len());
         for (i, l) in self.layers.iter().enumerate() {
-            h = l.forward(&h);
-            if i + 1 < self.layers.len() {
-                h = relu(&h);
+            let mut h = l.forward(if i == 0 { x } else { &acts[i - 1] });
+            if i < last {
+                relu(&mut h);
             }
+            acts.push(h);
         }
-        h
+        acts
     }
 
     /// Mean cross-entropy loss and the flat gradient for one batch.
     #[must_use]
     pub fn loss_and_grad(&self, x: &Matrix, labels: &[usize]) -> (f32, Vec<f32>) {
-        // Forward with caches: inputs to each layer and pre-activations.
-        let mut inputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        let mut pres: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
-        for (i, l) in self.layers.iter().enumerate() {
-            inputs.push(h.clone());
-            let pre = l.forward(&h);
-            h = if i + 1 < self.layers.len() {
-                let act = relu(&pre);
-                pres.push(pre);
-                act
-            } else {
-                pres.push(pre.clone());
-                pre
-            };
-        }
-        let (loss, mut dy) = softmax_cross_entropy(&h, labels);
-        // Backward, collecting layer grads in reverse.
-        let mut grads_rev: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(self.layers.len());
+        let mut acts = self.activations(x);
+        let logits = acts.pop().expect("an MLP has at least one layer");
+        let (loss, mut dy) = softmax_cross_entropy(&logits, labels);
+        // Backward: each layer adds its `dw`/`db` to its own stretch of the
+        // flat gradient, walking the stretches from the back.
+        let mut flat = vec![0.0f32; self.param_count()];
+        let mut end = flat.len();
         for (i, l) in self.layers.iter().enumerate().rev() {
-            let (dw, db, dx) = l.backward(&inputs[i], &dy);
-            grads_rev.push((dw, db));
+            let input = if i == 0 { x } else { &acts[i - 1] };
+            let start = end - l.param_count();
+            l.param_grad_acc(input, &dy, &mut flat[start..end]);
+            end = start;
             if i > 0 {
-                dy = relu_backward(&pres[i - 1], &dx);
+                dy = l.input_grad(&dy);
+                relu_backward(input, &mut dy);
             }
-        }
-        // Flatten forward-order.
-        let mut flat = Vec::with_capacity(self.param_count());
-        for (dw, db) in grads_rev.into_iter().rev() {
-            flat.extend_from_slice(dw.as_slice());
-            flat.extend_from_slice(&db);
         }
         (loss, flat)
     }
@@ -105,6 +99,15 @@ impl Mlp {
             flat.extend_from_slice(&l.b);
         }
         flat
+    }
+
+    /// The parameters in place, as consecutive slices in flat order (layer 0
+    /// weights, layer 0 bias, layer 1 weights, …) — for an optimizer to step
+    /// without a [`params_flat`](Self::params_flat) round-trip.
+    pub fn param_segments_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| [l.w.as_mut_slice(), l.b.as_mut_slice()])
     }
 
     /// Overwrites parameters from a flat vector.
@@ -229,6 +232,36 @@ mod tests {
         m2.set_params_flat(&p);
         let (l1, _) = m2.loss_and_grad(&x, &labels);
         assert!(l1 < l0, "gradient step must reduce loss: {l0} → {l1}");
+    }
+
+    #[test]
+    fn stepping_in_place_equals_the_flat_round_trip() {
+        use crate::optim::SgdMomentum;
+        let x = Matrix::from_vec(2, 4, vec![0.5, -0.2, 0.8, 0.1, -0.6, 0.4, 0.0, 0.9]);
+        let labels = [2usize, 0];
+        let (mut flat, mut in_place) = (tiny(), tiny());
+        let n = flat.param_count();
+        let mut opts = [SgdMomentum::new(0.1, 0.9, n), SgdMomentum::new(0.1, 0.9, n)];
+        for round in 0..5 {
+            let (_, grad) = flat.loss_and_grad(&x, &labels);
+            let mut params = flat.params_flat();
+            opts[0].step(&mut params, &grad);
+            flat.set_params_flat(&params);
+            opts[1].step_segments(in_place.param_segments_mut(), &grad);
+            let bits =
+                |m: &Mlp| -> Vec<u32> { m.params_flat().iter().map(|p| p.to_bits()).collect() };
+            assert_eq!(bits(&flat), bits(&in_place), "round {round}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "param count mismatch")]
+    fn stepping_segments_short_of_the_parameter_count_panics() {
+        use crate::optim::SgdMomentum;
+        let mut m = tiny();
+        let n = m.param_count();
+        let mut opt = SgdMomentum::new(0.1, 0.9, n);
+        opt.step_segments(m.param_segments_mut().take(3), &vec![0.0; n]);
     }
 
     #[test]

@@ -31,11 +31,40 @@ impl SgdMomentum {
     /// Panics if slices disagree with the configured parameter count.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), self.velocity.len(), "param count mismatch");
+        self.step_segments([params], grads);
+    }
+
+    /// Applies one update in place to parameters stored as consecutive
+    /// `segments` (a model's per-layer weight and bias slices, in flat
+    /// order), each against the matching stretch of `grads` and of the
+    /// velocity. The update is element-wise, so the result is bit for bit
+    /// what [`step`](Self::step) leaves in the concatenated parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads`, or the segments taken together, disagree with the
+    /// configured parameter count.
+    pub fn step_segments<'a>(
+        &mut self,
+        segments: impl IntoIterator<Item = &'a mut [f32]>,
+        grads: &[f32],
+    ) {
         assert_eq!(grads.len(), self.velocity.len(), "grad count mismatch");
-        for ((p, &g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
+        let mut at = 0;
+        for params in segments {
+            let end = at + params.len();
+            assert!(end <= grads.len(), "param count mismatch");
+            for ((p, &g), v) in params
+                .iter_mut()
+                .zip(&grads[at..end])
+                .zip(&mut self.velocity[at..end])
+            {
+                *v = self.momentum * *v + g;
+                *p -= self.lr * *v;
+            }
+            at = end;
         }
+        assert_eq!(at, grads.len(), "param count mismatch");
     }
 
     /// Resets accumulated momentum.

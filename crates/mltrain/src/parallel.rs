@@ -196,9 +196,7 @@ impl DataParallelTrainer {
         let views = self.hook.aggregate(&grads, self.epoch, self.round);
         for ((model, opt), view) in self.models.iter_mut().zip(&mut self.opts).zip(&views) {
             opt.lr = lr;
-            let mut params = model.params_flat();
-            opt.step(&mut params, view);
-            model.set_params_flat(&params);
+            opt.step_segments(model.param_segments_mut(), view);
         }
         self.round += 1;
         if let (Some(reg), Some(ns)) = (&self.telemetry, self.round_time_ns) {

@@ -1,8 +1,21 @@
 //! Minimal row-major `f32` matrices.
 //!
-//! Exactly the operations backprop through an MLP needs — general matrix
-//! multiply plus the two transposed variants — written with an i-k-j loop
-//! order so the inner loop streams contiguously and auto-vectorizes.
+//! Exactly the operations backprop through an MLP needs. The three matrix
+//! products — `x·Wᵀ` (forward, [`Matrix::matmul_t`]), `dy·W` (`dx`,
+//! [`Matrix::matmul`]) and `dyᵀ·x` (`dw`, [`Matrix::t_matmul_acc`]) — all run
+//! through one row-axpy kernel: its inner loop adds a scaled contiguous row
+//! into a contiguous row, which has no loop-carried dependency and therefore
+//! vectorises, where a dot product's running `f32` sum may not be
+//! reassociated and cannot. A product with a transposed operand transposes a
+//! copy first.
+//!
+//! # The zero rule
+//!
+//! The two backward products skip an exactly-zero entry of their left
+//! operand instead of adding `0 · row`, because ReLU zeroes about half of
+//! `dy`. That is not a pure optimisation — `0 · ∞` and `0 · NaN` are NaN — so
+//! the forward product, which must carry a non-finite weight into the loss,
+//! is dense.
 
 use trimgrad_quant::fcmp;
 
@@ -81,7 +94,27 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `self · other` — shapes `(m×k) · (k×n) = (m×n)`.
+    /// The transpose, copied tile by tile so that neither the reads nor the
+    /// writes stride through more cache lines than a tile has rows.
+    #[must_use]
+    pub fn transposed(&self) -> Matrix {
+        const TILE: usize = 16;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(cols, rows);
+        for r0 in (0..rows).step_by(TILE) {
+            for c0 in (0..cols).step_by(TILE) {
+                for r in r0..(r0 + TILE).min(rows) {
+                    for c in c0..(c0 + TILE).min(cols) {
+                        out.data[c * rows + r] = self.data[r * cols + c];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `self · other` — shapes `(m×k) · (k×n) = (m×n)`. Exact zeros in
+    /// `self` are skipped (the [zero rule](self#the-zero-rule)).
     ///
     /// # Panics
     ///
@@ -89,51 +122,28 @@ impl Matrix {
     #[must_use]
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if fcmp::exactly_zero(a) {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        accumulate_product::<true>(&mut out.data, &self.data, &other.data, other.cols);
         out
     }
 
-    /// `selfᵀ · other` — shapes `(k×m)ᵀ · (k×n) = (m×n)`.
+    /// Adds `selfᵀ · other` — shapes `(k×m)ᵀ · (k×n) = (m×n)` — to the
+    /// row-major `out`. Exact zeros in `self` are skipped (the
+    /// [zero rule](self#the-zero-rule)).
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    #[must_use]
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+    pub fn t_matmul_acc(&self, other: &Matrix, out: &mut [f32]) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for p in 0..k {
-            let arow = &self.data[p * m..(p + 1) * m];
-            let brow = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in arow.iter().enumerate() {
-                if fcmp::exactly_zero(a) {
-                    continue;
-                }
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        assert_eq!(out.len(), self.cols * other.cols, "t_matmul output size");
+        let self_t = self.transposed();
+        accumulate_product::<true>(out, &self_t.data, &other.data, other.cols);
     }
 
-    /// `self · otherᵀ` — shapes `(m×k) · (n×k)ᵀ = (m×n)`.
+    /// `self · otherᵀ` — shapes `(m×k) · (n×k)ᵀ = (m×n)`. Dense: every
+    /// product is formed, so a non-finite entry of `other` reaches the result
+    /// even against a zero (the [zero rule](self#the-zero-rule)).
     ///
     /// # Panics
     ///
@@ -141,19 +151,9 @@ impl Matrix {
     #[must_use]
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
+        let other_t = other.transposed();
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        accumulate_product::<false>(&mut out.data, &self.data, &other_t.data, other.rows);
         out
     }
 
@@ -171,16 +171,42 @@ impl Matrix {
         }
     }
 
-    /// Sum over rows: returns a `cols`-length vector.
-    #[must_use]
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
+    /// Adds the sum over rows to `out`, a `cols`-length vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != cols`.
+    pub fn col_sums_acc(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols, "column count mismatch");
         for r in 0..self.rows {
             for (o, &x) in out.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
-        out
+    }
+}
+
+/// The one product kernel: `out (m×n) += A (m×k) · B (k×n)`, all row-major,
+/// as row axpys `out[i,:] += A[i,p] · B[p,:]` for `p` ascending — so every
+/// output element receives the same products in the same order as a
+/// `k`-ascending dot product started from `+0.0`, bit for bit. `m` and `k`
+/// follow from the slice lengths. `SKIP_ZEROS` is the module's zero rule: an
+/// exactly-zero `A[i,p]` contributes nothing instead of `0 · B[p,:]`.
+// trimlint: hot-path -- every multiply-add of the compute stage runs in this loop
+fn accumulate_product<const SKIP_ZEROS: bool>(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
+    if n == 0 || b.is_empty() {
+        return;
+    }
+    let k = b.len() / n;
+    for (orow, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        for (&a, brow) in arow.iter().zip(b.chunks_exact(n)) {
+            if SKIP_ZEROS && fcmp::exactly_zero(a) {
+                continue;
+            }
+            for (o, &b) in orow.iter_mut().zip(brow) {
+                *o += a * b;
+            }
+        }
     }
 }
 
@@ -222,18 +248,14 @@ mod tests {
         let b = m(3, 4, &(0..12).map(|i| i as f32).collect::<Vec<_>>()); // 3×4
                                                                          // aᵀ·b via t_matmul vs manual transpose.
         let at = m(2, 3, &[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
-        assert_eq!(a.t_matmul(&b).as_slice(), at.matmul(&b).as_slice());
+        let mut atb = vec![0.0; 2 * 4];
+        a.t_matmul_acc(&b, &mut atb);
+        assert_eq!(atb, at.matmul(&b).as_slice());
         // a·cᵀ via matmul_t vs manual transpose.
         let c = m(5, 2, &(0..10).map(|i| i as f32).collect::<Vec<_>>()); // 5×2
-        let ct = {
-            let mut t = Matrix::zeros(2, 5);
-            for r in 0..5 {
-                for cc in 0..2 {
-                    t.set(cc, r, c.get(r, cc));
-                }
-            }
-            t
-        };
+        let ct = c.transposed();
+        assert_eq!((ct.rows(), ct.cols()), (2, 5));
+        assert_eq!(ct.get(1, 3), c.get(3, 1));
         assert_eq!(a.matmul_t(&c).as_slice(), a.matmul(&ct).as_slice());
     }
 
@@ -256,13 +278,17 @@ mod tests {
         let mut a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         a.add_row_vec(&[10.0, 20.0, 30.0]);
         assert_eq!(a.as_slice(), &[11.0, 22.0, 33.0, 14.0, 25.0, 36.0]);
-        assert_eq!(a.col_sums(), vec![25.0, 47.0, 69.0]);
+        let mut sums = vec![0.0; 3];
+        a.col_sums_acc(&mut sums);
+        assert_eq!(sums, vec![25.0, 47.0, 69.0]);
     }
 
     #[test]
     fn empty_edge_cases() {
         let a = Matrix::zeros(0, 3);
-        assert_eq!(a.col_sums(), vec![0.0; 3]);
+        let mut sums = vec![1.0; 3];
+        a.col_sums_acc(&mut sums);
+        assert_eq!(sums, vec![1.0; 3]);
         let b = Matrix::zeros(3, 0);
         let c = a.matmul(&Matrix::zeros(3, 2));
         assert_eq!((c.rows(), c.cols()), (0, 2));

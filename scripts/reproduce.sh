@@ -43,6 +43,9 @@ echo "=== microbenches ==="
 cargo bench -p trimgrad-bench --bench encode_decode -- --json "$PWD/results/BENCH_encode.json"
 cargo bench -p trimgrad-bench --bench wire          -- --json "$PWD/results/BENCH_wire.json"
 cargo bench -p trimgrad-bench --bench netsim        -- --json "$PWD/results/BENCH_netsim.json"
+cargo bench -p trimgrad-bench --bench hadamard      -- --json "$PWD/results/BENCH_hadamard.json"
+cargo bench -p trimgrad-bench --bench collective    -- --json "$PWD/results/BENCH_collective.json"
+cargo bench -p trimgrad-bench --bench mltrain       -- --json "$PWD/results/BENCH_mltrain.json"
 
 # Human-readable digest of the flight-recorder run above; `trimgrad-trace
 # query results/trace_smoke.bin --follow FLOW:SEQ` replays any packet in it.
