@@ -5,6 +5,11 @@
 //! verify the paper's "RHT is about 18% slower than the simpler
 //! per-coordinate scalar quantization methods" claim on our implementation.
 //!
+//! The `kernels_32k` group times the group-of-eight bit-plane kernels on
+//! their own — the 31-bit tail and 23-bit mantissa planes packed from a row,
+//! and a whole row's run unpacked from its sign and field planes — so a
+//! regression in a scheme row can be told apart from one in its rotation.
+//!
 //! The `row_encode_pipeline` group drives the multi-row [`MessageCodec`]
 //! fan-out at the process's pool width (the JSON report stamps `threads`);
 //! a serial-vs-parallel comparison is two runs, `TRIMGRAD_THREADS=1` and
@@ -15,6 +20,10 @@
 use std::hint::black_box;
 use trimgrad::collective::chunk::MessageCodec;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
+use trimgrad::quant::bitpack::pack_low_bits;
+use trimgrad::quant::kernels::{
+    decode_sign31, decode_sign_exp_mant, encode_sign31_parts, encode_sign_exp_mant_parts,
+};
 use trimgrad::quant::{scheme_for, SchemeId};
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
 
@@ -72,6 +81,29 @@ fn bench_decode_trimmed(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     records.extend(g.finish());
 }
 
+/// The bit-plane kernels every sign+31 / sign+8+23 scheme goes through, one
+/// 2¹⁵-coordinate row each way.
+fn bench_kernels(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    let n = 1 << 15;
+    let data = row(n, 5);
+    let mut g = Group::new("kernels_32k");
+    opts.configure(&mut g);
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench("pack_tails31_32k", || pack_low_bits::<31>(black_box(&data)));
+    g.bench("pack_mants23_32k", || pack_low_bits::<23>(black_box(&data)));
+    let mut out = vec![0.0f32; n];
+    let (signs, tails) = encode_sign31_parts(&data);
+    g.bench("unpack_sign31_32k", || {
+        decode_sign31(black_box(signs.as_bytes()), tails.as_bytes(), 0, &mut out);
+    });
+    let (signs, exps, mants) = encode_sign_exp_mant_parts(&data);
+    g.bench("unpack_sign_exp_mant23_32k", || {
+        let (signs, exps, mants) = (signs.as_bytes(), exps.as_bytes(), mants.as_bytes());
+        decode_sign_exp_mant(black_box(signs), exps, mants, 0, &mut out);
+    });
+    records.extend(g.finish());
+}
+
 /// An 8-row (2¹⁸-coordinate) message through the codec's row fan-out.
 fn bench_row_pipeline(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     let n = 8 << 15;
@@ -92,6 +124,7 @@ fn main() {
     bench_encode(&opts, &mut records);
     bench_decode_full(&opts, &mut records);
     bench_decode_trimmed(&opts, &mut records);
+    bench_kernels(&opts, &mut records);
     bench_row_pipeline(&opts, &mut records);
     opts.write("encode_decode", &records);
 }

@@ -55,6 +55,10 @@ fn bench_rht_roundtrip(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
         rht.inverse(&mut v).expect("power of two");
         v
     });
+    // What a decoder pays: the row inverted where it already lies, no copy.
+    // (Orthonormal, so inverting the same buffer over and over stays finite.)
+    let mut in_place = rotated.clone();
+    g.bench("inverse_in_place", || rht.inverse_in_place(&mut in_place));
     records.extend(g.finish());
 }
 

@@ -133,7 +133,7 @@ impl GradChannel for TrimmingChannel {
         }
         let bytes_before = self.bytes;
         let stats_before = self.stats;
-        let mut out = Vec::with_capacity(data.len());
+        let mut out = vec![0.0; data.len()];
         let part_bits = self.codec.scheme_id().part_bits();
         // One row at a time, so each row is decoded while still in cache.
         for row_id in 0..self.codec.rows_for(data.len()) {
@@ -151,12 +151,11 @@ impl GradChannel for TrimmingChannel {
             }
             self.bytes += meta::FRAME_LEN as u64;
             let view = enc.view_with_depths(&depths);
-            let dec = self
-                .codec
-                .decode_row(&view, &enc.meta, epoch, msg_id, row_id as u32)
+            let dst = &mut out[self.codec.row_range(data.len(), row_id)];
+            self.codec
+                .decode_row_into(&view, &enc.meta, epoch, msg_id, row_id as u32, dst)
                 // trimlint: allow(no-panic) -- the view was built from this encoder's own parts and depths; a decode failure is a codec geometry bug, not a runtime condition
                 .expect("injected view is structurally valid");
-            out.extend(dec);
         }
         if let Some(m) = &self.metrics {
             m.intact.add(self.stats.intact - stats_before.intact);

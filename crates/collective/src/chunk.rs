@@ -6,8 +6,10 @@
 //! `(base_seed, epoch, msg_id, row_id)`, so both sides regenerate identical
 //! randomness without communicating it and trimming damage stays independent
 //! across rows. [`MessageCodec::packetize_message`] and
-//! [`MessageCodec::decode_assembled`] are the send and receive halves every
-//! frame-level caller (the pipeline, the ring workers) goes through.
+//! [`MessageCodec::decode_assembled_into`] are the send and receive halves
+//! every frame-level caller (the pipeline, the ring workers) goes through;
+//! the receive half decodes each row where it will live, in its own slice
+//! of the caller's buffer.
 
 use trimgrad_hadamard::prng::derive_seed;
 use trimgrad_par::WorkerPool;
@@ -120,7 +122,7 @@ impl MessageCodec {
     /// bit-identical for every pool width (and to the serial encoding).
     #[must_use]
     pub fn encode_message(&self, blob: &[f32], epoch: u32, msg_id: u32) -> Vec<EncodedRow> {
-        WorkerPool::global().map_striped(self.rows_for(blob.len()), |row_id| {
+        WorkerPool::global().map_striped(0..self.rows_for(blob.len()), |row_id, _| {
             self.encode_row(blob, epoch, msg_id, row_id)
         })
     }
@@ -157,9 +159,9 @@ impl MessageCodec {
         mut sink: impl FnMut(PacketizedRow),
     ) {
         let encoded = self.encode_message(blob, cfg.epoch, cfg.msg_id);
-        let rows = WorkerPool::global().map_striped(encoded.len(), |row_id| {
+        let rows = WorkerPool::global().map_striped(encoded.iter(), |row_id, enc| {
             packetize_row(
-                &encoded[row_id],
+                enc,
                 &PacketizeConfig {
                     row_id: row_id as u32,
                     ..*cfg
@@ -200,17 +202,31 @@ impl MessageCodec {
             .decode(row, meta, self.row_seed(epoch, msg_id, row_id))
     }
 
-    /// The receive path, assembled rows → coordinates: decodes whatever each
-    /// row's assembler holds (row-parallel on the process-wide
-    /// [`WorkerPool`]) and concatenates the rows in row order. One
-    /// `row.decoded` event per row is emitted at `at`, in row order, up to
-    /// the first row that fails.
+    /// Decodes one row view into `out`, which must hold exactly
+    /// `meta.original_len` coordinates.
     ///
     /// # Errors
     ///
-    /// The first failing row, in row order: `BadField("meta")` if its
-    /// metadata never arrived, `BadField("row decode")` if the scheme rejects
-    /// the assembled view.
+    /// Propagates [`DecodeError`].
+    pub fn decode_row_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        epoch: u32,
+        msg_id: u32,
+        row_id: u32,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        self.scheme
+            .decode_into(row, meta, self.row_seed(epoch, msg_id, row_id), out)
+    }
+
+    /// The receive path, assembled rows → coordinates, into a fresh vector
+    /// sized by the rows' metadata.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_assembled_into`](Self::decode_assembled_into).
     pub fn decode_assembled(
         &self,
         rows: &[RowAssembler],
@@ -219,16 +235,46 @@ impl MessageCodec {
         tracer: &Tracer,
         at: u64,
     ) -> Result<Vec<f32>, WireError> {
-        let decoded = WorkerPool::global().map_striped(rows.len(), |row_id| {
-            let asm = &rows[row_id];
+        let mut out = vec![0.0; assembled_lens(rows).sum()];
+        self.decode_assembled_into(rows, epoch, msg_id, tracer, at, &mut out)?;
+        Ok(out)
+    }
+
+    /// The receive path, assembled rows → coordinates: decodes whatever each
+    /// row's assembler holds, row-parallel on the process-wide
+    /// [`WorkerPool`], every row straight into its own slice of `out` — rows
+    /// in row order, each its `original_len` long (a row whose metadata
+    /// never arrived takes none), and `out` exactly their sum. One
+    /// `row.decoded` event per row is emitted at `at`, in row order, up to
+    /// the first row that fails.
+    ///
+    /// # Errors
+    ///
+    /// `BadField("output length")` before anything is decoded if `out` is
+    /// not that long; otherwise the first failing row, in row order:
+    /// `BadField("meta")` if its metadata never arrived,
+    /// `BadField("row decode")` if the scheme rejects the assembled view.
+    /// After an error `out` holds unspecified values.
+    pub fn decode_assembled_into(
+        &self,
+        rows: &[RowAssembler],
+        epoch: u32,
+        msg_id: u32,
+        tracer: &Tracer,
+        at: u64,
+        out: &mut [f32],
+    ) -> Result<(), WireError> {
+        if out.len() != assembled_lens(rows).sum::<usize>() {
+            return Err(WireError::BadField("output length"));
+        }
+        let items = rows.iter().zip(row_slices(out, assembled_lens(rows)));
+        let decoded = WorkerPool::global().map_striped(items, |row_id, (asm, dst)| {
             let meta = asm.meta().ok_or(WireError::BadField("meta"))?;
-            self.decode_row(&asm.partial_row(), meta, epoch, msg_id, row_id as u32)
+            self.decode_row_into(&asm.partial_row(), meta, epoch, msg_id, row_id as u32, dst)
                 .map_err(|_| WireError::BadField("row decode"))
         });
-        let metas = rows.iter().filter_map(RowAssembler::meta);
-        let mut out = Vec::with_capacity(metas.map(|m| m.original_len).sum());
         for (row_id, (asm, dec)) in rows.iter().zip(decoded).enumerate() {
-            out.extend(dec?);
+            dec?;
             tracer.emit(at, || {
                 let coords = asm.coords_received();
                 TraceEvent::RowDecoded {
@@ -239,7 +285,7 @@ impl MessageCodec {
                 }
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Decodes a full (untrimmed) message: the lossless inverse of
@@ -254,15 +300,17 @@ impl MessageCodec {
         epoch: u32,
         msg_id: u32,
     ) -> Result<Vec<f32>, DecodeError> {
-        let mut out = Vec::new();
-        for (row_id, enc) in rows.iter().enumerate() {
-            out.extend(self.decode_row(
+        let lens = || rows.iter().map(|enc| enc.meta.original_len);
+        let mut out = vec![0.0; lens().sum()];
+        for ((row_id, enc), dst) in rows.iter().enumerate().zip(row_slices(&mut out, lens())) {
+            self.decode_row_into(
                 &enc.full_view(),
                 &enc.meta,
                 epoch,
                 msg_id,
                 row_id as u32,
-            )?);
+                dst,
+            )?;
         }
         Ok(out)
     }
@@ -272,6 +320,24 @@ impl MessageCodec {
     pub fn encoded_bits(&self, rows: &[EncodedRow]) -> usize {
         rows.iter().map(EncodedRow::total_bits).sum()
     }
+}
+
+/// Coordinates each assembled row decodes to: its `original_len`, or none
+/// while its metadata has not arrived.
+fn assembled_lens(rows: &[RowAssembler]) -> impl Iterator<Item = usize> + '_ {
+    let len = |asm: &RowAssembler| asm.meta().map_or(0, |m| m.original_len);
+    rows.iter().map(len)
+}
+
+/// Cuts `out` into consecutive slices of `lens` coordinates, one per row;
+/// `lens` must not sum past `out`.
+fn row_slices(mut out: &mut [f32], lens: impl Iterator<Item = usize>) -> Vec<&mut [f32]> {
+    lens.map(|len| {
+        let (row, rest) = core::mem::take(&mut out).split_at_mut(len);
+        out = rest;
+        row
+    })
+    .collect()
 }
 
 /// Errors from validating codec configuration sourced from untrusted input.
@@ -344,6 +410,9 @@ mod tests {
         assert_eq!(s, c.row_seed(1, 2, 3));
         let c2 = MessageCodec::new(SchemeId::RhtOneBit, 8);
         assert_ne!(s, c2.row_seed(1, 2, 3));
+        // Wire format: both ends must derive this exact value (recorded as
+        // of PR 19, never recomputed).
+        assert_eq!(s, 0x3AE4_A0BB_E566_5E40);
     }
 
     #[test]
@@ -402,6 +471,54 @@ mod tests {
         assert_eq!(decode(&asm), Err(WireError::BadField("meta")));
         asm.ingest_meta(&rows[0].meta).unwrap();
         assert_eq!(decode(&asm).unwrap().len(), b.len());
+    }
+
+    #[test]
+    fn first_bad_row_fails_after_the_rows_before_it_decoded() {
+        let c = MessageCodec::with_row_len(SchemeId::RhtOneBit, 11, 256);
+        let b = blob(256 * 5, 7);
+        let cfg = PacketizeConfig {
+            mtu: 1500,
+            net: trimgrad_wire::packet::NetAddrs::between_hosts(1, 2),
+            msg_id: 9,
+            row_id: 0,
+            epoch: 5,
+        };
+        // Rows 2 and 4 never receive their metadata.
+        let mut rows = Vec::new();
+        c.packetize_message(&b, &cfg, &Tracer::disabled(), 0, |pr| {
+            let row_id = rows.len() as u32;
+            let mut asm = RowAssembler::new(c.scheme_id(), 9, row_id, 256);
+            for pkt in &pr.packets {
+                asm.ingest(pkt).unwrap();
+            }
+            if row_id != 2 && row_id != 4 {
+                asm.ingest_meta(&pr.meta).unwrap();
+            }
+            rows.push(asm);
+        });
+        let tracer = Tracer::enabled(1 << 8);
+        assert_eq!(
+            c.decode_assembled(&rows, 5, 9, &tracer, 0),
+            Err(WireError::BadField("meta"))
+        );
+        let decoded: Vec<u32> = tracer
+            .snapshot()
+            .records
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::RowDecoded { row, .. } => Some(row),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decoded, [0, 1], "row 3 decoded, but past the failure");
+        // A slice that is not the assembled length is refused outright.
+        let mut out = vec![0.0; assembled_lens(&rows).sum::<usize>() + 1];
+        assert_eq!(
+            c.decode_assembled_into(&rows, 5, 9, &tracer, 0, &mut out),
+            Err(WireError::BadField("output length"))
+        );
+        assert_eq!(tracer.snapshot().records.len(), decoded.len());
     }
 
     #[test]

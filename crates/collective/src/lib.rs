@@ -8,7 +8,7 @@
 //! * [`chunk`] — [`chunk::MessageCodec`], the one message path: blob ↔ rows
 //!   of 2¹⁵ coordinates (per-row shared seeds derived from base seed, epoch,
 //!   message id, row) ↔ MTU frames ([`chunk::MessageCodec::packetize_message`]
-//!   out, [`chunk::MessageCodec::decode_assembled`] in).
+//!   out, [`chunk::MessageCodec::decode_assembled_into`] in).
 //! * [`trim_inject`] — the paper's evaluation harness (§4): probabilistic
 //!   per-packet trimming/drop injection, applied at packet granularity to
 //!   encoded rows (the authors likewise injected trimming in software because

@@ -119,9 +119,10 @@ impl MsgAssembly {
     }
 }
 
-/// Telemetry handles for one rank, registered lazily in the simulation's
-/// registry under `collective.rank.<rank>.*` on the first callback.
-#[derive(Clone)]
+/// Telemetry handles for one rank: detached cells until the worker's first
+/// callback, [`App::on_start`], registers them in the simulation's registry
+/// under `collective.rank.<rank>.*`; every later callback borrows them.
+#[derive(Default)]
 struct RankMetrics {
     packets_sent: Counter,
     bytes_sent: Counter,
@@ -140,7 +141,6 @@ struct RankMetrics {
 }
 
 impl RankMetrics {
-    // trimlint: allow(hot-path-alloc, hot-path-panic) -- once per rank, on its first callback; every later packet clones the registered handles
     fn register(registry: &Registry, rank: usize) -> Self {
         let name = |field: &str| format!("collective.rank.{rank}.{field}");
         Self {
@@ -175,10 +175,13 @@ pub struct RingWorkerApp {
     /// or an ingest error such as a wrong epoch or truncated section).
     pub rejected_frames: u64,
     done: bool,
-    metrics: Option<RankMetrics>,
+    metrics: RankMetrics,
     /// Sim time when the current step's segment was sent; consumed by
     /// `apply_step` to record `step_time_ns`.
     step_sent_at: u64,
+    /// Where a reduce step's inbound segment is decoded before it is added
+    /// to the blob; grows to the longest segment once and is reused.
+    scratch: Vec<f32>,
 }
 
 impl RingWorkerApp {
@@ -205,19 +208,10 @@ impl RingWorkerApp {
             packets_received: 0,
             rejected_frames: 0,
             done: false,
-            metrics: None,
+            metrics: RankMetrics::default(),
             step_sent_at: 0,
+            scratch: Vec::new(),
         }
-    }
-
-    /// The rank's telemetry handles, registered on first use in the
-    /// simulation-wide registry exposed by [`HostApi::telemetry`]. Cloning
-    /// hands out cheap `Arc` copies of the counter cells.
-    fn metrics(&mut self, api: &HostApi) -> RankMetrics {
-        let rank = self.rank;
-        self.metrics
-            .get_or_insert_with(|| RankMetrics::register(api.telemetry(), rank))
-            .clone()
     }
 
     /// Whether the all-reduce finished on this worker.
@@ -251,7 +245,7 @@ impl RingWorkerApp {
             reduce: is_reduce_step(self.cfg.workers(), t),
         });
         self.step_sent_at = at;
-        let m = self.metrics(api);
+        let m = &self.metrics;
         let seg = send_segment(self.cfg.workers(), self.rank, t);
         let range = segment_range(self.cfg.blob_len, self.cfg.workers(), seg);
         let msg_id = t as u32;
@@ -290,7 +284,7 @@ impl RingWorkerApp {
     /// Applies the fully-assembled step-`t` message and advances the
     /// protocol. The caller ([`drain_ready`](Self::drain_ready)) has already
     /// removed the assembly from the inbox and verified it is complete.
-    // trimlint: allow(hot-path-alloc, hot-path-panic) -- once per protocol step, on the packet that completes its message: decoding the rows and encoding the next segment allocate per row by design
+    // trimlint: allow(hot-path-panic) -- once per protocol step, on the packet that completes its message; the one panic edge is the structural-validity expect below
     fn apply_step(&mut self, t: usize, asm: &MsgAssembly, api: &mut HostApi) {
         let at = api.now().as_nanos();
         let _span = api.tracer().span_at("ring.apply_step", at);
@@ -299,22 +293,26 @@ impl RingWorkerApp {
         let sender = (self.rank + self.cfg.workers() - 1) % self.cfg.workers();
         let seg = send_segment(self.cfg.workers(), sender, t);
         let range = segment_range(self.cfg.blob_len, self.cfg.workers(), seg);
-        let decoded = self
-            .codec
-            .decode_assembled(&asm.rows, self.cfg.epoch, msg_id, api.tracer(), at)
-            // trimlint: allow(no-panic) -- is_complete() verified every row has its metadata before the assembly left the inbox, and every packet of every row passed ingest, so a failure here is a codec geometry bug, not a runtime condition
-            .expect("complete assembly is structurally valid");
-        debug_assert_eq!(decoded.len(), range.len());
+        let (codec, epoch, tracer) = (&self.codec, self.cfg.epoch, api.tracer());
+        let decode_into = |dst: &mut [f32]| {
+            codec
+                .decode_assembled_into(&asm.rows, epoch, msg_id, tracer, at, dst)
+                // trimlint: allow(no-panic) -- is_complete() verified every row has its metadata before the assembly left the inbox, and every packet of every row passed ingest, so a failure here is a codec geometry bug, not a runtime condition
+                .expect("complete assembly is structurally valid");
+        };
         if is_reduce_step(self.cfg.workers(), t) {
-            for (acc, v) in self.blob[range].iter_mut().zip(&decoded) {
+            self.scratch.resize(range.len(), 0.0);
+            decode_into(&mut self.scratch);
+            for (acc, v) in self.blob[range].iter_mut().zip(&self.scratch) {
                 *acc += v;
             }
         } else {
-            self.blob[range].copy_from_slice(&decoded);
+            // An all-gather step overwrites: its rows decode where they stay.
+            decode_into(&mut self.blob[range]);
         }
-        let m = self.metrics(api);
-        m.steps_applied.inc();
-        m.step_time_ns.record(at.saturating_sub(self.step_sent_at));
+        self.metrics.steps_applied.inc();
+        let step_time = at.saturating_sub(self.step_sent_at);
+        self.metrics.step_time_ns.record(step_time);
         let rank = self.rank;
         api.tracer().emit(at, || TraceEvent::StepApplied {
             rank: sat32(rank),
@@ -362,6 +360,7 @@ impl RingWorkerApp {
 
 impl App for RingWorkerApp {
     fn on_start(&mut self, api: &mut HostApi) {
+        self.metrics = RankMetrics::register(api.telemetry(), self.rank);
         self.send_step(0, api);
         self.drain_ready(api);
     }
@@ -370,7 +369,6 @@ impl App for RingWorkerApp {
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
         match &pkt.body {
             PacketBody::GradData(frame) => {
-                let m = self.metrics(api);
                 // A frame the receive path refuses is dropped the way real
                 // hardware drops garbage, but loudly: the rejected counters
                 // make fault-injected runs observable, and the final
@@ -378,10 +376,11 @@ impl App for RingWorkerApp {
                 // failure instead of silent corruption.
                 let Ok(fields) = frame.quick_fields() else {
                     self.rejected_frames += 1;
-                    m.rejected_frames.inc();
+                    self.metrics.rejected_frames.inc();
                     return;
                 };
                 self.packets_received += 1;
+                let m = &self.metrics;
                 m.packets_received.inc();
                 m.bytes_received.add(u64::from(pkt.size));
                 if fields.trim_depth < fields.n_parts {
@@ -392,29 +391,27 @@ impl App for RingWorkerApp {
                 }
                 let msg_id = fields.msg_id;
                 let row_id = fields.row_id as usize;
-                let at = api.now().as_nanos();
-                let tracer = api.tracer().clone();
+                let (at, tracer) = (api.now().as_nanos(), api.tracer());
                 let accepted = self
                     .ensure_assembly(msg_id)
-                    .ingest_into(row_id, |row| row.ingest_traced(frame, &tracer, at).is_ok());
+                    .ingest_into(row_id, |row| row.ingest_traced(frame, tracer, at).is_ok());
                 if !accepted {
                     self.rejected_frames += 1;
-                    m.rejected_frames.inc();
+                    self.metrics.rejected_frames.inc();
                     return;
                 }
                 self.drain_ready(api);
             }
             PacketBody::GradMeta(meta) => {
-                let m = self.metrics(api);
-                m.meta_received.inc();
-                m.bytes_received.add(u64::from(pkt.size));
+                self.metrics.meta_received.inc();
+                self.metrics.bytes_received.add(u64::from(pkt.size));
                 let msg_id = meta.msg_id;
                 let row_id = meta.row_id as usize;
                 let accepted = self
                     .ensure_assembly(msg_id)
                     .ingest_into(row_id, |row| row.ingest_meta(meta).is_ok());
                 if !accepted {
-                    m.rejected_meta.inc();
+                    self.metrics.rejected_meta.inc();
                     return;
                 }
                 self.drain_ready(api);

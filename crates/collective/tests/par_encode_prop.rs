@@ -1,4 +1,5 @@
-//! Bit-identity of the row fan-out against the serial row-by-row encoding.
+//! Bit-identity of the row fan-out against the serial row-by-row encoding
+//! (and, at the end of the file, decoding).
 //!
 //! [`MessageCodec::encode_message`] splits a blob into rows by fixed index
 //! and derives each row's seed from `(epoch, msg_id, row_id)`, never from
@@ -14,6 +15,11 @@
 //!
 //! That the per-row `encode` matches the per-coordinate reference encoder is
 //! `crates/quant/tests/encode_golden.rs`'s half of the contract.
+//!
+//! The receive half is checked the same way: `decode_assembled` at the
+//! process's width, and the public in-place row closure (`decode_row_into`
+//! on a row's own slice of one output) at widths 1, 2 and 3, against rows
+//! decoded one after another into fresh vectors.
 
 use proptest::prelude::*;
 use trimgrad_collective::chunk::MessageCodec;
@@ -21,6 +27,10 @@ use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_par::WorkerPool;
 use trimgrad_quant::scheme::EncodedRow;
 use trimgrad_quant::SchemeId;
+use trimgrad_trace::Tracer;
+use trimgrad_wire::packet::NetAddrs;
+use trimgrad_wire::packetize::PacketizeConfig;
+use trimgrad_wire::reassemble::RowAssembler;
 
 fn blob(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::new(seed);
@@ -70,7 +80,8 @@ fn check_fan_out(codec: &MessageCodec, b: &[f32], epoch: u32, msg_id: u32) -> Re
         ));
     }
     for width in 1..=8 {
-        if fingerprint(&WorkerPool::new(width).map_striped(rows, encode_row)) != reference {
+        let striped = WorkerPool::new(width).map_striped(0..rows, |row_id, _| encode_row(row_id));
+        if fingerprint(&striped) != reference {
             return Err(format!("map_striped diverged at width {width}"));
         }
     }
@@ -110,5 +121,92 @@ proptest! {
     ) {
         let codec = MessageCodec::with_row_len(scheme, seed, row_len);
         prop_assert_eq!(check_fan_out(&codec, &blob(len, seed ^ 0x5EED), 1, 2), Ok(()));
+    }
+}
+
+/// Sends `b` through `packetize_message`, cuts every third frame to its
+/// heads and loses every seventh, and reassembles what is left.
+fn assemble(codec: &MessageCodec, b: &[f32], epoch: u32, msg_id: u32) -> Vec<RowAssembler> {
+    let cfg = PacketizeConfig {
+        mtu: 1500,
+        net: NetAddrs::between_hosts(1, 2),
+        msg_id,
+        row_id: 0,
+        epoch,
+    };
+    let mut rows = Vec::new();
+    codec.packetize_message(b, &cfg, &Tracer::disabled(), 0, |pr| {
+        let mut asm = RowAssembler::from_meta(&pr.meta);
+        for (i, mut frame) in pr.packets.into_iter().enumerate() {
+            if i % 3 == 1 {
+                frame.trim_to_depth(1).expect("data frames trim");
+            }
+            if i % 7 != 6 {
+                asm.ingest(&frame).expect("own frame");
+            }
+        }
+        rows.push(asm);
+    });
+    rows
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `Err(what diverged)` unless `decode_assembled` and the in-place row
+/// closure at widths 1..=3 reproduce rows decoded one after another.
+fn check_decode_fan_out(codec: &MessageCodec, b: &[f32]) -> Result<(), String> {
+    let (epoch, msg_id) = (4, 6);
+    let rows = assemble(codec, b, epoch, msg_id);
+    let meta = |asm: &RowAssembler| *asm.meta().expect("assembled from its meta");
+    let mut reference = Vec::new();
+    for (row_id, asm) in rows.iter().enumerate() {
+        let row = codec.decode_row(&asm.partial_row(), &meta(asm), epoch, msg_id, row_id as u32);
+        reference.extend(row.map_err(|e| format!("row {row_id}: {e}"))?);
+    }
+    let assembled = codec
+        .decode_assembled(&rows, epoch, msg_id, &Tracer::disabled(), 0)
+        .map_err(|e| format!("decode_assembled: {e}"))?;
+    if bits(&assembled) != bits(&reference) {
+        return Err(format!(
+            "decode_assembled diverged at the process's width {}",
+            WorkerPool::global().threads()
+        ));
+    }
+    for width in 1..=3 {
+        // Garbage first: a coordinate no worker wrote would show.
+        let mut out = vec![f32::from_bits(0xFFC0_DEAD); reference.len()];
+        let mut rest = out.as_mut_slice();
+        let slices: Vec<&mut [f32]> = rows
+            .iter()
+            .map(|asm| {
+                let (row, tail) = std::mem::take(&mut rest).split_at_mut(meta(asm).original_len);
+                rest = tail;
+                row
+            })
+            .collect();
+        let items = rows.iter().zip(slices);
+        let results = WorkerPool::new(width).map_striped(items, |row_id, (asm, dst)| {
+            let view = asm.partial_row();
+            codec.decode_row_into(&view, &meta(asm), epoch, msg_id, row_id as u32, dst)
+        });
+        if results.iter().any(Result::is_err) || bits(&out) != bits(&reference) {
+            return Err(format!("in-place decode diverged at width {width}"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn decode_fan_out_matches_serial_rows() {
+    // 9.5 rows of 256 and 2.3 rows of 1024: ragged (for the RHT schemes,
+    // padded) last rows, several frames per row at MTU 1500.
+    for scheme in SchemeId::ALL {
+        for (row_len, blob_len) in [(256usize, 256 * 9 + 128), (1024, 2400)] {
+            let codec = MessageCodec::with_row_len(scheme, 0xC0DEC, row_len);
+            check_decode_fan_out(&codec, &blob(blob_len, 78))
+                .unwrap_or_else(|e| panic!("{scheme} row_len={row_len}: {e}"));
+        }
     }
 }

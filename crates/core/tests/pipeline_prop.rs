@@ -143,3 +143,54 @@ proptest! {
         prop_assert!(snap.counter("core.pipeline.bytes_out") > 0);
     }
 }
+
+/// Sign-magnitude says exactly what each coordinate must decode to — its own
+/// bits from an intact frame, `±σ` with its sign from a trimmed one, `0.0`
+/// from a lost one — so it checks the decode runs of real frames coordinate
+/// by coordinate. At IP MTU 101 a frame carries 11 coordinates and at 9000
+/// it carries 2235: runs that start and end inside a group of eight, unlike
+/// the default MTU's multiples of 360.
+#[test]
+fn signmag_frames_decode_exactly_at_any_mtu() {
+    for (mtu, per_frame) in [(101usize, 11u16), (1500, 360), (9000, 2235)] {
+        let pipe = TrimmablePipeline::new(
+            PipelineConfig::builder()
+                .scheme(Scheme::SignMagnitude)
+                .row_len(1 << 13)
+                .mtu(mtu)
+                .build(),
+        );
+        let g = blob((1 << 13) * 2 + 777, mtu as u64);
+        let tx = pipe.encode(&g, 3, 4, 1, 2);
+        let mut expect = vec![0.0f32; g.len()];
+        let mut frames = Vec::new();
+        for (i, pkt) in tx.packets.iter().enumerate() {
+            let f = pkt.quick_fields().expect("own frame");
+            assert_eq!(
+                f.coord_start % u32::from(per_frame),
+                0,
+                "the stated geometry"
+            );
+            let first = f.row_id as usize * (1 << 13) + f.coord_start as usize;
+            let coords = first..first + f.coord_count as usize;
+            let sigma = tx.metas[f.row_id as usize].scale;
+            let mut pkt = pkt.clone();
+            match i % 5 {
+                0 | 3 => expect[coords.clone()].copy_from_slice(&g[coords]),
+                1 | 2 => {
+                    pkt.trim_to_depth(1).expect("trimmable");
+                    for c in coords {
+                        expect[c] = sigma.copysign(g[c]);
+                    }
+                }
+                _ => continue, // lost: stays 0.0
+            }
+            frames.push(pkt);
+        }
+        let dec = pipe.decode(&frames, &tx.metas, 3, 4).expect("decodable");
+        assert_eq!(dec.len(), g.len());
+        for (c, (d, e)) in dec.iter().zip(&expect).enumerate() {
+            assert_eq!(d.to_bits(), e.to_bits(), "mtu {mtu}: coordinate {c}");
+        }
+    }
+}

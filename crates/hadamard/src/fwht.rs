@@ -17,7 +17,7 @@
 use crate::{Error, Result};
 
 /// Validates that `data.len()` is a non-zero power of two.
-fn check_pow2(data: &[f32]) -> Result<()> {
+pub(crate) fn check_pow2(data: &[f32]) -> Result<()> {
     if data.is_empty() {
         return Err(Error::Empty);
     }

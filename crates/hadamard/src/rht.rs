@@ -12,7 +12,7 @@
 //! (for non-adversarial inputs), which is exactly what makes 1-bit sign
 //! quantization of the rotated vector accurate (DRIVE, NeurIPS '21).
 
-use crate::fwht::{butterflies, fwht_orthonormal, scale_by_inv_sqrt_n};
+use crate::fwht::{butterflies, check_pow2, fwht_orthonormal, scale_by_inv_sqrt_n};
 use crate::rademacher::RademacherDiagonal;
 use crate::Result;
 
@@ -63,9 +63,29 @@ impl RandomizedHadamard {
     ///
     /// Fails when `data.len()` is empty or not a power of two.
     pub fn inverse(&self, data: &mut [f32]) -> Result<()> {
-        fwht_orthonormal(data)?;
-        RademacherDiagonal::new(self.seed).apply(data);
+        check_pow2(data)?;
+        self.inverse_in_place(data);
         Ok(())
+    }
+
+    /// The inverse RHT where the rotated row lies — the core
+    /// [`inverse`](Self::inverse) and [`inverse_padded`](Self::inverse_padded)
+    /// share: the butterfly, then **one** pass `v *= ±1/√n` with the
+    /// orthonormal scale folded into the diagonal's sign
+    /// ([`RademacherDiagonal::apply_scaled`]), not a scaling pass and a sign
+    /// pass.
+    ///
+    /// Total (no panics, no errors), like
+    /// [`forward_padded`](Self::forward_padded): `data.len()` must be a power
+    /// of two or zero (an empty row inverts to itself), which the decoders
+    /// have checked by the time they call this; any other length comes back
+    /// transformed into garbage, never a panic.
+    // trimlint: hot-path -- per-row rotation on the decode path
+    pub fn inverse_in_place(&self, data: &mut [f32]) {
+        debug_assert!(data.is_empty() || data.len().is_power_of_two());
+        butterflies(data);
+        let scale = 1.0 / (data.len() as f32).sqrt();
+        RademacherDiagonal::new(self.seed).apply_scaled(data, scale);
     }
 
     /// Forward RHT of a slice of arbitrary length: zero-pads to the next
@@ -113,9 +133,7 @@ impl RandomizedHadamard {
             rotated.len()
         );
         let mut buf = rotated.to_vec();
-        butterflies(&mut buf);
-        scale_by_inv_sqrt_n(&mut buf);
-        RademacherDiagonal::new(self.seed).apply(&mut buf);
+        self.inverse_in_place(&mut buf);
         buf.truncate(original_len);
         buf
     }
@@ -143,6 +161,28 @@ mod tests {
         for (a, b) in v.iter().zip(&data) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn fused_inverse_equals_the_three_passes_it_replaced() {
+        // Butterfly, `1/√n` scaling pass, diagonal pass — bit for bit, in
+        // place and through the copying `inverse_padded`.
+        let rht = RandomizedHadamard::new(0xFEED);
+        for n in [1usize, 2, 8, 64, 1 << 10, 1 << 13, 1 << 15] {
+            let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 3.0).collect();
+            let mut staged = data.clone();
+            fwht_orthonormal(&mut staged).unwrap();
+            RademacherDiagonal::new(0xFEED).apply(&mut staged);
+            let mut fused = data.clone();
+            rht.inverse(&mut fused).unwrap();
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused), bits(&staged), "n={n}");
+            let cut = n - n / 3;
+            assert_eq!(bits(&rht.inverse_padded(&data, cut)), bits(&staged[..cut]));
+        }
+        // An empty row inverts to itself without complaint.
+        rht.inverse_in_place(&mut []);
+        assert!(rht.inverse_padded(&[], 0).is_empty());
     }
 
     #[test]

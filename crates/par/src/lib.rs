@@ -4,9 +4,10 @@
 //! dependency-free, hand-rolled pool built on `std::thread::scope`.
 //! Determinism is the design center, not an afterthought:
 //!
-//! * Work is split by **fixed index**: item `i` always receives the same
-//!   slice of the input, no matter how many workers exist or how the OS
-//!   schedules them.
+//! * Work is split by **fixed index**: item `i` of the input is always
+//!   handed to the closure as index `i`, no matter how many workers exist or
+//!   how the OS schedules them. An item may be a `&mut` — row `i`'s disjoint
+//!   slice of an output buffer — so a region can write in place.
 //! * Results land **in index order**: each worker writes result `i` into
 //!   slot `i` of the output, so the output `Vec` is identical to what a
 //!   serial loop would produce.
@@ -112,22 +113,26 @@ impl WorkerPool {
         self.threads.min(n).min(hardware_threads())
     }
 
-    /// Maps each index in `0..n` through `f`, returning results in index
-    /// order — bit-identical to `(0..n).map(f).collect()`. With
-    /// `threads <= 1` or `n <= 1` the map runs inline.
+    /// Maps each item through `f(index, item)`, returning results in index
+    /// order — bit-identical to `items.enumerate().map(f).collect()`. With
+    /// `threads <= 1` or at most one item the map runs inline.
     ///
-    /// Each worker evaluates one **contiguous** stripe of indices and writes
+    /// Each worker takes one **contiguous** stripe of items and writes
     /// results straight into its stripe of the output: the only
     /// synchronization is thread join, and contiguous stripes keep each
-    /// worker's reads inside one span of the input.
-    pub fn map_striped<R, F>(&self, n: usize, f: F) -> Vec<R>
+    /// worker's reads inside one span of the input. Items move to the worker
+    /// that evaluates them, so they may be exclusive borrows (`&mut` slices
+    /// of one output buffer); a region over plain indices passes `0..n`.
+    pub fn map_striped<T, R, F>(&self, mut items: impl ExactSizeIterator<Item = T>, f: F) -> Vec<R>
     where
+        T: Send,
         R: Send,
-        F: Fn(usize) -> R + Sync,
+        F: Fn(usize, T) -> R + Sync,
     {
+        let n = items.len();
         let workers = self.spawn_width(n);
         if workers <= 1 {
-            return (0..n).map(f).collect();
+            return items.enumerate().map(|(i, item)| f(i, item)).collect();
         }
         // trimlint: allow(hot-path-alloc) -- one output slot per row, amortized over the whole message
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
@@ -146,9 +151,11 @@ impl WorkerPool {
                 let len = q + usize::from(w < r);
                 let (stripe, tail) = rest.split_at_mut(len);
                 rest = tail;
+                // trimlint: allow(hot-path-alloc) -- one item list per worker, amortized over its stripe
+                let stripe_items: Vec<T> = items.by_ref().take(len).collect();
                 s.spawn(move || {
-                    for (off, slot) in stripe.iter_mut().enumerate() {
-                        *slot = Some(f(start + off));
+                    for ((off, slot), item) in stripe.iter_mut().enumerate().zip(stripe_items) {
+                        *slot = Some(f(start + off, item));
                     }
                 });
                 start += len;
@@ -169,7 +176,7 @@ mod tests {
     fn map_striped_preserves_index_order_not_completion_order() {
         // Later stripes finish first if workers raced; order must still hold.
         let pool = WorkerPool::new(4);
-        let out = pool.map_striped(100, |i| {
+        let out = pool.map_striped(0..100, |i, _| {
             if i < 25 {
                 // Make the first stripe slower without wall clocks: burn work.
                 let mut acc = 0u64;
@@ -187,7 +194,7 @@ mod tests {
     fn zero_threads_clamps_to_serial() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.map_striped(4, |i| i), vec![0, 1, 2, 3]);
+        assert_eq!(pool.map_striped(0..4, |i, _| i), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -197,8 +204,30 @@ mod tests {
             let serial: Vec<u64> = (0..n).map(f).collect();
             for threads in 1..=8 {
                 let pool = WorkerPool::new(threads);
-                assert_eq!(pool.map_striped(n, f), serial, "n={n} threads={threads}");
+                let striped = pool.map_striped(0..n, |i, item| {
+                    assert_eq!(i, item, "index and item travel together");
+                    f(i)
+                });
+                assert_eq!(striped, serial, "n={n} threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn map_striped_hands_each_index_its_own_mut_item() {
+        // Disjoint `&mut` slices of one buffer: every worker writes in place.
+        for threads in 1..=4 {
+            let mut out = vec![0usize; 10 * 7];
+            let lens = WorkerPool::new(threads).map_striped(
+                out.chunks_mut(7).enumerate(),
+                |i, (j, row)| {
+                    assert_eq!(i, j);
+                    row.fill(i + 1);
+                    row.len()
+                },
+            );
+            assert_eq!(lens, vec![7; 10], "threads={threads}");
+            assert!(out.iter().enumerate().all(|(k, &v)| v == k / 7 + 1));
         }
     }
 

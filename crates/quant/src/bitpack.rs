@@ -6,15 +6,20 @@
 //! within each byte, so the layouts produced here are identical on every
 //! platform and can be mem-mapped straight into packet payloads.
 //!
-//! Both directions are word-at-a-time. Writers go through [`BitPacker`]'s
-//! `u64` accumulator; readers go through one primitive, `window`: an
-//! unaligned little-endian 8-byte load at the field's byte, shifted down to
-//! its first bit. [`BitBuf::get_bits`] is that load plus a mask, and the
-//! inverse kernels in [`crate::kernels`] call it once per field or once per
-//! 56 sign bits. [`BitMask`] — one presence bit per coordinate — is backed by
-//! `u64` words directly: filling a range is a masked word fill, counting is a
-//! popcount, and the receive path's run scan
-//! ([`crate::scheme::PartialRow::for_each_run`]) reads it a word at a time.
+//! Both directions move **eight coordinates at a time**. Eight `W`-bit
+//! fields are exactly `W` bytes, so whatever the width — 1, 23, 31 — a part
+//! has a byte-aligned unit, the group of coordinates `8g..8g + 8`, at byte
+//! `g·W`. `pack_group` builds a group's bytes from `u64` words whose shifts
+//! are compile-time constants and [`pack_signs`] writes a byte per group;
+//! `unpack_group` peels the eight fields back out with one constant-offset
+//! load each. A decode run that does not start or end on a group boundary
+//! reads its ragged edges through `window`: an unaligned little-endian
+//! 8-byte load at the field's byte, shifted down to its first bit
+//! ([`BitBuf::get_bits`] is that load plus a mask). [`BitMask`] — one
+//! presence bit per coordinate — is backed by `u64` words directly: filling
+//! a range is a masked word fill, counting is a popcount, and the receive
+//! path's run scan ([`crate::scheme::PartialRow::for_each_run`]) reads it a
+//! word at a time.
 
 /// A growable, bit-addressed buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -401,100 +406,108 @@ pub(crate) fn window(bytes: &[u8], bit: usize) -> u64 {
     word >> (bit % 8)
 }
 
-/// A word-at-a-time bitstream writer producing the same LSB-first layout as
-/// repeated [`BitBuf::push_bits`] calls, but buffering into a `u64`
-/// accumulator so the common case is one shift/or per field and one 8-byte
-/// store per 64 bits — instead of per-byte read-modify-write loops.
+/// Packs eight `W`-bit fields, LSB-first, into the `W` bytes they exactly
+/// fill: field `j` lands at bits `[j·W, (j+1)·W)`, the layout of eight
+/// consecutive [`BitBuf::push_bits`] calls at a byte boundary. `8 <= W <= 32`
+/// and every field must fit `W` bits.
 ///
-/// Invariants: `fill < 64`, and all accumulator bits at or above `fill` are
-/// zero (so flushing never needs masking).
-#[derive(Debug, Default)]
-pub struct BitPacker {
-    bytes: Vec<u8>,
-    acc: u64,
-    fill: u32,
+/// The bytes are written as `u64` words at byte offsets `0, 8, …`, the last
+/// pulled back to `W − 8` so it ends with the group (it overlaps its
+/// predecessor, carrying the same bits there). With `W` a constant the loops
+/// unroll and every shift is an immediate.
+#[inline(always)]
+pub(crate) fn pack_group<const W: usize>(fields: [u32; 8], dst: &mut [u8; W]) {
+    const { assert!(W >= 8 && W <= 32) };
+    for word_index in 0..W.div_ceil(8) {
+        let at = (word_index * 8).min(W - 8);
+        let base = at * 8;
+        let mut word = 0u64;
+        for (j, &field) in fields.iter().enumerate() {
+            debug_assert!(u64::from(field) >> W == 0, "field wider than {W} bits");
+            let bit = j * W;
+            if bit < base + 64 && bit + W > base {
+                word |= if bit >= base {
+                    u64::from(field) << (bit - base)
+                } else {
+                    u64::from(field) >> (base - bit)
+                };
+            }
+        }
+        dst[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    }
 }
 
-impl BitPacker {
-    /// Creates an empty packer with capacity for `bits` bits.
-    #[must_use]
-    pub fn with_capacity(bits: usize) -> Self {
-        Self {
-            bytes: Vec::with_capacity(bits.div_ceil(8)),
-            acc: 0,
-            fill: 0,
-        }
-    }
+/// The inverse of [`pack_group`]: the eight `W`-bit fields of one group.
+/// Field `j` comes from the 8-byte load at its first byte — pulled back to
+/// `W − 8` for the last fields, so no load leaves the group — shifted and
+/// masked by constants.
+#[inline(always)]
+pub(crate) fn unpack_group<const W: usize>(src: &[u8; W]) -> [u32; 8] {
+    const { assert!(W >= 8 && W <= 32) };
+    core::array::from_fn(|j| {
+        let bit = j * W;
+        let at = (bit / 8).min(W - 8);
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&src[at..at + 8]);
+        (u64::from_le_bytes(word) >> (bit - at * 8)) as u32 & (u32::MAX >> (32 - W))
+    })
+}
 
-    /// Number of bits written so far.
-    #[must_use]
-    pub fn bit_len(&self) -> usize {
-        self.bytes.len() * 8 + self.fill as usize
+/// Packs the low `W` bits of every value's IEEE-754 pattern — the 31-bit
+/// exponent+mantissa tail, the 23-bit mantissa — one `pack_group` per eight
+/// values. A ragged last group is packed with zero fields behind it and cut
+/// to the bytes it needs, which also leaves the slack bits zero.
+// trimlint: hot-path -- tail-plane packing for the sign-based encode schemes
+#[must_use]
+pub fn pack_low_bits<const W: usize>(values: &[f32]) -> BitBuf {
+    let field = |v: &f32| v.to_bits() & (u32::MAX >> (32 - W));
+    let len = values.len() * W;
+    // trimlint: allow(hot-path-alloc) -- one buffer allocation per row part, amortized
+    let mut bytes = vec![0u8; len.div_ceil(8)];
+    let (groups, ragged) = values.as_chunks::<8>();
+    let (dst_groups, dst_ragged) = bytes.as_chunks_mut::<W>();
+    for (src, dst) in groups.iter().zip(dst_groups) {
+        pack_group(src.each_ref().map(field), dst);
     }
+    let mut fields = [0u32; 8];
+    for (f, v) in fields.iter_mut().zip(ragged) {
+        *f = field(v);
+    }
+    let mut last = [0u8; W];
+    pack_group(fields, &mut last);
+    dst_ragged.copy_from_slice(&last[..dst_ragged.len()]);
+    BitBuf { bytes, len }
+}
 
-    /// Appends the low `width` bits of `value` (LSB first). `width <= 64`,
-    /// and `value` must not have bits set at or above `width` — checked only
-    /// in debug builds, since every call site passes masked fields.
-    #[inline]
-    pub fn push(&mut self, value: u64, width: u32) {
-        debug_assert!(width <= 64, "width {width} > 64");
-        debug_assert!(
-            width == 64 || value >> width == 0,
-            "value {value:#x} wider than {width} bits"
-        );
-        self.acc |= value << self.fill;
-        let new_fill = self.fill + width;
-        if new_fill >= 64 {
-            self.bytes.extend_from_slice(&self.acc.to_le_bytes());
-            let consumed = 64 - self.fill;
-            // `value >> 64` is UB-shaped; it only arises when the accumulator
-            // was empty and the full value already landed in `acc`.
-            self.acc = if consumed >= 64 { 0 } else { value >> consumed };
-            self.fill = new_fill - 64;
-        } else {
-            self.fill = new_fill;
-        }
+/// The sign bits of up to eight values (1 = negative), value `j` at bit `j`.
+#[inline(always)]
+fn sign_byte(group: &[f32]) -> u8 {
+    let mut bits = 0u32;
+    for (j, v) in group.iter().enumerate() {
+        bits |= (v.to_bits() >> 31) << j;
     }
-
-    /// Finalizes into a [`BitBuf`], flushing the partial accumulator word.
-    #[must_use]
-    pub fn finish(mut self) -> BitBuf {
-        let len = self.bit_len();
-        let tail_bytes = (self.fill as usize).div_ceil(8);
-        self.bytes
-            .extend_from_slice(&self.acc.to_le_bytes()[..tail_bytes]);
-        BitBuf {
-            bytes: self.bytes,
-            len,
-        }
-    }
+    bits as u8
 }
 
 /// Packs the sign bit of every value (1 = negative) into a 1-bit-per-entry
-/// buffer, gathering 64 signs into a `u64` word at a time via
-/// `f32::to_bits() >> 31` instead of one `push_bits` call per coordinate.
+/// buffer: one byte per group of eight, `f32::to_bits() >> 31` shifted into
+/// lane position.
 // trimlint: hot-path -- sign-plane extraction for every encode scheme
 #[must_use]
 pub fn pack_signs(values: &[f32]) -> BitBuf {
     // trimlint: allow(hot-path-alloc) -- one buffer allocation per row part, amortized
-    let mut out = BitPacker::with_capacity(values.len());
-    let mut chunks = values.chunks_exact(64);
-    for chunk in chunks.by_ref() {
-        let mut word = 0u64;
-        for (j, v) in chunk.iter().enumerate() {
-            word |= u64::from(v.to_bits() >> 31) << j;
-        }
-        out.push(word, 64);
+    let mut bytes = vec![0u8; values.len().div_ceil(8)];
+    let (groups, ragged) = values.as_chunks::<8>();
+    for (byte, group) in bytes.iter_mut().zip(groups) {
+        *byte = sign_byte(group);
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut word = 0u64;
-        for (j, v) in rem.iter().enumerate() {
-            word |= u64::from(v.to_bits() >> 31) << j;
-        }
-        out.push(word, rem.len() as u32);
+    if let Some(last) = bytes.last_mut().filter(|_| !ragged.is_empty()) {
+        *last = sign_byte(ragged);
     }
-    out.finish()
+    BitBuf {
+        bytes,
+        len: values.len(),
+    }
 }
 
 /// A fixed-size presence mask (one bit per coordinate), backed by `u64`
@@ -790,41 +803,43 @@ mod tests {
         assert_eq!(b, clean);
     }
 
-    #[test]
-    fn bitpacker_matches_push_bits_exactly() {
-        let fields: Vec<(u64, u32)> = (0..200)
-            .map(|i| {
-                let w = 1 + (i * 7) % 64;
-                let v = (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1))
-                    & if w == 64 { u64::MAX } else { (1 << w) - 1 };
-                (v, w as u32)
-            })
-            .collect();
-        let mut reference = BitBuf::new();
-        let mut packer = BitPacker::with_capacity(0);
-        for &(v, w) in &fields {
-            reference.push_bits(v, w);
-            packer.push(v, w);
-            assert_eq!(packer.bit_len(), reference.len());
+    /// One width of [`pack_group`] / [`unpack_group`] against the bitstream
+    /// eight `push_bits` calls produce, over patterns that set every bit.
+    fn group_roundtrip<const W: usize>() {
+        let mask = u32::MAX >> (32 - W);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for case in 0..64 {
+            let fields: [u32; 8] = core::array::from_fn(|j| match (case + j) % 5 {
+                0 => mask,
+                1 => 0,
+                _ => {
+                    state = state.wrapping_mul(0xD134_2543_DE82_EF95).wrapping_add(1);
+                    (state >> 32) as u32 & mask
+                }
+            });
+            let mut packed = [0xAAu8; W];
+            pack_group(fields, &mut packed);
+            let reference = pack_fixed(&fields.map(u64::from), W as u32);
+            assert_eq!(&packed[..], reference.as_bytes(), "W={W} case {case}");
+            assert_eq!(unpack_group(&packed), fields, "W={W} case {case}");
         }
-        assert_eq!(packer.finish(), reference);
     }
 
     #[test]
-    fn bitpacker_empty_and_word_aligned() {
-        assert_eq!(BitPacker::with_capacity(8).finish(), BitBuf::new());
-        let mut p = BitPacker::with_capacity(128);
-        p.push(u64::MAX, 64);
-        p.push(0x0123_4567_89AB_CDEF, 64);
-        let b = p.finish();
-        assert_eq!(b.len(), 128);
-        assert_eq!(b.get_bits(0, 64), u64::MAX);
-        assert_eq!(b.get_bits(64, 64), 0x0123_4567_89AB_CDEF);
+    fn groups_of_eight_are_the_bitstream_at_every_width() {
+        // The two widths in use, the ends of the supported range, and widths
+        // whose words do and do not need the pulled-back last load.
+        group_roundtrip::<8>();
+        group_roundtrip::<9>();
+        group_roundtrip::<16>();
+        group_roundtrip::<23>();
+        group_roundtrip::<31>();
+        group_roundtrip::<32>();
     }
 
     #[test]
     fn pack_signs_matches_per_bit_pushes() {
-        for n in [0usize, 1, 63, 64, 65, 127, 128, 200, 1000] {
+        for n in (0usize..=17).chain([63, 64, 65, 127, 128, 200, 1000]) {
             let values: Vec<f32> = (0..n)
                 .map(|i| {
                     let v = ((i * 37) % 19) as f32 - 9.0;

@@ -91,24 +91,25 @@ impl TrimmableScheme for SubtractiveDithering {
         }
     }
 
-    fn decode(
+    fn decode_into(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         seed: u64,
-    ) -> Result<Vec<f32>, DecodeError> {
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        row.check_output(&PART_BITS, meta, meta.original_len == row.n, out)?;
         let l = meta.scale;
         // One dither per coordinate, in coordinate order, as the encoder drew
         // them — but only heads-only coordinates use theirs, so the stream
         // is advanced lazily, up to the end of the last run that needs it.
         let mut rng = Self::dither_stream(seed);
         let mut drawn = 0;
-        let mut out = vec![0.0; row.n];
         row.for_each_run(&PART_BITS, |run, depth| {
             let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
             let (start, end, dst) = (run.start, run.end, &mut out[run]);
             match depth {
-                0 => {}
+                0 => dst.fill(0.0),
                 1 => {
                     for _ in drawn..start {
                         let _ = rng.next_f32_range(-l, l);
@@ -121,14 +122,7 @@ impl TrimmableScheme for SubtractiveDithering {
                 }
                 _ => kernels::unpack_f32_tails(tails, start, dst),
             }
-        })?;
-        if meta.original_len != row.n {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
-        }
-        Ok(out)
+        })
     }
 }
 

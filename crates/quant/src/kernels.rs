@@ -1,16 +1,20 @@
-//! Fused quantize+bitpack encode kernels and their inverses (bit-parallel
+//! Fused quantize+bitpack encode kernels and their inverses (group-of-eight
 //! fast paths in both directions).
+//!
+//! Eight `W`-bit fields are exactly `W` bytes, so every part — 1-bit signs,
+//! 23-bit mantissas, 31-bit tails — is addressed by the **group** of eight
+//! coordinates `8g..8g + 8`, which sits byte-aligned at byte `g·W` of its
+//! part ([`crate::bitpack`] has the two group primitives).
 //!
 //! # Encode
 //!
-//! Each scheme's `encode` used to emit one `BitBuf::push_bits` call per
-//! coordinate per part — a per-byte read-modify-write loop that dominated
-//! `encode_row_32k`. These kernels fuse the quantization decision with
-//! word-at-a-time packing: sign planes are gathered 64 coordinates per `u64`
-//! (`f32::to_bits() >> 31` shifted into lane position), and multi-bit fields
-//! stream through [`BitPacker`]'s shift/or accumulator, one 8-byte store per
-//! 64 bits. All loops are branch-light over contiguous slices, so the
-//! compiler can vectorize the gathers.
+//! Sign planes are gathered a byte per group (`f32::to_bits() >> 31` shifted
+//! into lane position); 31- and 23-bit fields are packed eight at a time
+//! into `u64` words with compile-time shifts ([`pack_low_bits`]); the 8-bit
+//! exponents and 32-bit SQ/SD tails are flat byte copies; the stochastic
+//! head planes gather a byte of predicate bits per group
+//! ([`pack_bits_zip`]). All loops are branch-light over fixed-size chunks,
+//! so the compiler can unroll and vectorize them.
 //!
 //! Output is bit-identical to one `push_bits` per coordinate per part: both
 //! produce the same LSB-first bitstream field by field, only the store
@@ -24,36 +28,62 @@
 //! `out` — one **run of constant depth**, as
 //! [`PartialRow::for_each_run`](crate::scheme::PartialRow::for_each_run)
 //! reports it — from the packed bytes of the parts that run has, starting at
-//! coordinate `start` of the row. Sign planes are read 56 bits at a
-//! time with one `bitpack::window` load and turned into IEEE sign bits without a
-//! branch (a sign bit is as random as a coin, so `if sign { -x } else { x }`
-//! mispredicts every other coordinate); 31- and 23-bit fields are one window
-//! load, shift and mask each, fused with the sign; byte-aligned fields (the
-//! 8-bit exponents, the 32-bit SQ/SD tails) are indexed or copied directly.
-//! `crates/quant/tests/decode_golden.rs` pins every scheme's output bit for
-//! bit against a per-coordinate reference decoder.
+//! coordinate `start` of the row. The run's whole groups take a sign byte
+//! and `W` field bytes each and write eight floats; a sign becomes an IEEE
+//! sign bit without a branch (it is as random as a coin, so
+//! `if sign { -x } else { x }` mispredicts every other coordinate). A run
+//! starts where a packet does — coordinate 360·k at the default 1500-byte
+//! MTU, a multiple of eight, though not at every MTU — so the coordinates
+//! before its first and after its last group boundary go one at a time
+//! through a `bitpack::window` load. `crates/quant/tests/decode_golden.rs`
+//! pins every scheme's output bit for bit against a per-coordinate reference
+//! decoder.
 
-use crate::bitpack::{pack_signs, window, BitBuf, BitPacker};
+use crate::bitpack::{pack_low_bits, pack_signs, unpack_group, window, BitBuf};
 
-/// Coordinates decoded per sign-plane load: a [`window`] holds at least 57
-/// stream bits at any bit offset, so 56 signs always come from one load.
-const SIGN_BLOCK: usize = 56;
+/// The per-coordinate form of [`fill_signed`], for the fewer than eight
+/// coordinates on either side of a run's whole groups: one [`window`] load
+/// holds all their signs, `rest(coordinate)` supplies everything else.
+#[inline]
+fn fill_signed_ragged(signs: &[u8], start: usize, out: &mut [f32], rest: impl Fn(usize) -> u32) {
+    debug_assert!(out.len() < 8, "whole groups go through `fill_signed`");
+    let word = window(signs, start);
+    for (j, o) in out.iter_mut().enumerate() {
+        let sign = ((word >> j & 1) as u32) << 31;
+        *o = f32::from_bits(sign ^ rest(start + j));
+    }
+}
 
 /// Fills `out` — coordinates `start..` of the row — with
 /// `sign ^ rest(coordinate)`: the coordinate's bit of the sign plane
 /// (1 = negative) as an IEEE-754 sign bit, over whatever the other parts
-/// contribute. One [`window`] load per [`SIGN_BLOCK`] coordinates, no branch
-/// on the sign.
+/// contribute. Whole groups of eight take one sign byte and `rest8(group)`;
+/// the ragged coordinates before and after them take `rest` one at a time.
+/// No branch on the sign either way.
 #[inline]
-fn fill_signed(signs: &[u8], start: usize, out: &mut [f32], rest: impl Fn(usize) -> u32) {
-    for (block, chunk) in out.chunks_mut(SIGN_BLOCK).enumerate() {
-        let first = start + block * SIGN_BLOCK;
-        let word = window(signs, first);
-        for (j, o) in chunk.iter_mut().enumerate() {
-            let sign = ((word >> j & 1) as u32) << 31;
-            *o = f32::from_bits(sign ^ rest(first + j));
+fn fill_signed(
+    signs: &[u8],
+    start: usize,
+    out: &mut [f32],
+    rest8: impl Fn(usize) -> [u32; 8],
+    rest: impl Fn(usize) -> u32,
+) {
+    debug_assert!(signs.len() * 8 >= start + out.len(), "sign plane too short");
+    let head = (start.wrapping_neg() % 8).min(out.len());
+    let (ragged, aligned) = out.split_at_mut(head);
+    fill_signed_ragged(signs, start, ragged, &rest);
+    // Only meaningful when a whole group follows: `start + head` is then a
+    // multiple of eight.
+    let first = (start + head) / 8;
+    let (groups, ragged) = aligned.as_chunks_mut::<8>();
+    let after = (first + groups.len()) * 8;
+    let sign_bytes = signs.get(first..).unwrap_or(&[]);
+    for ((group, dst), &byte) in (first..).zip(groups).zip(sign_bytes) {
+        for ((j, o), field) in dst.iter_mut().enumerate().zip(rest8(group)) {
+            *o = f32::from_bits((u32::from(byte) >> j) << 31 ^ field);
         }
     }
+    fill_signed_ragged(signs, after, ragged, &rest);
 }
 
 /// Heads-only run of every scheme: `±scale` by the coordinate's sign bit,
@@ -61,16 +91,32 @@ fn fill_signed(signs: &[u8], start: usize, out: &mut [f32], rest: impl Fn(usize)
 // trimlint: hot-path -- per-run inverse kernel on the decode path
 pub fn decode_signs_scaled(signs: &[u8], start: usize, scale: f32, out: &mut [f32]) {
     let magnitude = scale.to_bits();
-    fill_signed(signs, start, out, |_| magnitude);
+    fill_signed(signs, start, out, |_| [magnitude; 8], |_| magnitude);
 }
 
 /// Full-depth run of the sign-magnitude and RHT 1-bit layout: the inverse of
 /// [`encode_sign31_parts`].
 // trimlint: hot-path -- per-run inverse kernel on the decode path
 pub fn decode_sign31(signs: &[u8], tails: &[u8], start: usize, out: &mut [f32]) {
-    fill_signed(signs, start, out, |i| {
-        window(tails, i * 31) as u32 & 0x7FFF_FFFF
-    });
+    let groups = tails.as_chunks::<31>().0;
+    fill_signed(
+        signs,
+        start,
+        out,
+        |g| unpack_group(&groups[g]),
+        |i| window(tails, i * 31) as u32 & 0x7FFF_FFFF,
+    );
+}
+
+/// Exponent byte → the float's bits below the sign when the mantissa was
+/// trimmed: `mantissa_fill` in the exponent's binade, except that a zero
+/// exponent (the zero / subnormal binade) decodes as zero.
+#[inline]
+fn exp_filled(exp: u8, mantissa_fill: u32) -> u32 {
+    match exp {
+        0 => 0,
+        exp => u32::from(exp) << 23 | mantissa_fill,
+    }
 }
 
 /// Sign + exponent run of the multi-level layout: every coordinate takes
@@ -84,10 +130,14 @@ pub fn decode_sign_exp(
     mantissa_fill: u32,
     out: &mut [f32],
 ) {
-    fill_signed(signs, start, out, |i| match exps[i] {
-        0 => 0,
-        exp => u32::from(exp) << 23 | mantissa_fill,
-    });
+    let groups = exps.as_chunks::<8>().0;
+    fill_signed(
+        signs,
+        start,
+        out,
+        |g| groups[g].map(|exp| exp_filled(exp, mantissa_fill)),
+        |i| exp_filled(exps[i], mantissa_fill),
+    );
 }
 
 /// Full-depth run of the multi-level layout: the inverse of
@@ -100,9 +150,17 @@ pub fn decode_sign_exp_mant(
     start: usize,
     out: &mut [f32],
 ) {
-    fill_signed(signs, start, out, |i| {
-        u32::from(exps[i]) << 23 | (window(mants, i * 23) as u32 & 0x7F_FFFF)
-    });
+    let (exp_groups, mant_groups) = (exps.as_chunks::<8>().0, mants.as_chunks::<23>().0);
+    fill_signed(
+        signs,
+        start,
+        out,
+        |g| {
+            let (exp, mant) = (exp_groups[g], unpack_group(&mant_groups[g]));
+            core::array::from_fn(|j| u32::from(exp[j]) << 23 | mant[j])
+        },
+        |i| u32::from(exps[i]) << 23 | (window(mants, i * 23) as u32 & 0x7F_FFFF),
+    );
 }
 
 /// Full-depth run of the SQ/SD layout: the inverse of [`pack_f32_tails`], a
@@ -120,13 +178,7 @@ pub fn unpack_f32_tails(tails: &[u8], start: usize, out: &mut [f32]) {
 // trimlint: hot-path -- per-row packing kernel on the encode path
 #[must_use]
 pub fn encode_sign31_parts(values: &[f32]) -> (BitBuf, BitBuf) {
-    let heads = pack_signs(values);
-    // trimlint: allow(hot-path-alloc) -- one tail buffer per row, amortized
-    let mut tails = BitPacker::with_capacity(values.len() * 31);
-    for &v in values {
-        tails.push(u64::from(v.to_bits() & 0x7FFF_FFFF), 31);
-    }
-    (heads, tails.finish())
+    (pack_signs(values), pack_low_bits::<31>(values))
 }
 
 /// Splits IEEE-754 floats into 1-bit sign, 8-bit exponent, and 23-bit
@@ -134,17 +186,13 @@ pub fn encode_sign31_parts(values: &[f32]) -> (BitBuf, BitBuf) {
 // trimlint: hot-path -- per-row packing kernel on the encode path
 #[must_use]
 pub fn encode_sign_exp_mant_parts(values: &[f32]) -> (BitBuf, BitBuf, BitBuf) {
-    let signs = pack_signs(values);
     // trimlint: allow(hot-path-alloc) -- one exponent buffer per row, amortized
-    let mut exps = BitPacker::with_capacity(values.len() * 8);
-    // trimlint: allow(hot-path-alloc) -- one mantissa buffer per row, amortized
-    let mut mants = BitPacker::with_capacity(values.len() * 23);
-    for &v in values {
-        let bits = v.to_bits();
-        exps.push(u64::from((bits >> 23) & 0xFF), 8);
-        mants.push(u64::from(bits & 0x7F_FFFF), 23);
-    }
-    (signs, exps.finish(), mants.finish())
+    let exps: Vec<u8> = values.iter().map(|v| (v.to_bits() >> 23) as u8).collect();
+    (
+        pack_signs(values),
+        BitBuf::from_bytes(exps, values.len() * 8),
+        pack_low_bits::<23>(values),
+    )
 }
 
 /// Packs the full 32-bit patterns of `values` — the SQ/SD tails.
@@ -163,34 +211,24 @@ pub fn pack_f32_tails(values: &[f32]) -> BitBuf {
     BitBuf::from_bytes(bytes, values.len() * 32)
 }
 
-/// Packs `a.len()` predicate bits of `f(a[i], b[i])`, gathering 64 per
-/// `u64` word. Iterates both slices by `chunks_exact` + `zip` so the inner
-/// loop carries no bounds checks — the closure is evaluated strictly in
-/// increasing `i` order, once per coordinate.
+/// Packs `a.len()` predicate bits of `f(a[i], b[i])`, a byte per group of
+/// eight. Iterates both slices by `chunks` + `zip` so the inner loop carries
+/// no bounds checks — the closure is evaluated strictly in increasing `i`
+/// order, once per coordinate.
 // trimlint: hot-path -- head-plane packing for the stochastic encoders
 #[must_use]
 pub fn pack_bits_zip(a: &[f32], b: &[f32], mut f: impl FnMut(f32, f32) -> bool) -> BitBuf {
     assert_eq!(a.len(), b.len(), "pack_bits_zip: slice lengths differ");
     // trimlint: allow(hot-path-alloc) -- one head buffer per row, amortized
-    let mut out = BitPacker::with_capacity(a.len());
-    let mut ac = a.chunks_exact(64);
-    let mut bc = b.chunks_exact(64);
-    for (ca, cb) in (&mut ac).zip(&mut bc) {
-        let mut word = 0u64;
+    let mut bytes = vec![0u8; a.len().div_ceil(8)];
+    for ((byte, ca), cb) in bytes.iter_mut().zip(a.chunks(8)).zip(b.chunks(8)) {
+        let mut bits = 0u32;
         for (j, (&x, &y)) in ca.iter().zip(cb).enumerate() {
-            word |= u64::from(f(x, y)) << j;
+            bits |= u32::from(f(x, y)) << j;
         }
-        out.push(word, 64);
+        *byte = bits as u8;
     }
-    let (ra, rb) = (ac.remainder(), bc.remainder());
-    if !ra.is_empty() {
-        let mut word = 0u64;
-        for (j, (&x, &y)) in ra.iter().zip(rb).enumerate() {
-            word |= u64::from(f(x, y)) << j;
-        }
-        out.push(word, ra.len() as u32);
-    }
-    out.finish()
+    BitBuf::from_bytes(bytes, a.len())
 }
 
 #[cfg(test)]
@@ -210,10 +248,30 @@ mod tests {
             .collect()
     }
 
+    /// Arbitrary IEEE patterns — every field value, all-ones and zero
+    /// included — so a bit of one field landing in its neighbour shows.
+    fn patterns(n: usize) -> Vec<f32> {
+        let mut rng = trimgrad_hadamard::prng::Xoshiro256StarStar::new(n as u64);
+        (0..n)
+            .map(|i| match i % 7 {
+                0 => u32::MAX,
+                1 => 0,
+                _ => rng.next_u32(),
+            })
+            .map(f32::from_bits)
+            .collect()
+    }
+
+    /// Every ragged last group (`n % 8`), around the 64-coordinate words the
+    /// packers used to move, and a few long rows.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..=72).chain([300, 1024, 4095])
+    }
+
     #[test]
     fn sign31_matches_per_coordinate_pushes() {
-        for n in [0usize, 1, 63, 64, 65, 300, 1024] {
-            let values = sample(n);
+        for n in lengths() {
+            let values = patterns(n);
             let mut heads = BitBuf::with_capacity(n);
             let mut tails = BitBuf::with_capacity(n * 31);
             for &v in &values {
@@ -227,8 +285,8 @@ mod tests {
 
     #[test]
     fn sign_exp_mant_matches_per_coordinate_pushes() {
-        for n in [0usize, 1, 64, 65, 500] {
-            let values = sample(n);
+        for n in lengths() {
+            let values = patterns(n);
             let mut signs = BitBuf::with_capacity(n);
             let mut exps = BitBuf::with_capacity(n * 8);
             let mut mants = BitBuf::with_capacity(n * 23);
@@ -243,6 +301,77 @@ mod tests {
                 (signs, exps, mants),
                 "n={n}"
             );
+        }
+    }
+
+    /// Decodes each of `runs` with all four sign-plane kernels into a
+    /// garbage-filled slice and checks every coordinate against what the
+    /// original float says it must be — the per-coordinate definition of the
+    /// layout, not another unpacker.
+    fn assert_runs_decode(values: &[f32], runs: impl Iterator<Item = core::ops::Range<usize>>) {
+        const FILL: u32 = 1 << 22;
+        let scale = 0.37f32;
+        let (signs, tails) = encode_sign31_parts(values);
+        let (_, exps, mants) = encode_sign_exp_mant_parts(values);
+        let [signs, tails, exps, mants] = [&signs, &tails, &exps, &mants].map(BitBuf::as_bytes);
+        for run in runs {
+            let start = run.start;
+            let check = |name: &str, kernel: &dyn Fn(&mut [f32]), want: &dyn Fn(u32) -> u32| {
+                let mut out = vec![f32::from_bits(0xDEAD_BEEF); run.len()];
+                kernel(&mut out);
+                for (i, (o, v)) in out.iter().zip(&values[run.clone()]).enumerate() {
+                    let (got, want) = (o.to_bits(), want(v.to_bits()));
+                    let n = values.len();
+                    assert_eq!(got, want, "{name}: run {run:?} of {n}, coordinate {i}");
+                }
+            };
+            check("sign31", &|o| decode_sign31(signs, tails, start, o), &|b| b);
+            check(
+                "sign_exp_mant",
+                &|o| decode_sign_exp_mant(signs, exps, mants, start, o),
+                &|b| b,
+            );
+            check(
+                "signs_scaled",
+                &|o| decode_signs_scaled(signs, start, scale, o),
+                &|b| b & 0x8000_0000 | scale.to_bits(),
+            );
+            check(
+                "sign_exp",
+                &|o| decode_sign_exp(signs, exps, start, FILL, o),
+                &|b| match b & 0x7F80_0000 {
+                    0 => b & 0x8000_0000,
+                    exp => b & 0x8000_0000 | exp | FILL,
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn run_kernels_decode_every_alignment_and_length() {
+        // Every `start % 8` against every length from empty through several
+        // groups, with the run ending exactly at the part's last byte
+        // (`slack` 0: nothing to over-read into) and inside the row.
+        for slack in [0usize, 13] {
+            for start in 0..16 {
+                for len in 0..=40 {
+                    let values = patterns(start + len + slack);
+                    assert_runs_decode(&values, core::iter::once(start..start + len));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_kernels_decode_packet_runs_of_any_geometry() {
+        // Coordinates per packet of a 32-bit scheme at IP MTU 101, 1500 and
+        // 9000: runs start at multiples of 11 and 2235 as well as of 360, so
+        // most of them begin and end inside a group of eight.
+        for per_packet in [11usize, 360, 2235] {
+            let values = patterns(3 * 2235 + 5);
+            let n = values.len();
+            let runs = (0..n).step_by(per_packet).map(|c| c..n.min(c + per_packet));
+            assert_runs_decode(&values, runs);
         }
     }
 

@@ -22,6 +22,7 @@
 
 use crate::bitpack::BitBuf;
 use crate::kernels;
+use crate::rht1bit::{decode_rotated, pads_to};
 use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
 use crate::stats::drive_scale;
 use trimgrad_hadamard::rht::RandomizedHadamard;
@@ -72,26 +73,26 @@ impl TrimmableScheme for MultiLevelRht {
         }
     }
 
-    fn decode(
+    fn decode_into(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         seed: u64,
-    ) -> Result<Vec<f32>, DecodeError> {
-        let mut rotated = vec![0.0; row.n];
-        row.for_each_run(&PART_BITS, |run, depth| {
-            let [signs, exps, mants] = [0, 1, 2].map(|k| row.parts[k].bytes());
-            let (start, dst) = (run.start, &mut rotated[run]);
-            match depth {
-                0 => {}
-                1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
-                2 => kernels::decode_sign_exp(signs, exps, start, MANTISSA_MIDPOINT, dst),
-                _ => kernels::decode_sign_exp_mant(signs, exps, mants, start, dst),
-            }
-        })?;
-        crate::rht1bit::check_padded_len(row.n, meta.original_len)?;
-        let rht = RandomizedHadamard::new(seed);
-        Ok(rht.inverse_padded(&rotated, meta.original_len))
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        row.check_output(&PART_BITS, meta, pads_to(meta.original_len, row.n), out)?;
+        decode_rotated(row.n, seed, out, |rotated| {
+            row.for_each_run(&PART_BITS, |run, depth| {
+                let [signs, exps, mants] = [0, 1, 2].map(|k| row.parts[k].bytes());
+                let (start, dst) = (run.start, &mut rotated[run]);
+                match depth {
+                    0 => dst.fill(0.0),
+                    1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
+                    2 => kernels::decode_sign_exp(signs, exps, start, MANTISSA_MIDPOINT, dst),
+                    _ => kernels::decode_sign_exp_mant(signs, exps, mants, start, dst),
+                }
+            })
+        })
     }
 }
 

@@ -64,41 +64,61 @@ impl TrimmableScheme for RhtOneBit {
         }
     }
 
-    fn decode(
+    fn decode_into(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         seed: u64,
-    ) -> Result<Vec<f32>, DecodeError> {
-        let mut rotated = vec![0.0; row.n];
-        row.for_each_run(&PART_BITS, |run, depth| {
-            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-            let (start, dst) = (run.start, &mut rotated[run]);
-            match depth {
-                0 => {}
-                1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
-                _ => kernels::decode_sign31(signs, tails, start, dst),
-            }
-        })?;
-        check_padded_len(row.n, meta.original_len)?;
-        let rht = RandomizedHadamard::new(seed);
-        Ok(rht.inverse_padded(&rotated, meta.original_len))
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        row.check_output(&PART_BITS, meta, pads_to(meta.original_len, row.n), out)?;
+        decode_rotated(row.n, seed, out, |rotated| {
+            row.for_each_run(&PART_BITS, |run, depth| {
+                let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+                let (start, dst) = (run.start, &mut rotated[run]);
+                match depth {
+                    0 => dst.fill(0.0),
+                    1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
+                    _ => kernels::decode_sign31(signs, tails, start, dst),
+                }
+            })
+        })
     }
 }
 
-/// `original_len` must pad to exactly the encoded length `n` of an RHT row
-/// (an empty row only ever encodes an empty one).
-pub(crate) fn check_padded_len(n: usize, original_len: usize) -> Result<(), DecodeError> {
-    let consistent = if n == 0 {
+/// Whether `original_len` pads to exactly the encoded length `n` of an RHT
+/// row (an empty row only ever encodes an empty one).
+pub(crate) fn pads_to(original_len: usize, n: usize) -> bool {
+    if n == 0 {
         original_len == 0
     } else {
         original_len != 0 && next_pow2(original_len) == n
-    };
-    if consistent {
-        Ok(())
-    } else {
-        Err(DecodeError::BadOriginalLen { n, original_len })
     }
+}
+
+/// Decodes an RHT row of encoded length `n` into `out`: `fill` writes the
+/// `n` rotated coordinates and the inverse rotation runs where they lie. A
+/// row that was not padded (`out.len() == n`, every row of a message but
+/// possibly its last) is filled, butterflied and un-rotated in `out` itself;
+/// a padded one takes the one row-sized temporary of the decode path.
+pub(crate) fn decode_rotated(
+    n: usize,
+    seed: u64,
+    out: &mut [f32],
+    fill: impl FnOnce(&mut [f32]) -> Result<(), DecodeError>,
+) -> Result<(), DecodeError> {
+    let rht = RandomizedHadamard::new(seed);
+    if out.len() == n {
+        fill(out)?;
+        rht.inverse_in_place(out);
+    } else {
+        // trimlint: allow(hot-path-alloc) -- only a padded row, at most the last of a message
+        let mut rotated = vec![0.0; n];
+        fill(&mut rotated)?;
+        rht.inverse_in_place(&mut rotated);
+        out.copy_from_slice(&rotated[..out.len()]);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -309,6 +309,34 @@ impl PartialRow<'_> {
         self.for_each_run(part_bits, |_, _| {})
     }
 
+    /// What every `decode_into` settles before it writes: `meta` is
+    /// `consistent` with the encoded length and `out` holds exactly
+    /// `meta.original_len` coordinates. When either fails, a structural error
+    /// of the view itself is still reported first, as the run scan would.
+    pub(crate) fn check_output(
+        &self,
+        part_bits: &[u32],
+        meta: &RowMeta,
+        consistent: bool,
+        out: &[f32],
+    ) -> Result<(), DecodeError> {
+        if consistent && out.len() == meta.original_len {
+            return Ok(());
+        }
+        self.validate(part_bits)?;
+        Err(if consistent {
+            DecodeError::OutputLenMismatch {
+                expected: meta.original_len,
+                got: out.len(),
+            }
+        } else {
+            DecodeError::BadOriginalLen {
+                n: self.n,
+                original_len: meta.original_len,
+            }
+        })
+    }
+
     /// Part count matches the scheme and every buffer and mask is long
     /// enough for `n` coordinates.
     fn check_geometry(&self, part_bits: &[u32]) -> Result<(), DecodeError> {
@@ -464,6 +492,14 @@ pub enum DecodeError {
         /// Claimed original length.
         original_len: usize,
     },
+    /// The slice handed to `decode_into` does not hold `meta.original_len`
+    /// coordinates.
+    OutputLenMismatch {
+        /// `meta.original_len`.
+        expected: usize,
+        /// Length of the output slice.
+        got: usize,
+    },
 }
 
 impl core::fmt::Display for DecodeError {
@@ -490,6 +526,9 @@ impl core::fmt::Display for DecodeError {
                     f,
                     "original_len {original_len} inconsistent with encoded n {n}"
                 )
+            }
+            DecodeError::OutputLenMismatch { expected, got } => {
+                write!(f, "output holds {got} coordinates, the row {expected}")
             }
         }
     }
@@ -522,19 +561,42 @@ pub trait TrimmableScheme: Send + Sync {
     /// Encodes one gradient row with the shared `seed`.
     fn encode(&self, row: &[f32], seed: u64) -> EncodedRow;
 
-    /// Decodes a (possibly trimmed) row back into `meta.original_len`
-    /// coordinates. Coordinates whose head was lost entirely decode to `0.0`
-    /// (the neutral element of gradient averaging).
+    /// Decodes a (possibly trimmed) row into `out`, which must hold exactly
+    /// `meta.original_len` coordinates; every one of them is written.
+    /// Coordinates whose head was lost entirely decode to `0.0` (the neutral
+    /// element of gradient averaging). The row is decoded where it will
+    /// live: no row-sized temporary, except for an RHT row that was padded.
     ///
     /// # Errors
     ///
     /// Structural errors only ([`DecodeError`]); trimming is not an error.
+    /// After an error `out` holds unspecified values.
+    fn decode_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError>;
+
+    /// [`decode_into`](Self::decode_into) a freshly allocated vector of
+    /// `meta.original_len` coordinates.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_into`](Self::decode_into).
     fn decode(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         seed: u64,
-    ) -> Result<Vec<f32>, DecodeError>;
+    ) -> Result<Vec<f32>, DecodeError> {
+        // `original_len` may come off the wire: never allocate more than the
+        // view could fill (`decode_into` then refuses the mismatch).
+        let mut out = vec![0.0; meta.original_len.min(row.n)];
+        self.decode_into(row, meta, seed, &mut out)?;
+        Ok(out)
+    }
 
     /// Head width in bits (`part_bits()[0]`).
     fn head_bits(&self) -> u32 {

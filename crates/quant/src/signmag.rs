@@ -44,29 +44,23 @@ impl TrimmableScheme for SignMagnitude {
         }
     }
 
-    fn decode(
+    fn decode_into(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         _seed: u64,
-    ) -> Result<Vec<f32>, DecodeError> {
-        let mut out = vec![0.0; row.n];
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        row.check_output(&PART_BITS, meta, meta.original_len == row.n, out)?;
         row.for_each_run(&PART_BITS, |run, depth| {
             let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
             let (start, dst) = (run.start, &mut out[run]);
             match depth {
-                0 => {}
+                0 => dst.fill(0.0),
                 1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
                 _ => kernels::decode_sign31(signs, tails, start, dst),
             }
-        })?;
-        if meta.original_len != row.n {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
-        }
-        Ok(out)
+        })
     }
 }
 

@@ -1,10 +1,10 @@
-//! Adversarial property tests for `BitBuf` bulk operations and the fused
-//! `BitPacker` writer, concentrating on the corners the fused encode kernels
-//! hit constantly: non-byte-aligned offsets, non-multiple-of-64 tails, and
+//! Adversarial property tests for `BitBuf` bulk operations and the sign-plane
+//! packer, concentrating on the corners the fused encode kernels hit
+//! constantly: non-byte-aligned offsets, ragged last groups, and
 //! reconstruction from wire bytes.
 
 use proptest::prelude::*;
-use trimgrad_quant::bitpack::{pack_signs, BitBuf, BitPacker};
+use trimgrad_quant::bitpack::{pack_signs, BitBuf};
 
 /// Builds a buffer from explicit bits, the slow trusted way.
 fn buf_from_bits(bits: &[bool]) -> BitBuf {
@@ -54,25 +54,6 @@ fn get_bits_window_load_matches_bit_model_at_every_offset() {
 }
 
 proptest! {
-    /// `BitPacker` must be a drop-in replacement for sequential `push_bits`:
-    /// same bytes, same length, for any field sequence (including 64-bit
-    /// fields that straddle the accumulator and odd tail widths).
-    #[test]
-    fn bitpacker_is_byte_identical_to_push_bits(
-        fields in proptest::collection::vec((any::<u64>(), 1u32..=64), 0..200)
-    ) {
-        let mut reference = BitBuf::new();
-        let mut packer = BitPacker::with_capacity(0);
-        for &(v, w) in &fields {
-            let masked = if w == 64 { v } else { v & ((1u64 << w) - 1) };
-            reference.push_bits(masked, w);
-            packer.push(masked, w);
-        }
-        let packed = packer.finish();
-        prop_assert_eq!(packed.len(), reference.len());
-        prop_assert_eq!(packed.as_bytes(), reference.as_bytes());
-    }
-
     /// `pack_signs` agrees with per-coordinate `push_bit` for every length,
     /// including negative zero and non-finite values (raw u32 bit patterns
     /// cover NaN, infinities, denormals, and -0.0).

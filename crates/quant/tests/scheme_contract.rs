@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_quant::error::nmse;
+use trimgrad_quant::scheme::{DecodeError, RowMeta};
 use trimgrad_quant::{scheme_for, SchemeId};
 
 fn row(len: usize, seed: u64) -> Vec<f32> {
@@ -114,5 +115,82 @@ proptest! {
             );
             last = e;
         }
+    }
+}
+
+/// The views `decode_into` is checked on, as per-coordinate depths over a
+/// `k`-part row of `n` encoded coordinates. Packets are 11 coordinates, so
+/// runs begin and end inside a group of eight.
+fn depth_views(n: usize, k: usize) -> Vec<(&'static str, Vec<usize>)> {
+    let packets = |fate: &dyn Fn(usize) -> usize| (0..n).map(|i| fate(i / 11)).collect();
+    vec![
+        ("full", vec![k; n]),
+        ("heads only", vec![1; n]),
+        ("mixed masks", packets(&|p| 1 + p % k)),
+        ("depth-0 gaps", packets(&|p| [k, 0, 1, 0][p % 4])),
+    ]
+}
+
+/// `decode_into` writes every coordinate of its slice — garbage left in it
+/// by an earlier row never survives, not even where a packet was lost — and
+/// `decode` is that same decode over a fresh vector. Lengths cover the empty
+/// row, a ragged group, a padded RHT row (100 → 128, 1000 → 1024) and a
+/// power-of-two row decoded in place.
+#[test]
+fn decode_into_overwrites_every_coordinate() {
+    for id in SchemeId::ALL {
+        let scheme = scheme_for(id);
+        for len in [0usize, 1, 7, 64, 100, 1000, 1024] {
+            let data = row(len, len as u64);
+            let enc = scheme.encode(&data, 5);
+            for (name, depths) in depth_views(enc.n, scheme.part_bits().len()) {
+                let view = enc.view_with_depths(&depths);
+                let fresh = scheme.decode(&view, &enc.meta, 5).expect("valid");
+                assert_eq!(fresh.len(), len);
+                let mut reused = vec![f32::from_bits(0xFFC0_DEAD); len];
+                scheme
+                    .decode_into(&view, &enc.meta, 5, &mut reused)
+                    .expect("valid");
+                for (i, (a, b)) in reused.iter().zip(&fresh).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{id} len={len} {name}: coord {i}");
+                }
+            }
+        }
+    }
+}
+
+/// A slice of the wrong length is refused, not indexed; what is wrong with
+/// the view or its metadata is still reported first.
+#[test]
+fn decode_into_checks_the_output_length() {
+    for id in SchemeId::ALL {
+        let scheme = scheme_for(id);
+        let enc = scheme.encode(&row(100, 3), 5);
+        for wrong in [0usize, 99, 101, enc.n + 1] {
+            let mut out = vec![0.0; wrong];
+            assert_eq!(
+                scheme.decode_into(&enc.full_view(), &enc.meta, 5, &mut out),
+                Err(DecodeError::OutputLenMismatch {
+                    expected: 100,
+                    got: wrong
+                }),
+                "{id}"
+            );
+        }
+        let mut out = vec![0.0; 100];
+        let bad_meta = RowMeta {
+            original_len: 300,
+            ..enc.meta
+        };
+        assert!(matches!(
+            scheme.decode_into(&enc.full_view(), &bad_meta, 5, &mut out),
+            Err(DecodeError::BadOriginalLen { .. })
+        ));
+        let mut short = enc.full_view();
+        short.parts.pop();
+        assert!(matches!(
+            scheme.decode_into(&short, &bad_meta, 5, &mut out[..7]),
+            Err(DecodeError::PartCountMismatch { .. })
+        ));
     }
 }
