@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the FWHT substrate: raw butterfly and seeded RHT
 //! (forward + inverse), plus the Rademacher diagonal on its own — one
-//! `xoshiro256**` step per coordinate, a stream that is wire format and so a
-//! floor under `forward`. Lands in `BENCH_hadamard.json` under CI's bench
-//! smoke job.
+//! `xoshiro256**` step per 64 coordinates, their signs XORed into the float
+//! sign bits (wire format v2). Lands in `BENCH_hadamard.json` under CI's
+//! bench smoke job.
 
 use trimgrad::hadamard::fwht::fwht_orthonormal;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
@@ -40,7 +40,7 @@ fn bench_rht_roundtrip(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     g.throughput(Throughput::Elements(n as u64));
     g.bench("rademacher_apply_2^15", || {
         let mut v = input.clone();
-        RademacherDiagonal::new(42).apply(&mut v);
+        RademacherDiagonal::new(42).apply_scaled(&mut v, 1.0);
         v
     });
     g.bench("forward", || {

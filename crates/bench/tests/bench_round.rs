@@ -1,0 +1,297 @@
+//! `results/BENCH_round.jsonl` is the committed trajectory of the benchmark:
+//! one line per merged change, oldest first, with the commit it was merged
+//! onto (`parent`; its own `commit` is `null` on a line written before that
+//! commit existed), where the numbers come from, the three end-to-end
+//! metrics of `BENCHMARK.json` on each of the four workloads (seed 11,
+//! medians of the recorded runs, `null` where none was recorded), each
+//! workload's `bench.output_digest`, and `digest_change`. This test parses
+//! every line and holds the file to its one rule: a line whose digest
+//! differs from the previous line's, where both are known, says why in
+//! `digest_change`.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+const WORKLOADS: [&str; 4] = [
+    "codec_loopback",
+    "train_fabric",
+    "netsim_storm",
+    "train_inject",
+];
+const METRICS: [&str; 3] = ["round_ms", "peak_rss_mb", "setup_s"];
+
+/// The JSON subset the file uses.
+#[derive(Debug)]
+enum Json {
+    Null,
+    Num(f64),
+    Str(String),
+    Obj(BTreeMap<String, Json>),
+}
+
+/// A recursive-descent parser over one line; `Err` names the byte offset.
+struct Parser<'a> {
+    s: &'a [u8],
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn parse(line: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            s: line.as_bytes(),
+            at: 0,
+        };
+        let v = p.value()?;
+        p.ws();
+        if p.at == p.s.len() {
+            Ok(v)
+        } else {
+            Err(format!("trailing bytes at {}", p.at))
+        }
+    }
+
+    fn ws(&mut self) {
+        while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+    }
+
+    fn eat(&mut self, c: u8) -> Result<(), String> {
+        self.ws();
+        match self.s.get(self.at) {
+            Some(&b) if b == c => {
+                self.at += 1;
+                Ok(())
+            }
+            _ => Err(format!("expected {:?} at {}", c as char, self.at)),
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        match self.s.get(self.at) {
+            Some(b'{') => self.object(),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'n') if self.s[self.at..].starts_with(b"null") => {
+                self.at += 4;
+                Ok(Json::Null)
+            }
+            Some(b'-' | b'0'..=b'9') => {
+                let start = self.at;
+                while self
+                    .s
+                    .get(self.at)
+                    .is_some_and(|b| b"+-.eE0123456789".contains(b))
+                {
+                    self.at += 1;
+                }
+                let text = std::str::from_utf8(&self.s[start..self.at]).expect("ASCII");
+                text.parse()
+                    .map(Json::Num)
+                    .map_err(|e| format!("number {text:?} at {start}: {e}"))
+            }
+            _ => Err(format!("unexpected value at {}", self.at)),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let start = self.at;
+        while let Some(&b) = self.s.get(self.at) {
+            match b {
+                b'"' => {
+                    self.at += 1;
+                    return String::from_utf8(self.s[start..self.at - 1].to_vec())
+                        .map_err(|e| e.to_string());
+                }
+                b'\\' => return Err(format!("escapes are not used (at {})", self.at)),
+                _ => self.at += 1,
+            }
+        }
+        Err("unterminated string".into())
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.eat(b'{')?;
+        let mut fields = BTreeMap::new();
+        self.ws();
+        if self.s.get(self.at) == Some(&b'}') {
+            self.at += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            let key = self.string()?;
+            self.eat(b':')?;
+            let value = self.value()?;
+            if fields.insert(key.clone(), value).is_some() {
+                return Err(format!("duplicate key {key:?}"));
+            }
+            self.ws();
+            match self.s.get(self.at) {
+                Some(b',') => self.at += 1,
+                Some(b'}') => {
+                    self.at += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(format!("expected ',' or '}}' at {}", self.at)),
+            }
+        }
+    }
+}
+
+/// One checked line of the trajectory.
+struct Line {
+    parent: String,
+    digests: [Option<f64>; 4],
+    digest_change: Option<String>,
+}
+
+fn check_line(text: &str) -> Result<Line, String> {
+    let Json::Obj(obj) = Parser::parse(text)? else {
+        return Err("not an object".into());
+    };
+    let mut want = vec![
+        "commit",
+        "digest_change",
+        "output_digest",
+        "parent",
+        "source",
+    ];
+    want.extend(METRICS);
+    want.sort_unstable();
+    let keys: Vec<&str> = obj.keys().map(String::as_str).collect();
+    if keys != want {
+        return Err(format!("keys {keys:?}, want {want:?}"));
+    }
+    let is_hash = |h: &str| h.len() >= 7 && h.bytes().all(|b| b.is_ascii_hexdigit());
+    let parent = match obj.get("parent") {
+        Some(Json::Str(h)) if is_hash(h) => h.clone(),
+        other => return Err(format!("parent = {other:?}")),
+    };
+    match obj.get("commit") {
+        Some(Json::Null) => {}
+        Some(Json::Str(h)) if is_hash(h) => {}
+        other => return Err(format!("commit = {other:?}")),
+    }
+    let Some(Json::Str(_)) = obj.get("source") else {
+        return Err("source is not a string".into());
+    };
+    // Every metric and the digest: an object over exactly the four
+    // workloads, each value a non-negative number or null.
+    let per_workload = |name: &str| -> Result<[Option<f64>; 4], String> {
+        let Some(Json::Obj(m)) = obj.get(name) else {
+            return Err(format!("{name} is not an object"));
+        };
+        if m.len() != WORKLOADS.len() {
+            return Err(format!("{name} has {} workloads", m.len()));
+        }
+        let mut out = [None; 4];
+        for (slot, w) in out.iter_mut().zip(WORKLOADS) {
+            *slot = match m.get(w) {
+                Some(Json::Null) => None,
+                Some(Json::Num(v)) if *v >= 0.0 && v.is_finite() => Some(*v),
+                other => return Err(format!("{name}.{w} = {other:?}")),
+            };
+        }
+        Ok(out)
+    };
+    for metric in METRICS {
+        per_workload(metric)?;
+    }
+    let digests = per_workload("output_digest")?;
+    if digests.iter().flatten().any(|d| d.fract() != 0.0) {
+        return Err("a digest is not an integer".into());
+    }
+    let digest_change = match obj.get("digest_change") {
+        Some(Json::Null) => None,
+        Some(Json::Str(why)) if !why.trim().is_empty() => Some(why.clone()),
+        other => return Err(format!("digest_change = {other:?}")),
+    };
+    Ok(Line {
+        parent,
+        digests,
+        digest_change,
+    })
+}
+
+/// The file's rule over consecutive lines; `Err` names the offending line.
+fn check_trajectory(text: &str) -> Result<usize, String> {
+    let mut prev: Option<Line> = None;
+    let mut seen = BTreeSet::new();
+    let mut count = 0;
+    for (i, raw) in text.lines().enumerate() {
+        let n = i + 1;
+        let line = check_line(raw).map_err(|e| format!("line {n}: {e}"))?;
+        if !seen.insert(line.parent.clone()) {
+            return Err(format!("line {n}: parent {} listed twice", line.parent));
+        }
+        if let Some(p) = &prev {
+            for (w, (a, b)) in WORKLOADS.iter().zip(p.digests.iter().zip(&line.digests)) {
+                if let (Some(a), Some(b)) = (a, b) {
+                    if a != b && line.digest_change.is_none() {
+                        return Err(format!(
+                            "line {n} (onto {}): {w} digest {a} -> {b} without digest_change",
+                            line.parent
+                        ));
+                    }
+                }
+            }
+        }
+        prev = Some(line);
+        count = n;
+    }
+    Ok(count)
+}
+
+fn trajectory() -> String {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_round.jsonl"
+    );
+    std::fs::read_to_string(path).expect("results/BENCH_round.jsonl")
+}
+
+#[test]
+fn every_line_parses_and_every_digest_change_is_explained() {
+    let text = trajectory();
+    let lines = check_trajectory(&text).unwrap_or_else(|e| panic!("BENCH_round.jsonl {e}"));
+    assert!(lines >= 2, "{lines} lines");
+}
+
+#[test]
+fn an_unexplained_digest_change_is_refused() {
+    let line = |n: u32, digest: &str, why: &str| {
+        let per = |v: &str| {
+            let cells: Vec<String> = WORKLOADS.iter().map(|w| format!("\"{w}\": {v}")).collect();
+            format!("{{{}}}", cells.join(", "))
+        };
+        format!(
+            "{{\"commit\": null, \"parent\": \"abcdef{n}\", \"source\": \"test\", \
+             \"round_ms\": {}, \"peak_rss_mb\": {}, \"setup_s\": {}, \
+             \"output_digest\": {}, \"digest_change\": {why}}}",
+            per("1.5"),
+            per("null"),
+            per("0.1"),
+            per(digest)
+        )
+    };
+    let ok = [line(1, "7", "null"), line(2, "7", "null")].join("\n");
+    assert_eq!(check_trajectory(&ok), Ok(2));
+    let unknown = [line(1, "null", "null"), line(2, "8", "null")].join("\n");
+    assert_eq!(
+        check_trajectory(&unknown),
+        Ok(2),
+        "an unknown digest is no change"
+    );
+    let silent = [line(1, "7", "null"), line(2, "8", "null")].join("\n");
+    assert!(check_trajectory(&silent)
+        .unwrap_err()
+        .contains("without digest_change"));
+    let explained = [line(1, "7", "null"), line(2, "8", "\"new format\"")].join("\n");
+    assert_eq!(check_trajectory(&explained), Ok(2));
+    assert!(check_line("{\"commit\": \"abcdef1\"}").is_err());
+    let twice = [line(1, "7", "null"), line(1, "7", "null")].join("\n");
+    assert!(check_trajectory(&twice)
+        .unwrap_err()
+        .contains("listed twice"));
+    assert!(check_line(&line(1, "7.5", "null")).is_err());
+}

@@ -165,15 +165,9 @@ pub fn fwht_inplace(data: &mut [f32]) -> Result<()> {
 /// Same conditions as [`fwht_inplace`].
 pub fn fwht_orthonormal(data: &mut [f32]) -> Result<()> {
     fwht_inplace(data)?;
-    scale_by_inv_sqrt_n(data);
-    Ok(())
-}
-
-pub(crate) fn scale_by_inv_sqrt_n(data: &mut [f32]) {
     let scale = 1.0 / (data.len() as f32).sqrt();
-    for v in data.iter_mut() {
-        *v *= scale;
-    }
+    data.iter_mut().for_each(|v| *v *= scale);
+    Ok(())
 }
 
 #[cfg(test)]

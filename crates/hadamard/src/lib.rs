@@ -8,15 +8,17 @@
 //!   `f32` slices whose length is a power of two, plus an orthonormal variant
 //!   that preserves the ℓ₂ norm exactly,
 //! * [`rademacher`] — seeded ±1 diagonal generation, the "randomized" part of
-//!   the Randomized Hadamard Transform,
+//!   the Randomized Hadamard Transform: sign `j` of a row is bit `j mod 64`
+//!   of `xoshiro256**` draw `j div 64`,
 //! * [`rht`] — the seeded Randomized Hadamard Transform `R_s(V) = 1/√n · H·D_s·V`
 //!   and its exact inverse (one row at a time; splitting a gradient blob
 //!   into rows with per-row seeds is `trimgrad_collective::chunk`'s job),
 //! * [`prng`] — small, *portable* deterministic pseudo-random generators
 //!   (SplitMix64, xoshiro256**). Sender and receiver must generate identical
 //!   randomness from a shared seed; `rand`'s `StdRng` makes no cross-version
-//!   stability promise, so all wire-visible randomness uses these generators
-//!   whose output sequences are fixed by this crate forever.
+//!   stability promise, so all wire-visible randomness uses these generators,
+//!   whose output sequences are pinned by tests. How a scheme consumes them
+//!   is wire format too, versioned by `trimhdr::VERSION` in `trimgrad-wire`.
 //!
 //! # Example
 //!

@@ -4,8 +4,11 @@
 //! and receiver derive identical random sequences from a seed carried (or
 //! implied) by the packet stream — the Rademacher diagonal of the RHT and the
 //! per-coordinate dither of subtractive dithering both work this way. That
-//! randomness is therefore part of the wire format and must never change
-//! across library versions or platforms.
+//! randomness is therefore part of the wire format: it must not differ
+//! across platforms, and it changes only together with the wire version
+//! (`trimhdr::VERSION` in `trimgrad-wire`). Under version 2 a Rademacher
+//! diagonal takes 64 signs from each draw ([`crate::rademacher`]); the SQ
+//! uniforms and the SD dither take one draw per coordinate.
 //!
 //! [`SplitMix64`] and [`Xoshiro256StarStar`] are tiny, well-studied
 //! generators with a fixed, documented output sequence, and carry no
@@ -59,9 +62,9 @@ impl SplitMix64 {
 
 /// xoshiro256**: a fast all-purpose 64-bit generator (Blackman & Vigna 2018).
 ///
-/// The output sequence for a given seed is part of this crate's stability
-/// contract — it determines the RHT rotation and the subtractive dither on
-/// both sides of the network.
+/// The output sequence for a given seed is part of the wire format — it
+/// determines the RHT rotation and the subtractive dither on both sides of
+/// the network — and is pinned by `xoshiro_sequence_is_pinned`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
@@ -110,22 +113,6 @@ impl Xoshiro256StarStar {
     pub fn next_f32_range(&mut self, lo: f32, hi: f32) -> f32 {
         debug_assert!(lo <= hi, "next_f32_range: lo={lo} > hi={hi}");
         lo + self.next_f32() * (hi - lo)
-    }
-
-    /// Returns a random sign as an IEEE-754 sign bit: `0x8000_0000`
-    /// (negative) or `0`, each with probability 1/2 — the top bit of one
-    /// draw. XOR it into a float's bits to multiply by the sign without a
-    /// branch (a coin flip mispredicts every other coordinate).
-    #[inline]
-    pub(crate) fn next_sign_bit(&mut self) -> u32 {
-        ((self.next_u64() >> 63) as u32) << 31
-    }
-
-    /// Returns a random sign: `+1.0` or `-1.0`, each with probability 1/2
-    /// (the draw's top bit as the sign bit of `1.0`).
-    #[inline]
-    pub fn next_sign(&mut self) -> f32 {
-        f32::from_bits(1.0f32.to_bits() ^ self.next_sign_bit())
     }
 
     /// Returns the next 32 random bits (the high word of [`Self::next_u64`]).
@@ -245,15 +232,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| x.next_f32() as f64).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn signs_are_balanced() {
-        let mut x = Xoshiro256StarStar::new(10);
-        let n = 100_000;
-        let pos = (0..n).filter(|_| x.next_sign() > 0.0).count();
-        let frac = pos as f64 / n as f64;
-        assert!((frac - 0.5).abs() < 0.01, "positive fraction {frac}");
     }
 
     #[test]

@@ -5,13 +5,21 @@
 //! the Hadamard butterfly. Both the sender (encode) and receiver (decode)
 //! regenerate the same diagonal from the shared seed `s`, so the diagonal is
 //! never transmitted.
+//!
+//! # The sign rule (wire format v2)
+//!
+//! Entry `j` of a row's diagonal is negative iff bit `j mod 64` of the
+//! `j div 64`-th `xoshiro256**` draw for the row's seed is set: 64 signs per
+//! draw, and a ragged tail takes its bits from one more draw. The rule is
+//! part of the wire format and versioned with it (`trimhdr::VERSION` in
+//! `trimgrad-wire`; version 1 took one draw per sign and kept its top bit).
 
 use crate::prng::Xoshiro256StarStar;
 
-/// A lazily-generated Rademacher diagonal bound to a seed.
+/// A Rademacher diagonal bound to a seed.
 ///
-/// Iterating yields `+1.0` / `−1.0` values; the sequence for a given seed is
-/// stable forever (see [`crate::prng`]).
+/// [`apply_scaled`](Self::apply_scaled) is the one reader of the sign
+/// stream; the rule it follows is in the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct RademacherDiagonal {
     rng: Xoshiro256StarStar,
@@ -26,62 +34,41 @@ impl RademacherDiagonal {
         }
     }
 
-    /// Returns the next diagonal entry (`+1.0` or `−1.0`).
-    pub fn next_sign(&mut self) -> f32 {
-        self.rng.next_sign()
-    }
-
-    /// Fills `out` with the first `out.len()` diagonal entries.
-    pub fn fill(&mut self, out: &mut [f32]) {
-        for v in out.iter_mut() {
-            *v = self.next_sign();
-        }
-    }
-
-    /// Multiplies `data[i] *= d_i` in place, consuming `data.len()` entries
-    /// of the diagonal.
-    pub fn apply(&mut self, data: &mut [f32]) {
-        self.apply_scaled(data, 1.0);
-    }
-
-    /// Multiplies `data[i] *= d_i · scale` in place, consuming `data.len()`
-    /// entries of the diagonal: the diagonal and a uniform scale in one pass,
-    /// the scale folded into the sign as `±scale`. Bit-identical to scaling
-    /// and then applying the diagonal — `x · (−s)` and `(x · s) · (−1)` round
-    /// the same product and differ in nothing but how the sign got there.
+    /// Multiplies `data[i] *= d_i · scale` in place: the diagonal and a
+    /// uniform scale in one pass, `±scale` per coordinate. A call consumes
+    /// `⌈data.len() / 64⌉` draws, so a row is always one call on a fresh
+    /// diagonal.
     ///
-    /// Eight signs are drawn before their eight multiplies: the generator is
-    /// one serial dependency chain, and kept apart from it the multiplies
-    /// vectorize (same draws in the same order, −18 % on a 2¹⁵ row).
+    /// One draw covers 64 coordinates, one byte of it each group of eight
+    /// (the shape `trimgrad_quant::kernels::fill_signed` has on the decode
+    /// side): the sign lands as an XOR into the float's sign bit, branch-free
+    /// — a coin flip would mispredict every other coordinate — and the
+    /// group's eight XORs and multiplies vectorize.
     pub fn apply_scaled(&mut self, data: &mut [f32], scale: f32) {
-        let scale = scale.to_bits();
-        let (groups, ragged) = data.as_chunks_mut::<8>();
-        for group in groups {
-            let signs: [u32; 8] = core::array::from_fn(|_| self.rng.next_sign_bit());
-            for (v, sign) in group.iter_mut().zip(signs) {
-                *v *= f32::from_bits(scale ^ sign);
+        let signed = |v: &mut f32, sign: u32| *v = f32::from_bits(v.to_bits() ^ sign << 31) * scale;
+        let (words, ragged) = data.as_chunks_mut::<64>();
+        for word in words {
+            let bytes = self.rng.next_u64().to_le_bytes();
+            for (group, byte) in word.as_chunks_mut::<8>().0.iter_mut().zip(bytes) {
+                for (j, v) in group.iter_mut().enumerate() {
+                    signed(v, u32::from(byte) >> j);
+                }
             }
         }
-        for v in ragged {
-            *v *= f32::from_bits(scale ^ self.rng.next_sign_bit());
+        if !ragged.is_empty() {
+            let word = self.rng.next_u64();
+            for (j, v) in ragged.iter_mut().enumerate() {
+                signed(v, (word >> j) as u32);
+            }
         }
     }
 }
 
-impl Iterator for RademacherDiagonal {
-    type Item = f32;
-
-    fn next(&mut self) -> Option<f32> {
-        Some(self.next_sign())
-    }
-}
-
-/// Generates the first `n` entries of the seed-`s` Rademacher diagonal.
-#[must_use]
-pub fn rademacher_vec(seed: u64, n: usize) -> Vec<f32> {
-    let mut d = RademacherDiagonal::new(seed);
-    let mut out = vec![0.0; n];
-    d.fill(&mut out);
+/// The first `n` entries of the seed-`s` Rademacher diagonal, as `±1.0`.
+#[cfg(test)]
+pub(crate) fn rademacher_vec(seed: u64, n: usize) -> Vec<f32> {
+    let mut out = vec![1.0; n];
+    RademacherDiagonal::new(seed).apply_scaled(&mut out, 1.0);
     out
 }
 
@@ -97,7 +84,8 @@ mod tests {
     }
 
     /// The diagonal is wire format: its first 64 entries for one seed, entry
-    /// `j` negative iff bit `j` is set, recorded as of PR 19.
+    /// `j` negative iff bit `j` is set. v2 literal; under v1 (one draw per
+    /// sign, top bit) the same seed read `0x9D94_513E_5A82_E896`.
     #[test]
     fn first_signs_are_pinned() {
         let signs = rademacher_vec(0xC0FFEE, 64);
@@ -105,7 +93,7 @@ mod tests {
             .iter()
             .enumerate()
             .fold(0u64, |w, (j, s)| w | u64::from(s.is_sign_negative()) << j);
-        assert_eq!(word, 0x9D94_513E_5A82_E896);
+        assert_eq!(word, 0x120E_99A6_DDE4_A550);
     }
 
     /// `v *= ±scale` is the scale pass and the sign pass in one, bit for bit,
@@ -134,7 +122,7 @@ mod tests {
             1.0e-30,
             -3.0e38,
         ];
-        // 23 copies: the batched groups of eight and the ragged tail both
+        // 23 copies: the whole 64-coordinate words and the ragged tail both
         // see every value under both signs.
         let data: Vec<f32> = specials
             .iter()
@@ -155,7 +143,7 @@ mod tests {
             RademacherDiagonal::new(9).apply_scaled(&mut fused, scale);
             let mut two_pass = data.clone();
             two_pass.iter_mut().for_each(|v| *v *= scale);
-            RademacherDiagonal::new(9).apply(&mut two_pass);
+            RademacherDiagonal::new(9).apply_scaled(&mut two_pass, 1.0);
             for (i, (a, b)) in fused.iter().zip(&two_pass).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -176,17 +164,18 @@ mod tests {
     fn prefix_consistency() {
         // The first k entries do not depend on how many are requested.
         let long = rademacher_vec(5, 1000);
-        let short = rademacher_vec(5, 10);
-        assert_eq!(&long[..10], &short[..]);
+        for k in [1, 10, 63, 64, 65, 999] {
+            assert_eq!(&long[..k], &rademacher_vec(5, k)[..], "k={k}");
+        }
     }
 
     #[test]
     fn apply_matches_elementwise_product() {
         let seed = 99;
-        let diag = rademacher_vec(seed, 64);
-        let data: Vec<f32> = (0..64).map(|i| i as f32 - 32.0).collect();
+        let diag = rademacher_vec(seed, 200);
+        let data: Vec<f32> = (0..200).map(|i| i as f32 - 32.0).collect();
         let mut applied = data.clone();
-        RademacherDiagonal::new(seed).apply(&mut applied);
+        RademacherDiagonal::new(seed).apply_scaled(&mut applied, 1.0);
         for ((a, d), x) in applied.iter().zip(&diag).zip(&data) {
             assert_eq!(*a, d * x);
         }
@@ -196,15 +185,9 @@ mod tests {
     fn apply_twice_is_identity() {
         let data: Vec<f32> = (0..128).map(|i| (i as f32).cos()).collect();
         let mut v = data.clone();
-        RademacherDiagonal::new(7).apply(&mut v);
-        RademacherDiagonal::new(7).apply(&mut v);
+        RademacherDiagonal::new(7).apply_scaled(&mut v, 1.0);
+        RademacherDiagonal::new(7).apply_scaled(&mut v, 1.0);
         assert_eq!(v, data); // d_i^2 == 1 exactly in f32
-    }
-
-    #[test]
-    fn iterator_interface() {
-        let from_iter: Vec<f32> = RademacherDiagonal::new(1).take(32).collect();
-        assert_eq!(from_iter, rademacher_vec(1, 32));
     }
 
     #[test]

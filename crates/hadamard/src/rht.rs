@@ -12,7 +12,7 @@
 //! (for non-adversarial inputs), which is exactly what makes 1-bit sign
 //! quantization of the rotated vector accurate (DRIVE, NeurIPS '21).
 
-use crate::fwht::{butterflies, check_pow2, fwht_orthonormal, scale_by_inv_sqrt_n};
+use crate::fwht::{butterflies, check_pow2};
 use crate::rademacher::RademacherDiagonal;
 use crate::Result;
 
@@ -43,17 +43,12 @@ impl RandomizedHadamard {
     ///
     /// # Errors
     ///
-    /// Fails when `data.len()` is empty or not a power of two; use
-    /// [`forward_padded`](Self::forward_padded) for arbitrary lengths.
+    /// Fails when `data.len()` is empty or not a power of two (the buffer is
+    /// then untouched); use [`forward_padded`](Self::forward_padded) for
+    /// arbitrary lengths.
     pub fn forward(&self, data: &mut [f32]) -> Result<()> {
-        let mut diag = RademacherDiagonal::new(self.seed);
-        diag.apply(data);
-        // If the butterfly rejects the length we must undo the diagonal so a
-        // failed call leaves the caller's buffer untouched.
-        if let Err(e) = fwht_orthonormal(data) {
-            RademacherDiagonal::new(self.seed).apply(data);
-            return Err(e);
-        }
+        check_pow2(data)?;
+        self.forward_in_place(data);
         Ok(())
     }
 
@@ -109,11 +104,20 @@ impl RandomizedHadamard {
         let mut buf = Vec::with_capacity(n);
         buf.extend_from_slice(data);
         buf.resize(n, 0.0);
-        let mut diag = RademacherDiagonal::new(self.seed);
-        diag.apply(&mut buf);
-        butterflies(&mut buf);
-        scale_by_inv_sqrt_n(&mut buf);
+        self.forward_in_place(&mut buf);
         buf
+    }
+
+    /// The forward RHT core [`forward`](Self::forward) and
+    /// [`forward_padded`](Self::forward_padded) share, the mirror of
+    /// [`inverse_in_place`](Self::inverse_in_place): **one** pass
+    /// `v *= ±1/√n` with the orthonormal scale folded into the diagonal's
+    /// sign, then the butterfly. `data.len()` must be a power of two or zero.
+    fn forward_in_place(&self, data: &mut [f32]) {
+        debug_assert!(data.is_empty() || data.len().is_power_of_two());
+        let scale = 1.0 / (data.len() as f32).sqrt();
+        RademacherDiagonal::new(self.seed).apply_scaled(data, scale);
+        butterflies(data);
     }
 
     /// Inverts a padded rotation and truncates back to `original_len`.
@@ -142,6 +146,7 @@ impl RandomizedHadamard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fwht::fwht_orthonormal;
     use proptest::prelude::*;
 
     fn l2(x: &[f32]) -> f64 {
@@ -172,7 +177,7 @@ mod tests {
             let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 3.0).collect();
             let mut staged = data.clone();
             fwht_orthonormal(&mut staged).unwrap();
-            RademacherDiagonal::new(0xFEED).apply(&mut staged);
+            RademacherDiagonal::new(0xFEED).apply_scaled(&mut staged, 1.0);
             let mut fused = data.clone();
             rht.inverse(&mut fused).unwrap();
             let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -11,6 +11,7 @@
 use crate::ethernet::{self, ETHERTYPE_IPV4};
 use crate::ipv4::{self, Ipv4Packet, PROTO_UDP};
 use crate::packet::NetAddrs;
+use crate::trimhdr;
 use crate::udp::{self, UdpDatagram, PORT_METADATA};
 use crate::{Result, WireError};
 use trimgrad_quant::{RowMeta, SchemeId};
@@ -49,7 +50,7 @@ impl RowMetaPacket {
     pub fn to_bytes(&self) -> [u8; PAYLOAD_LEN] {
         let mut b = [0u8; PAYLOAD_LEN];
         b[0..2].copy_from_slice(&MAGIC.to_be_bytes());
-        b[2] = 1; // version
+        b[2] = trimhdr::VERSION;
         b[3] = self.scheme.as_u8();
         b[4..8].copy_from_slice(&self.msg_id.to_be_bytes());
         b[8..12].copy_from_slice(&self.row_id.to_be_bytes());
@@ -73,7 +74,7 @@ impl RowMetaPacket {
         if u16::from_be_bytes([b[0], b[1]]) != MAGIC {
             return Err(WireError::BadMagic);
         }
-        if b[2] != 1 {
+        if b[2] != trimhdr::VERSION {
             return Err(WireError::BadVersion);
         }
         let scheme = SchemeId::from_u8(b[3]).ok_or(WireError::BadField("scheme"))?;

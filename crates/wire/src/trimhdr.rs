@@ -22,8 +22,17 @@ use trimgrad_quant::SchemeId;
 /// Header magic: ASCII "TG".
 pub const MAGIC: u16 = 0x5447;
 
-/// Current header version.
-pub const VERSION: u8 = 1;
+/// Current wire version, carried by data ([`TrimGradHeader`]) and metadata
+/// (`crate::meta`) frames alike; a frame of any other version is refused
+/// with [`WireError::BadVersion`].
+///
+/// The version covers what the bytes mean, not only their layout: the
+/// shared randomness a receiver regenerates from the seed is part of it.
+/// Version 2 takes 64 Rademacher signs from each `xoshiro256**` draw
+/// (`trimgrad_hadamard::rademacher`); version 1 took one draw per sign, so
+/// a v1 RHT row decoded under v2 would be rotated back by the wrong
+/// diagonal.
+pub const VERSION: u8 = 2;
 
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 28;
