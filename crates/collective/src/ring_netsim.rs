@@ -250,7 +250,7 @@ impl RingWorkerApp {
         let range = segment_range(self.cfg.blob_len, self.cfg.workers(), seg);
         let msg_id = t as u32;
         let (src, dst) = (api.node(), self.next_host());
-        let (flow, tracer) = (self.flow(), api.tracer().clone());
+        let (flow, tracer) = (self.flow(), api.tracer());
         let mut seq = 0u64;
         let mut send = |spec: PacketSpec| {
             m.packets_sent.inc();
@@ -266,7 +266,7 @@ impl RingWorkerApp {
                 row_id: 0, // message-wide template: each row gets its own index
                 epoch: self.cfg.epoch,
             },
-            &tracer,
+            tracer,
             at,
             // The sink runs serially, so frames enter the fabric in (row,
             // chunk) order for every pool width.

@@ -188,11 +188,13 @@ mod tests {
     fn bulk_sender_packet_count_and_sizes() {
         let app = BulkSenderApp::new(NodeId(1), 100_000, 1500, 1);
         assert_eq!(app.packet_count(), 67);
+        let registry = trimgrad_telemetry::Registry::new();
+        let tracer = trimgrad_trace::Tracer::disabled();
         let mut api = HostApi::new(
             SimTime::ZERO,
             NodeId(0),
-            trimgrad_telemetry::Registry::new(),
-            trimgrad_trace::Tracer::disabled(),
+            &registry,
+            &tracer,
             Default::default(),
         );
         let mut app = app;

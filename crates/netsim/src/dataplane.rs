@@ -4,12 +4,14 @@
 //! A flow's route is resolved once, when it first sends: [`FlowPaths`] walks
 //! the routing table from source to destination and records the egress
 //! [`PortId`] of every hop in one flat table. A packet in flight carries a
-//! cursor into that table ([`InFlight::cursor`]), so a switch arrival is a
-//! load and an increment instead of an ECMP-set lookup, a flow hash and a
-//! neighbor search; events likewise name the port they concern.
+//! cursor into that table ([`Hop::cursor`]), so a switch arrival is a load
+//! and an increment instead of an ECMP-set lookup, a flow hash and a
+//! neighbor search; events likewise name the port they concern. The packet
+//! record is read only at send, at a trim or ECN mark, under a fault plan,
+//! for the flight recorder and at delivery.
 
 use crate::event::EventKind;
-use crate::packet::{InFlight, Packet, PacketSpec};
+use crate::packet::{Hop, InFlight, Packet, PacketSpec};
 use crate::ports::{DensePortTable, PortId};
 use crate::sim::Simulator;
 use crate::switch::{EnqueueOutcome, FullAction, QueuePolicy};
@@ -113,25 +115,23 @@ impl Simulator {
                 });
             return;
         }
-        let packet = self.arena.alloc(
-            Packet {
-                id: self.next_pkt_id,
-                flow: spec.flow,
-                src: node,
-                dst: spec.dst,
-                size: spec.size,
-                priority: spec.priority,
-                reliable: spec.reliable,
-                trimmed: false,
-                ecn: false,
-                seq: spec.seq,
-                fin: spec.fin,
-                sent_at: self.now,
-                body: spec.body,
-            },
-            start + 1,
-            flow_slot,
-        );
+        let packet = Packet {
+            id: self.next_pkt_id,
+            flow: spec.flow,
+            src: node,
+            dst: spec.dst,
+            size: spec.size,
+            priority: spec.priority,
+            reliable: spec.reliable,
+            trimmed: false,
+            ecn: false,
+            seq: spec.seq,
+            fin: spec.fin,
+            sent_at: self.now,
+            body: spec.body,
+        };
+        let hop = Hop::of(&packet, start + 1);
+        let packet = self.arena.alloc(packet, flow_slot);
         self.next_pkt_id += 1;
         self.in_flight += 1;
         self.tracer
@@ -142,12 +142,12 @@ impl Simulator {
                 pkt: packet.id,
                 size: packet.size,
             });
-        self.enqueue_on_port(PortId(first), packet, &host_nic_policy());
+        self.enqueue_on_port(PortId(first), packet, hop, &host_nic_policy());
     }
 
     // Delivery hands packets to app code via `with_app`, so this is not a
     // lint hot-path root; the spine calls it makes are annotated.
-    pub(crate) fn handle_arrive(&mut self, port: PortId, mut packet: Box<InFlight>) {
+    pub(crate) fn handle_arrive(&mut self, port: PortId, mut packet: Box<InFlight>, mut hop: Hop) {
         let node = self.ports.to(port);
         match self.topo.kind(node) {
             NodeKind::Host => {
@@ -174,7 +174,7 @@ impl Simulator {
             }
             NodeKind::Switch(policy) => {
                 self.stats.on_forwarded();
-                let next = self.paths.hops[packet.cursor as usize];
+                let next = self.paths.hops[hop.cursor as usize];
                 if next == NO_ROUTE {
                     // Unreachable destination: count as a drop.
                     self.in_flight -= 1;
@@ -191,48 +191,46 @@ impl Simulator {
                     self.arena.free(packet);
                     return;
                 }
-                packet.cursor += 1;
-                self.enqueue_on_port(PortId(next), packet, &policy);
+                hop.cursor += 1;
+                self.enqueue_on_port(PortId(next), packet, hop, &policy);
             }
         }
     }
 
     // trimlint: hot-path -- switch enqueue + trim/drop accounting
-    fn enqueue_on_port(&mut self, key: PortId, packet: Box<InFlight>, policy: &QueuePolicy) {
-        let (flow, pseq, pkt, size) = (packet.flow.0, packet.seq, packet.id, packet.size);
+    fn enqueue_on_port(&mut self, key: PortId, pkt: Box<InFlight>, hop: Hop, policy: &QueuePolicy) {
+        // The record's identity is read only for the recorder or tenant scopes.
+        let (flow, pseq, id) = if self.tracer.is_enabled() || !self.flow_scopes.is_empty() {
+            (pkt.flow.0, pkt.seq, pkt.id)
+        } else {
+            (0, 0, 0)
+        };
         let port = self.ports.get_mut(key);
-        let marks = port.counters.ecn_marked;
-        let outcome = port.enqueue(packet, policy);
+        let (marks, high) = (port.counters.ecn_marked, port.high_bytes());
+        let (outcome, rejected) = port.enqueue(pkt, hop, policy);
         // The port decides what gets marked; the fabric-wide tally follows it.
         let marked = port.counters.ecn_marked != marks;
-        let rejected = port.take_rejected();
-        // After a trim, the surviving remnant sits at the back of the
-        // priority queue; read its size before the port borrow ends.
-        let trimmed_size = port.high_back_size();
+        // A trim's remnant is what the priority queue grew by.
+        let trimmed_size = port.high_bytes() - high;
         let low = port.low_bytes();
         let queued = u32::try_from(port.queued_packets()).unwrap_or(u32::MAX);
         self.ports.record_depth(key, low, queued);
         // Incremental conservation: mirror the port's own tally so the
         // whole-run check never re-scans the table.
-        self.port_totals.arrived += 1;
-        match outcome {
-            EnqueueOutcome::Data => self.port_totals.queued_data += 1,
-            EnqueueOutcome::Priority => self.port_totals.queued_prio += 1,
-            EnqueueOutcome::Trimmed => self.port_totals.trimmed += 1,
-            EnqueueOutcome::DroppedDataFull => self.port_totals.dropped_data_full += 1,
-            EnqueueOutcome::DroppedPrioFull => self.port_totals.dropped_prio_full += 1,
-        }
+        self.port_totals.count(outcome);
         if let Some(slot) = rejected {
             self.arena.free(slot);
         }
         self.stats.observe_queue(low);
         if marked {
+            self.port_totals.ecn_marked += 1;
             self.stats.on_ecn_marked();
         }
         let at = self.now.as_nanos();
         // The link's two ends, for trace events only (a search, not a load).
         let ports = &self.ports;
         let ends = || (sat32(ports.from(key).0), sat32(ports.to(key).0));
+        let size = hop.size;
         match outcome {
             EnqueueOutcome::Data | EnqueueOutcome::Priority => {
                 self.tracer.emit(at, || {
@@ -242,7 +240,7 @@ impl Simulator {
                         to,
                         flow,
                         pseq,
-                        pkt,
+                        pkt: id,
                         size,
                         prio: outcome == EnqueueOutcome::Priority,
                     }
@@ -250,12 +248,10 @@ impl Simulator {
             }
             EnqueueOutcome::Trimmed => {
                 self.stats.on_trimmed();
-                if !self.flow_scopes.is_empty() {
-                    if let Some(t) = self.flow_scopes.get(&(flow >> 32)) {
-                        t.trimmed.inc();
-                        t.trim_bytes
-                            .add(u64::from(size.saturating_sub(trimmed_size.unwrap_or(0))));
-                    }
+                if let Some(t) = self.flow_scopes.get(&(flow >> 32)) {
+                    t.trimmed.inc();
+                    t.trim_bytes
+                        .add(u64::from(size.saturating_sub(trimmed_size)));
                 }
                 self.tracer.emit(at, || {
                     let (node, to) = ends();
@@ -264,9 +260,9 @@ impl Simulator {
                         to,
                         flow,
                         pseq,
-                        pkt,
+                        pkt: id,
                         old_size: size,
-                        new_size: trimmed_size.unwrap_or(0),
+                        new_size: trimmed_size,
                     }
                 });
             }
@@ -286,7 +282,7 @@ impl Simulator {
                         to,
                         flow,
                         pseq,
-                        pkt,
+                        pkt: id,
                         reason,
                     }
                 });
@@ -297,32 +293,32 @@ impl Simulator {
     }
 
     // trimlint: hot-path -- egress serializer start (dequeue + schedule)
-    pub(crate) fn port_try_start(&mut self, key: PortId) {
+    pub(crate) fn port_try_start(&mut self, port: PortId) {
         // Consult the dense busy/queued mirrors first so the common
         // "port already serializing" / "nothing queued" cases never pull a
         // scattered PortState line into cache.
-        if self.ports.is_busy(key) || !self.ports.has_backlog(key) {
+        if self.ports.is_busy(port) || !self.ports.has_backlog(port) {
             return;
         }
-        let port = self.ports.get_mut(key);
-        let Some(mut packet) = port.dequeue() else {
+        let state = self.ports.get_mut(port);
+        let Some((mut packet, mut hop)) = state.dequeue() else {
             return;
         };
-        let low = port.low_bytes();
-        let queued = u32::try_from(port.queued_packets()).unwrap_or(u32::MAX);
-        self.ports.set_busy(key, true);
-        self.ports.record_depth(key, low, queued);
+        let low = state.low_bytes();
+        let queued = u32::try_from(state.queued_packets()).unwrap_or(u32::MAX);
+        self.ports.set_busy(port, true);
+        self.ports.record_depth(port, low, queued);
         self.port_totals.dequeued += 1;
         // Link params come from the port table's build-time cache, not a
         // linear adjacency scan per packet.
-        let params = self.ports.params(key);
-        let ser = params.rate.serialize_time(packet.size as usize);
+        let params = self.ports.params(port);
+        let ser = params.rate.serialize_time(hop.size as usize);
         self.queue
-            .schedule(self.now + ser, EventKind::PortFree { port: key });
+            .schedule(self.now + ser, EventKind::PortFree { port });
         let ports = &self.ports;
         let dropped = |packet: &InFlight, reason| TraceEvent::PktDropped {
-            node: sat32(ports.from(key).0),
-            to: sat32(ports.to(key).0),
+            node: sat32(ports.from(port).0),
+            to: sat32(ports.to(port).0),
             flow: packet.flow.0,
             pseq: packet.seq,
             pkt: packet.id,
@@ -342,7 +338,7 @@ impl Simulator {
         // destroying it, delaying it, or materializing extra clones.
         let mut extra_delay = SimTime::ZERO;
         if let Some(plan) = &mut self.fault_plan {
-            let (node, to) = (ports.from(key), ports.to(key));
+            let (node, to) = (ports.from(port), ports.to(port));
             let outcome = plan.apply(node, to, &mut packet);
             if outcome.drop {
                 self.in_flight -= 1;
@@ -353,6 +349,8 @@ impl Simulator {
                 return;
             }
             extra_delay = outcome.extra_delay;
+            // A truncation may have shrunk or reclassified the record.
+            hop = Hop::of(&packet, hop.cursor);
             for (clone, jitter) in outcome.injected {
                 self.in_flight += 1;
                 self.stats.on_injected();
@@ -364,19 +362,20 @@ impl Simulator {
                         pseq: clone.seq,
                         pkt: clone.id,
                     });
-                let (cursor, flow_slot) = self.clone_route(key, &clone);
+                let (cursor, flow_slot) = self.clone_route(port, &clone);
                 self.queue.schedule(
                     self.now + ser + params.delay + jitter,
                     EventKind::Arrive {
-                        port: key,
-                        packet: self.arena.alloc(clone, cursor, flow_slot),
+                        port,
+                        hop: Hop::of(&clone, cursor),
+                        packet: self.arena.alloc(clone, flow_slot),
                     },
                 );
             }
         }
         self.queue.schedule(
             self.now + ser + params.delay + extra_delay,
-            EventKind::Arrive { port: key, packet },
+            EventKind::Arrive { port, packet, hop },
         );
     }
 
@@ -393,12 +392,12 @@ impl Simulator {
         );
         let mut cursor = start;
         loop {
-            let hop = self.paths.hops[cursor as usize];
-            if hop == NO_ROUTE {
+            let port = self.paths.hops[cursor as usize];
+            if port == NO_ROUTE {
                 break;
             }
             cursor += 1;
-            if hop == key.0 {
+            if port == key.0 {
                 break;
             }
         }

@@ -24,24 +24,25 @@ pub(crate) struct HostActions {
     pub(crate) completed_flows: Vec<crate::FlowId>,
 }
 
-/// The per-callback interface an app uses to act on the network.
+/// The per-callback interface an app uses to act on the network; it borrows
+/// the simulation's registry and flight recorder.
 #[derive(Debug)]
-pub struct HostApi {
+pub struct HostApi<'a> {
     now: SimTime,
     node: NodeId,
-    registry: Registry,
-    tracer: Tracer,
+    registry: &'a Registry,
+    tracer: &'a Tracer,
     pub(crate) actions: HostActions,
 }
 
-impl HostApi {
+impl<'a> HostApi<'a> {
     /// `actions` must be empty; the caller takes it back (drained) with
     /// [`HostApi::into_actions`].
     pub(crate) fn new(
         now: SimTime,
         node: NodeId,
-        registry: Registry,
-        tracer: Tracer,
+        registry: &'a Registry,
+        tracer: &'a Tracer,
         actions: HostActions,
     ) -> Self {
         Self {
@@ -73,16 +74,17 @@ impl HostApi {
     /// here (e.g. `collective.rank.N.*`); the counters land in the same
     /// [`trimgrad_telemetry::Snapshot`] as the fabric's `netsim.*` series.
     #[must_use]
-    pub fn telemetry(&self) -> &Registry {
-        &self.registry
+    pub fn telemetry(&self) -> &'a Registry {
+        self.registry
     }
 
     /// The simulation's flight recorder (disabled unless `TRIMGRAD_TRACE` is
     /// set or the simulator was given a tracer). App callbacks run serially
-    /// inside the event loop, so emitting here keeps traces deterministic.
+    /// inside the event loop, so emitting here keeps traces deterministic;
+    /// the borrow outlives `&self`, so an app can hold it while it sends.
     #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    pub fn tracer(&self) -> &'a Tracer {
+        self.tracer
     }
 
     /// Hands a packet to the NIC (enqueued on the egress port when the
@@ -163,11 +165,12 @@ mod tests {
 
     #[test]
     fn api_buffers_actions() {
+        let (registry, tracer) = (Registry::new(), Tracer::disabled());
         let mut api = HostApi::new(
             SimTime::from_micros(5),
             NodeId(3),
-            Registry::new(),
-            Tracer::disabled(),
+            &registry,
+            &tracer,
             HostActions::default(),
         );
         assert_eq!(api.now(), SimTime::from_micros(5));
@@ -184,11 +187,12 @@ mod tests {
     #[test]
     fn sink_counts() {
         let mut sink = SinkApp::default();
+        let (registry, tracer) = (Registry::new(), Tracer::disabled());
         let mut api = HostApi::new(
             SimTime::ZERO,
             NodeId(0),
-            Registry::new(),
-            Tracer::disabled(),
+            &registry,
+            &tracer,
             HostActions::default(),
         );
         let mut pkt = crate::packet::Packet {

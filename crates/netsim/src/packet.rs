@@ -240,28 +240,43 @@ impl Packet {
     }
 }
 
-/// A packet inside the fabric: the app-facing [`Packet`] plus the two
-/// indices the data plane resolved for it when it was sent, so no hop has to
-/// look them up again. Only [`PacketArena::alloc`] makes one; it derefs to
-/// the packet it carries.
+/// What every hop needs of a packet in flight. It rides beside the packet's
+/// box — in the port-queue entry and the `Arrive` event — so forwarding never
+/// reads the record, whose `size` and `priority` it always equals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// Current wire size in bytes.
+    pub size: u32,
+    /// Index of the next egress port in the simulator's flat path table.
+    pub cursor: u32,
+    /// High-priority class.
+    pub priority: bool,
+}
+
+impl Hop {
+    /// The hop state of `packet` whose next egress port is at `cursor`.
+    // trimlint: hot-path -- per send, per fault-plan clone and refresh
+    #[must_use]
+    pub fn of(packet: &Packet, cursor: u32) -> Self {
+        Self {
+            size: packet.size,
+            cursor,
+            priority: packet.priority,
+        }
+    }
+}
+
+/// A packet inside the fabric: the app-facing [`Packet`] plus the slot of
+/// its flow record, resolved at send. Only [`PacketArena::alloc`] makes one;
+/// it derefs to the packet it carries. Its per-hop state is a [`Hop`].
 #[derive(Debug)]
 pub struct InFlight {
     pkt: Packet,
-    /// Index into the simulator's flat path table of the next egress port
-    /// this packet takes (see `dataplane::FlowPaths`); each switch arrival
-    /// reads it and advances it by one.
-    pub(crate) cursor: u32,
     /// Slot of the packet's flow record in [`crate::stats::Stats`].
     pub(crate) flow_slot: u32,
 }
 
 impl InFlight {
-    /// Path-table index of the packet's next egress port.
-    #[must_use]
-    pub fn cursor(&self) -> u32 {
-        self.cursor
-    }
-
     /// Slot of the packet's flow record.
     #[must_use]
     pub fn flow_slot(&self) -> u32 {
@@ -297,8 +312,8 @@ impl core::ops::DerefMut for InFlight {
 /// the next send — one allocator round-trip per packet lifetime, which at
 /// datacenter scale dominates the data plane. The arena keeps retired
 /// boxes on a LIFO freelist instead: [`PacketArena::alloc`] overwrites
-/// every field of a recycled box with the new packet and its routing state
-/// (so no stale payload/flow/seq/cursor can leak across reuses —
+/// every field of a recycled box with the new packet and its flow slot
+/// (so no stale payload/flow/seq/slot can leak across reuses —
 /// `tests/arena_prop.rs` proves it), and [`PacketArena::free`] returns a
 /// box to the list.
 ///
@@ -326,18 +341,16 @@ impl PacketArena {
         Self::default()
     }
 
-    /// Boxes `packet` with its path cursor and flow slot, reusing a pooled
-    /// allocation when one is available. Every field of a recycled box is
-    /// overwritten.
+    /// Boxes `packet` with its flow slot, reusing a pooled allocation when
+    /// one is available. Every field of a recycled box is overwritten.
     // trimlint: hot-path -- per-send/per-injection packet boxing
-    pub fn alloc(&mut self, packet: Packet, cursor: u32, flow_slot: u32) -> Box<InFlight> {
+    pub fn alloc(&mut self, packet: Packet, flow_slot: u32) -> Box<InFlight> {
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
         }
         let in_flight = InFlight {
             pkt: packet,
-            cursor,
             flow_slot,
         };
         if let Some(mut slot) = self.pool.pop() {
@@ -512,16 +525,8 @@ mod tests {
     #[test]
     fn arena_recycles_and_counts() {
         let mut arena = PacketArena::new();
-        let a = arena.alloc(
-            pkt(PacketSpec::synthetic(NodeId(1), FlowId(1), 1500, 0)),
-            5,
-            1,
-        );
-        let b = arena.alloc(
-            pkt(PacketSpec::synthetic(NodeId(1), FlowId(2), 1500, 1)),
-            9,
-            2,
-        );
+        let a = arena.alloc(pkt(PacketSpec::synthetic(NodeId(1), FlowId(1), 1500, 0)), 1);
+        let b = arena.alloc(pkt(PacketSpec::synthetic(NodeId(1), FlowId(2), 1500, 1)), 2);
         assert_eq!(arena.live(), 2);
         assert_eq!(arena.high_water(), 2);
         assert_eq!(arena.fresh_allocations(), 2);
@@ -529,11 +534,7 @@ mod tests {
         arena.free(b);
         assert_eq!(arena.live(), 0);
         assert_eq!(arena.pooled(), 2);
-        let c = arena.alloc(
-            pkt(PacketSpec::synthetic(NodeId(2), FlowId(3), 640, 7)),
-            0,
-            3,
-        );
+        let c = arena.alloc(pkt(PacketSpec::synthetic(NodeId(2), FlowId(3), 640, 7)), 3);
         assert_eq!(arena.recycled_allocations(), 1);
         assert_eq!(arena.fresh_allocations(), 2);
         assert_eq!(arena.high_water(), 2, "high water does not regress");
@@ -542,7 +543,15 @@ mod tests {
         assert_eq!(c.seq, 7);
         assert_eq!(c.size, 640);
         assert_eq!(c.dst, NodeId(2));
-        assert_eq!((c.cursor(), c.flow_slot()), (0, 3));
+        assert_eq!(c.flow_slot(), 3);
+        assert_eq!(
+            Hop::of(&c, 4),
+            Hop {
+                size: 640,
+                cursor: 4,
+                priority: false
+            }
+        );
         assert_eq!(arena.total_allocations(), 3);
         assert_eq!(arena.freed(), 2);
     }

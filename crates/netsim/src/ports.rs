@@ -17,7 +17,7 @@
 //! behaviour (trace, telemetry, conservation) to recorded digests.
 
 use crate::link::LinkParams;
-use crate::switch::PortState;
+use crate::switch::{Mismatch, PortState};
 use crate::topology::Topology;
 use crate::NodeId;
 
@@ -231,6 +231,20 @@ impl DensePortTable {
                 ((self.from(key).0, self.to(key).0), p)
             })
     }
+
+    /// Recounts every port (`PortState::recount`) and sums their counters.
+    pub(crate) fn recount(&self) -> Result<[u64; 8], (String, Mismatch)> {
+        let mut sum = [0u64; 8];
+        for (key, port) in (0..).map(PortId).zip(&self.ports) {
+            let i = key.0 as usize;
+            let found = port.recount(self.depths[i], self.queued[i], self.busy[i]);
+            found.map_err(|m| (format!("port {}->{}", self.from(key).0, self.to(key).0), m))?;
+            for (total, (_, n)) in sum.iter_mut().zip(port.counters.fields()) {
+                *total += n;
+            }
+        }
+        Ok(sum)
+    }
 }
 
 #[cfg(test)]
@@ -320,16 +334,14 @@ mod tests {
         let t = diamond();
         let mut dense = DensePortTable::new(&t);
         let policy = QueuePolicy::trim_default();
-        let pkt = crate::packet::PacketArena::new().alloc(
-            crate::packet::Packet {
-                size: 100,
-                ..crate::packet::Packet::stub()
-            },
-            0,
-            0,
-        );
+        let pkt = crate::packet::Packet {
+            size: 100,
+            ..crate::packet::Packet::stub()
+        };
+        let hop = crate::packet::Hop::of(&pkt, 0);
+        let pkt = crate::packet::PacketArena::new().alloc(pkt, 0);
         let dk = dense.key(NodeId(0), NodeId(2));
-        dense.get_mut(dk).enqueue(pkt, &policy);
+        let _ = dense.get_mut(dk).enqueue(pkt, hop, &policy);
         let d: Vec<_> = dense
             .ports_touched()
             .map(|(k, p)| (k, p.counters.arrived))

@@ -23,7 +23,7 @@ use crate::host::{App, HostActions, HostApi, SinkApp};
 use crate::packet::PacketArena;
 use crate::ports::DensePortTable;
 use crate::stats::{ConservationViolation, Stats};
-use crate::switch::PortCounters;
+use crate::switch::{Mismatch, PortCounters};
 use crate::time::SimTime;
 use crate::topology::{NodeKind, Routes, Topology};
 use crate::NodeId;
@@ -406,62 +406,59 @@ impl Simulator {
     /// the aggregated per-port identity plus the global one.
     ///
     /// O(1): the per-port roll-up is maintained incrementally at every
-    /// enqueue/dequeue instead of re-scanning the port table. The
-    /// authoritative per-port scan (which also names an offender) lives in
-    /// [`Simulator::conservation_report`]; the differential and property
-    /// tests assert the two always agree.
+    /// enqueue/dequeue instead of re-scanning the port table. The full
+    /// recount, which also names an offender, is
+    /// [`Simulator::check_invariants`].
     #[must_use]
     pub fn conservation_holds(&self) -> bool {
         self.port_totals.conserved() && self.stats.conservation_holds(self.in_flight)
     }
 
-    /// Like [`Simulator::conservation_holds`], but scans every port and a
-    /// failure names the first offending port/counter pair (ports checked
-    /// in deterministic `(from, to)` order, then the global identity).
+    /// Recounts what the data plane keeps incrementally: per port, in
+    /// `(from, to)` order, conservation, byte totals against queue entries,
+    /// each entry's size and class against its record (hot/cold coherence)
+    /// and the dense mirrors; then global conservation, `port_totals`,
+    /// `arena().live() == in_flight()` and a monotone clock. Debug builds
+    /// run it at every queue-sampling tick.
     ///
     /// # Errors
     ///
-    /// The first violated identity.
-    pub fn conservation_report(&self) -> Result<(), ConservationViolation> {
-        for ((from, to), port) in self.ports.ports_touched() {
-            let c = &port.counters;
-            if !c.conserved() {
-                return Err(ConservationViolation {
-                    scope: format!("port {from}->{to}"),
-                    lhs: ("arrived".to_string(), c.arrived),
-                    rhs: (
-                        "queued_data + queued_prio + trimmed + dropped_data_full \
-                         + dropped_prio_full"
-                            .to_string(),
-                        c.queued_total() + c.dropped_total(),
-                    ),
-                    detail: format!(
-                        "queued_data={} queued_prio={} trimmed={} dropped_data_full={} \
-                         dropped_prio_full={} dequeued={}",
-                        c.queued_data,
-                        c.queued_prio,
-                        c.trimmed,
-                        c.dropped_data_full,
-                        c.dropped_prio_full,
-                        c.dequeued,
-                    ),
-                });
-            }
+    /// The first violated invariant.
+    pub fn check_invariants(&self) -> Result<(), ConservationViolation> {
+        let violation = |(scope, (what, kept, real)): (String, Mismatch)| ConservationViolation {
+            scope,
+            lhs: (what.to_string(), kept),
+            rhs: ("recounted".to_string(), real),
+            detail: "kept incrementally, then recounted".to_string(),
+        };
+        let sums = self.ports.recount().map_err(violation)?;
+        self.stats.conservation_report(self.in_flight)?;
+        let next = self.queue.peek_time().map_or(self.now, |t| t.min(self.now));
+        let live = ("live vs in_flight", self.arena.live(), self.in_flight);
+        let fabric = [
+            ("arena", live),
+            ("clock", ("now vs next event", self.now.0, next.0)),
+        ];
+        let totals = self.port_totals.fields().into_iter().zip(sums);
+        let mut checks = totals
+            .map(|((field, kept), sum)| ("port_totals", (field, kept, sum)))
+            .chain(fabric);
+        match checks.find(|&(_, (_, kept, real))| kept != real) {
+            Some((scope, mismatch)) => Err(violation((scope.to_string(), mismatch))),
+            None => Ok(()),
         }
-        self.stats.conservation_report(self.in_flight)
     }
 
-    /// Panics on a conservation violation, with the first offending
-    /// port/counter pair in the message. The violation is recorded in the
-    /// trace first, so when tracing is enabled the `trace_panic` black box
-    /// this simulation leaves behind ends with the `conservation.violation`
-    /// mark.
+    /// Panics on the first violated invariant ([`Simulator::check_invariants`],
+    /// packet conservation among them), recording it in the trace first, so a
+    /// traced run's `trace_panic` black box ends with the
+    /// `conservation.violation` mark.
     ///
     /// # Panics
     ///
-    /// When any conservation identity is violated.
+    /// When any invariant is violated.
     pub fn assert_conservation(&self) {
-        if let Err(v) = self.conservation_report() {
+        if let Err(v) = self.check_invariants() {
             self.tracer.mark(
                 self.now.as_nanos(),
                 "conservation.violation",
@@ -482,7 +479,7 @@ impl Simulator {
     // table, the arena) carries the hot-path annotations instead.
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Arrive { port, packet } => self.handle_arrive(port, packet),
+            EventKind::Arrive { port, packet, hop } => self.handle_arrive(port, packet, hop),
             EventKind::PortFree { port } => {
                 // Dense fast path: clear the busy flag and bail on an empty
                 // backlog without ever touching the (cold, ~150B) PortState
@@ -496,6 +493,9 @@ impl Simulator {
                 self.with_app(node, |app, api| app.on_timer(token, api));
             }
             EventKind::StatsSample => {
+                if cfg!(debug_assertions) {
+                    self.assert_conservation();
+                }
                 // Allocation-free: walk the dense depth mirror instead of
                 // collecting a scratch Vec.
                 for &d in self.ports.depths() {
@@ -533,15 +533,10 @@ impl Simulator {
         let Some(mut app) = self.apps[node.0].take() else {
             return;
         };
-        // Hosts carry their tenant's scoped registry when one was set; the
-        // common (unscoped) case is a pair of Arc bumps either way.
-        let registry = self
-            .node_scopes
-            .get(&node.0)
-            .unwrap_or(&self.registry)
-            .clone();
+        // Hosts see their tenant's scoped registry when one was set.
+        let registry = self.node_scopes.get(&node.0).unwrap_or(&self.registry);
         let actions = core::mem::take(&mut self.host_actions);
-        let mut api = HostApi::new(self.now, node, registry, self.tracer.clone(), actions);
+        let mut api = HostApi::new(self.now, node, registry, &self.tracer, actions);
         f(app.as_mut(), &mut api);
         self.apps[node.0] = Some(app);
         let mut actions = api.into_actions();

@@ -13,7 +13,7 @@
 //! An optional ECN threshold marks packets when the data queue is deep,
 //! independent of the full-queue action.
 
-use crate::packet::InFlight;
+use crate::packet::{Hop, InFlight};
 use std::collections::VecDeque;
 use trimgrad_telemetry::Registry;
 
@@ -151,9 +151,22 @@ impl PortCounters {
         self.arrived == self.queued_total() + self.dropped_total()
     }
 
-    /// Adds the tallies to `registry` as counters named `{prefix}.{field}`.
-    pub fn export_to(&self, registry: &Registry, prefix: &str) {
-        let fields: [(&str, u64); 8] = [
+    /// Counts one arrival and what became of it.
+    // trimlint: hot-path -- per enqueue, on the port and on the fabric roll-up
+    pub(crate) fn count(&mut self, outcome: EnqueueOutcome) {
+        self.arrived += 1;
+        match outcome {
+            EnqueueOutcome::Data => self.queued_data += 1,
+            EnqueueOutcome::Priority => self.queued_prio += 1,
+            EnqueueOutcome::Trimmed => self.trimmed += 1,
+            EnqueueOutcome::DroppedDataFull => self.dropped_data_full += 1,
+            EnqueueOutcome::DroppedPrioFull => self.dropped_prio_full += 1,
+        }
+    }
+
+    /// Every tally with its field name.
+    pub(crate) fn fields(&self) -> [(&'static str, u64); 8] {
+        [
             ("arrived", self.arrived),
             ("queued_data", self.queued_data),
             ("queued_prio", self.queued_prio),
@@ -162,24 +175,36 @@ impl PortCounters {
             ("dropped_prio_full", self.dropped_prio_full),
             ("ecn_marked", self.ecn_marked),
             ("dequeued", self.dequeued),
-        ];
-        for (field, value) in fields {
+        ]
+    }
+
+    /// Adds the tallies to `registry` as counters named `{prefix}.{field}`.
+    pub fn export_to(&self, registry: &Registry, prefix: &str) {
+        for (field, value) in self.fields() {
             registry.counter(&format!("{prefix}.{field}")).add(value);
         }
     }
 }
 
+/// A recount's first disagreement: what, its kept value, its recount.
+pub(crate) type Mismatch = (&'static str, u64, u64);
+
+/// A queued packet: its record and its [`Hop`] state, 16 bytes; the class is
+/// the queue the entry sits in.
+#[derive(Debug)]
+struct Entry {
+    packet: Box<InFlight>,
+    size: u32,
+    cursor: u32,
+}
+
 /// The queues and serializer state of one egress port.
 #[derive(Debug, Default)]
 pub struct PortState {
-    high: VecDeque<Box<InFlight>>,
-    low: VecDeque<Box<InFlight>>,
+    high: VecDeque<Entry>,
+    low: VecDeque<Entry>,
     high_bytes: u32,
     low_bytes: u32,
-    /// The packet the most recent [`PortState::enqueue`] rejected, parked
-    /// so the caller can recycle its allocation (see
-    /// [`PortState::take_rejected`]).
-    rejected: Option<Box<InFlight>>,
     /// Deepest data-queue occupancy seen (bytes).
     pub max_low_bytes: u32,
     /// Monotone event tallies for this port.
@@ -219,61 +244,57 @@ impl PortState {
 
     /// Enqueues under `policy`, possibly trimming or dropping. The packet
     /// arrives boxed — the same allocation that rode the arrival event — and
-    /// parks in the queue without a copy. On a `Dropped*` outcome the
-    /// rejected box is parked for [`PortState::take_rejected`] so its
-    /// allocation can be recycled instead of falling to the allocator.
+    /// parks in the queue without a copy, beside its `hop` state; the record
+    /// is read only to ECN-mark or trim it. On a `Dropped*` outcome the
+    /// rejected box comes back, so its allocation can be recycled.
     // trimlint: hot-path -- switch forward path (trim/drop decision)
-    pub fn enqueue(&mut self, pkt: Box<InFlight>, policy: &QueuePolicy) -> EnqueueOutcome {
-        let (outcome, rejected) = self.enqueue_inner(pkt, policy);
-        self.rejected = rejected;
-        self.counters.arrived += 1;
-        match outcome {
-            EnqueueOutcome::Data => self.counters.queued_data += 1,
-            EnqueueOutcome::Priority => self.counters.queued_prio += 1,
-            EnqueueOutcome::Trimmed => self.counters.trimmed += 1,
-            EnqueueOutcome::DroppedDataFull => self.counters.dropped_data_full += 1,
-            EnqueueOutcome::DroppedPrioFull => self.counters.dropped_prio_full += 1,
-        }
-        outcome
-    }
-
-    /// Takes the packet the most recent [`PortState::enqueue`] rejected
-    /// (`Some` exactly when that enqueue returned a `Dropped*` outcome).
-    /// The simulator returns it to the packet arena; callers that ignore it
-    /// simply let the next enqueue (or the port's drop) release the box.
-    // trimlint: hot-path -- drop-site recycling handoff
-    pub fn take_rejected(&mut self) -> Option<Box<InFlight>> {
-        self.rejected.take()
+    pub fn enqueue(
+        &mut self,
+        pkt: Box<InFlight>,
+        hop: Hop,
+        policy: &QueuePolicy,
+    ) -> (EnqueueOutcome, Option<Box<InFlight>>) {
+        let (outcome, rejected) = self.enqueue_inner(pkt, hop, policy);
+        self.counters.count(outcome);
+        (outcome, rejected)
     }
 
     fn enqueue_inner(
         &mut self,
         mut pkt: Box<InFlight>,
+        hop: Hop,
         policy: &QueuePolicy,
     ) -> (EnqueueOutcome, Option<Box<InFlight>>) {
-        if pkt.priority {
-            return match self.enqueue_high(pkt, policy) {
+        let entry = |packet, size| Entry {
+            packet,
+            size,
+            cursor: hop.cursor,
+        };
+        if hop.priority {
+            return match self.enqueue_high(entry(pkt, hop.size), policy) {
                 Ok(()) => (EnqueueOutcome::Priority, None),
                 Err(pkt) => (EnqueueOutcome::DroppedPrioFull, Some(pkt)),
             };
         }
-        if self.low_bytes + pkt.size <= policy.data_capacity {
+        if self.low_bytes + hop.size <= policy.data_capacity {
             if let Some(thresh) = policy.ecn_threshold {
-                if self.low_bytes + pkt.size > thresh && !pkt.ecn {
+                if self.low_bytes + hop.size > thresh && !pkt.ecn {
                     pkt.ecn = true;
                     self.counters.ecn_marked += 1;
                 }
             }
-            self.low_bytes += pkt.size;
+            self.low_bytes += hop.size;
             self.max_low_bytes = self.max_low_bytes.max(self.low_bytes);
-            self.low.push_back(pkt);
+            self.low.push_back(entry(pkt, hop.size));
             return (EnqueueOutcome::Data, None);
         }
         match policy.action {
             FullAction::DropTail => (EnqueueOutcome::DroppedDataFull, Some(pkt)),
             FullAction::Trim { grad_depth } => {
                 if pkt.trim(grad_depth) {
-                    match self.enqueue_high(pkt, policy) {
+                    // A trim shrinks the record; the entry takes its size.
+                    let size = pkt.size;
+                    match self.enqueue_high(entry(pkt, size), policy) {
                         Ok(()) => (EnqueueOutcome::Trimmed, None),
                         Err(pkt) => (EnqueueOutcome::DroppedPrioFull, Some(pkt)),
                     }
@@ -284,45 +305,68 @@ impl PortState {
         }
     }
 
-    /// Queues `pkt` high-priority, or hands it back when the queue is full.
-    fn enqueue_high(
-        &mut self,
-        pkt: Box<InFlight>,
-        policy: &QueuePolicy,
-    ) -> Result<(), Box<InFlight>> {
-        if self.high_bytes + pkt.size <= policy.prio_capacity {
-            self.high_bytes += pkt.size;
-            self.high.push_back(pkt);
+    /// Queues `entry` high-priority, or hands its packet back when the queue
+    /// is full.
+    fn enqueue_high(&mut self, entry: Entry, policy: &QueuePolicy) -> Result<(), Box<InFlight>> {
+        if self.high_bytes + entry.size <= policy.prio_capacity {
+            self.high_bytes += entry.size;
+            self.high.push_back(entry);
             Ok(())
         } else {
-            Err(pkt)
+            Err(entry.packet)
         }
     }
 
-    /// Size of the most recently enqueued priority packet, if any — after an
-    /// [`EnqueueOutcome::Trimmed`], this is the surviving remnant's size (the
-    /// remnant lands at the back of the high queue). Used by the flight
-    /// recorder to report post-trim sizes.
-    #[must_use]
-    pub(crate) fn high_back_size(&self) -> Option<u32> {
-        self.high.back().map(|p| p.size)
-    }
-
-    /// Dequeues the next packet to serialize: strict priority, FIFO within
-    /// each class.
+    /// Dequeues the next packet to serialize, with its hop state: strict
+    /// priority, FIFO within each class.
     // trimlint: hot-path -- switch forward path (egress serialize)
-    pub fn dequeue(&mut self) -> Option<Box<InFlight>> {
-        if let Some(p) = self.high.pop_front() {
-            self.high_bytes -= p.size;
-            self.counters.dequeued += 1;
-            return Some(p);
-        }
-        if let Some(p) = self.low.pop_front() {
-            self.low_bytes -= p.size;
-            self.counters.dequeued += 1;
-            return Some(p);
-        }
-        None
+    pub fn dequeue(&mut self) -> Option<(Box<InFlight>, Hop)> {
+        let (e, priority) = if let Some(e) = self.high.pop_front() {
+            self.high_bytes -= e.size;
+            (e, true)
+        } else {
+            let e = self.low.pop_front()?;
+            self.low_bytes -= e.size;
+            (e, false)
+        };
+        self.counters.dequeued += 1;
+        let hop = Hop {
+            size: e.size,
+            cursor: e.cursor,
+            priority,
+        };
+        Some((e.packet, hop))
+    }
+
+    /// Recounts the port (conservation, entries against records and byte
+    /// totals) and the port table's mirrors of it (`depth`, `queued`,
+    /// `busy`: a port with a backlog is serializing).
+    pub(crate) fn recount(&self, depth: u32, queued: u32, busy: bool) -> Result<(), Mismatch> {
+        let c = &self.counters;
+        let sum = |q: &VecDeque<Entry>| q.iter().map(|e| u64::from(e.size)).sum();
+        let strays = |q: &VecDeque<Entry>, high| {
+            q.iter().filter(|e| e.packet.priority != high).count() as u64
+        };
+        let mut entries = self.high.iter().chain(&self.low);
+        let resized = entries.find(|e| e.size != e.packet.size);
+        let (size, record) = resized.map_or((0, 0), |e| (e.size, e.packet.size));
+        let n = self.queued_packets() as u64;
+        let checks = [
+            ("arrived", c.arrived, c.queued_total() + c.dropped_total()),
+            ("entry size", size.into(), record.into()),
+            (
+                "class strays",
+                0,
+                strays(&self.high, true) + strays(&self.low, false),
+            ),
+            ("high_bytes", self.high_bytes.into(), sum(&self.high)),
+            ("low_bytes", self.low_bytes.into(), sum(&self.low)),
+            ("depth mirror", depth.into(), self.low_bytes.into()),
+            ("queued mirror", queued.into(), n),
+            ("busy or empty", u64::from(busy || n == 0), 1),
+        ];
+        let mut mismatches = checks.into_iter().filter(|&(_, kept, real)| kept != real);
+        mismatches.next().map_or(Ok(()), Err)
     }
 }
 
@@ -349,7 +393,7 @@ mod tests {
             sent_at: SimTime::ZERO,
             body: PacketBody::Synthetic,
         };
-        PacketArena::new().alloc(pkt, 0, 0)
+        PacketArena::new().alloc(pkt, 0)
     }
 
     fn prio_pkt(id: u64, size: u32) -> Box<InFlight> {
@@ -357,6 +401,21 @@ mod tests {
         pkt.priority = true;
         pkt.reliable = true;
         pkt
+    }
+
+    impl PortState {
+        /// Enqueues `pkt` with the hop state its record implies.
+        fn offer(&mut self, pkt: Box<InFlight>, policy: &QueuePolicy) -> EnqueueOutcome {
+            let hop = Hop::of(&pkt, 0);
+            self.enqueue(pkt, hop, policy).0
+        }
+
+        /// Dequeues, checking the carried hop state against the record.
+        fn take(&mut self) -> Option<Box<InFlight>> {
+            let (pkt, hop) = self.dequeue()?;
+            assert_eq!(hop, Hop::of(&pkt, 0));
+            Some(pkt)
+        }
     }
 
     fn tiny_policy(action: FullAction) -> QueuePolicy {
@@ -372,15 +431,10 @@ mod tests {
     fn fifo_within_class_and_strict_priority_across() {
         let mut port = PortState::new();
         let pol = QueuePolicy::trim_default();
-        assert_eq!(port.enqueue(data_pkt(1, 100), &pol), EnqueueOutcome::Data);
-        assert_eq!(port.enqueue(data_pkt(2, 100), &pol), EnqueueOutcome::Data);
-        assert_eq!(
-            port.enqueue(prio_pkt(3, 64), &pol),
-            EnqueueOutcome::Priority
-        );
-        let order: Vec<u64> = std::iter::from_fn(|| port.dequeue())
-            .map(|p| p.id)
-            .collect();
+        assert_eq!(port.offer(data_pkt(1, 100), &pol), EnqueueOutcome::Data);
+        assert_eq!(port.offer(data_pkt(2, 100), &pol), EnqueueOutcome::Data);
+        assert_eq!(port.offer(prio_pkt(3, 64), &pol), EnqueueOutcome::Priority);
+        let order: Vec<u64> = std::iter::from_fn(|| port.take()).map(|p| p.id).collect();
         assert_eq!(order, vec![3, 1, 2]);
         assert!(port.is_empty());
         assert_eq!(port.low_bytes(), 0);
@@ -391,10 +445,10 @@ mod tests {
     fn droptail_drops_when_full() {
         let mut port = PortState::new();
         let pol = tiny_policy(FullAction::DropTail);
-        assert!(port.enqueue(data_pkt(1, 1500), &pol).survived());
-        assert!(port.enqueue(data_pkt(2, 1500), &pol).survived());
+        assert!(port.offer(data_pkt(1, 1500), &pol).survived());
+        assert!(port.offer(data_pkt(2, 1500), &pol).survived());
         assert_eq!(
-            port.enqueue(data_pkt(3, 1500), &pol),
+            port.offer(data_pkt(3, 1500), &pol),
             EnqueueOutcome::DroppedDataFull
         );
         assert_eq!(port.queued_packets(), 2);
@@ -404,12 +458,12 @@ mod tests {
     fn trim_policy_salvages_overflow_into_priority_queue() {
         let mut port = PortState::new();
         let pol = tiny_policy(FullAction::Trim { grad_depth: 1 });
-        assert!(port.enqueue(data_pkt(1, 1500), &pol).survived());
-        assert!(port.enqueue(data_pkt(2, 1500), &pol).survived());
-        let out = port.enqueue(data_pkt(3, 1500), &pol);
+        assert!(port.offer(data_pkt(1, 1500), &pol).survived());
+        assert!(port.offer(data_pkt(2, 1500), &pol).survived());
+        let out = port.offer(data_pkt(3, 1500), &pol);
         assert_eq!(out, EnqueueOutcome::Trimmed);
         // The trimmed remnant jumps the queue.
-        let first = port.dequeue().unwrap();
+        let first = port.take().unwrap();
         assert_eq!(first.id, 3);
         assert!(first.trimmed);
         assert_eq!(first.size, SYNTHETIC_TRIM_STUB);
@@ -419,10 +473,10 @@ mod tests {
     fn trim_policy_drops_untrimmable_overflow() {
         let mut port = PortState::new();
         let pol = tiny_policy(FullAction::Trim { grad_depth: 1 });
-        port.enqueue(data_pkt(1, 3000), &pol);
+        port.offer(data_pkt(1, 3000), &pol);
         // A packet already at stub size cannot shrink → dropped.
         assert_eq!(
-            port.enqueue(data_pkt(2, SYNTHETIC_TRIM_STUB), &pol),
+            port.offer(data_pkt(2, SYNTHETIC_TRIM_STUB), &pol),
             EnqueueOutcome::DroppedDataFull
         );
     }
@@ -431,53 +485,69 @@ mod tests {
     fn priority_queue_overflow_drops() {
         let mut port = PortState::new();
         let pol = tiny_policy(FullAction::Trim { grad_depth: 1 });
-        assert!(port.enqueue(prio_pkt(1, 150), &pol).survived());
+        assert!(port.offer(prio_pkt(1, 150), &pol).survived());
         assert_eq!(
-            port.enqueue(prio_pkt(2, 150), &pol),
+            port.offer(prio_pkt(2, 150), &pol),
             EnqueueOutcome::DroppedPrioFull
         );
         // Trimmed overflow that cannot fit in the priority queue also drops:
         // high already holds 150 B, the 64 B stub would exceed the 200 B cap.
-        port.enqueue(data_pkt(3, 3000), &pol);
+        port.offer(data_pkt(3, 3000), &pol);
         assert_eq!(
-            port.enqueue(data_pkt(4, 1500), &pol),
+            port.offer(data_pkt(4, 1500), &pol),
             EnqueueOutcome::DroppedPrioFull
         );
     }
 
     #[test]
-    fn rejected_packets_are_parked_for_recycling() {
+    fn rejected_packets_come_back_with_the_outcome() {
+        let enqueue = |port: &mut PortState, pkt: Box<InFlight>, pol: &QueuePolicy| {
+            let hop = Hop::of(&pkt, 0);
+            port.enqueue(pkt, hop, pol)
+        };
         let mut port = PortState::new();
         let pol = tiny_policy(FullAction::DropTail);
-        assert!(port.enqueue(data_pkt(1, 3000), &pol).survived());
-        assert!(port.take_rejected().is_none(), "nothing rejected yet");
-        assert_eq!(
-            port.enqueue(data_pkt(2, 1500), &pol),
-            EnqueueOutcome::DroppedDataFull
-        );
-        let rejected = port.take_rejected().expect("dropped box is parked");
-        assert_eq!(rejected.id, 2);
-        assert!(port.take_rejected().is_none(), "take drains the pocket");
-        // A successful enqueue clears any stale pocket.
-        assert_eq!(
-            port.enqueue(data_pkt(3, 1500), &pol),
-            EnqueueOutcome::DroppedDataFull
-        );
-        let _ = port.enqueue(prio_pkt(4, 64), &pol);
-        assert!(port.take_rejected().is_none());
-        // The trim path parks the trimmed remnant when the priority queue
-        // overflows too.
+        let (outcome, rejected) = enqueue(&mut port, data_pkt(1, 3000), &pol);
+        assert!(outcome.survived() && rejected.is_none());
+        let (outcome, rejected) = enqueue(&mut port, data_pkt(2, 1500), &pol);
+        assert_eq!(outcome, EnqueueOutcome::DroppedDataFull);
+        assert_eq!(rejected.expect("dropped box comes back").id, 2);
+        // The trim path hands back the trimmed remnant when the priority
+        // queue overflows too.
         let mut port = PortState::new();
         let pol = tiny_policy(FullAction::Trim { grad_depth: 1 });
-        port.enqueue(data_pkt(1, 3000), &pol);
-        port.enqueue(prio_pkt(2, 150), &pol);
-        assert_eq!(
-            port.enqueue(data_pkt(3, 1500), &pol),
-            EnqueueOutcome::DroppedPrioFull
-        );
-        let rejected = port.take_rejected().expect("prio-full box is parked");
+        port.offer(data_pkt(1, 3000), &pol);
+        port.offer(prio_pkt(2, 150), &pol);
+        let (outcome, rejected) = enqueue(&mut port, data_pkt(3, 1500), &pol);
+        assert_eq!(outcome, EnqueueOutcome::DroppedPrioFull);
+        let rejected = rejected.expect("prio-full box comes back");
         assert_eq!(rejected.id, 3);
         assert!(rejected.trimmed, "the remnant was trimmed before rejection");
+    }
+
+    #[test]
+    fn a_trim_updates_record_and_entry_together() {
+        let mut port = PortState::new();
+        let pol = tiny_policy(FullAction::Trim { grad_depth: 1 });
+        port.offer(data_pkt(1, 3000), &pol);
+        let hop = Hop {
+            size: 1500,
+            cursor: 9,
+            priority: false,
+        };
+        let (outcome, _) = port.enqueue(data_pkt(2, 1500), hop, &pol);
+        assert_eq!(outcome, EnqueueOutcome::Trimmed);
+        assert_eq!(port.recount(port.low_bytes(), 2, true), Ok(()));
+        let (pkt, carried) = port.dequeue().expect("remnant first");
+        assert_eq!(pkt.size, SYNTHETIC_TRIM_STUB);
+        assert_eq!(
+            carried,
+            Hop {
+                size: SYNTHETIC_TRIM_STUB,
+                cursor: 9,
+                priority: true
+            }
+        );
     }
 
     #[test]
@@ -487,10 +557,10 @@ mod tests {
             ecn_threshold: Some(2000),
             ..QueuePolicy::droptail_default()
         };
-        port.enqueue(data_pkt(1, 1500), &pol);
-        port.enqueue(data_pkt(2, 1500), &pol); // crosses 2000
-        let a = port.dequeue().unwrap();
-        let b = port.dequeue().unwrap();
+        port.offer(data_pkt(1, 1500), &pol);
+        port.offer(data_pkt(2, 1500), &pol); // crosses 2000
+        let a = port.take().unwrap();
+        let b = port.take().unwrap();
         assert!(!a.ecn);
         assert!(b.ecn);
     }
@@ -499,10 +569,10 @@ mod tests {
     fn max_depth_watermark_tracks() {
         let mut port = PortState::new();
         let pol = QueuePolicy::trim_default();
-        port.enqueue(data_pkt(1, 1000), &pol);
-        port.enqueue(data_pkt(2, 2000), &pol);
-        let _ = port.dequeue();
-        port.enqueue(data_pkt(3, 100), &pol);
+        port.offer(data_pkt(1, 1000), &pol);
+        port.offer(data_pkt(2, 2000), &pol);
+        let _ = port.take();
+        port.offer(data_pkt(3, 100), &pol);
         assert_eq!(port.max_low_bytes, 3000);
     }
 
@@ -510,12 +580,12 @@ mod tests {
     fn port_counters_conserve_and_export() {
         let mut port = PortState::new();
         let pol = tiny_policy(FullAction::Trim { grad_depth: 1 });
-        port.enqueue(data_pkt(1, 1500), &pol);
-        port.enqueue(data_pkt(2, 1500), &pol);
-        port.enqueue(prio_pkt(3, 64), &pol);
-        port.enqueue(data_pkt(4, 1500), &pol); // trimmed
-        port.enqueue(data_pkt(5, SYNTHETIC_TRIM_STUB), &pol); // untrimmable → drop
-        while port.dequeue().is_some() {}
+        port.offer(data_pkt(1, 1500), &pol);
+        port.offer(data_pkt(2, 1500), &pol);
+        port.offer(prio_pkt(3, 64), &pol);
+        port.offer(data_pkt(4, 1500), &pol); // trimmed
+        port.offer(data_pkt(5, SYNTHETIC_TRIM_STUB), &pol); // untrimmable → drop
+        while port.take().is_some() {}
         let c = port.counters;
         assert_eq!(c.arrived, 5);
         assert_eq!(c.queued_data, 2);
@@ -540,10 +610,10 @@ mod tests {
             ecn_threshold: Some(1000),
             ..QueuePolicy::droptail_default()
         };
-        port.enqueue(data_pkt(1, 1500), &pol); // crosses threshold → marked
+        port.offer(data_pkt(1, 1500), &pol); // crosses threshold → marked
         let mut pre_marked = data_pkt(2, 1500);
         pre_marked.ecn = true;
-        port.enqueue(pre_marked, &pol); // already marked upstream
+        port.offer(pre_marked, &pol); // already marked upstream
         assert_eq!(port.counters.ecn_marked, 1);
     }
 
@@ -552,11 +622,11 @@ mod tests {
         let mut port = PortState::new();
         let pol = QueuePolicy::trim_default();
         for i in 0..10 {
-            port.enqueue(data_pkt(i, 100 + i as u32), &pol);
+            port.offer(data_pkt(i, 100 + i as u32), &pol);
         }
         let expected: u32 = (0..10).map(|i| 100 + i as u32).sum();
         assert_eq!(port.low_bytes(), expected);
-        while port.dequeue().is_some() {}
+        while port.take().is_some() {}
         assert_eq!(port.low_bytes(), 0);
     }
 }

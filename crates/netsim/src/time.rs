@@ -120,6 +120,10 @@ impl Rate {
     #[must_use]
     pub fn serialize_time(self, bytes: usize) -> SimTime {
         assert!(self.0 > 0, "zero-rate link");
+        // Exact in 64 bits whenever `bytes · 8·10⁹` fits (any packet).
+        if let Some(bit_ns) = (bytes as u64).checked_mul(8_000_000_000) {
+            return SimTime(bit_ns.div_ceil(self.0));
+        }
         let bits = bytes as u128 * 8;
         let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
         SimTime(u64::try_from(ns).unwrap_or(u64::MAX))
@@ -198,6 +202,36 @@ mod tests {
         let t = r.serialize_time(9000);
         let b = r.bytes_in(t);
         assert!((9000..=9004).contains(&b), "{b}");
+    }
+
+    #[test]
+    fn the_64_bit_path_agrees_with_128_bit_division() {
+        let exact = |r: Rate, bytes: u64| {
+            let ns = (u128::from(bytes) * 8_000_000_000).div_ceil(u128::from(r.0));
+            SimTime(u64::try_from(ns).unwrap_or(u64::MAX))
+        };
+        // Both sides of the 64-bit limit (2 305 843 009 bytes), odd rates.
+        let limit = u64::MAX / 8_000_000_000;
+        for r in [Rate(1), Rate(3), Rate(999_999_937), gbps(10.0), gbps(400.0)] {
+            for bytes in [
+                0,
+                1,
+                63,
+                64,
+                1500,
+                9000,
+                limit - 1,
+                limit,
+                limit + 1,
+                u64::MAX,
+            ] {
+                assert_eq!(
+                    r.serialize_time(bytes as usize),
+                    exact(r, bytes),
+                    "{r} {bytes}"
+                );
+            }
+        }
     }
 
     #[test]

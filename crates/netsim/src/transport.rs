@@ -807,14 +807,8 @@ mod tests {
             body: PacketBody::Synthetic,
         };
         let mut rx = TrimmingReceiverApp::new(1, TransportConfig::default());
-        let reg = Registry::new();
-        let mut api = HostApi::new(
-            SimTime::ZERO,
-            NodeId(1),
-            reg.clone(),
-            trimgrad_trace::Tracer::disabled(),
-            Default::default(),
-        );
+        let (reg, tracer) = (Registry::new(), trimgrad_trace::Tracer::disabled());
+        let mut api = HostApi::new(SimTime::ZERO, NodeId(1), &reg, &tracer, Default::default());
         rx.on_packet(mk(0, true), &mut api);
         assert_eq!(rx.trimmed_arrivals, 1);
         assert_eq!(rx.residual_trimmed(), 1);
@@ -876,16 +870,11 @@ mod tests {
         use trimgrad_telemetry::Registry;
         let cfg = TransportConfig::default();
         let mut tx = TrimmingSenderApp::new(NodeId(1), 1500, 1, cfg);
-        let reg = Registry::new();
+        let (reg, tracer) = (Registry::new(), trimgrad_trace::Tracer::disabled());
+        let new_api = || HostApi::new(SimTime::ZERO, NodeId(0), &reg, &tracer, Default::default());
         let mut delays = Vec::new();
         for _ in 0..cfg.max_fin_probes {
-            let mut api = HostApi::new(
-                SimTime::ZERO,
-                NodeId(0),
-                reg.clone(),
-                trimgrad_trace::Tracer::disabled(),
-                Default::default(),
-            );
+            let mut api = new_api();
             tx.on_timer(0, &mut api);
             let (at, _) = api.actions.timers[0];
             delays.push(at);
@@ -896,26 +885,14 @@ mod tests {
         assert_eq!(delays[2], cfg.rto * 4);
         assert_eq!(*delays.last().unwrap(), cfg.rto * 64);
         // The budget is spent: the next firing is terminal and arms nothing.
-        let mut api = HostApi::new(
-            SimTime::ZERO,
-            NodeId(0),
-            reg.clone(),
-            trimgrad_trace::Tracer::disabled(),
-            Default::default(),
-        );
+        let mut api = new_api();
         tx.on_timer(0, &mut api);
         assert!(tx.is_failed());
         assert!(api.actions.timers.is_empty() && api.actions.outbox.is_empty());
         // Signs of life reset the budget and the backoff.
         tx.failed = false;
         tx.note_receiver_alive();
-        let mut api = HostApi::new(
-            SimTime::ZERO,
-            NodeId(0),
-            reg.clone(),
-            trimgrad_trace::Tracer::disabled(),
-            Default::default(),
-        );
+        let mut api = new_api();
         tx.on_timer(0, &mut api);
         assert_eq!(api.actions.timers[0].0, cfg.rto);
     }

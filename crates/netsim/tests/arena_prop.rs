@@ -1,6 +1,6 @@
 //! Property tests for the packet arena: recycled boxes never leak stale
-//! payload/flow/seq fields — or the previous occupant's path cursor and flow
-//! slot — across reuse, the freelist counters are
+//! payload/flow/seq fields — or the previous occupant's flow slot — across
+//! reuse, the freelist counters are
 //! self-consistent under arbitrary alloc/free interleavings, and — driven
 //! through a real congested simulation — the arena's lifecycle totals
 //! reconcile exactly with [`Stats`] send/deliver/drop accounting.
@@ -38,23 +38,20 @@ fn tagged_packet(tag: u64) -> Packet {
     }
 }
 
-/// The routing state boxed alongside [`tagged_packet`]`(tag)`: a path cursor
-/// and a flow slot, both functions of the tag and distinct from each other.
-fn tagged_route(tag: u64) -> (u32, u32) {
-    (
-        (tag as u32).wrapping_mul(7) | 1,
-        (tag as u32).wrapping_mul(11) & !1,
-    )
+/// The flow slot boxed alongside [`tagged_packet`]`(tag)`, a function of the
+/// tag.
+fn tagged_slot(tag: u64) -> u32 {
+    (tag as u32).wrapping_mul(11) & !1
 }
 
-/// Asserts `got` is exactly the box [`tagged_packet`] and [`tagged_route`]
+/// Asserts `got` is exactly the box [`tagged_packet`] and [`tagged_slot`]
 /// build for `tag` — i.e. nothing survived from whatever previously
 /// occupied the slot.
 fn assert_is_tagged(got: &InFlight, tag: u64) {
     assert_eq!(
-        (got.cursor(), got.flow_slot()),
-        tagged_route(tag),
-        "path cursor / flow slot leaked across reuse"
+        got.flow_slot(),
+        tagged_slot(tag),
+        "flow slot leaked across reuse"
     );
     let want = tagged_packet(tag);
     assert_eq!(got.id, want.id);
@@ -95,8 +92,7 @@ proptest! {
         for alloc in ops {
             if alloc || held.is_empty() {
                 tag += 1;
-                let (cursor, flow_slot) = tagged_route(tag);
-                let boxed = arena.alloc(tagged_packet(tag), cursor, flow_slot);
+                let boxed = arena.alloc(tagged_packet(tag), tagged_slot(tag));
                 assert_is_tagged(&boxed, tag);
                 held.push((boxed, tag));
             } else {
@@ -176,6 +172,6 @@ proptest! {
         );
         prop_assert_eq!(arena.freed(), arena.total_allocations());
         prop_assert!(arena.high_water() <= arena.total_allocations());
-        prop_assert!(sim.conservation_holds());
+        prop_assert_eq!(sim.check_invariants(), Ok(()));
     }
 }

@@ -63,12 +63,17 @@ proptest! {
                 Box::new(BulkSenderApp::new(hs[dst], bytes, 1500, i as u64)),
             );
         }
-        // Mid-run cut: conservation must hold with packets still in flight.
+        // Debug builds also recount every invariant at each sampling tick.
+        sim.enable_queue_sampling(SimTime::from_micros(7));
+        // Mid-run cut: conservation must hold with packets still in flight,
+        // and so must every other recountable invariant.
         sim.run_until(SimTime::from_micros(cut_us));
         prop_assert!(sim.conservation_holds(), "mid-run conservation violated");
+        prop_assert_eq!(sim.check_invariants(), Ok(()), "mid-run");
         // Quiescence: nothing left inside the network.
         sim.run_until(SimTime::from_secs(30));
         prop_assert!(sim.conservation_holds(), "final conservation violated");
+        prop_assert_eq!(sim.check_invariants(), Ok(()), "final");
         prop_assert_eq!(sim.in_flight(), 0, "packets stuck in the network");
     }
 

@@ -1,10 +1,13 @@
 //! Property tests for a single switch port driven with arbitrary packet
-//! streams: capacity invariants, the trim-to-priority guarantee, and the
+//! streams: capacity invariants, the trim-to-priority guarantee, the
 //! conservation identity between the port's telemetry counters and what
-//! actually happened to the packets.
+//! actually happened to the packets, and the port-queue entries' hop state
+//! against the packet records and a two-FIFO model.
 
 use proptest::prelude::*;
-use trimgrad_netsim::packet::{InFlight, Packet, PacketArena, PacketBody, SYNTHETIC_TRIM_STUB};
+use trimgrad_netsim::packet::{
+    Hop, InFlight, Packet, PacketArena, PacketBody, SYNTHETIC_TRIM_STUB,
+};
 use trimgrad_netsim::switch::{EnqueueOutcome, FullAction, PortState, QueuePolicy};
 use trimgrad_netsim::time::SimTime;
 use trimgrad_netsim::{FlowId, NodeId};
@@ -26,7 +29,82 @@ fn pkt(id: u64, size: u32, priority: bool) -> Box<InFlight> {
         sent_at: SimTime::ZERO,
         body: PacketBody::Synthetic,
     };
-    PacketArena::new().alloc(pkt, 0, 0)
+    PacketArena::new().alloc(pkt, 0)
+}
+
+/// Enqueues `pkt` with the hop state its record implies and path cursor
+/// `cursor`.
+fn offer(
+    port: &mut PortState,
+    pkt: Box<InFlight>,
+    cursor: u32,
+    policy: &QueuePolicy,
+) -> (EnqueueOutcome, Option<Box<InFlight>>) {
+    let hop = Hop::of(&pkt, cursor);
+    port.enqueue(pkt, hop, policy)
+}
+
+/// Dequeues, asserting the hop state that comes back is the record's.
+fn take(port: &mut PortState) -> Option<(Box<InFlight>, Hop)> {
+    let (p, hop) = port.dequeue()?;
+    assert_eq!(
+        (hop.size, hop.priority),
+        (p.size, p.priority),
+        "hop/record diverged"
+    );
+    Some((p, hop))
+}
+
+/// What the port should hold: a strict-priority pair of FIFOs of
+/// `(id, size, cursor)` with their byte totals, deciding each arrival's fate
+/// from the policy alone.
+#[derive(Default)]
+struct Model {
+    high: Vec<(u64, u32, u32)>,
+    low: Vec<(u64, u32, u32)>,
+    high_bytes: u32,
+    low_bytes: u32,
+}
+
+impl Model {
+    fn enqueue(
+        &mut self,
+        (id, size, cursor): (u64, u32, u32),
+        priority: bool,
+        policy: &QueuePolicy,
+    ) -> EnqueueOutcome {
+        let (size, outcome) = if priority {
+            (size, EnqueueOutcome::Priority)
+        } else if self.low_bytes + size <= policy.data_capacity {
+            self.low_bytes += size;
+            self.low.push((id, size, cursor));
+            return EnqueueOutcome::Data;
+        } else if matches!(policy.action, FullAction::Trim { .. }) && size > SYNTHETIC_TRIM_STUB {
+            (SYNTHETIC_TRIM_STUB, EnqueueOutcome::Trimmed)
+        } else {
+            return EnqueueOutcome::DroppedDataFull;
+        };
+        if self.high_bytes + size > policy.prio_capacity {
+            return EnqueueOutcome::DroppedPrioFull;
+        }
+        self.high_bytes += size;
+        self.high.push((id, size, cursor));
+        outcome
+    }
+
+    fn dequeue(&mut self) -> Option<((u64, u32, u32), bool)> {
+        if !self.high.is_empty() {
+            let e = self.high.remove(0);
+            self.high_bytes -= e.1;
+            return Some((e, true));
+        }
+        if self.low.is_empty() {
+            return None;
+        }
+        let e = self.low.remove(0);
+        self.low_bytes -= e.1;
+        Some((e, false))
+    }
 }
 
 proptest! {
@@ -63,12 +141,13 @@ proptest! {
         // enqueues `(size, priority)`.
         for (op, size, priority) in steps {
             if op == 0 {
-                if let Some(p) = port.dequeue() {
+                if let Some((p, _)) = take(&mut port) {
                     dequeued.push(p);
                 }
             } else {
                 id += 1;
-                let outcome = port.enqueue(pkt(id, size, priority), &policy);
+                let (outcome, rejected) = offer(&mut port, pkt(id, size, priority), 0, &policy);
+                prop_assert_eq!(rejected.is_some(), !outcome.survived());
                 // Capacity invariants hold after every operation.
                 prop_assert!(port.low_bytes() <= policy.data_capacity);
                 prop_assert!(port.high_bytes() <= policy.prio_capacity);
@@ -84,7 +163,7 @@ proptest! {
         // native priority packet) may appear after a plain data packet
         // within this final drain.
         let drain_start = dequeued.len();
-        while let Some(p) = port.dequeue() {
+        while let Some((p, _)) = take(&mut port) {
             dequeued.push(p);
         }
         let tail = &dequeued[drain_start..];
@@ -147,7 +226,7 @@ proptest! {
         };
         let mut port = PortState::new();
         for (i, &size) in sizes.iter().enumerate() {
-            let outcome = port.enqueue(pkt(i as u64, size, false), &policy);
+            let (outcome, _) = offer(&mut port, pkt(i as u64, size, false), 0, &policy);
             prop_assert!(outcome.survived(), "lost a trimmable data packet");
         }
         let c = port.counters;
@@ -155,13 +234,67 @@ proptest! {
         prop_assert_eq!(c.arrived, sizes.len() as u64);
         // Every remnant is in the priority queue, at stub size.
         let mut seen_trimmed = 0u64;
-        while let Some(p) = port.dequeue() {
+        while let Some((p, hop)) = take(&mut port) {
             if p.trimmed {
                 prop_assert_eq!(p.size, SYNTHETIC_TRIM_STUB);
+                prop_assert_eq!(hop.size, SYNTHETIC_TRIM_STUB);
                 seen_trimmed += 1;
             }
         }
         prop_assert_eq!(seen_trimmed, c.trimmed);
         prop_assert_eq!(c.queued_data + c.trimmed, sizes.len() as u64);
+    }
+
+    /// Over random enqueue / trim / drop / dequeue sequences, every entry
+    /// comes out carrying its record's size and class and the cursor it was
+    /// queued with, rejected packets come back to the caller, and outcomes,
+    /// byte totals and dequeue order equal a two-`Vec` strict-priority FIFO
+    /// model's.
+    #[test]
+    fn entries_match_records_and_a_two_fifo_model(
+        steps in proptest::collection::vec((0u8..5, 60u32..2000, 0u8..4), 1..300),
+        data_cap in 1_000u32..8_000,
+        prio_cap in 64u32..2_000,
+        trim in any::<bool>(),
+        ecn_on in any::<bool>(),
+        ecn_thresh in 500u32..6_000,
+    ) {
+        let policy = QueuePolicy {
+            data_capacity: data_cap,
+            prio_capacity: prio_cap,
+            ecn_threshold: ecn_on.then_some(ecn_thresh),
+            action: if trim { FullAction::Trim { grad_depth: 1 } } else { FullAction::DropTail },
+        };
+        let (mut port, mut model) = (PortState::new(), Model::default());
+        let mut id = 0u64;
+        let check_dequeue = |port: &mut PortState, model: &mut Model| {
+            let got = take(port).map(|(p, hop)| ((p.id, hop.size, hop.cursor), hop.priority));
+            assert_eq!(got, model.dequeue(), "dequeue order or hop state");
+        };
+        for (op, size, class) in steps {
+            if op == 0 {
+                check_dequeue(&mut port, &mut model);
+            } else {
+                id += 1;
+                // class 0: priority, 1: data at the stub size (drops when it
+                // overflows), otherwise plain trimmable data.
+                let (priority, size) = match class {
+                    0 => (true, size),
+                    1 => (false, SYNTHETIC_TRIM_STUB),
+                    _ => (false, size),
+                };
+                let cursor = (id as u32).wrapping_mul(2_654_435_761);
+                let (outcome, rejected) = offer(&mut port, pkt(id, size, priority), cursor, &policy);
+                prop_assert_eq!(outcome, model.enqueue((id, size, cursor), priority, &policy));
+                prop_assert_eq!(rejected.map(|p| p.id), (!outcome.survived()).then_some(id));
+            }
+            prop_assert_eq!(port.low_bytes(), model.low_bytes);
+            prop_assert_eq!(port.high_bytes(), model.high_bytes);
+            prop_assert_eq!(port.queued_packets(), model.high.len() + model.low.len());
+        }
+        while !port.is_empty() {
+            check_dequeue(&mut port, &mut model);
+        }
+        prop_assert!(model.dequeue().is_none());
     }
 }

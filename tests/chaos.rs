@@ -11,7 +11,9 @@
 //! * nothing panics;
 //! * no wrong-row, wrong-epoch, or truncated payload is ever accepted;
 //! * receiver availability only ever grows;
-//! * packet counters conserve (`sent + injected == delivered + dropped`);
+//! * packet counters conserve (`sent + injected == delivered + dropped`),
+//!   and every other incrementally kept invariant survives a recount
+//!   (`Simulator::check_invariants`);
 //! * the run is deterministic — same seed, same telemetry snapshot.
 
 use trimgrad::collective::ring_netsim::{run_ring_allreduce, RingNetConfig};
@@ -46,6 +48,15 @@ fn chaos_seeds() -> Vec<u64> {
         return vec![parsed.expect("CHAOS_SEED must be a u64")];
     }
     vec![0x00C0_FFEE, 0xDEC0_DE01, 0x0072_13AB, 0xFA57_F00D]
+}
+
+/// Recounts every invariant the simulator keeps incrementally — packet
+/// conservation, queue entries against their records, the dense mirrors,
+/// the arena — and fails naming the seed and the first one broken.
+fn assert_invariants(sim: &Simulator, seed: u64) {
+    if let Err(v) = sim.check_invariants() {
+        panic!("seed {seed:#x}: {v}");
+    }
 }
 
 /// Every fault class at once, at rates a transport should survive.
@@ -94,10 +105,7 @@ fn trimming_transport_survives_full_fault_matrix() {
             sender.is_done() || sender.is_failed(),
             "seed {seed:#x}: sender neither done nor terminally failed"
         );
-        assert!(
-            sim.conservation_holds(),
-            "seed {seed:#x}: packet conservation violated"
-        );
+        assert_invariants(&sim, seed);
         // The matrix must actually have fired, and the per-fault tallies
         // must surface unchanged in the telemetry snapshot.
         let fs = sim.fault_stats();
@@ -161,10 +169,7 @@ fn reliable_transport_survives_full_fault_matrix() {
             recv.nacked_trimmed > 0,
             "seed {seed:#x}: truncation faults never reached the receiver"
         );
-        assert!(
-            sim.conservation_holds(),
-            "seed {seed:#x}: packet conservation violated"
-        );
+        assert_invariants(&sim, seed);
     }
 }
 
@@ -227,7 +232,7 @@ fn ring_pipeline_with_nonlossy_faults_matches_clean_run() {
             clean, faulted,
             "seed {seed:#x}: non-lossy faults changed the all-reduce result"
         );
-        assert!(sim.conservation_holds(), "seed {seed:#x}");
+        assert_invariants(&sim, seed);
         assert!(
             sim.fault_stats().injected() > 0,
             "seed {seed:#x}: no duplicate or replay ever fired"
@@ -360,6 +365,7 @@ fn pipeline_chaos_rejects_mangled_and_foreign_packets() {
             }),
         );
         sim.run_until(SimTime::from_secs(1));
+        assert_invariants(&sim, seed);
 
         let col: &RowCollectorApp = sim.app_ref(b).expect("collector installed");
         assert!(col.monotone, "seed {seed:#x}: availability shrank");
@@ -439,6 +445,7 @@ fn faulted_ring_is_bit_deterministic_across_runs() {
         let mut sim = Simulator::new(t);
         sim.install_fault_plan(plan);
         let (out, _) = run_ring_allreduce(&mut sim, &cfg, blobs, SimTime::from_secs(5));
+        assert_invariants(&sim, seed);
         let bits: Vec<Vec<u32>> = out
             .iter()
             .map(|b| b.iter().map(|v| v.to_bits()).collect())
@@ -608,10 +615,7 @@ fn fat_tree_incast_storm_survives_fault_matrix_deterministically() {
         sim.install_fault_plan(FaultPlan::new(seed).with_default(full_matrix_policy()));
         sched.install(&mut sim);
         sim.run_until(SimTime::from_millis(100));
-        assert!(
-            sim.conservation_holds(),
-            "seed {seed:#x}: packet conservation violated"
-        );
+        assert_invariants(&sim, seed);
         assert!(
             sim.fault_stats().total() > 0,
             "seed {seed:#x}: fault matrix never fired"

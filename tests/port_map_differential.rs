@@ -142,6 +142,9 @@ fn run_leg(seed: u64) -> Fingerprint {
     sim.install_fault_plan(FaultPlan::new(seed).with_default(full_matrix_policy()));
     sched.install(&mut sim);
     sim.run_until(SimTime::from_millis(100));
+    if let Err(v) = sim.check_invariants() {
+        panic!("seed {seed:#x}: {v}");
+    }
     Fingerprint {
         trace_fnv: fnv(&sim.tracer().snapshot().to_binary()),
         telemetry_fnv: fnv(sim.telemetry_snapshot().to_json().as_bytes()),
