@@ -1,8 +1,7 @@
 //! Macro-benchmark: event throughput of the discrete-event simulator under
 //! an 8-to-1 incast at a trimming switch, a datacenter-scale fat-tree sweep
-//! (64 → 4096 incast hosts), plus two micro-benchmarks of the [`EventQueue`]
-//! itself: the forward-only schedule a simulation produces and an
-//! adversarial chaos mix.
+//! (64 → 4096 incast hosts), plus a micro-benchmark of the [`EventQueue`]
+//! itself on the forward-only schedule a simulation produces.
 //!
 //! `crates/netsim/tests/event_queue_oracle.rs` pins the queue's ordering
 //! semantics and `tests/port_map_differential.rs` the data plane's observable
@@ -79,36 +78,12 @@ fn event_queue_forward(ops: usize, seed: u64) -> u64 {
     q.total_fired()
 }
 
-/// A seeded chaos mix over the event queue: schedules at times drawn
-/// uniformly from `[0, 1 ms)` interleaved with pops, ending with a full
-/// drain. Most of these schedules land *behind* the clock the pops have
-/// advanced, which a simulation never does: each one re-anchors the wheel
-/// backward and parks the active window. This row is the price of the
-/// queue's worst case, not of the simulator's hot loop — that is
-/// [`event_queue_forward`].
-fn event_queue_chaos(ops: usize, seed: u64) -> u64 {
-    let mut rng = Xoshiro256StarStar::new(seed);
-    let mut q = EventQueue::new();
-    for i in 0..ops {
-        // ~60% schedule, ~40% pop: the queue stays non-trivially full.
-        if rng.next_u64() % 5 < 3 {
-            let at = SimTime(rng.next_u64() % 1_000_000);
-            q.schedule(at, timer(i as u64));
-        } else {
-            let _ = q.pop();
-        }
-    }
-    while q.pop().is_some() {}
-    q.total_fired()
-}
-
 fn bench_event_queue(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     let ops = 10_000;
     let mut g = Group::new("event_queue");
     opts.configure(&mut g);
     g.throughput(Throughput::Elements(ops as u64));
     g.bench("forward_push_pop_10k", || event_queue_forward(ops, 0xF0F0));
-    g.bench("chaos_push_pop_10k", || event_queue_chaos(ops, 0xE7E7));
     records.extend(g.finish());
 }
 

@@ -27,14 +27,7 @@
 //!   [`trimgrad_collective::chunk::MessageCodec`], shared with the ring
 //!   workers that run inside the simulator);
 //! * [`transcript`] — §5.4 reproducibility: record which packets were
-//!   trimmed, replay the exact run later;
-//! * [`adaptive`] — §4.2's observation turned into code: pick the encoding
-//!   from the anticipated trim rate;
-//! * [`cc`] — §5.3: couple ahead-of-time compression (how many parts to
-//!   even send) to congestion feedback, leaving just-in-time trimming to the
-//!   switches;
-//! * [`sparsify`] — §5.2: top-k sparsification with error feedback,
-//!   composed in front of the trimmable encoding.
+//!   trimmed, replay the exact run later.
 //!
 //! ## Quickstart
 //!
@@ -68,11 +61,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod cc;
 pub mod lowrank;
 pub mod pipeline;
-pub mod sparsify;
 pub mod transcript;
 
 pub use pipeline::{PipelineConfig, TrimmablePipeline};

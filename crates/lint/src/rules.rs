@@ -2,7 +2,7 @@
 //!
 //! Every rule walks the token stream produced by [`mod@crate::lex`] with the
 //! test-code mask applied, and emits `(line, message)` pairs; the caller
-//! attaches the rule id and file path. See `DESIGN.md` §7 for the rationale
+//! attaches the rule id and file path. See `DESIGN.md` §9 for the rationale
 //! behind each rule; per-crate scoping lives in [`crate::lint_source`].
 
 use crate::lex::{is_float_literal, matching, matching_open, LexOut, Tok, TokKind};

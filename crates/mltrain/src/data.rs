@@ -2,13 +2,10 @@
 //!
 //! Substitutes for CIFAR-100 (see `DESIGN.md`): the paper's claims concern
 //! how gradient-compression error affects SGD, so any genuinely-trained
-//! classifier exercises the same dynamics. Two generators:
-//!
-//! * [`gaussian_mixture`] — K anisotropic Gaussian blobs in D dimensions with
-//!   controllable overlap; linearly separable at low spread, genuinely hard
-//!   at high spread.
-//! * [`two_spirals`] — the classic non-linearly-separable 2-class task,
-//!   embedded in D dimensions with noise; requires hidden layers.
+//! classifier exercises the same dynamics. The generator,
+//! [`gaussian_mixture`], draws K anisotropic Gaussian blobs in D dimensions
+//! with controllable overlap: linearly separable at low spread, genuinely
+//! hard at high spread.
 
 use crate::tensor::Matrix;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
@@ -122,33 +119,6 @@ pub fn gaussian_mixture(
     Dataset { x, y, classes }
 }
 
-/// The two-spirals task embedded in `dim` dimensions (the first two carry
-/// the spirals, the rest are noise), `per_class` points per arm.
-#[must_use]
-pub fn two_spirals(per_class: usize, dim: usize, noise: f32, seed: u64) -> Dataset {
-    assert!(dim >= 2 && per_class >= 1);
-    let mut rng = Xoshiro256StarStar::new(seed);
-    let n = 2 * per_class;
-    let mut x = Matrix::zeros(n, dim);
-    let mut y = Vec::with_capacity(n);
-    for arm in 0..2usize {
-        for p in 0..per_class {
-            let r = arm * per_class + p;
-            let t = 0.25 + 3.5 * (p as f32 / per_class as f32); // radians-ish
-            let radius = t / 4.0;
-            let phase = if arm == 0 { 0.0 } else { core::f32::consts::PI };
-            let row = x.row_mut(r);
-            row[0] = radius * (t * 2.0 + phase).cos() + noise * gauss(&mut rng);
-            row[1] = radius * (t * 2.0 + phase).sin() + noise * gauss(&mut rng);
-            for v in row.iter_mut().skip(2) {
-                *v = noise * gauss(&mut rng);
-            }
-            y.push(arm);
-        }
-    }
-    Dataset { x, y, classes: 2 }
-}
-
 /// Draws a batch of `size` indices uniformly with replacement.
 #[must_use]
 pub fn sample_indices(len: usize, size: usize, rng: &mut Xoshiro256StarStar) -> Vec<usize> {
@@ -215,19 +185,6 @@ mod tests {
             correct += usize::from(best == ds.y[i]);
         }
         assert!(correct as f64 / ds.len() as f64 > 0.95);
-    }
-
-    #[test]
-    fn spirals_shape() {
-        let ds = two_spirals(100, 5, 0.02, 3);
-        assert_eq!(ds.len(), 200);
-        assert_eq!(ds.dim(), 5);
-        assert_eq!(ds.classes, 2);
-        // Arms are roughly radius-bounded.
-        for i in 0..ds.len() {
-            let r = (ds.x.get(i, 0).powi(2) + ds.x.get(i, 1).powi(2)).sqrt();
-            assert!(r < 1.5, "point {i} radius {r}");
-        }
     }
 
     #[test]

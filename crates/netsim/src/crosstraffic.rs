@@ -6,7 +6,7 @@
 //! sender-side compression decision can anticipate.
 
 use crate::host::{App, HostApi};
-use crate::packet::{Packet, PacketSpec};
+use crate::packet::Packet;
 use crate::time::SimTime;
 use crate::{FlowId, NodeId};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
@@ -44,17 +44,7 @@ impl BulkSenderApp {
 
 impl App for BulkSenderApp {
     fn on_start(&mut self, api: &mut HostApi) {
-        let n = self.packet_count();
-        let mut remaining = self.total_bytes;
-        for seq in 0..n {
-            let size = u64::from(self.packet_size).min(remaining) as u32;
-            remaining -= u64::from(size);
-            let mut spec = PacketSpec::synthetic(self.dst, self.flow, size, seq);
-            if seq == n - 1 {
-                spec = spec.with_fin();
-            }
-            api.send(spec);
-        }
+        api.send_flow(self.dst, self.flow, self.total_bytes, self.packet_size);
     }
 
     fn on_packet(&mut self, _pkt: Packet, _api: &mut HostApi) {}
@@ -116,17 +106,7 @@ impl OnOffApp {
     fn send_burst(&mut self, api: &mut HostApi) {
         let flow = FlowId(self.flow_base + self.bursts_sent);
         self.bursts_sent += 1;
-        let n = self.burst_bytes.div_ceil(u64::from(self.packet_size));
-        let mut remaining = self.burst_bytes;
-        for seq in 0..n {
-            let size = u64::from(self.packet_size).min(remaining) as u32;
-            remaining -= u64::from(size);
-            let mut spec = PacketSpec::synthetic(self.dst, flow, size, seq);
-            if seq == n - 1 {
-                spec = spec.with_fin();
-            }
-            api.send(spec);
-        }
+        api.send_flow(self.dst, flow, self.burst_bytes, self.packet_size);
     }
 }
 

@@ -9,11 +9,16 @@
 //! drained lives in a `Lane` — fine time slots, each a FIFO threaded
 //! through one node slab — so popping is "first occupied slot, unlink its
 //! head" with no comparisons. Events beyond the wheel horizon go to an
-//! overflow heap; scheduling behind the active window re-anchors the wheel
-//! backward. Every store orders by the same `(time, seq)` key, so pop order —
-//! and therefore every simulation byte — is that of a single priority queue.
-//! The differential harness in `tests/event_queue_oracle.rs` pins that
-//! against a sorted-`Vec` oracle; DESIGN.md §11 has the proof sketch.
+//! overflow heap. Every store orders by the same `(time, seq)` key, so pop
+//! order — and therefore every simulation byte — is that of a single
+//! priority queue.
+//!
+//! The calendar only runs forward: the active window is the window of the
+//! last event fired, and scheduling behind it panics. A simulation never
+//! does — every handler schedules at or after the clock it was fired at.
+//! The differential harness in `tests/event_queue_oracle.rs` pins the order
+//! against a sorted-`Vec` oracle under that contract; DESIGN.md §5 has the
+//! proof sketch.
 
 use crate::ports::PortId;
 use crate::time::SimTime;
@@ -169,9 +174,9 @@ impl Lane {
     /// Links `event` into its slot, after every event already there with a
     /// key `<=` its own. Events arrive in key order within a slot whenever
     /// the slot is 1 ns wide and is fed in schedule order or from a coarse
-    /// bucket in push order — then this is a tail append; any other history
-    /// (wider slots, a parked-and-refilled window) takes the sorted walk, so
-    /// order never depends on slot width or on how the events got here.
+    /// bucket in push order — then this is a tail append; wider slots take
+    /// the sorted walk, so order never depends on slot width or on how the
+    /// events got here.
     // trimlint: hot-path -- every event of the active window is linked in here
     fn push(&mut self, event: Event) {
         let s = ((event.at.0 >> self.slot_shift) & self.slot_mask) as usize;
@@ -274,28 +279,26 @@ impl Lane {
     }
 }
 
-/// A deterministic calendar queue of events.
+/// A deterministic, forward-only calendar queue of events.
 ///
 /// Pop order is exactly ascending `(time, insertion-sequence)`. Internally
 /// events live in one of three places, classified by the window index
 /// `w = time >> bucket_shift`:
 ///
-/// * `lane` — the events of the current window `cur_window`, already in pop
+/// * `lane` — the events of the active window `cur_window`, already in pop
 ///   order (see `Lane`);
 /// * `buckets` — unsorted `Vec`s for windows in `(cur_window, cur_window + n)`
 ///   (O(1) insertion, the hot path); a bucket holds exactly one window at a
 ///   time, recorded in `bucket_window`;
-/// * `overflow` — a heap for events at or beyond the wheel horizon.
+/// * `overflow` — a heap for events at or beyond the wheel horizon when they
+///   were scheduled; never behind the active window.
 ///
-/// Scheduling behind the active window (impossible in a forward-running
-/// simulation, but required of a drop-in priority queue and exercised hard
-/// by the differential harness) re-anchors the wheel backward: the lane is
-/// drained back onto the wheel, buckets beyond the shrunken horizon are
-/// evicted to `overflow`, and the earlier event starts a new active window.
-///
-/// Invariant after every mutation: if any bucket is occupied, the lane is
-/// non-empty — so `peek_time` is a constant-time min over the lane's first
-/// slot and the overflow heap's top.
+/// The active window advances lazily: only when [`EventQueue::pop`] finds
+/// the lane empty does it make active the earlier of the earliest occupied
+/// bucket's window (streaming that bucket into the lane) and the overflow
+/// heap's first window. The active window is therefore always the window of
+/// the last event fired, and a handler of that event may schedule anywhere
+/// from its own time on.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Bucket width is `1 << bucket_shift` nanoseconds.
@@ -309,16 +312,12 @@ pub struct EventQueue {
     /// `cur_window < w < cur_window + n`, so distinct resident windows map to
     /// distinct buckets and each bucket is window-pure.
     bucket_window: Vec<u64>,
-    /// Occupancy bitmap over `buckets`, one bit per bucket, so a refill scan
-    /// skips empty buckets a word at a time.
+    /// Occupancy bitmap over `buckets`, one bit per bucket, so the scan for
+    /// the earliest bucket skips empty buckets a word at a time.
     occupied: Vec<u64>,
     /// Events in `buckets` (not counting the lane or `overflow`).
     wheel_len: usize,
-    /// High-watermark of windows ever parked on the wheel since it was last
-    /// empty; lets a backward re-anchor skip the far-bucket eviction scan
-    /// when nothing can be beyond the new horizon.
-    max_window: u64,
-    /// Window index of the active window.
+    /// Window index of the active window: that of the last event fired.
     cur_window: u64,
     /// The events whose window is `cur_window`.
     lane: Lane,
@@ -367,7 +366,6 @@ impl EventQueue {
             bucket_window: vec![0u64; n_buckets],
             occupied: vec![0u64; n_buckets.div_ceil(64)],
             wheel_len: 0,
-            max_window: 0,
             cur_window: 0,
             lane: Lane::new(bucket_shift),
             overflow: BinaryHeap::new(),
@@ -381,36 +379,29 @@ impl EventQueue {
         at.0 >> self.bucket_shift
     }
 
-    /// Links `event` into the lane; its window must be the active one.
-    fn push_active(&mut self, event: Event) {
-        debug_assert_eq!(
-            self.window_of(event.at),
-            self.cur_window,
-            "lane holds only the active window"
-        );
-        self.lane.push(event);
-    }
-
     /// Schedules `kind` to fire at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies in a window before the active one — behind the
+    /// window of the last event fired. The calendar only runs forward; a
+    /// handler scheduling at or after the time it fired at never trips this.
     // trimlint: hot-path -- every simulated packet passes through here
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let w = self.window_of(at);
+        assert!(
+            w >= self.cur_window,
+            "event at {} ns scheduled behind the active window (window {} of 2^{} ns): the calendar only runs forward",
+            at.0,
+            self.cur_window,
+            self.bucket_shift
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled += 1;
         let event = Event { at, seq, kind };
-        let w = self.window_of(at);
-        // With nothing on the wheel or in the active window, the wheel can
-        // re-anchor forward for free; this keeps a drained-then-refilled
-        // queue (or one that jumped far ahead) on the fast bucket path
-        // instead of pushing everything to `overflow` against a stale anchor.
-        if w > self.cur_window && self.wheel_len == 0 && self.lane.len == 0 {
-            self.cur_window = w;
-        }
-        if w < self.cur_window {
-            self.re_anchor_back(w);
-            self.push_active(event);
-        } else if w == self.cur_window {
-            self.push_active(event);
+        if w == self.cur_window {
+            self.lane.push(event);
         } else if w - self.cur_window <= self.bucket_mask {
             let b = (w & self.bucket_mask) as usize;
             if self.buckets[b].is_empty() {
@@ -423,109 +414,57 @@ impl EventQueue {
             debug_assert_eq!(self.bucket_window[b], w);
             self.buckets[b].push(event);
             self.wheel_len += 1;
-            self.max_window = self.max_window.max(w);
-            if self.lane.len == 0 {
-                self.refill();
-            }
         } else {
             self.overflow.push(Reverse(event));
         }
     }
 
-    /// Re-anchors the wheel at window `w < cur_window`: the lane is drained,
-    /// in order, back onto the wheel (or to `overflow` if the backward jump
-    /// exceeds the horizon), and any bucket now beyond the horizon is evicted
-    /// to `overflow`. Never happens in a forward-running simulation; the cost
-    /// — `O(|lane| + occupied buckets)` worst case — only matters to
-    /// adversarial schedules like the differential harness.
-    fn re_anchor_back(&mut self, w: u64) {
-        let w_old = self.cur_window;
-        self.cur_window = w;
-        if self.wheel_len > 0 && self.max_window > w + self.bucket_mask {
-            // Evict buckets that fell off the far edge of the new horizon.
-            for word_i in 0..self.occupied.len() {
-                let mut word = self.occupied[word_i];
-                while word != 0 {
-                    let b = word_i * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    if self.bucket_window[b] > w + self.bucket_mask {
-                        self.wheel_len -= self.buckets[b].len();
-                        self.occupied[b / 64] &= !(1u64 << (b % 64));
-                        self.overflow.extend(self.buckets[b].drain(..).map(Reverse));
-                    }
-                }
-            }
-            // Everything left on the wheel now fits the new horizon.
-            self.max_window = if self.wheel_len == 0 {
-                0
-            } else {
-                w + self.bucket_mask
+    /// The occupied bucket holding the earliest window, if any. Every
+    /// occupied bucket holds exactly one window in
+    /// `(cur_window, cur_window + n)` and distinct windows occupy distinct
+    /// buckets, so it is the first occupied bucket cyclically after the
+    /// active window's own. Scans the occupancy bitmap a word at a time.
+    fn first_bucket(&self) -> Option<usize> {
+        if self.wheel_len == 0 {
+            return None;
+        }
+        let start = ((self.cur_window + 1) & self.bucket_mask) as usize;
+        let (first, bit) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        (0..=words).find_map(|k| {
+            let wi = (first + k) % words;
+            let word = match k {
+                0 => self.occupied[wi] & (!0u64 << bit),
+                // Wrapped: only bits below `start` in the start word remain.
+                _ if k == words => self.occupied[wi] & !(!0u64 << bit),
+                _ => self.occupied[wi],
             };
-        }
-        if self.lane.len > 0 {
-            if w_old - w <= self.bucket_mask {
-                let b = (w_old & self.bucket_mask) as usize;
-                debug_assert!(self.buckets[b].is_empty());
-                self.bucket_window[b] = w_old;
-                self.occupied[b / 64] |= 1u64 << (b % 64);
-                self.wheel_len += self.lane.len;
-                self.max_window = self.max_window.max(w_old);
-                while let Some(event) = self.lane.pop() {
-                    self.buckets[b].push(event);
-                }
-            } else {
-                while let Some(event) = self.lane.pop() {
-                    self.overflow.push(Reverse(event));
-                }
-            }
-        }
+            (word != 0).then(|| wi * 64 + word.trailing_zeros() as usize)
+        })
     }
 
-    /// Streams the earliest occupied bucket into the lane and advances
-    /// `cur_window` to its window. Caller guarantees `wheel_len > 0` and the
-    /// lane is empty.
-    fn refill(&mut self) {
-        let n = (self.bucket_mask + 1) as usize;
-        // Every occupied bucket holds exactly one window in
-        // (cur_window, cur_window + n), and distinct windows occupy distinct
-        // buckets, so the first occupied bucket at or after offset 1
-        // (cyclically) is the earliest window. Scan the occupancy bitmap a
-        // word at a time.
-        let start = ((self.cur_window + 1) & self.bucket_mask) as usize;
-        let words = self.occupied.len();
-        let mut wi = start / 64;
-        let mut word = self.occupied[wi] & (!0u64 << (start % 64));
-        let b = loop {
-            if word != 0 {
-                break wi * 64 + word.trailing_zeros() as usize;
+    /// Makes the next window active once the lane has drained: the earlier
+    /// of the earliest occupied bucket's window, whose events are streamed
+    /// into the lane, and the overflow heap's first window. Either way the
+    /// next event popped lies in the new active window.
+    fn advance(&mut self) {
+        let overflow = self.overflow.peek().map(|Reverse(e)| self.window_of(e.at));
+        let earliest = self
+            .first_bucket()
+            .filter(|&b| overflow.is_none_or(|o| self.bucket_window[b] <= o));
+        let Some(b) = earliest else {
+            if let Some(o) = overflow {
+                self.cur_window = o;
             }
-            wi += 1;
-            if wi == words {
-                wi = 0;
-            }
-            if wi == start / 64 {
-                // Wrapped: only bits below `start` in the start word remain.
-                word = self.occupied[wi] & !(!0u64 << (start % 64));
-                if word == 0 {
-                    debug_assert!(self.wheel_len == 0, "occupancy bitmap out of sync");
-                    return;
-                }
-            } else {
-                word = self.occupied[wi];
-            }
+            return;
         };
-        let cur_b = (self.cur_window & self.bucket_mask) as usize;
-        // Offset of bucket `b` ahead of the current window's bucket, in 1..n.
-        let i = (b + n - cur_b) & (n - 1);
-        debug_assert!(i != 0, "the active window's own bucket is never occupied");
-        self.cur_window += i as u64;
+        self.cur_window = self.bucket_window[b];
         self.occupied[b / 64] &= !(1u64 << (b % 64));
         self.wheel_len -= self.buckets[b].len();
-        debug_assert_eq!(self.lane.len, 0);
         // The bucket keeps its allocation for the next window that maps here.
         let mut bucket = std::mem::take(&mut self.buckets[b]);
         for event in bucket.drain(..) {
-            self.push_active(event);
+            self.lane.push(event);
         }
         self.buckets[b] = bucket;
     }
@@ -533,10 +472,13 @@ impl EventQueue {
     /// Removes and returns the earliest event.
     // trimlint: hot-path -- the simulator's main-loop drain
     pub fn pop(&mut self) -> Option<Event> {
-        // The refill invariant keeps the wheel's minimum visible through
-        // the lane, so the global minimum is in the lane or `overflow`.
-        // Their windows can coincide (evicted or horizon-straddling events),
-        // so compare the full (time, seq) key.
+        if self.lane.len == 0 {
+            self.advance();
+        }
+        // The lane holds the active window and every bucket a later one, so
+        // the global minimum is in the lane or `overflow`. Their windows can
+        // coincide (the active window caught up with an overflow event), so
+        // compare the full (time, seq) key.
         let from_overflow = match (self.lane.peek(), self.overflow.peek()) {
             (None, None) => return None,
             (Some(_), None) => false,
@@ -549,23 +491,22 @@ impl EventQueue {
             self.lane.pop()
         }?;
         self.fired += 1;
-        if self.lane.len == 0 && self.wheel_len > 0 {
-            self.refill();
-        }
         Some(event)
     }
 
-    /// The firing time of the earliest event, if any.
+    /// The firing time of the earliest event, if any. Leaves the active
+    /// window where it is: with the lane drained, this reads the earliest
+    /// bucket's minimum.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The refill invariant (buckets occupied ⇒ lane non-empty) makes
-        // the wheel's minimum visible through the lane.
-        debug_assert!(self.wheel_len == 0 || self.lane.len > 0);
-        let overflow = self.overflow.peek().map(|Reverse(e)| e.at);
-        match (self.lane.peek().map(|(at, _)| at), overflow) {
-            (Some(a), Some(o)) => Some(a.min(o)),
-            (a, o) => a.or(o),
-        }
+        let near = match self.lane.peek() {
+            Some((at, _)) => Some(at),
+            None => self
+                .first_bucket()
+                .and_then(|b| self.buckets[b].iter().map(|e| e.at).min()),
+        };
+        let far = self.overflow.peek().map(|Reverse(e)| e.at);
+        near.into_iter().chain(far).min()
     }
 
     /// Number of pending events.
@@ -770,17 +711,31 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_behind_the_active_window_still_pops_first() {
+    fn a_drained_window_stays_active_until_the_next_pop() {
+        // 16 ns windows: 5 and 10 share window 0, 20 is in window 1.
         let mut q = EventQueue::with_geometry(4, 4);
-        q.schedule(SimTime(100), timer(0, 1)); // re-anchors to window 6
-        q.schedule(SimTime(3), timer(0, 0)); // behind the anchor: re-anchors back
-        assert_eq!(q.peek_time(), Some(SimTime(3)));
+        q.schedule(SimTime(5), timer(0, 0));
+        q.schedule(SimTime(20), timer(0, 2));
+        assert_eq!(q.pop().map(|e| e.at), Some(SimTime(5)));
+        // The lane is empty, but the last event fired in window 0, so its
+        // handler may still schedule there.
+        q.schedule(SimTime(10), timer(0, 1));
+        assert_eq!(q.peek_time(), Some(SimTime(10)));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::AppTimer { token, .. } => token,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(order, vec![0, 1]);
+        assert_eq!(order, vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the active window")]
+    fn scheduling_behind_the_last_fired_window_panics() {
+        let mut q = EventQueue::with_geometry(4, 4);
+        q.schedule(SimTime(100), timer(0, 1)); // window 6, in overflow
+        assert_eq!(q.pop().map(|e| e.at), Some(SimTime(100)));
+        q.schedule(SimTime(3), timer(0, 0)); // window 0, behind window 6
     }
 }

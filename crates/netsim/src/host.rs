@@ -93,6 +93,29 @@ impl<'a> HostApi<'a> {
         self.actions.outbox.push(spec);
     }
 
+    /// Sends a `bytes`-long synthetic flow to `dst` as a train of
+    /// `packet_size` packets numbered from 0; the last one is short if the
+    /// size does not divide `bytes` and carries the `fin` marker.
+    pub(crate) fn send_flow(
+        &mut self,
+        dst: NodeId,
+        flow: crate::FlowId,
+        bytes: u64,
+        packet_size: u32,
+    ) {
+        let n = bytes.div_ceil(u64::from(packet_size));
+        let mut remaining = bytes;
+        for seq in 0..n {
+            let size = u64::from(packet_size).min(remaining) as u32;
+            remaining -= u64::from(size);
+            let mut spec = PacketSpec::synthetic(dst, flow, size, seq);
+            if seq == n - 1 {
+                spec = spec.with_fin();
+            }
+            self.send(spec);
+        }
+    }
+
     /// Schedules [`App::on_timer`] to fire `delay` from now with `token`.
     pub fn timer_in(&mut self, delay: SimTime, token: u64) {
         self.actions.timers.push((self.now + delay, token));

@@ -21,7 +21,7 @@
 //!   random sizes, the unpredictable cross-traffic background.
 
 use crate::host::{App, HostApi, SinkApp};
-use crate::packet::{Packet, PacketSpec};
+use crate::packet::Packet;
 use crate::sim::Simulator;
 use crate::time::SimTime;
 use crate::{FlowId, NodeId};
@@ -325,17 +325,7 @@ impl App for ScheduledSenderApp {
 
     fn on_timer(&mut self, token: u64, api: &mut HostApi) {
         let f = &self.flows[token as usize];
-        let n = f.packet_count();
-        let mut remaining = f.bytes;
-        for seq in 0..n {
-            let size = u64::from(f.packet_size).min(remaining) as u32;
-            remaining -= u64::from(size);
-            let mut spec = PacketSpec::synthetic(f.dst, f.flow, size, seq);
-            if seq == n - 1 {
-                spec = spec.with_fin();
-            }
-            api.send(spec);
-        }
+        api.send_flow(f.dst, f.flow, f.bytes, f.packet_size);
     }
 }
 

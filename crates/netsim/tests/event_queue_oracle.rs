@@ -1,21 +1,23 @@
 //! Differential ordering harness for the event schedulers.
 //!
 //! The simulator's bit-determinism rests on its event queue firing events in
-//! exact `(time, insertion-sequence)` order under *any* interleaving of
-//! schedules and pops. This harness pins that contract for the calendar
-//! [`EventQueue`] at its default geometry, at deliberately tiny wheels, and
-//! at wide windows whose lane slots span many nanoseconds, by replaying
-//! identical seeded op scripts against a naive sorted-`Vec` oracle and
-//! asserting every pop, peek, and length agrees.
+//! exact `(time, insertion-sequence)` order under *any* forward-running
+//! interleaving of schedules and pops. This harness pins that contract for
+//! the calendar [`EventQueue`] at its default geometry, at deliberately tiny
+//! wheels, and at wide windows whose lane slots span many nanoseconds, by
+//! replaying identical seeded op scripts against a naive sorted-`Vec` oracle
+//! and asserting every pop, peek, and length agrees.
 //!
-//! The script families are chosen adversarially for a calendar queue:
-//! equal-timestamp bursts (tie-break stress), far-future outliers beyond any
-//! wheel horizon (overflow heap), interleaved schedule-during-pop (refill
-//! churn), rewinds that schedule behind the active window (backward
-//! re-anchor), and the simulator's own shape (every pop schedules a little
-//! ahead of the clock, never behind it). DESIGN.md §11 sketches why the calendar reproduces a single
-//! priority queue's total order; this harness is the executable version of
-//! that argument.
+//! A script schedules at offsets from the last popped time, the clock a
+//! simulation's handler sees, so every schedule obeys the calendar's
+//! forward-only contract while bursts, ties and far-future outliers keep
+//! their shapes. The script families are chosen adversarially for a
+//! calendar queue: equal-timestamp bursts (tie-break stress), far-future
+//! outliers beyond any wheel horizon (overflow heap), interleaved
+//! schedule-during-pop (window-advance churn), and the simulator's own shape
+//! (every pop schedules a little ahead of the clock). DESIGN.md §5 sketches
+//! why the calendar reproduces a single priority queue's total order; this
+//! harness is the executable version of that argument.
 //!
 //! [`EventQueue`]: trimgrad_netsim::event::EventQueue
 
@@ -56,7 +58,9 @@ impl OracleQueue {
 /// exact same operation sequence.
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    Schedule(SimTime),
+    /// Schedule this many nanoseconds after the last popped time (0 before
+    /// the first pop).
+    Schedule(u64),
     Pop,
 }
 
@@ -72,9 +76,11 @@ fn token_of(kind: &EventKind) -> u64 {
 fn assert_matches_oracle(mut q: EventQueue, script: &[Op], label: &str) {
     let mut oracle = OracleQueue::default();
     let mut token = 0u64;
+    let mut now = SimTime(0);
     for op in script {
         match *op {
-            Op::Schedule(at) => {
+            Op::Schedule(ahead) => {
+                let at = SimTime(now.0 + ahead);
                 q.schedule(
                     at,
                     EventKind::AppTimer {
@@ -88,6 +94,9 @@ fn assert_matches_oracle(mut q: EventQueue, script: &[Op], label: &str) {
             Op::Pop => {
                 let got = q.pop().map(|e| (e.at, token_of(&e.kind)));
                 assert_eq!(got, oracle.pop(), "mid-stream pop diverged ({label})");
+                if let Some((at, _)) = got {
+                    now = at;
+                }
             }
         }
         assert_eq!(q.len(), oracle.pending.len(), "len diverged ({label})");
@@ -129,16 +138,14 @@ fn assert_all_geometries_match_oracle(script: &[Op], label: &str) {
     }
 }
 
-/// The baseline chaos mix: ~60% schedules at uniform times in
-/// `[0, max_time)`, ~40% pops. Pops advance the calendar's window, so later
-/// small-time schedules land behind the clock and exercise the backward
-/// re-anchor — something a simulation never does (see [`forward_script`]).
+/// The baseline chaos mix: ~60% schedules uniformly in `[0, max_time)` ahead
+/// of the clock, ~40% pops.
 fn chaos_script(ops: usize, seed: u64, max_time: u64) -> Vec<Op> {
     let mut rng = Xoshiro256StarStar::new(seed);
     (0..ops)
         .map(|_| {
             if rng.next_u64() % 5 < 3 {
-                Op::Schedule(SimTime(rng.next_u64() % max_time))
+                Op::Schedule(rng.next_u64() % max_time)
             } else {
                 Op::Pop
             }
@@ -147,16 +154,16 @@ fn chaos_script(ops: usize, seed: u64, max_time: u64) -> Vec<Op> {
 }
 
 /// Equal-timestamp bursts: each schedule step emits 4–16 events at one
-/// instant drawn from a tiny range, so nearly every comparison is a tie and
-/// only the insertion sequence orders the pops.
+/// instant drawn from a tiny range ahead of the clock, so nearly every
+/// comparison is a tie and only the insertion sequence orders the pops.
 fn burst_script(steps: usize, seed: u64) -> Vec<Op> {
     let mut rng = Xoshiro256StarStar::new(seed);
     let mut script = Vec::new();
     for _ in 0..steps {
         if rng.next_u64() % 3 < 2 {
-            let at = SimTime(rng.next_u64() % 8);
+            let ahead = rng.next_u64() % 8;
             let burst = 4 + rng.next_u64() % 13;
-            script.extend(std::iter::repeat_n(Op::Schedule(at), burst as usize));
+            script.extend(std::iter::repeat_n(Op::Schedule(ahead), burst as usize));
         } else {
             script.push(Op::Pop);
         }
@@ -164,62 +171,33 @@ fn burst_script(steps: usize, seed: u64) -> Vec<Op> {
     script
 }
 
-/// Far-future outliers: mostly near-term times, but one schedule in four
-/// lands up to 2^45 ns out — beyond the default wheel's ~2 ms horizon, let
+/// Far-future outliers: mostly near-term schedules, but one in four lands
+/// up to 2^45 ns ahead — beyond the default wheel's ~2 ms horizon, let
 /// alone the tiny test wheels — forcing constant overflow-heap traffic and
 /// (on pops past the near-term events) horizon-crossing refills.
 fn outlier_script(ops: usize, seed: u64) -> Vec<Op> {
     let mut rng = Xoshiro256StarStar::new(seed);
     (0..ops)
         .map(|_| match rng.next_u64() % 8 {
-            0..=3 => Op::Schedule(SimTime(rng.next_u64() % 2_000)),
+            0..=3 => Op::Schedule(rng.next_u64() % 2_000),
             4 | 5 => Op::Pop,
-            _ => Op::Schedule(SimTime(rng.next_u64() % (1 << 45))),
-        })
-        .collect()
-}
-
-/// Rewind stress: long monotone ascending runs (the wheel anchor chases
-/// them forward through pops) punctured by schedules at near-zero times,
-/// each of which forces a backward re-anchor with a populated wheel and
-/// overflow heap.
-fn rewind_script(ops: usize, seed: u64) -> Vec<Op> {
-    let mut rng = Xoshiro256StarStar::new(seed);
-    let mut now = 0u64;
-    (0..ops)
-        .map(|_| match rng.next_u64() % 8 {
-            0..=3 => {
-                now += rng.next_u64() % 5_000;
-                Op::Schedule(SimTime(now))
-            }
-            4 | 5 => Op::Pop,
-            _ => Op::Schedule(SimTime(rng.next_u64() % 16)),
+            _ => Op::Schedule(rng.next_u64() % (1 << 45)),
         })
         .collect()
 }
 
 /// The simulator's shape: a few seed events, then every pop schedules one
 /// or two events 12 ns to 2.2 µs after the popped time (a serialization or a
-/// propagation ahead) and nothing is ever scheduled behind the clock. The
-/// popped times come from the oracle, so the script is fixed before any
-/// geometry replays it.
+/// propagation ahead). Every pop schedules, so the queue never drains.
 fn forward_script(ops: usize, seed: u64) -> Vec<Op> {
     let mut rng = Xoshiro256StarStar::new(seed);
-    let mut oracle = OracleQueue::default();
-    let mut script = Vec::new();
-    let schedule = |script: &mut Vec<Op>, oracle: &mut OracleQueue, at: u64| {
-        script.push(Op::Schedule(SimTime(at)));
-        oracle.schedule(SimTime(at), 0);
-    };
-    for _ in 0..16 {
-        schedule(&mut script, &mut oracle, rng.next_u64() % 1_000);
-    }
+    let mut script: Vec<Op> = (0..16)
+        .map(|_| Op::Schedule(rng.next_u64() % 1_000))
+        .collect();
     while script.len() < ops {
-        let Some((now, _)) = oracle.pop() else { break };
         script.push(Op::Pop);
         for _ in 0..1 + rng.next_u64() % 2 {
-            let ahead = 12 + rng.next_u64() % 2_189;
-            schedule(&mut script, &mut oracle, now.0 + ahead);
+            script.push(Op::Schedule(12 + rng.next_u64() % 2_189));
         }
     }
     script
@@ -261,14 +239,6 @@ fn far_future_outliers_match_oracle() {
     for seed in 0..4u64 {
         let script = outlier_script(1_500, 0xFAFA + seed);
         assert_all_geometries_match_oracle(&script, &format!("outlier seed {seed}"));
-    }
-}
-
-#[test]
-fn backward_re_anchor_matches_oracle() {
-    for seed in 0..4u64 {
-        let script = rewind_script(1_500, 0x0EEE + seed);
-        assert_all_geometries_match_oracle(&script, &format!("rewind seed {seed}"));
     }
 }
 

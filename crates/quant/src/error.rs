@@ -1,5 +1,4 @@
-//! Reconstruction-error metrics used by tests, benchmarks, and the adaptive
-//! scheme selector.
+//! Reconstruction-error metrics used by tests, benchmarks and the figures.
 //!
 //! The figures of the paper compare encodings by their end-to-end effect on
 //! training, which ultimately traces back to the estimation error each

@@ -1,14 +1,11 @@
-//! Multi-level trimming + congestion-control coupling (§5.1 and §5.3).
+//! Multi-level trimming (§5.1).
 //!
 //! The three-part `MultiLevelRht` encoding (1-bit sign / 8-bit exponent /
-//! 23-bit mantissa) lets switches pick a trim depth per congestion level,
-//! and lets the *sender* pre-truncate parts based on feedback — the
-//! [`AotController`] always slightly over-sends and lets switches do the
-//! just-in-time rest.
+//! 23-bit mantissa) lets switches pick a trim depth per congestion level;
+//! this prints what each depth costs in accuracy.
 //!
 //! Run: `cargo run --release --example multilevel_trim`
 
-use trimgrad::cc::{AotController, RoundFeedback};
 use trimgrad::quant::error::nmse;
 use trimgrad::quant::multilevel::MultiLevelRht;
 use trimgrad::quant::TrimmableScheme;
@@ -21,7 +18,6 @@ fn main() {
         .collect();
     let enc = scheme.encode(&gradient, 7);
 
-    // --- Part 1: what each switch trim level costs in accuracy. ---
     println!(
         "switch trim levels of the {} encoding:",
         Scheme::MultiLevelRht.name()
@@ -38,25 +34,4 @@ fn main() {
             nmse(&dec, &gradient)
         );
     }
-
-    // --- Part 2: the ahead-of-time controller reacting to congestion. ---
-    println!("\nsender-side AOT precision under a congestion episode:");
-    let mut ctl = AotController::new(part_bits.len());
-    let episode = [
-        0.0, 0.0, 0.5, 0.6, 0.7, 0.6, 0.8, 0.5, 0.6, 0.7, 0.0, 0.0, 0.0,
-    ];
-    for (round, &trim_frac) in episode.iter().enumerate() {
-        ctl.on_feedback(&RoundFeedback {
-            trim_fraction: trim_frac,
-            ecn_fraction: 0.0,
-        });
-        println!(
-            "  round {round:>2}: observed trim {:>3.0}%  -> send {} parts ({} bits/coord)",
-            trim_frac * 100.0,
-            ctl.send_depth(),
-            ctl.bits_per_coord(part_bits)
-        );
-    }
-    println!("\nNote the asymmetry: precision decays only after sustained congestion");
-    println!("but recovers immediately — \"slightly under-compress and over-send\".");
 }

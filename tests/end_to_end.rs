@@ -178,42 +178,6 @@ fn lossless_full_stack_all_schemes() {
     }
 }
 
-/// The adaptive selector flips between schemes as observed congestion moves,
-/// and the sparsifier composes with the pipeline.
-#[test]
-fn adaptive_and_sparsify_compose() {
-    use trimgrad::adaptive::AdaptiveSelector;
-    use trimgrad::sparsify::TopKSparsifier;
-
-    let mut sel = AdaptiveSelector::default();
-    for _ in 0..5 {
-        sel.observe(0.4);
-    }
-    let scheme = sel.scheme();
-    assert_eq!(scheme, Scheme::RhtOneBit);
-
-    let mut sparsifier = TopKSparsifier::new(0.25, 2048);
-    let g = blob(2048, 4);
-    let sparse = sparsifier.sparsify(&g);
-    let kept = sparse.iter().filter(|&&v| v != 0.0).count();
-    assert_eq!(kept, 512);
-
-    let pipe = TrimmablePipeline::new(
-        PipelineConfig::builder()
-            .scheme(scheme)
-            .row_len(1 << 10)
-            .build(),
-    );
-    let tx = pipe.encode(&sparse, 0, 0, 1, 2);
-    let mut packets = tx.packets;
-    for p in &mut packets {
-        p.trim_to_depth(1).expect("trimmable");
-    }
-    let dec = pipe.decode(&packets, &tx.metas, 0, 0).expect("decodable");
-    // Sparsified + fully trimmed: still directionally informative.
-    assert!(cosine_similarity(&dec, &sparse) > 0.5);
-}
-
 /// The in-memory harness (Fig 3/4) counts exactly the bytes the real frames
 /// (fabric path) occupy: `TrimmingChannel::bytes_sent` equals the pipeline's
 /// frames for the same blob, untrimmed and with every packet cut to heads.
