@@ -1,14 +1,16 @@
 //! Micro-benchmarks for the compute stage of a round at the two shapes
 //! `BENCHMARK.json` pins (`train_fabric`, `train_inject`; batch 32): the
-//! forward pass alone, forward + backward into the flat gradient, and the
-//! mean the in-memory hook takes over four workers' gradients. Lands in
-//! `BENCH_mltrain.json` under CI's bench smoke job.
+//! forward pass alone, forward + backward into the flat gradient, and
+//! `train_inject`'s whole in-memory exchange of four workers' gradients
+//! (SQ, rows of 2¹⁵, 10 % trim). Lands in `BENCH_mltrain.json` under CI's
+//! bench smoke job.
 
 use std::hint::black_box;
-use trimgrad::collective::hooks::mean_views;
+use trimgrad::collective::hooks::{AggregateHook, TrimmableHook};
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::mltrain::data::{gaussian_mixture, sample_indices};
 use trimgrad::mltrain::{Matrix, Mlp};
+use trimgrad::quant::SchemeId;
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
 
 const SHAPES: [(&str, &[usize]); 2] = [
@@ -48,18 +50,21 @@ fn bench_compute(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     }
 }
 
-fn bench_hook_mean(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+fn bench_hook_aggregate(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     const WORKERS: usize = 4;
     const LEN: usize = 445_540; // train_inject's parameter count
     let mut rng = Xoshiro256StarStar::new(3);
-    let mut draw = |_| -> Vec<f32> { (0..LEN).map(|_| rng.next_f32_range(-1.0, 1.0)).collect() };
-    let own: Vec<Vec<f32>> = (0..WORKERS).map(&mut draw).collect();
-    let decoded: Vec<Vec<f32>> = (0..WORKERS).map(&mut draw).collect();
+    let grads: Vec<Vec<f32>> = (0..WORKERS)
+        .map(|_| (0..LEN).map(|_| rng.next_f32_range(-1.0, 1.0)).collect())
+        .collect();
+    let mut hook = TrimmableHook::new(SchemeId::Stochastic, WORKERS, 0.10, 0.0, 1 << 15, 11);
+    let mut round = 0u32;
     let mut g = Group::new("mltrain");
     opts.configure(&mut g);
     g.throughput(Throughput::Elements((WORKERS * LEN) as u64));
-    g.bench("hook_mean_4x445k", || {
-        mean_views(black_box(&own), black_box(&decoded))
+    g.bench("hook_aggregate_sq_4x445k", || {
+        round += 1;
+        hook.aggregate(black_box(&grads), 0, round)
     });
     records.extend(g.finish());
 }
@@ -68,6 +73,6 @@ fn main() {
     let opts = BenchOpts::from_args();
     let mut records = Vec::new();
     bench_compute(&opts, &mut records);
-    bench_hook_mean(&opts, &mut records);
+    bench_hook_aggregate(&opts, &mut records);
     opts.write("mltrain", &records);
 }

@@ -12,7 +12,8 @@
 //!   are small — that is the whole point).
 
 use crate::chunk::MessageCodec;
-use crate::trim_inject::{packet_chunks, InjectStats, TrimInjector};
+use crate::trim_inject::{Fate, InjectStats, TrimInjector};
+use core::ops::Range;
 use trimgrad_telemetry::{Counter, Registry};
 use trimgrad_wire::packet::STACK_OVERHEAD;
 use trimgrad_wire::packetize::{frame_len, DEFAULT_MTU};
@@ -84,6 +85,10 @@ pub struct TrimmingChannel {
     bytes: u64,
     stats: InjectStats,
     metrics: Option<ChannelMetrics>,
+    /// The current row's packet fates, kept across rows.
+    fates: Vec<Fate>,
+    /// The current row's decode, kept across rows and transfers.
+    scratch: Vec<f32>,
 }
 
 impl TrimmingChannel {
@@ -96,6 +101,8 @@ impl TrimmingChannel {
             bytes: 0,
             stats: InjectStats::default(),
             metrics: None,
+            fates: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -124,38 +131,52 @@ impl TrimmingChannel {
     pub fn codec(&self) -> &MessageCodec {
         &self.codec
     }
-}
 
-impl GradChannel for TrimmingChannel {
-    fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
+    /// Transfers `data` one row at a time: each row is encoded, its packets
+    /// meet their fates, and what survived is decoded into a scratch row the
+    /// channel keeps across calls and handed to `sink` with the row's range
+    /// in `data`, in row order, while it is still in cache. Past the first
+    /// transfer the encoded row is the only row-sized allocation: fates are
+    /// drawn per packet into a buffer the channel also keeps, and no output
+    /// blob is allocated at all.
+    pub fn transfer_with(
+        &mut self,
+        data: &[f32],
+        epoch: u32,
+        msg_id: u32,
+        mut sink: impl FnMut(Range<usize>, &[f32]),
+    ) {
         if data.is_empty() {
-            return Vec::new();
+            return;
         }
         let bytes_before = self.bytes;
         let stats_before = self.stats;
-        let mut out = vec![0.0; data.len()];
         let part_bits = self.codec.scheme_id().part_bits();
-        // One row at a time, so each row is decoded while still in cache.
+        let row_len = self.codec.row_len().min(data.len());
+        if self.scratch.len() < row_len {
+            self.scratch.resize(row_len, 0.0);
+        }
         for row_id in 0..self.codec.rows_for(data.len()) {
             let enc = &self.codec.encode_row(data, epoch, msg_id, row_id);
-            let (depths, stats) = self.injector.draw_depths(enc);
+            let stats = self.injector.draw_fates(enc, &mut self.fates);
             self.stats.merge(stats);
             // Wire accounting: the frame each packet-chunk left the fabric
             // as (a dropped one counts as zero), plus the reliable metadata
             // frame.
-            for chunk in packet_chunks(enc) {
-                let depth = depths[chunk.start];
-                if depth > 0 {
-                    self.bytes += frame_len(part_bits, chunk.len(), depth) as u64;
+            for (chunk, depth) in &self.fates {
+                if *depth > 0 {
+                    self.bytes += frame_len(part_bits, chunk.len(), *depth) as u64;
                 }
             }
             self.bytes += meta::FRAME_LEN as u64;
-            let view = enc.view_with_depths(&depths);
-            let dst = &mut out[self.codec.row_range(data.len(), row_id)];
+            let view = enc.view_with_runs(self.fates.iter().cloned());
+            let range = self.codec.row_range(data.len(), row_id);
+            let row = &mut self.scratch[..range.len()];
             self.codec
-                .decode_row_into(&view, &enc.meta, epoch, msg_id, row_id as u32, dst)
-                // trimlint: allow(no-panic) -- the view was built from this encoder's own parts and depths; a decode failure is a codec geometry bug, not a runtime condition
+                .decode_row_into(&view, &enc.meta, epoch, msg_id, row_id as u32, row)
+                // trimlint: allow(no-panic) -- the view was built from this encoder's own parts and fates; a decode failure is a codec geometry bug, not a runtime condition
                 .expect("injected view is structurally valid");
+            sink(range, row);
         }
         if let Some(m) = &self.metrics {
             m.intact.add(self.stats.intact - stats_before.intact);
@@ -164,6 +185,15 @@ impl GradChannel for TrimmingChannel {
             m.bytes_sent.add(self.bytes - bytes_before);
             m.transfers.inc();
         }
+    }
+}
+
+impl GradChannel for TrimmingChannel {
+    /// [`transfer_with`](TrimmingChannel::transfer_with), its rows collected
+    /// into a fresh vector.
+    fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
+        let mut out = Vec::with_capacity(data.len());
+        self.transfer_with(data, epoch, msg_id, |_, row| out.extend_from_slice(row));
         out
     }
 

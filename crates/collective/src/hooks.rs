@@ -12,6 +12,7 @@ use crate::chunk::MessageCodec;
 use crate::ring::ring_all_reduce_mean;
 use crate::trim_inject::{InjectStats, TrimInjector};
 use trimgrad_quant::SchemeId;
+use trimgrad_wire::narrow;
 
 /// Aggregates per-worker gradients into per-worker averaged views.
 pub trait AggregateHook: Send {
@@ -44,9 +45,7 @@ impl BaselineHook {
 
 impl AggregateHook for BaselineHook {
     fn aggregate(&mut self, grads: &[Vec<f32>], epoch: u32, round: u32) -> Vec<Vec<f32>> {
-        let mut workers = grads.to_vec();
-        ring_all_reduce_mean(&mut workers, &mut self.channels, epoch, round * 1024);
-        workers
+        ring_round(grads, &mut self.channels, epoch, round)
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -115,19 +114,44 @@ impl AggregateHook for TrimmableHook {
     /// quantization error multiplicatively (see [`RingTrimmableHook`], kept
     /// as an ablation).
     ///
+    /// Each decoded row is added into all `W` views as it arrives, so no
+    /// worker's decoded blob ever exists: view `v` takes worker `v`'s own
+    /// exact gradient and every other worker's decode. Per coordinate the sum
+    /// runs from `+0.0` over the workers in ascending order and is divided by
+    /// the worker count once at the end. The views are the only blob-sized
+    /// allocations.
+    ///
     /// # Panics
     ///
-    /// Panics unless there is one gradient per channel, all of one length.
+    /// Panics unless there is one gradient per channel, at least one, all of
+    /// one length.
     fn aggregate(&mut self, grads: &[Vec<f32>], epoch: u32, round: u32) -> Vec<Vec<f32>> {
         let w = grads.len();
         assert_eq!(w, self.channels.len(), "one channel per worker");
-        let decoded: Vec<Vec<f32>> = grads
-            .iter()
-            .zip(self.channels.iter_mut())
-            .enumerate()
-            .map(|(i, (g, ch))| ch.transfer(g, epoch, round * w as u32 + i as u32))
-            .collect();
-        mean_views(grads, &decoded)
+        assert!(w > 0, "no gradients to aggregate");
+        let len = grads[0].len();
+        assert!(
+            grads.iter().all(|g| g.len() == len),
+            "gradients differ in length"
+        );
+        let mut views: Vec<Vec<f32>> = (0..w).map(|_| vec![0.0; len]).collect();
+        for (u, (own, ch)) in grads.iter().zip(&mut self.channels).enumerate() {
+            let msg_id = round * w as u32 + u as u32;
+            ch.transfer_with(own, epoch, msg_id, |range, row| {
+                for (v, view) in views.iter_mut().enumerate() {
+                    let src = if v == u { &own[range.clone()] } else { row };
+                    for (o, &x) in view[range.clone()].iter_mut().zip(src) {
+                        *o += x;
+                    }
+                }
+            });
+        }
+        for view in &mut views {
+            for o in view {
+                *o /= w as f32;
+            }
+        }
+        views
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -139,48 +163,21 @@ impl AggregateHook for TrimmableHook {
     }
 }
 
-/// Each worker's view of the mean gradient after a broadcast exchange:
-/// view `v` averages worker `v`'s own exact gradient `own[v]` with the
-/// `decoded[u]` it received from every other worker `u`. Per coordinate the
-/// sum runs from `+0.0` over `u` ascending and is then divided by the worker
-/// count, whatever that is; the walk goes block by block so that the inner
-/// loop is a slice add into a block that stays in cache across the `u`.
-///
-/// # Panics
-///
-/// Panics if `own` is empty, if `decoded` has a different worker count, or
-/// if the gradients are not all of one length.
-#[must_use]
-pub fn mean_views(own: &[Vec<f32>], decoded: &[Vec<f32>]) -> Vec<Vec<f32>> {
-    /// Coordinates per block: 16 KiB of output beside one 16 KiB source
-    /// block fill a 32 KiB L1.
-    const BLOCK: usize = 4096;
-    let w = own.len();
-    assert!(w > 0, "no gradients to aggregate");
-    assert_eq!(decoded.len(), w, "one decoded gradient per worker");
-    let len = own[0].len();
-    assert!(
-        own.iter().chain(decoded).all(|g| g.len() == len),
-        "gradients differ in length"
-    );
-    (0..w)
-        .map(|v| {
-            let mut view = vec![0.0f32; len];
-            for (b, out) in view.chunks_mut(BLOCK).enumerate() {
-                let (at, n) = (b * BLOCK, out.len());
-                for (u, dec) in decoded.iter().enumerate() {
-                    let src = if u == v { &own[v] } else { dec };
-                    for (o, &x) in out.iter_mut().zip(&src[at..at + n]) {
-                        *o += x;
-                    }
-                }
-                for o in out {
-                    *o /= w as f32;
-                }
-            }
-            view
-        })
-        .collect()
+/// One training round's ring all-reduce mean over `channels`. A ring of `W`
+/// workers uses message ids `base .. base + 2W² − W`, so round `r` starts at
+/// `r · 2W²`: no two rounds share a message id, and so no two transfers
+/// share a row seed.
+fn ring_round<C: GradChannel>(
+    grads: &[Vec<f32>],
+    channels: &mut [C],
+    epoch: u32,
+    round: u32,
+) -> Vec<Vec<f32>> {
+    let w = grads.len();
+    let base = narrow::to_u32(round as usize * 2 * w * w, "ring message id");
+    let mut workers = grads.to_vec();
+    ring_all_reduce_mean(&mut workers, channels, epoch, base);
+    workers
 }
 
 /// Ablation variant: trimmable encoding applied at **every ring hop**, so
@@ -210,9 +207,7 @@ impl RingTrimmableHook {
 
 impl AggregateHook for RingTrimmableHook {
     fn aggregate(&mut self, grads: &[Vec<f32>], epoch: u32, round: u32) -> Vec<Vec<f32>> {
-        let mut workers = grads.to_vec();
-        ring_all_reduce_mean(&mut workers, &mut self.0.channels, epoch, round * 1024);
-        workers
+        ring_round(grads, &mut self.0.channels, epoch, round)
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -241,6 +236,42 @@ mod tests {
         (0..grads[0].len())
             .map(|j| grads.iter().map(|g| g[j]).sum::<f32>() / w)
             .collect()
+    }
+
+    /// A lossless channel that records the `(epoch, msg_id)` of every
+    /// transfer it carries.
+    #[derive(Default)]
+    struct IdRecorder(Vec<(u32, u32)>);
+
+    impl GradChannel for IdRecorder {
+        fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
+            self.0.push((epoch, msg_id));
+            data.to_vec()
+        }
+
+        fn bytes_sent(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn ring_rounds_never_reuse_a_message_id() {
+        // From W = 23 a ring's 2W² − W ids outgrow a stride of 1024 per
+        // round; a repeated id repeats a row seed, correlating the noise of
+        // two different segments.
+        for w in [23usize, 24] {
+            let g = grads(w, 3 * w, 8);
+            let mut channels: Vec<IdRecorder> = (0..w).map(|_| IdRecorder::default()).collect();
+            for round in 0..3 {
+                let _ = ring_round(&g, &mut channels, 1, round);
+            }
+            let mut ids: Vec<(u32, u32)> = channels.iter().flat_map(|c| c.0.clone()).collect();
+            let transfers = ids.len();
+            assert_eq!(transfers, 3 * 2 * (w - 1) * w);
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), transfers, "W = {w}: a message id repeats");
+        }
     }
 
     #[test]

@@ -127,14 +127,15 @@ impl TrimInjector {
         self
     }
 
-    /// Draws per-coordinate availability depths for one encoded row and
-    /// returns them with the chunk fates: every coordinate of a
-    /// [`packet_chunks`] chunk shares one depth, and a trimmed chunk keeps its
-    /// heads (depth 1), as in the paper.
-    pub fn draw_depths(&mut self, enc: &EncodedRow) -> (Vec<usize>, InjectStats) {
+    /// Draws one fate per [`packet_chunks`] chunk of `enc`, in chunk order,
+    /// into `fates` (cleared first) and returns the outcome counts: a
+    /// dropped chunk keeps no part (depth 0), a trimmed one its heads
+    /// (depth 1, as in the paper), an intact one every part. One RNG draw
+    /// per chunk.
+    pub fn draw_fates(&mut self, enc: &EncodedRow, fates: &mut Vec<Fate>) -> InjectStats {
         let n_parts = enc.parts.len();
-        let mut depths = Vec::with_capacity(enc.n);
         let mut stats = InjectStats::default();
+        fates.clear();
         for chunk in packet_chunks(enc) {
             let u = f64::from(self.rng.next_f32());
             let depth = if u < self.drop_prob {
@@ -147,10 +148,32 @@ impl TrimInjector {
                 stats.intact += 1;
                 n_parts
             };
-            depths.extend(std::iter::repeat_n(depth, chunk.len()));
+            fates.push((chunk, depth));
         }
-        (depths, stats)
+        stats
     }
+
+    /// [`draw_fates`](Self::draw_fates) expanded to one availability depth
+    /// per coordinate of `enc`.
+    pub fn draw_depths(&mut self, enc: &EncodedRow) -> (Vec<usize>, InjectStats) {
+        let mut fates = Vec::new();
+        let stats = self.draw_fates(enc, &mut fates);
+        (fate_depths(&fates), stats)
+    }
+}
+
+/// One packet-chunk's fate: the coordinates it carries and how many of
+/// their parts survived (0 = the packet was lost).
+pub type Fate = (Range<usize>, usize);
+
+/// Per-coordinate availability depths of a row whose consecutive
+/// packet-chunks met `fates`: every coordinate of a chunk shares its depth.
+#[must_use]
+pub fn fate_depths(fates: &[Fate]) -> Vec<usize> {
+    fates
+        .iter()
+        .flat_map(|(chunk, depth)| std::iter::repeat_n(*depth, chunk.len()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -276,6 +299,53 @@ mod tests {
         let (_, stats) = inj.draw_depths(&enc);
         // 1000 coords at 360/packet → 3 chunks, same as the wire packetizer.
         assert_eq!(stats.total(), 3);
+    }
+
+    /// The per-coordinate draw the injector made before fates were drawn
+    /// per chunk, kept as the reference.
+    fn ref_draw_depths(inj: &mut TrimInjector, enc: &EncodedRow) -> (Vec<usize>, InjectStats) {
+        let n_parts = enc.parts.len();
+        let mut depths = Vec::with_capacity(enc.n);
+        let mut stats = InjectStats::default();
+        for chunk in packet_chunks(enc) {
+            let u = f64::from(inj.rng.next_f32());
+            let depth = if u < inj.drop_prob {
+                stats.dropped += 1;
+                0
+            } else if u < inj.drop_prob + inj.trim_prob {
+                stats.trimmed += 1;
+                1
+            } else {
+                stats.intact += 1;
+                n_parts
+            };
+            depths.extend(std::iter::repeat_n(depth, chunk.len()));
+        }
+        (depths, stats)
+    }
+
+    #[test]
+    fn fates_expand_to_the_reference_depths_and_leave_the_rng_in_step() {
+        for (trim, drop) in [(0.3, 0.0), (0.25, 0.15), (0.0, 1.0), (1.0, 0.0)] {
+            let make = || TrimInjector::new(trim, 17).with_drop_prob(drop);
+            let (mut by_fates, mut by_depths, mut reference) = (make(), make(), make());
+            let mut fates = vec![(0..1, 9)]; // stale contents are cleared
+            let lens = [1usize, 359, 360, 361, 5000, 1 << 15];
+            for (i, n) in lens.into_iter().enumerate() {
+                let enc = SignMagnitude.encode(&row(n, i as u64), 0);
+                let (want, want_stats) = ref_draw_depths(&mut reference, &enc);
+                let stats = by_fates.draw_fates(&enc, &mut fates);
+                assert_eq!(stats, want_stats, "trim {trim} drop {drop} n {n}");
+                assert_eq!(fate_depths(&fates), want, "trim {trim} drop {drop} n {n}");
+                let chunks: Vec<Range<usize>> = fates.iter().map(|f| f.0.clone()).collect();
+                assert_eq!(chunks, packet_chunks(&enc).collect::<Vec<_>>());
+                assert_eq!(by_depths.draw_depths(&enc), (want, want_stats));
+            }
+            // All three generators stand at the same point of the stream.
+            let next = reference.rng.next_u64();
+            assert_eq!(by_fates.rng.next_u64(), next);
+            assert_eq!(by_depths.rng.next_u64(), next);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! for archival ([`TrimTranscript::to_bytes`]).
 
 use std::collections::BTreeMap;
-use trimgrad_collective::trim_inject::packet_chunks;
+use trimgrad_collective::trim_inject::{fate_depths, packet_chunks, Fate};
 use trimgrad_quant::scheme::EncodedRow;
 
 /// Identity of one data packet within a training run.
@@ -28,6 +28,16 @@ pub struct PacketKey {
     pub row_id: u32,
     /// Packet chunk within the row.
     pub chunk_id: u16,
+}
+
+/// The key of chunk `chunk_id` of row `row_id` of message `msg_id`.
+fn packet_key(epoch: u32, msg_id: u32, row_id: u32, chunk_id: usize) -> PacketKey {
+    PacketKey {
+        epoch,
+        msg_id,
+        row_id,
+        chunk_id: trimgrad_wire::narrow::to_u16(chunk_id, "chunk id"),
+    }
 }
 
 /// A recorded training run's trimming history.
@@ -80,21 +90,16 @@ impl TrimTranscript {
         row_id: u32,
     ) -> Vec<usize> {
         let n_parts = enc.parts.len();
-        let mut depths = Vec::with_capacity(enc.n);
-        for (chunk_id, chunk) in packet_chunks(enc).enumerate() {
-            let key = PacketKey {
-                epoch,
-                msg_id,
-                row_id,
-                chunk_id: trimgrad_wire::narrow::to_u16(chunk_id, "chunk id"),
-            };
-            let depth = match self.depth_of(&key) {
-                Some(d) => usize::from(d).min(n_parts),
-                None => n_parts,
-            };
-            depths.extend(std::iter::repeat_n(depth, chunk.len()));
-        }
-        depths
+        let fates: Vec<Fate> = packet_chunks(enc)
+            .enumerate()
+            .map(|(chunk_id, chunk)| {
+                let depth = self
+                    .depth_of(&packet_key(epoch, msg_id, row_id, chunk_id))
+                    .map_or(n_parts, |d| usize::from(d).min(n_parts));
+                (chunk, depth)
+            })
+            .collect();
+        fate_depths(&fates)
     }
 
     /// Serializes to a stable sorted text format (the exact format is an
@@ -173,23 +178,18 @@ impl RecordingInjector {
         msg_id: u32,
         row_id: u32,
     ) -> Vec<usize> {
-        let (depths, _) = self.inner.draw_depths(enc);
+        let mut fates = Vec::new();
+        self.inner.draw_fates(enc, &mut fates);
         let n_parts = enc.parts.len();
-        for (chunk_id, chunk) in packet_chunks(enc).enumerate() {
-            let depth = depths[chunk.start];
-            if depth < n_parts {
+        for (chunk_id, (_, depth)) in fates.iter().enumerate() {
+            if *depth < n_parts {
                 self.transcript.record(
-                    PacketKey {
-                        epoch,
-                        msg_id,
-                        row_id,
-                        chunk_id: trimgrad_wire::narrow::to_u16(chunk_id, "chunk id"),
-                    },
-                    trimgrad_wire::narrow::to_u8(depth, "trim depth"),
+                    packet_key(epoch, msg_id, row_id, chunk_id),
+                    trimgrad_wire::narrow::to_u8(*depth, "trim depth"),
                 );
             }
         }
-        depths
+        fate_depths(&fates)
     }
 
     /// The transcript recorded so far.

@@ -67,27 +67,44 @@ impl Mlp {
         acts
     }
 
-    /// Mean cross-entropy loss and the flat gradient for one batch.
+    /// Mean cross-entropy loss and the flat gradient for one batch, in a
+    /// fresh vector: [`loss_and_grad_into`](Self::loss_and_grad_into).
     #[must_use]
     pub fn loss_and_grad(&self, x: &Matrix, labels: &[usize]) -> (f32, Vec<f32>) {
+        let mut flat = vec![0.0f32; self.param_count()];
+        let loss = self.loss_and_grad_into(x, labels, &mut flat);
+        (loss, flat)
+    }
+
+    /// Mean cross-entropy loss for one batch, with the flat gradient written
+    /// over `grad` — a buffer a caller keeps from round to round. Whatever
+    /// `grad` held is ignored: each layer zeroes its own stretch just before
+    /// it accumulates into it, so the stretch is still in cache for the add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != param_count()`.
+    pub fn loss_and_grad_into(&self, x: &Matrix, labels: &[usize], grad: &mut [f32]) -> f32 {
+        assert_eq!(grad.len(), self.param_count(), "gradient length");
         let mut acts = self.activations(x);
         let logits = acts.pop().expect("an MLP has at least one layer");
         let (loss, mut dy) = softmax_cross_entropy(&logits, labels);
         // Backward: each layer adds its `dw`/`db` to its own stretch of the
         // flat gradient, walking the stretches from the back.
-        let mut flat = vec![0.0f32; self.param_count()];
-        let mut end = flat.len();
+        let mut end = grad.len();
         for (i, l) in self.layers.iter().enumerate().rev() {
             let input = if i == 0 { x } else { &acts[i - 1] };
             let start = end - l.param_count();
-            l.param_grad_acc(input, &dy, &mut flat[start..end]);
+            let stretch = &mut grad[start..end];
+            stretch.fill(0.0);
+            l.param_grad_acc(input, &dy, stretch);
             end = start;
             if i > 0 {
                 dy = l.input_grad(&dy);
                 relu_backward(input, &mut dy);
             }
         }
-        (loss, flat)
+        loss
     }
 
     /// Parameters as one flat vector (same order as gradients).
@@ -210,6 +227,19 @@ mod tests {
                 grad[idx]
             );
         }
+    }
+
+    #[test]
+    fn gradient_into_a_dirty_buffer_equals_a_fresh_one() {
+        let m = tiny();
+        let x = Matrix::from_vec(2, 4, vec![0.5, -0.2, 0.8, 0.1, -0.6, 0.4, 0.0, 0.9]);
+        let labels = [2usize, 1];
+        let (loss, fresh) = m.loss_and_grad(&x, &labels);
+        let mut reused = vec![f32::NAN; m.param_count()];
+        let loss_into = m.loss_and_grad_into(&x, &labels, &mut reused);
+        assert_eq!(loss_into.to_bits(), loss.to_bits());
+        let bits = |g: &[f32]| -> Vec<u32> { g.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&reused), bits(&fresh));
     }
 
     #[test]

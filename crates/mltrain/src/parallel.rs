@@ -77,6 +77,8 @@ pub struct DataParallelTrainer {
     cfg: ParallelConfig,
     models: Vec<Mlp>,
     opts: Vec<SgdMomentum>,
+    /// Each worker's flat gradient, overwritten every round.
+    grads: Vec<Vec<f32>>,
     hook: Box<dyn AggregateHook>,
     train: Dataset,
     test: Dataset,
@@ -111,11 +113,13 @@ impl DataParallelTrainer {
         let opts = (0..cfg.workers)
             .map(|_| SgdMomentum::new(cfg.schedule.initial_lr, cfg.momentum, n))
             .collect();
+        let grads = (0..cfg.workers).map(|_| vec![0.0; n]).collect();
         let rng = Xoshiro256StarStar::new(cfg.seed ^ 0xBA7C4);
         Self {
             cfg,
             models,
             opts,
+            grads,
             hook,
             train,
             test,
@@ -181,19 +185,18 @@ impl DataParallelTrainer {
     }
 
     /// Runs one synchronous round: per-worker batch → gradient → aggregate →
-    /// per-worker update.
+    /// per-worker update. The gradients are written into buffers the
+    /// trainer keeps across rounds; the hook's views are the round's only
+    /// parameter-sized allocations.
     pub fn run_round(&mut self) -> RoundStats {
         let lr = self.cfg.schedule.lr_at(self.epoch);
-        let mut grads = Vec::with_capacity(self.cfg.workers);
         let mut loss_sum = 0.0f32;
-        for model in &self.models {
+        for (model, grad) in self.models.iter().zip(&mut self.grads) {
             let idx = sample_indices(self.train.len(), self.cfg.batch_size, &mut self.rng);
             let (bx, by) = self.train.batch(&idx);
-            let (loss, g) = model.loss_and_grad(&bx, &by);
-            loss_sum += loss;
-            grads.push(g);
+            loss_sum += model.loss_and_grad_into(&bx, &by, grad);
         }
-        let views = self.hook.aggregate(&grads, self.epoch, self.round);
+        let views = self.hook.aggregate(&self.grads, self.epoch, self.round);
         for ((model, opt), view) in self.models.iter_mut().zip(&mut self.opts).zip(&views) {
             opt.lr = lr;
             opt.step_segments(model.param_segments_mut(), view);

@@ -1,5 +1,5 @@
 //! Bit-identity tests for the compute stage: the three matrix products, the
-//! flat gradient they add up to, and the hook's blocked mean.
+//! flat gradient they add up to, and the in-memory hook's mean.
 //!
 //! (a) The naive i-j-k dot-product loops the library computed its products
 //! with until they moved onto one row-axpy kernel live on here as the
@@ -17,13 +17,15 @@
 //!
 //! (c) A non-finite weight yields a non-finite loss.
 //!
-//! (d) `mean_views` against the per-element walk it replaced.
+//! (d) `TrimmableHook::aggregate`'s row-by-row mean against the per-element
+//! walk it replaced.
 
 use proptest::prelude::*;
-use trimgrad_collective::hooks::mean_views;
+use trimgrad_collective::hooks::{AggregateHook, TrimmableHook};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_mltrain::data::{gaussian_mixture, sample_indices};
 use trimgrad_mltrain::{Matrix, Mlp};
+use trimgrad_quant::SchemeId;
 
 // ─────────────────────────── (a) products ───────────────────────────
 
@@ -307,9 +309,13 @@ fn ref_mean_views(own: &[Vec<f32>], decoded: &[Vec<f32>]) -> Vec<Vec<f32>> {
 }
 
 #[test]
-fn blocked_mean_matches_the_per_element_walk() {
-    // `mean_views` walks 4096-coordinate blocks.
-    for len in [0usize, 1, 4095, 4096, 4097, 2 * 4096 + 5] {
+fn aggregate_matches_the_per_element_walk() {
+    // Rows of 4096 coordinates, so the lengths end on, just before and just
+    // past a row boundary (ragged last rows). Sign-magnitude at trim 0
+    // decodes every coordinate bit-exactly, so each remote decode is the
+    // gradient that was sent and the walk's `decoded` is `own` itself.
+    const ROW: usize = 4096;
+    for len in [0usize, 1, ROW - 1, ROW, ROW + 1, 2 * ROW + 5] {
         for w in 1..=5usize {
             let mut rng = Xoshiro256StarStar::new((len * 8 + w) as u64);
             let mut draw = |_| -> Vec<f32> {
@@ -322,9 +328,9 @@ fn blocked_mean_matches_the_per_element_walk() {
                     .collect()
             };
             let own: Vec<Vec<f32>> = (0..w).map(&mut draw).collect();
-            let decoded: Vec<Vec<f32>> = (0..w).map(&mut draw).collect();
-            let got = mean_views(&own, &decoded);
-            let want = ref_mean_views(&own, &decoded);
+            let mut hook = TrimmableHook::new(SchemeId::SignMagnitude, w, 0.0, 0.0, ROW, 7);
+            let got = hook.aggregate(&own, 3, 5);
+            let want = ref_mean_views(&own, &own);
             assert_eq!(got.len(), w);
             for (v, (g, e)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(bits(g), bits(e), "len {len}, {w} workers, view {v}");

@@ -167,7 +167,9 @@ impl EncodedRow {
     }
 
     /// A view where coordinate `i` has `depths[i]` parts available
-    /// (0 = nothing survived for that coordinate).
+    /// (0 = nothing survived for that coordinate):
+    /// [`view_with_runs`](Self::view_with_runs) over the maximal runs of
+    /// equal depth.
     ///
     /// # Panics
     ///
@@ -175,22 +177,40 @@ impl EncodedRow {
     #[must_use]
     pub fn view_with_depths(&self, depths: &[usize]) -> PartialRow<'_> {
         assert_eq!(depths.len(), self.n, "one depth per coordinate");
-        let k = self.parts.len();
-        assert!(
-            depths.iter().all(|&d| d <= k),
-            "depth exceeds part count {k}"
-        );
-        // Depths arrive in packet-sized runs: one masked word fill per run
-        // and part, not one bit write per coordinate and part.
-        let mut masks = vec![BitMask::absent(self.n); k];
         let mut start = 0;
-        for run in depths.chunk_by(|a, b| a == b) {
-            let end = start + run.len();
-            for mask in &mut masks[..run[0]] {
-                mask.set_range(start, end, true);
+        self.view_with_runs(depths.chunk_by(|a, b| a == b).map(|run| {
+            let range = start..start + run.len();
+            start = range.end;
+            (range, run[0])
+        }))
+    }
+
+    /// A view where every coordinate of each `(range, depth)` run has
+    /// `depth` parts available (0 = nothing survived). Trimming happens per
+    /// packet, so a run is typically one packet's coordinates: one masked
+    /// word fill per run and part, not one bit write per coordinate and part.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the runs tile `0..n` in order, or if a depth exceeds the
+    /// part count.
+    #[must_use]
+    pub fn view_with_runs(
+        &self,
+        runs: impl IntoIterator<Item = (Range<usize>, usize)>,
+    ) -> PartialRow<'_> {
+        let k = self.parts.len();
+        let mut masks = vec![BitMask::absent(self.n); k];
+        let mut covered = 0;
+        for (range, depth) in runs {
+            assert_eq!(range.start, covered, "runs must tile the row in order");
+            assert!(depth <= k, "depth exceeds part count {k}");
+            for mask in &mut masks[..depth] {
+                mask.set_range(range.start, range.end, true);
             }
-            start = end;
+            covered = range.end;
         }
+        assert_eq!(covered, self.n, "runs must cover the row");
         let parts = self
             .parts
             .iter()

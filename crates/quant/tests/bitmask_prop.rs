@@ -7,7 +7,7 @@
 use core::ops::Range;
 use proptest::prelude::*;
 use trimgrad_quant::bitpack::BitMask;
-use trimgrad_quant::scheme::PartialRow;
+use trimgrad_quant::scheme::{PartView, PartialRow};
 use trimgrad_quant::{scheme_for, SchemeId};
 
 fn assert_same(mask: &BitMask, model: &[bool], ctx: &str) {
@@ -166,6 +166,65 @@ proptest! {
             prop_assert_eq!(view.avail_depth(i), d, "coordinate {}", i);
         }
     }
+
+    /// A view built from `(range, depth)` runs — adjacent runs of one depth
+    /// left unmerged, as per-packet fates arrive — is the view of their
+    /// per-coordinate expansion: the same variant for every part, and for a
+    /// masked part the same mask words.
+    #[test]
+    fn runs_view_equals_the_depths_view(
+        three_parts in any::<bool>(),
+        len in 0usize..700,
+        run_lens in proptest::collection::vec(1usize..150, 1..40),
+        run_depths in proptest::collection::vec(0usize..=3, 1..40)
+    ) {
+        let id = if three_parts { SchemeId::MultiLevelRht } else { SchemeId::SignMagnitude };
+        let scheme = scheme_for(id);
+        let k = scheme.part_bits().len();
+        let data: Vec<f32> = (0..len).map(|i| i as f32 - 7.5).collect();
+        let enc = scheme.encode(&data, 5);
+        let mut runs = Vec::new();
+        let mut start = 0;
+        while start < enc.n {
+            let r = runs.len();
+            let end = enc.n.min(start + run_lens[r % run_lens.len()]);
+            runs.push((start..end, run_depths[r % run_depths.len()].min(k)));
+            start = end;
+        }
+        let depths: Vec<usize> = runs
+            .iter()
+            .flat_map(|(range, d)| std::iter::repeat_n(*d, range.len()))
+            .collect();
+        let by_runs = enc.view_with_runs(runs);
+        let by_depths = enc.view_with_depths(&depths);
+        prop_assert_eq!(by_runs.parts.len(), by_depths.parts.len());
+        for (k, pair) in by_runs.parts.iter().zip(&by_depths.parts).enumerate() {
+            let same = match pair {
+                (PartView::Full(a), PartView::Full(b)) => std::ptr::eq(*a, *b),
+                (
+                    PartView::Masked { buf: a, present: pa },
+                    PartView::Masked { buf: b, present: pb },
+                ) => std::ptr::eq(*a, *b) && pa == pb,
+                (PartView::Absent, PartView::Absent) => true,
+                _ => false,
+            };
+            prop_assert!(same, "part {}: {:?} vs {:?}", k, pair.0, pair.1);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "runs must tile the row in order")]
+fn runs_with_a_gap_are_refused() {
+    let enc = scheme_for(SchemeId::SignMagnitude).encode(&[1.0; 130], 0);
+    let _ = enc.view_with_runs([(0..60, 2), (61..130, 1)]);
+}
+
+#[test]
+#[should_panic(expected = "runs must cover the row")]
+fn runs_short_of_the_row_are_refused() {
+    let enc = scheme_for(SchemeId::SignMagnitude).encode(&[1.0; 130], 0);
+    let _ = enc.view_with_runs([(0..60, 2)]);
 }
 
 #[test]
