@@ -22,7 +22,7 @@ use trimgrad::netsim::switch::QueuePolicy;
 use trimgrad::netsim::time::{gbps, SimTime};
 use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::transport::{
-    ReliableReceiverApp, ReliableSenderApp, TransportConfig, TrimmingReceiverApp, TrimmingSenderApp,
+    ReliableReceiverApp, ReliableSenderApp, TrimmingReceiverApp, TrimmingSenderApp,
 };
 use trimgrad::netsim::FlowId;
 use trimgrad_bench::print_row;
@@ -48,15 +48,7 @@ fn topo(drop: f64) -> (Topology, trimgrad::netsim::NodeId, trimgrad::netsim::Nod
 fn run_reliable(drop: f64, seed: u64) -> (f64, u64) {
     let (t, a, b) = topo(drop);
     let mut sim = Simulator::with_seed(t, seed);
-    sim.install_app(
-        a,
-        Box::new(ReliableSenderApp::new(
-            b,
-            MSG_BYTES,
-            1,
-            TransportConfig::default(),
-        )),
-    );
+    sim.install_app(a, Box::new(ReliableSenderApp::new(b, MSG_BYTES, 1)));
     sim.install_app(b, Box::new(ReliableReceiverApp::new()));
     sim.run_until(SimTime::from_secs(60));
     let tx: &ReliableSenderApp = sim.app_ref(a).expect("sender installed");
@@ -72,19 +64,8 @@ fn run_reliable(drop: f64, seed: u64) -> (f64, u64) {
 fn run_trimming(drop: f64, seed: u64) -> f64 {
     let (t, a, b) = topo(drop);
     let mut sim = Simulator::with_seed(t, seed);
-    sim.install_app(
-        a,
-        Box::new(TrimmingSenderApp::new(
-            b,
-            MSG_BYTES,
-            1,
-            TransportConfig::default(),
-        )),
-    );
-    sim.install_app(
-        b,
-        Box::new(TrimmingReceiverApp::new(1, TransportConfig::default())),
-    );
+    sim.install_app(a, Box::new(TrimmingSenderApp::new(b, MSG_BYTES, 1)));
+    sim.install_app(b, Box::new(TrimmingReceiverApp::new(1)));
     sim.run_until(SimTime::from_secs(60));
     let rx: &TrimmingReceiverApp = sim.app_ref(b).expect("receiver installed");
     assert!(rx.is_done(), "trimming transfer incomplete at drop {drop}");

@@ -9,7 +9,7 @@
 
 use crate::channel::{GradChannel, LosslessChannel, TrimmingChannel};
 use crate::chunk::MessageCodec;
-use crate::ring::ring_all_reduce_mean;
+use crate::ring::ring_all_reduce;
 use crate::trim_inject::{InjectStats, TrimInjector};
 use trimgrad_quant::SchemeId;
 use trimgrad_wire::narrow;
@@ -111,8 +111,8 @@ impl AggregateHook for TrimmableHook {
     /// trimming fabric once, and each receiver averages its own exact
     /// gradient with the decoded remote ones. Encoding once per exchange is
     /// essential — re-encoding partial sums at every ring hop compounds the
-    /// quantization error multiplicatively (see [`RingTrimmableHook`], kept
-    /// as an ablation).
+    /// quantization error multiplicatively (the ablation test
+    /// `per_hop_ring_compounds_error` measures it).
     ///
     /// Each decoded row is added into all `W` views as it arrives, so no
     /// worker's decoded blob ever exists: view `v` takes worker `v`'s own
@@ -176,47 +176,11 @@ fn ring_round<C: GradChannel>(
     let w = grads.len();
     let base = narrow::to_u32(round as usize * 2 * w * w, "ring message id");
     let mut workers = grads.to_vec();
-    ring_all_reduce_mean(&mut workers, channels, epoch, base);
+    ring_all_reduce(&mut workers, channels, epoch, base);
+    for v in workers.iter_mut().flatten() {
+        *v /= w as f32;
+    }
     workers
-}
-
-/// Ablation variant: trimmable encoding applied at **every ring hop**, so
-/// partial sums are re-encoded repeatedly. Exists to demonstrate why the
-/// paper's design encodes each gradient once — per-hop requantization
-/// compounds the error across the `2(W−1)` transfers (the motivation behind
-/// homomorphic-compression designs like THC).
-pub struct RingTrimmableHook(TrimmableHook);
-
-impl RingTrimmableHook {
-    /// Creates the per-hop ring hook (same parameters, and the same per-edge
-    /// channels, as [`TrimmableHook::new`]).
-    #[must_use]
-    pub fn new(
-        scheme: SchemeId,
-        workers: usize,
-        trim_prob: f64,
-        drop_prob: f64,
-        row_len: usize,
-        seed: u64,
-    ) -> Self {
-        Self(TrimmableHook::new(
-            scheme, workers, trim_prob, drop_prob, row_len, seed,
-        ))
-    }
-}
-
-impl AggregateHook for RingTrimmableHook {
-    fn aggregate(&mut self, grads: &[Vec<f32>], epoch: u32, round: u32) -> Vec<Vec<f32>> {
-        ring_round(grads, &mut self.0.channels, epoch, round)
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.0.bytes_sent()
-    }
-
-    fn name(&self) -> String {
-        format!("{}-ring", self.0.name())
-    }
 }
 
 #[cfg(test)]
@@ -350,19 +314,21 @@ mod tests {
 
     #[test]
     fn per_hop_ring_compounds_error() {
-        // The ablation: re-encoding at every ring hop must be strictly worse
-        // than encode-once broadcast aggregation.
+        // The ablation: re-encoding at every ring hop — a ring all-reduce
+        // over the hook's own per-edge trimming channels — must be strictly
+        // worse than encode-once broadcast aggregation. It motivates
+        // homomorphic-compression designs like THC.
         let g = grads(4, 2048, 7);
         let mean = exact_mean(&g);
         let mut once = TrimmableHook::new(SchemeId::RhtOneBit, 4, 1.0, 0.0, 1024, 3);
-        let mut per_hop = RingTrimmableHook::new(SchemeId::RhtOneBit, 4, 1.0, 0.0, 1024, 3);
+        let mut per_hop = TrimmableHook::new(SchemeId::RhtOneBit, 4, 1.0, 0.0, 1024, 3);
         let e_once = trimgrad_quant::error::nmse(&once.aggregate(&g, 0, 0)[0], &mean);
-        let e_hop = trimgrad_quant::error::nmse(&per_hop.aggregate(&g, 0, 0)[0], &mean);
+        let hop = ring_round(&g, &mut per_hop.channels, 0, 0);
+        let e_hop = trimgrad_quant::error::nmse(&hop[0], &mean);
         assert!(
             e_once < e_hop,
             "encode-once ({e_once}) must beat per-hop ({e_hop})"
         );
-        assert_eq!(per_hop.name(), "rht-ring");
     }
 
     #[test]

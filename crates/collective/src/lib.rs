@@ -16,25 +16,28 @@
 //! * [`channel`] — the [`channel::GradChannel`] abstraction: a lossless
 //!   channel, a trimming channel (encode → inject → decode), and byte
 //!   accounting for the round-time model.
-//! * [`ring`] — ring all-reduce over any channel: the step → segment
-//!   schedule and the phase loop, run as [`reducescatter`] then
-//!   [`allgather`] (the two phases, also entry points of their own).
+//! * [`ring`] — the ring schedule, the only code that knows it, and
+//!   [`ring::ring_all_reduce`] over any channel: reduce-scatter then
+//!   all-gather in one step loop.
 //! * [`hooks`] — DDP-style gradient aggregation hooks used by the trainer.
-//! * [`ring_netsim`] — the full-fidelity path: ring all-reduce executed as
+//! * [`ring_netsim`] — the full-fidelity path: the same schedule executed by
 //!   host apps inside `trimgrad-netsim`, moving real TrimGrad frames through
 //!   trimming switches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allgather;
 pub mod channel;
 pub mod chunk;
 pub mod hooks;
-pub mod reducescatter;
 pub mod ring;
 pub mod ring_netsim;
 pub mod trim_inject;
+
+/// The path [`ring::segment_range`] was first published under.
+pub mod reducescatter {
+    pub use crate::ring::segment_range;
+}
 
 pub use channel::{GradChannel, LosslessChannel, TrimmingChannel};
 pub use chunk::MessageCodec;

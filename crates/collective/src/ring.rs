@@ -4,10 +4,27 @@
 //! worker transmits `2·(W−1)/W` times the blob size regardless of `W`.
 //! Every segment transfer goes through a [`GradChannel`], so the same code
 //! runs the uncompressed baseline and the trimmable-gradient configuration.
+//!
+//! This module is the only code that knows the ring schedule: `step` says,
+//! for any rank and protocol step, which range it sends, which it receives
+//! and whether the receive accumulates. [`ring_all_reduce`] walks it over
+//! in-memory channels, [`crate::ring_netsim`] over real frames.
 
-use crate::allgather::ring_all_gather;
 use crate::channel::GradChannel;
-use crate::reducescatter::{ring_reduce_scatter, segment_range};
+use core::ops::Range;
+
+/// The half-open coordinate range of segment `s` when a blob of `len`
+/// coordinates is split into `parts` segments (remainder spread over the
+/// leading segments).
+#[must_use]
+pub fn segment_range(len: usize, parts: usize, s: usize) -> Range<usize> {
+    assert!(s < parts, "segment {s} out of {parts}");
+    let base = len / parts;
+    let extra = len % parts;
+    let start = s * base + s.min(extra);
+    let seg_len = base + usize::from(s < extra);
+    start..start + seg_len
+}
 
 /// Protocol steps of a `workers`-wide ring all-reduce: `W − 1`
 /// reduce-scatter steps, then `W − 1` all-gather steps.
@@ -17,7 +34,7 @@ pub(crate) fn total_steps(workers: usize) -> usize {
 
 /// Whether protocol step `t` accumulates (reduce-scatter) rather than
 /// overwrites (all-gather).
-pub(crate) fn is_reduce_step(workers: usize, t: usize) -> bool {
+fn is_reduce_step(workers: usize, t: usize) -> bool {
     t < workers - 1
 }
 
@@ -26,7 +43,7 @@ pub(crate) fn is_reduce_step(workers: usize, t: usize) -> bool {
 /// `s + 1`, visits every worker once, and finishes fully summed at worker
 /// `s`; in all-gather it starts at its owner `s` and reaches every other
 /// worker after `W − 1` steps.
-pub(crate) fn send_segment(workers: usize, rank: usize, t: usize) -> usize {
+fn send_segment(workers: usize, rank: usize, t: usize) -> usize {
     let w = workers;
     if is_reduce_step(w, t) {
         (rank + 2 * w - 1 - t) % w
@@ -35,53 +52,32 @@ pub(crate) fn send_segment(workers: usize, rank: usize, t: usize) -> usize {
     }
 }
 
-/// Runs the `W − 1` protocol steps starting at `first_step` in place: the
-/// reduce-scatter phase from step 0, the all-gather phase from step `W − 1`.
-/// `channels[i]` is the link from worker `i` to `(i+1) % W`; worker `i`'s
-/// transfer at the phase's `k`-th step uses message id `base_msg_id + k·W + i`.
-pub(crate) fn run_phase<C: GradChannel>(
-    workers: &mut [Vec<f32>],
-    channels: &mut [C],
-    epoch: u32,
-    base_msg_id: u32,
-    first_step: usize,
-) {
-    let w = workers.len();
-    assert_eq!(channels.len(), w, "one channel per ring edge");
-    if w <= 1 {
-        return;
-    }
-    let len = workers[0].len();
-    assert!(
-        workers.iter().all(|g| g.len() == len),
-        "worker blobs must agree in length"
-    );
-    for k in 0..w - 1 {
-        let t = first_step + k;
-        // All sends of a step happen "simultaneously": gather payloads
-        // first, then apply.
-        let mut incoming = Vec::with_capacity(w);
-        for (i, chan) in channels.iter_mut().enumerate() {
-            let range = segment_range(len, w, send_segment(w, i, t));
-            let msg_id = base_msg_id + (k * w + i) as u32;
-            let payload = chan.transfer(&workers[i][range.clone()], epoch, msg_id);
-            incoming.push(((i + 1) % w, range, payload));
-        }
-        for (dst, range, payload) in incoming {
-            if is_reduce_step(w, t) {
-                for (acc, v) in workers[dst][range].iter_mut().zip(&payload) {
-                    *acc += v;
-                }
-            } else {
-                workers[dst][range].copy_from_slice(&payload);
-            }
-        }
+/// Protocol step `t` as rank `rank` of a `len`-coordinate ring sees it.
+pub(crate) struct Step {
+    /// The range `rank` sends to `(rank + 1) % W`.
+    pub(crate) send: Range<usize>,
+    /// The range `rank` receives from `(rank + W − 1) % W`.
+    pub(crate) recv: Range<usize>,
+    /// Whether the received range is added to the blob (reduce-scatter)
+    /// rather than overwriting it (all-gather).
+    pub(crate) reduce: bool,
+}
+
+/// The schedule of `workers`-wide ring all-reduce over `len` coordinates at
+/// rank `rank`, protocol step `t` (`0 ≤ t < 2(W−1)`).
+pub(crate) fn step(len: usize, workers: usize, rank: usize, t: usize) -> Step {
+    let sender = (rank + workers - 1) % workers;
+    Step {
+        send: segment_range(len, workers, send_segment(workers, rank, t)),
+        recv: segment_range(len, workers, send_segment(workers, sender, t)),
+        reduce: is_reduce_step(workers, t),
     }
 }
 
 /// Runs ring all-reduce (sum) in place. `channels[w]` is the directed link
-/// from worker `w` to `(w+1) % W`; each of the `2(W−1)` transfer steps uses
-/// distinct message ids derived from `base_msg_id`.
+/// from worker `w` to `(w+1) % W`. Worker `i`'s transfer at reduce-scatter
+/// step `k` uses message id `base_msg_id + k·W + i`, at all-gather step `k`
+/// `base_msg_id + W² + k·W + i`.
 ///
 /// With lossless channels every worker ends with the exact element-wise sum;
 /// with lossy channels workers end with (slightly different) estimates of it
@@ -96,27 +92,41 @@ pub fn ring_all_reduce<C: GradChannel>(
     epoch: u32,
     base_msg_id: u32,
 ) {
-    let w = trimgrad_wire::narrow::to_u32(workers.len(), "worker count");
-    ring_reduce_scatter(workers, channels, epoch, base_msg_id);
-    ring_all_gather(workers, channels, epoch, base_msg_id + w * w);
-}
-
-/// Ring all-reduce that averages instead of summing.
-///
-/// # Panics
-///
-/// Same conditions as [`ring_all_reduce`].
-pub fn ring_all_reduce_mean<C: GradChannel>(
-    workers: &mut [Vec<f32>],
-    channels: &mut [C],
-    epoch: u32,
-    base_msg_id: u32,
-) {
-    let w = workers.len() as f32;
-    ring_all_reduce(workers, channels, epoch, base_msg_id);
-    for g in workers.iter_mut() {
-        for v in g.iter_mut() {
-            *v /= w;
+    let w = workers.len();
+    assert_eq!(channels.len(), w, "one channel per ring edge");
+    if w <= 1 {
+        return;
+    }
+    let len = workers[0].len();
+    assert!(
+        workers.iter().all(|g| g.len() == len),
+        "worker blobs must agree in length"
+    );
+    for t in 0..total_steps(w) {
+        // All sends of a step happen "simultaneously": gather payloads
+        // first, then apply. Ids run `base + slot·W + i`, with slot `k` for
+        // reduce-scatter step `k` and slot `W + k = t + 1` for all-gather
+        // step `k`.
+        let slot = if is_reduce_step(w, t) { t } else { t + 1 };
+        let incoming: Vec<Vec<f32>> = channels
+            .iter_mut()
+            .enumerate()
+            .map(|(i, chan)| {
+                let msg_id = base_msg_id + (slot * w + i) as u32;
+                chan.transfer(&workers[i][step(len, w, i, t).send], epoch, msg_id)
+            })
+            .collect();
+        for (i, payload) in incoming.into_iter().enumerate() {
+            let dst = (i + 1) % w;
+            let s = step(len, w, dst, t);
+            let acc = &mut workers[dst][s.recv];
+            if s.reduce {
+                for (a, v) in acc.iter_mut().zip(&payload) {
+                    *a += v;
+                }
+            } else {
+                acc.copy_from_slice(&payload);
+            }
         }
     }
 }
@@ -156,11 +166,26 @@ mod tests {
     }
 
     #[test]
+    fn segment_ranges_tile_exactly() {
+        for (len, parts) in [(10, 3), (12, 4), (7, 7), (5, 8), (0, 3)] {
+            let mut covered = 0;
+            for s in 0..parts {
+                let r = segment_range(len, parts, s);
+                assert_eq!(r.start, covered, "len={len} parts={parts} s={s}");
+                covered = r.end;
+            }
+            assert_eq!(covered, len);
+        }
+    }
+
+    #[test]
     fn segment_schedule_is_consistent() {
         let w = 3;
         for t in 0..total_steps(w) {
             for r in 0..w {
                 assert!(send_segment(w, r, t) < w);
+                // What a rank receives is what its predecessor sends.
+                assert_eq!(step(10, w, (r + 1) % w, t).recv, step(10, w, r, t).send);
             }
         }
         // Reduce-scatter ends with rank r owning segment r: the segment it
@@ -175,34 +200,96 @@ mod tests {
         }
     }
 
+    /// Lossless rings at every width, over blobs that split evenly, unevenly
+    /// (`11 = 4 + 4 + 3`, `13 = 4 + 3 + 3 + 3`) and into empty segments
+    /// (`len < W`). Small-integer
+    /// coordinates sum exactly in any order, so every worker must hold the
+    /// exact sum — which also means reduce-scatter left segment `r` fully
+    /// reduced at rank `r` and all-gather carried every owned segment
+    /// everywhere.
     #[test]
     fn lossless_ring_computes_exact_sum() {
         for w in [2, 3, 4, 7] {
-            let len = 50;
-            let mut workers = random_grads(w, len, w as u64);
-            let expected: Vec<f32> = (0..len)
-                .map(|j| workers.iter().map(|g| g[j]).sum())
-                .collect();
-            let mut chans = lossless(w);
-            ring_all_reduce(&mut workers, &mut chans, 0, 0);
-            for (i, worker) in workers.iter().enumerate() {
-                for (a, e) in worker.iter().zip(&expected) {
-                    assert!((a - e).abs() < 1e-4, "w={w} worker {i}: {a} vs {e}");
+            for len in [1, 4, 5, 10, 11, 13, 50] {
+                let mut workers: Vec<Vec<f32>> = (0..w)
+                    .map(|i| (0..len).map(|j| (i * 100 + j) as f32).collect())
+                    .collect();
+                let expected: Vec<f32> = (0..len)
+                    .map(|j| (0..w).map(|i| (i * 100 + j) as f32).sum())
+                    .collect();
+                let mut chans = lossless(w);
+                ring_all_reduce(&mut workers, &mut chans, 1, 7);
+                for (i, worker) in workers.iter().enumerate() {
+                    assert_eq!(worker, &expected, "w={w} len={len} worker {i}");
                 }
             }
         }
     }
 
     #[test]
-    fn mean_variant_divides_by_w() {
-        let w = 4;
-        let mut workers: Vec<Vec<f32>> = (0..w).map(|_| vec![8.0; 6]).collect();
-        let mut chans = lossless(w);
-        ring_all_reduce_mean(&mut workers, &mut chans, 0, 0);
-        for worker in &workers {
-            for &v in worker {
-                assert!((v - 8.0).abs() < 1e-5);
+    fn single_worker_is_noop() {
+        let mut workers = vec![vec![1.0, 2.0]];
+        let before = workers.clone();
+        let mut chans = lossless(1);
+        ring_all_reduce(&mut workers, &mut chans, 0, 0);
+        assert_eq!(workers, before);
+        assert_eq!(chans[0].bytes_sent(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must agree in length")]
+    fn rejects_ragged_workers() {
+        let mut workers = vec![vec![0.0; 4], vec![0.0; 5]];
+        let mut chans = lossless(2);
+        ring_all_reduce(&mut workers, &mut chans, 0, 0);
+    }
+
+    /// Digest of every worker's output and every edge's byte count after
+    /// rings over 1, 5, 50 and 4099 coordinates (`len < W`, ragged, and
+    /// more than one 1024-coordinate row per segment), epoch 2, base id 3.
+    fn ring_digest<C: GradChannel>(w: usize, mut chans: Vec<C>) -> u64 {
+        let mut bytes = Vec::new();
+        for len in [1usize, 5, 50, 4099] {
+            let mut rng = Xoshiro256StarStar::new((w * 1000 + len) as u64);
+            let mut workers: Vec<Vec<f32>> = (0..w)
+                .map(|_| (0..len).map(|_| rng.next_f32_range(-1.0, 1.0)).collect())
+                .collect();
+            ring_all_reduce(&mut workers, &mut chans, 2, 3);
+            for v in workers.iter().flatten() {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
             }
+        }
+        for c in &chans {
+            bytes.extend_from_slice(&c.bytes_sent().to_le_bytes());
+        }
+        trimgrad_telemetry::fnv1a(&bytes)
+    }
+
+    /// Pins the fold bit for bit: the summation order of every coordinate,
+    /// the message id (hence row seed) of every transfer, and the bytes each
+    /// edge carries. Recorded at commit `de055c2`, where reduce-scatter and
+    /// all-gather were still separate entry points; `[lossless, RHT trimming
+    /// at p = 0.3]` per `W`.
+    #[test]
+    fn ring_outputs_match_the_recorded_digests() {
+        const GOLDEN: [(usize, [u64; 2]); 5] = [
+            (1, [0xe230_03eb_e808_9419, 0xe230_03eb_e808_9419]),
+            (2, [0x1eb0_504e_3ef4_8eb9, 0xc2de_fdcf_62b5_6873]),
+            (3, [0x8a66_8385_e659_5802, 0x5dfc_937b_abe6_96bd]),
+            (4, [0xdf81_b551_c11d_2705, 0xdf0f_07ec_8a3e_f657]),
+            (7, [0xd982_c893_ee58_7ba0, 0x5287_49a8_8f08_58c6]),
+        ];
+        for (w, [lossless_golden, trimming_golden]) in GOLDEN {
+            let lossless = ring_digest(w, lossless(w));
+            let trimming = ring_digest(w, trimming(w, 0.3, 100));
+            assert_eq!(
+                lossless, lossless_golden,
+                "W = {w}, lossless: {lossless:#018x}"
+            );
+            assert_eq!(
+                trimming, trimming_golden,
+                "W = {w}, trimming: {trimming:#018x}"
+            );
         }
     }
 
@@ -244,19 +331,21 @@ mod tests {
 
     #[test]
     fn bytes_scale_with_bandwidth_optimal_factor() {
+        // Each edge carries ≈ 2(w−1)/w × len coordinates: (w−1)/w in each
+        // phase, whatever the blob length.
         let w = 4;
-        let len = 8192;
-        let mut workers = random_grads(w, len, 2);
-        let mut chans = lossless(w);
-        ring_all_reduce(&mut workers, &mut chans, 0, 0);
-        // Each edge carries ≈ 2(w−1)/w × len coordinates (both phases).
-        let expect = (2 * (w - 1) * len / w) as u64 * 4;
-        for c in &chans {
-            let sent = c.bytes_sent();
-            assert!(
-                sent >= expect && sent < expect + expect / 4,
-                "bytes {sent} vs {expect}"
-            );
+        for len in [4000, 8192] {
+            let mut workers = random_grads(w, len, 2);
+            let mut chans = lossless(w);
+            ring_all_reduce(&mut workers, &mut chans, 0, 0);
+            let expect = (2 * (w - 1) * len / w) as u64 * 4;
+            for c in &chans {
+                let sent = c.bytes_sent();
+                assert!(
+                    sent >= expect && sent < expect + expect / 4,
+                    "len {len}: bytes {sent} vs {expect}"
+                );
+            }
         }
     }
 }

@@ -9,15 +9,14 @@
 //! survived and decodes it — there is no injection shortcut anywhere in this
 //! path.
 //!
-//! The ring protocol matches [`crate::ring`]: `W − 1` reduce-scatter steps
-//! (accumulate), then `W − 1` all-gather steps (overwrite). A worker sends
-//! its step-`t+1` segment as soon as its step-`t` inbound message is fully
-//! assembled (every packet arrived, trimmed or not, plus the reliable row
-//! metadata).
+//! The ring protocol is [`crate::ring`]'s schedule: `W − 1` reduce-scatter
+//! steps (accumulate), then `W − 1` all-gather steps (overwrite); step `t`
+//! travels as message id `t`. A worker sends its step-`t+1` segment as soon
+//! as its step-`t` inbound message is fully assembled (every packet arrived,
+//! trimmed or not, plus the reliable row metadata).
 
 use crate::chunk::MessageCodec;
-use crate::reducescatter::segment_range;
-use crate::ring::{is_reduce_step, send_segment, total_steps};
+use crate::ring::{step, total_steps, Step};
 use std::collections::BTreeMap;
 use trimgrad_netsim::host::{App, HostApi};
 use trimgrad_netsim::packet::{Packet, PacketBody, PacketSpec};
@@ -61,6 +60,11 @@ impl RingNetConfig {
 
     fn workers(&self) -> usize {
         self.hosts.len()
+    }
+
+    /// Protocol step `t` as `rank` sees it.
+    fn step(&self, rank: usize, t: usize) -> Step {
+        step(self.blob_len, self.workers(), rank, t)
     }
 }
 
@@ -167,13 +171,6 @@ pub struct RingWorkerApp {
     codec: MessageCodec,
     step: usize,
     inbox: BTreeMap<u32, MsgAssembly>,
-    /// Trimmed gradient packets this worker received.
-    pub trimmed_received: u64,
-    /// Total gradient packets this worker received.
-    pub packets_received: u64,
-    /// Frames the receive path refused (unparseable header, unknown row,
-    /// or an ingest error such as a wrong epoch or truncated section).
-    pub rejected_frames: u64,
     done: bool,
     metrics: RankMetrics,
     /// Sim time when the current step's segment was sent; consumed by
@@ -204,9 +201,6 @@ impl RingWorkerApp {
             codec,
             step: 0,
             inbox: BTreeMap::new(),
-            trimmed_received: 0,
-            packets_received: 0,
-            rejected_frames: 0,
             done: false,
             metrics: RankMetrics::default(),
             step_sent_at: 0,
@@ -238,16 +232,14 @@ impl RingWorkerApp {
     fn send_step(&mut self, t: usize, api: &mut HostApi) {
         let at = api.now().as_nanos();
         let _span = api.tracer().span_at("ring.send_step", at);
-        let rank = self.rank;
+        let (rank, s) = (self.rank, self.cfg.step(self.rank, t));
         api.tracer().emit(at, || TraceEvent::StepStarted {
             rank: sat32(rank),
             step: sat32(t),
-            reduce: is_reduce_step(self.cfg.workers(), t),
+            reduce: s.reduce,
         });
         self.step_sent_at = at;
         let m = &self.metrics;
-        let seg = send_segment(self.cfg.workers(), self.rank, t);
-        let range = segment_range(self.cfg.blob_len, self.cfg.workers(), seg);
         let msg_id = t as u32;
         let (src, dst) = (api.node(), self.next_host());
         let (flow, tracer) = (self.flow(), api.tracer());
@@ -258,7 +250,7 @@ impl RingWorkerApp {
             api.send(spec);
         };
         self.codec.packetize_message(
-            &self.blob[range],
+            &self.blob[s.send],
             &PacketizeConfig {
                 mtu: self.cfg.mtu,
                 net: NetAddrs::between_hosts(src.0 as u32, dst.0 as u32),
@@ -289,10 +281,11 @@ impl RingWorkerApp {
         let at = api.now().as_nanos();
         let _span = api.tracer().span_at("ring.apply_step", at);
         let msg_id = t as u32;
-        // The inbound segment is the one our *predecessor* sent at step t.
-        let sender = (self.rank + self.cfg.workers() - 1) % self.cfg.workers();
-        let seg = send_segment(self.cfg.workers(), sender, t);
-        let range = segment_range(self.cfg.blob_len, self.cfg.workers(), seg);
+        let Step {
+            recv: range,
+            reduce,
+            ..
+        } = self.cfg.step(self.rank, t);
         let (codec, epoch, tracer) = (&self.codec, self.cfg.epoch, api.tracer());
         let decode_into = |dst: &mut [f32]| {
             codec
@@ -300,7 +293,7 @@ impl RingWorkerApp {
                 // trimlint: allow(no-panic) -- is_complete() verified every row has its metadata before the assembly left the inbox, and every packet of every row passed ingest, so a failure here is a codec geometry bug, not a runtime condition
                 .expect("complete assembly is structurally valid");
         };
-        if is_reduce_step(self.cfg.workers(), t) {
+        if reduce {
             self.scratch.resize(range.len(), 0.0);
             decode_into(&mut self.scratch);
             for (acc, v) in self.blob[range].iter_mut().zip(&self.scratch) {
@@ -347,14 +340,23 @@ impl RingWorkerApp {
         }
     }
 
+    /// The assembly of the step-`msg_id` inbound message, created on first
+    /// use. Only called with a step still [`pending`](Self::pending).
     fn ensure_assembly(&mut self, msg_id: u32) -> &mut MsgAssembly {
-        let sender = (self.rank + self.cfg.workers() - 1) % self.cfg.workers();
-        let seg = send_segment(self.cfg.workers(), sender, msg_id as usize);
-        let seg_len = segment_range(self.cfg.blob_len, self.cfg.workers(), seg).len();
+        let seg_len = self.cfg.step(self.rank, msg_id as usize).recv.len();
         let codec = &self.codec;
         self.inbox
             .entry(msg_id)
             .or_insert_with(|| MsgAssembly::new(codec, msg_id, seg_len))
+    }
+
+    /// Whether a frame or metadata packet stamped `(epoch, msg_id)` is one
+    /// this worker still expects: this ring's epoch and a step not yet
+    /// applied. Checked before any assembly exists, so a stale, replayed or
+    /// foreign packet allocates nothing and cannot poison a row.
+    fn pending(&self, epoch: u32, msg_id: u32) -> bool {
+        epoch == self.cfg.epoch
+            && (self.step..total_steps(self.cfg.workers())).contains(&(msg_id as usize))
     }
 }
 
@@ -375,16 +377,13 @@ impl App for RingWorkerApp {
                 // is_done() assertion turns a resulting stall into a test
                 // failure instead of silent corruption.
                 let Ok(fields) = frame.quick_fields() else {
-                    self.rejected_frames += 1;
                     self.metrics.rejected_frames.inc();
                     return;
                 };
-                self.packets_received += 1;
                 let m = &self.metrics;
                 m.packets_received.inc();
                 m.bytes_received.add(u64::from(pkt.size));
                 if fields.trim_depth < fields.n_parts {
-                    self.trimmed_received += 1;
                     m.trimmed_received.inc();
                     m.parts_lost
                         .add(u64::from(fields.n_parts) - u64::from(fields.trim_depth));
@@ -392,11 +391,11 @@ impl App for RingWorkerApp {
                 let msg_id = fields.msg_id;
                 let row_id = fields.row_id as usize;
                 let (at, tracer) = (api.now().as_nanos(), api.tracer());
-                let accepted = self
-                    .ensure_assembly(msg_id)
-                    .ingest_into(row_id, |row| row.ingest_traced(frame, tracer, at).is_ok());
+                let accepted = self.pending(fields.epoch, msg_id)
+                    && self
+                        .ensure_assembly(msg_id)
+                        .ingest_into(row_id, |row| row.ingest_traced(frame, tracer, at).is_ok());
                 if !accepted {
-                    self.rejected_frames += 1;
                     self.metrics.rejected_frames.inc();
                     return;
                 }
@@ -407,9 +406,10 @@ impl App for RingWorkerApp {
                 self.metrics.bytes_received.add(u64::from(pkt.size));
                 let msg_id = meta.msg_id;
                 let row_id = meta.row_id as usize;
-                let accepted = self
-                    .ensure_assembly(msg_id)
-                    .ingest_into(row_id, |row| row.ingest_meta(meta).is_ok());
+                let accepted = self.pending(meta.epoch, msg_id)
+                    && self
+                        .ensure_assembly(msg_id)
+                        .ingest_into(row_id, |row| row.ingest_meta(meta).is_ok());
                 if !accepted {
                     self.metrics.rejected_meta.inc();
                     return;
@@ -444,8 +444,7 @@ pub fn run_ring_allreduce(
     }
     sim.run_until(time_limit);
     let mut out = Vec::with_capacity(cfg.workers());
-    let mut trimmed = 0u64;
-    let mut total = 0u64;
+    let (mut trimmed, mut total) = (0, 0);
     for (rank, &host) in cfg.hosts.iter().enumerate() {
         let app: &RingWorkerApp = sim
             .app_ref(host)
@@ -457,8 +456,8 @@ pub fn run_ring_allreduce(
             app.step,
             total_steps(cfg.workers())
         );
-        trimmed += app.trimmed_received;
-        total += app.packets_received;
+        trimmed += app.metrics.trimmed_received.get();
+        total += app.metrics.packets_received.get();
         out.push(app.blob().to_vec());
     }
     let frac = if total == 0 {
@@ -477,6 +476,8 @@ mod tests {
     use trimgrad_netsim::switch::QueuePolicy;
     use trimgrad_netsim::time::{gbps, SimTime};
     use trimgrad_netsim::topology::Topology;
+    use trimgrad_wire::meta::RowMetaPacket;
+    use trimgrad_wire::packetize::packetize_row;
 
     fn star_topology(
         workers: usize,
@@ -581,6 +582,17 @@ mod tests {
         let (out, trim_frac) = run_ring_allreduce(&mut sim, &c, b, SimTime::from_secs(60));
         assert!(trim_frac > 0.0, "congestion must trim something");
         assert!(sim.conservation_holds());
+        // The reported fraction is the ranks' own counters.
+        let snap = sim.telemetry_snapshot();
+        let sum = |f: &str| -> u64 {
+            (0..w)
+                .map(|r| snap.counter(&format!("collective.rank.{r}.{f}")))
+                .sum()
+        };
+        assert_eq!(
+            trim_frac,
+            sum("trimmed_received") as f64 / sum("packets_received") as f64
+        );
         for worker in &out {
             let nmse = trimgrad_quant::error::nmse(worker, &expect);
             assert!(nmse < 1.0, "nmse {nmse} (trim fraction {trim_frac})");
@@ -594,20 +606,11 @@ mod tests {
         let (topo, hosts) = star_topology(w, QueuePolicy::trim_default(), 100.0);
         let mut sim = Simulator::new(topo);
         let b = blobs(w, len, 5);
-        let c = cfg(SchemeId::RhtOneBit, hosts.clone(), len);
+        let c = cfg(SchemeId::RhtOneBit, hosts, len);
         let _ = run_ring_allreduce(&mut sim, &c, b, SimTime::from_secs(5));
         let snap = sim.telemetry_snapshot();
-        for (rank, &host) in hosts.iter().enumerate() {
-            let app: &RingWorkerApp = sim.app_ref(host).unwrap();
+        for rank in 0..w {
             let name = |f: &str| format!("collective.rank.{rank}.{f}");
-            assert_eq!(
-                snap.counter(&name("packets_received")),
-                app.packets_received
-            );
-            assert_eq!(
-                snap.counter(&name("trimmed_received")),
-                app.trimmed_received
-            );
             assert_eq!(snap.counter(&name("steps_applied")), total_steps(w) as u64);
             assert!(snap.counter(&name("bytes_sent")) > 0);
         }
@@ -693,9 +696,115 @@ mod tests {
         let (out, _) = run_ring_allreduce(&mut sim, &c, b, SimTime::from_secs(5));
         let snap = sim.telemetry_snapshot();
         assert_eq!(snap.counter("collective.rank.0.rejected_frames"), 1);
-        let app: &RingWorkerApp = sim.app_ref(hosts[0]).unwrap();
-        assert_eq!(app.rejected_frames, 1);
         // The garbage frame must not perturb the all-reduce.
+        for worker in &out {
+            for (a, e) in worker.iter().zip(&expect) {
+                assert!((a - e).abs() < 1e-4, "{a} vs {e}");
+            }
+        }
+    }
+
+    /// Sends one packet after `delay`.
+    struct InjectApp {
+        delay: SimTime,
+        body: Option<PacketSpec>,
+    }
+
+    impl App for InjectApp {
+        fn on_start(&mut self, api: &mut HostApi) {
+            api.timer_in(self.delay, 0);
+        }
+        fn on_timer(&mut self, _token: u64, api: &mut HostApi) {
+            if let Some(spec) = self.body.take() {
+                api.send(spec);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _api: &mut HostApi) {}
+    }
+
+    /// A two-worker star at 10 Gb/s plus a third host on a 100 Gb/s link
+    /// that sends `spec(third host, rank 1)` to rank 1 after `delay`. Returns
+    /// the ring's output, the expected sum and the simulator.
+    fn run_with_injected(
+        len: usize,
+        delay: SimTime,
+        spec: impl FnOnce(NodeId, NodeId) -> PacketSpec,
+    ) -> (Vec<Vec<f32>>, Vec<f32>, Simulator) {
+        let w = 2;
+        let (mut topo, hosts) = star_topology(w, QueuePolicy::trim_default(), 10.0);
+        let injector = topo.add_host();
+        topo.link(injector, NodeId(0), gbps(100.0), SimTime::from_micros(1));
+        let mut sim = Simulator::new(topo);
+        let body = Some(spec(injector, hosts[1]));
+        sim.install_app(injector, Box::new(InjectApp { delay, body }));
+        let b = blobs(w, len, 17);
+        let expect = expected_sum(&b);
+        let c = cfg(SchemeId::RhtOneBit, hosts, len);
+        let (out, _) = run_ring_allreduce(&mut sim, &c, b, SimTime::from_secs(5));
+        (out, expect, sim)
+    }
+
+    #[test]
+    fn a_stale_epoch_meta_is_refused_and_the_ring_finishes() {
+        // Rank 1's first inbound message is step 0 of the ring at epoch 1:
+        // rows of 1024 and 476 coordinates. A metadata packet for its row 0
+        // stamped with the previous epoch, landing before any of that row's
+        // frames, used to be adopted: the row then refused every fresh
+        // frame as a wrong epoch and the ring never finished.
+        for delay_ns in [0, 1_000, 2_000, 3_000, 3_500, 10_000] {
+            let (out, expect, sim) =
+                run_with_injected(3000, SimTime::from_nanos(delay_ns), |_, dst| {
+                    let stale = RowMetaPacket {
+                        scheme: SchemeId::RhtOneBit,
+                        msg_id: 0,
+                        row_id: 0,
+                        original_len: 1024,
+                        scale: 1.0,
+                        epoch: 0,
+                    };
+                    PacketSpec::grad_meta(dst, FlowId(0xBAD), 0, stale)
+                });
+            let snap = sim.telemetry_snapshot();
+            assert_eq!(
+                snap.counter("collective.rank.1.rejected_meta"),
+                1,
+                "{delay_ns} ns"
+            );
+            for worker in &out {
+                let nmse = trimgrad_quant::error::nmse(worker, &expect);
+                assert!(nmse < 1e-6, "{delay_ns} ns: nmse {nmse}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_for_no_pending_step_allocates_nothing() {
+        // A well-formed frame of the ring's scheme and epoch whose message id
+        // names no protocol step: refused before an assembly exists.
+        let len = 100;
+        let msg_id = total_steps(2) as u32 + 3;
+        let (out, expect, sim) = run_with_injected(len, SimTime::ZERO, |src, dst| {
+            let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, 42, 1024);
+            let enc = &codec.encode_message(&vec![0.5; len / 2], 1, msg_id)[0];
+            let net = NetAddrs::between_hosts(src.0 as u32, dst.0 as u32);
+            let pkt = PacketizeConfig {
+                mtu: 1500,
+                net,
+                msg_id,
+                row_id: 0,
+                epoch: 1,
+            };
+            let frame = packetize_row(enc, &pkt).packets.remove(0);
+            PacketSpec::grad_data(dst, FlowId(0xBAD), 0, frame)
+        });
+        let snap = sim.telemetry_snapshot();
+        assert_eq!(snap.counter("collective.rank.1.rejected_frames"), 1);
+        // Rank 1's host: the switch is node 0, rank 0's host node 1.
+        let app: &RingWorkerApp = sim.app_ref(NodeId(2)).unwrap();
+        assert!(
+            app.inbox.is_empty(),
+            "a never-drained assembly was allocated"
+        );
         for worker in &out {
             for (a, e) in worker.iter().zip(&expect) {
                 assert!((a - e).abs() < 1e-4, "{a} vs {e}");

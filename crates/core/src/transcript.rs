@@ -126,6 +126,14 @@ impl TrimTranscript {
     ///
     /// Returns a description of the first malformed line.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
+        // Each field parses at its own width: an out-of-range value is an
+        // error, never silently truncated into another packet's key.
+        fn parse<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+            i: usize,
+            s: &str,
+        ) -> Result<T, String> {
+            s.parse().map_err(|e| format!("line {i}: {e}"))
+        }
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         let mut t = Self::new();
         for (i, line) in text.lines().enumerate() {
@@ -136,15 +144,14 @@ impl TrimTranscript {
             if fields.len() != 5 {
                 return Err(format!("line {i}: expected 5 fields, got {}", fields.len()));
             }
-            let parse = |s: &str| s.parse::<u64>().map_err(|e| format!("line {i}: {e}"));
             t.record(
                 PacketKey {
-                    epoch: parse(fields[0])? as u32,
-                    msg_id: parse(fields[1])? as u32,
-                    row_id: parse(fields[2])? as u32,
-                    chunk_id: parse(fields[3])? as u16,
+                    epoch: parse(i, fields[0])?,
+                    msg_id: parse(i, fields[1])?,
+                    row_id: parse(i, fields[2])?,
+                    chunk_id: parse(i, fields[3])?,
                 },
-                parse(fields[4])? as u8,
+                parse(i, fields[4])?,
             );
         }
         Ok(t)
@@ -260,6 +267,10 @@ mod tests {
     fn from_bytes_rejects_garbage() {
         assert!(TrimTranscript::from_bytes(b"1 2 3").is_err());
         assert!(TrimTranscript::from_bytes(b"a b c d e").is_err());
+        // Fields wider than their key: epoch 2³² + 1, chunk 2¹⁶, depth 257.
+        assert!(TrimTranscript::from_bytes(b"4294967297 0 0 0 1").is_err());
+        assert!(TrimTranscript::from_bytes(b"0 0 0 65536 1").is_err());
+        assert!(TrimTranscript::from_bytes(b"0 0 0 0 257").is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl ShardedParams {
         assert!(workers >= 1, "need at least one shard");
         let shards = (0..workers)
             .map(|w| {
-                let r = trimgrad_collective::reducescatter::segment_range(params.len(), workers, w);
+                let r = trimgrad_collective::ring::segment_range(params.len(), workers, w);
                 params[r].to_vec()
             })
             .collect();
@@ -152,7 +152,7 @@ mod tests {
         let me = 2;
         let gathered = sharded.gather(me, &mut chan, 0, 0);
         assert_eq!(gathered.len(), params.len());
-        let r = trimgrad_collective::reducescatter::segment_range(params.len(), 4, me);
+        let r = trimgrad_collective::ring::segment_range(params.len(), 4, me);
         // Local shard: bit exact. Remote shards: approximate but close.
         assert_eq!(&gathered[r.clone()], &params[r]);
         let nmse = trimgrad_quant::error::nmse(&gathered, &params);

@@ -17,13 +17,13 @@ impl SimTime {
 
     /// From nanoseconds.
     #[must_use]
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
     }
 
     /// From microseconds.
     #[must_use]
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
     }
 

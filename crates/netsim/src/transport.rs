@@ -26,38 +26,22 @@ use crate::time::SimTime;
 use crate::{FlowId, NodeId};
 use std::collections::BTreeMap;
 
-/// Shared transport knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct TransportConfig {
-    /// Data packet size in bytes.
-    pub packet_size: u32,
-    /// Sender window (max unacknowledged packets) — reliable transport only.
-    pub window: usize,
-    /// Retransmission timeout.
-    pub rto: SimTime,
-    /// Receiver gap timeout before NACKing missing sequences (trimming
-    /// transport).
-    pub gap_timeout: SimTime,
-    /// Fin re-probes a trimming sender issues (with exponential backoff)
-    /// before declaring the flow failed. Probes reset whenever the receiver
-    /// shows signs of life, so this bounds only the truly-silent case.
-    pub max_fin_probes: u32,
-}
+/// Data packet size in bytes.
+const PACKET_SIZE: u32 = 1500;
+/// Sender window (max unacknowledged packets) — reliable transport only.
+const WINDOW: u64 = 64;
+/// Retransmission timeout.
+const RTO: SimTime = SimTime::from_micros(500);
+/// Receiver gap timeout before NACKing missing sequences (trimming
+/// transport).
+const GAP_TIMEOUT: SimTime = SimTime::from_micros(100);
+/// Fin re-probes a trimming sender issues (with exponential backoff) before
+/// declaring the flow failed. Probes reset whenever the receiver shows signs
+/// of life, so this bounds only the truly-silent case.
+const MAX_FIN_PROBES: u32 = 10;
 
-impl Default for TransportConfig {
-    fn default() -> Self {
-        Self {
-            packet_size: 1500,
-            window: 64,
-            rto: SimTime::from_micros(500),
-            gap_timeout: SimTime::from_micros(100),
-            max_fin_probes: 10,
-        }
-    }
-}
-
-fn packet_count(msg_bytes: u64, packet_size: u32) -> u64 {
-    msg_bytes.div_ceil(u64::from(packet_size)).max(1)
+fn packet_count(msg_bytes: u64) -> u64 {
+    msg_bytes.div_ceil(u64::from(PACKET_SIZE)).max(1)
 }
 
 // ---------------------------------------------------------------------------
@@ -74,7 +58,6 @@ pub struct ReliableSenderApp {
     dst: NodeId,
     flow: FlowId,
     total: u64,
-    cfg: TransportConfig,
     /// First unacknowledged sequence (cumulative ACK horizon).
     base: u64,
     next_new: u64,
@@ -94,13 +77,11 @@ pub struct ReliableSenderApp {
 impl ReliableSenderApp {
     /// Creates a sender for one `msg_bytes` message on `flow_id`.
     #[must_use]
-    pub fn new(dst: NodeId, msg_bytes: u64, flow_id: u64, cfg: TransportConfig) -> Self {
-        let total = packet_count(msg_bytes, cfg.packet_size);
+    pub fn new(dst: NodeId, msg_bytes: u64, flow_id: u64) -> Self {
         Self {
             dst,
             flow: FlowId(flow_id),
-            total,
-            cfg,
+            total: packet_count(msg_bytes),
             base: 0,
             next_new: 0,
             dup_acks: 0,
@@ -119,7 +100,7 @@ impl ReliableSenderApp {
     }
 
     fn data_spec(&self, seq: u64) -> PacketSpec {
-        let mut spec = PacketSpec::synthetic(self.dst, self.flow, self.cfg.packet_size, seq);
+        let mut spec = PacketSpec::synthetic(self.dst, self.flow, PACKET_SIZE, seq);
         if seq == self.total - 1 {
             spec = spec.with_fin();
         }
@@ -127,7 +108,7 @@ impl ReliableSenderApp {
     }
 
     fn fill_window(&mut self, api: &mut HostApi) {
-        while self.next_new < self.total && self.next_new - self.base < self.cfg.window as u64 {
+        while self.next_new < self.total && self.next_new - self.base < WINDOW {
             api.send(self.data_spec(self.next_new));
             self.next_new += 1;
         }
@@ -151,7 +132,7 @@ impl App for ReliableSenderApp {
     fn on_start(&mut self, api: &mut HostApi) {
         self.fill_window(api);
         self.base_at_timer = self.base;
-        api.timer_in(self.cfg.rto, 0);
+        api.timer_in(RTO, 0);
     }
 
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
@@ -198,7 +179,7 @@ impl App for ReliableSenderApp {
             self.rewind(api, true);
         }
         self.base_at_timer = self.base;
-        api.timer_in(self.cfg.rto, 0);
+        api.timer_in(RTO, 0);
     }
 }
 
@@ -269,7 +250,6 @@ pub struct TrimmingSenderApp {
     dst: NodeId,
     flow: FlowId,
     total: u64,
-    cfg: TransportConfig,
     /// NACK-triggered retransmissions (whole-packet losses only). Fin
     /// keep-alive probes are counted separately in
     /// [`Self::fin_probes`], never here.
@@ -287,16 +267,15 @@ pub struct TrimmingSenderApp {
 impl TrimmingSenderApp {
     /// Creates a sender for one `msg_bytes` message on `flow_id`.
     #[must_use]
-    pub fn new(dst: NodeId, msg_bytes: u64, flow_id: u64, cfg: TransportConfig) -> Self {
+    pub fn new(dst: NodeId, msg_bytes: u64, flow_id: u64) -> Self {
         Self {
             dst,
             flow: FlowId(flow_id),
-            total: packet_count(msg_bytes, cfg.packet_size),
-            cfg,
+            total: packet_count(msg_bytes),
             retransmissions: 0,
             fin_probes: 0,
             probes_since_life: 0,
-            probe_backoff: cfg.rto,
+            probe_backoff: RTO,
             done: false,
             failed: false,
         }
@@ -316,7 +295,7 @@ impl TrimmingSenderApp {
     }
 
     fn data_spec(&self, seq: u64) -> PacketSpec {
-        let mut spec = PacketSpec::synthetic(self.dst, self.flow, self.cfg.packet_size, seq);
+        let mut spec = PacketSpec::synthetic(self.dst, self.flow, PACKET_SIZE, seq);
         if seq == self.total - 1 {
             spec = spec.with_fin();
         }
@@ -328,7 +307,7 @@ impl TrimmingSenderApp {
     /// misdiagnosed as a dead peer.
     fn note_receiver_alive(&mut self) {
         self.probes_since_life = 0;
-        self.probe_backoff = self.cfg.rto;
+        self.probe_backoff = RTO;
     }
 }
 
@@ -337,7 +316,7 @@ impl App for TrimmingSenderApp {
         for seq in 0..self.total {
             api.send(self.data_spec(seq));
         }
-        api.timer_in(self.cfg.rto, 0);
+        api.timer_in(RTO, 0);
     }
 
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
@@ -371,7 +350,7 @@ impl App for TrimmingSenderApp {
         // detection — a keep-alive, *not* a loss repair, so it is counted in
         // `fin_probes` rather than `retransmissions`. Backoff doubles per
         // silent probe; a bounded budget of silence is terminal.
-        if self.probes_since_life >= self.cfg.max_fin_probes {
+        if self.probes_since_life >= MAX_FIN_PROBES {
             self.failed = true;
             api.telemetry()
                 .counter("transport.trimming.failed_flows")
@@ -385,7 +364,7 @@ impl App for TrimmingSenderApp {
             .inc();
         api.send(self.data_spec(self.total - 1));
         api.timer_in(self.probe_backoff, 0);
-        self.probe_backoff = (self.probe_backoff * 2).min(self.cfg.rto * 64);
+        self.probe_backoff = (self.probe_backoff * 2).min(RTO * 64);
     }
 }
 
@@ -406,7 +385,6 @@ enum ArrivalQuality {
 #[derive(Debug)]
 pub struct TrimmingReceiverApp {
     flow: FlowId,
-    cfg: TransportConfig,
     quality: Vec<ArrivalQuality>,
     count: u64,
     total: Option<u64>,
@@ -427,10 +405,9 @@ pub struct TrimmingReceiverApp {
 impl TrimmingReceiverApp {
     /// Creates a receiver for `flow_id`.
     #[must_use]
-    pub fn new(flow_id: u64, cfg: TransportConfig) -> Self {
+    pub fn new(flow_id: u64) -> Self {
         Self {
             flow: FlowId(flow_id),
-            cfg,
             quality: Vec::new(),
             count: 0,
             total: None,
@@ -530,7 +507,7 @@ impl App for TrimmingReceiverApp {
         if !self.done {
             // (Re)arm gap detection; stale timers are ignored by generation.
             self.timer_gen += 1;
-            api.timer_in(self.cfg.gap_timeout, self.timer_gen);
+            api.timer_in(GAP_TIMEOUT, self.timer_gen);
         }
     }
 
@@ -560,7 +537,7 @@ impl App for TrimmingReceiverApp {
             }
         }
         self.timer_gen += 1;
-        api.timer_in(self.cfg.gap_timeout * 4, self.timer_gen);
+        api.timer_in(GAP_TIMEOUT * 4, self.timer_gen);
     }
 }
 
@@ -595,15 +572,7 @@ mod tests {
     fn run_reliable(drop: f64) -> (SimTime, u64) {
         let (t, a, b) = dumbbell(QueuePolicy::droptail_default(), drop);
         let mut sim = Simulator::with_seed(t, 7);
-        sim.install_app(
-            a,
-            Box::new(ReliableSenderApp::new(
-                b,
-                MSG_LONG,
-                1,
-                TransportConfig::default(),
-            )),
-        );
+        sim.install_app(a, Box::new(ReliableSenderApp::new(b, MSG_LONG, 1)));
         sim.install_app(b, Box::new(ReliableReceiverApp::new()));
         sim.run_until(SimTime::from_secs(5));
         let sender: &ReliableSenderApp = sim.app_ref(a).unwrap();
@@ -650,15 +619,7 @@ mod tests {
         t.link(a, s, gbps(10.0), SimTime::from_micros(1));
         t.link(c, s, gbps(10.0), SimTime::from_micros(1));
         let mut sim = Simulator::with_seed(t, 3);
-        sim.install_app(
-            a,
-            Box::new(ReliableSenderApp::new(
-                recv,
-                MSG,
-                1,
-                TransportConfig::default(),
-            )),
-        );
+        sim.install_app(a, Box::new(ReliableSenderApp::new(recv, MSG, 1)));
         // Cross traffic to congest the egress.
         sim.install_app(
             c,
@@ -684,15 +645,7 @@ mod tests {
         t.link(a, s, gbps(10.0), SimTime::from_micros(1));
         t.link(c, s, gbps(10.0), SimTime::from_micros(1));
         let mut sim = Simulator::with_seed(t, 5);
-        sim.install_app(
-            a,
-            Box::new(TrimmingSenderApp::new(
-                recv,
-                MSG,
-                1,
-                TransportConfig::default(),
-            )),
-        );
+        sim.install_app(a, Box::new(TrimmingSenderApp::new(recv, MSG, 1)));
         if cross {
             sim.install_app(
                 c,
@@ -701,10 +654,7 @@ mod tests {
                 )),
             );
         }
-        sim.install_app(
-            recv,
-            Box::new(TrimmingReceiverApp::new(1, TransportConfig::default())),
-        );
+        sim.install_app(recv, Box::new(TrimmingReceiverApp::new(1)));
         sim.run_until(SimTime::from_secs(10));
         let rx: &TrimmingReceiverApp = sim.app_ref(recv).unwrap();
         assert!(rx.is_done(), "trimming transport must complete");
@@ -757,15 +707,7 @@ mod tests {
         t.link(a, s, gbps(10.0), SimTime::from_micros(1));
         t.link(c, s, gbps(10.0), SimTime::from_micros(1));
         let mut sim = Simulator::with_seed(t, 5);
-        sim.install_app(
-            a,
-            Box::new(ReliableSenderApp::new(
-                recv,
-                MSG,
-                1,
-                TransportConfig::default(),
-            )),
-        );
+        sim.install_app(a, Box::new(ReliableSenderApp::new(recv, MSG, 1)));
         sim.install_app(
             c,
             Box::new(crate::crosstraffic::BulkSenderApp::new(
@@ -806,7 +748,7 @@ mod tests {
             sent_at: SimTime::ZERO,
             body: PacketBody::Synthetic,
         };
-        let mut rx = TrimmingReceiverApp::new(1, TransportConfig::default());
+        let mut rx = TrimmingReceiverApp::new(1);
         let (reg, tracer) = (Registry::new(), trimgrad_trace::Tracer::disabled());
         let mut api = HostApi::new(SimTime::ZERO, NodeId(1), &reg, &tracer, Default::default());
         rx.on_packet(mk(0, true), &mut api);
@@ -837,22 +779,14 @@ mod tests {
         let b = t.add_host(); // default SinkApp: never speaks the protocol
         t.link(a, b, gbps(10.0), SimTime::from_micros(1));
         let mut sim = Simulator::new(t);
-        sim.install_app(
-            a,
-            Box::new(TrimmingSenderApp::new(
-                b,
-                MSG,
-                1,
-                TransportConfig::default(),
-            )),
-        );
+        sim.install_app(a, Box::new(TrimmingSenderApp::new(b, MSG, 1)));
         sim.run_until(SimTime::from_secs(5));
         let tx: &TrimmingSenderApp = sim.app_ref(a).unwrap();
         assert!(!tx.is_done());
         assert!(tx.is_failed(), "a silent receiver must be terminal");
         // Keep-alives are not loss repairs.
         assert_eq!(tx.retransmissions, 0);
-        let budget = u64::from(TransportConfig::default().max_fin_probes);
+        let budget = u64::from(MAX_FIN_PROBES);
         assert_eq!(tx.fin_probes, budget);
         // Bounded total traffic: the 100-packet blast plus the probe budget,
         // not a 5-second spin at the raw RTO.
@@ -868,22 +802,21 @@ mod tests {
     fn fin_probe_backoff_is_exponential() {
         use crate::host::HostApi;
         use trimgrad_telemetry::Registry;
-        let cfg = TransportConfig::default();
-        let mut tx = TrimmingSenderApp::new(NodeId(1), 1500, 1, cfg);
+        let mut tx = TrimmingSenderApp::new(NodeId(1), 1500, 1);
         let (reg, tracer) = (Registry::new(), trimgrad_trace::Tracer::disabled());
         let new_api = || HostApi::new(SimTime::ZERO, NodeId(0), &reg, &tracer, Default::default());
         let mut delays = Vec::new();
-        for _ in 0..cfg.max_fin_probes {
+        for _ in 0..MAX_FIN_PROBES {
             let mut api = new_api();
             tx.on_timer(0, &mut api);
             let (at, _) = api.actions.timers[0];
             delays.push(at);
         }
         // 0.5ms, 1ms, 2ms, ... capped at 64 × RTO = 32ms.
-        assert_eq!(delays[0], cfg.rto);
-        assert_eq!(delays[1], cfg.rto * 2);
-        assert_eq!(delays[2], cfg.rto * 4);
-        assert_eq!(*delays.last().unwrap(), cfg.rto * 64);
+        assert_eq!(delays[0], RTO);
+        assert_eq!(delays[1], RTO * 2);
+        assert_eq!(delays[2], RTO * 4);
+        assert_eq!(*delays.last().unwrap(), RTO * 64);
         // The budget is spent: the next firing is terminal and arms nothing.
         let mut api = new_api();
         tx.on_timer(0, &mut api);
@@ -894,7 +827,7 @@ mod tests {
         tx.note_receiver_alive();
         let mut api = new_api();
         tx.on_timer(0, &mut api);
-        assert_eq!(api.actions.timers[0].0, cfg.rto);
+        assert_eq!(api.actions.timers[0].0, RTO);
     }
 
     #[test]
@@ -908,19 +841,8 @@ mod tests {
             LinkParams::new(gbps(10.0), SimTime::from_micros(1)).with_drop_prob(0.05),
         );
         let mut sim = Simulator::with_seed(t, 11);
-        sim.install_app(
-            a,
-            Box::new(TrimmingSenderApp::new(
-                b,
-                MSG,
-                1,
-                TransportConfig::default(),
-            )),
-        );
-        sim.install_app(
-            b,
-            Box::new(TrimmingReceiverApp::new(1, TransportConfig::default())),
-        );
+        sim.install_app(a, Box::new(TrimmingSenderApp::new(b, MSG, 1)));
+        sim.install_app(b, Box::new(TrimmingReceiverApp::new(1)));
         sim.run_until(SimTime::from_secs(10));
         let rx: &TrimmingReceiverApp = sim.app_ref(b).unwrap();
         assert!(rx.is_done(), "NACK recovery must complete the flow");

@@ -122,13 +122,17 @@ impl RowAssembler {
     /// # Errors
     ///
     /// [`WireError::BadField`] if the identity or geometry disagrees with
-    /// what the assembler was created for.
+    /// what the assembler was created for, or the epoch with the one an
+    /// earlier packet already fixed.
     pub fn ingest_meta(&mut self, meta: &RowMetaPacket) -> Result<()> {
         if meta.scheme != self.scheme || meta.msg_id != self.msg_id || meta.row_id != self.row_id {
             return Err(WireError::BadField("row identity"));
         }
         if encoded_n(meta.scheme, meta.original_len as usize) != self.n {
             return Err(WireError::BadField("original_len"));
+        }
+        if self.epoch.is_some_and(|e| e != meta.epoch) {
+            return Err(WireError::BadField("epoch"));
         }
         self.meta = Some(meta.row_meta());
         self.epoch = Some(meta.epoch);
@@ -504,6 +508,32 @@ mod tests {
             asm.ingest(&p2.packets[0]).unwrap_err(),
             WireError::BadField("epoch")
         );
+    }
+
+    #[test]
+    fn rejects_meta_of_another_epoch() {
+        let row: Vec<f32> = (0..10).map(|i| i as f32).collect();
+        let enc = SignMagnitude.encode(&row, 0);
+        let c1 = cfg();
+        let c2 = PacketizeConfig { epoch: 3, ..c1 };
+        let (p1, p2) = (packetize_row(&enc, &c1), packetize_row(&enc, &c2));
+        // Whichever packet comes first fixes the epoch; a meta of another
+        // epoch is refused and changes nothing.
+        let mut asm = assembler_for(&enc, &c1);
+        asm.ingest(&p1.packets[0]).unwrap();
+        assert_eq!(
+            asm.ingest_meta(&p2.meta).unwrap_err(),
+            WireError::BadField("epoch")
+        );
+        assert!(asm.meta().is_none());
+        assert_eq!(asm.epoch(), Some(c1.epoch));
+        let mut asm = assembler_for(&enc, &c1);
+        asm.ingest_meta(&p1.meta).unwrap();
+        assert_eq!(
+            asm.ingest_meta(&p2.meta).unwrap_err(),
+            WireError::BadField("epoch")
+        );
+        asm.ingest_meta(&p1.meta).unwrap();
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_telemetry::fnv1a;
 use trimgrad_wire::packet::NetAddrs;
 use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
 
@@ -53,13 +54,6 @@ const GOLDEN: [[u64; 4]; 5] = [
     ],
 ];
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn frames_digest(scheme_id: SchemeId, n: usize) -> u64 {
     let mut rng = Xoshiro256StarStar::new(0xF4A3 ^ n as u64);
     let row: Vec<f32> = (0..n).map(|_| rng.next_f32_range(-4.0, 4.0)).collect();
@@ -72,12 +66,13 @@ fn frames_digest(scheme_id: SchemeId, n: usize) -> u64 {
         epoch: 5,
     };
     let pr = packetize_row(&enc, &cfg);
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for pkt in &pr.packets {
-        fnv1a(&mut h, pkt.as_bytes());
-    }
-    fnv1a(&mut h, &pr.meta.build_frame(&cfg.net));
-    h
+    let mut frames: Vec<u8> = pr
+        .packets
+        .iter()
+        .flat_map(|p| p.as_bytes().to_vec())
+        .collect();
+    frames.extend_from_slice(&pr.meta.build_frame(&cfg.net));
+    fnv1a(&frames)
 }
 
 #[test]

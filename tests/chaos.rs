@@ -26,7 +26,7 @@ use trimgrad::netsim::switch::QueuePolicy;
 use trimgrad::netsim::time::{gbps, SimTime};
 use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::transport::{
-    ReliableReceiverApp, ReliableSenderApp, TransportConfig, TrimmingReceiverApp, TrimmingSenderApp,
+    ReliableReceiverApp, ReliableSenderApp, TrimmingReceiverApp, TrimmingSenderApp,
 };
 use trimgrad::netsim::{FlowId, NodeId};
 use trimgrad::quant::scheme::PartView;
@@ -35,20 +35,10 @@ use trimgrad::wire::meta::RowMetaPacket;
 use trimgrad::wire::packet::{GradPacket, NetAddrs};
 use trimgrad::wire::packetize::{packetize_row, PacketizeConfig};
 use trimgrad::wire::reassemble::RowAssembler;
+use trimgrad_telemetry::fnv1a;
 
-/// The fixed seed matrix CI sweeps; `CHAOS_SEED` narrows a run to one seed
-/// (decimal or `0x`-prefixed hex) to replay a recorded failure.
-fn chaos_seeds() -> Vec<u64> {
-    if let Ok(s) = std::env::var("CHAOS_SEED") {
-        let s = s.trim();
-        let parsed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        };
-        return vec![parsed.expect("CHAOS_SEED must be a u64")];
-    }
-    vec![0x00C0_FFEE, 0xDEC0_DE01, 0x0072_13AB, 0xFA57_F00D]
-}
+mod common;
+use common::chaos_seeds;
 
 /// Recounts every invariant the simulator keeps incrementally — packet
 /// conservation, queue entries against their records, the dense mirrors,
@@ -79,19 +69,8 @@ fn trimming_run(seed: u64) -> (Simulator, NodeId) {
     topo.link(a, b, gbps(10.0), SimTime::from_micros(5));
     let mut sim = Simulator::with_seed(topo, seed);
     sim.install_fault_plan(FaultPlan::new(seed).with_default(full_matrix_policy()));
-    sim.install_app(
-        a,
-        Box::new(TrimmingSenderApp::new(
-            b,
-            750_000,
-            1,
-            TransportConfig::default(),
-        )),
-    );
-    sim.install_app(
-        b,
-        Box::new(TrimmingReceiverApp::new(1, TransportConfig::default())),
-    );
+    sim.install_app(a, Box::new(TrimmingSenderApp::new(b, 750_000, 1)));
+    sim.install_app(b, Box::new(TrimmingReceiverApp::new(1)));
     sim.run_until(SimTime::from_secs(30));
     (sim, a)
 }
@@ -143,12 +122,7 @@ fn reliable_transport_survives_full_fault_matrix() {
         let total_packets = 1000u64;
         sim.install_app(
             a,
-            Box::new(ReliableSenderApp::new(
-                b,
-                total_packets * 1500,
-                1,
-                TransportConfig::default(),
-            )),
+            Box::new(ReliableSenderApp::new(b, total_packets * 1500, 1)),
         );
         sim.install_app(b, Box::new(ReliableReceiverApp::new()));
         sim.run_until(SimTime::from_secs(30));
@@ -578,15 +552,6 @@ fn fat_tree_incast_storm_survives_fault_matrix_deterministically() {
     use trimgrad::netsim::workload::FlowSchedule;
     use trimgrad_trace::Tracer;
 
-    fn fnv(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     let run = |seed: u64| {
         let (topo, hosts) = Topology::fat_tree(
             4,
@@ -627,7 +592,7 @@ fn fat_tree_incast_storm_survives_fault_matrix_deterministically() {
             "seed {seed:#x}: packets unaccounted for"
         );
         (
-            fnv(&sim.tracer().snapshot().to_binary()),
+            fnv1a(&sim.tracer().snapshot().to_binary()),
             sim.telemetry_snapshot().to_json(),
         )
     };

@@ -9,7 +9,7 @@ use trimgrad::netsim::switch::QueuePolicy;
 use trimgrad::netsim::time::{gbps, SimTime};
 use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::transport::{
-    ReliableReceiverApp, ReliableSenderApp, TransportConfig, TrimmingReceiverApp, TrimmingSenderApp,
+    ReliableReceiverApp, ReliableSenderApp, TrimmingReceiverApp, TrimmingSenderApp,
 };
 use trimgrad::netsim::{FlowId, NodeId};
 
@@ -138,30 +138,11 @@ fn transport_loss_tolerance_shapes() {
         );
         let mut sim = Simulator::with_seed(topo, 77);
         if reliable {
-            sim.install_app(
-                a,
-                Box::new(ReliableSenderApp::new(
-                    b,
-                    1_500_000,
-                    1,
-                    TransportConfig::default(),
-                )),
-            );
+            sim.install_app(a, Box::new(ReliableSenderApp::new(b, 1_500_000, 1)));
             sim.install_app(b, Box::new(ReliableReceiverApp::new()));
         } else {
-            sim.install_app(
-                a,
-                Box::new(TrimmingSenderApp::new(
-                    b,
-                    1_500_000,
-                    1,
-                    TransportConfig::default(),
-                )),
-            );
-            sim.install_app(
-                b,
-                Box::new(TrimmingReceiverApp::new(1, TransportConfig::default())),
-            );
+            sim.install_app(a, Box::new(TrimmingSenderApp::new(b, 1_500_000, 1)));
+            sim.install_app(b, Box::new(TrimmingReceiverApp::new(1)));
         }
         sim.run_until(SimTime::from_secs(30));
         sim.stats()

@@ -23,28 +23,11 @@ use trimgrad::netsim::time::{gbps, SimTime};
 use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::workload::FlowSchedule;
 use trimgrad::netsim::FlowId;
+use trimgrad_telemetry::fnv1a;
 use trimgrad_trace::Tracer;
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn chaos_seeds() -> Vec<u64> {
-    if let Ok(s) = std::env::var("CHAOS_SEED") {
-        let s = s.trim();
-        let parsed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        };
-        return vec![parsed.expect("CHAOS_SEED must be a u64")];
-    }
-    vec![0x00C0_FFEE, 0xDEC0_DE01, 0x0072_13AB, 0xFA57_F00D]
-}
+mod common;
+use common::chaos_seeds;
 
 fn full_matrix_policy() -> FaultPolicy {
     FaultPolicy::none()
@@ -146,8 +129,8 @@ fn run_leg(seed: u64) -> Fingerprint {
         panic!("seed {seed:#x}: {v}");
     }
     Fingerprint {
-        trace_fnv: fnv(&sim.tracer().snapshot().to_binary()),
-        telemetry_fnv: fnv(sim.telemetry_snapshot().to_json().as_bytes()),
+        trace_fnv: fnv1a(&sim.tracer().snapshot().to_binary()),
+        telemetry_fnv: fnv1a(sim.telemetry_snapshot().to_json().as_bytes()),
         events_fired: sim.events_fired(),
         delivered: sim.stats().delivered_packets(),
         dropped: sim.stats().dropped_total(),

@@ -15,6 +15,7 @@ use trimgrad::netsim::time::{gbps, SimTime};
 use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::NodeId;
 use trimgrad::quant::SchemeId;
+use trimgrad_telemetry::fnv1a;
 use trimgrad_trace::{Trace, Tracer};
 
 /// The canonical congested ring: the same shape the fig3/queue studies and
@@ -77,16 +78,6 @@ fn canonical_trace() -> Trace {
     assert!(trim_frac > 0.0, "the canonical run must congest and trim");
     assert!(sim.conservation_holds());
     sim.tracer().snapshot()
-}
-
-/// FNV-1a 64 — tiny, dependency-free, and stable across platforms.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// Two runs of the same seed serialize byte-identically — binary and JSONL.
