@@ -16,18 +16,18 @@
 use trimgrad::quant::SchemeId;
 use trimgrad::wire::packetize::{layout_report, DEFAULT_MTU};
 use trimgrad::wire::payload::{max_coords_for_budget, PayloadLayout};
-use trimgrad::wire::{ipv4, udp};
+use trimgrad::wire::stack::{IP_OVERHEAD, PAYLOAD_START};
 use trimgrad_bench::print_row;
 
 fn main() {
     println!("# S2 packet-layout numbers (MTU 1500)");
 
     // --- The paper's accounting: 42 B of Ethernet+IP+UDP, no app header. ---
-    let paper_budget = DEFAULT_MTU - ipv4::HEADER_LEN - udp::HEADER_LEN; // payload under the IP MTU
+    let paper_budget = DEFAULT_MTU - IP_OVERHEAD; // payload under the IP MTU
     let n = max_coords_for_budget(&[1, 31], paper_budget).unwrap();
     let layout = PayloadLayout::new(&[1, 31], n);
-    let trimmed_frame = 42 + layout.trim_point(1);
-    let full_frame = 42 + layout.total_len();
+    let trimmed_frame = PAYLOAD_START + layout.trim_point(1);
+    let full_frame = PAYLOAD_START + layout.total_len();
     println!("\n## paper's accounting (no app header)");
     println!("coordinates per MTU packet: {n}   (paper: ~365)");
     println!(

@@ -15,9 +15,9 @@ use crate::chunk::MessageCodec;
 use crate::trim_inject::{Fate, InjectStats, TrimInjector};
 use core::ops::Range;
 use trimgrad_telemetry::{Counter, Registry};
-use trimgrad_wire::packet::STACK_OVERHEAD;
+use trimgrad_wire::meta;
 use trimgrad_wire::packetize::{frame_len, DEFAULT_MTU};
-use trimgrad_wire::{ipv4, meta, trimhdr, udp};
+use trimgrad_wire::stack::{IP_OVERHEAD, PAYLOAD_START};
 
 /// A point-to-point gradient transfer.
 pub trait GradChannel {
@@ -56,9 +56,9 @@ impl GradChannel for LosslessChannel {
     fn transfer(&mut self, data: &[f32], _epoch: u32, _msg_id: u32) -> Vec<f32> {
         // Raw f32 payload in MTU packets: 4 B/coordinate plus the header
         // stack without the TrimGrad header.
-        let per_packet = (DEFAULT_MTU - ipv4::HEADER_LEN - udp::HEADER_LEN) / 4;
+        let per_packet = (DEFAULT_MTU - IP_OVERHEAD) / 4;
         let packets = data.len().div_ceil(per_packet);
-        self.bytes += (data.len() * 4 + packets * (STACK_OVERHEAD - trimhdr::HEADER_LEN)) as u64;
+        self.bytes += (data.len() * 4 + packets * PAYLOAD_START) as u64;
         data.to_vec()
     }
 

@@ -63,7 +63,7 @@ const SINKS: &[&str] = &[
     "record",
     "encode",
     "to_bytes",
-    "write_header",
+    "write",
     "digest",
     "snapshot",
 ];

@@ -1,17 +1,20 @@
 //! Cross-file wire-format consistency.
 //!
 //! Every header module in `crates/wire` (`ethernet.rs`, `ipv4.rs`, `udp.rs`,
-//! `trimhdr.rs`) declares a `HEADER_LEN` constant and a typed view whose
-//! getters/setters index the underlying buffer with *literal* byte offsets.
-//! The encoder, the switch trimmer, and the decoder all trust `HEADER_LEN`,
-//! so a field added to a serializer without bumping the constant (or a bump
-//! without the field) silently desynchronizes the three — the exact class of
-//! accounting bug this rule makes a build failure.
+//! `trimhdr.rs`) declares a `HEADER_LEN` constant next to the functions that
+//! write and read that header — `write`/`seal`/`read` over a byte slice, or
+//! `to_bytes`/`from_bytes` — and those functions index the slice (`b` or
+//! `buf`) with *literal* byte offsets. The frame stack (`stack.rs`), the
+//! switch trimmer, and the decoder all trust `HEADER_LEN`, so a field added
+//! to a writer without bumping the constant (or a bump without the field)
+//! silently desynchronizes them — the exact class of accounting bug this
+//! rule makes a build failure.
 //!
 //! The check lexes the file, finds `HEADER_LEN`, collects every literal index
 //! or range applied to a recognized buffer receiver (`b`, `bm`, `buf`,
-//! `buffer`, or an `as_ref()`/`as_mut()`/`b()`/`bm()` call) in non-test code,
-//! and requires the highest byte touched to equal the constant exactly.
+//! `buffer`, or an `as_ref()`/`as_mut()`/`b()`/`bm()` call, the last four
+//! from the accessor-view idiom) in non-test code, and requires the highest
+//! byte touched to equal the constant exactly.
 
 use crate::lex::{matching_open, LexOut, TokKind};
 use crate::rules::Finding;

@@ -548,6 +548,40 @@ fn wire_consistency_catches_serializer_past_constant() {
     assert!(diags[0].msg.contains("offset 10"), "{}", diags[0].msg);
 }
 
+/// A header module in the idiom the wire crate uses: HEADER_LEN beside a
+/// slice writer and reader that index with literal offsets.
+fn slice_header_fixture(last_write_end: usize) -> String {
+    format!(
+        "\
+pub const HEADER_LEN: usize = 8;
+pub(crate) fn write(buf: &mut [u8], kind: u8, tag: u32) {{
+    buf[0] = kind;
+    buf[4..{last_write_end}].copy_from_slice(&tag.to_be_bytes());
+}}
+pub(crate) fn read(b: &[u8]) -> Option<(u8, u16)> {{
+    if b.len() < HEADER_LEN {{
+        return None;
+    }}
+    Some((b[0], u16::from_be_bytes([b[1], b[2]])))
+}}
+"
+    )
+}
+
+#[test]
+fn wire_consistency_checks_slice_writers_and_readers() {
+    assert_eq!(lint_wire(&slice_header_fixture(8)), vec![]);
+    // The writer reaches one byte past HEADER_LEN.
+    let diags = lint_source("crates/wire/src/fixture.rs", &slice_header_fixture(9));
+    assert_eq!(diags.len(), 1);
+    assert_eq!((diags[0].line, diags[0].rule), (1, "wire-consistency"));
+    assert!(
+        diags[0].msg.contains("offset 9 (line 4)"),
+        "{}",
+        diags[0].msg
+    );
+}
+
 #[test]
 fn wire_consistency_ignores_symbolic_indexing() {
     // Fewer than three literal accesses: the file indexes via constants, so

@@ -3,7 +3,7 @@
 //! The paper's claim is not that the fabric is friendly — it is that training
 //! *survives* a hostile one. [`FaultPlan`] is the adversary: a per-channel /
 //! per-node policy of whole-packet loss bursts, reordering windows,
-//! duplication, payload corruption, header-field truncation, and stale
+//! duplication, one-byte corruption, header-field truncation, and stale
 //! replay, applied by the simulator as packets start serializing on an
 //! egress port ([`crate::sim::Simulator::install_fault_plan`]).
 //!
@@ -22,8 +22,13 @@
 //!   reorder delay, letting later packets on the channel overtake it.
 //! * **Duplicate** — a byte-identical clone arrives shortly after the
 //!   original (switch/NIC retransmit duplication).
-//! * **Corrupt** — one payload byte of a gradient frame is flipped *without*
-//!   fixing any checksum; the receiver's parser must reject it.
+//! * **Corrupt** — one byte anywhere in a gradient frame, header stack
+//!   included, is XORed with a nonzero mask *without* fixing any checksum.
+//!   The receiver's parser rejects most such frames, by the IPv4 or UDP
+//!   checksum or a header check such as the EtherType. Two kinds parse:
+//!   no Ethernet FCS is modelled, so a flip in the twelve MAC-address bytes
+//!   goes unseen, and a flip that zeroes the UDP checksum field reads as
+//!   "no checksum". Neither touches the payload.
 //! * **Truncate** — a gradient frame is cut at a random byte boundary
 //!   *without* patching length fields or checksums — unlike a real trim,
 //!   which rewrites both. A synthetic packet is runted to the trim stub.
@@ -72,7 +77,7 @@ pub struct FaultPolicy {
     pub reorder_delay: SimTime,
     /// Probability of injecting a byte-identical duplicate.
     pub duplicate_prob: f64,
-    /// Probability of flipping a payload byte of a gradient frame.
+    /// Probability of flipping one byte (anywhere) of a gradient frame.
     pub corrupt_prob: f64,
     /// Probability of cutting a frame at a random byte boundary.
     pub truncate_prob: f64,
@@ -139,7 +144,7 @@ impl FaultPolicy {
         self
     }
 
-    /// Payload corruption with probability `p`.
+    /// One-byte frame corruption with probability `p`.
     #[must_use]
     pub fn with_corrupt(mut self, p: f64) -> Self {
         check_prob(p, "corrupt");
@@ -191,7 +196,7 @@ pub struct FaultStats {
     pub duplicated: u64,
     /// Packets delayed past their neighbors.
     pub reordered: u64,
-    /// Gradient frames with a flipped payload byte.
+    /// Gradient frames with a flipped byte.
     pub corrupted: u64,
     /// Frames cut without patching lengths/checksums.
     pub truncated: u64,
@@ -452,9 +457,9 @@ fn jitter(rng: &mut Xoshiro256StarStar) -> SimTime {
     SimTime::from_nanos(rng.next_u64() % INJECT_JITTER_NS)
 }
 
-/// Flips one payload byte of a gradient frame past the header stack,
-/// leaving every checksum stale. Returns `false` for bodies with no
-/// observable bytes.
+/// XORs one byte anywhere in a gradient frame (header stack included) with a
+/// nonzero mask, leaving every checksum stale. Returns `false` for bodies
+/// with no observable bytes.
 fn corrupt_packet(packet: &mut Packet, rng: &mut Xoshiro256StarStar) -> bool {
     let PacketBody::GradData(frame) = &mut packet.body else {
         return false;

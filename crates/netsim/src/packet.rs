@@ -21,11 +21,6 @@ pub const CONTROL_SIZE: u32 = 64;
 /// Transport-level control messages (carried reliably, high priority).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlMsg {
-    /// Acknowledges receipt of `seq` on the flow (reliable transport).
-    Ack {
-        /// Acknowledged sequence number.
-        seq: u64,
-    },
     /// Cumulative acknowledgment: everything below `upto` received.
     CumAck {
         /// One past the highest contiguously received sequence.
@@ -36,11 +31,6 @@ pub enum ControlMsg {
     Nack {
         /// Missing sequence number.
         seq: u64,
-    },
-    /// Tells the receiver the flow comprises `total` packets.
-    FlowStart {
-        /// Number of data packets in the flow/message.
-        total: u64,
     },
 }
 
@@ -480,7 +470,7 @@ mod tests {
         let mut c = pkt(PacketSpec::control(
             NodeId(1),
             FlowId(1),
-            ControlMsg::Ack { seq: 3 },
+            ControlMsg::CumAck { upto: 3 },
         ));
         assert!(!c.trim(1));
         let meta = RowMetaPacket {

@@ -741,7 +741,7 @@ mod tests {
             fn on_packet(&mut self, _pkt: Packet, _api: &mut HostApi) {}
             fn on_timer(&mut self, token: u64, api: &mut HostApi) {
                 use crate::packet::{ControlMsg, PacketSpec};
-                let msg = ControlMsg::Ack { seq: token };
+                let msg = ControlMsg::CumAck { upto: token };
                 api.send(PacketSpec::control(self.dst, FlowId(2), msg));
             }
         }

@@ -165,7 +165,6 @@ impl App for ReliableSenderApp {
                     self.rewind(api, false);
                 }
             }
-            ControlMsg::Ack { .. } | ControlMsg::FlowStart { .. } => {}
         }
     }
 
@@ -337,7 +336,6 @@ impl App for TrimmingSenderApp {
                     self.done = true;
                 }
             }
-            ControlMsg::Ack { .. } | ControlMsg::FlowStart { .. } => {}
         }
     }
 

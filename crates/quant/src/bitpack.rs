@@ -200,80 +200,12 @@ impl BitBuf {
         }
     }
 
-    /// Copies the first `bits` bits into a new buffer (a "trim" at bit level).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits > self.len()`.
-    #[must_use]
-    pub fn prefix(&self, bits: usize) -> BitBuf {
-        assert!(
-            bits <= self.len,
-            "prefix {bits} exceeds length {}",
-            self.len
-        );
-        let mut bytes = self.bytes[..bits.div_ceil(8)].to_vec();
-        // Zero the slack bits in the final byte so equality is structural.
-        if !bits.is_multiple_of(8) {
-            if let Some(last) = bytes.last_mut() {
-                *last &= (1u8 << (bits % 8)) - 1;
-            }
-        }
-        Self { bytes, len: bits }
-    }
-
-    /// Copies bits `[offset, offset + len)` into a new buffer starting at
-    /// bit 0 (used to cut per-packet coordinate ranges out of a row part).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the buffer.
-    #[must_use]
-    pub fn slice(&self, offset: usize, len: usize) -> BitBuf {
-        assert!(
-            offset + len <= self.len,
-            "slice [{offset}, {}) out of range (len {})",
-            offset + len,
-            self.len
-        );
-        let mut out = BitBuf::with_capacity(len);
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let take = (end - pos).min(64);
-            out.push_bits(self.get_bits(pos, take as u32), take as u32);
-            pos += take;
-        }
-        out
-    }
-
-    /// Copies all bits of `src` into this buffer starting at bit `offset`
-    /// (the destination bits must already exist).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + src.len()` exceeds this buffer's length.
-    pub fn write_bits_from(&mut self, offset: usize, src: &BitBuf) {
-        assert!(
-            offset + src.len() <= self.len,
-            "write [{offset}, {}) out of range (len {})",
-            offset + src.len(),
-            self.len
-        );
-        let mut pos = 0;
-        while pos < src.len() {
-            let take = (src.len() - pos).min(64);
-            self.set_bits(offset + pos, src.get_bits(pos, take as u32), take as u32);
-            pos += take;
-        }
-    }
-
     /// Copies bits `[offset, offset + len)` into `dst` without allocating.
     ///
-    /// `dst` must be exactly `len.div_ceil(8)` bytes; it receives the same
-    /// bytes `self.slice(offset, len).as_bytes()` would produce (LSB-first,
-    /// slack bits of the final byte zeroed), which is what packet sections
-    /// carry on the wire.
+    /// `dst` must be exactly `len.div_ceil(8)` bytes; it receives the range
+    /// re-based to bit 0 (bit `i` of the range lands in bit `i % 8` of
+    /// `dst[i / 8]`, slack bits of the final byte zeroed), which is what
+    /// packet sections carry on the wire.
     ///
     /// # Panics
     ///
@@ -318,8 +250,7 @@ impl BitBuf {
 
     /// Overwrites `len` bits at bit `offset` from packed source bytes
     /// (bit `i` of the range comes from bit `i % 8` of `src[i / 8]`),
-    /// without allocating — the inverse of [`copy_bits_to`](Self::copy_bits_to)
-    /// and the zero-copy form of [`write_bits_from`](Self::write_bits_from).
+    /// without allocating — the inverse of [`copy_bits_to`](Self::copy_bits_to).
     ///
     /// # Panics
     ///
@@ -358,30 +289,6 @@ impl BitBuf {
             let v = window(src, pos) & (u64::MAX >> (64 - take));
             self.set_bits(offset + pos, v, take as u32);
             pos += take;
-        }
-    }
-
-    /// Appends all bits of `other`.
-    pub fn extend(&mut self, other: &BitBuf) {
-        // Fast path: byte-aligned destination.
-        if self.len.is_multiple_of(8) {
-            let full_bytes = other.len / 8;
-            self.bytes.extend_from_slice(&other.bytes[..full_bytes]);
-            self.len += full_bytes * 8;
-            let rem = other.len % 8;
-            if rem > 0 {
-                self.push_bits(
-                    u64::from(other.bytes[full_bytes]) & ((1 << rem) - 1),
-                    rem as u32,
-                );
-            }
-            return;
-        }
-        let mut off = 0;
-        while off < other.len {
-            let take = (other.len - off).min(64);
-            self.push_bits(other.get_bits(off, take as u32), take as u32);
-            off += take;
         }
     }
 }
@@ -619,36 +526,28 @@ impl BitMask {
     }
 }
 
-/// Packs one `width`-bit field per element of `values` into a fresh buffer.
-///
-/// # Panics
-///
-/// Panics if any value exceeds `width` bits.
-#[must_use]
-pub fn pack_fixed(values: &[u64], width: u32) -> BitBuf {
-    let mut buf = BitBuf::with_capacity(values.len() * width as usize);
-    for &v in values {
-        buf.push_bits(v, width);
-    }
-    buf
-}
-
-/// Unpacks `n` fields of `width` bits each from `buf` starting at bit 0.
-///
-/// # Panics
-///
-/// Panics if the buffer holds fewer than `n·width` bits.
-#[must_use]
-pub fn unpack_fixed(buf: &BitBuf, n: usize, width: u32) -> Vec<u64> {
-    (0..n)
-        .map(|i| buf.get_bits(i * width as usize, width))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One `width`-bit field per value, pushed one at a time.
+    fn pack_fixed(values: &[u64], width: u32) -> BitBuf {
+        let mut buf = BitBuf::new();
+        for &v in values {
+            buf.push_bits(v, width);
+        }
+        buf
+    }
+
+    /// Bits `[offset, offset + len)` re-based to bit 0, read one at a time.
+    fn slice_bytes(buf: &BitBuf, offset: usize, len: usize) -> Vec<u8> {
+        let mut out = BitBuf::new();
+        for i in offset..offset + len {
+            out.push_bit(buf.get_bit(i));
+        }
+        out.as_bytes().to_vec()
+    }
 
     #[test]
     fn empty_buffer() {
@@ -716,46 +615,6 @@ mod tests {
         assert_eq!(b.get_bits(9, 23), 0);
         b.set_bits(5, 0b0100, 4);
         assert_eq!(b.get_bits(5, 4), 0b0100);
-    }
-
-    #[test]
-    fn prefix_truncates_and_zeroes_slack() {
-        let mut b = BitBuf::new();
-        b.push_bits(0xFFFF, 16);
-        let p = b.prefix(5);
-        assert_eq!(p.len(), 5);
-        assert_eq!(p.as_bytes(), &[0b0001_1111]);
-        // A prefix of the full length is identical.
-        assert_eq!(b.prefix(16), b);
-        // Zero-length prefix.
-        assert_eq!(b.prefix(0).len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds length")]
-    fn prefix_rejects_overlong() {
-        let _ = BitBuf::zeroed(4).prefix(5);
-    }
-
-    #[test]
-    fn extend_aligned_and_unaligned() {
-        // Aligned destination.
-        let mut a = BitBuf::new();
-        a.push_bits(0xAB, 8);
-        let mut tail = BitBuf::new();
-        tail.push_bits(0b101, 3);
-        a.extend(&tail);
-        assert_eq!(a.len(), 11);
-        assert_eq!(a.get_bits(0, 8), 0xAB);
-        assert_eq!(a.get_bits(8, 3), 0b101);
-        // Unaligned destination.
-        let mut b = BitBuf::new();
-        b.push_bits(0b11, 2);
-        let mut t2 = BitBuf::new();
-        t2.push_bits(0x1234, 16);
-        b.extend(&t2);
-        assert_eq!(b.get_bits(0, 2), 0b11);
-        assert_eq!(b.get_bits(2, 16), 0x1234);
     }
 
     #[test]
@@ -867,55 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_fixed() {
-        let values: Vec<u64> = (0..100).map(|i| (i * 37) % 2048).collect();
-        let buf = pack_fixed(&values, 11);
-        assert_eq!(buf.len(), 1100);
-        assert_eq!(unpack_fixed(&buf, 100, 11), values);
-    }
-
-    #[test]
-    fn slice_extracts_bit_ranges() {
-        let values: Vec<u64> = (0..50).map(|i| i * 3 % 128).collect();
-        let buf = pack_fixed(&values, 7);
-        // Slice coordinates 10..25 of the 7-bit part.
-        let s = buf.slice(10 * 7, 15 * 7);
-        assert_eq!(s.len(), 105);
-        assert_eq!(unpack_fixed(&s, 15, 7), &values[10..25]);
-        // Degenerate slices.
-        assert_eq!(buf.slice(0, 0).len(), 0);
-        assert_eq!(buf.slice(buf.len(), 0).len(), 0);
-        // Full slice equals prefix of full length.
-        assert_eq!(buf.slice(0, buf.len()), buf.prefix(buf.len()));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn slice_rejects_overrun() {
-        let _ = BitBuf::zeroed(10).slice(5, 6);
-    }
-
-    #[test]
-    fn write_bits_from_roundtrip() {
-        let values: Vec<u64> = (0..20).map(|i| i * 5 % 32).collect();
-        let src = pack_fixed(&values, 5);
-        let mut dst = BitBuf::zeroed(300);
-        dst.write_bits_from(37, &src);
-        assert_eq!(dst.slice(37, src.len()), src);
-        // Surrounding bits untouched.
-        assert_eq!(dst.get_bits(0, 37), 0);
-        assert_eq!(dst.get_bits(37 + src.len(), 64), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn write_bits_from_rejects_overrun() {
-        let src = BitBuf::zeroed(20);
-        BitBuf::zeroed(30).write_bits_from(15, &src);
-    }
-
-    #[test]
-    fn copy_bits_to_matches_slice_bytes() {
+    fn copy_bits_to_matches_bitwise_copy() {
         let values: Vec<u64> = (0..200).map(|i| i * 7 % 128).collect();
         let buf = pack_fixed(&values, 7);
         for &(off, len) in &[
@@ -926,10 +737,9 @@ mod tests {
             (70, 7),
             (0, 1400),
         ] {
-            let expected = buf.slice(off, len);
             let mut dst = vec![0xAAu8; len.div_ceil(8)];
             buf.copy_bits_to(off, len, &mut dst);
-            assert_eq!(dst, expected.as_bytes(), "off={off} len={len}");
+            assert_eq!(dst, slice_bytes(&buf, off, len), "off={off} len={len}");
         }
     }
 
@@ -948,12 +758,14 @@ mod tests {
     }
 
     #[test]
-    fn write_bits_from_bytes_matches_write_bits_from() {
+    fn write_bits_from_bytes_matches_fieldwise_writes() {
         let values: Vec<u64> = (0..30).map(|i| i * 11 % 64).collect();
         let src = pack_fixed(&values, 6);
         for &off in &[0usize, 8, 16, 3, 37] {
             let mut via_buf = BitBuf::zeroed(400);
-            via_buf.write_bits_from(off, &src);
+            for (i, &v) in values.iter().enumerate() {
+                via_buf.set_bits(off + 6 * i, v, 6);
+            }
             let mut via_bytes = BitBuf::zeroed(400);
             via_bytes.write_bits_from_bytes(off, src.as_bytes(), src.len());
             assert_eq!(via_bytes, via_buf, "off={off}");
@@ -1013,23 +825,7 @@ mod tests {
         }
 
         #[test]
-        fn prefix_preserves_bits(
-            bits in proptest::collection::vec(any::<bool>(), 1..200),
-            cut_frac in 0.0f64..=1.0
-        ) {
-            let mut buf = BitBuf::new();
-            for &b in &bits {
-                buf.push_bit(b);
-            }
-            let cut = ((bits.len() as f64) * cut_frac) as usize;
-            let p = buf.prefix(cut);
-            for (i, &b) in bits.iter().take(cut).enumerate() {
-                prop_assert_eq!(p.get_bit(i), b);
-            }
-        }
-
-        #[test]
-        fn copy_bits_to_equals_slice_for_random_ranges(
+        fn copy_bits_to_equals_bitwise_copy_for_random_ranges(
             bits in proptest::collection::vec(any::<bool>(), 1..400),
             off_frac in 0.0f64..=1.0,
             len_frac in 0.0f64..=1.0
@@ -1042,12 +838,12 @@ mod tests {
             let len = (((bits.len() - off) as f64) * len_frac) as usize;
             let mut dst = vec![0x55u8; len.div_ceil(8)];
             buf.copy_bits_to(off, len, &mut dst);
-            let expected = buf.slice(off, len);
-            prop_assert_eq!(&dst[..], expected.as_bytes());
+            let expected = slice_bytes(&buf, off, len);
+            prop_assert_eq!(&dst, &expected);
             // And writing those bytes back reproduces the original range.
             let mut back = BitBuf::zeroed(bits.len());
             back.write_bits_from_bytes(off, &dst, len);
-            prop_assert_eq!(back.slice(off, len), buf.slice(off, len));
+            prop_assert_eq!(slice_bytes(&back, off, len), expected);
         }
 
         #[test]

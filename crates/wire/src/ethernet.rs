@@ -1,4 +1,4 @@
-//! Ethernet II frame view.
+//! Ethernet II header.
 //!
 //! ```text
 //!  0               6              12      14
@@ -7,8 +7,10 @@
 //! └───────────────┴───────────────┴───────┴─────────
 //! ```
 //!
-//! Gradient traffic uses EtherType [`ETHERTYPE_IPV4`]; the frame type is
-//! generic so the simulator can carry cross-traffic through the same code.
+//! Every frame carries EtherType [`ETHERTYPE_IPV4`]. No frame check
+//! sequence is modelled, so nothing guards the twelve address bytes: a
+//! frame with a flipped MAC still parses. [`crate::stack`] writes and reads
+//! this header together with the IPv4 and UDP headers behind it.
 
 use crate::{Result, WireError};
 
@@ -53,113 +55,27 @@ pub const ETHERTYPE_IPV4: u16 = 0x0800;
 /// Ethernet II header length in bytes.
 pub const HEADER_LEN: usize = 14;
 
-/// A typed view over an Ethernet II frame.
-#[derive(Debug, Clone)]
-pub struct EthernetFrame<T: AsRef<[u8]>> {
-    buffer: T,
+/// Writes the header into the front of `buf`.
+pub(crate) fn write(buf: &mut [u8], dst: MacAddr, src: MacAddr, ethertype: u16) {
+    buf[0..6].copy_from_slice(&dst.0);
+    buf[6..12].copy_from_slice(&src.0);
+    buf[12..14].copy_from_slice(&ethertype.to_be_bytes());
 }
 
-impl<T: AsRef<[u8]>> EthernetFrame<T> {
-    /// Wraps a buffer, validating there is room for the header.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] if the buffer is shorter than 14 bytes.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        if buffer.as_ref().len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        Ok(Self { buffer })
-    }
-
-    /// Destination MAC.
-    #[must_use]
-    pub fn dst(&self) -> MacAddr {
-        let b = self.buffer.as_ref();
-        MacAddr([b[0], b[1], b[2], b[3], b[4], b[5]])
-    }
-
-    /// Source MAC.
-    #[must_use]
-    pub fn src(&self) -> MacAddr {
-        let b = self.buffer.as_ref();
-        MacAddr([b[6], b[7], b[8], b[9], b[10], b[11]])
-    }
-
-    /// EtherType.
-    #[must_use]
-    pub fn ethertype(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[12], b[13]])
-    }
-
-    /// The payload after the header.
-    #[must_use]
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[HEADER_LEN..]
-    }
-
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
-    /// Sets the destination MAC.
-    pub fn set_dst(&mut self, mac: MacAddr) {
-        self.buffer.as_mut()[0..6].copy_from_slice(&mac.0);
-    }
-
-    /// Sets the source MAC.
-    pub fn set_src(&mut self, mac: MacAddr) {
-        self.buffer.as_mut()[6..12].copy_from_slice(&mac.0);
-    }
-
-    /// Sets the EtherType.
-    pub fn set_ethertype(&mut self, ty: u16) {
-        self.buffer.as_mut()[12..14].copy_from_slice(&ty.to_be_bytes());
-    }
-
-    /// Mutable access to the payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
-    }
-}
-
-/// Builds a complete frame: header plus `payload`.
-#[must_use]
-pub fn build_frame(dst: MacAddr, src: MacAddr, ethertype: u16, payload: &[u8]) -> Vec<u8> {
-    let mut buf = vec![0u8; HEADER_LEN + payload.len()];
-    // Same-module construction: the buffer is sized for the header above, so
-    // the `new_checked` length test cannot fail — skip the fallible path.
-    let mut frame = EthernetFrame {
-        buffer: &mut buf[..],
-    };
-    frame.set_dst(dst);
-    frame.set_src(src);
-    frame.set_ethertype(ethertype);
-    frame.payload_mut().copy_from_slice(payload);
-    buf
-}
-
-/// Writes the 14-byte header into the front of `buf` — the in-place form of
-/// [`build_frame`] for recycled frame buffers. Every header byte is
-/// overwritten; the payload region is the caller's to fill.
+/// Reads `(dst, src, ethertype)` from the front of `b`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `buf` is shorter than [`HEADER_LEN`].
-pub fn write_header(buf: &mut [u8], dst: MacAddr, src: MacAddr, ethertype: u16) {
-    assert!(
-        buf.len() >= HEADER_LEN,
-        "buffer too short for Ethernet header"
-    );
-    // Same-module construction: length checked above, skip the fallible path.
-    let mut frame = EthernetFrame { buffer: buf };
-    frame.set_dst(dst);
-    frame.set_src(src);
-    frame.set_ethertype(ethertype);
+/// [`WireError::Truncated`] if `b` is shorter than [`HEADER_LEN`].
+pub(crate) fn read(b: &[u8]) -> Result<(MacAddr, MacAddr, u16)> {
+    if b.len() < HEADER_LEN {
+        return Err(WireError::Truncated);
+    }
+    Ok((
+        MacAddr([b[0], b[1], b[2], b[3], b[4], b[5]]),
+        MacAddr([b[6], b[7], b[8], b[9], b[10], b[11]]),
+        u16::from_be_bytes([b[12], b[13]]),
+    ))
 }
 
 #[cfg(test)]
@@ -183,41 +99,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.0[0] & 0x02, 0x02, "locally administered bit");
         assert_eq!(a.0[0] & 0x01, 0, "unicast bit");
-    }
-
-    #[test]
-    fn build_and_parse_roundtrip() {
-        let payload = [0xDE, 0xAD, 0xBE, 0xEF];
-        let dst = MacAddr::for_host(7);
-        let src = MacAddr::for_host(8);
-        let buf = build_frame(dst, src, ETHERTYPE_IPV4, &payload);
-        assert_eq!(buf.len(), 18);
-        let frame = EthernetFrame::new_checked(&buf[..]).unwrap();
-        assert_eq!(frame.dst(), dst);
-        assert_eq!(frame.src(), src);
-        assert_eq!(frame.ethertype(), ETHERTYPE_IPV4);
-        assert_eq!(frame.payload(), &payload);
-    }
-
-    #[test]
-    fn rejects_short_buffer() {
-        assert_eq!(
-            EthernetFrame::new_checked(&[0u8; 13][..]).unwrap_err(),
-            WireError::Truncated
-        );
-        // Exactly header-length is fine (empty payload).
-        let f = EthernetFrame::new_checked(&[0u8; 14][..]).unwrap();
-        assert!(f.payload().is_empty());
-    }
-
-    #[test]
-    fn mutation_through_view() {
-        let mut buf = [0u8; 20];
-        let mut f = EthernetFrame::new_checked(&mut buf[..]).unwrap();
-        f.set_ethertype(0x88B5);
-        f.payload_mut()[0] = 0x42;
-        let f2 = EthernetFrame::new_checked(&buf[..]).unwrap();
-        assert_eq!(f2.ethertype(), 0x88B5);
-        assert_eq!(f2.payload()[0], 0x42);
     }
 }

@@ -1,12 +1,18 @@
-//! IPv4 packet view (fixed 20-byte header, no options).
+//! IPv4 header (fixed 20 bytes, no options).
+//!
+//! ```text
+//!  0    1    2      4      6      8    9    10     12     16     20
+//! ┌────┬────┬──────┬──────┬──────┬────┬────┬──────┬──────┬──────┐
+//! │v/hl│tos │total │ id   │DF/off│ttl │prot│ csum │ src  │ dst  │
+//! └────┴────┴──────┴──────┴──────┴────┴────┴──────┴──────┴──────┘
+//! ```
 //!
 //! The simulator uses two IPv4 facilities beyond plain delivery:
 //!
 //! * the **DSCP** field encodes queue priority — trimmed packets are
 //!   forwarded high-priority, like NDP headers;
-//! * **total length** and the header checksum are patched in place when a
-//!   switch trims a packet ([`Ipv4Packet::set_total_len`] +
-//!   [`Ipv4Packet::fill_checksum`]).
+//! * **total length** and the header checksum are rewritten when a switch
+//!   trims a packet ([`crate::stack::reseal`]).
 
 use crate::{internet_checksum, ones_complement_sum, Result, WireError};
 
@@ -20,12 +26,6 @@ impl Ipv4Addr {
     pub fn for_host(id: u32) -> Ipv4Addr {
         let b = id.to_be_bytes();
         Ipv4Addr([10, b[1], b[2], b[3]])
-    }
-
-    /// Big-endian `u32` form.
-    #[must_use]
-    pub fn to_u32(self) -> u32 {
-        u32::from_be_bytes(self.0)
     }
 }
 
@@ -47,242 +47,68 @@ pub const DSCP_TRIMMED: u8 = 46; // Expedited Forwarding
 /// DSCP code point for ordinary gradient payload packets.
 pub const DSCP_BULK: u8 = 0;
 
-/// ECN codepoint: Congestion Experienced.
-pub const ECN_CE: u8 = 0b11;
-
 /// ECN codepoint: ECN-Capable Transport (0).
 pub const ECN_ECT0: u8 = 0b10;
 
-/// A typed view over an IPv4 packet (header + payload).
-#[derive(Debug, Clone)]
-pub struct Ipv4Packet<T: AsRef<[u8]>> {
-    buffer: T,
+/// Writes the fixed fields — version 4, IHL 5, ECN ECT(0), DF, TTL 64,
+/// protocol UDP — and the addresses into the front of `buf`. The length,
+/// DSCP and checksum are [`seal`]'s.
+pub(crate) fn write(buf: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+    buf[0] = 0x45;
+    buf[1] = ECN_ECT0;
+    buf[4..8].copy_from_slice(&[0, 0, 0x40, 0]);
+    buf[8] = 64;
+    buf[9] = PROTO_UDP;
+    buf[12..16].copy_from_slice(&src.0);
+    buf[16..20].copy_from_slice(&dst.0);
 }
 
-impl<T: AsRef<[u8]>> Ipv4Packet<T> {
-    /// Wraps a buffer, validating version, header length, and that the buffer
-    /// holds at least `total_len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] for short buffers,
-    /// [`WireError::BadField`] for a bad version or IHL.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        if b[0] >> 4 != 4 {
-            return Err(WireError::BadField("version"));
-        }
-        if (b[0] & 0x0F) as usize * 4 != HEADER_LEN {
-            return Err(WireError::BadField("ihl"));
-        }
-        let total = u16::from_be_bytes([b[2], b[3]]) as usize;
-        if total < HEADER_LEN || b.len() < total {
-            return Err(WireError::Truncated);
-        }
-        Ok(Self { buffer })
-    }
-
-    /// Total length field (header + payload, in bytes).
-    #[must_use]
-    pub fn total_len(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[2], b[3]])
-    }
-
-    /// DSCP (top six bits of the traffic-class byte).
-    #[must_use]
-    pub fn dscp(&self) -> u8 {
-        self.buffer.as_ref()[1] >> 2
-    }
-
-    /// ECN (bottom two bits of the traffic-class byte).
-    #[must_use]
-    pub fn ecn(&self) -> u8 {
-        self.buffer.as_ref()[1] & 0b11
-    }
-
-    /// Time-to-live.
-    #[must_use]
-    pub fn ttl(&self) -> u8 {
-        self.buffer.as_ref()[8]
-    }
-
-    /// Payload protocol number.
-    #[must_use]
-    pub fn protocol(&self) -> u8 {
-        self.buffer.as_ref()[9]
-    }
-
-    /// Header checksum field.
-    #[must_use]
-    pub fn checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[10], b[11]])
-    }
-
-    /// Source address.
-    #[must_use]
-    pub fn src(&self) -> Ipv4Addr {
-        let b = self.buffer.as_ref();
-        Ipv4Addr([b[12], b[13], b[14], b[15]])
-    }
-
-    /// Destination address.
-    #[must_use]
-    pub fn dst(&self) -> Ipv4Addr {
-        let b = self.buffer.as_ref();
-        Ipv4Addr([b[16], b[17], b[18], b[19]])
-    }
-
-    /// Verifies the header checksum.
-    #[must_use]
-    pub fn verify_checksum(&self) -> bool {
-        ones_complement_sum(&self.buffer.as_ref()[..HEADER_LEN], 0) == 0xFFFF
-    }
-
-    /// The payload (`total_len − 20` bytes).
-    #[must_use]
-    pub fn payload(&self) -> &[u8] {
-        let total = self.total_len() as usize;
-        &self.buffer.as_ref()[HEADER_LEN..total]
-    }
-
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
+/// Sets the total length and the DSCP (keeping the ECN bits) of the header
+/// at the front of `b`, then recomputes its checksum.
+pub(crate) fn seal(b: &mut [u8], total_len: u16, dscp: u8) {
+    debug_assert!(dscp < 64);
+    b[1] = (dscp << 2) | (b[1] & 0b11);
+    b[2..4].copy_from_slice(&total_len.to_be_bytes());
+    b[10..12].copy_from_slice(&[0, 0]);
+    let csum = internet_checksum(&b[..HEADER_LEN]);
+    b[10..12].copy_from_slice(&csum.to_be_bytes());
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
-    /// Writes the fixed header fields (version 4, IHL 5, no fragmentation).
-    pub fn init(&mut self) {
-        let b = self.buffer.as_mut();
-        b[0] = 0x45;
-        b[1] = 0;
-        b[4] = 0; // identification
-        b[5] = 0;
-        b[6] = 0x40; // don't fragment
-        b[7] = 0;
-    }
-
-    /// Sets the total length field.
-    pub fn set_total_len(&mut self, len: u16) {
-        self.buffer.as_mut()[2..4].copy_from_slice(&len.to_be_bytes());
-    }
-
-    /// Sets DSCP, preserving ECN.
-    pub fn set_dscp(&mut self, dscp: u8) {
-        debug_assert!(dscp < 64);
-        let b = self.buffer.as_mut();
-        b[1] = (dscp << 2) | (b[1] & 0b11);
-    }
-
-    /// Sets ECN, preserving DSCP.
-    pub fn set_ecn(&mut self, ecn: u8) {
-        debug_assert!(ecn < 4);
-        let b = self.buffer.as_mut();
-        b[1] = (b[1] & !0b11) | ecn;
-    }
-
-    /// Sets TTL.
-    pub fn set_ttl(&mut self, ttl: u8) {
-        self.buffer.as_mut()[8] = ttl;
-    }
-
-    /// Sets the payload protocol.
-    pub fn set_protocol(&mut self, proto: u8) {
-        self.buffer.as_mut()[9] = proto;
-    }
-
-    /// Sets source address.
-    pub fn set_src(&mut self, a: Ipv4Addr) {
-        self.buffer.as_mut()[12..16].copy_from_slice(&a.0);
-    }
-
-    /// Sets destination address.
-    pub fn set_dst(&mut self, a: Ipv4Addr) {
-        self.buffer.as_mut()[16..20].copy_from_slice(&a.0);
-    }
-
-    /// Recomputes and writes the header checksum. Call after any header edit.
-    pub fn fill_checksum(&mut self) {
-        let b = self.buffer.as_mut();
-        b[10] = 0;
-        b[11] = 0;
-        let csum = internet_checksum(&b[..HEADER_LEN]);
-        b[10..12].copy_from_slice(&csum.to_be_bytes());
-    }
-
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let total = u16::from_be_bytes([self.buffer.as_ref()[2], self.buffer.as_ref()[3]]) as usize;
-        &mut self.buffer.as_mut()[HEADER_LEN..total]
-    }
+/// Source and destination addresses of the header at the front of `b`.
+pub(crate) fn addrs(b: &[u8]) -> (Ipv4Addr, Ipv4Addr) {
+    (
+        Ipv4Addr([b[12], b[13], b[14], b[15]]),
+        Ipv4Addr([b[16], b[17], b[18], b[19]]),
+    )
 }
 
-/// Builds a complete IPv4 packet around `payload`.
+/// Validates the header at the front of `b` — length, version, IHL, a total
+/// length that `b` holds, then the checksum — and returns the protocol and
+/// the total length.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the packet would exceed the 16-bit IPv4 total-length field.
-#[must_use]
-pub fn build_packet(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, dscp: u8, payload: &[u8]) -> Vec<u8> {
-    let total = HEADER_LEN + payload.len();
-    let total_field = crate::narrow::to_u16(total, "IPv4 total length");
-    let mut buf = vec![0u8; total];
-    buf[2..4].copy_from_slice(&total_field.to_be_bytes());
-    // Same-module construction: the buffer is sized for the header above and
-    // `init` writes the version byte, so the fallible `new_checked` path
-    // (length + version tests) is not needed here.
-    let mut pkt = Ipv4Packet {
-        buffer: &mut buf[..],
-    };
-    pkt.init();
-    pkt.set_total_len(total_field);
-    pkt.set_dscp(dscp);
-    pkt.set_ecn(ECN_ECT0);
-    pkt.set_ttl(64);
-    pkt.set_protocol(proto);
-    pkt.set_src(src);
-    pkt.set_dst(dst);
-    pkt.payload_mut().copy_from_slice(payload);
-    pkt.fill_checksum();
-    buf
-}
-
-/// Writes a complete 20-byte header (version 4, IHL 5, DF, TTL 64,
-/// ECN ECT(0)) with a valid checksum into the front of `buf` — the in-place
-/// form of [`build_packet`] for recycled frame buffers. `total_len` counts
-/// header plus payload; every header byte is overwritten, so recycled
-/// buffers need no zeroing.
-///
-/// # Panics
-///
-/// Panics if `buf` is shorter than [`HEADER_LEN`].
-pub fn write_header(
-    buf: &mut [u8],
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    proto: u8,
-    dscp: u8,
-    total_len: u16,
-) {
-    assert!(buf.len() >= HEADER_LEN, "buffer too short for IPv4 header");
-    // Same-module construction: length checked above and `init` writes the
-    // version byte, so the fallible `new_checked` path is not needed.
-    let mut pkt = Ipv4Packet { buffer: buf };
-    pkt.init();
-    pkt.set_total_len(total_len);
-    pkt.set_dscp(dscp);
-    pkt.set_ecn(ECN_ECT0);
-    pkt.set_ttl(64);
-    pkt.set_protocol(proto);
-    pkt.set_src(src);
-    pkt.set_dst(dst);
-    pkt.fill_checksum();
+/// [`WireError::Truncated`] for a short buffer or total length,
+/// [`WireError::BadField`] for a bad version or IHL,
+/// [`WireError::BadChecksum`] for a failed header checksum.
+pub(crate) fn read(b: &[u8]) -> Result<(u8, usize)> {
+    if b.len() < HEADER_LEN {
+        return Err(WireError::Truncated);
+    }
+    if b[0] >> 4 != 4 {
+        return Err(WireError::BadField("version"));
+    }
+    if (b[0] & 0x0F) as usize * 4 != HEADER_LEN {
+        return Err(WireError::BadField("ihl"));
+    }
+    let total_len = u16::from_be_bytes([b[2], b[3]]) as usize;
+    if total_len < HEADER_LEN || b.len() < total_len {
+        return Err(WireError::Truncated);
+    }
+    if ones_complement_sum(&b[..HEADER_LEN], 0) != 0xFFFF {
+        return Err(WireError::BadChecksum);
+    }
+    Ok((b[9], total_len))
 }
 
 #[cfg(test)]
@@ -298,108 +124,27 @@ mod tests {
     }
 
     #[test]
-    fn build_parse_roundtrip_with_valid_checksum() {
-        let payload = [1u8, 2, 3, 4, 5];
-        let src = Ipv4Addr::for_host(1);
-        let dst = Ipv4Addr::for_host(2);
-        let buf = build_packet(src, dst, PROTO_UDP, DSCP_BULK, &payload);
-        let pkt = Ipv4Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(pkt.total_len() as usize, 25);
-        assert_eq!(pkt.src(), src);
-        assert_eq!(pkt.dst(), dst);
-        assert_eq!(pkt.protocol(), PROTO_UDP);
-        assert_eq!(pkt.ttl(), 64);
-        assert_eq!(pkt.dscp(), DSCP_BULK);
-        assert_eq!(pkt.ecn(), ECN_ECT0);
-        assert_eq!(pkt.payload(), &payload);
-        assert!(pkt.verify_checksum());
+    fn seal_keeps_ecn_and_checksums_the_header() {
+        let mut buf = [0u8; HEADER_LEN + 5];
+        write(&mut buf, Ipv4Addr::for_host(1), Ipv4Addr::for_host(2));
+        seal(&mut buf, 25, DSCP_TRIMMED);
+        assert_eq!(buf[1], (DSCP_TRIMMED << 2) | ECN_ECT0);
+        assert_eq!(read(&buf), Ok((PROTO_UDP, 25)));
+        buf[8] ^= 0xFF; // flip TTL bits
+        assert_eq!(read(&buf), Err(WireError::BadChecksum));
     }
 
     #[test]
-    fn checksum_detects_corruption() {
-        let buf = build_packet(
-            Ipv4Addr::for_host(1),
-            Ipv4Addr::for_host(2),
-            PROTO_UDP,
-            0,
-            &[0; 8],
-        );
-        let mut corrupted = buf.clone();
-        corrupted[8] ^= 0xFF; // flip TTL bits
-        let pkt = Ipv4Packet::new_checked(&corrupted[..]).unwrap();
-        assert!(!pkt.verify_checksum());
-    }
-
-    #[test]
-    fn trim_patch_total_len_and_checksum() {
-        // Simulate what a trimming switch does: shorten, re-set length, re-checksum.
-        let mut buf = build_packet(
-            Ipv4Addr::for_host(3),
-            Ipv4Addr::for_host(4),
-            PROTO_UDP,
-            DSCP_BULK,
-            &[0xAA; 100],
-        );
-        buf.truncate(HEADER_LEN + 10);
-        let mut pkt = Ipv4Packet::new_checked(&mut buf[..]).unwrap_err(); // total_len still 120
-                                                                          // Must patch length before the view validates.
-        let _ = &mut pkt;
-        let mut raw = buf;
-        raw[2..4].copy_from_slice(&((HEADER_LEN + 10) as u16).to_be_bytes());
-        let mut pkt = Ipv4Packet::new_checked(&mut raw[..]).unwrap();
-        pkt.set_dscp(DSCP_TRIMMED);
-        pkt.fill_checksum();
-        let check = Ipv4Packet::new_checked(&raw[..]).unwrap();
-        assert!(check.verify_checksum());
-        assert_eq!(check.dscp(), DSCP_TRIMMED);
-        assert_eq!(check.payload().len(), 10);
-    }
-
-    #[test]
-    fn ecn_and_dscp_do_not_clobber_each_other() {
-        let mut buf = build_packet(
-            Ipv4Addr::for_host(1),
-            Ipv4Addr::for_host(2),
-            PROTO_UDP,
-            DSCP_TRIMMED,
-            &[],
-        );
-        let mut pkt = Ipv4Packet::new_checked(&mut buf[..]).unwrap();
-        pkt.set_ecn(ECN_CE);
-        assert_eq!(pkt.dscp(), DSCP_TRIMMED);
-        assert_eq!(pkt.ecn(), ECN_CE);
-        pkt.set_dscp(0);
-        assert_eq!(pkt.ecn(), ECN_CE);
-    }
-
-    #[test]
-    fn rejects_bad_version_and_short_buffers() {
-        assert_eq!(
-            Ipv4Packet::new_checked(&[0u8; 10][..]).unwrap_err(),
-            WireError::Truncated
-        );
+    fn rejects_bad_version_ihl_and_lengths() {
+        assert_eq!(read(&[0u8; 10]), Err(WireError::Truncated));
         let mut buf = [0u8; 20];
         buf[0] = 0x65; // version 6
         buf[2..4].copy_from_slice(&20u16.to_be_bytes());
-        assert_eq!(
-            Ipv4Packet::new_checked(&buf[..]).unwrap_err(),
-            WireError::BadField("version")
-        );
+        assert_eq!(read(&buf), Err(WireError::BadField("version")));
         buf[0] = 0x46; // IHL 6 (options) unsupported
-        assert_eq!(
-            Ipv4Packet::new_checked(&buf[..]).unwrap_err(),
-            WireError::BadField("ihl")
-        );
-    }
-
-    #[test]
-    fn rejects_total_len_beyond_buffer() {
-        let mut buf = [0u8; 20];
+        assert_eq!(read(&buf), Err(WireError::BadField("ihl")));
         buf[0] = 0x45;
-        buf[2..4].copy_from_slice(&30u16.to_be_bytes());
-        assert_eq!(
-            Ipv4Packet::new_checked(&buf[..]).unwrap_err(),
-            WireError::Truncated
-        );
+        buf[2..4].copy_from_slice(&30u16.to_be_bytes()); // beyond the buffer
+        assert_eq!(read(&buf), Err(WireError::Truncated));
     }
 }

@@ -1,14 +1,16 @@
-//! Typed wire formats for trimmable gradient packets.
+//! Wire formats for trimmable gradient packets.
 //!
-//! Follows the smoltcp idiom: zero-copy *view* types (`Frame<T: AsRef<[u8]>>`)
-//! wrap a byte buffer and expose field accessors; emission and parsing are the
-//! same type with `AsRef`/`AsMut` bounds. Nothing here allocates except the
-//! explicit builders.
+//! Each header module owns one header's byte layout: its `HEADER_LEN` and
+//! the functions that write and read it at literal offsets. The
+//! Ethernet → IPv4 → UDP part is written, read and resealed in one place,
+//! [`stack`], for data and metadata frames alike. Frames are plain byte
+//! buffers; building one allocates the frame and nothing else, and parsing
+//! borrows from it.
 //!
 //! # Stack
 //!
 //! ```text
-//! ┌──────────────┐ 14 B  [`ethernet`]  EtherType 0x88B5 (local experimental)
+//! ┌──────────────┐ 14 B  [`ethernet`]  EtherType 0x0800 (IPv4)
 //! │ Ethernet II  │
 //! ├──────────────┤ 20 B  [`ipv4`]      header checksum, DSCP-based priority
 //! │ IPv4         │
@@ -23,9 +25,10 @@
 //!
 //! A switch trims a gradient packet by truncating the frame at a *trim point*
 //! (a payload section boundary), decrementing the TrimGrad `trim_depth`
-//! field, and patching the IPv4/UDP lengths and checksums — see
-//! [`packet::GradPacket::trim_to_depth`]. The receiver reassembles rows from
-//! any mix of trimmed and untrimmed packets ([`reassemble`]).
+//! field, and resealing the stack ([`stack::reseal`]: IPv4/UDP lengths,
+//! DSCP, checksums) — see [`packet::GradPacket::trim_to_depth`]. The
+//! receiver reassembles rows from any mix of trimmed and untrimmed packets
+//! ([`reassemble`]).
 //!
 //! Row metadata (σ / L / the DRIVE scale `f`) travels in tiny [`meta`]
 //! packets that are flagged reliable and never trimmed.
@@ -41,6 +44,7 @@ pub mod packet;
 pub mod packetize;
 pub mod payload;
 pub mod reassemble;
+pub mod stack;
 pub mod trimhdr;
 pub mod udp;
 

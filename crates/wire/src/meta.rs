@@ -8,11 +8,11 @@
 //! with the [`crate::trimhdr::FLAG_RELIABLE`] semantics (switches never trim
 //! them, transports retransmit them on loss).
 
-use crate::ethernet::{self, ETHERTYPE_IPV4};
-use crate::ipv4::{self, Ipv4Packet, PROTO_UDP};
+use crate::ipv4::DSCP_TRIMMED;
 use crate::packet::NetAddrs;
+use crate::stack::{self, Expect, PAYLOAD_START};
 use crate::trimhdr;
-use crate::udp::{self, UdpDatagram, PORT_METADATA};
+use crate::udp::PORT_METADATA;
 use crate::{Result, WireError};
 use trimgrad_quant::{RowMeta, SchemeId};
 
@@ -22,10 +22,9 @@ pub const MAGIC: u16 = 0x544D;
 /// Metadata payload length in bytes.
 pub const PAYLOAD_LEN: usize = 24;
 
-/// Length of a whole metadata frame ([`RowMetaPacket::build_frame`]):
-/// Ethernet + IPv4 + UDP headers and the payload.
-pub const FRAME_LEN: usize =
-    ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + PAYLOAD_LEN;
+/// Length of a whole metadata frame ([`RowMetaPacket::build_frame`]): the
+/// Ethernet/IPv4/UDP stack and the payload.
+pub const FRAME_LEN: usize = PAYLOAD_START + PAYLOAD_LEN;
 
 /// The contents of one metadata packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,25 +96,20 @@ impl RowMetaPacket {
         }
     }
 
-    /// Builds the full Ethernet frame (to [`PORT_METADATA`], bulk DSCP is
-    /// irrelevant — the reliable flag lives in the transport contract).
+    /// Builds the full Ethernet frame, addressed to [`PORT_METADATA`] and
+    /// marked with the high-priority DSCP: tiny and latency-critical, it
+    /// rides the priority queue (the reliable flag lives in the transport
+    /// contract).
     #[must_use]
     pub fn build_frame(&self, net: &NetAddrs) -> Vec<u8> {
-        let udp_bytes = udp::build_datagram(
-            net.src_ip,
-            net.dst_ip,
-            net.src_port,
-            PORT_METADATA,
-            &self.to_bytes(),
-        );
-        let ip_bytes = ipv4::build_packet(
-            net.src_ip,
-            net.dst_ip,
-            PROTO_UDP,
-            ipv4::DSCP_TRIMMED, // ride the priority queue: tiny and latency-critical
-            &udp_bytes,
-        );
-        ethernet::build_frame(net.dst_mac, net.src_mac, ETHERTYPE_IPV4, &ip_bytes)
+        let mut frame = vec![0u8; FRAME_LEN];
+        frame[PAYLOAD_START..].copy_from_slice(&self.to_bytes());
+        let net = NetAddrs {
+            dst_port: PORT_METADATA,
+            ..*net
+        };
+        stack::write(&mut frame, &net, DSCP_TRIMMED);
+        frame
     }
 
     /// Parses a full frame previously built with [`build_frame`](Self::build_frame).
@@ -125,21 +119,7 @@ impl RowMetaPacket {
     /// Layer errors, [`WireError::BadChecksum`], or [`WireError::BadField`]
     /// if the frame is not addressed to the metadata port.
     pub fn parse_frame(frame: &[u8]) -> Result<Self> {
-        let eth = ethernet::EthernetFrame::new_checked(frame)?;
-        let ip = Ipv4Packet::new_checked(eth.payload())?;
-        if !ip.verify_checksum() {
-            return Err(WireError::BadChecksum);
-        }
-        // trimlint: allow(unchecked-len-index) -- new_checked bounds total_len
-        let udp_slice = &eth.payload()[ipv4::HEADER_LEN..ip.total_len() as usize];
-        let dgram = UdpDatagram::new_checked(udp_slice)?;
-        if !dgram.verify_checksum(ip.src(), ip.dst()) {
-            return Err(WireError::BadChecksum);
-        }
-        if dgram.dst_port() != PORT_METADATA {
-            return Err(WireError::BadField("dst_port"));
-        }
-        Self::from_bytes(dgram.payload())
+        Self::from_bytes(stack::read(frame, Expect::Metadata)?.udp_body)
     }
 }
 

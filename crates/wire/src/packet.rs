@@ -10,13 +10,15 @@
 //! * [`GradPacket::trim_to_depth`] — switch-side: truncate the frame at a
 //!   section boundary, decrement `trim_depth`, raise the DSCP to the
 //!   high-priority trimmed class, and patch the IPv4/UDP lengths and
-//!   checksums — everything a real trimming ASIC rewrites.
+//!   checksums ([`stack::reseal`]) — everything a real trimming ASIC
+//!   rewrites.
 
-use crate::ethernet::{self, EthernetFrame, MacAddr, ETHERTYPE_IPV4};
-use crate::ipv4::{self, Ipv4Addr, Ipv4Packet, DSCP_BULK, DSCP_TRIMMED, PROTO_UDP};
+use crate::ethernet::MacAddr;
+use crate::ipv4::{Ipv4Addr, DSCP_BULK, DSCP_TRIMMED};
 use crate::payload::{PayloadLayout, MAX_PARTS};
-use crate::trimhdr::{self, TrimGradFields, TrimGradHeader};
-use crate::udp::{self, UdpDatagram, PORT_GRADIENT};
+use crate::stack::{self, Expect, PAYLOAD_START};
+use crate::trimhdr::{self, TrimGradFields};
+use crate::udp::PORT_GRADIENT;
 use crate::{Result, WireError};
 
 /// Address tuple for one gradient flow.
@@ -52,8 +54,7 @@ impl NetAddrs {
 }
 
 /// Byte overhead of the full header stack (Ethernet + IPv4 + UDP + TrimGrad).
-pub const STACK_OVERHEAD: usize =
-    ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + trimhdr::HEADER_LEN;
+pub const STACK_OVERHEAD: usize = PAYLOAD_START + trimhdr::HEADER_LEN;
 
 /// One gradient data packet: an owned, fully-formed Ethernet frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,49 +93,13 @@ impl<'a> std::ops::Deref for Sections<'a> {
 }
 
 impl GradPacket {
-    /// Builds an untrimmed packet from header fields and one byte slice per
-    /// payload section.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sections.len() != fields.n_parts` or if a section's length
-    /// does not match the layout implied by `fields` — those are programming
-    /// errors in the packetizer, not runtime conditions.
-    #[must_use]
-    pub fn build(net: &NetAddrs, fields: TrimGradFields, sections: &[&[u8]]) -> Self {
-        assert_eq!(
-            sections.len(),
-            fields.n_parts as usize,
-            "one byte slice per part"
-        );
-        assert_eq!(
-            fields.trim_depth, fields.n_parts,
-            "packets are built untrimmed"
-        );
-        let layout = PayloadLayout::new(fields.scheme.part_bits(), fields.coord_count as usize);
-        for (j, s) in sections.iter().enumerate() {
-            assert_eq!(
-                s.len(),
-                layout.section_len(j),
-                "section {j} length mismatch"
-            );
-        }
-        Self::build_with(net, fields, |body| {
-            let mut off = 0;
-            for s in sections {
-                body[off..off + s.len()].copy_from_slice(s);
-                off += s.len();
-            }
-        })
-    }
-
-    /// Builds an untrimmed packet by writing every layer directly into one
-    /// frame buffer — the single-allocation form of [`build`](Self::build).
+    /// Builds an untrimmed packet, writing every layer directly into one
+    /// frame buffer.
     ///
     /// `write_sections` fills the section payload area that follows the
     /// TrimGrad header; it receives exactly `layout.total_len()` zeroed
-    /// bytes. The UDP checksum is computed after `write_sections` returns, so
-    /// the result is byte-identical to [`build`](Self::build).
+    /// bytes. The Ethernet/IPv4/UDP headers are written after it returns,
+    /// so the UDP checksum covers the sections.
     ///
     /// # Panics
     ///
@@ -151,38 +116,15 @@ impl GradPacket {
             "packets are built untrimmed"
         );
         let layout = PayloadLayout::new(fields.scheme.part_bits(), fields.coord_count as usize);
-        let app_len = trimhdr::HEADER_LEN + layout.total_len();
-        let udp_len = udp::HEADER_LEN + app_len;
-        let ip_len = ipv4::HEADER_LEN + udp_len;
-        let frame_len = ethernet::HEADER_LEN + ip_len;
         // The one allocation per packet: this buffer is the packet. Grown
         // with `resize` rather than `vec![0; n]` — on `codec_loopback` the
         // zeroed-allocation form measured ~4% slower per round.
         #[allow(clippy::slow_vector_initialization)]
         let mut frame = Vec::new();
-        frame.resize(frame_len, 0);
-        ethernet::write_header(&mut frame, net.dst_mac, net.src_mac, ETHERTYPE_IPV4);
-        let ip_len_field = crate::narrow::to_u16(ip_len, "IPv4 total length");
-        ipv4::write_header(
-            &mut frame[ethernet::HEADER_LEN..],
-            net.src_ip,
-            net.dst_ip,
-            PROTO_UDP,
-            DSCP_BULK,
-            ip_len_field,
-        );
-        let udp_start = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
-        let udp_len_field = crate::narrow::to_u16(udp_len, "UDP length");
-        udp::write_header(
-            &mut frame[udp_start..],
-            net.src_port,
-            net.dst_port,
-            udp_len_field,
-        );
-        let app_start = udp_start + udp::HEADER_LEN;
-        frame[app_start..app_start + trimhdr::HEADER_LEN].copy_from_slice(&fields.to_bytes());
-        write_sections(&mut frame[app_start + trimhdr::HEADER_LEN..frame_len]);
-        udp::fill_checksum_in(&mut frame[udp_start..], net.src_ip, net.dst_ip);
+        frame.resize(STACK_OVERHEAD + layout.total_len(), 0);
+        frame[PAYLOAD_START..STACK_OVERHEAD].copy_from_slice(&fields.to_bytes());
+        write_sections(&mut frame[STACK_OVERHEAD..]);
+        stack::write(&mut frame, net, DSCP_BULK);
         Self { frame }
     }
 
@@ -219,45 +161,15 @@ impl GradPacket {
     /// if the IPv4 or UDP checksum fails; [`WireError::Truncated`] if the
     /// payload is shorter than `trim_depth` sections require.
     pub fn parse(&self) -> Result<ParsedGrad<'_>> {
-        let eth = EthernetFrame::new_checked(&self.frame[..])?;
-        if eth.ethertype() != ETHERTYPE_IPV4 {
-            return Err(WireError::BadField("ethertype"));
-        }
-        let ip = Ipv4Packet::new_checked(eth.payload())?;
-        if !ip.verify_checksum() {
-            return Err(WireError::BadChecksum);
-        }
-        if ip.protocol() != PROTO_UDP {
-            return Err(WireError::BadField("protocol"));
-        }
-        let (src_ip, dst_ip) = (ip.src(), ip.dst());
-        // trimlint: allow(unchecked-len-index) -- new_checked bounds total_len
-        let udp_slice = &eth.payload()[ipv4::HEADER_LEN..ip.total_len() as usize];
-        let udp = UdpDatagram::new_checked(udp_slice)?;
-        if !udp.verify_checksum(src_ip, dst_ip) {
-            return Err(WireError::BadChecksum);
-        }
-        let net = NetAddrs {
-            src_mac: eth.src(),
-            dst_mac: eth.dst(),
-            src_ip,
-            dst_ip,
-            src_port: udp.src_port(),
-            dst_port: udp.dst_port(),
-        };
-        // Re-borrow the UDP payload from the frame to untangle lifetimes.
-        let app_start = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
-        let app_end = ethernet::HEADER_LEN + ip.total_len() as usize;
-        let app = &self.frame[app_start..app_end];
-        let hdr = TrimGradHeader::new_checked(app)?;
-        let fields = TrimGradFields::from_header(&hdr);
+        let stack = stack::read(&self.frame, Expect::Data)?;
+        let fields = TrimGradFields::from_bytes(stack.body)?;
         let layout = PayloadLayout::new(fields.scheme.part_bits(), fields.coord_count as usize);
-        let body = &app[trimhdr::HEADER_LEN..];
+        let body = &stack.body[trimhdr::HEADER_LEN..];
         let depth = fields.trim_depth as usize;
         if body.len() < layout.trim_point(depth) {
             return Err(WireError::Truncated);
         }
-        debug_assert!(depth <= MAX_PARTS, "new_checked bounds trim_depth");
+        debug_assert!(depth <= MAX_PARTS, "from_bytes bounds trim_depth");
         let mut sections = Sections {
             refs: [&[]; MAX_PARTS],
             n: depth,
@@ -266,7 +178,7 @@ impl GradPacket {
             *slot = &body[layout.section_range(j)];
         }
         Ok(ParsedGrad {
-            net,
+            net: stack.net,
             fields,
             sections,
         })
@@ -283,16 +195,13 @@ impl GradPacket {
     /// # Errors
     ///
     /// [`WireError::BadField`] if the packet is reliable or `depth` is 0;
-    /// parse errors if the frame is malformed.
+    /// parse errors if the frame is malformed. A refused trim leaves the
+    /// frame untouched.
     pub fn trim_to_depth(&mut self, depth: u8) -> Result<()> {
         if depth == 0 {
             return Err(WireError::BadField("trim_depth"));
         }
-        // Read the current geometry.
-        let (fields, src_ip, dst_ip) = {
-            let parsed = self.parse()?;
-            (parsed.fields, parsed.net.src_ip, parsed.net.dst_ip)
-        };
+        let fields = self.parse()?.fields;
         if fields.flags & trimhdr::FLAG_RELIABLE != 0 {
             return Err(WireError::BadField("reliable"));
         }
@@ -300,37 +209,14 @@ impl GradPacket {
             return Ok(());
         }
         let layout = PayloadLayout::new(fields.scheme.part_bits(), fields.coord_count as usize);
-        let new_app_len = trimhdr::HEADER_LEN + layout.trim_point(depth as usize);
-        let new_udp_len = udp::HEADER_LEN + new_app_len;
-        let new_ip_len = ipv4::HEADER_LEN + new_udp_len;
-        self.frame.truncate(ethernet::HEADER_LEN + new_ip_len);
-
-        // Patch the TrimGrad depth.
-        let app_start = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
-        let mut hdr = TrimGradHeader::new_unchecked_mut(&mut self.frame[app_start..])?;
-        hdr.set_trim_depth(depth);
-
-        // Patch UDP length + checksum.
-        let udp_start = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
-        {
-            let udp_len_field =
-                u16::try_from(new_udp_len).map_err(|_| WireError::BadField("udp_len"))?;
-            let udp_buf = &mut self.frame[udp_start..];
-            udp_buf[4..6].copy_from_slice(&udp_len_field.to_be_bytes());
-            let mut dgram = UdpDatagram::new_checked(udp_buf)?;
-            dgram.fill_checksum(src_ip, dst_ip);
-        }
-
-        // Patch IPv4 length, DSCP, checksum.
-        {
-            let ip_len_field =
-                u16::try_from(new_ip_len).map_err(|_| WireError::BadField("total_len"))?;
-            let ip_buf = &mut self.frame[ethernet::HEADER_LEN..];
-            ip_buf[2..4].copy_from_slice(&ip_len_field.to_be_bytes());
-            let mut ip = Ipv4Packet::new_checked(ip_buf)?;
-            ip.set_dscp(DSCP_TRIMMED);
-            ip.fill_checksum();
-        }
+        self.frame
+            .truncate(STACK_OVERHEAD + layout.trim_point(depth as usize));
+        let trimmed = TrimGradFields {
+            trim_depth: depth,
+            ..fields
+        };
+        self.frame[PAYLOAD_START..STACK_OVERHEAD].copy_from_slice(&trimmed.to_bytes());
+        stack::reseal(&mut self.frame, DSCP_TRIMMED);
         Ok(())
     }
 
@@ -341,12 +227,7 @@ impl GradPacket {
     ///
     /// Header-level errors only.
     pub fn quick_fields(&self) -> Result<TrimGradFields> {
-        let app_start = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
-        if self.frame.len() < app_start + trimhdr::HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let hdr = TrimGradHeader::new_checked(&self.frame[app_start..])?;
-        Ok(TrimGradFields::from_header(&hdr))
+        TrimGradFields::from_bytes(self.frame.get(PAYLOAD_START..).unwrap_or_default())
     }
 }
 
@@ -370,15 +251,19 @@ mod tests {
         }
     }
 
+    /// A packet whose section `j` is filled with `fill[j]`.
+    fn filled(net: &NetAddrs, fields: TrimGradFields, fill: &[u8]) -> GradPacket {
+        let layout = PayloadLayout::new(fields.scheme.part_bits(), fields.coord_count as usize);
+        GradPacket::build_with(net, fields, |body| {
+            for (j, &b) in fill.iter().enumerate() {
+                body[layout.section_range(j)].fill(b);
+            }
+        })
+    }
+
     fn sample_packet(coords: u16) -> GradPacket {
-        let layout = PayloadLayout::new(&[1, 31], coords as usize);
-        let heads = vec![0xA5u8; layout.section_len(0)];
-        let tails = vec![0x5Au8; layout.section_len(1)];
-        GradPacket::build(
-            &NetAddrs::between_hosts(1, 2),
-            sample_fields(coords),
-            &[&heads, &tails],
-        )
+        let net = NetAddrs::between_hosts(1, 2);
+        filled(&net, sample_fields(coords), &[0xA5, 0x5A])
     }
 
     #[test]
@@ -406,11 +291,9 @@ mod tests {
         assert_eq!(p.sections.len(), 1);
         assert_eq!(p.sections[0].len(), 45);
         assert!(p.sections[0].iter().all(|&b| b == 0xA5));
-        // Trimmed packets ride the high-priority DSCP.
-        let eth = EthernetFrame::new_checked(pkt.as_bytes()).unwrap();
-        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-        assert_eq!(ip.dscp(), DSCP_TRIMMED);
-        assert!(ip.verify_checksum());
+        // Trimmed packets ride the high-priority DSCP (the ECN bits stay).
+        let tos = pkt.as_bytes()[crate::ethernet::HEADER_LEN + 1];
+        assert_eq!(tos, (DSCP_TRIMMED << 2) | crate::ipv4::ECN_ECT0);
     }
 
     #[test]
@@ -427,12 +310,9 @@ mod tests {
 
     #[test]
     fn reliable_packets_refuse_to_trim() {
-        let layout = PayloadLayout::new(&[1, 31], 10);
-        let heads = vec![0u8; layout.section_len(0)];
-        let tails = vec![0u8; layout.section_len(1)];
         let mut fields = sample_fields(10);
         fields.flags = trimhdr::FLAG_RELIABLE;
-        let mut pkt = GradPacket::build(&NetAddrs::between_hosts(1, 2), fields, &[&heads, &tails]);
+        let mut pkt = filled(&NetAddrs::between_hosts(1, 2), fields, &[0, 0]);
         assert_eq!(
             pkt.trim_to_depth(1).unwrap_err(),
             WireError::BadField("reliable")
@@ -466,19 +346,13 @@ mod tests {
 
     #[test]
     fn three_part_scheme_trims_at_both_levels() {
-        let coords: u16 = 64;
-        let layout = PayloadLayout::new(SchemeId::MultiLevelRht.part_bits(), coords as usize);
-        let s0 = vec![1u8; layout.section_len(0)];
-        let s1 = vec![2u8; layout.section_len(1)];
-        let s2 = vec![3u8; layout.section_len(2)];
         let fields = TrimGradFields {
             scheme: SchemeId::MultiLevelRht,
             n_parts: 3,
             trim_depth: 3,
-            ..sample_fields(coords)
+            ..sample_fields(64)
         };
-        let addrs = NetAddrs::between_hosts(3, 4);
-        let mut mid = GradPacket::build(&addrs, fields, &[&s0, &s1, &s2]);
+        let mut mid = filled(&NetAddrs::between_hosts(3, 4), fields, &[1, 2, 3]);
         mid.trim_to_depth(2).unwrap();
         let p = mid.parse().unwrap();
         assert_eq!(p.sections.len(), 2);
@@ -500,29 +374,14 @@ mod tests {
         let mut fields = sample_fields(8); // RhtOneBit: really 2 parts
         fields.n_parts = 3;
         fields.trim_depth = 3;
-        let mut app = Vec::new();
-        app.extend_from_slice(&fields.to_bytes());
-        app.extend_from_slice(&[0u8; 64]); // plausible-looking payload
-        let udp_bytes =
-            udp::build_datagram(net.src_ip, net.dst_ip, net.src_port, net.dst_port, &app);
-        let ip_bytes = ipv4::build_packet(net.src_ip, net.dst_ip, PROTO_UDP, DSCP_BULK, &udp_bytes);
-        let frame = ethernet::build_frame(net.dst_mac, net.src_mac, ETHERTYPE_IPV4, &ip_bytes);
+        let mut frame = vec![0u8; STACK_OVERHEAD + 64]; // plausible-looking payload
+        frame[PAYLOAD_START..STACK_OVERHEAD].copy_from_slice(&fields.to_bytes());
+        stack::write(&mut frame, &net, DSCP_BULK);
         let pkt = GradPacket::from_frame(frame);
         assert_eq!(pkt.parse().unwrap_err(), WireError::BadField("n_parts"));
         assert_eq!(
             pkt.quick_fields().unwrap_err(),
             WireError::BadField("n_parts")
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn build_rejects_wrong_section_length() {
-        let fields = sample_fields(10);
-        let _ = GradPacket::build(
-            &NetAddrs::between_hosts(1, 2),
-            fields,
-            &[&[0u8; 2], &[0u8; 4]], // head should be ⌈10/8⌉ = 2 ✔, tail ⌈310/8⌉ = 39 ✘
         );
     }
 }

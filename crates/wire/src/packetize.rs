@@ -9,7 +9,7 @@ use crate::meta::RowMetaPacket;
 use crate::packet::{GradPacket, NetAddrs, STACK_OVERHEAD};
 use crate::payload::{max_coords_for_budget, PayloadLayout};
 use crate::trimhdr::{TrimGradFields, FLAG_LAST_CHUNK};
-use crate::{ipv4, narrow, trimhdr, udp};
+use crate::{narrow, stack, trimhdr};
 use core::ops::Range;
 use trimgrad_quant::EncodedRow;
 
@@ -26,7 +26,7 @@ pub const DEFAULT_MTU: usize = 1500;
 /// injector, transcript replay, byte accounting — asks these two.
 #[must_use]
 pub fn coords_per_packet(part_bits: &[u32], mtu: usize) -> Option<usize> {
-    let budget = mtu.saturating_sub(ipv4::HEADER_LEN + udp::HEADER_LEN + trimhdr::HEADER_LEN);
+    let budget = mtu.saturating_sub(stack::IP_OVERHEAD + trimhdr::HEADER_LEN);
     max_coords_for_budget(part_bits, budget)
 }
 
@@ -146,13 +146,6 @@ pub fn packetize_row(enc: &EncodedRow, cfg: &PacketizeConfig) -> PacketizedRow {
     PacketizedRow { packets, meta }
 }
 
-/// Total wire bytes of a packetized row (data packets + metadata frame),
-/// including Ethernet framing — the quantity that loads links and queues.
-#[must_use]
-pub fn wire_bytes(row: &PacketizedRow, net: &NetAddrs) -> usize {
-    row.packets.iter().map(GradPacket::wire_len).sum::<usize>() + row.meta.build_frame(net).len()
-}
-
 /// Protocol efficiency report for §2's in-text numbers: how an MTU-sized
 /// packet divides into headers, trimmed payload, and trimmable payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -269,17 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_counts_everything() {
-        let row: Vec<f32> = (0..360).map(|i| i as f32).collect();
-        let enc = SignMagnitude.encode(&row, 0);
-        let pr = packetize_row(&enc, &cfg());
-        let total = wire_bytes(&pr, &cfg().net);
-        let data: usize = pr.packets.iter().map(GradPacket::wire_len).sum();
-        assert!(total > data, "metadata frame must be included");
-        assert!(total - data < 120, "metadata frame is small");
-    }
-
-    #[test]
     fn layout_report_matches_paper_scale() {
         // §2: P=1 trimming compresses an MTU packet by ~94%.
         let r = layout_report(&[1, 31], 1500).unwrap();
@@ -289,38 +271,6 @@ mod tests {
         assert!((0.90..0.95).contains(&r.compression_ratio));
         // Tiny MTU: nothing fits.
         assert!(layout_report(&[1, 31], 60).is_none());
-    }
-
-    #[test]
-    fn zero_copy_path_is_byte_identical_to_section_slicing() {
-        // Build each packet from owned section slices via
-        // GradPacket::build and require the zero-copy frames to match
-        // byte-for-byte. Odd row length exercises the final short
-        // chunk; SignMagnitude keeps coordinates unpadded so section offsets
-        // land on non-trivial bit boundaries across chunks.
-        let row: Vec<f32> = (0..777).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
-        let enc = SignMagnitude.encode(&row, 0);
-        let c = cfg();
-        let pr = packetize_row(&enc, &c);
-        let part_bits = enc.scheme.part_bits();
-        for pkt in &pr.packets {
-            let f = pkt.quick_fields().unwrap();
-            let start = f.coord_start as usize;
-            let count = f.coord_count as usize;
-            let sections: Vec<Vec<u8>> = enc
-                .parts
-                .iter()
-                .zip(part_bits)
-                .map(|(buf, &w)| {
-                    buf.slice(start * w as usize, count * w as usize)
-                        .as_bytes()
-                        .to_vec()
-                })
-                .collect();
-            let section_refs: Vec<&[u8]> = sections.iter().map(Vec::as_slice).collect();
-            let legacy = GradPacket::build(&c.net, f, &section_refs);
-            assert_eq!(pkt.as_bytes(), legacy.as_bytes(), "chunk {}", f.chunk_id);
-        }
     }
 
     #[test]

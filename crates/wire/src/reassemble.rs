@@ -429,10 +429,6 @@ mod tests {
         // every outer length and checksum patched to look honest) must be
         // rejected by ingest without panicking and without touching the
         // already-assembled coordinates.
-        use crate::ethernet::{self, EthernetFrame};
-        use crate::ipv4::{self, Ipv4Packet};
-        use crate::udp::UdpDatagram;
-
         let row: Vec<f32> = (0..720).map(|i| i as f32).collect();
         let enc = SignMagnitude.encode(&row, 0);
         let c = cfg();
@@ -442,32 +438,17 @@ mod tests {
         asm.ingest(&pr.packets[0]).unwrap();
         let before = asm.coords_received();
 
-        // Chop 7 bytes off the tail section, then patch the UDP and IPv4
-        // length/checksum fields so only the TrimGrad body is short.
+        // Chop 7 bytes off the tail section, then reseal the stack's lengths
+        // and checksums so only the TrimGrad body is short.
         let mut bytes = pr.packets[1].clone().into_frame();
-        let (src_ip, dst_ip) = {
-            let eth = EthernetFrame::new_checked(&bytes[..]).unwrap();
-            let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-            (ip.src(), ip.dst())
-        };
-        let cut = bytes.len() - 7;
-        bytes.truncate(cut);
-        let new_ip_len = u16::try_from(cut - ethernet::HEADER_LEN).unwrap();
-        let new_udp_len = new_ip_len - u16::try_from(ipv4::HEADER_LEN).unwrap();
-        let udp_start = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
-        bytes[udp_start + 4..udp_start + 6].copy_from_slice(&new_udp_len.to_be_bytes());
-        {
-            let mut dgram = UdpDatagram::new_checked(&mut bytes[udp_start..]).unwrap();
-            dgram.fill_checksum(src_ip, dst_ip);
-        }
-        bytes[ethernet::HEADER_LEN + 2..ethernet::HEADER_LEN + 4]
-            .copy_from_slice(&new_ip_len.to_be_bytes());
-        {
-            let mut ip = Ipv4Packet::new_checked(&mut bytes[ethernet::HEADER_LEN..]).unwrap();
-            ip.fill_checksum();
-        }
+        bytes.truncate(bytes.len() - 7);
+        crate::stack::reseal(&mut bytes, crate::ipv4::DSCP_BULK);
         let bad = GradPacket::from_frame(bytes);
-        assert!(asm.ingest(&bad).is_err(), "truncated body must not ingest");
+        assert_eq!(
+            asm.ingest(&bad).unwrap_err(),
+            WireError::Truncated,
+            "truncated body must not ingest"
+        );
         assert_eq!(asm.coords_received(), before, "availability unchanged");
         assert_eq!(asm.epoch(), Some(c.epoch));
     }

@@ -22,7 +22,7 @@ use trimgrad_quant::SchemeId;
 /// Header magic: ASCII "TG".
 pub const MAGIC: u16 = 0x5447;
 
-/// Current wire version, carried by data ([`TrimGradHeader`]) and metadata
+/// Current wire version, carried by data ([`TrimGradFields`]) and metadata
 /// (`crate::meta`) frames alike; a frame of any other version is refused
 /// with [`WireError::BadVersion`].
 ///
@@ -44,233 +44,7 @@ pub const FLAG_RELIABLE: u16 = 0x0001;
 /// Flag bit: this is the last chunk of its row.
 pub const FLAG_LAST_CHUNK: u16 = 0x0002;
 
-/// A typed view over a TrimGrad header (+ trailing payload sections).
-#[derive(Debug, Clone)]
-pub struct TrimGradHeader<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> TrimGradHeader<T> {
-    /// Wraps a buffer, validating magic, version, scheme, and depth fields.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`], [`WireError::BadMagic`],
-    /// [`WireError::BadVersion`], or [`WireError::BadField`].
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let h = Self { buffer };
-        if h.magic() != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        if h.version() != VERSION {
-            return Err(WireError::BadVersion);
-        }
-        let Some(scheme) = SchemeId::from_u8(h.buffer.as_ref()[3]) else {
-            return Err(WireError::BadField("scheme"));
-        };
-        let n_parts = h.n_parts();
-        let depth = h.trim_depth();
-        // n_parts must agree with the scheme's real part count: a crafted
-        // header claiming more parts than the scheme has would otherwise
-        // drive payload-layout arithmetic (and its `1..=n_parts` depth
-        // assertion) out of bounds downstream.
-        if n_parts as usize != scheme.part_bits().len() {
-            return Err(WireError::BadField("n_parts"));
-        }
-        if depth == 0 || depth > n_parts {
-            return Err(WireError::BadField("trim_depth"));
-        }
-        if h.coord_count() == 0 {
-            return Err(WireError::BadField("coord_count"));
-        }
-        Ok(h)
-    }
-
-    fn b(&self) -> &[u8] {
-        self.buffer.as_ref()
-    }
-
-    /// Magic constant.
-    #[must_use]
-    pub fn magic(&self) -> u16 {
-        u16::from_be_bytes([self.b()[0], self.b()[1]])
-    }
-
-    /// Header version.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.b()[2]
-    }
-
-    /// Encoding scheme.
-    #[must_use]
-    pub fn scheme(&self) -> SchemeId {
-        // trimlint: allow(no-panic) -- the scheme byte is validated by new_checked (readers) or written via set_scheme (builders) before this getter runs
-        SchemeId::from_u8(self.b()[3]).expect("validated in new_checked")
-    }
-
-    /// Number of parts the full encoding has.
-    #[must_use]
-    pub fn n_parts(&self) -> u8 {
-        self.b()[4]
-    }
-
-    /// Number of leading parts still present (`1..=n_parts`).
-    #[must_use]
-    pub fn trim_depth(&self) -> u8 {
-        self.b()[5]
-    }
-
-    /// Whether any trimming has occurred.
-    #[must_use]
-    pub fn is_trimmed(&self) -> bool {
-        self.trim_depth() < self.n_parts()
-    }
-
-    /// Chunk index within the row.
-    #[must_use]
-    pub fn chunk_id(&self) -> u16 {
-        u16::from_be_bytes([self.b()[6], self.b()[7]])
-    }
-
-    /// Collective-communication message id.
-    #[must_use]
-    pub fn msg_id(&self) -> u32 {
-        u32::from_be_bytes([self.b()[8], self.b()[9], self.b()[10], self.b()[11]])
-    }
-
-    /// Row index within the message.
-    #[must_use]
-    pub fn row_id(&self) -> u32 {
-        u32::from_be_bytes([self.b()[12], self.b()[13], self.b()[14], self.b()[15]])
-    }
-
-    /// First coordinate (within the row) carried by this packet.
-    #[must_use]
-    pub fn coord_start(&self) -> u32 {
-        u32::from_be_bytes([self.b()[16], self.b()[17], self.b()[18], self.b()[19]])
-    }
-
-    /// Number of coordinates carried.
-    #[must_use]
-    pub fn coord_count(&self) -> u16 {
-        u16::from_be_bytes([self.b()[20], self.b()[21]])
-    }
-
-    /// Flag bits.
-    #[must_use]
-    pub fn flags(&self) -> u16 {
-        u16::from_be_bytes([self.b()[22], self.b()[23]])
-    }
-
-    /// Whether the reliable (never trim) flag is set.
-    #[must_use]
-    pub fn is_reliable(&self) -> bool {
-        self.flags() & FLAG_RELIABLE != 0
-    }
-
-    /// Training epoch (seed context for shared randomness).
-    #[must_use]
-    pub fn epoch(&self) -> u32 {
-        u32::from_be_bytes([self.b()[24], self.b()[25], self.b()[26], self.b()[27]])
-    }
-
-    /// The payload sections after the header.
-    #[must_use]
-    pub fn payload(&self) -> &[u8] {
-        &self.b()[HEADER_LEN..]
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> TrimGradHeader<T> {
-    /// Wraps a buffer for writing without validation (fields are garbage
-    /// until set). The buffer must be at least [`HEADER_LEN`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] for undersized buffers.
-    pub fn new_unchecked_mut(buffer: T) -> Result<Self> {
-        if buffer.as_ref().len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        Ok(Self { buffer })
-    }
-
-    fn bm(&mut self) -> &mut [u8] {
-        self.buffer.as_mut()
-    }
-
-    /// Writes magic and version.
-    pub fn init(&mut self) {
-        let m = MAGIC.to_be_bytes();
-        self.bm()[0] = m[0];
-        self.bm()[1] = m[1];
-        self.bm()[2] = VERSION;
-    }
-
-    /// Sets the scheme id.
-    pub fn set_scheme(&mut self, s: SchemeId) {
-        self.bm()[3] = s.as_u8();
-    }
-
-    /// Sets the part count.
-    pub fn set_n_parts(&mut self, n: u8) {
-        self.bm()[4] = n;
-    }
-
-    /// Sets the current trim depth.
-    pub fn set_trim_depth(&mut self, d: u8) {
-        self.bm()[5] = d;
-    }
-
-    /// Sets the chunk id.
-    pub fn set_chunk_id(&mut self, c: u16) {
-        let v = c.to_be_bytes();
-        self.bm()[6..8].copy_from_slice(&v);
-    }
-
-    /// Sets the message id.
-    pub fn set_msg_id(&mut self, v: u32) {
-        let v = v.to_be_bytes();
-        self.bm()[8..12].copy_from_slice(&v);
-    }
-
-    /// Sets the row id.
-    pub fn set_row_id(&mut self, v: u32) {
-        let v = v.to_be_bytes();
-        self.bm()[12..16].copy_from_slice(&v);
-    }
-
-    /// Sets the first-coordinate index.
-    pub fn set_coord_start(&mut self, v: u32) {
-        let v = v.to_be_bytes();
-        self.bm()[16..20].copy_from_slice(&v);
-    }
-
-    /// Sets the coordinate count.
-    pub fn set_coord_count(&mut self, v: u16) {
-        let v = v.to_be_bytes();
-        self.bm()[20..22].copy_from_slice(&v);
-    }
-
-    /// Sets the flag bits.
-    pub fn set_flags(&mut self, v: u16) {
-        let v = v.to_be_bytes();
-        self.bm()[22..24].copy_from_slice(&v);
-    }
-
-    /// Sets the epoch.
-    pub fn set_epoch(&mut self, v: u32) {
-        let v = v.to_be_bytes();
-        self.bm()[24..28].copy_from_slice(&v);
-    }
-}
-
-/// Plain-struct form of the header, for construction convenience.
+/// The header's fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrimGradFields {
     /// Encoding scheme.
@@ -299,41 +73,70 @@ impl TrimGradFields {
     /// Serializes into a fresh [`HEADER_LEN`]-byte header.
     #[must_use]
     pub fn to_bytes(&self) -> [u8; HEADER_LEN] {
-        let mut buf = [0u8; HEADER_LEN];
-        // Same-module construction: the array is exactly HEADER_LEN, so the
-        // `new_unchecked_mut` length test cannot fail — skip the fallible path.
-        let mut h = TrimGradHeader {
-            buffer: &mut buf[..],
-        };
-        h.init();
-        h.set_scheme(self.scheme);
-        h.set_n_parts(self.n_parts);
-        h.set_trim_depth(self.trim_depth);
-        h.set_chunk_id(self.chunk_id);
-        h.set_msg_id(self.msg_id);
-        h.set_row_id(self.row_id);
-        h.set_coord_start(self.coord_start);
-        h.set_coord_count(self.coord_count);
-        h.set_flags(self.flags);
-        h.set_epoch(self.epoch);
-        buf
+        let mut b = [0u8; HEADER_LEN];
+        b[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+        b[2] = VERSION;
+        b[3] = self.scheme.as_u8();
+        b[4] = self.n_parts;
+        b[5] = self.trim_depth;
+        b[6..8].copy_from_slice(&self.chunk_id.to_be_bytes());
+        b[8..12].copy_from_slice(&self.msg_id.to_be_bytes());
+        b[12..16].copy_from_slice(&self.row_id.to_be_bytes());
+        b[16..20].copy_from_slice(&self.coord_start.to_be_bytes());
+        b[20..22].copy_from_slice(&self.coord_count.to_be_bytes());
+        b[22..24].copy_from_slice(&self.flags.to_be_bytes());
+        b[24..28].copy_from_slice(&self.epoch.to_be_bytes());
+        b
     }
 
-    /// Parses from a validated header view.
-    #[must_use]
-    pub fn from_header<T: AsRef<[u8]>>(h: &TrimGradHeader<T>) -> Self {
-        Self {
-            scheme: h.scheme(),
-            n_parts: h.n_parts(),
-            trim_depth: h.trim_depth(),
-            chunk_id: h.chunk_id(),
-            msg_id: h.msg_id(),
-            row_id: h.row_id(),
-            coord_start: h.coord_start(),
-            coord_count: h.coord_count(),
-            flags: h.flags(),
-            epoch: h.epoch(),
+    /// Parses and validates the header at the front of `b` (any payload
+    /// sections may follow it).
+    ///
+    /// # Errors
+    ///
+    /// In this order: [`WireError::Truncated`] for a short buffer,
+    /// [`WireError::BadMagic`], [`WireError::BadVersion`], then
+    /// [`WireError::BadField`] for an unknown scheme, a part count other
+    /// than the scheme's, a trim depth outside `1..=n_parts`, or zero
+    /// coordinates.
+    pub fn from_bytes(b: &[u8]) -> Result<Self> {
+        if b.len() < HEADER_LEN {
+            return Err(WireError::Truncated);
         }
+        if u16::from_be_bytes([b[0], b[1]]) != MAGIC {
+            return Err(WireError::BadMagic);
+        }
+        if b[2] != VERSION {
+            return Err(WireError::BadVersion);
+        }
+        let scheme = SchemeId::from_u8(b[3]).ok_or(WireError::BadField("scheme"))?;
+        let (n_parts, trim_depth) = (b[4], b[5]);
+        // n_parts must agree with the scheme's real part count: a crafted
+        // header claiming more parts than the scheme has would otherwise
+        // drive payload-layout arithmetic (and its `1..=n_parts` depth
+        // assertion) out of bounds downstream.
+        if n_parts as usize != scheme.part_bits().len() {
+            return Err(WireError::BadField("n_parts"));
+        }
+        if trim_depth == 0 || trim_depth > n_parts {
+            return Err(WireError::BadField("trim_depth"));
+        }
+        let coord_count = u16::from_be_bytes([b[20], b[21]]);
+        if coord_count == 0 {
+            return Err(WireError::BadField("coord_count"));
+        }
+        Ok(Self {
+            scheme,
+            n_parts,
+            trim_depth,
+            chunk_id: u16::from_be_bytes([b[6], b[7]]),
+            msg_id: u32::from_be_bytes([b[8], b[9], b[10], b[11]]),
+            row_id: u32::from_be_bytes([b[12], b[13], b[14], b[15]]),
+            coord_start: u32::from_be_bytes([b[16], b[17], b[18], b[19]]),
+            coord_count,
+            flags: u16::from_be_bytes([b[22], b[23]]),
+            epoch: u32::from_be_bytes([b[24], b[25], b[26], b[27]]),
+        })
     }
 }
 
@@ -359,23 +162,13 @@ mod tests {
     #[test]
     fn roundtrip_all_fields() {
         let f = fields();
-        let bytes = f.to_bytes();
-        let h = TrimGradHeader::new_checked(&bytes[..]).unwrap();
-        assert_eq!(TrimGradFields::from_header(&h), f);
-        assert!(!h.is_trimmed());
-        assert!(!h.is_reliable());
-        assert!(h.payload().is_empty());
-    }
-
-    #[test]
-    fn trimmed_and_reliable_flags() {
-        let mut f = fields();
-        f.trim_depth = 1;
-        f.flags = FLAG_RELIABLE;
-        let bytes = f.to_bytes();
-        let h = TrimGradHeader::new_checked(&bytes[..]).unwrap();
-        assert!(h.is_trimmed());
-        assert!(h.is_reliable());
+        assert_eq!(TrimGradFields::from_bytes(&f.to_bytes()), Ok(f));
+        let trimmed = TrimGradFields {
+            trim_depth: 1,
+            flags: FLAG_RELIABLE,
+            ..f
+        };
+        assert_eq!(TrimGradFields::from_bytes(&trimmed.to_bytes()), Ok(trimmed));
     }
 
     #[test]
@@ -385,21 +178,21 @@ mod tests {
         let mut bad = good;
         bad[0] = 0;
         assert_eq!(
-            TrimGradHeader::new_checked(&bad[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&bad).unwrap_err(),
             WireError::BadMagic
         );
 
         let mut bad = good;
         bad[2] = 99;
         assert_eq!(
-            TrimGradHeader::new_checked(&bad[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&bad).unwrap_err(),
             WireError::BadVersion
         );
 
         let mut bad = good;
         bad[3] = 200;
         assert_eq!(
-            TrimGradHeader::new_checked(&bad[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&bad).unwrap_err(),
             WireError::BadField("scheme")
         );
     }
@@ -409,20 +202,20 @@ mod tests {
         let mut f = fields();
         f.trim_depth = 3; // > n_parts = 2
         assert_eq!(
-            TrimGradHeader::new_checked(&f.to_bytes()[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&f.to_bytes()).unwrap_err(),
             WireError::BadField("trim_depth")
         );
         let mut f = fields();
         f.trim_depth = 0;
         assert_eq!(
-            TrimGradHeader::new_checked(&f.to_bytes()[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&f.to_bytes()).unwrap_err(),
             WireError::BadField("trim_depth")
         );
         let mut f = fields();
         f.n_parts = 0;
         f.trim_depth = 0;
         assert_eq!(
-            TrimGradHeader::new_checked(&f.to_bytes()[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&f.to_bytes()).unwrap_err(),
             WireError::BadField("n_parts")
         );
     }
@@ -436,14 +229,14 @@ mod tests {
         f.n_parts = 3;
         f.trim_depth = 3;
         assert_eq!(
-            TrimGradHeader::new_checked(&f.to_bytes()[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&f.to_bytes()).unwrap_err(),
             WireError::BadField("n_parts")
         );
         let mut f = fields();
         f.n_parts = 1;
         f.trim_depth = 1;
         assert_eq!(
-            TrimGradHeader::new_checked(&f.to_bytes()[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&f.to_bytes()).unwrap_err(),
             WireError::BadField("n_parts")
         );
     }
@@ -453,20 +246,19 @@ mod tests {
         let mut f = fields();
         f.coord_count = 0;
         assert_eq!(
-            TrimGradHeader::new_checked(&f.to_bytes()[..]).unwrap_err(),
+            TrimGradFields::from_bytes(&f.to_bytes()).unwrap_err(),
             WireError::BadField("coord_count")
         );
         assert_eq!(
-            TrimGradHeader::new_checked(&[0u8; 27][..]).unwrap_err(),
+            TrimGradFields::from_bytes(&[0u8; 27]).unwrap_err(),
             WireError::Truncated
         );
     }
 
     #[test]
-    fn payload_follows_header() {
+    fn sections_may_follow_the_header() {
         let mut buf = fields().to_bytes().to_vec();
         buf.extend_from_slice(&[9, 8, 7]);
-        let h = TrimGradHeader::new_checked(&buf[..]).unwrap();
-        assert_eq!(h.payload(), &[9, 8, 7]);
+        assert_eq!(TrimGradFields::from_bytes(&buf), Ok(fields()));
     }
 }

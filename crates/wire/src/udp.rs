@@ -1,11 +1,18 @@
-//! UDP datagram view.
+//! UDP header.
+//!
+//! ```text
+//!  0        2        4        6        8
+//! ┌────────┬────────┬────────┬────────┬─────────
+//! │src port│dst port│ length │checksum│ payload…
+//! └────────┴────────┴────────┴────────┴─────────
+//! ```
 //!
 //! The TrimGrad transport runs over UDP (like NDP and the UEC trimming
 //! profiles). Because a trimming switch truncates the datagram in flight,
 //! the UDP checksum of a trimmed packet is recomputed by the switch along
-//! with the length — see [`fill_checksum`](UdpDatagram::fill_checksum).
+//! with the length — see [`crate::stack::reseal`].
 
-use crate::ipv4::Ipv4Addr;
+use crate::ipv4::{Ipv4Addr, PROTO_UDP};
 use crate::{ones_complement_sum, Result, WireError};
 
 /// UDP header length in bytes.
@@ -20,119 +27,55 @@ pub const PORT_METADATA: u16 = 9101;
 /// Destination port for transport control (ACK/NACK/pull) packets.
 pub const PORT_CONTROL: u16 = 9102;
 
-/// A typed view over a UDP datagram (header + payload).
-#[derive(Debug, Clone)]
-pub struct UdpDatagram<T: AsRef<[u8]>> {
-    buffer: T,
+/// Writes the ports into the front of `buf`; the length and checksum are
+/// [`seal`]'s.
+pub(crate) fn write(buf: &mut [u8], src_port: u16, dst_port: u16) {
+    buf[0..2].copy_from_slice(&src_port.to_be_bytes());
+    buf[2..4].copy_from_slice(&dst_port.to_be_bytes());
 }
 
-impl<T: AsRef<[u8]>> UdpDatagram<T> {
-    /// Wraps a buffer, validating the length field.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] when the buffer cannot hold the header or the
-    /// claimed length; [`WireError::BadField`] when the length field is
-    /// smaller than the header.
-    pub fn new_checked(buffer: T) -> Result<Self> {
-        let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let len = u16::from_be_bytes([b[4], b[5]]) as usize;
-        if len < HEADER_LEN {
-            return Err(WireError::BadField("length"));
-        }
-        if b.len() < len {
-            return Err(WireError::Truncated);
-        }
-        Ok(Self { buffer })
-    }
-
-    /// Source port.
-    #[must_use]
-    pub fn src_port(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[0], b[1]])
-    }
-
-    /// Destination port.
-    #[must_use]
-    pub fn dst_port(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[2], b[3]])
-    }
-
-    /// Length field (header + payload).
-    #[must_use]
-    pub fn len_field(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[4], b[5]])
-    }
-
-    /// Checksum field (0 = not computed, legal for IPv4).
-    #[must_use]
-    pub fn checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[6], b[7]])
-    }
-
-    /// Payload bytes.
-    #[must_use]
-    pub fn payload(&self) -> &[u8] {
-        let len = self.len_field() as usize;
-        &self.buffer.as_ref()[HEADER_LEN..len]
-    }
-
-    /// Verifies the checksum against the IPv4 pseudo-header. A zero checksum
-    /// (not computed) verifies trivially.
-    #[must_use]
-    pub fn verify_checksum(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
-        if self.checksum() == 0 {
-            return true;
-        }
-        let sum = pseudo_header_sum(src, dst, self.len_field());
-        let len = self.len_field() as usize;
-        ones_complement_sum(&self.buffer.as_ref()[..len], sum) == 0xFFFF
-    }
+/// Sets the length field of the datagram that fills `b` and computes its
+/// checksum over the pseudo-header and every byte of `b`. Per RFC 768, a
+/// computed sum of 0 is transmitted as `0xFFFF`.
+pub(crate) fn seal(b: &mut [u8], len: u16, src: Ipv4Addr, dst: Ipv4Addr) {
+    b[4..6].copy_from_slice(&len.to_be_bytes());
+    b[6..8].copy_from_slice(&[0, 0]);
+    let csum = !ones_complement_sum(b, pseudo_header_sum(src, dst, len));
+    let csum = if csum == 0 { 0xFFFF } else { csum };
+    b[6..8].copy_from_slice(&csum.to_be_bytes());
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpDatagram<T> {
-    /// Sets the source port.
-    pub fn set_src_port(&mut self, p: u16) {
-        self.buffer.as_mut()[0..2].copy_from_slice(&p.to_be_bytes());
+/// Validates the datagram at the front of `b` — the length field against
+/// the header and against `b`, then the checksum (a zero checksum means
+/// "not computed" and passes) — and returns the ports and the payload the
+/// length field claims.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when `b` cannot hold the header or the claimed
+/// length, [`WireError::BadField`] when the length field is smaller than the
+/// header, [`WireError::BadChecksum`] when the checksum fails.
+pub(crate) fn read(b: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(u16, u16, &[u8])> {
+    if b.len() < HEADER_LEN {
+        return Err(WireError::Truncated);
     }
-
-    /// Sets the destination port.
-    pub fn set_dst_port(&mut self, p: u16) {
-        self.buffer.as_mut()[2..4].copy_from_slice(&p.to_be_bytes());
+    let len_field = u16::from_be_bytes([b[4], b[5]]);
+    let len = len_field as usize;
+    if len < HEADER_LEN {
+        return Err(WireError::BadField("length"));
     }
-
-    /// Sets the length field.
-    pub fn set_len_field(&mut self, len: u16) {
-        self.buffer.as_mut()[4..6].copy_from_slice(&len.to_be_bytes());
+    if b.len() < len {
+        return Err(WireError::Truncated);
     }
-
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let len = u16::from_be_bytes([self.buffer.as_ref()[4], self.buffer.as_ref()[5]]) as usize;
-        &mut self.buffer.as_mut()[HEADER_LEN..len]
+    let checksum = u16::from_be_bytes([b[6], b[7]]);
+    if checksum != 0
+        && ones_complement_sum(&b[..len], pseudo_header_sum(src, dst, len_field)) != 0xFFFF
+    {
+        return Err(WireError::BadChecksum);
     }
-
-    /// Computes and writes the checksum over the pseudo-header and datagram.
-    /// Per RFC 768, a computed sum of 0 is transmitted as `0xFFFF`.
-    pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        let len = u16::from_be_bytes([self.buffer.as_ref()[4], self.buffer.as_ref()[5]]);
-        {
-            let b = self.buffer.as_mut();
-            b[6] = 0;
-            b[7] = 0;
-        }
-        let sum = pseudo_header_sum(src, dst, len);
-        let csum = !ones_complement_sum(&self.buffer.as_ref()[..len as usize], sum);
-        let csum = if csum == 0 { 0xFFFF } else { csum };
-        self.buffer.as_mut()[6..8].copy_from_slice(&csum.to_be_bytes());
-    }
+    let src_port = u16::from_be_bytes([b[0], b[1]]);
+    let dst_port = u16::from_be_bytes([b[2], b[3]]);
+    Ok((src_port, dst_port, &b[HEADER_LEN..len]))
 }
 
 /// One's-complement sum of the IPv4 pseudo-header for UDP.
@@ -140,161 +83,59 @@ fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, udp_len: u16) -> u16 {
     let mut pseudo = [0u8; 12];
     pseudo[0..4].copy_from_slice(&src.0);
     pseudo[4..8].copy_from_slice(&dst.0);
-    pseudo[9] = crate::ipv4::PROTO_UDP;
+    pseudo[9] = PROTO_UDP;
     pseudo[10..12].copy_from_slice(&udp_len.to_be_bytes());
     ones_complement_sum(&pseudo, 0)
-}
-
-/// Builds a complete datagram with a valid checksum.
-///
-/// # Panics
-///
-/// Panics if the datagram would exceed the 16-bit UDP length field.
-#[must_use]
-pub fn build_datagram(
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
-    payload: &[u8],
-) -> Vec<u8> {
-    let len = HEADER_LEN + payload.len();
-    let mut buf = vec![0u8; len];
-    let len_field = crate::narrow::to_u16(len, "UDP length");
-    buf[4..6].copy_from_slice(&len_field.to_be_bytes());
-    // Same-module construction: the buffer is sized for the header above, so
-    // the `new_checked` length test cannot fail — skip the fallible path.
-    let mut d = UdpDatagram {
-        buffer: &mut buf[..],
-    };
-    d.set_src_port(src_port);
-    d.set_dst_port(dst_port);
-    d.payload_mut().copy_from_slice(payload);
-    d.fill_checksum(src, dst);
-    buf
-}
-
-/// Writes the 8-byte header (ports, length, checksum zeroed) into the front
-/// of `buf` — the in-place form of [`build_datagram`] for recycled frame
-/// buffers. The checksum covers the payload, so call [`fill_checksum_in`]
-/// once the payload bytes are in place.
-///
-/// # Panics
-///
-/// Panics if `buf` is shorter than [`HEADER_LEN`].
-pub fn write_header(buf: &mut [u8], src_port: u16, dst_port: u16, len_field: u16) {
-    assert!(buf.len() >= HEADER_LEN, "buffer too short for UDP header");
-    // Same-module construction: length checked above, skip the fallible path.
-    let mut d = UdpDatagram { buffer: &mut *buf };
-    d.set_src_port(src_port);
-    d.set_dst_port(dst_port);
-    d.set_len_field(len_field);
-    buf[6] = 0;
-    buf[7] = 0;
-}
-
-/// Computes and writes the checksum of the datagram at the front of `buf`
-/// (header's length field decides how many bytes are covered).
-///
-/// # Panics
-///
-/// Panics if `buf` cannot hold the datagram its length field claims.
-pub fn fill_checksum_in(buf: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
-    assert!(buf.len() >= HEADER_LEN, "buffer too short for UDP header");
-    let len = u16::from_be_bytes([buf[4], buf[5]]) as usize;
-    assert!(buf.len() >= len, "buffer shorter than UDP length field");
-    // Same-module construction: lengths checked above.
-    let mut d = UdpDatagram { buffer: buf };
-    d.fill_checksum(src, dst);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn addrs() -> (Ipv4Addr, Ipv4Addr) {
-        (Ipv4Addr::for_host(1), Ipv4Addr::for_host(2))
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0u8; HEADER_LEN];
+        buf.extend_from_slice(payload);
+        write(&mut buf, 5555, PORT_GRADIENT);
+        let len = u16::try_from(buf.len()).unwrap();
+        seal(&mut buf, len, Ipv4Addr::for_host(1), Ipv4Addr::for_host(2));
+        buf
+    }
+
+    fn check(buf: &[u8]) -> Result<(u16, u16, &[u8])> {
+        read(buf, Ipv4Addr::for_host(1), Ipv4Addr::for_host(2))
     }
 
     #[test]
-    fn build_parse_roundtrip() {
-        let (src, dst) = addrs();
-        let buf = build_datagram(src, dst, 5555, PORT_GRADIENT, b"hello");
-        let d = UdpDatagram::new_checked(&buf[..]).unwrap();
-        assert_eq!(d.src_port(), 5555);
-        assert_eq!(d.dst_port(), PORT_GRADIENT);
-        assert_eq!(d.len_field() as usize, 13);
-        assert_eq!(d.payload(), b"hello");
-        assert!(d.verify_checksum(src, dst));
+    fn seal_read_roundtrip() {
+        assert_eq!(
+            check(&sealed(b"hello")),
+            Ok((5555, PORT_GRADIENT, &b"hello"[..]))
+        );
+        assert_eq!(check(&sealed(&[])), Ok((5555, PORT_GRADIENT, &[][..])));
     }
 
     #[test]
-    fn checksum_detects_payload_corruption() {
-        let (src, dst) = addrs();
-        let mut buf = build_datagram(src, dst, 1, 2, b"payload");
+    fn checksum_detects_payload_and_pseudo_header_corruption() {
+        let mut buf = sealed(b"payload");
+        let other = Ipv4Addr::for_host(99);
+        assert_eq!(
+            read(&buf, Ipv4Addr::for_host(1), other),
+            Err(WireError::BadChecksum)
+        );
         buf[10] ^= 0x01;
-        let d = UdpDatagram::new_checked(&buf[..]).unwrap();
-        assert!(!d.verify_checksum(src, dst));
-    }
-
-    #[test]
-    fn checksum_detects_wrong_pseudo_header() {
-        let (src, dst) = addrs();
-        let buf = build_datagram(src, dst, 1, 2, b"payload");
-        let d = UdpDatagram::new_checked(&buf[..]).unwrap();
-        assert!(!d.verify_checksum(src, Ipv4Addr::for_host(99)));
-    }
-
-    #[test]
-    fn zero_checksum_passes() {
-        let (src, dst) = addrs();
-        let mut buf = build_datagram(src, dst, 1, 2, b"x");
-        buf[6] = 0;
-        buf[7] = 0;
-        let d = UdpDatagram::new_checked(&buf[..]).unwrap();
-        assert!(d.verify_checksum(src, dst));
+        assert_eq!(check(&buf), Err(WireError::BadChecksum));
+        // A zero checksum is "not computed" and passes.
+        buf[6..8].copy_from_slice(&[0, 0]);
+        assert_eq!(check(&buf), Ok((5555, PORT_GRADIENT, &b"paxload"[..])));
     }
 
     #[test]
     fn rejects_bad_lengths() {
-        assert_eq!(
-            UdpDatagram::new_checked(&[0u8; 7][..]).unwrap_err(),
-            WireError::Truncated
-        );
+        assert_eq!(check(&[0u8; 7]), Err(WireError::Truncated));
         let mut buf = [0u8; 8];
         buf[4..6].copy_from_slice(&4u16.to_be_bytes()); // len < header
-        assert_eq!(
-            UdpDatagram::new_checked(&buf[..]).unwrap_err(),
-            WireError::BadField("length")
-        );
-        let mut buf = [0u8; 8];
+        assert_eq!(check(&buf), Err(WireError::BadField("length")));
         buf[4..6].copy_from_slice(&20u16.to_be_bytes()); // len > buffer
-        assert_eq!(
-            UdpDatagram::new_checked(&buf[..]).unwrap_err(),
-            WireError::Truncated
-        );
-    }
-
-    #[test]
-    fn trim_then_refill_checksum_is_valid() {
-        // The switch path: truncate payload, patch length, recompute checksum.
-        let (src, dst) = addrs();
-        let mut buf = build_datagram(src, dst, 1, PORT_GRADIENT, &[0xCC; 64]);
-        buf.truncate(HEADER_LEN + 16);
-        buf[4..6].copy_from_slice(&((HEADER_LEN + 16) as u16).to_be_bytes());
-        let mut d = UdpDatagram::new_checked(&mut buf[..]).unwrap();
-        d.fill_checksum(src, dst);
-        let d = UdpDatagram::new_checked(&buf[..]).unwrap();
-        assert!(d.verify_checksum(src, dst));
-        assert_eq!(d.payload().len(), 16);
-    }
-
-    #[test]
-    fn empty_payload_datagram() {
-        let (src, dst) = addrs();
-        let buf = build_datagram(src, dst, 9, 10, &[]);
-        let d = UdpDatagram::new_checked(&buf[..]).unwrap();
-        assert!(d.payload().is_empty());
-        assert!(d.verify_checksum(src, dst));
+        assert_eq!(check(&buf), Err(WireError::Truncated));
     }
 }

@@ -58,13 +58,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// One measurement at a time: the tests of this binary run side by side.
-static MEASURING: Mutex<()> = Mutex::new(());
+/// One test at a time: the tests of this binary run side by side and the
+/// count covers every thread, so one test's setup must not run while the
+/// other counts. Each test holds it from its first line.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Runs `call` twice to warm up, then counts the allocations of at least
 /// `at_least` bytes the third call makes.
 fn third_call_allocations(at_least: usize, mut call: impl FnMut()) -> usize {
-    let _one = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     call();
     call();
     COUNT.store(0, Ordering::SeqCst);
@@ -82,6 +83,7 @@ const TRIM_PROB: f64 = 0.10;
 
 #[test]
 fn the_exchange_allocates_nothing_blob_sized_but_the_views() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     const LEN: usize = 445_540; // `train_inject`'s parameter count
     let mut rng = Xoshiro256StarStar::new(5);
     let grads: Vec<Vec<f32>> = (0..WORKERS)
@@ -101,6 +103,7 @@ fn the_exchange_allocates_nothing_blob_sized_but_the_views() {
 
 #[test]
 fn a_training_round_allocates_nothing_parameter_sized_but_the_views() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let seed = 11;
     let classes = DIMS[DIMS.len() - 1];
     let (train, test) =

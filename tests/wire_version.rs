@@ -6,9 +6,8 @@
 //! that reads bytes off the wire must stop a v1 frame at its version byte
 //! with the typed `WireError::BadVersion`, and the receivers built on them
 //! must count it as rejected and carry on. The v1 frames here are valid in
-//! every other respect: their UDP checksum is recomputed after the version
-//! byte is rewritten (the IPv4 header checksum does not cover the payload),
-//! so the version check, not the checksum check, is what fires.
+//! every other respect: their stack is resealed after the version byte is
+//! rewritten, so the version check, not the checksum check, is what fires.
 
 use trimgrad::collective::ring_netsim::{run_ring_allreduce, RingNetConfig};
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
@@ -21,16 +20,17 @@ use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::{FlowId, NodeId};
 use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
 use trimgrad::quant::{scheme_for, SchemeId};
+use trimgrad::wire::ipv4::{DSCP_BULK, DSCP_TRIMMED};
 use trimgrad::wire::meta::RowMetaPacket;
 use trimgrad::wire::packet::{GradPacket, NetAddrs};
 use trimgrad::wire::packetize::{packetize_row, PacketizeConfig, PacketizedRow};
 use trimgrad::wire::reassemble::RowAssembler;
-use trimgrad::wire::{ethernet, ipv4, trimhdr, udp, WireError};
+use trimgrad::wire::stack::{self, PAYLOAD_START};
+use trimgrad::wire::{trimhdr, WireError};
 
-const UDP_START: usize = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
 /// Offset of the version byte in a data frame (TrimGrad header byte 2) and
 /// in a metadata frame (payload byte 2).
-const VERSION_AT: usize = UDP_START + udp::HEADER_LEN + 2;
+const VERSION_AT: usize = PAYLOAD_START + 2;
 
 fn row(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::new(seed);
@@ -50,15 +50,16 @@ fn packetized(net: NetAddrs) -> PacketizedRow {
     packetize_row(&enc, &cfg)
 }
 
-/// `frame` with its version byte set to 1 and its UDP checksum recomputed.
-fn as_v1(mut frame: Vec<u8>, net: &NetAddrs) -> Vec<u8> {
+/// `frame` with its version byte set to 1 and its stack resealed with its
+/// DSCP (bulk for data, priority for metadata).
+fn as_v1(mut frame: Vec<u8>, dscp: u8) -> Vec<u8> {
     assert_eq!(
         frame[VERSION_AT],
         trimhdr::VERSION,
         "starts as a current frame"
     );
     frame[VERSION_AT] = 1;
-    udp::fill_checksum_in(&mut frame[UDP_START..], net.src_ip, net.dst_ip);
+    stack::reseal(&mut frame, dscp);
     frame
 }
 
@@ -68,7 +69,7 @@ fn a_v1_data_frame_is_refused_on_every_parse_path() {
     let pr = packetized(net);
     let current = &pr.packets[0];
     assert!(current.parse().is_ok());
-    let v1 = GradPacket::from_frame(as_v1(current.as_bytes().to_vec(), &net));
+    let v1 = GradPacket::from_frame(as_v1(current.as_bytes().to_vec(), DSCP_BULK));
     // Receiver: full parse and the header-only fast path.
     assert_eq!(v1.parse().unwrap_err(), WireError::BadVersion);
     assert_eq!(v1.quick_fields().unwrap_err(), WireError::BadVersion);
@@ -96,7 +97,7 @@ fn a_v1_meta_frame_is_refused() {
     let meta = packetized(net).meta;
     let frame = meta.build_frame(&net);
     assert_eq!(RowMetaPacket::parse_frame(&frame).unwrap(), meta);
-    let v1 = as_v1(frame, &net);
+    let v1 = as_v1(frame, DSCP_TRIMMED);
     assert_eq!(
         RowMetaPacket::parse_frame(&v1).unwrap_err(),
         WireError::BadVersion
@@ -115,10 +116,9 @@ fn the_pipeline_refuses_a_message_holding_a_v1_frame() {
     let pipe = TrimmablePipeline::new(PipelineConfig::builder().row_len(1024).build());
     let blob = row(3000, 7);
     let tx = pipe.encode(&blob, 1, 0, 1, 2);
-    let net = NetAddrs::between_hosts(1, 2);
     let mut packets = tx.packets.clone();
     let last = packets.len() - 1;
-    packets[last] = GradPacket::from_frame(as_v1(packets[last].as_bytes().to_vec(), &net));
+    packets[last] = GradPacket::from_frame(as_v1(packets[last].as_bytes().to_vec(), DSCP_BULK));
     assert_eq!(
         pipe.decode(&packets, &tx.metas, 1, 0).unwrap_err(),
         WireError::BadVersion
@@ -181,7 +181,10 @@ fn the_ring_counts_a_v1_frame_as_rejected_and_finishes() {
     // A frame of exactly the shape rank 0 waits for — message 0, row 0, the
     // ring's scheme and epoch — but of version 1.
     let net = NetAddrs::between_hosts(injector.0 as u32, hosts[0].0 as u32);
-    let v1 = GradPacket::from_frame(as_v1(packetized(net).packets[0].as_bytes().to_vec(), &net));
+    let v1 = GradPacket::from_frame(as_v1(
+        packetized(net).packets[0].as_bytes().to_vec(),
+        DSCP_BULK,
+    ));
     let (clean, _) = run(None);
     let (out, snap) = run(Some(v1));
     assert_eq!(snap.counter("collective.rank.0.rejected_frames"), 1);
