@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the compute stage of a round at the two shapes
 //! `BENCHMARK.json` pins (`train_fabric`, `train_inject`; batch 32): the
-//! forward pass alone, forward + backward into the flat gradient, and
+//! forward pass alone, forward + backward into the flat gradient, the three
+//! matrix products one at a time at `train_inject`'s widest layer, and
 //! `train_inject`'s whole in-memory exchange of four workers' gradients
 //! (SQ, rows of 2¹⁵, 10 % trim). Lands in `BENCH_mltrain.json` under CI's
 //! bench smoke job.
@@ -50,6 +51,40 @@ fn bench_compute(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     }
 }
 
+/// The three products of `train_inject`'s widest layer (512 → 512, batch
+/// 32) on their own: forward `x·Wᵀ`, `dx = dy·W` and `dw += dyᵀ·x`, with
+/// `dy` ReLU-sparse (about half its entries `+0.0`) as backprop sees it.
+fn bench_products(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    const WIDTH: usize = 512;
+    let mut rng = Xoshiro256StarStar::new(5);
+    let mut draw = |rows: usize, relu: bool| {
+        let data = (0..rows * WIDTH)
+            .map(|_| {
+                let v = rng.next_f32_range(-1.0, 1.0);
+                if relu {
+                    v.max(0.0)
+                } else {
+                    v
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, WIDTH, data)
+    };
+    let x = draw(BATCH, false);
+    let w = draw(WIDTH, false);
+    let dy = draw(BATCH, true);
+    let mut dw = vec![0.0f32; WIDTH * WIDTH];
+    let mut g = Group::new("mltrain");
+    opts.configure(&mut g);
+    g.throughput(Throughput::Elements((BATCH * WIDTH * WIDTH) as u64));
+    g.bench("matmul_t_32x512x512", || x.matmul_t(black_box(&w)));
+    g.bench("matmul_32x512x512_relu", || dy.matmul(black_box(&w)));
+    g.bench("t_matmul_acc_32x512x512_relu", || {
+        dy.t_matmul_acc(black_box(&x), &mut dw);
+    });
+    records.extend(g.finish());
+}
+
 fn bench_hook_aggregate(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     const WORKERS: usize = 4;
     const LEN: usize = 445_540; // train_inject's parameter count
@@ -73,6 +108,7 @@ fn main() {
     let opts = BenchOpts::from_args();
     let mut records = Vec::new();
     bench_compute(&opts, &mut records);
+    bench_products(&opts, &mut records);
     bench_hook_aggregate(&opts, &mut records);
     opts.write("mltrain", &records);
 }

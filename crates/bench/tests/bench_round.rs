@@ -4,10 +4,13 @@
 //! commit existed), where the numbers come from, the three end-to-end
 //! metrics of `BENCHMARK.json` on each of the four workloads (seed 11,
 //! medians of the recorded runs, `null` where none was recorded), each
-//! workload's `bench.output_digest`, and `digest_change`. This test parses
-//! every line and holds the file to its one rule: a line whose digest
-//! differs from the previous line's, where both are known, says why in
-//! `digest_change`.
+//! workload's `bench.output_digest`, and `digest_change`. From line
+//! [`LAYERED_FROM`] on, each line also carries, per workload, the run's
+//! `box_probe_ns` and a `layers_ms` object with the traced per-layer times
+//! [`LAYERS`] (`core.encode_decode_ms` is `core.encode_ms + core.decode_ms`;
+//! `null` where a workload has no such layer). This test parses every line
+//! and holds the file to its one rule: a line whose digest differs from the
+//! previous line's, where both are known, says why in `digest_change`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,6 +21,15 @@ const WORKLOADS: [&str; 4] = [
     "train_inject",
 ];
 const METRICS: [&str; 3] = ["round_ms", "peak_rss_mb", "setup_s"];
+/// The traced layer times of a `layers_ms` cell.
+const LAYERS: [&str; 4] = [
+    "collective.self_ms",
+    "core.encode_decode_ms",
+    "mltrain.grad_ms",
+    "netsim.run_ms",
+];
+/// The first line (1-based) that carries `box_probe_ns` and `layers_ms`.
+const LAYERED_FROM: usize = 15;
 
 /// The JSON subset the file uses.
 #[derive(Debug)]
@@ -145,10 +157,22 @@ struct Line {
     digest_change: Option<String>,
 }
 
-fn check_line(text: &str) -> Result<Line, String> {
+/// A number that is non-negative and finite, or `null`.
+fn measured(v: Option<&Json>) -> Result<Option<f64>, String> {
+    match v {
+        Some(Json::Null) => Ok(None),
+        Some(Json::Num(v)) if *v >= 0.0 && v.is_finite() => Ok(Some(*v)),
+        other => Err(format!("{other:?}")),
+    }
+}
+
+/// Checks line `n` (1-based); from [`LAYERED_FROM`] on it must carry the
+/// layer keys, before it must not.
+fn check_line(n: usize, text: &str) -> Result<Line, String> {
     let Json::Obj(obj) = Parser::parse(text)? else {
         return Err("not an object".into());
     };
+    let layered = n >= LAYERED_FROM;
     let mut want = vec![
         "commit",
         "digest_change",
@@ -157,6 +181,9 @@ fn check_line(text: &str) -> Result<Line, String> {
         "source",
     ];
     want.extend(METRICS);
+    if layered {
+        want.extend(["box_probe_ns", "layers_ms"]);
+    }
     want.sort_unstable();
     let keys: Vec<&str> = obj.keys().map(String::as_str).collect();
     if keys != want {
@@ -177,25 +204,40 @@ fn check_line(text: &str) -> Result<Line, String> {
     };
     // Every metric and the digest: an object over exactly the four
     // workloads, each value a non-negative number or null.
-    let per_workload = |name: &str| -> Result<[Option<f64>; 4], String> {
-        let Some(Json::Obj(m)) = obj.get(name) else {
-            return Err(format!("{name} is not an object"));
-        };
-        if m.len() != WORKLOADS.len() {
-            return Err(format!("{name} has {} workloads", m.len()));
+    let workloads = |name: &str| -> Result<&BTreeMap<String, Json>, String> {
+        match obj.get(name) {
+            Some(Json::Obj(m)) if m.len() == WORKLOADS.len() => Ok(m),
+            other => Err(format!(
+                "{name} is not an object over the workloads: {other:?}"
+            )),
         }
+    };
+    let per_workload = |name: &str| -> Result<[Option<f64>; 4], String> {
+        let m = workloads(name)?;
         let mut out = [None; 4];
         for (slot, w) in out.iter_mut().zip(WORKLOADS) {
-            *slot = match m.get(w) {
-                Some(Json::Null) => None,
-                Some(Json::Num(v)) if *v >= 0.0 && v.is_finite() => Some(*v),
-                other => return Err(format!("{name}.{w} = {other:?}")),
-            };
+            *slot = measured(m.get(w)).map_err(|e| format!("{name}.{w} = {e}"))?;
         }
         Ok(out)
     };
     for metric in METRICS {
         per_workload(metric)?;
+    }
+    if layered {
+        per_workload("box_probe_ns")?;
+        let cells = workloads("layers_ms")?;
+        for w in WORKLOADS {
+            let Some(Json::Obj(cell)) = cells.get(w) else {
+                return Err(format!("layers_ms.{w} is not an object"));
+            };
+            let keys: Vec<&str> = cell.keys().map(String::as_str).collect();
+            if keys != LAYERS {
+                return Err(format!("layers_ms.{w} keys {keys:?}, want {LAYERS:?}"));
+            }
+            for layer in LAYERS {
+                measured(cell.get(layer)).map_err(|e| format!("layers_ms.{w}.{layer} = {e}"))?;
+            }
+        }
     }
     let digests = per_workload("output_digest")?;
     if digests.iter().flatten().any(|d| d.fract() != 0.0) {
@@ -220,7 +262,7 @@ fn check_trajectory(text: &str) -> Result<usize, String> {
     let mut count = 0;
     for (i, raw) in text.lines().enumerate() {
         let n = i + 1;
-        let line = check_line(raw).map_err(|e| format!("line {n}: {e}"))?;
+        let line = check_line(n, raw).map_err(|e| format!("line {n}: {e}"))?;
         if !seen.insert(line.parent.clone()) {
             return Err(format!("line {n}: parent {} listed twice", line.parent));
         }
@@ -254,7 +296,63 @@ fn trajectory() -> String {
 fn every_line_parses_and_every_digest_change_is_explained() {
     let text = trajectory();
     let lines = check_trajectory(&text).unwrap_or_else(|e| panic!("BENCH_round.jsonl {e}"));
-    assert!(lines >= 2, "{lines} lines");
+    assert!(lines >= LAYERED_FROM, "{lines} lines");
+}
+
+#[test]
+fn a_layered_line_needs_every_layer_of_every_workload() {
+    let per = |v: &str| {
+        let cells: Vec<String> = WORKLOADS.iter().map(|w| format!("\"{w}\": {v}")).collect();
+        format!("{{{}}}", cells.join(", "))
+    };
+    let layers = |v: &str| {
+        let cells: Vec<String> = LAYERS.iter().map(|l| format!("\"{l}\": {v}")).collect();
+        format!("{{{}}}", cells.join(", "))
+    };
+    let line = |extra: &str| {
+        format!(
+            "{{\"commit\": null, \"parent\": \"abcdef1\", \"source\": \"test\", \
+             \"round_ms\": {r}, \"peak_rss_mb\": {r}, \"setup_s\": {r}, \
+             \"output_digest\": {r}{extra}, \"digest_change\": null}}",
+            r = per("1")
+        )
+    };
+    let full = line(&format!(
+        ", \"box_probe_ns\": {}, \"layers_ms\": {}",
+        per("9000000.5"),
+        per(&layers("null"))
+    ));
+    assert!(check_line(LAYERED_FROM, &full).is_ok());
+    assert!(
+        check_line(LAYERED_FROM - 1, &full).is_err(),
+        "no layer keys before"
+    );
+    assert!(
+        check_line(LAYERED_FROM, &line("")).is_err(),
+        "required from"
+    );
+    let three = format!(
+        "{{{}}}",
+        LAYERS[..3]
+            .iter()
+            .map(|l| format!("\"{l}\": 2.5"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let short = line(&format!(
+        ", \"box_probe_ns\": {}, \"layers_ms\": {}",
+        per("1"),
+        per(&three)
+    ));
+    assert!(check_line(LAYERED_FROM, &short)
+        .err()
+        .is_some_and(|e| e.contains("keys")));
+    let negative = line(&format!(
+        ", \"box_probe_ns\": {}, \"layers_ms\": {}",
+        per("1"),
+        per(&layers("-1"))
+    ));
+    assert!(check_line(LAYERED_FROM, &negative).is_err());
 }
 
 #[test]
@@ -288,10 +386,10 @@ fn an_unexplained_digest_change_is_refused() {
         .contains("without digest_change"));
     let explained = [line(1, "7", "null"), line(2, "8", "\"new format\"")].join("\n");
     assert_eq!(check_trajectory(&explained), Ok(2));
-    assert!(check_line("{\"commit\": \"abcdef1\"}").is_err());
+    assert!(check_line(1, "{\"commit\": \"abcdef1\"}").is_err());
     let twice = [line(1, "7", "null"), line(1, "7", "null")].join("\n");
     assert!(check_trajectory(&twice)
         .unwrap_err()
         .contains("listed twice"));
-    assert!(check_line(&line(1, "7.5", "null")).is_err());
+    assert!(check_line(1, &line(1, "7.5", "null")).is_err());
 }

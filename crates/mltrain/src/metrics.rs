@@ -2,8 +2,20 @@
 //! paper reports for VGG-19/CIFAR-100).
 
 use crate::tensor::Matrix;
+use std::cmp::Ordering;
 
-/// Fraction of rows whose true label ranks within the top `k` logits.
+/// The order logits are ranked in: `f32`'s own order, with NaN below every
+/// number and equal to NaN. Agrees with `partial_cmp` wherever that is
+/// defined, so `-0.0` and `+0.0` still tie.
+#[must_use]
+pub(crate) fn logit_order(a: f32, b: f32) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
+}
+
+/// Fraction of rows whose true label ranks within the top `k` logits. A row
+/// with a NaN logit is a miss: its ranking is undefined, and a diverged
+/// replica must not score.
 ///
 /// # Panics
 ///
@@ -18,8 +30,12 @@ pub fn top_k_accuracy(logits: &Matrix, labels: &[usize], k: usize) -> f64 {
     let mut correct = 0usize;
     for (r, &label) in labels.iter().enumerate() {
         let target = logits.get(r, label);
+        let row = logits.row(r);
+        if row.iter().any(|v| v.is_nan()) {
+            continue;
+        }
         // Rank = how many classes score strictly higher.
-        let higher = logits.row(r).iter().filter(|&&v| v > target).count();
+        let higher = row.iter().filter(|&&v| v > target).count();
         if higher < k {
             correct += 1;
         }
@@ -85,6 +101,27 @@ mod tests {
     fn empty_batch_is_zero() {
         let l = Matrix::zeros(0, 4);
         assert_eq!(top1_accuracy(&l, &[]), 0.0);
+    }
+
+    #[test]
+    fn nan_logits_are_misses() {
+        let all_nan = Matrix::from_vec(2, 3, vec![f32::NAN; 6]);
+        assert_eq!(top1_accuracy(&all_nan, &[0, 2]), 0.0);
+        assert_eq!(top5_accuracy(&all_nan, &[0, 2]), 0.0);
+        // One NaN anywhere in a row, the label's logit or another class's.
+        let mut l = logits();
+        l.set(0, 0, f32::NAN);
+        l.set(1, 2, f32::NAN);
+        assert_eq!(top1_accuracy(&l, &[0, 5, 5]), 1.0 / 3.0);
+    }
+
+    #[test]
+    fn logit_order_ranks_nan_lowest_and_keeps_ties() {
+        assert_eq!(logit_order(1.0, 2.0), Ordering::Less);
+        assert_eq!(logit_order(-0.0, 0.0), Ordering::Equal);
+        assert_eq!(logit_order(f32::NAN, f32::NEG_INFINITY), Ordering::Less);
+        assert_eq!(logit_order(f32::NEG_INFINITY, f32::NAN), Ordering::Greater);
+        assert_eq!(logit_order(f32::NAN, f32::NAN), Ordering::Equal);
     }
 
     #[test]

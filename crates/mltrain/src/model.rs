@@ -6,6 +6,7 @@
 //! layer 0 weights row-major, layer 0 bias, layer 1 weights, …).
 
 use crate::layers::{relu, relu_backward, softmax_cross_entropy, Linear};
+use crate::metrics::logit_order;
 use crate::tensor::Matrix;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
@@ -145,7 +146,9 @@ impl Mlp {
         }
     }
 
-    /// Class predictions (argmax of logits) for a batch.
+    /// Class predictions (argmax of logits) for a batch: the last of equal
+    /// maxima. A NaN logit ranks below every number, so an all-NaN row
+    /// predicts its last class.
     #[must_use]
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
         let logits = self.forward(x);
@@ -155,7 +158,7 @@ impl Mlp {
                     .row(r)
                     .iter()
                     .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
+                    .max_by(|a, b| logit_order(*a.1, *b.1))
                     .map(|(i, _)| i)
                     .expect("non-empty row")
             })
@@ -305,6 +308,31 @@ mod tests {
                 assert!(logits.get(r, p) >= logits.get(r, c));
             }
         }
+    }
+
+    #[test]
+    fn predict_ranks_nan_logits_lowest() {
+        let x = Matrix::from_vec(2, 4, vec![0.1, 0.9, -0.3, 0.5, -1.0, 0.2, 0.8, -0.1]);
+        let mut m = tiny();
+        let mut params = m.params_flat();
+        let last_bias = params.len() - 3;
+        params[last_bias + 1] = f32::NAN; // class 1's logit is NaN in every row
+        m.set_params_flat(&params);
+        let logits = m.forward(&x);
+        for (r, &p) in m.predict(&x).iter().enumerate() {
+            let want = if logits.get(r, 2) >= logits.get(r, 0) {
+                2
+            } else {
+                0
+            };
+            assert_eq!(p, want, "row {r}");
+        }
+        m.set_params_flat(&vec![f32::NAN; params.len()]);
+        assert_eq!(
+            m.predict(&x),
+            vec![2, 2],
+            "all-NaN rows predict the last class"
+        );
     }
 
     #[test]

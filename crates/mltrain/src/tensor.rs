@@ -3,11 +3,18 @@
 //! Exactly the operations backprop through an MLP needs. The three matrix
 //! products — `x·Wᵀ` (forward, [`Matrix::matmul_t`]), `dy·W` (`dx`,
 //! [`Matrix::matmul`]) and `dyᵀ·x` (`dw`, [`Matrix::t_matmul_acc`]) — all run
-//! through one row-axpy kernel: its inner loop adds a scaled contiguous row
+//! through one row-axpy kernel: its inner loop adds scaled contiguous rows
 //! into a contiguous row, which has no loop-carried dependency and therefore
 //! vectorises, where a dot product's running `f32` sum may not be
 //! reassociated and cannot. A product with a transposed operand transposes a
 //! copy first.
+//!
+//! Each pass over an output row adds a group of up to eight products,
+//! `o = ((o + a₀b₀) + a₁b₁) + … + a₇b₇`, so the row is loaded and stored
+//! once per eight products rather than once per product. Every output
+//! element still receives the same products in the same order as a
+//! `k`-ascending dot product from `+0.0`, each rounded on its own, so the
+//! grouping changes no bit of any result.
 //!
 //! # The zero rule
 //!
@@ -186,27 +193,67 @@ impl Matrix {
     }
 }
 
-/// The one product kernel: `out (m×n) += A (m×k) · B (k×n)`, all row-major,
-/// as row axpys `out[i,:] += A[i,p] · B[p,:]` for `p` ascending — so every
-/// output element receives the same products in the same order as a
-/// `k`-ascending dot product started from `+0.0`, bit for bit. `m` and `k`
-/// follow from the slice lengths. `SKIP_ZEROS` is the module's zero rule: an
-/// exactly-zero `A[i,p]` contributes nothing instead of `0 · B[p,:]`.
+/// How many products [`accumulate_product`] adds per pass over an output
+/// row.
+const GROUP: usize = 8;
+
+/// The one product kernel: `out (m×n) += A (m×k) · B (k×n)`, all row-major.
+/// `m` and `k` follow from the slice lengths. `SKIP_ZEROS` is the module's
+/// zero rule: an exactly-zero `A[i,p]` contributes nothing instead of
+/// `0 · B[p,:]`.
+///
+/// Row `i` of `out` receives `A[i,p] · B[p,:]` for `p` ascending. The kernel
+/// holds the next [`GROUP`] of them that the zero rule keeps and adds the
+/// whole group in one pass over the row, `o = ((o + a₀b₀) + a₁b₁) + … +
+/// a₇b₇`; a short last group is added one row axpy at a time. Either way
+/// every output element receives the same products, each rounded on its
+/// own, in the same order as a `k`-ascending dot product started from
+/// `+0.0` — bit for bit. Grouping only changes how often the output row is
+/// loaded and stored: once per group instead of once per product.
 // trimlint: hot-path -- every multiply-add of the compute stage runs in this loop
 fn accumulate_product<const SKIP_ZEROS: bool>(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
     if n == 0 || b.is_empty() {
         return;
     }
     let k = b.len() / n;
+    let mut held: [(f32, &[f32]); GROUP] = [(0.0, &[]); GROUP];
     for (orow, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        let mut len = 0;
         for (&a, brow) in arow.iter().zip(b.chunks_exact(n)) {
             if SKIP_ZEROS && fcmp::exactly_zero(a) {
                 continue;
             }
+            held[len] = (a, brow);
+            len += 1;
+            if len == GROUP {
+                add_group(orow, &held);
+                len = 0;
+            }
+        }
+        for &(a, brow) in &held[..len] {
             for (o, &b) in orow.iter_mut().zip(brow) {
                 *o += a * b;
             }
         }
+    }
+}
+
+/// `o[j] = ((o[j] + a₀·b₀[j]) + a₁·b₁[j]) + … + a₇·b₇[j]` for every `j` of
+/// `orow`: [`GROUP`] row axpys in one pass. Every `bᵢ` is as long as `orow`.
+fn add_group(orow: &mut [f32], held: &[(f32, &[f32]); GROUP]) {
+    let n = orow.len();
+    let [(a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7)] =
+        held.map(|(a, b)| (a, &b[..n]));
+    for (j, o) in orow.iter_mut().enumerate() {
+        *o = *o
+            + a0 * b0[j]
+            + a1 * b1[j]
+            + a2 * b2[j]
+            + a3 * b3[j]
+            + a4 * b4[j]
+            + a5 * b5[j]
+            + a6 * b6[j]
+            + a7 * b7[j];
     }
 }
 

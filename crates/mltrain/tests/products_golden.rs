@@ -8,8 +8,11 @@
 //! count, ReLU-sparse operands and IEEE special values. The reference spells
 //! out the zero rule: the forward product `a·bᵀ` is dense (a zero times a
 //! non-finite weight must poison the output), `a·b` and `aᵀ·b` skip exact
-//! zeros of `a`. NaN payloads are the one thing not compared: Rust leaves
-//! them unspecified, so any NaN equals any NaN here.
+//! zeros of `a`. The kernel adds its products in groups of eight per pass
+//! over an output row, so the inner dimension takes every residue modulo the
+//! group and mostly-zero operands make groups span skipped runs. NaN
+//! payloads are the one thing not compared: Rust leaves them unspecified, so
+//! any NaN equals any NaN here.
 //!
 //! (b) FNV-1a digests of `loss_and_grad`'s loss and flat gradient at both
 //! benchmark shapes, recorded at the last commit that had the dot-product
@@ -107,7 +110,14 @@ enum Fill {
     Relu,
     /// Dense with one entry in eight drawn from [`SPECIALS`].
     Special,
+    /// About seven entries in eight `+0.0`, the rest uniform in (−1, 1).
+    Sparse,
 }
+
+const FILLS: [Fill; 4] = [Fill::Dense, Fill::Relu, Fill::Special, Fill::Sparse];
+
+/// How many products the kernel adds per pass over an output row.
+const GROUP: usize = 8;
 
 fn matrix(rows: usize, cols: usize, fill: Fill, rng: &mut Xoshiro256StarStar) -> Matrix {
     let data = (0..rows * cols)
@@ -120,6 +130,8 @@ fn matrix(rows: usize, cols: usize, fill: Fill, rng: &mut Xoshiro256StarStar) ->
                     SPECIALS[(rng.next_u64() % SPECIALS.len() as u64) as usize]
                 }
                 Fill::Special => v,
+                Fill::Sparse if rng.next_u64().is_multiple_of(8) => v,
+                Fill::Sparse => 0.0,
             }
         })
         .collect();
@@ -156,16 +168,19 @@ fn check_products(m: usize, k: usize, n: usize, fa: Fill, fb: Fill, seed: u64) {
     assert_eq!(bits(&got), bits(&ref_t_matmul(&a, &b)), "t_matmul, {ctx}");
 }
 
+/// Every inner dimension `k` from 0 through two groups (each residue
+/// modulo the group, with and without a full group before it), and two long
+/// ones where a sparse row fills a group across skipped runs.
 #[test]
 fn products_match_the_naive_loops_on_edge_shapes() {
-    let fills = [Fill::Dense, Fill::Relu, Fill::Special];
     let dims = [0usize, 1, 3, 17];
+    let ks = (0..=2 * GROUP).chain([70, 131]);
     let mut seed = 0;
-    for m in dims {
-        for k in dims {
+    for k in ks {
+        for m in dims {
             for n in dims {
-                for fa in fills {
-                    for fb in fills {
+                for fa in FILLS {
+                    for fb in FILLS {
                         seed += 1;
                         check_products(m, k, n, fa, fb, seed);
                     }
@@ -183,12 +198,11 @@ proptest! {
         m in 0usize..9,
         k in 0usize..70,
         n in 0usize..70,
-        fa in 0usize..3,
-        fb in 0usize..3,
+        fa in 0usize..4,
+        fb in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let fills = [Fill::Dense, Fill::Relu, Fill::Special];
-        check_products(m, k, n, fills[fa], fills[fb], seed);
+        check_products(m, k, n, FILLS[fa], FILLS[fb], seed);
     }
 }
 

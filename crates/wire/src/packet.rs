@@ -159,12 +159,14 @@ impl GradPacket {
     ///
     /// Any [`WireError`] from the individual layers; [`WireError::BadChecksum`]
     /// if the IPv4 or UDP checksum fails; [`WireError::Truncated`] if the
-    /// payload is shorter than `trim_depth` sections require.
+    /// UDP payload is shorter than `trim_depth` sections require. Only the
+    /// bytes the UDP length claims are read: its checksum covers them, and
+    /// nothing covers bytes past it up to the IPv4 total length.
     pub fn parse(&self) -> Result<ParsedGrad<'_>> {
         let stack = stack::read(&self.frame, Expect::Data)?;
-        let fields = TrimGradFields::from_bytes(stack.body)?;
+        let fields = TrimGradFields::from_bytes(stack.udp_body)?;
         let layout = PayloadLayout::new(fields.scheme.part_bits(), fields.coord_count as usize);
-        let body = &stack.body[trimhdr::HEADER_LEN..];
+        let body = &stack.udp_body[trimhdr::HEADER_LEN..];
         let depth = fields.trim_depth as usize;
         if body.len() < layout.trim_point(depth) {
             return Err(WireError::Truncated);

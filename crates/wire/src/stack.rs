@@ -46,10 +46,9 @@ pub(crate) enum Expect {
 pub(crate) struct Stack<'a> {
     /// Addresses and ports.
     pub(crate) net: NetAddrs,
-    /// The frame past the UDP header, up to the IPv4 total length.
-    pub(crate) body: &'a [u8],
-    /// The prefix of `body` the UDP length field claims (and its checksum
-    /// covers).
+    /// The UDP payload: the bytes past the UDP header that the UDP length
+    /// field claims and the UDP checksum covers. Bytes past it, up to the
+    /// IPv4 total length, are covered by no checksum and are not read.
     pub(crate) udp_body: &'a [u8],
 }
 
@@ -121,7 +120,6 @@ pub(crate) fn read(frame: &[u8], expect: Expect) -> Result<Stack<'_>> {
             src_port,
             dst_port,
         },
-        body: &dgram[udp::HEADER_LEN..],
         udp_body,
     })
 }
@@ -150,7 +148,7 @@ mod tests {
         assert_eq!(f.len(), PAYLOAD_START + 5);
         let s = read(&f, Expect::Data).unwrap();
         assert_eq!(s.net, net);
-        assert_eq!((s.body, s.udp_body), (&b"hello"[..], &b"hello"[..]));
+        assert_eq!(s.udp_body, &b"hello"[..]);
         assert_eq!(
             read(&f, Expect::Metadata).unwrap_err(),
             WireError::BadField("dst_port")
@@ -169,7 +167,7 @@ mod tests {
         assert_eq!(read(&f, Expect::Data).unwrap_err(), WireError::Truncated);
         reseal(&mut f, DSCP_TRIMMED);
         let s = read(&f, Expect::Data).unwrap();
-        assert_eq!(s.body, &[0xAA; 10]);
+        assert_eq!(s.udp_body, &[0xAA; 10]);
         assert_eq!(f[ethernet::HEADER_LEN + 1] >> 2, DSCP_TRIMMED);
     }
 
