@@ -11,6 +11,7 @@
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+use trimgrad_telemetry::json_string;
 
 /// Throughput units to report alongside time per iteration.
 #[derive(Debug, Clone, Copy)]
@@ -105,14 +106,14 @@ fn render_json(bench_name: &str, records: &[BenchRecord]) -> String {
     let trace_enabled = trimgrad_trace::Tracer::from_env().is_enabled();
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str(&format!("  \"bench\": \"{}\",\n", escape(bench_name)));
+    s.push_str(&format!("  \"bench\": {},\n", json_string(bench_name)));
     s.push_str(&format!("  \"threads\": {threads},\n"));
     s.push_str(&format!("  \"trace_enabled\": {trace_enabled},\n"));
     s.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         s.push_str("    {");
-        s.push_str(&format!("\"group\": \"{}\", ", escape(&r.group)));
-        s.push_str(&format!("\"label\": \"{}\", ", escape(&r.label)));
+        s.push_str(&format!("\"group\": {}, ", json_string(&r.group)));
+        s.push_str(&format!("\"label\": {}, ", json_string(&r.label)));
         s.push_str(&format!("\"best_ns\": {:.1}, ", r.best_ns));
         s.push_str(&format!("\"mean_ns\": {:.1}", r.mean_ns));
         if let Some((rate, unit)) = r.rate {
@@ -123,12 +124,6 @@ fn render_json(bench_name: &str, records: &[BenchRecord]) -> String {
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-/// Escapes a string for a JSON literal (labels are ASCII identifiers, so
-/// only quotes and backslashes need care).
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// One named group of related benchmarks, printed as a table.
@@ -298,7 +293,7 @@ mod tests {
             },
             BenchRecord {
                 group: "g".into(),
-                label: "b\"q\"".into(),
+                label: "b\"q\"\n".into(),
                 best_ns: 1.0,
                 mean_ns: 2.0,
                 rate: None,
@@ -311,7 +306,10 @@ mod tests {
         assert!(json.contains("\"trace_enabled\": "));
         assert!(json.contains("\"best_ns\": 12.3"));
         assert!(json.contains("\"rate_unit\": \"elem/s\""));
-        assert!(json.contains("b\\\"q\\\""), "quotes escaped: {json}");
+        assert!(
+            json.contains("b\\\"q\\\"\\n\""),
+            "quotes and newline escaped: {json}"
+        );
         // Balanced braces/brackets — the closest to a parse check offline.
         assert_eq!(
             json.matches('{').count(),

@@ -11,16 +11,28 @@ use trimgrad_wire::reassemble::{encoded_n, RowAssembler};
 use trimgrad_wire::{ethernet, WireError};
 
 /// Pipeline configuration.
+///
+/// Only [`PipelineConfig::builder`] and `Default` construct one, so every
+/// configuration has passed [`PipelineConfigBuilder::try_build`]'s checks:
+///
+/// ```
+/// use trimgrad::pipeline::PipelineConfig;
+/// let cfg = PipelineConfig::builder().row_len(1024).build();
+/// assert_eq!((cfg.row_len(), cfg.mtu()), (1024, 1500));
+/// ```
+///
+/// A struct literal, which would skip them, does not compile:
+///
+/// ```compile_fail
+/// use trimgrad::pipeline::PipelineConfig;
+/// let cfg = PipelineConfig { row_len: 0, ..PipelineConfig::default() };
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Encoding scheme.
-    pub scheme: SchemeId,
-    /// Row length in coordinates (2¹⁵ in the paper).
-    pub row_len: usize,
-    /// IP MTU for packetization.
-    pub mtu: usize,
-    /// Shared base seed.
-    pub base_seed: u64,
+    scheme: SchemeId,
+    row_len: usize,
+    mtu: usize,
+    base_seed: u64,
 }
 
 impl PipelineConfig {
@@ -29,6 +41,30 @@ impl PipelineConfig {
     #[must_use]
     pub fn builder() -> PipelineConfigBuilder {
         PipelineConfigBuilder::default()
+    }
+
+    /// Encoding scheme.
+    #[must_use]
+    pub fn scheme(&self) -> SchemeId {
+        self.scheme
+    }
+
+    /// Row length in coordinates (2¹⁵ in the paper).
+    #[must_use]
+    pub fn row_len(&self) -> usize {
+        self.row_len
+    }
+
+    /// IP MTU for packetization.
+    #[must_use]
+    pub fn mtu(&self) -> usize {
+        self.mtu
+    }
+
+    /// Shared base seed.
+    #[must_use]
+    pub fn base_seed(&self) -> u64 {
+        self.base_seed
     }
 }
 

@@ -892,7 +892,8 @@ pub fn json_string(s: &str) -> String {
 /// Formats an `f64` as a JSON number (finite values only; non-finite values
 /// map to `null`). Rust's shortest-roundtrip float formatting is
 /// deterministic, which keeps snapshots byte-stable.
-fn json_f64(x: f64) -> String {
+#[must_use]
+pub fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {

@@ -6,9 +6,16 @@
 //! byte-deterministic: records are written in ring-buffer order with
 //! little-endian fixed-width fields and length-prefixed names, and floats are
 //! stored as their IEEE-754 bit patterns.
+//!
+//! This module owns the file framing (magic, `dropped_oldest`, record count,
+//! each record's `seq`/`at`) and, in [`Field`], how each field type is
+//! written, read and rendered. Which fields an event has, in which order and
+//! under which tag, is the event table's business (`event.rs`).
 
 use crate::event::{DropReason, TraceEvent};
 use std::borrow::Cow;
+use std::fmt::Write as _;
+use trimgrad_telemetry::{json_f64, json_string};
 
 /// File magic of the binary format (8 bytes, version baked in).
 pub const MAGIC: &[u8; 8] = b"TGTRACE1";
@@ -42,12 +49,12 @@ impl Trace {
     pub fn to_binary(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.records.len() * 48);
         out.extend_from_slice(MAGIC);
-        put_u64(&mut out, self.dropped_oldest);
-        put_u64(&mut out, self.records.len() as u64);
+        self.dropped_oldest.put(&mut out);
+        (self.records.len() as u64).put(&mut out);
         for rec in &self.records {
-            put_u64(&mut out, rec.seq);
-            put_u64(&mut out, rec.at);
-            write_event(&mut out, &rec.event);
+            rec.seq.put(&mut out);
+            rec.at.put(&mut out);
+            rec.event.write_binary(&mut out);
         }
         out
     }
@@ -64,14 +71,15 @@ impl Trace {
         if magic != MAGIC {
             return Err(format!("bad magic {magic:?}; not a TGTRACE1 file"));
         }
-        let dropped_oldest = r.u64()?;
-        let count = r.u64()?;
+        let dropped_oldest = u64::get(&mut r)?;
+        let count = u64::get(&mut r)?;
         let mut records = Vec::new();
         for _ in 0..count {
-            let seq = r.u64()?;
-            let at = r.u64()?;
-            let event = read_event(&mut r)?;
-            records.push(Record { seq, at, event });
+            records.push(Record {
+                seq: u64::get(&mut r)?,
+                at: u64::get(&mut r)?,
+                event: TraceEvent::read_binary(&mut r)?,
+            });
         }
         if r.pos != bytes.len() {
             return Err(format!(
@@ -101,197 +109,28 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut s = String::new();
         for rec in &self.records {
-            jsonl_line(&mut s, rec);
-            s.push('\n');
+            let _ = write!(
+                s,
+                "{{\"seq\":{},\"at\":{},\"kind\":\"{}\"",
+                rec.seq,
+                rec.at,
+                rec.event.kind_name()
+            );
+            rec.event.write_json_fields(&mut s);
+            s.push_str("}\n");
         }
         s
     }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_name(out: &mut Vec<u8>, name: &str) {
-    let len = u16::try_from(name.len()).unwrap_or(u16::MAX);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&name.as_bytes()[..usize::from(len)]);
-}
-
-#[allow(clippy::too_many_lines)]
-fn write_event(out: &mut Vec<u8>, ev: &TraceEvent) {
-    match ev {
-        TraceEvent::PktSent {
-            node,
-            flow,
-            pseq,
-            pkt,
-            size,
-        } => {
-            out.push(1);
-            put_u32(out, *node);
-            put_u64(out, *flow);
-            put_u64(out, *pseq);
-            put_u64(out, *pkt);
-            put_u32(out, *size);
-        }
-        TraceEvent::PktEnqueued {
-            node,
-            to,
-            flow,
-            pseq,
-            pkt,
-            size,
-            prio,
-        } => {
-            out.push(2);
-            put_u32(out, *node);
-            put_u32(out, *to);
-            put_u64(out, *flow);
-            put_u64(out, *pseq);
-            put_u64(out, *pkt);
-            put_u32(out, *size);
-            out.push(u8::from(*prio));
-        }
-        TraceEvent::PktTrimmed {
-            node,
-            to,
-            flow,
-            pseq,
-            pkt,
-            old_size,
-            new_size,
-        } => {
-            out.push(3);
-            put_u32(out, *node);
-            put_u32(out, *to);
-            put_u64(out, *flow);
-            put_u64(out, *pseq);
-            put_u64(out, *pkt);
-            put_u32(out, *old_size);
-            put_u32(out, *new_size);
-        }
-        TraceEvent::PktDropped {
-            node,
-            to,
-            flow,
-            pseq,
-            pkt,
-            reason,
-        } => {
-            out.push(4);
-            put_u32(out, *node);
-            put_u32(out, *to);
-            put_u64(out, *flow);
-            put_u64(out, *pseq);
-            put_u64(out, *pkt);
-            out.push(reason.to_tag());
-        }
-        TraceEvent::PktDelivered {
-            node,
-            flow,
-            pseq,
-            pkt,
-            size,
-            trimmed,
-        } => {
-            out.push(5);
-            put_u32(out, *node);
-            put_u64(out, *flow);
-            put_u64(out, *pseq);
-            put_u64(out, *pkt);
-            put_u32(out, *size);
-            out.push(u8::from(*trimmed));
-        }
-        TraceEvent::FaultInjected {
-            node,
-            to,
-            flow,
-            pseq,
-            pkt,
-        } => {
-            out.push(6);
-            put_u32(out, *node);
-            put_u32(out, *to);
-            put_u64(out, *flow);
-            put_u64(out, *pseq);
-            put_u64(out, *pkt);
-        }
-        TraceEvent::RowEncoded {
-            msg,
-            row,
-            packets,
-            bytes,
-        } => {
-            out.push(7);
-            put_u32(out, *msg);
-            put_u32(out, *row);
-            put_u32(out, *packets);
-            put_u64(out, *bytes);
-        }
-        TraceEvent::RowAssembled { msg, row, coords } => {
-            out.push(8);
-            put_u32(out, *msg);
-            put_u32(out, *row);
-            put_u32(out, *coords);
-        }
-        TraceEvent::RowDecoded {
-            msg,
-            row,
-            coords,
-            lost,
-        } => {
-            out.push(9);
-            put_u32(out, *msg);
-            put_u32(out, *row);
-            put_u32(out, *coords);
-            put_u32(out, *lost);
-        }
-        TraceEvent::StepStarted { rank, step, reduce } => {
-            out.push(10);
-            put_u32(out, *rank);
-            put_u32(out, *step);
-            out.push(u8::from(*reduce));
-        }
-        TraceEvent::StepApplied { rank, step } => {
-            out.push(11);
-            put_u32(out, *rank);
-            put_u32(out, *step);
-        }
-        TraceEvent::EpochTick { epoch, loss, top1 } => {
-            out.push(12);
-            put_u32(out, *epoch);
-            put_u64(out, loss.to_bits());
-            put_u64(out, top1.to_bits());
-        }
-        TraceEvent::SpanEnter { name } => {
-            out.push(13);
-            put_name(out, name);
-        }
-        TraceEvent::SpanExit { name, events } => {
-            out.push(14);
-            put_name(out, name);
-            put_u64(out, *events);
-        }
-        TraceEvent::Mark { name, value } => {
-            out.push(15);
-            put_name(out, name);
-            put_u64(out, *value);
-        }
-    }
-}
-
-struct Reader<'a> {
+/// A bounds-checked cursor over a binary trace.
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
             .checked_add(n)
@@ -302,250 +141,95 @@ impl Reader<'_> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
+}
 
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+/// One event-field type: how it is written to and read back from a binary
+/// trace, and how it renders as a JSON value in the JSONL mirror.
+pub(crate) trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, String>;
+    fn json(&self, s: &mut String);
+}
+
+macro_rules! le_int_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+                Ok(Self::from_le_bytes(r.array()?))
+            }
+            fn json(&self, s: &mut String) {
+                let _ = write!(s, "{self}");
+            }
+        }
+    )*};
+}
+
+le_int_field!(u16, u32, u64);
+
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
     }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let [b] = r.array()?;
+        Ok(b != 0)
     }
+    fn json(&self, s: &mut String) {
+        let _ = write!(s, "{self}");
+    }
+}
 
-    fn name(&mut self) -> Result<Cow<'static, str>, String> {
-        let b = self.take(2)?;
-        let len = usize::from(u16::from_le_bytes([b[0], b[1]]));
-        let raw = self.take(len)?;
+/// Stored as its IEEE-754 bits; a non-finite value renders as JSON `null`.
+impl Field for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        u64::get(r).map(f64::from_bits)
+    }
+    fn json(&self, s: &mut String) {
+        s.push_str(&json_f64(*self));
+    }
+}
+
+impl Field for DropReason {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.to_tag());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let [tag] = r.array()?;
+        Self::from_tag(tag)
+    }
+    fn json(&self, s: &mut String) {
+        s.push_str(&json_string(self.name()));
+    }
+}
+
+/// A `u16` byte length, then the UTF-8 bytes; a name longer than
+/// `u16::MAX` bytes is cut there.
+impl Field for Cow<'static, str> {
+    fn put(&self, out: &mut Vec<u8>) {
+        let len = u16::try_from(self.len()).unwrap_or(u16::MAX);
+        len.put(out);
+        out.extend_from_slice(&self.as_bytes()[..usize::from(len)]);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let len = u16::get(r)?;
+        let raw = r.take(usize::from(len))?;
         let s = std::str::from_utf8(raw).map_err(|e| format!("non-UTF-8 name: {e}"))?;
         Ok(Cow::Owned(s.to_string()))
     }
-}
-
-fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, String> {
-    Ok(match r.u8()? {
-        1 => TraceEvent::PktSent {
-            node: r.u32()?,
-            flow: r.u64()?,
-            pseq: r.u64()?,
-            pkt: r.u64()?,
-            size: r.u32()?,
-        },
-        2 => TraceEvent::PktEnqueued {
-            node: r.u32()?,
-            to: r.u32()?,
-            flow: r.u64()?,
-            pseq: r.u64()?,
-            pkt: r.u64()?,
-            size: r.u32()?,
-            prio: r.u8()? != 0,
-        },
-        3 => TraceEvent::PktTrimmed {
-            node: r.u32()?,
-            to: r.u32()?,
-            flow: r.u64()?,
-            pseq: r.u64()?,
-            pkt: r.u64()?,
-            old_size: r.u32()?,
-            new_size: r.u32()?,
-        },
-        4 => TraceEvent::PktDropped {
-            node: r.u32()?,
-            to: r.u32()?,
-            flow: r.u64()?,
-            pseq: r.u64()?,
-            pkt: r.u64()?,
-            reason: DropReason::from_tag(r.u8()?)?,
-        },
-        5 => TraceEvent::PktDelivered {
-            node: r.u32()?,
-            flow: r.u64()?,
-            pseq: r.u64()?,
-            pkt: r.u64()?,
-            size: r.u32()?,
-            trimmed: r.u8()? != 0,
-        },
-        6 => TraceEvent::FaultInjected {
-            node: r.u32()?,
-            to: r.u32()?,
-            flow: r.u64()?,
-            pseq: r.u64()?,
-            pkt: r.u64()?,
-        },
-        7 => TraceEvent::RowEncoded {
-            msg: r.u32()?,
-            row: r.u32()?,
-            packets: r.u32()?,
-            bytes: r.u64()?,
-        },
-        8 => TraceEvent::RowAssembled {
-            msg: r.u32()?,
-            row: r.u32()?,
-            coords: r.u32()?,
-        },
-        9 => TraceEvent::RowDecoded {
-            msg: r.u32()?,
-            row: r.u32()?,
-            coords: r.u32()?,
-            lost: r.u32()?,
-        },
-        10 => TraceEvent::StepStarted {
-            rank: r.u32()?,
-            step: r.u32()?,
-            reduce: r.u8()? != 0,
-        },
-        11 => TraceEvent::StepApplied {
-            rank: r.u32()?,
-            step: r.u32()?,
-        },
-        12 => TraceEvent::EpochTick {
-            epoch: r.u32()?,
-            loss: f64::from_bits(r.u64()?),
-            top1: f64::from_bits(r.u64()?),
-        },
-        13 => TraceEvent::SpanEnter { name: r.name()? },
-        14 => TraceEvent::SpanExit {
-            name: r.name()?,
-            events: r.u64()?,
-        },
-        15 => TraceEvent::Mark {
-            name: r.name()?,
-            value: r.u64()?,
-        },
-        other => return Err(format!("unknown event tag {other}")),
-    })
-}
-
-/// Escapes a string for a JSON literal (names are `[a-z0-9_.]`, so only
-/// quotes and backslashes need care; keep it total anyway).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-#[allow(clippy::too_many_lines)]
-fn jsonl_line(s: &mut String, rec: &Record) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        s,
-        "{{\"seq\":{},\"at\":{},\"kind\":\"{}\"",
-        rec.seq,
-        rec.at,
-        rec.event.kind_name()
-    );
-    let _ = match &rec.event {
-        TraceEvent::PktSent {
-            node,
-            flow,
-            pseq,
-            pkt,
-            size,
-        } => write!(
-            s,
-            ",\"node\":{node},\"flow\":{flow},\"pseq\":{pseq},\"pkt\":{pkt},\"size\":{size}"
-        ),
-        TraceEvent::PktEnqueued {
-            node,
-            to,
-            flow,
-            pseq,
-            pkt,
-            size,
-            prio,
-        } => write!(
-            s,
-            ",\"node\":{node},\"to\":{to},\"flow\":{flow},\"pseq\":{pseq},\"pkt\":{pkt},\
-             \"size\":{size},\"prio\":{prio}"
-        ),
-        TraceEvent::PktTrimmed {
-            node,
-            to,
-            flow,
-            pseq,
-            pkt,
-            old_size,
-            new_size,
-        } => write!(
-            s,
-            ",\"node\":{node},\"to\":{to},\"flow\":{flow},\"pseq\":{pseq},\"pkt\":{pkt},\
-             \"old_size\":{old_size},\"new_size\":{new_size}"
-        ),
-        TraceEvent::PktDropped {
-            node,
-            to,
-            flow,
-            pseq,
-            pkt,
-            reason,
-        } => write!(
-            s,
-            ",\"node\":{node},\"to\":{to},\"flow\":{flow},\"pseq\":{pseq},\"pkt\":{pkt},\
-             \"reason\":\"{}\"",
-            reason.name()
-        ),
-        TraceEvent::PktDelivered {
-            node,
-            flow,
-            pseq,
-            pkt,
-            size,
-            trimmed,
-        } => write!(
-            s,
-            ",\"node\":{node},\"flow\":{flow},\"pseq\":{pseq},\"pkt\":{pkt},\"size\":{size},\
-             \"trimmed\":{trimmed}"
-        ),
-        TraceEvent::FaultInjected {
-            node,
-            to,
-            flow,
-            pseq,
-            pkt,
-        } => write!(
-            s,
-            ",\"node\":{node},\"to\":{to},\"flow\":{flow},\"pseq\":{pseq},\"pkt\":{pkt}"
-        ),
-        TraceEvent::RowEncoded {
-            msg,
-            row,
-            packets,
-            bytes,
-        } => write!(
-            s,
-            ",\"msg\":{msg},\"row\":{row},\"packets\":{packets},\"bytes\":{bytes}"
-        ),
-        TraceEvent::RowAssembled { msg, row, coords } => {
-            write!(s, ",\"msg\":{msg},\"row\":{row},\"coords\":{coords}")
-        }
-        TraceEvent::RowDecoded {
-            msg,
-            row,
-            coords,
-            lost,
-        } => write!(
-            s,
-            ",\"msg\":{msg},\"row\":{row},\"coords\":{coords},\"lost\":{lost}"
-        ),
-        TraceEvent::StepStarted { rank, step, reduce } => {
-            write!(s, ",\"rank\":{rank},\"step\":{step},\"reduce\":{reduce}")
-        }
-        TraceEvent::StepApplied { rank, step } => write!(s, ",\"rank\":{rank},\"step\":{step}"),
-        TraceEvent::EpochTick { epoch, loss, top1 } => {
-            write!(s, ",\"epoch\":{epoch},\"loss\":{loss},\"top1\":{top1}")
-        }
-        TraceEvent::SpanEnter { name } => write!(s, ",\"name\":\"{}\"", esc(name)),
-        TraceEvent::SpanExit { name, events } => {
-            write!(s, ",\"name\":\"{}\",\"events\":{events}", esc(name))
-        }
-        TraceEvent::Mark { name, value } => {
-            write!(s, ",\"name\":\"{}\",\"value\":{value}", esc(name))
-        }
-    };
-    s.push('}');
+    fn json(&self, s: &mut String) {
+        s.push_str(&json_string(self));
+    }
 }
 
 #[cfg(test)]
@@ -610,6 +294,121 @@ mod tests {
             // Keys are quoted and values never contain raw control chars.
             assert!(!line.contains('\n'));
         }
+    }
+
+    #[test]
+    fn jsonl_bytes_are_pinned() {
+        const GOLDEN_JSONL_FNV1A: u64 = 0x2882_68a8_f8b0_7136;
+        let h = trimgrad_telemetry::fnv1a(sample_trace().to_jsonl().as_bytes());
+        assert_eq!(h, GOLDEN_JSONL_FNV1A, "jsonl digest {h:#018x}");
+    }
+
+    /// Flips bits in every byte of the sample binary and folds each parse
+    /// outcome — the error text, or the digest of the re-serialized trace —
+    /// into one digest, so the reader's accept/reject decisions and its error
+    /// messages are pinned byte for byte.
+    #[test]
+    fn bit_flip_outcomes_are_pinned() {
+        const GOLDEN_OUTCOMES_FNV1A: u64 = 0x9342_c186_d75b_ee5c;
+        let bytes = sample_trace().to_binary();
+        let mut outcomes = String::new();
+        for at in 0..bytes.len() {
+            for mask in [0x01_u8, 0x80, 0xFF] {
+                let mut mutated = bytes.clone();
+                mutated[at] ^= mask;
+                let parsed = std::panic::catch_unwind(|| Trace::from_binary(&mutated))
+                    .unwrap_or_else(|_| panic!("byte {at} ^ {mask:#04x} panicked"));
+                match parsed {
+                    Ok(t) => outcomes.push_str(&format!(
+                        "ok {:016x}\n",
+                        trimgrad_telemetry::fnv1a(&t.to_binary())
+                    )),
+                    Err(e) => outcomes.push_str(&format!("err {e}\n")),
+                }
+            }
+        }
+        let h = trimgrad_telemetry::fnv1a(outcomes.as_bytes());
+        assert_eq!(h, GOLDEN_OUTCOMES_FNV1A, "outcome digest {h:#018x}");
+    }
+
+    #[test]
+    fn every_accepted_tag_has_exactly_one_sample() {
+        // Enough zero bytes after the tag for any event's fields: zero is a
+        // valid value of every field type (an empty name, `DataFull`).
+        let mut accepted = Vec::new();
+        for tag in 0..=u8::MAX {
+            let mut bytes = vec![tag];
+            bytes.resize(64, 0);
+            let mut r = Reader {
+                bytes: &bytes,
+                pos: 0,
+            };
+            if TraceEvent::read_binary(&mut r).is_ok() {
+                accepted.push(tag);
+            }
+        }
+        let mut sampled: Vec<u8> = samples()
+            .iter()
+            .map(|ev| {
+                let mut out = Vec::new();
+                ev.write_binary(&mut out);
+                out[0]
+            })
+            .collect();
+        sampled.sort_unstable();
+        assert_eq!(sampled, accepted, "each event tag needs one sample");
+    }
+
+    #[test]
+    fn non_finite_floats_render_as_json_null() {
+        let t = Trace {
+            records: vec![Record {
+                seq: 0,
+                at: 0,
+                event: TraceEvent::EpochTick {
+                    epoch: 1,
+                    loss: f64::NAN,
+                    top1: f64::INFINITY,
+                },
+            }],
+            dropped_oldest: 0,
+        };
+        assert_eq!(
+            t.to_jsonl(),
+            "{\"seq\":0,\"at\":0,\"kind\":\"epoch.tick\",\"epoch\":1,\"loss\":null,\"top1\":null}\n"
+        );
+        let back = Trace::from_binary(&t.to_binary()).unwrap();
+        let TraceEvent::EpochTick { loss, top1, .. } = back.records[0].event else {
+            panic!("decoded {:?}", back.records[0].event);
+        };
+        assert_eq!(loss.to_bits(), f64::NAN.to_bits(), "binary keeps the bits");
+        assert_eq!(top1, f64::INFINITY);
+    }
+
+    #[test]
+    fn names_with_control_characters_stay_on_one_jsonl_line() {
+        let name = "bad\nname \"quoted\"";
+        let mut t = sample_trace();
+        t.records.push(Record {
+            seq: 99,
+            at: 0,
+            event: TraceEvent::Mark {
+                name: Cow::Borrowed(name),
+                value: 1,
+            },
+        });
+        let loaded = Trace::from_binary(&t.to_binary()).unwrap();
+        assert_eq!(loaded.records.last().unwrap().event.name(), Some(name));
+        let jsonl = loaded.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), loaded.records.len(), "{jsonl}");
+        for line in lines {
+            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        }
+        assert!(
+            jsonl.contains(r#""name":"bad\nname \"quoted\"","value":1}"#),
+            "{jsonl}"
+        );
     }
 
     #[test]
