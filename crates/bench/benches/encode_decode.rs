@@ -24,7 +24,7 @@ use trimgrad::quant::bitpack::pack_low_bits;
 use trimgrad::quant::kernels::{
     decode_sign31, decode_sign_exp_mant, encode_sign31_parts, encode_sign_exp_mant_parts,
 };
-use trimgrad::quant::{scheme_for, SchemeId};
+use trimgrad::quant::SchemeId;
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
 
 fn row(n: usize, seed: u64) -> Vec<f32> {
@@ -39,8 +39,7 @@ fn bench_encode(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     opts.configure(&mut g);
     g.throughput(Throughput::Elements(n as u64));
     for id in SchemeId::ALL {
-        let scheme = scheme_for(id);
-        g.bench(id.name(), || scheme.encode(black_box(&data), 42));
+        g.bench(id.name(), || id.encode(black_box(&data), 42));
     }
     records.extend(g.finish());
 }
@@ -52,11 +51,9 @@ fn bench_decode_full(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     opts.configure(&mut g);
     g.throughput(Throughput::Elements(n as u64));
     for id in SchemeId::ALL {
-        let scheme = scheme_for(id);
-        let enc = scheme.encode(&data, 42);
+        let enc = id.encode(&data, 42);
         g.bench(id.name(), || {
-            scheme
-                .decode(&black_box(&enc).full_view(), &enc.meta, 42)
+            id.decode(&black_box(&enc).full_view(), &enc.meta, 42)
                 .expect("valid")
         });
     }
@@ -70,11 +67,9 @@ fn bench_decode_trimmed(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     opts.configure(&mut g);
     g.throughput(Throughput::Elements(n as u64));
     for id in SchemeId::ALL {
-        let scheme = scheme_for(id);
-        let enc = scheme.encode(&data, 42);
+        let enc = id.encode(&data, 42);
         g.bench(id.name(), || {
-            scheme
-                .decode(&black_box(&enc).trimmed_view(1), &enc.meta, 42)
+            id.decode(&black_box(&enc).trimmed_view(1), &enc.meta, 42)
                 .expect("valid")
         });
     }

@@ -5,8 +5,7 @@
 
 use std::hint::black_box;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
-use trimgrad::quant::rht1bit::RhtOneBit;
-use trimgrad::quant::TrimmableScheme;
+use trimgrad::quant::SchemeId;
 use trimgrad::wire::packet::NetAddrs;
 use trimgrad::wire::packetize::{packetize_row, PacketizeConfig};
 use trimgrad::wire::reassemble::RowAssembler;
@@ -27,7 +26,7 @@ fn encoded_row() -> trimgrad::quant::EncodedRow {
     let row: Vec<f32> = (0..(1 << 15))
         .map(|_| rng.next_f32_range(-1.0, 1.0))
         .collect();
-    RhtOneBit.encode(&row, 42)
+    SchemeId::RhtOneBit.encode(&row, 42)
 }
 
 fn bench_packetize(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {

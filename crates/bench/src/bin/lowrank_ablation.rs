@@ -13,7 +13,7 @@
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::lowrank::LowRankCompressor;
 use trimgrad::quant::error::nmse;
-use trimgrad::quant::{scheme_for, SchemeId};
+use trimgrad::quant::SchemeId;
 use trimgrad_bench::print_row;
 
 const ROWS: usize = 128;
@@ -82,9 +82,8 @@ fn main() {
         (SchemeId::MultiLevelRht, 2),     // 9 bits/coord
         (SchemeId::SubtractiveDither, 1), // 1 bit/coord
     ] {
-        let scheme = scheme_for(id);
-        let enc = scheme.encode(&g, 3);
-        let dec = scheme
+        let enc = id.encode(&g, 3);
+        let dec = id
             .decode(&enc.trimmed_view(depth), &enc.meta, 3)
             .expect("valid view");
         let bits: u32 = id.part_bits()[..depth].iter().sum();

@@ -14,7 +14,7 @@
 use trimgrad_hadamard::prng::derive_seed;
 use trimgrad_par::WorkerPool;
 use trimgrad_quant::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta};
-use trimgrad_quant::{scheme_for, SchemeId, TrimmableScheme};
+use trimgrad_quant::SchemeId;
 use trimgrad_trace::{sat32, sat64, TraceEvent, Tracer};
 use trimgrad_wire::packet::GradPacket;
 use trimgrad_wire::packetize::{packetize_row, PacketizeConfig, PacketizedRow};
@@ -25,9 +25,9 @@ use trimgrad_wire::WireError;
 pub const DEFAULT_ROW_LEN: usize = 1 << 15;
 
 /// Splits blobs into rows and encodes/decodes them with a scheme.
+#[derive(Debug)]
 pub struct MessageCodec {
-    scheme: Box<dyn TrimmableScheme>,
-    scheme_id: SchemeId,
+    scheme: SchemeId,
     row_len: usize,
     base_seed: u64,
 }
@@ -49,8 +49,7 @@ impl MessageCodec {
     pub fn with_row_len(scheme: SchemeId, base_seed: u64, row_len: usize) -> Self {
         assert!(row_len > 0, "zero row length");
         Self {
-            scheme: scheme_for(scheme),
-            scheme_id: scheme,
+            scheme,
             row_len,
             base_seed,
         }
@@ -76,13 +75,7 @@ impl MessageCodec {
     /// The configured scheme.
     #[must_use]
     pub fn scheme_id(&self) -> SchemeId {
-        self.scheme_id
-    }
-
-    /// The scheme implementation.
-    #[must_use]
-    pub fn scheme(&self) -> &dyn TrimmableScheme {
-        self.scheme.as_ref()
+        self.scheme
     }
 
     /// Row length in coordinates.
@@ -356,16 +349,6 @@ impl core::fmt::Display for CodecConfigError {
 }
 
 impl std::error::Error for CodecConfigError {}
-
-impl core::fmt::Debug for MessageCodec {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("MessageCodec")
-            .field("scheme", &self.scheme_id)
-            .field("row_len", &self.row_len)
-            .field("base_seed", &self.base_seed)
-            .finish()
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -182,8 +182,7 @@ mod tests {
     use crate::channel::{GradChannel, TrimmingChannel};
     use crate::chunk::MessageCodec;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
-    use trimgrad_quant::signmag::SignMagnitude;
-    use trimgrad_quant::{SchemeId, TrimmableScheme};
+    use trimgrad_quant::SchemeId;
 
     fn row(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = Xoshiro256StarStar::new(seed);
@@ -257,8 +256,10 @@ mod tests {
         use trimgrad_netsim::link::channel_seed;
         use trimgrad_netsim::NodeId;
         // 16 packet-chunks of 360 coordinates.
-        let draw =
-            |mut inj: TrimInjector| inj.draw_depths(&SignMagnitude.encode(&row(5760, 1), 0)).0;
+        let draw = |mut inj: TrimInjector| {
+            inj.draw_depths(&SchemeId::SignMagnitude.encode(&row(5760, 1), 0))
+                .0
+        };
         let bound = TrimInjector::for_channel(0.5, 42, NodeId(3), NodeId(7));
         let manual = TrimInjector::new(0.5, channel_seed(42, NodeId(3), NodeId(7)));
         assert_eq!(draw(bound), draw(manual));
@@ -283,7 +284,7 @@ mod tests {
         // Coordinates that would share a packet share their fate.
         let mut inj = TrimInjector::new(0.5, 2);
         let r = row(5000, 9);
-        let enc = SignMagnitude.encode(&r, 0);
+        let enc = SchemeId::SignMagnitude.encode(&r, 0);
         let (depths, _) = inj.draw_depths(&enc);
         for chunk in depths.chunks(360) {
             assert!(chunk.iter().all(|&d| d == chunk[0]), "chunk fate differs");
@@ -295,7 +296,7 @@ mod tests {
     fn mtu_derived_chunking_matches_wire_layout() {
         let mut inj = TrimInjector::new(1.0, 1);
         let r = row(1000, 1);
-        let enc = SignMagnitude.encode(&r, 0);
+        let enc = SchemeId::SignMagnitude.encode(&r, 0);
         let (_, stats) = inj.draw_depths(&enc);
         // 1000 coords at 360/packet → 3 chunks, same as the wire packetizer.
         assert_eq!(stats.total(), 3);
@@ -332,7 +333,7 @@ mod tests {
             let mut fates = vec![(0..1, 9)]; // stale contents are cleared
             let lens = [1usize, 359, 360, 361, 5000, 1 << 15];
             for (i, n) in lens.into_iter().enumerate() {
-                let enc = SignMagnitude.encode(&row(n, i as u64), 0);
+                let enc = SchemeId::SignMagnitude.encode(&row(n, i as u64), 0);
                 let (want, want_stats) = ref_draw_depths(&mut reference, &enc);
                 let stats = by_fates.draw_fates(&enc, &mut fates);
                 assert_eq!(stats, want_stats, "trim {trim} drop {drop} n {n}");

@@ -66,7 +66,7 @@ fn fingerprint(rows: &[EncodedRow]) -> Vec<Vec<u8>> {
 /// explicit width reproduce the serial row-by-row encoding.
 fn check_fan_out(codec: &MessageCodec, b: &[f32], epoch: u32, msg_id: u32) -> Result<(), String> {
     let encode_row = |row_id: usize| {
-        codec.scheme().encode(
+        codec.scheme_id().encode(
             &b[codec.row_range(b.len(), row_id)],
             codec.row_seed(epoch, msg_id, row_id as u32),
         )

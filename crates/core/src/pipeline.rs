@@ -7,7 +7,7 @@ use trimgrad_trace::Tracer;
 use trimgrad_wire::meta::RowMetaPacket;
 use trimgrad_wire::packet::{GradPacket, NetAddrs};
 use trimgrad_wire::packetize::{chunk_ranges, coords_per_packet, frame_len, PacketizeConfig};
-use trimgrad_wire::reassemble::{encoded_n, RowAssembler};
+use trimgrad_wire::reassemble::RowAssembler;
 use trimgrad_wire::{ethernet, WireError};
 
 /// Pipeline configuration.
@@ -160,7 +160,7 @@ impl PipelineConfigBuilder {
         let part_bits = self.scheme.part_bits();
         let per_packet =
             coords_per_packet(part_bits, mtu).ok_or(PipelineConfigError::MtuTooSmall { mtu })?;
-        let n = encoded_n(self.scheme, row_len);
+        let n = self.scheme.encoded_len(row_len);
         let fullest = per_packet.min(n);
         let ip_len = frame_len(part_bits, fullest, part_bits.len()) - ethernet::HEADER_LEN;
         if u16::try_from(fullest).is_err() || u16::try_from(ip_len).is_err() {
@@ -352,6 +352,9 @@ impl TrimmablePipeline {
     ///
     /// Wire-level errors from malformed packets, or
     /// [`WireError::BadField`] when a packet belongs to a different message.
+    /// A metadata packet of another message, epoch or scheme, or one longer
+    /// than a row, is refused as `BadField("msg_id" | "epoch" | "scheme" |
+    /// "original_len")` before it sizes any buffer.
     pub fn decode(
         &self,
         packets: &[GradPacket],
@@ -365,6 +368,19 @@ impl TrimmablePipeline {
         // arrival order does not matter.
         let mut assemblers: Vec<Option<RowAssembler>> = vec![None; metas.len()];
         for meta in metas {
+            for (foreign, field) in [
+                (meta.msg_id != msg_id, "msg_id"),
+                (meta.epoch != epoch, "epoch"),
+                (meta.scheme != self.cfg.scheme, "scheme"),
+                (
+                    meta.original_len as usize > self.cfg.row_len,
+                    "original_len",
+                ),
+            ] {
+                if foreign {
+                    return Err(WireError::BadField(field));
+                }
+            }
             let idx = meta.row_id as usize;
             if idx >= assemblers.len() {
                 return Err(WireError::BadField("row_id"));
@@ -536,6 +552,52 @@ mod tests {
         let tx = p.encode(&b, 0, 1, 1, 2);
         assert_eq!(
             p.decode(&tx.packets, &tx.metas, 0, 2).unwrap_err(),
+            WireError::BadField("msg_id")
+        );
+    }
+
+    #[test]
+    fn refuses_metadata_of_another_epoch() {
+        // The packets and their metadata agree with each other, so only the
+        // epoch argument says the row seeds are wrong.
+        let p = pipe(SchemeId::RhtOneBit);
+        let tx = p.encode(&blob(2500, 7), 1, 4, 1, 2);
+        assert_eq!(
+            p.decode(&tx.packets, &tx.metas, 2, 4).unwrap_err(),
+            WireError::BadField("epoch")
+        );
+    }
+
+    #[test]
+    fn refuses_metadata_longer_than_a_row() {
+        let p = pipe(SchemeId::RhtOneBit);
+        let mut tx = p.encode(&blob(2500, 8), 0, 4, 1, 2);
+        // u32::MAX would pad to 2³² coordinates: refused before allocating.
+        for original_len in [1024 + 1, u32::MAX] {
+            tx.metas[0].original_len = original_len;
+            assert_eq!(
+                p.decode(&tx.packets, &tx.metas, 0, 4).unwrap_err(),
+                WireError::BadField("original_len")
+            );
+        }
+    }
+
+    #[test]
+    fn refuses_metadata_of_another_scheme_or_message() {
+        let p = pipe(SchemeId::RhtOneBit);
+        let tx = p.encode(&blob(2500, 9), 0, 4, 1, 2);
+        let mut foreign = tx.metas.clone();
+        foreign[1].scheme = SchemeId::SignMagnitude;
+        for packets in [&tx.packets[..], &[]] {
+            assert_eq!(
+                p.decode(packets, &foreign, 0, 4).unwrap_err(),
+                WireError::BadField("scheme")
+            );
+        }
+        let mut foreign = tx.metas.clone();
+        foreign[2].msg_id = 5;
+        assert_eq!(
+            p.decode(&[], &foreign, 0, 4).unwrap_err(),
             WireError::BadField("msg_id")
         );
     }

@@ -217,9 +217,7 @@ mod tests {
     use super::*;
     use trimgrad_collective::TrimInjector;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
-    use trimgrad_quant::rht1bit::RhtOneBit;
-    use trimgrad_quant::scheme_for;
-    use trimgrad_quant::TrimmableScheme;
+    use trimgrad_quant::SchemeId;
 
     fn row(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = Xoshiro256StarStar::new(seed);
@@ -275,7 +273,7 @@ mod tests {
 
     #[test]
     fn replay_reproduces_recorded_run_exactly() {
-        let scheme = RhtOneBit;
+        let scheme = SchemeId::RhtOneBit;
         let r = row(2048, 7);
         let seed = 99;
         let enc = scheme.encode(&r, seed);
@@ -302,9 +300,8 @@ mod tests {
 
     #[test]
     fn unrecorded_packets_replay_untrimmed() {
-        let scheme = scheme_for(trimgrad_quant::SchemeId::SignMagnitude);
         let r = row(1000, 8);
-        let enc = scheme.encode(&r, 0);
+        let enc = trimgrad_quant::SchemeId::SignMagnitude.encode(&r, 0);
         let t = TrimTranscript::new();
         let depths = t.replay_depths(&enc, 0, 0, 0);
         assert!(depths.iter().all(|&d| d == 2));
@@ -322,8 +319,7 @@ mod tests {
             },
             1,
         );
-        let scheme = scheme_for(trimgrad_quant::SchemeId::SignMagnitude);
-        let enc = scheme.encode(&row(500, 9), 0);
+        let enc = trimgrad_quant::SchemeId::SignMagnitude.encode(&row(500, 9), 0);
         // Row 1 has no events → untrimmed.
         let depths = t.replay_depths(&enc, 0, 0, 1);
         assert!(depths.iter().all(|&d| d == 2));

@@ -531,12 +531,11 @@ mod tests {
     }
 
     fn grad(seq: u64) -> Packet {
-        use trimgrad_quant::scheme::TrimmableScheme;
-        use trimgrad_quant::signmag::SignMagnitude;
+        use trimgrad_quant::SchemeId;
         use trimgrad_wire::packet::NetAddrs;
         use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
         let row: Vec<f32> = (0..64).map(|i| i as f32 - 32.0).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let cfg = PacketizeConfig {
             mtu: 1500,
             net: NetAddrs::between_hosts(1, 2),

@@ -408,8 +408,7 @@ impl PacketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trimgrad_quant::scheme::TrimmableScheme;
-    use trimgrad_quant::signmag::SignMagnitude;
+    use trimgrad_quant::SchemeId;
     use trimgrad_wire::packet::NetAddrs;
     use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
 
@@ -433,7 +432,7 @@ mod tests {
 
     fn grad_frame() -> GradPacket {
         let row: Vec<f32> = (0..360).map(|i| i as f32 - 180.0).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let cfg = PacketizeConfig {
             mtu: 1500,
             net: NetAddrs::between_hosts(1, 2),

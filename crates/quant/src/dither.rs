@@ -24,106 +24,71 @@
 //! Like SQ, the head is not a bit of the IEEE representation, so the tail
 //! carries the full 32-bit float (1 bit/coordinate overhead when untrimmed).
 
+use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
-use crate::stats::std_dev;
+use crate::scheme::{DecodeError, PartialRow, SchemeId};
+use crate::stats::{std_dev, CLIP_SIGMAS};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
-/// Subtractive dithering with range `L = multiplier · σ` and shared-seed dither.
-#[derive(Debug, Clone, Copy)]
-pub struct SubtractiveDithering {
-    /// `L = multiplier · σ`; defaults to 2.5 like SQ.
-    pub multiplier: f32,
+/// The shared dither stream for a row under `seed`: `εᵢ ~ U(−L, L)`.
+///
+/// Both `encode` and `decode` must draw the dithers in coordinate order
+/// from the same generator, which this helper guarantees.
+fn dither_stream(seed: u64) -> Xoshiro256StarStar {
+    Xoshiro256StarStar::new(seed)
 }
 
-impl Default for SubtractiveDithering {
-    fn default() -> Self {
-        Self { multiplier: 2.5 }
+/// The parts and scale of a non-empty row: its dithered heads, its whole
+/// floats and `L`.
+pub(crate) fn encode(row: &[f32], seed: u64) -> (Vec<BitBuf>, f32) {
+    let l = CLIP_SIGMAS * std_dev(row);
+    let mut rng = dither_stream(seed);
+    // One dither draw per coordinate, in order, buffered up front: the
+    // generator's state update is a serial chain, so running it tight
+    // and letting the add/compare work pipeline over the buffer beats
+    // interleaving them. The draw sequence is identical to a
+    // draw-per-coordinate loop (and to decode) because the draws don't
+    // depend on the data.
+    // trimlint: allow(hot-path-alloc) -- one dither buffer per row, amortized
+    let mut dithers = Vec::with_capacity(row.len());
+    for _ in 0..row.len() {
+        dithers.push(rng.next_f32_range(-l, l));
     }
+    // Head bit 1 encodes the −L level.
+    let heads = kernels::pack_bits_zip(row, &dithers, |v, eps| v + eps < 0.0);
+    (vec![heads, kernels::pack_f32_tails(row)], l)
 }
 
-const PART_BITS: [u32; 2] = [1, 32];
-
-impl SubtractiveDithering {
-    /// The shared dither stream for a row under `seed`: `εᵢ ~ U(−L, L)`.
-    ///
-    /// Both `encode` and `decode` must draw the dithers in coordinate order
-    /// from the same generator, which this helper guarantees.
-    fn dither_stream(seed: u64) -> Xoshiro256StarStar {
-        Xoshiro256StarStar::new(seed)
-    }
-}
-
-impl TrimmableScheme for SubtractiveDithering {
-    fn id(&self) -> SchemeId {
-        SchemeId::SubtractiveDither
-    }
-
-    fn part_bits(&self) -> &'static [u32] {
-        &PART_BITS
-    }
-
-    fn encode(&self, row: &[f32], seed: u64) -> EncodedRow {
-        let l = self.multiplier * std_dev(row);
-        let mut rng = Self::dither_stream(seed);
-        // One dither draw per coordinate, in order, buffered up front: the
-        // generator's state update is a serial chain, so running it tight
-        // and letting the add/compare work pipeline over the buffer beats
-        // interleaving them. The draw sequence is identical to a
-        // draw-per-coordinate loop (and to decode) because the draws don't
-        // depend on the data.
-        // trimlint: allow(hot-path-alloc) -- one dither buffer per row, amortized
-        let mut dithers = Vec::with_capacity(row.len());
-        for _ in 0..row.len() {
-            dithers.push(rng.next_f32_range(-l, l));
-        }
-        // Head bit 1 encodes the −L level.
-        let heads = kernels::pack_bits_zip(row, &dithers, |v, eps| v + eps < 0.0);
-        let tails = kernels::pack_f32_tails(row);
-        EncodedRow {
-            scheme: self.id(),
-            n: row.len(),
-            parts: vec![heads, tails],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: l,
-            },
-        }
-    }
-
-    fn decode_into(
-        &self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        row.check_output(&PART_BITS, meta, meta.original_len == row.n, out)?;
-        let l = meta.scale;
-        // One dither per coordinate, in coordinate order, as the encoder drew
-        // them — but only heads-only coordinates use theirs, so the stream
-        // is advanced lazily, up to the end of the last run that needs it.
-        let mut rng = Self::dither_stream(seed);
-        let mut drawn = 0;
-        row.for_each_run(&PART_BITS, |run, depth| {
-            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-            let (start, end, dst) = (run.start, run.end, &mut out[run]);
-            match depth {
-                0 => dst.fill(0.0),
-                1 => {
-                    for _ in drawn..start {
-                        let _ = rng.next_f32_range(-l, l);
-                    }
-                    drawn = end;
-                    kernels::decode_signs_scaled(signs, start, l, dst);
-                    for q in dst {
-                        *q -= rng.next_f32_range(-l, l);
-                    }
+/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
+pub(crate) fn decode_into(
+    row: &PartialRow<'_>,
+    l: f32,
+    seed: u64,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    // One dither per coordinate, in coordinate order, as the encoder drew
+    // them — but only heads-only coordinates use theirs, so the stream
+    // is advanced lazily, up to the end of the last run that needs it.
+    let mut rng = dither_stream(seed);
+    let mut drawn = 0;
+    row.for_each_run(SchemeId::SubtractiveDither.part_bits(), |run, depth| {
+        let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+        let (start, end, dst) = (run.start, run.end, &mut out[run]);
+        match depth {
+            0 => dst.fill(0.0),
+            1 => {
+                for _ in drawn..start {
+                    let _ = rng.next_f32_range(-l, l);
                 }
-                _ => kernels::unpack_f32_tails(tails, start, dst),
+                drawn = end;
+                kernels::decode_signs_scaled(signs, start, l, dst);
+                for q in dst {
+                    *q -= rng.next_f32_range(-l, l);
+                }
             }
-        })
-    }
+            _ => kernels::unpack_f32_tails(tails, start, dst),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -133,7 +98,7 @@ mod tests {
 
     #[test]
     fn untrimmed_is_bit_exact() {
-        let s = SubtractiveDithering::default();
+        let s = SchemeId::SubtractiveDither;
         let r = vec![0.1f32, -2.25, 0.0, 4.0e-5, -0.0, 1.0e4];
         let enc = s.encode(&r, 11);
         let dec = s.decode(&enc.full_view(), &enc.meta, 11).unwrap();
@@ -144,7 +109,7 @@ mod tests {
 
     #[test]
     fn head_only_is_q_minus_eps() {
-        let s = SubtractiveDithering::default();
+        let s = SchemeId::SubtractiveDither;
         let r: Vec<f32> = (0..32).map(|i| ((i as f32) - 16.0) / 8.0).collect();
         let enc = s.encode(&r, 5);
         let l = enc.meta.scale;
@@ -162,7 +127,7 @@ mod tests {
 
     #[test]
     fn head_only_estimate_is_unbiased() {
-        let s = SubtractiveDithering::default();
+        let s = SchemeId::SubtractiveDither;
         let r = vec![0.9f32, -0.3, 0.0, 1.1, -0.8, 0.2, 0.6, -1.2];
         let trials = 4000u64;
         let mut acc = vec![0.0f64; r.len()];
@@ -189,8 +154,8 @@ mod tests {
     fn dither_variance_beats_sq_at_zero() {
         // At v = 0 SQ's head-only variance is L²; SD's is L²/3. Check the
         // empirical ratio.
-        let sd = SubtractiveDithering::default();
-        let sq = crate::stochastic::StochasticQuantization::default();
+        let sd = SchemeId::SubtractiveDither;
+        let sq = SchemeId::Stochastic;
         // A row whose σ is fixed by the other coordinates; probe coordinate 0 (= 0).
         let r = vec![0.0f32, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0];
         let trials = 3000u64;
@@ -217,7 +182,7 @@ mod tests {
     fn decode_consumes_dither_for_lost_coords() {
         // Losing coordinate 0 entirely must not desynchronize the dither for
         // coordinate 1.
-        let s = SubtractiveDithering::default();
+        let s = SchemeId::SubtractiveDither;
         let r = vec![0.4f32, -0.6, 0.9, -0.2];
         let enc = s.encode(&r, 21);
         let all_head = s.decode(&enc.trimmed_view(1), &enc.meta, 21).unwrap();
@@ -230,7 +195,7 @@ mod tests {
 
     #[test]
     fn constant_row_degenerates_gracefully() {
-        let s = SubtractiveDithering::default();
+        let s = SchemeId::SubtractiveDither;
         let r = vec![2.0f32; 8]; // σ = 0 → L = 0, ε = 0
         let enc = s.encode(&r, 1);
         let dec = s.decode(&enc.trimmed_view(1), &enc.meta, 1).unwrap();
@@ -241,7 +206,7 @@ mod tests {
 
     #[test]
     fn empty_row() {
-        let s = SubtractiveDithering::default();
+        let s = SchemeId::SubtractiveDither;
         let enc = s.encode(&[], 0);
         assert!(s.decode(&enc.full_view(), &enc.meta, 0).unwrap().is_empty());
     }
@@ -252,7 +217,7 @@ mod tests {
             r in proptest::collection::vec(-1.0e5f32..1.0e5, 0..100),
             seed in any::<u64>()
         ) {
-            let s = SubtractiveDithering::default();
+            let s = SchemeId::SubtractiveDither;
             let enc = s.encode(&r, seed);
             let dec = s.decode(&enc.full_view(), &enc.meta, seed).unwrap();
             for (d, v) in dec.iter().zip(&r) {
@@ -266,7 +231,7 @@ mod tests {
             seed in any::<u64>()
         ) {
             // |ṽ − v| ≤ 2L for in-range coordinates (q and ε both within ±L).
-            let s = SubtractiveDithering::default();
+            let s = SchemeId::SubtractiveDither;
             let enc = s.encode(&r, seed);
             let l = enc.meta.scale;
             let dec = s.decode(&enc.trimmed_view(1), &enc.meta, seed).unwrap();

@@ -12,28 +12,31 @@
 //!
 //! # Schemes
 //!
-//! | Scheme | Head | Head-only decode | Character |
+//! | [`SchemeId`] | Head | Head-only decode | Character |
 //! |---|---|---|---|
-//! | [`signmag::SignMagnitude`] | sign bit of the float | `±σ` | biased; diverges ≥ ~2% trimming (paper Fig 3) |
-//! | [`stochastic::StochasticQuantization`] | Bernoulli bit, `p₊ = (L+v)/2L`, `L = 2.5σ` | `±L` | unbiased (TernGrad-style) |
-//! | [`dither::SubtractiveDithering`] | `sign(v + ε)`, shared-randomness dither | `L·sign(v+ε) − ε` | unbiased, input-independent worst-case error |
-//! | [`rht1bit::RhtOneBit`] | sign of the RHT-rotated coordinate | `f·sign`, `f = ‖r‖₂²/‖r‖₁`, then inverse RHT | unbiased, error spread across the row (DRIVE-style) |
-//! | [`multilevel::MultiLevelRht`] | sign, then exponent (parts 1/8/23 bits) | per-level | §5.1 multi-level trimming |
+//! | `SignMagnitude` ([`signmag`]) | sign bit of the float | `±σ` | biased; diverges ≥ ~2% trimming (paper Fig 3) |
+//! | `Stochastic` ([`stochastic`]) | Bernoulli bit, `p₊ = (L+v)/2L`, `L = 2.5σ` | `±L` | unbiased (TernGrad-style) |
+//! | `SubtractiveDither` ([`dither`]) | `sign(v + ε)`, shared-randomness dither | `L·sign(v+ε) − ε` | unbiased, input-independent worst-case error |
+//! | `RhtOneBit` ([`rht1bit`]) | sign of the RHT-rotated coordinate | `f·sign`, `f = ‖r‖₂²/‖r‖₁`, then inverse RHT | unbiased, error spread across the row (DRIVE-style) |
+//! | `MultiLevelRht` ([`multilevel`]) | sign, then exponent (parts 1/8/23 bits) | per-level | §5.1 multi-level trimming |
 //!
 //! # Architecture
 //!
-//! Every scheme implements [`scheme::TrimmableScheme`]: `encode` produces an
-//! [`scheme::EncodedRow`] whose payload is a sequence of fixed-width
-//! bit-packed **parts** (part 0 is the head). The wire layer lays parts out
+//! The one-byte wire identifier [`SchemeId`] is the scheme. It owns the part
+//! widths ([`SchemeId::part_bits`]) and the padding rule
+//! ([`SchemeId::encoded_len`]), and [`SchemeId::encode`] produces an
+//! [`EncodedRow`] whose payload is a sequence of fixed-width bit-packed
+//! **parts** (part 0 is the head). The wire layer lays parts out
 //! front-to-back in each packet so that switch trimming truncates whole
-//! trailing parts. `decode` accepts a [`scheme::PartialRow`] describing,
-//! per coordinate, which prefix of parts survived.
+//! trailing parts. [`SchemeId::decode`] accepts a [`PartialRow`] describing,
+//! per coordinate, which prefix of parts survived. Each scheme's module
+//! holds only its kernels; the dispatch, the empty row, the row's geometry
+//! and the checks before decoding are written once, in [`scheme`].
 //!
 //! ```
-//! use trimgrad_quant::scheme::{TrimmableScheme, PartialRow, PartView};
-//! use trimgrad_quant::rht1bit::RhtOneBit;
+//! use trimgrad_quant::{PartView, PartialRow, SchemeId};
 //!
-//! let scheme = RhtOneBit::default();
+//! let scheme = SchemeId::RhtOneBit;
 //! let grad: Vec<f32> = (0..256).map(|i| ((i * 7 % 23) as f32 - 11.0) / 11.0).collect();
 //! let enc = scheme.encode(&grad, /*seed=*/ 42);
 //!
@@ -64,35 +67,4 @@ pub mod signmag;
 pub mod stats;
 pub mod stochastic;
 
-pub use scheme::{EncodedRow, PartView, PartialRow, RowMeta, SchemeId, TrimmableScheme};
-
-/// Constructs the scheme implementation for a [`SchemeId`] with default
-/// parameters (the ones used throughout the paper's evaluation).
-#[must_use]
-pub fn scheme_for(id: SchemeId) -> Box<dyn TrimmableScheme> {
-    match id {
-        SchemeId::SignMagnitude => Box::new(signmag::SignMagnitude),
-        SchemeId::Stochastic => Box::new(stochastic::StochasticQuantization::default()),
-        SchemeId::SubtractiveDither => Box::new(dither::SubtractiveDithering::default()),
-        SchemeId::RhtOneBit => Box::new(rht1bit::RhtOneBit),
-        SchemeId::MultiLevelRht => Box::new(multilevel::MultiLevelRht),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scheme_for_covers_all_ids() {
-        for id in SchemeId::ALL {
-            let s = scheme_for(id);
-            assert_eq!(s.id(), id);
-            // Every scheme's head is its first part.
-            assert!(!s.part_bits().is_empty());
-            assert!(s.part_bits().iter().all(|&b| b > 0));
-            // The static geometry table must agree with the implementation.
-            assert_eq!(s.part_bits(), id.part_bits());
-        }
-    }
-}
+pub use scheme::{EncodedRow, PartView, PartialRow, RowMeta, SchemeId};

@@ -22,78 +22,41 @@
 
 use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::rht1bit::{decode_rotated, pads_to};
-use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
+use crate::rht1bit::decode_rotated;
+use crate::scheme::{DecodeError, PartialRow, SchemeId};
 use crate::stats::drive_scale;
 use trimgrad_hadamard::rht::RandomizedHadamard;
-
-/// The three-part (1/8/23-bit) prefix-decodable RHT scheme.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MultiLevelRht;
-
-const PART_BITS: [u32; 3] = [1, 8, 23];
 
 /// Mantissa midpoint: the expected significand fraction, `0b100…0` (2²²).
 const MANTISSA_MIDPOINT: u32 = 1 << 22;
 
-impl TrimmableScheme for MultiLevelRht {
-    fn id(&self) -> SchemeId {
-        SchemeId::MultiLevelRht
-    }
+/// The parts and scale of a non-empty row: the sign, exponent and mantissa
+/// fields of its padded rotation, and the DRIVE scale `f`.
+pub(crate) fn encode(row: &[f32], seed: u64) -> (Vec<BitBuf>, f32) {
+    let rotated = RandomizedHadamard::new(seed).forward_padded(row);
+    let (signs, exps, mants) = kernels::encode_sign_exp_mant_parts(&rotated);
+    (vec![signs, exps, mants], drive_scale(&rotated))
+}
 
-    fn part_bits(&self) -> &'static [u32] {
-        &PART_BITS
-    }
-
-    fn encode(&self, row: &[f32], seed: u64) -> EncodedRow {
-        if row.is_empty() {
-            return EncodedRow {
-                scheme: self.id(),
-                n: 0,
-                parts: vec![BitBuf::new(), BitBuf::new(), BitBuf::new()],
-                meta: RowMeta {
-                    original_len: 0,
-                    scale: 0.0,
-                },
-            };
-        }
-        let rht = RandomizedHadamard::new(seed);
-        let rotated = rht.forward_padded(row);
-        let f = drive_scale(&rotated);
-        let n = rotated.len();
-        let (signs, exps, mants) = kernels::encode_sign_exp_mant_parts(&rotated);
-        EncodedRow {
-            scheme: self.id(),
-            n,
-            parts: vec![signs, exps, mants],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: f,
-            },
-        }
-    }
-
-    fn decode_into(
-        &self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        row.check_output(&PART_BITS, meta, pads_to(meta.original_len, row.n), out)?;
-        decode_rotated(row.n, seed, out, |rotated| {
-            row.for_each_run(&PART_BITS, |run, depth| {
-                let [signs, exps, mants] = [0, 1, 2].map(|k| row.parts[k].bytes());
-                let (start, dst) = (run.start, &mut rotated[run]);
-                match depth {
-                    0 => dst.fill(0.0),
-                    1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
-                    2 => kernels::decode_sign_exp(signs, exps, start, MANTISSA_MIDPOINT, dst),
-                    _ => kernels::decode_sign_exp_mant(signs, exps, mants, start, dst),
-                }
-            })
+/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
+pub(crate) fn decode_into(
+    row: &PartialRow<'_>,
+    scale: f32,
+    seed: u64,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    decode_rotated(row.n, seed, out, |rotated| {
+        row.for_each_run(SchemeId::MultiLevelRht.part_bits(), |run, depth| {
+            let [signs, exps, mants] = [0, 1, 2].map(|k| row.parts[k].bytes());
+            let (start, dst) = (run.start, &mut rotated[run]);
+            match depth {
+                0 => dst.fill(0.0),
+                1 => kernels::decode_signs_scaled(signs, start, scale, dst),
+                2 => kernels::decode_sign_exp(signs, exps, start, MANTISSA_MIDPOINT, dst),
+                _ => kernels::decode_sign_exp_mant(signs, exps, mants, start, dst),
+            }
         })
-    }
+    })
 }
 
 #[cfg(test)]
@@ -118,15 +81,15 @@ mod tests {
 
     #[test]
     fn geometry_is_1_8_23() {
-        let s = MultiLevelRht;
+        let s = SchemeId::MultiLevelRht;
         assert_eq!(s.part_bits(), &[1, 8, 23]);
-        assert_eq!(s.bits_per_coord(), 32);
-        assert_eq!(s.head_bits(), 1);
+        assert_eq!(s.part_bits().iter().sum::<u32>(), 32);
+        assert_eq!(s.part_bits()[0], 1);
     }
 
     #[test]
     fn untrimmed_roundtrip_within_rounding() {
-        let s = MultiLevelRht;
+        let s = SchemeId::MultiLevelRht;
         let r = gaussian_row(200, 1);
         let enc = s.encode(&r, 77);
         let dec = s.decode(&enc.full_view(), &enc.meta, 77).unwrap();
@@ -137,7 +100,7 @@ mod tests {
 
     #[test]
     fn error_strictly_improves_with_depth() {
-        let s = MultiLevelRht;
+        let s = SchemeId::MultiLevelRht;
         let r = gaussian_row(512, 2);
         let enc = s.encode(&r, 3);
         let e1 = l2_err(&s.decode(&enc.trimmed_view(1), &enc.meta, 3).unwrap(), &r);
@@ -155,12 +118,11 @@ mod tests {
     #[test]
     fn depth_one_matches_drive_decode() {
         // With only signs available this scheme must agree with RhtOneBit.
-        use crate::rht1bit::RhtOneBit;
         let r = gaussian_row(128, 4);
-        let ml = MultiLevelRht;
+        let ml = SchemeId::MultiLevelRht;
         let enc_ml = ml.encode(&r, 9);
         let dec_ml = ml.decode(&enc_ml.trimmed_view(1), &enc_ml.meta, 9).unwrap();
-        let ob = RhtOneBit;
+        let ob = SchemeId::RhtOneBit;
         let enc_ob = ob.encode(&r, 9);
         let dec_ob = ob.decode(&enc_ob.trimmed_view(1), &enc_ob.meta, 9).unwrap();
         for (a, b) in dec_ml.iter().zip(&dec_ob) {
@@ -170,7 +132,7 @@ mod tests {
 
     #[test]
     fn per_coordinate_mixed_depths() {
-        let s = MultiLevelRht;
+        let s = SchemeId::MultiLevelRht;
         let r = gaussian_row(64, 5);
         let enc = s.encode(&r, 6);
         let depths: Vec<usize> = (0..enc.n).map(|i| i % 4).collect(); // includes 0 = lost
@@ -185,7 +147,7 @@ mod tests {
     fn zero_exponent_decodes_to_zero_at_depth_two() {
         // A zero coordinate has exp = 0; the sign+exp decode must not invent
         // a subnormal midpoint.
-        let s = MultiLevelRht;
+        let s = SchemeId::MultiLevelRht;
         let r = vec![0.0f32; 8]; // rotated row is all zeros
         let enc = s.encode(&r, 1);
         let dec = s.decode(&enc.trimmed_view(2), &enc.meta, 1).unwrap();
@@ -196,7 +158,7 @@ mod tests {
 
     #[test]
     fn empty_row() {
-        let s = MultiLevelRht;
+        let s = SchemeId::MultiLevelRht;
         let enc = s.encode(&[], 0);
         assert!(s.decode(&enc.full_view(), &enc.meta, 0).unwrap().is_empty());
     }
@@ -205,7 +167,7 @@ mod tests {
     fn trim_budget_matches_paper_levels() {
         // Heads-only keeps 1/32 ≈ 3% of payload; sign+exp keeps 9/32 ≈ 28%,
         // near the paper's "25% or 3%" example.
-        let s = MultiLevelRht;
+        let s = SchemeId::MultiLevelRht;
         let total: u32 = s.part_bits().iter().sum();
         assert_eq!(total, 32);
         let head_frac = f64::from(s.part_bits()[0]) / f64::from(total);

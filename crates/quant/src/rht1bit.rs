@@ -15,85 +15,36 @@
 
 use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
+use crate::scheme::{DecodeError, PartialRow, SchemeId};
 use crate::stats::drive_scale;
-use trimgrad_hadamard::next_pow2;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 
-/// The DRIVE-style 1-bit RHT scheme. Stateless; rows are padded to the next
-/// power of two internally.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RhtOneBit;
-
-const PART_BITS: [u32; 2] = [1, 31];
-
-impl TrimmableScheme for RhtOneBit {
-    fn id(&self) -> SchemeId {
-        SchemeId::RhtOneBit
-    }
-
-    fn part_bits(&self) -> &'static [u32] {
-        &PART_BITS
-    }
-
-    fn encode(&self, row: &[f32], seed: u64) -> EncodedRow {
-        if row.is_empty() {
-            return EncodedRow {
-                scheme: self.id(),
-                n: 0,
-                parts: vec![BitBuf::new(), BitBuf::new()],
-                meta: RowMeta {
-                    original_len: 0,
-                    scale: 0.0,
-                },
-            };
-        }
-        let rht = RandomizedHadamard::new(seed);
-        let rotated = rht.forward_padded(row);
-        let f = drive_scale(&rotated);
-        let n = rotated.len();
-        let (heads, tails) = kernels::encode_sign31_parts(&rotated);
-        EncodedRow {
-            scheme: self.id(),
-            n,
-            parts: vec![heads, tails],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: f,
-            },
-        }
-    }
-
-    fn decode_into(
-        &self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        row.check_output(&PART_BITS, meta, pads_to(meta.original_len, row.n), out)?;
-        decode_rotated(row.n, seed, out, |rotated| {
-            row.for_each_run(&PART_BITS, |run, depth| {
-                let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-                let (start, dst) = (run.start, &mut rotated[run]);
-                match depth {
-                    0 => dst.fill(0.0),
-                    1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
-                    _ => kernels::decode_sign31(signs, tails, start, dst),
-                }
-            })
-        })
-    }
+/// The parts and scale of a non-empty row: the sign bits and low 31 bits
+/// of its padded rotation, and the DRIVE scale `f`.
+pub(crate) fn encode(row: &[f32], seed: u64) -> (Vec<BitBuf>, f32) {
+    let rotated = RandomizedHadamard::new(seed).forward_padded(row);
+    let (heads, tails) = kernels::encode_sign31_parts(&rotated);
+    (vec![heads, tails], drive_scale(&rotated))
 }
 
-/// Whether `original_len` pads to exactly the encoded length `n` of an RHT
-/// row (an empty row only ever encodes an empty one).
-pub(crate) fn pads_to(original_len: usize, n: usize) -> bool {
-    if n == 0 {
-        original_len == 0
-    } else {
-        original_len != 0 && next_pow2(original_len) == n
-    }
+/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
+pub(crate) fn decode_into(
+    row: &PartialRow<'_>,
+    scale: f32,
+    seed: u64,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    decode_rotated(row.n, seed, out, |rotated| {
+        row.for_each_run(SchemeId::RhtOneBit.part_bits(), |run, depth| {
+            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+            let (start, dst) = (run.start, &mut rotated[run]);
+            match depth {
+                0 => dst.fill(0.0),
+                1 => kernels::decode_signs_scaled(signs, start, scale, dst),
+                _ => kernels::decode_sign31(signs, tails, start, dst),
+            }
+        })
+    })
 }
 
 /// Decodes an RHT row of encoded length `n` into `out`: `fill` writes the
@@ -124,6 +75,7 @@ pub(crate) fn decode_rotated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::RowMeta;
     use proptest::prelude::*;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
@@ -137,7 +89,7 @@ mod tests {
 
     #[test]
     fn untrimmed_roundtrip_within_rounding() {
-        let s = RhtOneBit;
+        let s = SchemeId::RhtOneBit;
         let r = gaussian_row(300, 1); // non-power-of-two: exercises padding
         let enc = s.encode(&r, 42);
         assert_eq!(enc.n, 512);
@@ -150,8 +102,8 @@ mod tests {
 
     #[test]
     fn zero_space_overhead() {
-        let s = RhtOneBit;
-        assert_eq!(s.bits_per_coord(), 32);
+        let s = SchemeId::RhtOneBit;
+        assert_eq!(s.part_bits().iter().sum::<u32>(), 32);
         let enc = s.encode(&gaussian_row(256, 2), 0);
         assert_eq!(enc.total_bits(), 256 * 32);
     }
@@ -161,7 +113,7 @@ mod tests {
         // With every tail trimmed, the relative l2 error of the DRIVE decode
         // concentrates around sqrt(1 - 2/π) ≈ 0.6 for Gaussian rows — in
         // particular it must stay well below 1 (the error of decoding zeros).
-        let s = RhtOneBit;
+        let s = SchemeId::RhtOneBit;
         let r = gaussian_row(1024, 3);
         let enc = s.encode(&r, 7);
         let dec = s.decode(&enc.trimmed_view(1), &enc.meta, 7).unwrap();
@@ -181,14 +133,12 @@ mod tests {
     #[test]
     fn heads_only_beats_signmag_in_l2() {
         // The whole point of the rotation (paper Fig 3 at 50% trim).
-        use crate::scheme::TrimmableScheme as _;
-        use crate::signmag::SignMagnitude;
         // A spiky row is the adversarial case for per-coordinate ±σ decoding.
         let mut r = vec![0.01f32; 1024];
         r[5] = 10.0;
         r[600] = -7.0;
         let rht_err = {
-            let s = RhtOneBit;
+            let s = SchemeId::RhtOneBit;
             let enc = s.encode(&r, 9);
             let dec = s.decode(&enc.trimmed_view(1), &enc.meta, 9).unwrap();
             dec.iter()
@@ -197,7 +147,7 @@ mod tests {
                 .sum::<f64>()
         };
         let sm_err = {
-            let s = SignMagnitude;
+            let s = SchemeId::SignMagnitude;
             let enc = s.encode(&r, 9);
             let dec = s.decode(&enc.trimmed_view(1), &enc.meta, 9).unwrap();
             dec.iter()
@@ -213,7 +163,7 @@ mod tests {
 
     #[test]
     fn mixed_trimming_interpolates() {
-        let s = RhtOneBit;
+        let s = SchemeId::RhtOneBit;
         let r = gaussian_row(256, 4);
         let enc = s.encode(&r, 5);
         // Half the coordinates keep their tails.
@@ -235,7 +185,7 @@ mod tests {
 
     #[test]
     fn wrong_seed_fails_to_reconstruct() {
-        let s = RhtOneBit;
+        let s = SchemeId::RhtOneBit;
         let r = gaussian_row(128, 6);
         let enc = s.encode(&r, 100);
         let dec = s.decode(&enc.full_view(), &enc.meta, 101).unwrap();
@@ -249,7 +199,7 @@ mod tests {
 
     #[test]
     fn empty_row() {
-        let s = RhtOneBit;
+        let s = SchemeId::RhtOneBit;
         let enc = s.encode(&[], 0);
         assert_eq!(enc.n, 0);
         assert!(s.decode(&enc.full_view(), &enc.meta, 0).unwrap().is_empty());
@@ -257,7 +207,7 @@ mod tests {
 
     #[test]
     fn rejects_inconsistent_original_len() {
-        let s = RhtOneBit;
+        let s = SchemeId::RhtOneBit;
         let enc = s.encode(&gaussian_row(100, 7), 1);
         assert_eq!(enc.n, 128);
         let bad = RowMeta {
@@ -274,7 +224,7 @@ mod tests {
     fn head_only_is_unbiased_over_seeds() {
         // Averaging head-only decodes across independent rotation seeds must
         // converge to the original row (DRIVE's unbiasedness).
-        let s = RhtOneBit;
+        let s = SchemeId::RhtOneBit;
         let r = gaussian_row(64, 8);
         let trials = 2000u64;
         let mut acc = vec![0.0f64; r.len()];
@@ -301,7 +251,7 @@ mod tests {
             r in proptest::collection::vec(-100.0f32..100.0, 1..200),
             seed in any::<u64>()
         ) {
-            let s = RhtOneBit;
+            let s = SchemeId::RhtOneBit;
             let enc = s.encode(&r, seed);
             prop_assert!(enc.n.is_power_of_two());
             let dec = s.decode(&enc.full_view(), &enc.meta, seed).unwrap();
@@ -316,7 +266,7 @@ mod tests {
             r in proptest::collection::vec(-100.0f32..100.0, 1..200),
             seed in any::<u64>()
         ) {
-            let s = RhtOneBit;
+            let s = SchemeId::RhtOneBit;
             let enc = s.encode(&r, seed);
             let dec = s.decode(&enc.trimmed_view(1), &enc.meta, seed).unwrap();
             prop_assert_eq!(dec.len(), r.len());

@@ -1,11 +1,17 @@
-//! The `TrimmableScheme` abstraction: multi-part encodings whose prefixes
-//! decode.
+//! [`SchemeId`], the trimmable encoding of a row: multi-part encodings whose
+//! prefixes decode.
 //!
 //! The paper (§3) frames trimmable quantization as "efficiently encoding the
 //! gradient into two or more parts of predetermined length, such that a
 //! decoder can decode using any number of parts forming a prefix of the
 //! encoding". This module fixes that contract in types:
 //!
+//! * [`SchemeId`] — the one-byte wire identifier *is* the scheme: it owns the
+//!   part widths ([`SchemeId::part_bits`]) and the padding rule
+//!   ([`SchemeId::encoded_len`]) that sender, switch, reassembler and decoder
+//!   share, and [`SchemeId::encode`] / [`SchemeId::decode_into`] dispatch to
+//!   the per-scheme kernels of [`crate::signmag`], [`crate::stochastic`],
+//!   [`crate::dither`], [`crate::rht1bit`] and [`crate::multilevel`].
 //! * [`EncodedRow`] — the sender-side result: `k` bit-packed **parts**, each
 //!   holding one fixed-width field per coordinate, plus small [`RowMeta`]
 //!   shipped reliably (never trimmed).
@@ -13,8 +19,6 @@
 //!   buffer, a masked buffer (some packets of the row trimmed, others not),
 //!   or nothing. Availability must be *prefix-closed* per coordinate: a
 //!   coordinate cannot have part `k` without parts `0..k`.
-//! * [`TrimmableScheme`] — encode/decode plus the part geometry that the wire
-//!   layer uses to lay heads before tails in each packet.
 //!
 //! Decoders do not ask "what is coordinate `i`'s depth?" `n` times. Trimming
 //! happens per packet, so availability is constant over long stretches of a
@@ -24,6 +28,7 @@
 //! [`crate::kernels`] per run.
 
 use crate::bitpack::{BitBuf, BitMask};
+use crate::{dither, multilevel, rht1bit, signmag, stochastic};
 use core::ops::Range;
 
 /// Identifies a trimmable encoding on the wire (1 byte in the TrimGrad header).
@@ -64,10 +69,10 @@ impl SchemeId {
         self as u8
     }
 
-    /// The part geometry of this scheme (static; equals
-    /// [`TrimmableScheme::part_bits`] of the corresponding implementation).
-    /// Lets wire-format code compute payload layouts without instantiating
-    /// the scheme.
+    /// Field width of each part, head first. The sum for the sign-based
+    /// schemes is 32 (a repartition of the IEEE-754 float costing no extra
+    /// space); SQ/SD pay one extra bit (head 1 + tail 32) because their
+    /// stochastic head is not a bit of the original representation.
     #[must_use]
     pub fn part_bits(self) -> &'static [u32] {
         match self {
@@ -75,6 +80,103 @@ impl SchemeId {
             SchemeId::Stochastic | SchemeId::SubtractiveDither => &[1, 32],
             SchemeId::MultiLevelRht => &[1, 8, 23],
         }
+    }
+
+    /// The encoded (padded) length of a row of `original_len` coordinates:
+    /// the RHT schemes pad to the next power of two, the scalar schemes do
+    /// not, and an empty row encodes an empty one.
+    #[must_use]
+    pub fn encoded_len(self, original_len: usize) -> usize {
+        match self {
+            SchemeId::RhtOneBit | SchemeId::MultiLevelRht if original_len > 0 => {
+                original_len.next_power_of_two()
+            }
+            _ => original_len,
+        }
+    }
+
+    /// Encodes one gradient row with the shared `seed`.
+    ///
+    /// Every scheme upholds:
+    ///
+    /// * **Exactness** — decoding [`EncodedRow::full_view`] reproduces the
+    ///   row bit-exactly (schemes whose parts partition the IEEE-754
+    ///   representation) or within floating-point rounding (RHT schemes,
+    ///   which round-trip through the rotation).
+    /// * **Graceful degradation** — decoding succeeds for *any* prefix-closed
+    ///   availability, including heads-only and fully-lost coordinates.
+    /// * **Determinism** — `encode(row, seed)` and the matching decode depend
+    ///   only on their arguments (shared randomness comes from `seed`).
+    #[must_use]
+    pub fn encode(self, row: &[f32], seed: u64) -> EncodedRow {
+        let (parts, scale) = match self {
+            _ if row.is_empty() => (
+                self.part_bits().iter().map(|_| BitBuf::new()).collect(),
+                0.0,
+            ),
+            SchemeId::SignMagnitude => signmag::encode(row),
+            SchemeId::Stochastic => stochastic::encode(row, seed),
+            SchemeId::SubtractiveDither => dither::encode(row, seed),
+            SchemeId::RhtOneBit => rht1bit::encode(row, seed),
+            SchemeId::MultiLevelRht => multilevel::encode(row, seed),
+        };
+        EncodedRow {
+            scheme: self,
+            n: self.encoded_len(row.len()),
+            parts,
+            meta: RowMeta {
+                original_len: row.len(),
+                scale,
+            },
+        }
+    }
+
+    /// Decodes a (possibly trimmed) row into `out`, which must hold exactly
+    /// `meta.original_len` coordinates; every one of them is written.
+    /// Coordinates whose head was lost entirely decode to `0.0` (the neutral
+    /// element of gradient averaging). The row is decoded where it will
+    /// live: no row-sized temporary, except for an RHT row that was padded.
+    ///
+    /// # Errors
+    ///
+    /// Structural errors only ([`DecodeError`]); trimming is not an error.
+    /// After an error `out` holds unspecified values.
+    pub fn decode_into(
+        self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        let consistent = self.encoded_len(meta.original_len) == row.n;
+        row.check_output(self.part_bits(), meta, consistent, out)?;
+        let scale = meta.scale;
+        match self {
+            SchemeId::SignMagnitude => signmag::decode_into(row, scale, out),
+            SchemeId::Stochastic => stochastic::decode_into(row, scale, out),
+            SchemeId::SubtractiveDither => dither::decode_into(row, scale, seed, out),
+            SchemeId::RhtOneBit => rht1bit::decode_into(row, scale, seed, out),
+            SchemeId::MultiLevelRht => multilevel::decode_into(row, scale, seed, out),
+        }
+    }
+
+    /// [`decode_into`](Self::decode_into) a freshly allocated vector of
+    /// `meta.original_len` coordinates.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_into`](Self::decode_into).
+    pub fn decode(
+        self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+    ) -> Result<Vec<f32>, DecodeError> {
+        // `original_len` may come off the wire: never allocate more than the
+        // view could fill (`decode_into` then refuses the mismatch).
+        let mut out = vec![0.0; meta.original_len.min(row.n)];
+        self.decode_into(row, meta, seed, &mut out)?;
+        Ok(out)
     }
 
     /// Short lower-case name used in benchmark output and examples.
@@ -329,7 +431,7 @@ impl PartialRow<'_> {
         self.for_each_run(part_bits, |_, _| {})
     }
 
-    /// What every `decode_into` settles before it writes: `meta` is
+    /// What [`SchemeId::decode_into`] settles before it decodes: `meta` is
     /// `consistent` with the encoded length and `out` holds exactly
     /// `meta.original_len` coordinates. When either fails, a structural error
     /// of the view itself is still reported first, as the run scan would.
@@ -556,79 +658,6 @@ impl core::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// A trimmable gradient encoding.
-///
-/// Implementations must uphold:
-///
-/// * **Exactness** — decoding a [`EncodedRow::full_view`] reproduces the
-///   input row bit-exactly (for schemes whose parts partition the IEEE-754
-///   representation) or within floating-point rounding (RHT schemes, which
-///   round-trip through the rotation).
-/// * **Graceful degradation** — decoding succeeds for *any* prefix-closed
-///   availability, including heads-only and fully-lost coordinates.
-/// * **Determinism** — `encode(row, seed)` and the matching `decode` depend
-///   only on their arguments (shared randomness comes from `seed`).
-pub trait TrimmableScheme: Send + Sync {
-    /// The wire identifier of this scheme.
-    fn id(&self) -> SchemeId;
-
-    /// Field width of each part, head first. The sum for the sign-based
-    /// schemes is 32 (a repartition of the IEEE-754 float costing no extra
-    /// space); SQ/SD pay one extra bit (head 1 + tail 32) because their
-    /// stochastic head is not a bit of the original representation.
-    fn part_bits(&self) -> &'static [u32];
-
-    /// Encodes one gradient row with the shared `seed`.
-    fn encode(&self, row: &[f32], seed: u64) -> EncodedRow;
-
-    /// Decodes a (possibly trimmed) row into `out`, which must hold exactly
-    /// `meta.original_len` coordinates; every one of them is written.
-    /// Coordinates whose head was lost entirely decode to `0.0` (the neutral
-    /// element of gradient averaging). The row is decoded where it will
-    /// live: no row-sized temporary, except for an RHT row that was padded.
-    ///
-    /// # Errors
-    ///
-    /// Structural errors only ([`DecodeError`]); trimming is not an error.
-    /// After an error `out` holds unspecified values.
-    fn decode_into(
-        &self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError>;
-
-    /// [`decode_into`](Self::decode_into) a freshly allocated vector of
-    /// `meta.original_len` coordinates.
-    ///
-    /// # Errors
-    ///
-    /// As [`decode_into`](Self::decode_into).
-    fn decode(
-        &self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        seed: u64,
-    ) -> Result<Vec<f32>, DecodeError> {
-        // `original_len` may come off the wire: never allocate more than the
-        // view could fill (`decode_into` then refuses the mismatch).
-        let mut out = vec![0.0; meta.original_len.min(row.n)];
-        self.decode_into(row, meta, seed, &mut out)?;
-        Ok(out)
-    }
-
-    /// Head width in bits (`part_bits()[0]`).
-    fn head_bits(&self) -> u32 {
-        self.part_bits()[0]
-    }
-
-    /// Total encoded bits per coordinate.
-    fn bits_per_coord(&self) -> u32 {
-        self.part_bits().iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,6 +669,31 @@ mod tests {
         }
         assert_eq!(SchemeId::from_u8(5), None);
         assert_eq!(SchemeId::from_u8(255), None);
+    }
+
+    #[test]
+    fn every_scheme_has_a_head_and_positive_widths() {
+        for id in SchemeId::ALL {
+            assert!(!id.part_bits().is_empty(), "{id}: no head part");
+            assert!(id.part_bits().iter().all(|&b| b > 0), "{id}: empty part");
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_the_padding_rule_encode_follows() {
+        const LENS: [usize; 7] = [0, 1, 63, 64, 65, 4095, 32768];
+        const PADDED: [usize; 7] = [0, 1, 64, 64, 128, 4096, 32768];
+        for id in SchemeId::ALL {
+            let pads = matches!(id, SchemeId::RhtOneBit | SchemeId::MultiLevelRht);
+            for (len, padded) in LENS.into_iter().zip(PADDED) {
+                let want = if pads { padded } else { len };
+                assert_eq!(id.encoded_len(len), want, "{id} len {len}");
+                let row: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+                let enc = id.encode(&row, 5);
+                assert_eq!(enc.n, want, "{id} len {len}");
+                assert_eq!(enc.meta.original_len, len);
+            }
+        }
     }
 
     #[test]

@@ -11,62 +11,39 @@
 //! training with it diverges once ≳2% of packets are trimmed (paper Fig 3) —
 //! the scheme is included as the paper's cautionary baseline.
 
+use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
+use crate::scheme::{DecodeError, PartialRow, SchemeId};
 use crate::stats::std_dev;
 
-/// The sign-magnitude trimmable scheme. Stateless; `Default` is the paper's
-/// configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SignMagnitude;
+/// The parts and scale of a non-empty row: its sign bits, its low 31 bits
+/// and `σ`.
+pub(crate) fn encode(row: &[f32]) -> (Vec<BitBuf>, f32) {
+    let (heads, tails) = kernels::encode_sign31_parts(row);
+    (vec![heads, tails], std_dev(row))
+}
 
-const PART_BITS: [u32; 2] = [1, 31];
-
-impl TrimmableScheme for SignMagnitude {
-    fn id(&self) -> SchemeId {
-        SchemeId::SignMagnitude
-    }
-
-    fn part_bits(&self) -> &'static [u32] {
-        &PART_BITS
-    }
-
-    fn encode(&self, row: &[f32], _seed: u64) -> EncodedRow {
-        let (heads, tails) = kernels::encode_sign31_parts(row);
-        EncodedRow {
-            scheme: self.id(),
-            n: row.len(),
-            parts: vec![heads, tails],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: std_dev(row),
-            },
+/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
+pub(crate) fn decode_into(
+    row: &PartialRow<'_>,
+    scale: f32,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    row.for_each_run(SchemeId::SignMagnitude.part_bits(), |run, depth| {
+        let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+        let (start, dst) = (run.start, &mut out[run]);
+        match depth {
+            0 => dst.fill(0.0),
+            1 => kernels::decode_signs_scaled(signs, start, scale, dst),
+            _ => kernels::decode_sign31(signs, tails, start, dst),
         }
-    }
-
-    fn decode_into(
-        &self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        _seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        row.check_output(&PART_BITS, meta, meta.original_len == row.n, out)?;
-        row.for_each_run(&PART_BITS, |run, depth| {
-            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-            let (start, dst) = (run.start, &mut out[run]);
-            match depth {
-                0 => dst.fill(0.0),
-                1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
-                _ => kernels::decode_sign31(signs, tails, start, dst),
-            }
-        })
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::RowMeta;
     use proptest::prelude::*;
 
     fn row() -> Vec<f32> {
@@ -75,7 +52,7 @@ mod tests {
 
     #[test]
     fn untrimmed_is_bit_exact() {
-        let s = SignMagnitude;
+        let s = SchemeId::SignMagnitude;
         let r = row();
         let enc = s.encode(&r, 0);
         let dec = s.decode(&enc.full_view(), &enc.meta, 0).unwrap();
@@ -86,15 +63,15 @@ mod tests {
 
     #[test]
     fn zero_space_overhead() {
-        let s = SignMagnitude;
+        let s = SchemeId::SignMagnitude;
         let enc = s.encode(&row(), 0);
         assert_eq!(enc.total_bits(), row().len() * 32);
-        assert_eq!(s.bits_per_coord(), 32);
+        assert_eq!(s.part_bits().iter().sum::<u32>(), 32);
     }
 
     #[test]
     fn heads_only_decodes_signed_sigma() {
-        let s = SignMagnitude;
+        let s = SchemeId::SignMagnitude;
         let r = row();
         let enc = s.encode(&r, 0);
         let sigma = enc.meta.scale;
@@ -108,7 +85,7 @@ mod tests {
 
     #[test]
     fn lost_head_decodes_zero() {
-        let s = SignMagnitude;
+        let s = SchemeId::SignMagnitude;
         let r = row();
         let enc = s.encode(&r, 0);
         let dec = s
@@ -126,7 +103,7 @@ mod tests {
 
     #[test]
     fn empty_row() {
-        let s = SignMagnitude;
+        let s = SchemeId::SignMagnitude;
         let enc = s.encode(&[], 0);
         assert_eq!(enc.n, 0);
         let dec = s.decode(&enc.full_view(), &enc.meta, 0).unwrap();
@@ -135,7 +112,7 @@ mod tests {
 
     #[test]
     fn bad_original_len_rejected() {
-        let s = SignMagnitude;
+        let s = SchemeId::SignMagnitude;
         let enc = s.encode(&row(), 0);
         let bad = RowMeta {
             original_len: 3,
@@ -150,7 +127,7 @@ mod tests {
     #[test]
     fn head_only_bias_is_real() {
         // Document the known flaw: ±σ decode is biased for |v| far from σ.
-        let s = SignMagnitude;
+        let s = SchemeId::SignMagnitude;
         let r = vec![10.0f32, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1];
         let enc = s.encode(&r, 0);
         let dec = s.decode(&enc.trimmed_view(1), &enc.meta, 0).unwrap();
@@ -164,7 +141,7 @@ mod tests {
             r in proptest::collection::vec(-1.0e6f32..1.0e6, 0..128),
             seed in any::<u64>()
         ) {
-            let s = SignMagnitude;
+            let s = SchemeId::SignMagnitude;
             let enc = s.encode(&r, seed);
             let dec = s.decode(&enc.full_view(), &enc.meta, seed).unwrap();
             prop_assert_eq!(dec.len(), r.len());
@@ -177,7 +154,7 @@ mod tests {
         fn heads_only_magnitude_is_sigma(
             r in proptest::collection::vec(-100.0f32..100.0, 1..64)
         ) {
-            let s = SignMagnitude;
+            let s = SchemeId::SignMagnitude;
             let enc = s.encode(&r, 0);
             let dec = s.decode(&enc.trimmed_view(1), &enc.meta, 0).unwrap();
             for d in dec {

@@ -7,6 +7,9 @@
 //! reliable metadata packets. All accumulation is in `f64` so that rows of
 //! 2¹⁵ single-precision coordinates do not lose precision.
 
+/// TernGrad's clip: SQ and SD quantize to `±L` with `L = CLIP_SIGMAS · σ`.
+pub const CLIP_SIGMAS: f32 = 2.5;
+
 /// Number of independent accumulators in [`lane_sum`].
 const SUM_LANES: usize = 8;
 

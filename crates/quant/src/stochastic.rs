@@ -13,95 +13,62 @@
 //! (33 vs 32). The randomness is drawn from the shared seed so encoding is
 //! reproducible (§5.4), but decoding needs no randomness at all.
 
+use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
-use crate::stats::{clip, std_dev};
+use crate::scheme::{DecodeError, PartialRow, SchemeId};
+use crate::stats::{clip, std_dev, CLIP_SIGMAS};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
-/// Stochastic quantization with clipping range `L = multiplier · σ`.
-#[derive(Debug, Clone, Copy)]
-pub struct StochasticQuantization {
-    /// `L = multiplier · σ`; the paper (and TernGrad) use 2.5.
-    pub multiplier: f32,
+/// The parts and scale of a non-empty row: its stochastic heads, its whole
+/// floats and `L`.
+pub(crate) fn encode(row: &[f32], seed: u64) -> (Vec<BitBuf>, f32) {
+    let l = CLIP_SIGMAS * std_dev(row);
+    let mut rng = Xoshiro256StarStar::new(seed);
+    // One PRNG draw per coordinate, in order, buffered up front: the
+    // generator's state update is a serial dependency chain, so running
+    // it tight and letting the clip/divide/compare work pipeline over
+    // the buffer is much faster than interleaving them. The draw
+    // sequence (and thus the head stream) is identical to a
+    // draw-per-coordinate loop because the draws don't depend on the
+    // data.
+    // trimlint: allow(hot-path-alloc) -- one draw buffer per row, amortized
+    let mut draws = Vec::with_capacity(row.len());
+    for _ in 0..row.len() {
+        draws.push(rng.next_f32());
+    }
+    let heads = kernels::pack_bits_zip(row, &draws, |v, draw| {
+        // p₊ = (L + clip(v)) / 2L; a zero range (constant row) degenerates
+        // to a fair coin, which decodes to ±0 = 0 anyway.
+        let p_plus = if l > 0.0 {
+            (l + clip(v, l)) / (2.0 * l)
+        } else {
+            0.5
+        };
+        // Head bit 1 encodes −L (mirroring the IEEE "1 = negative" convention).
+        // Written as a negation so a NaN probability (a NaN coordinate)
+        // yields 1, which `draw >= p_plus` would not.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let head = !(draw < p_plus);
+        head
+    });
+    (vec![heads, kernels::pack_f32_tails(row)], l)
 }
 
-impl Default for StochasticQuantization {
-    fn default() -> Self {
-        Self { multiplier: 2.5 }
-    }
-}
-
-const PART_BITS: [u32; 2] = [1, 32];
-
-impl TrimmableScheme for StochasticQuantization {
-    fn id(&self) -> SchemeId {
-        SchemeId::Stochastic
-    }
-
-    fn part_bits(&self) -> &'static [u32] {
-        &PART_BITS
-    }
-
-    fn encode(&self, row: &[f32], seed: u64) -> EncodedRow {
-        let l = self.multiplier * std_dev(row);
-        let mut rng = Xoshiro256StarStar::new(seed);
-        // One PRNG draw per coordinate, in order, buffered up front: the
-        // generator's state update is a serial dependency chain, so running
-        // it tight and letting the clip/divide/compare work pipeline over
-        // the buffer is much faster than interleaving them. The draw
-        // sequence (and thus the head stream) is identical to a
-        // draw-per-coordinate loop because the draws don't depend on the
-        // data.
-        // trimlint: allow(hot-path-alloc) -- one draw buffer per row, amortized
-        let mut draws = Vec::with_capacity(row.len());
-        for _ in 0..row.len() {
-            draws.push(rng.next_f32());
+/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
+pub(crate) fn decode_into(
+    row: &PartialRow<'_>,
+    scale: f32,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    row.for_each_run(SchemeId::Stochastic.part_bits(), |run, depth| {
+        let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
+        let (start, dst) = (run.start, &mut out[run]);
+        match depth {
+            0 => dst.fill(0.0),
+            1 => kernels::decode_signs_scaled(signs, start, scale, dst),
+            _ => kernels::unpack_f32_tails(tails, start, dst),
         }
-        let heads = kernels::pack_bits_zip(row, &draws, |v, draw| {
-            // p₊ = (L + clip(v)) / 2L; a zero range (constant row) degenerates
-            // to a fair coin, which decodes to ±0 = 0 anyway.
-            let p_plus = if l > 0.0 {
-                (l + clip(v, l)) / (2.0 * l)
-            } else {
-                0.5
-            };
-            // Head bit 1 encodes −L (mirroring the IEEE "1 = negative" convention).
-            // Written as a negation so a NaN probability (a NaN coordinate)
-            // yields 1, which `draw >= p_plus` would not.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let head = !(draw < p_plus);
-            head
-        });
-        let tails = kernels::pack_f32_tails(row);
-        EncodedRow {
-            scheme: self.id(),
-            n: row.len(),
-            parts: vec![heads, tails],
-            meta: RowMeta {
-                original_len: row.len(),
-                scale: l,
-            },
-        }
-    }
-
-    fn decode_into(
-        &self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        _seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        row.check_output(&PART_BITS, meta, meta.original_len == row.n, out)?;
-        row.for_each_run(&PART_BITS, |run, depth| {
-            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-            let (start, dst) = (run.start, &mut out[run]);
-            match depth {
-                0 => dst.fill(0.0),
-                1 => kernels::decode_signs_scaled(signs, start, meta.scale, dst),
-                _ => kernels::unpack_f32_tails(tails, start, dst),
-            }
-        })
-    }
+    })
 }
 
 #[cfg(test)]
@@ -111,7 +78,7 @@ mod tests {
 
     #[test]
     fn untrimmed_is_bit_exact() {
-        let s = StochasticQuantization::default();
+        let s = SchemeId::Stochastic;
         let r = vec![0.25, -3.5, 1.0e-4, 0.0, -0.0, 99.0];
         let enc = s.encode(&r, 7);
         let dec = s.decode(&enc.full_view(), &enc.meta, 7).unwrap();
@@ -122,15 +89,15 @@ mod tests {
 
     #[test]
     fn one_bit_overhead() {
-        let s = StochasticQuantization::default();
-        assert_eq!(s.bits_per_coord(), 33);
+        let s = SchemeId::Stochastic;
+        assert_eq!(s.part_bits().iter().sum::<u32>(), 33);
         let enc = s.encode(&[1.0, 2.0, 3.0], 0);
         assert_eq!(enc.total_bits(), 3 * 33);
     }
 
     #[test]
     fn scale_is_2_5_sigma() {
-        let s = StochasticQuantization::default();
+        let s = SchemeId::Stochastic;
         let r = vec![1.0f32, -1.0, 1.0, -1.0];
         let enc = s.encode(&r, 0);
         assert!((enc.meta.scale - 2.5).abs() < 1e-6); // σ = 1
@@ -138,7 +105,7 @@ mod tests {
 
     #[test]
     fn heads_only_values_are_plus_minus_l() {
-        let s = StochasticQuantization::default();
+        let s = SchemeId::Stochastic;
         let r: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) / 10.0).collect();
         let enc = s.encode(&r, 3);
         let l = enc.meta.scale;
@@ -150,7 +117,7 @@ mod tests {
 
     #[test]
     fn encoding_is_deterministic_per_seed() {
-        let s = StochasticQuantization::default();
+        let s = SchemeId::Stochastic;
         let r: Vec<f32> = (0..128).map(|i| ((i * 13) % 31) as f32 - 15.0).collect();
         let a = s.encode(&r, 42);
         let b = s.encode(&r, 42);
@@ -163,7 +130,7 @@ mod tests {
     fn head_only_estimate_is_unbiased() {
         // Average many independent stochastic encodings of the same row; the
         // head-only decode must converge on the clipped coordinates.
-        let s = StochasticQuantization::default();
+        let s = SchemeId::Stochastic;
         let r = vec![0.8f32, -0.4, 0.0, 1.2, -1.0, 0.3, -0.7, 0.5];
         let trials = 4000;
         let mut acc = vec![0.0f64; r.len()];
@@ -174,7 +141,7 @@ mod tests {
                 *a += f64::from(*d);
             }
         }
-        let l = s.multiplier * crate::stats::std_dev(&r);
+        let l = CLIP_SIGMAS * crate::stats::std_dev(&r);
         for (a, &v) in acc.iter().zip(&r) {
             let mean = a / (trials as f64);
             // Standard error of the mean is L/sqrt(trials) ≈ 0.03.
@@ -187,7 +154,7 @@ mod tests {
 
     #[test]
     fn constant_row_degenerates_gracefully() {
-        let s = StochasticQuantization::default();
+        let s = SchemeId::Stochastic;
         let r = vec![5.0f32; 16]; // σ = 0 → L = 0
         let enc = s.encode(&r, 1);
         assert_eq!(enc.meta.scale, 0.0);
@@ -202,7 +169,7 @@ mod tests {
 
     #[test]
     fn empty_row() {
-        let s = StochasticQuantization::default();
+        let s = SchemeId::Stochastic;
         let enc = s.encode(&[], 0);
         assert!(s.decode(&enc.full_view(), &enc.meta, 0).unwrap().is_empty());
     }
@@ -213,7 +180,7 @@ mod tests {
             r in proptest::collection::vec(-1.0e5f32..1.0e5, 0..100),
             seed in any::<u64>()
         ) {
-            let s = StochasticQuantization::default();
+            let s = SchemeId::Stochastic;
             let enc = s.encode(&r, seed);
             let dec = s.decode(&enc.full_view(), &enc.meta, seed).unwrap();
             for (d, v) in dec.iter().zip(&r) {
@@ -226,7 +193,7 @@ mod tests {
             mag in 100.0f32..1000.0
         ) {
             // A coordinate far beyond +L must always encode head=+1.
-            let s = StochasticQuantization::default();
+            let s = SchemeId::Stochastic;
             let mut r = vec![0.01f32; 32];
             r[0] = mag; // dominates σ but still > 2.5σ? Ensure: σ≈mag/√32·… check via clip
             let enc = s.encode(&r, 9);

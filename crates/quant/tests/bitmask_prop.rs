@@ -8,7 +8,7 @@ use core::ops::Range;
 use proptest::prelude::*;
 use trimgrad_quant::bitpack::BitMask;
 use trimgrad_quant::scheme::{PartView, PartialRow};
-use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_quant::SchemeId;
 
 fn assert_same(mask: &BitMask, model: &[bool], ctx: &str) {
     assert_eq!(mask.len(), model.len(), "{ctx}: len");
@@ -147,10 +147,9 @@ proptest! {
         run_depths in proptest::collection::vec(0usize..=3, 1..40)
     ) {
         let id = if three_parts { SchemeId::MultiLevelRht } else { SchemeId::SignMagnitude };
-        let scheme = scheme_for(id);
-        let k = scheme.part_bits().len();
+        let k = id.part_bits().len();
         let data: Vec<f32> = (0..len).map(|i| i as f32 - 7.5).collect();
-        let enc = scheme.encode(&data, 5);
+        let enc = id.encode(&data, 5);
         let mut depths = Vec::with_capacity(enc.n);
         for (r, &run_len) in run_lens.iter().cycle().enumerate() {
             if depths.len() >= enc.n {
@@ -161,7 +160,7 @@ proptest! {
         }
         let view = enc.view_with_depths(&depths);
         let want = model_runs(&depths);
-        prop_assert_eq!(scanned_runs(&view, scheme.part_bits()), want);
+        prop_assert_eq!(scanned_runs(&view, id.part_bits()), want);
         for (i, &d) in depths.iter().enumerate() {
             prop_assert_eq!(view.avail_depth(i), d, "coordinate {}", i);
         }
@@ -179,10 +178,9 @@ proptest! {
         run_depths in proptest::collection::vec(0usize..=3, 1..40)
     ) {
         let id = if three_parts { SchemeId::MultiLevelRht } else { SchemeId::SignMagnitude };
-        let scheme = scheme_for(id);
-        let k = scheme.part_bits().len();
+        let k = id.part_bits().len();
         let data: Vec<f32> = (0..len).map(|i| i as f32 - 7.5).collect();
-        let enc = scheme.encode(&data, 5);
+        let enc = id.encode(&data, 5);
         let mut runs = Vec::new();
         let mut start = 0;
         while start < enc.n {
@@ -216,28 +214,27 @@ proptest! {
 #[test]
 #[should_panic(expected = "runs must tile the row in order")]
 fn runs_with_a_gap_are_refused() {
-    let enc = scheme_for(SchemeId::SignMagnitude).encode(&[1.0; 130], 0);
+    let enc = SchemeId::SignMagnitude.encode(&[1.0; 130], 0);
     let _ = enc.view_with_runs([(0..60, 2), (61..130, 1)]);
 }
 
 #[test]
 #[should_panic(expected = "runs must cover the row")]
 fn runs_short_of_the_row_are_refused() {
-    let enc = scheme_for(SchemeId::SignMagnitude).encode(&[1.0; 130], 0);
+    let enc = SchemeId::SignMagnitude.encode(&[1.0; 130], 0);
     let _ = enc.view_with_runs([(0..60, 2)]);
 }
 
 #[test]
 fn run_scan_of_uniform_and_empty_views() {
-    let scheme = scheme_for(SchemeId::SignMagnitude);
-    let enc = scheme.encode(&[1.0; 130], 0);
-    let bits = scheme.part_bits();
+    let enc = SchemeId::SignMagnitude.encode(&[1.0; 130], 0);
+    let bits = SchemeId::SignMagnitude.part_bits();
     assert_eq!(scanned_runs(&enc.full_view(), bits), [(0..130, 2)]);
     assert_eq!(scanned_runs(&enc.trimmed_view(1), bits), [(0..130, 1)]);
     assert_eq!(
         scanned_runs(&enc.view_with_depths(&[0; 130]), bits),
         [(0..130, 0)]
     );
-    let empty = scheme.encode(&[], 0);
+    let empty = SchemeId::SignMagnitude.encode(&[], 0);
     assert_eq!(scanned_runs(&empty.full_view(), bits), []);
 }

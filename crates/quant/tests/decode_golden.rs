@@ -17,7 +17,7 @@ use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 use trimgrad_quant::bitpack::BitMask;
 use trimgrad_quant::scheme::{DecodeError, EncodedRow, PartView, PartialRow, RowMeta};
-use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_quant::SchemeId;
 
 const LENGTHS: [usize; 6] = [1, 63, 64, 65, 4095, 32768];
 
@@ -249,15 +249,14 @@ fn assert_bits_equal(got: &[f32], want: &[f32], ctx: &str) {
 /// Decodes every view of one (scheme, length) case through the library and
 /// the reference, asserts they agree bit for bit, and returns the digest.
 fn digest_case(id: SchemeId, n: usize) -> u64 {
-    let scheme = scheme_for(id);
-    let k = scheme.part_bits().len();
+    let k = id.part_bits().len();
     let seed = 0xD1CE ^ ((n as u64) << 8) ^ u64::from(id.as_u8());
     let data = row(n, seed);
-    let enc = scheme.encode(&data, seed);
+    let enc = id.encode(&data, seed);
     let mut digest = 0xCBF2_9CE4_8422_2325u64;
     let mut check = |name: &str, view: &PartialRow<'_>| {
         let ctx = format!("{id} n={n} view={name}");
-        let got = scheme
+        let got = id
             .decode(view, &enc.meta, seed)
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let want = reference_decode(id, view, &enc.meta, seed).expect("reference decodes");
@@ -304,14 +303,13 @@ fn decode_matches_reference_and_recorded_digests() {
 #[test]
 fn empty_rows_decode_to_nothing() {
     for id in SchemeId::ALL {
-        let scheme = scheme_for(id);
-        let enc = scheme.encode(&[], 3);
+        let enc = id.encode(&[], 3);
         for view in [
             enc.full_view(),
             enc.trimmed_view(1),
             enc.view_with_depths(&[]),
         ] {
-            assert_eq!(scheme.decode(&view, &enc.meta, 3), Ok(Vec::new()), "{id}");
+            assert_eq!(id.decode(&view, &enc.meta, 3), Ok(Vec::new()), "{id}");
         }
     }
 }
@@ -319,9 +317,8 @@ fn empty_rows_decode_to_nothing() {
 #[test]
 fn prefix_violations_report_the_reference_coordinate_and_part() {
     for id in SchemeId::ALL {
-        let scheme = scheme_for(id);
-        let k = scheme.part_bits().len();
-        let enc = scheme.encode(&row(200, 9), 9);
+        let k = id.part_bits().len();
+        let enc = id.encode(&row(200, 9), 9);
         let n = enc.n;
         // One offender at a time, at and around the word boundaries.
         for bad in [0, 1, 62, 63, 64, 65, 127, 128, n - 1] {
@@ -336,9 +333,9 @@ fn prefix_violations_report_the_reference_coordinate_and_part() {
                         part: gap + 1
                     })
                 );
-                assert_eq!(view.validate(scheme.part_bits()), want, "{id} bad={bad}");
+                assert_eq!(view.validate(id.part_bits()), want, "{id} bad={bad}");
                 assert_eq!(
-                    scheme.decode(&view, &enc.meta, 9).map(|_| ()),
+                    id.decode(&view, &enc.meta, 9).map(|_| ()),
                     want,
                     "{id} bad={bad}"
                 );
@@ -359,25 +356,24 @@ fn prefix_violations_report_the_reference_coordinate_and_part() {
                 part: k - 1
             })
         );
-        assert_eq!(view.validate(scheme.part_bits()), want, "{id}");
+        assert_eq!(view.validate(id.part_bits()), want, "{id}");
         // Only a gap *followed by* a present part offends: a coordinate that
         // lost a suffix of its parts (or all of them) is ordinary trimming.
         let view = view_from(&enc, |part, i| part < i % (k + 1));
         assert_eq!(reference_prefix_check(&view), Ok(()));
-        assert_eq!(view.validate(scheme.part_bits()), Ok(()), "{id}");
+        assert_eq!(view.validate(id.part_bits()), Ok(()), "{id}");
     }
 }
 
 #[test]
 fn structural_errors_are_unchanged() {
-    let scheme = scheme_for(SchemeId::MultiLevelRht);
-    let enc = scheme.encode(&row(100, 1), 1);
+    let enc = SchemeId::MultiLevelRht.encode(&row(100, 1), 1);
     let two_parts = PartialRow {
         n: enc.n,
         parts: vec![PartView::Full(&enc.parts[0]), PartView::Absent],
     };
     assert_eq!(
-        scheme.decode(&two_parts, &enc.meta, 1),
+        SchemeId::MultiLevelRht.decode(&two_parts, &enc.meta, 1),
         Err(DecodeError::PartCountMismatch {
             expected: 3,
             got: 2
@@ -395,7 +391,7 @@ fn structural_errors_are_unchanged() {
         ],
     };
     assert_eq!(
-        scheme.decode(&short_mask, &enc.meta, 1),
+        SchemeId::MultiLevelRht.decode(&short_mask, &enc.meta, 1),
         Err(DecodeError::LengthMismatch {
             part: 0,
             expected: enc.n,
@@ -408,7 +404,7 @@ fn structural_errors_are_unchanged() {
         parts: enc.parts.iter().map(PartView::Full).collect(),
     };
     assert_eq!(
-        scheme.decode(&long, &enc.meta, 1),
+        SchemeId::MultiLevelRht.decode(&long, &enc.meta, 1),
         Err(DecodeError::LengthMismatch {
             part: 0,
             expected: enc.n * 2,
@@ -420,7 +416,7 @@ fn structural_errors_are_unchanged() {
         scale: 1.0,
     };
     assert_eq!(
-        scheme.decode(&enc.full_view(), &bad_meta, 1),
+        SchemeId::MultiLevelRht.decode(&enc.full_view(), &bad_meta, 1),
         Err(DecodeError::BadOriginalLen {
             n: enc.n,
             original_len: 3

@@ -1,10 +1,10 @@
 //! Bit-identity golden tests for the send side: every scheme's `encode` must
 //! produce, byte for byte, what the per-coordinate reference encoder in this
 //! file produces — the scalar loops the five scheme files carried beside
-//! their fused kernels until the oracle left the trait, written against
+//! their fused kernels until the oracle left the library, written against
 //! nothing but public items (`BitBuf::push_bits`, `stats::{std_dev,
-//! drive_scale, clip}`, `RandomizedHadamard::forward_padded`, the shared
-//! PRNG). On top of that differential check, one FNV-1a digest per (scheme,
+//! drive_scale, clip, CLIP_SIGMAS}`, `RandomizedHadamard::forward_padded`,
+//! the shared PRNG). On top of that differential check, one FNV-1a digest per (scheme,
 //! length) — recorded from those in-library loops at the last commit that
 //! had them — pins the outputs across commits, so the reference cannot
 //! drift together with the library.
@@ -17,11 +17,9 @@
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 use trimgrad_quant::bitpack::BitBuf;
-use trimgrad_quant::dither::SubtractiveDithering;
 use trimgrad_quant::scheme::{EncodedRow, RowMeta};
-use trimgrad_quant::stats::{clip, drive_scale, std_dev};
-use trimgrad_quant::stochastic::StochasticQuantization;
-use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_quant::stats::{clip, drive_scale, std_dev, CLIP_SIGMAS};
+use trimgrad_quant::SchemeId;
 
 const LENGTHS: [usize; 4] = [1, 64, 4095, 32768];
 const SEEDS: [u64; 3] = [0, 42, u64::MAX];
@@ -76,14 +74,7 @@ fn reference_encode(id: SchemeId, data: &[f32], seed: u64) -> EncodedRow {
     let rotated;
     let (coords, scale) = match id {
         SchemeId::SignMagnitude => (data, std_dev(data)),
-        SchemeId::Stochastic => (
-            data,
-            StochasticQuantization::default().multiplier * std_dev(data),
-        ),
-        SchemeId::SubtractiveDither => (
-            data,
-            SubtractiveDithering::default().multiplier * std_dev(data),
-        ),
+        SchemeId::Stochastic | SchemeId::SubtractiveDither => (data, CLIP_SIGMAS * std_dev(data)),
         SchemeId::RhtOneBit | SchemeId::MultiLevelRht => {
             rotated = RandomizedHadamard::new(seed).forward_padded(data);
             (rotated.as_slice(), drive_scale(&rotated))
@@ -157,11 +148,10 @@ fn fnv1a(acc: &mut u64, bytes: &[u8]) {
 /// and the reference, asserts they agree byte for byte, and returns the
 /// digest of everything a receiver could observe.
 fn digest_case(id: SchemeId, n: usize) -> u64 {
-    let scheme = scheme_for(id);
     let data = row(n, 0xBEEF ^ n as u64);
     let mut digest = 0xCBF2_9CE4_8422_2325u64;
     for seed in SEEDS {
-        let fast = scheme.encode(&data, seed);
+        let fast = id.encode(&data, seed);
         let reference = reference_encode(id, &data, seed);
         assert_rows_identical(&fast, &reference, &format!("{id} n={n} seed={seed}"));
         fnv1a(&mut digest, &(fast.n as u64).to_le_bytes());
@@ -195,7 +185,7 @@ fn encode_matches_reference_and_recorded_digests() {
 #[test]
 fn encode_matches_reference_on_empty_rows() {
     for id in SchemeId::ALL {
-        let fast = scheme_for(id).encode(&[], 7);
+        let fast = id.encode(&[], 7);
         assert_rows_identical(&fast, &reference_encode(id, &[], 7), &format!("{id} empty"));
     }
 }
@@ -219,7 +209,7 @@ fn encode_matches_reference_on_adversarial_values() {
         -1.0,
     ];
     for id in SchemeId::ALL {
-        let fast = scheme_for(id).encode(&data, 3);
+        let fast = id.encode(&data, 3);
         assert_rows_identical(
             &fast,
             &reference_encode(id, &data, 3),

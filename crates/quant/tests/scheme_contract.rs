@@ -1,12 +1,13 @@
-//! The `TrimmableScheme` contract, enforced across every scheme with one
-//! generic property suite: exactness untrimmed, graceful degradation under
-//! any prefix-closed availability, determinism, and monotone error in depth.
+//! The contract of `SchemeId::{encode, decode}`, enforced across every
+//! scheme with one generic property suite: exactness untrimmed, graceful
+//! degradation under any prefix-closed availability, determinism, and
+//! monotone error in depth.
 
 use proptest::prelude::*;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_quant::error::nmse;
 use trimgrad_quant::scheme::{DecodeError, RowMeta};
-use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_quant::SchemeId;
 
 fn row(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::new(seed);
@@ -25,10 +26,9 @@ proptest! {
         seed in any::<u64>()
     ) {
         let id = SchemeId::ALL[scheme_idx];
-        let scheme = scheme_for(id);
         let data = row(len, seed);
-        let enc = scheme.encode(&data, seed);
-        let dec = scheme.decode(&enc.full_view(), &enc.meta, seed).expect("valid");
+        let enc = id.encode(&data, seed);
+        let dec = id.decode(&enc.full_view(), &enc.meta, seed).expect("valid");
         prop_assert_eq!(dec.len(), len);
         match id {
             SchemeId::RhtOneBit | SchemeId::MultiLevelRht => {
@@ -54,14 +54,13 @@ proptest! {
         fates in proptest::collection::vec(0usize..=3, 1..50)
     ) {
         let id = SchemeId::ALL[scheme_idx];
-        let scheme = scheme_for(id);
-        let n_parts = scheme.part_bits().len();
+        let n_parts = id.part_bits().len();
         let data = row(len, seed);
-        let enc = scheme.encode(&data, seed);
+        let enc = id.encode(&data, seed);
         let depths: Vec<usize> = (0..enc.n)
             .map(|i| fates[i % fates.len()].min(n_parts))
             .collect();
-        let dec = scheme
+        let dec = id
             .decode(&enc.view_with_depths(&depths), &enc.meta, seed)
             .expect("prefix-closed view must decode");
         prop_assert_eq!(dec.len(), len);
@@ -79,14 +78,13 @@ proptest! {
         seed in any::<u64>()
     ) {
         let id = SchemeId::ALL[scheme_idx];
-        let scheme = scheme_for(id);
         let data = row(len, seed);
-        let a = scheme.encode(&data, seed);
-        let b = scheme.encode(&data, seed);
+        let a = id.encode(&data, seed);
+        let b = id.encode(&data, seed);
         prop_assert_eq!(&a.parts, &b.parts);
         prop_assert_eq!(a.meta.scale.to_bits(), b.meta.scale.to_bits());
-        let da = scheme.decode(&a.trimmed_view(1), &a.meta, seed).expect("valid");
-        let db = scheme.decode(&b.trimmed_view(1), &b.meta, seed).expect("valid");
+        let da = id.decode(&a.trimmed_view(1), &a.meta, seed).expect("valid");
+        let db = id.decode(&b.trimmed_view(1), &b.meta, seed).expect("valid");
         prop_assert_eq!(da, db);
     }
 
@@ -99,13 +97,12 @@ proptest! {
         seed in any::<u64>()
     ) {
         let id = SchemeId::ALL[scheme_idx];
-        let scheme = scheme_for(id);
-        let n_parts = scheme.part_bits().len();
+        let n_parts = id.part_bits().len();
         let data = row(len, seed);
-        let enc = scheme.encode(&data, seed);
+        let enc = id.encode(&data, seed);
         let mut last = f64::INFINITY;
         for depth in 1..=n_parts {
-            let dec = scheme
+            let dec = id
                 .decode(&enc.trimmed_view(depth), &enc.meta, seed)
                 .expect("valid");
             let e = nmse(&dec, &data);
@@ -139,17 +136,15 @@ fn depth_views(n: usize, k: usize) -> Vec<(&'static str, Vec<usize>)> {
 #[test]
 fn decode_into_overwrites_every_coordinate() {
     for id in SchemeId::ALL {
-        let scheme = scheme_for(id);
         for len in [0usize, 1, 7, 64, 100, 1000, 1024] {
             let data = row(len, len as u64);
-            let enc = scheme.encode(&data, 5);
-            for (name, depths) in depth_views(enc.n, scheme.part_bits().len()) {
+            let enc = id.encode(&data, 5);
+            for (name, depths) in depth_views(enc.n, id.part_bits().len()) {
                 let view = enc.view_with_depths(&depths);
-                let fresh = scheme.decode(&view, &enc.meta, 5).expect("valid");
+                let fresh = id.decode(&view, &enc.meta, 5).expect("valid");
                 assert_eq!(fresh.len(), len);
                 let mut reused = vec![f32::from_bits(0xFFC0_DEAD); len];
-                scheme
-                    .decode_into(&view, &enc.meta, 5, &mut reused)
+                id.decode_into(&view, &enc.meta, 5, &mut reused)
                     .expect("valid");
                 for (i, (a, b)) in reused.iter().zip(&fresh).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{id} len={len} {name}: coord {i}");
@@ -164,12 +159,11 @@ fn decode_into_overwrites_every_coordinate() {
 #[test]
 fn decode_into_checks_the_output_length() {
     for id in SchemeId::ALL {
-        let scheme = scheme_for(id);
-        let enc = scheme.encode(&row(100, 3), 5);
+        let enc = id.encode(&row(100, 3), 5);
         for wrong in [0usize, 99, 101, enc.n + 1] {
             let mut out = vec![0.0; wrong];
             assert_eq!(
-                scheme.decode_into(&enc.full_view(), &enc.meta, 5, &mut out),
+                id.decode_into(&enc.full_view(), &enc.meta, 5, &mut out),
                 Err(DecodeError::OutputLenMismatch {
                     expected: 100,
                     got: wrong
@@ -183,13 +177,13 @@ fn decode_into_checks_the_output_length() {
             ..enc.meta
         };
         assert!(matches!(
-            scheme.decode_into(&enc.full_view(), &bad_meta, 5, &mut out),
+            id.decode_into(&enc.full_view(), &bad_meta, 5, &mut out),
             Err(DecodeError::BadOriginalLen { .. })
         ));
         let mut short = enc.full_view();
         short.parts.pop();
         assert!(matches!(
-            scheme.decode_into(&short, &bad_meta, 5, &mut out[..7]),
+            id.decode_into(&short, &bad_meta, 5, &mut out[..7]),
             Err(DecodeError::PartCountMismatch { .. })
         ));
     }

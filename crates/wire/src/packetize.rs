@@ -177,9 +177,7 @@ pub fn layout_report(part_bits: &[u32], mtu: usize) -> Option<LayoutReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trimgrad_quant::rht1bit::RhtOneBit;
-    use trimgrad_quant::scheme::TrimmableScheme;
-    use trimgrad_quant::signmag::SignMagnitude;
+    use trimgrad_quant::SchemeId;
 
     fn cfg() -> PacketizeConfig {
         PacketizeConfig {
@@ -208,7 +206,7 @@ mod tests {
     #[test]
     fn single_packet_row() {
         let row: Vec<f32> = (0..100).map(|i| i as f32 / 10.0).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let pr = packetize_row(&enc, &cfg());
         assert_eq!(pr.packets.len(), 1);
         let p = pr.packets[0].parse().unwrap();
@@ -222,7 +220,7 @@ mod tests {
     #[test]
     fn multi_packet_row_covers_all_coordinates() {
         let row: Vec<f32> = (0..1000).map(|i| (i as f32).sin()).collect();
-        let enc = RhtOneBit.encode(&row, 3); // pads to 1024
+        let enc = SchemeId::RhtOneBit.encode(&row, 3); // pads to 1024
         let pr = packetize_row(&enc, &cfg());
         // 1024 coords at 360/packet → 3 packets (360+360+304).
         assert_eq!(pr.packets.len(), 3);
@@ -241,7 +239,7 @@ mod tests {
     #[test]
     fn packet_sections_carry_correct_bits() {
         let row: Vec<f32> = (0..500).map(|i| i as f32 - 250.0).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let pr = packetize_row(&enc, &cfg());
         // Check the second packet's head section against the row's sign bits.
         let p = pr.packets[1].parse().unwrap();
@@ -255,7 +253,7 @@ mod tests {
 
     #[test]
     fn empty_row_yields_meta_only() {
-        let enc = SignMagnitude.encode(&[], 0);
+        let enc = SchemeId::SignMagnitude.encode(&[], 0);
         let pr = packetize_row(&enc, &cfg());
         assert!(pr.packets.is_empty());
         assert_eq!(pr.meta.original_len, 0);
@@ -276,7 +274,7 @@ mod tests {
     #[test]
     fn small_mtu_produces_more_packets() {
         let row: Vec<f32> = (0..512).map(|i| i as f32).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let small = PacketizeConfig { mtu: 256, ..cfg() };
         let pr_small = packetize_row(&enc, &small);
         let pr_big = packetize_row(&enc, &cfg());

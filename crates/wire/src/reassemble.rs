@@ -24,22 +24,6 @@ use trimgrad_quant::bitpack::{BitBuf, BitMask};
 use trimgrad_quant::scheme::{PartView, PartialRow, RowMeta};
 use trimgrad_quant::SchemeId;
 
-/// The encoded (possibly padded) length for a row of `original_len`
-/// coordinates under `scheme` — RHT schemes pad to the next power of two,
-/// scalar schemes do not.
-#[must_use]
-pub fn encoded_n(scheme: SchemeId, original_len: usize) -> usize {
-    if original_len == 0 {
-        return 0;
-    }
-    match scheme {
-        SchemeId::SignMagnitude | SchemeId::Stochastic | SchemeId::SubtractiveDither => {
-            original_len
-        }
-        SchemeId::RhtOneBit | SchemeId::MultiLevelRht => original_len.next_power_of_two(),
-    }
-}
-
 /// Reassembles one row from its packets.
 #[derive(Debug, Clone)]
 pub struct RowAssembler {
@@ -59,7 +43,7 @@ impl RowAssembler {
     /// Creates an assembler for a known row identity and length.
     #[must_use]
     pub fn new(scheme: SchemeId, msg_id: u32, row_id: u32, original_len: usize) -> Self {
-        let n = encoded_n(scheme, original_len);
+        let n = scheme.encoded_len(original_len);
         let part_bits = scheme.part_bits();
         Self {
             scheme,
@@ -128,7 +112,7 @@ impl RowAssembler {
         if meta.scheme != self.scheme || meta.msg_id != self.msg_id || meta.row_id != self.row_id {
             return Err(WireError::BadField("row identity"));
         }
-        if encoded_n(meta.scheme, meta.original_len as usize) != self.n {
+        if meta.scheme.encoded_len(meta.original_len as usize) != self.n {
             return Err(WireError::BadField("original_len"));
         }
         if self.epoch.is_some_and(|e| e != meta.epoch) {
@@ -267,9 +251,6 @@ mod tests {
     use super::*;
     use crate::packet::NetAddrs;
     use crate::packetize::{packetize_row, PacketizeConfig};
-    use trimgrad_quant::rht1bit::RhtOneBit;
-    use trimgrad_quant::scheme::TrimmableScheme;
-    use trimgrad_quant::signmag::SignMagnitude;
 
     fn cfg() -> PacketizeConfig {
         PacketizeConfig {
@@ -286,18 +267,21 @@ mod tests {
     }
 
     #[test]
-    fn encoded_n_rules() {
-        assert_eq!(encoded_n(SchemeId::SignMagnitude, 100), 100);
-        assert_eq!(encoded_n(SchemeId::Stochastic, 100), 100);
-        assert_eq!(encoded_n(SchemeId::RhtOneBit, 100), 128);
-        assert_eq!(encoded_n(SchemeId::MultiLevelRht, 128), 128);
-        assert_eq!(encoded_n(SchemeId::RhtOneBit, 0), 0);
+    fn assembler_sizes_rows_by_the_one_padding_rule() {
+        for id in SchemeId::ALL {
+            for len in [0, 1, 63, 64, 65, 4095, 32768] {
+                let row: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+                let n = id.encoded_len(len);
+                assert_eq!(id.encode(&row, 5).n, n, "{id} len {len}");
+                assert_eq!(RowAssembler::new(id, 0, 0, len).n(), n, "{id} len {len}");
+            }
+        }
     }
 
     #[test]
     fn traced_ingest_marks_head_completion_exactly_once() {
         let row: Vec<f32> = (0..1000).map(|i| (i as f32).cos()).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let c = cfg();
         let pr = packetize_row(&enc, &c);
         assert!(pr.packets.len() > 1, "need a multi-packet row");
@@ -331,7 +315,7 @@ mod tests {
     #[test]
     fn lossless_roundtrip_through_packets() {
         let row: Vec<f32> = (0..1000).map(|i| ((i * 31) % 97) as f32 - 48.0).collect();
-        let scheme = RhtOneBit;
+        let scheme = SchemeId::RhtOneBit;
         let seed = 77;
         let enc = scheme.encode(&row, seed);
         let c = cfg();
@@ -354,7 +338,7 @@ mod tests {
     #[test]
     fn trimmed_packets_decode_with_heads() {
         let row: Vec<f32> = (0..800).map(|i| ((i as f32) * 0.37).sin()).collect();
-        let scheme = RhtOneBit;
+        let scheme = SchemeId::RhtOneBit;
         let seed = 5;
         let enc = scheme.encode(&row, seed);
         let c = cfg();
@@ -383,7 +367,7 @@ mod tests {
     #[test]
     fn lost_packets_leave_coords_absent() {
         let row: Vec<f32> = (0..720).map(|i| i as f32).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let c = cfg();
         let pr = packetize_row(&enc, &c);
         assert_eq!(pr.packets.len(), 2);
@@ -391,7 +375,7 @@ mod tests {
         asm.ingest_meta(&pr.meta).unwrap();
         asm.ingest(&pr.packets[0]).unwrap(); // drop packet 1 entirely
         assert_eq!(asm.coords_received(), 360);
-        let dec = SignMagnitude
+        let dec = SchemeId::SignMagnitude
             .decode(&asm.partial_row(), asm.meta().unwrap(), 0)
             .unwrap();
         // Missing coordinates decode to the neutral 0.
@@ -402,7 +386,7 @@ mod tests {
     #[test]
     fn duplicate_upgrade_and_downgrade() {
         let row: Vec<f32> = (0..100).map(|i| i as f32 - 50.0).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let c = cfg();
         let pr = packetize_row(&enc, &c);
         let full = pr.packets[0].clone();
@@ -430,7 +414,7 @@ mod tests {
         // rejected by ingest without panicking and without touching the
         // already-assembled coordinates.
         let row: Vec<f32> = (0..720).map(|i| i as f32).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let c = cfg();
         let pr = packetize_row(&enc, &c);
         assert_eq!(pr.packets.len(), 2);
@@ -456,7 +440,7 @@ mod tests {
     #[test]
     fn rejects_foreign_packets() {
         let row: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let c = cfg();
         let pr = packetize_row(&enc, &c);
         // Wrong row id.
@@ -478,7 +462,7 @@ mod tests {
     #[test]
     fn rejects_epoch_mismatch() {
         let row: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let c1 = cfg();
         let c2 = PacketizeConfig { epoch: 3, ..c1 };
         let p1 = packetize_row(&enc, &c1);
@@ -494,7 +478,7 @@ mod tests {
     #[test]
     fn rejects_meta_of_another_epoch() {
         let row: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let c1 = cfg();
         let c2 = PacketizeConfig { epoch: 3, ..c1 };
         let (p1, p2) = (packetize_row(&enc, &c1), packetize_row(&enc, &c2));
@@ -520,7 +504,7 @@ mod tests {
     #[test]
     fn metadata_is_absent_until_it_arrives() {
         let row: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let enc = SignMagnitude.encode(&row, 0);
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
         let c = cfg();
         let pr = packetize_row(&enc, &c);
         let mut asm = assembler_for(&enc, &c);

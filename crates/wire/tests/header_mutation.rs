@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
-use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_quant::SchemeId;
 use trimgrad_telemetry::fnv1a;
 use trimgrad_wire::ipv4::PROTO_UDP;
 use trimgrad_wire::meta::{RowMetaPacket, FRAME_LEN};
@@ -75,7 +75,7 @@ fn outcomes(frame: &[u8], meta: &RowMetaPacket) -> String {
 fn first_packet() -> (GradPacket, RowMetaPacket) {
     let mut rng = Xoshiro256StarStar::new(0x7A11);
     let row: Vec<f32> = (0..1024).map(|_| rng.next_f32_range(-1.0, 1.0)).collect();
-    let enc = scheme_for(SchemeId::RhtOneBit).encode(&row, 9);
+    let enc = SchemeId::RhtOneBit.encode(&row, 9);
     let net = NetAddrs::between_hosts(1, 2);
     let cfg = PacketizeConfig {
         mtu: 1500,

@@ -12,7 +12,7 @@
 //! EXPERIMENTS.md.
 
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
-use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_quant::SchemeId;
 use trimgrad_telemetry::fnv1a;
 use trimgrad_wire::packet::NetAddrs;
 use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
@@ -57,7 +57,7 @@ const GOLDEN: [[u64; 4]; 5] = [
 fn frames_digest(scheme_id: SchemeId, n: usize) -> u64 {
     let mut rng = Xoshiro256StarStar::new(0xF4A3 ^ n as u64);
     let row: Vec<f32> = (0..n).map(|_| rng.next_f32_range(-4.0, 4.0)).collect();
-    let enc = scheme_for(scheme_id).encode(&row, 42);
+    let enc = scheme_id.encode(&row, 42);
     let cfg = PacketizeConfig {
         mtu: 1500,
         net: NetAddrs::between_hosts(1, 2),

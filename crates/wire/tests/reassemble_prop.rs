@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_quant::scheme::PartView;
-use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_quant::SchemeId;
 use trimgrad_wire::packet::{GradPacket, NetAddrs};
 use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
 use trimgrad_wire::reassemble::RowAssembler;
@@ -115,9 +115,8 @@ proptest! {
         fates in proptest::collection::vec(0u8..=14, 1..32)
     ) {
         let scheme_id = SchemeId::ALL[scheme_idx];
-        let scheme = scheme_for(scheme_id);
         let data = row(len, seed);
-        let enc = scheme.encode(&data, seed);
+        let enc = scheme_id.encode(&data, seed);
         let c = cfg();
         let pr = packetize_row(&enc, &c);
         let n_parts = scheme_id.part_bits().len();
@@ -195,10 +194,10 @@ proptest! {
             reference.ingest(&p).expect("clean ingest");
         }
         prop_assert_eq!(availability(&asm), availability(&reference));
-        let got = scheme
+        let got = scheme_id
             .decode(&asm.partial_row(), asm.meta().expect("meta"), seed)
             .expect("decodable");
-        let want = scheme
+        let want = scheme_id
             .decode(&reference.partial_row(), reference.meta().expect("meta"), seed)
             .expect("decodable");
         prop_assert_eq!(got.len(), want.len());

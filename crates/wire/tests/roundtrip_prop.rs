@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
-use trimgrad_quant::{scheme_for, SchemeId};
+use trimgrad_quant::SchemeId;
 use trimgrad_wire::packet::NetAddrs;
 use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
 use trimgrad_wire::reassemble::RowAssembler;
@@ -39,9 +39,8 @@ proptest! {
         fates in proptest::collection::vec(0u8..=4, 1..64)
     ) {
         let scheme_id = SchemeId::ALL[scheme_idx];
-        let scheme = scheme_for(scheme_id);
         let data = row(len, seed);
-        let enc = scheme.encode(&data, seed);
+        let enc = scheme_id.encode(&data, seed);
         let c = cfg(mtu);
         let pr = packetize_row(&enc, &c);
         prop_assert!(!pr.packets.is_empty());
@@ -71,10 +70,10 @@ proptest! {
                 *d = depth;
             }
         }
-        let via_wire = scheme
+        let via_wire = scheme_id
             .decode(&asm.partial_row(), asm.meta().expect("meta"), seed)
             .expect("decodable");
-        let direct = scheme
+        let direct = scheme_id
             .decode(&enc.view_with_depths(&depths), &enc.meta, seed)
             .expect("decodable");
         prop_assert_eq!(via_wire.len(), len);
@@ -97,9 +96,8 @@ proptest! {
         fates in proptest::collection::vec(0u8..=4, 1..64)
     ) {
         let scheme_id = SchemeId::ALL[scheme_idx];
-        let scheme = scheme_for(scheme_id);
         let data = row(len, seed);
-        let enc = scheme.encode(&data, seed);
+        let enc = scheme_id.encode(&data, seed);
         let c = cfg(mtu);
         let pr = packetize_row(&enc, &c);
         let n_parts = scheme_id.part_bits().len();
@@ -172,9 +170,8 @@ proptest! {
         mtu in 200usize..1500
     ) {
         let scheme_id = SchemeId::ALL[scheme_idx];
-        let scheme = scheme_for(scheme_id);
         let data = row(len, seed);
-        let enc = scheme.encode(&data, seed);
+        let enc = scheme_id.encode(&data, seed);
         let pr = packetize_row(&enc, &cfg(mtu));
         let n_parts = scheme_id.part_bits().len() as u8;
         for pkt in &pr.packets {

@@ -7,21 +7,16 @@
 //! Run: `cargo run --release --example multilevel_trim`
 
 use trimgrad::quant::error::nmse;
-use trimgrad::quant::multilevel::MultiLevelRht;
-use trimgrad::quant::TrimmableScheme;
 use trimgrad::Scheme;
 
 fn main() {
-    let scheme = MultiLevelRht;
+    let scheme = Scheme::MultiLevelRht;
     let gradient: Vec<f32> = (0..4096)
         .map(|i| ((i as f32) * 0.0137).sin() * 0.2)
         .collect();
     let enc = scheme.encode(&gradient, 7);
 
-    println!(
-        "switch trim levels of the {} encoding:",
-        Scheme::MultiLevelRht.name()
-    );
+    println!("switch trim levels of the {scheme} encoding:");
     let part_bits = scheme.part_bits();
     for depth in (1..=part_bits.len()).rev() {
         let kept_bits: u32 = part_bits[..depth].iter().sum();

@@ -30,7 +30,7 @@ use trimgrad::netsim::transport::{
 };
 use trimgrad::netsim::{FlowId, NodeId};
 use trimgrad::quant::scheme::PartView;
-use trimgrad::quant::{scheme_for, SchemeId};
+use trimgrad::quant::SchemeId;
 use trimgrad::wire::meta::RowMetaPacket;
 use trimgrad::wire::packet::{GradPacket, NetAddrs};
 use trimgrad::wire::packetize::{packetize_row, PacketizeConfig};
@@ -285,13 +285,12 @@ impl App for RowCollectorApp {
 fn pipeline_chaos_rejects_mangled_and_foreign_packets() {
     for seed in chaos_seeds() {
         let scheme_id = SchemeId::RhtOneBit;
-        let scheme = scheme_for(scheme_id);
         let len = 3000;
         let data: Vec<f32> = {
             let mut rng = Xoshiro256StarStar::new(seed);
             (0..len).map(|_| rng.next_f32_range(-1.0, 1.0)).collect()
         };
-        let enc = scheme.encode(&data, 7);
+        let enc = scheme_id.encode(&data, 7);
         let cfg = PacketizeConfig {
             mtu: 1500,
             net: NetAddrs::between_hosts(0, 1),
@@ -363,7 +362,7 @@ fn pipeline_chaos_rejects_mangled_and_foreign_packets() {
         // Whatever survived decodes finitely, and every surviving coordinate
         // decodes identically to a clean assembler fed the same accepted set
         // (spot-checked via bit-identical decode of the collector's view).
-        let dec = scheme
+        let dec = scheme_id
             .decode(&col.asm.partial_row(), col.asm.meta().expect("meta"), 7)
             .expect("partial row decodes");
         assert_eq!(dec.len(), len);

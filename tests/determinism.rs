@@ -13,7 +13,7 @@ use trimgrad::netsim::switch::{FullAction, QueuePolicy};
 use trimgrad::netsim::time::{gbps, SimTime};
 use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::NodeId;
-use trimgrad::quant::{scheme_for, SchemeId};
+use trimgrad::quant::SchemeId;
 use trimgrad::transcript::RecordingInjector;
 use trimgrad_telemetry::Snapshot;
 
@@ -130,10 +130,9 @@ fn different_seed_changes_the_result() {
 /// transcript bytes.
 #[test]
 fn seeded_trim_transcript_is_byte_reproducible() {
-    let scheme = scheme_for(SchemeId::RhtOneBit);
     let mut rng = Xoshiro256StarStar::new(11);
     let g: Vec<f32> = (0..4096).map(|_| rng.next_f32_range(-1.0, 1.0)).collect();
-    let enc = scheme.encode(&g, 77);
+    let enc = SchemeId::RhtOneBit.encode(&g, 77);
     let record = || {
         let mut rec = RecordingInjector::new(TrimInjector::new(0.5, 123));
         let _ = rec.draw_depths(&enc, 0, 1, 2);

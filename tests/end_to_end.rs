@@ -105,7 +105,6 @@ fn training_and_transcript_reproducibility() {
     use trimgrad::collective::TrimInjector;
     use trimgrad::mltrain::data::gaussian_mixture;
     use trimgrad::mltrain::parallel::{DataParallelTrainer, ParallelConfig};
-    use trimgrad::quant::scheme_for;
     use trimgrad::transcript::{RecordingInjector, TrimTranscript};
 
     // Short training smoke: accuracy must clearly beat chance (10 classes).
@@ -133,19 +132,18 @@ fn training_and_transcript_reproducibility() {
     );
 
     // Transcript: record one trimmed exchange, replay bit-identically.
-    let scheme = scheme_for(Scheme::RhtOneBit);
     let g = blob(4096, 9);
-    let enc = scheme.encode(&g, 77);
+    let enc = Scheme::RhtOneBit.encode(&g, 77);
     let mut rec = RecordingInjector::new(TrimInjector::new(0.5, 123));
     let depths = rec.draw_depths(&enc, 0, 1, 2);
-    let original = scheme
+    let original = Scheme::RhtOneBit
         .decode(&enc.view_with_depths(&depths), &enc.meta, 77)
         .expect("valid");
     let bytes = rec.into_transcript().to_bytes();
     let replayed_depths = TrimTranscript::from_bytes(&bytes)
         .expect("well-formed")
         .replay_depths(&enc, 0, 1, 2);
-    let replayed = scheme
+    let replayed = Scheme::RhtOneBit
         .decode(&enc.view_with_depths(&replayed_depths), &enc.meta, 77)
         .expect("valid");
     assert_eq!(original, replayed);

@@ -19,7 +19,7 @@ use trimgrad::netsim::time::{gbps, SimTime};
 use trimgrad::netsim::topology::Topology;
 use trimgrad::netsim::{FlowId, NodeId};
 use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
-use trimgrad::quant::{scheme_for, SchemeId};
+use trimgrad::quant::SchemeId;
 use trimgrad::wire::ipv4::{DSCP_BULK, DSCP_TRIMMED};
 use trimgrad::wire::meta::RowMetaPacket;
 use trimgrad::wire::packet::{GradPacket, NetAddrs};
@@ -39,7 +39,7 @@ fn row(n: usize, seed: u64) -> Vec<f32> {
 
 /// One RHT row of 1024 coordinates, packetized as message 0, row 0, epoch 1.
 fn packetized(net: NetAddrs) -> PacketizedRow {
-    let enc = scheme_for(SchemeId::RhtOneBit).encode(&row(1024, 5), 9);
+    let enc = SchemeId::RhtOneBit.encode(&row(1024, 5), 9);
     let cfg = PacketizeConfig {
         mtu: 1500,
         net,
