@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the compute stage of a round at the two shapes
 //! `BENCHMARK.json` pins (`train_fabric`, `train_inject`; batch 32): the
-//! forward pass alone, forward + backward into the flat gradient, the three
+//! forward pass alone, forward + backward into the flat gradient, the
+//! forward product of every layer (and of the evaluation batch), the three
 //! matrix products one at a time at `train_inject`'s widest layer, and
 //! `train_inject`'s whole in-memory exchange of four workers' gradients
 //! (SQ, rows of 2¹⁵, 10 % trim). Lands in `BENCH_mltrain.json` under CI's
@@ -51,33 +52,51 @@ fn bench_compute(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     }
 }
 
-/// The three products of `train_inject`'s widest layer (512 → 512, batch
-/// 32) on their own: forward `x·Wᵀ`, `dx = dy·W` and `dw += dyᵀ·x`, with
-/// `dy` ReLU-sparse (about half its entries `+0.0`) as backprop sees it.
+/// A `rows × cols` matrix uniform in (−1, 1); `relu` clamps negatives to
+/// `+0.0` (about half the entries), as backprop sees `dy`.
+fn draw(rows: usize, cols: usize, relu: bool, rng: &mut Xoshiro256StarStar) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|_| {
+            let v = rng.next_f32_range(-1.0, 1.0);
+            if relu {
+                v.max(0.0)
+            } else {
+                v
+            }
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// The forward product `x·Wᵀ` of every layer of both shapes at batch 32,
+/// and of `train_inject`'s widest layer over the 400-row test set the
+/// trainer evaluates; then the three products of that widest layer (512 →
+/// 512, batch 32) on their own: forward, `dx = dy·W` and `dw += dyᵀ·x`, with
+/// `dy` ReLU-sparse.
 fn bench_products(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     const WIDTH: usize = 512;
+    const EVAL_ROWS: usize = 400;
     let mut rng = Xoshiro256StarStar::new(5);
-    let mut draw = |rows: usize, relu: bool| {
-        let data = (0..rows * WIDTH)
-            .map(|_| {
-                let v = rng.next_f32_range(-1.0, 1.0);
-                if relu {
-                    v.max(0.0)
-                } else {
-                    v
-                }
-            })
-            .collect();
-        Matrix::from_vec(rows, WIDTH, data)
-    };
-    let x = draw(BATCH, false);
-    let w = draw(WIDTH, false);
-    let dy = draw(BATCH, true);
-    let mut dw = vec![0.0f32; WIDTH * WIDTH];
+    let layers = SHAPES
+        .iter()
+        .flat_map(|(_, dims)| dims.windows(2).map(|l| (BATCH, l[0], l[1])))
+        .chain([(EVAL_ROWS, WIDTH, WIDTH)]);
     let mut g = Group::new("mltrain");
     opts.configure(&mut g);
+    for (m, k, n) in layers {
+        let x = draw(m, k, false, &mut rng);
+        let w = draw(n, k, false, &mut rng);
+        g.throughput(Throughput::Elements((m * k * n) as u64));
+        g.bench(&format!("matmul_t_{m}x{k}x{n}"), || {
+            x.matmul_t(black_box(&w))
+        });
+    }
+
+    let x = draw(BATCH, WIDTH, false, &mut rng);
+    let w = draw(WIDTH, WIDTH, false, &mut rng);
+    let dy = draw(BATCH, WIDTH, true, &mut rng);
+    let mut dw = vec![0.0f32; WIDTH * WIDTH];
     g.throughput(Throughput::Elements((BATCH * WIDTH * WIDTH) as u64));
-    g.bench("matmul_t_32x512x512", || x.matmul_t(black_box(&w)));
     g.bench("matmul_32x512x512_relu", || dy.matmul(black_box(&w)));
     g.bench("t_matmul_acc_32x512x512_relu", || {
         dy.t_matmul_acc(black_box(&x), &mut dw);

@@ -8,9 +8,12 @@
 //! [`LAYERED_FROM`] on, each line also carries, per workload, the run's
 //! `box_probe_ns` and a `layers_ms` object with the traced per-layer times
 //! [`LAYERS`] (`core.encode_decode_ms` is `core.encode_ms + core.decode_ms`;
-//! `null` where a workload has no such layer). This test parses every line
-//! and holds the file to its one rule: a line whose digest differs from the
-//! previous line's, where both are known, says why in `digest_change`.
+//! `null` where a workload has no such layer). From line [`OVERHEAD_FROM`]
+//! on, each line also carries `encode_overhead_pct`: the traced
+//! `bench.encode_overhead_pct` of the two training workloads ([`OVERHEAD`]),
+//! `null` for the other two. This test parses every line and holds the file
+//! to its one rule: a line whose digest differs from the previous line's,
+//! where both are known, says why in `digest_change`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,6 +33,10 @@ const LAYERS: [&str; 4] = [
 ];
 /// The first line (1-based) that carries `box_probe_ns` and `layers_ms`.
 const LAYERED_FROM: usize = 15;
+/// The workloads whose round has an uncompressed baseline to compare with.
+const OVERHEAD: [&str; 2] = ["train_fabric", "train_inject"];
+/// The first line (1-based) that carries `encode_overhead_pct`.
+const OVERHEAD_FROM: usize = 18;
 
 /// The JSON subset the file uses.
 #[derive(Debug)]
@@ -167,12 +174,14 @@ fn measured(v: Option<&Json>) -> Result<Option<f64>, String> {
 }
 
 /// Checks line `n` (1-based); from [`LAYERED_FROM`] on it must carry the
-/// layer keys, before it must not.
+/// layer keys, and from [`OVERHEAD_FROM`] on the overhead pair; before,
+/// it must not.
 fn check_line(n: usize, text: &str) -> Result<Line, String> {
     let Json::Obj(obj) = Parser::parse(text)? else {
         return Err("not an object".into());
     };
     let layered = n >= LAYERED_FROM;
+    let overhead = n >= OVERHEAD_FROM;
     let mut want = vec![
         "commit",
         "digest_change",
@@ -183,6 +192,9 @@ fn check_line(n: usize, text: &str) -> Result<Line, String> {
     want.extend(METRICS);
     if layered {
         want.extend(["box_probe_ns", "layers_ms"]);
+    }
+    if overhead {
+        want.push("encode_overhead_pct");
     }
     want.sort_unstable();
     let keys: Vec<&str> = obj.keys().map(String::as_str).collect();
@@ -236,6 +248,17 @@ fn check_line(n: usize, text: &str) -> Result<Line, String> {
             }
             for layer in LAYERS {
                 measured(cell.get(layer)).map_err(|e| format!("layers_ms.{w}.{layer} = {e}"))?;
+            }
+        }
+    }
+    if overhead {
+        // A percentage over the baseline round: finite, of either sign.
+        let cells = workloads("encode_overhead_pct")?;
+        for w in WORKLOADS {
+            match (OVERHEAD.contains(&w), cells.get(w)) {
+                (true, Some(Json::Num(v))) if v.is_finite() => {}
+                (false, Some(Json::Null)) => {}
+                (_, other) => return Err(format!("encode_overhead_pct.{w} = {other:?}")),
             }
         }
     }
@@ -296,7 +319,7 @@ fn trajectory() -> String {
 fn every_line_parses_and_every_digest_change_is_explained() {
     let text = trajectory();
     let lines = check_trajectory(&text).unwrap_or_else(|e| panic!("BENCH_round.jsonl {e}"));
-    assert!(lines >= LAYERED_FROM, "{lines} lines");
+    assert!(lines >= OVERHEAD_FROM, "{lines} lines");
 }
 
 #[test]
@@ -353,6 +376,51 @@ fn a_layered_line_needs_every_layer_of_every_workload() {
         per(&layers("-1"))
     ));
     assert!(check_line(LAYERED_FROM, &negative).is_err());
+}
+
+#[test]
+fn the_overhead_pair_is_required_from_its_line() {
+    let per = |v: &str| {
+        let cells: Vec<String> = WORKLOADS.iter().map(|w| format!("\"{w}\": {v}")).collect();
+        format!("{{{}}}", cells.join(", "))
+    };
+    let layers: Vec<String> = LAYERS.iter().map(|l| format!("\"{l}\": null")).collect();
+    let line = |extra: &str| {
+        format!(
+            "{{\"commit\": null, \"parent\": \"abcdef1\", \"source\": \"test\", \
+             \"round_ms\": {r}, \"peak_rss_mb\": {r}, \"setup_s\": {r}, \
+             \"output_digest\": {r}, \"box_probe_ns\": {r}, \"layers_ms\": {l}{extra}, \
+             \"digest_change\": null}}",
+            r = per("1"),
+            l = per(&format!("{{{}}}", layers.join(", ")))
+        )
+    };
+    let pair = |fabric: &str, inject: &str, other: &str| {
+        line(&format!(
+            ", \"encode_overhead_pct\": {{\"codec_loopback\": {other}, \
+             \"train_fabric\": {fabric}, \"netsim_storm\": {other}, \
+             \"train_inject\": {inject}}}"
+        ))
+    };
+    assert!(check_line(OVERHEAD_FROM, &pair("119.5", "-2.25", "null")).is_ok());
+    assert!(
+        check_line(OVERHEAD_FROM - 1, &pair("119.5", "7.5", "null")).is_err(),
+        "no pair before"
+    );
+    assert!(check_line(OVERHEAD_FROM - 1, &line("")).is_ok());
+    assert!(
+        check_line(OVERHEAD_FROM, &line("")).is_err(),
+        "required from"
+    );
+    for bad in [
+        pair("null", "7.5", "null"),
+        pair("119.5", "null", "null"),
+        pair("119.5", "7.5", "3"),
+    ] {
+        assert!(check_line(OVERHEAD_FROM, &bad)
+            .err()
+            .is_some_and(|e| e.contains("encode_overhead_pct")));
+    }
 }
 
 #[test]

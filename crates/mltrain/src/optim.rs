@@ -78,17 +78,19 @@ impl SgdMomentum {
 pub struct StepLr {
     /// Initial learning rate.
     pub initial_lr: f32,
-    /// Epochs between decays.
+    /// Epochs between decays; 0 never decays.
     pub step_size: u32,
     /// Multiplicative decay factor.
     pub gamma: f32,
 }
 
 impl StepLr {
-    /// The learning rate for `epoch` (0-based).
+    /// The learning rate for `epoch` (0-based): `initial_lr` at every epoch
+    /// when `step_size` is 0.
     #[must_use]
     pub fn lr_at(&self, epoch: u32) -> f32 {
-        self.initial_lr * self.gamma.powi((epoch / self.step_size) as i32)
+        let decays = epoch.checked_div(self.step_size).unwrap_or(0);
+        self.initial_lr * self.gamma.powi(decays as i32)
     }
 }
 
@@ -135,6 +137,18 @@ mod tests {
         assert_eq!(s.lr_at(49), 1e-3);
         assert!((s.lr_at(50) - 1e-4).abs() < 1e-10);
         assert!((s.lr_at(149) - 1e-5).abs() < 1e-11);
+    }
+
+    #[test]
+    fn step_size_zero_never_decays() {
+        let s = StepLr {
+            initial_lr: 0.05,
+            step_size: 0,
+            gamma: 0.1,
+        };
+        for epoch in [0, 1, 40, u32::MAX] {
+            assert_eq!(s.lr_at(epoch), 0.05, "epoch {epoch}");
+        }
     }
 
     #[test]

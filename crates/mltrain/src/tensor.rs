@@ -1,20 +1,26 @@
 //! Minimal row-major `f32` matrices.
 //!
-//! Exactly the operations backprop through an MLP needs. The three matrix
-//! products — `x·Wᵀ` (forward, [`Matrix::matmul_t`]), `dy·W` (`dx`,
-//! [`Matrix::matmul`]) and `dyᵀ·x` (`dw`, [`Matrix::t_matmul_acc`]) — all run
-//! through one row-axpy kernel: its inner loop adds scaled contiguous rows
-//! into a contiguous row, which has no loop-carried dependency and therefore
-//! vectorises, where a dot product's running `f32` sum may not be
-//! reassociated and cannot. A product with a transposed operand transposes a
-//! copy first.
+//! Exactly the operations backprop through an MLP needs, with two product
+//! kernels. Both add scaled contiguous runs into contiguous runs, which has
+//! no loop-carried dependency and therefore vectorises, where a dot
+//! product's running `f32` sum may not be reassociated and cannot.
 //!
-//! Each pass over an output row adds a group of up to eight products,
+//! The backward products — `dy·W` (`dx`, [`Matrix::matmul`]) and `dyᵀ·x`
+//! (`dw`, [`Matrix::t_matmul_acc`]) — run through one row-axpy kernel that
+//! streams the rows of its right operand past an output row. Each pass over
+//! the output row adds a group of up to eight products,
 //! `o = ((o + a₀b₀) + a₁b₁) + … + a₇b₇`, so the row is loaded and stored
-//! once per eight products rather than once per product. Every output
-//! element still receives the same products in the same order as a
-//! `k`-ascending dot product from `+0.0`, each rounded on its own, so the
-//! grouping changes no bit of any result.
+//! once per eight products rather than once per product. `dw`'s left
+//! operand, the batch's `dy`, is transposed into a copy first.
+//!
+//! The forward product `x·Wᵀ` ([`Matrix::matmul_t`]) computes `W·xᵀ`
+//! instead: each row of `W` streams once, contiguously, past a packed tile
+//! of up to 32 batch rows, whose outputs stay in registers for the whole
+//! inner dimension. No weight matrix is copied.
+//!
+//! Either way every output element receives the same products in the same
+//! order as a `k`-ascending dot product from `+0.0`, each rounded on its
+//! own, so neither kernel changes a bit of any result.
 //!
 //! # The zero rule
 //!
@@ -130,7 +136,7 @@ impl Matrix {
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        accumulate_product::<true>(&mut out.data, &self.data, &other.data, other.cols);
+        accumulate_product(&mut out.data, &self.data, &other.data, other.cols);
         out
     }
 
@@ -145,7 +151,7 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         assert_eq!(out.len(), self.cols * other.cols, "t_matmul output size");
         let self_t = self.transposed();
-        accumulate_product::<true>(out, &self_t.data, &other.data, other.cols);
+        accumulate_product(out, &self_t.data, &other.data, other.cols);
     }
 
     /// `self · otherᵀ` — shapes `(m×k) · (n×k)ᵀ = (m×n)`. Dense: every
@@ -158,9 +164,15 @@ impl Matrix {
     #[must_use]
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let other_t = other.transposed();
         let mut out = Matrix::zeros(self.rows, other.rows);
-        accumulate_product::<false>(&mut out.data, &self.data, &other_t.data, other.rows);
+        let mut block = vec![0.0; self.cols * self.rows.min(TILE)];
+        forward_product(
+            &mut out.data,
+            &self.data,
+            &other.data,
+            self.cols,
+            &mut block,
+        );
         out
     }
 
@@ -197,10 +209,10 @@ impl Matrix {
 /// row.
 const GROUP: usize = 8;
 
-/// The one product kernel: `out (m×n) += A (m×k) · B (k×n)`, all row-major.
-/// `m` and `k` follow from the slice lengths. `SKIP_ZEROS` is the module's
-/// zero rule: an exactly-zero `A[i,p]` contributes nothing instead of
-/// `0 · B[p,:]`.
+/// The backward products' kernel: `out (m×n) += A (m×k) · B (k×n)`, all
+/// row-major. `m` and `k` follow from the slice lengths. An exactly-zero
+/// `A[i,p]` contributes nothing instead of `0 · B[p,:]` (the module's
+/// [zero rule](self#the-zero-rule)).
 ///
 /// Row `i` of `out` receives `A[i,p] · B[p,:]` for `p` ascending. The kernel
 /// holds the next [`GROUP`] of them that the zero rule keeps and adds the
@@ -210,8 +222,8 @@ const GROUP: usize = 8;
 /// own, in the same order as a `k`-ascending dot product started from
 /// `+0.0` — bit for bit. Grouping only changes how often the output row is
 /// loaded and stored: once per group instead of once per product.
-// trimlint: hot-path -- every multiply-add of the compute stage runs in this loop
-fn accumulate_product<const SKIP_ZEROS: bool>(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
+// trimlint: hot-path -- every backward multiply-add of the compute stage runs in this loop
+fn accumulate_product(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
     if n == 0 || b.is_empty() {
         return;
     }
@@ -220,7 +232,7 @@ fn accumulate_product<const SKIP_ZEROS: bool>(out: &mut [f32], a: &[f32], b: &[f
     for (orow, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
         let mut len = 0;
         for (&a, brow) in arow.iter().zip(b.chunks_exact(n)) {
-            if SKIP_ZEROS && fcmp::exactly_zero(a) {
+            if fcmp::exactly_zero(a) {
                 continue;
             }
             held[len] = (a, brow);
@@ -255,6 +267,73 @@ fn add_group(orow: &mut [f32], held: &[(f32, &[f32]); GROUP]) {
             + a6 * b6[j]
             + a7 * b7[j];
     }
+}
+
+/// The widest batch tile of [`forward_product`]: this many rows of `x` share
+/// one pass over `W`.
+const TILE: usize = 32;
+
+/// The forward product `out (m×n) = x (m×k) · Wᵀ`, with `W (n×k)` row-major
+/// and `out` zero on entry. `block` is scratch for one packed tile, at least
+/// `k · min(m, TILE)` long. Dense: every product is formed (the
+/// [zero rule](self#the-zero-rule)).
+///
+/// It computes `outᵀ = W·xᵀ` one tile of batch rows at a time: whole tiles
+/// of [`TILE`] rows, then of 8, then single rows. A tile's rows are packed
+/// transposed into `block` (`k × T`, cache-resident), and every row of `W`
+/// then streams past the block once, contiguously, adding `W[j,p] ·
+/// x[i..i+T, p]` for `p` ascending into `T` accumulators that stay in
+/// registers for the whole inner dimension. So each output element receives
+/// `x[i,p]·W[j,p]` for `p` ascending onto `+0.0`, each rounded on its own —
+/// the `k`-ascending dot product, bit for bit — and `W` is read once per
+/// tile and never copied.
+// trimlint: hot-path -- every forward multiply-add of the compute stage runs in this loop
+fn forward_product(out: &mut [f32], x: &[f32], w: &[f32], k: usize, block: &mut [f32]) {
+    if x.is_empty() || w.is_empty() {
+        return;
+    }
+    let n = w.len() / k;
+    let (out, x) = forward_tiles::<TILE>(out, x, w, k, n, block);
+    let (out, x) = forward_tiles::<8>(out, x, w, k, n, block);
+    forward_tiles::<1>(out, x, w, k, n, block);
+}
+
+/// Every whole `T`-row tile of `x` through [`forward_product`]'s loop;
+/// returns the rows of `out` and `x` left over.
+fn forward_tiles<'o, 'x, const T: usize>(
+    out: &'o mut [f32],
+    x: &'x [f32],
+    w: &[f32],
+    k: usize,
+    n: usize,
+    block: &mut [f32],
+) -> (&'o mut [f32], &'x [f32]) {
+    let tiles = x.len() / (T * k);
+    if tiles == 0 {
+        return (out, x);
+    }
+    let (out, out_rest) = out.split_at_mut(tiles * T * n);
+    let (x, x_rest) = x.split_at(tiles * T * k);
+    let (block, _) = block[..T * k].as_chunks_mut::<T>();
+    for (otile, xtile) in out.chunks_exact_mut(T * n).zip(x.chunks_exact(T * k)) {
+        for (l, xrow) in xtile.chunks_exact(k).enumerate() {
+            for (packed, &v) in block.iter_mut().zip(xrow) {
+                packed[l] = v;
+            }
+        }
+        for (j, wrow) in w.chunks_exact(k).enumerate() {
+            let mut acc = [0.0f32; T];
+            for (&wp, packed) in wrow.iter().zip(block.iter()) {
+                for (a, &v) in acc.iter_mut().zip(packed) {
+                    *a += v * wp;
+                }
+            }
+            for (orow, a) in otile.chunks_exact_mut(n).zip(acc) {
+                orow[j] = a;
+            }
+        }
+    }
+    (out_rest, x_rest)
 }
 
 #[cfg(test)]

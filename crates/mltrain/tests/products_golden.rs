@@ -2,17 +2,19 @@
 //! flat gradient they add up to, and the in-memory hook's mean.
 //!
 //! (a) The naive i-j-k dot-product loops the library computed its products
-//! with until they moved onto one row-axpy kernel live on here as the
+//! with until they moved onto vectorising kernels live on here as the
 //! reference, and every product must match them **bit for bit** — over
 //! degenerate shapes, widths that are no multiple of any block or lane
 //! count, ReLU-sparse operands and IEEE special values. The reference spells
 //! out the zero rule: the forward product `a·bᵀ` is dense (a zero times a
 //! non-finite weight must poison the output), `a·b` and `aᵀ·b` skip exact
-//! zeros of `a`. The kernel adds its products in groups of eight per pass
-//! over an output row, so the inner dimension takes every residue modulo the
-//! group and mostly-zero operands make groups span skipped runs. NaN
-//! payloads are the one thing not compared: Rust leaves them unspecified, so
-//! any NaN equals any NaN here.
+//! zeros of `a`. The backward kernel adds its products in groups of eight
+//! per pass over an output row, so the inner dimension takes every residue
+//! modulo the group and mostly-zero operands make groups span skipped runs.
+//! The forward kernel tiles the batch axis 32, 8 and 1 rows wide, so its
+//! batch takes every tile width with and without a remainder. NaN payloads
+//! are the one thing not compared: Rust leaves them unspecified, so any NaN
+//! equals any NaN here.
 //!
 //! (b) FNV-1a digests of `loss_and_grad`'s loss and flat gradient at both
 //! benchmark shapes, recorded at the last commit that had the dot-product
@@ -138,13 +140,11 @@ fn matrix(rows: usize, cols: usize, fill: Fill, rng: &mut Xoshiro256StarStar) ->
     Matrix::from_vec(rows, cols, data)
 }
 
-/// All three products at `(m, k, n)` against their references.
-fn check_products(m: usize, k: usize, n: usize, fa: Fill, fb: Fill, seed: u64) {
-    let mut rng = Xoshiro256StarStar::new(seed);
-    let ctx = format!("m={m} k={k} n={n} {fa:?}×{fb:?} seed={seed}");
-
-    let a = matrix(m, k, fa, &mut rng);
-    let b = matrix(n, k, fb, &mut rng);
+/// The forward product at `(m, k, n)` against its reference.
+fn check_forward(m: usize, k: usize, n: usize, fa: Fill, fb: Fill, rng: &mut Xoshiro256StarStar) {
+    let ctx = format!("m={m} k={k} n={n} {fa:?}×{fb:?}");
+    let a = matrix(m, k, fa, rng);
+    let b = matrix(n, k, fb, rng);
     let got = a.matmul_t(&b);
     assert_eq!((got.rows(), got.cols()), (m, n), "matmul_t shape, {ctx}");
     assert_eq!(
@@ -152,7 +152,16 @@ fn check_products(m: usize, k: usize, n: usize, fa: Fill, fb: Fill, seed: u64) {
         bits(&ref_matmul_t(&a, &b)),
         "matmul_t, {ctx}"
     );
+}
 
+/// All three products at `(m, k, n)` against their references.
+fn check_products(m: usize, k: usize, n: usize, fa: Fill, fb: Fill, seed: u64) {
+    let mut rng = Xoshiro256StarStar::new(seed);
+    let ctx = format!("m={m} k={k} n={n} {fa:?}×{fb:?} seed={seed}");
+
+    check_forward(m, k, n, fa, fb, &mut rng);
+
+    let a = matrix(m, k, fa, &mut rng);
     let b = matrix(k, n, fb, &mut rng);
     let got = a.matmul(&b);
     assert_eq!((got.rows(), got.cols()), (m, n), "matmul shape, {ctx}");
@@ -190,12 +199,32 @@ fn products_match_the_naive_loops_on_edge_shapes() {
     }
 }
 
+/// The forward product tiles the batch axis 32, 8 and 1 rows wide, so its
+/// `m` takes every tile width with and without each remainder, over the
+/// same inner and output dimensions.
+#[test]
+fn forward_matches_the_naive_loop_on_every_batch_tiling() {
+    let ks = (0..=2 * GROUP).chain([70, 131]);
+    let mut rng = Xoshiro256StarStar::new(0xF0A4);
+    for k in ks {
+        for m in [7usize, 8, 9, 31, 32, 33, 40, 65] {
+            for n in [0usize, 1, 3, 17] {
+                for fa in FILLS {
+                    for fb in FILLS {
+                        check_forward(m, k, n, fa, fb, &mut rng);
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn products_match_the_naive_loops(
-        m in 0usize..9,
+        m in 0usize..71,
         k in 0usize..70,
         n in 0usize..70,
         fa in 0usize..4,

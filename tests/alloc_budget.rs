@@ -6,15 +6,17 @@
 //! allocate blob-sized memory only for the `W` views the `AggregateHook` API
 //! returns: no per-worker decode, no per-row depth vector, no fresh gradient.
 //! Allocations are counted on every thread, so the budget holds at every
-//! `TRIMGRAD_THREADS` width.
+//! `TRIMGRAD_THREADS` width. Inside the round, the compute stage allocates
+//! nothing as large as a weight matrix: no product copies `W`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use trimgrad_collective::hooks::{AggregateHook, TrimmableHook};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
-use trimgrad_mltrain::data::gaussian_mixture;
+use trimgrad_mltrain::data::{gaussian_mixture, sample_indices};
 use trimgrad_mltrain::parallel::{DataParallelTrainer, ParallelConfig};
+use trimgrad_mltrain::Mlp;
 use trimgrad_quant::SchemeId;
 
 /// Counts the allocations (and growing reallocations) of at least
@@ -121,4 +123,22 @@ fn a_training_round_allocates_nothing_parameter_sized_but_the_views() {
         assert!(trainer.run_round().loss.is_finite());
     });
     assert_eq!(count, WORKERS, "allocations ≥ 4·param_count bytes");
+}
+
+#[test]
+fn the_compute_stage_copies_no_weight_matrix() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let seed = 11;
+    let classes = DIMS[DIMS.len() - 1];
+    let data = gaussian_mixture(classes, DIMS[0], 4000 / classes, 0.25, 1.0, seed);
+    let mut rng = Xoshiro256StarStar::new(seed);
+    let (bx, by) = data.batch(&sample_indices(data.len(), 32, &mut rng));
+    let model = Mlp::new(&DIMS, seed);
+    let mut grad = vec![0.0f32; model.param_count()];
+    // The smallest weight matrix, 100 × 512, is 4·100·512 bytes; every
+    // per-call buffer of a batch of 32 is smaller.
+    let count = third_call_allocations(4 * 100 * 512, || {
+        assert!(model.loss_and_grad_into(&bx, &by, &mut grad).is_finite());
+    });
+    assert_eq!(count, 0, "allocations ≥ the smallest weight matrix");
 }
