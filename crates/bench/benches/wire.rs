@@ -1,11 +1,12 @@
 //! Micro-benchmarks for the wire layer: packetizing a row, the in-switch
-//! trim operation (the hot path of a trimming ASIC model), and receiver-side
-//! parse + reassembly. All three land in `BENCH_wire.json` under CI's bench
-//! smoke job.
+//! trim operation (the hot path of a trimming ASIC model), receiver-side
+//! parse + reassembly, and the Internet checksum that all three run. All four
+//! land in `BENCH_wire.json` under CI's bench smoke job.
 
 use std::hint::black_box;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::quant::SchemeId;
+use trimgrad::wire::internet_checksum;
 use trimgrad::wire::packet::NetAddrs;
 use trimgrad::wire::packetize::{packetize_row, PacketizeConfig};
 use trimgrad::wire::reassemble::RowAssembler;
@@ -72,11 +73,28 @@ fn bench_parse_and_reassemble(opts: &BenchOpts, records: &mut Vec<BenchRecord>) 
     records.extend(g.finish());
 }
 
+/// The checksum alone, over a full frame's datagram and over an IPv4
+/// header: every seal and check of the rows above runs it on both sizes.
+fn bench_checksum(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    let mut rng = Xoshiro256StarStar::new(3);
+    let frame: Vec<u8> = (0..1436).map(|_| rng.next_u32() as u8).collect();
+    for len in [1436, 20] {
+        let mut g = Group::new("wire");
+        opts.configure(&mut g);
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench(&format!("internet_checksum_{len}B"), || {
+            internet_checksum(black_box(&frame[..len]))
+        });
+        records.extend(g.finish());
+    }
+}
+
 fn main() {
     let opts = BenchOpts::from_args();
     let mut records = Vec::new();
     bench_packetize(&opts, &mut records);
     bench_trim_op(&opts, &mut records);
     bench_parse_and_reassemble(&opts, &mut records);
+    bench_checksum(&opts, &mut records);
     opts.write("wire", &records);
 }

@@ -214,7 +214,8 @@ impl RingWorkerApp {
         self.done
     }
 
-    /// The (post-all-reduce) blob. Meaningful once [`is_done`](Self::is_done).
+    /// The (post-all-reduce) blob. Meaningful once [`is_done`](Self::is_done);
+    /// empty after [`run_ring_allreduce`], which moves it out to return it.
     #[must_use]
     pub fn blob(&self) -> &[f32] {
         &self.blob
@@ -423,7 +424,9 @@ impl App for RingWorkerApp {
 
 /// Builds the ring, installs a worker per host, runs the simulation to
 /// quiescence, and returns each worker's resulting blob plus the global trim
-/// fraction observed by the workers.
+/// fraction observed by the workers. The blobs are moved out of the
+/// workers, not copied: each installed worker's [`RingWorkerApp::blob`] is
+/// empty afterwards.
 ///
 /// # Panics
 ///
@@ -446,8 +449,8 @@ pub fn run_ring_allreduce(
     let mut out = Vec::with_capacity(cfg.workers());
     let (mut trimmed, mut total) = (0, 0);
     for (rank, &host) in cfg.hosts.iter().enumerate() {
-        let app: &RingWorkerApp = sim
-            .app_ref(host)
+        let app: &mut RingWorkerApp = sim
+            .app_mut(host)
             // trimlint: allow(no-panic) -- documented # Panics contract: every host got its worker installed in the loop above
             .expect("worker installed");
         assert!(
@@ -458,7 +461,7 @@ pub fn run_ring_allreduce(
         );
         trimmed += app.metrics.trimmed_received.get();
         total += app.metrics.packets_received.get();
-        out.push(app.blob().to_vec());
+        out.push(core::mem::take(&mut app.blob));
     }
     let frac = if total == 0 {
         0.0

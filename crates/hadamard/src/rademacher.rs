@@ -41,27 +41,58 @@ impl RademacherDiagonal {
     ///
     /// One draw covers 64 coordinates, one byte of it each group of eight
     /// (the shape `trimgrad_quant::kernels::fill_signed` has on the decode
-    /// side): the sign lands as an XOR into the float's sign bit, branch-free
-    /// — a coin flip would mispredict every other coordinate — and the
-    /// group's eight XORs and multiplies vectorize.
+    /// side): [`sign_masks`] turns the byte into the group's eight sign
+    /// bits, which land as an XOR into the floats' sign bits, branch-free —
+    /// a coin flip would mispredict every other coordinate — and the group's
+    /// eight XORs and multiplies vectorize.
     pub fn apply_scaled(&mut self, data: &mut [f32], scale: f32) {
-        let signed = |v: &mut f32, sign: u32| *v = f32::from_bits(v.to_bits() ^ sign << 31) * scale;
         let (words, ragged) = data.as_chunks_mut::<64>();
         for word in words {
             let bytes = self.rng.next_u64().to_le_bytes();
             for (group, byte) in word.as_chunks_mut::<8>().0.iter_mut().zip(bytes) {
-                for (j, v) in group.iter_mut().enumerate() {
-                    signed(v, u32::from(byte) >> j);
+                for (v, mask) in group.iter_mut().zip(sign_masks(byte)) {
+                    *v = f32::from_bits(v.to_bits() ^ mask) * scale;
                 }
             }
         }
         if !ragged.is_empty() {
             let word = self.rng.next_u64();
             for (j, v) in ragged.iter_mut().enumerate() {
-                signed(v, (word >> j) as u32);
+                *v = f32::from_bits(v.to_bits() ^ ((word >> j) as u32) << 31) * scale;
             }
         }
     }
+}
+
+/// Entry `n` holds the IEEE-754 sign bits of the nibble `n`'s four lanes:
+/// lane `j` is `(n >> j & 1) << 31`.
+const NIBBLE_SIGN_MASKS: [[u32; 4]; 16] = {
+    let mut table = [[0; 4]; 16];
+    let mut n = 0;
+    while n < 16 {
+        let mut j = 0;
+        while j < 4 {
+            table[n][j] = ((n as u32) >> j & 1) << 31;
+            j += 1;
+        }
+        n += 1;
+    }
+    table
+};
+
+/// A sign byte as its eight lanes' IEEE-754 sign bits: lane `j` is
+/// `(byte >> j & 1) << 31`, the bit to XOR into coordinate `j` of the
+/// byte's group of eight (1 = negative).
+///
+/// Two loads from a 16-entry table rather than a shift per lane: a shift by
+/// a different amount in each lane has no instruction on baseline x86-64
+/// (SSE2), so that form keeps the loops that use it scalar, while this one
+/// lets them vectorize.
+#[inline]
+#[must_use]
+pub fn sign_masks(byte: u8) -> [u32; 8] {
+    let [lo, hi] = [byte & 0xF, byte >> 4].map(|nibble| NIBBLE_SIGN_MASKS[usize::from(nibble)]);
+    [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
 }
 
 /// The first `n` entries of the seed-`s` Rademacher diagonal, as `±1.0`.
@@ -75,6 +106,21 @@ pub(crate) fn rademacher_vec(seed: u64, n: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every byte, every lane: the table is the per-lane shift it replaces.
+    #[test]
+    fn sign_masks_expand_every_byte() {
+        for byte in 0..=u8::MAX {
+            let masks = sign_masks(byte);
+            for (j, &mask) in masks.iter().enumerate() {
+                assert_eq!(
+                    mask,
+                    (u32::from(byte) >> j & 1) << 31,
+                    "byte {byte:#04x}, lane {j}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn entries_are_plus_minus_one() {

@@ -128,7 +128,8 @@ impl<'a> HostApi<'a> {
 }
 
 /// Endpoint logic installed on a host. `Any` lets
-/// [`crate::sim::Simulator::app_ref`] hand the concrete app back after a run.
+/// [`crate::sim::Simulator::app_ref`] and [`app_mut`](crate::sim::Simulator::app_mut)
+/// hand the concrete app back after a run.
 pub trait App: core::any::Any + Send {
     /// Called once when the simulation starts.
     fn on_start(&mut self, api: &mut HostApi) {

@@ -366,6 +366,15 @@ impl Simulator {
             .and_then(|a| (a as &dyn core::any::Any).downcast_ref::<T>())
     }
 
+    /// Mutably borrows an installed app, downcast to its concrete type: the
+    /// way to move a result out of an app after a run.
+    #[must_use]
+    pub fn app_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
+        self.apps[node.0]
+            .as_deref_mut()
+            .and_then(|a| (a as &mut dyn core::any::Any).downcast_mut::<T>())
+    }
+
     /// Runs until the event queue drains or `t_end` is reached, whichever is
     /// first. Returns the simulated time afterwards.
     pub fn run_until(&mut self, t_end: SimTime) -> SimTime {

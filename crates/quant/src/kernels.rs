@@ -31,13 +31,19 @@
 //! coordinate `start` of the row. The run's whole groups take a sign byte
 //! and `W` field bytes each and write eight floats; a sign becomes an IEEE
 //! sign bit without a branch (it is as random as a coin, so
-//! `if sign { -x } else { x }` mispredicts every other coordinate). A run
+//! `if sign { -x } else { x }` mispredicts every other coordinate), the sign
+//! byte expanding to its eight lanes' sign bits through
+//! [`trimgrad_hadamard::rademacher::sign_masks`], the table the RHT's
+//! Rademacher diagonal reads too, so the group loop vectorizes even on
+//! baseline x86-64, which has no per-lane variable shift. A run
 //! starts where a packet does — coordinate 360·k at the default 1500-byte
 //! MTU, a multiple of eight, though not at every MTU — so the coordinates
 //! before its first and after its last group boundary go one at a time
 //! through a `bitpack::window` load. `crates/quant/tests/decode_golden.rs`
 //! pins every scheme's output bit for bit against a per-coordinate reference
 //! decoder.
+
+use trimgrad_hadamard::rademacher::sign_masks;
 
 use crate::bitpack::{pack_low_bits, pack_signs, unpack_group, window, BitBuf};
 
@@ -79,8 +85,8 @@ fn fill_signed(
     let after = (first + groups.len()) * 8;
     let sign_bytes = signs.get(first..).unwrap_or(&[]);
     for ((group, dst), &byte) in (first..).zip(groups).zip(sign_bytes) {
-        for ((j, o), field) in dst.iter_mut().enumerate().zip(rest8(group)) {
-            *o = f32::from_bits((u32::from(byte) >> j) << 31 ^ field);
+        for ((o, mask), field) in dst.iter_mut().zip(sign_masks(byte)).zip(rest8(group)) {
+            *o = f32::from_bits(mask ^ field);
         }
     }
     fill_signed_ragged(signs, after, ragged, &rest);
