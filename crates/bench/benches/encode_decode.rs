@@ -21,9 +21,7 @@ use std::hint::black_box;
 use trimgrad::collective::chunk::MessageCodec;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::quant::bitpack::pack_low_bits;
-use trimgrad::quant::kernels::{
-    decode_sign31, decode_sign_exp_mant, encode_sign31_parts, encode_sign_exp_mant_parts,
-};
+use trimgrad::quant::kernels::{decode_sign31, decode_sign_exp_mant, pack_exps_into};
 use trimgrad::quant::SchemeId;
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
 
@@ -87,14 +85,17 @@ fn bench_kernels(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     g.bench("pack_tails31_32k", || pack_low_bits::<31>(black_box(&data)));
     g.bench("pack_mants23_32k", || pack_low_bits::<23>(black_box(&data)));
     let mut out = vec![0.0f32; n];
-    let (signs, tails) = encode_sign31_parts(&data);
+    // Sign-magnitude's parts are the row's own sign and 31-bit planes.
+    let planes = SchemeId::SignMagnitude.encode(&data, 0).parts;
+    let (signs, tails) = (planes[0].as_bytes(), planes[1].as_bytes());
     g.bench("unpack_sign31_32k", || {
-        decode_sign31(black_box(signs.as_bytes()), tails.as_bytes(), 0, &mut out);
+        decode_sign31(black_box(signs), tails, 0, &mut out);
     });
-    let (signs, exps, mants) = encode_sign_exp_mant_parts(&data);
+    let mut exps = vec![0u8; n];
+    pack_exps_into(&data, &mut exps);
+    let mants = pack_low_bits::<23>(&data);
     g.bench("unpack_sign_exp_mant23_32k", || {
-        let (signs, exps, mants) = (signs.as_bytes(), exps.as_bytes(), mants.as_bytes());
-        decode_sign_exp_mant(black_box(signs), exps, mants, 0, &mut out);
+        decode_sign_exp_mant(black_box(signs), &exps, mants.as_bytes(), 0, &mut out);
     });
     records.extend(g.finish());
 }

@@ -2,10 +2,16 @@
 //! trim operation (the hot path of a trimming ASIC model), receiver-side
 //! parse + reassembly, and the Internet checksum that all three run. All four
 //! land in `BENCH_wire.json` under CI's bench smoke job.
+//!
+//! `packetize_message_1M` is the send path as `codec_loopback` runs it: a
+//! 2²⁰-coordinate RHT blob staged row by row and packed chunk by chunk
+//! straight into its frames, at the process's pool width.
 
 use std::hint::black_box;
+use trimgrad::collective::chunk::MessageCodec;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::quant::SchemeId;
+use trimgrad::trace::Tracer;
 use trimgrad::wire::internet_checksum;
 use trimgrad::wire::packet::NetAddrs;
 use trimgrad::wire::packetize::{packetize_row, PacketizeConfig};
@@ -37,6 +43,26 @@ fn bench_packetize(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     g.throughput(Throughput::Elements(enc.n as u64));
     g.bench("packetize_row_32k", || {
         packetize_row(black_box(&enc), &cfg())
+    });
+    records.extend(g.finish());
+}
+
+fn bench_packetize_message(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    let mut rng = Xoshiro256StarStar::new(2);
+    let blob: Vec<f32> = (0..(1 << 20))
+        .map(|_| rng.next_f32_range(-1.0, 1.0))
+        .collect();
+    let codec = MessageCodec::new(SchemeId::RhtOneBit, 42);
+    let tracer = Tracer::disabled();
+    let mut g = Group::new("wire");
+    opts.configure(&mut g);
+    g.throughput(Throughput::Elements(blob.len() as u64));
+    g.bench("packetize_message_1M", || {
+        let mut frames = 0;
+        codec.packetize_message(black_box(&blob), &cfg(), &tracer, 0, |pr| {
+            frames += pr.packets.len();
+        });
+        frames
     });
     records.extend(g.finish());
 }
@@ -93,6 +119,7 @@ fn main() {
     let opts = BenchOpts::from_args();
     let mut records = Vec::new();
     bench_packetize(&opts, &mut records);
+    bench_packetize_message(&opts, &mut records);
     bench_trim_op(&opts, &mut records);
     bench_parse_and_reassemble(&opts, &mut records);
     bench_checksum(&opts, &mut records);

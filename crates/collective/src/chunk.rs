@@ -7,18 +7,19 @@
 //! randomness without communicating it and trimming damage stays independent
 //! across rows. [`MessageCodec::packetize_message`] and
 //! [`MessageCodec::decode_assembled_into`] are the send and receive halves
-//! every frame-level caller (the pipeline, the ring workers) goes through;
-//! the receive half decodes each row where it will live, in its own slice
-//! of the caller's buffer.
+//! every frame-level caller (the pipeline, the ring workers) goes through.
+//! The send half packs each chunk of a row straight into its frame; the
+//! receive half decodes each row where it will live, in its own slice of the
+//! caller's buffer, from whatever [`ReceivedRow`] holds it.
 
 use trimgrad_hadamard::prng::derive_seed;
 use trimgrad_par::WorkerPool;
-use trimgrad_quant::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta};
+use trimgrad_quant::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, RowScratch};
 use trimgrad_quant::SchemeId;
 use trimgrad_trace::{sat32, sat64, TraceEvent, Tracer};
 use trimgrad_wire::packet::GradPacket;
-use trimgrad_wire::packetize::{packetize_row, PacketizeConfig, PacketizedRow};
-use trimgrad_wire::reassemble::RowAssembler;
+use trimgrad_wire::packetize::{packetize_with, PacketizeConfig, PacketizedRow};
+use trimgrad_wire::reassemble::{RowAssembler, RowFrames};
 use trimgrad_wire::WireError;
 
 /// Default row length: 2¹⁵ coordinates (the paper's GPU-L1-sized rows).
@@ -134,15 +135,21 @@ impl MessageCodec {
         )
     }
 
-    /// The send path, blob → rows → frames: encodes every row of `blob`, cuts
-    /// it into MTU-sized packets and hands the packetized rows to `sink` in
-    /// row order. `cfg` supplies the message-wide fields (MTU, addresses,
-    /// message id, epoch); its `row_id` is replaced by each row's index.
+    /// The send path, blob → rows → frames: stages every row of `blob`
+    /// ([`SchemeId::stage`]) and packs each chunk of it straight into its
+    /// MTU-sized frame (`trimgrad_wire::packetize::packetize_with` over
+    /// `StagedRow::pack_range`) — no whole-row plane in between — then hands
+    /// the packetized rows to `sink` in row order. `cfg` supplies the
+    /// message-wide fields (MTU, addresses, message id, epoch); its `row_id`
+    /// is replaced by each row's index. The frames are byte for byte those
+    /// of `packetize_row` over [`encode_message`](Self::encode_message)'s
+    /// rows.
     ///
-    /// Rows fan out over the process-wide [`WorkerPool`]; a row's frames
-    /// depend only on its index, so the output is byte-identical for every
-    /// pool width. Each row's `row.encoded` event is emitted at `at` just
-    /// before `sink` receives it.
+    /// Rows fan out over the process-wide [`WorkerPool`], each stripe of
+    /// rows reusing one [`RowScratch`]; a row's frames depend only on its
+    /// index, so the output is byte-identical for every pool width. Each
+    /// row's `row.encoded` event is emitted at `at` just before `sink`
+    /// receives it.
     pub fn packetize_message(
         &self,
         blob: &[f32],
@@ -151,16 +158,28 @@ impl MessageCodec {
         at: u64,
         mut sink: impl FnMut(PacketizedRow),
     ) {
-        let encoded = self.encode_message(blob, cfg.epoch, cfg.msg_id);
-        let rows = WorkerPool::global().map_striped(encoded.iter(), |row_id, enc| {
-            packetize_row(
-                enc,
-                &PacketizeConfig {
+        let rows = WorkerPool::global().map_striped_with(
+            0..self.rows_for(blob.len()),
+            RowScratch::default,
+            |scratch, row_id, _| {
+                let row = &blob[self.row_range(blob.len(), row_id)];
+                let seed = self.row_seed(cfg.epoch, cfg.msg_id, row_id as u32);
+                let staged = self.scheme.stage(row, seed, scratch);
+                let row_cfg = PacketizeConfig {
                     row_id: row_id as u32,
                     ..*cfg
-                },
-            )
-        });
+                };
+                packetize_with(
+                    self.scheme,
+                    staged.n(),
+                    staged.meta(),
+                    &row_cfg,
+                    |part, coords, dst| {
+                        staged.pack_range(part, coords, dst);
+                    },
+                )
+            },
+        );
         for (row_id, pr) in rows.into_iter().enumerate() {
             tracer.emit(at, || TraceEvent::RowEncoded {
                 msg: cfg.msg_id,
@@ -170,12 +189,6 @@ impl MessageCodec {
             });
             sink(pr);
         }
-        // The encoded rows are freed only here, as one block, after the caller
-        // has collected every frame. Freed before that (or row by row, in a
-        // fused encode + packetize pass) the caller's allocations split the
-        // block, and the receive side then pays 1 100–2 400 extra page faults
-        // per 4 × 1M-coordinate loopback round (measured: +2–3% round time).
-        drop(encoded);
     }
 
     /// Decodes one row view back into coordinates.
@@ -220,9 +233,9 @@ impl MessageCodec {
     /// # Errors
     ///
     /// As [`decode_assembled_into`](Self::decode_assembled_into).
-    pub fn decode_assembled(
+    pub fn decode_assembled<R: ReceivedRow>(
         &self,
-        rows: &[RowAssembler],
+        rows: &[R],
         epoch: u32,
         msg_id: u32,
         tracer: &Tracer,
@@ -233,8 +246,8 @@ impl MessageCodec {
         Ok(out)
     }
 
-    /// The receive path, assembled rows → coordinates: decodes whatever each
-    /// row's assembler holds, row-parallel on the process-wide
+    /// The receive path, received rows → coordinates: decodes whatever each
+    /// row holds, row-parallel on the process-wide
     /// [`WorkerPool`], every row straight into its own slice of `out` — rows
     /// in row order, each its `original_len` long (a row whose metadata
     /// never arrived takes none), and `out` exactly their sum. One
@@ -248,9 +261,9 @@ impl MessageCodec {
     /// `BadField("meta")` if its metadata never arrived,
     /// `BadField("row decode")` if the scheme rejects the assembled view.
     /// After an error `out` holds unspecified values.
-    pub fn decode_assembled_into(
+    pub fn decode_assembled_into<R: ReceivedRow>(
         &self,
-        rows: &[RowAssembler],
+        rows: &[R],
         epoch: u32,
         msg_id: u32,
         tracer: &Tracer,
@@ -261,20 +274,21 @@ impl MessageCodec {
             return Err(WireError::BadField("output length"));
         }
         let items = rows.iter().zip(row_slices(out, assembled_lens(rows)));
-        let decoded = WorkerPool::global().map_striped(items, |row_id, (asm, dst)| {
-            let meta = asm.meta().ok_or(WireError::BadField("meta"))?;
-            self.decode_row_into(&asm.partial_row(), meta, epoch, msg_id, row_id as u32, dst)
+        let decoded = WorkerPool::global().map_striped(items, |row_id, (row, dst)| {
+            let meta = row.meta().ok_or(WireError::BadField("meta"))?;
+            let seed = self.row_seed(epoch, msg_id, row_id as u32);
+            row.decode_into(self.scheme, meta, seed, dst)
                 .map_err(|_| WireError::BadField("row decode"))
         });
-        for (row_id, (asm, dec)) in rows.iter().zip(decoded).enumerate() {
+        for (row_id, (row, dec)) in rows.iter().zip(decoded).enumerate() {
             dec?;
             tracer.emit(at, || {
-                let coords = asm.coords_received();
+                let coords = row.coords_received();
                 TraceEvent::RowDecoded {
                     msg: msg_id,
                     row: row_id as u32,
                     coords: sat32(coords),
-                    lost: sat32(asm.n().saturating_sub(coords)),
+                    lost: sat32(row.n().saturating_sub(coords)),
                 }
             });
         }
@@ -315,11 +329,86 @@ impl MessageCodec {
     }
 }
 
-/// Coordinates each assembled row decodes to: its `original_len`, or none
+/// A received row the receive path decodes: a [`RowAssembler`]'s
+/// reassembled planes, or a [`RowFrames`]' sections read where they lie.
+pub trait ReceivedRow: Sync {
+    /// Row metadata: `None` until it arrived.
+    fn meta(&self) -> Option<&RowMeta>;
+
+    /// The encoded (padded) length.
+    fn n(&self) -> usize;
+
+    /// Number of coordinates whose head (part 0) has arrived.
+    fn coords_received(&self) -> usize;
+
+    /// Decodes the row with `scheme` under `seed` into `out`, which holds
+    /// `meta.original_len` coordinates.
+    ///
+    /// # Errors
+    ///
+    /// What the scheme's decoder reports.
+    fn decode_into(
+        &self,
+        scheme: SchemeId,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError>;
+}
+
+impl ReceivedRow for RowAssembler {
+    fn meta(&self) -> Option<&RowMeta> {
+        RowAssembler::meta(self)
+    }
+
+    fn n(&self) -> usize {
+        RowAssembler::n(self)
+    }
+
+    fn coords_received(&self) -> usize {
+        RowAssembler::coords_received(self)
+    }
+
+    fn decode_into(
+        &self,
+        scheme: SchemeId,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        scheme.decode_into(&self.partial_row(), meta, seed, out)
+    }
+}
+
+impl ReceivedRow for RowFrames<'_> {
+    fn meta(&self) -> Option<&RowMeta> {
+        Some(RowFrames::meta(self))
+    }
+
+    fn n(&self) -> usize {
+        RowFrames::n(self)
+    }
+
+    fn coords_received(&self) -> usize {
+        RowFrames::coords_received(self)
+    }
+
+    fn decode_into(
+        &self,
+        scheme: SchemeId,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        scheme.decode_runs(self, self.n(), meta, seed, out)
+    }
+}
+
+/// Coordinates each received row decodes to: its `original_len`, or none
 /// while its metadata has not arrived.
-fn assembled_lens(rows: &[RowAssembler]) -> impl Iterator<Item = usize> + '_ {
-    let len = |asm: &RowAssembler| asm.meta().map_or(0, |m| m.original_len);
-    rows.iter().map(len)
+fn assembled_lens<R: ReceivedRow>(rows: &[R]) -> impl Iterator<Item = usize> + '_ {
+    rows.iter()
+        .map(|row| row.meta().map_or(0, |m| m.original_len))
 }
 
 /// Cuts `out` into consecutive slices of `lens` coordinates, one per row;

@@ -16,6 +16,13 @@
 //! That the per-row `encode` matches the per-coordinate reference encoder is
 //! `crates/quant/tests/encode_golden.rs`'s half of the contract.
 //!
+//! The send path is checked against the plane path: the frames
+//! `packetize_message` packs straight from each row's stage must be those
+//! `packetize_row` cuts from `encode_message`'s rows, byte for byte, at the
+//! process's width and through the public staged-row closure at every
+//! width `1..=8` — at IP MTUs 101, 1499 and 9000, where chunks start off
+//! the groups of eight coordinates the packers work in.
+//!
 //! The receive half is checked the same way: `decode_assembled` at the
 //! process's width, and the public in-place row closure (`decode_row_into`
 //! on a row's own slice of one output) at widths 1, 2 and 3, against rows
@@ -25,11 +32,11 @@ use proptest::prelude::*;
 use trimgrad_collective::chunk::MessageCodec;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_par::WorkerPool;
-use trimgrad_quant::scheme::EncodedRow;
+use trimgrad_quant::scheme::{EncodedRow, RowScratch};
 use trimgrad_quant::SchemeId;
 use trimgrad_trace::Tracer;
 use trimgrad_wire::packet::NetAddrs;
-use trimgrad_wire::packetize::PacketizeConfig;
+use trimgrad_wire::packetize::{packetize_row, packetize_with, PacketizeConfig, PacketizedRow};
 use trimgrad_wire::reassemble::RowAssembler;
 
 fn blob(n: usize, seed: u64) -> Vec<f32> {
@@ -121,6 +128,111 @@ proptest! {
     ) {
         let codec = MessageCodec::with_row_len(scheme, seed, row_len);
         prop_assert_eq!(check_fan_out(&codec, &blob(len, seed ^ 0x5EED), 1, 2), Ok(()));
+    }
+}
+
+/// IP MTUs whose chunks start at multiples of 11, 359–360 and 2235
+/// coordinates: most of them inside a group of eight.
+const MTUS: [usize; 3] = [101, 1499, 9000];
+
+/// Every frame's bytes and every row's metadata, in send order.
+fn frames(rows: &[PacketizedRow]) -> Vec<(Vec<Vec<u8>>, Vec<u8>)> {
+    let net = NetAddrs::between_hosts(1, 2);
+    rows.iter()
+        .map(|pr| {
+            let data = pr.packets.iter().map(|p| p.as_bytes().to_vec()).collect();
+            (data, pr.meta.build_frame(&net))
+        })
+        .collect()
+}
+
+/// `Err(what diverged)` unless `packetize_message` and the staged-row
+/// closure at every explicit width send the frames `packetize_row` cuts
+/// from the encoded rows.
+fn check_packetize(codec: &MessageCodec, b: &[f32], mtu: usize) -> Result<(), String> {
+    let (epoch, msg_id) = (3, 9);
+    let cfg = PacketizeConfig {
+        mtu,
+        net: NetAddrs::between_hosts(1, 2),
+        msg_id,
+        row_id: 0,
+        epoch,
+    };
+    let row_cfg = |row_id: usize| PacketizeConfig {
+        row_id: row_id as u32,
+        ..cfg
+    };
+    let planes = codec.encode_message(b, epoch, msg_id);
+    let reference: Vec<PacketizedRow> = planes
+        .iter()
+        .enumerate()
+        .map(|(row_id, enc)| packetize_row(enc, &row_cfg(row_id)))
+        .collect();
+    let reference = frames(&reference);
+    let mut sent = Vec::new();
+    codec.packetize_message(b, &cfg, &Tracer::disabled(), 0, |pr| sent.push(pr));
+    if frames(&sent) != reference {
+        return Err(format!(
+            "packetize_message diverged at the process's width {}",
+            WorkerPool::global().threads()
+        ));
+    }
+    let scheme = codec.scheme_id();
+    for width in 1..=8 {
+        let rows = WorkerPool::new(width).map_striped_with(
+            0..codec.rows_for(b.len()),
+            RowScratch::default,
+            |scratch, row_id, _| {
+                let row = &b[codec.row_range(b.len(), row_id)];
+                let seed = codec.row_seed(epoch, msg_id, row_id as u32);
+                let staged = scheme.stage(row, seed, scratch);
+                packetize_with(
+                    scheme,
+                    staged.n(),
+                    staged.meta(),
+                    &row_cfg(row_id),
+                    |k, c, dst| {
+                        staged.pack_range(k, c, dst);
+                    },
+                )
+            },
+        );
+        if frames(&rows) != reference {
+            return Err(format!("staged rows diverged at width {width}"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn message_frames_match_plane_frames_at_every_mtu() {
+    let geometries = [
+        (64usize, 65usize),
+        (4096, 2 * 4096 - 1),
+        (256, 256 * 9 + 128),
+    ];
+    for scheme in SchemeId::ALL {
+        for (row_len, blob_len) in geometries {
+            for mtu in MTUS {
+                let codec = MessageCodec::with_row_len(scheme, 0xC0DEC, row_len);
+                check_packetize(&codec, &blob(blob_len, 79), mtu)
+                    .unwrap_or_else(|e| panic!("{scheme} row_len={row_len} mtu={mtu}: {e}"));
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn message_frames_match_plane_frames_for_random_shapes(
+        scheme in proptest::sample::select(SchemeId::ALL.to_vec()),
+        len in 0usize..3000,
+        row_len in 1usize..1200,
+        mtu in proptest::sample::select(MTUS.to_vec()),
+        seed in any::<u64>()
+    ) {
+        let codec = MessageCodec::with_row_len(scheme, seed, row_len);
+        prop_assert_eq!(check_packetize(&codec, &blob(len, seed ^ 0xF4A3), mtu), Ok(()));
     }
 }
 

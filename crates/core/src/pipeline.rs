@@ -7,7 +7,7 @@ use trimgrad_trace::Tracer;
 use trimgrad_wire::meta::RowMetaPacket;
 use trimgrad_wire::packet::{GradPacket, NetAddrs};
 use trimgrad_wire::packetize::{chunk_ranges, coords_per_packet, frame_len, PacketizeConfig};
-use trimgrad_wire::reassemble::RowAssembler;
+use trimgrad_wire::reassemble::RowFrames;
 use trimgrad_wire::{ethernet, WireError};
 
 /// Pipeline configuration.
@@ -33,6 +33,9 @@ pub struct PipelineConfig {
     row_len: usize,
     mtu: usize,
     base_seed: u64,
+    /// Coordinates per frame, `coords_per_packet(scheme, mtu)`: the chunk
+    /// geometry a received frame is held to.
+    per_packet: usize,
 }
 
 impl PipelineConfig {
@@ -174,6 +177,7 @@ impl PipelineConfigBuilder {
             row_len: self.row_len,
             mtu: self.mtu,
             base_seed: self.base_seed,
+            per_packet,
         })
     }
 }
@@ -343,10 +347,15 @@ impl TrimmablePipeline {
         tx
     }
 
-    /// Reassembles and decodes a message from whatever packets arrived.
-    /// Packets may be trimmed to any depth, duplicated, or missing entirely
-    /// (lost coordinates decode to 0); metadata packets must all be present
-    /// (they are the reliable channel).
+    /// Decodes a message from whatever packets arrived. Packets may be
+    /// trimmed to any depth, duplicated, or missing entirely (lost
+    /// coordinates decode to 0); metadata packets must all be present (they
+    /// are the reliable channel).
+    ///
+    /// Each row's frames are indexed by chunk ([`RowFrames`]) and decoded
+    /// from their sections where they lie — one run per chunk — into the
+    /// row's slice of the output, bit for bit what reassembling the frames
+    /// into planes and decoding those would give.
     ///
     /// # Errors
     ///
@@ -354,7 +363,11 @@ impl TrimmablePipeline {
     /// [`WireError::BadField`] when a packet belongs to a different message.
     /// A metadata packet of another message, epoch or scheme, or one longer
     /// than a row, is refused as `BadField("msg_id" | "epoch" | "scheme" |
-    /// "original_len")` before it sizes any buffer.
+    /// "original_len")` before it sizes any buffer. A data frame goes through
+    /// the checks of `RowAssembler::ingest`, in arrival order, and one more:
+    /// a frame that does not carry the coordinate range its chunk id has
+    /// under this pipeline's geometry is refused as `BadField("coord
+    /// range")`.
     pub fn decode(
         &self,
         packets: &[GradPacket],
@@ -364,9 +377,9 @@ impl TrimmablePipeline {
     ) -> Result<Vec<f32>, WireError> {
         let _span = self.tracer.span_at("core.pipeline.decode", 0);
         let codec = self.codec();
-        // Index assemblers by the row id the metadata declares, so metadata
+        // Index rows by the row id the metadata declares, so metadata
         // arrival order does not matter.
-        let mut assemblers: Vec<Option<RowAssembler>> = vec![None; metas.len()];
+        let mut rows: Vec<Option<&RowMetaPacket>> = vec![None; metas.len()];
         for meta in metas {
             for (foreign, field) in [
                 (meta.msg_id != msg_id, "msg_id"),
@@ -381,16 +394,23 @@ impl TrimmablePipeline {
                     return Err(WireError::BadField(field));
                 }
             }
-            let idx = meta.row_id as usize;
-            if idx >= assemblers.len() {
-                return Err(WireError::BadField("row_id"));
-            }
-            assemblers[idx] = Some(RowAssembler::from_meta(meta));
+            let slot = rows
+                .get_mut(meta.row_id as usize)
+                .ok_or(WireError::BadField("row_id"))?;
+            *slot = Some(meta);
         }
-        let mut assemblers: Vec<RowAssembler> = assemblers
+        let rows: Vec<&RowMetaPacket> = rows
             .into_iter()
-            .map(|a| a.ok_or(WireError::BadField("missing row meta")))
+            .map(|meta| meta.ok_or(WireError::BadField("missing row meta")))
             .collect::<Result<_, _>>()?;
+        // The output goes before the frame index, which keeps the loopback
+        // round's peak RSS lowest (EXPERIMENTS.md, "Frames are the encoded
+        // row").
+        let mut out = vec![0.0; rows.iter().map(|m| m.original_len as usize).sum()];
+        let mut rows: Vec<RowFrames<'_>> = rows
+            .into_iter()
+            .map(|meta| RowFrames::from_meta(meta, self.cfg.per_packet))
+            .collect();
         // Ingest stays serial: packets may interleave rows arbitrarily, and
         // the first malformed packet must surface in arrival order.
         let mut trimmed_in = 0u64;
@@ -404,16 +424,15 @@ impl TrimmablePipeline {
                 trimmed_in += 1;
                 parts_lost += u64::from(fields.n_parts) - u64::from(fields.trim_depth);
             }
-            let row = fields.row_id as usize;
-            if row >= assemblers.len() {
-                return Err(WireError::BadField("row_id"));
-            }
-            assemblers[row].ingest(pkt)?;
+            let row = rows
+                .get_mut(fields.row_id as usize)
+                .ok_or(WireError::BadField("row_id"))?;
+            row.ingest(pkt)?;
         }
-        let out = codec.decode_assembled(&assemblers, epoch, msg_id, &self.tracer, 0)?;
+        codec.decode_assembled_into(&rows, epoch, msg_id, &self.tracer, 0, &mut out)?;
         if let Some(reg) = &self.telemetry {
             reg.counter("core.pipeline.rows_decoded")
-                .add(assemblers.len() as u64);
+                .add(rows.len() as u64);
             reg.counter("core.pipeline.packets_in")
                 .add(packets.len() as u64);
             reg.counter("core.pipeline.packets_trimmed_in")

@@ -1,12 +1,21 @@
 //! Property tests over the end-to-end pipeline: any blob, any scheme, any
 //! MTU, any trimming pattern applied to the *actual frames*, the decode is
-//! sound; untrimmed, it is faithful.
+//! sound; untrimmed, it is faithful; and decoding the frames where they lie
+//! gives, bit for bit, what reassembling them into planes
+//! (`RowAssembler`) and decoding those (`MessageCodec::decode_row`) gives.
 
 use proptest::prelude::*;
 use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
 use trimgrad::quant::error::nmse;
 use trimgrad::Scheme;
+use trimgrad_collective::chunk::MessageCodec;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
+use trimgrad_wire::ipv4::DSCP_TRIMMED;
+use trimgrad_wire::meta::RowMetaPacket;
+use trimgrad_wire::packet::{GradPacket, STACK_OVERHEAD};
+use trimgrad_wire::reassemble::RowAssembler;
+use trimgrad_wire::stack::reseal;
+use trimgrad_wire::WireError;
 
 fn blob(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::new(seed);
@@ -191,6 +200,150 @@ fn signmag_frames_decode_exactly_at_any_mtu() {
         assert_eq!(dec.len(), g.len());
         for (c, (d, e)) in dec.iter().zip(&expect).enumerate() {
             assert_eq!(d.to_bits(), e.to_bits(), "mtu {mtu}: coordinate {c}");
+        }
+    }
+}
+
+/// The staging the pipeline's decode replaced: every row's frames, in
+/// arrival order, reassembled into planes and decoded from them.
+fn staged_decode(
+    codec: &MessageCodec,
+    frames: &[GradPacket],
+    metas: &[RowMetaPacket],
+    (epoch, msg): (u32, u32),
+) -> Result<Vec<f32>, WireError> {
+    let mut rows: Vec<RowAssembler> = metas.iter().map(RowAssembler::from_meta).collect();
+    for frame in frames {
+        let row = frame.quick_fields()?.row_id as usize;
+        rows[row].ingest(frame)?;
+    }
+    let mut out = Vec::new();
+    for (row_id, asm) in rows.iter().enumerate() {
+        let meta = asm.meta().expect("assembled from its meta");
+        let decoded = codec.decode_row(&asm.partial_row(), meta, epoch, msg, row_id as u32);
+        out.extend(decoded.map_err(|_| WireError::BadField("row decode"))?);
+    }
+    Ok(out)
+}
+
+/// What arrives of `sent`: each frame lost, delivered at a drawn depth, or
+/// delivered twice at two depths — one copy of a duplicate, at times, with
+/// a section byte flipped and the checksums resealed, so the two copies
+/// disagree and the later one must win part by part — then reordered.
+fn arrivals(sent: &[GradPacket], n_parts: u8, rng: &mut Xoshiro256StarStar) -> Vec<GradPacket> {
+    let at_depth = |frame: &GradPacket, depth: u8| {
+        let mut frame = frame.clone();
+        if depth < n_parts {
+            frame.trim_to_depth(depth).expect("data frames trim");
+        }
+        frame
+    };
+    let mut out = Vec::new();
+    for frame in sent {
+        let mut draw = |below: u64| (rng.next_u64() % below) as u8;
+        match draw(6) {
+            0 => {}
+            1 | 2 => {
+                let depth = 1 + draw(u64::from(n_parts));
+                out.push(at_depth(frame, depth));
+            }
+            _ => {
+                let (a, b) = (1 + draw(u64::from(n_parts)), 1 + draw(u64::from(n_parts)));
+                out.push(at_depth(frame, a));
+                let mut dup = at_depth(frame, b).into_frame();
+                if draw(2) == 0 {
+                    let at = STACK_OVERHEAD + usize::from(draw(255)) % (dup.len() - STACK_OVERHEAD);
+                    dup[at] ^= 1 << draw(8);
+                    reseal(&mut dup, DSCP_TRIMMED);
+                }
+                out.push(GradPacket::from_frame(dup));
+            }
+        }
+    }
+    // Fisher–Yates with the test's generator.
+    for i in (1..out.len()).rev() {
+        out.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn frames_decode_where_they_lie_as_reassembled_planes_do(
+        scheme_idx in 0usize..Scheme::ALL.len(),
+        len in 1usize..5000,
+        row_len in prop::sample::select(vec![256usize, 1000, 2048]),
+        mtu in prop::sample::select(vec![101usize, 1499, 9000]),
+        seed in any::<u64>()
+    ) {
+        let scheme = Scheme::ALL[scheme_idx];
+        let pipe = TrimmablePipeline::new(
+            PipelineConfig::builder()
+                .scheme(scheme)
+                .row_len(row_len)
+                .mtu(mtu)
+                .base_seed(seed)
+                .build(),
+        );
+        let codec = MessageCodec::with_row_len(scheme, seed, row_len);
+        let g = blob(len, seed);
+        let tx = pipe.encode(&g, 5, 6, 1, 2);
+        let mut rng = Xoshiro256StarStar::new(seed ^ 0xA11);
+        let frames = arrivals(&tx.packets, scheme.part_bits().len() as u8, &mut rng);
+        let direct = pipe.decode(&frames, &tx.metas, 5, 6);
+        let staged = staged_decode(&codec, &frames, &tx.metas, (5, 6));
+        let bits = |r: Result<Vec<f32>, WireError>| r.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        prop_assert_eq!(bits(direct), bits(staged));
+    }
+}
+
+#[test]
+fn a_frame_claiming_coordinates_off_its_chunk_is_refused() {
+    // A frame moved by 8 coordinates still fits its row and still passes
+    // both checksums once resealed: reassembled into planes, it would
+    // overwrite coordinates its chunk does not own and decode `Ok`. The
+    // pipeline refuses it, in arrival order, before it is indexed.
+    let pipe = TrimmablePipeline::new(
+        PipelineConfig::builder()
+            .scheme(Scheme::RhtOneBit)
+            .row_len(1024)
+            .build(),
+    );
+    let tx = pipe.encode(&blob(2500, 12), 3, 4, 1, 2);
+    let codec = MessageCodec::with_row_len(Scheme::RhtOneBit, pipe.config().base_seed(), 1024);
+    // coord_start is the big-endian u32 at byte 16 of the TrimGrad header,
+    // chunk_id the u16 at byte 6.
+    let edited = |frame: &GradPacket, at: usize, edit: &dyn Fn(&mut [u8])| {
+        let mut bytes = frame.clone().into_frame();
+        edit(&mut bytes[STACK_OVERHEAD - 28 + at..]);
+        reseal(&mut bytes, trimgrad_wire::ipv4::DSCP_BULK);
+        GradPacket::from_frame(bytes)
+    };
+    let shifted = edited(&tx.packets[0], 16, &|b| {
+        let start = u32::from_be_bytes([b[0], b[1], b[2], b[3]]) + 8;
+        b[..4].copy_from_slice(&start.to_be_bytes());
+    });
+    let renumbered = edited(&tx.packets[1], 6, &|b| {
+        b[..2].copy_from_slice(&0u16.to_be_bytes())
+    });
+    let clean = staged_decode(&codec, &tx.packets, &tx.metas, (3, 4)).expect("own frames");
+    for bad in [shifted, renumbered] {
+        let mut frames = tx.packets.clone();
+        frames[0] = bad.clone();
+        let planes = staged_decode(&codec, &frames, &tx.metas, (3, 4)).expect("planes take it");
+        assert_ne!(planes, clean, "the frame moved coordinates");
+        assert_eq!(
+            pipe.decode(&frames, &tx.metas, 3, 4).unwrap_err(),
+            WireError::BadField("coord range")
+        );
+        // In arrival order: a foreign frame before it is refused first.
+        let foreign = pipe.encode(&blob(100, 1), 3, 5, 1, 2).packets.remove(0);
+        for (first, second, err) in [(&bad, &foreign, "coord range"), (&foreign, &bad, "msg_id")] {
+            let frames = [first.clone(), second.clone()];
+            let got = pipe.decode(&frames, &tx.metas, 3, 4).unwrap_err();
+            assert_eq!(got, WireError::BadField(err));
         }
     }
 }

@@ -93,19 +93,27 @@ impl RandomizedHadamard {
     ///
     /// The receiver must know the original length to invert; see
     /// [`inverse_padded`](Self::inverse_padded).
-    // trimlint: hot-path -- per-row rotation on the encode path
     #[must_use]
     pub fn forward_padded(&self, data: &[f32]) -> Vec<f32> {
+        let mut buf = Vec::new();
+        self.forward_padded_into(data, &mut buf);
+        buf
+    }
+
+    /// [`forward_padded`](Self::forward_padded) into `buf`, whose contents
+    /// are replaced: a caller that rotates row after row keeps one buffer
+    /// and allocates only when a row outgrows it.
+    // trimlint: hot-path -- per-row rotation on the encode path
+    pub fn forward_padded_into(&self, data: &[f32], buf: &mut Vec<f32>) {
+        buf.clear();
         if data.is_empty() {
-            return Vec::new();
+            return;
         }
         let n = crate::next_pow2(data.len());
-        // trimlint: allow(hot-path-alloc) -- one rotation buffer per row, amortized
-        let mut buf = Vec::with_capacity(n);
+        buf.reserve_exact(n);
         buf.extend_from_slice(data);
         buf.resize(n, 0.0);
-        self.forward_in_place(&mut buf);
-        buf
+        self.forward_in_place(buf);
     }
 
     /// The forward RHT core [`forward`](Self::forward) and
@@ -211,6 +219,17 @@ mod tests {
         RandomizedHadamard::new(2).inverse(&mut a).unwrap();
         let err: f32 = a.iter().zip(&data).map(|(x, y)| (x - y).abs()).sum();
         assert!(err > 1.0, "wrong seed should not invert (err={err})");
+    }
+
+    #[test]
+    fn padded_into_replaces_what_the_buffer_held() {
+        let rht = RandomizedHadamard::new(9);
+        let mut buf = vec![7.0f32; 4096];
+        for len in [1000usize, 3, 0, 64, 2000] {
+            let data: Vec<f32> = (0..len).map(|i| (i as f32 * 0.7).sin()).collect();
+            rht.forward_padded_into(&data, &mut buf);
+            assert_eq!(buf, rht.forward_padded(&data), "len={len}");
+        }
     }
 
     #[test]

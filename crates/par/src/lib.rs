@@ -123,16 +123,41 @@ impl WorkerPool {
     /// worker's reads inside one span of the input. Items move to the worker
     /// that evaluates them, so they may be exclusive borrows (`&mut` slices
     /// of one output buffer); a region over plain indices passes `0..n`.
-    pub fn map_striped<T, R, F>(&self, mut items: impl ExactSizeIterator<Item = T>, f: F) -> Vec<R>
+    pub fn map_striped<T, R, F>(&self, items: impl ExactSizeIterator<Item = T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
+        self.map_striped_with(items, || (), |(), i, item| f(i, item))
+    }
+
+    /// [`map_striped`](Self::map_striped) with per-stripe state: each
+    /// stripe calls `init` once and hands the state to `f` for every item it
+    /// evaluates, in index order. A row encoder keeps its row-sized scratch
+    /// there, so a message costs one scratch per stripe, not one per row.
+    /// The result is bit-identical to the serial map as long as `f`'s result
+    /// does not depend on what an earlier item left in the state.
+    pub fn map_striped_with<T, S, R, I, F>(
+        &self,
+        mut items: impl ExactSizeIterator<Item = T>,
+        init: I,
+        f: F,
+    ) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, T) -> R + Sync,
+    {
         let n = items.len();
         let workers = self.spawn_width(n);
         if workers <= 1 {
-            return items.enumerate().map(|(i, item)| f(i, item)).collect();
+            let mut state = init();
+            return items
+                .enumerate()
+                .map(|(i, item)| f(&mut state, i, item))
+                .collect();
         }
         // trimlint: allow(hot-path-alloc) -- one output slot per row, amortized over the whole message
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
@@ -144,7 +169,7 @@ impl WorkerPool {
         let q = n / workers;
         let r = n % workers;
         std::thread::scope(|s| {
-            let f = &f;
+            let (init, f) = (&init, &f);
             let mut rest = slots.as_mut_slice();
             let mut start = 0;
             for w in 0..workers {
@@ -154,8 +179,9 @@ impl WorkerPool {
                 // trimlint: allow(hot-path-alloc) -- one item list per worker, amortized over its stripe
                 let stripe_items: Vec<T> = items.by_ref().take(len).collect();
                 s.spawn(move || {
+                    let mut state = init();
                     for ((off, slot), item) in stripe.iter_mut().enumerate().zip(stripe_items) {
-                        *slot = Some(f(start + off, item));
+                        *slot = Some(f(&mut state, start + off, item));
                     }
                 });
                 start += len;
@@ -228,6 +254,30 @@ mod tests {
             );
             assert_eq!(lens, vec![7; 10], "threads={threads}");
             assert!(out.iter().enumerate().all(|(k, &v)| v == k / 7 + 1));
+        }
+    }
+
+    #[test]
+    fn map_striped_with_inits_once_per_stripe() {
+        // Each stripe counts its own items in its state: the counts restart
+        // once per stripe, and the results still match the serial map.
+        for threads in 1..=4 {
+            let pool = WorkerPool::new(threads);
+            let seen = pool.map_striped_with(
+                0..10,
+                || 0usize,
+                |count, i, item| {
+                    assert_eq!(i, item);
+                    *count += 1;
+                    (i, *count)
+                },
+            );
+            assert_eq!(
+                seen.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+                (0..10).collect::<Vec<_>>()
+            );
+            let restarts = seen.iter().filter(|&&(_, c)| c == 1).count();
+            assert_eq!(restarts, pool.spawn_width(10).max(1), "threads={threads}");
         }
     }
 

@@ -361,18 +361,35 @@ pub(crate) fn unpack_group<const W: usize>(src: &[u8; W]) -> [u32; 8] {
 }
 
 /// Packs the low `W` bits of every value's IEEE-754 pattern — the 31-bit
-/// exponent+mantissa tail, the 23-bit mantissa — one `pack_group` per eight
-/// values. A ragged last group is packed with zero fields behind it and cut
-/// to the bytes it needs, which also leaves the slack bits zero.
-// trimlint: hot-path -- tail-plane packing for the sign-based encode schemes
+/// exponent+mantissa tail, the 23-bit mantissa — into a fresh buffer:
+/// [`pack_low_bits_into`] a zeroed one.
 #[must_use]
 pub fn pack_low_bits<const W: usize>(values: &[f32]) -> BitBuf {
-    let field = |v: &f32| v.to_bits() & (u32::MAX >> (32 - W));
     let len = values.len() * W;
-    // trimlint: allow(hot-path-alloc) -- one buffer allocation per row part, amortized
     let mut bytes = vec![0u8; len.div_ceil(8)];
+    pack_low_bits_into::<W>(values, &mut bytes);
+    BitBuf { bytes, len }
+}
+
+/// Writes the low `W` bits of every value's IEEE-754 pattern to `dst`, which
+/// must be exactly `(values.len()·W).div_ceil(8)` bytes: one `pack_group`
+/// per eight values. A ragged last group is packed with zero fields behind
+/// it and cut to the bytes it needs, which also leaves the slack bits zero,
+/// so every byte of `dst` is written whatever it held.
+///
+/// The fields land re-based to bit 0, so packing a sub-slice
+/// `values[s..e]` gives exactly the bits `[s·W, e·W)` of packing the whole
+/// slice — which is what a packet section carries — at any `s`.
+// trimlint: hot-path -- tail-plane packing for the sign-based encode schemes
+pub fn pack_low_bits_into<const W: usize>(values: &[f32], dst: &mut [u8]) {
+    debug_assert_eq!(
+        dst.len(),
+        (values.len() * W).div_ceil(8),
+        "destination size"
+    );
+    let field = |v: &f32| v.to_bits() & (u32::MAX >> (32 - W));
     let (groups, ragged) = values.as_chunks::<8>();
-    let (dst_groups, dst_ragged) = bytes.as_chunks_mut::<W>();
+    let (dst_groups, dst_ragged) = dst.as_chunks_mut::<W>();
     for (src, dst) in groups.iter().zip(dst_groups) {
         pack_group(src.each_ref().map(field), dst);
     }
@@ -382,8 +399,9 @@ pub fn pack_low_bits<const W: usize>(values: &[f32]) -> BitBuf {
     }
     let mut last = [0u8; W];
     pack_group(fields, &mut last);
-    dst_ragged.copy_from_slice(&last[..dst_ragged.len()]);
-    BitBuf { bytes, len }
+    for (d, &b) in dst_ragged.iter_mut().zip(&last) {
+        *d = b;
+    }
 }
 
 /// The sign bits of up to eight values (1 = negative), value `j` at bit `j`.
@@ -396,24 +414,32 @@ fn sign_byte(group: &[f32]) -> u8 {
     bits as u8
 }
 
-/// Packs the sign bit of every value (1 = negative) into a 1-bit-per-entry
-/// buffer: one byte per group of eight, `f32::to_bits() >> 31` shifted into
-/// lane position.
-// trimlint: hot-path -- sign-plane extraction for every encode scheme
+/// Packs the sign bit of every value (1 = negative) into a fresh
+/// 1-bit-per-entry buffer: [`pack_signs_into`] a zeroed one.
 #[must_use]
 pub fn pack_signs(values: &[f32]) -> BitBuf {
-    // trimlint: allow(hot-path-alloc) -- one buffer allocation per row part, amortized
     let mut bytes = vec![0u8; values.len().div_ceil(8)];
-    let (groups, ragged) = values.as_chunks::<8>();
-    for (byte, group) in bytes.iter_mut().zip(groups) {
-        *byte = sign_byte(group);
-    }
-    if let Some(last) = bytes.last_mut().filter(|_| !ragged.is_empty()) {
-        *last = sign_byte(ragged);
-    }
+    pack_signs_into(values, &mut bytes);
     BitBuf {
         bytes,
         len: values.len(),
+    }
+}
+
+/// Writes the sign bit of every value (1 = negative) to `dst`, which must
+/// be exactly `values.len().div_ceil(8)` bytes: one byte per group of
+/// eight, `f32::to_bits() >> 31` shifted into lane position, the slack bits
+/// of a ragged last byte zero. Like [`pack_low_bits_into`], a sub-slice
+/// packs to the bits a whole-row pack has at its offset.
+// trimlint: hot-path -- sign-plane extraction for every encode scheme
+pub fn pack_signs_into(values: &[f32], dst: &mut [u8]) {
+    debug_assert_eq!(dst.len(), values.len().div_ceil(8), "destination size");
+    let (groups, ragged) = values.as_chunks::<8>();
+    for (byte, group) in dst.iter_mut().zip(groups) {
+        *byte = sign_byte(group);
+    }
+    if let Some(last) = dst.last_mut().filter(|_| !ragged.is_empty()) {
+        *last = sign_byte(ragged);
     }
 }
 

@@ -24,9 +24,8 @@
 //! Like SQ, the head is not a bit of the IEEE representation, so the tail
 //! carries the full 32-bit float (1 bit/coordinate overhead when untrimmed).
 
-use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{DecodeError, PartialRow, SchemeId};
+use crate::scheme::Run;
 use crate::stats::{std_dev, CLIP_SIGMAS};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
@@ -38,62 +37,76 @@ fn dither_stream(seed: u64) -> Xoshiro256StarStar {
     Xoshiro256StarStar::new(seed)
 }
 
-/// The parts and scale of a non-empty row: its dithered heads, its whole
-/// floats and `L`.
-pub(crate) fn encode(row: &[f32], seed: u64) -> (Vec<BitBuf>, f32) {
+/// The row stage of a non-empty row: one dither per coordinate into
+/// `dithers`, in order, and `L`.
+///
+/// The dithers are collected up front from a `TrustedLen` iterator: the
+/// generator's state update is a serial chain, so running it tight and
+/// letting the add/compare work pipeline over the buffer beats
+/// interleaving them. The draw sequence is identical to a
+/// draw-per-coordinate loop (and to decode) because the draws don't depend
+/// on the data.
+pub(crate) fn stage(row: &[f32], seed: u64, dithers: &mut Vec<f32>) -> f32 {
     let l = CLIP_SIGMAS * std_dev(row);
     let mut rng = dither_stream(seed);
-    // One dither draw per coordinate, in order, buffered up front: the
-    // generator's state update is a serial chain, so running it tight
-    // and letting the add/compare work pipeline over the buffer beats
-    // interleaving them. The draw sequence is identical to a
-    // draw-per-coordinate loop (and to decode) because the draws don't
-    // depend on the data.
-    // trimlint: allow(hot-path-alloc) -- one dither buffer per row, amortized
-    let mut dithers = Vec::with_capacity(row.len());
-    for _ in 0..row.len() {
-        dithers.push(rng.next_f32_range(-l, l));
-    }
-    // Head bit 1 encodes the −L level.
-    let heads = kernels::pack_bits_zip(row, &dithers, |v, eps| v + eps < 0.0);
-    (vec![heads, kernels::pack_f32_tails(row)], l)
+    dithers.extend((0..row.len()).map(|_| rng.next_f32_range(-l, l)));
+    l
 }
 
-/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
-pub(crate) fn decode_into(
-    row: &PartialRow<'_>,
+/// The range packer: part `part` of the coordinates whose values and
+/// dithers are `values` and `dithers`, into `dst`. Head bit 1 encodes the
+/// −L level.
+pub(crate) fn pack(part: usize, values: &[f32], dithers: &[f32], dst: &mut [u8]) {
+    match part {
+        0 => kernels::pack_bits_zip_into(values, dithers, |v, eps| v + eps < 0.0, dst),
+        _ => kernels::pack_f32_tails_into(values, dst),
+    }
+}
+
+/// The run decoder, which carries the row's dither stream from run to run:
+/// one dither per coordinate, in coordinate order, as the encoder drew them
+/// — but only heads-only coordinates use theirs, so the stream is advanced
+/// lazily, up to the end of the last run that needs it. Runs must come in
+/// coordinate order.
+pub(crate) struct Decoder {
+    rng: Xoshiro256StarStar,
+    drawn: usize,
     l: f32,
-    seed: u64,
-    out: &mut [f32],
-) -> Result<(), DecodeError> {
-    // One dither per coordinate, in coordinate order, as the encoder drew
-    // them — but only heads-only coordinates use theirs, so the stream
-    // is advanced lazily, up to the end of the last run that needs it.
-    let mut rng = dither_stream(seed);
-    let mut drawn = 0;
-    row.for_each_run(SchemeId::SubtractiveDither.part_bits(), |run, depth| {
-        let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-        let (start, end, dst) = (run.start, run.end, &mut out[run]);
-        match depth {
+}
+
+impl Decoder {
+    pub(crate) fn new(seed: u64, l: f32) -> Self {
+        Self {
+            rng: dither_stream(seed),
+            drawn: 0,
+            l,
+        }
+    }
+
+    /// `L·sign − ε` from a head, the float itself from the tail.
+    pub(crate) fn decode_run(&mut self, run: &Run<'_>, dst: &mut [f32]) {
+        let ([signs, tails, ..], start, l) = (run.parts, run.start(), self.l);
+        match run.depth {
             0 => dst.fill(0.0),
             1 => {
-                for _ in drawn..start {
-                    let _ = rng.next_f32_range(-l, l);
+                for _ in self.drawn..run.coords.start {
+                    let _ = self.rng.next_f32_range(-l, l);
                 }
-                drawn = end;
+                self.drawn = run.coords.end;
                 kernels::decode_signs_scaled(signs, start, l, dst);
                 for q in dst {
-                    *q -= rng.next_f32_range(-l, l);
+                    *q -= self.rng.next_f32_range(-l, l);
                 }
             }
             _ => kernels::unpack_f32_tails(tails, start, dst),
         }
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeId;
     use proptest::prelude::*;
 
     #[test]

@@ -8,19 +8,24 @@
 //!
 //! # Encode
 //!
-//! Sign planes are gathered a byte per group (`f32::to_bits() >> 31` shifted
-//! into lane position); 31- and 23-bit fields are packed eight at a time
-//! into `u64` words with compile-time shifts ([`pack_low_bits`]); the 8-bit
-//! exponents and 32-bit SQ/SD tails are flat byte copies; the stochastic
-//! head planes gather a byte of predicate bits per group
-//! ([`pack_bits_zip`]). All loops are branch-light over fixed-size chunks,
-//! so the compiler can unroll and vectorize them.
+//! Every packer writes the fields of a slice of coordinates into bytes the
+//! caller gives it, re-based to bit 0: a whole row's plane or one packet's
+//! section alike. Sign planes are gathered a byte per group
+//! (`f32::to_bits() >> 31` shifted into lane position,
+//! [`pack_signs_into`](crate::bitpack::pack_signs_into)); 31- and 23-bit
+//! fields are packed eight at a time into `u64` words with compile-time
+//! shifts ([`pack_low_bits_into`](crate::bitpack::pack_low_bits_into)); the
+//! 8-bit exponents and 32-bit SQ/SD tails are flat byte copies; the
+//! stochastic head planes gather a byte of predicate bits per group
+//! ([`pack_bits_zip_into`]). All loops are branch-light over fixed-size
+//! chunks, so the compiler can unroll and vectorize them.
 //!
 //! Output is bit-identical to one `push_bits` per coordinate per part: both
 //! produce the same LSB-first bitstream field by field, only the store
 //! granularity differs. `crates/quant/tests/encode_golden.rs` pins this
 //! byte-for-byte for every scheme against a per-coordinate reference encoder
-//! and recorded digests.
+//! and recorded digests, and `crates/quant/tests/range_pack.rs` pins every
+//! coordinate range against the whole-row planes.
 //!
 //! # Decode
 //!
@@ -45,7 +50,7 @@
 
 use trimgrad_hadamard::rademacher::sign_masks;
 
-use crate::bitpack::{pack_low_bits, pack_signs, unpack_group, window, BitBuf};
+use crate::bitpack::{unpack_group, window};
 
 /// The per-coordinate form of [`fill_signed`], for the fewer than eight
 /// coordinates on either side of a run's whole groups: one [`window`] load
@@ -101,7 +106,8 @@ pub fn decode_signs_scaled(signs: &[u8], start: usize, scale: f32, out: &mut [f3
 }
 
 /// Full-depth run of the sign-magnitude and RHT 1-bit layout: the inverse of
-/// [`encode_sign31_parts`].
+/// [`pack_signs_into`](crate::bitpack::pack_signs_into) and
+/// [`pack_low_bits_into`](crate::bitpack::pack_low_bits_into)`::<31>`.
 // trimlint: hot-path -- per-run inverse kernel on the decode path
 pub fn decode_sign31(signs: &[u8], tails: &[u8], start: usize, out: &mut [f32]) {
     let groups = tails.as_chunks::<31>().0;
@@ -146,8 +152,9 @@ pub fn decode_sign_exp(
     );
 }
 
-/// Full-depth run of the multi-level layout: the inverse of
-/// [`encode_sign_exp_mant_parts`].
+/// Full-depth run of the multi-level layout: the inverse of the sign,
+/// [`pack_exps_into`] and
+/// [`pack_low_bits_into`](crate::bitpack::pack_low_bits_into)`::<23>` planes.
 // trimlint: hot-path -- per-run inverse kernel on the decode path
 pub fn decode_sign_exp_mant(
     signs: &[u8],
@@ -169,8 +176,8 @@ pub fn decode_sign_exp_mant(
     );
 }
 
-/// Full-depth run of the SQ/SD layout: the inverse of [`pack_f32_tails`], a
-/// flat little-endian copy.
+/// Full-depth run of the SQ/SD layout: the inverse of
+/// [`pack_f32_tails_into`], a flat little-endian copy.
 // trimlint: hot-path -- per-run inverse kernel on the decode path
 pub fn unpack_f32_tails(tails: &[u8], start: usize, out: &mut [f32]) {
     let tails = &tails[start * 4..(start + out.len()) * 4];
@@ -179,67 +186,67 @@ pub fn unpack_f32_tails(tails: &[u8], start: usize, out: &mut [f32]) {
     }
 }
 
-/// Splits IEEE-754 floats into a 1-bit sign plane and 31-bit
-/// exponent+mantissa tails — the sign-magnitude and RHT 1-bit layout.
-// trimlint: hot-path -- per-row packing kernel on the encode path
-#[must_use]
-pub fn encode_sign31_parts(values: &[f32]) -> (BitBuf, BitBuf) {
-    (pack_signs(values), pack_low_bits::<31>(values))
+/// Writes the biased exponent byte of every value to `dst` (exactly
+/// `values.len()` bytes) — the multi-level layout's 8-bit part, where a
+/// field is a whole byte.
+// trimlint: hot-path -- exponent-plane packing for the multi-level encode
+pub fn pack_exps_into(values: &[f32], dst: &mut [u8]) {
+    debug_assert_eq!(dst.len(), values.len(), "destination size");
+    for (d, v) in dst.iter_mut().zip(values) {
+        *d = (v.to_bits() >> 23) as u8;
+    }
 }
 
-/// Splits IEEE-754 floats into 1-bit sign, 8-bit exponent, and 23-bit
-/// mantissa planes — the multi-level RHT layout.
-// trimlint: hot-path -- per-row packing kernel on the encode path
-#[must_use]
-pub fn encode_sign_exp_mant_parts(values: &[f32]) -> (BitBuf, BitBuf, BitBuf) {
-    // trimlint: allow(hot-path-alloc) -- one exponent buffer per row, amortized
-    let exps: Vec<u8> = values.iter().map(|v| (v.to_bits() >> 23) as u8).collect();
-    (
-        pack_signs(values),
-        BitBuf::from_bytes(exps, values.len() * 8),
-        pack_low_bits::<23>(values),
-    )
-}
-
-/// Packs the full 32-bit patterns of `values` — the SQ/SD tails.
+/// Writes the full 32-bit patterns of `values` to `dst` (exactly
+/// `4·values.len()` bytes) — the SQ/SD tails.
 ///
 /// A 32-bit field written at a 32-bit-aligned offset of the LSB-first
 /// stream is exactly the little-endian bytes of the value, so the whole
 /// part is a flat byte copy — no bit accumulator needed.
-// trimlint: hot-path -- per-row packing kernel on the encode path
-#[must_use]
-pub fn pack_f32_tails(values: &[f32]) -> BitBuf {
-    // trimlint: allow(hot-path-alloc) -- one tail buffer per row, amortized
-    let mut bytes = vec![0u8; values.len() * 4];
-    for (dst, &v) in bytes.chunks_exact_mut(4).zip(values) {
-        dst.copy_from_slice(&v.to_bits().to_le_bytes());
+// trimlint: hot-path -- tail-plane packing for the stochastic encoders
+pub fn pack_f32_tails_into(values: &[f32], dst: &mut [u8]) {
+    debug_assert_eq!(dst.len(), values.len() * 4, "destination size");
+    for (d, &v) in dst.chunks_exact_mut(4).zip(values) {
+        d.copy_from_slice(&v.to_bits().to_le_bytes());
     }
-    BitBuf::from_bytes(bytes, values.len() * 32)
 }
 
-/// Packs `a.len()` predicate bits of `f(a[i], b[i])`, a byte per group of
-/// eight. Iterates both slices by `chunks` + `zip` so the inner loop carries
-/// no bounds checks — the closure is evaluated strictly in increasing `i`
-/// order, once per coordinate.
+/// Writes `a.len()` predicate bits of `f(a[i], b[i])` to `dst` (exactly
+/// `a.len().div_ceil(8)` bytes), a byte per group of eight with the slack
+/// bits of a ragged last byte zero. Iterates both slices by `chunks` +
+/// `zip` so the inner loop carries no bounds checks — the closure is
+/// evaluated strictly in increasing `i` order, once per coordinate.
 // trimlint: hot-path -- head-plane packing for the stochastic encoders
-#[must_use]
-pub fn pack_bits_zip(a: &[f32], b: &[f32], mut f: impl FnMut(f32, f32) -> bool) -> BitBuf {
-    assert_eq!(a.len(), b.len(), "pack_bits_zip: slice lengths differ");
-    // trimlint: allow(hot-path-alloc) -- one head buffer per row, amortized
-    let mut bytes = vec![0u8; a.len().div_ceil(8)];
-    for ((byte, ca), cb) in bytes.iter_mut().zip(a.chunks(8)).zip(b.chunks(8)) {
+pub fn pack_bits_zip_into(
+    a: &[f32],
+    b: &[f32],
+    mut f: impl FnMut(f32, f32) -> bool,
+    dst: &mut [u8],
+) {
+    debug_assert_eq!(a.len(), b.len(), "pack_bits_zip_into: slice lengths differ");
+    debug_assert_eq!(dst.len(), a.len().div_ceil(8), "destination size");
+    for ((byte, ca), cb) in dst.iter_mut().zip(a.chunks(8)).zip(b.chunks(8)) {
         let mut bits = 0u32;
         for (j, (&x, &y)) in ca.iter().zip(cb).enumerate() {
             bits |= u32::from(f(x, y)) << j;
         }
         *byte = bits as u8;
     }
-    BitBuf::from_bytes(bytes, a.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitpack::{pack_low_bits_into, pack_signs_into, BitBuf};
+
+    /// `pack` run over a garbage-filled destination for `width`-bit fields:
+    /// every byte, the slack bits of the last one included, must come from
+    /// the packer.
+    fn packed(values: &[f32], width: usize, pack: impl Fn(&[f32], &mut [u8])) -> Vec<u8> {
+        let mut dst = vec![0xA5u8; (values.len() * width).div_ceil(8)];
+        pack(values, &mut dst);
+        dst
+    }
 
     fn sample(n: usize) -> Vec<f32> {
         (0..n)
@@ -285,7 +292,13 @@ mod tests {
                 heads.push_bits(u64::from(bits >> 31), 1);
                 tails.push_bits(u64::from(bits & 0x7FFF_FFFF), 31);
             }
-            assert_eq!(encode_sign31_parts(&values), (heads, tails), "n={n}");
+            assert_eq!(
+                packed(&values, 1, pack_signs_into),
+                heads.as_bytes(),
+                "n={n}"
+            );
+            let tails_packed = packed(&values, 31, pack_low_bits_into::<31>);
+            assert_eq!(tails_packed, tails.as_bytes(), "n={n}");
         }
     }
 
@@ -303,10 +316,13 @@ mod tests {
                 mants.push_bits(u64::from(bits & 0x7F_FFFF), 23);
             }
             assert_eq!(
-                encode_sign_exp_mant_parts(&values),
-                (signs, exps, mants),
+                packed(&values, 1, pack_signs_into),
+                signs.as_bytes(),
                 "n={n}"
             );
+            assert_eq!(packed(&values, 8, pack_exps_into), exps.as_bytes(), "n={n}");
+            let mants_packed = packed(&values, 23, pack_low_bits_into::<23>);
+            assert_eq!(mants_packed, mants.as_bytes(), "n={n}");
         }
     }
 
@@ -317,9 +333,10 @@ mod tests {
     fn assert_runs_decode(values: &[f32], runs: impl Iterator<Item = core::ops::Range<usize>>) {
         const FILL: u32 = 1 << 22;
         let scale = 0.37f32;
-        let (signs, tails) = encode_sign31_parts(values);
-        let (_, exps, mants) = encode_sign_exp_mant_parts(values);
-        let [signs, tails, exps, mants] = [&signs, &tails, &exps, &mants].map(BitBuf::as_bytes);
+        let signs = &packed(values, 1, pack_signs_into);
+        let tails = &packed(values, 31, pack_low_bits_into::<31>);
+        let exps = &packed(values, 8, pack_exps_into);
+        let mants = &packed(values, 23, pack_low_bits_into::<23>);
         for run in runs {
             let start = run.start;
             let check = |name: &str, kernel: &dyn Fn(&mut [f32]), want: &dyn Fn(u32) -> u32| {
@@ -388,7 +405,10 @@ mod tests {
         for &v in &values {
             reference.push_bits(u64::from(v.to_bits()), 32);
         }
-        assert_eq!(pack_f32_tails(&values), reference);
+        assert_eq!(
+            packed(&values, 32, pack_f32_tails_into),
+            reference.as_bytes()
+        );
     }
 
     #[test]
@@ -400,11 +420,9 @@ mod tests {
             for (&x, &y) in a.iter().zip(&b) {
                 reference.push_bits(u64::from(x + y < 0.0), 1);
             }
-            assert_eq!(
-                pack_bits_zip(&a, &b, |x, y| x + y < 0.0),
-                reference,
-                "n={n}"
-            );
+            let zip =
+                |a: &[f32], dst: &mut [u8]| pack_bits_zip_into(a, &b, |x, y| x + y < 0.0, dst);
+            assert_eq!(packed(&a, 1, zip), reference.as_bytes(), "n={n}");
         }
     }
 }

@@ -24,14 +24,18 @@
 //!
 //! The one-byte wire identifier [`SchemeId`] is the scheme. It owns the part
 //! widths ([`SchemeId::part_bits`]) and the padding rule
-//! ([`SchemeId::encoded_len`]), and [`SchemeId::encode`] produces an
-//! [`EncodedRow`] whose payload is a sequence of fixed-width bit-packed
-//! **parts** (part 0 is the head). The wire layer lays parts out
-//! front-to-back in each packet so that switch trimming truncates whole
-//! trailing parts. [`SchemeId::decode`] accepts a [`PartialRow`] describing,
-//! per coordinate, which prefix of parts survived. Each scheme's module
-//! holds only its kernels; the dispatch, the empty row, the row's geometry
-//! and the checks before decoding are written once, in [`scheme`].
+//! ([`SchemeId::encoded_len`]). An encoded row is a sequence of fixed-width
+//! bit-packed **parts** (part 0 is the head): [`SchemeId::stage`] runs the
+//! row stage, and its [`StagedRow`] packs any coordinate range of a part
+//! into bytes the caller gives it — a packet's section, where the wire layer
+//! lays parts out front-to-back so that switch trimming truncates whole
+//! trailing parts, or a whole-row plane of the [`EncodedRow`] that
+//! [`SchemeId::encode`] returns. [`SchemeId::decode_runs`] decodes a row
+//! from runs of constant depth, which a [`PartialRow`] (see
+//! [`SchemeId::decode`]) or a packet-by-packet source yields. Each scheme's
+//! module holds its row stage, range packer and run decoder; the dispatch,
+//! the empty row, the row's geometry and the checks before decoding are
+//! written once, in [`scheme`].
 //!
 //! ```
 //! use trimgrad_quant::{PartView, PartialRow, SchemeId};
@@ -67,4 +71,4 @@ pub mod signmag;
 pub mod stats;
 pub mod stochastic;
 
-pub use scheme::{EncodedRow, PartView, PartialRow, RowMeta, SchemeId};
+pub use scheme::{EncodedRow, PartView, PartialRow, RowMeta, SchemeId, StagedRow};

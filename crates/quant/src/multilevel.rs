@@ -20,48 +20,38 @@
 //! gradient packets to 1-bit heads (3% of payload) or 9-bit heads (28%)
 //! depending on queue pressure — close to the paper's 3% / 25% example.
 
-use crate::bitpack::BitBuf;
+use crate::bitpack::{pack_low_bits_into, pack_signs_into};
 use crate::kernels;
-use crate::rht1bit::decode_rotated;
-use crate::scheme::{DecodeError, PartialRow, SchemeId};
-use crate::stats::drive_scale;
-use trimgrad_hadamard::rht::RandomizedHadamard;
+use crate::scheme::Run;
 
 /// Mantissa midpoint: the expected significand fraction, `0b100…0` (2²²).
 const MANTISSA_MIDPOINT: u32 = 1 << 22;
 
-/// The parts and scale of a non-empty row: the sign, exponent and mantissa
-/// fields of its padded rotation, and the DRIVE scale `f`.
-pub(crate) fn encode(row: &[f32], seed: u64) -> (Vec<BitBuf>, f32) {
-    let rotated = RandomizedHadamard::new(seed).forward_padded(row);
-    let (signs, exps, mants) = kernels::encode_sign_exp_mant_parts(&rotated);
-    (vec![signs, exps, mants], drive_scale(&rotated))
+/// The range packer: part `part` — sign, exponent or mantissa — of the
+/// rotated `values` into `dst`. The row stage is
+/// [`crate::rht1bit::stage`]'s rotation.
+pub(crate) fn pack(part: usize, values: &[f32], dst: &mut [u8]) {
+    match part {
+        0 => pack_signs_into(values, dst),
+        1 => kernels::pack_exps_into(values, dst),
+        _ => pack_low_bits_into::<23>(values, dst),
+    }
 }
 
-/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
-pub(crate) fn decode_into(
-    row: &PartialRow<'_>,
-    scale: f32,
-    seed: u64,
-    out: &mut [f32],
-) -> Result<(), DecodeError> {
-    decode_rotated(row.n, seed, out, |rotated| {
-        row.for_each_run(SchemeId::MultiLevelRht.part_bits(), |run, depth| {
-            let [signs, exps, mants] = [0, 1, 2].map(|k| row.parts[k].bytes());
-            let (start, dst) = (run.start, &mut rotated[run]);
-            match depth {
-                0 => dst.fill(0.0),
-                1 => kernels::decode_signs_scaled(signs, start, scale, dst),
-                2 => kernels::decode_sign_exp(signs, exps, start, MANTISSA_MIDPOINT, dst),
-                _ => kernels::decode_sign_exp_mant(signs, exps, mants, start, dst),
-            }
-        })
-    })
+/// The run decoder, one level per depth (see the table above).
+pub(crate) fn decode_run(run: &Run<'_>, scale: f32, dst: &mut [f32]) {
+    let ([signs, exps, mants, ..], start) = (run.parts, run.start());
+    match run.depth {
+        0 => dst.fill(0.0),
+        1 => kernels::decode_signs_scaled(signs, start, scale, dst),
+        2 => kernels::decode_sign_exp(signs, exps, start, MANTISSA_MIDPOINT, dst),
+        _ => kernels::decode_sign_exp_mant(signs, exps, mants, start, dst),
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scheme::SchemeId;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
     fn gaussian_row(n: usize, seed: u64) -> Vec<f32> {

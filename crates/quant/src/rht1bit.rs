@@ -13,38 +13,17 @@
 //! scale `f = ‖V‖₂²/‖R(V)‖₁` (shipped reliably), then the inverse RHT maps
 //! the mixed exact/estimated rotated row back to the original basis.
 
-use crate::bitpack::BitBuf;
-use crate::kernels;
-use crate::scheme::{DecodeError, PartialRow, SchemeId};
+use crate::scheme::DecodeError;
 use crate::stats::drive_scale;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 
-/// The parts and scale of a non-empty row: the sign bits and low 31 bits
-/// of its padded rotation, and the DRIVE scale `f`.
-pub(crate) fn encode(row: &[f32], seed: u64) -> (Vec<BitBuf>, f32) {
-    let rotated = RandomizedHadamard::new(seed).forward_padded(row);
-    let (heads, tails) = kernels::encode_sign31_parts(&rotated);
-    (vec![heads, tails], drive_scale(&rotated))
-}
-
-/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
-pub(crate) fn decode_into(
-    row: &PartialRow<'_>,
-    scale: f32,
-    seed: u64,
-    out: &mut [f32],
-) -> Result<(), DecodeError> {
-    decode_rotated(row.n, seed, out, |rotated| {
-        row.for_each_run(SchemeId::RhtOneBit.part_bits(), |run, depth| {
-            let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-            let (start, dst) = (run.start, &mut rotated[run]);
-            match depth {
-                0 => dst.fill(0.0),
-                1 => kernels::decode_signs_scaled(signs, start, scale, dst),
-                _ => kernels::decode_sign31(signs, tails, start, dst),
-            }
-        })
-    })
+/// The row stage of both RHT schemes for a non-empty row: its padded
+/// rotation into `rotated`, and the DRIVE scale `f`. The parts are the
+/// rotation's fields — here the sign / 31-bit layout of
+/// [`crate::signmag`], whose packer and run decoder this scheme shares.
+pub(crate) fn stage(row: &[f32], seed: u64, rotated: &mut Vec<f32>) -> f32 {
+    RandomizedHadamard::new(seed).forward_padded_into(row, rotated);
+    drive_scale(rotated)
 }
 
 /// Decodes an RHT row of encoded length `n` into `out`: `fill` writes the
@@ -74,8 +53,7 @@ pub(crate) fn decode_rotated(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::RowMeta;
+    use crate::scheme::{DecodeError, RowMeta, SchemeId};
     use proptest::prelude::*;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
 

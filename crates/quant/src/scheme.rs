@@ -9,27 +9,42 @@
 //! * [`SchemeId`] — the one-byte wire identifier *is* the scheme: it owns the
 //!   part widths ([`SchemeId::part_bits`]) and the padding rule
 //!   ([`SchemeId::encoded_len`]) that sender, switch, reassembler and decoder
-//!   share, and [`SchemeId::encode`] / [`SchemeId::decode_into`] dispatch to
-//!   the per-scheme kernels of [`crate::signmag`], [`crate::stochastic`],
-//!   [`crate::dither`], [`crate::rht1bit`] and [`crate::multilevel`].
-//! * [`EncodedRow`] — the sender-side result: `k` bit-packed **parts**, each
-//!   holding one fixed-width field per coordinate, plus small [`RowMeta`]
-//!   shipped reliably (never trimmed).
-//! * [`PartialRow`] — the receiver-side input: for each part, either the full
+//!   share, and dispatches to the per-scheme code of [`crate::signmag`],
+//!   [`crate::stochastic`], [`crate::dither`], [`crate::rht1bit`] and
+//!   [`crate::multilevel`].
+//! * [`StagedRow`] — a row after its **row stage** ([`SchemeId::stage`]: the
+//!   RHT rotation, the SQ draws or SD dithers, the scale). Its **range
+//!   packer** ([`StagedRow::pack_range`]) writes the fields of one part for
+//!   any coordinate range into bytes the caller gives it: a whole row's plane
+//!   or one packet's section, with nothing in between.
+//! * [`EncodedRow`] — the whole-row pack ([`SchemeId::encode`]): `k`
+//!   bit-packed **parts**, each holding one fixed-width field per coordinate,
+//!   plus small [`RowMeta`] shipped reliably (never trimmed).
+//! * [`PartialRow`] — one receiver-side input: for each part, either the full
 //!   buffer, a masked buffer (some packets of the row trimmed, others not),
 //!   or nothing. Availability must be *prefix-closed* per coordinate: a
 //!   coordinate cannot have part `k` without parts `0..k`.
 //!
 //! Decoders do not ask "what is coordinate `i`'s depth?" `n` times. Trimming
 //! happens per packet, so availability is constant over long stretches of a
-//! row; [`PartialRow::for_each_run`] scans the presence masks a `u64` word at
-//! a time, checks prefix closure on the way, and hands the decoder maximal
-//! **runs of constant depth** — one call into a bit-parallel kernel of
-//! [`crate::kernels`] per run.
+//! row, and [`SchemeId::decode_runs`] — the one decoder — reads a row as
+//! **runs of constant depth** ([`Run`]), one call into a bit-parallel kernel
+//! of [`crate::kernels`] per run. A [`RunSource`] yields them: a
+//! [`PartialRow`], whose [`for_each_run`](PartialRow::for_each_run) scans
+//! the presence masks a `u64` word at a time and checks prefix closure on
+//! the way, or a receiver that reads each packet's sections where they lie
+//! (`trimgrad_wire::reassemble::RowFrames`).
 
 use crate::bitpack::{BitBuf, BitMask};
+use crate::stats::std_dev;
 use crate::{dither, multilevel, rht1bit, signmag, stochastic};
 use core::ops::Range;
+
+/// Upper bound on the parts of a scheme (the richest is `[1, 8, 23]`).
+/// Keeping the bound small lets a [`Run`] — and the wire layer's layouts
+/// and parsed-section tables — hold its parts inline, so the per-run and
+/// per-packet paths allocate nothing.
+pub const MAX_PARTS: usize = 4;
 
 /// Identifies a trimmable encoding on the wire (1 byte in the TrimGrad header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,7 +110,9 @@ impl SchemeId {
         }
     }
 
-    /// Encodes one gradient row with the shared `seed`.
+    /// Encodes one gradient row with the shared `seed`: the row stage, then
+    /// the whole-row pack of every part into its plane
+    /// ([`StagedRow::to_encoded`]).
     ///
     /// Every scheme upholds:
     ///
@@ -109,21 +126,37 @@ impl SchemeId {
     ///   only on their arguments (shared randomness comes from `seed`).
     #[must_use]
     pub fn encode(self, row: &[f32], seed: u64) -> EncodedRow {
-        let (parts, scale) = match self {
-            _ if row.is_empty() => (
-                self.part_bits().iter().map(|_| BitBuf::new()).collect(),
-                0.0,
-            ),
-            SchemeId::SignMagnitude => signmag::encode(row),
-            SchemeId::Stochastic => stochastic::encode(row, seed),
-            SchemeId::SubtractiveDither => dither::encode(row, seed),
-            SchemeId::RhtOneBit => rht1bit::encode(row, seed),
-            SchemeId::MultiLevelRht => multilevel::encode(row, seed),
+        self.stage(row, seed, &mut RowScratch::default())
+            .to_encoded()
+    }
+
+    /// The row stage of [`encode`](Self::encode): everything a part's
+    /// fields are a function of, coordinate by coordinate — the padded RHT
+    /// rotation, the SQ draws or SD dithers (both into `scratch`), and the
+    /// row's scale. An empty row stages as empty, with scale 0.
+    pub fn stage<'a>(
+        self,
+        row: &'a [f32],
+        seed: u64,
+        scratch: &'a mut RowScratch,
+    ) -> StagedRow<'a> {
+        let RowScratch { rotated, draws } = scratch;
+        draws.clear();
+        let scale = match self {
+            _ if row.is_empty() => 0.0,
+            SchemeId::SignMagnitude => std_dev(row),
+            SchemeId::Stochastic => stochastic::stage(row, seed, draws),
+            SchemeId::SubtractiveDither => dither::stage(row, seed, draws),
+            SchemeId::RhtOneBit | SchemeId::MultiLevelRht => rht1bit::stage(row, seed, rotated),
         };
-        EncodedRow {
+        let values = match self {
+            SchemeId::RhtOneBit | SchemeId::MultiLevelRht if !row.is_empty() => rotated,
+            _ => row,
+        };
+        StagedRow {
             scheme: self,
-            n: self.encoded_len(row.len()),
-            parts,
+            values,
+            draws,
             meta: RowMeta {
                 original_len: row.len(),
                 scale,
@@ -150,13 +183,64 @@ impl SchemeId {
     ) -> Result<(), DecodeError> {
         let consistent = self.encoded_len(meta.original_len) == row.n;
         row.check_output(self.part_bits(), meta, consistent, out)?;
-        let scale = meta.scale;
+        self.decode_runs(row, row.n, meta, seed, out)
+    }
+
+    /// The run decoder: decodes the row of encoded length `n` whose runs
+    /// `source` yields into `out`, which must hold exactly
+    /// `meta.original_len` coordinates, as
+    /// [`decode_into`](Self::decode_into) does for a [`PartialRow`]. Each
+    /// run goes to its scheme's kernel as it arrives; the RHT schemes fill
+    /// the rotated row and un-rotate it where it lies.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::BadOriginalLen`] unless `n` is `meta.original_len`'s
+    /// encoded length, [`DecodeError::OutputLenMismatch`] unless `out`
+    /// holds `meta.original_len` coordinates, and whatever `source`
+    /// reports. After an error `out` holds unspecified values.
+    pub fn decode_runs(
+        self,
+        source: impl RunSource,
+        n: usize,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        let (original_len, scale) = (meta.original_len, meta.scale);
+        if self.encoded_len(original_len) != n {
+            return Err(DecodeError::BadOriginalLen { n, original_len });
+        }
+        if out.len() != original_len {
+            return Err(DecodeError::OutputLenMismatch {
+                expected: original_len,
+                got: out.len(),
+            });
+        }
+        let part_bits = self.part_bits();
         match self {
-            SchemeId::SignMagnitude => signmag::decode_into(row, scale, out),
-            SchemeId::Stochastic => stochastic::decode_into(row, scale, out),
-            SchemeId::SubtractiveDither => dither::decode_into(row, scale, seed, out),
-            SchemeId::RhtOneBit => rht1bit::decode_into(row, scale, seed, out),
-            SchemeId::MultiLevelRht => multilevel::decode_into(row, scale, seed, out),
+            SchemeId::SignMagnitude => source.runs(part_bits, |run| {
+                signmag::decode_run(&run, scale, &mut out[run.coords.clone()]);
+            }),
+            SchemeId::Stochastic => source.runs(part_bits, |run| {
+                stochastic::decode_run(&run, scale, &mut out[run.coords.clone()]);
+            }),
+            SchemeId::SubtractiveDither => {
+                let mut dithers = dither::Decoder::new(seed, scale);
+                source.runs(part_bits, |run| {
+                    dithers.decode_run(&run, &mut out[run.coords.clone()]);
+                })
+            }
+            SchemeId::RhtOneBit => rht1bit::decode_rotated(n, seed, out, |rotated| {
+                source.runs(part_bits, |run| {
+                    signmag::decode_run(&run, scale, &mut rotated[run.coords.clone()]);
+                })
+            }),
+            SchemeId::MultiLevelRht => rht1bit::decode_rotated(n, seed, out, |rotated| {
+                source.runs(part_bits, |run| {
+                    multilevel::decode_run(&run, scale, &mut rotated[run.coords.clone()]);
+                })
+            }),
         }
     }
 
@@ -209,6 +293,88 @@ pub struct RowMeta {
     pub original_len: usize,
     /// Scheme-specific scaling factor.
     pub scale: f32,
+}
+
+/// Row-sized buffers of the row stage: the padded rotation of an RHT row,
+/// the draws of an SQ or SD row. A caller that stages row after row keeps
+/// one and allocates only when a row outgrows it.
+#[derive(Debug, Default)]
+pub struct RowScratch {
+    rotated: Vec<f32>,
+    draws: Vec<f32>,
+}
+
+/// A row after its row stage ([`SchemeId::stage`]): the values whose fields
+/// the parts carry (the row itself, or its padded rotation), an SQ/SD row's
+/// draws, and the row's metadata.
+#[derive(Debug, Clone, Copy)]
+pub struct StagedRow<'a> {
+    scheme: SchemeId,
+    values: &'a [f32],
+    draws: &'a [f32],
+    meta: RowMeta,
+}
+
+impl StagedRow<'_> {
+    /// Encoded (padded) row length, [`SchemeId::encoded_len`] of the row.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The row's reliable side data.
+    #[must_use]
+    pub fn meta(&self) -> RowMeta {
+        self.meta
+    }
+
+    /// The range packer: writes part `part`'s fields of coordinates
+    /// `coords` to `dst`, re-based to bit 0 with the slack bits of the last
+    /// byte zero — the bytes `BitBuf::copy_bits_to(coords.start·w,
+    /// coords.len()·w, dst)` writes from the whole-row plane of a `w`-bit
+    /// part, at any `coords.start`, with no plane in between. Every byte of
+    /// `dst` is written, whatever it held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coords` is not inside `0..n`, or `dst` is not exactly
+    /// `(coords.len()·w).div_ceil(8)` bytes (a debug assertion).
+    pub fn pack_range(&self, part: usize, coords: Range<usize>, dst: &mut [u8]) {
+        let values = &self.values[coords.clone()];
+        match self.scheme {
+            SchemeId::SignMagnitude | SchemeId::RhtOneBit => signmag::pack(part, values, dst),
+            SchemeId::MultiLevelRht => multilevel::pack(part, values, dst),
+            SchemeId::Stochastic => {
+                let draws = &self.draws[coords];
+                stochastic::pack(part, values, draws, self.meta.scale, dst);
+            }
+            SchemeId::SubtractiveDither => dither::pack(part, values, &self.draws[coords], dst),
+        }
+    }
+
+    /// The whole-row pack: every part as a plane of `n` fields.
+    #[must_use]
+    pub fn to_encoded(&self) -> EncodedRow {
+        let n = self.n();
+        let parts = self
+            .scheme
+            .part_bits()
+            .iter()
+            .enumerate()
+            .map(|(part, &w)| {
+                let bits = n * w as usize;
+                let mut bytes = vec![0; bits.div_ceil(8)];
+                self.pack_range(part, 0..n, &mut bytes);
+                BitBuf::from_bytes(bytes, bits)
+            })
+            .collect();
+        EncodedRow {
+            scheme: self.scheme,
+            n,
+            parts,
+            meta: self.meta,
+        }
+    }
 }
 
 /// A fully-encoded row, before packetization.
@@ -580,7 +746,63 @@ impl PartialRow<'_> {
     }
 }
 
-/// Errors surfaced while decoding a [`PartialRow`].
+/// One run of constant depth, as the run decoder reads it: coordinates
+/// `coords` of the row have their first `depth` parts (0 = nothing
+/// survived), and `parts[k]` holds part `k`'s fields from coordinate
+/// `origin` on, re-based to bit 0. A whole row's plane has `origin` 0; one
+/// packet's section has the packet's first coordinate.
+#[derive(Debug, Clone)]
+pub struct Run<'a> {
+    /// The run's coordinates, within the row.
+    pub coords: Range<usize>,
+    /// Parts available for every coordinate of the run.
+    pub depth: usize,
+    /// The coordinate whose fields open `parts`.
+    pub origin: usize,
+    /// Packed field bytes per part; only the first `depth` are read.
+    pub parts: [&'a [u8]; MAX_PARTS],
+}
+
+impl Run<'_> {
+    /// The run's first coordinate counted from `origin`: where the kernels
+    /// start reading `parts`.
+    #[must_use]
+    pub fn start(&self) -> usize {
+        self.coords.start - self.origin
+    }
+}
+
+/// Where the run decoder ([`SchemeId::decode_runs`]) reads a row from.
+pub trait RunSource {
+    /// Calls `on_run` for each run, in coordinate order; the runs tile
+    /// `0..n` of the row being decoded. `part_bits` is the decoding
+    /// scheme's geometry, for a source that has to check its own against
+    /// it first.
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] for a source that is not a valid row of that
+    /// geometry; the runs before the fault may have been reported.
+    fn runs(self, part_bits: &[u32], on_run: impl FnMut(Run<'_>)) -> Result<(), DecodeError>;
+}
+
+/// The plane source: [`PartialRow::for_each_run`]'s runs over whole-row
+/// planes (`origin` 0).
+impl RunSource for &PartialRow<'_> {
+    fn runs(self, part_bits: &[u32], mut on_run: impl FnMut(Run<'_>)) -> Result<(), DecodeError> {
+        let parts = core::array::from_fn(|k| self.parts.get(k).map_or(&[][..], PartView::bytes));
+        self.for_each_run(part_bits, |coords, depth| {
+            on_run(Run {
+                coords,
+                depth,
+                origin: 0,
+                parts,
+            });
+        })
+    }
+}
+
+/// Errors surfaced while decoding a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The view has a different number of parts than the scheme.

@@ -11,39 +11,33 @@
 //! training with it diverges once ≳2% of packets are trimmed (paper Fig 3) —
 //! the scheme is included as the paper's cautionary baseline.
 
-use crate::bitpack::BitBuf;
+use crate::bitpack::{pack_low_bits_into, pack_signs_into};
 use crate::kernels;
-use crate::scheme::{DecodeError, PartialRow, SchemeId};
-use crate::stats::std_dev;
+use crate::scheme::Run;
 
-/// The parts and scale of a non-empty row: its sign bits, its low 31 bits
-/// and `σ`.
-pub(crate) fn encode(row: &[f32]) -> (Vec<BitBuf>, f32) {
-    let (heads, tails) = kernels::encode_sign31_parts(row);
-    (vec![heads, tails], std_dev(row))
+/// The range packer of the sign / 31-bit layout, which the RHT 1-bit scheme
+/// shares: part `part` of `values` into `dst`.
+pub(crate) fn pack(part: usize, values: &[f32], dst: &mut [u8]) {
+    match part {
+        0 => pack_signs_into(values, dst),
+        _ => pack_low_bits_into::<31>(values, dst),
+    }
 }
 
-/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
-pub(crate) fn decode_into(
-    row: &PartialRow<'_>,
-    scale: f32,
-    out: &mut [f32],
-) -> Result<(), DecodeError> {
-    row.for_each_run(SchemeId::SignMagnitude.part_bits(), |run, depth| {
-        let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-        let (start, dst) = (run.start, &mut out[run]);
-        match depth {
-            0 => dst.fill(0.0),
-            1 => kernels::decode_signs_scaled(signs, start, scale, dst),
-            _ => kernels::decode_sign31(signs, tails, start, dst),
-        }
-    })
+/// The run decoder of the sign / 31-bit layout: `±scale` from a head, the
+/// float itself from both parts.
+pub(crate) fn decode_run(run: &Run<'_>, scale: f32, dst: &mut [f32]) {
+    let ([signs, tails, ..], start) = (run.parts, run.start());
+    match run.depth {
+        0 => dst.fill(0.0),
+        1 => kernels::decode_signs_scaled(signs, start, scale, dst),
+        _ => kernels::decode_sign31(signs, tails, start, dst),
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::RowMeta;
+    use crate::scheme::{DecodeError, RowMeta, SchemeId};
     use proptest::prelude::*;
 
     fn row() -> Vec<f32> {

@@ -13,67 +13,69 @@
 //! (33 vs 32). The randomness is drawn from the shared seed so encoding is
 //! reproducible (§5.4), but decoding needs no randomness at all.
 
-use crate::bitpack::BitBuf;
 use crate::kernels;
-use crate::scheme::{DecodeError, PartialRow, SchemeId};
+use crate::scheme::Run;
 use crate::stats::{clip, std_dev, CLIP_SIGMAS};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
-/// The parts and scale of a non-empty row: its stochastic heads, its whole
-/// floats and `L`.
-pub(crate) fn encode(row: &[f32], seed: u64) -> (Vec<BitBuf>, f32) {
-    let l = CLIP_SIGMAS * std_dev(row);
+/// The row stage of a non-empty row: one PRNG draw per coordinate into
+/// `draws`, in order, and `L`.
+///
+/// The draws are collected up front from a `TrustedLen` iterator: the
+/// generator's state update is a serial dependency chain, so running it
+/// tight — a loop with no capacity check or grow path to spill around —
+/// and letting the clip/divide/compare work pipeline over the buffer is
+/// much faster than interleaving them. The draw sequence (and thus the
+/// head stream) is identical to a draw-per-coordinate loop because the
+/// draws don't depend on the data.
+pub(crate) fn stage(row: &[f32], seed: u64, draws: &mut Vec<f32>) -> f32 {
     let mut rng = Xoshiro256StarStar::new(seed);
-    // One PRNG draw per coordinate, in order, buffered up front: the
-    // generator's state update is a serial dependency chain, so running
-    // it tight and letting the clip/divide/compare work pipeline over
-    // the buffer is much faster than interleaving them. The draw
-    // sequence (and thus the head stream) is identical to a
-    // draw-per-coordinate loop because the draws don't depend on the
-    // data.
-    // trimlint: allow(hot-path-alloc) -- one draw buffer per row, amortized
-    let mut draws = Vec::with_capacity(row.len());
-    for _ in 0..row.len() {
-        draws.push(rng.next_f32());
-    }
-    let heads = kernels::pack_bits_zip(row, &draws, |v, draw| {
-        // p₊ = (L + clip(v)) / 2L; a zero range (constant row) degenerates
-        // to a fair coin, which decodes to ±0 = 0 anyway.
-        let p_plus = if l > 0.0 {
-            (l + clip(v, l)) / (2.0 * l)
-        } else {
-            0.5
-        };
-        // Head bit 1 encodes −L (mirroring the IEEE "1 = negative" convention).
-        // Written as a negation so a NaN probability (a NaN coordinate)
-        // yields 1, which `draw >= p_plus` would not.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let head = !(draw < p_plus);
-        head
-    });
-    (vec![heads, kernels::pack_f32_tails(row)], l)
+    draws.extend((0..row.len()).map(|_| rng.next_f32()));
+    CLIP_SIGMAS * std_dev(row)
 }
 
-/// Decodes a view whose geometry [`SchemeId::decode_into`] has checked.
-pub(crate) fn decode_into(
-    row: &PartialRow<'_>,
-    scale: f32,
-    out: &mut [f32],
-) -> Result<(), DecodeError> {
-    row.for_each_run(SchemeId::Stochastic.part_bits(), |run, depth| {
-        let (signs, tails) = (row.parts[0].bytes(), row.parts[1].bytes());
-        let (start, dst) = (run.start, &mut out[run]);
-        match depth {
-            0 => dst.fill(0.0),
-            1 => kernels::decode_signs_scaled(signs, start, scale, dst),
-            _ => kernels::unpack_f32_tails(tails, start, dst),
-        }
-    })
+/// The range packer: part `part` of the coordinates whose values and draws
+/// are `values` and `draws`, under `L = l`, into `dst`.
+pub(crate) fn pack(part: usize, values: &[f32], draws: &[f32], l: f32, dst: &mut [u8]) {
+    if part != 0 {
+        return kernels::pack_f32_tails_into(values, dst);
+    }
+    kernels::pack_bits_zip_into(
+        values,
+        draws,
+        |v, draw| {
+            // p₊ = (L + clip(v)) / 2L; a zero range (constant row) degenerates
+            // to a fair coin, which decodes to ±0 = 0 anyway.
+            let p_plus = if l > 0.0 {
+                (l + clip(v, l)) / (2.0 * l)
+            } else {
+                0.5
+            };
+            // Head bit 1 encodes −L (mirroring the IEEE "1 = negative"
+            // convention). Written as a negation so a NaN probability (a NaN
+            // coordinate) yields 1, which `draw >= p_plus` would not.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let head = !(draw < p_plus);
+            head
+        },
+        dst,
+    );
+}
+
+/// The run decoder: `±L` from a head, the float itself from the tail.
+pub(crate) fn decode_run(run: &Run<'_>, l: f32, dst: &mut [f32]) {
+    let ([signs, tails, ..], start) = (run.parts, run.start());
+    match run.depth {
+        0 => dst.fill(0.0),
+        1 => kernels::decode_signs_scaled(signs, start, l, dst),
+        _ => kernels::unpack_f32_tails(tails, start, dst),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeId;
     use proptest::prelude::*;
 
     #[test]

@@ -11,7 +11,8 @@ use crate::payload::{max_coords_for_budget, PayloadLayout};
 use crate::trimhdr::{TrimGradFields, FLAG_LAST_CHUNK};
 use crate::{narrow, stack, trimhdr};
 use core::ops::Range;
-use trimgrad_quant::EncodedRow;
+use trimgrad_quant::scheme::RowMeta;
+use trimgrad_quant::{EncodedRow, SchemeId};
 
 /// The classic Ethernet IP MTU. The in-memory harnesses (trim injector,
 /// transcript replay) cut rows at this MTU, like the paper's prototype.
@@ -78,53 +79,81 @@ pub struct PacketizedRow {
     pub meta: RowMetaPacket,
 }
 
-/// Splits `enc` into MTU-sized packets plus one metadata packet.
+/// Splits `enc` into MTU-sized packets plus one metadata packet:
+/// [`packetize_with`] over the row's planes, each section's bits copied
+/// straight from a plane into its frame (`BitBuf::copy_bits_to`).
 ///
-/// Section bits are copied straight from the row's bit buffers into each
-/// frame (`BitBuf::copy_bits_to`) — no intermediate per-section or
-/// per-layer allocation, one buffer per packet.
+/// # Panics
+///
+/// Panics if the MTU is too small to fit even one coordinate — a static
+/// misconfiguration.
+#[must_use]
+pub fn packetize_row(enc: &EncodedRow, cfg: &PacketizeConfig) -> PacketizedRow {
+    let part_bits = enc.scheme.part_bits();
+    packetize_with(enc.scheme, enc.n, enc.meta, cfg, |part, coords, dst| {
+        let w = part_bits[part] as usize;
+        enc.parts[part].copy_bits_to(coords.start * w, coords.len() * w, dst);
+    })
+}
+
+/// The framing loop every send path runs: cuts a row of `n` encoded
+/// coordinates into MTU-sized data frames — chunk ids in coordinate order,
+/// the last chunk flagged — plus its reliable metadata packet.
+///
+/// Where the section bytes come from is the caller's: `write_section(part,
+/// coords, dst)` fills part `part`'s section for the chunk's coordinates
+/// `coords`, `dst` being exactly the section's bytes inside the frame,
+/// zeroed. [`packetize_row`] copies them out of whole-row planes; the
+/// message path packs them from the row stage
+/// (`trimgrad_quant::scheme::StagedRow::pack_range`), so each chunk goes
+/// straight into its frame. One buffer per packet, nothing else per packet
+/// or per section.
 ///
 /// # Panics
 ///
 /// Panics if the MTU is too small to fit even one coordinate — a static
 /// misconfiguration.
 // trimlint: hot-path -- per-row frame build on the send path
-#[must_use]
-pub fn packetize_row(enc: &EncodedRow, cfg: &PacketizeConfig) -> PacketizedRow {
+pub fn packetize_with(
+    scheme: SchemeId,
+    n: usize,
+    row_meta: RowMeta,
+    cfg: &PacketizeConfig,
+    mut write_section: impl FnMut(usize, Range<usize>, &mut [u8]),
+) -> PacketizedRow {
     let meta = RowMetaPacket {
-        scheme: enc.scheme,
+        scheme,
         msg_id: cfg.msg_id,
         row_id: cfg.row_id,
-        original_len: narrow::to_u32(enc.meta.original_len, "row length"),
-        scale: enc.meta.scale,
+        original_len: narrow::to_u32(row_meta.original_len, "row length"),
+        scale: row_meta.scale,
         epoch: cfg.epoch,
     };
-    if enc.n == 0 {
+    if n == 0 {
         return PacketizedRow {
             packets: Vec::new(),
             meta,
         };
     }
-    let part_bits = enc.scheme.part_bits();
+    let part_bits = scheme.part_bits();
     let per_packet = coords_per_packet(part_bits, cfg.mtu)
         // trimlint: allow(no-panic) -- documented # Panics contract: an MTU too small for one coordinate is a static misconfiguration
         .unwrap_or_else(|| panic!("MTU {} cannot fit one coordinate", cfg.mtu));
     let n_parts = narrow::to_u8(part_bits.len(), "part count");
-    let chunks = chunk_ranges(enc.n, per_packet);
+    let chunks = chunk_ranges(n, per_packet);
     let n_chunks = chunks.len();
     // trimlint: allow(hot-path-alloc) -- one row-level Vec of packet handles per call
     let mut packets = Vec::with_capacity(n_chunks);
     for (chunk_id, chunk) in chunks.enumerate() {
-        let (start, count) = (chunk.start, chunk.len());
         let fields = TrimGradFields {
-            scheme: enc.scheme,
+            scheme,
             n_parts,
             trim_depth: n_parts,
             chunk_id: narrow::to_u16(chunk_id, "chunk id"),
             msg_id: cfg.msg_id,
             row_id: cfg.row_id,
-            coord_start: start as u32,
-            coord_count: narrow::to_u16(count, "coordinate count"),
+            coord_start: chunk.start as u32,
+            coord_count: narrow::to_u16(chunk.len(), "coordinate count"),
             flags: if chunk_id == n_chunks - 1 {
                 FLAG_LAST_CHUNK
             } else {
@@ -132,14 +161,10 @@ pub fn packetize_row(enc: &EncodedRow, cfg: &PacketizeConfig) -> PacketizedRow {
             },
             epoch: cfg.epoch,
         };
-        let layout = PayloadLayout::new(part_bits, count);
+        let layout = PayloadLayout::new(part_bits, chunk.len());
         packets.push(GradPacket::build_with(&cfg.net, fields, |body| {
-            for (j, (buf, &w)) in enc.parts.iter().zip(part_bits).enumerate() {
-                buf.copy_bits_to(
-                    start * w as usize,
-                    count * w as usize,
-                    &mut body[layout.section_range(j)],
-                );
+            for part in 0..part_bits.len() {
+                write_section(part, chunk.clone(), &mut body[layout.section_range(part)]);
             }
         }));
     }

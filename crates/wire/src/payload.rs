@@ -19,10 +19,10 @@
 //! remainder is the information needed to recover the coordinates' original
 //! precision".
 
-/// Upper bound on parts a scheme may define (the richest is `[1, 8, 23]`).
-/// Keeping the bound small lets layouts and parsed-section tables live
-/// inline: the per-packet paths construct them without heap allocation.
-pub const MAX_PARTS: usize = 4;
+/// Upper bound on parts a scheme may define, the quant layer's: layouts
+/// and parsed-section tables hold that many inline, so the per-packet paths
+/// construct them without heap allocation.
+pub use trimgrad_quant::scheme::MAX_PARTS;
 
 /// Payload geometry for one packet.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -16,13 +16,81 @@
 //! [`is_complete`](RowAssembler::is_complete), the Full / Masked / Absent
 //! choice of [`partial_row`](RowAssembler::partial_row) — reads those
 //! counters and never rescans a mask.
+//!
+//! A receiver whose frames outlive the decode needs no planes at all:
+//! [`RowFrames`] indexes each frame by its chunk and hands the decoder its
+//! sections where they lie, one run per chunk. Both make the same checks
+//! of a frame, in the same order; `RowFrames` adds one, that a frame
+//! carries the coordinates its chunk id names.
 
 use crate::meta::RowMetaPacket;
-use crate::packet::GradPacket;
+use crate::packet::{GradPacket, ParsedGrad};
+use crate::packetize::chunk_ranges;
+use crate::payload::MAX_PARTS;
+use crate::trimhdr::TrimGradFields;
 use crate::{Result, WireError};
 use trimgrad_quant::bitpack::{BitBuf, BitMask};
-use trimgrad_quant::scheme::{PartView, PartialRow, RowMeta};
+use trimgrad_quant::scheme::{DecodeError, PartView, PartialRow, RowMeta, Run, RunSource};
 use trimgrad_quant::SchemeId;
+
+/// The row a data frame must belong to.
+#[derive(Debug, Clone, Copy)]
+struct RowIdentity {
+    scheme: SchemeId,
+    msg_id: u32,
+    row_id: u32,
+    /// Encoded (padded) row length.
+    n: usize,
+    /// Fixed by the metadata or the first frame; `None` before either.
+    epoch: Option<u32>,
+}
+
+impl RowIdentity {
+    /// Parses `pkt` and checks that it joins this row, in this order: it is
+    /// this row's scheme, message and row; its coordinates lie inside the
+    /// row and `owns` them; its part count is the scheme's; its epoch is the
+    /// row's, once one is fixed; and every section holds exactly the bytes
+    /// its coordinate count implies.
+    ///
+    /// # Errors
+    ///
+    /// Parse errors, or [`WireError::BadField`] naming the first check that
+    /// fails: `"row identity"`, `"coord range"`, `"n_parts"`, `"epoch"`,
+    /// `"section length"`.
+    fn check<'p>(
+        &self,
+        pkt: &'p GradPacket,
+        owns: impl FnOnce(&TrimGradFields) -> bool,
+    ) -> Result<ParsedGrad<'p>> {
+        let parsed = pkt.parse()?;
+        let f = &parsed.fields;
+        if f.scheme != self.scheme || f.msg_id != self.msg_id || f.row_id != self.row_id {
+            return Err(WireError::BadField("row identity"));
+        }
+        let (start, count) = (f.coord_start as usize, f.coord_count as usize);
+        if start + count > self.n || !owns(f) {
+            return Err(WireError::BadField("coord range"));
+        }
+        let part_bits = self.scheme.part_bits();
+        if f.n_parts as usize != part_bits.len() {
+            return Err(WireError::BadField("n_parts"));
+        }
+        if self.epoch.is_some_and(|e| e != f.epoch) {
+            return Err(WireError::BadField("epoch"));
+        }
+        // Defense in depth: every section must hold exactly the bytes its
+        // declared coordinate count implies. `parse()` slices sections from
+        // the layout's ranges, but nothing upstream is trusted here — a
+        // short section would panic inside a bit copy or a decode kernel,
+        // and a long one would decode garbage into the row.
+        for (section, &w) in parsed.sections.iter().zip(part_bits) {
+            if section.len() != (count * w as usize).div_ceil(8) {
+                return Err(WireError::BadField("section length"));
+            }
+        }
+        Ok(parsed)
+    }
+}
 
 /// Reassembles one row from its packets.
 #[derive(Debug, Clone)]
@@ -135,38 +203,20 @@ impl RowAssembler {
     /// belongs to a different row or exceeds the row bounds.
     // trimlint: hot-path -- per-packet reassembly on the receive path
     pub fn ingest(&mut self, pkt: &GradPacket) -> Result<()> {
-        let parsed = pkt.parse()?;
+        let identity = RowIdentity {
+            scheme: self.scheme,
+            msg_id: self.msg_id,
+            row_id: self.row_id,
+            n: self.n,
+            epoch: self.epoch,
+        };
+        let parsed = identity.check(pkt, |_| true)?;
         let f = &parsed.fields;
-        if f.scheme != self.scheme || f.msg_id != self.msg_id || f.row_id != self.row_id {
-            return Err(WireError::BadField("row identity"));
-        }
-        let start = f.coord_start as usize;
-        let count = f.coord_count as usize;
-        if start + count > self.n {
-            return Err(WireError::BadField("coord range"));
-        }
-        if f.n_parts as usize != self.parts.len() {
-            return Err(WireError::BadField("n_parts"));
-        }
-        match self.epoch {
-            None => self.epoch = Some(f.epoch),
-            Some(e) if e != f.epoch => return Err(WireError::BadField("epoch")),
-            Some(_) => {}
-        }
+        self.epoch = Some(f.epoch);
+        let (start, count) = (f.coord_start as usize, f.coord_count as usize);
         let part_bits = self.scheme.part_bits();
-        // Defense in depth: every section must hold exactly the bytes its
-        // declared coordinate count implies. `parse()` slices sections from
-        // the layout's ranges, but nothing upstream is trusted here — a
-        // short section would panic inside the bit copy below, and a long
-        // one would decode garbage into the row.
-        for (k, section) in parsed.sections.iter().enumerate() {
-            let w = part_bits[k] as usize;
-            if section.len() != (count * w).div_ceil(8) {
-                return Err(WireError::BadField("section length"));
-            }
-        }
-        for (k, section) in parsed.sections.iter().enumerate() {
-            let w = part_bits[k] as usize;
+        for (k, (section, &w)) in parsed.sections.iter().zip(part_bits).enumerate() {
+            let w = w as usize;
             // Zero-copy: section bytes land straight in the row part's
             // backing store, no intermediate BitBuf per packet.
             self.parts[k].write_bits_from_bytes(start * w, section, count * w);
@@ -243,6 +293,135 @@ impl RowAssembler {
             })
             .collect();
         PartialRow { n: self.n, parts }
+    }
+}
+
+/// One row's surviving data frames, read where they lie: the receive
+/// path's alternative to [`RowAssembler`] when the frames outlive the
+/// decode. No plane or mask is built. Each chunk of the row — the sender's
+/// geometry, [`chunk_ranges`]`(n, per_packet)` — keeps each part's section
+/// as the last frame carrying that part left it, exactly the bytes an
+/// assembler would hold there, and the row reaches the decoder as one
+/// [`Run`] per chunk ([`RunSource`]).
+#[derive(Debug, Clone)]
+pub struct RowFrames<'a> {
+    identity: RowIdentity,
+    meta: RowMeta,
+    per_packet: usize,
+    /// Per chunk, each part's section; empty until a frame carried it.
+    chunks: Vec<[&'a [u8]; MAX_PARTS]>,
+}
+
+impl<'a> RowFrames<'a> {
+    /// An empty row for its received metadata packet, whose frames carry
+    /// `per_packet` coordinates each (the last one fewer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_packet` is zero.
+    #[must_use]
+    pub fn from_meta(meta: &RowMetaPacket, per_packet: usize) -> Self {
+        let n = meta.scheme.encoded_len(meta.original_len as usize);
+        Self {
+            identity: RowIdentity {
+                scheme: meta.scheme,
+                msg_id: meta.msg_id,
+                row_id: meta.row_id,
+                n,
+                epoch: Some(meta.epoch),
+            },
+            meta: meta.row_meta(),
+            per_packet,
+            chunks: vec![[&[][..]; MAX_PARTS]; chunk_ranges(n, per_packet).len()],
+        }
+    }
+
+    /// The encoded (padded) length.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.identity.n
+    }
+
+    /// Row metadata.
+    #[must_use]
+    pub fn meta(&self) -> &RowMeta {
+        &self.meta
+    }
+
+    /// Indexes one data frame (trimmed or not, duplicate or not) by its
+    /// chunk. A frame refused here leaves the row as it was.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`RowAssembler::ingest`], from the same checks in the
+    /// same order, and one more: a frame whose `(coord_start, coord_count)`
+    /// is not the range its `chunk_id` has in this row is refused as
+    /// [`WireError::BadField`]`("coord range")`, so no two chunks ever
+    /// claim a coordinate.
+    // trimlint: hot-path -- per-packet indexing on the receive path
+    pub fn ingest(&mut self, pkt: &'a GradPacket) -> Result<()> {
+        let (n, per_packet) = (self.identity.n, self.per_packet);
+        let parsed = self.identity.check(pkt, |f| {
+            let start = usize::from(f.chunk_id) * per_packet;
+            start < n
+                && f.coord_start as usize == start
+                && usize::from(f.coord_count) == per_packet.min(n - start)
+        })?;
+        let slot = self
+            .chunks
+            .get_mut(usize::from(parsed.fields.chunk_id))
+            .ok_or(WireError::BadField("coord range"))?;
+        for (dst, &section) in slot.iter_mut().zip(parsed.sections.iter()) {
+            *dst = section;
+        }
+        Ok(())
+    }
+
+    /// Number of coordinates whose head (part 0) has arrived.
+    #[must_use]
+    pub fn coords_received(&self) -> usize {
+        chunk_ranges(self.identity.n, self.per_packet)
+            .zip(&self.chunks)
+            .filter(|(_, parts)| !parts[0].is_empty())
+            .map(|(coords, _)| coords.len())
+            .sum()
+    }
+}
+
+/// The frame source: one run per chunk, its parts the sections that
+/// survived, read where they lie (`origin` the chunk's first coordinate).
+impl RunSource for &RowFrames<'_> {
+    fn runs(
+        self,
+        part_bits: &[u32],
+        mut on_run: impl FnMut(Run<'_>),
+    ) -> core::result::Result<(), DecodeError> {
+        let own = self.identity.scheme.part_bits();
+        if part_bits.len() != own.len() {
+            return Err(DecodeError::PartCountMismatch {
+                expected: part_bits.len(),
+                got: own.len(),
+            });
+        }
+        if let Some(part) = (0..own.len()).find(|&k| part_bits[k] != own[k]) {
+            return Err(DecodeError::LengthMismatch {
+                part,
+                expected: self.n() * part_bits[part] as usize,
+                got: self.n() * own[part] as usize,
+            });
+        }
+        for (coords, parts) in chunk_ranges(self.n(), self.per_packet).zip(&self.chunks) {
+            on_run(Run {
+                depth: parts
+                    .iter()
+                    .take_while(|section| !section.is_empty())
+                    .count(),
+                origin: coords.start,
+                coords,
+                parts: *parts,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -514,6 +693,81 @@ mod tests {
         asm.ingest_meta(&pr.meta).unwrap();
         assert_eq!(asm.meta(), Some(&enc.meta));
         assert_eq!(RowAssembler::from_meta(&pr.meta).meta(), Some(&enc.meta));
+    }
+
+    /// `rows` decoded from planes and from frames read in place.
+    fn both_decodes(
+        pr: &crate::packetize::PacketizedRow,
+        frames: &[GradPacket],
+    ) -> (Vec<u32>, Vec<u32>) {
+        let per_packet =
+            crate::packetize::coords_per_packet(pr.meta.scheme.part_bits(), 1500).expect("fits");
+        let mut asm = RowAssembler::from_meta(&pr.meta);
+        let mut row = RowFrames::from_meta(&pr.meta, per_packet);
+        for frame in frames {
+            asm.ingest(frame).unwrap();
+            row.ingest(frame).unwrap();
+        }
+        assert_eq!(row.coords_received(), asm.coords_received());
+        let (scheme, meta) = (pr.meta.scheme, pr.meta.row_meta());
+        let planes = scheme.decode(&asm.partial_row(), &meta, 7).unwrap();
+        let mut direct = vec![f32::NAN; meta.original_len];
+        scheme
+            .decode_runs(&row, row.n(), &meta, 7, &mut direct)
+            .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+        (bits(&planes), bits(&direct))
+    }
+
+    #[test]
+    fn frames_read_in_place_decode_as_their_planes_do() {
+        let row: Vec<f32> = (0..1000).map(|i| ((i * 13) % 37) as f32 - 18.0).collect();
+        for scheme in SchemeId::ALL {
+            let enc = scheme.encode(&row, 7);
+            let pr = packetize_row(&enc, &cfg());
+            let mut frames: Vec<GradPacket> = pr.packets.clone();
+            frames[0].trim_to_depth(1).unwrap(); // trimmed
+            frames.remove(1); // lost
+            frames.push(pr.packets[0].clone()); // a full duplicate, later
+            let (planes, direct) = both_decodes(&pr, &frames);
+            assert_eq!(planes, direct, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn frames_off_their_chunk_are_refused_and_change_nothing() {
+        let row: Vec<f32> = (0..1000).map(|i| i as f32).collect();
+        let enc = SchemeId::SignMagnitude.encode(&row, 0);
+        let pr = packetize_row(&enc, &cfg());
+        // Chunk 1's frame renumbered as chunk 0, and as a chunk past the row.
+        let renumbered: Vec<GradPacket> = [0u16, 3]
+            .into_iter()
+            .map(|chunk_id| {
+                let mut bytes = pr.packets[1].clone().into_frame();
+                let at = crate::packet::STACK_OVERHEAD - crate::trimhdr::HEADER_LEN + 6;
+                bytes[at..at + 2].copy_from_slice(&chunk_id.to_be_bytes());
+                crate::stack::reseal(&mut bytes, crate::ipv4::DSCP_BULK);
+                GradPacket::from_frame(bytes)
+            })
+            .collect();
+        let mut frames = RowFrames::from_meta(&pr.meta, 360);
+        frames.ingest(&pr.packets[0]).unwrap();
+        for bad in &renumbered {
+            let mut asm = RowAssembler::from_meta(&pr.meta);
+            asm.ingest(bad).unwrap(); // the planes take any range inside the row
+            assert_eq!(
+                frames.ingest(bad).unwrap_err(),
+                WireError::BadField("coord range")
+            );
+            assert_eq!(frames.coords_received(), 360, "chunk 0 as it was");
+        }
+        // A row read with another scheme's geometry is refused, not decoded.
+        let mut out = vec![0.0; row.len()];
+        let err = SchemeId::Stochastic.decode_runs(&frames, frames.n(), frames.meta(), 0, &mut out);
+        assert!(matches!(
+            err,
+            Err(DecodeError::LengthMismatch { part: 1, .. })
+        ));
     }
 
     #[test]

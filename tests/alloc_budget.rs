@@ -8,15 +8,23 @@
 //! Allocations are counted on every thread, so the budget holds at every
 //! `TRIMGRAD_THREADS` width. Inside the round, the compute stage allocates
 //! nothing as large as a weight matrix: no product copies `W`.
+//!
+//! The loopback pipeline holds a budget too: on a 2²⁰-coordinate RHT blob,
+//! `TrimmablePipeline::encode` allocates nothing of 64 KiB or more but the
+//! packet vector it returns and one rotation scratch per pool stripe, and
+//! `TrimmablePipeline::decode` nothing but the output it returns — no
+//! whole-row plane or reassembly buffer on either side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
 use trimgrad_collective::hooks::{AggregateHook, TrimmableHook};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_mltrain::data::{gaussian_mixture, sample_indices};
 use trimgrad_mltrain::parallel::{DataParallelTrainer, ParallelConfig};
 use trimgrad_mltrain::Mlp;
+use trimgrad_par::{hardware_threads, WorkerPool};
 use trimgrad_quant::SchemeId;
 
 /// Counts the allocations (and growing reallocations) of at least
@@ -141,4 +149,61 @@ fn the_compute_stage_copies_no_weight_matrix() {
         assert!(model.loss_and_grad_into(&bx, &by, &mut grad).is_finite());
     });
     assert_eq!(count, 0, "allocations ≥ the smallest weight matrix");
+}
+
+/// `codec_loopback`'s pipeline and one of its 2²⁰-coordinate blobs.
+fn loopback() -> (TrimmablePipeline, Vec<f32>) {
+    let cfg = PipelineConfig::builder()
+        .scheme(SchemeId::RhtOneBit)
+        .row_len(ROW_LEN)
+        .mtu(1500)
+        .base_seed(11)
+        .try_build()
+        .expect("the benchmark's configuration");
+    let mut rng = Xoshiro256StarStar::new(11);
+    let blob = (0..1 << 20)
+        .map(|_| rng.next_f32_range(-1.0, 1.0))
+        .collect();
+    (TrimmablePipeline::new(cfg), blob)
+}
+
+/// Anything of 64 KiB or more is a row plane (a 2¹⁵-coordinate row's 31-bit
+/// tails are 124 KiB), a rotation, a blob or the packet vector.
+const ROW_SIZED: usize = 64 << 10;
+
+#[test]
+fn the_pipeline_encode_allocates_the_packets_and_one_scratch_per_stripe() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (pipe, blob) = loopback();
+    let rows = blob.len() / ROW_LEN;
+    let stripes = WorkerPool::global()
+        .threads()
+        .min(rows)
+        .min(hardware_threads());
+    let count = third_call_allocations(ROW_SIZED, || {
+        let tx = pipe.encode(&blob, 0, 7, 1, 2);
+        assert_eq!(tx.metas.len(), rows);
+    });
+    assert!(
+        count <= 1 + stripes.max(1),
+        "{count} allocations of 64 KiB or more for {stripes} stripe(s)"
+    );
+}
+
+#[test]
+fn the_pipeline_decode_allocates_nothing_row_sized_but_its_output() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (pipe, blob) = loopback();
+    let mut tx = pipe.encode(&blob, 0, 7, 1, 2);
+    // `codec_loopback`'s mix: some frames cut to their heads.
+    for frame in tx.packets.iter_mut().step_by(3) {
+        frame.trim_to_depth(1).expect("data frames trim");
+    }
+    let count = third_call_allocations(ROW_SIZED, || {
+        let out = pipe
+            .decode(&tx.packets, &tx.metas, 0, 7)
+            .expect("own frames");
+        assert_eq!(out.len(), blob.len());
+    });
+    assert_eq!(count, 1, "allocations of 64 KiB or more besides the output");
 }
