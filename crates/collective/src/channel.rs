@@ -14,6 +14,7 @@
 use crate::chunk::MessageCodec;
 use crate::trim_inject::{Fate, InjectStats, TrimInjector};
 use core::ops::Range;
+use trimgrad_quant::scheme::RowScratch;
 use trimgrad_telemetry::{Counter, Registry};
 use trimgrad_wire::meta;
 use trimgrad_wire::packetize::{frame_len, DEFAULT_MTU};
@@ -85,8 +86,12 @@ pub struct TrimmingChannel {
     bytes: u64,
     stats: InjectStats,
     metrics: Option<ChannelMetrics>,
+    /// The current row's row stage, kept across rows and transfers.
+    stage: RowScratch,
     /// The current row's packet fates, kept across rows.
     fates: Vec<Fate>,
+    /// One packet-chunk's surviving parts, packed as the decoder reaches it.
+    chunk: Vec<u8>,
     /// The current row's decode, kept across rows and transfers.
     scratch: Vec<f32>,
 }
@@ -101,7 +106,9 @@ impl TrimmingChannel {
             bytes: 0,
             stats: InjectStats::default(),
             metrics: None,
+            stage: RowScratch::default(),
             fates: Vec::new(),
+            chunk: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -132,13 +139,72 @@ impl TrimmingChannel {
         &self.codec
     }
 
-    /// Transfers `data` one row at a time: each row is encoded, its packets
-    /// meet their fates, and what survived is decoded into a scratch row the
-    /// channel keeps across calls and handed to `sink` with the row's range
-    /// in `data`, in row order, while it is still in cache. Past the first
-    /// transfer the encoded row is the only row-sized allocation: fates are
-    /// drawn per packet into a buffer the channel also keeps, and no output
-    /// blob is allocated at all.
+    /// Transfers row `row_id` of `data` (rows as [`MessageCodec::row_range`]
+    /// cuts them) and returns what the receiver decodes, in a scratch row
+    /// the channel keeps across calls. The row is staged
+    /// ([`SchemeId::stage`](trimgrad_quant::SchemeId::stage)), its packets
+    /// meet their fates ([`TrimInjector::draw_row_fates`]), and the decoder
+    /// reads it chunk by chunk
+    /// ([`StagedRow::chunks`](trimgrad_quant::StagedRow::chunks)): each
+    /// chunk's surviving parts are packed into a small buffer as the
+    /// decoder reaches them, so no plane or mask is built and a part a fate
+    /// cut is never packed. Bit for bit, and fate for fate, the row decodes
+    /// as its encoded planes viewed through
+    /// [`EncodedRow::view_with_runs`](trimgrad_quant::EncodedRow::view_with_runs)
+    /// do. Past the first rows the channel allocates nothing row-sized.
+    ///
+    /// A message's rows must go through in row order for the fates to be
+    /// [`transfer_with`](Self::transfer_with)'s. The outcome counters and
+    /// wire bytes grow by the row's; the `transfers` counter counts
+    /// `transfer_with` calls, not rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_id` is not a row of `data`.
+    pub fn transfer_row(&mut self, data: &[f32], epoch: u32, msg_id: u32, row_id: usize) -> &[f32] {
+        let range = self.codec.row_range(data.len(), row_id);
+        assert!(!range.is_empty(), "row {row_id} is not a row of the blob");
+        let (scheme, seed) = (
+            self.codec.scheme_id(),
+            self.codec.row_seed(epoch, msg_id, row_id as u32),
+        );
+        let staged = scheme.stage(&data[range.clone()], seed, &mut self.stage);
+        let stats = self
+            .injector
+            .draw_row_fates(scheme, staged.n(), &mut self.fates);
+        // Wire accounting: the frame each packet-chunk left the fabric as
+        // (a dropped one counts as zero), plus the reliable metadata frame.
+        let part_bits = scheme.part_bits();
+        let mut bytes = meta::FRAME_LEN as u64;
+        for (chunk, depth) in &self.fates {
+            if *depth > 0 {
+                bytes += frame_len(part_bits, chunk.len(), *depth) as u64;
+            }
+        }
+        self.stats.merge(stats);
+        self.bytes += bytes;
+        if let Some(m) = &self.metrics {
+            m.intact.add(stats.intact);
+            m.trimmed.add(stats.trimmed);
+            m.dropped.add(stats.dropped);
+            m.bytes_sent.add(bytes);
+        }
+        if self.scratch.len() < range.len() {
+            self.scratch.resize(range.len(), 0.0);
+        }
+        let row = &mut self.scratch[..range.len()];
+        let chunks = staged.chunks(self.fates.iter().cloned(), &mut self.chunk);
+        scheme
+            .decode_runs(chunks, staged.n(), &staged.meta(), seed, row)
+            // trimlint: allow(no-panic) -- the chunks are this row's own stage under fates drawn over its own geometry; a decode failure is a codec geometry bug, not a runtime condition
+            .expect("a staged row decodes under its own fates");
+        row
+    }
+
+    /// Transfers `data` one row at a time ([`transfer_row`](Self::transfer_row))
+    /// and hands each row's decode to `sink` with the row's range in `data`,
+    /// in row order, while it is still in cache. No output blob is
+    /// allocated.
     pub fn transfer_with(
         &mut self,
         data: &[f32],
@@ -149,40 +215,11 @@ impl TrimmingChannel {
         if data.is_empty() {
             return;
         }
-        let bytes_before = self.bytes;
-        let stats_before = self.stats;
-        let part_bits = self.codec.scheme_id().part_bits();
-        let row_len = self.codec.row_len().min(data.len());
-        if self.scratch.len() < row_len {
-            self.scratch.resize(row_len, 0.0);
-        }
         for row_id in 0..self.codec.rows_for(data.len()) {
-            let enc = &self.codec.encode_row(data, epoch, msg_id, row_id);
-            let stats = self.injector.draw_fates(enc, &mut self.fates);
-            self.stats.merge(stats);
-            // Wire accounting: the frame each packet-chunk left the fabric
-            // as (a dropped one counts as zero), plus the reliable metadata
-            // frame.
-            for (chunk, depth) in &self.fates {
-                if *depth > 0 {
-                    self.bytes += frame_len(part_bits, chunk.len(), *depth) as u64;
-                }
-            }
-            self.bytes += meta::FRAME_LEN as u64;
-            let view = enc.view_with_runs(self.fates.iter().cloned());
             let range = self.codec.row_range(data.len(), row_id);
-            let row = &mut self.scratch[..range.len()];
-            self.codec
-                .decode_row_into(&view, &enc.meta, epoch, msg_id, row_id as u32, row)
-                // trimlint: allow(no-panic) -- the view was built from this encoder's own parts and fates; a decode failure is a codec geometry bug, not a runtime condition
-                .expect("injected view is structurally valid");
-            sink(range, row);
+            sink(range, self.transfer_row(data, epoch, msg_id, row_id));
         }
         if let Some(m) = &self.metrics {
-            m.intact.add(self.stats.intact - stats_before.intact);
-            m.trimmed.add(self.stats.trimmed - stats_before.trimmed);
-            m.dropped.add(self.stats.dropped - stats_before.dropped);
-            m.bytes_sent.add(self.bytes - bytes_before);
             m.transfers.inc();
         }
     }

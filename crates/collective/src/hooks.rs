@@ -114,12 +114,14 @@ impl AggregateHook for TrimmableHook {
     /// quantization error multiplicatively (the ablation test
     /// `per_hop_ring_compounds_error` measures it).
     ///
-    /// Each decoded row is added into all `W` views as it arrives, so no
-    /// worker's decoded blob ever exists: view `v` takes worker `v`'s own
-    /// exact gradient and every other worker's decode. Per coordinate the sum
-    /// runs from `+0.0` over the workers in ascending order and is divided by
-    /// the worker count once at the end. The views are the only blob-sized
-    /// allocations.
+    /// Rows are the outer loop: for each row index every worker's channel
+    /// transfers that row ([`TrimmingChannel::transfer_row`]; each channel
+    /// still takes its own rows in order), and then each view's slice of the
+    /// row is written exactly once. View `v` takes worker `v`'s own exact
+    /// gradient and every other worker's decode: per coordinate the sum runs
+    /// from `+0.0` over the workers in ascending order and is divided by the
+    /// worker count, `((+0.0 + x₀) + x₁ + … + x_{W−1}) / W`. The views are
+    /// the only blob-sized allocations, and nothing else touches them.
     ///
     /// # Panics
     ///
@@ -134,22 +136,22 @@ impl AggregateHook for TrimmableHook {
             grads.iter().all(|g| g.len() == len),
             "gradients differ in length"
         );
-        let mut views: Vec<Vec<f32>> = (0..w).map(|_| vec![0.0; len]).collect();
-        for (u, (own, ch)) in grads.iter().zip(&mut self.channels).enumerate() {
-            let msg_id = round * w as u32 + u as u32;
-            ch.transfer_with(own, epoch, msg_id, |range, row| {
-                for (v, view) in views.iter_mut().enumerate() {
-                    let src = if v == u { &own[range.clone()] } else { row };
-                    for (o, &x) in view[range.clone()].iter_mut().zip(src) {
-                        *o += x;
-                    }
-                }
-            });
-        }
-        for view in &mut views {
-            for o in view {
-                *o /= w as f32;
-            }
+        let mut views: Vec<Vec<f32>> = (0..w).map(|_| Vec::with_capacity(len)).collect();
+        let rows = self.channels[0].codec().rows_for(len);
+        for row_id in 0..rows {
+            let range = self.channels[0].codec().row_range(len, row_id);
+            let decoded: Vec<&[f32]> = self
+                .channels
+                .iter_mut()
+                .zip(grads)
+                .enumerate()
+                .map(|(u, (ch, own))| {
+                    let msg_id = round * w as u32 + u as u32;
+                    ch.transfer_row(own, epoch, msg_id, row_id)
+                })
+                .collect();
+            let own: Vec<&[f32]> = grads.iter().map(|g| &g[range.clone()]).collect();
+            append_means(&mut views, &own, &decoded);
         }
         views
     }
@@ -160,6 +162,33 @@ impl AggregateHook for TrimmableHook {
 
     fn name(&self) -> String {
         self.scheme.name().into()
+    }
+}
+
+/// Coordinates of one row that [`append_means`] sums at a time: the block's
+/// slice of every source stays in L1 while each view's block is summed.
+const MEAN_BLOCK: usize = 256;
+
+/// Appends one row's mean to every view: view `v` gets
+/// `((+0.0 + x₀) + x₁ + … + x_{W−1}) / W` per coordinate, `x_v` taken from
+/// `own[v]` and every other `x_u` from `decoded[u]`.
+fn append_means(views: &mut [Vec<f32>], own: &[&[f32]], decoded: &[&[f32]]) {
+    let w = views.len() as f32;
+    let row_len = own[0].len();
+    let mut acc = [0.0f32; MEAN_BLOCK];
+    for start in (0..row_len).step_by(MEAN_BLOCK) {
+        let block = start..row_len.min(start + MEAN_BLOCK);
+        let acc = &mut acc[..block.len()];
+        for (v, view) in views.iter_mut().enumerate() {
+            acc.fill(0.0);
+            for (u, (own, dec)) in own.iter().zip(decoded).enumerate() {
+                let src = if u == v { own } else { dec };
+                for (a, &x) in acc.iter_mut().zip(&src[block.clone()]) {
+                    *a += x;
+                }
+            }
+            view.extend(acc.iter().map(|&a| a / w));
+        }
     }
 }
 

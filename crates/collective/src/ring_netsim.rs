@@ -25,7 +25,7 @@ use trimgrad_quant::SchemeId;
 use trimgrad_telemetry::{Counter, Histogram, Registry};
 use trimgrad_trace::{sat32, TraceEvent};
 use trimgrad_wire::packet::NetAddrs;
-use trimgrad_wire::packetize::PacketizeConfig;
+use trimgrad_wire::packetize::{coords_per_packet, PacketizeConfig};
 use trimgrad_wire::reassemble::RowAssembler;
 
 /// Static configuration shared by every ring worker.
@@ -83,14 +83,16 @@ fn row_ready(row: &RowAssembler) -> bool {
 
 impl MsgAssembly {
     /// Assembly for a `seg_len`-coordinate segment, with exactly the rows
-    /// (and row lengths) `codec` produces when encoding it. An empty segment
-    /// has no rows and is complete from the start.
+    /// (and row lengths) `codec` produces when encoding it, each refusing a
+    /// frame off its sender's `per_packet`-coordinate chunks. An empty
+    /// segment has no rows and is complete from the start.
     // trimlint: allow(hot-path-alloc) -- once per inbound message, on its first packet: the row buffers every later packet is copied into
-    fn new(codec: &MessageCodec, msg_id: u32, seg_len: usize) -> Self {
+    fn new(codec: &MessageCodec, msg_id: u32, seg_len: usize, per_packet: usize) -> Self {
         let rows: Vec<RowAssembler> = (0..codec.rows_for(seg_len))
             .map(|r| {
                 let row_len = codec.row_range(seg_len, r).len();
                 RowAssembler::new(codec.scheme_id(), msg_id, r as u32, row_len)
+                    .with_chunks(per_packet)
             })
             .collect();
         let incomplete = rows.len();
@@ -179,6 +181,9 @@ pub struct RingWorkerApp {
     /// Where a reduce step's inbound segment is decoded before it is added
     /// to the blob; grows to the longest segment once and is reused.
     scratch: Vec<f32>,
+    /// Coordinates per frame at the ring's MTU: the chunk geometry every
+    /// inbound row's assembler holds frames to.
+    per_packet: usize,
 }
 
 impl RingWorkerApp {
@@ -186,15 +191,19 @@ impl RingWorkerApp {
     ///
     /// # Panics
     ///
-    /// Panics if the blob length disagrees with the config or the ring has
-    /// fewer than two workers.
+    /// Panics if the blob length disagrees with the config, the ring has
+    /// fewer than two workers, or the MTU cannot fit one coordinate.
     #[must_use]
     pub fn new(cfg: RingNetConfig, rank: usize, blob: Vec<f32>) -> Self {
         assert!(cfg.workers() >= 2, "a ring needs at least two workers");
         assert_eq!(blob.len(), cfg.blob_len, "blob length mismatch");
         assert!(rank < cfg.workers(), "rank out of range");
         let codec = cfg.codec();
+        let per_packet = coords_per_packet(cfg.scheme.part_bits(), cfg.mtu)
+            // trimlint: allow(no-panic) -- documented # Panics contract: an MTU too small for one coordinate is a static misconfiguration the packetizer would panic on at the first send
+            .unwrap_or_else(|| panic!("MTU {} cannot fit one coordinate", cfg.mtu));
         Self {
+            per_packet,
             cfg,
             rank,
             blob,
@@ -345,10 +354,10 @@ impl RingWorkerApp {
     /// use. Only called with a step still [`pending`](Self::pending).
     fn ensure_assembly(&mut self, msg_id: u32) -> &mut MsgAssembly {
         let seg_len = self.cfg.step(self.rank, msg_id as usize).recv.len();
-        let codec = &self.codec;
+        let (codec, per_packet) = (&self.codec, self.per_packet);
         self.inbox
             .entry(msg_id)
-            .or_insert_with(|| MsgAssembly::new(codec, msg_id, seg_len))
+            .or_insert_with(|| MsgAssembly::new(codec, msg_id, seg_len, per_packet))
     }
 
     /// Whether a frame or metadata packet stamped `(epoch, msg_id)` is one
@@ -733,12 +742,22 @@ mod tests {
         delay: SimTime,
         spec: impl FnOnce(NodeId, NodeId) -> PacketSpec,
     ) -> (Vec<Vec<f32>>, Vec<f32>, Simulator) {
+        run_with(len, delay, |src, dst| Some(spec(src, dst)))
+    }
+
+    /// [`run_with_injected`], the third host sending nothing when `spec`
+    /// returns `None`: the same fabric, clean.
+    fn run_with(
+        len: usize,
+        delay: SimTime,
+        spec: impl FnOnce(NodeId, NodeId) -> Option<PacketSpec>,
+    ) -> (Vec<Vec<f32>>, Vec<f32>, Simulator) {
         let w = 2;
         let (mut topo, hosts) = star_topology(w, QueuePolicy::trim_default(), 10.0);
         let injector = topo.add_host();
         topo.link(injector, NodeId(0), gbps(100.0), SimTime::from_micros(1));
         let mut sim = Simulator::new(topo);
-        let body = Some(spec(injector, hosts[1]));
+        let body = spec(injector, hosts[1]);
         sim.install_app(injector, Box::new(InjectApp { delay, body }));
         let b = blobs(w, len, 17);
         let expect = expected_sum(&b);
@@ -812,6 +831,49 @@ mod tests {
             for (a, e) in worker.iter().zip(&expect) {
                 assert!((a - e).abs() < 1e-4, "{a} vs {e}");
             }
+        }
+    }
+
+    #[test]
+    fn a_frame_off_its_chunk_is_refused_mid_row() {
+        // Rank 1's first inbound message is step 0 at epoch 1: rows of 1024
+        // and 476 RHT coordinates, cut into frames of 360. A frame of its
+        // row 0 cut at a smaller MTU, from other values, claims chunk 0 but
+        // carries coordinates 0..p for p < 360. Landing after the genuine
+        // chunk 0 and before the row completes, it used to overwrite them.
+        let len = 3000;
+        let bits = |out: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            out.iter()
+                .map(|b| b.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let (clean, _, _) = run_with(len, SimTime::ZERO, |_, _| None);
+        for delay_ns in [2_000, 3_000, 4_000] {
+            let (out, _, sim) =
+                run_with_injected(len, SimTime::from_nanos(delay_ns), |src, dst| {
+                    let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, 42, 1024);
+                    let other = blobs(1, 1024, 99).remove(0);
+                    let enc = &codec.encode_message(&other, 1, 0)[0];
+                    let pkt = PacketizeConfig {
+                        mtu: 1000,
+                        net: NetAddrs::between_hosts(src.0 as u32, dst.0 as u32),
+                        msg_id: 0,
+                        row_id: 0,
+                        epoch: 1,
+                    };
+                    let frame = packetize_row(enc, &pkt).packets.remove(0);
+                    let fields = frame.quick_fields().unwrap();
+                    assert_eq!((fields.chunk_id, fields.coord_start), (0, 0));
+                    assert!(fields.coord_count < 360, "{}", fields.coord_count);
+                    PacketSpec::grad_data(dst, FlowId(0xBAD), 0, frame)
+                });
+            let snap = sim.telemetry_snapshot();
+            assert_eq!(
+                snap.counter("collective.rank.1.rejected_frames"),
+                1,
+                "{delay_ns} ns"
+            );
+            assert_eq!(bits(&out), bits(&clean), "{delay_ns} ns");
         }
     }
 

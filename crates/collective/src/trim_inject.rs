@@ -16,6 +16,7 @@
 use core::ops::Range;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_quant::scheme::EncodedRow;
+use trimgrad_quant::SchemeId;
 use trimgrad_wire::packetize::{chunk_ranges, coords_per_packet, DEFAULT_MTU};
 
 /// Outcome counters of one injection pass.
@@ -71,10 +72,15 @@ impl InjectStats {
 /// at [`DEFAULT_MTU`], in chunk-id order: the granularity at which the
 /// in-memory harness draws, records, replays and accounts packet fates.
 pub fn packet_chunks(enc: &EncodedRow) -> impl Iterator<Item = Range<usize>> {
-    let per_packet = coords_per_packet(enc.scheme.part_bits(), DEFAULT_MTU)
+    row_chunks(enc.scheme, enc.n)
+}
+
+/// [`packet_chunks`] of a row of `scheme` whose encoded length is `n`.
+fn row_chunks(scheme: SchemeId, n: usize) -> impl Iterator<Item = Range<usize>> {
+    let per_packet = coords_per_packet(scheme.part_bits(), DEFAULT_MTU)
         // trimlint: allow(no-panic) -- every scheme's single coordinate (at most 33 bits) fits the 1444-byte payload of DEFAULT_MTU
         .expect("one coordinate fits the default MTU");
-    chunk_ranges(enc.n, per_packet)
+    chunk_ranges(n, per_packet)
 }
 
 /// Per-packet random trim/drop injector.
@@ -128,15 +134,28 @@ impl TrimInjector {
     }
 
     /// Draws one fate per [`packet_chunks`] chunk of `enc`, in chunk order,
-    /// into `fates` (cleared first) and returns the outcome counts: a
-    /// dropped chunk keeps no part (depth 0), a trimmed one its heads
-    /// (depth 1, as in the paper), an intact one every part. One RNG draw
-    /// per chunk.
+    /// into `fates` (cleared first) and returns the outcome counts:
+    /// [`draw_row_fates`](Self::draw_row_fates) over `enc`'s geometry.
     pub fn draw_fates(&mut self, enc: &EncodedRow, fates: &mut Vec<Fate>) -> InjectStats {
-        let n_parts = enc.parts.len();
+        self.draw_row_fates(enc.scheme, enc.n, fates)
+    }
+
+    /// Draws one fate per packet-chunk of a row of `scheme` whose encoded
+    /// length is `n` (the chunks [`packet_chunks`] cuts such a row into),
+    /// in chunk order, into `fates` (cleared first) and returns the outcome
+    /// counts: a dropped chunk keeps no part (depth 0), a trimmed one its
+    /// heads (depth 1, as in the paper), an intact one every part. One RNG
+    /// draw per chunk.
+    pub fn draw_row_fates(
+        &mut self,
+        scheme: SchemeId,
+        n: usize,
+        fates: &mut Vec<Fate>,
+    ) -> InjectStats {
+        let n_parts = scheme.part_bits().len();
         let mut stats = InjectStats::default();
         fates.clear();
-        for chunk in packet_chunks(enc) {
+        for chunk in row_chunks(scheme, n) {
             let u = f64::from(self.rng.next_f32());
             let depth = if u < self.drop_prob {
                 stats.dropped += 1;
@@ -182,7 +201,6 @@ mod tests {
     use crate::channel::{GradChannel, TrimmingChannel};
     use crate::chunk::MessageCodec;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
-    use trimgrad_quant::SchemeId;
 
     fn row(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = Xoshiro256StarStar::new(seed);

@@ -23,10 +23,15 @@
 //! (c) A non-finite weight yields a non-finite loss.
 //!
 //! (d) `TrimmableHook::aggregate`'s row-by-row mean against the per-element
-//! walk it replaced.
+//! walk it replaced: losslessly, and under trimming and drops, where each
+//! remote decode is what a lone channel built as the hook builds its
+//! channels decodes from the same message.
 
 use proptest::prelude::*;
+use trimgrad_collective::channel::{GradChannel, TrimmingChannel};
+use trimgrad_collective::chunk::MessageCodec;
 use trimgrad_collective::hooks::{AggregateHook, TrimmableHook};
+use trimgrad_collective::trim_inject::TrimInjector;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_mltrain::data::{gaussian_mixture, sample_indices};
 use trimgrad_mltrain::{Matrix, Mlp};
@@ -377,6 +382,58 @@ fn aggregate_matches_the_per_element_walk() {
             assert_eq!(got.len(), w);
             for (v, (g, e)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(bits(g), bits(e), "len {len}, {w} workers, view {v}");
+            }
+        }
+    }
+}
+
+#[test]
+fn aggregate_matches_the_per_element_walk_under_loss() {
+    // The same lengths, now with trimmed and dropped packets: a dropped
+    // chunk decodes to zeros, a trimmed one to its heads, so the remote
+    // decodes differ from the gradients sent. Each worker `u`'s decode is
+    // taken from a lone channel with the hook's geometry and injector seed
+    // (`seed ^ u·0x9E37`) carrying message `round·W + u`.
+    const ROW: usize = 4096;
+    const SEED: u64 = 7;
+    let (epoch, round) = (3, 5);
+    for scheme in [
+        SchemeId::SignMagnitude,
+        SchemeId::Stochastic,
+        SchemeId::RhtOneBit,
+    ] {
+        for len in [1usize, ROW - 1, ROW, ROW + 1, 2 * ROW + 5] {
+            for w in [1usize, 2, 3, 5] {
+                let mut rng = Xoshiro256StarStar::new((len * 8 + w) as u64);
+                let own: Vec<Vec<f32>> = (0..w)
+                    .map(|_| (0..len).map(|_| rng.next_f32_range(-1.0, 1.0)).collect())
+                    .collect();
+                let (trim, drop) = (0.3, 0.25);
+                let decoded: Vec<Vec<f32>> = own
+                    .iter()
+                    .enumerate()
+                    .map(|(u, g)| {
+                        let injector =
+                            TrimInjector::new(trim, SEED ^ (u as u64).wrapping_mul(0x9E37))
+                                .with_drop_prob(drop);
+                        let codec = MessageCodec::with_row_len(scheme, SEED, ROW);
+                        let mut ch = TrimmingChannel::new(codec, injector);
+                        ch.transfer(g, epoch, round * w as u32 + u as u32)
+                    })
+                    .collect();
+                let mut hook = TrimmableHook::new(scheme, w, trim, drop, ROW, SEED);
+                let got = hook.aggregate(&own, epoch, round);
+                let want = ref_mean_views(&own, &decoded);
+                if len > ROW && w > 1 {
+                    assert_ne!(decoded[1], own[1], "{scheme}: nothing was lost");
+                }
+                for (v, (g, e)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        bits(g),
+                        bits(e),
+                        "{scheme}, len {len}, {w} workers, view {v}"
+                    );
+                }
             }
         }
     }

@@ -71,4 +71,4 @@ pub mod signmag;
 pub mod stats;
 pub mod stochastic;
 
-pub use scheme::{EncodedRow, PartView, PartialRow, RowMeta, SchemeId, StagedRow};
+pub use scheme::{EncodedRow, PartView, PartialRow, RowMeta, SchemeId, StagedChunks, StagedRow};

@@ -29,16 +29,21 @@
 //! happens per packet, so availability is constant over long stretches of a
 //! row, and [`SchemeId::decode_runs`] — the one decoder — reads a row as
 //! **runs of constant depth** ([`Run`]), one call into a bit-parallel kernel
-//! of [`crate::kernels`] per run. A [`RunSource`] yields them: a
-//! [`PartialRow`], whose [`for_each_run`](PartialRow::for_each_run) scans
-//! the presence masks a `u64` word at a time and checks prefix closure on
-//! the way, or a receiver that reads each packet's sections where they lie
-//! (`trimgrad_wire::reassemble::RowFrames`).
+//! of [`crate::kernels`] per run. A [`RunSource`] yields them, and there are
+//! three: a [`PartialRow`] (planes), whose
+//! [`for_each_run`](PartialRow::for_each_run) scans the presence masks a
+//! `u64` word at a time and checks prefix closure on the way; a receiver
+//! that reads each packet's sections where they lie
+//! (`trimgrad_wire::reassemble::RowFrames`, frames); and a staged row read
+//! chunk by chunk under known packet fates ([`StagedChunks`], staged
+//! chunks), which packs each chunk's surviving parts as the decoder reaches
+//! it.
 
 use crate::bitpack::{BitBuf, BitMask};
 use crate::stats::std_dev;
 use crate::{dither, multilevel, rht1bit, signmag, stochastic};
 use core::ops::Range;
+use std::borrow::Cow;
 
 /// Upper bound on the parts of a scheme (the richest is `[1, 8, 23]`).
 /// Keeping the bound small lets a [`Run`] — and the wire layer's layouts
@@ -263,6 +268,32 @@ impl SchemeId {
         Ok(out)
     }
 
+    /// Checks that a row of this scheme, `n` encoded coordinates long, can
+    /// be read with the geometry `part_bits`: what a [`RunSource`] that
+    /// knows its own scheme settles before it yields a run.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::PartCountMismatch`] if the part counts differ, else
+    /// [`DecodeError::LengthMismatch`] for the first part whose width does.
+    pub fn check_part_bits(self, part_bits: &[u32], n: usize) -> Result<(), DecodeError> {
+        let own = self.part_bits();
+        if part_bits.len() != own.len() {
+            return Err(DecodeError::PartCountMismatch {
+                expected: part_bits.len(),
+                got: own.len(),
+            });
+        }
+        match (0..own.len()).find(|&k| part_bits[k] != own[k]) {
+            Some(part) => Err(DecodeError::LengthMismatch {
+                part,
+                expected: n * part_bits[part] as usize,
+                got: n * own[part] as usize,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Short lower-case name used in benchmark output and examples.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -315,7 +346,7 @@ pub struct StagedRow<'a> {
     meta: RowMeta,
 }
 
-impl StagedRow<'_> {
+impl<'a> StagedRow<'a> {
     /// Encoded (padded) row length, [`SchemeId::encoded_len`] of the row.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -374,6 +405,75 @@ impl StagedRow<'_> {
             parts,
             meta: self.meta,
         }
+    }
+
+    /// The row as the receiver of its packets sees it when each chunk
+    /// `coords` kept its first `depth` parts (0 = the packet was lost): a
+    /// [`RunSource`] for [`SchemeId::decode_runs`] that packs each chunk's
+    /// surviving parts into `buf` as the decoder reaches it. No plane or
+    /// mask is built, and a part a fate cut is never packed. It decodes bit
+    /// for bit as [`to_encoded`](Self::to_encoded)'s planes viewed through
+    /// [`EncodedRow::view_with_runs`] with the same `fates` do.
+    pub fn chunks<'s, I>(&self, fates: I, buf: &'s mut Vec<u8>) -> StagedChunks<'s, I>
+    where
+        'a: 's,
+        I: IntoIterator<Item = (Range<usize>, usize)>,
+    {
+        StagedChunks {
+            row: *self,
+            fates,
+            buf,
+        }
+    }
+}
+
+/// The staged source ([`StagedRow::chunks`]): one run per packet-chunk of
+/// a staged row, its surviving parts packed ([`StagedRow::pack_range`])
+/// into a small buffer reused from chunk to chunk, with the chunk's first
+/// coordinate as the run's `origin`.
+#[derive(Debug)]
+pub struct StagedChunks<'s, I> {
+    row: StagedRow<'s>,
+    fates: I,
+    buf: &'s mut Vec<u8>,
+}
+
+/// # Panics
+///
+/// Panics unless the fates tile `0..n` in order, or if a depth exceeds the
+/// part count.
+impl<I: IntoIterator<Item = (Range<usize>, usize)>> RunSource for StagedChunks<'_, I> {
+    fn runs(self, part_bits: &[u32], mut on_run: impl FnMut(Run<'_>)) -> Result<(), DecodeError> {
+        let StagedChunks { row, fates, buf } = self;
+        let n = row.n();
+        row.scheme.check_part_bits(part_bits, n)?;
+        let mut covered = 0;
+        for (coords, depth) in fates {
+            assert_eq!(coords.start, covered, "fates must tile the row in order");
+            assert!(depth <= part_bits.len(), "depth exceeds part count");
+            covered = coords.end;
+            let bytes = |w: u32| (coords.len() * w as usize).div_ceil(8);
+            let need = part_bits[..depth].iter().map(|&w| bytes(w)).sum();
+            if buf.len() < need {
+                buf.resize(need, 0);
+            }
+            let mut parts = [&[][..]; MAX_PARTS];
+            let mut rest = &mut buf[..need];
+            for (k, &w) in part_bits[..depth].iter().enumerate() {
+                let (dst, tail) = core::mem::take(&mut rest).split_at_mut(bytes(w));
+                row.pack_range(k, coords.clone(), dst);
+                parts[k] = dst;
+                rest = tail;
+            }
+            on_run(Run {
+                origin: coords.start,
+                coords,
+                depth,
+                parts,
+            });
+        }
+        assert_eq!(covered, n, "fates must cover the row");
+        Ok(())
     }
 }
 
@@ -486,7 +586,10 @@ impl EncodedRow {
             .map(|(buf, present)| match present.count_present() {
                 c if c == self.n => PartView::Full(buf),
                 0 => PartView::Absent,
-                _ => PartView::Masked { buf, present },
+                _ => PartView::Masked {
+                    buf,
+                    present: Cow::Owned(present),
+                },
             })
             .collect();
         PartialRow { n: self.n, parts }
@@ -510,8 +613,9 @@ pub enum PartView<'a> {
     Masked {
         /// Full-stride field buffer.
         buf: &'a BitBuf,
-        /// Per-coordinate presence.
-        present: BitMask,
+        /// Per-coordinate presence: lent by a receiver that keeps its masks
+        /// (`RowAssembler`), owned by a view that built them.
+        present: Cow<'a, BitMask>,
     },
     /// The entire part was trimmed for every coordinate.
     Absent,
@@ -1021,7 +1125,7 @@ mod tests {
             parts: vec![
                 PartView::Masked {
                     buf: &row.parts[0],
-                    present: head_mask,
+                    present: Cow::Owned(head_mask),
                 },
                 PartView::Full(&row.parts[1]),
             ],
@@ -1040,7 +1144,7 @@ mod tests {
         present.set(0, true);
         let view = PartView::Masked {
             buf: &row.parts[0],
-            present,
+            present: Cow::Owned(present),
         };
         let _ = view.get(2, 1);
     }

@@ -13,6 +13,7 @@
 //! including lost packets, per-coordinate random depths, single-coordinate
 //! runs straddling every 64-bit mask word boundary}.
 
+use std::borrow::Cow;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 use trimgrad_quant::bitpack::BitMask;
@@ -209,7 +210,10 @@ fn view_from<'a>(enc: &'a EncodedRow, has: impl Fn(usize, usize) -> bool) -> Par
             match present.count_present() {
                 0 => PartView::Absent,
                 c if c == enc.n => PartView::Full(buf),
-                _ => PartView::Masked { buf, present },
+                _ => PartView::Masked {
+                    buf,
+                    present: Cow::Owned(present),
+                },
             }
         })
         .collect();
@@ -384,7 +388,7 @@ fn structural_errors_are_unchanged() {
         parts: vec![
             PartView::Masked {
                 buf: &enc.parts[0],
-                present: BitMask::present(enc.n - 1),
+                present: Cow::Owned(BitMask::present(enc.n - 1)),
             },
             PartView::Absent,
             PartView::Absent,

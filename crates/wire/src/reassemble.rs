@@ -20,8 +20,9 @@
 //! A receiver whose frames outlive the decode needs no planes at all:
 //! [`RowFrames`] indexes each frame by its chunk and hands the decoder its
 //! sections where they lie, one run per chunk. Both make the same checks
-//! of a frame, in the same order; `RowFrames` adds one, that a frame
-//! carries the coordinates its chunk id names.
+//! of a frame, in the same order. `RowFrames` always checks that a frame
+//! carries the coordinates its chunk id names; an assembler told the
+//! sender's chunk geometry ([`RowAssembler::with_chunks`]) checks it too.
 
 use crate::meta::RowMetaPacket;
 use crate::packet::{GradPacket, ParsedGrad};
@@ -29,6 +30,7 @@ use crate::packetize::chunk_ranges;
 use crate::payload::MAX_PARTS;
 use crate::trimhdr::TrimGradFields;
 use crate::{Result, WireError};
+use std::borrow::Cow;
 use trimgrad_quant::bitpack::{BitBuf, BitMask};
 use trimgrad_quant::scheme::{DecodeError, PartView, PartialRow, RowMeta, Run, RunSource};
 use trimgrad_quant::SchemeId;
@@ -90,6 +92,15 @@ impl RowIdentity {
         }
         Ok(parsed)
     }
+
+    /// The `owns` rule of a row cut into chunks of `per_packet`
+    /// coordinates: a frame carries exactly the range its `chunk_id` has.
+    fn chunk_owns(&self, per_packet: usize, f: &TrimGradFields) -> bool {
+        let start = usize::from(f.chunk_id) * per_packet;
+        start < self.n
+            && f.coord_start as usize == start
+            && usize::from(f.coord_count) == per_packet.min(self.n - start)
+    }
 }
 
 /// Reassembles one row from its packets.
@@ -105,6 +116,9 @@ pub struct RowAssembler {
     present: Vec<usize>,
     meta: Option<RowMeta>,
     epoch: Option<u32>,
+    /// Coordinates per chunk, once [`with_chunks`](Self::with_chunks)
+    /// opted in to the chunk check.
+    per_packet: Option<usize>,
 }
 
 impl RowAssembler {
@@ -126,7 +140,24 @@ impl RowAssembler {
             present: vec![0; part_bits.len()],
             meta: None,
             epoch: None,
+            per_packet: None,
         }
+    }
+
+    /// The assembler told its sender's chunk geometry, `per_packet`
+    /// coordinates a frame (the last one fewer): from then on it refuses a
+    /// frame whose `(coord_start, coord_count)` is not the range its
+    /// `chunk_id` has in the row, as [`RowFrames`] does, so no frame can
+    /// overwrite coordinates another chunk owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_packet` is zero.
+    #[must_use]
+    pub fn with_chunks(mut self, per_packet: usize) -> Self {
+        assert!(per_packet > 0, "empty packets");
+        self.per_packet = Some(per_packet);
+        self
     }
 
     /// Creates an assembler directly from a received metadata packet.
@@ -200,7 +231,9 @@ impl RowAssembler {
     /// # Errors
     ///
     /// Parse/validation errors, or [`WireError::BadField`] when the packet
-    /// belongs to a different row or exceeds the row bounds.
+    /// belongs to a different row or exceeds the row bounds — or, with
+    /// [`with_chunks`](Self::with_chunks), is off its chunk
+    /// (`"coord range"`). A refused packet changes nothing.
     // trimlint: hot-path -- per-packet reassembly on the receive path
     pub fn ingest(&mut self, pkt: &GradPacket) -> Result<()> {
         let identity = RowIdentity {
@@ -210,7 +243,10 @@ impl RowAssembler {
             n: self.n,
             epoch: self.epoch,
         };
-        let parsed = identity.check(pkt, |_| true)?;
+        let per_packet = self.per_packet;
+        let parsed = identity.check(pkt, |f| {
+            per_packet.is_none_or(|per_packet| identity.chunk_owns(per_packet, f))
+        })?;
         let f = &parsed.fields;
         self.epoch = Some(f.epoch);
         let (start, count) = (f.coord_start as usize, f.coord_count as usize);
@@ -272,7 +308,9 @@ impl RowAssembler {
         self.coords_received() == self.n
     }
 
-    /// The availability view for decoding.
+    /// The availability view for decoding; a part that is neither full nor
+    /// absent lends its presence mask, so the view allocates nothing
+    /// row-sized.
     #[must_use]
     pub fn partial_row(&self) -> PartialRow<'_> {
         let parts = self
@@ -287,7 +325,7 @@ impl RowAssembler {
                 } else {
                     PartView::Masked {
                         buf,
-                        present: mask.clone(),
+                        present: Cow::Borrowed(mask),
                     }
                 }
             })
@@ -360,13 +398,8 @@ impl<'a> RowFrames<'a> {
     /// claim a coordinate.
     // trimlint: hot-path -- per-packet indexing on the receive path
     pub fn ingest(&mut self, pkt: &'a GradPacket) -> Result<()> {
-        let (n, per_packet) = (self.identity.n, self.per_packet);
-        let parsed = self.identity.check(pkt, |f| {
-            let start = usize::from(f.chunk_id) * per_packet;
-            start < n
-                && f.coord_start as usize == start
-                && usize::from(f.coord_count) == per_packet.min(n - start)
-        })?;
+        let (identity, per_packet) = (&self.identity, self.per_packet);
+        let parsed = identity.check(pkt, |f| identity.chunk_owns(per_packet, f))?;
         let slot = self
             .chunks
             .get_mut(usize::from(parsed.fields.chunk_id))
@@ -396,20 +429,7 @@ impl RunSource for &RowFrames<'_> {
         part_bits: &[u32],
         mut on_run: impl FnMut(Run<'_>),
     ) -> core::result::Result<(), DecodeError> {
-        let own = self.identity.scheme.part_bits();
-        if part_bits.len() != own.len() {
-            return Err(DecodeError::PartCountMismatch {
-                expected: part_bits.len(),
-                got: own.len(),
-            });
-        }
-        if let Some(part) = (0..own.len()).find(|&k| part_bits[k] != own[k]) {
-            return Err(DecodeError::LengthMismatch {
-                part,
-                expected: self.n() * part_bits[part] as usize,
-                got: self.n() * own[part] as usize,
-            });
-        }
+        self.identity.scheme.check_part_bits(part_bits, self.n())?;
         for (coords, parts) in chunk_ranges(self.n(), self.per_packet).zip(&self.chunks) {
             on_run(Run {
                 depth: parts
@@ -752,6 +772,23 @@ mod tests {
             .collect();
         let mut frames = RowFrames::from_meta(&pr.meta, 360);
         frames.ingest(&pr.packets[0]).unwrap();
+        // An assembler told the chunk geometry refuses exactly what the
+        // frames refuse, and keeps what it held.
+        let mut chunked = RowAssembler::from_meta(&pr.meta).with_chunks(360);
+        chunked.ingest(&pr.packets[0]).unwrap();
+        let held = |asm: &RowAssembler| {
+            let view = asm.partial_row();
+            let masks: Vec<Option<BitMask>> = view
+                .parts
+                .iter()
+                .map(|p| match p {
+                    PartView::Masked { present, .. } => Some(present.clone().into_owned()),
+                    _ => None,
+                })
+                .collect();
+            (masks, asm.parts.clone())
+        };
+        let before = held(&chunked);
         for bad in &renumbered {
             let mut asm = RowAssembler::from_meta(&pr.meta);
             asm.ingest(bad).unwrap(); // the planes take any range inside the row
@@ -760,7 +797,22 @@ mod tests {
                 WireError::BadField("coord range")
             );
             assert_eq!(frames.coords_received(), 360, "chunk 0 as it was");
+            assert_eq!(
+                chunked.ingest(bad).unwrap_err(),
+                WireError::BadField("coord range")
+            );
+            assert_eq!(chunked.coords_received(), 360);
+            assert!(held(&chunked) == before, "the chunked assembler changed");
         }
+        // Every frame on its chunk still joins, trimmed or not.
+        let mut trimmed = pr.packets[2].clone();
+        trimmed.trim_to_depth(1).unwrap();
+        for frame in [&pr.packets[1], &trimmed] {
+            chunked.ingest(frame).unwrap();
+            frames.ingest(frame).unwrap();
+        }
+        assert_eq!(chunked.coords_received(), frames.coords_received());
+        assert!(chunked.heads_complete() && !chunked.is_complete());
         // A row read with another scheme's geometry is refused, not decoded.
         let mut out = vec![0.0; row.len()];
         let err = SchemeId::Stochastic.decode_runs(&frames, frames.n(), frames.meta(), 0, &mut out);

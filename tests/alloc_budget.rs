@@ -5,15 +5,20 @@
 //! A steady-state round — the third call, after two warm-up calls — may
 //! allocate blob-sized memory only for the `W` views the `AggregateHook` API
 //! returns: no per-worker decode, no per-row depth vector, no fresh gradient.
-//! Allocations are counted on every thread, so the budget holds at every
-//! `TRIMGRAD_THREADS` width. Inside the round, the compute stage allocates
-//! nothing as large as a weight matrix: no product copies `W`.
+//! The exchange allocates nothing of 64 KiB or more but those views: no
+//! whole-row plane or mask, since each channel decodes from its staged row
+//! chunk by chunk. Allocations are counted on every thread, so the budget
+//! holds at every `TRIMGRAD_THREADS` width. Inside the round, the compute
+//! stage allocates nothing as large as a weight matrix: no product copies
+//! `W`.
 //!
 //! The loopback pipeline holds a budget too: on a 2²⁰-coordinate RHT blob,
 //! `TrimmablePipeline::encode` allocates nothing of 64 KiB or more but the
 //! packet vector it returns and one rotation scratch per pool stripe, and
 //! `TrimmablePipeline::decode` nothing but the output it returns — no
-//! whole-row plane or reassembly buffer on either side.
+//! whole-row plane or reassembly buffer on either side. On the ring's receive
+//! path, the view a `RowAssembler` hands the decoder lends its presence
+//! masks instead of copying them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,7 +30,11 @@ use trimgrad_mltrain::data::{gaussian_mixture, sample_indices};
 use trimgrad_mltrain::parallel::{DataParallelTrainer, ParallelConfig};
 use trimgrad_mltrain::Mlp;
 use trimgrad_par::{hardware_threads, WorkerPool};
+use trimgrad_quant::scheme::PartView;
 use trimgrad_quant::SchemeId;
+use trimgrad_wire::packet::NetAddrs;
+use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
+use trimgrad_wire::reassemble::RowAssembler;
 
 /// Counts the allocations (and growing reallocations) of at least
 /// `AT_LEAST` bytes while `AT_LEAST` is below `usize::MAX`.
@@ -101,14 +110,50 @@ fn the_exchange_allocates_nothing_blob_sized_but_the_views() {
         .collect();
     let mut hook = TrimmableHook::new(SchemeId::Stochastic, WORKERS, TRIM_PROB, 0.0, ROW_LEN, 11);
     let mut round = 0;
-    // An encoded SQ row's tail plane is exactly `4·row_len` bytes; anything
-    // larger is a blob, or a per-coordinate vector of a row.
-    let count = third_call_allocations(4 * ROW_LEN + 65, || {
+    let count = third_call_allocations(ROW_SIZED, || {
         let views = hook.aggregate(&grads, 0, round);
         assert_eq!(views.len(), WORKERS);
         round += 1;
     });
-    assert_eq!(count, WORKERS, "allocations above 4·row_len + 64 bytes");
+    assert_eq!(count, WORKERS, "allocations of 64 KiB or more");
+}
+
+#[test]
+fn a_partly_trimmed_row_lends_its_masks_to_the_decoder() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = Xoshiro256StarStar::new(3);
+    let row: Vec<f32> = (0..ROW_LEN)
+        .map(|_| rng.next_f32_range(-1.0, 1.0))
+        .collect();
+    let enc = SchemeId::SignMagnitude.encode(&row, 3);
+    let cfg = PacketizeConfig {
+        mtu: 1500,
+        net: NetAddrs::between_hosts(1, 2),
+        msg_id: 0,
+        row_id: 0,
+        epoch: 0,
+    };
+    let mut pr = packetize_row(&enc, &cfg);
+    let mut asm = RowAssembler::from_meta(&pr.meta);
+    // Every third frame cut to its heads, one frame lost: both parts masked.
+    for (i, frame) in pr.packets.iter_mut().enumerate().skip(1) {
+        if i % 3 == 0 {
+            frame.trim_to_depth(1).expect("data frames trim");
+        }
+        asm.ingest(frame).expect("own frames");
+    }
+    let masked = |asm: &RowAssembler| {
+        let view = asm.partial_row();
+        view.parts
+            .iter()
+            .all(|p| matches!(p, PartView::Masked { .. }))
+    };
+    assert!(masked(&asm), "both parts partly present");
+    // A 2¹⁵-coordinate presence mask is 4 KiB.
+    let count = third_call_allocations(4 << 10, || {
+        assert!(masked(&asm));
+    });
+    assert_eq!(count, 0, "allocations of 4 KiB or more");
 }
 
 #[test]
