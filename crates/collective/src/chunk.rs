@@ -10,7 +10,7 @@
 //! every frame-level caller (the pipeline, the ring workers) goes through.
 //! The send half packs each chunk of a row straight into its frame; the
 //! receive half decodes each row where it will live, in its own slice of the
-//! caller's buffer, from whatever [`ReceivedRow`] holds it.
+//! caller's buffer, from the frames its [`RowFrames`] kept.
 
 use trimgrad_hadamard::prng::derive_seed;
 use trimgrad_par::WorkerPool;
@@ -19,7 +19,7 @@ use trimgrad_quant::SchemeId;
 use trimgrad_trace::{sat32, sat64, TraceEvent, Tracer};
 use trimgrad_wire::packet::GradPacket;
 use trimgrad_wire::packetize::{packetize_with, PacketizeConfig, PacketizedRow};
-use trimgrad_wire::reassemble::{RowAssembler, RowFrames};
+use trimgrad_wire::reassemble::RowFrames;
 use trimgrad_wire::WireError;
 
 /// Default row length: 2¹⁵ coordinates (the paper's GPU-L1-sized rows).
@@ -227,27 +227,8 @@ impl MessageCodec {
             .decode_into(row, meta, self.row_seed(epoch, msg_id, row_id), out)
     }
 
-    /// The receive path, assembled rows → coordinates, into a fresh vector
-    /// sized by the rows' metadata.
-    ///
-    /// # Errors
-    ///
-    /// As [`decode_assembled_into`](Self::decode_assembled_into).
-    pub fn decode_assembled<R: ReceivedRow>(
-        &self,
-        rows: &[R],
-        epoch: u32,
-        msg_id: u32,
-        tracer: &Tracer,
-        at: u64,
-    ) -> Result<Vec<f32>, WireError> {
-        let mut out = vec![0.0; assembled_lens(rows).sum()];
-        self.decode_assembled_into(rows, epoch, msg_id, tracer, at, &mut out)?;
-        Ok(out)
-    }
-
     /// The receive path, received rows → coordinates: decodes whatever each
-    /// row holds, row-parallel on the process-wide
+    /// row's frames hold, row-parallel on the process-wide
     /// [`WorkerPool`], every row straight into its own slice of `out` — rows
     /// in row order, each its `original_len` long (a row whose metadata
     /// never arrived takes none), and `out` exactly their sum. One
@@ -259,11 +240,11 @@ impl MessageCodec {
     /// `BadField("output length")` before anything is decoded if `out` is
     /// not that long; otherwise the first failing row, in row order:
     /// `BadField("meta")` if its metadata never arrived,
-    /// `BadField("row decode")` if the scheme rejects the assembled view.
+    /// `BadField("row decode")` if the scheme rejects the row's frames.
     /// After an error `out` holds unspecified values.
-    pub fn decode_assembled_into<R: ReceivedRow>(
+    pub fn decode_assembled_into(
         &self,
-        rows: &[R],
+        rows: &[RowFrames<'_>],
         epoch: u32,
         msg_id: u32,
         tracer: &Tracer,
@@ -277,7 +258,8 @@ impl MessageCodec {
         let decoded = WorkerPool::global().map_striped(items, |row_id, (row, dst)| {
             let meta = row.meta().ok_or(WireError::BadField("meta"))?;
             let seed = self.row_seed(epoch, msg_id, row_id as u32);
-            row.decode_into(self.scheme, meta, seed, dst)
+            self.scheme
+                .decode_runs(row, row.n(), meta, seed, dst)
                 .map_err(|_| WireError::BadField("row decode"))
         });
         for (row_id, (row, dec)) in rows.iter().zip(decoded).enumerate() {
@@ -329,84 +311,9 @@ impl MessageCodec {
     }
 }
 
-/// A received row the receive path decodes: a [`RowAssembler`]'s
-/// reassembled planes, or a [`RowFrames`]' sections read where they lie.
-pub trait ReceivedRow: Sync {
-    /// Row metadata: `None` until it arrived.
-    fn meta(&self) -> Option<&RowMeta>;
-
-    /// The encoded (padded) length.
-    fn n(&self) -> usize;
-
-    /// Number of coordinates whose head (part 0) has arrived.
-    fn coords_received(&self) -> usize;
-
-    /// Decodes the row with `scheme` under `seed` into `out`, which holds
-    /// `meta.original_len` coordinates.
-    ///
-    /// # Errors
-    ///
-    /// What the scheme's decoder reports.
-    fn decode_into(
-        &self,
-        scheme: SchemeId,
-        meta: &RowMeta,
-        seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError>;
-}
-
-impl ReceivedRow for RowAssembler {
-    fn meta(&self) -> Option<&RowMeta> {
-        RowAssembler::meta(self)
-    }
-
-    fn n(&self) -> usize {
-        RowAssembler::n(self)
-    }
-
-    fn coords_received(&self) -> usize {
-        RowAssembler::coords_received(self)
-    }
-
-    fn decode_into(
-        &self,
-        scheme: SchemeId,
-        meta: &RowMeta,
-        seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        scheme.decode_into(&self.partial_row(), meta, seed, out)
-    }
-}
-
-impl ReceivedRow for RowFrames<'_> {
-    fn meta(&self) -> Option<&RowMeta> {
-        Some(RowFrames::meta(self))
-    }
-
-    fn n(&self) -> usize {
-        RowFrames::n(self)
-    }
-
-    fn coords_received(&self) -> usize {
-        RowFrames::coords_received(self)
-    }
-
-    fn decode_into(
-        &self,
-        scheme: SchemeId,
-        meta: &RowMeta,
-        seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        scheme.decode_runs(self, self.n(), meta, seed, out)
-    }
-}
-
 /// Coordinates each received row decodes to: its `original_len`, or none
 /// while its metadata has not arrived.
-fn assembled_lens<R: ReceivedRow>(rows: &[R]) -> impl Iterator<Item = usize> + '_ {
+fn assembled_lens<'r>(rows: &'r [RowFrames<'_>]) -> impl Iterator<Item = usize> + 'r {
     rows.iter()
         .map(|row| row.meta().map_or(0, |m| m.original_len))
 }
@@ -442,7 +349,14 @@ impl std::error::Error for CodecConfigError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
+    use trimgrad_wire::packetize::coords_per_packet;
+
+    /// Coordinates per frame of `c`'s scheme at MTU 1500.
+    fn per_packet(c: &MessageCodec) -> usize {
+        coords_per_packet(c.scheme_id().part_bits(), 1500).unwrap()
+    }
 
     fn blob(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = Xoshiro256StarStar::new(seed);
@@ -531,18 +445,21 @@ mod tests {
         };
         let mut rows = Vec::new();
         c.packetize_message(&b, &cfg, &Tracer::disabled(), 0, |pr| rows.push(pr));
-        let mut asm = RowAssembler::new(c.scheme_id(), 9, 0, b.len());
+        let mut row = RowFrames::new(c.scheme_id(), 5, 9, 0, b.len(), per_packet(&c));
         for pkt in &rows[0].packets {
-            asm.ingest(pkt).unwrap();
+            row.ingest(Cow::Borrowed(pkt)).unwrap();
         }
-        assert!(asm.is_complete());
-        assert!(asm.meta().is_none());
-        let decode = |asm: &RowAssembler| {
-            c.decode_assembled(std::slice::from_ref(asm), 5, 9, &Tracer::disabled(), 0)
+        assert!(row.heads_complete());
+        assert!(row.meta().is_none());
+        let decode = |row: &RowFrames| {
+            let rows = std::slice::from_ref(row);
+            let mut out = vec![0.0; assembled_lens(rows).sum()];
+            c.decode_assembled_into(rows, 5, 9, &Tracer::disabled(), 0, &mut out)
+                .map(|()| out)
         };
-        assert_eq!(decode(&asm), Err(WireError::BadField("meta")));
-        asm.ingest_meta(&rows[0].meta).unwrap();
-        assert_eq!(decode(&asm).unwrap().len(), b.len());
+        assert_eq!(decode(&row), Err(WireError::BadField("meta")));
+        row.ingest_meta(&rows[0].meta).unwrap();
+        assert_eq!(decode(&row).unwrap().len(), b.len());
     }
 
     #[test]
@@ -560,18 +477,19 @@ mod tests {
         let mut rows = Vec::new();
         c.packetize_message(&b, &cfg, &Tracer::disabled(), 0, |pr| {
             let row_id = rows.len() as u32;
-            let mut asm = RowAssembler::new(c.scheme_id(), 9, row_id, 256);
-            for pkt in &pr.packets {
-                asm.ingest(pkt).unwrap();
+            let mut row = RowFrames::new(c.scheme_id(), 5, 9, row_id, 256, per_packet(&c));
+            for pkt in pr.packets {
+                row.ingest(Cow::Owned(pkt)).unwrap();
             }
             if row_id != 2 && row_id != 4 {
-                asm.ingest_meta(&pr.meta).unwrap();
+                row.ingest_meta(&pr.meta).unwrap();
             }
-            rows.push(asm);
+            rows.push(row);
         });
         let tracer = Tracer::enabled(1 << 8);
+        let mut out = vec![0.0; assembled_lens(&rows).sum::<usize>()];
         assert_eq!(
-            c.decode_assembled(&rows, 5, 9, &tracer, 0),
+            c.decode_assembled_into(&rows, 5, 9, &tracer, 0, &mut out),
             Err(WireError::BadField("meta"))
         );
         let decoded: Vec<u32> = tracer
@@ -585,7 +503,7 @@ mod tests {
             .collect();
         assert_eq!(decoded, [0, 1], "row 3 decoded, but past the failure");
         // A slice that is not the assembled length is refused outright.
-        let mut out = vec![0.0; assembled_lens(&rows).sum::<usize>() + 1];
+        out.push(0.0);
         assert_eq!(
             c.decode_assembled_into(&rows, 5, 9, &tracer, 0, &mut out),
             Err(WireError::BadField("output length"))

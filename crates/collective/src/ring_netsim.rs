@@ -5,9 +5,9 @@
 //! with a [`MessageCodec`], packetizes them into **real TrimGrad frames**
 //! (`trimgrad-wire`), and sends them hop-by-hop through simulated
 //! shallow-buffer switches. When a switch queue fills, the switch *actually
-//! truncates the frame bytes*; the receiving worker reassembles whatever
-//! survived and decodes it — there is no injection shortcut anywhere in this
-//! path.
+//! truncates the frame bytes*; the receiving worker keeps whatever frames
+//! survived and decodes them where they lie — there is no injection
+//! shortcut anywhere in this path.
 //!
 //! The ring protocol is [`crate::ring`]'s schedule: `W − 1` reduce-scatter
 //! steps (accumulate), then `W − 1` all-gather steps (overwrite); step `t`
@@ -17,6 +17,7 @@
 
 use crate::chunk::MessageCodec;
 use crate::ring::{step, total_steps, Step};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use trimgrad_netsim::host::{App, HostApi};
 use trimgrad_netsim::packet::{Packet, PacketBody, PacketSpec};
@@ -26,7 +27,7 @@ use trimgrad_telemetry::{Counter, Histogram, Registry};
 use trimgrad_trace::{sat32, TraceEvent};
 use trimgrad_wire::packet::NetAddrs;
 use trimgrad_wire::packetize::{coords_per_packet, PacketizeConfig};
-use trimgrad_wire::reassemble::RowAssembler;
+use trimgrad_wire::reassemble::RowFrames;
 
 /// Static configuration shared by every ring worker.
 #[derive(Debug, Clone)]
@@ -68,31 +69,39 @@ impl RingNetConfig {
     }
 }
 
-/// Assembly state of one inbound message (one step's segment).
+/// Assembly state of one inbound message (one step's segment): the frames
+/// each row kept, decoded where they lie once the message is complete.
 struct MsgAssembly {
-    rows: Vec<RowAssembler>,
+    rows: Vec<RowFrames<'static>>,
     /// Rows not yet [`row_ready`]; the message applies when it reaches zero.
     incomplete: usize,
 }
 
 /// A row can be decoded once every coordinate's head arrived (possibly
 /// trimmed deeper) and so did its reliable metadata. Both are O(1).
-fn row_ready(row: &RowAssembler) -> bool {
+fn row_ready(row: &RowFrames) -> bool {
     row.heads_complete() && row.meta().is_some()
 }
 
 impl MsgAssembly {
-    /// Assembly for a `seg_len`-coordinate segment, with exactly the rows
-    /// (and row lengths) `codec` produces when encoding it, each refusing a
-    /// frame off its sender's `per_packet`-coordinate chunks. An empty
-    /// segment has no rows and is complete from the start.
-    // trimlint: allow(hot-path-alloc) -- once per inbound message, on its first packet: the row buffers every later packet is copied into
-    fn new(codec: &MessageCodec, msg_id: u32, seg_len: usize, per_packet: usize) -> Self {
-        let rows: Vec<RowAssembler> = (0..codec.rows_for(seg_len))
+    /// Assembly for a `seg_len`-coordinate segment of the ring's `epoch`,
+    /// with exactly the rows (and row lengths) `codec` produces when
+    /// encoding it, each refusing a frame off its sender's
+    /// `per_packet`-coordinate chunks. An empty segment has no rows and is
+    /// complete from the start.
+    // trimlint: allow(hot-path-alloc) -- once per inbound message, on its first packet: the rows' chunk tables every later frame is kept in
+    fn new(
+        codec: &MessageCodec,
+        epoch: u32,
+        msg_id: u32,
+        seg_len: usize,
+        per_packet: usize,
+    ) -> Self {
+        let rows: Vec<RowFrames> = (0..codec.rows_for(seg_len))
             .map(|r| {
                 let row_len = codec.row_range(seg_len, r).len();
-                RowAssembler::new(codec.scheme_id(), msg_id, r as u32, row_len)
-                    .with_chunks(per_packet)
+                let (scheme, row_id) = (codec.scheme_id(), r as u32);
+                RowFrames::new(scheme, epoch, msg_id, row_id, row_len, per_packet)
             })
             .collect();
         let incomplete = rows.len();
@@ -109,7 +118,7 @@ impl MsgAssembly {
     fn ingest_into(
         &mut self,
         row_id: usize,
-        ingest: impl FnOnce(&mut RowAssembler) -> bool,
+        ingest: impl FnOnce(&mut RowFrames<'static>) -> bool,
     ) -> bool {
         let Some(row) = self.rows.get_mut(row_id) else {
             return false;
@@ -182,7 +191,7 @@ pub struct RingWorkerApp {
     /// to the blob; grows to the longest segment once and is reused.
     scratch: Vec<f32>,
     /// Coordinates per frame at the ring's MTU: the chunk geometry every
-    /// inbound row's assembler holds frames to.
+    /// inbound row holds frames to.
     per_packet: usize,
 }
 
@@ -354,10 +363,10 @@ impl RingWorkerApp {
     /// use. Only called with a step still [`pending`](Self::pending).
     fn ensure_assembly(&mut self, msg_id: u32) -> &mut MsgAssembly {
         let seg_len = self.cfg.step(self.rank, msg_id as usize).recv.len();
-        let (codec, per_packet) = (&self.codec, self.per_packet);
+        let (codec, epoch, per_packet) = (&self.codec, self.cfg.epoch, self.per_packet);
         self.inbox
             .entry(msg_id)
-            .or_insert_with(|| MsgAssembly::new(codec, msg_id, seg_len, per_packet))
+            .or_insert_with(|| MsgAssembly::new(codec, epoch, msg_id, seg_len, per_packet))
     }
 
     /// Whether a frame or metadata packet stamped `(epoch, msg_id)` is one
@@ -379,7 +388,7 @@ impl App for RingWorkerApp {
 
     // trimlint: hot-path -- runs once per delivered frame of the ring
     fn on_packet(&mut self, pkt: Packet, api: &mut HostApi) {
-        match &pkt.body {
+        match pkt.body {
             PacketBody::GradData(frame) => {
                 // A frame the receive path refuses is dropped the way real
                 // hardware drops garbage, but loudly: the rejected counters
@@ -398,13 +407,24 @@ impl App for RingWorkerApp {
                     m.parts_lost
                         .add(u64::from(fields.n_parts) - u64::from(fields.trim_depth));
                 }
-                let msg_id = fields.msg_id;
-                let row_id = fields.row_id as usize;
+                let (msg, row) = (fields.msg_id, fields.row_id);
                 let (at, tracer) = (api.now().as_nanos(), api.tracer());
-                let accepted = self.pending(fields.epoch, msg_id)
+                // The row keeps the frame itself; the frame that completes
+                // its heads marks the decodable-prefix milestone.
+                let accepted = self.pending(fields.epoch, msg)
                     && self
-                        .ensure_assembly(msg_id)
-                        .ingest_into(row_id, |row| row.ingest_traced(frame, tracer, at).is_ok());
+                        .ensure_assembly(msg)
+                        .ingest_into(row as usize, |frames| {
+                            let had_heads = frames.heads_complete();
+                            if frames.ingest(Cow::Owned(frame)).is_err() {
+                                return false;
+                            }
+                            if !had_heads && frames.heads_complete() {
+                                let coords = sat32(frames.coords_received());
+                                tracer.emit(at, || TraceEvent::RowAssembled { msg, row, coords });
+                            }
+                            true
+                        });
                 if !accepted {
                     self.metrics.rejected_frames.inc();
                     return;
@@ -419,7 +439,7 @@ impl App for RingWorkerApp {
                 let accepted = self.pending(meta.epoch, msg_id)
                     && self
                         .ensure_assembly(msg_id)
-                        .ingest_into(row_id, |row| row.ingest_meta(meta).is_ok());
+                        .ingest_into(row_id, |row| row.ingest_meta(&meta).is_ok());
                 if !accepted {
                     self.metrics.rejected_meta.inc();
                     return;
@@ -652,21 +672,27 @@ mod tests {
         let run = |plan: Option<FaultPlan>| {
             let (topo, hosts) = star_topology(w, QueuePolicy::trim_default(), 100.0);
             let mut sim = Simulator::new(topo);
-            let c = cfg(SchemeId::RhtOneBit, hosts, len);
+            sim.set_tracer(trimgrad_trace::Tracer::enabled(1 << 16));
+            let c = cfg(SchemeId::RhtOneBit, hosts.clone(), len);
             if let Some(p) = plan {
                 sim.install_fault_plan(p);
             }
             let (out, _) = run_ring_allreduce(&mut sim, &c, b.clone(), SimTime::from_secs(5));
-            (out, sim.telemetry_snapshot())
+            (
+                out,
+                sim.telemetry_snapshot(),
+                sim.tracer().snapshot(),
+                hosts,
+            )
         };
-        let (clean, _) = run(None);
+        let (clean, ..) = run(None);
         let plan = FaultPlan::new(0xFA11).with_default(
             FaultPolicy::none()
                 .with_duplicate(0.3)
                 .with_replay(0.2)
                 .with_reorder(0.5, SimTime::from_micros(30)),
         );
-        let (faulted, snap) = run(Some(plan));
+        let (faulted, snap, trace, hosts) = run(Some(plan));
         // Duplication, replay, and reordering never lose data, so the ring
         // must converge to the identical bits the clean run produced.
         assert_eq!(clean, faulted, "non-lossy faults changed the result");
@@ -678,6 +704,109 @@ mod tests {
         assert!(snap.counter("netsim.fault.duplicated") > 0);
         assert!(snap.counter("netsim.fault.replayed") > 0);
         assert!(snap.counter("netsim.fault.reordered") > 0);
+        assert_eq!(trace.records[0].seq, 0, "the recorder wrapped");
+        assert_completing_frames_mark_rows(&trace, &hosts);
+    }
+
+    /// Replays `trace` against a model of what each rank received: every
+    /// `row.assembled` is recorded right after the delivery of the frame
+    /// that first gave its row a head on every chunk (duplicates, replays
+    /// and reordering included), a row is marked once, and there are as
+    /// many marks as decoded rows.
+    fn assert_completing_frames_mark_rows(trace: &trimgrad_trace::Trace, hosts: &[NodeId]) {
+        use std::collections::{BTreeMap, BTreeSet, VecDeque};
+        let node = |rank: u32| hosts[rank as usize].0 as u32;
+        let next = |n: u32| {
+            let rank = hosts.iter().position(|h| h.0 as u32 == n).unwrap();
+            hosts[(rank + 1) % hosts.len()].0 as u32
+        };
+        // The node whose send step is being recorded; per node, the steps
+        // recorded but not yet sent (one callback may send several, and
+        // their packets follow it) with each row's frame count, and the
+        // step whose packets are going out.
+        let mut sending = 0;
+        let mut recorded: BTreeMap<u32, VecDeque<(u32, Vec<u32>)>> = BTreeMap::new();
+        let mut steps: BTreeMap<u32, (u32, Vec<u32>)> = BTreeMap::new();
+        // Packet id → (receiver, msg, row, chunk); meta packets map to none.
+        let mut frames: BTreeMap<u64, (u32, u32, u32, u32)> = BTreeMap::new();
+        // (receiver, msg, row) → (chunks with a head, frames in the row).
+        let mut heads: BTreeMap<(u32, u32, u32), (BTreeSet<u32>, u32)> = BTreeMap::new();
+        let (mut marked, mut completed) = (0, 0);
+        for (i, r) in trace.records.iter().enumerate() {
+            match r.event {
+                TraceEvent::StepStarted { rank, step, .. } => {
+                    sending = node(rank);
+                    recorded
+                        .entry(sending)
+                        .or_default()
+                        .push_back((step, Vec::new()));
+                }
+                TraceEvent::RowEncoded { msg, packets, .. } => {
+                    let (step, rows) = recorded.get_mut(&sending).unwrap().back_mut().unwrap();
+                    assert_eq!(msg, *step);
+                    rows.push(packets);
+                }
+                TraceEvent::PktSent {
+                    node, pseq, pkt, ..
+                } => {
+                    // Sequence numbers restart at 0 with each step's first
+                    // frame; a step with no rows sends nothing.
+                    if pseq == 0 {
+                        let queue = recorded.get_mut(&node).unwrap();
+                        let sent = std::iter::from_fn(|| queue.pop_front())
+                            .find(|(_, rows)| !rows.is_empty())
+                            .unwrap();
+                        steps.insert(node, sent);
+                    }
+                    // Each row's frames, then its metadata, numbered from 0.
+                    let (step, rows) = &steps[&node];
+                    let (mut row, mut at) = (0, pseq as u32);
+                    while at > rows[row] {
+                        at -= rows[row] + 1;
+                        row += 1;
+                    }
+                    if at < rows[row] {
+                        frames.insert(pkt, (next(node), *step, row as u32, at));
+                        heads
+                            .entry((next(node), *step, row as u32))
+                            .or_insert((BTreeSet::new(), rows[row]));
+                    }
+                }
+                TraceEvent::PktDelivered { node, pkt, .. } => {
+                    let Some(&(to, msg, row, chunk)) = frames.get(&pkt) else {
+                        continue;
+                    };
+                    assert_eq!(to, node);
+                    let (got, of) = heads.get_mut(&(node, msg, row)).unwrap();
+                    let was_complete = got.len() as u32 == *of;
+                    got.insert(chunk);
+                    let completes = !was_complete && got.len() as u32 == *of;
+                    completed += usize::from(completes);
+                    // The mark, if any, is the very next record.
+                    let mark = trace.records.get(i + 1).and_then(|m| match m.event {
+                        TraceEvent::RowAssembled { msg, row, .. } => Some((m.at, msg, row)),
+                        _ => None,
+                    });
+                    let want = completes.then_some((r.at, msg, row));
+                    assert_eq!(mark, want, "record {i}: frame {pkt} to node {node}");
+                }
+                TraceEvent::RowAssembled { .. } => {
+                    assert!(
+                        matches!(trace.records[i - 1].event, TraceEvent::PktDelivered { .. }),
+                        "record {i}: a mark off any delivery"
+                    );
+                    marked += 1;
+                }
+                _ => {}
+            }
+        }
+        let decoded = trace
+            .records
+            .iter()
+            .filter(|r| r.event.kind_name() == "row.decoded")
+            .count();
+        assert!(marked > 0);
+        assert_eq!((marked, completed), (decoded, decoded));
     }
 
     #[test]
@@ -766,35 +895,50 @@ mod tests {
         (out, expect, sim)
     }
 
+    /// Each worker's output, bit for bit.
+    fn bits(out: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        out.iter()
+            .map(|b| b.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
     #[test]
     fn a_stale_epoch_meta_is_refused_and_the_ring_finishes() {
         // Rank 1's first inbound message is step 0 of the ring at epoch 1:
         // rows of 1024 and 476 coordinates. A metadata packet for its row 0
         // stamped with the previous epoch, landing before any of that row's
         // frames, used to be adopted: the row then refused every fresh
-        // frame as a wrong epoch and the ring never finished.
-        for delay_ns in [0, 1_000, 2_000, 3_000, 3_500, 10_000] {
-            let (out, expect, sim) =
-                run_with_injected(3000, SimTime::from_nanos(delay_ns), |_, dst| {
-                    let stale = RowMetaPacket {
-                        scheme: SchemeId::RhtOneBit,
-                        msg_id: 0,
-                        row_id: 0,
-                        original_len: 1024,
-                        scale: 1.0,
-                        epoch: 0,
-                    };
-                    PacketSpec::grad_meta(dst, FlowId(0xBAD), 0, stale)
-                });
-            let snap = sim.telemetry_snapshot();
-            assert_eq!(
-                snap.counter("collective.rank.1.rejected_meta"),
-                1,
-                "{delay_ns} ns"
-            );
-            for worker in &out {
-                let nmse = trimgrad_quant::error::nmse(worker, &expect);
-                assert!(nmse < 1e-6, "{delay_ns} ns: nmse {nmse}");
+        // frame as a wrong epoch and the ring never finished. One claiming
+        // 1000 coordinates, which pad to the same 1024, used to be adopted
+        // while the row's own was still on its way, and the worker then
+        // panicked decoding a row shorter than its slice.
+        let genuine = RowMetaPacket {
+            scheme: SchemeId::RhtOneBit,
+            msg_id: 0,
+            row_id: 0,
+            original_len: 1024,
+            scale: 1.0,
+            epoch: 1,
+        };
+        let stale = RowMetaPacket {
+            epoch: 0,
+            ..genuine
+        };
+        let forged = RowMetaPacket {
+            original_len: 1000,
+            ..genuine
+        };
+        let (clean, _, _) = run_with(3000, SimTime::ZERO, |_, _| None);
+        for injected in [stale, forged] {
+            for delay_ns in [0, 1_000, 2_000, 3_000, 3_500, 10_000] {
+                let (out, _, sim) =
+                    run_with_injected(3000, SimTime::from_nanos(delay_ns), |_, dst| {
+                        PacketSpec::grad_meta(dst, FlowId(0xBAD), 0, injected)
+                    });
+                let snap = sim.telemetry_snapshot();
+                let case = format!("{injected:?} at {delay_ns} ns");
+                assert_eq!(snap.counter("collective.rank.1.rejected_meta"), 1, "{case}");
+                assert_eq!(bits(&out), bits(&clean), "{case}");
             }
         }
     }
@@ -842,11 +986,6 @@ mod tests {
         // carries coordinates 0..p for p < 360. Landing after the genuine
         // chunk 0 and before the row completes, it used to overwrite them.
         let len = 3000;
-        let bits = |out: &[Vec<f32>]| -> Vec<Vec<u32>> {
-            out.iter()
-                .map(|b| b.iter().map(|v| v.to_bits()).collect())
-                .collect()
-        };
         let (clean, _, _) = run_with(len, SimTime::ZERO, |_, _| None);
         for delay_ns in [2_000, 3_000, 4_000] {
             let (out, _, sim) =

@@ -23,12 +23,14 @@
 //! width `1..=8` — at IP MTUs 101, 1499 and 9000, where chunks start off
 //! the groups of eight coordinates the packers work in.
 //!
-//! The receive half is checked the same way: `decode_assembled` at the
-//! process's width, and the public in-place row closure (`decode_row_into`
-//! on a row's own slice of one output) at widths 1, 2 and 3, against rows
-//! decoded one after another into fresh vectors.
+//! The receive half is checked the same way: `decode_assembled_into` over
+//! the frames each row kept, at the process's width, and the public
+//! in-place row closure (`decode_row_into` on a row's own slice of one
+//! output) at widths 1, 2 and 3, against the same frames reassembled into
+//! planes and decoded one row after another into fresh vectors.
 
 use proptest::prelude::*;
+use std::borrow::Cow;
 use trimgrad_collective::chunk::MessageCodec;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_par::WorkerPool;
@@ -36,8 +38,10 @@ use trimgrad_quant::scheme::{EncodedRow, RowScratch};
 use trimgrad_quant::SchemeId;
 use trimgrad_trace::Tracer;
 use trimgrad_wire::packet::NetAddrs;
-use trimgrad_wire::packetize::{packetize_row, packetize_with, PacketizeConfig, PacketizedRow};
-use trimgrad_wire::reassemble::RowAssembler;
+use trimgrad_wire::packetize::{
+    coords_per_packet, packetize_row, packetize_with, PacketizeConfig, PacketizedRow,
+};
+use trimgrad_wire::reassemble::{RowAssembler, RowFrames};
 
 fn blob(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::new(seed);
@@ -237,8 +241,14 @@ proptest! {
 }
 
 /// Sends `b` through `packetize_message`, cuts every third frame to its
-/// heads and loses every seventh, and reassembles what is left.
-fn assemble(codec: &MessageCodec, b: &[f32], epoch: u32, msg_id: u32) -> Vec<RowAssembler> {
+/// heads and loses every seventh, and hands what is left to each row's
+/// frames and, as the oracle, reassembles it into planes.
+fn assemble(
+    codec: &MessageCodec,
+    b: &[f32],
+    epoch: u32,
+    msg_id: u32,
+) -> (Vec<RowFrames<'static>>, Vec<RowAssembler>) {
     let cfg = PacketizeConfig {
         mtu: 1500,
         net: NetAddrs::between_hosts(1, 2),
@@ -246,8 +256,10 @@ fn assemble(codec: &MessageCodec, b: &[f32], epoch: u32, msg_id: u32) -> Vec<Row
         row_id: 0,
         epoch,
     };
-    let mut rows = Vec::new();
+    let per_packet = coords_per_packet(codec.scheme_id().part_bits(), cfg.mtu).expect("fits");
+    let (mut rows, mut planes) = (Vec::new(), Vec::new());
     codec.packetize_message(b, &cfg, &Tracer::disabled(), 0, |pr| {
+        let mut row = RowFrames::from_meta(&pr.meta, per_packet);
         let mut asm = RowAssembler::from_meta(&pr.meta);
         for (i, mut frame) in pr.packets.into_iter().enumerate() {
             if i % 3 == 1 {
@@ -255,34 +267,44 @@ fn assemble(codec: &MessageCodec, b: &[f32], epoch: u32, msg_id: u32) -> Vec<Row
             }
             if i % 7 != 6 {
                 asm.ingest(&frame).expect("own frame");
+                row.ingest(Cow::Owned(frame)).expect("own frame");
             }
         }
-        rows.push(asm);
+        rows.push(row);
+        planes.push(asm);
     });
-    rows
+    (rows, planes)
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// `Err(what diverged)` unless `decode_assembled` and the in-place row
+/// `Err(what diverged)` unless `decode_assembled_into` and the in-place row
 /// closure at widths 1..=3 reproduce rows decoded one after another.
 fn check_decode_fan_out(codec: &MessageCodec, b: &[f32]) -> Result<(), String> {
     let (epoch, msg_id) = (4, 6);
-    let rows = assemble(codec, b, epoch, msg_id);
+    let (frames, rows) = assemble(codec, b, epoch, msg_id);
     let meta = |asm: &RowAssembler| *asm.meta().expect("assembled from its meta");
     let mut reference = Vec::new();
     for (row_id, asm) in rows.iter().enumerate() {
         let row = codec.decode_row(&asm.partial_row(), &meta(asm), epoch, msg_id, row_id as u32);
         reference.extend(row.map_err(|e| format!("row {row_id}: {e}"))?);
     }
-    let assembled = codec
-        .decode_assembled(&rows, epoch, msg_id, &Tracer::disabled(), 0)
-        .map_err(|e| format!("decode_assembled: {e}"))?;
+    let mut assembled = vec![f32::from_bits(0xFFC0_DEAD); reference.len()];
+    codec
+        .decode_assembled_into(
+            &frames,
+            epoch,
+            msg_id,
+            &Tracer::disabled(),
+            0,
+            &mut assembled,
+        )
+        .map_err(|e| format!("decode_assembled_into: {e}"))?;
     if bits(&assembled) != bits(&reference) {
         return Err(format!(
-            "decode_assembled diverged at the process's width {}",
+            "decode_assembled_into diverged at the process's width {}",
             WorkerPool::global().threads()
         ));
     }

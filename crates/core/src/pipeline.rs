@@ -1,5 +1,6 @@
 //! The end-to-end trimmable-gradient pipeline: blob ↔ packets.
 
+use std::borrow::Cow;
 use trimgrad_collective::chunk::MessageCodec;
 use trimgrad_quant::SchemeId;
 use trimgrad_telemetry::Registry;
@@ -352,10 +353,10 @@ impl TrimmablePipeline {
     /// coordinates decode to 0); metadata packets must all be present (they
     /// are the reliable channel).
     ///
-    /// Each row's frames are indexed by chunk ([`RowFrames`]) and decoded
-    /// from their sections where they lie — one run per chunk — into the
-    /// row's slice of the output, bit for bit what reassembling the frames
-    /// into planes and decoding those would give.
+    /// Each row's frames are kept, borrowed, by chunk ([`RowFrames`]) and
+    /// decoded from their sections where they lie — one run per chunk — into
+    /// the row's slice of the output, bit for bit what reassembling the
+    /// frames into planes and decoding those would give.
     ///
     /// # Errors
     ///
@@ -364,10 +365,9 @@ impl TrimmablePipeline {
     /// A metadata packet of another message, epoch or scheme, or one longer
     /// than a row, is refused as `BadField("msg_id" | "epoch" | "scheme" |
     /// "original_len")` before it sizes any buffer. A data frame goes through
-    /// the checks of `RowAssembler::ingest`, in arrival order, and one more:
-    /// a frame that does not carry the coordinate range its chunk id has
-    /// under this pipeline's geometry is refused as `BadField("coord
-    /// range")`.
+    /// the checks of [`RowFrames::ingest`], in arrival order: among them, a
+    /// frame that does not carry the coordinate range its chunk id has under
+    /// this pipeline's geometry is refused as `BadField("coord range")`.
     pub fn decode(
         &self,
         packets: &[GradPacket],
@@ -427,7 +427,7 @@ impl TrimmablePipeline {
             let row = rows
                 .get_mut(fields.row_id as usize)
                 .ok_or(WireError::BadField("row_id"))?;
-            row.ingest(pkt)?;
+            row.ingest(Cow::Borrowed(pkt))?;
         }
         codec.decode_assembled_into(&rows, epoch, msg_id, &self.tracer, 0, &mut out)?;
         if let Some(reg) = &self.telemetry {

@@ -27,6 +27,24 @@ use core::ops::{Range, RangeInclusive};
 // RNG
 // ---------------------------------------------------------------------------
 
+/// A `PROPTEST_SEED` value: a decimal `u64`, or hexadecimal after `0x`
+/// (`0X`), surrounding whitespace ignored.
+///
+/// # Panics
+///
+/// Panics, naming the value, on anything else.
+#[must_use]
+pub fn parse_seed(value: &str) -> u64 {
+    let v = value.trim();
+    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    parsed.unwrap_or_else(|_| {
+        panic!("PROPTEST_SEED={value:?} is neither a decimal nor a 0x-hexadecimal u64")
+    })
+}
+
 /// The deterministic generator driving test-case generation (SplitMix64).
 #[derive(Debug, Clone)]
 pub struct TestRng {
@@ -42,6 +60,11 @@ impl TestRng {
 
     /// Seeds deterministically from a test name (and the optional
     /// `PROPTEST_SEED` environment variable, for exploring other sequences).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `PROPTEST_SEED` is set but not a seed [`parse_seed`]
+    /// reads: a seed that is silently ignored explores nothing new.
     #[must_use]
     pub fn deterministic(name: &str) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -50,9 +73,7 @@ impl TestRng {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         if let Ok(extra) = std::env::var("PROPTEST_SEED") {
-            if let Ok(v) = extra.trim().parse::<u64>() {
-                h ^= v.rotate_left(17);
-            }
+            h ^= parse_seed(&extra).rotate_left(17);
         }
         Self::from_seed(h)
     }
@@ -482,7 +503,27 @@ macro_rules! prop_assert_ne {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::TestRng;
+    use super::{parse_seed, TestRng};
+
+    #[test]
+    fn seeds_read_as_decimal_or_hex() {
+        assert_eq!(parse_seed("12648430"), 0x00C0_FFEE);
+        assert_eq!(parse_seed(" 0x00C0FFEE\n"), 0x00C0_FFEE);
+        assert_eq!(parse_seed("0XFA57F00D"), 0xFA57_F00D);
+        assert_eq!(parse_seed("0xffffffffffffffff"), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_SEED=\"0xC0FFEG\" is neither")]
+    fn a_seed_that_reads_as_nothing_panics() {
+        let _ = parse_seed("0xC0FFEG");
+    }
+
+    #[test]
+    #[should_panic(expected = "is neither a decimal nor a 0x-hexadecimal u64")]
+    fn a_seed_past_u64_panics() {
+        let _ = parse_seed("18446744073709551616");
+    }
 
     #[test]
     fn rng_is_deterministic() {

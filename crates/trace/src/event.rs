@@ -253,7 +253,7 @@ trace_events! {
             /// Total wire bytes of those frames.
             bytes: u64,
         },
-        /// A row assembler completed its head sections (decodable prefix).
+        /// A received row completed its head sections (decodable prefix).
         RowAssembled = 8, "row.assembled" {
             /// Message id.
             msg: u32,

@@ -1,33 +1,28 @@
 //! Receiver-side row reassembly from trimmed and untrimmed packets.
 //!
-//! A [`RowAssembler`] accumulates the data packets of one row (in any order,
-//! with any per-packet trim depth, with duplicates) plus its metadata packet,
-//! and exposes the availability-aware [`PartialRow`] view the quant layer
-//! decodes. Coordinates whose packets never arrive simply stay absent —
-//! exactly the semantics of a lossy trimming fabric.
+//! A row's data frames arrive in any order, at any trim depth, with
+//! duplicates, and its metadata packet before, among or after them.
+//! Coordinates whose frames never arrive simply stay absent — exactly the
+//! semantics of a lossy trimming fabric. Two receivers share one set of
+//! checks (`RowIdentity`):
 //!
-//! Per packet the assembler does work proportional to the packet, never to
-//! the row: section bytes are copied into the row parts, the coordinate
-//! range is filled into each part's word-backed presence mask, and a running
-//! present-count per part grows by exactly the mask bits that fill flipped
-//! (so duplicates and less-trimmed re-deliveries are not counted twice).
-//! Every completeness question — [`RowAssembler::coords_received`],
-//! [`heads_complete`](RowAssembler::heads_complete),
-//! [`is_complete`](RowAssembler::is_complete), the Full / Masked / Absent
-//! choice of [`partial_row`](RowAssembler::partial_row) — reads those
-//! counters and never rescans a mask.
+//! * [`RowFrames`], the receive path: it keeps each accepted frame —
+//!   borrowed, or owned when the frames are handed over one at a time — and
+//!   hands the decoder each chunk's sections where they lie. No plane or
+//!   mask is built.
+//! * [`RowAssembler`], the plane view: it copies each frame's sections into
+//!   zeroed row planes and word-backed presence masks and exposes the
+//!   availability-aware [`PartialRow`] the plane decoder reads. It is the
+//!   oracle the frame path is tested against, and what the layer replays
+//!   decode.
 //!
-//! A receiver whose frames outlive the decode needs no planes at all:
-//! [`RowFrames`] indexes each frame by its chunk and hands the decoder its
-//! sections where they lie, one run per chunk. Both make the same checks
-//! of a frame, in the same order. `RowFrames` always checks that a frame
-//! carries the coordinates its chunk id names; an assembler told the
-//! sender's chunk geometry ([`RowAssembler::with_chunks`]) checks it too.
+//! Both answer every completeness question from running counters, never by
+//! rescanning a frame table or a mask.
 
 use crate::meta::RowMetaPacket;
-use crate::packet::{GradPacket, ParsedGrad};
+use crate::packet::{GradPacket, ParsedGrad, STACK_OVERHEAD};
 use crate::packetize::chunk_ranges;
-use crate::payload::MAX_PARTS;
+use crate::payload::{PayloadLayout, MAX_PARTS};
 use crate::trimhdr::TrimGradFields;
 use crate::{Result, WireError};
 use std::borrow::Cow;
@@ -35,12 +30,14 @@ use trimgrad_quant::bitpack::{BitBuf, BitMask};
 use trimgrad_quant::scheme::{DecodeError, PartView, PartialRow, RowMeta, Run, RunSource};
 use trimgrad_quant::SchemeId;
 
-/// The row a data frame must belong to.
+/// The row a data frame or metadata packet must belong to.
 #[derive(Debug, Clone, Copy)]
 struct RowIdentity {
     scheme: SchemeId,
     msg_id: u32,
     row_id: u32,
+    /// Coordinates the row decodes to.
+    original_len: usize,
     /// Encoded (padded) row length.
     n: usize,
     /// Fixed by the metadata or the first frame; `None` before either.
@@ -48,6 +45,17 @@ struct RowIdentity {
 }
 
 impl RowIdentity {
+    fn new(scheme: SchemeId, msg_id: u32, row_id: u32, original_len: usize) -> Self {
+        Self {
+            scheme,
+            msg_id,
+            row_id,
+            original_len,
+            n: scheme.encoded_len(original_len),
+            epoch: None,
+        }
+    }
+
     /// Parses `pkt` and checks that it joins this row, in this order: it is
     /// this row's scheme, message and row; its coordinates lie inside the
     /// row and `owns` them; its part count is the scheme's; its epoch is the
@@ -93,6 +101,27 @@ impl RowIdentity {
         Ok(parsed)
     }
 
+    /// Checks that `meta` is this row's metadata, in this order: this row's
+    /// scheme, message and row; its `original_len`, which sizes the decoded
+    /// row; its epoch, once one is fixed.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadField`] naming the first check that fails:
+    /// `"row identity"`, `"original_len"`, `"epoch"`.
+    fn check_meta(&self, meta: &RowMetaPacket) -> Result<()> {
+        if meta.scheme != self.scheme || meta.msg_id != self.msg_id || meta.row_id != self.row_id {
+            return Err(WireError::BadField("row identity"));
+        }
+        if meta.original_len as usize != self.original_len {
+            return Err(WireError::BadField("original_len"));
+        }
+        if self.epoch.is_some_and(|e| e != meta.epoch) {
+            return Err(WireError::BadField("epoch"));
+        }
+        Ok(())
+    }
+
     /// The `owns` rule of a row cut into chunks of `per_packet`
     /// coordinates: a frame carries exactly the range its `chunk_id` has.
     fn chunk_owns(&self, per_packet: usize, f: &TrimGradFields) -> bool {
@@ -103,35 +132,194 @@ impl RowIdentity {
     }
 }
 
-/// Reassembles one row from its packets.
+/// One row's surviving data frames, read where they lie. Each chunk of the
+/// row — the sender's geometry, [`chunk_ranges`]`(n, per_packet)` — keeps,
+/// per part, the last accepted frame that carried that part: exactly the
+/// bytes a [`RowAssembler`] would hold there. A frame supersedes every kept
+/// frame of its depth or less, so a chunk never keeps more than one frame a
+/// depth. The row reaches the decoder as one [`Run`] per chunk
+/// ([`RunSource`]).
+///
+/// The frames are borrowed (`Cow::Borrowed`) when they outlive the decode,
+/// or handed over (`Cow::Owned`) when they arrive one at a time.
+#[derive(Debug, Clone)]
+pub struct RowFrames<'a> {
+    identity: RowIdentity,
+    meta: Option<RowMeta>,
+    per_packet: usize,
+    /// Coordinates whose head arrived: the chunks holding any frame.
+    received: usize,
+    /// Per chunk, `[d - 1]` the kept frame of trim depth `d`, if any.
+    chunks: Vec<[Option<Cow<'a, GradPacket>>; MAX_PARTS]>,
+}
+
+impl<'a> RowFrames<'a> {
+    /// An empty row of `original_len` coordinates, taking frames and
+    /// metadata stamped `epoch` only and frames of `per_packet` coordinates
+    /// each (the last one fewer). Its metadata comes later, through
+    /// [`ingest_meta`](Self::ingest_meta).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_packet` is zero.
+    #[must_use]
+    pub fn new(
+        scheme: SchemeId,
+        epoch: u32,
+        msg_id: u32,
+        row_id: u32,
+        original_len: usize,
+        per_packet: usize,
+    ) -> Self {
+        let identity = RowIdentity {
+            epoch: Some(epoch),
+            ..RowIdentity::new(scheme, msg_id, row_id, original_len)
+        };
+        Self {
+            meta: None,
+            per_packet,
+            received: 0,
+            chunks: vec![Default::default(); chunk_ranges(identity.n, per_packet).len()],
+            identity,
+        }
+    }
+
+    /// An empty row for its received metadata packet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_packet` is zero.
+    #[must_use]
+    pub fn from_meta(meta: &RowMetaPacket, per_packet: usize) -> Self {
+        Self {
+            meta: Some(meta.row_meta()),
+            ..Self::new(
+                meta.scheme,
+                meta.epoch,
+                meta.msg_id,
+                meta.row_id,
+                meta.original_len as usize,
+                per_packet,
+            )
+        }
+    }
+
+    /// The encoded (padded) length.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.identity.n
+    }
+
+    /// Row metadata: `None` until it arrived.
+    #[must_use]
+    pub fn meta(&self) -> Option<&RowMeta> {
+        self.meta.as_ref()
+    }
+
+    /// Records the reliable metadata for this row.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`RowAssembler::ingest_meta`]; a refused packet changes
+    /// nothing.
+    pub fn ingest_meta(&mut self, meta: &RowMetaPacket) -> Result<()> {
+        self.identity.check_meta(meta)?;
+        self.meta = Some(meta.row_meta());
+        Ok(())
+    }
+
+    /// Keeps one data frame (trimmed or not, duplicate or not) in its
+    /// chunk, parsed and checked here and never again. A frame refused here
+    /// leaves the row as it was.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`RowAssembler::ingest`], from the same checks in the
+    /// same order, and one more: a frame whose `(coord_start, coord_count)`
+    /// is not the range its `chunk_id` has in this row is refused as
+    /// [`WireError::BadField`]`("coord range")`, so no two chunks ever
+    /// claim a coordinate.
+    // trimlint: hot-path -- per-packet indexing on the receive path
+    pub fn ingest(&mut self, frame: Cow<'a, GradPacket>) -> Result<()> {
+        let (identity, per_packet) = (&self.identity, self.per_packet);
+        let fields = identity
+            .check(&frame, |f| identity.chunk_owns(per_packet, f))?
+            .fields;
+        let kept = self
+            .chunks
+            .get_mut(usize::from(fields.chunk_id))
+            .ok_or(WireError::BadField("coord range"))?;
+        if kept.iter().all(Option::is_none) {
+            self.received += usize::from(fields.coord_count);
+        }
+        // `check` bounds the depth by the scheme's part count: 1..=MAX_PARTS.
+        let (shallower, rest) = kept.split_at_mut(usize::from(fields.trim_depth) - 1);
+        shallower.iter_mut().for_each(|slot| *slot = None);
+        rest[0] = Some(frame);
+        Ok(())
+    }
+
+    /// Number of coordinates whose head (part 0) has arrived.
+    #[must_use]
+    pub fn coords_received(&self) -> usize {
+        self.received
+    }
+
+    /// Whether every coordinate's head arrived (possibly trimmed deeper).
+    #[must_use]
+    pub fn heads_complete(&self) -> bool {
+        self.received == self.identity.n
+    }
+}
+
+/// The frame source: one run per chunk, part `k` read where it lies in the
+/// shallowest kept frame deeper than `k` (`origin` the chunk's first
+/// coordinate).
+impl RunSource for &RowFrames<'_> {
+    fn runs(
+        self,
+        part_bits: &[u32],
+        mut on_run: impl FnMut(Run<'_>),
+    ) -> core::result::Result<(), DecodeError> {
+        self.identity.scheme.check_part_bits(part_bits, self.n())?;
+        for (coords, kept) in chunk_ranges(self.n(), self.per_packet).zip(&self.chunks) {
+            let layout = PayloadLayout::new(part_bits, coords.len());
+            let mut run = Run {
+                depth: 0,
+                origin: coords.start,
+                coords,
+                parts: [&[]; MAX_PARTS],
+            };
+            while let Some(frame) = kept[run.depth..].iter().flatten().next() {
+                run.parts[run.depth] =
+                    &frame.as_bytes()[STACK_OVERHEAD..][layout.section_range(run.depth)];
+                run.depth += 1;
+            }
+            on_run(run);
+        }
+        Ok(())
+    }
+}
+
+/// Reassembles one row from its packets into whole-row planes.
 #[derive(Debug, Clone)]
 pub struct RowAssembler {
-    scheme: SchemeId,
-    msg_id: u32,
-    row_id: u32,
-    n: usize,
+    identity: RowIdentity,
     parts: Vec<BitBuf>,
     masks: Vec<BitMask>,
     /// `present[k] == masks[k].count_present()`, kept up to date by `ingest`.
     present: Vec<usize>,
     meta: Option<RowMeta>,
-    epoch: Option<u32>,
-    /// Coordinates per chunk, once [`with_chunks`](Self::with_chunks)
-    /// opted in to the chunk check.
-    per_packet: Option<usize>,
 }
 
 impl RowAssembler {
     /// Creates an assembler for a known row identity and length.
     #[must_use]
     pub fn new(scheme: SchemeId, msg_id: u32, row_id: u32, original_len: usize) -> Self {
-        let n = scheme.encoded_len(original_len);
-        let part_bits = scheme.part_bits();
+        let identity = RowIdentity::new(scheme, msg_id, row_id, original_len);
+        let (n, part_bits) = (identity.n, scheme.part_bits());
         Self {
-            scheme,
-            msg_id,
-            row_id,
-            n,
+            identity,
             parts: part_bits
                 .iter()
                 .map(|&w| BitBuf::zeroed(n * w as usize))
@@ -139,25 +327,7 @@ impl RowAssembler {
             masks: part_bits.iter().map(|_| BitMask::absent(n)).collect(),
             present: vec![0; part_bits.len()],
             meta: None,
-            epoch: None,
-            per_packet: None,
         }
-    }
-
-    /// The assembler told its sender's chunk geometry, `per_packet`
-    /// coordinates a frame (the last one fewer): from then on it refuses a
-    /// frame whose `(coord_start, coord_count)` is not the range its
-    /// `chunk_id` has in the row, as [`RowFrames`] does, so no frame can
-    /// overwrite coordinates another chunk owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_packet` is zero.
-    #[must_use]
-    pub fn with_chunks(mut self, per_packet: usize) -> Self {
-        assert!(per_packet > 0, "empty packets");
-        self.per_packet = Some(per_packet);
-        self
     }
 
     /// Creates an assembler directly from a received metadata packet.
@@ -170,26 +340,26 @@ impl RowAssembler {
             meta.original_len as usize,
         );
         a.meta = Some(meta.row_meta());
-        a.epoch = Some(meta.epoch);
+        a.identity.epoch = Some(meta.epoch);
         a
     }
 
     /// The row's scheme.
     #[must_use]
     pub fn scheme(&self) -> SchemeId {
-        self.scheme
+        self.identity.scheme
     }
 
     /// The encoded (padded) length.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.identity.n
     }
 
     /// The training epoch, once any packet has been ingested.
     #[must_use]
     pub fn epoch(&self) -> Option<u32> {
-        self.epoch
+        self.identity.epoch
     }
 
     /// Row metadata: `None` until [`ingest_meta`](Self::ingest_meta) (or
@@ -204,21 +374,14 @@ impl RowAssembler {
     ///
     /// # Errors
     ///
-    /// [`WireError::BadField`] if the identity or geometry disagrees with
-    /// what the assembler was created for, or the epoch with the one an
-    /// earlier packet already fixed.
+    /// [`WireError::BadField`] if the identity disagrees with what the
+    /// assembler was created for (`"row identity"`), the `original_len`
+    /// does (`"original_len"`), or the epoch with the one an earlier packet
+    /// already fixed (`"epoch"`). A refused packet changes nothing.
     pub fn ingest_meta(&mut self, meta: &RowMetaPacket) -> Result<()> {
-        if meta.scheme != self.scheme || meta.msg_id != self.msg_id || meta.row_id != self.row_id {
-            return Err(WireError::BadField("row identity"));
-        }
-        if meta.scheme.encoded_len(meta.original_len as usize) != self.n {
-            return Err(WireError::BadField("original_len"));
-        }
-        if self.epoch.is_some_and(|e| e != meta.epoch) {
-            return Err(WireError::BadField("epoch"));
-        }
+        self.identity.check_meta(meta)?;
         self.meta = Some(meta.row_meta());
-        self.epoch = Some(meta.epoch);
+        self.identity.epoch = Some(meta.epoch);
         Ok(())
     }
 
@@ -231,61 +394,20 @@ impl RowAssembler {
     /// # Errors
     ///
     /// Parse/validation errors, or [`WireError::BadField`] when the packet
-    /// belongs to a different row or exceeds the row bounds — or, with
-    /// [`with_chunks`](Self::with_chunks), is off its chunk
-    /// (`"coord range"`). A refused packet changes nothing.
-    // trimlint: hot-path -- per-packet reassembly on the receive path
+    /// belongs to a different row or exceeds the row bounds. A refused
+    /// packet changes nothing.
     pub fn ingest(&mut self, pkt: &GradPacket) -> Result<()> {
-        let identity = RowIdentity {
-            scheme: self.scheme,
-            msg_id: self.msg_id,
-            row_id: self.row_id,
-            n: self.n,
-            epoch: self.epoch,
-        };
-        let per_packet = self.per_packet;
-        let parsed = identity.check(pkt, |f| {
-            per_packet.is_none_or(|per_packet| identity.chunk_owns(per_packet, f))
-        })?;
+        let parsed = self.identity.check(pkt, |_| true)?;
         let f = &parsed.fields;
-        self.epoch = Some(f.epoch);
+        self.identity.epoch = Some(f.epoch);
         let (start, count) = (f.coord_start as usize, f.coord_count as usize);
-        let part_bits = self.scheme.part_bits();
+        let part_bits = self.identity.scheme.part_bits();
         for (k, (section, &w)) in parsed.sections.iter().zip(part_bits).enumerate() {
             let w = w as usize;
             // Zero-copy: section bytes land straight in the row part's
             // backing store, no intermediate BitBuf per packet.
             self.parts[k].write_bits_from_bytes(start * w, section, count * w);
             self.present[k] += self.masks[k].set_range(start, start + count, true);
-        }
-        Ok(())
-    }
-
-    /// [`RowAssembler::ingest`] that also records a
-    /// [`trimgrad_trace::TraceEvent::RowAssembled`] on the ingest that
-    /// completes the row's head sections (the decodable-prefix milestone).
-    /// With a disabled tracer this is exactly `ingest` plus one branch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RowAssembler::ingest`].
-    pub fn ingest_traced(
-        &mut self,
-        pkt: &GradPacket,
-        tracer: &trimgrad_trace::Tracer,
-        at: u64,
-    ) -> Result<()> {
-        if !tracer.is_enabled() {
-            return self.ingest(pkt);
-        }
-        let missing_heads = self.n - self.coords_received();
-        self.ingest(pkt)?;
-        if missing_heads > 0 && self.heads_complete() {
-            tracer.emit(at, || trimgrad_trace::TraceEvent::RowAssembled {
-                msg: self.msg_id,
-                row: self.row_id,
-                coords: trimgrad_trace::sat32(self.coords_received()),
-            });
         }
         Ok(())
     }
@@ -299,13 +421,13 @@ impl RowAssembler {
     /// Whether every coordinate arrived at full depth.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.present.iter().all(|&count| count == self.n)
+        self.present.iter().all(|&count| count == self.identity.n)
     }
 
     /// Whether every coordinate's head arrived (possibly trimmed deeper).
     #[must_use]
     pub fn heads_complete(&self) -> bool {
-        self.coords_received() == self.n
+        self.coords_received() == self.identity.n
     }
 
     /// The availability view for decoding; a part that is neither full nor
@@ -313,12 +435,13 @@ impl RowAssembler {
     /// row-sized.
     #[must_use]
     pub fn partial_row(&self) -> PartialRow<'_> {
+        let n = self.identity.n;
         let parts = self
             .parts
             .iter()
             .zip(self.masks.iter().zip(&self.present))
             .map(|(buf, (mask, &present))| {
-                if present == self.n {
+                if present == n {
                     PartView::Full(buf)
                 } else if present == 0 {
                     PartView::Absent
@@ -330,118 +453,7 @@ impl RowAssembler {
                 }
             })
             .collect();
-        PartialRow { n: self.n, parts }
-    }
-}
-
-/// One row's surviving data frames, read where they lie: the receive
-/// path's alternative to [`RowAssembler`] when the frames outlive the
-/// decode. No plane or mask is built. Each chunk of the row — the sender's
-/// geometry, [`chunk_ranges`]`(n, per_packet)` — keeps each part's section
-/// as the last frame carrying that part left it, exactly the bytes an
-/// assembler would hold there, and the row reaches the decoder as one
-/// [`Run`] per chunk ([`RunSource`]).
-#[derive(Debug, Clone)]
-pub struct RowFrames<'a> {
-    identity: RowIdentity,
-    meta: RowMeta,
-    per_packet: usize,
-    /// Per chunk, each part's section; empty until a frame carried it.
-    chunks: Vec<[&'a [u8]; MAX_PARTS]>,
-}
-
-impl<'a> RowFrames<'a> {
-    /// An empty row for its received metadata packet, whose frames carry
-    /// `per_packet` coordinates each (the last one fewer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_packet` is zero.
-    #[must_use]
-    pub fn from_meta(meta: &RowMetaPacket, per_packet: usize) -> Self {
-        let n = meta.scheme.encoded_len(meta.original_len as usize);
-        Self {
-            identity: RowIdentity {
-                scheme: meta.scheme,
-                msg_id: meta.msg_id,
-                row_id: meta.row_id,
-                n,
-                epoch: Some(meta.epoch),
-            },
-            meta: meta.row_meta(),
-            per_packet,
-            chunks: vec![[&[][..]; MAX_PARTS]; chunk_ranges(n, per_packet).len()],
-        }
-    }
-
-    /// The encoded (padded) length.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.identity.n
-    }
-
-    /// Row metadata.
-    #[must_use]
-    pub fn meta(&self) -> &RowMeta {
-        &self.meta
-    }
-
-    /// Indexes one data frame (trimmed or not, duplicate or not) by its
-    /// chunk. A frame refused here leaves the row as it was.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`RowAssembler::ingest`], from the same checks in the
-    /// same order, and one more: a frame whose `(coord_start, coord_count)`
-    /// is not the range its `chunk_id` has in this row is refused as
-    /// [`WireError::BadField`]`("coord range")`, so no two chunks ever
-    /// claim a coordinate.
-    // trimlint: hot-path -- per-packet indexing on the receive path
-    pub fn ingest(&mut self, pkt: &'a GradPacket) -> Result<()> {
-        let (identity, per_packet) = (&self.identity, self.per_packet);
-        let parsed = identity.check(pkt, |f| identity.chunk_owns(per_packet, f))?;
-        let slot = self
-            .chunks
-            .get_mut(usize::from(parsed.fields.chunk_id))
-            .ok_or(WireError::BadField("coord range"))?;
-        for (dst, &section) in slot.iter_mut().zip(parsed.sections.iter()) {
-            *dst = section;
-        }
-        Ok(())
-    }
-
-    /// Number of coordinates whose head (part 0) has arrived.
-    #[must_use]
-    pub fn coords_received(&self) -> usize {
-        chunk_ranges(self.identity.n, self.per_packet)
-            .zip(&self.chunks)
-            .filter(|(_, parts)| !parts[0].is_empty())
-            .map(|(coords, _)| coords.len())
-            .sum()
-    }
-}
-
-/// The frame source: one run per chunk, its parts the sections that
-/// survived, read where they lie (`origin` the chunk's first coordinate).
-impl RunSource for &RowFrames<'_> {
-    fn runs(
-        self,
-        part_bits: &[u32],
-        mut on_run: impl FnMut(Run<'_>),
-    ) -> core::result::Result<(), DecodeError> {
-        self.identity.scheme.check_part_bits(part_bits, self.n())?;
-        for (coords, parts) in chunk_ranges(self.n(), self.per_packet).zip(&self.chunks) {
-            on_run(Run {
-                depth: parts
-                    .iter()
-                    .take_while(|section| !section.is_empty())
-                    .count(),
-                origin: coords.start,
-                coords,
-                parts: *parts,
-            });
-        }
-        Ok(())
+        PartialRow { n, parts }
     }
 }
 
@@ -475,40 +487,6 @@ mod tests {
                 assert_eq!(RowAssembler::new(id, 0, 0, len).n(), n, "{id} len {len}");
             }
         }
-    }
-
-    #[test]
-    fn traced_ingest_marks_head_completion_exactly_once() {
-        let row: Vec<f32> = (0..1000).map(|i| (i as f32).cos()).collect();
-        let enc = SchemeId::SignMagnitude.encode(&row, 0);
-        let c = cfg();
-        let pr = packetize_row(&enc, &c);
-        assert!(pr.packets.len() > 1, "need a multi-packet row");
-        let tracer = trimgrad_trace::Tracer::enabled(64);
-        let mut asm = assembler_for(&enc, &c);
-        for (i, pkt) in pr.packets.iter().enumerate() {
-            asm.ingest_traced(pkt, &tracer, i as u64).unwrap();
-        }
-        // Duplicates after completion add nothing.
-        asm.ingest_traced(&pr.packets[0], &tracer, 99).unwrap();
-        let trace = tracer.snapshot();
-        assert_eq!(trace.records.len(), 1, "one completion event");
-        assert_eq!(trace.records[0].at, pr.packets.len() as u64 - 1);
-        match trace.records[0].event {
-            trimgrad_trace::TraceEvent::RowAssembled { msg, row, coords } => {
-                assert_eq!((msg, row), (9, 4));
-                assert_eq!(coords as usize, asm.coords_received());
-            }
-            ref other => panic!("unexpected event {other:?}"),
-        }
-        // Disabled tracer: behaves exactly like plain ingest.
-        let mut silent = assembler_for(&enc, &c);
-        let off = trimgrad_trace::Tracer::disabled();
-        for pkt in &pr.packets {
-            silent.ingest_traced(pkt, &off, 0).unwrap();
-        }
-        assert!(silent.heads_complete());
-        assert_eq!(off.events_emitted(), 0);
     }
 
     #[test]
@@ -701,6 +679,35 @@ mod tests {
     }
 
     #[test]
+    fn rejects_meta_of_another_original_len() {
+        // 1000 and 1024 RHT coordinates both pad to 1024: only the
+        // `original_len` itself tells the forged metadata from the row's.
+        let row: Vec<f32> = (0..1024).map(|i| i as f32).collect();
+        let enc = SchemeId::RhtOneBit.encode(&row, 0);
+        let c = cfg();
+        let pr = packetize_row(&enc, &c);
+        let forged = RowMetaPacket {
+            original_len: 1000,
+            ..pr.meta
+        };
+        assert_eq!(SchemeId::RhtOneBit.encoded_len(1000), enc.n);
+        let mut asm = assembler_for(&enc, &c);
+        let mut frames = RowFrames::new(enc.scheme, c.epoch, c.msg_id, c.row_id, 1024, 360);
+        for refused in [asm.ingest_meta(&forged), frames.ingest_meta(&forged)] {
+            assert_eq!(refused.unwrap_err(), WireError::BadField("original_len"));
+        }
+        assert!(asm.meta().is_none() && frames.meta().is_none());
+        asm.ingest_meta(&pr.meta).unwrap();
+        frames.ingest_meta(&pr.meta).unwrap();
+        // Once the row's metadata is in, the forged one still changes nothing.
+        assert!(asm.ingest_meta(&forged).is_err() && frames.ingest_meta(&forged).is_err());
+        assert_eq!(
+            (asm.meta(), frames.meta()),
+            (Some(&enc.meta), Some(&enc.meta))
+        );
+    }
+
+    #[test]
     fn metadata_is_absent_until_it_arrives() {
         let row: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let enc = SchemeId::SignMagnitude.encode(&row, 0);
@@ -715,25 +722,31 @@ mod tests {
         assert_eq!(RowAssembler::from_meta(&pr.meta).meta(), Some(&enc.meta));
     }
 
-    /// `rows` decoded from planes and from frames read in place.
+    /// `frames` decoded from planes and, handed over one by one to a row
+    /// built without its metadata, read in place.
     fn both_decodes(
         pr: &crate::packetize::PacketizedRow,
         frames: &[GradPacket],
     ) -> (Vec<u32>, Vec<u32>) {
+        let m = &pr.meta;
         let per_packet =
-            crate::packetize::coords_per_packet(pr.meta.scheme.part_bits(), 1500).expect("fits");
-        let mut asm = RowAssembler::from_meta(&pr.meta);
-        let mut row = RowFrames::from_meta(&pr.meta, per_packet);
+            crate::packetize::coords_per_packet(m.scheme.part_bits(), 1500).expect("fits");
+        let len = m.original_len as usize;
+        let mut asm = RowAssembler::from_meta(m);
+        let mut row = RowFrames::new(m.scheme, m.epoch, m.msg_id, m.row_id, len, per_packet);
         for frame in frames {
             asm.ingest(frame).unwrap();
-            row.ingest(frame).unwrap();
+            row.ingest(Cow::Owned(frame.clone())).unwrap();
+            assert_eq!(row.coords_received(), asm.coords_received());
+            assert_eq!(row.heads_complete(), asm.heads_complete());
         }
-        assert_eq!(row.coords_received(), asm.coords_received());
-        let (scheme, meta) = (pr.meta.scheme, pr.meta.row_meta());
+        assert!(row.meta().is_none(), "no fabricated scale");
+        row.ingest_meta(m).unwrap();
+        let (scheme, meta) = (m.scheme, m.row_meta());
         let planes = scheme.decode(&asm.partial_row(), &meta, 7).unwrap();
         let mut direct = vec![f32::NAN; meta.original_len];
         scheme
-            .decode_runs(&row, row.n(), &meta, 7, &mut direct)
+            .decode_runs(&row, row.n(), row.meta().unwrap(), 7, &mut direct)
             .unwrap();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
         (bits(&planes), bits(&direct))
@@ -749,6 +762,7 @@ mod tests {
             frames[0].trim_to_depth(1).unwrap(); // trimmed
             frames.remove(1); // lost
             frames.push(pr.packets[0].clone()); // a full duplicate, later
+            frames.push(frames[0].clone()); // and a trimmed one after it
             let (planes, direct) = both_decodes(&pr, &frames);
             assert_eq!(planes, direct, "{scheme}");
         }
@@ -771,51 +785,38 @@ mod tests {
             })
             .collect();
         let mut frames = RowFrames::from_meta(&pr.meta, 360);
-        frames.ingest(&pr.packets[0]).unwrap();
-        // An assembler told the chunk geometry refuses exactly what the
-        // frames refuse, and keeps what it held.
-        let mut chunked = RowAssembler::from_meta(&pr.meta).with_chunks(360);
-        chunked.ingest(&pr.packets[0]).unwrap();
-        let held = |asm: &RowAssembler| {
-            let view = asm.partial_row();
-            let masks: Vec<Option<BitMask>> = view
-                .parts
-                .iter()
-                .map(|p| match p {
-                    PartView::Masked { present, .. } => Some(present.clone().into_owned()),
-                    _ => None,
-                })
-                .collect();
-            (masks, asm.parts.clone())
+        frames.ingest(Cow::Borrowed(&pr.packets[0])).unwrap();
+        let decoded = |frames: &RowFrames| {
+            let mut out = vec![0.0; row.len()];
+            let meta = frames.meta().unwrap();
+            let scheme = SchemeId::SignMagnitude;
+            scheme
+                .decode_runs(frames, frames.n(), meta, 0, &mut out)
+                .unwrap();
+            out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         };
-        let before = held(&chunked);
+        let before = decoded(&frames);
         for bad in &renumbered {
             let mut asm = RowAssembler::from_meta(&pr.meta);
             asm.ingest(bad).unwrap(); // the planes take any range inside the row
             assert_eq!(
-                frames.ingest(bad).unwrap_err(),
+                frames.ingest(Cow::Borrowed(bad)).unwrap_err(),
                 WireError::BadField("coord range")
             );
             assert_eq!(frames.coords_received(), 360, "chunk 0 as it was");
-            assert_eq!(
-                chunked.ingest(bad).unwrap_err(),
-                WireError::BadField("coord range")
-            );
-            assert_eq!(chunked.coords_received(), 360);
-            assert!(held(&chunked) == before, "the chunked assembler changed");
+            assert_eq!(decoded(&frames), before, "the row changed");
         }
         // Every frame on its chunk still joins, trimmed or not.
         let mut trimmed = pr.packets[2].clone();
         trimmed.trim_to_depth(1).unwrap();
         for frame in [&pr.packets[1], &trimmed] {
-            chunked.ingest(frame).unwrap();
-            frames.ingest(frame).unwrap();
+            frames.ingest(Cow::Borrowed(frame)).unwrap();
         }
-        assert_eq!(chunked.coords_received(), frames.coords_received());
-        assert!(chunked.heads_complete() && !chunked.is_complete());
+        assert!(frames.heads_complete());
         // A row read with another scheme's geometry is refused, not decoded.
         let mut out = vec![0.0; row.len()];
-        let err = SchemeId::Stochastic.decode_runs(&frames, frames.n(), frames.meta(), 0, &mut out);
+        let meta = frames.meta().unwrap();
+        let err = SchemeId::Stochastic.decode_runs(&frames, frames.n(), meta, 0, &mut out);
         assert!(matches!(
             err,
             Err(DecodeError::LengthMismatch { part: 1, .. })

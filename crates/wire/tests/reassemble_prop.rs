@@ -9,14 +9,21 @@
 //! not from its masks, so after *every* ingest the counters are checked
 //! against a recount: a per-part `Vec<bool>` model filled from the packets
 //! the assembler accepted.
+//!
+//! The receive path, [`RowFrames`], is held to that plane oracle: it takes
+//! every event too, built without its metadata, which arrives first, last
+//! or never. After every event it must accept or refuse exactly what the
+//! assembler did and give the same head counts, and at the end its frames,
+//! read in place, must decode to the assembler's bits.
 
 use proptest::prelude::*;
+use std::borrow::Cow;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_quant::scheme::PartView;
 use trimgrad_quant::SchemeId;
 use trimgrad_wire::packet::{GradPacket, NetAddrs};
-use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
-use trimgrad_wire::reassemble::RowAssembler;
+use trimgrad_wire::packetize::{coords_per_packet, packetize_row, PacketizeConfig};
+use trimgrad_wire::reassemble::{RowAssembler, RowFrames};
 
 fn cfg() -> PacketizeConfig {
     PacketizeConfig {
@@ -105,14 +112,18 @@ proptest! {
     ///   of what was accepted — so a rejected frame changes none of them, and
     ///   duplicates and re-deliveries at other depths are not counted twice;
     /// * the final decode equals, bit for bit, the decode of an assembler
-    ///   fed only the least-trimmed surviving copy of each packet.
+    ///   fed only the least-trimmed surviving copy of each packet;
+    /// * a `RowFrames` fed the same events, its metadata at `meta_at` (0
+    ///   first, 1 last, 2 never), returns the assembler's `Ok`/`Err` and head
+    ///   counts after every event and decodes to the assembler's bits.
     #[test]
     fn adversarial_interleavings_keep_assembler_sound(
         scheme_idx in 0usize..SchemeId::ALL.len(),
         len in 1usize..900,
         seed in any::<u64>(),
         shuffle_seed in any::<u64>(),
-        fates in proptest::collection::vec(0u8..=14, 1..32)
+        fates in proptest::collection::vec(0u8..=14, 1..32),
+        meta_at in 0u8..3
     ) {
         let scheme_id = SchemeId::ALL[scheme_idx];
         let data = row(len, seed);
@@ -166,14 +177,24 @@ proptest! {
 
         let mut asm = RowAssembler::new(scheme_id, c.msg_id, c.row_id, len);
         asm.ingest_meta(&pr.meta).expect("meta matches");
+        let per_packet = coords_per_packet(scheme_id.part_bits(), c.mtu).expect("fits");
+        let mut frames =
+            RowFrames::new(scheme_id, c.epoch, c.msg_id, c.row_id, len, per_packet);
+        if meta_at == 0 {
+            frames.ingest_meta(&pr.meta).expect("meta matches");
+        }
         let mut model: Model = vec![vec![false; asm.n()]; n_parts];
         assert_counters_match(&asm, &model)?;
         let mut prev = availability(&asm);
         for ev in &events {
             // Hostile events return Err; none may panic.
-            if asm.ingest(ev).is_ok() {
+            let accepted = asm.ingest(ev);
+            if accepted.is_ok() {
                 record(&mut model, ev);
             }
+            prop_assert_eq!(frames.ingest(Cow::Borrowed(ev)), accepted);
+            prop_assert_eq!(frames.coords_received(), asm.coords_received());
+            prop_assert_eq!(frames.heads_complete(), asm.heads_complete());
             assert_counters_match(&asm, &model)?;
             let now = availability(&asm);
             prop_assert!(now >= prev, "availability shrank: {now} < {prev}");
@@ -207,6 +228,18 @@ proptest! {
                 b.to_bits(),
                 "interleaving changed the decode"
             );
+        }
+
+        if meta_at == 1 {
+            frames.ingest_meta(&pr.meta).expect("meta matches");
+        }
+        prop_assert_eq!(frames.meta().is_some(), meta_at < 2);
+        let mut direct = vec![f32::NAN; len];
+        scheme_id
+            .decode_runs(&frames, frames.n(), &pr.meta.row_meta(), seed, &mut direct)
+            .expect("decodable");
+        for (a, b) in direct.iter().zip(&got) {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "the frames decode otherwise");
         }
     }
 }

@@ -16,9 +16,9 @@
 //! `TrimmablePipeline::encode` allocates nothing of 64 KiB or more but the
 //! packet vector it returns and one rotation scratch per pool stripe, and
 //! `TrimmablePipeline::decode` nothing but the output it returns — no
-//! whole-row plane or reassembly buffer on either side. On the ring's receive
-//! path, the view a `RowAssembler` hands the decoder lends its presence
-//! masks instead of copying them.
+//! whole-row plane or reassembly buffer on either side. The plane view a
+//! `RowAssembler` (the receive path's test oracle) hands the decoder lends
+//! its presence masks instead of copying them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
