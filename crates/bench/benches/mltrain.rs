@@ -2,15 +2,16 @@
 //! `BENCHMARK.json` pins (`train_fabric`, `train_inject`; batch 32): the
 //! forward pass alone, forward + backward into the flat gradient, the
 //! forward product of every layer (and of the evaluation batch), the three
-//! matrix products one at a time at `train_inject`'s widest layer, and
-//! `train_inject`'s whole in-memory exchange of four workers' gradients
-//! (SQ, rows of 2¹⁵, 10 % trim). Lands in `BENCH_mltrain.json` under CI's
-//! bench smoke job.
+//! matrix products and the two ReLU masks one at a time at `train_inject`'s
+//! widest layer, and `train_inject`'s whole in-memory exchange of four
+//! workers' gradients (SQ, rows of 2¹⁵, 10 % trim). Lands in
+//! `BENCH_mltrain.json` under CI's bench smoke job.
 
 use std::hint::black_box;
 use trimgrad::collective::hooks::{AggregateHook, TrimmableHook};
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::mltrain::data::{gaussian_mixture, sample_indices};
+use trimgrad::mltrain::layers::{relu, relu_backward};
 use trimgrad::mltrain::{Matrix, Mlp};
 use trimgrad::quant::SchemeId;
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
@@ -72,7 +73,7 @@ fn draw(rows: usize, cols: usize, relu: bool, rng: &mut Xoshiro256StarStar) -> M
 /// and of `train_inject`'s widest layer over the 400-row test set the
 /// trainer evaluates; then the three products of that widest layer (512 →
 /// 512, batch 32) on their own: forward, `dx = dy·W` and `dw += dyᵀ·x`, with
-/// `dy` ReLU-sparse.
+/// `dy` ReLU-sparse; then that layer's ReLU forward and backward.
 fn bench_products(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     const WIDTH: usize = 512;
     const EVAL_ROWS: usize = 400;
@@ -100,6 +101,22 @@ fn bench_products(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     g.bench("matmul_32x512x512_relu", || dy.matmul(black_box(&w)));
     g.bench("t_matmul_acc_32x512x512_relu", || {
         dy.t_matmul_acc(black_box(&x), &mut dw);
+    });
+
+    // The two ReLU masks over that layer's activations: `relu` on a fresh
+    // copy of random-sign input each time (in place, a second pass would
+    // find no negatives left), `relu_backward` with about half of the
+    // activations zero.
+    let mut h = x.clone();
+    g.throughput(Throughput::Elements((BATCH * WIDTH) as u64));
+    g.bench("relu_32x512", || {
+        h.as_mut_slice().copy_from_slice(x.as_slice());
+        relu(black_box(&mut h));
+    });
+    let act = draw(BATCH, WIDTH, true, &mut rng);
+    let mut grad = draw(BATCH, WIDTH, false, &mut rng);
+    g.bench("relu_backward_32x512", || {
+        relu_backward(black_box(&act), &mut grad);
     });
     records.extend(g.finish());
 }

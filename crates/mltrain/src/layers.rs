@@ -66,24 +66,28 @@ impl Linear {
     }
 }
 
-/// ReLU forward, in place.
+/// ReLU forward, in place: negatives become `+0.0`; `-0.0` and NaN pass
+/// through unchanged.
+///
+/// The mask is a select, not a branch: whether an activation is negative is
+/// a coin flip per element, so a branch would mispredict about every other
+/// time, where the select compiles to a vector compare and mask. It is not
+/// `f32::max(0.0)`, which turns NaN into `0.0` and may return either zero
+/// for `-0.0`, so it would change bits.
 pub fn relu(x: &mut Matrix) {
     for v in x.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
 }
 
 /// ReLU backward, in place: zeroes `dy` wherever the ReLU's input was ≤ 0.
 /// `act` is the ReLU's *output*, which is ≤ 0 exactly where its input was
 /// (negatives became `0.0`; `-0.0` and NaN pass through [`relu`] unchanged),
-/// so the pre-activations need not be kept.
+/// so the pre-activations need not be kept. A select like [`relu`]'s, for
+/// the same reason: about half of the activations are zero, at random.
 pub fn relu_backward(act: &Matrix, dy: &mut Matrix) {
     for (d, &a) in dy.as_mut_slice().iter_mut().zip(act.as_slice()) {
-        if a <= 0.0 {
-            *d = 0.0;
-        }
+        *d = if a <= 0.0 { 0.0 } else { *d };
     }
 }
 
@@ -157,17 +161,52 @@ mod tests {
         assert_eq!(l.param_count(), 18);
     }
 
+    /// ReLU's bits on the values where a select, `f32::max` and a branch
+    /// can differ: each input, what [`relu`] makes of it, and whether
+    /// [`relu_backward`] keeps `dy` where it is the activation.
+    const RELU_CASES: [(f32, f32, bool); 11] = [
+        (0.0, 0.0, false),
+        (-0.0, -0.0, false),
+        (f32::NAN, f32::NAN, true),
+        (
+            f32::from_bits(0xffc0_0001),
+            f32::from_bits(0xffc0_0001),
+            true,
+        ),
+        (f32::INFINITY, f32::INFINITY, true),
+        (f32::NEG_INFINITY, 0.0, false),
+        (f32::from_bits(1), f32::from_bits(1), true),
+        (f32::from_bits(0x8000_0001), 0.0, false),
+        (2.5, 2.5, true),
+        (-1.5, 0.0, false),
+        (f32::MIN_POSITIVE, f32::MIN_POSITIVE, true),
+    ];
+
+    /// Every case at every position of rows of lengths that run both the
+    /// vectorised body and its remainder, compared bit for bit.
     #[test]
-    fn relu_and_its_gradient() {
-        let x = Matrix::from_vec(1, 5, vec![-1.0, 0.0, 2.0, -0.0, f32::NAN]);
-        let mut y = x.clone();
-        relu(&mut y);
-        assert_eq!(y.as_slice()[..4], [0.0, 0.0, 2.0, 0.0]);
-        // The mask taken from the output equals the one the input gives.
-        for mask in [&x, &y] {
-            let mut d = Matrix::from_vec(1, 5, vec![1.0; 5]);
-            relu_backward(mask, &mut d);
-            assert_eq!(d.as_slice(), &[0.0, 0.0, 1.0, 0.0, 1.0]);
+    fn relu_and_its_gradient_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for len in [1, 3, 4, 5, 8, 17, 33, 512] {
+            for shift in 0..RELU_CASES.len() {
+                let case = |i: usize| RELU_CASES[(i + shift) % RELU_CASES.len()];
+                let x = Matrix::from_vec(1, len, (0..len).map(|i| case(i).0).collect());
+                let mut y = x.clone();
+                relu(&mut y);
+                let want: Vec<u32> = (0..len).map(|i| case(i).1.to_bits()).collect();
+                assert_eq!(bits(&y), want, "relu, length {len}, shift {shift}");
+
+                let dy = Matrix::from_vec(1, len, (0..len).map(|i| -(i as f32) - 1.0).collect());
+                let want: Vec<u32> = (0..len)
+                    .map(|i| if case(i).2 { dy.as_slice()[i] } else { 0.0 }.to_bits())
+                    .collect();
+                // The mask taken from the output equals the one the input gives.
+                for act in [&x, &y] {
+                    let mut d = dy.clone();
+                    relu_backward(act, &mut d);
+                    assert_eq!(bits(&d), want, "relu_backward, length {len}, shift {shift}");
+                }
+            }
         }
     }
 

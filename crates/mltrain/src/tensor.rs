@@ -29,6 +29,14 @@
 //! `dy`. That is not a pure optimisation — `0 · ∞` and `0 · NaN` are NaN — so
 //! the forward product, which must carry a non-finite weight into the loss,
 //! is dense.
+//!
+//! The skip is a branch-free compaction, not a branch: every entry is
+//! written into the next free slot of its group, and the slot is kept only
+//! if the entry is non-zero, so a zero is overwritten by the entry after
+//! it. Which entries ReLU zeroed is a coin flip per element, so a branch on
+//! them would mispredict about every other time. The ReLU masks themselves
+//! ([`relu`](crate::layers::relu), [`relu_backward`](crate::layers::relu_backward))
+//! are selects for the same reason.
 
 use trimgrad_quant::fcmp;
 
@@ -215,7 +223,8 @@ const GROUP: usize = 8;
 /// [zero rule](self#the-zero-rule)).
 ///
 /// Row `i` of `out` receives `A[i,p] · B[p,:]` for `p` ascending. The kernel
-/// holds the next [`GROUP`] of them that the zero rule keeps and adds the
+/// holds the next [`GROUP`] of them that the zero rule keeps (each candidate
+/// is stored, and counted only if `A[i,p]` is non-zero) and adds the
 /// whole group in one pass over the row, `o = ((o + a₀b₀) + a₁b₁) + … +
 /// a₇b₇`; a short last group is added one row axpy at a time. Either way
 /// every output element receives the same products, each rounded on its
@@ -232,11 +241,8 @@ fn accumulate_product(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
     for (orow, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
         let mut len = 0;
         for (&a, brow) in arow.iter().zip(b.chunks_exact(n)) {
-            if fcmp::exactly_zero(a) {
-                continue;
-            }
             held[len] = (a, brow);
-            len += 1;
+            len += usize::from(!fcmp::exactly_zero(a));
             if len == GROUP {
                 add_group(orow, &held);
                 len = 0;
