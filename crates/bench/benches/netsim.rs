@@ -15,6 +15,10 @@
 //! time-series sampler enabled (the configuration the fleet scenario runs
 //! with), so the instrumentation cost is on record beside the bare run.
 //!
+//! The `routes` group times `Topology::build_routes_towards` toward every
+//! host of a k=16 (1 024 hosts) and a k=24 (3 456 hosts) fat-tree: the
+//! table a full-fabric workload builds once, before its first round.
+//!
 //! [`EventQueue`]: trimgrad::netsim::event::EventQueue
 
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
@@ -189,6 +193,27 @@ fn bench_sampling(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     records.extend(g.finish());
 }
 
+/// Route-table builds toward every host of a fat-tree.
+fn bench_routes(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    let mut g = Group::new("routes");
+    opts.configure(&mut g);
+    g.quick();
+    for k in [16usize, 24] {
+        let (topo, hosts) = Topology::fat_tree(
+            k,
+            gbps(100.0),
+            gbps(100.0),
+            SimTime::from_micros(1),
+            QueuePolicy::trim_default(),
+        );
+        g.throughput(Throughput::Elements(hosts.len() as u64));
+        g.bench(&format!("build_towards_all_hosts_k{k}"), || {
+            topo.build_routes_towards(&hosts)
+        });
+    }
+    records.extend(g.finish());
+}
+
 fn main() {
     let opts = BenchOpts::from_args();
     let mut records = Vec::new();
@@ -196,5 +221,6 @@ fn main() {
     bench_incast(&opts, &mut records);
     bench_scale(&opts, &mut records);
     bench_sampling(&opts, &mut records);
+    bench_routes(&opts, &mut records);
     opts.write("netsim", &records);
 }

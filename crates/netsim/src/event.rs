@@ -289,7 +289,9 @@ impl Lane {
 ///   order (see `Lane`);
 /// * `buckets` — unsorted `Vec`s for windows in `(cur_window, cur_window + n)`
 ///   (O(1) insertion, the hot path); a bucket holds exactly one window at a
-///   time, recorded in `bucket_window`;
+///   time, recorded in `bucket_window`, and owns an allocation only while it
+///   does — a drained bucket's `Vec` goes to `spare` for the next bucket to
+///   start filling;
 /// * `overflow` — a heap for events at or beyond the wheel horizon when they
 ///   were scheduled; never behind the active window.
 ///
@@ -317,6 +319,12 @@ pub struct EventQueue {
     occupied: Vec<u64>,
     /// Events in `buckets` (not counting the lane or `overflow`).
     wheel_len: usize,
+    /// Empty `Vec`s with capacity, handed back by drained buckets. A run
+    /// crosses each window once, so a bucket that kept its own allocation
+    /// would hold it until the queue is dropped; recycled, the queue owns
+    /// only as many as were ever occupied at once. Pre-sized to the bucket
+    /// count, which bounds it, so pushing never allocates.
+    spare: Vec<Vec<Event>>,
     /// Window index of the active window: that of the last event fired.
     cur_window: u64,
     /// The events whose window is `cur_window`.
@@ -366,6 +374,7 @@ impl EventQueue {
             bucket_window: vec![0u64; n_buckets],
             occupied: vec![0u64; n_buckets.div_ceil(64)],
             wheel_len: 0,
+            spare: Vec::with_capacity(n_buckets),
             cur_window: 0,
             lane: Lane::new(bucket_shift),
             overflow: BinaryHeap::new(),
@@ -407,6 +416,9 @@ impl EventQueue {
             if self.buckets[b].is_empty() {
                 self.bucket_window[b] = w;
                 self.occupied[b / 64] |= 1u64 << (b % 64);
+                if let Some(spare) = self.spare.pop() {
+                    self.buckets[b] = spare;
+                }
             }
             // Window-purity: a resident window within the horizon that maps
             // to `b` can only be `w` itself (they would be congruent mod n
@@ -461,12 +473,12 @@ impl EventQueue {
         self.cur_window = self.bucket_window[b];
         self.occupied[b / 64] &= !(1u64 << (b % 64));
         self.wheel_len -= self.buckets[b].len();
-        // The bucket keeps its allocation for the next window that maps here.
+        // The drained `Vec` is recycled by whichever bucket fills next.
         let mut bucket = std::mem::take(&mut self.buckets[b]);
         for event in bucket.drain(..) {
             self.lane.push(event);
         }
-        self.buckets[b] = bucket;
+        self.spare.push(bucket);
     }
 
     /// Removes and returns the earliest event.
@@ -728,6 +740,39 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![1, 2]);
+    }
+
+    #[test]
+    fn drained_buckets_hand_their_allocation_on() {
+        // 300 windows — more than the 256 buckets, so every bucket is used —
+        // with at most two pending at once: the one being drained and the
+        // next. What the buckets and the spares hold stays a small multiple
+        // of the largest window, not a sum over every window crossed.
+        let mut q = EventQueue::new();
+        let width = 1u64 << DEFAULT_BUCKET_SHIFT;
+        let mut largest = 0;
+        for w in 1..=300u64 {
+            let count = 1 + w * 7 % 32;
+            largest = largest.max(count as usize);
+            for i in 0..count {
+                q.schedule(SimTime(w * width + i * 97), timer(0, i));
+            }
+            while q.peek_time().is_some_and(|t| t.0 < w * width) {
+                let _ = q.pop();
+            }
+            let held: usize = q.buckets.iter().chain(&q.spare).map(Vec::capacity).sum();
+            assert!(
+                held <= 4 * largest,
+                "window {w}: buckets and spares hold {held} events of capacity, largest window {largest}"
+            );
+        }
+        assert_eq!(
+            q.spare.capacity(),
+            DEFAULT_N_BUCKETS,
+            "the spare stack never grew"
+        );
+        while q.pop().is_some() {}
+        assert_eq!(q.total_fired(), q.total_scheduled());
     }
 
     #[test]

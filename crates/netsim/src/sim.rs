@@ -822,6 +822,17 @@ mod tests {
     }
 
     #[test]
+    fn destination_outside_the_topology_counts_as_drop() {
+        let (t, a, _) = line_topology(QueuePolicy::trim_default());
+        let mut sim = Simulator::new(t);
+        sim.install_app(a, Box::new(BulkSenderApp::new(NodeId(999), 3000, 1500, 1)));
+        sim.run_until(SimTime::from_millis(1));
+        assert_eq!(sim.stats().delivered_packets(), 0);
+        assert_eq!(sim.stats().dropped_total(), 2);
+        assert!(sim.conservation_holds());
+    }
+
+    #[test]
     fn telemetry_snapshot_matches_stats_and_is_idempotent() {
         // Fast ingress, slow egress: the switch queue must overflow and trim.
         let mut t = Topology::new();

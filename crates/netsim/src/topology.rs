@@ -2,7 +2,8 @@
 //!
 //! Nodes are hosts (run apps, terminate packets) or switches (forward with a
 //! [`QueuePolicy`]). Links are bidirectional and symmetric. Routing is
-//! shortest-path, precomputed by BFS from every destination; when several
+//! shortest-path, precomputed by BFS toward every destination (a host shares
+//! its access switch's BFS, see [`Routes`]); when several
 //! neighbors lie on equal-length paths the forwarding choice is ECMP by flow
 //! hash, so one flow always takes one path (no reordering by routing) while
 //! different flows spread across the fabric.
@@ -149,11 +150,16 @@ impl Topology {
         self.build_routes_towards(&all)
     }
 
-    /// Precomputes routes toward the given destinations only — one BFS per
-    /// destination, `O(dsts × (nodes + links))` time and memory. Packets to
-    /// any other destination are treated as unroutable (dropped at the first
-    /// switch), so `dsts` must cover every node the installed workload
-    /// addresses.
+    /// Precomputes routes toward the given destinations only, in
+    /// `O(columns × (nodes + links))` time and memory. Packets to any other
+    /// destination are treated as unroutable (dropped at their source), so
+    /// `dsts` must cover every node the installed workload addresses.
+    ///
+    /// A destination with exactly one link shares the column of the node at
+    /// its other end, its *access node* — every host of a fat-tree shares its
+    /// edge switch's — so the table grows with switches, not with hosts. Any
+    /// other destination gets a column of its own, one BFS each. See
+    /// [`Routes`] for why the shared column answers exactly.
     ///
     /// # Panics
     ///
@@ -163,20 +169,48 @@ impl Topology {
         let n = self.len();
         // trimlint: allow(no-panic) -- build-time conversion; the table is u32-indexed by design, like `DensePortTable`
         let narrow = |v: usize| u32::try_from(v).expect("routing table index fits u32");
-        let mut dst_slot = vec![NO_SLOT; n];
-        let mut offsets = Vec::with_capacity(dsts.len() * n + 1);
+        let mut targets = vec![
+            Target {
+                column: NO_SLOT,
+                access: NO_SLOT,
+                id: NO_SLOT,
+            };
+            n
+        ];
+        // One column per BFS root, in order of first use.
+        let mut roots = Vec::new();
+        let mut root_column = vec![NO_SLOT; n];
+        for &dst in dsts {
+            assert!(
+                targets[dst.0].column == NO_SLOT,
+                "duplicate destination {dst}"
+            );
+            let access = match self.adj[dst.0].as_slice() {
+                [(s, _)] if *s != dst => Some(s.0),
+                _ => None,
+            };
+            let root = access.unwrap_or(dst.0);
+            if root_column[root] == NO_SLOT {
+                root_column[root] = narrow(roots.len());
+                roots.push(root);
+            }
+            targets[dst.0] = Target {
+                column: root_column[root],
+                access: access.map_or(NO_SLOT, narrow),
+                id: narrow(dst.0),
+            };
+        }
+        let mut offsets = Vec::with_capacity(roots.len() * n + 1);
         offsets.push(0u32);
         let mut hops: Vec<u32> = Vec::new();
         let mut dist = vec![u32::MAX; n];
         let mut frontier = std::collections::VecDeque::new();
         let mut set = Vec::new();
-        for (slot, &dst) in dsts.iter().enumerate() {
-            assert!(dst_slot[dst.0] == NO_SLOT, "duplicate destination {dst}");
-            dst_slot[dst.0] = narrow(slot);
-            // BFS from the destination over the undirected graph.
+        for &root in &roots {
+            // BFS from the root over the undirected graph.
             dist.fill(u32::MAX);
-            dist[dst.0] = 0;
-            frontier.push_back(dst.0);
+            dist[root] = 0;
+            frontier.push_back(root);
             while let Some(u) = frontier.pop_front() {
                 for &(v, _) in &self.adj[u] {
                     if dist[v.0] == u32::MAX {
@@ -185,9 +219,9 @@ impl Topology {
                     }
                 }
             }
-            // Next hops: neighbors strictly closer to dst.
+            // Next hops: neighbors strictly closer to the root.
             for node in 0..n {
-                if node != dst.0 && dist[node] != u32::MAX {
+                if node != root && dist[node] != u32::MAX {
                     set.extend(
                         self.adj[node]
                             .iter()
@@ -203,7 +237,7 @@ impl Topology {
         }
         Routes {
             n,
-            dst_slot,
+            targets,
             offsets,
             hops,
         }
@@ -317,24 +351,45 @@ impl Topology {
     }
 }
 
-/// `dst_slot` entry of a destination the table has no column for.
+/// "None" in a [`Target`] field.
 const NO_SLOT: u32 = u32::MAX;
+
+/// How a [`Routes`] table answers for one destination.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    /// Dense column index — the destination's own or its access node's —
+    /// or [`NO_SLOT`] if the table was not built toward it.
+    column: u32,
+    /// The access node whose column the destination shares, [`NO_SLOT`] if
+    /// the column is its own.
+    access: u32,
+    /// The destination's id, so the one-hop set `[dst]` at `access` is a
+    /// slice of the table.
+    id: u32,
+}
 
 /// Precomputed shortest-path routing with deterministic ECMP.
 ///
 /// Stored in compressed-sparse-row form: all next-hop sets live in one flat
-/// `hops` arena, bracketed by `offsets[slot * n + node]` where `slot` is the
-/// destination's dense column index. A table built by
+/// `hops` arena, bracketed by `offsets[column * n + node]` where `column` is
+/// a dense column index. A table built by
 /// [`Topology::build_routes_towards`] only has columns for the requested
 /// destinations, which is what makes thousand-host fabrics affordable; ids
 /// are stored as `u32` (narrowed once, at build time) because the table is
 /// the largest thing a big simulation keeps resident.
+///
+/// A destination `h` whose one link leads to `s` shares `s`'s column, and
+/// the answer is exact: the set at `h` is empty, the set at `s` is `[h]`,
+/// and every other node `X` reaches `h` only through `s`, so
+/// `d(X, h) = d(X, s) + 1` for `X` and for each of its neighbors (none of
+/// which is `h`) — the neighbors one step closer to `h` are exactly those
+/// one step closer to `s`, link for link and in the same order.
 #[derive(Debug, Clone)]
 pub struct Routes {
     /// Node count of the topology the table was built over.
     n: usize,
-    /// `dst_slot[dst]` = dense column index, [`NO_SLOT`] if no column.
-    dst_slot: Vec<u32>,
+    /// Per destination node: its column and access node.
+    targets: Vec<Target>,
     /// CSR row offsets into `hops`, length `columns * n + 1`.
     offsets: Vec<u32>,
     /// Concatenated ECMP sets, each sorted by node id.
@@ -367,15 +422,21 @@ impl EcmpSet<'_> {
 }
 
 impl Routes {
-    /// The ECMP set at `node` toward `dst` (empty when unreachable or when
-    /// the table was not built toward `dst`).
+    /// The ECMP set at `node` toward `dst` (empty at `dst` itself, when
+    /// unreachable, or when the table was not built toward `dst` — a `dst`
+    /// outside the topology included).
     #[must_use]
     pub fn ecmp_set(&self, node: NodeId, dst: NodeId) -> EcmpSet<'_> {
-        let slot = self.dst_slot[dst.0];
-        if slot == NO_SLOT {
+        let Some(target) = self.targets.get(dst.0) else {
+            return EcmpSet(&[]);
+        };
+        if target.column == NO_SLOT || node == dst {
             return EcmpSet(&[]);
         }
-        let row = slot as usize * self.n + node.0;
+        if node.0 == target.access as usize {
+            return EcmpSet(std::slice::from_ref(&target.id));
+        }
+        let row = target.column as usize * self.n + node.0;
         let (lo, hi) = (self.offsets[row] as usize, self.offsets[row + 1] as usize);
         EcmpSet(&self.hops[lo..hi])
     }
