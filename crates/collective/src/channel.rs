@@ -146,9 +146,11 @@ impl TrimmingChannel {
     /// meet their fates ([`TrimInjector::draw_row_fates`]), and the decoder
     /// reads it chunk by chunk
     /// ([`StagedRow::chunks`](trimgrad_quant::StagedRow::chunks)): each
-    /// chunk's surviving parts are packed into a small buffer as the
-    /// decoder reaches them, so no plane or mask is built and a part a fate
-    /// cut is never packed. Bit for bit, and fate for fate, the row decodes
+    /// chunk's surviving parts that the decoder reads are packed into a
+    /// small buffer as the decoder reaches them, so no plane or mask is
+    /// built, and neither a part a fate cut nor one the decoder skips is
+    /// packed — an SQ/SD row draws only for its trimmed chunks' heads and
+    /// jumps its draw stream over the rest. Bit for bit, and fate for fate, the row decodes
     /// as its encoded planes viewed through
     /// [`EncodedRow::view_with_runs`](trimgrad_quant::EncodedRow::view_with_runs)
     /// do. Past the first rows the channel allocates nothing row-sized.

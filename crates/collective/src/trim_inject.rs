@@ -84,12 +84,21 @@ fn row_chunks(scheme: SchemeId, n: usize) -> impl Iterator<Item = Range<usize>> 
 }
 
 /// Per-packet random trim/drop injector.
+///
+/// The probabilities are checked where they are set ([`new`](Self::new),
+/// [`with_drop_prob`](Self::with_drop_prob)) and cannot be assigned
+/// around those checks:
+///
+/// ```compile_fail,E0616
+/// use trimgrad_collective::trim_inject::TrimInjector;
+///
+/// let mut injector = TrimInjector::new(0.1, 7);
+/// injector.drop_prob = f64::NAN;
+/// ```
 #[derive(Debug, Clone)]
 pub struct TrimInjector {
-    /// Probability a packet is trimmed.
-    pub trim_prob: f64,
-    /// Probability a packet is dropped outright.
-    pub drop_prob: f64,
+    trim_prob: f64,
+    drop_prob: f64,
     rng: Xoshiro256StarStar,
 }
 
@@ -131,6 +140,18 @@ impl TrimInjector {
         assert!(self.trim_prob + p <= 1.0, "trim + drop probability > 1");
         self.drop_prob = p;
         self
+    }
+
+    /// Probability a packet is trimmed to its heads.
+    #[must_use]
+    pub fn trim_prob(&self) -> f64 {
+        self.trim_prob
+    }
+
+    /// Probability a packet is dropped outright.
+    #[must_use]
+    pub fn drop_prob(&self) -> f64 {
+        self.drop_prob
     }
 
     /// Draws one fate per [`packet_chunks`] chunk of `enc`, in chunk order,
@@ -371,6 +392,18 @@ mod tests {
     #[should_panic(expected = "trim + drop probability > 1")]
     fn rejects_inconsistent_probabilities() {
         let _ = TrimInjector::new(0.8, 0).with_drop_prob(0.3);
+    }
+
+    #[test]
+    #[should_panic(expected = "drop_prob out of range")]
+    fn rejects_a_nan_drop_probability() {
+        let _ = TrimInjector::new(0.1, 0).with_drop_prob(f64::NAN);
+    }
+
+    #[test]
+    fn reports_the_probabilities_it_was_built_with() {
+        let inj = TrimInjector::new(0.25, 3).with_drop_prob(0.5);
+        assert_eq!((inj.trim_prob(), inj.drop_prob()), (0.25, 0.5));
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! shared generator with "a combination of training epoch number and
 //! collective communication message ID": see [`derive_seed`].
 
+use std::sync::OnceLock;
+
 /// SplitMix64: a fixed-increment 64-bit generator (Steele, Lea, Flood 2014).
 ///
 /// Primarily used to expand a single `u64` seed into the larger state of
@@ -89,6 +91,15 @@ impl Xoshiro256StarStar {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        self.step();
+        result
+    }
+
+    /// The state transition alone: what [`next_u64`](Self::next_u64) does
+    /// to the state. It is linear over GF(2), which is what
+    /// [`advance`](Self::advance) relies on.
+    #[inline]
+    fn step(&mut self) {
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -96,7 +107,46 @@ impl Xoshiro256StarStar {
         self.s[0] ^= self.s[3];
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
-        result
+    }
+
+    /// Skips the next `n` outputs: afterwards the generator is where `n`
+    /// calls to [`next_u64`](Self::next_u64) would have left it, and so
+    /// produces the same sequence from there.
+    ///
+    /// The state transition is a linear map `T` on GF(2)²⁵⁶, so skipping is
+    /// one matrix–vector product with `T^(2^i)` per set bit `i ≥ 6` of `n`,
+    /// and the last `n mod 64` outputs are stepped, which is cheaper than a
+    /// product. A skip of a few thousand outputs costs a few products. The
+    /// powers are built on first use, once per process, and kept: a skip
+    /// below 2¹⁵ builds at most nine of 8 KiB each.
+    // trimlint: hot-path -- the SQ/SD draw stream jumps over coordinates whose draws nothing reads
+    pub fn advance(&mut self, n: u64) {
+        let mut high = n >> STEPPED_BITS;
+        let mut below: Option<&Gf2Matrix> = None;
+        for power in &TRANSITION_POWERS {
+            if high == 0 {
+                break;
+            }
+            let power = power.get_or_init(|| match below {
+                None => core::array::from_fn(|j| {
+                    let mut unit = Xoshiro256StarStar { s: [0; 4] };
+                    unit.s[j / 64] = 1 << (j % 64);
+                    for _ in 0..1 << STEPPED_BITS {
+                        unit.step();
+                    }
+                    unit.s
+                }),
+                Some(half) => core::array::from_fn(|j| apply(half, &half[j])),
+            });
+            if high & 1 == 1 {
+                self.s = apply(power, &self.s);
+            }
+            below = Some(power);
+            high >>= 1;
+        }
+        for _ in 0..n & ((1 << STEPPED_BITS) - 1) {
+            self.step();
+        }
     }
 
     /// Returns a uniformly random `f32` in `[0, 1)` with 24 bits of precision.
@@ -130,6 +180,39 @@ impl Xoshiro256StarStar {
     }
 }
 
+/// The low bits of a skip that [`Xoshiro256StarStar::advance`] steps
+/// rather than jumps: stepping 2⁶ outputs costs about what one
+/// matrix–vector product does.
+const STEPPED_BITS: u32 = 6;
+
+/// A 256 × 256 matrix over GF(2), column by column: column `j` is the image
+/// of the state whose only set bit is bit `j % 64` of word `j / 64`.
+type Gf2Matrix = [[u64; 4]; 256];
+
+/// `T^(2^i)` for each `i ≥ STEPPED_BITS`, lowest first, where `T` is the
+/// xoshiro256 state transition: the first is built column by column by
+/// stepping each unit state, every later one as the square of the one
+/// before it.
+static TRANSITION_POWERS: [OnceLock<Gf2Matrix>; 64 - STEPPED_BITS as usize] =
+    [const { OnceLock::new() }; 64 - STEPPED_BITS as usize];
+
+/// The matrix–vector product `m · v` over GF(2): the XOR of the columns of
+/// `m` at the set bits of `v`.
+fn apply(m: &Gf2Matrix, v: &[u64; 4]) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    for (k, &word) in v.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let column = &m[k * 64 + bits.trailing_zeros() as usize];
+            for (o, c) in out.iter_mut().zip(column) {
+                *o ^= c;
+            }
+            bits &= bits - 1;
+        }
+    }
+    out
+}
+
 /// Derives the shared per-message seed from the protocol context.
 ///
 /// The paper's prototype "sets `torch.cuda.manual_seed` with a combination
@@ -151,6 +234,7 @@ pub fn derive_seed(base_seed: u64, epoch: u64, message_id: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Reference values from the SplitMix64 C reference implementation,
     /// seed = 1234567.
@@ -245,6 +329,87 @@ mod tests {
         let w1 = y.next_u64().to_le_bytes();
         assert_eq!(&buf[..8], &w0);
         assert_eq!(&buf[8..13], &w1[..5]);
+    }
+
+    /// `n` outputs skipped the slow way.
+    fn stepped(mut x: Xoshiro256StarStar, n: u64) -> Xoshiro256StarStar {
+        for _ in 0..n {
+            let _ = x.next_u64();
+        }
+        x
+    }
+
+    fn advanced(mut x: Xoshiro256StarStar, n: u64) -> Xoshiro256StarStar {
+        x.advance(n);
+        x
+    }
+
+    /// Skips around the stepped/jumped boundary (64), a packet's worth of
+    /// coordinates (350), a row (2¹⁵) and past any row.
+    const SKIPS: [u64; 12] = [
+        0,
+        1,
+        2,
+        63,
+        64,
+        65,
+        350,
+        351,
+        (1 << 15) - 1,
+        1 << 15,
+        (1 << 15) + 1,
+        (1 << 20) + 7,
+    ];
+
+    #[test]
+    fn advance_equals_stepping() {
+        let states = [
+            Xoshiro256StarStar::new(42),
+            Xoshiro256StarStar::new(0x5EED_CAFE),
+            Xoshiro256StarStar::new(u64::MAX),
+            // The seed guard's state.
+            Xoshiro256StarStar { s: [1, 2, 3, 4] },
+        ];
+        for x in states {
+            for n in SKIPS {
+                let (mut a, mut b) = (advanced(x.clone(), n), stepped(x.clone(), n));
+                assert_eq!(a, b, "state {:?}, skip {n}", x.s);
+                assert_eq!(a.next_u64(), b.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        let big = [
+            (1u64 << 40) + 12_345,
+            (1 << 62) + 3,
+            0x1EAD_BEEF_0000_0001,
+            99,
+        ];
+        let x = Xoshiro256StarStar::new(7);
+        for a in big {
+            for b in big {
+                let mut twice = advanced(x.clone(), a);
+                twice.advance(b);
+                assert_eq!(twice, advanced(x.clone(), a + b), "{a} + {b}");
+            }
+        }
+        // Every level, the top one included.
+        let mut b = advanced(x.clone(), u64::MAX - 1);
+        b.step();
+        assert_eq!(advanced(x, u64::MAX), b);
+    }
+
+    proptest! {
+        #[test]
+        fn advance_equals_stepping_from_any_state(
+            seed in any::<u64>(),
+            n in 0u64..70_000
+        ) {
+            let x = Xoshiro256StarStar::new(seed);
+            prop_assert_eq!(advanced(x.clone(), n), stepped(x, n));
+        }
     }
 
     #[test]

@@ -24,61 +24,54 @@
 //! Like SQ, the head is not a bit of the IEEE representation, so the tail
 //! carries the full 32-bit float (1 bit/coordinate overhead when untrimmed).
 
+use crate::draws::DrawStream;
 use crate::kernels;
 use crate::scheme::Run;
-use crate::stats::{std_dev, CLIP_SIGMAS};
-use trimgrad_hadamard::prng::Xoshiro256StarStar;
+use core::cell::RefCell;
+use core::ops::Range;
 
-/// The shared dither stream for a row under `seed`: `εᵢ ~ U(−L, L)`.
-///
-/// Both `encode` and `decode` must draw the dithers in coordinate order
-/// from the same generator, which this helper guarantees.
-fn dither_stream(seed: u64) -> Xoshiro256StarStar {
-    Xoshiro256StarStar::new(seed)
-}
-
-/// The row stage of a non-empty row: one dither per coordinate into
-/// `dithers`, in order, and `L`.
-///
-/// The dithers are collected up front from a `TrustedLen` iterator: the
-/// generator's state update is a serial chain, so running it tight and
-/// letting the add/compare work pipeline over the buffer beats
-/// interleaving them. The draw sequence is identical to a
-/// draw-per-coordinate loop (and to decode) because the draws don't depend
-/// on the data.
-pub(crate) fn stage(row: &[f32], seed: u64, dithers: &mut Vec<f32>) -> f32 {
-    let l = CLIP_SIGMAS * std_dev(row);
-    let mut rng = dither_stream(seed);
-    dithers.extend((0..row.len()).map(|_| rng.next_f32_range(-l, l)));
-    l
-}
-
-/// The range packer: part `part` of the coordinates whose values and
-/// dithers are `values` and `dithers`, into `dst`. Head bit 1 encodes the
-/// −L level.
-pub(crate) fn pack(part: usize, values: &[f32], dithers: &[f32], dst: &mut [u8]) {
-    match part {
-        0 => kernels::pack_bits_zip_into(values, dithers, |v, eps| v + eps < 0.0, dst),
-        _ => kernels::pack_f32_tails_into(values, dst),
+/// The range packer: part `part` of the row's coordinates `coords`, whose
+/// values are `values`, into `dst`. The heads pull their dithers
+/// `εᵢ ~ U(−L, L)`, `L = l`, from the row's stream `dithers`; head bit 1
+/// encodes the −L level.
+pub(crate) fn pack(
+    part: usize,
+    values: &[f32],
+    coords: Range<usize>,
+    dithers: &RefCell<DrawStream>,
+    l: f32,
+    dst: &mut [u8],
+) {
+    if part != 0 {
+        return kernels::pack_f32_tails_into(values, dst);
     }
+    dithers.borrow_mut().pull(
+        coords,
+        |rng| rng.next_f32_range(-l, l),
+        |block, eps| {
+            kernels::pack_bits_zip_into(
+                &values[block.clone()],
+                eps,
+                |v, eps| v + eps < 0.0,
+                &mut dst[block.start / 8..block.end.div_ceil(8)],
+            );
+        },
+    );
 }
 
 /// The run decoder, which carries the row's dither stream from run to run:
-/// one dither per coordinate, in coordinate order, as the encoder drew them
-/// — but only heads-only coordinates use theirs, so the stream is advanced
-/// lazily, up to the end of the last run that needs it. Runs must come in
-/// coordinate order.
+/// the encoder drew one dither per coordinate, in coordinate order, but
+/// only heads-only coordinates use theirs, so only heads-only runs pull
+/// theirs, and the stream jumps over the coordinates between them.
 pub(crate) struct Decoder {
-    rng: Xoshiro256StarStar,
-    drawn: usize,
+    dithers: DrawStream,
     l: f32,
 }
 
 impl Decoder {
     pub(crate) fn new(seed: u64, l: f32) -> Self {
         Self {
-            rng: dither_stream(seed),
-            drawn: 0,
+            dithers: DrawStream::new(seed),
             l,
         }
     }
@@ -89,14 +82,16 @@ impl Decoder {
         match run.depth {
             0 => dst.fill(0.0),
             1 => {
-                for _ in self.drawn..run.coords.start {
-                    let _ = self.rng.next_f32_range(-l, l);
-                }
-                self.drawn = run.coords.end;
                 kernels::decode_signs_scaled(signs, start, l, dst);
-                for q in dst {
-                    *q -= self.rng.next_f32_range(-l, l);
-                }
+                self.dithers.pull(
+                    run.coords.clone(),
+                    |rng| rng.next_f32_range(-l, l),
+                    |block, eps| {
+                        for (q, e) in dst[block].iter_mut().zip(eps) {
+                            *q -= e;
+                        }
+                    },
+                );
             }
             _ => kernels::unpack_f32_tails(tails, start, dst),
         }
@@ -105,9 +100,9 @@ impl Decoder {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::scheme::SchemeId;
     use proptest::prelude::*;
+    use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
     #[test]
     fn untrimmed_is_bit_exact() {

@@ -33,9 +33,11 @@
 //! [`SchemeId::encode`] returns. [`SchemeId::decode_runs`] decodes a row
 //! from runs of constant depth, which a [`PartialRow`] (see
 //! [`SchemeId::decode`]) or a packet-by-packet source yields. Each scheme's
-//! module holds its row stage, range packer and run decoder; the dispatch,
-//! the empty row, the row's geometry and the checks before decoding are
-//! written once, in [`scheme`].
+//! module holds its range packer and run decoder (and the RHT schemes'
+//! row stage); the dispatch, the empty row, the row's geometry, the parts
+//! each depth reads and the checks before decoding are written once, in
+//! [`scheme`]. SQ and SD pull one draw per coordinate from the row's draw
+//! stream, where a packer or decoder needs it.
 //!
 //! ```
 //! use trimgrad_quant::{PartView, PartialRow, SchemeId};
@@ -61,6 +63,7 @@
 
 pub mod bitpack;
 pub mod dither;
+mod draws;
 pub mod error;
 pub mod fcmp;
 pub mod kernels;

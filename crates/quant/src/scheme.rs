@@ -16,7 +16,9 @@
 //!   RHT rotation, the SQ draws or SD dithers, the scale). Its **range
 //!   packer** ([`StagedRow::pack_range`]) writes the fields of one part for
 //!   any coordinate range into bytes the caller gives it: a whole row's plane
-//!   or one packet's section, with nothing in between.
+//!   or one packet's section, with nothing in between. SQ/SD draws are
+//!   pulled from the row's stream as head packs need them, so a head that
+//!   is never packed is never drawn.
 //! * [`EncodedRow`] — the whole-row pack ([`SchemeId::encode`]): `k`
 //!   bit-packed **parts**, each holding one fixed-width field per coordinate,
 //!   plus small [`RowMeta`] shipped reliably (never trimmed).
@@ -36,12 +38,14 @@
 //! that reads each packet's sections where they lie
 //! (`trimgrad_wire::reassemble::RowFrames`, frames); and a staged row read
 //! chunk by chunk under known packet fates ([`StagedChunks`], staged
-//! chunks), which packs each chunk's surviving parts as the decoder reaches
-//! it.
+//! chunks), which packs each chunk's surviving parts that the decoder reads
+//! ([`SchemeId::parts_read`]) as the decoder reaches it.
 
 use crate::bitpack::{BitBuf, BitMask};
-use crate::stats::std_dev;
+use crate::draws::DrawStream;
+use crate::stats::{std_dev, CLIP_SIGMAS};
 use crate::{dither, multilevel, rht1bit, signmag, stochastic};
+use core::cell::RefCell;
 use core::ops::Range;
 use std::borrow::Cow;
 
@@ -102,6 +106,20 @@ impl SchemeId {
         }
     }
 
+    /// The parts the run decoder reads from a run of depth `depth` (≤ the
+    /// part count). SQ and SD decode a coordinate whose tail arrived from
+    /// the tail alone — it is the float itself — so at full depth they read
+    /// only the tail; every other depth, and every other scheme, reads the
+    /// whole prefix `0..depth`. A source that packs parts on demand
+    /// ([`StagedRow::chunks`]) packs these and no others.
+    #[must_use]
+    pub fn parts_read(self, depth: usize) -> Range<usize> {
+        match self {
+            SchemeId::Stochastic | SchemeId::SubtractiveDither if depth == 2 => 1..2,
+            _ => 0..depth,
+        }
+    }
+
     /// The encoded (padded) length of a row of `original_len` coordinates:
     /// the RHT schemes pad to the next power of two, the scalar schemes do
     /// not, and an empty row encodes an empty one.
@@ -137,8 +155,9 @@ impl SchemeId {
 
     /// The row stage of [`encode`](Self::encode): everything a part's
     /// fields are a function of, coordinate by coordinate — the padded RHT
-    /// rotation, the SQ draws or SD dithers (both into `scratch`), and the
-    /// row's scale. An empty row stages as empty, with scale 0.
+    /// rotation (into `scratch`), the SQ draws or SD dithers (a stream in
+    /// `scratch` that the packer pulls them from, where it needs them), and
+    /// the row's scale. An empty row stages as empty, with scale 0.
     pub fn stage<'a>(
         self,
         row: &'a [f32],
@@ -146,12 +165,11 @@ impl SchemeId {
         scratch: &'a mut RowScratch,
     ) -> StagedRow<'a> {
         let RowScratch { rotated, draws } = scratch;
-        draws.clear();
+        *draws.get_mut() = DrawStream::new(seed);
         let scale = match self {
             _ if row.is_empty() => 0.0,
             SchemeId::SignMagnitude => std_dev(row),
-            SchemeId::Stochastic => stochastic::stage(row, seed, draws),
-            SchemeId::SubtractiveDither => dither::stage(row, seed, draws),
+            SchemeId::Stochastic | SchemeId::SubtractiveDither => CLIP_SIGMAS * std_dev(row),
             SchemeId::RhtOneBit | SchemeId::MultiLevelRht => rht1bit::stage(row, seed, rotated),
         };
         let values = match self {
@@ -326,23 +344,29 @@ pub struct RowMeta {
     pub scale: f32,
 }
 
-/// Row-sized buffers of the row stage: the padded rotation of an RHT row,
-/// the draws of an SQ or SD row. A caller that stages row after row keeps
-/// one and allocates only when a row outgrows it.
+/// What the row stage keeps: the padded rotation of an RHT row, the draw
+/// stream of an SQ or SD row. A caller that stages row after row keeps one
+/// and allocates only when an RHT row outgrows it.
 #[derive(Debug, Default)]
 pub struct RowScratch {
     rotated: Vec<f32>,
-    draws: Vec<f32>,
+    draws: RefCell<DrawStream>,
 }
 
 /// A row after its row stage ([`SchemeId::stage`]): the values whose fields
 /// the parts carry (the row itself, or its padded rotation), an SQ/SD row's
-/// draws, and the row's metadata.
+/// draw stream, and the row's metadata.
+///
+/// Draw `j` of an SQ/SD row is output `j` of the row's generator, whatever
+/// order its heads are packed in: the stream produces each draw when a
+/// head pack first needs it, steps through consecutive ranges, jumps over
+/// coordinates no pack asked for, and reseeds to go back. Copies of a
+/// staged row share the stream.
 #[derive(Debug, Clone, Copy)]
 pub struct StagedRow<'a> {
     scheme: SchemeId,
     values: &'a [f32],
-    draws: &'a [f32],
+    draws: &'a RefCell<DrawStream>,
     meta: RowMeta,
 }
 
@@ -371,15 +395,12 @@ impl<'a> StagedRow<'a> {
     /// Panics if `coords` is not inside `0..n`, or `dst` is not exactly
     /// `(coords.len()·w).div_ceil(8)` bytes (a debug assertion).
     pub fn pack_range(&self, part: usize, coords: Range<usize>, dst: &mut [u8]) {
-        let values = &self.values[coords.clone()];
+        let (values, l) = (&self.values[coords.clone()], self.meta.scale);
         match self.scheme {
             SchemeId::SignMagnitude | SchemeId::RhtOneBit => signmag::pack(part, values, dst),
             SchemeId::MultiLevelRht => multilevel::pack(part, values, dst),
-            SchemeId::Stochastic => {
-                let draws = &self.draws[coords];
-                stochastic::pack(part, values, draws, self.meta.scale, dst);
-            }
-            SchemeId::SubtractiveDither => dither::pack(part, values, &self.draws[coords], dst),
+            SchemeId::Stochastic => stochastic::pack(part, values, coords, self.draws, l, dst),
+            SchemeId::SubtractiveDither => dither::pack(part, values, coords, self.draws, l, dst),
         }
     }
 
@@ -410,10 +431,13 @@ impl<'a> StagedRow<'a> {
     /// The row as the receiver of its packets sees it when each chunk
     /// `coords` kept its first `depth` parts (0 = the packet was lost): a
     /// [`RunSource`] for [`SchemeId::decode_runs`] that packs each chunk's
-    /// surviving parts into `buf` as the decoder reaches it. No plane or
-    /// mask is built, and a part a fate cut is never packed. It decodes bit
-    /// for bit as [`to_encoded`](Self::to_encoded)'s planes viewed through
-    /// [`EncodedRow::view_with_runs`] with the same `fates` do.
+    /// parts the decoder reads at that depth ([`SchemeId::parts_read`]) into
+    /// `buf` as the decoder reaches it. No plane or mask is built, a part a
+    /// fate cut is never packed, nor is a part the decoder does not read —
+    /// an intact SQ/SD chunk packs its tails alone and pulls no draw. It
+    /// decodes bit for bit as [`to_encoded`](Self::to_encoded)'s planes
+    /// viewed through [`EncodedRow::view_with_runs`] with the same `fates`
+    /// do.
     pub fn chunks<'s, I>(&self, fates: I, buf: &'s mut Vec<u8>) -> StagedChunks<'s, I>
     where
         'a: 's,
@@ -428,9 +452,10 @@ impl<'a> StagedRow<'a> {
 }
 
 /// The staged source ([`StagedRow::chunks`]): one run per packet-chunk of
-/// a staged row, its surviving parts packed ([`StagedRow::pack_range`])
-/// into a small buffer reused from chunk to chunk, with the chunk's first
-/// coordinate as the run's `origin`.
+/// a staged row, the surviving parts its decoder reads packed
+/// ([`StagedRow::pack_range`]) into a small buffer reused from chunk to
+/// chunk, with the chunk's first coordinate as the run's `origin`; the
+/// run's other parts are empty.
 #[derive(Debug)]
 pub struct StagedChunks<'s, I> {
     row: StagedRow<'s>,
@@ -452,15 +477,16 @@ impl<I: IntoIterator<Item = (Range<usize>, usize)>> RunSource for StagedChunks<'
             assert_eq!(coords.start, covered, "fates must tile the row in order");
             assert!(depth <= part_bits.len(), "depth exceeds part count");
             covered = coords.end;
-            let bytes = |w: u32| (coords.len() * w as usize).div_ceil(8);
-            let need = part_bits[..depth].iter().map(|&w| bytes(w)).sum();
+            let read = row.scheme.parts_read(depth);
+            let bytes = |k: usize| (coords.len() * part_bits[k] as usize).div_ceil(8);
+            let need = read.clone().map(bytes).sum();
             if buf.len() < need {
                 buf.resize(need, 0);
             }
             let mut parts = [&[][..]; MAX_PARTS];
             let mut rest = &mut buf[..need];
-            for (k, &w) in part_bits[..depth].iter().enumerate() {
-                let (dst, tail) = core::mem::take(&mut rest).split_at_mut(bytes(w));
+            for k in read {
+                let (dst, tail) = core::mem::take(&mut rest).split_at_mut(bytes(k));
                 row.pack_range(k, coords.clone(), dst);
                 parts[k] = dst;
                 rest = tail;
@@ -863,7 +889,8 @@ pub struct Run<'a> {
     pub depth: usize,
     /// The coordinate whose fields open `parts`.
     pub origin: usize,
-    /// Packed field bytes per part; only the first `depth` are read.
+    /// Packed field bytes per part; only the parts
+    /// [`SchemeId::parts_read`] names for `depth` are read.
     pub parts: [&'a [u8]; MAX_PARTS],
 }
 

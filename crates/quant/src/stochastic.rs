@@ -11,55 +11,58 @@
 //! IEEE representation, so exact reconstruction requires the full 32-bit
 //! float in the tail: SQ pays one bit of overhead per coordinate
 //! (33 vs 32). The randomness is drawn from the shared seed so encoding is
-//! reproducible (§5.4), but decoding needs no randomness at all.
+//! reproducible (§5.4), but decoding needs no randomness at all — and a
+//! coordinate whose tail arrived decodes from the tail alone, so its head is
+//! never read ([`SchemeId::parts_read`](crate::SchemeId::parts_read)).
 
+use crate::draws::DrawStream;
 use crate::kernels;
 use crate::scheme::Run;
-use crate::stats::{clip, std_dev, CLIP_SIGMAS};
+use crate::stats::clip;
+use core::cell::RefCell;
+use core::ops::Range;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
-/// The row stage of a non-empty row: one PRNG draw per coordinate into
-/// `draws`, in order, and `L`.
-///
-/// The draws are collected up front from a `TrustedLen` iterator: the
-/// generator's state update is a serial dependency chain, so running it
-/// tight — a loop with no capacity check or grow path to spill around —
-/// and letting the clip/divide/compare work pipeline over the buffer is
-/// much faster than interleaving them. The draw sequence (and thus the
-/// head stream) is identical to a draw-per-coordinate loop because the
-/// draws don't depend on the data.
-pub(crate) fn stage(row: &[f32], seed: u64, draws: &mut Vec<f32>) -> f32 {
-    let mut rng = Xoshiro256StarStar::new(seed);
-    draws.extend((0..row.len()).map(|_| rng.next_f32()));
-    CLIP_SIGMAS * std_dev(row)
-}
-
-/// The range packer: part `part` of the coordinates whose values and draws
-/// are `values` and `draws`, under `L = l`, into `dst`.
-pub(crate) fn pack(part: usize, values: &[f32], draws: &[f32], l: f32, dst: &mut [u8]) {
+/// The range packer: part `part` of the row's coordinates `coords`, whose
+/// values are `values`, under `L = l`, into `dst`. The heads pull their
+/// draws from the row's stream `draws`; the tails need none.
+pub(crate) fn pack(
+    part: usize,
+    values: &[f32],
+    coords: Range<usize>,
+    draws: &RefCell<DrawStream>,
+    l: f32,
+    dst: &mut [u8],
+) {
     if part != 0 {
         return kernels::pack_f32_tails_into(values, dst);
     }
-    kernels::pack_bits_zip_into(
-        values,
-        draws,
-        |v, draw| {
-            // p₊ = (L + clip(v)) / 2L; a zero range (constant row) degenerates
-            // to a fair coin, which decodes to ±0 = 0 anyway.
-            let p_plus = if l > 0.0 {
-                (l + clip(v, l)) / (2.0 * l)
-            } else {
-                0.5
-            };
-            // Head bit 1 encodes −L (mirroring the IEEE "1 = negative"
-            // convention). Written as a negation so a NaN probability (a NaN
-            // coordinate) yields 1, which `draw >= p_plus` would not.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let head = !(draw < p_plus);
-            head
-        },
-        dst,
-    );
+    draws
+        .borrow_mut()
+        .pull(coords, Xoshiro256StarStar::next_f32, |block, draws| {
+            kernels::pack_bits_zip_into(
+                &values[block.clone()],
+                draws,
+                |v, draw| {
+                    // p₊ = (L + clip(v)) / 2L; a zero range (constant row)
+                    // degenerates to a fair coin, which decodes to ±0 = 0
+                    // anyway.
+                    let p_plus = if l > 0.0 {
+                        (l + clip(v, l)) / (2.0 * l)
+                    } else {
+                        0.5
+                    };
+                    // Head bit 1 encodes −L (mirroring the IEEE "1 =
+                    // negative" convention). Written as a negation so a NaN
+                    // probability (a NaN coordinate) yields 1, which
+                    // `draw >= p_plus` would not.
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    let head = !(draw < p_plus);
+                    head
+                },
+                &mut dst[block.start / 8..block.end.div_ceil(8)],
+            );
+        });
 }
 
 /// The run decoder: `±L` from a head, the float itself from the tail.
@@ -74,8 +77,8 @@ pub(crate) fn decode_run(run: &Run<'_>, l: f32, dst: &mut [f32]) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::scheme::SchemeId;
+    use crate::stats::CLIP_SIGMAS;
     use proptest::prelude::*;
 
     #[test]
