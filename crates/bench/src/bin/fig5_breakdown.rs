@@ -3,12 +3,14 @@
 //!
 //! Unlike Figs 3–4 (whose encode component comes from the calibrated time
 //! model), the encode column here is **measured**: this binary times the
-//! actual Rust encode+decode of a 25 MB-equivalent gradient for every
-//! scheme, then composes the round. Paper claims to check:
+//! frame path every training round runs — `TrimmablePipeline::encode` then
+//! `TrimmablePipeline::decode` of the untrimmed frames — for every scheme,
+//! takes the median of [`REPS`] round trips after one warm-up, the schemes
+//! interleaved, and scales it to a 25 MB gradient to compose the round.
+//! Paper claims to check:
 //!
 //! * trimmable encoding adds noticeable per-round time (the paper measured
-//!   +42–68% including the Python hook overhead; our Rust encoders are far
-//!   cheaper, which we report honestly);
+//!   +42–68% including the Python hook overhead);
 //! * RHT is ≈ 18% slower to encode than the scalar schemes;
 //! * the baseline's round balloons once drops appear (5–10× at 1–2%).
 //!
@@ -16,31 +18,60 @@
 //! registry under `fig5.*`; the snapshot is saved to
 //! `results/fig5_breakdown.snapshot.json`.
 //!
-//! Run: `cargo run --release -p trimgrad-bench --bin fig5_breakdown`
+//! Run: `TRIMGRAD_THREADS=1 cargo run --release -p trimgrad-bench --bin fig5_breakdown`
+//! (the published table pins the worker pool to one thread).
 
 use std::time::Instant;
-use trimgrad::collective::chunk::MessageCodec;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::mltrain::timemodel::TimeModel;
+use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
 use trimgrad::quant::SchemeId;
 use trimgrad_bench::{print_row, write_snapshot_file};
 use trimgrad_telemetry::{Registry, Snapshot};
 
-/// Measures encode+decode seconds per coordinate for one scheme.
-fn measure_codec_s_per_coord(scheme: SchemeId, coords: usize) -> f64 {
+/// Timed round trips per scheme; the column is their median.
+const REPS: u32 = 31;
+
+/// Median seconds per coordinate of one untrimmed round trip of a
+/// `coords`-coordinate gradient through the frame path, for each of
+/// `schemes`. The schemes take turns, one round trip each, so a slow
+/// stretch of the machine lands on all of them alike.
+fn measure_codec_s_per_coord(schemes: &[SchemeId], coords: usize) -> Vec<f64> {
     let mut rng = Xoshiro256StarStar::new(1);
     let blob: Vec<f32> = (0..coords).map(|_| rng.next_f32_range(-1.0, 1.0)).collect();
-    let codec = MessageCodec::new(scheme, 7);
-    // Warm up once, then time a few repetitions.
-    let rows = codec.encode_message(&blob, 0, 0);
-    let _ = codec.decode_message_full(&rows, 0, 0).unwrap();
-    let reps = 3;
-    let t0 = Instant::now();
-    for r in 0..reps {
-        let rows = codec.encode_message(&blob, 0, r);
-        std::hint::black_box(codec.decode_message_full(&rows, 0, r).unwrap());
+    let pipes: Vec<TrimmablePipeline> = schemes
+        .iter()
+        .map(|&scheme| {
+            TrimmablePipeline::new(
+                PipelineConfig::builder()
+                    .scheme(scheme)
+                    .base_seed(7)
+                    .build(),
+            )
+        })
+        .collect();
+    let round_trip = |pipe: &TrimmablePipeline, msg_id| {
+        let tx = pipe.encode(&blob, 0, msg_id, 1, 2);
+        pipe.decode(&tx.packets, &tx.metas, 0, msg_id)
+            .expect("untrimmed frames decode")
+    };
+    for pipe in &pipes {
+        std::hint::black_box(round_trip(pipe, 0));
     }
-    t0.elapsed().as_secs_f64() / f64::from(reps) / coords as f64
+    let mut secs = vec![Vec::new(); pipes.len()];
+    for msg_id in 1..=REPS {
+        for (pipe, secs) in pipes.iter().zip(&mut secs) {
+            let t0 = Instant::now();
+            std::hint::black_box(round_trip(pipe, msg_id));
+            secs.push(t0.elapsed().as_secs_f64());
+        }
+    }
+    secs.into_iter()
+        .map(|mut secs| {
+            secs.sort_by(f64::total_cmp);
+            secs[secs.len() / 2] / coords as f64
+        })
+        .collect()
 }
 
 /// Prints one scheme row of the breakdown table from the snapshot.
@@ -87,12 +118,8 @@ fn main() {
         SchemeId::RhtOneBit,
         SchemeId::MultiLevelRht,
     ];
-    let mut scalar_per_coord = None;
-    for scheme in schemes {
-        let per_coord = measure_codec_s_per_coord(scheme, 1 << 20);
-        if scheme == SchemeId::Stochastic {
-            scalar_per_coord = Some(per_coord);
-        }
+    let per_coord = measure_codec_s_per_coord(&schemes, 1 << 20);
+    for (&scheme, &per_coord) in schemes.iter().zip(&per_coord) {
         let encode_s = per_coord * coords as f64;
         // Untrimmed wire bytes: bits/coord ÷ 8 (+ ~4% header overhead).
         let wire =
@@ -103,12 +130,10 @@ fn main() {
             .set(wire);
     }
 
-    // The RHT/scalar encode ratio the paper puts at ≈1.18×.
-    if let Some(scalar) = scalar_per_coord {
-        let rht = measure_codec_s_per_coord(SchemeId::RhtOneBit, 1 << 20);
-        reg.float_gauge("fig5.rht_scalar_encode_ratio")
-            .set(rht / scalar);
-    }
+    // The RHT/scalar encode ratio the paper puts at ≈1.18× (SQ is the
+    // scalar scheme, schemes[1]; RHT is schemes[3]).
+    reg.float_gauge("fig5.rht_scalar_encode_ratio")
+        .set(per_coord[3] / per_coord[1]);
 
     // Baseline under loss: the §4.4 blowup. The paper's "5-10x slower
     // round" is the comm-dominated regime (large models / many buckets);
@@ -126,7 +151,9 @@ fn main() {
     // snapshot so stdout and the saved JSON can never disagree.
     let snap = reg.snapshot();
     println!("# Figure 5: per-round time breakdown (seconds)");
-    println!("# encode column = MEASURED Rust encode+decode of a 25MB gradient");
+    println!(
+        "# encode column = MEASURED untrimmed encode+decode on the frame path (median of {REPS}), scaled to a 25MB gradient"
+    );
     let widths = [10usize, 10, 10, 10, 10, 8];
     print_row(
         &[
@@ -144,12 +171,10 @@ fn main() {
         print_scheme_row(&snap, scheme.name(), &widths);
     }
 
-    if snap.get("fig5.rht_scalar_encode_ratio").is_some() {
-        println!(
-            "\n# measured RHT/scalar encode ratio: {:.2}x (paper: ~1.18x)",
-            snap.float("fig5.rht_scalar_encode_ratio")
-        );
-    }
+    println!(
+        "\n# measured RHT/scalar encode ratio: {:.2}x (paper: ~1.18x)",
+        snap.float("fig5.rht_scalar_encode_ratio")
+    );
 
     println!("\n# baseline communication under packet loss (reliable transport):");
     for p in loss_rates {

@@ -13,7 +13,6 @@
 
 use crate::chunk::MessageCodec;
 use crate::trim_inject::{Fate, InjectStats, TrimInjector};
-use core::ops::Range;
 use trimgrad_quant::scheme::RowScratch;
 use trimgrad_telemetry::{Counter, Registry};
 use trimgrad_wire::meta;
@@ -156,9 +155,9 @@ impl TrimmingChannel {
     /// do. Past the first rows the channel allocates nothing row-sized.
     ///
     /// A message's rows must go through in row order for the fates to be
-    /// [`transfer_with`](Self::transfer_with)'s. The outcome counters and
-    /// wire bytes grow by the row's; the `transfers` counter counts
-    /// `transfer_with` calls, not rows.
+    /// [`GradChannel::transfer`]'s. The outcome counters and wire bytes grow
+    /// by the row's; the `transfers` counter counts `transfer` calls, not
+    /// rows.
     ///
     /// # Panics
     ///
@@ -202,37 +201,23 @@ impl TrimmingChannel {
             .expect("a staged row decodes under its own fates");
         row
     }
+}
 
-    /// Transfers `data` one row at a time ([`transfer_row`](Self::transfer_row))
-    /// and hands each row's decode to `sink` with the row's range in `data`,
-    /// in row order, while it is still in cache. No output blob is
-    /// allocated.
-    pub fn transfer_with(
-        &mut self,
-        data: &[f32],
-        epoch: u32,
-        msg_id: u32,
-        mut sink: impl FnMut(Range<usize>, &[f32]),
-    ) {
+impl GradChannel for TrimmingChannel {
+    /// [`transfer_row`](TrimmingChannel::transfer_row) over every row of
+    /// `data`, in row order, each row's decode appended to a fresh vector
+    /// while it is still in cache.
+    fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
+        let mut out = Vec::with_capacity(data.len());
         if data.is_empty() {
-            return;
+            return out;
         }
         for row_id in 0..self.codec.rows_for(data.len()) {
-            let range = self.codec.row_range(data.len(), row_id);
-            sink(range, self.transfer_row(data, epoch, msg_id, row_id));
+            out.extend_from_slice(self.transfer_row(data, epoch, msg_id, row_id));
         }
         if let Some(m) = &self.metrics {
             m.transfers.inc();
         }
-    }
-}
-
-impl GradChannel for TrimmingChannel {
-    /// [`transfer_with`](TrimmingChannel::transfer_with), its rows collected
-    /// into a fresh vector.
-    fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
-        let mut out = Vec::with_capacity(data.len());
-        self.transfer_with(data, epoch, msg_id, |_, row| out.extend_from_slice(row));
         out
     }
 
@@ -336,10 +321,6 @@ mod tests {
                 + snap.counter("collective.channel.0.dropped"),
             s.total()
         );
-        // InjectStats exports the same numbers under any prefix.
-        let reg2 = Registry::new();
-        s.export_to(&reg2, "inject");
-        assert_eq!(reg2.snapshot().counter("inject.trimmed"), s.trimmed);
     }
 
     #[test]

@@ -208,25 +208,6 @@ impl MessageCodec {
             .decode(row, meta, self.row_seed(epoch, msg_id, row_id))
     }
 
-    /// Decodes one row view into `out`, which must hold exactly
-    /// `meta.original_len` coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DecodeError`].
-    pub fn decode_row_into(
-        &self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        epoch: u32,
-        msg_id: u32,
-        row_id: u32,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        self.scheme
-            .decode_into(row, meta, self.row_seed(epoch, msg_id, row_id), out)
-    }
-
     /// The receive path, received rows → coordinates: decodes whatever each
     /// row's frames hold, row-parallel on the process-wide
     /// [`WorkerPool`], every row straight into its own slice of `out` — rows
@@ -277,33 +258,6 @@ impl MessageCodec {
         Ok(())
     }
 
-    /// Decodes a full (untrimmed) message: the lossless inverse of
-    /// [`encode_message`](Self::encode_message).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DecodeError`].
-    pub fn decode_message_full(
-        &self,
-        rows: &[EncodedRow],
-        epoch: u32,
-        msg_id: u32,
-    ) -> Result<Vec<f32>, DecodeError> {
-        let lens = || rows.iter().map(|enc| enc.meta.original_len);
-        let mut out = vec![0.0; lens().sum()];
-        for ((row_id, enc), dst) in rows.iter().enumerate().zip(row_slices(&mut out, lens())) {
-            self.decode_row_into(
-                &enc.full_view(),
-                &enc.meta,
-                epoch,
-                msg_id,
-                row_id as u32,
-                dst,
-            )?;
-        }
-        Ok(out)
-    }
-
     /// Total encoded payload bits of a message (excluding metadata).
     #[must_use]
     pub fn encoded_bits(&self, rows: &[EncodedRow]) -> usize {
@@ -352,6 +306,18 @@ mod tests {
     use std::borrow::Cow;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
     use trimgrad_wire::packetize::coords_per_packet;
+
+    /// `rows` decoded untrimmed, row by row under `c`'s row seeds: the
+    /// lossless inverse of [`MessageCodec::encode_message`].
+    fn decode_full(c: &MessageCodec, rows: &[EncodedRow], epoch: u32, msg_id: u32) -> Vec<f32> {
+        rows.iter()
+            .enumerate()
+            .flat_map(|(row_id, enc)| {
+                c.decode_row(&enc.full_view(), &enc.meta, epoch, msg_id, row_id as u32)
+                    .unwrap()
+            })
+            .collect()
+    }
 
     /// Coordinates per frame of `c`'s scheme at MTU 1500.
     fn per_packet(c: &MessageCodec) -> usize {
@@ -408,7 +374,7 @@ mod tests {
             let b = blob(200, 3); // 4 rows: 64+64+64+8
             let rows = c.encode_message(&b, 5, 9);
             assert_eq!(rows.len(), 4);
-            let back = c.decode_message_full(&rows, 5, 9).unwrap();
+            let back = decode_full(&c, &rows, 5, 9);
             assert_eq!(back.len(), b.len());
             for (d, v) in back.iter().zip(&b) {
                 assert!(
@@ -425,7 +391,7 @@ mod tests {
         let b = blob(64, 4);
         let rows = c.encode_message(&b, 5, 9);
         // Decoding under a different epoch uses different rotation seeds.
-        let bad = c.decode_message_full(&rows, 6, 9).unwrap();
+        let bad = decode_full(&c, &rows, 6, 9);
         let err: f32 = bad.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
         assert!(err > 0.5, "wrong epoch should not invert (err {err})");
     }
@@ -516,7 +482,7 @@ mod tests {
         let c = MessageCodec::new(SchemeId::SubtractiveDither, 0);
         let rows = c.encode_message(&[], 0, 0);
         assert!(rows.is_empty());
-        assert!(c.decode_message_full(&rows, 0, 0).unwrap().is_empty());
+        assert!(decode_full(&c, &rows, 0, 0).is_empty());
         assert_eq!(c.encoded_bits(&rows), 0);
     }
 

@@ -53,30 +53,13 @@ impl InjectStats {
         self.trimmed += other.trimmed;
         self.dropped += other.dropped;
     }
-
-    /// Adds the tallies to `registry` as counters named `{prefix}.{field}`.
-    pub fn export_to(&self, registry: &trimgrad_telemetry::Registry, prefix: &str) {
-        registry
-            .counter(&format!("{prefix}.intact"))
-            .add(self.intact);
-        registry
-            .counter(&format!("{prefix}.trimmed"))
-            .add(self.trimmed);
-        registry
-            .counter(&format!("{prefix}.dropped"))
-            .add(self.dropped);
-    }
 }
 
-/// The coordinate ranges of the packets the wire packetizer cuts `enc` into
-/// at [`DEFAULT_MTU`], in chunk-id order: the granularity at which the
-/// in-memory harness draws, records, replays and accounts packet fates.
-pub fn packet_chunks(enc: &EncodedRow) -> impl Iterator<Item = Range<usize>> {
-    row_chunks(enc.scheme, enc.n)
-}
-
-/// [`packet_chunks`] of a row of `scheme` whose encoded length is `n`.
-fn row_chunks(scheme: SchemeId, n: usize) -> impl Iterator<Item = Range<usize>> {
+/// The coordinate ranges of the packets the wire packetizer cuts a row of
+/// `scheme` whose encoded length is `n` into at [`DEFAULT_MTU`], in chunk-id
+/// order: the granularity at which the in-memory harness draws, records,
+/// replays and accounts packet fates.
+pub fn packet_chunks(scheme: SchemeId, n: usize) -> impl Iterator<Item = Range<usize>> {
     let per_packet = coords_per_packet(scheme.part_bits(), DEFAULT_MTU)
         // trimlint: allow(no-panic) -- every scheme's single coordinate (at most 33 bits) fits the 1444-byte payload of DEFAULT_MTU
         .expect("one coordinate fits the default MTU");
@@ -115,24 +98,6 @@ impl TrimInjector {
         }
     }
 
-    /// Creates an injector whose RNG stream is bound to one simulated
-    /// channel, using the same seed derivation as the netsim fault layer
-    /// ([`trimgrad_netsim::link::channel_seed`]). A chaos run's per-link
-    /// fates can therefore be replayed in this lighter harness from the
-    /// same `(base_seed, from, to)` triple.
-    #[must_use]
-    pub fn for_channel(
-        trim_prob: f64,
-        base_seed: u64,
-        from: trimgrad_netsim::NodeId,
-        to: trimgrad_netsim::NodeId,
-    ) -> Self {
-        Self::new(
-            trim_prob,
-            trimgrad_netsim::link::channel_seed(base_seed, from, to),
-        )
-    }
-
     /// Adds whole-packet drops.
     #[must_use]
     pub fn with_drop_prob(mut self, p: f64) -> Self {
@@ -154,13 +119,6 @@ impl TrimInjector {
         self.drop_prob
     }
 
-    /// Draws one fate per [`packet_chunks`] chunk of `enc`, in chunk order,
-    /// into `fates` (cleared first) and returns the outcome counts:
-    /// [`draw_row_fates`](Self::draw_row_fates) over `enc`'s geometry.
-    pub fn draw_fates(&mut self, enc: &EncodedRow, fates: &mut Vec<Fate>) -> InjectStats {
-        self.draw_row_fates(enc.scheme, enc.n, fates)
-    }
-
     /// Draws one fate per packet-chunk of a row of `scheme` whose encoded
     /// length is `n` (the chunks [`packet_chunks`] cuts such a row into),
     /// in chunk order, into `fates` (cleared first) and returns the outcome
@@ -176,7 +134,7 @@ impl TrimInjector {
         let n_parts = scheme.part_bits().len();
         let mut stats = InjectStats::default();
         fates.clear();
-        for chunk in row_chunks(scheme, n) {
+        for chunk in packet_chunks(scheme, n) {
             let u = f64::from(self.rng.next_f32());
             let depth = if u < self.drop_prob {
                 stats.dropped += 1;
@@ -193,11 +151,11 @@ impl TrimInjector {
         stats
     }
 
-    /// [`draw_fates`](Self::draw_fates) expanded to one availability depth
-    /// per coordinate of `enc`.
+    /// [`draw_row_fates`](Self::draw_row_fates) over `enc`'s geometry,
+    /// expanded to one availability depth per coordinate.
     pub fn draw_depths(&mut self, enc: &EncodedRow) -> (Vec<usize>, InjectStats) {
         let mut fates = Vec::new();
-        let stats = self.draw_fates(enc, &mut fates);
+        let stats = self.draw_row_fates(enc.scheme, enc.n, &mut fates);
         (fate_depths(&fates), stats)
     }
 }
@@ -208,8 +166,7 @@ pub type Fate = (Range<usize>, usize);
 
 /// Per-coordinate availability depths of a row whose consecutive
 /// packet-chunks met `fates`: every coordinate of a chunk shares its depth.
-#[must_use]
-pub fn fate_depths(fates: &[Fate]) -> Vec<usize> {
+fn fate_depths(fates: &[Fate]) -> Vec<usize> {
     fates
         .iter()
         .flat_map(|(chunk, depth)| std::iter::repeat_n(*depth, chunk.len()))
@@ -291,24 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_bound_injector_matches_netsim_seed_derivation() {
-        use trimgrad_netsim::link::channel_seed;
-        use trimgrad_netsim::NodeId;
-        // 16 packet-chunks of 360 coordinates.
-        let draw = |mut inj: TrimInjector| {
-            inj.draw_depths(&SchemeId::SignMagnitude.encode(&row(5760, 1), 0))
-                .0
-        };
-        let bound = TrimInjector::for_channel(0.5, 42, NodeId(3), NodeId(7));
-        let manual = TrimInjector::new(0.5, channel_seed(42, NodeId(3), NodeId(7)));
-        assert_eq!(draw(bound), draw(manual));
-        // Direction matters: the reverse channel gets an independent stream.
-        let reverse = TrimInjector::for_channel(0.5, 42, NodeId(7), NodeId(3));
-        let bound = TrimInjector::for_channel(0.5, 42, NodeId(3), NodeId(7));
-        assert_ne!(draw(bound), draw(reverse));
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
             let inj = TrimInjector::new(0.5, seed);
@@ -347,7 +286,7 @@ mod tests {
         let n_parts = enc.parts.len();
         let mut depths = Vec::with_capacity(enc.n);
         let mut stats = InjectStats::default();
-        for chunk in packet_chunks(enc) {
+        for chunk in packet_chunks(enc.scheme, enc.n) {
             let u = f64::from(inj.rng.next_f32());
             let depth = if u < inj.drop_prob {
                 stats.dropped += 1;
@@ -374,11 +313,11 @@ mod tests {
             for (i, n) in lens.into_iter().enumerate() {
                 let enc = SchemeId::SignMagnitude.encode(&row(n, i as u64), 0);
                 let (want, want_stats) = ref_draw_depths(&mut reference, &enc);
-                let stats = by_fates.draw_fates(&enc, &mut fates);
+                let stats = by_fates.draw_row_fates(enc.scheme, enc.n, &mut fates);
                 assert_eq!(stats, want_stats, "trim {trim} drop {drop} n {n}");
                 assert_eq!(fate_depths(&fates), want, "trim {trim} drop {drop} n {n}");
                 let chunks: Vec<Range<usize>> = fates.iter().map(|f| f.0.clone()).collect();
-                assert_eq!(chunks, packet_chunks(&enc).collect::<Vec<_>>());
+                assert_eq!(chunks, packet_chunks(enc.scheme, enc.n).collect::<Vec<_>>());
                 assert_eq!(by_depths.draw_depths(&enc), (want, want_stats));
             }
             // All three generators stand at the same point of the stream.

@@ -5,8 +5,8 @@
 //! only as the decoder reaches them (`StagedRow::chunks`). The reference
 //! here is the path that builds whole-row planes and masks, from public
 //! pieces only: `SchemeId::encode` under the codec's row seed →
-//! `TrimInjector::draw_fates` → `EncodedRow::view_with_runs` →
-//! `MessageCodec::decode_row_into`. For every scheme — SD's dither stream
+//! `TrimInjector::draw_row_fates` → `EncodedRow::view_with_runs` →
+//! `SchemeId::decode_into`. For every scheme — SD's dither stream
 //! running on across dropped chunks, the RHT schemes padding short rows —
 //! at row lengths 1, 7, 1000, 2¹⁵ and 2¹⁵ + 3, under random intact, trimmed
 //! and dropped fates, the channel must decode the same bits, count the same
@@ -55,7 +55,7 @@ fn plane_transfer(
         let range = codec.row_range(data.len(), row_id);
         let seed = codec.row_seed(epoch, msg_id, row_id as u32);
         let enc = scheme.encode(&data[range.clone()], seed);
-        stats.merge(inj.draw_fates(&enc, &mut fates));
+        stats.merge(inj.draw_row_fates(enc.scheme, enc.n, &mut fates));
         bytes += meta::FRAME_LEN as u64;
         for (chunk, depth) in &fates {
             if *depth > 0 {
@@ -64,8 +64,8 @@ fn plane_transfer(
         }
         let view = enc.view_with_runs(fates.iter().cloned());
         let mut row = vec![f32::NAN; range.len()];
-        codec
-            .decode_row_into(&view, &enc.meta, epoch, msg_id, row_id as u32, &mut row)
+        scheme
+            .decode_into(&view, &enc.meta, seed, &mut row)
             .expect("own planes decode");
         out.extend_from_slice(&row);
     }

@@ -25,8 +25,8 @@
 //!
 //! The receive half is checked the same way: `decode_assembled_into` over
 //! the frames each row kept, at the process's width, and the public
-//! in-place row closure (`decode_row_into` on a row's own slice of one
-//! output) at widths 1, 2 and 3, against the same frames reassembled into
+//! in-place row closure (`SchemeId::decode_into` under the codec's row seed,
+//! on a row's own slice of one output) at widths 1, 2 and 3, against the same frames reassembled into
 //! planes and decoded one row after another into fresh vectors.
 
 use proptest::prelude::*;
@@ -323,7 +323,8 @@ fn check_decode_fan_out(codec: &MessageCodec, b: &[f32]) -> Result<(), String> {
         let items = rows.iter().zip(slices);
         let results = WorkerPool::new(width).map_striped(items, |row_id, (asm, dst)| {
             let view = asm.partial_row();
-            codec.decode_row_into(&view, &meta(asm), epoch, msg_id, row_id as u32, dst)
+            let seed = codec.row_seed(epoch, msg_id, row_id as u32);
+            codec.scheme_id().decode_into(&view, &meta(asm), seed, dst)
         });
         if results.iter().any(Result::is_err) || bits(&out) != bits(&reference) {
             return Err(format!("in-place decode diverged at width {width}"));

@@ -7,15 +7,18 @@
 //! transcript against a reliable channel to reproduce a past run exactly.
 //!
 //! A [`TrimTranscript`] maps `(epoch, msg_id, row_id, chunk_id)` → the depth
-//! that survived. During recording the injector (or the netsim receiver)
-//! appends events; during replay the transcript *is* the network: the same
-//! packets get the same fates, so decoding — and therefore training — is
-//! bit-reproducible. Transcripts serialize to a stable sorted text format
-//! for archival ([`TrimTranscript::to_bytes`]).
+//! that survived. During recording the injector appends events
+//! ([`RecordingInjector::draw_row_fates`]); during replay the transcript
+//! *is* the network ([`TrimTranscript::replay_fates`]): the same packets get
+//! the same fates, so a row decoded through
+//! [`StagedRow::chunks`](trimgrad_quant::StagedRow::chunks), the path
+//! [`TrimmingChannel`](trimgrad_collective::TrimmingChannel) runs, comes out
+//! bit for bit as it did, and so does training. Transcripts serialize to a
+//! stable sorted text format for archival ([`TrimTranscript::to_bytes`]).
 
 use std::collections::BTreeMap;
-use trimgrad_collective::trim_inject::{fate_depths, packet_chunks, Fate};
-use trimgrad_quant::scheme::EncodedRow;
+use trimgrad_collective::trim_inject::{packet_chunks, Fate, InjectStats};
+use trimgrad_quant::SchemeId;
 
 /// Identity of one data packet within a training run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,29 +80,32 @@ impl TrimTranscript {
         self.events.is_empty()
     }
 
-    /// Replays this transcript against one encoded row: produces the exact
-    /// per-coordinate availability depths the original run saw. Chunk ids
-    /// number the row's [`packet_chunks`], as [`RecordingInjector`] recorded
-    /// them.
-    #[must_use]
-    pub fn replay_depths(
+    /// Replays this transcript against one row of `scheme` whose encoded
+    /// length is `n`: fills `fates` (cleared first) with the packet fates
+    /// the original run drew for it, one per [`packet_chunks`] chunk in
+    /// chunk order, as [`RecordingInjector::draw_row_fates`] recorded them.
+    /// A chunk with no recorded fate kept every part.
+    pub fn replay_fates(
         &self,
-        enc: &EncodedRow,
+        scheme: SchemeId,
+        n: usize,
         epoch: u32,
         msg_id: u32,
         row_id: u32,
-    ) -> Vec<usize> {
-        let n_parts = enc.parts.len();
-        let fates: Vec<Fate> = packet_chunks(enc)
-            .enumerate()
-            .map(|(chunk_id, chunk)| {
-                let depth = self
-                    .depth_of(&packet_key(epoch, msg_id, row_id, chunk_id))
-                    .map_or(n_parts, |d| usize::from(d).min(n_parts));
-                (chunk, depth)
-            })
-            .collect();
-        fate_depths(&fates)
+        fates: &mut Vec<Fate>,
+    ) {
+        let n_parts = scheme.part_bits().len();
+        fates.clear();
+        fates.extend(
+            packet_chunks(scheme, n)
+                .enumerate()
+                .map(|(chunk_id, chunk)| {
+                    let depth = self
+                        .depth_of(&packet_key(epoch, msg_id, row_id, chunk_id))
+                        .map_or(n_parts, |d| usize::from(d).min(n_parts));
+                    (chunk, depth)
+                }),
+        );
     }
 
     /// Serializes to a stable sorted text format (the exact format is an
@@ -177,17 +183,21 @@ impl RecordingInjector {
         }
     }
 
-    /// Draws per-coordinate depths for one row, recording fates.
-    pub fn draw_depths(
+    /// Draws the packet fates of row `row_id` of message `msg_id`, a row of
+    /// `scheme` whose encoded length is `n`, into `fates`
+    /// ([`TrimInjector::draw_row_fates`](trimgrad_collective::TrimInjector::draw_row_fates)),
+    /// records every chunk that lost a part, and returns the outcome counts.
+    pub fn draw_row_fates(
         &mut self,
-        enc: &EncodedRow,
+        scheme: SchemeId,
+        n: usize,
         epoch: u32,
         msg_id: u32,
         row_id: u32,
-    ) -> Vec<usize> {
-        let mut fates = Vec::new();
-        self.inner.draw_fates(enc, &mut fates);
-        let n_parts = enc.parts.len();
+        fates: &mut Vec<Fate>,
+    ) -> InjectStats {
+        let stats = self.inner.draw_row_fates(scheme, n, fates);
+        let n_parts = scheme.part_bits().len();
         for (chunk_id, (_, depth)) in fates.iter().enumerate() {
             if *depth < n_parts {
                 self.transcript.record(
@@ -196,7 +206,7 @@ impl RecordingInjector {
                 );
             }
         }
-        fate_depths(&fates)
+        stats
     }
 
     /// The transcript recorded so far.
@@ -217,11 +227,24 @@ mod tests {
     use super::*;
     use trimgrad_collective::TrimInjector;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
-    use trimgrad_quant::SchemeId;
+    use trimgrad_quant::scheme::RowScratch;
 
     fn row(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = Xoshiro256StarStar::new(seed);
         (0..n).map(|_| rng.next_f32_range(-1.0, 1.0)).collect()
+    }
+
+    /// `r` staged under `seed` and decoded chunk by chunk under `fates`:
+    /// the path `TrimmingChannel` runs.
+    fn decode_under(scheme: SchemeId, r: &[f32], seed: u64, fates: &[Fate]) -> Vec<f32> {
+        let mut scratch = RowScratch::default();
+        let staged = scheme.stage(r, seed, &mut scratch);
+        let (mut out, mut buf) = (vec![0.0; r.len()], Vec::new());
+        let chunks = staged.chunks(fates.iter().cloned(), &mut buf);
+        scheme
+            .decode_runs(chunks, staged.n(), &staged.meta(), seed, &mut out)
+            .unwrap();
+        out
     }
 
     fn key(chunk: u16) -> PacketKey {
@@ -275,36 +298,42 @@ mod tests {
     fn replay_reproduces_recorded_run_exactly() {
         let scheme = SchemeId::RhtOneBit;
         let r = row(2048, 7);
-        let seed = 99;
-        let enc = scheme.encode(&r, seed);
+        let (seed, n) = (99, scheme.encoded_len(r.len()));
+        let injector = || TrimInjector::new(0.4, 5).with_drop_prob(0.1);
 
-        // Original run: random trimming, recorded.
-        let mut rec = RecordingInjector::new(TrimInjector::new(0.4, 5).with_drop_prob(0.1));
-        let depths = rec.draw_depths(&enc, 1, 2, 3);
-        let original = scheme
-            .decode(&enc.view_with_depths(&depths), &enc.meta, seed)
-            .unwrap();
+        // Original run: random trimming, recorded. The recorder draws what
+        // the bare injector draws.
+        let mut rec = RecordingInjector::new(injector());
+        let mut fates = Vec::new();
+        let stats = rec.draw_row_fates(scheme, n, 1, 2, 3, &mut fates);
+        let mut bare = Vec::new();
+        assert_eq!(injector().draw_row_fates(scheme, n, &mut bare), stats);
+        assert_eq!(bare, fates);
+        let original = decode_under(scheme, &r, seed, &fates);
         let transcript = rec.into_transcript();
-        assert!(!transcript.is_empty());
+        assert_eq!(transcript.len() as u64, stats.trimmed + stats.dropped);
 
-        // Replay: same depths from the transcript alone (via serialization,
+        // Replay: same fates from the transcript alone (via serialization,
         // as a future run would).
         let restored = TrimTranscript::from_bytes(&transcript.to_bytes()).unwrap();
-        let replay_depths = restored.replay_depths(&enc, 1, 2, 3);
-        assert_eq!(replay_depths, depths);
-        let replayed = scheme
-            .decode(&enc.view_with_depths(&replay_depths), &enc.meta, seed)
-            .unwrap();
+        let mut replay_fates = vec![(0..1, 9)]; // stale contents are cleared
+        restored.replay_fates(scheme, n, 1, 2, 3, &mut replay_fates);
+        assert_eq!(replay_fates, fates);
+        let replayed = decode_under(scheme, &r, seed, &replay_fates);
         assert_eq!(replayed, original, "replay must be bit-identical");
     }
 
     #[test]
     fn unrecorded_packets_replay_untrimmed() {
-        let r = row(1000, 8);
-        let enc = trimgrad_quant::SchemeId::SignMagnitude.encode(&r, 0);
         let t = TrimTranscript::new();
-        let depths = t.replay_depths(&enc, 0, 0, 0);
-        assert!(depths.iter().all(|&d| d == 2));
+        let mut fates = Vec::new();
+        t.replay_fates(SchemeId::SignMagnitude, 1000, 0, 0, 0, &mut fates);
+        let chunks: Vec<_> = fates.iter().map(|(chunk, _)| chunk.clone()).collect();
+        assert_eq!(
+            chunks,
+            packet_chunks(SchemeId::SignMagnitude, 1000).collect::<Vec<_>>()
+        );
+        assert!(fates.iter().all(|&(_, d)| d == 2));
     }
 
     #[test]
@@ -319,13 +348,12 @@ mod tests {
             },
             1,
         );
-        let enc = trimgrad_quant::SchemeId::SignMagnitude.encode(&row(500, 9), 0);
+        let mut fates = Vec::new();
         // Row 1 has no events → untrimmed.
-        let depths = t.replay_depths(&enc, 0, 0, 1);
-        assert!(depths.iter().all(|&d| d == 2));
+        t.replay_fates(SchemeId::SignMagnitude, 500, 0, 0, 1, &mut fates);
+        assert!(fates.iter().all(|&(_, d)| d == 2));
         // Row 0's first chunk is trimmed.
-        let depths = t.replay_depths(&enc, 0, 0, 0);
-        assert!(depths[..360].iter().all(|&d| d == 1));
-        assert!(depths[360..].iter().all(|&d| d == 2));
+        t.replay_fates(SchemeId::SignMagnitude, 500, 0, 0, 0, &mut fates);
+        assert_eq!(fates, [(0..360, 1), (360..500, 2)]);
     }
 }

@@ -66,11 +66,6 @@ impl SgdMomentum {
         }
         assert_eq!(at, grads.len(), "param count mismatch");
     }
-
-    /// Resets accumulated momentum.
-    pub fn reset_velocity(&mut self) {
-        self.velocity.iter_mut().for_each(|v| *v = 0.0);
-    }
 }
 
 /// StepLR: multiply the learning rate by `gamma` every `step_size` epochs.
@@ -113,9 +108,6 @@ mod tests {
         opt.step(&mut p, &[1.0]); // v=1, p=−1
         opt.step(&mut p, &[1.0]); // v=1.5, p=−2.5
         assert!((p[0] + 2.5).abs() < 1e-6, "{}", p[0]);
-        opt.reset_velocity();
-        opt.step(&mut p, &[0.0]);
-        assert!((p[0] + 2.5).abs() < 1e-6, "velocity reset must zero update");
     }
 
     #[test]

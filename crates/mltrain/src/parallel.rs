@@ -160,12 +160,6 @@ impl DataParallelTrainer {
         self.tracer = tracer;
     }
 
-    /// The hook's display name.
-    #[must_use]
-    pub fn hook_name(&self) -> String {
-        self.hook.name()
-    }
-
     /// Total wire bytes the hook has moved.
     #[must_use]
     pub fn bytes_sent(&self) -> u64 {
@@ -459,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn hook_name_passthrough() {
+    fn param_count_counts_every_replica_parameter() {
         let (train, test) = task(4);
         let t = DataParallelTrainer::new(
             &[16, 8, 5],
@@ -468,7 +462,6 @@ mod tests {
             Box::new(BaselineHook::new(4)),
             cfg(),
         );
-        assert_eq!(t.hook_name(), "baseline");
         assert_eq!(t.param_count(), 16 * 8 + 8 + 8 * 5 + 5);
     }
 }

@@ -20,7 +20,7 @@ use crate::time::SimTime;
 use crate::FlowId;
 use core::cell::Cell;
 use std::collections::BTreeMap;
-use trimgrad_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot, HISTOGRAM_BUCKETS};
+use trimgrad_telemetry::{Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
 
 /// Per-flow record.
 #[derive(Debug, Clone, Copy, Default)]
@@ -95,15 +95,15 @@ struct DepthHistogram {
 /// The data plane counts in plain integers; [`Stats::publish`] forwards what
 /// has accumulated since the last call to the `netsim.*` metrics of a
 /// [`trimgrad_telemetry::Registry`], so every number the simulator reports
-/// is also available in a [`Snapshot`]. The simulator publishes whenever
-/// `run_until` returns and before each time-series sample, and both
-/// snapshot methods publish first — so the registry is current at every
-/// point it can be read from outside an app callback. Per-flow records stay
+/// is also available in a [`trimgrad_telemetry::Snapshot`]. The simulator publishes whenever
+/// `run_until` returns and before each time-series sample, and
+/// [`Simulator::telemetry_snapshot`](crate::sim::Simulator::telemetry_snapshot)
+/// publishes first — so the registry is current at every point it can be
+/// read from outside an app callback. Per-flow records stay
 /// plain data: flow identities are unbounded and belong in
 /// [`Stats::fct_summary`], not the metric namespace.
 #[derive(Debug)]
 pub struct Stats {
-    registry: Registry,
     counters: [Counter; TALLY_NAMES.len()],
     max_queue_gauge: Gauge,
     depth_histogram: Histogram,
@@ -120,19 +120,7 @@ pub struct Stats {
     last_flow: Option<(FlowId, u32)>,
 }
 
-impl Default for Stats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Stats {
-    /// Fresh, all-zero statistics with a private registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_registry(Registry::new())
-    }
-
     /// Fresh statistics registering their counters in `registry`.
     #[must_use]
     pub fn with_registry(registry: Registry) -> Self {
@@ -144,7 +132,6 @@ impl Stats {
             counters: TALLY_NAMES.map(|name| registry.counter(name)),
             max_queue_gauge: registry.gauge("netsim.queue.max_bytes"),
             depth_histogram: registry.histogram("netsim.queue.depth_bytes"),
-            registry,
             tally: [0; TALLY_NAMES.len()],
             max_queue_bytes: 0,
             depth: zero,
@@ -153,13 +140,6 @@ impl Stats {
             flow_index: BTreeMap::new(),
             last_flow: None,
         }
-    }
-
-    /// The registry holding the global counters (current as of the last
-    /// [`Stats::publish`]).
-    #[must_use]
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Forwards everything counted since the last call to the registry.
@@ -178,13 +158,6 @@ impl Stats {
         self.depth_histogram
             .record_bucketed(&fresh, self.depth.sum - depth.sum);
         self.published.set((self.tally, self.depth));
-    }
-
-    /// A point-in-time snapshot of the global counters.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        self.publish();
-        self.registry.snapshot()
     }
 
     fn bump(&mut self, what: Tally) {
@@ -518,10 +491,28 @@ pub struct FctSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trimgrad_telemetry::Snapshot;
+
+    /// Fresh statistics publishing to a registry of their own.
+    fn stats() -> Stats {
+        Stats::with_registry(Registry::new())
+    }
+
+    /// Fresh statistics and the registry they publish to.
+    fn stats_and_registry() -> (Stats, Registry) {
+        let registry = Registry::new();
+        (Stats::with_registry(registry.clone()), registry)
+    }
+
+    /// Publishes `s`, then snapshots `registry`.
+    fn publish_and_snapshot(s: &Stats, registry: &Registry) -> Snapshot {
+        s.publish();
+        registry.snapshot()
+    }
 
     #[test]
     fn counters_accumulate() {
-        let mut s = Stats::new();
+        let mut s = stats();
         let f = FlowId(1);
         s.on_sent(f, SimTime::from_micros(1));
         let slot = s.on_sent(f, SimTime::from_micros(2));
@@ -545,7 +536,7 @@ mod tests {
 
     #[test]
     fn fct_measures_first_send_to_completion() {
-        let mut s = Stats::new();
+        let mut s = stats();
         let f = FlowId(7);
         s.on_sent(f, SimTime::from_micros(10));
         s.on_flow_complete(f, SimTime::from_micros(110));
@@ -557,7 +548,7 @@ mod tests {
 
     #[test]
     fn conservation_identity() {
-        let mut s = Stats::new();
+        let mut s = stats();
         for i in 0..10 {
             s.on_sent(FlowId(i % 2), SimTime(i));
         }
@@ -574,7 +565,7 @@ mod tests {
 
     #[test]
     fn conservation_identity_with_fault_injection() {
-        let mut s = Stats::new();
+        let (mut s, registry) = stats_and_registry();
         for i in 0..10 {
             s.on_sent(FlowId(i), SimTime(i));
         }
@@ -595,7 +586,7 @@ mod tests {
         assert_eq!(s.dropped_total(), 4);
         assert_eq!(s.injected_packets(), 3);
         assert_eq!(s.dropped_fault(), 4);
-        let snap = s.snapshot();
+        let snap = publish_and_snapshot(&s, &registry);
         assert_eq!(snap.counter("netsim.dropped.fault"), 4);
         assert_eq!(snap.counter("netsim.injected"), 3);
         assert_eq!(snap.counter_sum("netsim.dropped."), 4);
@@ -603,7 +594,7 @@ mod tests {
 
     #[test]
     fn conservation_report_names_the_offending_counters() {
-        let mut s = Stats::new();
+        let mut s = stats();
         s.on_sent(FlowId(1), SimTime::ZERO);
         let slot = s.on_sent(FlowId(1), SimTime::ZERO);
         s.on_delivered(slot, 100, false);
@@ -620,7 +611,7 @@ mod tests {
 
     #[test]
     fn queue_watermark() {
-        let mut s = Stats::new();
+        let mut s = stats();
         s.observe_queue(100);
         s.observe_queue(5000);
         s.observe_queue(300);
@@ -629,13 +620,13 @@ mod tests {
 
     #[test]
     fn trim_fraction_empty_is_zero() {
-        assert_eq!(Stats::new().trim_fraction(), 0.0);
-        assert_eq!(Stats::new().max_fct(), None);
+        assert_eq!(stats().trim_fraction(), 0.0);
+        assert_eq!(stats().max_fct(), None);
     }
 
     #[test]
     fn fct_summary_percentiles() {
-        let mut s = Stats::new();
+        let mut s = stats();
         // 100 flows with FCTs 1µs .. 100µs.
         for i in 1..=100u64 {
             let f = FlowId(i);
@@ -654,14 +645,14 @@ mod tests {
 
     #[test]
     fn fct_summary_requires_completions() {
-        let mut s = Stats::new();
+        let mut s = stats();
         s.on_sent(FlowId(1), SimTime::ZERO); // sent but never completed
         assert!(s.fct_summary().is_none());
     }
 
     #[test]
     fn snapshot_mirrors_getters() {
-        let mut s = Stats::new();
+        let (mut s, registry) = stats_and_registry();
         let f = FlowId(3);
         s.on_sent(f, SimTime::ZERO);
         let slot = s.on_sent(f, SimTime::from_micros(1));
@@ -669,7 +660,7 @@ mod tests {
         s.on_trimmed();
         s.on_dropped_random();
         s.observe_queue(4096);
-        let snap = s.snapshot();
+        let snap = publish_and_snapshot(&s, &registry);
         assert_eq!(snap.counter("netsim.sent"), s.sent_packets());
         assert_eq!(snap.counter("netsim.delivered"), 1);
         assert_eq!(snap.counter("netsim.delivered_trimmed"), 1);
@@ -683,21 +674,25 @@ mod tests {
 
     #[test]
     fn publishing_is_idempotent_and_delta_exact() {
-        let mut s = Stats::new();
+        let (mut s, registry) = stats_and_registry();
         s.on_sent(FlowId(1), SimTime::ZERO);
         s.observe_queue(100);
-        assert_eq!(s.registry().snapshot().counter("netsim.sent"), 0);
+        assert_eq!(registry.snapshot().counter("netsim.sent"), 0);
         s.publish();
-        let first = s.registry().snapshot();
+        let first = registry.snapshot();
         assert_eq!(first.counter("netsim.sent"), 1);
         s.publish();
-        assert_eq!(s.snapshot(), first, "republishing nothing adds nothing");
+        assert_eq!(
+            publish_and_snapshot(&s, &registry),
+            first,
+            "republishing nothing adds nothing"
+        );
         // Only what happened since the last publish is forwarded.
         s.on_sent(FlowId(1), SimTime::ZERO);
         s.on_dropped_fault();
         s.observe_queue(100);
         s.observe_queue(9000);
-        let snap = s.snapshot();
+        let snap = publish_and_snapshot(&s, &registry);
         assert_eq!(snap.counter("netsim.sent"), 2);
         assert_eq!(snap.counter("netsim.dropped.fault"), 1);
         assert_eq!(snap.gauge("netsim.queue.max_bytes"), 9000);
@@ -708,7 +703,7 @@ mod tests {
 
     #[test]
     fn fct_summary_single_flow() {
-        let mut s = Stats::new();
+        let mut s = stats();
         s.on_sent(FlowId(1), SimTime::from_micros(5));
         s.on_flow_complete(FlowId(1), SimTime::from_micros(25));
         let sum = s.fct_summary().expect("one flow");

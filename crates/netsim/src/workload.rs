@@ -238,12 +238,7 @@ impl FlowSchedule {
     /// stable across platforms and thread-pool widths.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.encode() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        trimgrad_telemetry::fnv1a(&self.encode())
     }
 
     /// Every destination addressed by the schedule, deduplicated and sorted —

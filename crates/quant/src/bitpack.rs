@@ -168,38 +168,6 @@ impl BitBuf {
         self.get_bits(offset, 1) != 0
     }
 
-    /// Overwrites `width` bits at bit offset `offset` (must already be valid).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range writes or oversized values.
-    pub fn set_bits(&mut self, offset: usize, value: u64, width: u32) {
-        assert!(width <= 64, "width {width} > 64");
-        assert!(
-            width == 64 || value >> width == 0,
-            "value {value:#x} wider than {width} bits"
-        );
-        assert!(
-            offset + width as usize <= self.len,
-            "write [{offset}, {}) out of range (len {})",
-            offset + width as usize,
-            self.len
-        );
-        let mut remaining = width;
-        let mut v = value;
-        let mut pos = offset;
-        while remaining > 0 {
-            let bit_in_byte = pos % 8;
-            let take = (8 - bit_in_byte as u32).min(remaining);
-            let mask = (((1u64 << take) - 1) as u8) << bit_in_byte;
-            let byte = &mut self.bytes[pos / 8];
-            *byte = (*byte & !mask) | ((((v & ((1u64 << take) - 1)) as u8) << bit_in_byte) & mask);
-            v >>= take;
-            remaining -= take;
-            pos += take as usize;
-        }
-    }
-
     /// Copies bits `[offset, offset + len)` into `dst` without allocating.
     ///
     /// `dst` must be exactly `len.div_ceil(8)` bytes; it receives the range
@@ -268,26 +236,21 @@ impl BitBuf {
             "{} source bytes cannot hold {len} bits",
             src.len()
         );
-        if len == 0 {
-            return;
-        }
-        if offset.is_multiple_of(8) {
-            let dst_byte = offset / 8;
-            let full = len / 8;
-            self.bytes[dst_byte..dst_byte + full].copy_from_slice(&src[..full]);
-            let rem = len % 8;
-            if rem > 0 {
-                let v = u64::from(src[full]) & ((1u64 << rem) - 1);
-                self.set_bits(offset + full * 8, v, rem as u32);
-            }
-            return;
-        }
         let mut pos = 0;
+        if offset.is_multiple_of(8) {
+            let full = len / 8;
+            self.bytes[offset / 8..offset / 8 + full].copy_from_slice(&src[..full]);
+            pos = full * 8;
+        }
+        // The rest byte by byte of the destination: each takes the source
+        // bits that land in it and keeps its bits outside the range.
         while pos < len {
-            let take = (len - pos).min(64);
-            // `pos` stays a multiple of 64, so the window is a whole word.
-            let v = window(src, pos) & (u64::MAX >> (64 - take));
-            self.set_bits(offset + pos, v, take as u32);
+            let at = offset + pos;
+            let take = (8 - at % 8).min(len - pos);
+            let mask = ((1u16 << take) - 1) as u8;
+            let v = window(src, pos) as u8 & mask;
+            let byte = &mut self.bytes[at / 8];
+            *byte = (*byte & !(mask << (at % 8))) | (v << (at % 8));
             pos += take;
         }
     }
@@ -633,13 +596,13 @@ mod tests {
     }
 
     #[test]
-    fn set_bits_overwrites_in_place() {
+    fn write_bits_from_bytes_overwrites_in_place() {
         let mut b = BitBuf::zeroed(32);
-        b.set_bits(5, 0b1011, 4);
+        b.write_bits_from_bytes(5, &[0b1011], 4);
         assert_eq!(b.get_bits(5, 4), 0b1011);
         assert_eq!(b.get_bits(0, 5), 0);
         assert_eq!(b.get_bits(9, 23), 0);
-        b.set_bits(5, 0b0100, 4);
+        b.write_bits_from_bytes(5, &[0b0100], 4);
         assert_eq!(b.get_bits(5, 4), 0b0100);
     }
 
@@ -784,17 +747,21 @@ mod tests {
     }
 
     #[test]
-    fn write_bits_from_bytes_matches_fieldwise_writes() {
+    fn write_bits_from_bytes_matches_fieldwise_pushes() {
         let values: Vec<u64> = (0..30).map(|i| i * 11 % 64).collect();
         let src = pack_fixed(&values, 6);
         for &off in &[0usize, 8, 16, 3, 37] {
-            let mut via_buf = BitBuf::zeroed(400);
-            for (i, &v) in values.iter().enumerate() {
-                via_buf.set_bits(off + 6 * i, v, 6);
+            // Ones around the range: the write must keep every bit outside it.
+            let mut via_fields = pack_fixed(&vec![1; off], 1);
+            for &v in &values {
+                via_fields.push_bits(v, 6);
             }
-            let mut via_bytes = BitBuf::zeroed(400);
+            while via_fields.len() < 400 {
+                via_fields.push_bit(true);
+            }
+            let mut via_bytes = pack_fixed(&[1; 400], 1);
             via_bytes.write_bits_from_bytes(off, src.as_bytes(), src.len());
-            assert_eq!(via_bytes, via_buf, "off={off}");
+            assert_eq!(via_bytes, via_fields, "off={off}");
         }
     }
 
@@ -873,14 +840,20 @@ mod tests {
         }
 
         #[test]
-        fn set_bits_roundtrip(
+        fn write_bits_from_bytes_writes_only_its_range(
             writes in proptest::collection::vec((0usize..192, any::<u64>(), 1u32..=64), 1..20)
         ) {
             let mut buf = BitBuf::zeroed(256);
+            let mut model = [false; 256];
             for &(off, v, w) in &writes {
-                let masked = if w == 64 { v } else { v & ((1u64 << w) - 1) };
-                buf.set_bits(off, masked, w);
-                prop_assert_eq!(buf.get_bits(off, w), masked);
+                // The source's bits past `w` are slack the write must ignore.
+                buf.write_bits_from_bytes(off, &v.to_le_bytes(), w as usize);
+                for (i, bit) in model[off..off + w as usize].iter_mut().enumerate() {
+                    *bit = (v >> i) & 1 == 1;
+                }
+                for (i, &bit) in model.iter().enumerate() {
+                    prop_assert_eq!(buf.get_bit(i), bit, "bit {}", i);
+                }
             }
         }
     }

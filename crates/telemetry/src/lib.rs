@@ -855,8 +855,8 @@ impl TimeSeries {
     }
 }
 
-/// FNV-1a over a byte string (the same digest the netsim workload generator
-/// uses for golden determinism tests).
+/// FNV-1a over a byte string (the digest of the netsim workload generator's
+/// golden determinism tests, `FlowSchedule::digest`).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Holds the published record to the code: rebuilds every deterministic
+# results/ table into OUT_DIR (default: a fresh temporary directory) and
+# fails unless each is byte for byte the committed file. Fig 5 stays out:
+# its encode column is wall-clock.
+#
+#   bash scripts/check_tables.sh [OUT_DIR]
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+out=${1:-$(mktemp -d)}
+mkdir -p "$out"
+cargo build --release -q -p trimgrad-bench --bins
+
+status=0
+for table in layout_table baseline_drops queue_closedloop lowrank_ablation fsdp_gather; do
+  # The binaries also write telemetry snapshots; keep them out of results/.
+  TRIMGRAD_SNAPSHOT_DIR="$out" "./target/release/$table" >"$out/$table.txt"
+  if cmp -s "$out/$table.txt" "results/$table.txt"; then
+    echo "$table: matches results/$table.txt"
+  else
+    echo "$table: differs from results/$table.txt (regenerate it with scripts/reproduce.sh):" >&2
+    diff "results/$table.txt" "$out/$table.txt" >&2 || true
+    status=1
+  fi
+done
+exit "$status"

@@ -22,7 +22,8 @@ run layout_table       # §2 in-text packet-layout numbers (instant)
 run trace_smoke        # flight-recorder end-to-end (writes results/trace_smoke.{bin,jsonl})
 run baseline_drops     # §4.4 baseline drop tolerance, measured (seconds)
 run queue_closedloop   # §5.1 closed-loop queueing study (seconds)
-run fig5_breakdown     # Fig 5 breakdown, encode measured (~1 min)
+# Fig 5's encode column times the frame path at a pinned pool width.
+TRIMGRAD_THREADS=1 run fig5_breakdown  # Fig 5 breakdown, encode measured (seconds)
 run fsdp_gather        # §5.5 FSDP weight-gather ablation (~1 min)
 run lowrank_ablation   # §5.2 low-rank prefix-decodable compression (instant)
 run fig3_tta           # Fig 3 TTA curves (~10 min)

@@ -130,12 +130,10 @@ fn different_seed_changes_the_result() {
 /// transcript bytes.
 #[test]
 fn seeded_trim_transcript_is_byte_reproducible() {
-    let mut rng = Xoshiro256StarStar::new(11);
-    let g: Vec<f32> = (0..4096).map(|_| rng.next_f32_range(-1.0, 1.0)).collect();
-    let enc = SchemeId::RhtOneBit.encode(&g, 77);
+    let (scheme, n) = (SchemeId::RhtOneBit, 4096);
     let record = || {
         let mut rec = RecordingInjector::new(TrimInjector::new(0.5, 123));
-        let _ = rec.draw_depths(&enc, 0, 1, 2);
+        let _ = rec.draw_row_fates(scheme, n, 0, 1, 2, &mut Vec::new());
         rec.into_transcript().to_bytes()
     };
     let a = record();
@@ -144,7 +142,7 @@ fn seeded_trim_transcript_is_byte_reproducible() {
 
     // A different injector seed draws different fates.
     let mut other = RecordingInjector::new(TrimInjector::new(0.5, 124));
-    let _ = other.draw_depths(&enc, 0, 1, 2);
+    let _ = other.draw_row_fates(scheme, n, 0, 1, 2, &mut Vec::new());
     assert_ne!(
         a,
         other.into_transcript().to_bytes(),

@@ -2,14 +2,29 @@
 //! encoding, packetization, the simulated network (including genuine
 //! in-switch byte-level trimming), reassembly, decoding, and SGD.
 
+use trimgrad::collective::trim_inject::Fate;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
 use trimgrad::quant::error::{cosine_similarity, nmse};
+use trimgrad::quant::scheme::RowScratch;
 use trimgrad::Scheme;
 
 fn blob(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::new(seed);
     (0..n).map(|_| rng.next_f32_range(-1.0, 1.0)).collect()
+}
+
+/// Stages `row` under `seed` and decodes it chunk by chunk as its packets'
+/// `fates` left it: the receive side of `TrimmingChannel::transfer_row`.
+fn decode_under(scheme: Scheme, row: &[f32], seed: u64, fates: &[Fate]) -> Vec<f32> {
+    let mut scratch = RowScratch::default();
+    let staged = scheme.stage(row, seed, &mut scratch);
+    let (mut out, mut buf) = (vec![0.0; row.len()], Vec::new());
+    let chunks = staged.chunks(fates.iter().cloned(), &mut buf);
+    scheme
+        .decode_runs(chunks, staged.n(), &staged.meta(), seed, &mut out)
+        .expect("a staged row decodes under fates drawn over its geometry");
+    out
 }
 
 /// Gradient → pipeline → real switch trim (byte level) → pipeline → gradient.
@@ -132,21 +147,68 @@ fn training_and_transcript_reproducibility() {
     );
 
     // Transcript: record one trimmed exchange, replay bit-identically.
-    let g = blob(4096, 9);
-    let enc = Scheme::RhtOneBit.encode(&g, 77);
+    let (g, scheme) = (blob(4096, 9), Scheme::RhtOneBit);
+    let n = scheme.encoded_len(g.len());
     let mut rec = RecordingInjector::new(TrimInjector::new(0.5, 123));
-    let depths = rec.draw_depths(&enc, 0, 1, 2);
-    let original = Scheme::RhtOneBit
-        .decode(&enc.view_with_depths(&depths), &enc.meta, 77)
-        .expect("valid");
+    let mut fates = Vec::new();
+    rec.draw_row_fates(scheme, n, 0, 1, 2, &mut fates);
+    let original = decode_under(scheme, &g, 77, &fates);
     let bytes = rec.into_transcript().to_bytes();
-    let replayed_depths = TrimTranscript::from_bytes(&bytes)
+    TrimTranscript::from_bytes(&bytes)
         .expect("well-formed")
-        .replay_depths(&enc, 0, 1, 2);
-    let replayed = Scheme::RhtOneBit
-        .decode(&enc.view_with_depths(&replayed_depths), &enc.meta, 77)
-        .expect("valid");
+        .replay_fates(scheme, n, 0, 1, 2, &mut fates);
+    let replayed = decode_under(scheme, &g, 77, &fates);
     assert_eq!(original, replayed);
+}
+
+/// A [`TrimmingChannel`]'s exchange, recorded fate by fate with an injector
+/// built like the channel's, serialized and reloaded, replays bit for bit
+/// through the decode path the channel runs — for every scheme, SD's dither
+/// stream included.
+#[test]
+fn transcript_replays_a_trimming_channel_exchange_bit_for_bit() {
+    use trimgrad::collective::chunk::MessageCodec;
+    use trimgrad::collective::{TrimInjector, TrimmingChannel};
+    use trimgrad::transcript::{RecordingInjector, TrimTranscript};
+
+    let injector = || TrimInjector::new(0.4, 31).with_drop_prob(0.1);
+    let (epoch, row_len) = (6, 3000);
+    let g = blob(2 * row_len + 700, 12);
+    for scheme in Scheme::ALL {
+        let codec = MessageCodec::with_row_len(scheme, 5, row_len);
+        let mut channel =
+            TrimmingChannel::new(MessageCodec::with_row_len(scheme, 5, row_len), injector());
+        let mut rec = RecordingInjector::new(injector());
+        let (mut fates, mut sent) = (Vec::new(), Vec::new());
+        for msg_id in 0..2 {
+            for row_id in 0..codec.rows_for(g.len()) {
+                let row = &g[codec.row_range(g.len(), row_id)];
+                let n = scheme.encoded_len(row.len());
+                rec.draw_row_fates(scheme, n, epoch, msg_id, row_id as u32, &mut fates);
+                let received = channel.transfer_row(&g, epoch, msg_id, row_id);
+                sent.push((msg_id, row_id, received.to_vec()));
+            }
+        }
+        let transcript = rec.into_transcript();
+        let stats = channel.inject_stats();
+        assert_eq!(transcript.len() as u64, stats.trimmed + stats.dropped);
+        assert!(stats.trimmed > 0 && stats.dropped > 0 && stats.intact > 0);
+
+        let restored = TrimTranscript::from_bytes(&transcript.to_bytes()).expect("well-formed");
+        for (msg_id, row_id, received) in sent {
+            let row = &g[codec.row_range(g.len(), row_id)];
+            let n = scheme.encoded_len(row.len());
+            restored.replay_fates(scheme, n, epoch, msg_id, row_id as u32, &mut fates);
+            let seed = codec.row_seed(epoch, msg_id, row_id as u32);
+            let replayed = decode_under(scheme, row, seed, &fates);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&replayed),
+                bits(&received),
+                "{scheme}: message {msg_id} row {row_id}"
+            );
+        }
+    }
 }
 
 /// Every scheme round-trips bit-exactly (or to rotation rounding) through
