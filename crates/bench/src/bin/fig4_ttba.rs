@@ -2,7 +2,7 @@
 //!
 //! The target accuracy is what the uncompressed, congestion-free baseline
 //! reaches (the paper's horizontal gray line is that baseline's training
-//! time). Expected shape:
+//! time). The paper's shape (EXPERIMENTS.md says which parts reproduce):
 //!
 //! * at ≲ 0.5% trimming every compressed scheme is *slower* than the clean
 //!   baseline (compression buys nothing, encoding costs time);
@@ -18,35 +18,35 @@
 use trimgrad::mltrain::timemodel::TimeModel;
 use trimgrad::Scheme;
 use trimgrad_bench::{
-    fmt_secs, print_row, run_training, write_snapshot_file, ExpConfig, FIG4_TRIM_RATES, SCHEMES,
+    fmt_secs, print_row, run_training, write_snapshot_file, ExpConfig, RunResult, FIG4_TRIM_RATES,
+    SCHEMES,
 };
 use trimgrad_telemetry::{Registry, Snapshot};
 
 const SEEDS: [u64; 5] = [7, 8, 9, 10, 11];
 
-/// Median sustained-crossing time across seeds, plus whether any seed
-/// failed outright (the metastable-collapse signature of a biased
-/// encoding). Median is DNF when a majority of seeds DNF.
-fn median_crossing(
-    scheme: Option<Scheme>,
-    congestion: f64,
-    epochs: u32,
-    tm: &TimeModel,
-    target: f64,
-    slack: f64,
-) -> (f64, bool) {
-    let mut times: Vec<f64> = SEEDS
+/// One training run per seed.
+fn runs(scheme: Option<Scheme>, congestion: f64, epochs: u32, tm: &TimeModel) -> Vec<RunResult> {
+    SEEDS
         .iter()
         .map(|&seed| {
-            let r = run_training(
-                &ExpConfig {
-                    scheme,
-                    congestion,
-                    seed,
-                },
-                epochs,
-                tm,
-            );
+            let cfg = ExpConfig {
+                scheme,
+                congestion,
+                seed,
+            };
+            run_training(&cfg, epochs, tm)
+        })
+        .collect()
+}
+
+/// Median sustained-crossing time across one run per seed, plus whether any
+/// seed failed outright (the metastable-collapse signature of a biased
+/// encoding). Median is DNF when a majority of seeds DNF.
+fn median_crossing(runs: &[RunResult], target: f64, slack: f64) -> (f64, bool) {
+    let mut times: Vec<f64> = runs
+        .iter()
+        .map(|r| {
             if r.diverged {
                 f64::INFINITY
             } else {
@@ -91,26 +91,14 @@ fn main() {
 
     // 1. The congestion-free uncompressed baseline defines the bar: median
     // settled accuracy over seeds, minus a point of tolerance. "Settled"
-    // rather than "best" because the best epoch is often a lucky spike.
-    let mut settled: Vec<f64> = SEEDS
-        .iter()
-        .map(|&seed| {
-            run_training(
-                &ExpConfig {
-                    scheme: None,
-                    congestion: 0.0,
-                    seed,
-                },
-                epochs,
-                &tm,
-            )
-            .settled_top1()
-        })
-        .collect();
+    // rather than "best" because the best epoch is often a lucky spike. The
+    // same runs give the bar's own crossing time.
+    let clean = runs(None, 0.0, epochs, &tm);
+    let mut settled: Vec<f64> = clean.iter().map(RunResult::settled_top1).collect();
     settled.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     let target = settled[settled.len() / 2] - 0.01;
     let slack = 0.02;
-    let (baseline_time, _) = median_crossing(None, 0.0, epochs, &tm, target, slack);
+    let (baseline_time, _) = median_crossing(&clean, target, slack);
     assert!(
         baseline_time.is_finite(),
         "clean baseline must reach its own accuracy"
@@ -123,10 +111,11 @@ fn main() {
     // 2. Sweep every (rate, scheme) cell into the registry first...
     for &rate in &FIG4_TRIM_RATES {
         // Baseline under the same congestion (as drops).
-        let (median, any_dnf) = median_crossing(None, rate, epochs, &tm, target, slack);
+        let (median, any_dnf) = median_crossing(&runs(None, rate, epochs, &tm), target, slack);
         record_cell(&summary, rate, "baseline", median, any_dnf);
         for &s in &SCHEMES {
-            let (median, any_dnf) = median_crossing(Some(s), rate, epochs, &tm, target, slack);
+            let (median, any_dnf) =
+                median_crossing(&runs(Some(s), rate, epochs, &tm), target, slack);
             record_cell(&summary, rate, s.name(), median, any_dnf);
         }
     }

@@ -1,11 +1,11 @@
 //! The channel abstraction collectives run over.
 //!
 //! A [`GradChannel`] moves one gradient segment from one worker to another
-//! and returns what the receiver decodes. The two implementations bracket
-//! the paper's design space:
+//! and lends what the receiver decodes to the caller, allocating nothing for
+//! it. The two implementations bracket the paper's design space:
 //!
-//! * [`LosslessChannel`] — the uncompressed baseline (bit-exact, counts raw
-//!   bytes);
+//! * [`LosslessChannel`] — the uncompressed baseline (lends the sender's own
+//!   data, counts raw bytes);
 //! * [`TrimmingChannel`] — encode with a [`MessageCodec`], pass through a
 //!   [`TrimInjector`] (the simulated congested fabric), decode on the far
 //!   side. Counts the bytes that actually crossed the wire (trimmed packets
@@ -21,21 +21,12 @@ use trimgrad_wire::stack::{IP_OVERHEAD, PAYLOAD_START};
 
 /// A point-to-point gradient transfer.
 pub trait GradChannel {
-    /// Transfers `data`, returning the receiver-side view of it.
-    fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32>;
+    /// Transfers `data`, lending the receiver's decode of it to `sink` in
+    /// order: `sink(offset, piece)` gets the decode of `data[offset..][..piece.len()]`.
+    fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32, sink: impl FnMut(usize, &[f32]));
 
     /// Wire bytes consumed so far (headers included).
     fn bytes_sent(&self) -> u64;
-}
-
-impl<T: GradChannel + ?Sized> GradChannel for Box<T> {
-    fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
-        (**self).transfer(data, epoch, msg_id)
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        (**self).bytes_sent()
-    }
 }
 
 /// The uncompressed, lossless baseline channel.
@@ -53,13 +44,13 @@ impl LosslessChannel {
 }
 
 impl GradChannel for LosslessChannel {
-    fn transfer(&mut self, data: &[f32], _epoch: u32, _msg_id: u32) -> Vec<f32> {
+    fn transfer(&mut self, data: &[f32], _: u32, _: u32, mut sink: impl FnMut(usize, &[f32])) {
         // Raw f32 payload in MTU packets: 4 B/coordinate plus the header
         // stack without the TrimGrad header.
         let per_packet = (DEFAULT_MTU - IP_OVERHEAD) / 4;
         let packets = data.len().div_ceil(per_packet);
         self.bytes += (data.len() * 4 + packets * PAYLOAD_START) as u64;
-        data.to_vec()
+        sink(0, data);
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -205,20 +196,25 @@ impl TrimmingChannel {
 
 impl GradChannel for TrimmingChannel {
     /// [`transfer_row`](TrimmingChannel::transfer_row) over every row of
-    /// `data`, in row order, each row's decode appended to a fresh vector
-    /// while it is still in cache.
-    fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
-        let mut out = Vec::with_capacity(data.len());
+    /// `data`, in row order, each row's decode lent to `sink` at its row
+    /// offset while it is still in cache.
+    fn transfer(
+        &mut self,
+        data: &[f32],
+        epoch: u32,
+        msg_id: u32,
+        mut sink: impl FnMut(usize, &[f32]),
+    ) {
         if data.is_empty() {
-            return out;
+            return;
         }
         for row_id in 0..self.codec.rows_for(data.len()) {
-            out.extend_from_slice(self.transfer_row(data, epoch, msg_id, row_id));
+            let start = self.codec.row_range(data.len(), row_id).start;
+            sink(start, self.transfer_row(data, epoch, msg_id, row_id));
         }
         if let Some(m) = &self.metrics {
             m.transfers.inc();
         }
-        out
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -237,11 +233,22 @@ mod tests {
         (0..n).map(|_| rng.next_f32_range(-1.0, 1.0)).collect()
     }
 
+    /// What the receiver of one transfer decodes, collected from the pieces
+    /// the channel lends, which must arrive in order.
+    fn received(ch: &mut impl GradChannel, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
+        let mut out = Vec::new();
+        ch.transfer(data, epoch, msg_id, |offset, piece| {
+            assert_eq!(offset, out.len(), "pieces arrive in order");
+            out.extend_from_slice(piece);
+        });
+        out
+    }
+
     #[test]
     fn lossless_is_identity_and_counts_bytes() {
         let mut ch = LosslessChannel::new();
         let b = blob(1000, 1);
-        let out = ch.transfer(&b, 0, 0);
+        let out = received(&mut ch, &b, 0, 0);
         assert_eq!(out, b);
         // ≥ 4000 payload bytes plus 3 packet headers.
         assert!(ch.bytes_sent() >= 4000);
@@ -253,7 +260,7 @@ mod tests {
         let codec = MessageCodec::with_row_len(SchemeId::SignMagnitude, 3, 512);
         let mut ch = TrimmingChannel::new(codec, TrimInjector::new(0.0, 1));
         let b = blob(1000, 2);
-        let out = ch.transfer(&b, 1, 2);
+        let out = received(&mut ch, &b, 1, 2);
         for (d, v) in out.iter().zip(&b) {
             assert_eq!(d.to_bits(), v.to_bits());
         }
@@ -269,8 +276,8 @@ mod tests {
         let b = blob(8192, 3);
         let mut clean = mk(0.0);
         let mut trimmed = mk(1.0);
-        let _ = clean.transfer(&b, 0, 0);
-        let _ = trimmed.transfer(&b, 0, 0);
+        let _ = received(&mut clean, &b, 0, 0);
+        let _ = received(&mut trimmed, &b, 0, 0);
         assert!(
             trimmed.bytes_sent() < clean.bytes_sent() / 5,
             "full trimming must slash bytes: {} vs {}",
@@ -287,7 +294,7 @@ mod tests {
         for p in [0.0, 0.5, 1.0] {
             let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, 3, 1024);
             let mut ch = TrimmingChannel::new(codec, TrimInjector::new(p, 7));
-            let out = ch.transfer(&b, 0, 0);
+            let out = received(&mut ch, &b, 0, 0);
             errs.push(trimgrad_quant::error::nmse(&out, &b));
         }
         assert!(errs[0] < 1e-6);
@@ -302,8 +309,8 @@ mod tests {
         let mut ch = TrimmingChannel::new(codec, TrimInjector::new(0.5, 11))
             .with_telemetry(&reg, "collective.channel.0");
         let b = blob(8192, 6);
-        let _ = ch.transfer(&b, 0, 0);
-        let _ = ch.transfer(&b, 0, 1);
+        let _ = received(&mut ch, &b, 0, 0);
+        let _ = received(&mut ch, &b, 0, 1);
         let snap = reg.snapshot();
         let s = ch.inject_stats();
         assert_eq!(snap.counter("collective.channel.0.intact"), s.intact);
@@ -327,7 +334,7 @@ mod tests {
     fn empty_transfer() {
         let codec = MessageCodec::new(SchemeId::Stochastic, 0);
         let mut ch = TrimmingChannel::new(codec, TrimInjector::new(0.5, 0));
-        assert!(ch.transfer(&[], 0, 0).is_empty());
+        assert!(received(&mut ch, &[], 0, 0).is_empty());
         assert_eq!(ch.bytes_sent(), 0);
     }
 
@@ -336,7 +343,7 @@ mod tests {
         let codec = MessageCodec::with_row_len(SchemeId::SubtractiveDither, 5, 100);
         let mut ch = TrimmingChannel::new(codec, TrimInjector::new(0.0, 1));
         let b = blob(350, 5); // 4 rows
-        let out = ch.transfer(&b, 2, 9);
+        let out = received(&mut ch, &b, 2, 9);
         assert_eq!(out.len(), b.len());
         for (d, v) in out.iter().zip(&b) {
             assert_eq!(d.to_bits(), v.to_bits());

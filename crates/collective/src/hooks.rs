@@ -28,7 +28,7 @@ pub trait AggregateHook: Send {
     fn name(&self) -> String;
 }
 
-/// The uncompressed baseline: exact mean over lossless channels.
+/// The uncompressed baseline: the exact mean, ring-reduced in place in its `W` views.
 pub struct BaselineHook {
     channels: Vec<LosslessChannel>,
 }
@@ -237,9 +237,15 @@ mod tests {
     struct IdRecorder(Vec<(u32, u32)>);
 
     impl GradChannel for IdRecorder {
-        fn transfer(&mut self, data: &[f32], epoch: u32, msg_id: u32) -> Vec<f32> {
+        fn transfer(
+            &mut self,
+            data: &[f32],
+            epoch: u32,
+            msg_id: u32,
+            mut sink: impl FnMut(usize, &[f32]),
+        ) {
             self.0.push((epoch, msg_id));
-            data.to_vec()
+            sink(0, data);
         }
 
         fn bytes_sent(&self) -> u64 {

@@ -103,30 +103,30 @@ pub fn ring_all_reduce<C: GradChannel>(
         "worker blobs must agree in length"
     );
     for t in 0..total_steps(w) {
-        // All sends of a step happen "simultaneously": gather payloads
-        // first, then apply. Ids run `base + slot·W + i`, with slot `k` for
-        // reduce-scatter step `k` and slot `W + k = t + 1` for all-gather
+        // All sends of a step happen "simultaneously": a rank never receives
+        // the range it sends, so each transfer lands in place and no send
+        // reads what its step wrote. Ids run `base + slot·W + i`, with slot
+        // `k` for reduce-scatter step `k` and `W + k = t + 1` for all-gather
         // step `k`.
         let slot = if is_reduce_step(w, t) { t } else { t + 1 };
-        let incoming: Vec<Vec<f32>> = channels
-            .iter_mut()
-            .enumerate()
-            .map(|(i, chan)| {
-                let msg_id = base_msg_id + (slot * w + i) as u32;
-                chan.transfer(&workers[i][step(len, w, i, t).send], epoch, msg_id)
-            })
-            .collect();
-        for (i, payload) in incoming.into_iter().enumerate() {
-            let dst = (i + 1) % w;
-            let s = step(len, w, dst, t);
-            let acc = &mut workers[dst][s.recv];
-            if s.reduce {
-                for (a, v) in acc.iter_mut().zip(&payload) {
-                    *a += v;
+        for (i, chan) in channels.iter_mut().enumerate() {
+            let msg_id = base_msg_id + (slot * w + i) as u32;
+            let send = step(len, w, i, t).send;
+            let s = step(len, w, (i + 1) % w, t);
+            let pair = workers.get_disjoint_mut([i, (i + 1) % w]);
+            // trimlint: allow(no-panic) -- W ≥ 2, so a rank and its successor are two ranks
+            let [src, dst] = pair.expect("a rank and its successor are distinct");
+            let acc = &mut dst[s.recv];
+            chan.transfer(&src[send], epoch, msg_id, |offset, piece| {
+                let acc = &mut acc[offset..offset + piece.len()];
+                if s.reduce {
+                    for (a, v) in acc.iter_mut().zip(piece) {
+                        *a += v;
+                    }
+                } else {
+                    acc.copy_from_slice(piece);
                 }
-            } else {
-                acc.copy_from_slice(&payload);
-            }
+            });
         }
     }
 }
@@ -140,20 +140,15 @@ mod tests {
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
     use trimgrad_quant::SchemeId;
 
-    fn lossless(n: usize) -> Vec<Box<dyn GradChannel>> {
-        (0..n)
-            .map(|_| Box::new(LosslessChannel::new()) as Box<dyn GradChannel>)
-            .collect()
+    fn lossless(n: usize) -> Vec<LosslessChannel> {
+        (0..n).map(|_| LosslessChannel::new()).collect()
     }
 
-    fn trimming(n: usize, p: f64, seed: u64) -> Vec<Box<dyn GradChannel>> {
+    fn trimming(n: usize, p: f64, seed: u64) -> Vec<TrimmingChannel> {
         (0..n)
             .map(|i| {
                 let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, 77, 1024);
-                Box::new(TrimmingChannel::new(
-                    codec,
-                    TrimInjector::new(p, seed + i as u64),
-                )) as Box<dyn GradChannel>
+                TrimmingChannel::new(codec, TrimInjector::new(p, seed + i as u64))
             })
             .collect()
     }

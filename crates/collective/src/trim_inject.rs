@@ -189,7 +189,8 @@ mod tests {
     /// rows are at least as long as `r`.
     fn roundtrip_row(inj: TrimInjector, scheme: SchemeId, r: &[f32]) -> (Vec<f32>, InjectStats) {
         let mut ch = TrimmingChannel::new(MessageCodec::with_row_len(scheme, 42, r.len()), inj);
-        let dec = ch.transfer(r, 0, 0);
+        let mut dec = Vec::new();
+        ch.transfer(r, 0, 0, |_, piece| dec.extend_from_slice(piece));
         (dec, ch.inject_stats())
     }
 
@@ -226,7 +227,7 @@ mod tests {
         );
         let r = row(40 * 4096, 4);
         for i in 0..40 {
-            let _ = ch.transfer(&r, 0, i);
+            ch.transfer(&r, 0, i, |_, _| {});
         }
         let stats = ch.inject_stats();
         // 40 × 40 rows × 12 chunks; SE ≈ sqrt(0.3·0.7/19200) ≈ 0.0033.

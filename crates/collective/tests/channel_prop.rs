@@ -97,7 +97,8 @@ fn check_channel(
         let (want, s, b) = plane_transfer(&reference_codec, &mut reference, &data, 3, msg_id);
         stats.merge(s);
         bytes += b;
-        let got = ch.transfer(&data, 3, msg_id);
+        let mut got = Vec::new();
+        ch.transfer(&data, 3, msg_id, |_, piece| got.extend_from_slice(piece));
         if bits(&got) != bits(&want) {
             let at = (0..len).find(|&i| got[i].to_bits() != want[i].to_bits());
             return Err(format!("message {msg_id}: decode differs at {at:?}"));

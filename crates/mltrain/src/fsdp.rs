@@ -89,11 +89,12 @@ impl ShardedParams {
     ) -> Vec<f32> {
         assert!(me < self.workers(), "rank out of range");
         let mut out = Vec::with_capacity(self.len());
+        let mut append = |_, piece: &[f32]| out.extend_from_slice(piece);
         for (w, shard) in self.shards.iter().enumerate() {
             if w == me {
-                out.extend_from_slice(shard);
+                append(0, shard);
             } else {
-                out.extend(chan.transfer(shard, epoch, base_msg_id + w as u32));
+                chan.transfer(shard, epoch, base_msg_id + w as u32, &mut append);
             }
         }
         out
@@ -102,11 +103,7 @@ impl ShardedParams {
     /// Lossless reassembly (the reference).
     #[must_use]
     pub fn concat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            out.extend_from_slice(s);
-        }
-        out
+        self.shards.concat()
     }
 }
 

@@ -418,7 +418,11 @@ fn aggregate_matches_the_per_element_walk_under_loss() {
                                 .with_drop_prob(drop);
                         let codec = MessageCodec::with_row_len(scheme, SEED, ROW);
                         let mut ch = TrimmingChannel::new(codec, injector);
-                        ch.transfer(g, epoch, round * w as u32 + u as u32)
+                        let mut out = Vec::new();
+                        ch.transfer(g, epoch, round * w as u32 + u as u32, |_, piece| {
+                            out.extend_from_slice(piece);
+                        });
+                        out
                     })
                     .collect();
                 let mut hook = TrimmableHook::new(scheme, w, trim, drop, ROW, SEED);

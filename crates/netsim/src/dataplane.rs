@@ -215,15 +215,11 @@ impl Simulator {
         let low = port.low_bytes();
         let queued = u32::try_from(port.queued_packets()).unwrap_or(u32::MAX);
         self.ports.record_depth(key, low, queued);
-        // Incremental conservation: mirror the port's own tally so the
-        // whole-run check never re-scans the table.
-        self.port_totals.count(outcome);
         if let Some(slot) = rejected {
             self.arena.free(slot);
         }
         self.stats.observe_queue(low);
         if marked {
-            self.port_totals.ecn_marked += 1;
             self.stats.on_ecn_marked();
         }
         let at = self.now.as_nanos();
@@ -308,7 +304,6 @@ impl Simulator {
         let queued = u32::try_from(state.queued_packets()).unwrap_or(u32::MAX);
         self.ports.set_busy(port, true);
         self.ports.record_depth(port, low, queued);
-        self.port_totals.dequeued += 1;
         // Link params come from the port table's build-time cache, not a
         // linear adjacency scan per packet.
         let params = self.ports.params(port);

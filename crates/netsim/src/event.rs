@@ -6,7 +6,7 @@
 //!
 //! [`EventQueue`] is a calendar queue (timing wheel): near-future events land
 //! in per-window `Vec` buckets with O(1) insertion, and the one window being
-//! drained lives in a `Lane` — fine time slots, each a FIFO threaded
+//! drained lives in a `Lane` — one slot per nanosecond, each a FIFO threaded
 //! through one node slab — so popping is "first occupied slot, unlink its
 //! head" with no comparisons. Events beyond the wheel horizon go to an
 //! overflow heap. Every store orders by the same `(time, seq)` key, so pop
@@ -98,16 +98,13 @@ impl Ord for Event {
 /// port's serialize/arrive churn stays within a window or two while bucket
 /// `Vec`s see enough traffic to amortize their growth (a wheel of many
 /// barely-used buckets spends more on allocation than it saves on ordering).
+/// Also the widest window: the lane keeps one slot per nanosecond of it.
 const DEFAULT_BUCKET_SHIFT: u32 = 13;
 
 /// Default wheel size (buckets). With the default width the horizon is
 /// ~2 ms — beyond any modeled RTT, so in steady state the overflow heap only
 /// ever holds coarse timers (stats samples, app timers).
 const DEFAULT_N_BUCKETS: usize = 256;
-
-/// The lane never has more than `1 << 13` slots: at the default bucket width
-/// that is one slot per nanosecond, and wider windows get wider slots.
-const MAX_LANE_SLOTS_SHIFT: u32 = 13;
 
 /// "No node" in the lane's intrusive lists.
 const NIL: u32 = u32::MAX;
@@ -124,20 +121,20 @@ struct LaneNode {
 
 /// The active window, pre-sorted by construction.
 ///
-/// The window is cut into `slots` equal time slices in time order; each slot
-/// is a singly linked FIFO through `nodes`, kept sorted by `(time, seq)`.
-/// Slots partition the window in time order and each list is sorted, so
-/// walking occupied slots upward and each list head to tail visits the
-/// window's events in exactly `(time, seq)` order.
+/// The window is cut into one slot per nanosecond; each slot is a singly
+/// linked FIFO through `nodes`. A slot's events share their time, and they
+/// reach the lane in `seq` order — scheduled into the active window, or
+/// streamed from a bucket in push order while the lane is empty — so each
+/// list is sorted by `(time, seq)` by appending alone, and walking occupied
+/// slots upward and each list head to tail visits the window's events in
+/// exactly `(time, seq)` order.
 ///
 /// Invariant: no slot below `cursor` is occupied, and while the lane is
 /// non-empty `cursor` *is* the first occupied slot — so peeking is one load
 /// and popping never compares keys.
 #[derive(Debug)]
 struct Lane {
-    /// Slot width is `1 << slot_shift` nanoseconds.
-    slot_shift: u32,
-    /// `slots.len() - 1`; the slot of time `t` is `(t >> slot_shift) & slot_mask`.
+    /// `slots.len() - 1`; the slot of time `t` is `t & slot_mask`.
     slot_mask: u64,
     /// `[head, tail]` node of each slot's list (`NIL` when empty).
     slots: Vec<[u32; 2]>,
@@ -152,10 +149,8 @@ struct Lane {
 
 impl Lane {
     fn new(window_shift: u32) -> Self {
-        let slots_shift = window_shift.min(MAX_LANE_SLOTS_SHIFT);
-        let n_slots = 1usize << slots_shift;
+        let n_slots = 1usize << window_shift;
         Self {
-            slot_shift: window_shift - slots_shift,
             slot_mask: n_slots as u64 - 1,
             slots: vec![[NIL; 2]; n_slots],
             occupied: vec![0u64; n_slots.div_ceil(64)],
@@ -171,16 +166,11 @@ impl Lane {
         (node.at, node.seq)
     }
 
-    /// Links `event` into its slot, after every event already there with a
-    /// key `<=` its own. Events arrive in key order within a slot whenever
-    /// the slot is 1 ns wide and is fed in schedule order or from a coarse
-    /// bucket in push order — then this is a tail append; wider slots take
-    /// the sorted walk, so order never depends on slot width or on how the
-    /// events got here.
+    /// Appends `event` to its slot, whose events all precede it in
+    /// `(time, seq)` order (see `Lane`).
     // trimlint: hot-path -- every event of the active window is linked in here
     fn push(&mut self, event: Event) {
-        let s = ((event.at.0 >> self.slot_shift) & self.slot_mask) as usize;
-        let key = event.key();
+        let s = (event.at.0 & self.slot_mask) as usize;
         let cell = LaneNode {
             at: event.at,
             seq: event.seq,
@@ -198,31 +188,17 @@ impl Lane {
             self.nodes[n as usize] = cell;
             n
         };
-        let [head, tail] = self.slots[s];
+        let tail = self.slots[s][1];
         if tail == NIL {
             self.slots[s] = [n, n];
             self.occupied[s / 64] |= 1u64 << (s % 64);
             if self.len == 0 || s < self.cursor {
                 self.cursor = s;
             }
-        } else if self.key_of(tail) <= key {
+        } else {
+            debug_assert!(self.key_of(tail) < self.key_of(n), "slot fed out of order");
             self.nodes[tail as usize].next = n;
             self.slots[s][1] = n;
-        } else if key < self.key_of(head) {
-            self.nodes[n as usize].next = head;
-            self.slots[s][0] = n;
-        } else {
-            // head <= key < tail: insert after the last node that is <= key.
-            let mut prev = head;
-            loop {
-                let next = self.nodes[prev as usize].next;
-                if key < self.key_of(next) {
-                    break;
-                }
-                prev = next;
-            }
-            self.nodes[n as usize].next = self.nodes[prev as usize].next;
-            self.nodes[prev as usize].next = n;
         }
         self.len += 1;
     }
@@ -351,20 +327,22 @@ impl EventQueue {
 
     /// Creates an empty queue with `n_buckets` buckets of `1 << bucket_shift`
     /// nanoseconds each. Exposed so tests can force tiny wheels whose horizon
-    /// is crossed constantly and wide windows whose lane slots span many
-    /// nanoseconds; simulations use [`EventQueue::new`].
+    /// is crossed constantly; simulations use [`EventQueue::new`].
     ///
     /// # Panics
     ///
     /// Panics if `n_buckets` is not a power of two ≥ 2 or `bucket_shift`
-    /// does not leave at least one window bit.
+    /// exceeds the default's 13 (windows wider than the lane's 8192 slots).
     #[must_use]
     pub fn with_geometry(bucket_shift: u32, n_buckets: usize) -> Self {
         assert!(
             n_buckets >= 2 && n_buckets.is_power_of_two(),
             "n_buckets must be a power of two >= 2"
         );
-        assert!(bucket_shift < 64, "bucket_shift must leave window bits");
+        assert!(
+            bucket_shift <= DEFAULT_BUCKET_SHIFT,
+            "bucket_shift must be at most 13"
+        );
         let mut buckets = Vec::with_capacity(n_buckets);
         buckets.resize_with(n_buckets, Vec::new);
         Self {
@@ -571,26 +549,6 @@ mod tests {
         std::iter::from_fn(|| lane.pop())
             .map(|e| (e.at.0, e.seq))
             .collect()
-    }
-
-    #[test]
-    fn lane_slot_stays_sorted_whatever_the_insert_order() {
-        // A 2^16 ns window has 8 ns slots, so all of these share slot 0.
-        let mut lane = Lane::new(16);
-        assert_eq!(lane.slot_shift, 3);
-        lane.push(lane_event(3, 0)); // first in the slot
-        lane.push(lane_event(5, 1)); // tail append
-        lane.push(lane_event(4, 2)); // between head and tail: sorted walk
-        lane.push(lane_event(1, 3)); // before the head
-        lane.push(lane_event(5, 4)); // ties the tail: appended after it
-        lane.push(lane_event(4, 5)); // ties a middle node: lands after it
-        assert_eq!(lane.len, 6);
-        assert_eq!(lane.peek(), Some((SimTime(1), 3)));
-        assert_eq!(
-            drain_keys(&mut lane),
-            vec![(1, 3), (3, 0), (4, 2), (4, 5), (5, 1), (5, 4)]
-        );
-        assert!(lane.occupied.iter().all(|&w| w == 0));
     }
 
     #[test]

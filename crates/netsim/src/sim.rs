@@ -13,8 +13,7 @@
 //! [`crate::ports::PortId`], cached link params, a dense queue-depth
 //! mirror), each flow's port path is resolved once, packet boxes are
 //! recycled through a [`PacketArena`] instead of being allocated once per
-//! packet lifetime, and conservation is tracked incrementally so
-//! [`Simulator::conservation_holds`] is O(1).
+//! packet lifetime.
 
 use crate::dataplane::FlowPaths;
 use crate::event::{EventKind, EventQueue};
@@ -23,7 +22,7 @@ use crate::host::{App, HostActions, HostApi, SinkApp};
 use crate::packet::PacketArena;
 use crate::ports::DensePortTable;
 use crate::stats::{ConservationViolation, Stats};
-use crate::switch::{Mismatch, PortCounters};
+use crate::switch::Mismatch;
 use crate::time::SimTime;
 use crate::topology::{NodeKind, Routes, Topology};
 use crate::NodeId;
@@ -39,9 +38,6 @@ pub struct Simulator {
     pub(crate) ports: DensePortTable,
     /// Every flow's port path, resolved from `routes` when it first sends.
     pub(crate) paths: FlowPaths,
-    /// Running roll-up of every port's counters, updated at each enqueue
-    /// and dequeue so the conservation check never re-scans the table.
-    pub(crate) port_totals: PortCounters,
     pub(crate) arena: PacketArena,
     apps: Vec<Option<Box<dyn App>>>,
     /// The action buffers lent to each app callback's [`HostApi`] and taken
@@ -119,7 +115,6 @@ impl Simulator {
             routes,
             ports,
             paths: FlowPaths::default(),
-            port_totals: PortCounters::default(),
             arena: PacketArena::new(),
             apps,
             host_actions: HostActions::default(),
@@ -307,14 +302,6 @@ impl Simulator {
         &self.arena
     }
 
-    /// The running roll-up of every port's counters (the incremental side
-    /// of the conservation check). Tests cross-check it against a full
-    /// scan of [`crate::switch::PortCounters`] per port.
-    #[must_use]
-    pub fn port_totals(&self) -> PortCounters {
-        self.port_totals
-    }
-
     /// The simulation-wide telemetry registry. The fabric's `netsim.*`
     /// counters live here — brought up to date whenever
     /// [`Simulator::run_until`] returns, see [`Stats::publish`] — and every
@@ -412,21 +399,17 @@ impl Simulator {
     }
 
     /// Verifies packet conservation (see [`Stats::conservation_holds`]):
-    /// the aggregated per-port identity plus the global one.
-    ///
-    /// O(1): the per-port roll-up is maintained incrementally at every
-    /// enqueue/dequeue instead of re-scanning the port table. The full
-    /// recount, which also names an offender, is
-    /// [`Simulator::check_invariants`].
+    /// every port's identity, recounted as [`Simulator::check_invariants`]
+    /// does (which also names an offender), plus the global one.
     #[must_use]
     pub fn conservation_holds(&self) -> bool {
-        self.port_totals.conserved() && self.stats.conservation_holds(self.in_flight)
+        self.ports.recount().is_ok() && self.stats.conservation_holds(self.in_flight)
     }
 
     /// Recounts what the data plane keeps incrementally: per port, in
     /// `(from, to)` order, conservation, byte totals against queue entries,
     /// each entry's size and class against its record (hot/cold coherence)
-    /// and the dense mirrors; then global conservation, `port_totals`,
+    /// and the dense mirrors; then global conservation,
     /// `arena().live() == in_flight()` and a monotone clock. Debug builds
     /// run it at every queue-sampling tick.
     ///
@@ -440,19 +423,18 @@ impl Simulator {
             rhs: ("recounted".to_string(), real),
             detail: "kept incrementally, then recounted".to_string(),
         };
-        let sums = self.ports.recount().map_err(violation)?;
+        self.ports.recount().map_err(violation)?;
         self.stats.conservation_report(self.in_flight)?;
         let next = self.queue.peek_time().map_or(self.now, |t| t.min(self.now));
         let live = ("live vs in_flight", self.arena.live(), self.in_flight);
-        let fabric = [
+        let checks = [
             ("arena", live),
             ("clock", ("now vs next event", self.now.0, next.0)),
         ];
-        let totals = self.port_totals.fields().into_iter().zip(sums);
-        let mut checks = totals
-            .map(|((field, kept), sum)| ("port_totals", (field, kept, sum)))
-            .chain(fabric);
-        match checks.find(|&(_, (_, kept, real))| kept != real) {
+        match checks
+            .into_iter()
+            .find(|&(_, (_, kept, real))| kept != real)
+        {
             Some((scope, mismatch)) => Err(violation((scope.to_string(), mismatch))),
             None => Ok(()),
         }
@@ -1055,7 +1037,8 @@ mod tests {
             );
             // One depth observation per enqueue (no queue sampler here).
             let (observed, ..) = snap.histogram("netsim.queue.depth_bytes").unwrap();
-            assert_eq!(observed, sim.port_totals().arrived, "depth count {when}");
+            let arrived = sim.ports.ports_touched().map(|(_, p)| p.counters.arrived);
+            assert_eq!(observed, arrived.sum::<u64>(), "depth count {when}");
         };
         // Fast ingress, slow lossy egress: trims, drops and deliveries all
         // tick. Every packet event here falls on a multiple of 8 ns and the

@@ -152,7 +152,7 @@ impl PortCounters {
     }
 
     /// Counts one arrival and what became of it.
-    // trimlint: hot-path -- per enqueue, on the port and on the fabric roll-up
+    // trimlint: hot-path -- per enqueue
     pub(crate) fn count(&mut self, outcome: EnqueueOutcome) {
         self.arrived += 1;
         match outcome {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Holds the published record to the code: rebuilds every deterministic
 # results/ table into OUT_DIR (default: a fresh temporary directory) and
-# fails unless each is byte for byte the committed file. Fig 5 stays out:
-# its encode column is wall-clock.
+# fails unless each is byte for byte the committed file. Fig 3 trains its
+# configurations in about half a minute (release, one core). Fig 5 stays out:
+# its encode column is wall-clock; Fig 4 takes minutes.
 #
 #   bash scripts/check_tables.sh [OUT_DIR]
 set -euo pipefail
@@ -13,7 +14,7 @@ mkdir -p "$out"
 cargo build --release -q -p trimgrad-bench --bins
 
 status=0
-for table in layout_table baseline_drops queue_closedloop lowrank_ablation fsdp_gather; do
+for table in layout_table baseline_drops queue_closedloop lowrank_ablation fsdp_gather fig3_tta; do
   # The binaries also write telemetry snapshots; keep them out of results/.
   TRIMGRAD_SNAPSHOT_DIR="$out" "./target/release/$table" >"$out/$table.txt"
   if cmp -s "$out/$table.txt" "results/$table.txt"; then

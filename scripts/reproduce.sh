@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every paper figure/table plus the extension ablations, saving
-# outputs under results/. Figures 3-4 train ~150 model configurations and
-# dominate the runtime (~45 min total on a laptop-class CPU).
+# outputs under results/. Figures 3-4 train ~230 models and
+# dominate the runtime (~5 min of the total in release on a 2-vCPU Xeon,
+# before the micro-benchmarks).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,8 +27,8 @@ run queue_closedloop   # §5.1 closed-loop queueing study (seconds)
 TRIMGRAD_THREADS=1 run fig5_breakdown  # Fig 5 breakdown, encode measured (seconds)
 run fsdp_gather        # §5.5 FSDP weight-gather ablation (~1 min)
 run lowrank_ablation   # §5.2 low-rank prefix-decodable compression (instant)
-run fig3_tta           # Fig 3 TTA curves (~10 min)
-run fig4_ttba          # Fig 4 time-to-baseline-accuracy (~35 min)
+run fig3_tta           # Fig 3 TTA curves (~25 s)
+run fig4_ttba          # Fig 4 time-to-baseline-accuracy (~3.5 min)
 
 # Fleet SLO scenario: N tenants with per-tenant metric scopes on a k=8
 # fat-tree, churn, and cross-traffic. Writes results/fleet.series.json,

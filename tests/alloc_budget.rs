@@ -7,10 +7,11 @@
 //! returns: no per-worker decode, no per-row depth vector, no fresh gradient.
 //! The exchange allocates nothing of 64 KiB or more but those views: no
 //! whole-row plane or mask, since each channel decodes from its staged row
-//! chunk by chunk. Allocations are counted on every thread, so the budget
-//! holds at every `TRIMGRAD_THREADS` width. Inside the round, the compute
-//! stage allocates nothing as large as a weight matrix: no product copies
-//! `W`.
+//! chunk by chunk, and — on the uncompressed baseline's ring — no copy of a
+//! segment, since each lossless transfer lends the sender's data.
+//! Allocations are counted on every thread, so the budget holds at every
+//! `TRIMGRAD_THREADS` width. Inside the round, the compute stage allocates
+//! nothing as large as a weight matrix: no product copies `W`.
 //!
 //! The loopback pipeline holds a budget too: on a 2²⁰-coordinate RHT blob,
 //! `TrimmablePipeline::encode` allocates nothing of 64 KiB or more but the
@@ -24,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
-use trimgrad_collective::hooks::{AggregateHook, TrimmableHook};
+use trimgrad_collective::hooks::{AggregateHook, BaselineHook, TrimmableHook};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_mltrain::data::{gaussian_mixture, sample_indices};
 use trimgrad_mltrain::parallel::{DataParallelTrainer, ParallelConfig};
@@ -108,14 +109,23 @@ fn the_exchange_allocates_nothing_blob_sized_but_the_views() {
     let grads: Vec<Vec<f32>> = (0..WORKERS)
         .map(|_| (0..LEN).map(|_| rng.next_f32_range(-1.0, 1.0)).collect())
         .collect();
-    let mut hook = TrimmableHook::new(SchemeId::Stochastic, WORKERS, TRIM_PROB, 0.0, ROW_LEN, 11);
-    let mut round = 0;
-    let count = third_call_allocations(ROW_SIZED, || {
-        let views = hook.aggregate(&grads, 0, round);
-        assert_eq!(views.len(), WORKERS);
-        round += 1;
-    });
-    assert_eq!(count, WORKERS, "allocations of 64 KiB or more");
+    let trimmable = TrimmableHook::new(SchemeId::Stochastic, WORKERS, TRIM_PROB, 0.0, ROW_LEN, 11);
+    let hooks: [Box<dyn AggregateHook>; 2] =
+        [Box::new(trimmable), Box::new(BaselineHook::new(WORKERS))];
+    for mut hook in hooks {
+        let mut round = 0;
+        let count = third_call_allocations(ROW_SIZED, || {
+            let views = hook.aggregate(&grads, 0, round);
+            assert_eq!(views.len(), WORKERS);
+            round += 1;
+        });
+        assert_eq!(
+            count,
+            WORKERS,
+            "{}: allocations of 64 KiB or more",
+            hook.name()
+        );
+    }
 }
 
 #[test]

@@ -257,7 +257,7 @@ fn in_memory_byte_accounting_equals_real_frames() {
                 }
                 let codec = MessageCodec::new(scheme, 0);
                 let mut ch = TrimmingChannel::new(codec, TrimInjector::new(trim_prob, 1));
-                let _ = ch.transfer(&g, 0, 0);
+                ch.transfer(&g, 0, 0, |_, _| {});
                 assert_eq!(
                     ch.bytes_sent(),
                     frames.wire_bytes() as u64,
