@@ -9,7 +9,7 @@ use trimgrad::collective::hooks::{AggregateHook, TrimmableHook};
 use trimgrad::collective::ring::ring_all_reduce;
 use trimgrad::collective::TrimInjector;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
 
 const WORKERS: usize = 4;
@@ -39,7 +39,7 @@ fn bench_ring(records: &mut Vec<BenchRecord>) {
         let mut chans: Vec<TrimmingChannel> = (0..WORKERS)
             .map(|i| {
                 TrimmingChannel::new(
-                    MessageCodec::with_row_len(Scheme::RhtOneBit, 7, 1 << 12),
+                    MessageCodec::with_row_len(SchemeId::RhtOneBit, 7, 1 << 12),
                     TrimInjector::new(0.5, i as u64),
                 )
             })
@@ -56,7 +56,7 @@ fn bench_hook_round(records: &mut Vec<BenchRecord>) {
     let mut g = Group::new("ddp_hook_aggregate_16k_x4");
     g.throughput(Throughput::Elements((LEN * WORKERS) as u64));
     g.quick();
-    for scheme in [Scheme::SubtractiveDither, Scheme::RhtOneBit] {
+    for scheme in [SchemeId::SubtractiveDither, SchemeId::RhtOneBit] {
         let mut hook = TrimmableHook::new(scheme, WORKERS, 0.5, 0.0, 1 << 12, 9);
         let mut round = 0u32;
         g.bench(scheme.name(), || {

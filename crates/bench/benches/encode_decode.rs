@@ -18,9 +18,9 @@
 //! [`MessageCodec`]: trimgrad::collective::chunk::MessageCodec
 
 use std::hint::black_box;
-use trimgrad::collective::chunk::MessageCodec;
+use trimgrad::collective::chunk::{MessageCodec, DEFAULT_ROW_LEN};
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
-use trimgrad::quant::bitpack::pack_low_bits;
+use trimgrad::quant::bitpack::pack_low_bits_into;
 use trimgrad::quant::kernels::{decode_sign31, decode_sign_exp_mant, pack_exps_into};
 use trimgrad::quant::SchemeId;
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
@@ -82,8 +82,14 @@ fn bench_kernels(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     let mut g = Group::new("kernels_32k");
     opts.configure(&mut g);
     g.throughput(Throughput::Elements(n as u64));
-    g.bench("pack_tails31_32k", || pack_low_bits::<31>(black_box(&data)));
-    g.bench("pack_mants23_32k", || pack_low_bits::<23>(black_box(&data)));
+    // Each pack fills a fresh zeroed plane, as a whole-row encode does.
+    let pack = |width: usize, into: fn(&[f32], &mut [u8])| {
+        let mut plane = vec![0u8; (n * width).div_ceil(8)];
+        into(black_box(&data), &mut plane);
+        plane
+    };
+    g.bench("pack_tails31_32k", || pack(31, pack_low_bits_into::<31>));
+    g.bench("pack_mants23_32k", || pack(23, pack_low_bits_into::<23>));
     let mut out = vec![0.0f32; n];
     // Sign-magnitude's parts are the row's own sign and 31-bit planes.
     let planes = SchemeId::SignMagnitude.encode(&data, 0).parts;
@@ -93,9 +99,9 @@ fn bench_kernels(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     });
     let mut exps = vec![0u8; n];
     pack_exps_into(&data, &mut exps);
-    let mants = pack_low_bits::<23>(&data);
+    let mants = pack(23, pack_low_bits_into::<23>);
     g.bench("unpack_sign_exp_mant23_32k", || {
-        decode_sign_exp_mant(black_box(signs), &exps, mants.as_bytes(), 0, &mut out);
+        decode_sign_exp_mant(black_box(signs), &exps, &mants, 0, &mut out);
     });
     records.extend(g.finish());
 }
@@ -104,7 +110,7 @@ fn bench_kernels(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
 fn bench_row_pipeline(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     let n = 8 << 15;
     let blob = row(n, 4);
-    let codec = MessageCodec::new(SchemeId::RhtOneBit, 42);
+    let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, 42, DEFAULT_ROW_LEN);
     let mut g = Group::new("row_encode_pipeline");
     opts.configure(&mut g);
     g.throughput(Throughput::Elements(n as u64));

@@ -8,7 +8,7 @@
 //! straight into its frames, at the process's pool width.
 
 use std::hint::black_box;
-use trimgrad::collective::chunk::MessageCodec;
+use trimgrad::collective::chunk::{MessageCodec, DEFAULT_ROW_LEN};
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::quant::SchemeId;
 use trimgrad::trace::Tracer;
@@ -52,7 +52,7 @@ fn bench_packetize_message(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     let blob: Vec<f32> = (0..(1 << 20))
         .map(|_| rng.next_f32_range(-1.0, 1.0))
         .collect();
-    let codec = MessageCodec::new(SchemeId::RhtOneBit, 42);
+    let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, 42, DEFAULT_ROW_LEN);
     let tracer = Tracer::disabled();
     let mut g = Group::new("wire");
     opts.configure(&mut g);

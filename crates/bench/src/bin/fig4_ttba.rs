@@ -16,7 +16,7 @@
 //! Run: `cargo run --release -p trimgrad-bench --bin fig4_ttba`
 
 use trimgrad::mltrain::timemodel::TimeModel;
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 use trimgrad_bench::{
     fmt_secs, print_row, run_training, write_snapshot_file, ExpConfig, RunResult, FIG4_TRIM_RATES,
     SCHEMES,
@@ -26,7 +26,7 @@ use trimgrad_telemetry::{Registry, Snapshot};
 const SEEDS: [u64; 5] = [7, 8, 9, 10, 11];
 
 /// One training run per seed.
-fn runs(scheme: Option<Scheme>, congestion: f64, epochs: u32, tm: &TimeModel) -> Vec<RunResult> {
+fn runs(scheme: Option<SchemeId>, congestion: f64, epochs: u32, tm: &TimeModel) -> Vec<RunResult> {
     SEEDS
         .iter()
         .map(|&seed| {

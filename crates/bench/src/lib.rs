@@ -17,7 +17,7 @@ use trimgrad::mltrain::data::{gaussian_mixture, Dataset};
 use trimgrad::mltrain::optim::StepLr;
 use trimgrad::mltrain::parallel::{DataParallelTrainer, ParallelConfig};
 use trimgrad::mltrain::timemodel::{RoundTime, TimeModel};
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 use trimgrad_telemetry::{json_string, Registry, Snapshot};
 
 /// Number of data-parallel workers in every training experiment.
@@ -34,11 +34,11 @@ pub const FIG3_TRIM_RATES: [f64; 5] = [0.001, 0.01, 0.02, 0.10, 0.50];
 pub const FIG4_TRIM_RATES: [f64; 8] = [0.001, 0.005, 0.01, 0.02, 0.05, 0.10, 0.20, 0.50];
 
 /// The encodings under test, in the paper's order.
-pub const SCHEMES: [Scheme; 4] = [
-    Scheme::SignMagnitude,
-    Scheme::Stochastic,
-    Scheme::SubtractiveDither,
-    Scheme::RhtOneBit,
+pub const SCHEMES: [SchemeId; 4] = [
+    SchemeId::SignMagnitude,
+    SchemeId::Stochastic,
+    SchemeId::SubtractiveDither,
+    SchemeId::RhtOneBit,
 ];
 
 /// The fixed dataset seed: every run trains on the *same* task, so
@@ -80,7 +80,7 @@ pub fn standard_config(seed: u64) -> ParallelConfig {
 pub struct ExpConfig {
     /// `None` = uncompressed NCCL-style baseline (reliable transport);
     /// `Some(s)` = trimmable encoding `s` over the trimming fabric.
-    pub scheme: Option<Scheme>,
+    pub scheme: Option<SchemeId>,
     /// Congestion level: the fraction of packets trimmed (trimmable runs) or
     /// dropped (baseline runs).
     pub congestion: f64,
@@ -135,15 +135,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// First wall-clock time at which `target` top-1 was reached.
-    #[must_use]
-    pub fn time_to_accuracy(&self, target: f64) -> Option<f64> {
-        self.trajectory
-            .iter()
-            .find(|p| p.top1 >= target)
-            .map(|p| p.wall_s)
-    }
-
     /// The top-1 trajectory smoothed with a centered 3-epoch window, which
     /// removes the ±1-sample evaluation jitter near the accuracy ceiling.
     #[must_use]
@@ -368,7 +359,7 @@ mod tests {
     #[test]
     fn labels_are_descriptive() {
         let c = ExpConfig {
-            scheme: Some(Scheme::RhtOneBit),
+            scheme: Some(SchemeId::RhtOneBit),
             congestion: 0.5,
             seed: 0,
         };
@@ -384,7 +375,7 @@ mod tests {
     #[test]
     fn short_training_run_produces_trajectory() {
         let cfg = ExpConfig {
-            scheme: Some(Scheme::RhtOneBit),
+            scheme: Some(SchemeId::RhtOneBit),
             congestion: 0.1,
             seed: 3,
         };
@@ -399,7 +390,7 @@ mod tests {
     #[test]
     fn run_snapshot_reports_the_trajectory() {
         let cfg = ExpConfig {
-            scheme: Some(Scheme::RhtOneBit),
+            scheme: Some(SchemeId::RhtOneBit),
             congestion: 0.1,
             seed: 3,
         };
@@ -429,39 +420,6 @@ mod tests {
         assert!(j.contains("\"a.count\""));
         assert!(j.trim_end().ends_with('}'));
         assert_eq!(j, snapshots_to_json(&entries));
-    }
-
-    #[test]
-    fn time_to_accuracy_finds_first_crossing() {
-        let r = RunResult {
-            label: "x".into(),
-            trajectory: vec![
-                TrajectoryPoint {
-                    epoch: 0,
-                    wall_s: 1.0,
-                    top1: 0.3,
-                    top5: 0.8,
-                    loss: 1.0,
-                },
-                TrajectoryPoint {
-                    epoch: 1,
-                    wall_s: 2.0,
-                    top1: 0.7,
-                    top5: 0.95,
-                    loss: 0.5,
-                },
-            ],
-            best_top1: 0.7,
-            diverged: false,
-            round_time: RoundTime {
-                compute_s: 0.0,
-                encode_s: 0.0,
-                comm_s: 0.0,
-            },
-            snapshot: Snapshot::default(),
-        };
-        assert_eq!(r.time_to_accuracy(0.5), Some(2.0));
-        assert_eq!(r.time_to_accuracy(0.9), None);
     }
 
     #[test]

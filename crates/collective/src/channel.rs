@@ -142,7 +142,7 @@ impl TrimmingChannel {
     /// packed — an SQ/SD row draws only for its trimmed chunks' heads and
     /// jumps its draw stream over the rest. Bit for bit, and fate for fate, the row decodes
     /// as its encoded planes viewed through
-    /// [`EncodedRow::view_with_runs`](trimgrad_quant::EncodedRow::view_with_runs)
+    /// [`EncodedRow::view_with_depths`](trimgrad_quant::EncodedRow::view_with_depths)
     /// do. Past the first rows the channel allocates nothing row-sized.
     ///
     /// A message's rows must go through in row order for the fates to be
@@ -225,6 +225,7 @@ impl GradChannel for TrimmingChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::DEFAULT_ROW_LEN;
     use trimgrad_hadamard::prng::Xoshiro256StarStar;
     use trimgrad_quant::SchemeId;
 
@@ -332,7 +333,7 @@ mod tests {
 
     #[test]
     fn empty_transfer() {
-        let codec = MessageCodec::new(SchemeId::Stochastic, 0);
+        let codec = MessageCodec::with_row_len(SchemeId::Stochastic, 0, DEFAULT_ROW_LEN);
         let mut ch = TrimmingChannel::new(codec, TrimInjector::new(0.5, 0));
         assert!(received(&mut ch, &[], 0, 0).is_empty());
         assert_eq!(ch.bytes_sent(), 0);

@@ -34,13 +34,8 @@ pub struct MessageCodec {
 }
 
 impl MessageCodec {
-    /// Creates a codec with the paper's default row length.
-    #[must_use]
-    pub fn new(scheme: SchemeId, base_seed: u64) -> Self {
-        Self::with_row_len(scheme, base_seed, DEFAULT_ROW_LEN)
-    }
-
-    /// Creates a codec with an explicit row length.
+    /// Creates a codec with an explicit row length; the paper's is
+    /// [`DEFAULT_ROW_LEN`].
     ///
     /// # Panics
     ///
@@ -335,7 +330,10 @@ mod tests {
         assert_eq!(c.rows_for(0), 0);
         assert_eq!(c.rows_for(100), 1);
         assert_eq!(c.rows_for(101), 2);
-        assert_eq!(MessageCodec::new(SchemeId::RhtOneBit, 0).row_len(), 32_768);
+        assert_eq!(
+            MessageCodec::with_row_len(SchemeId::RhtOneBit, 0, DEFAULT_ROW_LEN).row_len(),
+            32_768
+        );
     }
 
     #[test]
@@ -354,13 +352,13 @@ mod tests {
 
     #[test]
     fn seeds_differ_across_all_coordinates() {
-        let c = MessageCodec::new(SchemeId::RhtOneBit, 7);
+        let c = MessageCodec::with_row_len(SchemeId::RhtOneBit, 7, DEFAULT_ROW_LEN);
         let s = c.row_seed(1, 2, 3);
         assert_ne!(s, c.row_seed(2, 2, 3));
         assert_ne!(s, c.row_seed(1, 3, 3));
         assert_ne!(s, c.row_seed(1, 2, 4));
         assert_eq!(s, c.row_seed(1, 2, 3));
-        let c2 = MessageCodec::new(SchemeId::RhtOneBit, 8);
+        let c2 = MessageCodec::with_row_len(SchemeId::RhtOneBit, 8, DEFAULT_ROW_LEN);
         assert_ne!(s, c2.row_seed(1, 2, 3));
         // Wire format: both ends must derive this exact value (recorded as
         // of PR 19, never recomputed).
@@ -479,7 +477,7 @@ mod tests {
 
     #[test]
     fn empty_blob() {
-        let c = MessageCodec::new(SchemeId::SubtractiveDither, 0);
+        let c = MessageCodec::with_row_len(SchemeId::SubtractiveDither, 0, DEFAULT_ROW_LEN);
         let rows = c.encode_message(&[], 0, 0);
         assert!(rows.is_empty());
         assert!(decode_full(&c, &rows, 0, 0).is_empty());

@@ -34,7 +34,9 @@ pub mod ring;
 pub mod ring_netsim;
 pub mod trim_inject;
 
-/// The path [`ring::segment_range`] was first published under.
+/// The path [`ring::segment_range`] was first published under. It stays
+/// only because the `benchmark/` driver imports `segment_range` from here;
+/// new code names [`ring::segment_range`].
 pub mod reducescatter {
     pub use crate::ring::segment_range;
 }

@@ -5,7 +5,7 @@
 //! only as the decoder reaches them (`StagedRow::chunks`). The reference
 //! here is the path that builds whole-row planes and masks, from public
 //! pieces only: `SchemeId::encode` under the codec's row seed →
-//! `TrimInjector::draw_row_fates` → `EncodedRow::view_with_runs` →
+//! `TrimInjector::draw_row_fates` → `EncodedRow::view_with_depths` →
 //! `SchemeId::decode_into`. For every scheme — SD's dither stream
 //! running on across dropped chunks, the RHT schemes padding short rows —
 //! at row lengths 1, 7, 1000, 2¹⁵ and 2¹⁵ + 3, under random intact, trimmed
@@ -62,7 +62,11 @@ fn plane_transfer(
                 bytes += frame_len(scheme.part_bits(), chunk.len(), *depth) as u64;
             }
         }
-        let view = enc.view_with_runs(fates.iter().cloned());
+        let depths: Vec<usize> = fates
+            .iter()
+            .flat_map(|(chunk, depth)| std::iter::repeat_n(*depth, chunk.len()))
+            .collect();
+        let view = enc.view_with_depths(&depths);
         let mut row = vec![f32::NAN; range.len()];
         scheme
             .decode_into(&view, &enc.meta, seed, &mut row)

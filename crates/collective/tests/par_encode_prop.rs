@@ -31,7 +31,7 @@
 
 use proptest::prelude::*;
 use std::borrow::Cow;
-use trimgrad_collective::chunk::MessageCodec;
+use trimgrad_collective::chunk::{MessageCodec, DEFAULT_ROW_LEN};
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_par::WorkerPool;
 use trimgrad_quant::scheme::{EncodedRow, RowScratch};
@@ -117,7 +117,7 @@ fn fan_out_matches_serial_rows_on_the_pinned_geometries() {
     }
     // One paper-sized 32768 row plus a ragged tail, rht only (the slowest
     // scheme; the small geometries above cover all of them).
-    let codec = MessageCodec::new(SchemeId::RhtOneBit, 5);
+    let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, 5, DEFAULT_ROW_LEN);
     check_fan_out(&codec, &blob((1 << 15) + 1000, 21), 0, 0)
         .unwrap_or_else(|e| panic!("rht 32768: {e}"));
 }

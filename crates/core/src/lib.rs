@@ -33,10 +33,10 @@
 //!
 //! ```
 //! use trimgrad::pipeline::{TrimmablePipeline, PipelineConfig};
-//! use trimgrad::Scheme;
+//! use trimgrad::quant::SchemeId;
 //!
 //! let pipe = TrimmablePipeline::new(
-//!     PipelineConfig::builder().scheme(Scheme::RhtOneBit).row_len(1024).build(),
+//!     PipelineConfig::builder().scheme(SchemeId::RhtOneBit).row_len(1024).build(),
 //! );
 //! let gradient: Vec<f32> = (0..3000).map(|i| (i as f32 * 0.01).sin()).collect();
 //!
@@ -66,7 +66,6 @@ pub mod pipeline;
 pub mod transcript;
 
 pub use pipeline::{PipelineConfig, TrimmablePipeline};
-pub use trimgrad_quant::SchemeId as Scheme;
 
 // Re-export the substrate crates so downstream users need only one dependency.
 pub use trimgrad_collective as collective;

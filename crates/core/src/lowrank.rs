@@ -100,13 +100,6 @@ impl LowRankCompressor {
             components,
         }
     }
-
-    /// Wire floats for a rank-`r` message of an `rows × cols` matrix —
-    /// the §5.2 compression ratio is `r(m+n) / (m·n)`.
-    #[must_use]
-    pub fn wire_floats(&self, rows: usize, cols: usize) -> usize {
-        self.rank.min(rows).min(cols) * (rows + cols)
-    }
 }
 
 /// One rank-1 component `p·qᵀ`.
@@ -158,12 +151,6 @@ impl LowRankMessage {
             }
         }
         out
-    }
-
-    /// Importance (≈ singular value) of each component, in order.
-    #[must_use]
-    pub fn importances(&self) -> Vec<f64> {
-        self.components.iter().map(|c| norm(&c.q)).collect()
     }
 }
 
@@ -268,7 +255,9 @@ mod tests {
     fn components_ordered_by_importance() {
         let g = rank_k_matrix(20, 30, 5, 3);
         let msg = LowRankCompressor::new(5, 3, 1).compress(&g, 20, 30);
-        let imp = msg.importances();
+        // A component's importance (≈ its singular value) is the norm of
+        // its right factor.
+        let imp: Vec<f64> = msg.components.iter().map(|c| norm(&c.q)).collect();
         for w in imp.windows(2) {
             assert!(w[0] >= w[1] - 1e-9, "importances out of order: {imp:?}");
         }
@@ -289,18 +278,6 @@ mod tests {
         let a = LowRankCompressor::new(3, 2, 9).compress(&g, 16, 16);
         let b = LowRankCompressor::new(3, 2, 9).compress(&g, 16, 16);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn compression_ratio_math() {
-        let c = LowRankCompressor::new(4, 1, 0);
-        // 256×256 at rank 4: 4·512 floats vs 65536 — 32×.
-        assert_eq!(c.wire_floats(256, 256), 2048);
-        // Rank clamps to the smaller dimension.
-        assert_eq!(
-            LowRankCompressor::new(100, 1, 0).wire_floats(8, 256),
-            8 * 264
-        );
     }
 
     #[test]

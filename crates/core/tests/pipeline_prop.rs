@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
 use trimgrad::quant::error::nmse;
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 use trimgrad_collective::chunk::MessageCodec;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_wire::ipv4::DSCP_TRIMMED;
@@ -27,7 +27,7 @@ proptest! {
 
     #[test]
     fn pipeline_untrimmed_is_faithful(
-        scheme_idx in 0usize..Scheme::ALL.len(),
+        scheme_idx in 0usize..SchemeId::ALL.len(),
         len in 0usize..3000,
         row_len in prop::sample::select(vec![256usize, 512, 1024, 4096]),
         mtu in 300usize..1500,
@@ -35,7 +35,7 @@ proptest! {
         epoch in any::<u32>(),
         msg in any::<u32>()
     ) {
-        let scheme = Scheme::ALL[scheme_idx];
+        let scheme = SchemeId::ALL[scheme_idx];
         let pipe = TrimmablePipeline::new(
             PipelineConfig::builder()
                 .scheme(scheme)
@@ -55,12 +55,12 @@ proptest! {
 
     #[test]
     fn pipeline_survives_arbitrary_frame_trimming(
-        scheme_idx in 0usize..Scheme::ALL.len(),
+        scheme_idx in 0usize..SchemeId::ALL.len(),
         len in 1usize..2500,
         seed in any::<u64>(),
         pattern in proptest::collection::vec(0u8..=3, 1..40)
     ) {
-        let scheme = Scheme::ALL[scheme_idx];
+        let scheme = SchemeId::ALL[scheme_idx];
         let n_parts = scheme.part_bits().len() as u8;
         let pipe = TrimmablePipeline::new(
             PipelineConfig::builder().scheme(scheme).row_len(512).build(),
@@ -100,12 +100,12 @@ proptest! {
     /// parts-lost tallies match the applied pattern exactly).
     #[test]
     fn pipeline_telemetry_accounts_for_any_pattern(
-        scheme_idx in 0usize..Scheme::ALL.len(),
+        scheme_idx in 0usize..SchemeId::ALL.len(),
         len in 1usize..2500,
         seed in any::<u64>(),
         pattern in proptest::collection::vec(0u8..=3, 1..40)
     ) {
-        let scheme = Scheme::ALL[scheme_idx];
+        let scheme = SchemeId::ALL[scheme_idx];
         let n_parts = scheme.part_bits().len() as u8;
         let reg = trimgrad_telemetry::Registry::new();
         let pipe = TrimmablePipeline::new(
@@ -164,7 +164,7 @@ fn signmag_frames_decode_exactly_at_any_mtu() {
     for (mtu, per_frame) in [(101usize, 11u16), (1500, 360), (9000, 2235)] {
         let pipe = TrimmablePipeline::new(
             PipelineConfig::builder()
-                .scheme(Scheme::SignMagnitude)
+                .scheme(SchemeId::SignMagnitude)
                 .row_len(1 << 13)
                 .mtu(mtu)
                 .build(),
@@ -250,7 +250,7 @@ fn arrivals(sent: &[GradPacket], n_parts: u8, rng: &mut Xoshiro256StarStar) -> V
             _ => {
                 let (a, b) = (1 + draw(u64::from(n_parts)), 1 + draw(u64::from(n_parts)));
                 out.push(at_depth(frame, a));
-                let mut dup = at_depth(frame, b).into_frame();
+                let mut dup = at_depth(frame, b).as_bytes().to_vec();
                 if draw(2) == 0 {
                     let at = STACK_OVERHEAD + usize::from(draw(255)) % (dup.len() - STACK_OVERHEAD);
                     dup[at] ^= 1 << draw(8);
@@ -272,13 +272,13 @@ proptest! {
 
     #[test]
     fn frames_decode_where_they_lie_as_reassembled_planes_do(
-        scheme_idx in 0usize..Scheme::ALL.len(),
+        scheme_idx in 0usize..SchemeId::ALL.len(),
         len in 1usize..5000,
         row_len in prop::sample::select(vec![256usize, 1000, 2048]),
         mtu in prop::sample::select(vec![101usize, 1499, 9000]),
         seed in any::<u64>()
     ) {
-        let scheme = Scheme::ALL[scheme_idx];
+        let scheme = SchemeId::ALL[scheme_idx];
         let pipe = TrimmablePipeline::new(
             PipelineConfig::builder()
                 .scheme(scheme)
@@ -307,16 +307,16 @@ fn a_frame_claiming_coordinates_off_its_chunk_is_refused() {
     // pipeline refuses it, in arrival order, before it is indexed.
     let pipe = TrimmablePipeline::new(
         PipelineConfig::builder()
-            .scheme(Scheme::RhtOneBit)
+            .scheme(SchemeId::RhtOneBit)
             .row_len(1024)
             .build(),
     );
     let tx = pipe.encode(&blob(2500, 12), 3, 4, 1, 2);
-    let codec = MessageCodec::with_row_len(Scheme::RhtOneBit, pipe.config().base_seed(), 1024);
+    let codec = MessageCodec::with_row_len(SchemeId::RhtOneBit, pipe.config().base_seed(), 1024);
     // coord_start is the big-endian u32 at byte 16 of the TrimGrad header,
     // chunk_id the u16 at byte 6.
     let edited = |frame: &GradPacket, at: usize, edit: &dyn Fn(&mut [u8])| {
-        let mut bytes = frame.clone().into_frame();
+        let mut bytes = frame.as_bytes().to_vec();
         edit(&mut bytes[STACK_OVERHEAD - 28 + at..]);
         reseal(&mut bytes, trimgrad_wire::ipv4::DSCP_BULK);
         GradPacket::from_frame(bytes)

@@ -52,14 +52,6 @@ impl SplitMix64 {
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
-
-    /// Fills `dest` with random bytes from the little-endian word stream.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// xoshiro256**: a fast all-purpose 64-bit generator (Blackman & Vigna 2018).
@@ -169,14 +161,6 @@ impl Xoshiro256StarStar {
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes from the little-endian word stream.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
     }
 }
 
@@ -316,19 +300,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| x.next_f32() as f64).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_partial_chunks() {
-        let mut x = Xoshiro256StarStar::new(11);
-        let mut buf = [0u8; 13]; // not a multiple of 8
-        x.fill_bytes(&mut buf);
-        // Matches the word stream byte-for-byte.
-        let mut y = Xoshiro256StarStar::new(11);
-        let w0 = y.next_u64().to_le_bytes();
-        let w1 = y.next_u64().to_le_bytes();
-        assert_eq!(&buf[..8], &w0);
-        assert_eq!(&buf[8..13], &w1[..5]);
     }
 
     /// `n` outputs skipped the slow way.

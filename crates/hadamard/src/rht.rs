@@ -44,8 +44,8 @@ impl RandomizedHadamard {
     /// # Errors
     ///
     /// Fails when `data.len()` is empty or not a power of two (the buffer is
-    /// then untouched); use [`forward_padded`](Self::forward_padded) for
-    /// arbitrary lengths.
+    /// then untouched); use [`forward_padded_into`](Self::forward_padded_into)
+    /// for arbitrary lengths.
     pub fn forward(&self, data: &mut [f32]) -> Result<()> {
         check_pow2(data)?;
         self.forward_in_place(data);
@@ -63,18 +63,19 @@ impl RandomizedHadamard {
         Ok(())
     }
 
-    /// The inverse RHT where the rotated row lies — the core
-    /// [`inverse`](Self::inverse) and [`inverse_padded`](Self::inverse_padded)
-    /// share: the butterfly, then **one** pass `v *= ±1/√n` with the
+    /// The inverse RHT where the rotated row lies — the core of
+    /// [`inverse`](Self::inverse), which a decoder of a padded row calls
+    /// directly and then truncates: the butterfly, then **one** pass
+    /// `v *= ±1/√n` with the
     /// orthonormal scale folded into the diagonal's sign
     /// ([`RademacherDiagonal::apply_scaled`]), not a scaling pass and a sign
     /// pass.
     ///
     /// Total (no panics, no errors), like
-    /// [`forward_padded`](Self::forward_padded): `data.len()` must be a power
-    /// of two or zero (an empty row inverts to itself), which the decoders
-    /// have checked by the time they call this; any other length comes back
-    /// transformed into garbage, never a panic.
+    /// [`forward_padded_into`](Self::forward_padded_into): `data.len()` must
+    /// be a power of two or zero (an empty row inverts to itself), which the
+    /// decoders have checked by the time they call this; any other length
+    /// comes back transformed into garbage, never a panic.
     // trimlint: hot-path -- per-row rotation on the decode path
     pub fn inverse_in_place(&self, data: &mut [f32]) {
         debug_assert!(data.is_empty() || data.len().is_power_of_two());
@@ -83,26 +84,18 @@ impl RandomizedHadamard {
         RademacherDiagonal::new(self.seed).apply_scaled(data, scale);
     }
 
-    /// Forward RHT of a slice of arbitrary length: zero-pads to the next
-    /// power of two and returns the rotated (padded) vector. An empty input
-    /// yields an empty rotation.
+    /// Forward RHT of a slice of arbitrary length into `buf`, whose contents
+    /// are replaced: zero-pads to the next power of two and leaves the
+    /// rotated (padded) vector there. An empty input yields an empty
+    /// rotation. A caller that rotates row after row keeps one buffer and
+    /// allocates only when a row outgrows it.
     ///
     /// Total (no panics, no errors): the padded length is a power of two by
     /// construction, so this goes straight to the unchecked butterfly core —
     /// the encode hot path has no panic edge through here.
     ///
-    /// The receiver must know the original length to invert; see
-    /// [`inverse_padded`](Self::inverse_padded).
-    #[must_use]
-    pub fn forward_padded(&self, data: &[f32]) -> Vec<f32> {
-        let mut buf = Vec::new();
-        self.forward_padded_into(data, &mut buf);
-        buf
-    }
-
-    /// [`forward_padded`](Self::forward_padded) into `buf`, whose contents
-    /// are replaced: a caller that rotates row after row keeps one buffer
-    /// and allocates only when a row outgrows it.
+    /// The receiver must know the original length to invert: it runs
+    /// [`inverse_in_place`](Self::inverse_in_place) and truncates.
     // trimlint: hot-path -- per-row rotation on the encode path
     pub fn forward_padded_into(&self, data: &[f32], buf: &mut Vec<f32>) {
         buf.clear();
@@ -117,8 +110,8 @@ impl RandomizedHadamard {
     }
 
     /// The forward RHT core [`forward`](Self::forward) and
-    /// [`forward_padded`](Self::forward_padded) share, the mirror of
-    /// [`inverse_in_place`](Self::inverse_in_place): **one** pass
+    /// [`forward_padded_into`](Self::forward_padded_into) share, the mirror
+    /// of [`inverse_in_place`](Self::inverse_in_place): **one** pass
     /// `v *= ±1/√n` with the orthonormal scale folded into the diagonal's
     /// sign, then the butterfly. `data.len()` must be a power of two or zero.
     fn forward_in_place(&self, data: &mut [f32]) {
@@ -127,28 +120,6 @@ impl RandomizedHadamard {
         RademacherDiagonal::new(self.seed).apply_scaled(data, scale);
         butterflies(data);
     }
-
-    /// Inverts a padded rotation and truncates back to `original_len`.
-    ///
-    /// `rotated.len()` must be a power of two (or empty, inverting to empty)
-    /// and `original_len <= rotated.len()`.
-    #[must_use]
-    pub fn inverse_padded(&self, rotated: &[f32], original_len: usize) -> Vec<f32> {
-        assert!(
-            original_len <= rotated.len(),
-            "original_len {original_len} exceeds rotated length {}",
-            rotated.len()
-        );
-        assert!(
-            rotated.is_empty() || rotated.len().is_power_of_two(),
-            "rotated length {} is not a power of two",
-            rotated.len()
-        );
-        let mut buf = rotated.to_vec();
-        self.inverse_in_place(&mut buf);
-        buf.truncate(original_len);
-        buf
-    }
 }
 
 #[cfg(test)]
@@ -156,6 +127,22 @@ mod tests {
     use super::*;
     use crate::fwht::fwht_orthonormal;
     use proptest::prelude::*;
+
+    /// The padded forward rotation into a fresh vector.
+    fn padded(rht: &RandomizedHadamard, data: &[f32]) -> Vec<f32> {
+        let mut buf = Vec::new();
+        rht.forward_padded_into(data, &mut buf);
+        buf
+    }
+
+    /// What a decoder does with a padded rotation: invert where it lies,
+    /// then truncate to the original length.
+    fn unpadded(rht: &RandomizedHadamard, rotated: &[f32], original_len: usize) -> Vec<f32> {
+        let mut buf = rotated.to_vec();
+        rht.inverse_in_place(&mut buf);
+        buf.truncate(original_len);
+        buf
+    }
 
     fn l2(x: &[f32]) -> f64 {
         x.iter()
@@ -178,8 +165,9 @@ mod tests {
 
     #[test]
     fn fused_inverse_equals_the_three_passes_it_replaced() {
-        // Butterfly, `1/√n` scaling pass, diagonal pass — bit for bit, in
-        // place and through the copying `inverse_padded`.
+        // Butterfly, `1/√n` scaling pass, diagonal pass — bit for bit,
+        // through the checked `inverse` and through the unchecked core a
+        // decoder runs before it truncates.
         let rht = RandomizedHadamard::new(0xFEED);
         for n in [1usize, 2, 8, 64, 1 << 10, 1 << 13, 1 << 15] {
             let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 3.0).collect();
@@ -191,11 +179,10 @@ mod tests {
             let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&fused), bits(&staged), "n={n}");
             let cut = n - n / 3;
-            assert_eq!(bits(&rht.inverse_padded(&data, cut)), bits(&staged[..cut]));
+            assert_eq!(bits(&unpadded(&rht, &data, cut)), bits(&staged[..cut]));
         }
         // An empty row inverts to itself without complaint.
         rht.inverse_in_place(&mut []);
-        assert!(rht.inverse_padded(&[], 0).is_empty());
     }
 
     #[test]
@@ -228,7 +215,7 @@ mod tests {
         for len in [1000usize, 3, 0, 64, 2000] {
             let data: Vec<f32> = (0..len).map(|i| (i as f32 * 0.7).sin()).collect();
             rht.forward_padded_into(&data, &mut buf);
-            assert_eq!(buf, rht.forward_padded(&data), "len={len}");
+            assert_eq!(buf, padded(&rht, &data), "len={len}");
         }
     }
 
@@ -237,23 +224,15 @@ mod tests {
         let rht = RandomizedHadamard::new(123);
         for len in [1usize, 2, 3, 5, 17, 100, 365, 1000] {
             let data: Vec<f32> = (0..len).map(|i| (i as f32) - (len as f32) / 2.0).collect();
-            let rot = rht.forward_padded(&data);
+            let rot = padded(&rht, &data);
             assert!(rot.len().is_power_of_two());
             assert!(rot.len() >= len);
-            let back = rht.inverse_padded(&rot, len);
+            let back = unpadded(&rht, &rot, len);
             assert_eq!(back.len(), len);
             for (a, b) in back.iter().zip(&data) {
                 assert!((a - b).abs() < 1e-3, "len={len}: {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds rotated length")]
-    fn inverse_padded_rejects_overlong_original() {
-        let rht = RandomizedHadamard::new(1);
-        let rot = vec![0.0; 4];
-        let _ = rht.inverse_padded(&rot, 5);
     }
 
     #[test]
@@ -279,7 +258,7 @@ mod tests {
             seed in any::<u64>()
         ) {
             let rht = RandomizedHadamard::new(seed);
-            let rot = rht.forward_padded(&raw);
+            let rot = padded(&rht, &raw);
             let before = l2(&raw);
             let after = l2(&rot);
             prop_assert!((before - after).abs() <= 1e-3 * (1.0 + before));
@@ -291,8 +270,8 @@ mod tests {
             seed in any::<u64>()
         ) {
             let rht = RandomizedHadamard::new(seed);
-            let rot = rht.forward_padded(&raw);
-            let back = rht.inverse_padded(&rot, raw.len());
+            let rot = padded(&rht, &raw);
+            let back = unpadded(&rht, &rot, raw.len());
             for (a, b) in back.iter().zip(&raw) {
                 prop_assert!((a - b).abs() <= 1e-2 + 1e-4 * b.abs());
             }

@@ -407,16 +407,6 @@ pub fn analyze_path(root: &Path) -> std::io::Result<Report> {
     Ok(analyze_files(&files))
 }
 
-/// Walks `root` and lints every in-scope `.rs` file, returning diagnostics
-/// sorted by path, line, then rule.
-///
-/// # Errors
-///
-/// Propagates I/O errors from directory traversal or file reads.
-pub fn check_path(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    Ok(analyze_path(root)?.diags)
-}
-
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", "results", "node_modules"];
 

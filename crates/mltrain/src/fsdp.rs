@@ -61,16 +61,6 @@ impl ShardedParams {
         self.len() == 0
     }
 
-    /// Borrow shard `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    #[must_use]
-    pub fn shard(&self, w: usize) -> &[f32] {
-        &self.shards[w]
-    }
-
     /// Reconstructs the full blob as worker `me` sees it after a gather:
     /// the local shard is copied exactly; every remote shard passes through
     /// `chan` (encode → possibly trimmed → decode). `epoch`/`base_msg_id`

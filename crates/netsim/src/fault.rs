@@ -531,11 +531,13 @@ mod tests {
     }
 
     fn grad(seq: u64) -> Packet {
+        use trimgrad_quant::scheme::RowScratch;
         use trimgrad_quant::SchemeId;
         use trimgrad_wire::packet::NetAddrs;
-        use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
+        use trimgrad_wire::packetize::{packetize_with, PacketizeConfig};
         let row: Vec<f32> = (0..64).map(|i| i as f32 - 32.0).collect();
-        let enc = SchemeId::SignMagnitude.encode(&row, 0);
+        let mut scratch = RowScratch::default();
+        let staged = SchemeId::SignMagnitude.stage(&row, 0, &mut scratch);
         let cfg = PacketizeConfig {
             mtu: 1500,
             net: NetAddrs::between_hosts(1, 2),
@@ -543,11 +545,20 @@ mod tests {
             row_id: 0,
             epoch: 1,
         };
-        let frame = packetize_row(&enc, &cfg)
-            .packets
-            .into_iter()
-            .next()
-            .unwrap();
+        let (n, meta) = (staged.n(), staged.meta());
+        let frame = packetize_with(
+            SchemeId::SignMagnitude,
+            n,
+            meta,
+            &cfg,
+            |part, coords, dst| {
+                staged.pack_range(part, coords, dst);
+            },
+        )
+        .packets
+        .into_iter()
+        .next()
+        .unwrap();
         let mut p = synthetic(seq);
         p.size = u32::try_from(frame.wire_len()).unwrap();
         p.body = PacketBody::GradData(frame);

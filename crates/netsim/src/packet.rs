@@ -408,9 +408,10 @@ impl PacketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trimgrad_quant::scheme::RowScratch;
     use trimgrad_quant::SchemeId;
     use trimgrad_wire::packet::NetAddrs;
-    use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
+    use trimgrad_wire::packetize::{packetize_with, PacketizeConfig};
 
     fn pkt(spec: PacketSpec) -> Packet {
         Packet {
@@ -432,7 +433,8 @@ mod tests {
 
     fn grad_frame() -> GradPacket {
         let row: Vec<f32> = (0..360).map(|i| i as f32 - 180.0).collect();
-        let enc = SchemeId::SignMagnitude.encode(&row, 0);
+        let mut scratch = RowScratch::default();
+        let staged = SchemeId::SignMagnitude.stage(&row, 0, &mut scratch);
         let cfg = PacketizeConfig {
             mtu: 1500,
             net: NetAddrs::between_hosts(1, 2),
@@ -440,11 +442,20 @@ mod tests {
             row_id: 0,
             epoch: 0,
         };
-        packetize_row(&enc, &cfg)
-            .packets
-            .into_iter()
-            .next()
-            .unwrap()
+        let (n, meta) = (staged.n(), staged.meta());
+        packetize_with(
+            SchemeId::SignMagnitude,
+            n,
+            meta,
+            &cfg,
+            |part, coords, dst| {
+                staged.pack_range(part, coords, dst);
+            },
+        )
+        .packets
+        .into_iter()
+        .next()
+        .unwrap()
     }
 
     #[test]

@@ -691,7 +691,10 @@ mod tests {
     fn ecn_marks_are_delivered_and_counted() {
         let mut t = Topology::new();
         let recv = t.add_host();
-        let s = t.add_switch(QueuePolicy::ecn_default());
+        let s = t.add_switch(QueuePolicy {
+            ecn_threshold: Some(50_000),
+            ..QueuePolicy::droptail_default()
+        });
         t.link(recv, s, gbps(1.0), SimTime::from_micros(1));
         let h1 = t.add_host();
         let h2 = t.add_host();
@@ -738,7 +741,10 @@ mod tests {
         }
         let mut t = Topology::new();
         let recv = t.add_host();
-        let s = t.add_switch(QueuePolicy::ecn_default());
+        let s = t.add_switch(QueuePolicy {
+            ecn_threshold: Some(50_000),
+            ..QueuePolicy::droptail_default()
+        });
         t.link(recv, s, gbps(1.0), SimTime::from_micros(1));
         let h1 = t.add_host();
         let h2 = t.add_host();
@@ -1011,14 +1017,21 @@ mod tests {
     #[test]
     fn registry_mirrors_stats_at_every_run_boundary_and_sample() {
         // Every `netsim.*` counter and the queue watermark, registry against
-        // getters.
+        // getters; forwarding operations against the packets offered to
+        // switch ports, which no getter reads.
         let mirrors = |sim: &Simulator, when: &str| {
             let (snap, s) = (sim.registry().snapshot(), sim.stats());
+            let at_switches = sim.ports.ports_touched().filter(|((from, _), _)| {
+                matches!(sim.topo.kind(NodeId(*from)), NodeKind::Switch(_))
+            });
             let pairs = [
                 ("netsim.sent", s.sent_packets()),
                 ("netsim.delivered", s.delivered_packets()),
                 ("netsim.delivered_trimmed", s.delivered_trimmed_packets()),
-                ("netsim.forwarded", s.forwarded_packets()),
+                (
+                    "netsim.forwarded",
+                    at_switches.map(|(_, p)| p.counters.arrived).sum(),
+                ),
                 ("netsim.trimmed", s.trimmed_packets()),
                 ("netsim.dropped.data_full", s.dropped_data_full()),
                 ("netsim.dropped.prio_full", s.dropped_prio_full()),

@@ -271,12 +271,6 @@ impl Stats {
         self.get(Tally::DeliveredTrimmed)
     }
 
-    /// Switch forwarding operations.
-    #[must_use]
-    pub fn forwarded_packets(&self) -> u64 {
-        self.get(Tally::Forwarded)
-    }
-
     /// Packets trimmed by switches.
     #[must_use]
     pub fn trimmed_packets(&self) -> u64 {
@@ -525,7 +519,7 @@ mod tests {
         assert_eq!(s.delivered_packets(), 2);
         assert_eq!(s.delivered_trimmed_packets(), 1);
         assert_eq!(s.trimmed_packets(), 1);
-        assert_eq!(s.forwarded_packets(), 1);
+        assert_eq!(s.get(Tally::Forwarded), 1);
         assert_eq!(s.ecn_marked(), 1);
         assert!((s.trim_fraction() - 0.5).abs() < 1e-12);
         let rec = s.flow(f).unwrap();

@@ -66,15 +66,6 @@ impl QueuePolicy {
             ..Self::trim_default()
         }
     }
-
-    /// Tail-drop with ECN marking at 1/3 of the data queue.
-    #[must_use]
-    pub fn ecn_default() -> Self {
-        Self {
-            ecn_threshold: Some(50_000),
-            ..Self::droptail_default()
-        }
-    }
 }
 
 /// What became of an enqueued packet.

@@ -103,12 +103,6 @@ pub fn gbps(g: f64) -> Rate {
     Rate((g * 1e9) as u64)
 }
 
-/// Convenience constructor: megabits per second.
-#[must_use]
-pub fn mbps(m: f64) -> Rate {
-    Rate((m * 1e6) as u64)
-}
-
 impl Rate {
     /// The time to serialize `bytes` at this rate, rounded up to a whole
     /// nanosecond. Saturates at `u64::MAX` nanoseconds (≈ 584 years of
@@ -127,12 +121,6 @@ impl Rate {
         let bits = bytes as u128 * 8;
         let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
         SimTime(u64::try_from(ns).unwrap_or(u64::MAX))
-    }
-
-    /// Bytes transferable in `dur` at this rate (rounded down).
-    #[must_use]
-    pub fn bytes_in(self, dur: SimTime) -> u64 {
-        (u128::from(self.0) * u128::from(dur.0) / 8 / 1_000_000_000) as u64
     }
 }
 
@@ -177,7 +165,7 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).to_string(), "3.000ms");
         assert_eq!(SimTime::from_secs(4).to_string(), "4.000s");
         assert_eq!(gbps(100.0).to_string(), "100.0Gbps");
-        assert_eq!(mbps(10.0).to_string(), "10.0Mbps");
+        assert_eq!(Rate(10_000_000).to_string(), "10.0Mbps");
     }
 
     #[test]
@@ -194,14 +182,6 @@ mod tests {
     #[should_panic(expected = "zero-rate link")]
     fn zero_rate_rejected() {
         let _ = Rate(0).serialize_time(1);
-    }
-
-    #[test]
-    fn bytes_in_inverts_serialize() {
-        let r = gbps(25.0);
-        let t = r.serialize_time(9000);
-        let b = r.bytes_in(t);
-        assert!((9000..=9004).contains(&b), "{b}");
     }
 
     #[test]
@@ -237,7 +217,7 @@ mod tests {
     #[test]
     fn large_values_do_not_overflow() {
         // 1 GB at 1 Mbps ≈ 8000 s; must not overflow intermediate math.
-        let t = mbps(1.0).serialize_time(1_000_000_000);
+        let t = Rate(1_000_000).serialize_time(1_000_000_000);
         assert!((t.as_secs_f64() - 8000.0).abs() < 1.0);
     }
 }

@@ -110,12 +110,6 @@ impl Topology {
             .collect()
     }
 
-    /// Number of (bidirectional) links.
-    #[must_use]
-    pub fn link_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
     /// Neighbors of `n` with their link params.
     #[must_use]
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkParams)] {

@@ -258,12 +258,6 @@ impl FlowSchedule {
         self.flows.iter().map(|f| f.bytes).sum()
     }
 
-    /// Total packets across all flows.
-    #[must_use]
-    pub fn total_packets(&self) -> u64 {
-        self.flows.iter().map(FlowSpec::packet_count).sum()
-    }
-
     /// Installs the schedule on `sim`: one [`ScheduledSenderApp`] per
     /// sending host, which releases each of its flows at that flow's start
     /// time. Hosts that only receive keep their default sink.
@@ -417,7 +411,7 @@ mod tests {
                 QueuePolicy::trim_default()
             });
         let sched = FlowSchedule::permutation(&hs, 15_000, 1500, 5);
-        let expected = sched.total_packets();
+        let expected: u64 = sched.flows.iter().map(FlowSpec::packet_count).sum();
         let mut sim = Simulator::new(topo);
         sched.install(&mut sim);
         sim.run_until(SimTime::from_millis(100));

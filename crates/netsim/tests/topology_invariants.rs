@@ -17,6 +17,14 @@ use trimgrad_netsim::time::{gbps, SimTime};
 use trimgrad_netsim::topology::{Routes, Topology};
 use trimgrad_netsim::NodeId;
 
+/// Number of (bidirectional) links: each appears in both ends' neighbours.
+fn link_count(t: &Topology) -> usize {
+    (0..t.len())
+        .map(|i| t.neighbors(NodeId(i)).len())
+        .sum::<usize>()
+        / 2
+}
+
 fn delay() -> SimTime {
     SimTime::from_micros(1)
 }
@@ -70,7 +78,7 @@ fn fat_tree_counts_match_al_fares_arithmetic() {
         let (t, hosts) = fat_tree_k(k);
         assert_eq!(hosts.len(), k * k * k / 4, "hosts at k={k}");
         assert_eq!(t.switches().len(), 5 * k * k / 4, "switches at k={k}");
-        assert_eq!(t.link_count(), 3 * k * k * k / 4, "links at k={k}");
+        assert_eq!(link_count(&t), 3 * k * k * k / 4, "links at k={k}");
         assert_eq!(t.len(), hosts.len() + t.switches().len());
         // The pod-ordered host list is exactly the topology's host set.
         let mut sorted = hosts.clone();
@@ -143,7 +151,7 @@ fn dumbbell_bottleneck_oversubscription() {
         QueuePolicy::trim_default(),
     );
     assert_eq!(t.len(), 10);
-    assert_eq!(t.link_count(), 9);
+    assert_eq!(link_count(&t), 9);
     let switches = t.switches();
     assert_eq!(switches.len(), 2);
     let core = t.link_params(switches[0], switches[1]);
@@ -175,7 +183,7 @@ fn leaf_spine_uplink_oversubscription() {
     );
     assert_eq!(hosts.len(), 8);
     assert_eq!(t.switches().len(), 4);
-    assert_eq!(t.link_count(), 8 + 4);
+    assert_eq!(link_count(&t), 8 + 4);
     let leaf = t.neighbors(hosts[0])[0].0;
     let host_in: u64 = gbps(100.0).0 * 4;
     let uplink_out: u64 = t

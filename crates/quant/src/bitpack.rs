@@ -10,7 +10,7 @@
 //! fields are exactly `W` bytes, so whatever the width — 1, 23, 31 — a part
 //! has a byte-aligned unit, the group of coordinates `8g..8g + 8`, at byte
 //! `g·W`. `pack_group` builds a group's bytes from `u64` words whose shifts
-//! are compile-time constants and [`pack_signs`] writes a byte per group;
+//! are compile-time constants and [`pack_signs_into`] writes a byte per group;
 //! `unpack_group` peels the eight fields back out with one constant-offset
 //! load each. A decode run that does not start or end on a group boundary
 //! reads its ragged edges through `window`: an unaligned little-endian
@@ -127,11 +127,6 @@ impl BitBuf {
         }
     }
 
-    /// Appends a single bit.
-    pub fn push_bit(&mut self, bit: bool) {
-        self.push_bits(u64::from(bit), 1);
-    }
-
     /// Reads `width` bits starting at bit offset `offset`. `width <= 64`.
     ///
     /// # Panics
@@ -160,12 +155,6 @@ impl BitBuf {
         } else {
             value & ((1u64 << width) - 1)
         }
-    }
-
-    /// Reads a single bit.
-    #[must_use]
-    pub fn get_bit(&self, offset: usize) -> bool {
-        self.get_bits(offset, 1) != 0
     }
 
     /// Copies bits `[offset, offset + len)` into `dst` without allocating.
@@ -323,18 +312,8 @@ pub(crate) fn unpack_group<const W: usize>(src: &[u8; W]) -> [u32; 8] {
     })
 }
 
-/// Packs the low `W` bits of every value's IEEE-754 pattern — the 31-bit
-/// exponent+mantissa tail, the 23-bit mantissa — into a fresh buffer:
-/// [`pack_low_bits_into`] a zeroed one.
-#[must_use]
-pub fn pack_low_bits<const W: usize>(values: &[f32]) -> BitBuf {
-    let len = values.len() * W;
-    let mut bytes = vec![0u8; len.div_ceil(8)];
-    pack_low_bits_into::<W>(values, &mut bytes);
-    BitBuf { bytes, len }
-}
-
-/// Writes the low `W` bits of every value's IEEE-754 pattern to `dst`, which
+/// Writes the low `W` bits of every value's IEEE-754 pattern — the 31-bit
+/// exponent+mantissa tail, the 23-bit mantissa — to `dst`, which
 /// must be exactly `(values.len()·W).div_ceil(8)` bytes: one `pack_group`
 /// per eight values. A ragged last group is packed with zero fields behind
 /// it and cut to the bytes it needs, which also leaves the slack bits zero,
@@ -375,18 +354,6 @@ fn sign_byte(group: &[f32]) -> u8 {
         bits |= (v.to_bits() >> 31) << j;
     }
     bits as u8
-}
-
-/// Packs the sign bit of every value (1 = negative) into a fresh
-/// 1-bit-per-entry buffer: [`pack_signs_into`] a zeroed one.
-#[must_use]
-pub fn pack_signs(values: &[f32]) -> BitBuf {
-    let mut bytes = vec![0u8; values.len().div_ceil(8)];
-    pack_signs_into(values, &mut bytes);
-    BitBuf {
-        bytes,
-        len: values.len(),
-    }
 }
 
 /// Writes the sign bit of every value (1 = negative) to `dst`, which must
@@ -533,7 +500,7 @@ mod tests {
     fn slice_bytes(buf: &BitBuf, offset: usize, len: usize) -> Vec<u8> {
         let mut out = BitBuf::new();
         for i in offset..offset + len {
-            out.push_bit(buf.get_bit(i));
+            out.push_bits(buf.get_bits(i, 1), 1);
         }
         out.as_bytes().to_vec()
     }
@@ -549,14 +516,14 @@ mod tests {
     #[test]
     fn push_and_get_single_bits() {
         let mut b = BitBuf::new();
-        let pattern = [true, false, true, true, false, false, true, false, true];
+        let pattern = [1, 0, 1, 1, 0, 0, 1, 0, 1];
         for &bit in &pattern {
-            b.push_bit(bit);
+            b.push_bits(bit, 1);
         }
         assert_eq!(b.len(), 9);
         assert_eq!(b.as_bytes().len(), 2);
         for (i, &bit) in pattern.iter().enumerate() {
-            assert_eq!(b.get_bit(i), bit, "bit {i}");
+            assert_eq!(b.get_bits(i, 1), bit, "bit {i}");
         }
     }
 
@@ -574,7 +541,7 @@ mod tests {
     #[test]
     fn sixty_four_bit_fields() {
         let mut b = BitBuf::new();
-        b.push_bit(true); // misalign
+        b.push_bits(1, 1); // misalign
         b.push_bits(u64::MAX, 64);
         b.push_bits(0x0123_4567_89AB_CDEF, 64);
         assert_eq!(b.get_bits(1, 64), u64::MAX);
@@ -640,12 +607,12 @@ mod tests {
         // later push ORed into dirty storage and read back wrong values.
         let mut b = BitBuf::from_bytes(vec![0xFF], 3);
         assert_eq!(b.as_bytes(), &[0b0000_0111]);
-        b.push_bit(false);
-        assert!(!b.get_bit(3));
+        b.push_bits(0, 1);
+        assert_eq!(b.get_bits(3, 1), 0);
         let clean = {
             let mut c = BitBuf::new();
             c.push_bits(0b111, 3);
-            c.push_bit(false);
+            c.push_bits(0, 1);
             c
         };
         assert_eq!(b, clean);
@@ -685,6 +652,14 @@ mod tests {
         group_roundtrip::<32>();
     }
 
+    /// The sign plane of `values` packed over a buffer that held other
+    /// bytes: every byte must be written.
+    fn signs(values: &[f32]) -> Vec<u8> {
+        let mut bytes = vec![0xAAu8; values.len().div_ceil(8)];
+        pack_signs_into(values, &mut bytes);
+        bytes
+    }
+
     #[test]
     fn pack_signs_matches_per_bit_pushes() {
         for n in (0usize..=17).chain([63, 64, 65, 127, 128, 200, 1000]) {
@@ -700,18 +675,15 @@ mod tests {
                 .collect();
             let mut reference = BitBuf::new();
             for &v in &values {
-                reference.push_bit(v.is_sign_negative());
+                reference.push_bits(u64::from(v.is_sign_negative()), 1);
             }
-            assert_eq!(pack_signs(&values), reference, "n={n}");
+            assert_eq!(signs(&values), reference.as_bytes(), "n={n}");
         }
     }
 
     #[test]
     fn pack_signs_treats_negative_zero_as_negative() {
-        let b = pack_signs(&[-0.0, 0.0, f32::NEG_INFINITY]);
-        assert!(b.get_bit(0));
-        assert!(!b.get_bit(1));
-        assert!(b.get_bit(2));
+        assert_eq!(signs(&[-0.0, 0.0, f32::NEG_INFINITY]), [0b101]);
     }
 
     #[test]
@@ -757,7 +729,7 @@ mod tests {
                 via_fields.push_bits(v, 6);
             }
             while via_fields.len() < 400 {
-                via_fields.push_bit(true);
+                via_fields.push_bits(1, 1);
             }
             let mut via_bytes = pack_fixed(&[1; 400], 1);
             via_bytes.write_bits_from_bytes(off, src.as_bytes(), src.len());
@@ -825,7 +797,7 @@ mod tests {
         ) {
             let mut buf = BitBuf::new();
             for &b in &bits {
-                buf.push_bit(b);
+                buf.push_bits(u64::from(b), 1);
             }
             let off = ((bits.len() as f64) * off_frac) as usize;
             let len = (((bits.len() - off) as f64) * len_frac) as usize;
@@ -852,7 +824,7 @@ mod tests {
                     *bit = (v >> i) & 1 == 1;
                 }
                 for (i, &bit) in model.iter().enumerate() {
-                    prop_assert_eq!(buf.get_bit(i), bit, "bit {}", i);
+                    prop_assert_eq!(buf.get_bits(i, 1) == 1, bit, "bit {}", i);
                 }
             }
         }

@@ -45,12 +45,6 @@ pub fn approx_eq_f64(a: f64, b: f64, eps: f64) -> bool {
     (a - b).abs() <= eps * a.abs().max(b.abs()).max(1.0)
 }
 
-/// Absolute-tolerance zero test: `|x| ≤ tol`.
-#[must_use]
-pub fn approx_zero(x: f32, tol: f32) -> bool {
-    x.abs() <= tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,11 +65,5 @@ mod tests {
         assert!(!approx_eq(1.0, 1.001, REL_EPS_F32));
         assert!(approx_eq_f64(1e-15, 0.0, REL_EPS_F64));
         assert!(!approx_eq_f64(1.0, 1.0 + 1e-9, REL_EPS_F64));
-    }
-
-    #[test]
-    fn approx_zero_uses_absolute_tolerance() {
-        assert!(approx_zero(-1e-7, 1e-6));
-        assert!(!approx_zero(2e-6, 1e-6));
     }
 }

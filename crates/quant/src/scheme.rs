@@ -436,7 +436,7 @@ impl<'a> StagedRow<'a> {
     /// fate cut is never packed, nor is a part the decoder does not read —
     /// an intact SQ/SD chunk packs its tails alone and pulls no draw. It
     /// decodes bit for bit as [`to_encoded`](Self::to_encoded)'s planes
-    /// viewed through [`EncodedRow::view_with_runs`] with the same `fates`
+    /// viewed through [`EncodedRow::view_with_depths`] with the same `fates`
     /// do.
     pub fn chunks<'s, I>(&self, fates: I, buf: &'s mut Vec<u8>) -> StagedChunks<'s, I>
     where
@@ -561,9 +561,10 @@ impl EncodedRow {
     }
 
     /// A view where coordinate `i` has `depths[i]` parts available
-    /// (0 = nothing survived for that coordinate):
-    /// [`view_with_runs`](Self::view_with_runs) over the maximal runs of
-    /// equal depth.
+    /// (0 = nothing survived for that coordinate). Trimming happens per
+    /// packet, so the depths come in runs of one packet's coordinates: one
+    /// masked word fill per maximal run of equal depth and part, not one bit
+    /// write per coordinate and part.
     ///
     /// # Panics
     ///
@@ -571,40 +572,16 @@ impl EncodedRow {
     #[must_use]
     pub fn view_with_depths(&self, depths: &[usize]) -> PartialRow<'_> {
         assert_eq!(depths.len(), self.n, "one depth per coordinate");
-        let mut start = 0;
-        self.view_with_runs(depths.chunk_by(|a, b| a == b).map(|run| {
-            let range = start..start + run.len();
-            start = range.end;
-            (range, run[0])
-        }))
-    }
-
-    /// A view where every coordinate of each `(range, depth)` run has
-    /// `depth` parts available (0 = nothing survived). Trimming happens per
-    /// packet, so a run is typically one packet's coordinates: one masked
-    /// word fill per run and part, not one bit write per coordinate and part.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the runs tile `0..n` in order, or if a depth exceeds the
-    /// part count.
-    #[must_use]
-    pub fn view_with_runs(
-        &self,
-        runs: impl IntoIterator<Item = (Range<usize>, usize)>,
-    ) -> PartialRow<'_> {
         let k = self.parts.len();
         let mut masks = vec![BitMask::absent(self.n); k];
-        let mut covered = 0;
-        for (range, depth) in runs {
-            assert_eq!(range.start, covered, "runs must tile the row in order");
-            assert!(depth <= k, "depth exceeds part count {k}");
-            for mask in &mut masks[..depth] {
-                mask.set_range(range.start, range.end, true);
+        let mut start = 0;
+        for run in depths.chunk_by(|a, b| a == b) {
+            assert!(run[0] <= k, "depth exceeds part count {k}");
+            for mask in &mut masks[..run[0]] {
+                mask.set_range(start, start + run.len(), true);
             }
-            covered = range.end;
+            start += run.len();
         }
-        assert_eq!(covered, self.n, "runs must cover the row");
         let parts = self
             .parts
             .iter()
@@ -648,34 +625,6 @@ pub enum PartView<'a> {
 }
 
 impl PartView<'_> {
-    /// Whether coordinate `i`'s field is available in this part.
-    #[must_use]
-    pub fn has(&self, i: usize) -> bool {
-        match self {
-            PartView::Full(_) => true,
-            PartView::Masked { present, .. } => present.get(i),
-            PartView::Absent => false,
-        }
-    }
-
-    /// Reads coordinate `i`'s `width`-bit field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field is not available (callers must check [`has`](Self::has)).
-    #[must_use]
-    pub fn get(&self, i: usize, width: u32) -> u64 {
-        match self {
-            PartView::Full(buf) => buf.get_bits(i * width as usize, width),
-            PartView::Masked { buf, present } => {
-                assert!(present.get(i), "coordinate {i} absent in masked part");
-                buf.get_bits(i * width as usize, width)
-            }
-            // trimlint: allow(hot-path-panic) -- diagnosed misuse guard per the # Panics contract; callers check has() first
-            PartView::Absent => panic!("coordinate {i} read from absent part"),
-        }
-    }
-
     /// The part's packed field bytes (empty when the part is absent): what
     /// the kernels of [`crate::kernels`] unpack a run from.
     #[must_use]
@@ -708,14 +657,6 @@ pub struct PartialRow<'a> {
 }
 
 impl PartialRow<'_> {
-    /// Number of consecutive parts available for coordinate `i`, starting
-    /// from part 0. Returns 0 when even the head is missing (whole packet
-    /// lost rather than trimmed).
-    #[must_use]
-    pub fn avail_depth(&self, i: usize) -> usize {
-        self.parts.iter().take_while(|p| p.has(i)).count()
-    }
-
     /// Validates structural invariants against a scheme's geometry:
     /// part count matches, buffers hold `n` fields, and availability is
     /// prefix-closed for every coordinate.
@@ -793,8 +734,9 @@ impl PartialRow<'_> {
 
     /// Validates the view like [`validate`](Self::validate) and calls
     /// `on_run(range, depth)` for each maximal range of consecutive coordinates
-    /// that share one [`avail_depth`](Self::avail_depth), in coordinate
-    /// order; the ranges tile `0..n`. A packet is trimmed as a whole, so on
+    /// that share one depth — the number of consecutive parts, from part 0,
+    /// that have the coordinate — in coordinate order; the ranges tile
+    /// `0..n`. A packet is trimmed as a whole, so on
     /// real traffic a run is at least a packet's worth of coordinates, and a
     /// decoder does its per-coordinate work inside one kernel call per run.
     /// `on_run` is first called after the part count and buffer lengths have
@@ -1058,6 +1000,18 @@ mod tests {
         assert_eq!(SchemeId::RhtOneBit.to_string(), "rht");
     }
 
+    /// Parts available for coordinate `i`, counted from part 0.
+    fn depth(v: &PartialRow<'_>, i: usize) -> usize {
+        v.parts
+            .iter()
+            .take_while(|p| match p {
+                PartView::Full(_) => true,
+                PartView::Masked { present, .. } => present.get(i),
+                PartView::Absent => false,
+            })
+            .count()
+    }
+
     fn sample_row() -> EncodedRow {
         // Two parts of widths 1 and 3, n = 4.
         let mut head = BitBuf::new();
@@ -1082,7 +1036,7 @@ mod tests {
         let row = sample_row();
         let v = row.full_view();
         for i in 0..4 {
-            assert_eq!(v.avail_depth(i), 2);
+            assert_eq!(depth(&v, i), 2);
         }
         assert!(v.validate(&[1, 3]).is_ok());
     }
@@ -1092,7 +1046,7 @@ mod tests {
         let row = sample_row();
         let v = row.trimmed_view(1);
         for i in 0..4 {
-            assert_eq!(v.avail_depth(i), 1);
+            assert_eq!(depth(&v, i), 1);
         }
         assert!(v.validate(&[1, 3]).is_ok());
     }
@@ -1107,14 +1061,12 @@ mod tests {
     fn view_with_depths_mixed() {
         let row = sample_row();
         let v = row.view_with_depths(&[2, 1, 0, 2]);
-        assert_eq!(v.avail_depth(0), 2);
-        assert_eq!(v.avail_depth(1), 1);
-        assert_eq!(v.avail_depth(2), 0);
-        assert_eq!(v.avail_depth(3), 2);
+        let depths: Vec<usize> = (0..4).map(|i| depth(&v, i)).collect();
+        assert_eq!(depths, [2, 1, 0, 2]);
         assert!(v.validate(&[1, 3]).is_ok());
         // Fields still readable where available.
-        assert_eq!(v.parts[0].get(0, 1), 0);
-        assert_eq!(v.parts[1].get(3, 3), 6);
+        assert!(matches!(&v.parts[0], PartView::Masked { buf, .. } if buf.get_bits(0, 1) == 0));
+        assert!(matches!(&v.parts[1], PartView::Masked { buf, .. } if buf.get_bits(9, 3) == 6));
     }
 
     #[test]
@@ -1161,19 +1113,6 @@ mod tests {
             v.validate(&[1, 3]),
             Err(DecodeError::PrefixViolation { coord: 1, part: 1 })
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "absent in masked part")]
-    fn masked_get_panics_on_absent_coord() {
-        let row = sample_row();
-        let mut present = BitMask::absent(4);
-        present.set(0, true);
-        let view = PartView::Masked {
-            buf: &row.parts[0],
-            present: Cow::Owned(present),
-        };
-        let _ = view.get(2, 1);
     }
 
     #[test]

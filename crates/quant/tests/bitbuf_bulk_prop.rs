@@ -4,13 +4,13 @@
 //! reconstruction from wire bytes.
 
 use proptest::prelude::*;
-use trimgrad_quant::bitpack::{pack_signs, BitBuf};
+use trimgrad_quant::bitpack::{pack_signs_into, BitBuf};
 
 /// Builds a buffer from explicit bits, the slow trusted way.
 fn buf_from_bits(bits: &[bool]) -> BitBuf {
     let mut b = BitBuf::new();
     for &bit in bits {
-        b.push_bit(bit);
+        b.push_bits(u64::from(bit), 1);
     }
     b
 }
@@ -54,7 +54,8 @@ fn get_bits_window_load_matches_bit_model_at_every_offset() {
 }
 
 proptest! {
-    /// `pack_signs` agrees with per-coordinate `push_bit` for every length,
+    /// `pack_signs_into` writes, over whatever its destination held, the
+    /// bytes of per-coordinate 1-bit pushes for every length,
     /// including negative zero and non-finite values (raw u32 bit patterns
     /// cover NaN, infinities, denormals, and -0.0).
     #[test]
@@ -64,9 +65,11 @@ proptest! {
         let values: Vec<f32> = patterns.iter().map(|&b| f32::from_bits(b)).collect();
         let mut reference = BitBuf::new();
         for &v in &values {
-            reference.push_bit(v.is_sign_negative());
+            reference.push_bits(u64::from(v.is_sign_negative()), 1);
         }
-        prop_assert_eq!(pack_signs(&values), reference);
+        let mut packed = vec![0x5Au8; values.len().div_ceil(8)];
+        pack_signs_into(&values, &mut packed);
+        prop_assert_eq!(&packed[..], reference.as_bytes());
     }
 
     /// `copy_bits_to` at arbitrary (mostly unaligned) offsets produces the
@@ -95,14 +98,14 @@ proptest! {
         let mut dst = BitBuf::zeroed(dst_len);
         dst.write_bits_from_bytes(dst_off, &wire, len);
         for i in 0..len {
-            prop_assert_eq!(dst.get_bit(dst_off + i), bits[off + i], "bit {}", i);
+            prop_assert_eq!(dst.get_bits(dst_off + i, 1) == 1, bits[off + i], "bit {}", i);
         }
         // Surrounding bits stay zero.
         for i in 0..dst_off {
-            prop_assert!(!dst.get_bit(i));
+            prop_assert_eq!(dst.get_bits(i, 1), 0);
         }
         for i in dst_off + len..dst_len {
-            prop_assert!(!dst.get_bit(i));
+            prop_assert_eq!(dst.get_bits(i, 1), 0);
         }
     }
 
@@ -131,8 +134,8 @@ proptest! {
 
         let mut reference = clean;
         for &b in &appended {
-            reference.push_bit(b);
-            rebuilt.push_bit(b);
+            reference.push_bits(u64::from(b), 1);
+            rebuilt.push_bits(u64::from(b), 1);
         }
         prop_assert_eq!(rebuilt, reference);
     }

@@ -105,6 +105,19 @@ fn model_runs(depths: &[usize]) -> Vec<(Range<usize>, usize)> {
     runs
 }
 
+/// Parts available for coordinate `i`, counted from part 0: the
+/// per-coordinate model of a run's depth.
+fn avail_depth(view: &PartialRow<'_>, i: usize) -> usize {
+    view.parts
+        .iter()
+        .take_while(|p| match p {
+            PartView::Full(_) => true,
+            PartView::Masked { present, .. } => present.get(i),
+            PartView::Absent => false,
+        })
+        .count()
+}
+
 fn scanned_runs(view: &PartialRow<'_>, part_bits: &[u32]) -> Vec<(Range<usize>, usize)> {
     let mut runs = Vec::new();
     view.for_each_run(part_bits, |range, depth| runs.push((range, depth)))
@@ -162,67 +175,9 @@ proptest! {
         let want = model_runs(&depths);
         prop_assert_eq!(scanned_runs(&view, id.part_bits()), want);
         for (i, &d) in depths.iter().enumerate() {
-            prop_assert_eq!(view.avail_depth(i), d, "coordinate {}", i);
+            prop_assert_eq!(avail_depth(&view, i), d, "coordinate {}", i);
         }
     }
-
-    /// A view built from `(range, depth)` runs — adjacent runs of one depth
-    /// left unmerged, as per-packet fates arrive — is the view of their
-    /// per-coordinate expansion: the same variant for every part, and for a
-    /// masked part the same mask words.
-    #[test]
-    fn runs_view_equals_the_depths_view(
-        three_parts in any::<bool>(),
-        len in 0usize..700,
-        run_lens in proptest::collection::vec(1usize..150, 1..40),
-        run_depths in proptest::collection::vec(0usize..=3, 1..40)
-    ) {
-        let id = if three_parts { SchemeId::MultiLevelRht } else { SchemeId::SignMagnitude };
-        let k = id.part_bits().len();
-        let data: Vec<f32> = (0..len).map(|i| i as f32 - 7.5).collect();
-        let enc = id.encode(&data, 5);
-        let mut runs = Vec::new();
-        let mut start = 0;
-        while start < enc.n {
-            let r = runs.len();
-            let end = enc.n.min(start + run_lens[r % run_lens.len()]);
-            runs.push((start..end, run_depths[r % run_depths.len()].min(k)));
-            start = end;
-        }
-        let depths: Vec<usize> = runs
-            .iter()
-            .flat_map(|(range, d)| std::iter::repeat_n(*d, range.len()))
-            .collect();
-        let by_runs = enc.view_with_runs(runs);
-        let by_depths = enc.view_with_depths(&depths);
-        prop_assert_eq!(by_runs.parts.len(), by_depths.parts.len());
-        for (k, pair) in by_runs.parts.iter().zip(&by_depths.parts).enumerate() {
-            let same = match pair {
-                (PartView::Full(a), PartView::Full(b)) => std::ptr::eq(*a, *b),
-                (
-                    PartView::Masked { buf: a, present: pa },
-                    PartView::Masked { buf: b, present: pb },
-                ) => std::ptr::eq(*a, *b) && pa == pb,
-                (PartView::Absent, PartView::Absent) => true,
-                _ => false,
-            };
-            prop_assert!(same, "part {}: {:?} vs {:?}", k, pair.0, pair.1);
-        }
-    }
-}
-
-#[test]
-#[should_panic(expected = "runs must tile the row in order")]
-fn runs_with_a_gap_are_refused() {
-    let enc = SchemeId::SignMagnitude.encode(&[1.0; 130], 0);
-    let _ = enc.view_with_runs([(0..60, 2), (61..130, 1)]);
-}
-
-#[test]
-#[should_panic(expected = "runs must cover the row")]
-fn runs_short_of_the_row_are_refused() {
-    let enc = SchemeId::SignMagnitude.encode(&[1.0; 130], 0);
-    let _ = enc.view_with_runs([(0..60, 2)]);
 }
 
 #[test]

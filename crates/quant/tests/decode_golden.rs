@@ -2,8 +2,8 @@
 //! must produce, bit for bit, what the per-coordinate reference decoder in
 //! this file produces — the loops the five scheme files used before decode
 //! went run-structured and word-at-a-time, written against nothing but the
-//! public per-coordinate accessors (`PartialRow::avail_depth`,
-//! `PartView::{has, get}`). On top of that differential check, one FNV-1a
+//! public view enum through this file's per-coordinate accessors (`has`,
+//! `get`, `avail_depth`). On top of that differential check, one FNV-1a
 //! digest per (scheme, length) — recorded from the per-coordinate decoders
 //! before they were replaced — pins the outputs across commits, so the
 //! reference cannot drift together with the library.
@@ -81,12 +81,37 @@ fn fnv1a(acc: &mut u64, values: &[f32]) {
     }
 }
 
+/// Whether coordinate `i`'s field is available in part `view`.
+fn has(view: &PartView<'_>, i: usize) -> bool {
+    match view {
+        PartView::Full(_) => true,
+        PartView::Masked { present, .. } => present.get(i),
+        PartView::Absent => false,
+    }
+}
+
+/// Coordinate `i`'s `width`-bit field of part `view`; it must be available.
+fn get(view: &PartView<'_>, i: usize, width: u32) -> u64 {
+    match view {
+        PartView::Full(buf) | PartView::Masked { buf, .. } if has(view, i) => {
+            buf.get_bits(i * width as usize, width)
+        }
+        _ => panic!("coordinate {i} read from a part that lacks it"),
+    }
+}
+
+/// Parts available for coordinate `i`, counted from part 0 (0 when even the
+/// head is missing).
+fn avail_depth(row: &PartialRow<'_>, i: usize) -> usize {
+    row.parts.iter().take_while(|p| has(p, i)).count()
+}
+
 /// The structural checks of `PartialRow::validate`, coordinate by coordinate.
 fn reference_prefix_check(row: &PartialRow<'_>) -> Result<(), DecodeError> {
     for i in 0..row.n {
         let mut seen_gap = false;
         for (k, view) in row.parts.iter().enumerate() {
-            if view.has(i) {
+            if has(view, i) {
                 if seen_gap {
                     return Err(DecodeError::PrefixViolation { coord: i, part: k });
                 }
@@ -108,13 +133,13 @@ fn reference_decode(
     reference_prefix_check(row)?;
     let scale = meta.scale;
     let signed = |i: usize| {
-        if row.parts[0].get(i, 1) == 1 {
+        if get(&row.parts[0], i, 1) == 1 {
             -scale
         } else {
             scale
         }
     };
-    let sign_bit = |i: usize| (row.parts[0].get(i, 1) as u32) << 31;
+    let sign_bit = |i: usize| (get(&row.parts[0], i, 1) as u32) << 31;
     let mut dither = Xoshiro256StarStar::new(seed);
     let coords: Vec<f32> = (0..row.n)
         .map(|i| {
@@ -123,18 +148,18 @@ fn reference_decode(
                 SchemeId::SubtractiveDither => dither.next_f32_range(-scale, scale),
                 _ => 0.0,
             };
-            match (id, row.avail_depth(i)) {
+            match (id, avail_depth(row, i)) {
                 (_, 0) => 0.0,
                 (SchemeId::SubtractiveDither, 1) => signed(i) - eps,
                 (_, 1) => signed(i),
                 (SchemeId::SignMagnitude | SchemeId::RhtOneBit, _) => {
-                    f32::from_bits(sign_bit(i) | row.parts[1].get(i, 31) as u32)
+                    f32::from_bits(sign_bit(i) | get(&row.parts[1], i, 31) as u32)
                 }
                 (SchemeId::Stochastic | SchemeId::SubtractiveDither, _) => {
-                    f32::from_bits(row.parts[1].get(i, 32) as u32)
+                    f32::from_bits(get(&row.parts[1], i, 32) as u32)
                 }
                 (SchemeId::MultiLevelRht, 2) => {
-                    let exp = row.parts[1].get(i, 8) as u32;
+                    let exp = get(&row.parts[1], i, 8) as u32;
                     if exp == 0 {
                         f32::from_bits(sign_bit(i))
                     } else {
@@ -142,19 +167,19 @@ fn reference_decode(
                     }
                 }
                 (SchemeId::MultiLevelRht, _) => {
-                    let exp = row.parts[1].get(i, 8) as u32;
-                    let mant = row.parts[2].get(i, 23) as u32;
+                    let exp = get(&row.parts[1], i, 8) as u32;
+                    let mant = get(&row.parts[2], i, 23) as u32;
                     f32::from_bits(sign_bit(i) | (exp << 23) | mant)
                 }
             }
         })
         .collect();
-    Ok(match id {
-        SchemeId::RhtOneBit | SchemeId::MultiLevelRht if row.n > 0 => {
-            RandomizedHadamard::new(seed).inverse_padded(&coords, meta.original_len)
-        }
-        _ => coords,
-    })
+    let mut coords = coords;
+    if matches!(id, SchemeId::RhtOneBit | SchemeId::MultiLevelRht) && row.n > 0 {
+        RandomizedHadamard::new(seed).inverse_in_place(&mut coords);
+        coords.truncate(meta.original_len);
+    }
+    Ok(coords)
 }
 
 /// Per-coordinate depths of every non-uniform view, named for diagnostics.
@@ -280,7 +305,7 @@ fn digest_case(id: SchemeId, n: usize) -> u64 {
             &format!("{id} n={n} {name}"),
         );
         for (i, &d) in depths.iter().enumerate() {
-            assert_eq!(view.avail_depth(i), d, "{id} n={n} {name}: depth of {i}");
+            assert_eq!(avail_depth(&view, i), d, "{id} n={n} {name}: depth of {i}");
         }
         check(name, &view);
     }

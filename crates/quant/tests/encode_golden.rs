@@ -3,7 +3,7 @@
 //! file produces — the scalar loops the five scheme files carried beside
 //! their fused kernels until the oracle left the library, written against
 //! nothing but public items (`BitBuf::push_bits`, `stats::{std_dev,
-//! drive_scale, clip, CLIP_SIGMAS}`, `RandomizedHadamard::forward_padded`,
+//! drive_scale, clip, CLIP_SIGMAS}`, `RandomizedHadamard::forward_padded_into`,
 //! the shared PRNG). On top of that differential check, one FNV-1a digest per (scheme,
 //! length) — recorded from those in-library loops at the last commit that
 //! had them — pins the outputs across commits, so the reference cannot
@@ -71,12 +71,12 @@ fn row(n: usize, seed: u64) -> Vec<f32> {
 /// pushed on its own, coordinate by coordinate.
 fn reference_encode(id: SchemeId, data: &[f32], seed: u64) -> EncodedRow {
     // The RHT schemes quantize the padded rotation, the rest the row itself.
-    let rotated;
+    let mut rotated = Vec::new();
     let (coords, scale) = match id {
         SchemeId::SignMagnitude => (data, std_dev(data)),
         SchemeId::Stochastic | SchemeId::SubtractiveDither => (data, CLIP_SIGMAS * std_dev(data)),
         SchemeId::RhtOneBit | SchemeId::MultiLevelRht => {
-            rotated = RandomizedHadamard::new(seed).forward_padded(data);
+            RandomizedHadamard::new(seed).forward_padded_into(data, &mut rotated);
             (rotated.as_slice(), drive_scale(&rotated))
         }
     };

@@ -463,7 +463,7 @@ mod tests {
     fn every_kind_name_is_a_valid_telemetry_key() {
         for ev in samples() {
             let name = ev.kind_name();
-            assert!(crate::is_valid_name(name), "bad kind name {name:?}");
+            assert!(crate::tests::is_valid_name(name), "bad kind name {name:?}");
         }
     }
 
@@ -486,7 +486,7 @@ mod tests {
             DropReason::NoRoute,
         ] {
             assert_eq!(DropReason::from_tag(r.to_tag()).unwrap(), r);
-            assert!(crate::is_valid_name(r.name()));
+            assert!(crate::tests::is_valid_name(r.name()));
         }
         assert!(DropReason::from_tag(99).is_err());
     }

@@ -352,20 +352,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Whether `name` follows the telemetry-key convention: dot-separated,
-/// lowercase `[a-z0-9_]` segments, no empty segment. Shared by the event
-/// taxonomy tests and the `trace-event-naming` lint fixtures.
-#[must_use]
-pub fn is_valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.split('.').all(|seg| {
-            !seg.is_empty()
-                && seg
-                    .bytes()
-                    .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_'))
-        })
-}
-
 /// `usize` → `u32`, saturating. Event fields are fixed-width; call sites in
 /// no-lossy-cast crates use this instead of `as`.
 #[must_use]
@@ -382,6 +368,19 @@ pub fn sat64(v: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `name` follows the telemetry-key convention: dot-separated,
+    /// lowercase `[a-z0-9_]` segments, no empty segment. Shared with the
+    /// event taxonomy tests.
+    pub(crate) fn is_valid_name(name: &str) -> bool {
+        !name.is_empty()
+            && name.split('.').all(|seg| {
+                !seg.is_empty()
+                    && seg
+                        .bytes()
+                        .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_'))
+            })
+    }
 
     #[test]
     fn disabled_tracer_never_evaluates_the_closure() {

@@ -19,9 +19,6 @@ use crate::{Result, WireError};
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
-
     /// A deterministic locally-administered unicast address for host `id`
     /// (used by the simulator's topology builder).
     #[must_use]
@@ -29,12 +26,6 @@ impl MacAddr {
         let b = id.to_be_bytes();
         // 0x02 = locally administered, unicast.
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// Whether this is the broadcast address.
-    #[must_use]
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
     }
 }
 
@@ -83,13 +74,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mac_display_and_broadcast() {
+    fn mac_display() {
         assert_eq!(
             MacAddr([1, 2, 3, 0xAB, 0xCD, 0xEF]).to_string(),
             "01:02:03:ab:cd:ef"
         );
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::for_host(1).is_broadcast());
     }
 
     #[test]

@@ -147,12 +147,6 @@ impl GradPacket {
         self.frame.len()
     }
 
-    /// Consumes the packet, returning the frame.
-    #[must_use]
-    pub fn into_frame(self) -> Vec<u8> {
-        self.frame
-    }
-
     /// Parses and validates every layer.
     ///
     /// # Errors
@@ -324,7 +318,7 @@ mod tests {
     #[test]
     fn corrupted_frame_fails_parse() {
         let pkt = sample_packet(50);
-        let mut bytes = pkt.into_frame();
+        let mut bytes = pkt.as_bytes().to_vec();
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF; // flip payload bits → UDP checksum fails
         let bad = GradPacket::from_frame(bytes);
@@ -334,7 +328,7 @@ mod tests {
     #[test]
     fn truncated_frame_fails_parse() {
         let pkt = sample_packet(50);
-        let mut bytes = pkt.into_frame();
+        let mut bytes = pkt.as_bytes().to_vec();
         bytes.truncate(bytes.len() - 10); // shorter than IP total_len
         let bad = GradPacket::from_frame(bytes);
         assert_eq!(bad.parse().unwrap_err(), WireError::Truncated);

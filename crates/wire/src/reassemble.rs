@@ -601,7 +601,7 @@ mod tests {
 
         // Chop 7 bytes off the tail section, then reseal the stack's lengths
         // and checksums so only the TrimGrad body is short.
-        let mut bytes = pr.packets[1].clone().into_frame();
+        let mut bytes = pr.packets[1].as_bytes().to_vec();
         bytes.truncate(bytes.len() - 7);
         crate::stack::reseal(&mut bytes, crate::ipv4::DSCP_BULK);
         let bad = GradPacket::from_frame(bytes);
@@ -777,7 +777,7 @@ mod tests {
         let renumbered: Vec<GradPacket> = [0u16, 3]
             .into_iter()
             .map(|chunk_id| {
-                let mut bytes = pr.packets[1].clone().into_frame();
+                let mut bytes = pr.packets[1].as_bytes().to_vec();
                 let at = crate::packet::STACK_OVERHEAD - crate::trimhdr::HEADER_LEN + 6;
                 bytes[at..at + 2].copy_from_slice(&chunk_id.to_be_bytes());
                 crate::stack::reseal(&mut bytes, crate::ipv4::DSCP_BULK);

@@ -96,8 +96,8 @@ fn outcome_log() -> (String, usize) {
     let mut trimmed = data.clone();
     trimmed.trim_to_depth(1).expect("a fresh frame trims");
     let frames = [
-        ("data", data.into_frame(), STACK_OVERHEAD),
-        ("trimmed", trimmed.into_frame(), STACK_OVERHEAD),
+        ("data", data.as_bytes().to_vec(), STACK_OVERHEAD),
+        ("trimmed", trimmed.as_bytes().to_vec(), STACK_OVERHEAD),
         ("meta", meta.build_frame(&net), FRAME_LEN),
     ];
     let mut log = String::new();
@@ -162,7 +162,7 @@ fn set_udp_length(frame: &mut [u8], len: u16, csum: Option<u16>) {
 #[test]
 fn bytes_past_the_udp_length_are_not_read() {
     let (data, meta) = first_packet();
-    let frame = data.into_frame();
+    let frame = data.as_bytes().to_vec();
     let udp_len = u16::try_from(frame.len() - UDP_START).expect("one MTU");
     // Resealed with a valid checksum, and with "no checksum" (zero).
     for csum in [None, Some(0)] {

@@ -164,7 +164,7 @@ proptest! {
         let stale = packetize_row(&enc, &PacketizeConfig { epoch: 7, ..cfg() });
         events.push(foreign.packets[0].clone());
         events.push(stale.packets[0].clone());
-        let mut chopped = pr.packets[0].clone().into_frame();
+        let mut chopped = pr.packets[0].as_bytes().to_vec();
         chopped.truncate(chopped.len() - 3);
         events.push(GradPacket::from_frame(chopped));
 

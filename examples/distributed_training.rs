@@ -11,7 +11,7 @@ use trimgrad::collective::hooks::{AggregateHook, BaselineHook, TrimmableHook};
 use trimgrad::mltrain::data::gaussian_mixture;
 use trimgrad::mltrain::optim::StepLr;
 use trimgrad::mltrain::parallel::{DataParallelTrainer, ParallelConfig};
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 
 const TRIM_RATE: f64 = 0.50;
 const WORKERS: usize = 4;
@@ -48,7 +48,7 @@ fn main() {
     let runs = vec![
         run(Box::new(BaselineHook::new(WORKERS))),
         run(Box::new(TrimmableHook::new(
-            Scheme::SignMagnitude,
+            SchemeId::SignMagnitude,
             WORKERS,
             TRIM_RATE,
             0.0,
@@ -56,7 +56,7 @@ fn main() {
             99,
         ))),
         run(Box::new(TrimmableHook::new(
-            Scheme::SubtractiveDither,
+            SchemeId::SubtractiveDither,
             WORKERS,
             TRIM_RATE,
             0.0,
@@ -64,7 +64,7 @@ fn main() {
             99,
         ))),
         run(Box::new(TrimmableHook::new(
-            Scheme::RhtOneBit,
+            SchemeId::RhtOneBit,
             WORKERS,
             TRIM_RATE,
             0.0,

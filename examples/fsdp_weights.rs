@@ -16,7 +16,7 @@ use trimgrad::mltrain::fsdp::ShardedParams;
 use trimgrad::mltrain::metrics::top1_accuracy;
 use trimgrad::mltrain::parallel::{DataParallelTrainer, ParallelConfig};
 use trimgrad::mltrain::Mlp;
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 
 fn main() {
     // Train the reference model (lossless aggregation).
@@ -39,7 +39,7 @@ fn main() {
 
     let sharded = ShardedParams::split(&trainer.params_of_worker0(), 4);
     for trim in [0.0, 0.1, 0.25, 0.5, 1.0] {
-        let acc = |scheme: Scheme| {
+        let acc = |scheme: SchemeId| {
             let codec = MessageCodec::with_row_len(scheme, 5, 1 << 10);
             let mut chan = TrimmingChannel::new(codec, TrimInjector::new(trim, 42));
             let gathered = sharded.gather(0, &mut chan, 0, 0);
@@ -50,8 +50,8 @@ fn main() {
         println!(
             "{:>7.0}% {:>10.4} {:>10.4}",
             trim * 100.0,
-            acc(Scheme::SubtractiveDither),
-            acc(Scheme::RhtOneBit)
+            acc(SchemeId::SubtractiveDither),
+            acc(SchemeId::RhtOneBit)
         );
     }
     println!("\nFor weights there is no round-to-round averaging, so the unbiased-but-");

@@ -7,10 +7,10 @@
 //! Run: `cargo run --release --example multilevel_trim`
 
 use trimgrad::quant::error::nmse;
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 
 fn main() {
-    let scheme = Scheme::MultiLevelRht;
+    let scheme = SchemeId::MultiLevelRht;
     let gradient: Vec<f32> = (0..4096)
         .map(|i| ((i as f32) * 0.0137).sin() * 0.2)
         .collect();

@@ -5,7 +5,7 @@
 
 use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
 use trimgrad::quant::error::nmse;
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 
 fn main() {
     // A synthetic "gradient": 10k coordinates with realistic heavy tails.
@@ -17,10 +17,10 @@ fn main() {
         .collect();
 
     for scheme in [
-        Scheme::SignMagnitude,
-        Scheme::Stochastic,
-        Scheme::SubtractiveDither,
-        Scheme::RhtOneBit,
+        SchemeId::SignMagnitude,
+        SchemeId::Stochastic,
+        SchemeId::SubtractiveDither,
+        SchemeId::RhtOneBit,
     ] {
         let pipe = TrimmablePipeline::new(
             PipelineConfig::builder()

@@ -5,13 +5,13 @@
 
 use trimgrad::collective::trim_inject::{Fate, TrimInjector};
 use trimgrad::quant::scheme::RowScratch;
+use trimgrad::quant::SchemeId;
 use trimgrad::transcript::{RecordingInjector, TrimTranscript};
-use trimgrad::Scheme;
 
 /// Stages `row` under `seed` and decodes it chunk by chunk as its packets'
 /// `fates` left it: what `TrimmingChannel` does on the far side of the
 /// fabric.
-fn decode_under(scheme: Scheme, row: &[f32], seed: u64, fates: &[Fate]) -> Vec<f32> {
+fn decode_under(scheme: SchemeId, row: &[f32], seed: u64, fates: &[Fate]) -> Vec<f32> {
     let mut scratch = RowScratch::default();
     let staged = scheme.stage(row, seed, &mut scratch);
     let (mut out, mut buf) = (vec![0.0; row.len()], Vec::new());
@@ -27,7 +27,7 @@ fn main() {
         .map(|i| ((i as f32) * 0.013).sin() * ((i % 97) as f32 / 97.0))
         .collect();
     let (epoch, msg_id, row_id, seed) = (3, 14, 0, 0xFACE);
-    let scheme = Scheme::RhtOneBit;
+    let scheme = SchemeId::RhtOneBit;
     let n = scheme.encoded_len(gradient.len());
 
     // --- The original congested run: random trimming, recorded. ---

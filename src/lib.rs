@@ -1,15 +1,7 @@
 //! Umbrella crate for the `trimgrad` workspace.
 //!
 //! This crate exists to host the runnable examples (`examples/`) and the
-//! cross-crate integration tests (`tests/`). It re-exports every workspace
-//! crate under one namespace for convenience; library users should normally
-//! depend on [`trimgrad`] (the core crate) directly.
-
-pub use trimgrad;
-pub use trimgrad_collective as collective;
-pub use trimgrad_hadamard as hadamard;
-pub use trimgrad_mltrain as mltrain;
-pub use trimgrad_netsim as netsim;
-pub use trimgrad_quant as quant;
-pub use trimgrad_trace as trace;
-pub use trimgrad_wire as wire;
+//! cross-crate integration tests (`tests/`), which import the workspace
+//! crates directly; library users should depend on `trimgrad` (the core
+//! crate). It exports nothing: the library target exists so that the
+//! package's examples and tests build against its dependencies.

@@ -573,7 +573,7 @@ fn fat_tree_incast_storm_survives_fault_matrix_deterministically() {
             f.flow = FlowId(f.flow.0 + base);
             f
         }));
-        let expected = sched.total_packets();
+        let expected: u64 = sched.flows.iter().map(|f| f.packet_count()).sum();
         let mut sim = Simulator::with_seed(topo, seed);
         sim.set_tracer(Tracer::enabled(1 << 18));
         sim.install_fault_plan(FaultPlan::new(seed).with_default(full_matrix_policy()));

@@ -7,7 +7,7 @@ use trimgrad::hadamard::prng::Xoshiro256StarStar;
 use trimgrad::pipeline::{PipelineConfig, TrimmablePipeline};
 use trimgrad::quant::error::{cosine_similarity, nmse};
 use trimgrad::quant::scheme::RowScratch;
-use trimgrad::Scheme;
+use trimgrad::quant::SchemeId;
 
 fn blob(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256StarStar::new(seed);
@@ -16,7 +16,7 @@ fn blob(n: usize, seed: u64) -> Vec<f32> {
 
 /// Stages `row` under `seed` and decodes it chunk by chunk as its packets'
 /// `fates` left it: the receive side of `TrimmingChannel::transfer_row`.
-fn decode_under(scheme: Scheme, row: &[f32], seed: u64, fates: &[Fate]) -> Vec<f32> {
+fn decode_under(scheme: SchemeId, row: &[f32], seed: u64, fates: &[Fate]) -> Vec<f32> {
     let mut scratch = RowScratch::default();
     let staged = scheme.stage(row, seed, &mut scratch);
     let (mut out, mut buf) = (vec![0.0; row.len()], Vec::new());
@@ -31,9 +31,9 @@ fn decode_under(scheme: Scheme, row: &[f32], seed: u64, fates: &[Fate]) -> Vec<f
 #[test]
 fn pipeline_survives_real_switch_trimming() {
     for scheme in [
-        Scheme::SignMagnitude,
-        Scheme::RhtOneBit,
-        Scheme::MultiLevelRht,
+        SchemeId::SignMagnitude,
+        SchemeId::RhtOneBit,
+        SchemeId::MultiLevelRht,
     ] {
         let pipe = TrimmablePipeline::new(
             PipelineConfig::builder()
@@ -94,7 +94,7 @@ fn netsim_ring_matches_in_memory_ring_when_clean() {
         .collect();
     let mut sim = Simulator::new(topo);
     let cfg = RingNetConfig {
-        scheme: Scheme::RhtOneBit,
+        scheme: SchemeId::RhtOneBit,
         row_len: 1024,
         base_seed: 3,
         epoch: 1,
@@ -124,7 +124,7 @@ fn training_and_transcript_reproducibility() {
 
     // Short training smoke: accuracy must clearly beat chance (10 classes).
     let (train, test) = gaussian_mixture(10, 16, 60, 2.0, 0.8, 5).split(0.8, 5);
-    let hook = TrimmableHook::new(Scheme::RhtOneBit, 2, 0.3, 0.0, 1 << 10, 3);
+    let hook = TrimmableHook::new(SchemeId::RhtOneBit, 2, 0.3, 0.0, 1 << 10, 3);
     let mut t = DataParallelTrainer::new(
         &[16, 32, 10],
         train,
@@ -147,7 +147,7 @@ fn training_and_transcript_reproducibility() {
     );
 
     // Transcript: record one trimmed exchange, replay bit-identically.
-    let (g, scheme) = (blob(4096, 9), Scheme::RhtOneBit);
+    let (g, scheme) = (blob(4096, 9), SchemeId::RhtOneBit);
     let n = scheme.encoded_len(g.len());
     let mut rec = RecordingInjector::new(TrimInjector::new(0.5, 123));
     let mut fates = Vec::new();
@@ -174,7 +174,7 @@ fn transcript_replays_a_trimming_channel_exchange_bit_for_bit() {
     let injector = || TrimInjector::new(0.4, 31).with_drop_prob(0.1);
     let (epoch, row_len) = (6, 3000);
     let g = blob(2 * row_len + 700, 12);
-    for scheme in Scheme::ALL {
+    for scheme in SchemeId::ALL {
         let codec = MessageCodec::with_row_len(scheme, 5, row_len);
         let mut channel =
             TrimmingChannel::new(MessageCodec::with_row_len(scheme, 5, row_len), injector());
@@ -243,8 +243,9 @@ fn lossless_full_stack_all_schemes() {
 /// frames for the same blob, untrimmed and with every packet cut to heads.
 #[test]
 fn in_memory_byte_accounting_equals_real_frames() {
+    use trimgrad::collective::chunk::DEFAULT_ROW_LEN;
     use trimgrad::collective::{GradChannel, MessageCodec, TrimInjector, TrimmingChannel};
-    for scheme in Scheme::ALL {
+    for scheme in SchemeId::ALL {
         for coords in [1usize, 3_000, 100_000] {
             let g = blob(coords, coords as u64);
             let pipe = TrimmablePipeline::new(PipelineConfig::builder().scheme(scheme).build());
@@ -255,7 +256,7 @@ fn in_memory_byte_accounting_equals_real_frames() {
                         p.trim_to_depth(1).expect("data packets trim");
                     }
                 }
-                let codec = MessageCodec::new(scheme, 0);
+                let codec = MessageCodec::with_row_len(scheme, 0, DEFAULT_ROW_LEN);
                 let mut ch = TrimmingChannel::new(codec, TrimInjector::new(trim_prob, 1));
                 ch.transfer(&g, 0, 0, |_, _| {});
                 assert_eq!(
