@@ -201,7 +201,9 @@ impl RingWorkerApp {
     /// # Panics
     ///
     /// Panics if the blob length disagrees with the config, the ring has
-    /// fewer than two workers, or the MTU cannot fit one coordinate.
+    /// fewer than two workers, `cfg.row_len` is zero (the codec's
+    /// [`MessageCodec::with_row_len`] refuses it), or the MTU cannot fit one
+    /// coordinate.
     #[must_use]
     pub fn new(cfg: RingNetConfig, rank: usize, blob: Vec<f32>) -> Self {
         assert!(cfg.workers() >= 2, "a ring needs at least two workers");
@@ -306,7 +308,7 @@ impl RingWorkerApp {
             ..
         } = self.cfg.step(self.rank, t);
         let (codec, epoch, tracer) = (&self.codec, self.cfg.epoch, api.tracer());
-        let decode_into = |dst: &mut [f32]| {
+        let decode_to = |dst: &mut [f32]| {
             codec
                 .decode_assembled_into(&asm.rows, epoch, msg_id, tracer, at, dst)
                 // trimlint: allow(no-panic) -- is_complete() verified every row has its metadata before the assembly left the inbox, and every packet of every row passed ingest, so a failure here is a codec geometry bug, not a runtime condition
@@ -314,13 +316,13 @@ impl RingWorkerApp {
         };
         if reduce {
             self.scratch.resize(range.len(), 0.0);
-            decode_into(&mut self.scratch);
+            decode_to(&mut self.scratch);
             for (acc, v) in self.blob[range].iter_mut().zip(&self.scratch) {
                 *acc += v;
             }
         } else {
             // An all-gather step overwrites: its rows decode where they stay.
-            decode_into(&mut self.blob[range]);
+            decode_to(&mut self.blob[range]);
         }
         self.metrics.steps_applied.inc();
         let step_time = at.saturating_sub(self.step_sent_at);
@@ -459,8 +461,9 @@ impl App for RingWorkerApp {
 ///
 /// # Panics
 ///
-/// Panics if any worker failed to finish (packets were dropped, not merely
-/// trimmed — enlarge the priority queues or add links).
+/// Panics as [`RingWorkerApp::new`] does — a `cfg.row_len` of zero among
+/// its cases — or if any worker failed to finish (packets were dropped, not
+/// merely trimmed — enlarge the priority queues or add links).
 pub fn run_ring_allreduce(
     sim: &mut trimgrad_netsim::sim::Simulator,
     cfg: &RingNetConfig,
@@ -552,6 +555,18 @@ mod tests {
             blob_len,
             flow_base: 0,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "zero row length")]
+    fn a_zero_row_length_panics_before_the_ring_runs() {
+        let (topo, hosts) = star_topology(2, QueuePolicy::trim_default(), 100.0);
+        let c = RingNetConfig {
+            row_len: 0,
+            ..cfg(SchemeId::RhtOneBit, hosts, 64)
+        };
+        let mut sim = Simulator::new(topo);
+        let _ = run_ring_allreduce(&mut sim, &c, blobs(2, 64, 1), SimTime::from_secs(1));
     }
 
     #[test]

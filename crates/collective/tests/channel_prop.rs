@@ -3,10 +3,10 @@
 //! `TrimmingChannel` stages each row, draws its packet fates over the chunk
 //! geometry and decodes it chunk by chunk, packing a chunk's surviving parts
 //! only as the decoder reaches them (`StagedRow::chunks`). The reference
-//! here is the path that builds whole-row planes and masks, from public
-//! pieces only: `SchemeId::encode` under the codec's row seed →
+//! here is the path that builds whole-row planes and views them by depth,
+//! from public pieces only: `SchemeId::encode` under the codec's row seed →
 //! `TrimInjector::draw_row_fates` → `EncodedRow::view_with_depths` →
-//! `SchemeId::decode_into`. For every scheme — SD's dither stream
+//! `SchemeId::decode_runs`. For every scheme — SD's dither stream
 //! running on across dropped chunks, the RHT schemes padding short rows —
 //! at row lengths 1, 7, 1000, 2¹⁵ and 2¹⁵ + 3, under random intact, trimmed
 //! and dropped fates, the channel must decode the same bits, count the same
@@ -69,7 +69,7 @@ fn plane_transfer(
         let view = enc.view_with_depths(&depths);
         let mut row = vec![f32::NAN; range.len()];
         scheme
-            .decode_into(&view, &enc.meta, seed, &mut row)
+            .decode_runs(&view, enc.n, &enc.meta, seed, &mut row)
             .expect("own planes decode");
         out.extend_from_slice(&row);
     }

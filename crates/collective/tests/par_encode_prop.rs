@@ -25,9 +25,10 @@
 //!
 //! The receive half is checked the same way: `decode_assembled_into` over
 //! the frames each row kept, at the process's width, and the public
-//! in-place row closure (`SchemeId::decode_into` under the codec's row seed,
-//! on a row's own slice of one output) at widths 1, 2 and 3, against the same frames reassembled into
-//! planes and decoded one row after another into fresh vectors.
+//! in-place row closure (`SchemeId::decode_runs` of a plane view under the
+//! codec's row seed, on a row's own slice of one output) at widths 1, 2 and
+//! 3, against the same frames reassembled into planes and decoded one row
+//! after another into fresh vectors.
 
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -324,7 +325,9 @@ fn check_decode_fan_out(codec: &MessageCodec, b: &[f32]) -> Result<(), String> {
         let results = WorkerPool::new(width).map_striped(items, |row_id, (asm, dst)| {
             let view = asm.partial_row();
             let seed = codec.row_seed(epoch, msg_id, row_id as u32);
-            codec.scheme_id().decode_into(&view, &meta(asm), seed, dst)
+            codec
+                .scheme_id()
+                .decode_runs(&view, asm.n(), &meta(asm), seed, dst)
         });
         if results.iter().any(Result::is_err) || bits(&out) != bits(&reference) {
             return Err(format!("in-place decode diverged at width {width}"));

@@ -15,11 +15,10 @@
 //! load each. A decode run that does not start or end on a group boundary
 //! reads its ragged edges through `window`: an unaligned little-endian
 //! 8-byte load at the field's byte, shifted down to its first bit
-//! ([`BitBuf::get_bits`] is that load plus a mask). [`BitMask`] — one
-//! presence bit per coordinate — is backed by `u64` words directly: filling
-//! a range is a masked word fill, counting is a popcount, and the receive
-//! path's run scan ([`crate::scheme::PartialRow::for_each_run`]) reads it a
-//! word at a time.
+//! ([`BitBuf::get_bits`] is that load plus a mask). What a receiver holds
+//! of a row is a depth per run of coordinates
+//! ([`PartialRow`](crate::scheme::PartialRow)), not a presence bit per
+//! coordinate and part, so this module packs fields and nothing else.
 
 /// A growable, bit-addressed buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -373,115 +372,6 @@ pub fn pack_signs_into(values: &[f32], dst: &mut [u8]) {
     }
 }
 
-/// A fixed-size presence mask (one bit per coordinate), backed by `u64`
-/// words: entry `i` is bit `i % 64` of word `i / 64`.
-///
-/// Invariant: the slack bits of the last word (entries at or above `len`)
-/// are zero, so counting, comparing and the run scan never mask them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitMask {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl BitMask {
-    /// Creates a mask of `n` entries, all absent (`false`).
-    #[must_use]
-    pub fn absent(n: usize) -> Self {
-        Self {
-            words: vec![0; n.div_ceil(64)],
-            len: n,
-        }
-    }
-
-    /// Creates a mask of `n` entries, all present (`true`).
-    #[must_use]
-    pub fn present(n: usize) -> Self {
-        let mut words = vec![u64::MAX; n.div_ceil(64)];
-        if let (Some(last), false) = (words.last_mut(), n.is_multiple_of(64)) {
-            *last = (1u64 << (n % 64)) - 1;
-        }
-        Self { words, len: n }
-    }
-
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the mask has zero entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns entry `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "entry {i} out of range (len {})", self.len);
-        self.words[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Sets entry `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set(&mut self, i: usize, present: bool) {
-        self.set_range(i, i + 1, present);
-    }
-
-    /// Marks the half-open range `[start, end)` as `present` — a masked fill
-    /// of the words it touches — and returns how many entries that changed,
-    /// so a caller keeping a running count adds exactly the new ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-empty range ends past the mask.
-    pub fn set_range(&mut self, start: usize, end: usize, present: bool) -> usize {
-        if start >= end {
-            return 0;
-        }
-        assert!(
-            end <= self.len,
-            "range [{start}, {end}) out of range (len {})",
-            self.len
-        );
-        let (first, last) = (start / 64, (end - 1) / 64);
-        let mut changed = 0;
-        for (w, word) in self.words[first..=last].iter_mut().enumerate() {
-            let lo = if w == 0 { start % 64 } else { 0 };
-            let hi = if first + w == last {
-                (end - 1) % 64 + 1
-            } else {
-                64
-            };
-            let fill = (u64::MAX >> (64 - (hi - lo))) << lo;
-            let old = *word;
-            *word = if present { old | fill } else { old & !fill };
-            changed += (old ^ *word).count_ones() as usize;
-        }
-        changed
-    }
-
-    /// Number of present entries (a popcount over the words).
-    #[must_use]
-    pub fn count_present(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Entries `[64·w, 64·w + 64)` as one word (slack bits zero).
-    #[inline]
-    pub(crate) fn word(&self, w: usize) -> u64 {
-        self.words[w]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,22 +641,6 @@ mod tests {
     #[should_panic(expected = "cannot hold")]
     fn write_bits_from_bytes_rejects_short_source() {
         BitBuf::zeroed(32).write_bits_from_bytes(0, &[0u8; 1], 9);
-    }
-
-    #[test]
-    fn bitmask_basics() {
-        let mut m = BitMask::absent(10);
-        assert_eq!(m.len(), 10);
-        assert_eq!(m.count_present(), 0);
-        m.set(3, true);
-        m.set_range(7, 10, true);
-        assert!(m.get(3) && m.get(7) && m.get(9));
-        assert!(!m.get(0) && !m.get(6));
-        assert_eq!(m.count_present(), 4);
-        m.set(3, false);
-        assert_eq!(m.count_present(), 3);
-        assert_eq!(BitMask::present(5).count_present(), 5);
-        assert!(BitMask::absent(0).is_empty());
     }
 
     proptest! {

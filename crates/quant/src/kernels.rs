@@ -30,10 +30,10 @@
 //! # Decode
 //!
 //! The inverse kernels mirror the encode ones part for part. Each fills
-//! `out` — one **run of constant depth**, as
-//! [`PartialRow::for_each_run`](crate::scheme::PartialRow::for_each_run)
-//! reports it — from the packed bytes of the parts that run has, starting at
-//! coordinate `start` of the row. The run's whole groups take a sign byte
+//! `out` — one **run of constant depth**, as a
+//! [`RunSource`](crate::scheme::RunSource) yields it — from the packed
+//! bytes of the parts that run has, starting at coordinate `start` of the
+//! row. The run's whole groups take a sign byte
 //! and `W` field bytes each and write eight floats; a sign becomes an IEEE
 //! sign bit without a branch (it is as random as a coin, so
 //! `if sign { -x } else { x }` mispredicts every other coordinate), the sign

@@ -31,8 +31,9 @@
 //! lays parts out front-to-back so that switch trimming truncates whole
 //! trailing parts, or a whole-row plane of the [`EncodedRow`] that
 //! [`SchemeId::encode`] returns. [`SchemeId::decode_runs`] decodes a row
-//! from runs of constant depth, which a [`PartialRow`] (see
-//! [`SchemeId::decode`]) or a packet-by-packet source yields. Each scheme's
+//! from runs of constant depth, which a [`PartialRow`] — whole-row planes
+//! and each coordinate's depth, see [`SchemeId::decode`] — or a
+//! packet-by-packet source yields. Each scheme's
 //! module holds its range packer and run decoder (and the RHT schemes'
 //! row stage); the dispatch, the empty row, the row's geometry, the parts
 //! each depth reads and the checks before decoding are written once, in
@@ -40,7 +41,7 @@
 //! stream, where a packer or decoder needs it.
 //!
 //! ```
-//! use trimgrad_quant::{PartView, PartialRow, SchemeId};
+//! use trimgrad_quant::SchemeId;
 //!
 //! let scheme = SchemeId::RhtOneBit;
 //! let grad: Vec<f32> = (0..256).map(|i| ((i * 7 % 23) as f32 - 11.0) / 11.0).collect();
@@ -53,8 +54,7 @@
 //! }
 //!
 //! // Fully trimmed (heads only): decoding is approximate but unbiased.
-//! let view = PartialRow { n: enc.n, parts: vec![PartView::Full(&enc.parts[0]), PartView::Absent] };
-//! let est = scheme.decode(&view, &enc.meta, 42).unwrap();
+//! let est = scheme.decode(&enc.trimmed_view(1), &enc.meta, 42).unwrap();
 //! assert_eq!(est.len(), grad.len());
 //! ```
 
@@ -74,4 +74,4 @@ pub mod signmag;
 pub mod stats;
 pub mod stochastic;
 
-pub use scheme::{EncodedRow, PartView, PartialRow, RowMeta, SchemeId, StagedChunks, StagedRow};
+pub use scheme::{EncodedRow, PartialRow, RowMeta, SchemeId, StagedChunks, StagedRow};

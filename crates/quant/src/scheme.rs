@@ -22,32 +22,29 @@
 //! * [`EncodedRow`] — the whole-row pack ([`SchemeId::encode`]): `k`
 //!   bit-packed **parts**, each holding one fixed-width field per coordinate,
 //!   plus small [`RowMeta`] shipped reliably (never trimmed).
-//! * [`PartialRow`] — one receiver-side input: for each part, either the full
-//!   buffer, a masked buffer (some packets of the row trimmed, others not),
-//!   or nothing. Availability must be *prefix-closed* per coordinate: a
-//!   coordinate cannot have part `k` without parts `0..k`.
+//! * [`PartialRow`] — one receiver-side input: a row's whole-row planes and
+//!   each coordinate's **depth**, the number of parts that arrived. A
+//!   decoder "can decode using any number of parts forming a prefix of the
+//!   encoding", so a depth is all there is to know of a coordinate.
 //!
 //! Decoders do not ask "what is coordinate `i`'s depth?" `n` times. Trimming
 //! happens per packet, so availability is constant over long stretches of a
 //! row, and [`SchemeId::decode_runs`] — the one decoder — reads a row as
 //! **runs of constant depth** ([`Run`]), one call into a bit-parallel kernel
 //! of [`crate::kernels`] per run. A [`RunSource`] yields them, and there are
-//! three: a [`PartialRow`] (planes), whose
-//! [`for_each_run`](PartialRow::for_each_run) scans the presence masks a
-//! `u64` word at a time and checks prefix closure on the way; a receiver
-//! that reads each packet's sections where they lie
+//! three: a [`PartialRow`] (planes), which keeps its depths as runs; a
+//! receiver that reads each packet's sections where they lie
 //! (`trimgrad_wire::reassemble::RowFrames`, frames); and a staged row read
 //! chunk by chunk under known packet fates ([`StagedChunks`], staged
 //! chunks), which packs each chunk's surviving parts that the decoder reads
 //! ([`SchemeId::parts_read`]) as the decoder reaches it.
 
-use crate::bitpack::{BitBuf, BitMask};
+use crate::bitpack::BitBuf;
 use crate::draws::DrawStream;
 use crate::stats::{std_dev, CLIP_SIGMAS};
 use crate::{dither, multilevel, rht1bit, signmag, stochastic};
 use core::cell::RefCell;
 use core::ops::Range;
-use std::borrow::Cow;
 
 /// Upper bound on the parts of a scheme (the richest is `[1, 8, 23]`).
 /// Keeping the bound small lets a [`Run`] — and the wire layer's layouts
@@ -143,8 +140,8 @@ impl SchemeId {
     ///   row bit-exactly (schemes whose parts partition the IEEE-754
     ///   representation) or within floating-point rounding (RHT schemes,
     ///   which round-trip through the rotation).
-    /// * **Graceful degradation** — decoding succeeds for *any* prefix-closed
-    ///   availability, including heads-only and fully-lost coordinates.
+    /// * **Graceful degradation** — decoding succeeds for *any* depths,
+    ///   including heads-only and fully-lost coordinates.
     /// * **Determinism** — `encode(row, seed)` and the matching decode depend
     ///   only on their arguments (shared randomness comes from `seed`).
     #[must_use]
@@ -187,41 +184,22 @@ impl SchemeId {
         }
     }
 
-    /// Decodes a (possibly trimmed) row into `out`, which must hold exactly
-    /// `meta.original_len` coordinates; every one of them is written.
-    /// Coordinates whose head was lost entirely decode to `0.0` (the neutral
-    /// element of gradient averaging). The row is decoded where it will
-    /// live: no row-sized temporary, except for an RHT row that was padded.
-    ///
-    /// # Errors
-    ///
-    /// Structural errors only ([`DecodeError`]); trimming is not an error.
-    /// After an error `out` holds unspecified values.
-    pub fn decode_into(
-        self,
-        row: &PartialRow<'_>,
-        meta: &RowMeta,
-        seed: u64,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        let consistent = self.encoded_len(meta.original_len) == row.n;
-        row.check_output(self.part_bits(), meta, consistent, out)?;
-        self.decode_runs(row, row.n, meta, seed, out)
-    }
-
     /// The run decoder: decodes the row of encoded length `n` whose runs
     /// `source` yields into `out`, which must hold exactly
-    /// `meta.original_len` coordinates, as
-    /// [`decode_into`](Self::decode_into) does for a [`PartialRow`]. Each
-    /// run goes to its scheme's kernel as it arrives; the RHT schemes fill
-    /// the rotated row and un-rotate it where it lies.
+    /// `meta.original_len` coordinates; every one of them is written.
+    /// Coordinates whose head was lost entirely decode to `0.0` (the neutral
+    /// element of gradient averaging). Each run goes to its scheme's kernel
+    /// as it arrives; the RHT schemes fill the rotated row and un-rotate it
+    /// where it lies, so no row-sized temporary is made, except for an RHT
+    /// row that was padded.
     ///
     /// # Errors
     ///
     /// [`DecodeError::BadOriginalLen`] unless `n` is `meta.original_len`'s
     /// encoded length, [`DecodeError::OutputLenMismatch`] unless `out`
     /// holds `meta.original_len` coordinates, and whatever `source`
-    /// reports. After an error `out` holds unspecified values.
+    /// reports. Trimming is not an error. After an error `out` holds
+    /// unspecified values.
     pub fn decode_runs(
         self,
         source: impl RunSource,
@@ -267,12 +245,12 @@ impl SchemeId {
         }
     }
 
-    /// [`decode_into`](Self::decode_into) a freshly allocated vector of
-    /// `meta.original_len` coordinates.
+    /// Decodes a plane view ([`decode_runs`](Self::decode_runs)) into a
+    /// freshly allocated vector of `meta.original_len` coordinates.
     ///
     /// # Errors
     ///
-    /// As [`decode_into`](Self::decode_into).
+    /// As [`decode_runs`](Self::decode_runs).
     pub fn decode(
         self,
         row: &PartialRow<'_>,
@@ -280,9 +258,9 @@ impl SchemeId {
         seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
         // `original_len` may come off the wire: never allocate more than the
-        // view could fill (`decode_into` then refuses the mismatch).
+        // view could fill (`decode_runs` then refuses the mismatch).
         let mut out = vec![0.0; meta.original_len.min(row.n)];
-        self.decode_into(row, meta, seed, &mut out)?;
+        self.decode_runs(row, row.n, meta, seed, &mut out)?;
         Ok(out)
     }
 
@@ -432,7 +410,7 @@ impl<'a> StagedRow<'a> {
     /// `coords` kept its first `depth` parts (0 = the packet was lost): a
     /// [`RunSource`] for [`SchemeId::decode_runs`] that packs each chunk's
     /// parts the decoder reads at that depth ([`SchemeId::parts_read`]) into
-    /// `buf` as the decoder reaches it. No plane or mask is built, a part a
+    /// `buf` as the decoder reaches it. No plane is built, a part a
     /// fate cut is never packed, nor is a part the decoder does not read —
     /// an intact SQ/SD chunk packs its tails alone and pulls no draw. It
     /// decodes bit for bit as [`to_encoded`](Self::to_encoded)'s planes
@@ -520,12 +498,14 @@ pub struct EncodedRow {
 
 impl EncodedRow {
     /// A view with every part fully available (the untrimmed case).
+    ///
+    /// # Panics
+    ///
+    /// As [`PartialRow::new`], for a row whose planes do not match its
+    /// scheme.
     #[must_use]
     pub fn full_view(&self) -> PartialRow<'_> {
-        PartialRow {
-            n: self.n,
-            parts: self.parts.iter().map(PartView::Full).collect(),
-        }
+        self.uniform_view(self.parts.len())
     }
 
     /// A view with only the first `depth` parts available for every
@@ -543,28 +523,18 @@ impl EncodedRow {
             "trim depth {depth} out of range 1..={}",
             self.parts.len()
         );
-        PartialRow {
-            n: self.n,
-            parts: self
-                .parts
-                .iter()
-                .enumerate()
-                .map(|(k, p)| {
-                    if k < depth {
-                        PartView::Full(p)
-                    } else {
-                        PartView::Absent
-                    }
-                })
-                .collect(),
-        }
+        self.uniform_view(depth)
+    }
+
+    /// One run of `depth` over the whole row (none over an empty one).
+    fn uniform_view(&self, depth: usize) -> PartialRow<'_> {
+        let runs = (self.n > 0).then_some((0..self.n, depth)).into_iter();
+        PartialRow::of_runs(self.scheme, self.n, &self.parts, runs.collect())
     }
 
     /// A view where coordinate `i` has `depths[i]` parts available
-    /// (0 = nothing survived for that coordinate). Trimming happens per
-    /// packet, so the depths come in runs of one packet's coordinates: one
-    /// masked word fill per maximal run of equal depth and part, not one bit
-    /// write per coordinate and part.
+    /// (0 = nothing survived for that coordinate): [`PartialRow::new`] over
+    /// this row's planes.
     ///
     /// # Panics
     ///
@@ -572,30 +542,7 @@ impl EncodedRow {
     #[must_use]
     pub fn view_with_depths(&self, depths: &[usize]) -> PartialRow<'_> {
         assert_eq!(depths.len(), self.n, "one depth per coordinate");
-        let k = self.parts.len();
-        let mut masks = vec![BitMask::absent(self.n); k];
-        let mut start = 0;
-        for run in depths.chunk_by(|a, b| a == b) {
-            assert!(run[0] <= k, "depth exceeds part count {k}");
-            for mask in &mut masks[..run[0]] {
-                mask.set_range(start, start + run.len(), true);
-            }
-            start += run.len();
-        }
-        let parts = self
-            .parts
-            .iter()
-            .zip(masks)
-            .map(|(buf, present)| match present.count_present() {
-                c if c == self.n => PartView::Full(buf),
-                0 => PartView::Absent,
-                _ => PartView::Masked {
-                    buf,
-                    present: Cow::Owned(present),
-                },
-            })
-            .collect();
-        PartialRow { n: self.n, parts }
+        PartialRow::new(self.scheme, &self.parts, depths)
     }
 
     /// Total encoded size in bits (all parts, excluding metadata).
@@ -605,216 +552,86 @@ impl EncodedRow {
     }
 }
 
-/// Availability of one encoding part on the receiver.
-#[derive(Debug, Clone)]
-pub enum PartView<'a> {
-    /// Every coordinate's field arrived.
-    Full(&'a BitBuf),
-    /// Some coordinates' fields arrived; `present` says which. `buf` keeps
-    /// full stride (absent entries hold unspecified bits that must not be
-    /// read).
-    Masked {
-        /// Full-stride field buffer.
-        buf: &'a BitBuf,
-        /// Per-coordinate presence: lent by a receiver that keeps its masks
-        /// (`RowAssembler`), owned by a view that built them.
-        present: Cow<'a, BitMask>,
-    },
-    /// The entire part was trimmed for every coordinate.
-    Absent,
-}
-
-impl PartView<'_> {
-    /// The part's packed field bytes (empty when the part is absent): what
-    /// the kernels of [`crate::kernels`] unpack a run from.
-    #[must_use]
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            PartView::Full(buf) | PartView::Masked { buf, .. } => buf.as_bytes(),
-            PartView::Absent => &[],
-        }
-    }
-
-    /// Presence of coordinates `[64·w, 64·w + 64)` as one word; `valid` has
-    /// a bit for each of them that is below the row length.
-    #[inline]
-    fn presence_word(&self, w: usize, valid: u64) -> u64 {
-        match self {
-            PartView::Full(_) => valid,
-            PartView::Masked { present, .. } => present.word(w),
-            PartView::Absent => 0,
-        }
-    }
-}
-
-/// What the receiver reassembled for one row: per-part availability.
+/// What a receiver holds of one row, as the plane decoder reads it: the
+/// row's whole-row planes, and for each coordinate its **depth**, the
+/// number of parts that arrived (0 = nothing), kept as the maximal runs of
+/// constant depth that tile `0..n`. Every frame carries a prefix of the
+/// parts, so a depth is everything a receiver knows of a coordinate: a view
+/// states no availability that trimming cannot produce.
+///
+/// Its fields are private, so a view comes from [`EncodedRow`]'s views or
+/// [`PartialRow::new`], which check it against the scheme's geometry; a
+/// struct literal does not compile:
+///
+/// ```compile_fail,E0451
+/// use trimgrad_quant::scheme::PartialRow;
+/// use trimgrad_quant::SchemeId;
+/// let view = PartialRow { scheme: SchemeId::SignMagnitude, n: 0, planes: &[], runs: Vec::new() };
+/// ```
 #[derive(Debug, Clone)]
 pub struct PartialRow<'a> {
-    /// Encoded row length (matches [`EncodedRow::n`]).
-    pub n: usize,
-    /// One view per encoding part.
-    pub parts: Vec<PartView<'a>>,
+    scheme: SchemeId,
+    n: usize,
+    planes: &'a [BitBuf],
+    runs: Vec<(Range<usize>, usize)>,
 }
 
-impl PartialRow<'_> {
-    /// Validates structural invariants against a scheme's geometry:
-    /// part count matches, buffers hold `n` fields, and availability is
-    /// prefix-closed for every coordinate.
+impl<'a> PartialRow<'a> {
+    /// The view of a `scheme` row's whole-row `planes` whose coordinate `i`
+    /// has its first `depths[i]` parts; the row is `depths.len()`
+    /// coordinates long. Trimming happens per packet, so the depths come in
+    /// runs of one packet's coordinates, and the view keeps one entry per
+    /// maximal run.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns the specific [`DecodeError`] violated.
-    pub fn validate(&self, part_bits: &[u32]) -> Result<(), DecodeError> {
-        self.for_each_run(part_bits, |_, _| {})
+    /// Panics unless `planes` holds one plane of `depths.len()` fields per
+    /// part of `scheme`, or if a depth exceeds the part count.
+    #[must_use]
+    pub fn new<D: Copy + PartialEq + Into<usize>>(
+        scheme: SchemeId,
+        planes: &'a [BitBuf],
+        depths: &[D],
+    ) -> Self {
+        let mut start = 0;
+        let runs = depths
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                let coords = start..start + run.len();
+                start = coords.end;
+                (coords, run[0].into())
+            })
+            .collect();
+        Self::of_runs(scheme, depths.len(), planes, runs)
     }
 
-    /// What [`SchemeId::decode_into`] settles before it decodes: `meta` is
-    /// `consistent` with the encoded length and `out` holds exactly
-    /// `meta.original_len` coordinates. When either fails, a structural error
-    /// of the view itself is still reported first, as the run scan would.
-    pub(crate) fn check_output(
-        &self,
-        part_bits: &[u32],
-        meta: &RowMeta,
-        consistent: bool,
-        out: &[f32],
-    ) -> Result<(), DecodeError> {
-        if consistent && out.len() == meta.original_len {
-            return Ok(());
-        }
-        self.validate(part_bits)?;
-        Err(if consistent {
-            DecodeError::OutputLenMismatch {
-                expected: meta.original_len,
-                got: out.len(),
-            }
-        } else {
-            DecodeError::BadOriginalLen {
-                n: self.n,
-                original_len: meta.original_len,
-            }
-        })
-    }
-
-    /// Part count matches the scheme and every buffer and mask is long
-    /// enough for `n` coordinates.
-    fn check_geometry(&self, part_bits: &[u32]) -> Result<(), DecodeError> {
-        if self.parts.len() != part_bits.len() {
-            return Err(DecodeError::PartCountMismatch {
-                expected: part_bits.len(),
-                got: self.parts.len(),
-            });
-        }
-        for (k, (view, &w)) in self.parts.iter().zip(part_bits).enumerate() {
-            let need = self.n * w as usize;
-            let have = match view {
-                PartView::Full(b) => b.len(),
-                PartView::Masked { buf, present } => {
-                    if present.len() != self.n {
-                        return Err(DecodeError::LengthMismatch {
-                            part: k,
-                            expected: need,
-                            got: present.len(),
-                        });
-                    }
-                    buf.len()
-                }
-                PartView::Absent => continue,
-            };
-            if have < need {
-                return Err(DecodeError::LengthMismatch {
-                    part: k,
-                    expected: need,
-                    got: have,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates the view like [`validate`](Self::validate) and calls
-    /// `on_run(range, depth)` for each maximal range of consecutive coordinates
-    /// that share one depth — the number of consecutive parts, from part 0,
-    /// that have the coordinate — in coordinate order; the ranges tile
-    /// `0..n`. A packet is trimmed as a whole, so on
-    /// real traffic a run is at least a packet's worth of coordinates, and a
-    /// decoder does its per-coordinate work inside one kernel call per run.
-    /// `on_run` is first called after the part count and buffer lengths have
-    /// been checked against `part_bits`, so it — and not its caller, before
-    /// the scan — may index `parts` by the scheme's part count.
-    ///
-    /// The scan reads the presence masks 64 coordinates at a time. With
-    /// `m[k]` the presence word of part `k`: a coordinate breaks prefix
-    /// closure iff its bit is set in some `m[k] & !m[k-1]`; a run ends where
-    /// a bit of some `m[k]` differs from its predecessor; and inside a valid
-    /// word a coordinate's depth is the number of parts that have it. A word
-    /// without a boundary — nearly all of them — costs a few operations per
-    /// part, whatever the row holds.
-    ///
-    /// # Errors
-    ///
-    /// Returns the specific [`DecodeError`] violated; runs before the first
-    /// offending mask word have already been reported by then.
-    // trimlint: hot-path -- the receive path's one pass over the presence masks
-    pub fn for_each_run(
-        &self,
-        part_bits: &[u32],
-        mut on_run: impl FnMut(Range<usize>, usize),
-    ) -> Result<(), DecodeError> {
-        self.check_geometry(part_bits)?;
-        let n = self.n;
-        // The open run: coordinates before the row count as depth 0.
-        let (mut start, mut depth) = (0usize, 0usize);
-        for w in 0..n.div_ceil(64) {
-            let valid = if n - w * 64 >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << (n % 64)) - 1
-            };
-            let (mut offenders, mut boundaries, mut below) = (0u64, 0u64, u64::MAX);
-            for view in &self.parts {
-                let m = view.presence_word(w, valid);
-                offenders |= m & !below;
-                below = m;
-                // Presence of the coordinate just before this word.
-                let before = match w {
-                    0 => 0,
-                    _ => view.presence_word(w - 1, u64::MAX) >> 63,
-                };
-                boundaries |= m ^ (m << 1 | before);
-            }
-            if offenders != 0 {
-                let bit = offenders.trailing_zeros();
-                let has = |view: &PartView<'_>| view.presence_word(w, valid) >> bit & 1 == 1;
-                // The first part present above a gap; it has a predecessor.
-                let part = (1..self.parts.len())
-                    .find(|&k| has(&self.parts[k]) && !has(&self.parts[k - 1]))
-                    .unwrap_or(0);
-                return Err(DecodeError::PrefixViolation {
-                    coord: w * 64 + bit as usize,
-                    part,
-                });
-            }
-            boundaries &= valid;
-            while boundaries != 0 {
-                let bit = boundaries.trailing_zeros();
-                boundaries &= boundaries - 1;
-                let at = w * 64 + bit as usize;
-                if at > start {
-                    on_run(start..at, depth);
-                }
-                start = at;
-                depth = self
-                    .parts
+    /// The view of `runs` over `planes`, checked against `scheme`'s geometry.
+    fn of_runs(
+        scheme: SchemeId,
+        n: usize,
+        planes: &'a [BitBuf],
+        runs: Vec<(Range<usize>, usize)>,
+    ) -> Self {
+        let part_bits = scheme.part_bits();
+        assert!(
+            planes.len() == part_bits.len()
+                && planes
                     .iter()
-                    .filter(|view| view.presence_word(w, valid) >> bit & 1 == 1)
-                    .count();
-            }
+                    .zip(part_bits)
+                    .all(|(p, &w)| p.len() >= n * w as usize),
+            "{scheme} planes must hold {n} fields of each part"
+        );
+        let k = part_bits.len();
+        assert!(
+            runs.iter().all(|&(_, depth)| depth <= k),
+            "depth exceeds part count {k}"
+        );
+        Self {
+            scheme,
+            n,
+            planes,
+            runs,
         }
-        if n > start {
-            on_run(start..n, depth);
-        }
-        Ok(())
     }
 }
 
@@ -859,48 +676,43 @@ pub trait RunSource {
     fn runs(self, part_bits: &[u32], on_run: impl FnMut(Run<'_>)) -> Result<(), DecodeError>;
 }
 
-/// The plane source: [`PartialRow::for_each_run`]'s runs over whole-row
-/// planes (`origin` 0).
+/// The plane source: one run per depth run of the view, read from the
+/// whole-row planes (`origin` 0).
 impl RunSource for &PartialRow<'_> {
     fn runs(self, part_bits: &[u32], mut on_run: impl FnMut(Run<'_>)) -> Result<(), DecodeError> {
-        let parts = core::array::from_fn(|k| self.parts.get(k).map_or(&[][..], PartView::bytes));
-        self.for_each_run(part_bits, |coords, depth| {
+        self.scheme.check_part_bits(part_bits, self.n)?;
+        let parts = core::array::from_fn(|k| self.planes.get(k).map_or(&[][..], BitBuf::as_bytes));
+        for (coords, depth) in &self.runs {
             on_run(Run {
-                coords,
-                depth,
+                coords: coords.clone(),
+                depth: *depth,
                 origin: 0,
                 parts,
             });
-        })
+        }
+        Ok(())
     }
 }
 
 /// Errors surfaced while decoding a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The view has a different number of parts than the scheme.
+    /// The source has a different number of parts than the scheme.
     PartCountMismatch {
         /// Scheme's part count.
         expected: usize,
-        /// View's part count.
+        /// Source's part count.
         got: usize,
     },
-    /// A part buffer or mask is too short for `n` coordinates.
+    /// A part of the source has another width than the scheme's: `n`
+    /// fields of it hold another number of bits.
     LengthMismatch {
         /// Which part.
         part: usize,
-        /// Bits (or entries) required.
+        /// Bits the scheme's part holds.
         expected: usize,
-        /// Bits (or entries) found.
+        /// Bits the source's part holds.
         got: usize,
-    },
-    /// Coordinate has a later part without an earlier one — impossible under
-    /// trimming, indicates reassembly corruption.
-    PrefixViolation {
-        /// The offending coordinate.
-        coord: usize,
-        /// The part present despite an earlier gap.
-        part: usize,
     },
     /// `meta.original_len` is inconsistent with the encoded length `n`.
     BadOriginalLen {
@@ -909,7 +721,7 @@ pub enum DecodeError {
         /// Claimed original length.
         original_len: usize,
     },
-    /// The slice handed to `decode_into` does not hold `meta.original_len`
+    /// The slice handed to `decode_runs` does not hold `meta.original_len`
     /// coordinates.
     OutputLenMismatch {
         /// `meta.original_len`.
@@ -931,12 +743,6 @@ impl core::fmt::Display for DecodeError {
                 got,
             } => {
                 write!(f, "part {part}: expected {expected} bits, got {got}")
-            }
-            DecodeError::PrefixViolation { coord, part } => {
-                write!(
-                    f,
-                    "coordinate {coord} has part {part} but misses an earlier part"
-                )
             }
             DecodeError::BadOriginalLen { n, original_len } => {
                 write!(
@@ -1000,55 +806,33 @@ mod tests {
         assert_eq!(SchemeId::RhtOneBit.to_string(), "rht");
     }
 
-    /// Parts available for coordinate `i`, counted from part 0.
-    fn depth(v: &PartialRow<'_>, i: usize) -> usize {
-        v.parts
-            .iter()
-            .take_while(|p| match p {
-                PartView::Full(_) => true,
-                PartView::Masked { present, .. } => present.get(i),
-                PartView::Absent => false,
-            })
-            .count()
+    /// The view's runs as `id`'s decoder reads them.
+    fn runs(v: &PartialRow<'_>, id: SchemeId) -> Result<Vec<(Range<usize>, usize)>, DecodeError> {
+        let mut runs = Vec::new();
+        v.runs(id.part_bits(), |run| runs.push((run.coords, run.depth)))?;
+        Ok(runs)
     }
 
     fn sample_row() -> EncodedRow {
-        // Two parts of widths 1 and 3, n = 4.
-        let mut head = BitBuf::new();
-        let mut tail = BitBuf::new();
-        for i in 0..4u64 {
-            head.push_bits(i % 2, 1);
-            tail.push_bits(i * 2 % 8, 3);
-        }
-        EncodedRow {
-            scheme: SchemeId::SignMagnitude,
-            n: 4,
-            parts: vec![head, tail],
-            meta: RowMeta {
-                original_len: 4,
-                scale: 1.0,
-            },
-        }
+        SchemeId::SignMagnitude.encode(&[1.0, -2.0, 0.5, -0.25], 0)
     }
 
     #[test]
     fn full_view_has_max_depth_everywhere() {
         let row = sample_row();
-        let v = row.full_view();
-        for i in 0..4 {
-            assert_eq!(depth(&v, i), 2);
-        }
-        assert!(v.validate(&[1, 3]).is_ok());
+        assert_eq!(
+            runs(&row.full_view(), SchemeId::SignMagnitude),
+            Ok(vec![(0..4, 2)])
+        );
     }
 
     #[test]
     fn trimmed_view_depths() {
         let row = sample_row();
-        let v = row.trimmed_view(1);
-        for i in 0..4 {
-            assert_eq!(depth(&v, i), 1);
-        }
-        assert!(v.validate(&[1, 3]).is_ok());
+        assert_eq!(
+            runs(&row.trimmed_view(1), SchemeId::SignMagnitude),
+            Ok(vec![(0..4, 1)])
+        );
     }
 
     #[test]
@@ -1060,65 +844,64 @@ mod tests {
     #[test]
     fn view_with_depths_mixed() {
         let row = sample_row();
-        let v = row.view_with_depths(&[2, 1, 0, 2]);
-        let depths: Vec<usize> = (0..4).map(|i| depth(&v, i)).collect();
-        assert_eq!(depths, [2, 1, 0, 2]);
-        assert!(v.validate(&[1, 3]).is_ok());
-        // Fields still readable where available.
-        assert!(matches!(&v.parts[0], PartView::Masked { buf, .. } if buf.get_bits(0, 1) == 0));
-        assert!(matches!(&v.parts[1], PartView::Masked { buf, .. } if buf.get_bits(9, 3) == 6));
+        let v = row.view_with_depths(&[2, 1, 1, 0]);
+        let want = vec![(0..1, 2), (1..3, 1), (3..4, 0)];
+        assert_eq!(runs(&v, SchemeId::SignMagnitude), Ok(want));
+        // Every run reads the row's own planes from coordinate 0.
+        let bits = SchemeId::SignMagnitude.part_bits();
+        (&v).runs(bits, |run| {
+            assert_eq!(run.origin, 0);
+            assert_eq!(run.parts[0], row.parts[0].as_bytes());
+            assert_eq!(run.parts[1], row.parts[1].as_bytes());
+        })
+        .unwrap();
     }
 
     #[test]
-    fn validate_catches_part_count_mismatch() {
+    #[should_panic(expected = "depth exceeds part count")]
+    fn view_with_depths_rejects_a_depth_past_the_parts() {
+        let _ = sample_row().view_with_depths(&[3, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "planes must hold")]
+    fn a_view_of_planes_too_short_for_the_row_is_refused() {
+        let long = EncodedRow {
+            n: 8,
+            ..sample_row()
+        };
+        let _ = long.full_view();
+    }
+
+    #[test]
+    fn runs_catch_another_geometry() {
         let row = sample_row();
         let v = row.full_view();
         assert_eq!(
-            v.validate(&[1, 3, 7]),
+            runs(&v, SchemeId::MultiLevelRht),
             Err(DecodeError::PartCountMismatch {
                 expected: 3,
                 got: 2
             })
         );
-    }
-
-    #[test]
-    fn validate_catches_short_buffer() {
-        let row = sample_row();
-        let v = row.full_view();
-        // Claim widths larger than what the buffers hold.
-        assert!(matches!(
-            v.validate(&[2, 3]),
-            Err(DecodeError::LengthMismatch { part: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn validate_catches_prefix_violation() {
-        let row = sample_row();
-        // Coordinate 1: head absent but tail present — impossible under trimming.
-        let mut head_mask = BitMask::present(4);
-        head_mask.set(1, false);
-        let v = PartialRow {
-            n: 4,
-            parts: vec![
-                PartView::Masked {
-                    buf: &row.parts[0],
-                    present: Cow::Owned(head_mask),
-                },
-                PartView::Full(&row.parts[1]),
-            ],
-        };
         assert_eq!(
-            v.validate(&[1, 3]),
-            Err(DecodeError::PrefixViolation { coord: 1, part: 1 })
+            runs(&v, SchemeId::Stochastic),
+            Err(DecodeError::LengthMismatch {
+                part: 1,
+                expected: 4 * 32,
+                got: 4 * 31
+            })
         );
     }
 
     #[test]
     fn decode_error_messages() {
-        let e = DecodeError::PrefixViolation { coord: 3, part: 1 };
-        assert!(e.to_string().contains("coordinate 3"));
+        let e = DecodeError::LengthMismatch {
+            part: 1,
+            expected: 128,
+            got: 124,
+        };
+        assert!(e.to_string().contains("part 1"));
         let e = DecodeError::BadOriginalLen {
             n: 8,
             original_len: 9,

@@ -2,8 +2,8 @@
 //! must produce, bit for bit, what the per-coordinate reference decoder in
 //! this file produces — the loops the five scheme files used before decode
 //! went run-structured and word-at-a-time, written against nothing but the
-//! public view enum through this file's per-coordinate accessors (`has`,
-//! `get`, `avail_depth`). On top of that differential check, one FNV-1a
+//! row's public planes, read field by field with `BitBuf::get_bits` under
+//! each view's per-coordinate depths (`get`). On top of that differential check, one FNV-1a
 //! digest per (scheme, length) — recorded from the per-coordinate decoders
 //! before they were replaced — pins the outputs across commits, so the
 //! reference cannot drift together with the library.
@@ -11,13 +11,12 @@
 //! Covered: all five schemes × lengths {1, 63, 64, 65, 4095, 32768} × views
 //! {full, heads only, (rht-ml) sign+exponent, packet-granular mixed depths
 //! including lost packets, per-coordinate random depths, single-coordinate
-//! runs straddling every 64-bit mask word boundary}.
+//! runs straddling every 64-coordinate boundary}. Each view's runs, read
+//! through `RunSource::runs`, must give every coordinate its depth.
 
-use std::borrow::Cow;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 use trimgrad_hadamard::rht::RandomizedHadamard;
-use trimgrad_quant::bitpack::BitMask;
-use trimgrad_quant::scheme::{DecodeError, EncodedRow, PartView, PartialRow, RowMeta};
+use trimgrad_quant::scheme::{DecodeError, EncodedRow, PartialRow, RowMeta, RunSource};
 use trimgrad_quant::SchemeId;
 
 const LENGTHS: [usize; 6] = [1, 63, 64, 65, 4095, 32768];
@@ -81,85 +80,50 @@ fn fnv1a(acc: &mut u64, values: &[f32]) {
     }
 }
 
-/// Whether coordinate `i`'s field is available in part `view`.
-fn has(view: &PartView<'_>, i: usize) -> bool {
-    match view {
-        PartView::Full(_) => true,
-        PartView::Masked { present, .. } => present.get(i),
-        PartView::Absent => false,
-    }
+/// Coordinate `i`'s field of part `k`, read from the plane; coordinate `i`
+/// must have that part (`depths[i] > k`).
+fn get(enc: &EncodedRow, depths: &[usize], k: usize, i: usize) -> u64 {
+    assert!(
+        depths[i] > k,
+        "coordinate {i} read from part {k}, which it lacks"
+    );
+    let width = enc.scheme.part_bits()[k];
+    enc.parts[k].get_bits(i * width as usize, width)
 }
 
-/// Coordinate `i`'s `width`-bit field of part `view`; it must be available.
-fn get(view: &PartView<'_>, i: usize, width: u32) -> u64 {
-    match view {
-        PartView::Full(buf) | PartView::Masked { buf, .. } if has(view, i) => {
-            buf.get_bits(i * width as usize, width)
-        }
-        _ => panic!("coordinate {i} read from a part that lacks it"),
-    }
-}
-
-/// Parts available for coordinate `i`, counted from part 0 (0 when even the
-/// head is missing).
-fn avail_depth(row: &PartialRow<'_>, i: usize) -> usize {
-    row.parts.iter().take_while(|p| has(p, i)).count()
-}
-
-/// The structural checks of `PartialRow::validate`, coordinate by coordinate.
-fn reference_prefix_check(row: &PartialRow<'_>) -> Result<(), DecodeError> {
-    for i in 0..row.n {
-        let mut seen_gap = false;
-        for (k, view) in row.parts.iter().enumerate() {
-            if has(view, i) {
-                if seen_gap {
-                    return Err(DecodeError::PrefixViolation { coord: i, part: k });
-                }
-            } else {
-                seen_gap = true;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The per-coordinate decoders, one `match` arm per scheme.
+/// The per-coordinate decoders, one `match` arm per scheme, for the row
+/// whose coordinate `i` has its first `depths[i]` parts.
 fn reference_decode(
     id: SchemeId,
-    row: &PartialRow<'_>,
+    enc: &EncodedRow,
+    depths: &[usize],
     meta: &RowMeta,
     seed: u64,
-) -> Result<Vec<f32>, DecodeError> {
-    reference_prefix_check(row)?;
+) -> Vec<f32> {
+    let get = |k: usize, i: usize| get(enc, depths, k, i);
     let scale = meta.scale;
-    let signed = |i: usize| {
-        if get(&row.parts[0], i, 1) == 1 {
-            -scale
-        } else {
-            scale
-        }
-    };
-    let sign_bit = |i: usize| (get(&row.parts[0], i, 1) as u32) << 31;
+    let signed = |i: usize| if get(0, i) == 1 { -scale } else { scale };
+    let sign_bit = |i: usize| (get(0, i) as u32) << 31;
     let mut dither = Xoshiro256StarStar::new(seed);
-    let coords: Vec<f32> = (0..row.n)
+    let mut coords: Vec<f32> = (0..enc.n)
         .map(|i| {
             // SD draws unconditionally to stay aligned with the encoder.
             let eps = match id {
                 SchemeId::SubtractiveDither => dither.next_f32_range(-scale, scale),
                 _ => 0.0,
             };
-            match (id, avail_depth(row, i)) {
+            match (id, depths[i]) {
                 (_, 0) => 0.0,
                 (SchemeId::SubtractiveDither, 1) => signed(i) - eps,
                 (_, 1) => signed(i),
                 (SchemeId::SignMagnitude | SchemeId::RhtOneBit, _) => {
-                    f32::from_bits(sign_bit(i) | get(&row.parts[1], i, 31) as u32)
+                    f32::from_bits(sign_bit(i) | get(1, i) as u32)
                 }
                 (SchemeId::Stochastic | SchemeId::SubtractiveDither, _) => {
-                    f32::from_bits(get(&row.parts[1], i, 32) as u32)
+                    f32::from_bits(get(1, i) as u32)
                 }
                 (SchemeId::MultiLevelRht, 2) => {
-                    let exp = get(&row.parts[1], i, 8) as u32;
+                    let exp = get(1, i) as u32;
                     if exp == 0 {
                         f32::from_bits(sign_bit(i))
                     } else {
@@ -167,19 +131,18 @@ fn reference_decode(
                     }
                 }
                 (SchemeId::MultiLevelRht, _) => {
-                    let exp = get(&row.parts[1], i, 8) as u32;
-                    let mant = get(&row.parts[2], i, 23) as u32;
+                    let exp = get(1, i) as u32;
+                    let mant = get(2, i) as u32;
                     f32::from_bits(sign_bit(i) | (exp << 23) | mant)
                 }
             }
         })
         .collect();
-    let mut coords = coords;
-    if matches!(id, SchemeId::RhtOneBit | SchemeId::MultiLevelRht) && row.n > 0 {
+    if matches!(id, SchemeId::RhtOneBit | SchemeId::MultiLevelRht) && enc.n > 0 {
         RandomizedHadamard::new(seed).inverse_in_place(&mut coords);
         coords.truncate(meta.original_len);
     }
-    Ok(coords)
+    coords
 }
 
 /// Per-coordinate depths of every non-uniform view, named for diagnostics.
@@ -219,49 +182,16 @@ fn depth_patterns(n: usize, k: usize, seed: u64) -> Vec<(&'static str, Vec<usize
     ]
 }
 
-/// A view of `enc` whose part `k` has coordinate `i` iff `has(k, i)`, built
-/// the way `view_with_depths` built its masks before it filled them by runs:
-/// one single-bit `set` per coordinate per part.
-fn view_from<'a>(enc: &'a EncodedRow, has: impl Fn(usize, usize) -> bool) -> PartialRow<'a> {
-    let parts = enc
-        .parts
-        .iter()
-        .enumerate()
-        .map(|(k, buf)| {
-            let mut present = BitMask::absent(enc.n);
-            for i in 0..enc.n {
-                present.set(i, has(k, i));
-            }
-            match present.count_present() {
-                0 => PartView::Absent,
-                c if c == enc.n => PartView::Full(buf),
-                _ => PartView::Masked {
-                    buf,
-                    present: Cow::Owned(present),
-                },
-            }
-        })
-        .collect();
-    PartialRow { n: enc.n, parts }
-}
-
-fn shape(view: &PartView<'_>) -> &'static str {
-    match view {
-        PartView::Full(_) => "full",
-        PartView::Masked { .. } => "masked",
-        PartView::Absent => "absent",
-    }
-}
-
-fn assert_same_view(got: &PartialRow<'_>, want: &PartialRow<'_>, ctx: &str) {
-    assert_eq!(got.n, want.n, "{ctx}: n");
-    assert_eq!(got.parts.len(), want.parts.len(), "{ctx}: part count");
-    for (k, (g, w)) in got.parts.iter().zip(&want.parts).enumerate() {
-        assert_eq!(shape(g), shape(w), "{ctx}: part {k} shape");
-        if let (PartView::Masked { present: g, .. }, PartView::Masked { present: w, .. }) = (g, w) {
-            assert_eq!(g, w, "{ctx}: part {k} mask");
-        }
-    }
+/// The view's depths, coordinate by coordinate, from the runs the decoder
+/// of `id` reads.
+fn view_depths(view: &PartialRow<'_>, id: SchemeId) -> Vec<usize> {
+    let mut depths = Vec::new();
+    view.runs(id.part_bits(), |run| {
+        assert_eq!(run.coords.start, depths.len(), "runs tile the row");
+        depths.extend(std::iter::repeat_n(run.depth, run.coords.len()));
+    })
+    .expect("the view's own geometry");
+    depths
 }
 
 fn assert_bits_equal(got: &[f32], want: &[f32], ctx: &str) {
@@ -283,31 +213,24 @@ fn digest_case(id: SchemeId, n: usize) -> u64 {
     let data = row(n, seed);
     let enc = id.encode(&data, seed);
     let mut digest = 0xCBF2_9CE4_8422_2325u64;
-    let mut check = |name: &str, view: &PartialRow<'_>| {
+    let mut check = |name: &str, view: &PartialRow<'_>, depths: &[usize]| {
         let ctx = format!("{id} n={n} view={name}");
+        assert!(view_depths(view, id) == depths, "{ctx}: depths");
         let got = id
             .decode(view, &enc.meta, seed)
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        let want = reference_decode(id, view, &enc.meta, seed).expect("reference decodes");
+        let want = reference_decode(id, &enc, depths, &enc.meta, seed);
         assert_eq!(got.len(), n, "{ctx}: length");
         assert_bits_equal(&got, &want, &ctx);
         fnv1a(&mut digest, &got);
     };
-    check("full", &enc.full_view());
+    check("full", &enc.full_view(), &vec![k; enc.n]);
     for depth in 1..k {
-        check(&format!("trimmed({depth})"), &enc.trimmed_view(depth));
+        let name = format!("trimmed({depth})");
+        check(&name, &enc.trimmed_view(depth), &vec![depth; enc.n]);
     }
     for (name, depths) in depth_patterns(enc.n, k, seed ^ 0x5EED) {
-        let view = enc.view_with_depths(&depths);
-        assert_same_view(
-            &view,
-            &view_from(&enc, |k, i| depths[i] > k),
-            &format!("{id} n={n} {name}"),
-        );
-        for (i, &d) in depths.iter().enumerate() {
-            assert_eq!(avail_depth(&view, i), d, "{id} n={n} {name}: depth of {i}");
-        }
-        check(name, &view);
+        check(name, &enc.view_with_depths(&depths), &depths);
     }
     digest
 }
@@ -343,101 +266,28 @@ fn empty_rows_decode_to_nothing() {
     }
 }
 
-#[test]
-fn prefix_violations_report_the_reference_coordinate_and_part() {
-    for id in SchemeId::ALL {
-        let k = id.part_bits().len();
-        let enc = id.encode(&row(200, 9), 9);
-        let n = enc.n;
-        // One offender at a time, at and around the word boundaries.
-        for bad in [0, 1, 62, 63, 64, 65, 127, 128, n - 1] {
-            for gap in 0..k - 1 {
-                // Part `gap` is missing at `bad`; everything else is there.
-                let view = view_from(&enc, |part, i| !(i == bad && part == gap));
-                let want = reference_prefix_check(&view);
-                assert_eq!(
-                    want,
-                    Err(DecodeError::PrefixViolation {
-                        coord: bad,
-                        part: gap + 1
-                    })
-                );
-                assert_eq!(view.validate(id.part_bits()), want, "{id} bad={bad}");
-                assert_eq!(
-                    id.decode(&view, &enc.meta, 9).map(|_| ()),
-                    want,
-                    "{id} bad={bad}"
-                );
-            }
-        }
-        // Several offenders in one word and in later words: the lowest
-        // coordinate wins, and on it the lowest offending part.
-        let view = view_from(&enc, |part, i| match i {
-            70 | 75 | 140 => part == k - 1,
-            72 => part >= 1,
-            _ => true,
-        });
-        let want = reference_prefix_check(&view);
-        assert_eq!(
-            want,
-            Err(DecodeError::PrefixViolation {
-                coord: 70,
-                part: k - 1
-            })
-        );
-        assert_eq!(view.validate(id.part_bits()), want, "{id}");
-        // Only a gap *followed by* a present part offends: a coordinate that
-        // lost a suffix of its parts (or all of them) is ordinary trimming.
-        let view = view_from(&enc, |part, i| part < i % (k + 1));
-        assert_eq!(reference_prefix_check(&view), Ok(()));
-        assert_eq!(view.validate(id.part_bits()), Ok(()), "{id}");
-    }
-}
-
+/// A view of another scheme's parts is refused before anything is decoded:
+/// another part count, or another width, over the same encoded length.
 #[test]
 fn structural_errors_are_unchanged() {
-    let enc = SchemeId::MultiLevelRht.encode(&row(100, 1), 1);
-    let two_parts = PartialRow {
-        n: enc.n,
-        parts: vec![PartView::Full(&enc.parts[0]), PartView::Absent],
-    };
+    let data = row(100, 1);
+    let enc = SchemeId::MultiLevelRht.encode(&data, 1);
+    let two_parts = SchemeId::RhtOneBit.encode(&data, 1);
     assert_eq!(
-        SchemeId::MultiLevelRht.decode(&two_parts, &enc.meta, 1),
+        SchemeId::MultiLevelRht.decode(&two_parts.full_view(), &enc.meta, 1),
         Err(DecodeError::PartCountMismatch {
             expected: 3,
             got: 2
         })
     );
-    let short_mask = PartialRow {
-        n: enc.n,
-        parts: vec![
-            PartView::Masked {
-                buf: &enc.parts[0],
-                present: Cow::Owned(BitMask::present(enc.n - 1)),
-            },
-            PartView::Absent,
-            PartView::Absent,
-        ],
-    };
+    // A 31-bit tail read as SQ's 32-bit one.
+    let signmag = SchemeId::SignMagnitude.encode(&data, 1);
     assert_eq!(
-        SchemeId::MultiLevelRht.decode(&short_mask, &enc.meta, 1),
+        SchemeId::Stochastic.decode(&signmag.full_view(), &signmag.meta, 1),
         Err(DecodeError::LengthMismatch {
-            part: 0,
-            expected: enc.n,
-            got: enc.n - 1
-        })
-    );
-    // A buffer too short for `n` fields: claim twice the coordinates.
-    let long = PartialRow {
-        n: enc.n * 2,
-        parts: enc.parts.iter().map(PartView::Full).collect(),
-    };
-    assert_eq!(
-        SchemeId::MultiLevelRht.decode(&long, &enc.meta, 1),
-        Err(DecodeError::LengthMismatch {
-            part: 0,
-            expected: enc.n * 2,
-            got: enc.n
+            part: 1,
+            expected: 100 * 32,
+            got: 100 * 31
         })
     );
     let bad_meta = RowMeta {

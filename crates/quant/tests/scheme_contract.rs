@@ -1,6 +1,6 @@
 //! The contract of `SchemeId::{encode, decode}`, enforced across every
 //! scheme with one generic property suite: exactness untrimmed, graceful
-//! degradation under any prefix-closed availability, determinism, and
+//! degradation under any per-coordinate depths, determinism, and
 //! monotone error in depth.
 
 use proptest::prelude::*;
@@ -44,7 +44,7 @@ proptest! {
         }
     }
 
-    /// Any per-coordinate prefix-closed availability decodes without panic,
+    /// Any per-coordinate depths decode without panic,
     /// with finite values and the right length.
     #[test]
     fn arbitrary_availability_never_panics(
@@ -62,7 +62,7 @@ proptest! {
             .collect();
         let dec = id
             .decode(&enc.view_with_depths(&depths), &enc.meta, seed)
-            .expect("prefix-closed view must decode");
+            .expect("any depths must decode");
         prop_assert_eq!(dec.len(), len);
         for d in dec {
             prop_assert!(d.is_finite());
@@ -115,7 +115,7 @@ proptest! {
     }
 }
 
-/// The views `decode_into` is checked on, as per-coordinate depths over a
+/// The views `decode_runs` is checked on, as per-coordinate depths over a
 /// `k`-part row of `n` encoded coordinates. Packets are 11 coordinates, so
 /// runs begin and end inside a group of eight.
 fn depth_views(n: usize, k: usize) -> Vec<(&'static str, Vec<usize>)> {
@@ -123,18 +123,18 @@ fn depth_views(n: usize, k: usize) -> Vec<(&'static str, Vec<usize>)> {
     vec![
         ("full", vec![k; n]),
         ("heads only", vec![1; n]),
-        ("mixed masks", packets(&|p| 1 + p % k)),
+        ("mixed depths", packets(&|p| 1 + p % k)),
         ("depth-0 gaps", packets(&|p| [k, 0, 1, 0][p % 4])),
     ]
 }
 
-/// `decode_into` writes every coordinate of its slice — garbage left in it
+/// `decode_runs` writes every coordinate of its slice — garbage left in it
 /// by an earlier row never survives, not even where a packet was lost — and
 /// `decode` is that same decode over a fresh vector. Lengths cover the empty
 /// row, a ragged group, a padded RHT row (100 → 128, 1000 → 1024) and a
 /// power-of-two row decoded in place.
 #[test]
-fn decode_into_overwrites_every_coordinate() {
+fn decode_runs_overwrites_every_coordinate() {
     for id in SchemeId::ALL {
         for len in [0usize, 1, 7, 64, 100, 1000, 1024] {
             let data = row(len, len as u64);
@@ -144,7 +144,7 @@ fn decode_into_overwrites_every_coordinate() {
                 let fresh = id.decode(&view, &enc.meta, 5).expect("valid");
                 assert_eq!(fresh.len(), len);
                 let mut reused = vec![f32::from_bits(0xFFC0_DEAD); len];
-                id.decode_into(&view, &enc.meta, 5, &mut reused)
+                id.decode_runs(&view, enc.n, &enc.meta, 5, &mut reused)
                     .expect("valid");
                 for (i, (a, b)) in reused.iter().zip(&fresh).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{id} len={len} {name}: coord {i}");
@@ -154,16 +154,19 @@ fn decode_into_overwrites_every_coordinate() {
     }
 }
 
-/// A slice of the wrong length is refused, not indexed; what is wrong with
-/// the view or its metadata is still reported first.
+/// A slice of the wrong length is refused, not indexed. The run decoder
+/// checks in one order: the metadata against the encoded length, then the
+/// slice, then the geometry of the source — here a view of a scheme with
+/// other parts over the same encoded length.
 #[test]
-fn decode_into_checks_the_output_length() {
+fn decode_runs_checks_metadata_then_output_then_geometry() {
     for id in SchemeId::ALL {
-        let enc = id.encode(&row(100, 3), 5);
+        let data = row(100, 3);
+        let enc = id.encode(&data, 5);
         for wrong in [0usize, 99, 101, enc.n + 1] {
             let mut out = vec![0.0; wrong];
             assert_eq!(
-                id.decode_into(&enc.full_view(), &enc.meta, 5, &mut out),
+                id.decode_runs(&enc.full_view(), enc.n, &enc.meta, 5, &mut out),
                 Err(DecodeError::OutputLenMismatch {
                     expected: 100,
                     got: wrong
@@ -176,15 +179,43 @@ fn decode_into_checks_the_output_length() {
             original_len: 300,
             ..enc.meta
         };
-        assert!(matches!(
-            id.decode_into(&enc.full_view(), &bad_meta, 5, &mut out),
-            Err(DecodeError::BadOriginalLen { .. })
-        ));
-        let mut short = enc.full_view();
-        short.parts.pop();
-        assert!(matches!(
-            id.decode_into(&short, &bad_meta, 5, &mut out[..7]),
-            Err(DecodeError::PartCountMismatch { .. })
-        ));
+        let bad_len = Err(DecodeError::BadOriginalLen {
+            n: enc.n,
+            original_len: 300,
+        });
+        assert_eq!(
+            id.decode_runs(&enc.full_view(), enc.n, &bad_meta, 5, &mut out),
+            bad_len,
+            "{id}"
+        );
+        let other = match id {
+            SchemeId::SignMagnitude => SchemeId::Stochastic,
+            SchemeId::Stochastic | SchemeId::SubtractiveDither => SchemeId::SignMagnitude,
+            SchemeId::RhtOneBit => SchemeId::MultiLevelRht,
+            SchemeId::MultiLevelRht => SchemeId::RhtOneBit,
+        };
+        let foreign = other.encode(&data, 5);
+        let view = foreign.full_view();
+        assert_eq!(foreign.n, enc.n, "{id}: same encoded length");
+        let geometry = other.check_part_bits(id.part_bits(), enc.n);
+        assert!(geometry.is_err(), "{id}: {other} has other parts");
+        assert_eq!(
+            id.decode_runs(&view, enc.n, &enc.meta, 5, &mut out),
+            geometry,
+            "{id}"
+        );
+        assert_eq!(
+            id.decode_runs(&view, enc.n, &enc.meta, 5, &mut out[..7]),
+            Err(DecodeError::OutputLenMismatch {
+                expected: 100,
+                got: 7
+            }),
+            "{id}"
+        );
+        assert_eq!(
+            id.decode_runs(&view, enc.n, &bad_meta, 5, &mut out[..7]),
+            bad_len,
+            "{id}"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! draws them) and an intact chunk's tails alone, and the SD decoder pulls
 //! the dithers of heads-only runs. Whichever chunks are trimmed, the row
 //! must decode bit for bit as its whole-row planes viewed through the same
-//! fates (`EncodedRow::view_with_depths` → `SchemeId::decode_into`), where
+//! fates (`EncodedRow::view_with_depths` → `SchemeId::decode_runs`), where
 //! every draw is made in order. The patterns put the trimmed chunks where
 //! the stream has to step, jump, or start from the front; one staged row
 //! also decodes every pattern in turn, so its stream goes back and starts
@@ -110,7 +110,8 @@ fn chunks_decode_as_the_planes_under_every_pattern() {
                     .flat_map(|(chunk, depth)| std::iter::repeat_n(*depth, chunk.len()))
                     .collect();
                 let mut want = vec![f32::NAN; n];
-                id.decode_into(&enc.view_with_depths(&depths), &enc.meta, seed, &mut want)
+                let view = enc.view_with_depths(&depths);
+                id.decode_runs(&view, enc.n, &enc.meta, seed, &mut want)
                     .unwrap();
                 let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
                 let mut fresh = RowScratch::default();

@@ -7,6 +7,15 @@
 //! not be trimmed"; here they ride UDP port [`crate::udp::PORT_METADATA`]
 //! with the [`crate::trimhdr::FLAG_RELIABLE`] semantics (switches never trim
 //! them, transports retransmit them on loss).
+//!
+//! Inside the simulator and the loopback pipeline, metadata crosses as a
+//! parsed [`RowMetaPacket`] (`trimgrad_netsim::packet::PacketBody::GradMeta`,
+//! `trimgrad::pipeline::TxMessage::metas`), while [`FRAME_LEN`] bytes are
+//! charged for it on the wire and in every byte count. So the frame format
+//! of [`RowMetaPacket::build_frame`] and [`RowMetaPacket::parse_frame`] is
+//! built and parsed only by the tests that feed it raw bytes: a stated
+//! divergence from sending the frame itself, kept because the frame's size,
+//! not its bytes, is what the fabric and the accounting see.
 
 use crate::ipv4::DSCP_TRIMMED;
 use crate::packet::NetAddrs;

@@ -11,13 +11,13 @@
 //!   hands the decoder each chunk's sections where they lie. No plane or
 //!   mask is built.
 //! * [`RowAssembler`], the plane view: it copies each frame's sections into
-//!   zeroed row planes and word-backed presence masks and exposes the
-//!   availability-aware [`PartialRow`] the plane decoder reads. It is the
-//!   oracle the frame path is tested against, and what the layer replays
-//!   decode.
+//!   zeroed row planes, keeps each coordinate's depth — the parts that
+//!   arrived — and exposes the [`PartialRow`] the plane decoder reads. It is
+//!   the oracle the frame path is tested against, and what the layer
+//!   replays decode.
 //!
 //! Both answer every completeness question from running counters, never by
-//! rescanning a frame table or a mask.
+//! rescanning a frame table or the depths.
 
 use crate::meta::RowMetaPacket;
 use crate::packet::{GradPacket, ParsedGrad, STACK_OVERHEAD};
@@ -26,8 +26,8 @@ use crate::payload::{PayloadLayout, MAX_PARTS};
 use crate::trimhdr::TrimGradFields;
 use crate::{Result, WireError};
 use std::borrow::Cow;
-use trimgrad_quant::bitpack::{BitBuf, BitMask};
-use trimgrad_quant::scheme::{DecodeError, PartView, PartialRow, RowMeta, Run, RunSource};
+use trimgrad_quant::bitpack::BitBuf;
+use trimgrad_quant::scheme::{DecodeError, PartialRow, RowMeta, Run, RunSource};
 use trimgrad_quant::SchemeId;
 
 /// The row a data frame or metadata packet must belong to.
@@ -306,9 +306,13 @@ impl RunSource for &RowFrames<'_> {
 pub struct RowAssembler {
     identity: RowIdentity,
     parts: Vec<BitBuf>,
-    masks: Vec<BitMask>,
-    /// `present[k] == masks[k].count_present()`, kept up to date by `ingest`.
-    present: Vec<usize>,
+    /// Per coordinate, the deepest frame that covered it. Every frame
+    /// carries a prefix of the parts, so this is all the row holds of it.
+    depths: Vec<u8>,
+    /// Coordinates of depth at least 1, kept up to date by `ingest`.
+    heads: usize,
+    /// Coordinates of full depth, kept up to date by `ingest`.
+    full: usize,
     meta: Option<RowMeta>,
 }
 
@@ -324,8 +328,9 @@ impl RowAssembler {
                 .iter()
                 .map(|&w| BitBuf::zeroed(n * w as usize))
                 .collect(),
-            masks: part_bits.iter().map(|_| BitMask::absent(n)).collect(),
-            present: vec![0; part_bits.len()],
+            depths: vec![0; n],
+            heads: 0,
+            full: 0,
             meta: None,
         }
     }
@@ -407,7 +412,17 @@ impl RowAssembler {
             // Zero-copy: section bytes land straight in the row part's
             // backing store, no intermediate BitBuf per packet.
             self.parts[k].write_bits_from_bytes(start * w, section, count * w);
-            self.present[k] += self.masks[k].set_range(start, start + count, true);
+        }
+        // A frame carries its first `trim_depth` parts, which `check`
+        // bounds by the part count.
+        let depth = f.trim_depth;
+        let full = usize::from(usize::from(depth) == part_bits.len());
+        for d in &mut self.depths[start..start + count] {
+            if depth > *d {
+                self.heads += usize::from(*d == 0);
+                self.full += full;
+                *d = depth;
+            }
         }
         Ok(())
     }
@@ -415,13 +430,13 @@ impl RowAssembler {
     /// Number of coordinates whose head (part 0) has arrived.
     #[must_use]
     pub fn coords_received(&self) -> usize {
-        self.present.first().copied().unwrap_or(0)
+        self.heads
     }
 
     /// Whether every coordinate arrived at full depth.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.present.iter().all(|&count| count == self.identity.n)
+        self.full == self.identity.n
     }
 
     /// Whether every coordinate's head arrived (possibly trimmed deeper).
@@ -430,30 +445,11 @@ impl RowAssembler {
         self.coords_received() == self.identity.n
     }
 
-    /// The availability view for decoding; a part that is neither full nor
-    /// absent lends its presence mask, so the view allocates nothing
-    /// row-sized.
+    /// The availability view for decoding: the planes, lent, and one entry
+    /// per run of equal depth, so the view allocates nothing row-sized.
     #[must_use]
     pub fn partial_row(&self) -> PartialRow<'_> {
-        let n = self.identity.n;
-        let parts = self
-            .parts
-            .iter()
-            .zip(self.masks.iter().zip(&self.present))
-            .map(|(buf, (mask, &present))| {
-                if present == n {
-                    PartView::Full(buf)
-                } else if present == 0 {
-                    PartView::Absent
-                } else {
-                    PartView::Masked {
-                        buf,
-                        present: Cow::Borrowed(mask),
-                    }
-                }
-            })
-            .collect();
-        PartialRow { n, parts }
+        PartialRow::new(self.identity.scheme, &self.parts, &self.depths)
     }
 }
 

@@ -6,9 +6,10 @@
 //! degrade the assembled row.
 //!
 //! The assembler answers its completeness questions from running counters,
-//! not from its masks, so after *every* ingest the counters are checked
+//! not from its depths, so after *every* ingest the counters are checked
 //! against a recount: a per-part `Vec<bool>` model filled from the packets
-//! the assembler accepted.
+//! the assembler accepted. The view's depth runs, read through
+//! `RunSource::runs`, must hold exactly the model's parts.
 //!
 //! The receive path, [`RowFrames`], is held to that plane oracle: it takes
 //! every event too, built without its metadata, which arrives first, last
@@ -19,7 +20,7 @@
 use proptest::prelude::*;
 use std::borrow::Cow;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
-use trimgrad_quant::scheme::PartView;
+use trimgrad_quant::scheme::RunSource;
 use trimgrad_quant::SchemeId;
 use trimgrad_wire::packet::{GradPacket, NetAddrs};
 use trimgrad_wire::packetize::{coords_per_packet, packetize_row, PacketizeConfig};
@@ -40,17 +41,27 @@ fn row(n: usize, seed: u64) -> Vec<f32> {
     (0..n).map(|_| rng.next_f32_range(-10.0, 10.0)).collect()
 }
 
+/// The depths of the assembler's view, coordinate by coordinate, as the
+/// decoder reads its runs; the runs must tile the row in order and be
+/// maximal.
+fn view_depths(asm: &RowAssembler) -> Vec<usize> {
+    let mut depths = Vec::with_capacity(asm.n());
+    let mut last = None;
+    asm.partial_row()
+        .runs(asm.scheme().part_bits(), |run| {
+            assert_eq!(run.coords.start, depths.len(), "runs tile the row");
+            assert!(!run.coords.is_empty(), "no empty run");
+            assert_ne!(last.replace(run.depth), Some(run.depth), "maximal runs");
+            depths.extend(std::iter::repeat_n(run.depth, run.coords.len()));
+        })
+        .expect("the row's own geometry");
+    assert_eq!(depths.len(), asm.n(), "runs cover the row");
+    depths
+}
+
 /// Total per-part coordinate availability — the quantity that must only grow.
 fn availability(asm: &RowAssembler) -> usize {
-    asm.partial_row()
-        .parts
-        .iter()
-        .map(|p| match p {
-            PartView::Full(_) => asm.n(),
-            PartView::Absent => 0,
-            PartView::Masked { present, .. } => present.count_present(),
-        })
-        .sum()
+    view_depths(asm).iter().sum()
 }
 
 /// Per-part presence as the test recounts it: `model[k][i]` is whether an
@@ -68,7 +79,8 @@ fn record(model: &mut Model, pkt: &GradPacket) {
 }
 
 /// Every O(1) answer of the assembler equals a recount of the model, and
-/// the view it hands the decoder has the model's shape and mask bits.
+/// the view it hands the decoder holds part `k` of coordinate `i` exactly
+/// where the model does.
 fn assert_counters_match(asm: &RowAssembler, model: &Model) -> Result<(), TestCaseError> {
     let n = asm.n();
     let counts: Vec<usize> = model
@@ -78,21 +90,17 @@ fn assert_counters_match(asm: &RowAssembler, model: &Model) -> Result<(), TestCa
     prop_assert_eq!(asm.coords_received(), counts[0]);
     prop_assert_eq!(asm.heads_complete(), counts[0] == n);
     prop_assert_eq!(asm.is_complete(), counts.iter().all(|&c| c == n));
-    let view = asm.partial_row();
-    prop_assert_eq!(view.n, n);
-    prop_assert_eq!(view.parts.len(), model.len());
-    for (k, (part, bits)) in view.parts.iter().zip(model).enumerate() {
-        match part {
-            PartView::Full(_) => prop_assert_eq!(counts[k], n, "part {} is not full", k),
-            PartView::Absent => prop_assert_eq!(counts[k], 0, "part {} is not absent", k),
-            PartView::Masked { present, .. } => {
-                prop_assert!(counts[k] > 0 && counts[k] < n, "part {} is not mixed", k);
-                prop_assert_eq!(present.len(), n);
-                prop_assert_eq!(present.count_present(), counts[k]);
-                for (i, &bit) in bits.iter().enumerate() {
-                    prop_assert_eq!(present.get(i), bit, "part {} coordinate {}", k, i);
-                }
-            }
+    let depths = view_depths(asm);
+    prop_assert_eq!(model.len(), asm.scheme().part_bits().len());
+    for (k, (bits, &count)) in model.iter().zip(&counts).enumerate() {
+        prop_assert_eq!(
+            depths.iter().filter(|&&d| d > k).count(),
+            count,
+            "part {}",
+            k
+        );
+        for (i, &bit) in bits.iter().enumerate() {
+            prop_assert_eq!(depths[i] > k, bit, "part {} coordinate {}", k, i);
         }
     }
     Ok(())
@@ -108,7 +116,7 @@ proptest! {
     /// * no ingest call panics (hostile ones return `Err`);
     /// * availability is monotone non-decreasing after every event;
     /// * after every event `coords_received`, `heads_complete`, `is_complete`
-    ///   and the Full / Masked / Absent shape of `partial_row` equal a recount
+    ///   and the depths of `partial_row` per part equal a recount
     ///   of what was accepted — so a rejected frame changes none of them, and
     ///   duplicates and re-deliveries at other depths are not counted twice;
     /// * the final decode equals, bit for bit, the decode of an assembler

@@ -19,7 +19,8 @@
 //! `TrimmablePipeline::decode` nothing but the output it returns — no
 //! whole-row plane or reassembly buffer on either side. The plane view a
 //! `RowAssembler` (the receive path's test oracle) hands the decoder lends
-//! its presence masks instead of copying them.
+//! its planes and keeps one entry per run of equal depth: nothing
+//! row-sized is copied.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,7 +32,7 @@ use trimgrad_mltrain::data::{gaussian_mixture, sample_indices};
 use trimgrad_mltrain::parallel::{DataParallelTrainer, ParallelConfig};
 use trimgrad_mltrain::Mlp;
 use trimgrad_par::{hardware_threads, WorkerPool};
-use trimgrad_quant::scheme::PartView;
+use trimgrad_quant::scheme::RunSource;
 use trimgrad_quant::SchemeId;
 use trimgrad_wire::packet::NetAddrs;
 use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
@@ -129,7 +130,7 @@ fn the_exchange_allocates_nothing_blob_sized_but_the_views() {
 }
 
 #[test]
-fn a_partly_trimmed_row_lends_its_masks_to_the_decoder() {
+fn a_partly_trimmed_row_is_viewed_without_a_row_sized_copy() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = Xoshiro256StarStar::new(3);
     let row: Vec<f32> = (0..ROW_LEN)
@@ -145,23 +146,26 @@ fn a_partly_trimmed_row_lends_its_masks_to_the_decoder() {
     };
     let mut pr = packetize_row(&enc, &cfg);
     let mut asm = RowAssembler::from_meta(&pr.meta);
-    // Every third frame cut to its heads, one frame lost: both parts masked.
+    // Every third frame cut to its heads, one frame lost: depths 0, 1 and 2.
     for (i, frame) in pr.packets.iter_mut().enumerate().skip(1) {
         if i % 3 == 0 {
             frame.trim_to_depth(1).expect("data frames trim");
         }
         asm.ingest(frame).expect("own frames");
     }
-    let masked = |asm: &RowAssembler| {
-        let view = asm.partial_row();
-        view.parts
-            .iter()
-            .all(|p| matches!(p, PartView::Masked { .. }))
+    let mixed = |asm: &RowAssembler| {
+        let mut seen = [false; 3];
+        asm.partial_row()
+            .runs(SchemeId::SignMagnitude.part_bits(), |run| {
+                seen[run.depth] = true;
+            })
+            .expect("the row's own geometry");
+        seen == [true; 3]
     };
-    assert!(masked(&asm), "both parts partly present");
-    // A 2¹⁵-coordinate presence mask is 4 KiB.
+    assert!(mixed(&asm), "lost, trimmed and intact coordinates");
+    // A bit per 2¹⁵ coordinates is 4 KiB; their depth bytes are 32 KiB.
     let count = third_call_allocations(4 << 10, || {
-        assert!(masked(&asm));
+        assert!(mixed(&asm));
     });
     assert_eq!(count, 0, "allocations of 4 KiB or more");
 }

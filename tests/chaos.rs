@@ -29,7 +29,7 @@ use trimgrad::netsim::transport::{
     ReliableReceiverApp, ReliableSenderApp, TrimmingReceiverApp, TrimmingSenderApp,
 };
 use trimgrad::netsim::{FlowId, NodeId};
-use trimgrad::quant::scheme::PartView;
+use trimgrad::quant::scheme::RunSource;
 use trimgrad::quant::SchemeId;
 use trimgrad::wire::meta::RowMetaPacket;
 use trimgrad::wire::packet::{GradPacket, NetAddrs};
@@ -247,16 +247,16 @@ struct RowCollectorApp {
     rejected: u64,
 }
 
+/// Total per-part coordinate availability: each run's coordinates once
+/// per part they hold.
 fn availability(asm: &RowAssembler) -> usize {
+    let mut total = 0;
     asm.partial_row()
-        .parts
-        .iter()
-        .map(|p| match p {
-            PartView::Full(_) => asm.n(),
-            PartView::Absent => 0,
-            PartView::Masked { present, .. } => present.count_present(),
+        .runs(asm.scheme().part_bits(), |run| {
+            total += run.coords.len() * run.depth;
         })
-        .sum()
+        .expect("the row's own geometry");
+    total
 }
 
 impl App for RowCollectorApp {
