@@ -231,7 +231,6 @@ mod tests {
             ecn: false,
             seq: 0,
             fin: false,
-            sent_at: SimTime::ZERO,
             body: crate::packet::PacketBody::Synthetic,
         };
         sink.on_packet(pkt.clone(), &mut api);

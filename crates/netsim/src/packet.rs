@@ -6,7 +6,6 @@
 //! operation exercises the actual byte-level truncation; cross-traffic and
 //! transport-control packets are synthetic.
 
-use crate::time::SimTime;
 use crate::{FlowId, NodeId};
 use trimgrad_wire::meta::RowMetaPacket;
 use trimgrad_wire::packet::GradPacket;
@@ -73,8 +72,6 @@ pub struct Packet {
     /// Marks the highest-sequence packet of its flow (flow comprises
     /// sequences `0..=seq`); receivers use it to detect flow completion.
     pub fin: bool,
-    /// When the source host handed it to its NIC.
-    pub sent_at: SimTime,
     /// Payload.
     pub body: PacketBody,
 }
@@ -190,7 +187,6 @@ impl Packet {
             ecn: false,
             seq: 0,
             fin: false,
-            sent_at: SimTime::ZERO,
             body: PacketBody::Synthetic,
         }
     }
@@ -426,7 +422,6 @@ mod tests {
             ecn: false,
             seq: spec.seq,
             fin: spec.fin,
-            sent_at: SimTime::ZERO,
             body: spec.body,
         }
     }

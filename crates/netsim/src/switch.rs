@@ -94,19 +94,13 @@ impl EnqueueOutcome {
     }
 }
 
-/// Monotone per-port event tallies, kept as plain integers on the hot path
-/// and exported into a [`Registry`] on demand (see [`PortCounters::export_to`]).
-///
-/// Conservation invariant, checked by tests:
-///
-/// ```text
-/// arrived = queued_data + queued_prio + trimmed
-///           + dropped_data_full + dropped_prio_full
-/// ```
+/// Monotone per-port outcome tallies: one count per packet offered to the
+/// port, under what became of it. The port's arrivals are their sum
+/// ([`PortCounters::arrived`]) and its dequeues what was queued and has
+/// left ([`PortState::dequeued`]). Exported into a [`Registry`] on demand
+/// (see [`PortState::export_to`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PortCounters {
-    /// Packets offered to the port.
-    pub arrived: u64,
     /// Packets queued untouched in the data queue.
     pub queued_data: u64,
     /// Intact priority packets queued in the high-priority queue.
@@ -119,8 +113,6 @@ pub struct PortCounters {
     pub dropped_prio_full: u64,
     /// Packets freshly ECN-marked at this port.
     pub ecn_marked: u64,
-    /// Packets handed to the serializer.
-    pub dequeued: u64,
 }
 
 impl PortCounters {
@@ -136,43 +128,22 @@ impl PortCounters {
         self.dropped_data_full + self.dropped_prio_full
     }
 
-    /// Whether every offered packet is accounted for.
+    /// Packets offered to the port: every one was queued in some form or
+    /// dropped.
     #[must_use]
-    pub fn conserved(&self) -> bool {
-        self.arrived == self.queued_total() + self.dropped_total()
+    pub fn arrived(&self) -> u64 {
+        self.queued_total() + self.dropped_total()
     }
 
-    /// Counts one arrival and what became of it.
+    /// Counts what became of one arrival.
     // trimlint: hot-path -- per enqueue
     pub(crate) fn count(&mut self, outcome: EnqueueOutcome) {
-        self.arrived += 1;
         match outcome {
             EnqueueOutcome::Data => self.queued_data += 1,
             EnqueueOutcome::Priority => self.queued_prio += 1,
             EnqueueOutcome::Trimmed => self.trimmed += 1,
             EnqueueOutcome::DroppedDataFull => self.dropped_data_full += 1,
             EnqueueOutcome::DroppedPrioFull => self.dropped_prio_full += 1,
-        }
-    }
-
-    /// Every tally with its field name.
-    pub(crate) fn fields(&self) -> [(&'static str, u64); 8] {
-        [
-            ("arrived", self.arrived),
-            ("queued_data", self.queued_data),
-            ("queued_prio", self.queued_prio),
-            ("trimmed", self.trimmed),
-            ("dropped_data_full", self.dropped_data_full),
-            ("dropped_prio_full", self.dropped_prio_full),
-            ("ecn_marked", self.ecn_marked),
-            ("dequeued", self.dequeued),
-        ]
-    }
-
-    /// Adds the tallies to `registry` as counters named `{prefix}.{field}`.
-    pub fn export_to(&self, registry: &Registry, prefix: &str) {
-        for (field, value) in self.fields() {
-            registry.counter(&format!("{prefix}.{field}")).add(value);
         }
     }
 }
@@ -198,7 +169,7 @@ pub struct PortState {
     low_bytes: u32,
     /// Deepest data-queue occupancy seen (bytes).
     pub max_low_bytes: u32,
-    /// Monotone event tallies for this port.
+    /// Monotone outcome tallies for this port.
     pub counters: PortCounters,
 }
 
@@ -231,6 +202,41 @@ impl PortState {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.high.is_empty() && self.low.is_empty()
+    }
+
+    /// Packets handed to the serializer: those queued that have left.
+    #[must_use]
+    pub fn dequeued(&self) -> u64 {
+        self.counters.queued_total() - self.queued_packets() as u64
+    }
+
+    /// Adds the port's tallies to `registry` as counters named
+    /// `{prefix}.{field}`, and its watermark as the gauge
+    /// `{prefix}.max_low_bytes`.
+    pub fn export_to(&self, registry: &Registry, prefix: &str) {
+        let c = &self.counters;
+        let fields = [
+            ("arrived", c.arrived()),
+            ("queued_data", c.queued_data),
+            ("queued_prio", c.queued_prio),
+            ("trimmed", c.trimmed),
+            ("dropped_data_full", c.dropped_data_full),
+            ("dropped_prio_full", c.dropped_prio_full),
+            ("ecn_marked", c.ecn_marked),
+            ("dequeued", self.dequeued()),
+        ];
+        for (field, value) in fields {
+            registry.counter(&format!("{prefix}.{field}")).add(value);
+        }
+        registry
+            .gauge(&format!("{prefix}.max_low_bytes"))
+            .set_max(u64::from(self.max_low_bytes));
+    }
+
+    /// The size of the newest priority entry: after a
+    /// [`EnqueueOutcome::Trimmed`], the remnant's.
+    pub(crate) fn newest_priority_size(&self) -> u32 {
+        self.high.back().map_or(0, |e| e.size)
     }
 
     /// Enqueues under `policy`, possibly trimming or dropping. The packet
@@ -320,7 +326,6 @@ impl PortState {
             self.low_bytes -= e.size;
             (e, false)
         };
-        self.counters.dequeued += 1;
         let hop = Hop {
             size: e.size,
             cursor: e.cursor,
@@ -329,11 +334,10 @@ impl PortState {
         Some((e.packet, hop))
     }
 
-    /// Recounts the port (conservation, entries against records and byte
-    /// totals) and the port table's mirrors of it (`depth`, `queued`,
-    /// `busy`: a port with a backlog is serializing).
+    /// Recounts the port (entries against records and byte totals) and the
+    /// port table's mirrors of it (`depth`, `queued`, `busy`: a port with a
+    /// backlog is serializing).
     pub(crate) fn recount(&self, depth: u32, queued: u32, busy: bool) -> Result<(), Mismatch> {
-        let c = &self.counters;
         let sum = |q: &VecDeque<Entry>| q.iter().map(|e| u64::from(e.size)).sum();
         let strays = |q: &VecDeque<Entry>, high| {
             q.iter().filter(|e| e.packet.priority != high).count() as u64
@@ -343,7 +347,6 @@ impl PortState {
         let (size, record) = resized.map_or((0, 0), |e| (e.size, e.packet.size));
         let n = self.queued_packets() as u64;
         let checks = [
-            ("arrived", c.arrived, c.queued_total() + c.dropped_total()),
             ("entry size", size.into(), record.into()),
             (
                 "class strays",
@@ -365,7 +368,6 @@ impl PortState {
 mod tests {
     use super::*;
     use crate::packet::{Packet, PacketArena, PacketBody, SYNTHETIC_TRIM_STUB};
-    use crate::time::SimTime;
     use crate::{FlowId, NodeId};
 
     fn data_pkt(id: u64, size: u32) -> Box<InFlight> {
@@ -381,7 +383,6 @@ mod tests {
             ecn: false,
             seq: id,
             fin: false,
-            sent_at: SimTime::ZERO,
             body: PacketBody::Synthetic,
         };
         PacketArena::new().alloc(pkt, 0)
@@ -568,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn port_counters_conserve_and_export() {
+    fn port_counters_count_outcomes_and_export() {
         let mut port = PortState::new();
         let pol = tiny_policy(FullAction::Trim { grad_depth: 1 });
         port.offer(data_pkt(1, 1500), &pol);
@@ -576,22 +577,24 @@ mod tests {
         port.offer(prio_pkt(3, 64), &pol);
         port.offer(data_pkt(4, 1500), &pol); // trimmed
         port.offer(data_pkt(5, SYNTHETIC_TRIM_STUB), &pol); // untrimmable → drop
-        while port.take().is_some() {}
+        assert!(port.take().is_some());
         let c = port.counters;
-        assert_eq!(c.arrived, 5);
+        assert_eq!(c.arrived(), 5);
         assert_eq!(c.queued_data, 2);
         assert_eq!(c.queued_prio, 1);
         assert_eq!(c.trimmed, 1);
         assert_eq!(c.dropped_data_full, 1);
-        assert_eq!(c.dequeued, 4);
-        assert!(c.conserved());
+        assert_eq!(port.dequeued(), 1);
+        while port.take().is_some() {}
+        assert_eq!(port.dequeued(), 4);
 
         let reg = Registry::new();
-        c.export_to(&reg, "netsim.port.0->1");
+        port.export_to(&reg, "netsim.port.0->1");
         let snap = reg.snapshot();
         assert_eq!(snap.counter("netsim.port.0->1.arrived"), 5);
         assert_eq!(snap.counter("netsim.port.0->1.trimmed"), 1);
         assert_eq!(snap.counter("netsim.port.0->1.dequeued"), 4);
+        assert_eq!(snap.gauge("netsim.port.0->1.max_low_bytes"), 3000);
     }
 
     #[test]

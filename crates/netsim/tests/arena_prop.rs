@@ -33,7 +33,6 @@ fn tagged_packet(tag: u64) -> Packet {
         ecn: tag & 8 == 0,
         seq: tag ^ 0x5EED,
         fin: tag & 16 == 0,
-        sent_at: SimTime::from_nanos(tag),
         body: PacketBody::GradData(GradPacket::from_frame(vec![b; len])),
     }
 }
@@ -65,7 +64,6 @@ fn assert_is_tagged(got: &InFlight, tag: u64) {
     assert_eq!(got.ecn, want.ecn);
     assert_eq!(got.seq, want.seq);
     assert_eq!(got.fin, want.fin);
-    assert_eq!(got.sent_at, want.sent_at);
     let (PacketBody::GradData(g), PacketBody::GradData(w)) = (&got.body, &want.body) else {
         panic!("body variant leaked: {:?}", got.body);
     };
@@ -129,8 +127,7 @@ proptest! {
     /// Through a real congested incast (trim fabric, tight buffers, every
     /// destination routed): after the network drains, the arena's totals
     /// reconcile with `Stats` — allocations = sent, frees = delivered +
-    /// dropped, zero live boxes, and `live == in_flight` as the standing
-    /// invariant.
+    /// dropped, and zero live boxes.
     #[test]
     fn arena_reconciles_with_stats_after_drain(
         senders in 2usize..8,
@@ -156,7 +153,6 @@ proptest! {
 
         let stats = sim.stats();
         let arena = sim.arena();
-        prop_assert_eq!(arena.live(), sim.in_flight(), "live boxes != packets in flight");
         prop_assert_eq!(sim.in_flight(), 0, "network failed to drain");
         // Every routed send drew one box from the arena (no fault plan, so
         // no injected clones; every destination is routed, so no routeless
