@@ -3,7 +3,10 @@
 # results/ table into OUT_DIR (default: a fresh temporary directory) and
 # fails unless each is byte for byte the committed file. Fig 3 trains its
 # configurations in about half a minute (release, one core). Fig 5 stays out:
-# its encode column is wall-clock; Fig 4 takes minutes.
+# its encode column is wall-clock; Fig 4 takes minutes. The fleet run (about
+# two seconds) is held by its registry outputs, which carry every netsim.*
+# metric, the tenant-scoped trims and the SLO verdicts; fleet.txt stays out,
+# as its last line names the output directory.
 #
 #   bash scripts/check_tables.sh [OUT_DIR]
 set -euo pipefail
@@ -22,6 +25,16 @@ for table in layout_table baseline_drops queue_closedloop lowrank_ablation fsdp_
   else
     echo "$table: differs from results/$table.txt (regenerate it with scripts/reproduce.sh):" >&2
     diff "results/$table.txt" "$out/$table.txt" >&2 || true
+    status=1
+  fi
+done
+
+TRIMGRAD_SNAPSHOT_DIR="$out" ./target/release/fleet >"$out/fleet.txt"
+for file in fleet.snapshot.json dashboard.html; do
+  if cmp -s "$out/$file" "results/$file"; then
+    echo "fleet: $file matches results/$file"
+  else
+    echo "fleet: $file differs from results/$file (regenerate it with scripts/reproduce.sh)" >&2
     status=1
   fi
 done
